@@ -79,7 +79,7 @@ fn bench_model(c: &mut Criterion) {
     let mut model = QPSeeker::new(&db, ModelConfig::small());
     model.fit(&refs).expect("training succeeds");
     let qep = w.qeps.iter().find(|q| q.query.num_joins() >= 1).expect("join query");
-    // Tape-free fast path (the default) vs the autodiff-tape reference.
+    // The tape-free scoring forward vs the autodiff-tape reference.
     c.bench_function("qpseeker/predict", |b| {
         b.iter(|| black_box(model.predict(black_box(&qep.query), black_box(&qep.plan))))
     });
@@ -89,17 +89,19 @@ fn bench_model(c: &mut Criterion) {
     // Amortized per-plan cost when the query is encoded once and every
     // candidate reuses the context — the MCTS hot-loop shape.
     c.bench_function("qpseeker/predict_with_context", |b| {
+        let mut feat = FeatSession::new();
         let mut ctx = model.query_context(&qep.query);
         b.iter(|| {
-            black_box(model.predict_with_context(
+            black_box(model.predict_with_context_in(
+                &mut feat,
                 black_box(&qep.query),
                 black_box(&qep.plan),
                 &mut ctx,
             ))
         })
     });
-    // Batched amortization: 16 candidate plans scored in one forward pass
-    // vs 16 scalar predictions (the MCTS flush shape).
+    // Batched amortization: 16 candidate plans as 16 rows of one forward
+    // vs 16 one-row calls (the MCTS flush shape).
     let pool_refs: Vec<&PlanNode> = vec![&qep.plan; 16];
     c.bench_function("qpseeker/predict_batch_16", |b| {
         b.iter(|| black_box(model.predict_batch(black_box(&qep.query), black_box(&pool_refs))))

@@ -116,6 +116,21 @@ mod tests {
         let model2 = restored.restore(&db).unwrap();
         let after = model2.predict(&w.qeps[0].query, &w.qeps[0].plan);
         assert_eq!(before, after, "restored model must predict identically");
+
+        // A checkpoint written before the tape serving path was retired
+        // still carries its toggle, switched off. The key is ignored: the
+        // model loads and scores through the one forward, identically.
+        let payload = serde_json::to_string(&Checkpoint::capture(&model, &db)).unwrap();
+        let legacy = payload.replacen(
+            "\"train_threads\":",
+            "\"fast_inference\":false,\"train_threads\":",
+            1,
+        );
+        assert_ne!(legacy, payload, "the legacy key was spliced into the config object");
+        let legacy = durable::seal_envelope(&legacy, CHECKPOINT_VERSION);
+        let model3 = Checkpoint::from_json(&legacy).unwrap().restore(&db).unwrap();
+        let after = model3.predict(&w.qeps[0].query, &w.qeps[0].plan);
+        assert_eq!(before, after, "a retired config key must not change scoring");
     }
 
     #[test]

@@ -5,9 +5,10 @@ use serde::Serialize;
 
 /// Hyperparameters of the full QPSeeker model (paper §6.2).
 ///
-/// `Deserialize` is written by hand (instead of derived) so the knobs added
-/// after the first release — `train_threads`, `fast_inference` — fall back
-/// to their defaults when absent, keeping older checkpoints loadable.
+/// `Deserialize` is written by hand (instead of derived) so `train_threads`,
+/// added after the first release, falls back to its default when absent,
+/// and keys that have since been retired (`fast_inference` — there is one
+/// inference path now) are ignored, keeping older checkpoints loadable.
 #[derive(Debug, Clone, Serialize)]
 pub struct ModelConfig {
     /// Hidden width of the relation/join set MLPs (paper: 256).
@@ -42,9 +43,6 @@ pub struct ModelConfig {
     /// merged in sample order, so every value yields bit-identical parameters
     /// under a fixed seed. Defaults to 1 for checkpoints predating the knob.
     pub train_threads: usize,
-    /// Tape-free inference with per-query encoding caches (the MCTS fast
-    /// path). Off falls back to the autodiff-tape reference forward.
-    pub fast_inference: bool,
 }
 
 impl serde::Deserialize for ModelConfig {
@@ -85,7 +83,6 @@ impl serde::Deserialize for ModelConfig {
             seed: req(obj, "seed")?,
             tabert: req(obj, "tabert")?,
             train_threads: opt(obj, "train_threads", 1)?,
-            fast_inference: opt(obj, "fast_inference", true)?,
         })
     }
 }
@@ -111,7 +108,6 @@ impl ModelConfig {
             seed: 0x9b5,
             tabert: TabertConfig::paper_default(),
             train_threads: 1,
-            fast_inference: true,
         }
     }
 
@@ -136,7 +132,6 @@ impl ModelConfig {
             seed: 0x9b5,
             tabert: TabertConfig::paper_default(),
             train_threads: 1,
-            fast_inference: true,
         }
     }
 
@@ -160,7 +155,6 @@ impl ModelConfig {
             seed: 0x9b5,
             tabert: TabertConfig::paper_default(),
             train_threads: 1,
-            fast_inference: true,
         }
     }
 

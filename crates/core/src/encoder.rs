@@ -212,90 +212,21 @@ impl PlanEncoder {
         (state_out, state_out.h)
     }
 
-    /// Tape-free [`Self::forward`]: the `[n_nodes, out_dim]` postorder node
-    /// outputs (root = last row), built entirely from scratch buffers. The
-    /// result comes from `sc` — recycle it when done.
-    pub fn forward_inference(
-        &self,
-        store: &ParamStore,
-        plan: &FeatNode,
-        sc: &mut ScratchArena,
-    ) -> Tensor {
-        let mut nodes = sc.take(plan.count(), self.out_dim);
-        let mut pos = 0usize;
-        let root_state = self.node_inference(store, plan, &mut nodes, &mut pos, sc);
-        root_state.recycle(sc);
-        nodes
-    }
-
-    fn node_inference(
-        &self,
-        store: &ParamStore,
-        node: &FeatNode,
-        nodes: &mut Tensor,
-        pos: &mut usize,
-        sc: &mut ScratchArena,
-    ) -> LstmStateBuf {
-        let mid_cols = node.mid.cols();
-        // The estimate slot is always out_dim - data_dim = 3 wide.
-        let input_dim = self.data_dim + mid_cols + (self.out_dim - self.data_dim);
-        let (input, state_in) = if node.children.is_empty() {
-            let mut input = sc.take(1, input_dim);
-            let est = node.leaf_est.as_ref().expect("leaf featurization includes estimates");
-            let d = input.data_mut();
-            d[self.data_dim..self.data_dim + mid_cols].copy_from_slice(node.mid.data());
-            d[self.data_dim + mid_cols..].copy_from_slice(est.data());
-            (input, self.cell.zero_state_buf(1, sc))
-        } else {
-            // Sum child h/c states in child order (matching the tape's
-            // stack_rows + mean_rows accumulation), then scale to the mean.
-            // The pooled h doubles as the parent's child-data/estimate input.
-            let mut hsum = sc.take(1, self.out_dim);
-            let mut csum = sc.take(1, self.out_dim);
-            for c in &node.children {
-                let s = self.node_inference(store, c, nodes, pos, sc);
-                for (a, v) in hsum.data_mut().iter_mut().zip(s.h.data()) {
-                    *a += v;
-                }
-                for (a, v) in csum.data_mut().iter_mut().zip(s.c.data()) {
-                    *a += v;
-                }
-                s.recycle(sc);
-            }
-            let inv = 1.0 / node.children.len().max(1) as f32;
-            for a in hsum.data_mut() {
-                *a *= inv;
-            }
-            for a in csum.data_mut() {
-                *a *= inv;
-            }
-            let mut input = sc.take(1, input_dim);
-            let d = input.data_mut();
-            d[..self.data_dim].copy_from_slice(&hsum.data()[..self.data_dim]);
-            d[self.data_dim..self.data_dim + mid_cols].copy_from_slice(node.mid.data());
-            d[self.data_dim + mid_cols..].copy_from_slice(&hsum.data()[self.data_dim..]);
-            (input, LstmStateBuf { h: hsum, c: csum })
-        };
-        let out = self.cell.step_inference(store, &input, &state_in, sc);
-        sc.recycle(input);
-        state_in.recycle(sc);
-        nodes.row_slice_mut(*pos).copy_from_slice(out.h.data());
-        *pos += 1;
-        out
-    }
-
-    /// Batched [`Self::forward_inference`] over `K` **shape-congruent** plans
-    /// (same tree structure and feature widths — e.g. left-deep MCTS
-    /// candidates for one query). Returns `[K * n_nodes, out_dim]` with plan
-    /// `p`'s postorder rows at `p * n_nodes ..`, or `None` when the trees are
-    /// not congruent (caller falls back to the scalar loop).
+    /// Tape-free [`Self::forward`] over `K` **shape-congruent** plans (same
+    /// tree structure and feature widths — e.g. left-deep MCTS candidates
+    /// for one query; a single plan is `K = 1`). Returns
+    /// `[K * n_nodes, out_dim]` with plan `p`'s postorder rows at
+    /// `p * n_nodes ..` (root = last row of the block), built entirely from
+    /// scratch buffers — recycle it when done — or `None` when the trees are
+    /// not congruent.
     ///
-    /// Each tree position becomes ONE `rows = K` LSTM step instead of K
-    /// single-row steps, so the cell's GEMMs amortize weight traffic across
-    /// the whole batch. Row `p` is bitwise identical to the scalar path: the
-    /// matmul kernel guarantees per-row reduction order, and every other op
-    /// here (state pooling, gate math, input assembly) is row-independent.
-    pub fn forward_inference_batch(
+    /// Each tree position is ONE `rows = K` LSTM step, so the cell's GEMMs
+    /// amortize weight traffic across the whole batch. Row `p` is bitwise
+    /// identical for every `K` and every partition of the plans into calls:
+    /// the matmul kernel guarantees per-row reduction order, and every other
+    /// op here (state pooling, gate math, input assembly) is
+    /// row-independent.
+    pub fn forward_inference(
         &self,
         store: &ParamStore,
         plans: &[&FeatNode],
@@ -308,14 +239,14 @@ impl PlanEncoder {
         let n_nodes = first.count();
         let mut out = sc.take(plans.len() * n_nodes, self.out_dim);
         let mut pos = 0usize;
-        let root = self.batch_node_inference(store, plans, &mut out, n_nodes, &mut pos, sc);
+        let root = self.node_inference(store, plans, &mut out, n_nodes, &mut pos, sc);
         root.recycle(sc);
         Some(out)
     }
 
     /// One tree position for all K plans at once: `nodes_at[p]` is plan `p`'s
-    /// node at this position. Mirrors [`Self::node_inference`] with `rows=K`.
-    fn batch_node_inference(
+    /// node at this position.
+    fn node_inference(
         &self,
         store: &ParamStore,
         nodes_at: &[&FeatNode],
@@ -327,8 +258,11 @@ impl PlanEncoder {
         let kn = nodes_at.len();
         let node0 = nodes_at[0];
         let mid_cols = node0.mid.cols();
+        // The estimate slot is always out_dim - data_dim = 3 wide.
         let input_dim = self.data_dim + mid_cols + (self.out_dim - self.data_dim);
         let (input, state_in) = if node0.children.is_empty() {
+            // Leaf: zero padding for the child-data slot, EXPLAIN estimates
+            // in the estimate slot, zero initial LSTM state.
             let mut input = sc.take(kn, input_dim);
             for (r, nd) in nodes_at.iter().enumerate() {
                 let est = nd.leaf_est.as_ref().expect("leaf featurization includes estimates");
@@ -338,13 +272,16 @@ impl PlanEncoder {
             }
             (input, self.cell.zero_state_buf(kn, sc))
         } else {
+            // Sum child h/c states in child order (matching the tape's
+            // stack_rows + mean_rows accumulation), then scale to the mean.
+            // The pooled h doubles as the parent's child-data/estimate input.
             let mut hsum = sc.take(kn, self.out_dim);
             let mut csum = sc.take(kn, self.out_dim);
             let mut child_col: Vec<&FeatNode> = Vec::with_capacity(kn);
             for ci in 0..node0.children.len() {
                 child_col.clear();
                 child_col.extend(nodes_at.iter().map(|nd| &nd.children[ci]));
-                let s = self.batch_node_inference(store, &child_col, out, n_nodes, pos, sc);
+                let s = self.node_inference(store, &child_col, out, n_nodes, pos, sc);
                 for (a, v) in hsum.data_mut().iter_mut().zip(s.h.data()) {
                     *a += v;
                 }
@@ -542,8 +479,10 @@ mod tests {
         assert_ne!(g.value(ea.root).data(), g.value(eb.root).data());
     }
 
+    /// K plans in one call ≡ K one-plan calls ≡ any partition into calls,
+    /// node for node, bit for bit.
     #[test]
-    fn batched_plan_encoding_bitwise_equals_scalar() {
+    fn plan_encoding_rows_bitwise_equal_under_any_partition() {
         let (db, q, _) = setup();
         let cfg = ModelConfig::small();
         let mut store = ParamStore::new();
@@ -576,26 +515,33 @@ mod tests {
         .collect();
         let refs: Vec<&FeatNode> = feats.iter().collect();
         let mut sc = ScratchArena::new();
-        let batched = penc
-            .forward_inference_batch(&store, &refs, &mut sc)
+        let whole = penc
+            .forward_inference(&store, &refs, &mut sc)
             .expect("left-deep candidates are congruent");
         let n = feats[0].count();
-        assert_eq!(batched.shape(), (3 * n, cfg.plan_node_out));
-        for (p, fp) in feats.iter().enumerate() {
-            let single = penc.forward_inference(&store, fp, &mut sc);
-            for r in 0..n {
-                assert_eq!(
-                    batched.row_slice(p * n + r),
-                    single.row_slice(r),
-                    "plan {p} node {r}: batched encoding is not bitwise equal"
-                );
+        assert_eq!(whole.shape(), (3 * n, cfg.plan_node_out));
+        // Partitions {0},{1},{2} (one-plan calls) and {0,1},{2}.
+        for parts in [vec![0..1, 1..2, 2..3], vec![0..2, 2..3]] {
+            for part in parts {
+                let enc = penc
+                    .forward_inference(&store, &refs[part.clone()], &mut sc)
+                    .expect("a sub-batch of congruent plans is congruent");
+                for p in part.clone() {
+                    for r in 0..n {
+                        assert_eq!(
+                            whole.row_slice(p * n + r),
+                            enc.row_slice((p - part.start) * n + r),
+                            "plan {p} node {r}: encoding depends on batch composition"
+                        );
+                    }
+                }
+                sc.recycle(enc);
             }
-            sc.recycle(single);
         }
-        // Non-congruent input (different node count) falls back to None.
+        // Non-congruent input (different node count) is refused.
         let bushy = PlanNode::scan(&q, "title", ScanOp::SeqScan);
         let fb = f.featurize(&mut sess, &q, &bushy, None, &norm, "t").plan;
-        assert!(penc.forward_inference_batch(&store, &[&feats[0], &fb], &mut sc).is_none());
+        assert!(penc.forward_inference(&store, &[&feats[0], &fb], &mut sc).is_none());
     }
 
     #[test]

@@ -11,14 +11,16 @@
 //!
 //! # Why fusing is plan-safe
 //!
-//! The batched forward is **row-wise bitwise equal** to scalar scoring
-//! (see [`crate::model::QPSeeker::predict_batch_with_context_in`] and the
-//! per-row FP reduction-order contract in `qpseeker_nn`), so batch
-//! composition cannot change any score, and therefore cannot change any
-//! plan. Broker-on serving is bitwise identical to broker-off serving by
-//! construction — the broker moves *where* a forward runs, never *what* it
-//! computes, and [`EvalBroker::submit`] is synchronous, so it also never
-//! moves *when* a result is observed by the search.
+//! There is one scoring forward, `QPSeeker::score`, and every row of it is
+//! bitwise independent of the rows it is grouped with (the per-row FP
+//! reduction-order contract in `qpseeker_nn`), so batch composition cannot
+//! change any score, and therefore cannot change any plan. Broker-off, a
+//! session calls that forward on its own submission; broker-on, the flush
+//! leader calls the same forward on a bucket of them. Broker-on serving is
+//! bitwise identical to broker-off serving by construction — the broker
+//! moves *where* the forward runs, never *what* it computes, and
+//! [`EvalBroker::submit`] is synchronous, so it also never moves *when* a
+//! result is observed by the search.
 //!
 //! # Determinism of batch composition
 //!
@@ -152,10 +154,11 @@ pub(crate) struct BucketKey {
     pub(crate) shape_sig: u64,
 }
 
-/// One member's in-flight eval request: pre-featurized plans plus owned
-/// copies of the per-query tensors the fused forward needs. Featurization
-/// stays submitter-side (it uses the member's own session caches), so the
-/// broker only ever runs the shape-uniform tensor pipeline.
+/// One candidate-scoring request — the row contract of `QPSeeker::score`,
+/// built by `QPSeeker::submission`: pre-featurized plans plus owned copies
+/// of the per-query tensors the forward needs. Featurization stays
+/// submitter-side (it uses the session's own caches), so scoring — local or
+/// brokered — only ever runs the shape-uniform tensor pipeline.
 pub(crate) struct Submission {
     pub(crate) key: BucketKey,
     /// One featurized tree per candidate plan.
@@ -175,6 +178,33 @@ pub(crate) enum FusedOutcome {
     /// submitter re-raises with this message inside its own attempt
     /// boundary.
     Poisoned(String),
+}
+
+impl FusedOutcome {
+    /// The per-candidate predictions of a mean-scoring submission.
+    ///
+    /// # Panics
+    /// Re-raises a poisoned bucket's failure — inside the submitter's own
+    /// attempt boundary, so only its retry budget burns.
+    pub(crate) fn mean(self) -> Vec<Prediction> {
+        match self {
+            Self::Mean(preds) => preds,
+            Self::Risk(_) => unreachable!("mean submission answered with risk result"),
+            Self::Poisoned(msg) => panic!("fused candidate evaluation failed: {msg}"),
+        }
+    }
+
+    /// The per-candidate `(mean, sigma)` of a risk-scoring submission.
+    ///
+    /// # Panics
+    /// As [`Self::mean`].
+    pub(crate) fn risk(self) -> Vec<(f64, f64)> {
+        match self {
+            Self::Risk(stats) => stats,
+            Self::Mean(_) => unreachable!("risk submission answered with mean result"),
+            Self::Poisoned(msg) => panic!("fused candidate evaluation failed: {msg}"),
+        }
+    }
 }
 
 struct Slot {
@@ -374,13 +404,13 @@ impl EvalBroker {
             FlushReason::Deadline => st.stats.flush_deadline += 1,
         }
         // SAFETY: `key.model` was captured from a `&QPSeeker` inside
-        // `broker_predict_*`, whose caller is — for every submission in
+        // `QPSeeker::submission`, whose caller is — for every submission in
         // this bucket — still parked inside `submit` and holds that borrow
         // across the park. The model therefore outlives this flush. A
         // pointer (not a lifetime) is used because different workers pin
         // the model through per-request `Arc`s with no common lifetime.
         let model = unsafe { &*(key.model as *const QPSeeker) };
-        let fused = catch_unwind(AssertUnwindSafe(|| model.fused_eval(&subs)));
+        let fused = catch_unwind(AssertUnwindSafe(|| model.score(&subs)));
         match fused {
             Ok((outcomes, forwards)) => {
                 for rows in forwards {
@@ -505,6 +535,22 @@ mod tests {
             })
     }
 
+    /// What a brokered search session does per scoring call: featurize into
+    /// a submission, park on the broker, hand the row buffer back.
+    fn submit_plans(
+        model: &QPSeeker,
+        member: &BrokerMember,
+        feat: &mut FeatSession,
+        query: &Query,
+        plans: &[&PlanNode],
+        ctx: &mut crate::model::QueryContext,
+        eps: Option<&Tensor>,
+    ) -> FusedOutcome {
+        let (outcome, rows) = member.submit(model.submission(feat, query, plans, ctx, eps));
+        ctx.feat_batch = rows;
+        outcome
+    }
+
     /// Fuse `chunks` through one broker, each chunk submitted by its own
     /// member thread, and return the predictions in chunk order.
     fn fuse_chunks(
@@ -523,13 +569,11 @@ mod tests {
                     s.spawn(move || {
                         let mut feat = FeatSession::default();
                         let mut ctx = model.query_context(query);
-                        assert!(ctx.fast, "test model must take the fast inference path");
                         let refs: Vec<&PlanNode> = chunk.iter().collect();
-                        let mut out = Vec::new();
-                        model.broker_predict_batch_in(
-                            &member, &mut feat, query, &refs, &mut ctx, &mut out,
-                        );
-                        out
+                        if refs.is_empty() {
+                            return Vec::new();
+                        }
+                        submit_plans(model, &member, &mut feat, query, &refs, &mut ctx, None).mean()
                     })
                 })
                 .collect();
@@ -566,11 +610,12 @@ mod tests {
             let cfg = BrokerConfig { batch_target: target, batch_window_us: 200 };
             let (fused, stats) = fuse_chunks(model, &query, chunks.clone(), cfg);
             prop_assert!(stats.fused_rows == plans.len(), "every row scored exactly once");
+            let mut feat = FeatSession::default();
             let mut ctx = model.query_context(&query);
             for (chunk, preds) in chunks.iter().zip(&fused) {
                 prop_assert_eq!(chunk.len(), preds.len());
                 for (plan, fused_p) in chunk.iter().zip(preds) {
-                    let scalar = model.predict_with_context(&query, plan, &mut ctx);
+                    let scalar = model.predict_with_context_in(&mut feat, &query, plan, &mut ctx);
                     prop_assert_eq!(fused_p.runtime_ms.to_bits(), scalar.runtime_ms.to_bits());
                     prop_assert_eq!(fused_p.cost.to_bits(), scalar.cost.to_bits());
                     prop_assert_eq!(fused_p.cardinality.to_bits(), scalar.cardinality.to_bits());
@@ -617,11 +662,7 @@ mod tests {
                         let mut feat = FeatSession::default();
                         let mut ctx = model.query_context(query);
                         let refs: Vec<&PlanNode> = plans.iter().collect();
-                        let mut out = Vec::new();
-                        model.broker_predict_batch_in(
-                            &member, &mut feat, query, &refs, &mut ctx, &mut out,
-                        );
-                        out
+                        submit_plans(model, &member, &mut feat, query, &refs, &mut ctx, None).mean()
                     })
                 })
                 .collect();
@@ -633,9 +674,10 @@ mod tests {
         assert_eq!(stats.occupancy_max, 6);
         assert_eq!(stats.flush_size, 1, "6 rows met the size target of 6");
         for (query, plans, preds) in [(&qa, &plans_a, &fused[0]), (&qb, &plans_b, &fused[1])] {
+            let mut feat = FeatSession::default();
             let mut ctx = model.query_context(query);
             for (plan, fused_p) in plans.iter().zip(preds.iter()) {
-                let scalar = model.predict_with_context(query, plan, &mut ctx);
+                let scalar = model.predict_with_context_in(&mut feat, query, plan, &mut ctx);
                 assert_eq!(fused_p.runtime_ms.to_bits(), scalar.runtime_ms.to_bits());
             }
         }
@@ -674,32 +716,13 @@ mod tests {
                 let mut feat = FeatSession::default();
                 let mut ctx = model.query_context(q);
                 let refs: Vec<&PlanNode> = ps.iter().collect();
-                let mut out = Vec::new();
-                model.broker_predict_risk_batch_in(
-                    &risk_member,
-                    &mut feat,
-                    q,
-                    &refs,
-                    &mut ctx,
-                    e,
-                    &mut out,
-                );
-                out
+                submit_plans(model, &risk_member, &mut feat, q, &refs, &mut ctx, Some(e)).risk()
             });
             let mh = s.spawn(move || {
                 let mut feat = FeatSession::default();
                 let mut ctx = model.query_context(q);
                 let refs: Vec<&PlanNode> = ps.iter().collect();
-                let mut out = Vec::new();
-                model.broker_predict_batch_in(
-                    &mean_member,
-                    &mut feat,
-                    q,
-                    &refs,
-                    &mut ctx,
-                    &mut out,
-                );
-                out
+                submit_plans(model, &mean_member, &mut feat, q, &refs, &mut ctx, None).mean()
             });
             (rh.join().expect("risk member"), mh.join().expect("mean member"))
         });
@@ -747,11 +770,11 @@ mod tests {
         let member = broker.register_members(1).pop().expect("one seat");
         let mut feat = FeatSession::default();
         let mut ctx = model.query_context(&query);
-        let mut out = Vec::new();
         for _ in 0..3 {
-            model.broker_predict_batch_in(&member, &mut feat, &query, &[&plan], &mut ctx, &mut out);
+            let out =
+                submit_plans(model, &member, &mut feat, &query, &[&plan], &mut ctx, None).mean();
             assert_eq!(out.len(), 1);
-            let scalar = model.predict_with_context(&query, &plan, &mut ctx);
+            let scalar = model.predict_with_context_in(&mut feat, &query, &plan, &mut ctx);
             assert_eq!(out[0].runtime_ms.to_bits(), scalar.runtime_ms.to_bits());
         }
         drop(member);

@@ -85,6 +85,7 @@ pub mod prelude {
     pub use crate::search::beam::{BeamConfig, BeamPlanner, BeamScratch};
     pub use crate::search::strategy::{
         RiskParams, SearchStrategy, StrategyConfig, StrategyKind, StrategyPlanner,
+        DEFAULT_BATCH_EVAL,
     };
     pub use crate::serve::{
         plan_with_fallback, BreakerState, CircuitBreaker, Disposition, FallbackReason,

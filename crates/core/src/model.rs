@@ -5,7 +5,7 @@ use crate::config::ModelConfig;
 use crate::durable::SnapshotStore;
 use crate::encoder::{PlanEncoder, QueryEncoder};
 use crate::error::CoreError;
-use crate::evalbroker::{shape_sig, BrokerMember, BucketKey, FusedOutcome, Submission};
+use crate::evalbroker::{shape_sig, BucketKey, FusedOutcome, Submission};
 use crate::featurize::{FeatNode, FeatSession, FeaturizedQep, Featurizer, PlanFeatCache};
 use crate::normalize::TargetNormalizer;
 use crate::session::PlannerSession;
@@ -529,53 +529,30 @@ impl QPSeeker {
 
     /// Predict (cardinality, cost, runtime) for an arbitrary plan of a
     /// query. Deterministic (zero latent noise). Uses the internal fallback
-    /// session; serving workers use [`Self::predict_in`] with their own.
+    /// session; serving workers use [`Self::predict_with_context_in`] with
+    /// their own.
     pub fn predict(&self, query: &Query, plan: &PlanNode) -> Prediction {
-        let mut sess = self.lock_fallback_session();
-        self.predict_in(&mut sess.feat, query, plan)
+        self.predict_batch(query, &[plan])[0]
     }
 
-    /// [`Self::predict`] with caller-owned featurization caches.
-    pub fn predict_in(&self, sess: &mut FeatSession, query: &Query, plan: &PlanNode) -> Prediction {
-        let mut ctx = self.query_context(query);
-        self.predict_with_context_in(sess, query, plan, &mut ctx)
-    }
-
-    /// Build the per-query state for [`Self::predict_with_context`]. The
-    /// query encoder runs once here; each candidate plan then only pays for
-    /// the plan encoder, attention, and VAE head — the MCTS hot loop builds
-    /// one context per search and scores every rollout through it.
+    /// Build the per-query state every scoring entry point takes. The query
+    /// encoder runs once here, tape-free; each candidate plan then only pays
+    /// for the plan encoder, attention, and VAE head — a search builds one
+    /// context per query and scores every candidate through it.
     pub fn query_context(&self, query: &Query) -> QueryContext {
-        let fast = self.config.fast_inference && PlanFeatCache::supports(query);
-        let qemb = if fast {
-            let qf = self.feat.query_features(query);
-            with_thread_scratch(|sc| {
-                let e = self.query_enc.forward_inference(&self.store, &qf, sc);
-                let owned = e.clone();
-                sc.recycle(e);
-                owned
-            })
-        } else {
-            Tensor::zeros(1, 1)
-        };
-        QueryContext { qemb, plan_cache: PlanFeatCache::new(query), fast, feat_batch: Vec::new() }
+        let qf = self.feat.query_features(query);
+        let qemb = with_thread_scratch(|sc| {
+            let e = self.query_enc.forward_inference(&self.store, &qf, sc);
+            let owned = e.clone();
+            sc.recycle(e);
+            owned
+        });
+        QueryContext { qemb, plan_cache: PlanFeatCache::new(query), feat_batch: Vec::new() }
     }
 
-    /// [`Self::predict`] through a reusable [`QueryContext`]. With the fast
-    /// path enabled this is tape-free: plan featurization hits the per-query
-    /// cache and every layer writes into recycled scratch buffers.
-    pub fn predict_with_context(
-        &self,
-        query: &Query,
-        plan: &PlanNode,
-        ctx: &mut QueryContext,
-    ) -> Prediction {
-        let mut sess = self.lock_fallback_session();
-        self.predict_with_context_in(&mut sess.feat, query, plan, ctx)
-    }
-
-    /// [`Self::predict_with_context`] with caller-owned featurization
-    /// caches — the lock-free serving hot path.
+    /// [`Self::predict`] with caller-owned featurization caches and a
+    /// reusable [`QueryContext`] — the lock-free serving entry: one row
+    /// through [`Self::score`].
     pub fn predict_with_context_in(
         &self,
         sess: &mut FeatSession,
@@ -583,62 +560,28 @@ impl QPSeeker {
         plan: &PlanNode,
         ctx: &mut QueryContext,
     ) -> Prediction {
-        let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        if !ctx.fast {
-            let fq = self.feat.featurize(sess, query, plan, None, norm, "");
-            let (preds, _mu) = self.forward_tape(&fq);
-            let raw = norm.decode(preds);
-            return Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] };
-        }
-        let fplan = self.feat.featurize_plan_fast(sess, query, plan, norm, &mut ctx.plan_cache);
-        let preds = with_thread_scratch(|sc| {
-            let nodes = self.plan_enc.forward_inference(&self.store, &fplan, sc);
-            let joint = if fplan.count() > 1 && self.config.use_attention {
-                let j = self.attn.forward_inference(&self.store, &ctx.qemb, &nodes, sc, None);
-                sc.recycle(nodes);
-                j
-            } else {
-                let qd = ctx.qemb.cols();
-                let mut j = sc.take(1, qd + self.plan_enc.out_dim());
-                j.data_mut()[..qd].copy_from_slice(ctx.qemb.data());
-                j.data_mut()[qd..].copy_from_slice(nodes.row_slice(nodes.rows() - 1));
-                sc.recycle(nodes);
-                j
-            };
-            let (p, _mu) = self.vae.forward_inference(&self.store, &joint, sc);
-            sc.recycle(joint);
-            let out = [p.get(0, 0), p.get(0, 1), p.get(0, 2)];
-            sc.recycle(p);
-            out
-        });
-        let raw = norm.decode(preds);
-        Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] }
+        self.score_plans(sess, query, &[plan], ctx, None).mean()[0]
     }
 
-    /// Score a batch of candidate plans of one query in **one batched
-    /// forward pass**: one `[K·n, d]` plan-encoder run (each tree position a
-    /// `rows = K` LSTM step), one batched attention pass, one `[K, d]` VAE
-    /// pass. Convenience wrapper over
+    /// Score a batch of candidate plans of one query in one call of
+    /// [`Self::score`]: per congruent shape, one `[K·n, d]` plan-encoder run
+    /// (each tree position a `rows = K` LSTM step), one attention pass, one
+    /// `[K, d]` VAE pass. Convenience wrapper over
     /// [`Self::predict_batch_with_context_in`] using the fallback session.
     pub fn predict_batch(&self, query: &Query, plans: &[&PlanNode]) -> Vec<Prediction> {
         let mut sess = self.lock_fallback_session();
         let mut ctx = self.query_context(query);
-        let mut out = Vec::with_capacity(plans.len());
-        self.predict_batch_with_context_in(&mut sess.feat, query, plans, &mut ctx, &mut out);
-        out
+        self.score_plans(&mut sess.feat, query, plans, &mut ctx, None).mean()
     }
 
     /// Batched [`Self::predict_with_context_in`]: fills `out` (cleared
     /// first) with one [`Prediction`] per plan, in order.
     ///
     /// `out[p]` is **bitwise identical** to
-    /// `self.predict_with_context_in(sess, query, plans[p], ctx)` — every
-    /// batched layer preserves per-row reduction order (see
-    /// `qpseeker_nn::tensor::matmul_kernel`'s FP-order contract), so MCTS
-    /// can defer rollouts into batches without changing any plan choice a
-    /// scalar-scoring search would make on the same predictions. Falls back
-    /// to the scalar loop when the fast path is off, `K == 1`, or the plans
-    /// are not shape-congruent.
+    /// `self.predict_with_context_in(sess, query, plans[p], ctx)` — both are
+    /// rows of the same forward, whose layers preserve per-row reduction
+    /// order (see `qpseeker_nn::tensor::matmul_kernel`'s FP-order contract),
+    /// so MCTS can defer rollouts into batches without changing any score.
     pub fn predict_batch_with_context_in(
         &self,
         sess: &mut FeatSession,
@@ -648,71 +591,7 @@ impl QPSeeker {
         out: &mut Vec<Prediction>,
     ) {
         out.clear();
-        if plans.is_empty() {
-            return;
-        }
-        if !ctx.fast || plans.len() == 1 {
-            for p in plans {
-                out.push(self.predict_with_context_in(sess, query, p, ctx));
-            }
-            return;
-        }
-        let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        let mut feat_batch = std::mem::take(&mut ctx.feat_batch);
-        self.feat.featurize_batch_into(
-            sess,
-            query,
-            plans,
-            norm,
-            &mut ctx.plan_cache,
-            &mut feat_batch,
-        );
-        let refs: Vec<&FeatNode> = feat_batch.iter().collect();
-        let kn = plans.len();
-        let batched = with_thread_scratch(|sc| -> bool {
-            let Some(nodes_all) = self.plan_enc.forward_inference_batch(&self.store, &refs, sc)
-            else {
-                return false;
-            };
-            let n_nodes = refs[0].count();
-            let qd = ctx.qemb.cols();
-            let joint = if n_nodes > 1 && self.config.use_attention {
-                let mut qb = sc.take(kn, qd);
-                for r in 0..kn {
-                    qb.row_slice_mut(r).copy_from_slice(ctx.qemb.data());
-                }
-                let j =
-                    self.attn.forward_inference_batch(&self.store, &qb, &nodes_all, n_nodes, sc);
-                sc.recycle(qb);
-                sc.recycle(nodes_all);
-                j
-            } else {
-                let mut j = sc.take(kn, qd + self.plan_enc.out_dim());
-                for r in 0..kn {
-                    let row = j.row_slice_mut(r);
-                    row[..qd].copy_from_slice(ctx.qemb.data());
-                    row[qd..].copy_from_slice(nodes_all.row_slice((r + 1) * n_nodes - 1));
-                }
-                sc.recycle(nodes_all);
-                j
-            };
-            let p = self.vae.forward_inference_batch(&self.store, &joint, sc);
-            sc.recycle(joint);
-            for r in 0..kn {
-                let raw = norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)]);
-                out.push(Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] });
-            }
-            sc.recycle(p);
-            true
-        });
-        ctx.feat_batch = feat_batch;
-        if !batched {
-            // Non-congruent trees (never the case for left-deep MCTS
-            // candidates): score one at a time.
-            for p in plans {
-                out.push(self.predict_with_context_in(sess, query, p, ctx));
-            }
-        }
+        out.extend(self.score_plans(sess, query, plans, ctx, None).mean());
     }
 
     /// Seeded standard-normal latent draws for risk-aware scoring:
@@ -737,58 +616,13 @@ impl QPSeeker {
         ctx: &mut QueryContext,
         eps: &Tensor,
     ) -> (f64, f64) {
-        let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        let s = eps.rows();
-        assert!(s > 0, "risk scoring needs at least one latent sample");
-        if !ctx.fast {
-            // Tape path: featurize once, one forward per sample with the
-            // explicit noise row (the training-path reparameterization).
-            let fq = self.feat.featurize(sess, query, plan, None, norm, "");
-            let mut times = Vec::with_capacity(s);
-            for i in 0..s {
-                let mut g = Graph::new();
-                let (joint, _aux) = self.encode_joint(&mut g, &fq);
-                let out = self.vae.forward(&mut g, &self.store, joint, eps_row(eps, i));
-                let p = g.value(out.predictions);
-                let raw = norm.decode([p.get(0, 0), p.get(0, 1), p.get(0, 2)]);
-                times.push(raw[2]);
-            }
-            return mean_sigma(&times);
-        }
-        let fplan = self.feat.featurize_plan_fast(sess, query, plan, norm, &mut ctx.plan_cache);
-        let times = with_thread_scratch(|sc| {
-            let nodes = self.plan_enc.forward_inference(&self.store, &fplan, sc);
-            let joint = if fplan.count() > 1 && self.config.use_attention {
-                let j = self.attn.forward_inference(&self.store, &ctx.qemb, &nodes, sc, None);
-                sc.recycle(nodes);
-                j
-            } else {
-                let qd = ctx.qemb.cols();
-                let mut j = sc.take(1, qd + self.plan_enc.out_dim());
-                j.data_mut()[..qd].copy_from_slice(ctx.qemb.data());
-                j.data_mut()[qd..].copy_from_slice(nodes.row_slice(nodes.rows() - 1));
-                sc.recycle(nodes);
-                j
-            };
-            let p = self.vae.forward_inference_sampled(&self.store, &joint, eps, sc);
-            sc.recycle(joint);
-            let mut times = Vec::with_capacity(s);
-            for i in 0..s {
-                let raw = norm.decode([p.get(i, 0), p.get(i, 1), p.get(i, 2)]);
-                times.push(raw[2]);
-            }
-            sc.recycle(p);
-            times
-        });
-        mean_sigma(&times)
+        self.score_plans(sess, query, &[plan], ctx, Some(eps)).risk()[0]
     }
 
     /// Batched [`Self::predict_risk_with_context_in`]: fills `out` (cleared
     /// first) with one `(mean, sigma)` per plan, in order. Each pair is
-    /// bitwise identical to the scalar call on the same plan — the sampled
-    /// VAE pass shares the batched layers' per-row FP-order contract. Falls
-    /// back to the scalar loop when the fast path is off, `K == 1`, or the
-    /// plans are not shape-congruent.
+    /// bitwise identical to the one-plan call on the same plan — both are
+    /// rows of the same forward.
     pub fn predict_risk_batch_with_context_in(
         &self,
         sess: &mut FeatSession,
@@ -799,188 +633,103 @@ impl QPSeeker {
         out: &mut Vec<(f64, f64)>,
     ) {
         out.clear();
-        if plans.is_empty() {
-            return;
-        }
-        if !ctx.fast || plans.len() == 1 {
-            for p in plans {
-                out.push(self.predict_risk_with_context_in(sess, query, p, ctx, eps));
-            }
-            return;
-        }
-        let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        let s = eps.rows();
-        assert!(s > 0, "risk scoring needs at least one latent sample");
-        let mut feat_batch = std::mem::take(&mut ctx.feat_batch);
-        self.feat.featurize_batch_into(
-            sess,
-            query,
-            plans,
-            norm,
-            &mut ctx.plan_cache,
-            &mut feat_batch,
-        );
-        let refs: Vec<&FeatNode> = feat_batch.iter().collect();
-        let kn = plans.len();
-        let batched = with_thread_scratch(|sc| -> bool {
-            let Some(nodes_all) = self.plan_enc.forward_inference_batch(&self.store, &refs, sc)
-            else {
-                return false;
-            };
-            let n_nodes = refs[0].count();
-            let qd = ctx.qemb.cols();
-            let joint = if n_nodes > 1 && self.config.use_attention {
-                let mut qb = sc.take(kn, qd);
-                for r in 0..kn {
-                    qb.row_slice_mut(r).copy_from_slice(ctx.qemb.data());
-                }
-                let j =
-                    self.attn.forward_inference_batch(&self.store, &qb, &nodes_all, n_nodes, sc);
-                sc.recycle(qb);
-                sc.recycle(nodes_all);
-                j
-            } else {
-                let mut j = sc.take(kn, qd + self.plan_enc.out_dim());
-                for r in 0..kn {
-                    let row = j.row_slice_mut(r);
-                    row[..qd].copy_from_slice(ctx.qemb.data());
-                    row[qd..].copy_from_slice(nodes_all.row_slice((r + 1) * n_nodes - 1));
-                }
-                sc.recycle(nodes_all);
-                j
-            };
-            // Sample-major `[S*K, 3]`: candidate k's sample si is row
-            // `si*K + k`.
-            let p = self.vae.forward_inference_sampled(&self.store, &joint, eps, sc);
-            sc.recycle(joint);
-            let mut times = Vec::with_capacity(s);
-            for k in 0..kn {
-                times.clear();
-                for si in 0..s {
-                    let r = si * kn + k;
-                    let raw = norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)]);
-                    times.push(raw[2]);
-                }
-                out.push(mean_sigma(&times));
-            }
-            sc.recycle(p);
-            true
-        });
-        ctx.feat_batch = feat_batch;
-        if !batched {
-            for p in plans {
-                out.push(self.predict_risk_with_context_in(sess, query, p, ctx, eps));
-            }
-        }
+        out.extend(self.score_plans(sess, query, plans, ctx, Some(eps)).risk());
     }
 
-    /// Pack one candidate batch into an [`EvalBroker`](crate::evalbroker::EvalBroker)
-    /// submission and block until the broker answers. Featurization runs
-    /// here, against the submitter's own caches; only the shape-uniform
-    /// tensor pipeline is delegated. `out[p]` is bitwise identical to
-    /// [`Self::predict_batch_with_context_in`] on the same plans — the
-    /// fused pass shares the per-row FP-order contract, so fusing with
-    /// other requests cannot change any value.
-    pub(crate) fn broker_predict_batch_in(
+    /// Featurize → [`Self::score`] → outcome, on this thread: what every
+    /// public `predict*` wrapper is a column pick of.
+    fn score_plans(
         &self,
-        member: &BrokerMember,
         sess: &mut FeatSession,
         query: &Query,
         plans: &[&PlanNode],
         ctx: &mut QueryContext,
-        out: &mut Vec<Prediction>,
-    ) {
-        out.clear();
-        if plans.is_empty() {
-            return;
-        }
-        debug_assert!(ctx.fast, "broker scoring requires the fast inference path");
-        let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        let mut nodes = std::mem::take(&mut ctx.feat_batch);
-        self.feat.featurize_batch_into(sess, query, plans, norm, &mut ctx.plan_cache, &mut nodes);
-        let key = BucketKey {
-            model: self as *const QPSeeker as usize,
-            samples: 0,
-            shape_sig: shape_sig(&nodes[0]),
-        };
-        let (outcome, nodes) =
-            member.submit(Submission { key, nodes, qemb: ctx.qemb.clone(), eps: None });
+        eps: Option<&Tensor>,
+    ) -> FusedOutcome {
+        let sub = self.submission(sess, query, plans, ctx, eps);
+        let (outcome, nodes) = self.score_local(sub);
         ctx.feat_batch = nodes;
-        match outcome {
-            FusedOutcome::Mean(preds) => out.extend(preds),
-            FusedOutcome::Poisoned(msg) => panic!("fused candidate evaluation failed: {msg}"),
-            FusedOutcome::Risk(_) => unreachable!("mean submission answered with risk result"),
-        }
+        outcome
     }
 
-    /// Risk-scoring sibling of [`Self::broker_predict_batch_in`]: one
-    /// `(mean, sigma)` per plan over the caller's seeded `eps` block, each
-    /// pair bitwise identical to
-    /// [`Self::predict_risk_batch_with_context_in`] on the same plans.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn broker_predict_risk_batch_in(
+    /// Featurize candidate plans of one query into the scoring row
+    /// contract: one [`FeatNode`] tree per plan, the query embedding, and —
+    /// for risk scoring — the seeded eps block. Featurization runs here,
+    /// against the caller's own caches; only the shape-uniform tensor
+    /// pipeline sits behind [`Self::score`]. The row buffer comes from `ctx`
+    /// and must be handed back (`ctx.feat_batch`) once scored, so a steady
+    /// stream of calls allocates no new `Vec<FeatNode>`s.
+    ///
+    /// This is the one place the 64-relation limit of the alias bitmask
+    /// shows: it picks which featurizer builds the rows. Both produce
+    /// numerically identical trees and feed the same forward.
+    pub(crate) fn submission(
         &self,
-        member: &BrokerMember,
         sess: &mut FeatSession,
         query: &Query,
         plans: &[&PlanNode],
         ctx: &mut QueryContext,
-        eps: &Tensor,
-        out: &mut Vec<(f64, f64)>,
-    ) {
-        out.clear();
-        if plans.is_empty() {
-            return;
-        }
-        debug_assert!(ctx.fast, "broker scoring requires the fast inference path");
-        let s = eps.rows();
-        assert!(s > 0, "risk scoring needs at least one latent sample");
+        eps: Option<&Tensor>,
+    ) -> Submission {
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
         let mut nodes = std::mem::take(&mut ctx.feat_batch);
-        self.feat.featurize_batch_into(sess, query, plans, norm, &mut ctx.plan_cache, &mut nodes);
+        if PlanFeatCache::supports(query) {
+            let cache = &mut ctx.plan_cache;
+            self.feat.featurize_batch_into(sess, query, plans, norm, cache, &mut nodes);
+        } else {
+            nodes.clear();
+            for plan in plans {
+                nodes.push(self.feat.featurize(sess, query, plan, None, norm, "").plan);
+            }
+        }
         let key = BucketKey {
             model: self as *const QPSeeker as usize,
-            samples: s,
-            shape_sig: shape_sig(&nodes[0]),
+            samples: eps.map_or(0, Tensor::rows),
+            shape_sig: nodes.first().map_or(0, shape_sig),
         };
-        let (outcome, nodes) = member.submit(Submission {
-            key,
-            nodes,
-            qemb: ctx.qemb.clone(),
-            eps: Some(eps.clone()),
-        });
-        ctx.feat_batch = nodes;
-        match outcome {
-            FusedOutcome::Risk(stats) => out.extend(stats),
-            FusedOutcome::Poisoned(msg) => panic!("fused candidate evaluation failed: {msg}"),
-            FusedOutcome::Mean(_) => unreachable!("risk submission answered with mean result"),
-        }
+        Submission { key, nodes, qemb: ctx.qemb.clone(), eps: eps.cloned() }
     }
 
-    /// Execute one broker bucket: every submission's candidate rows through
-    /// as few fused forward passes as congruence allows. Returns one
-    /// outcome per submission (in order) plus the row count of each fused
-    /// pass executed (for occupancy accounting). Called by the flush leader
-    /// with the broker lock held; all submitters are parked, so their
-    /// featurized rows and query tensors are stable for the duration.
-    pub(crate) fn fused_eval(&self, subs: &[Submission]) -> (Vec<FusedOutcome>, Vec<usize>) {
+    /// Score one submission on the calling thread — exactly what a
+    /// one-member [`EvalBroker`](crate::evalbroker::EvalBroker) flush would
+    /// run. Returns the outcome and the submission's row buffer.
+    pub(crate) fn score_local(&self, sub: Submission) -> (FusedOutcome, Vec<FeatNode>) {
+        let (mut outcomes, _forwards) = self.score(std::slice::from_ref(&sub));
+        (outcomes.pop().expect("one outcome per submission"), sub.nodes)
+    }
+
+    /// **The** tape-free scoring path: every candidate plan the system ever
+    /// scores — one `predict`, a search's batch, a broker bucket fused from
+    /// many sessions — is a row here. A row is (featurized tree, its
+    /// query's embedding, optionally its query's eps block); rows are
+    /// grouped by exact tree congruence and each group runs one forward
+    /// (plan LSTM → QPAttention or the single-node concat → VAE → heads).
+    /// Every layer preserves per-row FP reduction order, so a row's result
+    /// does not depend on what it is grouped with: scalar is one row, a
+    /// batch is K rows sharing one `qemb`, mean scoring is "no eps".
+    ///
+    /// All submissions must agree on the scoring kind (`key.samples`).
+    /// Returns one outcome per submission (in order) plus the row count of
+    /// each forward executed (for the broker's occupancy accounting).
+    pub(crate) fn score(&self, subs: &[Submission]) -> (Vec<FusedOutcome>, Vec<usize>) {
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        let samples = subs.first().map(|s| s.key.samples).unwrap_or(0);
+        let samples = subs.first().map_or(0, |s| s.key.samples);
         // Flat row table over every submission's candidates, submission-major.
-        let mut rows: Vec<(&FeatNode, &Tensor, Option<&Tensor>)> = Vec::new();
+        let mut rows: Vec<(&FeatNode, &Submission)> = Vec::new();
         for sub in subs {
-            debug_assert_eq!(sub.key.samples, samples, "buckets are keyed by scoring kind");
-            for node in &sub.nodes {
-                rows.push((node, &sub.qemb, sub.eps.as_ref()));
-            }
+            debug_assert_eq!(sub.key.samples, samples, "one scoring kind per call");
+            rows.extend(sub.nodes.iter().map(|node| (node, sub)));
         }
-        let zero = Prediction { cardinality: 0.0, cost: 0.0, runtime_ms: 0.0 };
-        let mut mean_out = vec![zero; rows.len()];
-        let mut risk_out = vec![(0.0, 0.0); rows.len()];
+        // Only the scoring kind's result table is populated.
+        let (n_mean, n_risk) = if samples == 0 { (rows.len(), 0) } else { (0, rows.len()) };
+        let mut mean_out =
+            vec![Prediction { cardinality: 0.0, cost: 0.0, runtime_ms: 0.0 }; n_mean];
+        let mut risk_out = vec![(0.0, 0.0); n_risk];
         let mut forwards = Vec::new();
-        // Group rows by exact tree congruence — re-verified here, so a
-        // shape-signature collision degrades to smaller fused runs instead
-        // of a failed batch — keeping first-seen order within each group.
+        // Group rows by exact tree congruence — verified here, never taken
+        // from the shape signature, so a signature collision degrades to
+        // smaller forwards instead of a failed one — keeping first-seen
+        // order within each group.
         let mut grouped = vec![false; rows.len()];
         let mut idxs: Vec<usize> = Vec::new();
         for start in 0..rows.len() {
@@ -989,38 +738,37 @@ impl QPSeeker {
             }
             idxs.clear();
             idxs.push(start);
-            grouped[start] = true;
             for j in start + 1..rows.len() {
                 if !grouped[j] && crate::encoder::congruent(rows[start].0, rows[j].0) {
                     grouped[j] = true;
                     idxs.push(j);
                 }
             }
-            self.fused_forward_group(&rows, &idxs, samples, norm, &mut mean_out, &mut risk_out);
+            self.forward_group(&rows, &idxs, samples, norm, &mut mean_out, &mut risk_out);
             forwards.push(idxs.len());
         }
         // Scatter flat results back into per-submission outcomes.
-        let mut outcomes = Vec::with_capacity(subs.len());
         let mut at = 0;
-        for sub in subs {
-            let k = sub.nodes.len();
-            outcomes.push(if samples == 0 {
-                FusedOutcome::Mean(mean_out[at..at + k].to_vec())
-            } else {
-                FusedOutcome::Risk(risk_out[at..at + k].to_vec())
-            });
-            at += k;
-        }
+        let outcomes = subs
+            .iter()
+            .map(|sub| {
+                let span = at..at + sub.nodes.len();
+                at = span.end;
+                match samples {
+                    0 => FusedOutcome::Mean(mean_out[span].to_vec()),
+                    _ => FusedOutcome::Risk(risk_out[span].to_vec()),
+                }
+            })
+            .collect();
         (outcomes, forwards)
     }
 
-    /// One fused forward over a congruent row group, mirroring
-    /// [`Self::predict_batch_with_context_in`]'s batched body with a
+    /// One forward over a congruent row group `idxs` of `rows`, with a
     /// *per-row* query embedding (and, under risk scoring, a per-row eps
     /// block) so rows from different queries share the pass.
-    fn fused_forward_group(
+    fn forward_group(
         &self,
-        rows: &[(&FeatNode, &Tensor, Option<&Tensor>)],
+        rows: &[(&FeatNode, &Submission)],
         idxs: &[usize],
         samples: usize,
         norm: &TargetNormalizer,
@@ -1029,86 +777,78 @@ impl QPSeeker {
     ) {
         let refs: Vec<&FeatNode> = idxs.iter().map(|&i| rows[i].0).collect();
         let kn = refs.len();
+        let decode = |p: &Tensor, r: usize| {
+            let raw = norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)]);
+            Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] }
+        };
         with_thread_scratch(|sc| {
             let nodes_all = self
                 .plan_enc
-                .forward_inference_batch(&self.store, &refs, sc)
+                .forward_inference(&self.store, &refs, sc)
                 .expect("rows grouped by exact congruence");
             let n_nodes = refs[0].count();
-            let qd = rows[idxs[0]].1.cols();
+            let qd = self.query_enc.out_dim();
             let joint = if n_nodes > 1 && self.config.use_attention {
                 let mut qb = sc.take(kn, qd);
                 for (r, &i) in idxs.iter().enumerate() {
-                    qb.row_slice_mut(r).copy_from_slice(rows[i].1.data());
+                    qb.row_slice_mut(r).copy_from_slice(rows[i].1.qemb.data());
                 }
-                let j =
-                    self.attn.forward_inference_batch(&self.store, &qb, &nodes_all, n_nodes, sc);
+                let j = self.attn.forward_inference(&self.store, &qb, &nodes_all, n_nodes, sc);
                 sc.recycle(qb);
-                sc.recycle(nodes_all);
                 j
             } else {
+                // Single-node plans (and the no-attention ablation): the
+                // paper's concatenation fallback, query ‖ root node.
                 let mut j = sc.take(kn, qd + self.plan_enc.out_dim());
                 for (r, &i) in idxs.iter().enumerate() {
                     let row = j.row_slice_mut(r);
-                    row[..qd].copy_from_slice(rows[i].1.data());
+                    row[..qd].copy_from_slice(rows[i].1.qemb.data());
                     row[qd..].copy_from_slice(nodes_all.row_slice((r + 1) * n_nodes - 1));
                 }
-                sc.recycle(nodes_all);
                 j
             };
-            if samples == 0 {
-                let p = self.vae.forward_inference_batch(&self.store, &joint, sc);
-                sc.recycle(joint);
-                for (r, &i) in idxs.iter().enumerate() {
-                    let raw = norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)]);
-                    mean_out[i] =
-                        Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] };
-                }
-                sc.recycle(p);
-            } else {
-                let eps_refs: Vec<&Tensor> =
-                    idxs.iter().map(|&i| rows[i].2.expect("risk rows carry eps")).collect();
-                let p =
-                    self.vae.forward_inference_sampled_multi(&self.store, &joint, &eps_refs, sc);
-                sc.recycle(joint);
-                let mut times = Vec::with_capacity(samples);
-                for (k, &i) in idxs.iter().enumerate() {
+            sc.recycle(nodes_all);
+            let eps_refs: Option<Vec<&Tensor>> = (samples > 0).then(|| {
+                idxs.iter().map(|&i| rows[i].1.eps.as_ref().expect("risk rows carry eps")).collect()
+            });
+            // `[K, 3]`; under sampling sample-major `[S*K, 3]`, row k's
+            // sample si at `si*K + k`.
+            let p = self.vae.forward_inference(&self.store, &joint, eps_refs.as_deref(), sc);
+            sc.recycle(joint);
+            let mut times = Vec::with_capacity(samples);
+            for (k, &i) in idxs.iter().enumerate() {
+                if samples == 0 {
+                    mean_out[i] = decode(&p, k);
+                } else {
                     times.clear();
-                    for si in 0..samples {
-                        let r = si * kn + k;
-                        let raw = norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)]);
-                        times.push(raw[2]);
-                    }
+                    times.extend((0..samples).map(|si| decode(&p, si * kn + k).runtime_ms));
                     risk_out[i] = mean_sigma(&times);
                 }
-                sc.recycle(p);
             }
+            sc.recycle(p);
         });
     }
 
     /// Reference prediction through the autodiff tape (the training-path
-    /// forward). The fast path is property-tested to match this within 1e-5;
-    /// it also backs prediction when `config.fast_inference` is off.
+    /// forward): the independent oracle [`Self::score`] is property-tested
+    /// against within 1e-5. Never a serving path.
     pub fn predict_tape(&self, query: &Query, plan: &PlanNode) -> Prediction {
-        let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        let fq = {
-            let mut sess = self.lock_fallback_session();
-            self.feat.featurize(&mut sess.feat, query, plan, None, norm, "")
-        };
-        let (preds, _mu) = self.forward_tape(&fq);
-        let raw = norm.decode(preds);
+        let (preds, _mu) = self.forward_tape(&self.featurize_reference(query, plan));
+        let raw = self.normalizer.as_ref().expect("fitted: featurized above").decode(preds);
         Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] }
     }
 
     /// The 32-d latent mean of a QEP (Fig. 5's latent space).
     pub fn latent_mu(&self, query: &Query, plan: &PlanNode) -> Vec<f32> {
-        let norm = self.normalizer.as_ref().expect("model must be fitted before latent_mu");
-        let fq = {
-            let mut sess = self.lock_fallback_session();
-            self.feat.featurize(&mut sess.feat, query, plan, None, norm, "")
-        };
-        let (_preds, mu) = self.forward_tape(&fq);
-        mu
+        self.forward_tape(&self.featurize_reference(query, plan)).1
+    }
+
+    /// Featurize an unlabeled QEP for the tape reference paths, through the
+    /// fallback session.
+    fn featurize_reference(&self, query: &Query, plan: &PlanNode) -> FeaturizedQep {
+        let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
+        let mut sess = self.lock_fallback_session();
+        self.feat.featurize(&mut sess.feat, query, plan, None, norm, "")
     }
 
     fn forward_tape(&self, fq: &FeaturizedQep) -> ([f32; 3], Vec<f32>) {
@@ -1133,11 +873,7 @@ impl QPSeeker {
     /// higher impact on the final estimations". Single-node plans (no
     /// attention) return an empty vector.
     pub fn attention_scores(&self, query: &Query, plan: &PlanNode) -> Vec<Vec<f32>> {
-        let norm = self.normalizer.as_ref().expect("model must be fitted first");
-        let fq = {
-            let mut sess = self.lock_fallback_session();
-            self.feat.featurize(&mut sess.feat, query, plan, None, norm, "")
-        };
+        let fq = self.featurize_reference(query, plan);
         if fq.plan.count() <= 1 || !self.config.use_attention {
             return Vec::new();
         }
@@ -1155,14 +891,10 @@ impl QPSeeker {
 pub struct QueryContext {
     qemb: Tensor,
     plan_cache: PlanFeatCache,
-    /// False when the fast path cannot serve this query (toggle off, or
-    /// more than 64 relations); predictions then take the tape path.
-    /// Crate-visible so the MCTS loop can pick the matching plan
-    /// materialization (see `PlanAssembler::build_for_eval`).
-    pub(crate) fast: bool,
-    /// Reusable featurization buffer for the batched prediction path, so a
-    /// steady stream of batch flushes allocates no new `Vec<FeatNode>`s.
-    feat_batch: Vec<FeatNode>,
+    /// Reusable row buffer for [`QPSeeker::submission`], so a steady stream
+    /// of scoring calls allocates no new `Vec<FeatNode>`s. Crate-visible so
+    /// a broker submitter can hand its rows back once answered.
+    pub(crate) feat_batch: Vec<FeatNode>,
 }
 
 /// One epoch boundary of a journaled training run, as persisted by

@@ -38,7 +38,7 @@ use super::strategy::{Evaluator, RiskParams, SearchStrategy};
 use super::{fnv_words, op_idx_join, op_idx_scan, QueryIndex};
 use crate::featurize::FeatSession;
 use crate::fnv::FnvBuild;
-use crate::model::{Prediction, QPSeeker, QueryContext};
+use crate::model::{QPSeeker, QueryContext};
 use crate::session::PlannerSession;
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
 use qpseeker_engine::query::Query;
@@ -57,22 +57,11 @@ pub struct BeamConfig {
     pub max_evals: usize,
     /// Seeds the risk-aware latent sampler (the search itself is RNG-free).
     pub seed: u64,
-    /// `> 1` scores each level's fresh subtrees in one batched forward
-    /// pass; `<= 1` scores them one at a time. Scores are bitwise
-    /// identical either way.
-    ///
-    /// Deprecated alias: prefer the unified
-    /// [`StrategyConfig::batch_eval`](crate::search::strategy::StrategyConfig::batch_eval),
-    /// which overrides this field when set (it is plumbed through
-    /// [`StrategyPlanner::from_config`](crate::search::strategy::StrategyPlanner::from_config)'s
-    /// shared `MctsConfig` knobs). Kept for direct `BeamPlanner`
-    /// construction.
-    pub batch_eval: usize,
 }
 
 impl Default for BeamConfig {
     fn default() -> Self {
-        Self { budget_ms: 200.0, beam_width: 8, max_evals: 10_000, seed: 0xacc5, batch_eval: 16 }
+        Self { budget_ms: 200.0, beam_width: 8, max_evals: 10_000, seed: 0xacc5 }
     }
 }
 
@@ -88,7 +77,6 @@ pub struct BeamScratch {
     /// Hashes of forests already enqueued as candidates. A collision can
     /// only drop a duplicate-looking state, never corrupt a score.
     seen: HashSet<u64, FnvBuild>,
-    preds_buf: Vec<Prediction>,
     scores_buf: Vec<f64>,
 }
 
@@ -242,7 +230,7 @@ impl BeamPlanner {
         if n == 1 {
             let scan_plans: Vec<PlanNode> = ScanOp::ALL.iter().map(|&op| asm.scan(0, op)).collect();
             let scan_refs: Vec<&PlanNode> = scan_plans.iter().collect();
-            self.score(&ev, feat, query, &scan_refs, &mut ctx, scratch);
+            ev.score(feat, query, &scan_refs, &mut ctx, &mut scratch.scores_buf);
             let mut best = (0usize, scratch.scores_buf[0]);
             for (k, &s) in scratch.scores_buf.iter().enumerate().skip(1) {
                 if s < best.1 {
@@ -436,7 +424,8 @@ impl BeamPlanner {
                 if old == k {
                     continue;
                 }
-                let s = ev.score_one(feat, query, &cand, &mut ctx);
+                ev.score(feat, query, &[&cand], &mut ctx, &mut scratch.scores_buf);
+                let s = scratch.scores_buf[0];
                 evals += 1;
                 if s < best_score {
                     best_score = s;
@@ -451,27 +440,6 @@ impl BeamPlanner {
             simulations,
             plans_evaluated: evals,
             budget_exhausted,
-        }
-    }
-
-    /// Score `refs` into `scratch.scores_buf`, batched when configured.
-    fn score(
-        &self,
-        ev: &Evaluator,
-        feat: &mut FeatSession,
-        query: &Query,
-        refs: &[&PlanNode],
-        ctx: &mut QueryContext,
-        scratch: &mut BeamScratch,
-    ) {
-        if self.cfg.batch_eval > 1 {
-            ev.score_batch(feat, query, refs, ctx, &mut scratch.preds_buf, &mut scratch.scores_buf);
-        } else {
-            scratch.scores_buf.clear();
-            for p in refs {
-                let s = ev.score_one(feat, query, p, ctx);
-                scratch.scores_buf.push(s);
-            }
         }
     }
 
@@ -501,7 +469,7 @@ impl BeamPlanner {
         }
         if !miss.is_empty() {
             let refs: Vec<&PlanNode> = miss.iter().map(|t| &t.plan).collect();
-            self.score(ev, feat, query, &refs, ctx, scratch);
+            ev.score(feat, query, &refs, ctx, &mut scratch.scores_buf);
             *evals += miss.len();
             for (i, t) in miss.iter().enumerate() {
                 let s = scratch.scores_buf[i];
@@ -582,10 +550,15 @@ mod tests {
         let db = std::sync::Arc::new(imdb::generate(0.05, 1));
         let model = fitted_model(&db);
         let q = three_way(&db);
-        let base = BeamConfig { budget_ms: 1e9, ..Default::default() };
-        let a = BeamPlanner::new(base.clone()).plan(&model, &q);
-        let b = BeamPlanner::new(base.clone()).plan(&model, &q);
-        let scalar = BeamPlanner::new(BeamConfig { batch_eval: 1, ..base }).plan(&model, &q);
+        use crate::search::mcts::MctsConfig;
+        use crate::search::strategy::{StrategyConfig, StrategyKind, StrategyPlanner};
+        let plan_at = |batch_eval| {
+            let strat =
+                StrategyConfig { kind: StrategyKind::Beam, batch_eval, ..Default::default() };
+            let shared = MctsConfig { budget_ms: 1e9, ..Default::default() };
+            StrategyPlanner::from_config(&strat, shared).plan(&model, &q)
+        };
+        let (a, b, scalar) = (plan_at(None), plan_at(None), plan_at(Some(1)));
         assert_eq!(a.plan, b.plan);
         assert_eq!(a.predicted_ms.to_bits(), b.predicted_ms.to_bits());
         assert_eq!(a.plan, scalar.plan);

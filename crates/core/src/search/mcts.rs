@@ -23,11 +23,11 @@
 //! bitwise identical for any `parallel_sims >= 1` — thread count changes
 //! wall-clock, never the answer.
 
-use super::strategy::{Evaluator, RiskParams, SearchStrategy};
+use super::strategy::{Evaluator, RiskParams, SearchStrategy, DEFAULT_BATCH_EVAL};
 use super::{fnv, op_idx_join, op_idx_scan, QueryIndex};
 use crate::featurize::FeatSession;
 use crate::fnv::FnvBuild;
-use crate::model::{Prediction, QPSeeker, QueryContext};
+use crate::model::{QPSeeker, QueryContext};
 use crate::session::{PlannerSession, PlannerShard};
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
 use qpseeker_engine::query::{JoinPred, Query};
@@ -119,17 +119,15 @@ impl PlanAssembler {
         self.assemble(actions, true)
     }
 
-    /// Assemble a plan for fast-path **evaluation only**: identical tree,
-    /// operators, aliases, and pushed-down filters, but empty join
-    /// predicate lists. The fast featurization path
-    /// ([`crate::featurize::Featurizer::featurize_plan_fast`]) reads node
-    /// shape, operators, scan aliases/tables, and leaf filters — never
-    /// `preds` — so predictions are bitwise identical to the full build
-    /// while skipping roughly half its allocations (every `JoinPred` is
-    /// four `String` clones). Guarded by the
-    /// `eval_plan_scores_match_full_build` test; callers must fall back to
-    /// [`Self::build`] when the query context takes the slow (tape) path,
-    /// whose EXPLAIN walk does cost join predicates.
+    /// Assemble a plan for **evaluation only**: identical tree, operators,
+    /// aliases, and pushed-down filters, but empty join predicate lists.
+    /// Featurization ([`crate::featurize::Featurizer::featurize_plan_fast`]
+    /// — the one every query this search can index takes, see
+    /// [`QueryIndex`]) reads node shape, operators, scan aliases/tables, and
+    /// leaf filters — never `preds` — so predictions are bitwise identical
+    /// to the full build while skipping roughly half its allocations (every
+    /// `JoinPred` is four `String` clones). Guarded by the
+    /// `eval_plan_scores_match_full_build` test.
     fn build_for_eval(&self, actions: &[Action]) -> PlanNode {
         self.assemble(actions, false)
     }
@@ -176,18 +174,6 @@ pub struct MctsConfig {
     /// UCT exploration coefficient `C ∈ [0, 1]` (paper: 0.5).
     pub exploration: f64,
     pub seed: u64,
-    /// Completed rollouts per batched cost-model evaluation. Rollouts are
-    /// queued (deduped by packed action signature) and scored `batch_eval`
-    /// at a time in one batched forward pass; `<= 1` evaluates every rollout
-    /// immediately (the scalar path). Predictions are bitwise identical
-    /// either way — batching changes only *when* UCT backups land, never
-    /// what a plan scores.
-    ///
-    /// Deprecated alias: prefer the unified
-    /// [`StrategyConfig::batch_eval`](crate::search::strategy::StrategyConfig::batch_eval),
-    /// which overrides this field when set. Kept for checkpoint/config
-    /// compatibility and for direct `MctsPlanner` construction.
-    pub batch_eval: usize,
     /// Simulation shards for root-parallel in-query search. `0` keeps the
     /// classic single-tree algorithm; `>= 1` decomposes the query into one
     /// independent subtree search per root action and runs them on up to
@@ -204,7 +190,6 @@ impl Default for MctsConfig {
             max_simulations: 10_000,
             exploration: 0.5,
             seed: 0xacc5,
-            batch_eval: 16,
             parallel_sims: 0,
         }
     }
@@ -306,7 +291,6 @@ pub struct MctsScratch {
     /// be a per-improvement `rollout.clone()`).
     best_seq: Vec<Action>,
     plans_buf: Vec<PlanNode>,
-    preds_buf: Vec<Prediction>,
     scores_buf: Vec<f64>,
 }
 
@@ -320,22 +304,31 @@ impl MctsScratch {
 pub struct MctsPlanner {
     cfg: MctsConfig,
     /// Risk-aware scoring (`mean + λ·σ` over seeded latent samples); `None`
-    /// keeps the original mean-only path, byte for byte.
+    /// is mean-only scoring.
     risk: Option<RiskParams>,
+    /// Distinct completed rollouts queued (deduped by packed action
+    /// signature, carrying virtual loss) before one forward scores them
+    /// all; `1` scores and backs up every rollout immediately. Scores are
+    /// bitwise identical either way, but *when* UCT backups land is not, so
+    /// under a simulation cap the chosen plan depends on this value — see
+    /// [`StrategyConfig::batch_eval`](super::strategy::StrategyConfig::batch_eval).
+    batch: usize,
 }
 
 impl MctsPlanner {
+    /// Mean-only scoring at the default rollout-batch size.
     pub fn new(cfg: MctsConfig) -> Self {
-        Self { cfg, risk: None }
+        Self { cfg, risk: None, batch: DEFAULT_BATCH_EVAL }
     }
 
     /// An MCTS planner whose rollout evaluations rank plans by
     /// `mean + λ·σ` over seeded VAE latent samples (see
-    /// [`super::strategy::Evaluator`]). With `risk.lambda == 0` this is
+    /// [`super::strategy::Evaluator`]) and which queues `batch` rollouts
+    /// per forward. With `risk.lambda == 0` and the default batch this is
     /// exactly [`Self::new`].
-    pub fn with_risk(cfg: MctsConfig, risk: RiskParams) -> Self {
+    pub fn with_risk(cfg: MctsConfig, risk: RiskParams, batch: usize) -> Self {
         let risk = if risk.enabled() { Some(risk) } else { None };
-        Self { cfg, risk }
+        Self { cfg, risk, batch: batch.max(1) }
     }
 
     /// Plan `query` using `model` as the evaluation function, through the
@@ -361,28 +354,27 @@ impl MctsPlanner {
         let start = Instant::now();
         let ev = Evaluator::new(model, query, self.risk.as_ref(), self.cfg.seed);
 
-        // Single relation: evaluate the three scan choices directly.
+        // Single relation: score the three scan choices in one call; the
+        // first of the cheapest wins.
         if query.relations.len() == 1 {
             let ev = ev.with_broker(sess.broker.as_ref());
             let mut ctx = model.query_context(query);
-            let feat_sess = &mut sess.feat;
-            let alias = query.relations[0].alias.clone();
-            let mut best: Option<(PlanNode, f64)> = None;
-            let mut evaluated = 0;
-            for op in ScanOp::ALL {
-                let plan = PlanNode::scan(query, &alias, op);
-                let t = ev.score_one(feat_sess, query, &plan, &mut ctx);
-                evaluated += 1;
-                if best.as_ref().map(|(_, bt)| t < *bt).unwrap_or(true) {
-                    best = Some((plan, t));
+            let alias = &query.relations[0].alias;
+            let plans = ScanOp::ALL.map(|op| PlanNode::scan(query, alias, op));
+            let refs: Vec<&PlanNode> = plans.iter().collect();
+            let mut scores = Vec::with_capacity(plans.len());
+            ev.score(&mut sess.feat, query, &refs, &mut ctx, &mut scores);
+            let mut best = 0;
+            for (k, &t) in scores.iter().enumerate() {
+                if t < scores[best] {
+                    best = k;
                 }
             }
-            let (plan, predicted_ms) = best.expect("scan ops non-empty");
             return MctsResult {
-                plan,
-                predicted_ms,
-                simulations: evaluated,
-                plans_evaluated: evaluated,
+                plan: plans[best].clone(),
+                predicted_ms: scores[best],
+                simulations: plans.len(),
+                plans_evaluated: plans.len(),
                 budget_exhausted: false,
             };
         }
@@ -400,6 +392,7 @@ impl MctsPlanner {
         let scratch = search.mcts();
         let (simulations, budget_exhausted) = run_search(
             &self.cfg,
+            self.batch,
             &ev,
             query,
             &qi,
@@ -456,7 +449,7 @@ impl MctsPlanner {
         let base = self.cfg.max_simulations / n_units;
         let rem = self.cfg.max_simulations % n_units;
         let query_seed = self.cfg.seed ^ fnv(query.id.as_bytes());
-        let cfg = &self.cfg;
+        let (cfg, batch) = (&self.cfg, self.batch);
         let units = &units;
         let cursor = &AtomicUsize::new(0);
         let per_thread: Vec<Vec<(usize, UnitResult)>> = std::thread::scope(|scope| {
@@ -480,6 +473,7 @@ impl MctsPlanner {
                             let mut best_t = None;
                             let (simulations, budget_exhausted) = run_search(
                                 cfg,
+                                batch,
                                 ev,
                                 query,
                                 qi,
@@ -587,6 +581,7 @@ struct UnitResult {
 #[allow(clippy::too_many_arguments)]
 fn run_search(
     cfg: &MctsConfig,
+    batch: usize,
     ev: &Evaluator,
     query: &Query,
     qi: &QueryIndex,
@@ -621,7 +616,6 @@ fn run_search(
         key_pool,
         best_seq,
         plans_buf,
-        preds_buf,
         scores_buf,
         untried_pool,
         children_pool,
@@ -749,15 +743,15 @@ fn run_search(
         // A cache hit backs up immediately. With batching enabled, a
         // miss joins the pending queue (deduped by packed signature)
         // and its backup is deferred until the queue flushes through
-        // one batched forward pass; scores are bitwise identical to
-        // the scalar path either way.
+        // one forward pass; a plan's score is bitwise identical either
+        // way, but the tree the next simulation descends is not.
         key_buf.clear();
         key_buf.extend(rollout.iter().map(|a| a.pack()));
         if let Some(&t) = eval_cache.get(key_buf.as_slice()) {
             apply_eval(nodes, best_seq, best_t, rollout, path, off, t, true);
-        } else if cfg.batch_eval <= 1 {
-            let plan = if ctx.fast { asm.build_for_eval(rollout) } else { asm.build(rollout) };
-            let t = ev.score_one(feat_sess, query, &plan, ctx);
+        } else if batch <= 1 {
+            ev.score(feat_sess, query, &[&asm.build_for_eval(rollout)], ctx, scores_buf);
+            let t = scores_buf[0];
             let mut key = key_pool.pop().unwrap_or_default();
             key.clear();
             key.extend_from_slice(key_buf);
@@ -788,7 +782,7 @@ fn run_search(
                     pending.push(p);
                 }
             }
-            if pending.len() >= cfg.batch_eval {
+            if pending.len() >= batch {
                 flush_pending(
                     ev,
                     query,
@@ -804,7 +798,6 @@ fn run_search(
                     best_t,
                     off,
                     plans_buf,
-                    preds_buf,
                     scores_buf,
                 );
             }
@@ -849,7 +842,6 @@ fn run_search(
         best_t,
         off,
         plans_buf,
-        preds_buf,
         scores_buf,
     );
     (simulations, budget_exhausted)
@@ -903,9 +895,9 @@ fn apply_eval(
     }
 }
 
-/// Compile every queued plan, score them all in one batched forward pass
-/// ([`QPSeeker::predict_batch_with_context_in`]), scatter the results into
-/// the eval cache, and run the deferred backups in queue order. All
+/// Compile every queued plan, score them all in one [`Evaluator::score`]
+/// call, scatter the results into the eval cache, and run the deferred
+/// backups in queue order. All
 /// allocations (pendings, waiters, cache keys) are recycled into pools.
 #[allow(clippy::too_many_arguments)]
 fn flush_pending(
@@ -923,19 +915,15 @@ fn flush_pending(
     best_t: &mut Option<f64>,
     off: usize,
     plans_buf: &mut Vec<PlanNode>,
-    preds_buf: &mut Vec<Prediction>,
     scores_buf: &mut Vec<f64>,
 ) {
     if pending.is_empty() {
         return;
     }
     plans_buf.clear();
-    for p in pending.iter() {
-        let rollout = &p.waiters[0].rollout;
-        plans_buf.push(if ctx.fast { asm.build_for_eval(rollout) } else { asm.build(rollout) });
-    }
+    plans_buf.extend(pending.iter().map(|p| asm.build_for_eval(&p.waiters[0].rollout)));
     let plan_refs: Vec<&PlanNode> = plans_buf.iter().collect();
-    ev.score_batch(feat_sess, query, &plan_refs, ctx, preds_buf, scores_buf);
+    ev.score(feat_sess, query, &plan_refs, ctx, scores_buf);
     debug_assert_eq!(scores_buf.len(), pending.len());
     for (p, &t) in pending.iter_mut().zip(scores_buf.iter()) {
         eval_cache.insert(std::mem::take(&mut p.key), t);
@@ -976,6 +964,7 @@ fn legal_actions_into(qi: &QueryIndex, actions: &[Action], joined: u64, out: &mu
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use crate::search::strategy::{StrategyConfig, StrategyPlanner};
     use qpseeker_engine::query::{ColRef, JoinPred, RelRef};
     use qpseeker_storage::datagen::imdb;
     use qpseeker_workloads::{synthetic, Qep, SyntheticConfig};
@@ -1097,10 +1086,14 @@ mod tests {
             right: ColRef::new("title", "id"),
         }];
         let cfg = MctsConfig { budget_ms: 1e9, max_simulations: 10_000, ..Default::default() };
+        let with_batch = |batch_eval| {
+            let strat = StrategyConfig { batch_eval: Some(batch_eval), ..Default::default() };
+            StrategyPlanner::from_config(&strat, cfg.clone())
+        };
         let m1 = fitted_model(&db);
-        let scalar = MctsPlanner::new(MctsConfig { batch_eval: 1, ..cfg.clone() }).plan(&m1, &q);
+        let scalar = with_batch(1).plan(&m1, &q);
         let m2 = fitted_model(&db);
-        let batched = MctsPlanner::new(MctsConfig { batch_eval: 8, ..cfg }).plan(&m2, &q);
+        let batched = with_batch(8).plan(&m2, &q);
         assert_eq!(scalar.plans_evaluated, 54);
         assert_eq!(batched.plans_evaluated, 54);
         assert_eq!(scalar.plan, batched.plan);
@@ -1218,7 +1211,6 @@ mod tests {
         ];
         let mut sess = model.lock_fallback_session();
         let mut ctx = model.query_context(&q);
-        assert!(ctx.fast, "three-way query must take the fast path");
         let full = model
             .predict_with_context_in(&mut sess.feat, &q, &asm.build(&actions), &mut ctx)
             .runtime_ms;

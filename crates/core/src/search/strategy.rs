@@ -2,10 +2,10 @@
 //!
 //! [`StrategyConfig`] is the serializable request-level knob (carried per
 //! request by `serve` and per tenant by `tenant`): search kind (left-deep
-//! MCTS or bushy beam), the risk weight λ, the latent sample count, and the
-//! beam width. [`StrategyPlanner::from_config`] turns it plus the session's
-//! [`MctsConfig`] (budget, seed, batch size — shared by both strategies)
-//! into a runnable planner.
+//! MCTS or bushy beam), the risk weight λ, the latent sample count, the
+//! beam width, and the MCTS rollout-batch size. [`StrategyPlanner::from_config`] turns it plus the session's
+//! [`MctsConfig`] (budget, evaluation cap, seed — shared by both
+//! strategies) into a runnable planner.
 //!
 //! # Risk-aware scoring
 //!
@@ -21,14 +21,15 @@
 //! ```
 //!
 //! so a plan whose cost the model is *unsure* about is penalized in
-//! proportion to λ (per the robust-cost-model argument in Reqo). λ = 0
-//! disables sampling entirely and takes the original mean-only code path —
-//! byte for byte, so default-path plans stay bitwise identical.
+//! proportion to λ (per the robust-cost-model argument in Reqo). Risk is a
+//! different *read-out* of the one scoring forward (rows carry an eps
+//! block), not a different forward; λ = 0 submits rows without eps, which
+//! is mean-only scoring.
 
 use super::beam::{BeamConfig, BeamPlanner};
 use super::mcts::{MctsConfig, MctsPlanner, MctsResult};
 use crate::featurize::FeatSession;
-use crate::model::{Prediction, QPSeeker, QueryContext};
+use crate::model::{QPSeeker, QueryContext};
 use qpseeker_engine::plan::PlanNode;
 use qpseeker_engine::query::Query;
 use qpseeker_nn::prelude::Tensor;
@@ -73,16 +74,21 @@ pub struct StrategyConfig {
     pub risk_samples: usize,
     /// States kept per level by the beam strategy.
     pub beam_width: usize,
-    /// Unified candidate-batch size shared by both strategies: how many
-    /// rollouts/completions a session defers before scoring them in one
-    /// batched forward. `None` inherits the deprecated per-strategy fields
-    /// ([`MctsConfig::batch_eval`] / [`super::beam::BeamConfig::batch_eval`],
-    /// kept as aliases for checkpoint/config compatibility); `Some`
-    /// overrides both. Batched scoring is bitwise equal to scalar scoring,
-    /// so this knob never changes a plan and is excluded from
-    /// [`Self::cache_stamp`].
+    /// How many distinct completed rollouts an MCTS session queues before
+    /// scoring them in one forward; `None` is [`DEFAULT_BATCH_EVAL`], `<= 1`
+    /// scores every rollout immediately. A plan's *score* does not depend on
+    /// what it is batched with, but the MCTS *trajectory* does — queued
+    /// rollouts carry virtual loss and back up later, so the tree visits
+    /// different plans under a simulation cap — hence the resolved size is
+    /// **plan-affecting** and part of [`Self::cache_stamp`]. Beam search is
+    /// RNG-free and level-synchronous: it always scores a level's fresh
+    /// completions in one call and ignores this field.
     pub batch_eval: Option<usize>,
 }
+
+/// The MCTS rollout-batch size used when [`StrategyConfig::batch_eval`] is
+/// `None`.
+pub const DEFAULT_BATCH_EVAL: usize = 16;
 
 impl Default for StrategyConfig {
     fn default() -> Self {
@@ -101,22 +107,29 @@ impl StrategyConfig {
         RiskParams { lambda: self.risk_lambda, samples: self.risk_samples }
     }
 
+    /// The MCTS rollout-batch size in effect: `None` resolved, and every
+    /// "immediate backup" setting folded to 1.
+    fn mcts_batch(&self) -> usize {
+        self.batch_eval.unwrap_or(DEFAULT_BATCH_EVAL).max(1)
+    }
+
     /// Compact stamp of every knob that can change the emitted plan, for
     /// the plan cache: a cached plan may only be served to a request whose
     /// strategy stamp matches the one it was planned under. Irrelevant
-    /// knobs are normalized out (beam width under MCTS, sample count at
-    /// λ = 0) so equivalent configurations share entries.
+    /// knobs are normalized out (beam width under MCTS, rollout-batch size
+    /// under beam, sample count at λ = 0) so equivalent configurations
+    /// share entries.
     pub fn cache_stamp(&self) -> u64 {
-        let bw = match self.kind {
-            StrategyKind::Mcts => 0,
-            StrategyKind::Beam => self.beam_width as u64,
+        let (bw, batch) = match self.kind {
+            StrategyKind::Mcts => (0, self.mcts_batch() as u64),
+            StrategyKind::Beam => (self.beam_width as u64, 0),
         };
         let (lambda_bits, samples) = if self.risk_lambda > 0.0 {
             (self.risk_lambda.to_bits(), self.risk_samples as u64)
         } else {
             (0, 0)
         };
-        super::fnv_words(&[self.kind as u64, lambda_bits, samples, bw])
+        super::fnv_words(&[self.kind as u64, lambda_bits, samples, bw, batch])
     }
 }
 
@@ -164,22 +177,20 @@ pub enum StrategyPlanner {
 impl StrategyPlanner {
     /// Build the planner a request asked for. `mcts` carries the knobs
     /// shared by both strategies — wall-clock budget, evaluation cap
-    /// (`max_simulations`), seed, and batch size — exactly as serving
-    /// already derives them per attempt.
-    pub fn from_config(strat: &StrategyConfig, mut mcts: MctsConfig) -> Self {
-        if let Some(be) = strat.batch_eval {
-            mcts.batch_eval = be;
-        }
+    /// (`max_simulations`) and seed — exactly as serving already derives
+    /// them per attempt.
+    pub fn from_config(strat: &StrategyConfig, mcts: MctsConfig) -> Self {
         let risk = strat.risk();
         match strat.kind {
-            StrategyKind::Mcts => Self::Mcts(MctsPlanner::with_risk(mcts, risk)),
+            StrategyKind::Mcts => {
+                Self::Mcts(MctsPlanner::with_risk(mcts, risk, strat.mcts_batch()))
+            }
             StrategyKind::Beam => {
                 let cfg = BeamConfig {
                     budget_ms: mcts.budget_ms,
                     beam_width: strat.beam_width,
                     max_evals: mcts.max_simulations,
                     seed: mcts.seed,
-                    batch_eval: mcts.batch_eval,
                 };
                 Self::Beam(BeamPlanner::with_risk(cfg, risk))
             }
@@ -215,21 +226,23 @@ impl SearchStrategy for StrategyPlanner {
     }
 }
 
-/// The scoring function both strategies evaluate candidates through.
-/// Mean-only (`risk: None`) forwards to the exact pre-refactor model calls
-/// in the exact order, so default-path scores are bitwise identical;
-/// risk-aware scoring ranks by `mean + λ·σ` over the seeded latent batch.
+/// The scoring function both strategies evaluate candidates through: one
+/// method, [`Self::score`], which featurizes the candidates into a
+/// [`Submission`](crate::evalbroker::Submission) and runs it through the
+/// model's single forward — on this thread, or fused with other sessions'
+/// rows by the broker. Mean-only (`risk: None`) reads out the runtime
+/// column; risk-aware scoring ranks by `mean + λ·σ` over the seeded latent
+/// batch.
 ///
 /// The `eps` tensor is derived from `(seed, query.id)` alone, so every
 /// worker, shard, and batch layout scores a given plan identically.
 pub(crate) struct Evaluator<'a> {
     model: &'a QPSeeker,
     risk: Option<RiskCtx>,
-    /// Seat on a shared [`crate::evalbroker::EvalBroker`]: when present
-    /// (and the query takes the fast path), candidate batches are
-    /// submitted to the broker to fuse with other sessions' rows instead
-    /// of running a private forward. Fused scoring is bitwise equal to
-    /// local scoring, so attachment never changes a plan. Never attached
+    /// Seat on a shared [`crate::evalbroker::EvalBroker`]: when present,
+    /// submissions park there to fuse with other sessions' rows instead of
+    /// running a private forward. A row's score does not depend on what it
+    /// is fused with, so attachment never changes a plan. Never attached
     /// on root-parallel shard evaluators — shard threads are not broker
     /// members.
     broker: Option<&'a crate::evalbroker::BrokerMember>,
@@ -270,85 +283,31 @@ impl<'a> Evaluator<'a> {
         self
     }
 
-    pub(crate) fn score_one(
-        &self,
-        sess: &mut FeatSession,
-        query: &Query,
-        plan: &PlanNode,
-        ctx: &mut QueryContext,
-    ) -> f64 {
-        if let Some(b) = self.broker {
-            if ctx.fast {
-                // Single-candidate submissions still fuse with other
-                // members' rows; the row-wise contract keeps the value
-                // bitwise equal to the local call below.
-                let plans = [plan];
-                match &self.risk {
-                    None => {
-                        let mut tmp = Vec::with_capacity(1);
-                        self.model.broker_predict_batch_in(b, sess, query, &plans, ctx, &mut tmp);
-                        return tmp[0].runtime_ms;
-                    }
-                    Some(r) => {
-                        let mut tmp = Vec::with_capacity(1);
-                        self.model.broker_predict_risk_batch_in(
-                            b, sess, query, &plans, ctx, &r.eps, &mut tmp,
-                        );
-                        let (mean, sigma) = tmp[0];
-                        return mean + r.lambda * sigma;
-                    }
-                }
-            }
-        }
-        match &self.risk {
-            None => self.model.predict_with_context_in(sess, query, plan, ctx).runtime_ms,
-            Some(r) => {
-                let (mean, sigma) =
-                    self.model.predict_risk_with_context_in(sess, query, plan, ctx, &r.eps);
-                mean + r.lambda * sigma
-            }
-        }
-    }
-
-    pub(crate) fn score_batch(
+    /// Score `plans` (candidates of `query`) into `scores`, cleared first,
+    /// in order. The only fork is where the forward runs.
+    pub(crate) fn score(
         &self,
         sess: &mut FeatSession,
         query: &Query,
         plans: &[&PlanNode],
         ctx: &mut QueryContext,
-        preds_buf: &mut Vec<Prediction>,
         scores: &mut Vec<f64>,
     ) {
         scores.clear();
-        if let Some(b) = self.broker {
-            if ctx.fast && !plans.is_empty() {
-                match &self.risk {
-                    None => {
-                        self.model.broker_predict_batch_in(b, sess, query, plans, ctx, preds_buf);
-                        scores.extend(preds_buf.iter().map(|p| p.runtime_ms));
-                    }
-                    Some(r) => {
-                        let mut stats = Vec::with_capacity(plans.len());
-                        self.model.broker_predict_risk_batch_in(
-                            b, sess, query, plans, ctx, &r.eps, &mut stats,
-                        );
-                        scores.extend(stats.iter().map(|&(mean, sigma)| mean + r.lambda * sigma));
-                    }
-                }
-                return;
-            }
+        if plans.is_empty() {
+            return;
         }
+        let eps = self.risk.as_ref().map(|r| &r.eps);
+        let sub = self.model.submission(sess, query, plans, ctx, eps);
+        let (outcome, rows) = match self.broker {
+            Some(member) => member.submit(sub),
+            None => self.model.score_local(sub),
+        };
+        ctx.feat_batch = rows;
         match &self.risk {
-            None => {
-                self.model.predict_batch_with_context_in(sess, query, plans, ctx, preds_buf);
-                scores.extend(preds_buf.iter().map(|p| p.runtime_ms));
-            }
+            None => scores.extend(outcome.mean().iter().map(|p| p.runtime_ms)),
             Some(r) => {
-                let mut stats = Vec::with_capacity(plans.len());
-                self.model.predict_risk_batch_with_context_in(
-                    sess, query, plans, ctx, &r.eps, &mut stats,
-                );
-                scores.extend(stats.iter().map(|&(mean, sigma)| mean + r.lambda * sigma));
+                scores.extend(outcome.risk().iter().map(|&(mean, sigma)| mean + r.lambda * sigma))
             }
         }
     }

@@ -51,8 +51,8 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// MCTS settings for each neural attempt (the seed is varied per
-    /// attempt so a retry explores differently). Budget, evaluation cap,
-    /// seed and batch size also parameterize the beam strategy.
+    /// attempt so a retry explores differently). Budget, evaluation cap
+    /// and seed also parameterize the beam strategy.
     pub mcts: MctsConfig,
     /// Which search runs and how candidates are scored: strategy kind
     /// (left-deep MCTS or bushy beam), risk weight λ, latent sample count,
@@ -334,8 +334,8 @@ pub struct SupervisorConfig {
     /// Route candidate scoring through a shared [`EvalBroker`]: every
     /// worker becomes a broker member and congruent scoring requests from
     /// all of them fuse into wide forward passes. Plans are bitwise
-    /// identical to broker-off serving (batched inference matches scalar
-    /// row for row); only where the arithmetic runs changes. `None` keeps
+    /// identical to broker-off serving (a row's score does not depend on
+    /// what it is fused with); only where the arithmetic runs changes. `None` keeps
     /// per-session scoring.
     pub broker: Option<BrokerConfig>,
 }

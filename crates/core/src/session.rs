@@ -88,7 +88,7 @@ pub struct PlannerSession {
     /// Seat on a shared [`crate::evalbroker::EvalBroker`], when this
     /// session's supervisor routes candidate scoring through one. Attached
     /// by the serving layer before the worker's first request; planning
-    /// submits through it whenever it is present and the fast path is on.
+    /// submits through it whenever it is present.
     /// Root-parallel MCTS shards never carry a seat — their threads are
     /// not broker members and always score locally.
     pub(crate) broker: Option<BrokerMember>,

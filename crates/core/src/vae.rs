@@ -69,134 +69,63 @@ impl CostModeler {
         VaeOutput { mu, logvar, z, reconstruction, predictions }
     }
 
-    /// Tape-free deterministic inference (`eps = 0` ⇒ `z = mu`): returns the
-    /// `[rows, 3]` predictions (from `sc` — recycle when done) and the mean
-    /// latent code.
+    /// Tape-free inference over `x [K, joint_dim]` candidate rows (from
+    /// `sc` — recycle the result when done).
+    ///
+    /// `eps_of = None` is deterministic mean scoring (`eps = 0` ⇒ `z = mu`):
+    /// predictions `[K, 3]`. With zero noise the reparameterization is the
+    /// identity on `mu`, so the log-variance head is never evaluated.
+    ///
+    /// `eps_of = Some(blocks)` is sampled scoring for risk-aware ranking: row
+    /// `r` is sampled against its own seeded standard-normal block
+    /// `blocks[r]` (`[S, latent]`, same `S` for every row — rows fused from
+    /// different queries carry different draws) → predictions `[S·K, 3]`,
+    /// sample-major (row `s·K + r` is row `r` under sample `s`). Here the
+    /// log-variance head *is* evaluated: `z = mu + exp(0.5 · logvar) ∘ eps_s`
+    /// with the same tanh-bounded log-variance the training path uses.
+    ///
+    /// Either way every GEMM is row-wise bitwise equal at any batch size and
+    /// the reparameterization is elementwise, so a row's predictions are
+    /// bitwise identical whether it is scored alone, in a batch, or in any
+    /// partition of a batch — the determinism plan choice relies on.
     pub fn forward_inference(
         &self,
         store: &ParamStore,
         x: &Tensor,
-        sc: &mut ScratchArena,
-    ) -> (Tensor, Vec<f32>) {
-        let h = self.encoder.forward_inference(store, x, sc); // [rows, 2*latent]
-        let mut mu = sc.take(h.rows(), self.latent);
-        for r in 0..h.rows() {
-            mu.row_slice_mut(r).copy_from_slice(&h.row_slice(r)[..self.latent]);
-        }
-        sc.recycle(h);
-        // With zero noise the reparameterization is the identity on mu, so
-        // the log-variance head is never evaluated here.
-        let reconstruction = self.decoder.forward_inference(store, &mu, sc);
-        let predictions = self.head.forward_inference(store, &reconstruction, sc);
-        sc.recycle(reconstruction);
-        let mu_vec = mu.data().to_vec();
-        sc.recycle(mu);
-        (predictions, mu_vec)
-    }
-
-    /// Batched [`Self::forward_inference`] without the per-call `mu`
-    /// extraction: `x [K, joint_dim]` → predictions `[K, 3]` (from `sc` —
-    /// recycle when done). Every op is the scalar path's op at `rows = K`,
-    /// so row `p` is bitwise identical to scoring plan `p` alone.
-    pub fn forward_inference_batch(
-        &self,
-        store: &ParamStore,
-        x: &Tensor,
+        eps_of: Option<&[&Tensor]>,
         sc: &mut ScratchArena,
     ) -> Tensor {
-        let h = self.encoder.forward_inference(store, x, sc); // [rows, 2*latent]
-        let mut mu = sc.take(h.rows(), self.latent);
-        for r in 0..h.rows() {
-            mu.row_slice_mut(r).copy_from_slice(&h.row_slice(r)[..self.latent]);
-        }
-        sc.recycle(h);
-        let reconstruction = self.decoder.forward_inference(store, &mu, sc);
-        sc.recycle(mu);
-        let predictions = self.head.forward_inference(store, &reconstruction, sc);
-        sc.recycle(reconstruction);
-        predictions
-    }
-
-    /// Sampled tape-free inference for risk-aware scoring: `x [K,
-    /// joint_dim]` candidates × `eps [S, latent]` seeded standard-normal
-    /// draws → predictions `[S·K, 3]`, sample-major (row `s·K + k` is
-    /// candidate `k` under sample `s` — from `sc`, recycle when done).
-    ///
-    /// Unlike [`Self::forward_inference`] the log-variance head *is*
-    /// evaluated: `z = mu + exp(0.5 · logvar) ∘ eps_s` with the same
-    /// tanh-bounded log-variance the training path uses. The
-    /// reparameterization is elementwise (no GEMM), and the decoder/head
-    /// GEMMs are row-wise bitwise equal at any batch size, so candidate
-    /// `k`'s rows are bitwise identical whether it is scored alone or in a
-    /// batch — the determinism the risk scorer's mean/σ relies on.
-    pub fn forward_inference_sampled(
-        &self,
-        store: &ParamStore,
-        x: &Tensor,
-        eps: &Tensor,
-        sc: &mut ScratchArena,
-    ) -> Tensor {
-        assert_eq!(eps.cols(), self.latent, "eps must be [samples, latent]");
         let h = self.encoder.forward_inference(store, x, sc); // [K, 2*latent]
         let k = h.rows();
-        let s = eps.rows();
-        let mut z = sc.take(s * k, self.latent);
-        for r in 0..k {
-            let hr = h.row_slice(r);
-            for si in 0..s {
-                let er = eps.row_slice(si);
-                let zr = z.row_slice_mut(si * k + r);
-                for j in 0..self.latent {
-                    let mu = hr[j];
-                    let logvar = 8.0 * hr[self.latent + j].tanh();
-                    zr[j] = mu + (0.5 * logvar).exp() * er[j];
+        let z = match eps_of {
+            None => {
+                let mut mu = sc.take(k, self.latent);
+                for r in 0..k {
+                    mu.row_slice_mut(r).copy_from_slice(&h.row_slice(r)[..self.latent]);
                 }
+                mu
             }
-        }
-        sc.recycle(h);
-        let reconstruction = self.decoder.forward_inference(store, &z, sc);
-        sc.recycle(z);
-        let predictions = self.head.forward_inference(store, &reconstruction, sc);
-        sc.recycle(reconstruction);
-        predictions
-    }
-
-    /// [`Self::forward_inference_sampled`] generalized to a *per-row* eps
-    /// block: row `r` of `x` is sampled against `eps_of[r]` (`[S, latent]`,
-    /// same `S` for every row). This is the broker-fused risk path — rows
-    /// from different queries carry their own seeded draws through one
-    /// batched pass. Output stays sample-major (`[S*K, 3]`, row `si*K + r`
-    /// for row `r`'s sample `si`), and the per-(row, sample) arithmetic is
-    /// identical to the single-eps entry, so each row's samples are bitwise
-    /// equal to a per-request call with its own eps.
-    pub fn forward_inference_sampled_multi(
-        &self,
-        store: &ParamStore,
-        x: &Tensor,
-        eps_of: &[&Tensor],
-        sc: &mut ScratchArena,
-    ) -> Tensor {
-        let k = x.rows();
-        assert_eq!(eps_of.len(), k, "one eps block per row");
-        let s = eps_of[0].rows();
-        for eps in eps_of {
-            assert_eq!(eps.rows(), s, "eps blocks must agree on sample count");
-            assert_eq!(eps.cols(), self.latent, "eps must be [samples, latent]");
-        }
-        let h = self.encoder.forward_inference(store, x, sc); // [K, 2*latent]
-        let mut z = sc.take(s * k, self.latent);
-        for (r, eps_r) in eps_of.iter().enumerate() {
-            let hr = h.row_slice(r);
-            for si in 0..s {
-                let er = eps_r.row_slice(si);
-                let zr = z.row_slice_mut(si * k + r);
-                for j in 0..self.latent {
-                    let mu = hr[j];
-                    let logvar = 8.0 * hr[self.latent + j].tanh();
-                    zr[j] = mu + (0.5 * logvar).exp() * er[j];
+            Some(eps_of) => {
+                assert_eq!(eps_of.len(), k, "one eps block per row");
+                let s = eps_of[0].rows();
+                let mut z = sc.take(s * k, self.latent);
+                for (r, eps_r) in eps_of.iter().enumerate() {
+                    assert_eq!(eps_r.rows(), s, "eps blocks must agree on sample count");
+                    assert_eq!(eps_r.cols(), self.latent, "eps must be [samples, latent]");
+                    let hr = h.row_slice(r);
+                    for si in 0..s {
+                        let er = eps_r.row_slice(si);
+                        let zr = z.row_slice_mut(si * k + r);
+                        for j in 0..self.latent {
+                            let mu = hr[j];
+                            let logvar = 8.0 * hr[self.latent + j].tanh();
+                            zr[j] = mu + (0.5 * logvar).exp() * er[j];
+                        }
+                    }
                 }
+                z
             }
-        }
+        };
         sc.recycle(h);
         let reconstruction = self.decoder.forward_inference(store, &z, sc);
         sc.recycle(z);
@@ -284,20 +213,34 @@ mod tests {
         assert_eq!(run(&store), run(&store));
     }
 
+    /// `x`'s rows `lo..hi` as their own tensor.
+    fn rows_of(x: &Tensor, lo: usize, hi: usize) -> Tensor {
+        Tensor::from_vec(hi - lo, x.cols(), x.data()[lo * x.cols()..hi * x.cols()].to_vec())
+    }
+
+    /// K rows in one call ≡ K one-row calls ≡ any partition into calls.
     #[test]
-    fn batched_vae_inference_bitwise_equals_scalar() {
+    fn mean_inference_rows_bitwise_equal_under_any_partition() {
         let cfg = ModelConfig::small();
         let (store, vae) = setup(&cfg);
         let mut init = Initializer::new(8);
         let x = init.normal(5, cfg.joint_dim(), 1.0);
         let mut sc = ScratchArena::new();
-        let batched = vae.forward_inference_batch(&store, &x, &mut sc);
-        assert_eq!(batched.shape(), (5, 3));
-        for r in 0..5 {
-            let row = Tensor::from_vec(1, cfg.joint_dim(), x.row_slice(r).to_vec());
-            let (single, _mu) = vae.forward_inference(&store, &row, &mut sc);
-            assert_eq!(batched.row_slice(r), single.data(), "row {r} differs");
-            sc.recycle(single);
+        let whole = vae.forward_inference(&store, &x, None, &mut sc);
+        assert_eq!(whole.shape(), (5, 3));
+        for parts in [vec![0..1, 1..2, 2..3, 3..4, 4..5], vec![0..2, 2..5]] {
+            for part in parts {
+                let got = vae.forward_inference(
+                    &store,
+                    &rows_of(&x, part.start, part.end),
+                    None,
+                    &mut sc,
+                );
+                for r in part.clone() {
+                    assert_eq!(whole.row_slice(r), got.row_slice(r - part.start), "row {r}");
+                }
+                sc.recycle(got);
+            }
         }
     }
 
@@ -308,9 +251,9 @@ mod tests {
         let mut init = Initializer::new(9);
         let x = init.normal(3, cfg.joint_dim(), 1.0);
         let mut sc = ScratchArena::new();
-        let mean = vae.forward_inference_batch(&store, &x, &mut sc);
+        let mean = vae.forward_inference(&store, &x, None, &mut sc);
         let eps = Tensor::zeros(2, cfg.vae_latent);
-        let sampled = vae.forward_inference_sampled(&store, &x, &eps, &mut sc);
+        let sampled = vae.forward_inference(&store, &x, Some(&[&eps; 3]), &mut sc);
         assert_eq!(sampled.shape(), (2 * 3, 3));
         for s in 0..2 {
             for k in 0..3 {
@@ -319,27 +262,66 @@ mod tests {
         }
     }
 
+    /// The partition contract under sampling, with a *different* eps block
+    /// per row (the cross-query fused case).
     #[test]
-    fn sampled_inference_batched_bitwise_equals_scalar() {
+    fn sampled_inference_rows_bitwise_equal_under_any_partition() {
         let cfg = ModelConfig::small();
         let (store, vae) = setup(&cfg);
         let mut init = Initializer::new(10);
         let x = init.normal(4, cfg.joint_dim(), 1.0);
-        let eps = Initializer::new(11).standard_normal(3, cfg.vae_latent);
+        let eps: Vec<Tensor> =
+            (0..4).map(|r| Initializer::new(11 + r).standard_normal(3, cfg.vae_latent)).collect();
+        let eps_refs: Vec<&Tensor> = eps.iter().collect();
         let mut sc = ScratchArena::new();
-        let batched = vae.forward_inference_sampled(&store, &x, &eps, &mut sc);
-        assert_eq!(batched.shape(), (3 * 4, 3));
-        for k in 0..4 {
-            let row = Tensor::from_vec(1, cfg.joint_dim(), x.row_slice(k).to_vec());
-            let single = vae.forward_inference_sampled(&store, &row, &eps, &mut sc);
-            for s in 0..3 {
-                assert_eq!(
-                    batched.row_slice(s * 4 + k),
-                    single.row_slice(s),
-                    "candidate {k} sample {s} differs"
+        let whole = vae.forward_inference(&store, &x, Some(&eps_refs), &mut sc);
+        assert_eq!(whole.shape(), (3 * 4, 3));
+        for parts in [vec![0..1, 1..2, 2..3, 3..4], vec![0..3, 3..4]] {
+            for part in parts {
+                let kp = part.len();
+                let got = vae.forward_inference(
+                    &store,
+                    &rows_of(&x, part.start, part.end),
+                    Some(&eps_refs[part.clone()]),
+                    &mut sc,
                 );
+                for r in part.clone() {
+                    for s in 0..3 {
+                        assert_eq!(
+                            whole.row_slice(s * 4 + r),
+                            got.row_slice(s * kp + r - part.start),
+                            "row {r} sample {s} differs"
+                        );
+                    }
+                }
+                sc.recycle(got);
             }
-            sc.recycle(single);
+        }
+    }
+
+    /// Tape-free sampling with non-zero eps computes the training-path
+    /// reparameterization: row `r` under sample `s` matches
+    /// [`CostModeler::forward`] fed `eps[s]`, within the fast path's 1e-5.
+    #[test]
+    fn sampled_inference_matches_training_forward_with_same_eps() {
+        let cfg = ModelConfig::small();
+        let (store, vae) = setup(&cfg);
+        let x = Initializer::new(12).normal(3, cfg.joint_dim(), 1.0);
+        let eps = Initializer::new(13).standard_normal(4, cfg.vae_latent);
+        let mut sc = ScratchArena::new();
+        let fast = vae.forward_inference(&store, &x, Some(&[&eps; 3]), &mut sc);
+        for s in 0..4 {
+            let eps_s = rows_of(&eps, s, s + 1);
+            let refs = [&eps_s; 3];
+            let mut g = Graph::new();
+            let xv = g.constant(x.clone());
+            let out = vae.forward(&mut g, &store, xv, Tensor::stack_rows(&refs));
+            let tape = g.value(out.predictions);
+            for r in 0..3 {
+                for (a, b) in fast.row_slice(s * 3 + r).iter().zip(tape.row_slice(r)) {
+                    assert!((a - b).abs() < 1e-5, "sample {s} row {r}: {a} vs tape {b}");
+                }
+            }
         }
     }
 

@@ -1,6 +1,7 @@
-//! The tape-free inference fast path must be numerically interchangeable
-//! with the reference tape forward, and crossbeam data-parallel training
-//! must be bit-reproducible regardless of the shard count.
+//! The tape-free scoring forward must be numerically interchangeable with
+//! the reference tape forward — through either featurizer — and crossbeam
+//! data-parallel training must be bit-reproducible regardless of the shard
+//! count.
 
 use proptest::prelude::*;
 use qpseeker_core::prelude::*;
@@ -55,7 +56,7 @@ proptest! {
     /// targets through the scratch-arena fast path as through the autodiff
     /// tape, within 1e-5 relative.
     #[test]
-    fn fast_inference_matches_tape(
+    fn tape_free_forward_matches_tape(
         order in 0usize..4,
         scan_ops in proptest::collection::vec(0usize..3, 3),
         join_ops in proptest::collection::vec(0usize..3, 2),
@@ -87,7 +88,7 @@ proptest! {
 }
 
 #[test]
-fn fast_inference_matches_tape_on_single_scans() {
+fn tape_free_forward_matches_tape_on_single_scans() {
     let model = shared_model();
     let mut q = Query::new("fastpath-single");
     q.relations = vec![RelRef::new("title")];
@@ -101,6 +102,39 @@ fn fast_inference_matches_tape_on_single_scans() {
             fast.runtime_ms,
             tape.runtime_ms
         );
+    }
+}
+
+/// Past 64 relations the alias-bitmask featurization cache is inexact, so
+/// rows are built by the general featurizer instead — and still go through
+/// the one forward. A 65-alias self-join chain must predict, finitely and
+/// within 1e-5 of the tape.
+#[test]
+fn sixty_five_alias_chain_predicts_through_the_general_featurizer() {
+    let model = shared_model();
+    let mut q = Query::new("fastpath-65");
+    let alias = |i: usize| format!("t{i}");
+    q.relations = (0..65).map(|i| RelRef::aliased("title", alias(i))).collect();
+    q.joins = (1..65)
+        .map(|i| JoinPred {
+            left: ColRef::new(alias(i - 1), "id"),
+            right: ColRef::new(alias(i), "id"),
+        })
+        .collect();
+    let mut plan = PlanNode::scan(&q, &alias(0), ScanOp::SeqScan);
+    for i in 1..65 {
+        let right = PlanNode::scan(&q, &alias(i), ScanOp::ALL[i % 3]);
+        plan = PlanNode::join(&q, JoinOp::ALL[i % 3], plan, right);
+    }
+    let fast = model.predict(&q, &plan);
+    let tape = model.predict_tape(&q, &plan);
+    for (name, a, b) in [
+        ("cardinality", fast.cardinality, tape.cardinality),
+        ("cost", fast.cost, tape.cost),
+        ("runtime_ms", fast.runtime_ms, tape.runtime_ms),
+    ] {
+        assert!(a.is_finite(), "{name} is not finite: {a}");
+        assert!((a - b).abs() <= 1e-5 * (1.0 + b.abs()), "{name}: forward {a} vs tape {b}");
     }
 }
 

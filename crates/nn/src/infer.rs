@@ -13,9 +13,10 @@
 //! * **No finiteness asserts.** A NaN produced here (e.g. by injected faults
 //!   or corrupted weights) flows through to the caller's `is_finite()` check
 //!   and triggers graceful degradation instead of a panic.
-//! * **Blocked kernels.** Products go through [`Tensor::matmul_into`] /
-//!   [`Tensor::matmul_nt_into`], which changes float accumulation order; the
-//!   fast path is guaranteed to match the tape within 1e-5, not bitwise.
+//! * **Blocked kernels.** Products go through [`gemm_packed`] and the
+//!   dispatched [`dot`] / [`matmul_kernel`], which changes float accumulation
+//!   order; the fast path is guaranteed to match the tape within 1e-5, not
+//!   bitwise.
 
 use crate::layers::{Activation, Linear, LstmCell, Mlp, MultiHeadCrossAttention};
 use crate::pack::gemm_packed;
@@ -239,65 +240,17 @@ impl LstmCell {
 }
 
 impl MultiHeadCrossAttention {
-    /// Tape-free attention: `query [1, q_dim]`, `kv [n, kv_dim]` → `[1, out_dim]`.
+    /// Tape-free attention over `kn` independent (query, kv-block) pairs:
+    /// `query [kn, q_dim]`, `kv_all [kn*n, kv_dim]` (plan `p` owns rows
+    /// `p*n..(p+1)*n`) → `[kn, out_dim]`. One plan is `kn = 1`.
     ///
-    /// When `scores_out` is `Some`, each head's attention row (`n` weights) is
-    /// appended to it for introspection.
+    /// The three projections run as single GEMMs over all plans; the
+    /// per-plan score/softmax/context ops are row-independent ([`dot`] for
+    /// scores, the m=1 row kernel for the context product), so row `p` of
+    /// the result is **bitwise identical** for every `kn` and every
+    /// partition of the plans into calls — the contract the batched MCTS
+    /// evaluator and the eval broker rely on.
     pub fn forward_inference(
-        &self,
-        store: &ParamStore,
-        query: &Tensor,
-        kv: &Tensor,
-        sc: &mut ScratchArena,
-        mut scores_out: Option<&mut Vec<Vec<f32>>>,
-    ) -> Tensor {
-        debug_assert_eq!(query.rows(), 1, "attention query must be a single row");
-        let d = self.head_dim;
-        let n = kv.rows();
-        let scale = 1.0 / (d as f32).sqrt();
-        let mut cat = sc.take(1, self.heads * d);
-        let mut q = sc.take(1, d);
-        let mut k = sc.take(n, d);
-        let mut v = sc.take(n, d);
-        let mut scores = sc.take(1, n);
-        let mut ctx = sc.take(1, d);
-        let id = Activation::Identity;
-        for h in 0..self.heads {
-            gemm_packed(1, query.data(), store.packed(self.wq[h]), false, None, id, q.data_mut());
-            gemm_packed(n, kv.data(), store.packed(self.wk[h]), false, None, id, k.data_mut());
-            gemm_packed(n, kv.data(), store.packed(self.wv[h]), false, None, id, v.data_mut());
-            q.matmul_nt_into(&k, &mut scores);
-            for s in scores.data_mut() {
-                *s *= scale;
-            }
-            softmax_rows_inplace(&mut scores);
-            if let Some(out) = scores_out.as_deref_mut() {
-                out.push(scores.data().to_vec());
-            }
-            scores.matmul_into(&v, &mut ctx);
-            cat.data_mut()[h * d..(h + 1) * d].copy_from_slice(ctx.data());
-        }
-        sc.recycle(q);
-        sc.recycle(k);
-        sc.recycle(v);
-        sc.recycle(scores);
-        sc.recycle(ctx);
-        let out = self.out.forward_inference(store, &cat, sc);
-        sc.recycle(cat);
-        out
-    }
-
-    /// Batched tape-free attention over `kn` independent (query, kv-block)
-    /// pairs: `query [kn, q_dim]`, `kv_all [kn*n, kv_dim]` (plan `p` owns rows
-    /// `p*n..(p+1)*n`) → `[kn, out_dim]`.
-    ///
-    /// The three projections run as single `m > 1` GEMMs over all plans; the
-    /// per-plan score/softmax/context ops then reuse the exact scalar-path
-    /// primitives ([`dot_unrolled`] for scores, the m=1 row kernel for the
-    /// context product), so row `p` of the result is **bitwise identical** to
-    /// calling [`Self::forward_inference`] on plan `p` alone — the contract
-    /// the batched MCTS evaluator relies on.
-    pub fn forward_inference_batch(
         &self,
         store: &ParamStore,
         query: &Tensor,
@@ -322,8 +275,7 @@ impl MultiHeadCrossAttention {
             let vp = vproj.data_mut();
             gemm_packed(kn * n, kv_all.data(), store.packed(self.wv[h]), false, None, id, vp);
             for p in 0..kn {
-                // scores[p][i] = (q_p · k_{p,i}) * scale — the same dot and
-                // scaling the scalar path's matmul_nt_into + `*= scale` do.
+                // scores[p][i] = (q_p · k_{p,i}) * scale.
                 let q_row = q.row_slice(p);
                 for i in 0..n {
                     let s = dot(q_row, kproj.row_slice(p * n + i)) * scale;
@@ -333,8 +285,7 @@ impl MultiHeadCrossAttention {
             softmax_rows_inplace(&mut scores);
             for p in 0..kn {
                 // ctx_p = scores_p [1 x n] · v-block_p [n x d], written
-                // straight into this head's slice of `cat` via the m=1 kernel
-                // the scalar path's matmul_into dispatches to.
+                // straight into this head's slice of `cat` via the m=1 kernel.
                 let v_block = &vproj.data()[p * n * d..(p + 1) * n * d];
                 let cat_seg = &mut cat.row_slice_mut(p)[h * d..(h + 1) * d];
                 cat_seg.fill(0.0);
@@ -419,7 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn attention_inference_matches_tape_and_reports_scores() {
+    fn attention_inference_matches_tape() {
         let mut store = ParamStore::new();
         let mut init = Initializer::new(13);
         let attn = MultiHeadCrossAttention::new(&mut store, &mut init, "a", 8, 6, 4, 5, 10);
@@ -429,20 +380,17 @@ mod tests {
         let mut g = Graph::new();
         let qv = g.constant(q.clone());
         let kvv = g.constant(kv.clone());
-        let (tape, tape_scores) = attn.forward(&mut g, &store, qv, kvv);
+        let (tape, _scores) = attn.forward(&mut g, &store, qv, kvv);
 
         let mut sc = ScratchArena::new();
-        let mut scores = Vec::new();
-        let fast = attn.forward_inference(&store, &q, &kv, &mut sc, Some(&mut scores));
+        let fast = attn.forward_inference(&store, &q, &kv, 3, &mut sc);
         close(fast.data(), g.value(tape).data(), 1e-5);
-        assert_eq!(scores.len(), 4);
-        for (row, tv) in scores.iter().zip(&tape_scores) {
-            close(row, g.value(*tv).data(), 1e-5);
-        }
     }
 
+    /// K plans in one call ≡ K one-plan calls ≡ any partition into calls,
+    /// row for row, bit for bit.
     #[test]
-    fn batched_attention_bitwise_equals_scalar_per_plan() {
+    fn attention_rows_bitwise_equal_under_any_partition() {
         let mut store = ParamStore::new();
         let mut init = Initializer::new(13);
         let attn = MultiHeadCrossAttention::new(&mut store, &mut init, "a", 8, 6, 4, 5, 10);
@@ -451,18 +399,28 @@ mod tests {
             let query = Initializer::new(kn as u64).normal(kn, 8, 1.0);
             let kv_all = Initializer::new(100 + kn as u64).normal(kn * n, 6, 1.0);
             let mut sc = ScratchArena::new();
-            let batched = attn.forward_inference_batch(&store, &query, &kv_all, n, &mut sc);
-            assert_eq!(batched.shape(), (kn, 10));
-            for p in 0..kn {
-                let q = Tensor::from_vec(1, 8, query.row_slice(p).to_vec());
-                let kv = Tensor::from_vec(n, 6, kv_all.data()[p * n * 6..(p + 1) * n * 6].to_vec());
-                let single = attn.forward_inference(&store, &q, &kv, &mut sc, None);
-                assert_eq!(
-                    batched.row_slice(p),
-                    single.data(),
-                    "plan {p} of batch {kn} is not bitwise equal to the scalar path"
-                );
-                sc.recycle(single);
+            let whole = attn.forward_inference(&store, &query, &kv_all, n, &mut sc);
+            assert_eq!(whole.shape(), (kn, 10));
+            // Chunk sizes 1 (one-plan calls) and 2 (a ragged partition).
+            for chunk in [1usize, 2] {
+                for lo in (0..kn).step_by(chunk) {
+                    let hi = (lo + chunk).min(kn);
+                    let q = Tensor::from_vec(hi - lo, 8, query.data()[lo * 8..hi * 8].to_vec());
+                    let kv = Tensor::from_vec(
+                        (hi - lo) * n,
+                        6,
+                        kv_all.data()[lo * n * 6..hi * n * 6].to_vec(),
+                    );
+                    let part = attn.forward_inference(&store, &q, &kv, n, &mut sc);
+                    for p in lo..hi {
+                        assert_eq!(
+                            whole.row_slice(p),
+                            part.row_slice(p - lo),
+                            "plan {p} of {kn} differs when scored in chunks of {chunk}"
+                        );
+                    }
+                    sc.recycle(part);
+                }
             }
         }
     }

@@ -150,28 +150,6 @@ impl Tensor {
         matmul_kernel(self.rows, self.cols, other.cols, &self.data, &other.data, &mut out.data);
     }
 
-    /// `self * otherᵀ` written into `out` (reshaped to `self.rows x other.rows`).
-    ///
-    /// # Panics
-    /// Panics when column counts differ.
-    pub fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_nt shape mismatch: {}x{} * ({}x{})ᵀ",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        out.reshape_for(self.rows, other.rows);
-        let k = self.cols;
-        let dot_fn = kernels().dot;
-        for i in 0..self.rows {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            for j in 0..other.rows {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                out.data[i * other.rows + j] = dot_fn(a_row, b_row);
-            }
-        }
-    }
-
     /// Reshape in place to `rows x cols` filled with zeros, reusing the
     /// allocation when it is large enough.
     pub(crate) fn reshape_for(&mut self, rows: usize, cols: usize) {
@@ -1185,19 +1163,6 @@ mod tests {
         a.matmul_into(&b, &mut out);
         assert_eq!(out.shape(), (2, 2));
         assert_eq!(out.data(), &[58., 64., 139., 154.]);
-    }
-
-    #[test]
-    fn matmul_nt_into_matches_matmul_nt() {
-        let a = Tensor::from_vec(3, 7, (0..21).map(|i| (i as f32 * 0.13).sin()).collect());
-        let b = Tensor::from_vec(4, 7, (0..28).map(|i| (i as f32 * 0.29).cos()).collect());
-        let mut out = Tensor::zeros(1, 1);
-        a.matmul_nt_into(&b, &mut out);
-        let expect = a.matmul_nt(&b);
-        assert_eq!(out.shape(), expect.shape());
-        for (x, y) in out.data().iter().zip(expect.data()) {
-            assert!((x - y).abs() < 1e-5);
-        }
     }
 
     #[test]

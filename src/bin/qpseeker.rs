@@ -98,8 +98,8 @@ commands:
            [--queue <n>] [--service-ms <f64>] [--interval-ms <f64>]
            [--workers <n>] (serve the stream on n planner threads, each
             with its own session over the shared model; default 1)
-           [--batch-eval <n>] (candidates scored per batched cost-model
-            pass, for every strategy; 1 disables batching; default 16)
+           [--batch-eval <n>] (MCTS rollouts queued per scoring pass; 1
+            backs up every rollout immediately; plan-affecting; default 16)
            [--broker] (fuse candidate scoring across all workers through a
             shared eval broker: congruent requests pack into wide forward
             passes; plans are bitwise identical to broker-off serving)

@@ -243,7 +243,7 @@ fn tenant_lanes_fuse_across_boundaries_without_changing_plans() {
     // Rows per fused batch beat any single lane's per-session batching: the
     // max observed occupancy can only exceed the per-session `batch_eval`
     // ceiling if rows from different submitters landed in one forward.
-    let per_session = MctsConfig::default().batch_eval;
+    let per_session = DEFAULT_BATCH_EVAL;
     assert!(
         on_counters.fused_occupancy_max > per_session,
         "max fused occupancy {} never exceeded one session's batch_eval {per_session}: \

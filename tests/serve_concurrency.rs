@@ -159,7 +159,7 @@ fn batched_eval_is_identical_across_worker_counts() {
         let stream = gentle_requests(10, 0xba7c ^ chaos_seed());
         let run = |workers: usize| {
             let mut cfg = deterministic_cfg(workers);
-            cfg.serve.mcts.batch_eval = batch_eval;
+            cfg.serve.strategy.batch_eval = Some(batch_eval);
             let mut sup = Supervisor::new(cfg);
             sup.run(db, Some(model), &stream)
         };

@@ -180,13 +180,8 @@ fn deterministic_cfg(
 ) -> SupervisorConfig {
     SupervisorConfig {
         serve: ServeConfig {
-            mcts: MctsConfig {
-                budget_ms: 1e9,
-                max_simulations: 16,
-                batch_eval,
-                ..MctsConfig::default()
-            },
-            strategy: strat.clone(),
+            mcts: MctsConfig { budget_ms: 1e9, max_simulations: 16, ..MctsConfig::default() },
+            strategy: StrategyConfig { batch_eval: Some(batch_eval), ..strat.clone() },
             deadline_ms: 1e12,
             max_retries: 1,
             backoff_base_ms: 0.0,
@@ -315,13 +310,17 @@ fn plan_cache_is_isolated_per_strategy_end_to_end() {
     let cache = Arc::new(PlanCache::new(4, 64));
     let stream = gentle_requests(6, 0xcace ^ chaos_seed());
 
+    // The MCTS rollout-batch size changes the search trajectory, hence the
+    // plan: it sits right after the default so its first pass faces entries
+    // that differ from it in nothing else.
     let strategies = [
         StrategyConfig::default(),
+        StrategyConfig { batch_eval: Some(1), ..StrategyConfig::default() },
         StrategyConfig { kind: StrategyKind::Beam, ..StrategyConfig::default() },
         StrategyConfig { risk_lambda: 0.5, ..StrategyConfig::default() },
     ];
     let run = |strat: &StrategyConfig| {
-        let mut cfg = deterministic_cfg(1, strat, 16);
+        let mut cfg = deterministic_cfg(1, strat, strat.batch_eval.unwrap_or(16));
         cfg.cache =
             Some(PlanCacheCtx { cache: Arc::clone(&cache), tenant: "t0".into(), stats_version: 0 });
         let mut sup = Supervisor::new(cfg);
