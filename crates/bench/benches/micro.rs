@@ -79,7 +79,8 @@ fn bench_model(c: &mut Criterion) {
     let mut model = QPSeeker::new(&db, ModelConfig::small());
     model.fit(&refs).expect("training succeeds");
     let qep = w.qeps.iter().find(|q| q.query.num_joins() >= 1).expect("join query");
-    // The tape-free scoring forward vs the autodiff-tape reference.
+    // The one-shot wrappers (fresh session and query encoding per call):
+    // the tape-free scoring forward vs the autodiff-tape reference.
     c.bench_function("qpseeker/predict", |b| {
         b.iter(|| black_box(model.predict(black_box(&qep.query), black_box(&qep.plan))))
     });
@@ -104,12 +105,26 @@ fn bench_model(c: &mut Criterion) {
     // vs 16 one-row calls (the MCTS flush shape).
     let pool_refs: Vec<&PlanNode> = vec![&qep.plan; 16];
     c.bench_function("qpseeker/predict_batch_16", |b| {
-        b.iter(|| black_box(model.predict_batch(black_box(&qep.query), black_box(&pool_refs))))
+        let mut feat = FeatSession::new();
+        let mut ctx = model.query_context(&qep.query);
+        let mut preds = Vec::new();
+        b.iter(|| {
+            model.predict_batch_with_context_in(
+                &mut feat,
+                black_box(&qep.query),
+                black_box(&pool_refs),
+                &mut ctx,
+                &mut preds,
+            );
+            black_box(&preds);
+        })
     });
+    // One session across iterations, as a serving worker holds it.
+    let mut sess = PlannerSession::new();
     let planner =
         MctsPlanner::new(MctsConfig { budget_ms: 1e9, max_simulations: 20, ..Default::default() });
     c.bench_function("qpseeker/mcts_20_simulations", |b| {
-        b.iter(|| black_box(planner.plan(&model, black_box(&qep.query))))
+        b.iter(|| black_box(planner.plan_with_session(&model, black_box(&qep.query), &mut sess)))
     });
     // Search throughput under the paper's default wall-clock budget, scaled
     // to 100 ms per iteration: plans_evaluated is the figure of merit.
@@ -119,7 +134,10 @@ fn bench_model(c: &mut Criterion) {
         ..Default::default()
     });
     c.bench_function("qpseeker/mcts_plans_per_100ms", |b| {
-        b.iter(|| black_box(budget.plan(&model, black_box(&qep.query)).plans_evaluated))
+        b.iter(|| {
+            black_box(budget.plan_with_session(&model, black_box(&qep.query), &mut sess))
+                .plans_evaluated
+        })
     });
 }
 

@@ -8,7 +8,7 @@
 //!   enumeration (small queries), measuring executed plan quality and
 //!   planning effort.
 
-use crate::{emit, fmt, markdown_table, run_plan_ms, train_model, Context};
+use crate::{emit, fmt, markdown_table, run_plan_ms, runtime_qerrors, train_model, Context};
 use qpseeker_core::prelude::*;
 use qpseeker_engine::inject::LeftDeepSpec;
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
@@ -45,11 +45,7 @@ fn model_ablations(ctx: &Context) -> Result<(), CoreError> {
         let mut cfg = ctx.scale.model_config();
         patch(&mut cfg);
         let (model, eval) = train_model(db, &w, cfg)?;
-        let pairs: Vec<(f64, f64)> = eval
-            .iter()
-            .map(|q| (model.predict(&q.query, &q.plan).runtime_ms, q.runtime_ms()))
-            .collect();
-        let s = QErrorSummary::from_pairs(&pairs);
+        let s = runtime_qerrors(&model, eval.iter().copied());
         rows.push(VariantRow {
             variant: name.into(),
             runtime_qerr_p50: s.p50,
@@ -106,11 +102,7 @@ fn sampling_ablation(ctx: &Context) -> Result<(), CoreError> {
             qeps,
         };
         let (model, eval) = train_model(db, &workload, ctx.scale.model_config())?;
-        let pairs: Vec<(f64, f64)> = eval
-            .iter()
-            .map(|q: &&Qep| (model.predict(&q.query, &q.plan).runtime_ms, q.runtime_ms()))
-            .collect();
-        let s = QErrorSummary::from_pairs(&pairs);
+        let s = runtime_qerrors(&model, eval.iter().copied());
         rows.push(VariantRow {
             variant: name.into(),
             runtime_qerr_p50: s.p50,
@@ -154,11 +146,13 @@ fn planner_ablation(ctx: &Context) -> Result<(), CoreError> {
     let mut rows = Vec::new();
 
     // MCTS.
+    // One session for all three planners: every table is encoded once.
+    let mut sess = PlannerSession::new();
     let planner = MctsPlanner::new(MctsConfig::default());
     let mut total = 0.0;
     let mut scored = 0usize;
     for q in &queries {
-        let res = planner.plan(&model, q);
+        let res = planner.plan_with_session(&model, q, &mut sess);
         scored += res.plans_evaluated;
         total += run_plan_ms(db, &res.plan);
     }
@@ -174,7 +168,7 @@ fn planner_ablation(ctx: &Context) -> Result<(), CoreError> {
     let mut total = 0.0;
     let mut scored = 0usize;
     for q in &queries {
-        let (plan, s) = greedy_plan(&model, q);
+        let (plan, s) = greedy_plan(&model, q, &mut sess.feat);
         scored += s;
         total += run_plan_ms(db, &plan);
     }
@@ -189,6 +183,7 @@ fn planner_ablation(ctx: &Context) -> Result<(), CoreError> {
     let mut total = 0.0;
     let mut scored = 0usize;
     for q in &queries {
+        let mut ctx = model.query_context(q);
         let mut best: Option<(f64, PlanNode)> = None;
         for ordering in enumerate_orderings(q, 500) {
             for join_op in JoinOp::ALL {
@@ -197,7 +192,8 @@ fn planner_ablation(ctx: &Context) -> Result<(), CoreError> {
                     joins: vec![join_op; ordering.len().saturating_sub(1)],
                 };
                 let Ok(plan) = spec.compile(q) else { continue };
-                let t = model.predict_runtime_ms(q, &plan);
+                let t =
+                    model.predict_with_context_in(&mut sess.feat, q, &plan, &mut ctx).runtime_ms;
                 scored += 1;
                 if best.as_ref().map(|(bt, _)| t < *bt).unwrap_or(true) {
                     best = Some((t, plan));
@@ -227,8 +223,11 @@ fn planner_ablation(ctx: &Context) -> Result<(), CoreError> {
 /// Greedy: grow the plan one relation at a time, at each step picking the
 /// (relation, ops) whose *completed* plan (cheapest completion heuristic)
 /// the model scores fastest. Returns (plan, plans scored).
-fn greedy_plan(model: &QPSeeker, q: &Query) -> (PlanNode, usize) {
+fn greedy_plan(model: &QPSeeker, q: &Query, feat: &mut FeatSession) -> (PlanNode, usize) {
     use std::collections::BTreeSet;
+    let mut ctx = model.query_context(q);
+    let mut score =
+        |plan: &PlanNode| model.predict_with_context_in(feat, q, plan, &mut ctx).runtime_ms;
     let mut scans: Vec<(String, ScanOp)> = Vec::new();
     let mut joins: Vec<JoinOp> = Vec::new();
     let mut joined: BTreeSet<String> = BTreeSet::new();
@@ -238,7 +237,7 @@ fn greedy_plan(model: &QPSeeker, q: &Query) -> (PlanNode, usize) {
     for r in &q.relations {
         for scan in ScanOp::ALL {
             if let Some(plan) = complete(q, &[(r.alias.clone(), scan)], &[]) {
-                let t = model.predict_runtime_ms(q, &plan);
+                let t = score(&plan);
                 scored += 1;
                 if best_start.as_ref().map(|(bt, _, _)| t < *bt).unwrap_or(true) {
                     best_start = Some((t, r.alias.clone(), scan));
@@ -259,7 +258,7 @@ fn greedy_plan(model: &QPSeeker, q: &Query) -> (PlanNode, usize) {
                     let mut j2 = joins.clone();
                     j2.push(join);
                     if let Some(plan) = complete(q, &s2, &j2) {
-                        let t = model.predict_runtime_ms(q, &plan);
+                        let t = score(&plan);
                         scored += 1;
                         if best.as_ref().map(|(bt, _, _, _)| t < *bt).unwrap_or(true) {
                             best = Some((t, next.clone(), scan, join));

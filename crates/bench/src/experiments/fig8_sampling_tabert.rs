@@ -7,7 +7,7 @@
 //! TaBERT K/size barely moves accuracy but strongly moves encoding time
 //! (K=3 pays row-wise attention, Large pays 3× parameters).
 
-use crate::{emit, fmt, markdown_table, run_plan_ms, Context};
+use crate::{emit, fmt, markdown_table, run_plan_ms, runtime_qerrors, Context};
 use qpseeker_core::prelude::*;
 use qpseeker_engine::query::Query;
 use qpseeker_tabert::{ModelSize, TabertConfig};
@@ -81,9 +81,10 @@ pub fn run(ctx: &Context) -> Result<(), CoreError> {
 
         // Eval 1: plan the held-out queries with MCTS and execute.
         let planner = MctsPlanner::new(MctsConfig::default());
+        let mut sess = PlannerSession::new();
         let mut total = 0.0;
         for (q, _) in eval_queries {
-            let res = planner.plan(&model, q);
+            let res = planner.plan_with_session(&model, q, &mut sess);
             total += run_plan_ms(db, &res.plan);
         }
         // Eval 2: runtime q-error on a fixed eval QEP set (optimizer plans).
@@ -95,11 +96,7 @@ pub fn run(ctx: &Context) -> Result<(), CoreError> {
             qeps.retain(|q| !q.truth.timed_out);
             qeps
         });
-        let pairs: Vec<(f64, f64)> = eval_qeps
-            .iter()
-            .map(|qep| (model.predict(&qep.query, &qep.plan).runtime_ms, qep.runtime_ms()))
-            .collect();
-        let qerr = QErrorSummary::from_pairs(&pairs);
+        let qerr = runtime_qerrors(&model, eval_qeps.iter());
         fractions.push(FractionRow {
             query_fraction: frac,
             train_qeps: qeps.len(),
@@ -127,11 +124,7 @@ pub fn run(ctx: &Context) -> Result<(), CoreError> {
         let mut model = QPSeeker::new(db, cfg);
         model.fit(&train)?;
         let featurized = train.len();
-        let pairs: Vec<(f64, f64)> = eval
-            .iter()
-            .map(|qep| (model.predict(&qep.query, &qep.plan).runtime_ms, qep.runtime_ms()))
-            .collect();
-        let qerr = QErrorSummary::from_pairs(&pairs);
+        let qerr = runtime_qerrors(&model, eval.iter().copied());
         tabert_rows.push(TabertRow {
             k,
             size: label.into(),

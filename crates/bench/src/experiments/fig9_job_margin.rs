@@ -71,6 +71,7 @@ pub fn run(ctx: &Context) -> Result<(), CoreError> {
 
     let pg = PgOptimizer::new(db);
     let planner = MctsPlanner::new(MctsConfig::default());
+    let mut sess = PlannerSession::new();
 
     let queries = job::job_queries(db, &JobConfig::default());
     let mut rows = Vec::with_capacity(queries.len());
@@ -79,7 +80,7 @@ pub fn run(ctx: &Context) -> Result<(), CoreError> {
     let tol = 0.05;
     for (q, _tpl) in &queries {
         let pg_ms = run_plan_ms(db, &pg.plan(q));
-        let res = planner.plan(&model, q);
+        let res = planner.plan_with_session(&model, q, &mut sess);
         plans_evaluated += res.plans_evaluated;
         let qp_ms = run_plan_ms(db, &res.plan);
         let (bao_plan, _arm) = bao.plan(q);

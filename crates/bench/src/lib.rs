@@ -148,13 +148,37 @@ pub struct ModelQErrors {
     pub runtime: QErrorSummary,
 }
 
+/// The model's prediction for every QEP of an eval set, through one
+/// featurization session (each table is encoded once per set, not per QEP).
+pub fn predict_all<'a>(
+    model: &QPSeeker,
+    eval: impl IntoIterator<Item = &'a Qep>,
+) -> Vec<(&'a Qep, Prediction)> {
+    let mut feat = FeatSession::new();
+    eval.into_iter()
+        .map(|qep| {
+            let mut ctx = model.query_context(&qep.query);
+            (qep, model.predict_with_context_in(&mut feat, &qep.query, &qep.plan, &mut ctx))
+        })
+        .collect()
+}
+
+/// Runtime q-error summary (predicted vs measured) over an eval set.
+pub fn runtime_qerrors<'a>(
+    model: &QPSeeker,
+    eval: impl IntoIterator<Item = &'a Qep>,
+) -> QErrorSummary {
+    let pairs: Vec<(f64, f64)> =
+        predict_all(model, eval).iter().map(|(q, p)| (p.runtime_ms, q.runtime_ms())).collect();
+    QErrorSummary::from_pairs(&pairs)
+}
+
 /// Evaluate a trained model against ground truth.
 pub fn eval_qpseeker(model: &QPSeeker, eval: &[&Qep]) -> ModelQErrors {
     let mut card = Vec::new();
     let mut cost = Vec::new();
     let mut time = Vec::new();
-    for qep in eval {
-        let p = model.predict(&qep.query, &qep.plan);
+    for (qep, p) in predict_all(model, eval.iter().copied()) {
         card.push((p.cardinality, qep.cardinality()));
         cost.push((p.cost, qep.cost()));
         time.push((p.runtime_ms, qep.runtime_ms()));

@@ -118,8 +118,8 @@ impl PlanFeatCache {
 
 /// Per-session featurization state: the TaBERT encoding cache and the
 /// filtered-column cache. Owned by exactly one thread at a time (a worker's
-/// [`crate::session::PlannerSession`], or the model's fallback session), so
-/// no locks are needed on the featurization hot path.
+/// [`crate::session::PlannerSession`], or a local one a fit or evaluation
+/// loop builds), so no locks are needed on the featurization hot path.
 #[derive(Default)]
 pub struct FeatSession {
     /// (table, query-bucket) → TaBERT encoding.

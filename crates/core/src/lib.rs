@@ -84,11 +84,10 @@ pub mod prelude {
     };
     pub use crate::search::beam::{BeamConfig, BeamPlanner, BeamScratch};
     pub use crate::search::strategy::{
-        RiskParams, SearchStrategy, StrategyConfig, StrategyKind, StrategyPlanner,
-        DEFAULT_BATCH_EVAL,
+        RiskParams, StrategyConfig, StrategyKind, StrategyPlanner, DEFAULT_BATCH_EVAL,
     };
     pub use crate::serve::{
-        plan_with_fallback, BreakerState, CircuitBreaker, Disposition, FallbackReason,
+        plan_with_fallback_in, BreakerState, CircuitBreaker, Disposition, FallbackReason,
         QueryRequest, ServeConfig, ServeResult, ServedBy, ShedReason, SupervisedOutcome,
         Supervisor, SupervisorConfig,
     };

@@ -8,7 +8,6 @@ use crate::error::CoreError;
 use crate::evalbroker::{shape_sig, BucketKey, FusedOutcome, Submission};
 use crate::featurize::{FeatNode, FeatSession, FeaturizedQep, Featurizer, PlanFeatCache};
 use crate::normalize::TargetNormalizer;
-use crate::session::PlannerSession;
 use crate::vae::CostModeler;
 use qpseeker_engine::plan::PlanNode;
 use qpseeker_engine::query::Query;
@@ -20,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Denormalized model prediction for one QEP.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,18 +48,18 @@ pub struct TrainReport {
 
 /// The QPSeeker neural planner, bound to one database.
 ///
-/// After training the model is immutable: every inference entry point takes
-/// `&self`, the database is shared read-only via `Arc`, and all mutable
-/// per-query state lives in a caller-owned
-/// [`PlannerSession`](crate::session::PlannerSession). That makes a fitted
-/// model `Send + Sync` (compile-time asserted below): wrap it in an `Arc`
-/// and hand one clone to each serving worker.
+/// After training the model is plain shared data: every inference entry
+/// point takes `&self`, the database is shared read-only via `Arc`, and all
+/// mutable per-query state lives in a caller-owned
+/// [`PlannerSession`](crate::session::PlannerSession) (or just its
+/// [`FeatSession`]). That makes a fitted model `Send + Sync` (compile-time
+/// asserted below): wrap it in an `Arc` and hand one clone to each serving
+/// worker.
 ///
-/// Convenience entry points that take no session (`predict`,
-/// `featurize_qep`, …) fall back to one internal session behind a `Mutex`;
-/// the lock recovers from poisoning via `into_inner`, so a panicked caller
-/// can never wedge other threads (the caches it guards are merely warm
-/// state, valid at every step).
+/// The one-shot conveniences that take no session (`predict`,
+/// `predict_batch`, `predict_tape`, `latent_mu`, `attention_scores`) build
+/// a fresh `FeatSession` per call, so each call re-encodes the tables it
+/// touches; a loop keeps one session and calls the `*_in` entry points.
 pub struct QPSeeker {
     pub config: ModelConfig,
     pub store: ParamStore,
@@ -71,8 +70,6 @@ pub struct QPSeeker {
     pub normalizer: Option<TargetNormalizer>,
     feat: Featurizer,
     noise: Initializer,
-    /// Session backing the session-less convenience API.
-    fallback: Mutex<PlannerSession>,
 }
 
 /// The serving-oriented name for a fitted [`QPSeeker`]: the immutable,
@@ -117,20 +114,12 @@ impl QPSeeker {
             vae,
             normalizer: None,
             noise: init,
-            fallback: Mutex::new(PlannerSession::new()),
         }
     }
 
     /// The shared read-only database this model plans against.
     pub fn db(&self) -> &Arc<Database> {
         &self.feat.db
-    }
-
-    /// The internal fallback session, recovering from lock poisoning: a
-    /// worker that panicked mid-featurization leaves the caches in a valid
-    /// (merely partially warm) state, so the session stays usable.
-    pub(crate) fn lock_fallback_session(&self) -> MutexGuard<'_, PlannerSession> {
-        self.fallback.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Number of scalar parameters (the paper quotes 10.8M for the full
@@ -144,14 +133,8 @@ impl QPSeeker {
         self.feat.tabert_ms()
     }
 
-    /// Featurize a training QEP (requires a fitted normalizer), through the
-    /// internal fallback session.
-    pub fn featurize_qep(&self, qep: &Qep) -> FeaturizedQep {
-        let mut sess = self.lock_fallback_session();
-        self.featurize_qep_in(&mut sess.feat, qep)
-    }
-
-    /// [`Self::featurize_qep`] with caller-owned featurization caches.
+    /// Featurize a training QEP (requires a fitted normalizer) against the
+    /// caller's featurization caches.
     pub fn featurize_qep_in(&self, sess: &mut FeatSession, qep: &Qep) -> FeaturizedQep {
         let norm = self.normalizer.as_ref().expect("fit or set a normalizer first");
         self.feat.featurize(sess, &qep.query, &qep.plan, Some(&qep.truth), norm, &qep.template)
@@ -190,7 +173,7 @@ impl QPSeeker {
     /// panics (contained at the shard boundary).
     pub fn fit(&mut self, qeps: &[&Qep]) -> Result<TrainReport, CoreError> {
         let start = std::time::Instant::now();
-        let feats = self.fit_normalizer_and_featurize(qeps)?;
+        let feats = self.featurize_training_set(qeps, true)?;
         let report = self.fit_featurized(&feats)?;
         Ok(TrainReport { train_seconds: start.elapsed().as_secs_f64(), ..report })
     }
@@ -227,32 +210,30 @@ impl QPSeeker {
                 Some(self.restore_snapshot(snap, qeps.len())?)
             }
         };
-        let feats = match resume.is_some() {
-            // The snapshot restored the fitted normalizer; featurize with it.
-            true => {
-                if qeps.is_empty() {
-                    return Err(CoreError::EmptyTrainingSet);
-                }
-                qeps.iter().map(|q| self.featurize_qep(q)).collect()
-            }
-            false => self.fit_normalizer_and_featurize(qeps)?,
-        };
+        // A snapshot restored the fitted normalizer; featurize with it.
+        let feats = self.featurize_training_set(qeps, resume.is_none())?;
         let report = self.fit_featurized_run(&feats, Some(journal), resume)?;
         Ok(TrainReport { train_seconds: start.elapsed().as_secs_f64(), ..report })
     }
 
-    /// Fit the target normalizer on `qeps` and featurize the whole set.
-    fn fit_normalizer_and_featurize(
+    /// Featurize the whole training set through one [`FeatSession`] (every
+    /// table is encoded once per fit), first fitting the target normalizer
+    /// on it unless a resumed snapshot already restored one.
+    fn featurize_training_set(
         &mut self,
         qeps: &[&Qep],
+        fit_normalizer: bool,
     ) -> Result<Vec<FeaturizedQep>, CoreError> {
         if qeps.is_empty() {
             return Err(CoreError::EmptyTrainingSet);
         }
-        let targets: Vec<[f64; 3]> =
-            qeps.iter().map(|q| [q.cardinality(), q.cost(), q.runtime_ms()]).collect();
-        self.normalizer = Some(TargetNormalizer::fit(&targets));
-        Ok(qeps.iter().map(|q| self.featurize_qep(q)).collect())
+        if fit_normalizer {
+            let targets: Vec<[f64; 3]> =
+                qeps.iter().map(|q| [q.cardinality(), q.cost(), q.runtime_ms()]).collect();
+            self.normalizer = Some(TargetNormalizer::fit(&targets));
+        }
+        let mut sess = FeatSession::new();
+        Ok(qeps.iter().map(|q| self.featurize_qep_in(&mut sess, q)).collect())
     }
 
     /// Validate a recovered snapshot against this run and restore the model
@@ -528,9 +509,9 @@ impl QPSeeker {
     }
 
     /// Predict (cardinality, cost, runtime) for an arbitrary plan of a
-    /// query. Deterministic (zero latent noise). Uses the internal fallback
-    /// session; serving workers use [`Self::predict_with_context_in`] with
-    /// their own.
+    /// query. Deterministic (zero latent noise). One-shot: builds a fresh
+    /// [`FeatSession`] and [`QueryContext`] for this call; loops and serving
+    /// workers use [`Self::predict_with_context_in`] with their own.
     pub fn predict(&self, query: &Query, plan: &PlanNode) -> Prediction {
         self.predict_batch(query, &[plan])[0]
     }
@@ -551,8 +532,8 @@ impl QPSeeker {
     }
 
     /// [`Self::predict`] with caller-owned featurization caches and a
-    /// reusable [`QueryContext`] — the lock-free serving entry: one row
-    /// through [`Self::score`].
+    /// reusable [`QueryContext`] — the serving entry: one row through
+    /// [`Self::score`].
     pub fn predict_with_context_in(
         &self,
         sess: &mut FeatSession,
@@ -566,12 +547,12 @@ impl QPSeeker {
     /// Score a batch of candidate plans of one query in one call of
     /// [`Self::score`]: per congruent shape, one `[K·n, d]` plan-encoder run
     /// (each tree position a `rows = K` LSTM step), one attention pass, one
-    /// `[K, d]` VAE pass. Convenience wrapper over
-    /// [`Self::predict_batch_with_context_in`] using the fallback session.
+    /// `[K, d]` VAE pass. One-shot wrapper over
+    /// [`Self::predict_batch_with_context_in`] on a fresh [`FeatSession`]
+    /// built for this call.
     pub fn predict_batch(&self, query: &Query, plans: &[&PlanNode]) -> Vec<Prediction> {
-        let mut sess = self.lock_fallback_session();
         let mut ctx = self.query_context(query);
-        self.score_plans(&mut sess.feat, query, plans, &mut ctx, None).mean()
+        self.score_plans(&mut FeatSession::new(), query, plans, &mut ctx, None).mean()
     }
 
     /// Batched [`Self::predict_with_context_in`]: fills `out` (cleared
@@ -831,7 +812,9 @@ impl QPSeeker {
 
     /// Reference prediction through the autodiff tape (the training-path
     /// forward): the independent oracle [`Self::score`] is property-tested
-    /// against within 1e-5. Never a serving path.
+    /// against within 1e-5. Never a serving path; featurizes through a
+    /// fresh [`FeatSession`] per call, as do [`Self::latent_mu`] and
+    /// [`Self::attention_scores`].
     pub fn predict_tape(&self, query: &Query, plan: &PlanNode) -> Prediction {
         let (preds, _mu) = self.forward_tape(&self.featurize_reference(query, plan));
         let raw = self.normalizer.as_ref().expect("fitted: featurized above").decode(preds);
@@ -843,12 +826,10 @@ impl QPSeeker {
         self.forward_tape(&self.featurize_reference(query, plan)).1
     }
 
-    /// Featurize an unlabeled QEP for the tape reference paths, through the
-    /// fallback session.
+    /// Featurize an unlabeled QEP for the tape reference paths.
     fn featurize_reference(&self, query: &Query, plan: &PlanNode) -> FeaturizedQep {
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        let mut sess = self.lock_fallback_session();
-        self.feat.featurize(&mut sess.feat, query, plan, None, norm, "")
+        self.feat.featurize(&mut FeatSession::new(), query, plan, None, norm, "")
     }
 
     fn forward_tape(&self, fq: &FeaturizedQep) -> ([f32; 3], Vec<f32>) {
@@ -862,7 +843,8 @@ impl QPSeeker {
         (preds, mu)
     }
 
-    /// Predicted runtime only (the MCTS scoring function).
+    /// Predicted runtime only: the runtime column of the one-shot
+    /// [`Self::predict`].
     pub fn predict_runtime_ms(&self, query: &Query, plan: &PlanNode) -> f64 {
         self.predict(query, plan).runtime_ms
     }

@@ -30,6 +30,7 @@ use crate::checkpoint::Checkpoint;
 use crate::durable::SnapshotStore;
 use crate::error::CoreError;
 use crate::experience::{ExperienceDisposition, ExperienceRecord, ExperienceWal};
+use crate::featurize::FeatSession;
 use crate::metrics::{q_error, OnlineCounters};
 use crate::model::QPSeeker;
 use crate::registry::{ModelCell, RegressionMonitor, SwapVerdict};
@@ -402,10 +403,15 @@ fn holdout_error(model: &QPSeeker, holdout: &[ExperienceRecord]) -> f64 {
     if holdout.is_empty() {
         return f64::INFINITY;
     }
+    // One featurization session for the whole slice: tables are encoded
+    // once per gate evaluation, not once per record.
+    let mut feat = FeatSession::new();
     let sum: f64 = holdout
         .iter()
         .map(|r| {
-            let pred = model.predict(&r.qep.query, &r.qep.plan).runtime_ms;
+            let (query, plan) = (&r.qep.query, &r.qep.plan);
+            let mut ctx = model.query_context(query);
+            let pred = model.predict_with_context_in(&mut feat, query, plan, &mut ctx).runtime_ms;
             // Compare in microseconds: virtual runtimes are routinely
             // sub-millisecond, and q_error's floor-at-1 would otherwise
             // flatten every such pair to a perfect score.

@@ -34,7 +34,7 @@
 
 use super::bushy::{joinable, BushyAssembler, SubTree};
 use super::mcts::MctsResult;
-use super::strategy::{Evaluator, RiskParams, SearchStrategy};
+use super::strategy::{Evaluator, RiskParams};
 use super::{fnv_words, op_idx_join, op_idx_scan, QueryIndex};
 use crate::featurize::FeatSession;
 use crate::fnv::FnvBuild;
@@ -198,11 +198,10 @@ impl BeamPlanner {
         Self { cfg, risk }
     }
 
-    /// Plan through the model's internal fallback session (see
-    /// [`super::mcts::MctsPlanner::plan`]).
+    /// One-shot [`Self::plan_with_session`] on a fresh [`PlannerSession`]
+    /// built for this call (see [`super::mcts::MctsPlanner::plan`]).
     pub fn plan(&self, model: &QPSeeker, query: &Query) -> MctsResult {
-        let mut sess = model.lock_fallback_session();
-        self.plan_with_session(model, query, &mut sess)
+        self.plan_with_session(model, query, &mut PlannerSession::new())
     }
 
     /// Plan `query` with all mutable state in `sess`.
@@ -214,12 +213,11 @@ impl BeamPlanner {
     ) -> MctsResult {
         assert!(!query.relations.is_empty(), "cannot plan an empty query");
         let start = Instant::now();
-        let ev = Evaluator::new(model, query, self.risk.as_ref(), self.cfg.seed);
+        let PlannerSession { feat, search, broker } = sess;
+        let ev = Evaluator::new(model, query, self.risk.as_ref(), self.cfg.seed, broker.as_ref());
         let mut ctx = model.query_context(query);
         let qi = QueryIndex::new(query);
         let asm = BushyAssembler::new(query);
-        let PlannerSession { feat, search, broker, .. } = sess;
-        let ev = ev.with_broker(broker.as_ref());
         let scratch = search.beam();
         scratch.eval_cache.clear();
         scratch.seen.clear();
@@ -487,17 +485,6 @@ impl BeamPlanner {
     }
 }
 
-impl SearchStrategy for BeamPlanner {
-    fn plan_with_session(
-        &self,
-        model: &QPSeeker,
-        query: &Query,
-        sess: &mut PlannerSession,
-    ) -> MctsResult {
-        BeamPlanner::plan_with_session(self, model, query, sess)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,7 +543,11 @@ mod tests {
             let strat =
                 StrategyConfig { kind: StrategyKind::Beam, batch_eval, ..Default::default() };
             let shared = MctsConfig { budget_ms: 1e9, ..Default::default() };
-            StrategyPlanner::from_config(&strat, shared).plan(&model, &q)
+            StrategyPlanner::from_config(&strat, shared).plan_with_session(
+                &model,
+                &q,
+                &mut PlannerSession::new(),
+            )
         };
         let (a, b, scalar) = (plan_at(None), plan_at(None), plan_at(Some(1)));
         assert_eq!(a.plan, b.plan);

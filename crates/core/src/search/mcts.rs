@@ -9,33 +9,17 @@
 //! Planning stops at a wall-clock budget (paper: 200 ms) or a simulation
 //! cap, whichever comes first.
 
-//! # Root-parallel search (`parallel_sims >= 1`)
-//!
-//! The classic mode grows one tree per query. Root-parallel mode instead
-//! decomposes the query into independent **units** — one per root action
-//! `Start { rel, scan }`, in the same fixed order the classic expansion
-//! enumerates them — and runs a complete subtree search per unit, each with
-//! its own seed and an equal slice of the simulation budget derived from the
-//! *unit index*, never from the thread that happens to run it. Worker threads
-//! pull unit indices off an atomic cursor; merging is a fixed-order argmin
-//! over unit results (strict `<`, earliest unit wins ties). Because no state
-//! is shared between units, the chosen plan and its predicted time are
-//! bitwise identical for any `parallel_sims >= 1` — thread count changes
-//! wall-clock, never the answer.
-
-use super::strategy::{Evaluator, RiskParams, SearchStrategy, DEFAULT_BATCH_EVAL};
+use super::strategy::{Evaluator, RiskParams, DEFAULT_BATCH_EVAL};
 use super::{fnv, op_idx_join, op_idx_scan, QueryIndex};
 use crate::featurize::FeatSession;
 use crate::fnv::FnvBuild;
 use crate::model::{QPSeeker, QueryContext};
-use crate::session::{PlannerSession, PlannerShard};
+use crate::session::PlannerSession;
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
 use qpseeker_engine::query::{JoinPred, Query};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use std::time::Instant;
 
 /// One plan-construction step. Relations are interned as indices into
@@ -174,24 +158,11 @@ pub struct MctsConfig {
     /// UCT exploration coefficient `C ∈ [0, 1]` (paper: 0.5).
     pub exploration: f64,
     pub seed: u64,
-    /// Simulation shards for root-parallel in-query search. `0` keeps the
-    /// classic single-tree algorithm; `>= 1` decomposes the query into one
-    /// independent subtree search per root action and runs them on up to
-    /// this many threads. The chosen plan is bitwise identical for every
-    /// shard count `>= 1` (see the module docs); `1` is the sequential
-    /// execution of the same decomposition.
-    pub parallel_sims: usize,
 }
 
 impl Default for MctsConfig {
     fn default() -> Self {
-        Self {
-            budget_ms: 200.0,
-            max_simulations: 10_000,
-            exploration: 0.5,
-            seed: 0xacc5,
-            parallel_sims: 0,
-        }
+        Self { budget_ms: 200.0, max_simulations: 10_000, exploration: 0.5, seed: 0xacc5 }
     }
 }
 
@@ -331,13 +302,12 @@ impl MctsPlanner {
         Self { cfg, risk, batch: batch.max(1) }
     }
 
-    /// Plan `query` using `model` as the evaluation function, through the
-    /// model's internal fallback session. Convenience wrapper over
-    /// [`Self::plan_with_session`] for single-threaded callers; serving
-    /// workers pass their own session to keep the hot path lock-free.
+    /// One-shot [`Self::plan_with_session`] on a fresh [`PlannerSession`]
+    /// built for this call (cold featurization caches every time): for
+    /// examples and experiments; anything planning in a loop keeps its own
+    /// session.
     pub fn plan(&self, model: &QPSeeker, query: &Query) -> MctsResult {
-        let mut sess = model.lock_fallback_session();
-        self.plan_with_session(model, query, &mut sess)
+        self.plan_with_session(model, query, &mut PlannerSession::new())
     }
 
     /// Plan `query` using `model` as the evaluation function, with all
@@ -352,18 +322,18 @@ impl MctsPlanner {
     ) -> MctsResult {
         assert!(!query.relations.is_empty(), "cannot plan an empty query");
         let start = Instant::now();
-        let ev = Evaluator::new(model, query, self.risk.as_ref(), self.cfg.seed);
+        let PlannerSession { feat, search, broker } = sess;
+        let ev = Evaluator::new(model, query, self.risk.as_ref(), self.cfg.seed, broker.as_ref());
+        let mut ctx = model.query_context(query);
 
         // Single relation: score the three scan choices in one call; the
         // first of the cheapest wins.
         if query.relations.len() == 1 {
-            let ev = ev.with_broker(sess.broker.as_ref());
-            let mut ctx = model.query_context(query);
             let alias = &query.relations[0].alias;
             let plans = ScanOp::ALL.map(|op| PlanNode::scan(query, alias, op));
             let refs: Vec<&PlanNode> = plans.iter().collect();
             let mut scores = Vec::with_capacity(plans.len());
-            ev.score(&mut sess.feat, query, &refs, &mut ctx, &mut scores);
+            ev.score(feat, query, &refs, &mut ctx, &mut scores);
             let mut best = 0;
             for (k, &t) in scores.iter().enumerate() {
                 if t < scores[best] {
@@ -381,14 +351,7 @@ impl MctsPlanner {
 
         let qi = QueryIndex::new(query);
         let asm = PlanAssembler::new(query);
-        if self.cfg.parallel_sims >= 1 {
-            return self.plan_root_parallel(&ev, model, query, &qi, &asm, sess, start);
-        }
-
-        let mut ctx = model.query_context(query);
         let mut best_t: Option<f64> = None;
-        let PlannerSession { feat, search, broker, .. } = sess;
-        let ev = ev.with_broker(broker.as_ref());
         let scratch = search.mcts();
         let (simulations, budget_exhausted) = run_search(
             &self.cfg,
@@ -400,9 +363,6 @@ impl MctsPlanner {
             feat,
             &mut ctx,
             scratch,
-            None,
-            self.cfg.seed ^ fnv(query.id.as_bytes()),
-            self.cfg.max_simulations,
             start,
             &mut best_t,
         );
@@ -420,161 +380,10 @@ impl MctsPlanner {
             budget_exhausted,
         }
     }
-
-    /// Root-parallel planning (see the module docs): one independent
-    /// subtree search per root action, sharded over up to
-    /// `cfg.parallel_sims` threads, merged by a fixed-order argmin. Bitwise
-    /// identical to itself for every `parallel_sims >= 1`.
-    #[allow(clippy::too_many_arguments)]
-    fn plan_root_parallel(
-        &self,
-        ev: &Evaluator,
-        model: &QPSeeker,
-        query: &Query,
-        qi: &QueryIndex,
-        asm: &PlanAssembler,
-        sess: &mut PlannerSession,
-        start: Instant,
-    ) -> MctsResult {
-        let mut units = Vec::new();
-        legal_actions_into(qi, &[], 0, &mut units);
-        let n_units = units.len();
-        debug_assert!(n_units > 0);
-        let threads = self.cfg.parallel_sims.min(n_units).max(1);
-        if sess.shards.len() < threads {
-            sess.shards.resize_with(threads, PlannerShard::default);
-        }
-        // Budget slice and seed are functions of the *unit index* alone, so
-        // which thread runs a unit can never influence its search.
-        let base = self.cfg.max_simulations / n_units;
-        let rem = self.cfg.max_simulations % n_units;
-        let query_seed = self.cfg.seed ^ fnv(query.id.as_bytes());
-        let (cfg, batch) = (&self.cfg, self.batch);
-        let units = &units;
-        let cursor = &AtomicUsize::new(0);
-        let per_thread: Vec<Vec<(usize, UnitResult)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = sess
-                .shards
-                .iter_mut()
-                .take(threads)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        // One query encoding per thread, reused across every
-                        // unit this thread happens to pull.
-                        let mut ctx = model.query_context(query);
-                        let mut out = Vec::new();
-                        loop {
-                            let u = cursor.fetch_add(1, Ordering::Relaxed);
-                            if u >= n_units {
-                                break;
-                            }
-                            let seed =
-                                query_seed ^ (u as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                            let mut best_t = None;
-                            let (simulations, budget_exhausted) = run_search(
-                                cfg,
-                                batch,
-                                ev,
-                                query,
-                                qi,
-                                asm,
-                                &mut shard.feat,
-                                &mut ctx,
-                                &mut shard.mcts,
-                                Some(units[u]),
-                                seed,
-                                base + usize::from(u < rem),
-                                start,
-                                &mut best_t,
-                            );
-                            out.push((
-                                u,
-                                UnitResult {
-                                    best_seq: shard.mcts.best_seq.clone(),
-                                    best_t,
-                                    simulations,
-                                    // Unit plan sets are disjoint (plans
-                                    // differ in their first action), so
-                                    // per-unit cache sizes sum exactly.
-                                    plans_evaluated: shard.mcts.eval_cache.len(),
-                                    budget_exhausted,
-                                },
-                            ));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("mcts shard thread panicked")).collect()
-        });
-
-        // Deterministic merge: unit-index order, strict `<` so the earliest
-        // unit wins predicted-time ties regardless of scheduling.
-        let mut results: Vec<(usize, UnitResult)> = per_thread.into_iter().flatten().collect();
-        results.sort_by_key(|&(u, _)| u);
-        let mut simulations = 0usize;
-        let mut plans_evaluated = 0usize;
-        let mut budget_exhausted = false;
-        let mut best: Option<(f64, usize)> = None;
-        for (i, (_, r)) in results.iter().enumerate() {
-            simulations += r.simulations;
-            plans_evaluated += r.plans_evaluated;
-            budget_exhausted |= r.budget_exhausted;
-            if let Some(t) = r.best_t {
-                if best.map(|(bt, _)| t < bt).unwrap_or(true) {
-                    best = Some((t, i));
-                }
-            }
-        }
-        match best {
-            Some((t, i)) => MctsResult {
-                plan: asm.build(&results[i].1.best_seq),
-                predicted_ms: t,
-                simulations,
-                plans_evaluated,
-                budget_exhausted,
-            },
-            None => {
-                // Budget hit before any unit completed a rollout.
-                let MctsScratch { acts_buf, best_seq, .. } = sess.search.mcts();
-                greedy_complete(qi, best_seq, acts_buf);
-                MctsResult {
-                    plan: asm.build(best_seq),
-                    predicted_ms: f64::INFINITY,
-                    simulations,
-                    plans_evaluated,
-                    budget_exhausted,
-                }
-            }
-        }
-    }
 }
 
-impl SearchStrategy for MctsPlanner {
-    fn plan_with_session(
-        &self,
-        model: &QPSeeker,
-        query: &Query,
-        sess: &mut PlannerSession,
-    ) -> MctsResult {
-        MctsPlanner::plan_with_session(self, model, query, sess)
-    }
-}
-
-/// Outcome of one root-parallel unit search.
-struct UnitResult {
-    best_seq: Vec<Action>,
-    best_t: Option<f64>,
-    simulations: usize,
-    plans_evaluated: usize,
-    budget_exhausted: bool,
-}
-
-/// Grow one search tree to completion: the classic whole-query algorithm
-/// when `root_prefix` is `None`, or — in root-parallel mode — the subtree
-/// rooted *after* `root_prefix`, which every rollout then starts with. All
-/// mutable state lives in `scratch` (cleared on entry, allocations
-/// recycled); on return `scratch.best_seq` holds the best complete action
+/// Grow the query's search tree to completion. All mutable state lives in
+/// `scratch` (cleared on entry, allocations recycled); on return `scratch.best_seq` holds the best complete action
 /// sequence found (empty if no rollout finished) and `scratch.eval_cache`
 /// exactly the distinct plans this search scored. Returns
 /// `(simulations, budget_exhausted)`.
@@ -589,17 +398,10 @@ fn run_search(
     feat_sess: &mut FeatSession,
     ctx: &mut QueryContext,
     scratch: &mut MctsScratch,
-    root_prefix: Option<Action>,
-    seed: u64,
-    max_simulations: usize,
     start: Instant,
     best_t: &mut Option<f64>,
 ) -> (usize, bool) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    // With a root prefix, the tree root represents the state *after* that
-    // action: path index `depth` corresponds to `depth + off` actions taken,
-    // and reward attribution must compare action prefixes at that offset.
-    let off = usize::from(root_prefix.is_some());
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ fnv(query.id.as_bytes()));
     // Per-query state cleared on entry; allocations carry over between
     // queries handled by the same session.
     let MctsScratch {
@@ -637,7 +439,7 @@ fn run_search(
     let mut simulations = 0usize;
     let mut budget_exhausted = false;
 
-    while simulations < max_simulations {
+    while simulations < cfg.max_simulations {
         if start.elapsed().as_secs_f64() * 1000.0 > cfg.budget_ms {
             budget_exhausted = true;
             break;
@@ -649,10 +451,6 @@ fn run_search(
         path.push(0);
         actions.clear();
         let mut joined = 0u64;
-        if let Some(a) = root_prefix {
-            actions.push(a);
-            joined = 1 << a.rel();
-        }
         loop {
             let node_idx = *path.last().expect("path non-empty");
             if !nodes[node_idx].expanded {
@@ -748,7 +546,7 @@ fn run_search(
         key_buf.clear();
         key_buf.extend(rollout.iter().map(|a| a.pack()));
         if let Some(&t) = eval_cache.get(key_buf.as_slice()) {
-            apply_eval(nodes, best_seq, best_t, rollout, path, off, t, true);
+            apply_eval(nodes, best_seq, best_t, rollout, path, t, true);
         } else if batch <= 1 {
             ev.score(feat_sess, query, &[&asm.build_for_eval(rollout)], ctx, scores_buf);
             let t = scores_buf[0];
@@ -756,7 +554,7 @@ fn run_search(
             key.clear();
             key.extend_from_slice(key_buf);
             eval_cache.insert(key, t);
-            apply_eval(nodes, best_seq, best_t, rollout, path, off, t, true);
+            apply_eval(nodes, best_seq, best_t, rollout, path, t, true);
         } else {
             // Virtual loss: count the visit now (reward comes at flush
             // time) so UCT stops re-selecting a path whose score is
@@ -796,7 +594,6 @@ fn run_search(
                     nodes,
                     best_seq,
                     best_t,
-                    off,
                     plans_buf,
                     scores_buf,
                 );
@@ -840,7 +637,6 @@ fn run_search(
         nodes,
         best_seq,
         best_t,
-        off,
         plans_buf,
         scores_buf,
     );
@@ -862,10 +658,8 @@ fn greedy_complete(qi: &QueryIndex, best_seq: &mut Vec<Action>, acts_buf: &mut V
 
 /// Record one scored rollout: update the incumbent best, then back the
 /// score up the tree path. Reward = 1 when the node's action prefix lies
-/// on the best plan; the in-tree prefix equals `rollout[..depth + off]`
-/// for every depth on `path` (`off` is 1 in root-parallel unit searches,
-/// whose tree root already stands for one action), so the waiter needs no
-/// separate `actions` copy. `count_visit` is false for deferred (batched)
+/// on the best plan; the in-tree prefix equals `rollout[..depth]` for every
+/// depth on `path`, so the waiter needs no separate `actions` copy. `count_visit` is false for deferred (batched)
 /// backups, whose visit was already recorded as a virtual loss at enqueue
 /// time.
 #[allow(clippy::too_many_arguments)]
@@ -875,7 +669,6 @@ fn apply_eval(
     best_t: &mut Option<f64>,
     rollout: &[Action],
     path: &[usize],
-    off: usize,
     t: f64,
     count_visit: bool,
 ) {
@@ -885,7 +678,6 @@ fn apply_eval(
         best_seq.extend_from_slice(rollout);
     }
     for (depth, &node_idx) in path.iter().enumerate() {
-        let depth = depth + off;
         if count_visit {
             nodes[node_idx].visits += 1.0;
         }
@@ -913,7 +705,6 @@ fn flush_pending(
     nodes: &mut [TreeNode],
     best_seq: &mut Vec<Action>,
     best_t: &mut Option<f64>,
-    off: usize,
     plans_buf: &mut Vec<PlanNode>,
     scores_buf: &mut Vec<f64>,
 ) {
@@ -928,7 +719,7 @@ fn flush_pending(
     for (p, &t) in pending.iter_mut().zip(scores_buf.iter()) {
         eval_cache.insert(std::mem::take(&mut p.key), t);
         for w in p.waiters.drain(..) {
-            apply_eval(nodes, best_seq, best_t, &w.rollout, &w.path, off, t, false);
+            apply_eval(nodes, best_seq, best_t, &w.rollout, &w.path, t, false);
             waiter_pool.push(w);
         }
     }
@@ -1091,60 +882,13 @@ mod tests {
             StrategyPlanner::from_config(&strat, cfg.clone())
         };
         let m1 = fitted_model(&db);
-        let scalar = with_batch(1).plan(&m1, &q);
+        let scalar = with_batch(1).plan_with_session(&m1, &q, &mut PlannerSession::new());
         let m2 = fitted_model(&db);
-        let batched = with_batch(8).plan(&m2, &q);
+        let batched = with_batch(8).plan_with_session(&m2, &q, &mut PlannerSession::new());
         assert_eq!(scalar.plans_evaluated, 54);
         assert_eq!(batched.plans_evaluated, 54);
         assert_eq!(scalar.plan, batched.plan);
         assert_eq!(scalar.predicted_ms.to_bits(), batched.predicted_ms.to_bits());
-    }
-
-    #[test]
-    fn root_parallel_bitwise_identical_for_any_shard_count() {
-        // The decomposition is by unit index, not by thread: 1, 2, and 4
-        // shards must produce the same plan, the same predicted time to the
-        // bit, and the same simulation count.
-        let db = std::sync::Arc::new(imdb::generate(0.05, 1));
-        let model = fitted_model(&db);
-        let q = three_way(&db);
-        let base = MctsConfig { budget_ms: 1e9, max_simulations: 240, ..Default::default() };
-        let runs: Vec<MctsResult> = [1usize, 2, 4]
-            .iter()
-            .map(|&n| {
-                MctsPlanner::new(MctsConfig { parallel_sims: n, ..base.clone() }).plan(&model, &q)
-            })
-            .collect();
-        for r in &runs[1..] {
-            assert_eq!(runs[0].plan, r.plan);
-            assert_eq!(runs[0].predicted_ms.to_bits(), r.predicted_ms.to_bits());
-            assert_eq!(runs[0].simulations, r.simulations);
-            assert_eq!(runs[0].plans_evaluated, r.plans_evaluated);
-        }
-        assert!(runs[0].plan.validate(&q).is_ok());
-        assert!(runs[0].plan.is_left_deep());
-    }
-
-    #[test]
-    fn root_parallel_matches_classic_on_exhausted_space() {
-        // Two relations: 54 left-deep plans. Both modes fully enumerate the
-        // space, so the argmin — and its bitwise predicted time — must
-        // match even though the search order differs.
-        let db = std::sync::Arc::new(imdb::generate(0.05, 1));
-        let model = fitted_model(&db);
-        let mut q = Query::new("two-way-rp");
-        q.relations = vec![RelRef::new("title"), RelRef::new("movie_info")];
-        q.joins = vec![JoinPred {
-            left: ColRef::new("movie_info", "movie_id"),
-            right: ColRef::new("title", "id"),
-        }];
-        let cfg = MctsConfig { budget_ms: 1e9, max_simulations: 10_000, ..Default::default() };
-        let classic = MctsPlanner::new(cfg.clone()).plan(&model, &q);
-        let parallel = MctsPlanner::new(MctsConfig { parallel_sims: 2, ..cfg }).plan(&model, &q);
-        assert_eq!(classic.plans_evaluated, 54);
-        assert_eq!(parallel.plans_evaluated, 54);
-        assert_eq!(classic.plan, parallel.plan);
-        assert_eq!(classic.predicted_ms.to_bits(), parallel.predicted_ms.to_bits());
     }
 
     #[test]
@@ -1209,13 +953,12 @@ mod tests {
             Action::Extend { rel: 1, scan: ScanOp::IndexScan, join: JoinOp::HashJoin },
             Action::Extend { rel: 2, scan: ScanOp::SeqScan, join: JoinOp::MergeJoin },
         ];
-        let mut sess = model.lock_fallback_session();
+        let mut feat = FeatSession::new();
         let mut ctx = model.query_context(&q);
-        let full = model
-            .predict_with_context_in(&mut sess.feat, &q, &asm.build(&actions), &mut ctx)
-            .runtime_ms;
+        let full =
+            model.predict_with_context_in(&mut feat, &q, &asm.build(&actions), &mut ctx).runtime_ms;
         let eval = model
-            .predict_with_context_in(&mut sess.feat, &q, &asm.build_for_eval(&actions), &mut ctx)
+            .predict_with_context_in(&mut feat, &q, &asm.build_for_eval(&actions), &mut ctx)
             .runtime_ms;
         assert_eq!(full.to_bits(), eval.to_bits());
     }

@@ -148,27 +148,11 @@ impl RiskParams {
     }
 }
 
-/// A search algorithm planning one query with all mutable state in the
-/// caller's session. Both strategies report through [`MctsResult`] (plan,
-/// predicted score, work counters); `predicted_ms` is the selection score —
-/// the model's mean predicted runtime, or `mean + λ·σ` under risk scoring.
-pub trait SearchStrategy {
-    fn plan_with_session(
-        &self,
-        model: &QPSeeker,
-        query: &Query,
-        sess: &mut crate::session::PlannerSession,
-    ) -> MctsResult;
-
-    /// Convenience wrapper through the model's internal fallback session.
-    fn plan(&self, model: &QPSeeker, query: &Query) -> MctsResult {
-        let mut sess = model.lock_fallback_session();
-        self.plan_with_session(model, query, &mut sess)
-    }
-}
-
-/// Strategy dispatch without boxing: the concrete planner chosen by a
-/// [`StrategyConfig`].
+/// Strategy dispatch: the concrete planner chosen by a [`StrategyConfig`].
+/// Both strategies plan one query with all mutable state in the caller's
+/// session and report through [`MctsResult`] (plan, predicted score, work
+/// counters); `predicted_ms` is the selection score — the model's mean
+/// predicted runtime, or `mean + λ·σ` under risk scoring.
 pub enum StrategyPlanner {
     Mcts(MctsPlanner),
     Beam(BeamPlanner),
@@ -208,22 +192,6 @@ impl StrategyPlanner {
             Self::Beam(p) => p.plan_with_session(model, query, sess),
         }
     }
-
-    pub fn plan(&self, model: &QPSeeker, query: &Query) -> MctsResult {
-        let mut sess = model.lock_fallback_session();
-        self.plan_with_session(model, query, &mut sess)
-    }
-}
-
-impl SearchStrategy for StrategyPlanner {
-    fn plan_with_session(
-        &self,
-        model: &QPSeeker,
-        query: &Query,
-        sess: &mut crate::session::PlannerSession,
-    ) -> MctsResult {
-        StrategyPlanner::plan_with_session(self, model, query, sess)
-    }
 }
 
 /// The scoring function both strategies evaluate candidates through: one
@@ -235,16 +203,14 @@ impl SearchStrategy for StrategyPlanner {
 /// batch.
 ///
 /// The `eps` tensor is derived from `(seed, query.id)` alone, so every
-/// worker, shard, and batch layout scores a given plan identically.
+/// worker and batch layout scores a given plan identically.
 pub(crate) struct Evaluator<'a> {
     model: &'a QPSeeker,
     risk: Option<RiskCtx>,
     /// Seat on a shared [`crate::evalbroker::EvalBroker`]: when present,
     /// submissions park there to fuse with other sessions' rows instead of
     /// running a private forward. A row's score does not depend on what it
-    /// is fused with, so attachment never changes a plan. Never attached
-    /// on root-parallel shard evaluators — shard threads are not broker
-    /// members.
+    /// is fused with, so attachment never changes a plan.
     broker: Option<&'a crate::evalbroker::BrokerMember>,
 }
 
@@ -259,28 +225,19 @@ struct RiskCtx {
 const RISK_EPS_SALT: u64 = 0x7a3d_91b4_c65f_20e7;
 
 impl<'a> Evaluator<'a> {
+    /// `broker` is the planning session's seat, if it has one.
     pub(crate) fn new(
         model: &'a QPSeeker,
         query: &Query,
         risk: Option<&RiskParams>,
         seed: u64,
+        broker: Option<&'a crate::evalbroker::BrokerMember>,
     ) -> Self {
         let risk = risk.filter(|r| r.enabled()).map(|r| RiskCtx {
             lambda: r.lambda,
             eps: model.risk_eps(r.samples, seed ^ super::fnv(query.id.as_bytes()) ^ RISK_EPS_SALT),
         });
-        Self { model, risk, broker: None }
-    }
-
-    /// Attach the session's broker seat (if any) for the serial search
-    /// path. Returns `self` rebound so the borrow can come from a field
-    /// destructure alongside the scratch borrows.
-    pub(crate) fn with_broker(
-        mut self,
-        broker: Option<&'a crate::evalbroker::BrokerMember>,
-    ) -> Self {
-        self.broker = broker;
-        self
+        Self { model, risk, broker }
     }
 
     /// Score `plans` (candidates of `query`) into `scores`, cleared first,

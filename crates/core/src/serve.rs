@@ -1,7 +1,7 @@
 //! Graceful-degradation serving path.
 //!
 //! Production neural planners cannot afford to fail a query because the
-//! model did: [`plan_with_fallback`] runs the MCTS planner under a deadline
+//! model did: [`plan_with_fallback_in`] runs the chosen search under a deadline
 //! watchdog with NaN/Inf prediction checks and bounded retry + exponential
 //! backoff for transient faults, and falls back to the classical DP/greedy
 //! optimizer whenever the neural path cannot produce a valid plan in time.
@@ -16,16 +16,18 @@
 //! probes. Queue dynamics run on a deterministic virtual clock, so breaker
 //! and shedding behavior is exactly reproducible in tests.
 //!
-//! With `workers > 1` the supervisor serves admitted requests on a real
-//! thread pool: each worker owns a [`PlannerSession`] over the one shared
-//! model, pulling jobs off an atomic cursor. Admission control stays
-//! sequential in arrival order — dispositions depend only on the virtual
-//! clock, never on planning results — so shedding is deterministic for a
-//! given worker count, and plan choices are deterministic for *any* worker
-//! count (MCTS is seeded per query). Each request runs inside its own panic
-//! boundary: a panicked request records [`Disposition::Failed`] and the
-//! worker moves on. `workers <= 1` keeps the fully sequential,
-//! single-threaded path for tests.
+//! Admitted requests are served by one worker loop: a worker owns a
+//! [`PlannerSession`] over the one shared model and serves the jobs it
+//! picks, each inside its own panic boundary (a panicked request records
+//! [`Disposition::Failed`] and the worker moves on). `workers <= 1` runs
+//! that loop on the calling thread, in order, spawning nothing; a pool runs
+//! it on `workers` scoped threads that pull jobs off an atomic cursor — or,
+//! when scoring goes through an [`EvalBroker`], take the fixed stride
+//! `w, w+W, …` so fused-batch composition does not depend on scheduling.
+//! Admission control stays sequential in arrival order — dispositions
+//! depend only on the virtual clock, never on planning results — so
+//! shedding is deterministic for a given worker count, and plan choices
+//! are deterministic for *any* worker count (search is seeded per query).
 
 use crate::error::panic_message;
 use crate::evalbroker::{BrokerConfig, BrokerMember, EvalBroker};
@@ -127,7 +129,7 @@ impl std::fmt::Display for FallbackReason {
     }
 }
 
-/// Outcome of [`plan_with_fallback`]: always carries a valid, executable
+/// Outcome of [`plan_with_fallback_in`]: always carries a valid, executable
 /// plan, plus the full degradation audit trail.
 #[derive(Debug, Clone)]
 pub struct ServeResult {
@@ -158,29 +160,10 @@ pub struct ServeResult {
 /// Plan `query`, preferring the neural planner but guaranteeing a valid
 /// plan: each neural attempt is guarded by a deadline watchdog, a finite-
 /// prediction check, plan validation and a panic boundary; failures retry
-/// with exponential backoff (a different MCTS seed each time) up to
+/// with exponential backoff (a different search seed each time) up to
 /// `cfg.max_retries`, after which the classical optimizer serves the query.
-///
-/// Convenience wrapper over [`plan_with_fallback_in`] that borrows the
-/// model's internal fallback session; serving workers hold their own
-/// [`PlannerSession`] and call the `_in` variant directly.
-pub fn plan_with_fallback(
-    db: &Database,
-    query: &Query,
-    model: Option<&QPSeeker>,
-    cfg: &ServeConfig,
-) -> ServeResult {
-    match model {
-        Some(m) => {
-            let mut sess = m.lock_fallback_session();
-            plan_with_fallback_in(db, query, model, cfg, &mut sess)
-        }
-        None => plan_with_fallback_in(db, query, None, cfg, &mut PlannerSession::new()),
-    }
-}
-
-/// [`plan_with_fallback`] against a caller-owned [`PlannerSession`] — the
-/// lock-free entry point each serving worker uses with its own session.
+/// All mutable planning state is the caller's [`PlannerSession`]: a serving
+/// worker passes the one it owns, a one-off caller a fresh one.
 pub fn plan_with_fallback_in(
     db: &Database,
     query: &Query,
@@ -203,7 +186,10 @@ pub fn plan_with_fallback_in(
     let attempts = cfg.max_retries + 1;
     for attempt in 0..attempts {
         if attempt > 0 {
-            let pause = cfg.backoff_base_ms * (1 << (attempt - 1)) as f64;
+            // Doubling in `f64`: an integer shift goes negative at 32
+            // retries and overflows at 33. Capped where `2^k` is still
+            // finite, so a zero base stays a zero pause.
+            let pause = cfg.backoff_base_ms * 2f64.powi((attempt - 1).min(1023) as i32);
             backoff_ms += pause;
             if pause > 0.0 {
                 std::thread::sleep(std::time::Duration::from_micros((pause * 1_000.0) as u64));
@@ -621,9 +607,9 @@ impl Supervisor {
     ///
     /// Admission runs sequentially in arrival order regardless of the
     /// worker count (dispositions depend only on the virtual clock, never
-    /// on planning results); admitted requests are then planned inline
-    /// when `workers <= 1`, or by a pool of scoped threads each owning a
-    /// [`PlannerSession`] otherwise.
+    /// on planning results); admitted requests are then served by the one
+    /// worker loop — on the calling thread when `workers <= 1`, on a pool
+    /// of scoped threads each owning a [`PlannerSession`] otherwise.
     pub fn run(
         &mut self,
         db: &Database,
@@ -649,34 +635,14 @@ impl Supervisor {
         self.run_inner(db, Source::Cell(cell), requests, None)
     }
 
-    /// [`Self::run`] with externally provided broker seats, one per worker
-    /// — the multi-tenant supervisor registers every lane's workers on one
-    /// shared broker before any lane thread starts, then hands each lane
-    /// its seats here. The caller owns the broker (and drains its stats);
-    /// this supervisor's own `cfg.broker` is ignored when seats are passed.
-    pub(crate) fn run_seated(
-        &mut self,
-        db: &Database,
-        model: Option<&QPSeeker>,
-        requests: &[QueryRequest],
-        seats: Vec<BrokerMember>,
-    ) -> Vec<SupervisedOutcome> {
-        self.run_inner(db, Source::Fixed(model), requests, Some(seats))
-    }
-
-    /// [`Self::run_with_cell`] with externally provided broker seats (see
-    /// [`Self::run_seated`]).
-    pub(crate) fn run_with_cell_seated(
-        &mut self,
-        db: &Database,
-        cell: &ModelCell,
-        requests: &[QueryRequest],
-        seats: Vec<BrokerMember>,
-    ) -> Vec<SupervisedOutcome> {
-        self.run_inner(db, Source::Cell(cell), requests, Some(seats))
-    }
-
-    fn run_inner(
+    /// The one serving entry under [`Self::run`] / [`Self::run_with_cell`]
+    /// and the multi-tenant lanes. `seats` are externally provided broker
+    /// seats, one per worker: the multi-tenant supervisor registers every
+    /// lane's workers on one shared broker before any lane thread starts,
+    /// then hands each lane its seats here. That caller owns the broker
+    /// (and drains its stats); this supervisor's own `cfg.broker` is
+    /// ignored when seats are passed.
+    pub(crate) fn run_inner(
         &mut self,
         db: &Database,
         source: Source<'_>,
@@ -704,126 +670,68 @@ impl Supervisor {
         let serve_cfg = self.cfg.serve.clone();
         let cache_ctx = self.cfg.cache.clone();
         let cache_ctx = cache_ctx.as_ref();
-        // Broker seats, one per worker: external (tenant mode — the caller
-        // registered every lane's workers on one shared broker before any
-        // lane thread started, and owns the broker's stats), or pool-local
-        // (all `workers` members registered here, before any worker thread
+        // Broker seats, one per worker: external, or pool-local (all
+        // `workers` members registered here, before any worker thread
         // spawns, so round accounting never sees a half-formed pool).
         let own_broker = if seats.is_none() { self.cfg.broker.map(EvalBroker::new) } else { None };
-        let mut seats = match (seats, &own_broker) {
-            (Some(s), _) => {
-                assert_eq!(s.len(), workers, "one broker seat per worker");
-                Some(s)
-            }
-            (None, Some(b)) => Some(b.register_members(workers)),
-            (None, None) => None,
-        };
+        let seats = seats.or_else(|| own_broker.as_ref().map(|b| b.register_members(workers)));
+        if let Some(s) = &seats {
+            assert_eq!(s.len(), workers, "one broker seat per worker");
+        }
+        // How a worker picks its next job. Brokered pools take the fixed
+        // stride `w, w+W, …`: which requests are in flight together feeds
+        // fused-batch composition and the flush policy, and the occupancy
+        // counters are part of the deterministic surface, so job→worker
+        // assignment must not depend on thread scheduling. (Plan *choices*
+        // are schedule-independent either way.) One worker's stride is the
+        // job list in order. A broker-less pool balances dynamically off a
+        // shared cursor.
+        let strided = workers == 1 || seats.is_some();
+        let cursor = AtomicUsize::new(0);
         let breaker = Mutex::new(&mut self.breaker);
-        let shards: Vec<(Vec<(usize, Disposition)>, ServeCounters)> = if workers == 1 {
+        let worker = |w: usize, seat: Option<BrokerMember>| {
             let mut sess = PlannerSession::new();
-            sess.broker = seats.take().and_then(|mut s| s.pop());
+            sess.broker = seat;
             let mut tally = ServeCounters::default();
             let mut held: HeldModel = None;
-            let served = jobs
-                .iter()
-                .map(|&i| {
-                    let (model, epoch) = source.resolve(&mut held, &mut sess);
-                    let d = serve_admitted(
-                        db,
-                        model,
-                        epoch,
-                        &requests[i].query,
-                        &serve_cfg,
-                        cache_ctx,
-                        &breaker,
-                        &mut sess,
-                        &mut tally,
-                    );
-                    (i, d)
-                })
-                .collect();
-            vec![(served, tally)]
-        } else if let Some(seats) = seats.take() {
-            // Broker-on pool: static round-robin partition — worker `w`
-            // serves jobs[w], jobs[w+W], …. Job→worker assignment must not
-            // depend on thread scheduling: which requests are in flight
-            // together feeds fused-batch composition and the flush policy,
-            // and the occupancy counters are part of the deterministic
-            // surface. (Plan *choices* are schedule-independent either way;
-            // the partition pins the counters too.)
-            std::thread::scope(|s| {
-                let handles: Vec<_> = seats
-                    .into_iter()
-                    .enumerate()
-                    .map(|(w, seat)| {
-                        let (jobs, breaker, serve_cfg, source) =
-                            (&jobs, &breaker, &serve_cfg, source);
-                        s.spawn(move || {
-                            let mut sess = PlannerSession::new();
-                            sess.broker = Some(seat);
-                            let mut tally = ServeCounters::default();
-                            let mut held: HeldModel = None;
-                            let mut served = Vec::new();
-                            let mut k = w;
-                            while let Some(&i) = jobs.get(k) {
-                                let (model, epoch) = source.resolve(&mut held, &mut sess);
-                                let d = serve_admitted(
-                                    db,
-                                    model,
-                                    epoch,
-                                    &requests[i].query,
-                                    serve_cfg,
-                                    cache_ctx,
-                                    breaker,
-                                    &mut sess,
-                                    &mut tally,
-                                );
-                                served.push((i, d));
-                                k += workers;
-                            }
-                            // Dropping the session retires the seat: the
-                            // broker stops waiting on this worker as soon
-                            // as its slice of the job list is done.
-                            (served, tally)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker exited through the per-request boundary"))
-                    .collect()
-            })
+            let mut served = Vec::with_capacity(jobs.len().div_ceil(workers));
+            let mut next = w;
+            loop {
+                let k = if strided {
+                    next += workers;
+                    next - workers
+                } else {
+                    cursor.fetch_add(1, Ordering::Relaxed)
+                };
+                let Some(&i) = jobs.get(k) else { break };
+                let (model, epoch) = source.resolve(&mut held, &mut sess);
+                let d = serve_admitted(
+                    db,
+                    model,
+                    epoch,
+                    &requests[i].query,
+                    &serve_cfg,
+                    cache_ctx,
+                    &breaker,
+                    &mut sess,
+                    &mut tally,
+                );
+                served.push((i, d));
+            }
+            // Dropping the session retires the seat: the broker stops
+            // waiting on this worker as soon as its share of the job list
+            // is done.
+            (served, tally)
+        };
+        let mut seats = seats.into_iter().flatten();
+        let shards: Vec<(Vec<(usize, Disposition)>, ServeCounters)> = if workers == 1 {
+            vec![worker(0, seats.next())]
         } else {
-            let cursor = AtomicUsize::new(0);
             std::thread::scope(|s| {
                 let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let (jobs, cursor, breaker, serve_cfg, source) =
-                            (&jobs, &cursor, &breaker, &serve_cfg, source);
-                        s.spawn(move || {
-                            let mut sess = PlannerSession::new();
-                            let mut tally = ServeCounters::default();
-                            let mut held: HeldModel = None;
-                            let mut served = Vec::new();
-                            loop {
-                                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(&i) = jobs.get(k) else { break };
-                                let (model, epoch) = source.resolve(&mut held, &mut sess);
-                                let d = serve_admitted(
-                                    db,
-                                    model,
-                                    epoch,
-                                    &requests[i].query,
-                                    serve_cfg,
-                                    cache_ctx,
-                                    breaker,
-                                    &mut sess,
-                                    &mut tally,
-                                );
-                                served.push((i, d));
-                            }
-                            (served, tally)
-                        })
+                    .map(|w| {
+                        let (worker, seat) = (&worker, seats.next());
+                        s.spawn(move || worker(w, seat))
                     })
                     .collect();
                 handles
@@ -915,7 +823,7 @@ type HeldModel = Option<(Arc<QPSeeker>, u64)>;
 /// ([`Supervisor::run`]) or a per-request load from the publication cell
 /// ([`Supervisor::run_with_cell`]).
 #[derive(Clone, Copy)]
-enum Source<'a> {
+pub(crate) enum Source<'a> {
     Fixed(Option<&'a QPSeeker>),
     Cell(&'a ModelCell),
 }
@@ -1067,6 +975,16 @@ mod tests {
         let mut model = QPSeeker::new(db, ModelConfig::small());
         model.fit(&refs).expect("training succeeds");
         model
+    }
+
+    /// One-off planning on a fresh session.
+    fn plan_with_fallback(
+        db: &Database,
+        query: &Query,
+        model: Option<&QPSeeker>,
+        cfg: &ServeConfig,
+    ) -> ServeResult {
+        plan_with_fallback_in(db, query, model, cfg, &mut PlannerSession::new())
     }
 
     fn quick_cfg() -> ServeConfig {
@@ -1364,13 +1282,22 @@ mod tests {
         let (db, queries) = db_and_workload();
         let model = fitted_model(&db);
         let mut cfg = quick_cfg();
-        cfg.max_retries = 3;
-        // Virtual backoff only (no sleeping in tests beyond microseconds).
-        cfg.backoff_base_ms = 0.001;
+        cfg.mcts.max_simulations = 4;
         cfg.faults = Some(FaultConfig { inference_nan_p: 1.0, ..FaultConfig::default() });
-        let r = plan_with_fallback(&db, &queries[0], Some(&model), &cfg);
-        assert_eq!(r.attempts, 4);
-        // 0.001 + 0.002 + 0.004
-        assert!((r.backoff_ms - 0.007).abs() < 1e-9, "backoff was {}", r.backoff_ms);
+        // Virtual backoff only (no sleeping in tests beyond a millisecond).
+        // 40 retries: an `i32` shift went negative at 32 and overflowed at
+        // 33; the total must stay finite and exact.
+        let mut last = 0.0;
+        for (max_retries, base) in [(3, 0.001), (40, 1e-12)] {
+            cfg.max_retries = max_retries;
+            cfg.backoff_base_ms = base;
+            let r = plan_with_fallback(&db, &queries[0], Some(&model), &cfg);
+            assert_eq!(r.attempts, max_retries + 1);
+            // base · (1 + 2 + … + 2^(n-1))
+            let want = base * (2f64.powi(max_retries as i32) - 1.0);
+            assert!(r.backoff_ms.is_finite() && r.backoff_ms > last, "backoff {}", r.backoff_ms);
+            assert!((r.backoff_ms - want).abs() < want * 1e-9, "{} != {want}", r.backoff_ms);
+            last = r.backoff_ms;
+        }
     }
 }

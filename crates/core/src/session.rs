@@ -7,6 +7,8 @@
 //! lives in a [`PlannerSession`] owned by exactly one thread. A serving
 //! worker creates one session at startup and reuses it for every request it
 //! handles, so the hot path takes no locks and caches stay warm per worker.
+//! The model holds no session of its own: the one-shot conveniences
+//! (`predict`, `MctsPlanner::plan`, …) build a fresh one per call.
 
 use crate::evalbroker::BrokerMember;
 use crate::featurize::FeatSession;
@@ -78,30 +80,11 @@ pub struct PlannerSession {
     /// Strategy search scratch (tree/beam arena, evaluation cache,
     /// reusable buffers).
     pub search: SearchScratch,
-    /// Per-worker state for root-parallel in-query search
-    /// (`MctsConfig::parallel_sims >= 1`): one shard per search thread,
-    /// grown on demand and reused across queries so shard caches stay warm
-    /// exactly like the session's own. Empty until root-parallel planning
-    /// is first used. Root parallelism is an MCTS mode, so shards carry
-    /// MCTS scratch directly.
-    pub shards: Vec<PlannerShard>,
     /// Seat on a shared [`crate::evalbroker::EvalBroker`], when this
     /// session's supervisor routes candidate scoring through one. Attached
     /// by the serving layer before the worker's first request; planning
     /// submits through it whenever it is present.
-    /// Root-parallel MCTS shards never carry a seat — their threads are
-    /// not broker members and always score locally.
     pub(crate) broker: Option<BrokerMember>,
-}
-
-/// Mutable state for one root-parallel MCTS worker thread: its own
-/// featurization session and search scratch, structurally identical to the
-/// owning [`PlannerSession`]'s. Shards never share state — determinism of
-/// the merged result is argued in `crate::mcts`'s module docs.
-#[derive(Default)]
-pub struct PlannerShard {
-    pub feat: FeatSession,
-    pub mcts: MctsScratch,
 }
 
 impl PlannerSession {

@@ -41,13 +41,14 @@
 //! [`crate::plancache`]) guarantees a hit was planned under exactly the
 //! model epoch the request resolved.
 
-use crate::evalbroker::{BrokerStats, EvalBroker};
+use crate::evalbroker::{BrokerMember, BrokerStats, EvalBroker};
 use crate::metrics::ServeCounters;
 use crate::plancache::{PlanCache, PlanCacheCtx};
-use crate::registry::ModelRegistry;
+use crate::registry::{ModelRegistry, TenantHandle};
 use crate::search::strategy::StrategyConfig;
 use crate::serve::{
-    BreakerState, Disposition, QueryRequest, SupervisedOutcome, Supervisor, SupervisorConfig,
+    BreakerState, Disposition, QueryRequest, Source, SupervisedOutcome, Supervisor,
+    SupervisorConfig,
 };
 use qpseeker_storage::{Database, FaultConfig};
 use std::collections::BTreeMap;
@@ -235,13 +236,14 @@ impl MultiTenantSupervisor {
     /// lane are failed with a recorded message — an operator error, not a
     /// planning outcome, so it never touches any lane's counters.
     ///
-    /// Without a broker (`base.broker = None`) lanes run sequentially in
-    /// tenant order. With one, every lane with requests this batch runs on
-    /// its own thread and all of their workers score through one shared
-    /// [`EvalBroker`], fusing candidate evaluation *across tenants* —
-    /// per-lane dispositions, plans and counters are bitwise identical
-    /// either way (admission is a pure function of each lane's own clock;
-    /// fused scoring matches per-session scoring row for row).
+    /// Without a broker (`base.broker = None`) lanes run one after another
+    /// on the calling thread, in tenant order. With one, every lane with
+    /// requests this batch runs on its own thread and all of their workers
+    /// score through one shared [`EvalBroker`], fusing candidate evaluation
+    /// *across tenants* — per-lane dispositions, plans and counters are
+    /// bitwise identical either way (admission is a pure function of each
+    /// lane's own clock; fused scoring matches per-session scoring row for
+    /// row).
     pub fn run(
         &mut self,
         registry: &ModelRegistry,
@@ -253,7 +255,7 @@ impl MultiTenantSupervisor {
         }
 
         let mut out: Vec<Option<TenantOutcome>> = stream.iter().map(|_| None).collect();
-        // Unknown tenants fail up front in both modes.
+        // Unknown tenants fail up front.
         groups.retain(|tenant, idxs| {
             if self.lanes.contains_key(*tenant) {
                 return true;
@@ -270,97 +272,79 @@ impl MultiTenantSupervisor {
             false
         });
 
-        if self.cfg.base.broker.is_some() {
-            self.run_brokered(registry, stream, &groups, &mut out);
-        } else {
-            for (tenant, idxs) in &groups {
-                let lane = self.lanes.get_mut(*tenant).expect("retained tenants have lanes");
-                let reqs: Vec<QueryRequest> = idxs.iter().map(|&i| stream[i].req.clone()).collect();
-                let handle = registry.get(tenant);
-                let cache_ctx = match (&self.cfg.cache, &handle) {
-                    (Some(cache), Some(h)) => Some(PlanCacheCtx {
-                        cache: Arc::clone(cache),
-                        tenant: tenant.to_string(),
-                        stats_version: h.stats_version,
-                    }),
-                    _ => None,
-                };
-                lane.sup.set_cache(cache_ctx);
-                let outcomes = match &handle {
-                    Some(h) => lane.sup.run_with_cell(&h.db, &h.cell, &reqs),
-                    None => lane.sup.run(&lane.spec.db, None, &reqs),
-                };
-                for (&i, outcome) in idxs.iter().zip(outcomes) {
-                    out[i] = Some(TenantOutcome { tenant: tenant.to_string(), outcome });
+        // Lane preparation, in lane (BTreeMap) order — the deterministic
+        // member-id assignment the broker's flush tiebreaks key on: gather
+        // the lane's requests, resolve its registry handle, install its
+        // cache context, and register its workers' seats. Lanes with no
+        // requests this batch register nothing, so they never hold up a
+        // round.
+        let broker = self.cfg.base.broker.map(EvalBroker::new);
+        let workers_per_lane = self.cfg.base.workers.max(1);
+        let cache = &self.cfg.cache;
+        let prepared = self.lanes.iter_mut().filter_map(|(tenant, lane)| {
+            let idxs = groups.get(tenant.as_str())?;
+            let reqs: Vec<QueryRequest> = idxs.iter().map(|&i| stream[i].req.clone()).collect();
+            let handle = registry.get(tenant);
+            lane.sup.set_cache(cache.as_ref().zip(handle.as_ref()).map(|(cache, h)| {
+                PlanCacheCtx {
+                    cache: Arc::clone(cache),
+                    tenant: tenant.clone(),
+                    stats_version: h.stats_version,
                 }
+            }));
+            let seats = broker.as_ref().map(|b| b.register_members(workers_per_lane));
+            Some((tenant, lane, reqs, handle, idxs, seats))
+        });
+        let scatter = |(tenant, idxs, outcomes): LaneOutcomes<'_>| {
+            for (&i, outcome) in idxs.iter().zip(outcomes) {
+                out[i] = Some(TenantOutcome { tenant: tenant.clone(), outcome });
+            }
+        };
+        match &broker {
+            None => prepared.map(serve_lane).for_each(scatter),
+            Some(broker) => {
+                // Membership must be complete before any lane thread starts
+                // (round accounting is only schedule-independent over a
+                // static member set), so every lane is prepared first.
+                let work: Vec<LaneWork<'_>> = prepared.collect();
+                let results: Vec<LaneOutcomes<'_>> = std::thread::scope(|s| {
+                    let handles: Vec<_> =
+                        work.into_iter().map(|w| s.spawn(move || serve_lane(w))).collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("lane exited through its per-request boundaries"))
+                        .collect()
+                });
+                results.into_iter().for_each(scatter);
+                self.broker_stats.merge(&broker.take_stats());
             }
         }
         out.into_iter().map(|o| o.expect("every request received a disposition")).collect()
     }
+}
 
-    /// The broker-mode lane scheduler: registers every participating
-    /// lane's workers on one shared [`EvalBroker`] *before any lane thread
-    /// starts* (membership must be complete up front — round accounting is
-    /// only schedule-independent over a static member set), then runs the
-    /// lanes concurrently and drains the broker's stats once they join.
-    fn run_brokered(
-        &mut self,
-        registry: &ModelRegistry,
-        stream: &[TenantRequest],
-        groups: &BTreeMap<&str, Vec<usize>>,
-        out: &mut [Option<TenantOutcome>],
-    ) {
-        let bc = self.cfg.base.broker.expect("caller checked broker mode");
-        let workers_per_lane = self.cfg.base.workers.max(1);
-        let broker = EvalBroker::new(bc);
-        // Resolve registry handles, install cache contexts and register
-        // seats in lane (BTreeMap) order — the deterministic member-id
-        // assignment the flush policy's tiebreaks key on. Lanes with no
-        // requests this batch register nothing, so they never hold up a
-        // round.
-        let mut work = Vec::new();
-        for (tenant, lane) in self.lanes.iter_mut() {
-            let Some(idxs) = groups.get(tenant.as_str()) else { continue };
-            let reqs: Vec<QueryRequest> = idxs.iter().map(|&i| stream[i].req.clone()).collect();
-            let handle = registry.get(tenant);
-            let cache_ctx = match (&self.cfg.cache, &handle) {
-                (Some(cache), Some(h)) => Some(PlanCacheCtx {
-                    cache: Arc::clone(cache),
-                    tenant: tenant.clone(),
-                    stats_version: h.stats_version,
-                }),
-                _ => None,
-            };
-            lane.sup.set_cache(cache_ctx);
-            let seats = broker.register_members(workers_per_lane);
-            work.push((tenant.clone(), lane, reqs, handle, idxs, seats));
-        }
+/// One lane's share of a batch, prepared: its requests, registry handle,
+/// positions in the input stream, and broker seats when brokered.
+type LaneWork<'a> = (
+    &'a String,
+    &'a mut Lane,
+    Vec<QueryRequest>,
+    Option<TenantHandle>,
+    &'a Vec<usize>,
+    Option<Vec<BrokerMember>>,
+);
 
-        let results: Vec<(String, &Vec<usize>, Vec<SupervisedOutcome>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = work
-                .into_iter()
-                .map(|(tenant, lane, reqs, handle, idxs, seats)| {
-                    s.spawn(move || {
-                        let outcomes = match &handle {
-                            Some(h) => lane.sup.run_with_cell_seated(&h.db, &h.cell, &reqs, seats),
-                            None => lane.sup.run_seated(&lane.spec.db, None, &reqs, seats),
-                        };
-                        (tenant, idxs, outcomes)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("lane exited through its per-request boundaries"))
-                .collect()
-        });
-        for (tenant, idxs, outcomes) in results {
-            for (&i, outcome) in idxs.iter().zip(outcomes) {
-                out[i] = Some(TenantOutcome { tenant: tenant.clone(), outcome });
-            }
-        }
-        self.broker_stats.merge(&broker.take_stats());
-    }
+/// One lane's outcomes, with the stream positions they scatter back to.
+type LaneOutcomes<'a> = (&'a String, &'a Vec<usize>, Vec<SupervisedOutcome>);
+
+/// Serve one prepared lane against the model currently resident for its
+/// tenant (classical-on-own-database when evicted).
+fn serve_lane<'a>((tenant, lane, reqs, handle, idxs, seats): LaneWork<'a>) -> LaneOutcomes<'a> {
+    let (db, source) = match &handle {
+        Some(h) => (&*h.db, Source::Cell(&h.cell)),
+        None => (&*lane.spec.db, Source::Fixed(None)),
+    };
+    (tenant, idxs, lane.sup.run_inner(db, source, &reqs, seats))
 }
 
 #[cfg(test)]

@@ -85,9 +85,7 @@ commands:
   explain  --db <db.json> --sql \"SELECT COUNT(*) FROM ...\"
   run      --db <db.json> --sql \"...\"            (optimize + execute)
   plan     --db <db.json> --model <model.json> --sql \"...\" [--execute]
-           [--parallel-sims <n>] (neural planning with MCTS; n >= 1 shards
-            one query's simulations over up to n threads — the chosen plan
-            is bitwise identical for every n; 0 = classic single tree)
+           (neural planning with MCTS)
   serve    --db <db.json> --sql \"...\" [--model <model.json>]
            [--deadline-ms <f64>] [--retries <n>] [--chaos <p> --seed <u64>]
            (neural planning with deadline watchdog, retries and classical
@@ -108,8 +106,6 @@ commands:
            [--batch-window-us <us>] (broker: micro-batch deadline on the
             broker's round clock before a sub-target batch flushes anyway;
             default 200)
-           [--parallel-sims <n>] (root-parallel in-query MCTS shards;
-            see plan; default 0)
            [--strategy mcts|beam] (search strategy: left-deep MCTS —
             the default, bitwise identical to earlier releases — or
             deterministic beam search over bushy plan shapes)
@@ -168,6 +164,20 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
 
 fn req<'a>(opts: &'a Opts, key: &str) -> Result<&'a str, String> {
     opts.get(key).map(String::as_str).ok_or_else(|| format!("missing --{key}"))
+}
+
+/// `--key` parsed as `T`; `None` when the flag is absent.
+fn opt<T: std::str::FromStr>(opts: &Opts, key: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    opts.get(key).map(|s| s.parse().map_err(|e| format!("--{key}: {e}"))).transpose()
+}
+
+fn load_model(path: &str, db: &Arc<Database>) -> Result<QPSeeker, String> {
+    let data = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let ckpt = Checkpoint::from_json(&data).map_err(|e| e.to_string())?;
+    ckpt.restore(db).map_err(|e| e.to_string())
 }
 
 fn load_db(opts: &Opts) -> Result<Arc<Database>, String> {
@@ -308,16 +318,8 @@ fn run(opts: &Opts) -> Result<(), String> {
 fn plan(opts: &Opts) -> Result<(), String> {
     let db = load_db(opts)?;
     let q = parse_sql(&db, req(opts, "sql")?)?;
-    let path = req(opts, "model")?;
-    let data = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let ckpt = Checkpoint::from_json(&data).map_err(|e| e.to_string())?;
-    let model = ckpt.restore(&db).map_err(|e| e.to_string())?;
-    let mut mcts = MctsConfig::default();
-    if let Some(p) = opts.get("parallel-sims") {
-        mcts.parallel_sims = p.parse().map_err(|e| format!("--parallel-sims: {e}"))?;
-    }
-    let planner = MctsPlanner::new(mcts);
-    let res = planner.plan(&model, &q);
+    let model = load_model(req(opts, "model")?, &db)?;
+    let res = MctsPlanner::new(MctsConfig::default()).plan(&model, &q);
     println!("{}", res.plan.pretty());
     println!(
         "predicted runtime: {:.3} ms ({} plans evaluated in {} simulations)",
@@ -335,35 +337,29 @@ fn plan(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Serve a query through the graceful-degradation path: neural planning
-/// guarded by a deadline watchdog with bounded retries, falling back to the
-/// classical optimizer. `--chaos <p>` arms every fault class at rate `p`.
-/// With `--stream <n>` the queries run through the supervised serving loop
-/// (bounded queue, load-shedding, circuit breaker) instead.
-/// Apply the `--strategy`, `--risk-lambda`, `--risk-samples` and
-/// `--beam-width` flags shared by every serve mode.
+/// Apply the `--strategy`, `--risk-lambda`, `--risk-samples`,
+/// `--beam-width` and `--batch-eval` flags shared by every serve mode.
 fn apply_strategy_opts(opts: &Opts, strat: &mut StrategyConfig) -> Result<(), String> {
     if let Some(s) = opts.get("strategy") {
         strat.kind =
             StrategyKind::parse(s).ok_or_else(|| format!("--strategy: '{s}' (mcts|beam)"))?;
     }
-    if let Some(l) = opts.get("risk-lambda") {
-        strat.risk_lambda = l.parse().map_err(|e| format!("--risk-lambda: {e}"))?;
+    if let Some(l) = opt(opts, "risk-lambda")? {
+        strat.risk_lambda = l;
         if strat.risk_lambda < 0.0 {
             return Err("--risk-lambda must be >= 0".into());
         }
     }
-    if let Some(s) = opts.get("risk-samples") {
-        strat.risk_samples = s.parse().map_err(|e| format!("--risk-samples: {e}"))?;
+    if let Some(s) = opt(opts, "risk-samples")? {
+        strat.risk_samples = s;
     }
-    if let Some(w) = opts.get("beam-width") {
-        strat.beam_width = w.parse().map_err(|e| format!("--beam-width: {e}"))?;
+    if let Some(w) = opt(opts, "beam-width")? {
+        strat.beam_width = w;
         if strat.beam_width == 0 {
             return Err("--beam-width must be at least 1".into());
         }
     }
-    if let Some(b) = opts.get("batch-eval") {
-        let n: usize = b.parse().map_err(|e| format!("--batch-eval: {e}"))?;
+    if let Some(n) = opt::<usize>(opts, "batch-eval")? {
         if n == 0 {
             return Err("--batch-eval must be at least 1".into());
         }
@@ -384,62 +380,96 @@ fn apply_broker_opts(opts: &Opts, broker: &mut Option<BrokerConfig>) -> Result<(
         return Ok(());
     }
     let mut cfg = BrokerConfig::default();
-    if let Some(t) = opts.get("batch-target") {
-        cfg.batch_target = t.parse().map_err(|e| format!("--batch-target: {e}"))?;
+    if let Some(t) = opt(opts, "batch-target")? {
+        cfg.batch_target = t;
         if cfg.batch_target == 0 {
             return Err("--batch-target must be at least 1".into());
         }
     }
-    if let Some(w) = opts.get("batch-window-us") {
-        cfg.batch_window_us = w.parse().map_err(|e| format!("--batch-window-us: {e}"))?;
+    if let Some(w) = opt(opts, "batch-window-us")? {
+        cfg.batch_window_us = w;
     }
     *broker = Some(cfg);
     Ok(())
 }
 
+/// The per-query flags every serve mode shares — `--deadline-ms`,
+/// `--retries`, the strategy flags, and `--chaos <p>` arming every fault
+/// class at rate `p` under `seed` — on top of the defaults.
+fn serve_config(opts: &Opts, seed: u64) -> Result<ServeConfig, String> {
+    let mut cfg = ServeConfig::default();
+    if let Some(d) = opt(opts, "deadline-ms")? {
+        cfg.deadline_ms = d;
+    }
+    if let Some(r) = opt(opts, "retries")? {
+        cfg.max_retries = r;
+    }
+    apply_strategy_opts(opts, &mut cfg.strategy)?;
+    if let Some(p) = opt(opts, "chaos")? {
+        cfg.faults = Some(qpseeker_repro::storage::FaultConfig::chaos(seed, p));
+    }
+    Ok(cfg)
+}
+
+/// What `--stream`, `--tenants` and `--online` all start from: the
+/// [`SupervisorConfig`] built from the shared flags, the stream's seed and
+/// inter-arrival time, and the model (if any).
+struct StreamOpts {
+    cfg: SupervisorConfig,
+    seed: u64,
+    interval_ms: f64,
+    model: Option<QPSeeker>,
+}
+
+impl StreamOpts {
+    fn parse(opts: &Opts, db: &Arc<Database>) -> Result<Self, String> {
+        let seed = opt(opts, "seed")?.unwrap_or(42);
+        let mut cfg = SupervisorConfig { serve: serve_config(opts, seed)?, ..Default::default() };
+        apply_broker_opts(opts, &mut cfg.broker)?;
+        if let Some(q) = opt(opts, "queue")? {
+            cfg.queue_capacity = q;
+        }
+        if let Some(s) = opt(opts, "service-ms")? {
+            cfg.service_ms = s;
+        }
+        if let Some(w) = opt(opts, "workers")? {
+            cfg.workers = w;
+        }
+        Ok(Self {
+            cfg,
+            seed,
+            interval_ms: opt(opts, "interval-ms")?.unwrap_or(5.0),
+            model: opts.get("model").map(|path| load_model(path, db)).transpose()?,
+        })
+    }
+
+    /// Every request must finish within the per-query serving deadline
+    /// after the moment it reaches the server, so budget queue wait +
+    /// service on top of its arrival instant.
+    fn request(&self, query: Query, arrival_ms: f64) -> QueryRequest {
+        let slack_ms = self.cfg.serve.deadline_ms.max(self.cfg.service_ms * 4.0);
+        QueryRequest { query, arrival_ms, deadline_ms: arrival_ms + slack_ms }
+    }
+}
+
+/// Serve a query through the graceful-degradation path: neural planning
+/// guarded by a deadline watchdog with bounded retries, falling back to the
+/// classical optimizer. `--chaos <p>` arms every fault class at rate `p`.
+/// With `--stream <n>` the queries run through the supervised serving loop
+/// (bounded queue, load-shedding, circuit breaker) instead.
 fn serve(opts: &Opts) -> Result<(), String> {
     let db = load_db(opts)?;
     if opts.contains_key("tenants") {
-        return serve_tenants(&db, opts);
+        return serve_tenants(&db, opts, StreamOpts::parse(opts, &db)?);
     }
     if opts.contains_key("stream") {
-        return serve_stream(&db, opts);
+        return serve_stream(&db, opts, StreamOpts::parse(opts, &db)?);
     }
     let q = parse_sql(&db, req(opts, "sql")?)?;
+    let cfg = serve_config(opts, opt(opts, "seed")?.unwrap_or(42))?;
+    let model = opts.get("model").map(|path| load_model(path, &db)).transpose()?;
 
-    let mut cfg = ServeConfig::default();
-    if let Some(d) = opts.get("deadline-ms") {
-        cfg.deadline_ms = d.parse().map_err(|e| format!("--deadline-ms: {e}"))?;
-    }
-    if let Some(r) = opts.get("retries") {
-        cfg.max_retries = r.parse().map_err(|e| format!("--retries: {e}"))?;
-    }
-    if let Some(p) = opts.get("parallel-sims") {
-        cfg.mcts.parallel_sims = p.parse().map_err(|e| format!("--parallel-sims: {e}"))?;
-    }
-    // --batch-eval lands on the unified strategy knob.
-    apply_strategy_opts(opts, &mut cfg.strategy)?;
-    if let Some(p) = opts.get("chaos") {
-        let p: f64 = p.parse().map_err(|e| format!("--chaos: {e}"))?;
-        let seed: u64 = opts
-            .get("seed")
-            .map(|s| s.parse())
-            .transpose()
-            .map_err(|e| format!("--seed: {e}"))?
-            .unwrap_or(42);
-        cfg.faults = Some(qpseeker_repro::storage::FaultConfig::chaos(seed, p));
-    }
-
-    let model = match opts.get("model") {
-        Some(path) => {
-            let data = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-            let ckpt = Checkpoint::from_json(&data).map_err(|e| e.to_string())?;
-            Some(ckpt.restore(&db).map_err(|e| e.to_string())?)
-        }
-        None => None,
-    };
-
-    let r = plan_with_fallback(&db, &q, model.as_ref(), &cfg);
+    let r = plan_with_fallback_in(&db, &q, model.as_ref(), &cfg, &mut PlannerSession::new());
     println!("{}", r.plan.pretty());
     let path = match r.served_by {
         ServedBy::Neural => format!("neural ({})", cfg.strategy.kind.as_str()),
@@ -461,75 +491,16 @@ fn serve(opts: &Opts) -> Result<(), String> {
 /// Supervised serving loop: `n` synthetic queries stream through the
 /// [`Supervisor`] — bounded admission queue, deadline-aware shedding and a
 /// circuit breaker guarding the neural path.
-fn serve_stream(db: &Arc<Database>, opts: &Opts) -> Result<(), String> {
-    let n: usize = req(opts, "stream")?.parse().map_err(|e| format!("--stream: {e}"))?;
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--seed: {e}"))?
-        .unwrap_or(42);
-    let interval_ms: f64 = opts
-        .get("interval-ms")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--interval-ms: {e}"))?
-        .unwrap_or(5.0);
-
-    let mut cfg = SupervisorConfig::default();
-    if let Some(d) = opts.get("deadline-ms") {
-        cfg.serve.deadline_ms = d.parse().map_err(|e| format!("--deadline-ms: {e}"))?;
-    }
-    if let Some(r) = opts.get("retries") {
-        cfg.serve.max_retries = r.parse().map_err(|e| format!("--retries: {e}"))?;
-    }
-    if let Some(p) = opts.get("parallel-sims") {
-        cfg.serve.mcts.parallel_sims = p.parse().map_err(|e| format!("--parallel-sims: {e}"))?;
-    }
-    // --batch-eval lands on the unified strategy knob.
-    apply_strategy_opts(opts, &mut cfg.serve.strategy)?;
-    apply_broker_opts(opts, &mut cfg.broker)?;
-    if let Some(p) = opts.get("chaos") {
-        let p: f64 = p.parse().map_err(|e| format!("--chaos: {e}"))?;
-        cfg.serve.faults = Some(qpseeker_repro::storage::FaultConfig::chaos(seed, p));
-    }
-    if let Some(q) = opts.get("queue") {
-        cfg.queue_capacity = q.parse().map_err(|e| format!("--queue: {e}"))?;
-    }
-    if let Some(s) = opts.get("service-ms") {
-        cfg.service_ms = s.parse().map_err(|e| format!("--service-ms: {e}"))?;
-    }
-    if let Some(w) = opts.get("workers") {
-        cfg.workers = w.parse().map_err(|e| format!("--workers: {e}"))?;
-    }
-
-    let model = match opts.get("model") {
-        Some(path) => {
-            let data = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-            let ckpt = Checkpoint::from_json(&data).map_err(|e| e.to_string())?;
-            Some(ckpt.restore(db).map_err(|e| e.to_string())?)
-        }
-        None => None,
-    };
-
-    let workload = synthetic::generate(db, &SyntheticConfig { n_queries: n, seed });
-    // Each query must finish within the per-query serving deadline after the
-    // moment it reaches the server, so budget queue wait + service on top of
-    // its arrival instant.
-    let slack_ms = cfg.serve.deadline_ms.max(cfg.service_ms * 4.0);
+fn serve_stream(db: &Arc<Database>, opts: &Opts, so: StreamOpts) -> Result<(), String> {
+    let n: usize = opt(opts, "stream")?.ok_or("missing --stream")?;
+    let workload = synthetic::generate(db, &SyntheticConfig { n_queries: n, seed: so.seed });
     let requests: Vec<QueryRequest> = workload
         .qeps
         .iter()
         .enumerate()
-        .map(|(i, qep)| {
-            let arrival_ms = i as f64 * interval_ms;
-            QueryRequest {
-                query: qep.query.clone(),
-                arrival_ms,
-                deadline_ms: arrival_ms + slack_ms,
-            }
-        })
+        .map(|(i, qep)| so.request(qep.query.clone(), i as f64 * so.interval_ms))
         .collect();
+    let StreamOpts { cfg, interval_ms, model, .. } = so;
 
     if opts.contains_key("online") {
         return serve_online(db, opts, cfg, model, &requests);
@@ -554,29 +525,12 @@ fn serve_stream(db: &Arc<Database>, opts: &Opts) -> Result<(), String> {
 /// Multi-tenant serving: `--tenants <n>` lanes over one database, each with
 /// its own bounded queue, breaker and weight; models live in a memory-
 /// budgeted registry and plans can be cached per tenant fingerprint.
-fn serve_tenants(db: &Arc<Database>, opts: &Opts) -> Result<(), String> {
-    let n_tenants: usize = req(opts, "tenants")?.parse().map_err(|e| format!("--tenants: {e}"))?;
+fn serve_tenants(db: &Arc<Database>, opts: &Opts, mut so: StreamOpts) -> Result<(), String> {
+    let n_tenants: usize = opt(opts, "tenants")?.ok_or("missing --tenants")?;
     if n_tenants == 0 {
         return Err("--tenants must be at least 1".into());
     }
-    let n: usize = opts
-        .get("stream")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--stream: {e}"))?
-        .unwrap_or(100);
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--seed: {e}"))?
-        .unwrap_or(42);
-    let interval_ms: f64 = opts
-        .get("interval-ms")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--interval-ms: {e}"))?
-        .unwrap_or(5.0);
+    let n: usize = opt(opts, "stream")?.unwrap_or(100);
 
     let weights: Vec<f64> = match opts.get("weights") {
         Some(list) => {
@@ -590,26 +544,7 @@ fn serve_tenants(db: &Arc<Database>, opts: &Opts) -> Result<(), String> {
         None => vec![1.0; n_tenants],
     };
 
-    let mut base = SupervisorConfig::default();
-    if let Some(d) = opts.get("deadline-ms") {
-        base.serve.deadline_ms = d.parse().map_err(|e| format!("--deadline-ms: {e}"))?;
-    }
-    if let Some(r) = opts.get("retries") {
-        base.serve.max_retries = r.parse().map_err(|e| format!("--retries: {e}"))?;
-    }
-    if let Some(q) = opts.get("queue") {
-        base.queue_capacity = q.parse().map_err(|e| format!("--queue: {e}"))?;
-    }
-    if let Some(s) = opts.get("service-ms") {
-        base.service_ms = s.parse().map_err(|e| format!("--service-ms: {e}"))?;
-    }
-    if let Some(w) = opts.get("workers") {
-        base.workers = w.parse().map_err(|e| format!("--workers: {e}"))?;
-    }
-    apply_strategy_opts(opts, &mut base.serve.strategy)?;
-    apply_broker_opts(opts, &mut base.broker)?;
-
-    // Per-tenant risk weights: lane i runs `base.serve.strategy` with its
+    // Per-tenant risk weights: lane i runs the shared strategy with its
     // own λ, so one latency-SLO tenant can plan risk-averse while its
     // neighbors stay mean-only.
     let risk_lambdas: Option<Vec<f64>> = match opts.get("risk-lambdas") {
@@ -632,37 +567,13 @@ fn serve_tenants(db: &Arc<Database>, opts: &Opts) -> Result<(), String> {
 
     // Chaos aimed at a single lane demonstrates the bulkhead: only the
     // targeted tenant's breaker reacts.
-    let chaos: Option<(String, f64)> = match opts.get("chaos") {
-        Some(p) => {
-            let p: f64 = p.parse().map_err(|e| format!("--chaos: {e}"))?;
-            let target = opts.get("chaos-tenant").cloned().unwrap_or_else(|| "t0".to_string());
-            Some((target, p))
-        }
-        None => None,
-    };
+    let chaos = so.cfg.serve.faults.take().map(|faults| {
+        (opts.get("chaos-tenant").cloned().unwrap_or_else(|| "t0".to_string()), faults)
+    });
 
-    let cache = match opts.get("cache") {
-        Some(cap) => {
-            let cap: usize = cap.parse().map_err(|e| format!("--cache: {e}"))?;
-            Some(Arc::new(PlanCache::new(8, cap.max(1))))
-        }
-        None => None,
-    };
-    let mem_budget: usize = opts
-        .get("mem-budget")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--mem-budget: {e}"))?
-        .unwrap_or(usize::MAX);
-
-    let model: Option<Arc<QPSeeker>> = match opts.get("model") {
-        Some(path) => {
-            let data = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-            let ckpt = Checkpoint::from_json(&data).map_err(|e| e.to_string())?;
-            Some(Arc::new(ckpt.restore(db).map_err(|e| e.to_string())?))
-        }
-        None => None,
-    };
+    let cache = opt::<usize>(opts, "cache")?.map(|cap| Arc::new(PlanCache::new(8, cap.max(1))));
+    let mem_budget: usize = opt(opts, "mem-budget")?.unwrap_or(usize::MAX);
+    let model = so.model.take().map(Arc::new);
 
     let mut registry = ModelRegistry::new(mem_budget);
     if let Some(cache) = &cache {
@@ -681,13 +592,13 @@ fn serve_tenants(db: &Arc<Database>, opts: &Opts) -> Result<(), String> {
         .enumerate()
         .map(|(i, (id, &w))| {
             let mut spec = TenantSpec::new(id.clone(), Arc::clone(db)).with_weight(w);
-            if let Some((target, p)) = &chaos {
+            if let Some((target, faults)) = &chaos {
                 if target == id {
-                    spec = spec.with_faults(qpseeker_repro::storage::FaultConfig::chaos(seed, *p));
+                    spec = spec.with_faults(faults.clone());
                 }
             }
             if let Some(ls) = &risk_lambdas {
-                let mut strat = base.serve.strategy.clone();
+                let mut strat = so.cfg.serve.strategy.clone();
                 strat.risk_lambda = ls[i];
                 spec = spec.with_strategy(strat);
             }
@@ -700,22 +611,14 @@ fn serve_tenants(db: &Arc<Database>, opts: &Opts) -> Result<(), String> {
         &tenant_dbs,
         &TenantStreamConfig {
             n_requests: n,
-            seed,
-            mean_interarrival_ms: interval_ms,
+            seed: so.seed,
+            mean_interarrival_ms: so.interval_ms,
             ..TenantStreamConfig::default()
         },
     );
-    let slack_ms = base.serve.deadline_ms.max(base.service_ms * 4.0);
     let stream: Vec<TenantRequest> = items
         .into_iter()
-        .map(|i| TenantRequest {
-            tenant: i.tenant,
-            req: QueryRequest {
-                query: i.query,
-                arrival_ms: i.arrival_ms,
-                deadline_ms: i.arrival_ms + slack_ms,
-            },
-        })
+        .map(|i| TenantRequest { tenant: i.tenant, req: so.request(i.query, i.arrival_ms) })
         .collect();
 
     eprintln!(
@@ -724,7 +627,7 @@ fn serve_tenants(db: &Arc<Database>, opts: &Opts) -> Result<(), String> {
         if mem_budget == usize::MAX { "unbounded".to_string() } else { format!("{mem_budget} B") },
     );
     let mut sup =
-        MultiTenantSupervisor::new(MultiTenantConfig { base, cache: cache.clone() }, specs);
+        MultiTenantSupervisor::new(MultiTenantConfig { base: so.cfg, cache: cache.clone() }, specs);
     let outcomes = sup.run(&registry, &stream);
     for out in &outcomes {
         match &out.outcome.disposition {
@@ -796,25 +699,20 @@ fn serve_online(
 ) -> Result<(), String> {
     let model = model.ok_or("--online requires --model (a fitted base model to fine-tune)")?;
     let state_dir = opts.get("state-dir").cloned().unwrap_or_else(|| "qpseeker-online".to_string());
-    let batch: usize = opts
-        .get("batch")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("--batch: {e}"))?
-        .unwrap_or(16);
+    let batch: usize = opt(opts, "batch")?.unwrap_or(16);
     let mut cfg = OnlineConfig::new(&state_dir);
     cfg.supervisor = sup_cfg;
     // One fault schedule covers both the serving path and the durable
     // (WAL/checkpoint/fine-tune) path, so `--chaos` exercises the whole loop.
     cfg.faults = cfg.supervisor.serve.faults.clone();
-    if let Some(r) = opts.get("retrain-every") {
-        cfg.retrain_every = r.parse().map_err(|e| format!("--retrain-every: {e}"))?;
+    if let Some(r) = opt(opts, "retrain-every")? {
+        cfg.retrain_every = r;
     }
-    if let Some(h) = opts.get("holdout") {
-        cfg.holdout = h.parse().map_err(|e| format!("--holdout: {e}"))?;
+    if let Some(h) = opt(opts, "holdout")? {
+        cfg.holdout = h;
     }
-    if let Some(g) = opts.get("gate-tol") {
-        cfg.gate_tolerance = g.parse().map_err(|e| format!("--gate-tol: {e}"))?;
+    if let Some(g) = opt(opts, "gate-tol")? {
+        cfg.gate_tolerance = g;
     }
     let retrain_every = cfg.retrain_every;
 

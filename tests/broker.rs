@@ -5,7 +5,8 @@
 //! 1. broker on/off over the same stream at 1, 2 and 4 workers chooses
 //!    bitwise-identical plans and reports identical counters (after
 //!    zeroing the broker-only fusion gauges) — including the eval-candidate
-//!    total, which counts *work*, not batches;
+//!    total, which counts *work*, not batches — also when the stream is
+//!    shorter than the pool or shed whole;
 //! 2. a mixed multi-tenant stream — several lanes sharing one model `Arc`,
 //!    one lane running the risk-aware strategy — serves identical plans
 //!    with the broker fusing rows across tenant lanes;
@@ -89,12 +90,17 @@ fn normalized(mut c: ServeCounters) -> ServeCounters {
     c
 }
 
-fn served(outcomes: &[SupervisedOutcome]) -> Vec<&ServeResult> {
+/// What must not depend on pool shape or broker mode, per request: the
+/// shed reason, or the served plan, prediction bits and eval count.
+type Fate<'a> = Result<(&'a PlanNode, Option<u64>, usize), &'a ShedReason>;
+
+fn fates(outcomes: &[SupervisedOutcome]) -> Vec<Fate<'_>> {
     outcomes
         .iter()
         .map(|o| match &o.disposition {
-            Disposition::Served(r) => r,
-            other => panic!("query {}: non-served disposition {other:?}", o.query_id),
+            Disposition::Served(r) => Ok((&r.plan, r.predicted_ms.map(f64::to_bits), r.evals)),
+            Disposition::Shed(reason) => Err(reason),
+            other => panic!("query {}: unexpected disposition {other:?}", o.query_id),
         })
         .collect()
 }
@@ -102,49 +108,65 @@ fn served(outcomes: &[SupervisedOutcome]) -> Vec<&ServeResult> {
 /// Acceptance: for every worker count, broker-on serves bitwise-identical
 /// plans and predictions to broker-off, with identical normalized counters
 /// and the *same* candidate-eval total — fusion changes how rows reach the
-/// GEMM, never which rows exist or what they score.
+/// GEMM, never which rows exist or what they score. Besides an ordinary
+/// stream, two pool-edge batches the worker loop must survive (a hang here
+/// is a seat that never retired): fewer requests than workers, so idle
+/// seats must leave without holding a round, and a batch shed whole, so
+/// seats are registered and no job ever arrives.
 #[test]
 fn broker_is_invisible_in_plans_counters_and_eval_totals() {
     let db = shared_db();
     let model = shared_model();
-    let stream = gentle_requests(14, 0xb40c ^ chaos_seed());
+    let all_shed: Vec<QueryRequest> = gentle_requests(6, 0x5ed ^ chaos_seed())
+        .into_iter()
+        // service_ms is 5: no request can finish 1 ms after it arrives.
+        .map(|r| QueryRequest { deadline_ms: r.arrival_ms + 1.0, ..r })
+        .collect();
+    // (stream, whether admission lets it through)
+    let streams = [
+        (gentle_requests(14, 0xb40c ^ chaos_seed()), true),
+        (gentle_requests(3, 0x3b0c ^ chaos_seed()), true),
+        (all_shed, false),
+    ];
 
-    let run = |workers: usize, broker: Option<BrokerConfig>| {
-        let mut sup = Supervisor::new(deterministic_cfg(workers, broker));
-        let outcomes = sup.run(db, Some(&model), &stream);
-        (outcomes, sup.counters())
-    };
+    for (si, (stream, admitted)) in streams.iter().enumerate() {
+        let run = |workers: usize, broker: Option<BrokerConfig>| {
+            let mut sup = Supervisor::new(deterministic_cfg(workers, broker));
+            let outcomes = sup.run(db, Some(&model), stream);
+            (outcomes, sup.counters())
+        };
 
-    let (ref_outcomes, ref_counters) = run(1, None);
-    assert_eq!(ref_counters.admitted, stream.len());
-    assert!(ref_counters.conservation_holds(), "{ref_counters}");
-    assert!(ref_counters.eval_candidates > 0, "stream must exercise neural scoring");
-    let ref_served = served(&ref_outcomes);
+        let (ref_outcomes, ref_counters) = run(1, None);
+        let shed_whole = !admitted;
+        assert_eq!(ref_counters.admitted, if shed_whole { 0 } else { stream.len() });
+        assert_eq!(ref_counters.total_seen(), stream.len());
+        assert!(ref_counters.conservation_holds(), "{ref_counters}");
+        assert_eq!(
+            ref_counters.eval_candidates > 0,
+            !shed_whole,
+            "an admitted stream must exercise neural scoring"
+        );
+        let ref_fates = fates(&ref_outcomes);
 
-    for workers in [1usize, 2, 4] {
-        let (outcomes, counters) = run(workers, Some(BrokerConfig::default()));
-        assert_eq!(
-            normalized(counters),
-            normalized(ref_counters),
-            "broker-on counters diverged at {workers} workers"
-        );
-        assert_eq!(
-            counters.eval_candidates, ref_counters.eval_candidates,
-            "the broker changed how much scoring work happened at {workers} workers"
-        );
-        assert!(counters.fused_batches > 0, "broker-on must actually fuse at {workers} workers");
-        assert_eq!(
-            counters.fused_rows, counters.eval_candidates,
-            "with the fast path on, every candidate row flows through the broker"
-        );
-        for (a, b) in ref_served.iter().zip(served(&outcomes)) {
-            assert_eq!(a.plan, b.plan, "plan diverged under the broker at {workers} workers");
-            assert_eq!(
-                a.predicted_ms.map(f64::to_bits),
-                b.predicted_ms.map(f64::to_bits),
-                "prediction diverged under the broker at {workers} workers"
-            );
-            assert_eq!(a.evals, b.evals, "per-request eval count diverged");
+        for workers in [1usize, 2, 4] {
+            for broker in [None, Some(BrokerConfig::default())] {
+                let at = format!("stream {si}, {workers} workers, broker {}", broker.is_some());
+                let (outcomes, counters) = run(workers, broker);
+                assert!(counters.conservation_holds(), "{at}: {counters}");
+                assert_eq!(normalized(counters), normalized(ref_counters), "{at}: counters");
+                assert_eq!(
+                    counters.eval_candidates, ref_counters.eval_candidates,
+                    "{at}: the amount of scoring work changed"
+                );
+                if broker.is_some() {
+                    assert_eq!(counters.fused_batches > 0, !shed_whole, "{at}: fusing");
+                    assert_eq!(
+                        counters.fused_rows, counters.eval_candidates,
+                        "{at}: every candidate row flows through the broker"
+                    );
+                }
+                assert_eq!(fates(&outcomes), ref_fates, "{at}: plans, predictions or evals");
+            }
         }
     }
 }

@@ -3,7 +3,7 @@
 //! Three guarantees are exercised here, end to end:
 //! 1. the executor under any fault schedule either completes or returns a
 //!    typed error — it never panics;
-//! 2. `plan_with_fallback` always produces a valid, executable plan, and
+//! 2. `plan_with_fallback_in` always produces a valid, executable plan, and
 //!    records why whenever it degrades to the classical optimizer;
 //! 3. corrupted checkpoints are rejected at load with a typed error.
 
@@ -66,7 +66,7 @@ fn chaos_sweep_200_queries_at_p_10() {
     for (i, q) in queries.iter().enumerate() {
         let faults = FaultConfig::chaos(0x5eed ^ i as u64, 0.1);
         let cfg = quick_serve_cfg(Some(faults.clone()));
-        let r = plan_with_fallback(db, q, Some(model), &cfg);
+        let r = plan_with_fallback_in(db, q, Some(model), &cfg, &mut PlannerSession::new());
         r.plan.validate(q).unwrap_or_else(|e| panic!("query {i}: served plan invalid: {e}"));
         match r.served_by {
             ServedBy::Neural => {
@@ -122,7 +122,7 @@ fn chaos_nan_weights_degrade_gracefully_on_fast_path() {
     }
     let cfg = quick_serve_cfg(None);
     for q in chaos_queries(4, 0xfa57).iter() {
-        let r = plan_with_fallback(db, q, Some(&model), &cfg);
+        let r = plan_with_fallback_in(db, q, Some(&model), &cfg, &mut PlannerSession::new());
         assert_eq!(r.served_by, ServedBy::Classical, "NaN model must not serve neurally");
         assert!(
             r.attempt_failures.iter().all(|f| matches!(f, FallbackReason::NonFinitePrediction)),
@@ -360,7 +360,7 @@ proptest! {
         }
     }
 
-    /// `plan_with_fallback` serves a valid plan under any inference-fault
+    /// `plan_with_fallback_in` serves a valid plan under any inference-fault
     /// schedule, and records a reason whenever it degrades.
     #[test]
     fn fallback_always_serves_valid_plan(
@@ -379,7 +379,7 @@ proptest! {
         };
         let cfg = quick_serve_cfg(Some(faults));
         for q in &queries {
-            let r = plan_with_fallback(db, q, Some(shared_model()), &cfg);
+            let r = plan_with_fallback_in(db, q, Some(shared_model()), &cfg, &mut PlannerSession::new());
             prop_assert!(r.plan.validate(q).is_ok(), "served plan invalid");
             match r.served_by {
                 ServedBy::Neural => prop_assert!(r.fallback_reason.is_none()),

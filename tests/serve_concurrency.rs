@@ -299,49 +299,3 @@ fn injected_panics_never_kill_workers() {
         }
     }
 }
-
-/// Root-parallel in-query search extended to the serving loop: for every
-/// shard count `parallel_sims ∈ {1, 2, 4}` and every worker count, the
-/// stream produces bitwise-identical plans and predictions — and all shard
-/// counts match *each other*, because unit seeds and simulation budgets
-/// derive from unit indices, never from the thread that ran them.
-#[test]
-fn root_parallel_shards_identical_across_worker_counts() {
-    let db = shared_db();
-    let model = shared_model();
-    let stream = gentle_requests(10, 0x5a4d ^ chaos_seed());
-
-    let run = |workers: usize, shards: usize| {
-        let mut cfg = deterministic_cfg(workers);
-        cfg.serve.mcts.parallel_sims = shards;
-        let mut sup = Supervisor::new(cfg);
-        sup.run(db, Some(model), &stream)
-    };
-    let reference = run(1, 1);
-    for shards in [1usize, 2, 4] {
-        for workers in [1usize, 2, 4] {
-            if (workers, shards) == (1, 1) {
-                continue;
-            }
-            let outcomes = run(workers, shards);
-            assert_eq!(outcomes.len(), reference.len());
-            for (a, b) in reference.iter().zip(&outcomes) {
-                let (ra, rb) = match (&a.disposition, &b.disposition) {
-                    (Disposition::Served(ra), Disposition::Served(rb)) => (ra, rb),
-                    other => panic!("non-served disposition in deterministic stream: {other:?}"),
-                };
-                assert_eq!(
-                    ra.plan, rb.plan,
-                    "query {}: plan diverged at workers={workers} parallel_sims={shards}",
-                    a.query_id
-                );
-                assert_eq!(
-                    ra.predicted_ms.map(f64::to_bits),
-                    rb.predicted_ms.map(f64::to_bits),
-                    "query {}: prediction diverged at workers={workers} parallel_sims={shards}",
-                    a.query_id
-                );
-            }
-        }
-    }
-}
