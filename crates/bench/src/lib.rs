@@ -2,8 +2,8 @@
 //!
 //! One binary per table/figure of the paper (see `DESIGN.md` §4 for the
 //! index), plus `all_experiments`, which runs everything and writes the
-//! machine-readable rows that `EXPERIMENTS.md` reports. Criterion
-//! micro-benches for the substrates live in `benches/`.
+//! machine-readable rows that `EXPERIMENTS.md` reports. Timing lives in
+//! the stand-alone `perfbench/` package, not here.
 //!
 //! All experiments are seeded and run at a reduced scale (`Scale`), keeping
 //! the paper's ratios; the *shapes* of the results (who wins, by what

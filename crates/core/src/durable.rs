@@ -30,11 +30,7 @@ pub const SNAPSHOT_VERSION: u64 = 1;
 
 /// FNV-1a over `s` (the envelope checksum).
 pub fn fnv64(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in s.as_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
+    crate::fnv::bytes(s.as_bytes())
 }
 
 /// Seal `payload` (itself JSON) in the versioned, checksummed envelope:

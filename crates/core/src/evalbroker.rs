@@ -4,8 +4,8 @@
 //! (`batch_eval` rollouts, beam completions, risk-sample blocks), which
 //! leaves the wide GEMM tiles of the fused kernels mostly empty under
 //! concurrent load. The [`EvalBroker`] is a shared scoring service: worker
-//! sessions — across a whole [`crate::serve::Supervisor`] pool, and across
-//! every tenant lane of a [`crate::tenant::MultiTenantSupervisor`] — submit
+//! sessions — every worker of a lane's pool, across every tenant lane of a
+//! [`crate::tenant::MultiTenantSupervisor`] — submit
 //! their candidate batches to the broker, which packs congruent-shape rows
 //! from *different* requests into one large fused forward pass.
 //!
@@ -451,7 +451,7 @@ enum FlushReason {
 pub(crate) fn shape_sig(node: &FeatNode) -> u64 {
     fn step(h: &mut u64, v: u64) {
         *h ^= v;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        *h = h.wrapping_mul(crate::fnv::PRIME);
     }
     fn walk(n: &FeatNode, h: &mut u64) {
         step(h, n.children.len() as u64 + 1);
@@ -461,7 +461,7 @@ pub(crate) fn shape_sig(node: &FeatNode) -> u64 {
             walk(c, h);
         }
     }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = crate::fnv::OFFSET;
     walk(node, &mut h);
     h
 }

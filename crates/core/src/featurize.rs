@@ -7,7 +7,7 @@
 //! sums, TaBERT representations, operator one-hots, and (for leaves) the
 //! EXPLAIN estimates.
 
-use crate::fnv::FnvBuild;
+use crate::fnv::{self, FnvBuild};
 use crate::normalize::TargetNormalizer;
 use qpseeker_engine::explain::Explain;
 use qpseeker_engine::plan::{PhysicalOp, PlanNode};
@@ -191,7 +191,7 @@ impl Featurizer {
             Some(i) => i,
             None => {
                 let key = format!("{lt}.{}={rt}.{}", j.left.column, j.right.column);
-                (fnv(key.as_bytes()) % m as u64) as usize
+                (fnv::bytes(key.as_bytes()) % m as u64) as usize
             }
         }
     }
@@ -469,14 +469,6 @@ impl Featurizer {
 #[inline]
 fn eval_filter(op: CmpOp, lhs: f64, rhs: f64) -> bool {
     op.eval(lhs, rhs)
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -82,14 +82,14 @@ pub mod prelude {
     pub use crate::registry::{
         ModelCell, ModelRegistry, RegressionMonitor, SwapVerdict, TenantHandle,
     };
-    pub use crate::search::beam::{BeamConfig, BeamPlanner, BeamScratch};
+    pub use crate::search::beam::{BeamPlanner, BeamScratch};
     pub use crate::search::strategy::{
         RiskParams, StrategyConfig, StrategyKind, StrategyPlanner, DEFAULT_BATCH_EVAL,
     };
     pub use crate::serve::{
         plan_with_fallback_in, BreakerState, CircuitBreaker, Disposition, FallbackReason,
         QueryRequest, ServeConfig, ServeResult, ServedBy, ShedReason, SupervisedOutcome,
-        Supervisor, SupervisorConfig,
+        SupervisorConfig,
     };
     pub use crate::session::{PlannerSession, SearchScratch};
     pub use crate::tenant::{

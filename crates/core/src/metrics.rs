@@ -5,8 +5,8 @@
 use qpseeker_nn::isa::Isa;
 use serde::{Deserialize, Serialize};
 
-/// Per-outcome counters for a supervised serving loop
-/// ([`crate::serve::Supervisor`]). Every admitted or shed query lands in
+/// Per-outcome counters for one serving lane, or several merged
+/// ([`crate::tenant::MultiTenantSupervisor`]). Every admitted or shed query lands in
 /// exactly one of the disposition counters, so operators can audit where
 /// load went; the breaker counters expose the circuit's history.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]

@@ -1,8 +1,8 @@
 //! The online adaptation loop: plan → execute → observe → retrain →
 //! gate → hot-swap, with automatic rollback.
 //!
-//! [`OnlinePlanner`] wires the pieces together around the supervised
-//! serving loop:
+//! [`OnlinePlanner`] wires the pieces together around one serving lane (the
+//! same lane a [`crate::tenant::MultiTenantSupervisor`] tenant runs on):
 //!
 //! 1. every served plan is **executed** and the observation appended to the
 //!    durable [`ExperienceWal`] (crash at any point recovers the exact
@@ -33,12 +33,13 @@ use crate::experience::{ExperienceDisposition, ExperienceRecord, ExperienceWal};
 use crate::featurize::FeatSession;
 use crate::metrics::{q_error, OnlineCounters};
 use crate::model::QPSeeker;
+use crate::plancache::PlanCacheCtx;
 use crate::registry::{ModelCell, RegressionMonitor, SwapVerdict};
 use crate::serve::{
     Disposition, QueryRequest, ServedBy, SupervisedOutcome, Supervisor, SupervisorConfig,
 };
 use qpseeker_engine::executor::Executor;
-use qpseeker_storage::{Database, FaultConfig, FaultInjector};
+use qpseeker_storage::{Database, FaultInjector};
 use qpseeker_workloads::Qep;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -48,7 +49,15 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct OnlineConfig {
     /// Stream-level serving configuration (queue, breaker, workers, ...).
+    /// Its one fault schedule (`serve.faults`) covers the whole loop: the
+    /// inference classes fire on the serving path, the durable classes on
+    /// WAL appends, journals and promoted checkpoints, and
+    /// `finetune_poison_p` on the fine-tune poison hook.
     pub supervisor: SupervisorConfig,
+    /// Optional fingerprint plan cache the loop serves through, scoped to
+    /// its `(tenant, stats_version)`. Entries are stamped with the cell's
+    /// publication epoch, so a promotion or rollback invalidates them.
+    pub cache: Option<PlanCacheCtx>,
     /// Directory holding the WAL, fine-tune journals, promoted checkpoints
     /// and trainer state. Everything needed to resume after a kill.
     pub state_dir: PathBuf,
@@ -72,15 +81,13 @@ pub struct OnlineConfig {
     pub segment_records: usize,
     /// Promoted checkpoints retained on disk.
     pub keep_promoted: usize,
-    /// Deterministic faults armed on the durable paths (WAL appends,
-    /// journals, promoted checkpoints) and the fine-tune poison hook.
-    pub faults: Option<FaultConfig>,
 }
 
 impl OnlineConfig {
     pub fn new(state_dir: impl Into<PathBuf>) -> Self {
         Self {
             supervisor: SupervisorConfig::default(),
+            cache: None,
             state_dir: state_dir.into(),
             retrain_every: 16,
             holdout: 4,
@@ -91,7 +98,6 @@ impl OnlineConfig {
             rollback_threshold: 1.5,
             segment_records: 64,
             keep_promoted: 3,
-            faults: None,
         }
     }
 }
@@ -170,7 +176,7 @@ impl OnlinePlanner {
         base: Arc<QPSeeker>,
         db: &Arc<Database>,
     ) -> Result<Self, CoreError> {
-        let faults = cfg.faults.clone().map(FaultInjector::new);
+        let faults = cfg.supervisor.serve.faults.clone().map(FaultInjector::new);
         let wal = ExperienceWal::open(cfg.state_dir.join("wal"), cfg.segment_records)?
             .with_faults(faults.clone());
         let promoted =
@@ -274,7 +280,7 @@ impl OnlinePlanner {
         db: &Arc<Database>,
         requests: &[QueryRequest],
     ) -> Result<BatchReport, CoreError> {
-        let outcomes = self.sup.run_with_cell(db, &self.cell, requests);
+        let outcomes = self.sup.run(db, Some(&self.cell), self.cfg.cache.as_ref(), None, requests);
 
         // Observe: execute each served plan against the live database. The
         // executor's virtual clock makes the observation deterministic.
@@ -440,6 +446,7 @@ fn poison_first_param(model: &mut QPSeeker) {
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use qpseeker_storage::FaultConfig;
     use qpseeker_workloads::{synthetic, SyntheticConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::OnceLock;
@@ -517,7 +524,8 @@ mod tests {
         let db = shared_db();
         let dir = scratch("poison");
         let mut cfg = quick_online_cfg(&dir);
-        cfg.faults = Some(FaultConfig { finetune_poison_p: 1.0, ..FaultConfig::default() });
+        cfg.supervisor.serve.faults =
+            Some(FaultConfig { finetune_poison_p: 1.0, ..FaultConfig::default() });
         let base = fitted_model(db);
         let mut op = OnlinePlanner::new(cfg, Arc::clone(&base), db).unwrap();
         let epoch_before = op.cell().epoch();

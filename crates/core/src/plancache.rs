@@ -30,38 +30,17 @@
 //! The map is sharded by key hash; each shard is an independently locked
 //! LRU. Lock hold times are a hash probe or an O(capacity) eviction scan.
 
-use crate::fnv::FnvBuild;
+use crate::fnv::{self, FnvBuild};
 use qpseeker_engine::plan::PlanNode;
 use qpseeker_engine::query::Query;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// FNV-1a over a byte slice (local helper; the offset basis/prime match
-/// [`crate::durable::fnv64`]).
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// Combine hash words order-dependently.
-fn combine(words: &[u64]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
-
 /// Combine a multiset of hash words order-independently (sort, then fold).
 fn combine_sorted(mut words: Vec<u64>) -> u64 {
     words.sort_unstable();
-    combine(&words)
+    fnv::words(&words)
 }
 
 /// Weisfeiler–Lehman refinement rounds. Three rounds separate every
@@ -94,11 +73,15 @@ pub fn query_fingerprint(query: &Query) -> u64 {
                     .iter()
                     .filter(|f| f.col.alias == r.alias)
                     .map(|f| {
-                        combine(&[fnv(f.col.column.as_bytes()), f.op as u64, f.value.to_bits()])
+                        fnv::words(&[
+                            fnv::bytes(f.col.column.as_bytes()),
+                            f.op as u64,
+                            f.value.to_bits(),
+                        ])
                     })
                     .collect(),
             );
-            combine(&[fnv(r.table.as_bytes()), filters])
+            fnv::words(&[fnv::bytes(r.table.as_bytes()), filters])
         })
         .collect();
 
@@ -119,13 +102,13 @@ pub fn query_fingerprint(query: &Query) -> u64 {
                         continue;
                     };
                     let Some(k) = idx_of(&remote.alias) else { continue };
-                    edges.push(combine(&[
-                        fnv(local.column.as_bytes()),
-                        fnv(remote.column.as_bytes()),
+                    edges.push(fnv::words(&[
+                        fnv::bytes(local.column.as_bytes()),
+                        fnv::bytes(remote.column.as_bytes()),
                         labels[k],
                     ]));
                 }
-                combine(&[labels[i], combine_sorted(edges)])
+                fnv::words(&[labels[i], combine_sorted(edges)])
             })
             .collect();
         labels = next;
@@ -140,15 +123,15 @@ pub fn query_fingerprint(query: &Query) -> u64 {
             .filter_map(|j| {
                 let (l, r) = (idx_of(&j.left.alias)?, idx_of(&j.right.alias)?);
                 let mut ends = [
-                    combine(&[labels[l], fnv(j.left.column.as_bytes())]),
-                    combine(&[labels[r], fnv(j.right.column.as_bytes())]),
+                    fnv::words(&[labels[l], fnv::bytes(j.left.column.as_bytes())]),
+                    fnv::words(&[labels[r], fnv::bytes(j.right.column.as_bytes())]),
                 ];
                 ends.sort_unstable();
-                Some(combine(&ends))
+                Some(fnv::words(&ends))
             })
             .collect(),
     );
-    combine(&[n as u64, rel_part, edge_part])
+    fnv::words(&[n as u64, rel_part, edge_part])
 }
 
 /// One cached planning result.
@@ -302,11 +285,11 @@ impl PlanCache {
     }
 
     fn key(&self, tenant: &str, fp: u64) -> (u64, u64) {
-        (fnv(tenant.as_bytes()), fp)
+        (fnv::bytes(tenant.as_bytes()), fp)
     }
 
     fn shard(&self, key: (u64, u64)) -> &Mutex<HashMap<(u64, u64), Entry, FnvBuild>> {
-        let h = combine(&[key.0, key.1]);
+        let h = fnv::words(&[key.0, key.1]);
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
 
@@ -384,7 +367,7 @@ impl PlanCache {
     /// stale entries unservable; this frees their memory eagerly (registry
     /// eviction calls it so an evicted tenant holds no cache residue).
     pub fn invalidate_tenant(&self, tenant: &str) {
-        let t = fnv(tenant.as_bytes());
+        let t = fnv::bytes(tenant.as_bytes());
         for shard in &self.shards {
             let mut map = Self::lock(shard);
             let before = map.len();

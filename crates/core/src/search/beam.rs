@@ -33,37 +33,17 @@
 //! bushy shapes MCTS cannot represent at all.
 
 use super::bushy::{joinable, BushyAssembler, SubTree};
-use super::mcts::MctsResult;
+use super::mcts::{MctsConfig, MctsResult};
 use super::strategy::{Evaluator, RiskParams};
-use super::{fnv_words, op_idx_join, op_idx_scan, QueryIndex};
+use super::{op_idx_join, op_idx_scan, QueryIndex};
 use crate::featurize::FeatSession;
-use crate::fnv::FnvBuild;
+use crate::fnv::{self, FnvBuild};
 use crate::model::{QPSeeker, QueryContext};
 use crate::session::PlannerSession;
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
 use qpseeker_engine::query::Query;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
-
-/// Beam-search configuration. Shares the left-deep planner's budget/seed
-/// semantics so serving can derive either strategy from one knob set.
-#[derive(Debug, Clone)]
-pub struct BeamConfig {
-    /// Wall-clock planning budget in milliseconds, checked per level.
-    pub budget_ms: f64,
-    /// States kept per level.
-    pub beam_width: usize,
-    /// Soft cap on cost-model evaluations, checked per level.
-    pub max_evals: usize,
-    /// Seeds the risk-aware latent sampler (the search itself is RNG-free).
-    pub seed: u64,
-}
-
-impl Default for BeamConfig {
-    fn default() -> Self {
-        Self { budget_ms: 200.0, beam_width: 8, max_evals: 10_000, seed: 0xacc5 }
-    }
-}
 
 /// Reusable beam-search state, cleared per query: the completed-plan
 /// evaluation cache (keyed by exact postorder signature), the forest
@@ -181,21 +161,26 @@ fn set_node_op(plan: &mut PlanNode, target: usize, k: usize, counter: &mut usize
 
 /// The beam-search planner over the bushy action space.
 pub struct BeamPlanner {
-    cfg: BeamConfig,
+    /// The search budget shared with the left-deep planner: `budget_ms`
+    /// (wall clock) and `max_simulations` (a soft cap on cost-model
+    /// evaluations) are both checked per level; `seed` feeds the risk-aware
+    /// latent sampler only (the search itself is RNG-free).
+    cfg: MctsConfig,
+    /// States kept per level.
+    width: usize,
     risk: Option<RiskParams>,
 }
 
 impl BeamPlanner {
-    pub fn new(cfg: BeamConfig) -> Self {
-        Self { cfg, risk: None }
+    pub fn new(cfg: MctsConfig, beam_width: usize) -> Self {
+        Self { cfg, width: beam_width.max(1), risk: None }
     }
 
     /// Beam search ranking candidates by `mean + λ·σ` over seeded VAE
     /// latent samples. With `risk.lambda == 0` this is exactly
     /// [`Self::new`].
-    pub fn with_risk(cfg: BeamConfig, risk: RiskParams) -> Self {
-        let risk = if risk.enabled() { Some(risk) } else { None };
-        Self { cfg, risk }
+    pub fn with_risk(cfg: MctsConfig, beam_width: usize, risk: RiskParams) -> Self {
+        Self { cfg, width: beam_width.max(1), risk: risk.enabled().then_some(risk) }
     }
 
     /// One-shot [`Self::plan_with_session`] on a fresh [`PlannerSession`]
@@ -221,7 +206,7 @@ impl BeamPlanner {
         let scratch = search.beam();
         scratch.eval_cache.clear();
         scratch.seen.clear();
-        let width = self.cfg.beam_width.max(1);
+        let width = self.width;
         let n = qi.n;
 
         // ---- Single relation: evaluate the three scans directly ----
@@ -281,7 +266,7 @@ impl BeamPlanner {
         // ---- Levels 1..n-1: merge two subtrees per kept state ----
         for _level in 1..n {
             if start.elapsed().as_secs_f64() * 1000.0 > self.cfg.budget_ms
-                || evals >= self.cfg.max_evals
+                || evals >= self.cfg.max_simulations
             {
                 budget_exhausted = true;
                 break;
@@ -311,11 +296,11 @@ impl BeamPlanner {
                                     .iter()
                                     .enumerate()
                                     .filter(|&(t, _)| t != i && t != j)
-                                    .map(|(_, t)| fnv_words(&t.sig))
+                                    .map(|(_, t)| fnv::words(&t.sig))
                                     .collect();
-                                forest.push(fnv_words(&sig));
+                                forest.push(fnv::words(&sig));
                                 forest.sort_unstable();
-                                if !scratch.seen.insert(fnv_words(&forest)) {
+                                if !scratch.seen.insert(fnv::words(&forest)) {
                                     continue;
                                 }
                                 cands.push(Candidate {
@@ -410,7 +395,7 @@ impl BeamPlanner {
         let total = node_count(&plan);
         for target in 0..total {
             if start.elapsed().as_secs_f64() * 1000.0 > self.cfg.budget_ms
-                || evals >= self.cfg.max_evals
+                || evals >= self.cfg.max_simulations
             {
                 budget_exhausted = true;
                 break;
@@ -524,8 +509,8 @@ mod tests {
         let db = std::sync::Arc::new(imdb::generate(0.05, 1));
         let model = fitted_model(&db);
         let q = three_way(&db);
-        let res =
-            BeamPlanner::new(BeamConfig { budget_ms: 1e9, ..Default::default() }).plan(&model, &q);
+        let res = BeamPlanner::new(MctsConfig { budget_ms: 1e9, ..Default::default() }, 8)
+            .plan(&model, &q);
         assert!(res.plan.validate(&q).is_ok());
         assert!(res.plans_evaluated > 0);
         assert!(res.predicted_ms.is_finite());
@@ -537,7 +522,6 @@ mod tests {
         let db = std::sync::Arc::new(imdb::generate(0.05, 1));
         let model = fitted_model(&db);
         let q = three_way(&db);
-        use crate::search::mcts::MctsConfig;
         use crate::search::strategy::{StrategyConfig, StrategyKind, StrategyPlanner};
         let plan_at = |batch_eval| {
             let strat =
@@ -573,8 +557,8 @@ mod tests {
             left: ColRef::new("cast_info", "movie_id"),
             right: ColRef::new("title", "id"),
         });
-        let res =
-            BeamPlanner::new(BeamConfig { budget_ms: 1e9, ..Default::default() }).plan(&model, &q);
+        let res = BeamPlanner::new(MctsConfig { budget_ms: 1e9, ..Default::default() }, 8)
+            .plan(&model, &q);
         assert!(res.plan.validate(&q).is_ok());
         assert!(res.predicted_ms.is_finite());
         assert!(res.simulations > 0);
@@ -586,7 +570,7 @@ mod tests {
         let model = fitted_model(&db);
         let mut q = Query::new("single-beam");
         q.relations = vec![RelRef::new("title")];
-        let res = BeamPlanner::new(BeamConfig::default()).plan(&model, &q);
+        let res = BeamPlanner::new(MctsConfig::default(), 8).plan(&model, &q);
         assert!(matches!(res.plan, PlanNode::Scan { .. }));
         assert_eq!(res.plans_evaluated, 3);
     }

@@ -10,9 +10,9 @@
 //! cap, whichever comes first.
 
 use super::strategy::{Evaluator, RiskParams, DEFAULT_BATCH_EVAL};
-use super::{fnv, op_idx_join, op_idx_scan, QueryIndex};
+use super::{op_idx_join, op_idx_scan, QueryIndex};
 use crate::featurize::FeatSession;
-use crate::fnv::FnvBuild;
+use crate::fnv::{self, FnvBuild};
 use crate::model::{QPSeeker, QueryContext};
 use crate::session::PlannerSession;
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
@@ -401,7 +401,7 @@ fn run_search(
     start: Instant,
     best_t: &mut Option<f64>,
 ) -> (usize, bool) {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ fnv(query.id.as_bytes()));
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ fnv::bytes(query.id.as_bytes()));
     // Per-query state cleared on entry; allocations carry over between
     // queries handled by the same session.
     let MctsScratch {

@@ -89,22 +89,3 @@ pub(crate) fn op_idx_join(j: JoinOp) -> u8 {
         JoinOp::NestedLoopJoin => 2,
     }
 }
-
-pub(crate) fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// FNV-1a over a word sequence, for compact structural stamps.
-pub(crate) fn fnv_words(words: &[u64]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &w in words {
-        for b in w.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}

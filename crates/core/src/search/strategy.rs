@@ -26,7 +26,7 @@
 //! block), not a different forward; λ = 0 submits rows without eps, which
 //! is mean-only scoring.
 
-use super::beam::{BeamConfig, BeamPlanner};
+use super::beam::BeamPlanner;
 use super::mcts::{MctsConfig, MctsPlanner, MctsResult};
 use crate::featurize::FeatSession;
 use crate::model::{QPSeeker, QueryContext};
@@ -129,7 +129,7 @@ impl StrategyConfig {
         } else {
             (0, 0)
         };
-        super::fnv_words(&[self.kind as u64, lambda_bits, samples, bw, batch])
+        crate::fnv::words(&[self.kind as u64, lambda_bits, samples, bw, batch])
     }
 }
 
@@ -169,15 +169,7 @@ impl StrategyPlanner {
             StrategyKind::Mcts => {
                 Self::Mcts(MctsPlanner::with_risk(mcts, risk, strat.mcts_batch()))
             }
-            StrategyKind::Beam => {
-                let cfg = BeamConfig {
-                    budget_ms: mcts.budget_ms,
-                    beam_width: strat.beam_width,
-                    max_evals: mcts.max_simulations,
-                    seed: mcts.seed,
-                };
-                Self::Beam(BeamPlanner::with_risk(cfg, risk))
-            }
+            StrategyKind::Beam => Self::Beam(BeamPlanner::with_risk(mcts, strat.beam_width, risk)),
         }
     }
 
@@ -235,7 +227,8 @@ impl<'a> Evaluator<'a> {
     ) -> Self {
         let risk = risk.filter(|r| r.enabled()).map(|r| RiskCtx {
             lambda: r.lambda,
-            eps: model.risk_eps(r.samples, seed ^ super::fnv(query.id.as_bytes()) ^ RISK_EPS_SALT),
+            eps: model
+                .risk_eps(r.samples, seed ^ crate::fnv::bytes(query.id.as_bytes()) ^ RISK_EPS_SALT),
         });
         Self { model, risk, broker }
     }

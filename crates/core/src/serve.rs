@@ -8,13 +8,15 @@
 //! The [`ServeResult`] records which path served and every failure seen on
 //! the way, so chaos tests (and operators) can audit degradation decisions.
 //!
-//! [`Supervisor`] lifts the single-query path to a query *stream*: a
-//! bounded admission queue with deadline-aware load-shedding (every
-//! rejection carries a [`ShedReason`]), and a sliding-window
-//! [`CircuitBreaker`] that trips to classical-only planning when the neural
-//! failure rate crosses a threshold, then recovers through half-open
-//! probes. Queue dynamics run on a deterministic virtual clock, so breaker
-//! and shedding behavior is exactly reproducible in tests.
+//! The crate-private `Supervisor` lifts the single-query path to a query
+//! *stream* — it is the lane under every
+//! [`crate::tenant::MultiTenantSupervisor`] tenant and under the
+//! [`crate::online::OnlinePlanner`]: a bounded admission queue with
+//! deadline-aware load-shedding (every rejection carries a [`ShedReason`]),
+//! and a sliding-window [`CircuitBreaker`] that trips to classical-only
+//! planning when the neural failure rate crosses a threshold, then recovers
+//! through half-open probes. Queue dynamics run on a deterministic virtual
+//! clock, so breaker and shedding behavior is exactly reproducible in tests.
 //!
 //! Admitted requests are served by one worker loop: a worker owns a
 //! [`PlannerSession`] over the one shared model and serves the jobs it
@@ -312,11 +314,6 @@ pub struct SupervisorConfig {
     /// [`PlannerSession`], and model that many virtual servers on the
     /// admission clock.
     pub workers: usize,
-    /// Optional fingerprint plan cache this loop serves through: a lookup
-    /// hit returns the cached plan without running MCTS, and every neural
-    /// success is inserted, stamped with the epoch it planned under (see
-    /// [`crate::plancache`] for the invalidation protocol).
-    pub cache: Option<PlanCacheCtx>,
     /// Route candidate scoring through a shared [`EvalBroker`]: every
     /// worker becomes a broker member and congruent scoring requests from
     /// all of them fuse into wide forward passes. Plans are bitwise
@@ -338,7 +335,6 @@ impl Default for SupervisorConfig {
             queue_capacity: 32,
             service_ms: 10.0,
             workers: 1,
-            cache: None,
             broker: None,
         }
     }
@@ -528,7 +524,7 @@ pub enum Disposition {
     Failed(String),
 }
 
-/// One request's outcome in a [`Supervisor::run`] batch.
+/// One request's outcome in a served batch.
 #[derive(Debug, Clone)]
 pub struct SupervisedOutcome {
     /// `query.id` of the request.
@@ -536,12 +532,13 @@ pub struct SupervisedOutcome {
     pub disposition: Disposition,
 }
 
-/// Supervised serving loop over a stream of [`QueryRequest`]s.
+/// One serving lane: the supervised loop over a stream of
+/// [`QueryRequest`]s.
 ///
 /// State (breaker, counters, virtual clock) persists across [`Self::run`]
 /// calls, so a faulted batch can trip the breaker and a later clean batch
 /// can demonstrate half-open recovery.
-pub struct Supervisor {
+pub(crate) struct Supervisor {
     cfg: SupervisorConfig,
     breaker: CircuitBreaker,
     counters: ServeCounters,
@@ -552,7 +549,7 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    pub fn new(cfg: SupervisorConfig) -> Self {
+    pub(crate) fn new(cfg: SupervisorConfig) -> Self {
         let breaker = CircuitBreaker::new(&cfg);
         let servers = cfg.workers.max(1);
         Self {
@@ -565,13 +562,13 @@ impl Supervisor {
     }
 
     /// Current breaker state.
-    pub fn breaker_state(&self) -> BreakerState {
+    pub(crate) fn breaker_state(&self) -> BreakerState {
         self.breaker.state()
     }
 
     /// Accumulated per-outcome counters, stamped with the process's active
     /// kernel ISA tier.
-    pub fn counters(&self) -> ServeCounters {
+    pub(crate) fn counters(&self) -> ServeCounters {
         let mut c = self.counters;
         c.isa = qpseeker_nn::isa::active();
         c.breaker_trips = self.breaker.trips;
@@ -581,73 +578,55 @@ impl Supervisor {
     }
 
     /// The virtual instant at which all admitted work completes — the
-    /// stream's makespan so far on the admission clock. Throughput benches
-    /// divide served queries by this to get queries per virtual second.
-    pub fn virtual_now_ms(&self) -> f64 {
+    /// stream's makespan so far on the admission clock.
+    pub(crate) fn virtual_now_ms(&self) -> f64 {
         self.server_free.iter().copied().fold(0.0, f64::max)
     }
 
     /// Swap the injected fault configuration between batches (chaos tests:
     /// fault a stream to trip the breaker, clear to watch it recover).
-    pub fn set_faults(&mut self, faults: Option<FaultConfig>) {
+    pub(crate) fn set_faults(&mut self, faults: Option<FaultConfig>) {
         self.cfg.serve.faults = faults;
     }
 
-    /// Swap the plan-cache context between batches (the multi-tenant
-    /// supervisor refreshes the stats version here before each run).
-    pub fn set_cache(&mut self, cache: Option<PlanCacheCtx>) {
-        self.cfg.cache = cache;
-    }
-
-    /// Process a batch of requests ordered by arrival time: admission
-    /// control against the bounded queue, deadline-aware shedding, then
-    /// service through the circuit breaker. Every admitted query is served
-    /// — neurally when the breaker allows and the attempt succeeds,
-    /// classically otherwise — and every shed carries its reason.
+    /// The one serving entry: process a batch of requests ordered by
+    /// arrival time — admission control against the bounded queue,
+    /// deadline-aware shedding, then service through the plan cache and the
+    /// circuit breaker. Every admitted query is served — neurally when the
+    /// breaker allows and the attempt succeeds, classically otherwise — and
+    /// every shed carries its reason.
+    ///
+    /// * `model`: the publication cell to plan against, `None` when no
+    ///   model is resident (everything admitted serves classically). Each
+    ///   request loads the cell's current `(model, epoch)` pair at the
+    ///   moment it starts planning and finishes on that `Arc` even if a
+    ///   publish or rollback lands mid-request (zero-downtime hot-swap); a
+    ///   worker that observes an epoch change resets its
+    ///   [`PlannerSession`] so no cache entry computed against the old
+    ///   weights scores a plan for the new ones. A fixed model is a cell
+    ///   nobody publishes to.
+    /// * `cache`: the fingerprint plan cache scoped to this batch's
+    ///   `(tenant, stats_version)`: a lookup hit returns the cached plan
+    ///   without searching, and every neural success is inserted, stamped
+    ///   with the epoch it planned under (see [`crate::plancache`]).
+    /// * `seats`: externally provided broker seats, one per worker — the
+    ///   multi-tenant supervisor registers every lane's workers on one
+    ///   shared broker before any lane thread starts, owns that broker and
+    ///   drains its stats. Without seats the lane runs a pool-local broker
+    ///   when `cfg.broker` asks for one.
     ///
     /// Admission runs sequentially in arrival order regardless of the
     /// worker count (dispositions depend only on the virtual clock, never
     /// on planning results); admitted requests are then served by the one
     /// worker loop — on the calling thread when `workers <= 1`, on a pool
     /// of scoped threads each owning a [`PlannerSession`] otherwise.
-    pub fn run(
+    pub(crate) fn run(
         &mut self,
         db: &Database,
-        model: Option<&QPSeeker>,
-        requests: &[QueryRequest],
-    ) -> Vec<SupervisedOutcome> {
-        self.run_inner(db, Source::Fixed(model), requests, None)
-    }
-
-    /// [`Self::run`] reading the model through a [`ModelCell`] instead of a
-    /// fixed reference: each request loads the cell's current
-    /// `(model, epoch)` pair at the moment it starts planning and finishes
-    /// on that `Arc` even if a publish or rollback lands mid-request
-    /// (zero-downtime hot-swap). A worker that observes an epoch change
-    /// resets its [`PlannerSession`] so no cache entry computed against the
-    /// old weights scores a plan for the new ones.
-    pub fn run_with_cell(
-        &mut self,
-        db: &Database,
-        cell: &ModelCell,
-        requests: &[QueryRequest],
-    ) -> Vec<SupervisedOutcome> {
-        self.run_inner(db, Source::Cell(cell), requests, None)
-    }
-
-    /// The one serving entry under [`Self::run`] / [`Self::run_with_cell`]
-    /// and the multi-tenant lanes. `seats` are externally provided broker
-    /// seats, one per worker: the multi-tenant supervisor registers every
-    /// lane's workers on one shared broker before any lane thread starts,
-    /// then hands each lane its seats here. That caller owns the broker
-    /// (and drains its stats); this supervisor's own `cfg.broker` is
-    /// ignored when seats are passed.
-    pub(crate) fn run_inner(
-        &mut self,
-        db: &Database,
-        source: Source<'_>,
-        requests: &[QueryRequest],
+        model: Option<&ModelCell>,
+        cache: Option<&PlanCacheCtx>,
         seats: Option<Vec<BrokerMember>>,
+        requests: &[QueryRequest],
     ) -> Vec<SupervisedOutcome> {
         // Phase 1: admission, in arrival order.
         let mut dispositions: Vec<Option<Disposition>> = Vec::with_capacity(requests.len());
@@ -667,9 +646,7 @@ impl Supervisor {
         // merged after the join, so counter totals are exact regardless of
         // interleaving.
         let workers = self.cfg.workers.max(1);
-        let serve_cfg = self.cfg.serve.clone();
-        let cache_ctx = self.cfg.cache.clone();
-        let cache_ctx = cache_ctx.as_ref();
+        let serve_cfg = &self.cfg.serve;
         // Broker seats, one per worker: external, or pool-local (all
         // `workers` members registered here, before any worker thread
         // spawns, so round accounting never sees a half-formed pool).
@@ -693,7 +670,8 @@ impl Supervisor {
             let mut sess = PlannerSession::new();
             sess.broker = seat;
             let mut tally = ServeCounters::default();
-            let mut held: HeldModel = None;
+            // The `(model, epoch)` pair this worker is planning against.
+            let mut held: Option<(Arc<QPSeeker>, u64)> = None;
             let mut served = Vec::with_capacity(jobs.len().div_ceil(workers));
             let mut next = w;
             loop {
@@ -704,14 +682,29 @@ impl Supervisor {
                     cursor.fetch_add(1, Ordering::Relaxed)
                 };
                 let Some(&i) = jobs.get(k) else { break };
-                let (model, epoch) = source.resolve(&mut held, &mut sess);
+                // Pin the cell's current `Arc` for the request's duration.
+                // The epoch read with it is the one this request's plan-
+                // cache lookup and insert are stamped with, so the (model,
+                // epoch, cache-entry) triple is always consistent — a swap
+                // landing after this load cannot mix states.
+                if let Some(cell) = model {
+                    let (arc, epoch) = cell.load();
+                    if held.as_ref().is_none_or(|(_, e)| *e != epoch) {
+                        sess.reset();
+                        held = Some((arc, epoch));
+                    }
+                }
+                let (resolved, epoch) = match &held {
+                    Some((arc, epoch)) => (Some(arc.as_ref()), *epoch),
+                    None => (None, 0),
+                };
                 let d = serve_admitted(
                     db,
-                    model,
+                    resolved,
                     epoch,
                     &requests[i].query,
-                    &serve_cfg,
-                    cache_ctx,
+                    serve_cfg,
+                    cache,
                     &breaker,
                     &mut sess,
                     &mut tally,
@@ -812,51 +805,6 @@ impl Supervisor {
         self.in_flight.push_back(would_finish);
         self.counters.admitted += 1;
         None
-    }
-}
-
-/// The `(model, epoch)` pair a serving worker is currently planning against
-/// when reading through a [`ModelCell`].
-type HeldModel = Option<(Arc<QPSeeker>, u64)>;
-
-/// Where phase 2 gets its model from: a fixed borrow for the whole batch
-/// ([`Supervisor::run`]) or a per-request load from the publication cell
-/// ([`Supervisor::run_with_cell`]).
-#[derive(Clone, Copy)]
-pub(crate) enum Source<'a> {
-    Fixed(Option<&'a QPSeeker>),
-    Cell(&'a ModelCell),
-}
-
-impl<'a> Source<'a> {
-    /// Resolve the model and its publication epoch for one request. On the
-    /// cell path this pins the current `Arc` into `held` for the request's
-    /// duration and resets the worker's session when the publication epoch
-    /// moved since its last request. The returned epoch is the one plan-
-    /// cache lookups and inserts for this request are stamped with, so the
-    /// (model, epoch, cache-entry) triple is always consistent — a swap
-    /// landing after this call cannot mix states. Fixed sources have no
-    /// publication history and report epoch 0.
-    fn resolve<'h>(
-        &self,
-        held: &'h mut HeldModel,
-        sess: &mut PlannerSession,
-    ) -> (Option<&'h QPSeeker>, u64)
-    where
-        'a: 'h,
-    {
-        match *self {
-            Source::Fixed(m) => (m, 0),
-            Source::Cell(cell) => {
-                let (arc, epoch) = cell.load();
-                let stale = held.as_ref().is_none_or(|(_, e)| *e != epoch);
-                if stale {
-                    sess.reset();
-                    *held = Some((arc, epoch));
-                }
-                (held.as_ref().map(|(a, _)| a.as_ref()), epoch)
-            }
-        }
     }
 }
 
@@ -1168,7 +1116,7 @@ mod tests {
             req(3, 1.0, 5.0),   // cannot finish by 5 even unqueued -> DeadlineUnmeetable
             req(4, 12.0, 25.0), // feasible alone, but queue wait -> ExpiredInQueue
         ];
-        let outcomes = sup.run(&db, None, &stream);
+        let outcomes = sup.run(&db, None, None, None, &stream);
         assert!(matches!(&outcomes[0].disposition, Disposition::Served(_)));
         assert!(matches!(&outcomes[1].disposition, Disposition::Served(_)));
         assert!(matches!(
@@ -1212,7 +1160,7 @@ mod tests {
         };
         // Second arrival while the first is in service -> shed; third after
         // the first completes -> admitted again.
-        let outcomes = sup.run(&db, None, &[req(0.0), req(5.0), req(11.0)]);
+        let outcomes = sup.run(&db, None, None, None, &[req(0.0), req(5.0), req(11.0)]);
         assert!(matches!(&outcomes[0].disposition, Disposition::Served(_)));
         assert!(matches!(
             &outcomes[1].disposition,
@@ -1225,7 +1173,8 @@ mod tests {
     #[test]
     fn worker_pool_serves_every_admitted_request() {
         let (db, queries) = db_and_workload();
-        let model = fitted_model(&db);
+        // A fixed model is a cell nobody publishes to.
+        let cell = ModelCell::new(Arc::new(fitted_model(&db)));
         let cfg = SupervisorConfig {
             serve: quick_cfg(),
             workers: 4,
@@ -1237,7 +1186,7 @@ mod tests {
             .iter()
             .map(|q| QueryRequest { query: q.clone(), arrival_ms: 0.0, deadline_ms: 1e9 })
             .collect();
-        let outcomes = sup.run(&db, Some(&model), &stream);
+        let outcomes = sup.run(&db, Some(&cell), None, None, &stream);
         assert_eq!(outcomes.len(), stream.len());
         for o in &outcomes {
             assert!(matches!(&o.disposition, Disposition::Served(_)), "{:?}", o.disposition);
@@ -1267,7 +1216,7 @@ mod tests {
             arrival_ms: arrival,
             deadline_ms: 15.0 + arrival,
         };
-        let outcomes = sup.run(&db, None, &[req(0.0), req(0.0)]);
+        let outcomes = sup.run(&db, None, None, None, &[req(0.0), req(0.0)]);
         assert!(matches!(&outcomes[0].disposition, Disposition::Served(_)));
         assert!(
             matches!(&outcomes[1].disposition, Disposition::Served(_)),

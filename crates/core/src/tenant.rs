@@ -3,9 +3,9 @@
 //! One process serves many tenants (databases), each with its own model in
 //! the [`crate::registry::ModelRegistry`]. The [`MultiTenantSupervisor`]
 //! gives every tenant a **lane**: a private bounded admission queue,
-//! deadline shedding, retry/backoff budget, circuit breaker and counters —
-//! one [`Supervisor`] per tenant, so every stream-level mechanism from the
-//! single-tenant path applies per tenant unchanged.
+//! deadline shedding, retry/backoff budget, circuit breaker and counters.
+//! A single-tenant stream is this supervisor with one lane; a fixed model is
+//! a registry entry nobody publishes to.
 //!
 //! # Weighted-fair admission, deterministically
 //!
@@ -47,8 +47,7 @@ use crate::plancache::{PlanCache, PlanCacheCtx};
 use crate::registry::{ModelRegistry, TenantHandle};
 use crate::search::strategy::StrategyConfig;
 use crate::serve::{
-    BreakerState, Disposition, QueryRequest, Source, SupervisedOutcome, Supervisor,
-    SupervisorConfig,
+    BreakerState, Disposition, QueryRequest, SupervisedOutcome, Supervisor, SupervisorConfig,
 };
 use qpseeker_storage::{Database, FaultConfig};
 use std::collections::BTreeMap;
@@ -69,7 +68,8 @@ pub struct TenantSpec {
     pub queue_capacity: Option<usize>,
     /// Override of the base per-query retry budget.
     pub max_retries: Option<usize>,
-    /// Faults injected into this lane only (chaos: aim at one tenant).
+    /// Override of the base fault injection: faults aimed at this lane only
+    /// (chaos: aim at one tenant).
     pub faults: Option<FaultConfig>,
     /// Override of the base search strategy: kind, risk λ, sample count,
     /// beam width. A latency-SLO tenant can run risk-averse (λ > 0) while
@@ -133,7 +133,9 @@ pub struct TenantOutcome {
 }
 
 struct Lane {
-    spec: TenantSpec,
+    /// The tenant's database, for classical planning while its model is
+    /// not resident.
+    db: Arc<Database>,
     sup: Supervisor,
 }
 
@@ -146,21 +148,20 @@ fn lane_config(base: &SupervisorConfig, spec: &TenantSpec) -> SupervisorConfig {
     if let Some(r) = spec.max_retries {
         cfg.serve.max_retries = r;
     }
-    cfg.serve.faults = spec.faults.clone();
+    if let Some(f) = &spec.faults {
+        cfg.serve.faults = Some(f.clone());
+    }
     if let Some(s) = &spec.strategy {
         cfg.serve.strategy = s.clone();
     }
-    // The cache context is installed per run (it carries the tenant's
-    // current stats version).
-    cfg.cache = None;
     cfg
 }
 
 /// Per-tenant lanes over a shared model registry (see module docs).
 ///
 /// Lane state — breaker, counters, virtual clock — persists across
-/// [`MultiTenantSupervisor::run`] calls, exactly like the single-tenant
-/// supervisor's.
+/// [`MultiTenantSupervisor::run`] calls, so a faulted batch can trip a
+/// lane's breaker and a later clean batch can show its half-open recovery.
 pub struct MultiTenantSupervisor {
     cfg: MultiTenantConfig,
     lanes: BTreeMap<String, Lane>,
@@ -176,7 +177,7 @@ impl MultiTenantSupervisor {
             .into_iter()
             .map(|spec| {
                 let sup = Supervisor::new(lane_config(&cfg.base, &spec));
-                (spec.id.clone(), Lane { spec, sup })
+                (spec.id, Lane { db: spec.db, sup })
             })
             .collect();
         Self { cfg, lanes, broker_stats: BrokerStats::default() }
@@ -187,12 +188,12 @@ impl MultiTenantSupervisor {
         self.lanes.keys().cloned().collect()
     }
 
-    /// Swap one lane's fault injection between batches (chaos tests).
+    /// Swap one lane's fault injection between batches (chaos tests);
+    /// `None` clears it, whether it came from the base or the lane's spec.
     /// Returns false when the tenant has no lane.
     pub fn set_tenant_faults(&mut self, tenant: &str, faults: Option<FaultConfig>) -> bool {
         match self.lanes.get_mut(tenant) {
             Some(lane) => {
-                lane.spec.faults = faults.clone();
                 lane.sup.set_faults(faults);
                 true
             }
@@ -274,10 +275,10 @@ impl MultiTenantSupervisor {
 
         // Lane preparation, in lane (BTreeMap) order — the deterministic
         // member-id assignment the broker's flush tiebreaks key on: gather
-        // the lane's requests, resolve its registry handle, install its
-        // cache context, and register its workers' seats. Lanes with no
-        // requests this batch register nothing, so they never hold up a
-        // round.
+        // the lane's requests, resolve its registry handle, scope the plan
+        // cache to its current stats version, and register its workers'
+        // seats. Lanes with no requests this batch register nothing, so
+        // they never hold up a round.
         let broker = self.cfg.base.broker.map(EvalBroker::new);
         let workers_per_lane = self.cfg.base.workers.max(1);
         let cache = &self.cfg.cache;
@@ -285,15 +286,13 @@ impl MultiTenantSupervisor {
             let idxs = groups.get(tenant.as_str())?;
             let reqs: Vec<QueryRequest> = idxs.iter().map(|&i| stream[i].req.clone()).collect();
             let handle = registry.get(tenant);
-            lane.sup.set_cache(cache.as_ref().zip(handle.as_ref()).map(|(cache, h)| {
-                PlanCacheCtx {
-                    cache: Arc::clone(cache),
-                    tenant: tenant.clone(),
-                    stats_version: h.stats_version,
-                }
-            }));
+            let cache = cache.as_ref().zip(handle.as_ref()).map(|(cache, h)| PlanCacheCtx {
+                cache: Arc::clone(cache),
+                tenant: tenant.clone(),
+                stats_version: h.stats_version,
+            });
             let seats = broker.as_ref().map(|b| b.register_members(workers_per_lane));
-            Some((tenant, lane, reqs, handle, idxs, seats))
+            Some(LaneWork { tenant, lane, reqs, handle, cache, idxs, seats })
         });
         let scatter = |(tenant, idxs, outcomes): LaneOutcomes<'_>| {
             for (&i, outcome) in idxs.iter().zip(outcomes) {
@@ -324,27 +323,29 @@ impl MultiTenantSupervisor {
 }
 
 /// One lane's share of a batch, prepared: its requests, registry handle,
-/// positions in the input stream, and broker seats when brokered.
-type LaneWork<'a> = (
-    &'a String,
-    &'a mut Lane,
-    Vec<QueryRequest>,
-    Option<TenantHandle>,
-    &'a Vec<usize>,
-    Option<Vec<BrokerMember>>,
-);
+/// plan-cache scope, positions in the input stream, and broker seats when
+/// brokered.
+struct LaneWork<'a> {
+    tenant: &'a String,
+    lane: &'a mut Lane,
+    reqs: Vec<QueryRequest>,
+    handle: Option<TenantHandle>,
+    cache: Option<PlanCacheCtx>,
+    idxs: &'a Vec<usize>,
+    seats: Option<Vec<BrokerMember>>,
+}
 
 /// One lane's outcomes, with the stream positions they scatter back to.
 type LaneOutcomes<'a> = (&'a String, &'a Vec<usize>, Vec<SupervisedOutcome>);
 
 /// Serve one prepared lane against the model currently resident for its
 /// tenant (classical-on-own-database when evicted).
-fn serve_lane<'a>((tenant, lane, reqs, handle, idxs, seats): LaneWork<'a>) -> LaneOutcomes<'a> {
-    let (db, source) = match &handle {
-        Some(h) => (&*h.db, Source::Cell(&h.cell)),
-        None => (&*lane.spec.db, Source::Fixed(None)),
+fn serve_lane<'a>(w: LaneWork<'a>) -> LaneOutcomes<'a> {
+    let (db, cell) = match &w.handle {
+        Some(h) => (&*h.db, Some(&*h.cell)),
+        None => (&*w.lane.db, None),
     };
-    (tenant, idxs, lane.sup.run_inner(db, source, &reqs, seats))
+    (w.tenant, w.idxs, w.lane.sup.run(db, cell, w.cache.as_ref(), w.seats, &w.reqs))
 }
 
 #[cfg(test)]
@@ -406,6 +407,40 @@ mod tests {
         let merged = sup.merged_counters();
         assert!(merged.conservation_holds());
         assert_eq!(merged.total_seen(), 4);
+    }
+
+    /// `MultiTenantConfig::base` is the template for every lane, faults
+    /// included: a lane whose spec names none inherits them, and
+    /// `set_tenant_faults(t, None)` still clears them.
+    #[test]
+    fn base_faults_reach_a_lane_without_its_own_until_cleared() {
+        use crate::serve::{FallbackReason, ServedBy};
+        let (db, queries) = db_and_queries();
+        let w = synthetic::generate(&db, &SyntheticConfig { n_queries: 12, seed: 3 });
+        let mut model = crate::model::QPSeeker::new(&db, crate::config::ModelConfig::small());
+        model.fit(&w.qeps.iter().collect::<Vec<_>>()).expect("training succeeds");
+        let registry = ModelRegistry::new(usize::MAX);
+        registry.register("a", Arc::clone(&db), Arc::new(model));
+
+        let mut base = SupervisorConfig::default();
+        base.serve.mcts.max_simulations = 8;
+        base.serve.faults = Some(FaultConfig { inference_nan_p: 1.0, ..FaultConfig::default() });
+        let mut sup = MultiTenantSupervisor::new(
+            MultiTenantConfig { base, cache: None },
+            vec![TenantSpec::new("a", Arc::clone(&db))],
+        );
+        let served = |out: Vec<TenantOutcome>| match out.into_iter().next().map(|o| o.outcome) {
+            Some(SupervisedOutcome { disposition: Disposition::Served(r), .. }) => r,
+            other => panic!("expected one served request, got {other:?}"),
+        };
+
+        let r = served(sup.run(&registry, &[req("a", &queries[0], 0.0, 1e9)]));
+        assert_eq!(r.served_by, ServedBy::Classical, "p = 1 NaN faults from the base must fire");
+        assert_eq!(r.fallback_reason, Some(FallbackReason::NonFinitePrediction));
+
+        assert!(sup.set_tenant_faults("a", None));
+        let r = served(sup.run(&registry, &[req("a", &queries[1], 100.0, 1e9)]));
+        assert_eq!(r.served_by, ServedBy::Neural, "cleared faults must stay cleared");
     }
 
     #[test]

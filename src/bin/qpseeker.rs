@@ -8,8 +8,9 @@
 //! qpseeker explain   --db db.json --sql "SELECT COUNT(*) FROM ..."
 //! qpseeker run       --db db.json --sql "SELECT COUNT(*) FROM ..."
 //! qpseeker plan      --db db.json --model model.json --sql "..." [--execute]
-//! qpseeker serve     --db db.json --sql "..." | --stream 50 [--model model.json]
-//!                    [--online --state-dir state/ --retrain-every 16]
+//! qpseeker serve     --db db.json --sql "..." [--model model.json]
+//! qpseeker serve     --db db.json --stream 50 [--tenants 2] [--model model.json]
+//!                    [--cache 64] [--broker] [--online --state-dir state/]
 //! qpseeker experience show --state-dir state/ [--tail 10]
 //! ```
 //!
@@ -32,35 +33,37 @@ use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
+    let usage_error = |e: &str| {
+        eprintln!("error: {e}\n\n{USAGE}");
+        ExitCode::FAILURE
     };
-    // `experience` takes a positional action ("show") before its options,
-    // so it parses its own argument tail.
-    let result = if cmd == "experience" {
-        experience_cmd(rest)
-    } else {
-        let opts = match parse_opts(rest) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match cmd.as_str() {
-            "gen-db" => gen_db(&opts),
-            "train" => train(&opts),
-            "explain" => explain(&opts),
-            "run" => run(&opts),
-            "plan" => plan(&opts),
-            "serve" => serve(&opts),
-            "help" | "--help" | "-h" => {
-                println!("{USAGE}");
-                Ok(())
-            }
-            other => Err(format!("unknown command '{other}'")),
+    let Some((cmd, mut rest)) = args.split_first() else {
+        return usage_error("no command given");
+    };
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    // `experience` takes a positional action ("show") before its options.
+    if cmd == "experience" {
+        match rest.split_first() {
+            Some((action, tail)) if action == "show" => rest = tail,
+            _ => return usage_error("usage: experience show --state-dir <dir> [--tail <n>]"),
         }
+    }
+    let opts = match parse_opts(rest).and_then(|o| check_flags(cmd, &o).map(|()| o)) {
+        Ok(o) => o,
+        Err(e) => return usage_error(&e),
+    };
+    let result = match cmd.as_str() {
+        "gen-db" => gen_db(&opts),
+        "train" => train(&opts),
+        "explain" => explain(&opts),
+        "run" => run(&opts),
+        "plan" => plan(&opts),
+        "serve" => serve(&opts),
+        "experience" => experience_show(&opts),
+        other => unreachable!("check_flags accepted unknown command '{other}'"),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -87,57 +90,49 @@ commands:
   plan     --db <db.json> --model <model.json> --sql \"...\" [--execute]
            (neural planning with MCTS)
   serve    --db <db.json> --sql \"...\" [--model <model.json>]
-           [--deadline-ms <f64>] [--retries <n>] [--chaos <p> --seed <u64>]
-           (neural planning with deadline watchdog, retries and classical
-            fallback; --chaos arms deterministic fault injection)
-           --stream <n> replaces --sql: a supervised serving loop over n
-           synthetic queries with a bounded admission queue, deadline-aware
-           load-shedding and a neural/classical circuit breaker
-           [--queue <n>] [--service-ms <f64>] [--interval-ms <f64>]
-           [--workers <n>] (serve the stream on n planner threads, each
-            with its own session over the shared model; default 1)
-           [--batch-eval <n>] (MCTS rollouts queued per scoring pass; 1
-            backs up every rollout immediately; plan-affecting; default 16)
-           [--broker] (fuse candidate scoring across all workers through a
-            shared eval broker: congruent requests pack into wide forward
-            passes; plans are bitwise identical to broker-off serving)
-           [--batch-target <rows>] (broker: rows at which a fused batch
-            flushes immediately; default 64)
-           [--batch-window-us <us>] (broker: micro-batch deadline on the
-            broker's round clock before a sub-target batch flushes anyway;
-            default 200)
-           [--strategy mcts|beam] (search strategy: left-deep MCTS —
-            the default, bitwise identical to earlier releases — or
+           (one query: neural planning with deadline watchdog, retries and
+            classical fallback; no model serves classically)
+           per-query options, here and on a stream:
+           [--deadline-ms <f64>] [--retries <n>]
+           [--chaos <p> --seed <u64>] (deterministic fault injection)
+           [--strategy mcts|beam] (left-deep MCTS, the default, or
             deterministic beam search over bushy plan shapes)
            [--beam-width <n>] (states kept per beam level; default 8)
-           [--risk-lambda <f64>] (risk-aware scoring: rank candidates by
-            mean + lambda*sigma over seeded latent cost samples; 0 — the
-            default — keeps exact mean-only scoring)
+           [--risk-lambda <f64>] (rank candidates by mean + lambda*sigma
+            over seeded latent cost samples; 0, the default, is mean-only)
            [--risk-samples <n>] (latent samples per evaluation; default 8)
-           --online closes the serving loop: executions are appended to a
-           durable experience WAL under --state-dir, a background fine-tune
-           runs every --retrain-every records, candidates pass a held-out
-           promotion gate before a zero-downtime hot-swap, and a regression
-           monitor rolls a bad swap back automatically (requires --model)
-           [--state-dir <dir>] [--batch <n>] [--retrain-every <n>]
-           [--holdout <n>] [--gate-tol <f64>]
-           --tenants <n> replaces --sql/--stream semantics: a mixed stream
-           over n tenant lanes, each with its own bounded queue, circuit
-           breaker and fair-share weight; models live in a memory-budgeted
-           registry (LRU eviction + reload-on-miss)
-           [--stream <n>] (total requests; default 100)
+           [--batch-eval <n>] (MCTS rollouts queued per scoring pass; 1
+            backs up every rollout immediately; plan-affecting; default 16)
+  serve    --db <db.json> --stream <n> [--tenants <k>] [--model <model.json>]
+           (a stream of n generated requests — default 100 — over k tenant
+            lanes — default 1 — each with its own bounded admission queue,
+            deadline-aware load-shedding, neural/classical circuit breaker
+            and fair-share weight; models live in a registry)
+           [--queue <n>] [--service-ms <f64>] [--interval-ms <f64>]
+           [--workers <n>] (planner threads per lane, each with its own
+            session over the shared model; default 1)
+           [--cache <per-shard-capacity>] (fingerprint plan cache; hits
+            are bitwise identical to cache-miss search)
+           [--broker [--batch-target <rows>] [--batch-window-us <us>]]
+            (one eval broker shared by every worker of every lane: congruent
+             scoring requests fuse into wide forward passes that flush at
+             batch-target rows — default 64 — or after batch-window-us on
+             the broker's round clock — default 200; plans are unchanged)
            [--weights w0,w1,...] (per-tenant service-rate weights)
            [--risk-lambdas l0,l1,...] (per-tenant risk weights; lane i
-            plans with --strategy's settings at lambda = li, and cache
-            entries stay isolated per strategy stamp)
-           [--cache <per-shard-capacity>] (fingerprint plan cache; hits
-            are bitwise identical to cache-miss MCTS)
+            plans with --strategy's settings at lambda = li)
            [--mem-budget <bytes>] (registry memory budget; LRU eviction)
-           [--chaos <p> --chaos-tenant <id>] (aim faults at one lane only
-            — the other lanes' plans and breakers are unaffected)
-           [--broker [--batch-target <rows>] [--batch-window-us <us>]]
-            (one eval broker shared by every lane: candidate scoring fuses
-             across tenants; per-lane plans and counters are unchanged)
+           [--chaos-tenant <id>] (the lane --chaos is aimed at; default t0;
+            the other lanes' plans and breakers are unaffected)
+           [--online [--state-dir <dir>] [--batch <n>] [--retrain-every <n>]
+            [--holdout <n>] [--gate-tol <f64>]]
+            (one lane, closed loop; requires --model: executions go to a
+             durable experience WAL under --state-dir, a fine-tune runs
+             every --retrain-every records, candidates pass a held-out
+             promotion gate before a zero-downtime hot-swap, and a
+             regression monitor rolls a bad swap back; replaces the
+             registry, so not with --weights/--risk-lambdas/--mem-budget/
+             --chaos-tenant)
   experience show --state-dir <dir> [--tail <n>]
            (dump the experience WAL an online server accumulated:
             disposition, predicted vs observed runtime per record)";
@@ -160,6 +155,49 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         }
     }
     Ok(out)
+}
+
+/// `serve` runs a request stream rather than one `--sql` query.
+fn is_stream(opts: &Opts) -> bool {
+    opts.contains_key("stream") || opts.contains_key("tenants")
+}
+
+/// The flags `serve` reads, space-separated: the per-query ones every mode
+/// shares, then what a stream, its lanes and the online loop add.
+const SERVE_QUERY: &str = "db model seed deadline-ms retries chaos \
+    strategy beam-width risk-lambda risk-samples batch-eval";
+const SERVE_STREAM: &str = "stream tenants queue service-ms interval-ms workers cache online \
+    broker batch-target batch-window-us";
+const SERVE_LANES: &str = "weights risk-lambdas mem-budget chaos-tenant";
+const SERVE_ONLINE: &str = "state-dir batch retrain-every holdout gate-tol";
+
+/// Reject an unknown command, any flag the chosen command (for `serve`: the
+/// chosen mode) does not read, and flag combinations with no meaning — a
+/// typo must not be silently ignored.
+fn check_flags(cmd: &str, opts: &Opts) -> Result<(), String> {
+    let online = opts.contains_key("online");
+    let (mode, allowed) = match cmd {
+        "gen-db" => (cmd, "schema scale seed out".to_string()),
+        "train" => {
+            (cmd, "db workload queries config epochs out resume snapshot-dir keep".to_string())
+        }
+        "explain" | "run" => (cmd, "db sql".to_string()),
+        "plan" => (cmd, "db model sql execute".to_string()),
+        "serve" if !is_stream(opts) => ("serve --sql", format!("{SERVE_QUERY} sql")),
+        "serve" if online => {
+            ("serve --online", format!("{SERVE_QUERY} {SERVE_STREAM} {SERVE_ONLINE}"))
+        }
+        "serve" => ("serve --stream", format!("{SERVE_QUERY} {SERVE_STREAM} {SERVE_LANES}")),
+        "experience" => ("experience show", "state-dir tail".to_string()),
+        other => return Err(format!("unknown command '{other}'")),
+    };
+    if let Some(key) = opts.keys().filter(|k| !allowed.split_whitespace().any(|a| a == *k)).min() {
+        return Err(format!("`{mode}` does not read --{key}"));
+    }
+    if online && opt::<usize>(opts, "tenants")?.is_some_and(|k| k > 1) {
+        return Err("--online closes the loop over one lane: not with --tenants > 1".into());
+    }
+    Ok(())
 }
 
 fn req<'a>(opts: &'a Opts, key: &str) -> Result<&'a str, String> {
@@ -411,59 +449,15 @@ fn serve_config(opts: &Opts, seed: u64) -> Result<ServeConfig, String> {
     Ok(cfg)
 }
 
-/// What `--stream`, `--tenants` and `--online` all start from: the
-/// [`SupervisorConfig`] built from the shared flags, the stream's seed and
-/// inter-arrival time, and the model (if any).
-struct StreamOpts {
-    cfg: SupervisorConfig,
-    seed: u64,
-    interval_ms: f64,
-    model: Option<QPSeeker>,
-}
-
-impl StreamOpts {
-    fn parse(opts: &Opts, db: &Arc<Database>) -> Result<Self, String> {
-        let seed = opt(opts, "seed")?.unwrap_or(42);
-        let mut cfg = SupervisorConfig { serve: serve_config(opts, seed)?, ..Default::default() };
-        apply_broker_opts(opts, &mut cfg.broker)?;
-        if let Some(q) = opt(opts, "queue")? {
-            cfg.queue_capacity = q;
-        }
-        if let Some(s) = opt(opts, "service-ms")? {
-            cfg.service_ms = s;
-        }
-        if let Some(w) = opt(opts, "workers")? {
-            cfg.workers = w;
-        }
-        Ok(Self {
-            cfg,
-            seed,
-            interval_ms: opt(opts, "interval-ms")?.unwrap_or(5.0),
-            model: opts.get("model").map(|path| load_model(path, db)).transpose()?,
-        })
-    }
-
-    /// Every request must finish within the per-query serving deadline
-    /// after the moment it reaches the server, so budget queue wait +
-    /// service on top of its arrival instant.
-    fn request(&self, query: Query, arrival_ms: f64) -> QueryRequest {
-        let slack_ms = self.cfg.serve.deadline_ms.max(self.cfg.service_ms * 4.0);
-        QueryRequest { query, arrival_ms, deadline_ms: arrival_ms + slack_ms }
-    }
-}
-
 /// Serve a query through the graceful-degradation path: neural planning
 /// guarded by a deadline watchdog with bounded retries, falling back to the
 /// classical optimizer. `--chaos <p>` arms every fault class at rate `p`.
-/// With `--stream <n>` the queries run through the supervised serving loop
-/// (bounded queue, load-shedding, circuit breaker) instead.
+/// With `--stream`/`--tenants` a request stream runs through the supervised
+/// serving lanes instead (see [`serve_stream`]).
 fn serve(opts: &Opts) -> Result<(), String> {
     let db = load_db(opts)?;
-    if opts.contains_key("tenants") {
-        return serve_tenants(&db, opts, StreamOpts::parse(opts, &db)?);
-    }
-    if opts.contains_key("stream") {
-        return serve_stream(&db, opts, StreamOpts::parse(opts, &db)?);
+    if is_stream(opts) {
+        return serve_stream(&db, opts);
     }
     let q = parse_sql(&db, req(opts, "sql")?)?;
     let cfg = serve_config(opts, opt(opts, "seed")?.unwrap_or(42))?;
@@ -488,223 +482,191 @@ fn serve(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Supervised serving loop: `n` synthetic queries stream through the
-/// [`Supervisor`] — bounded admission queue, deadline-aware shedding and a
-/// circuit breaker guarding the neural path.
-fn serve_stream(db: &Arc<Database>, opts: &Opts, so: StreamOpts) -> Result<(), String> {
-    let n: usize = opt(opts, "stream")?.ok_or("missing --stream")?;
-    let workload = synthetic::generate(db, &SyntheticConfig { n_queries: n, seed: so.seed });
-    let requests: Vec<QueryRequest> = workload
-        .qeps
-        .iter()
-        .enumerate()
-        .map(|(i, qep)| so.request(qep.query.clone(), i as f64 * so.interval_ms))
-        .collect();
-    let StreamOpts { cfg, interval_ms, model, .. } = so;
-
-    if opts.contains_key("online") {
-        return serve_online(db, opts, cfg, model, &requests);
+/// `--key a,b,...` parsed as one `f64` per tenant lane.
+fn per_tenant(opts: &Opts, key: &str, n_tenants: usize) -> Result<Option<Vec<f64>>, String> {
+    let Some(list) = opts.get(key) else { return Ok(None) };
+    let vals: Result<Vec<f64>, _> = list.split(',').map(str::parse).collect();
+    let vals = vals.map_err(|e| format!("--{key}: {e}"))?;
+    if vals.len() != n_tenants {
+        return Err(format!("--{key} lists {} values for {n_tenants} tenants", vals.len()));
     }
-
-    eprintln!(
-        "streaming {n} queries (interval {interval_ms} ms, queue {}, service {} ms, {} worker(s))...",
-        cfg.queue_capacity,
-        cfg.service_ms,
-        cfg.workers.max(1)
-    );
-    let mut sup = Supervisor::new(cfg);
-    let outcomes = sup.run(db, model.as_ref(), &requests);
-    for out in &outcomes {
-        print_outcome(out);
-    }
-    println!("{}", sup.counters());
-    println!("breaker: {:?}", sup.breaker_state());
-    Ok(())
+    Ok(Some(vals))
 }
 
-/// Multi-tenant serving: `--tenants <n>` lanes over one database, each with
-/// its own bounded queue, breaker and weight; models live in a memory-
-/// budgeted registry and plans can be cached per tenant fingerprint.
-fn serve_tenants(db: &Arc<Database>, opts: &Opts, mut so: StreamOpts) -> Result<(), String> {
-    let n_tenants: usize = opt(opts, "tenants")?.ok_or("missing --tenants")?;
+/// The one stream path: `--stream <n>` requests over `--tenants <k>` lanes
+/// (one by default) of a [`MultiTenantSupervisor`], each lane with its own
+/// bounded queue, deadline shedding, circuit breaker and fair-share weight,
+/// models in a memory-budgeted registry. Every optional part — plan cache,
+/// eval broker, chaos, strategy — attaches here, so it means the same thing
+/// at any lane count. `--online` swaps the registry for the closed
+/// [`OnlinePlanner`] loop over the same requests and configuration.
+fn serve_stream(db: &Arc<Database>, opts: &Opts) -> Result<(), String> {
+    let seed = opt(opts, "seed")?.unwrap_or(42);
+    let mut cfg = SupervisorConfig { serve: serve_config(opts, seed)?, ..Default::default() };
+    apply_broker_opts(opts, &mut cfg.broker)?;
+    if let Some(q) = opt(opts, "queue")? {
+        cfg.queue_capacity = q;
+    }
+    if let Some(s) = opt(opts, "service-ms")? {
+        cfg.service_ms = s;
+    }
+    if let Some(w) = opt(opts, "workers")? {
+        cfg.workers = w;
+    }
+    let n: usize = opt(opts, "stream")?.unwrap_or(100);
+    let n_tenants: usize = opt(opts, "tenants")?.unwrap_or(1);
     if n_tenants == 0 {
         return Err("--tenants must be at least 1".into());
     }
-    let n: usize = opt(opts, "stream")?.unwrap_or(100);
-
-    let weights: Vec<f64> = match opts.get("weights") {
-        Some(list) => {
-            let ws: Result<Vec<f64>, _> = list.split(',').map(str::parse).collect();
-            let ws = ws.map_err(|e| format!("--weights: {e}"))?;
-            if ws.len() != n_tenants {
-                return Err(format!("--weights lists {} values for {n_tenants} tenants", ws.len()));
-            }
-            ws
-        }
-        None => vec![1.0; n_tenants],
-    };
-
-    // Per-tenant risk weights: lane i runs the shared strategy with its
-    // own λ, so one latency-SLO tenant can plan risk-averse while its
-    // neighbors stay mean-only.
-    let risk_lambdas: Option<Vec<f64>> = match opts.get("risk-lambdas") {
-        Some(list) => {
-            let ls: Result<Vec<f64>, _> = list.split(',').map(str::parse).collect();
-            let ls = ls.map_err(|e| format!("--risk-lambdas: {e}"))?;
-            if ls.len() != n_tenants {
-                return Err(format!(
-                    "--risk-lambdas lists {} values for {n_tenants} tenants",
-                    ls.len()
-                ));
-            }
-            if ls.iter().any(|l| *l < 0.0) {
-                return Err("--risk-lambdas must all be >= 0".into());
-            }
-            Some(ls)
-        }
-        None => None,
-    };
-
-    // Chaos aimed at a single lane demonstrates the bulkhead: only the
-    // targeted tenant's breaker reacts.
-    let chaos = so.cfg.serve.faults.take().map(|faults| {
-        (opts.get("chaos-tenant").cloned().unwrap_or_else(|| "t0".to_string()), faults)
-    });
-
-    let cache = opt::<usize>(opts, "cache")?.map(|cap| Arc::new(PlanCache::new(8, cap.max(1))));
-    let mem_budget: usize = opt(opts, "mem-budget")?.unwrap_or(usize::MAX);
-    let model = so.model.take().map(Arc::new);
-
-    let mut registry = ModelRegistry::new(mem_budget);
-    if let Some(cache) = &cache {
-        registry = registry.attach_plan_cache(Arc::clone(cache));
-    }
     let ids: Vec<String> = (0..n_tenants).map(|i| format!("t{i}")).collect();
-    if let Some(model) = &model {
-        for id in &ids {
-            registry.register(id, Arc::clone(db), Arc::clone(model));
-        }
-    }
+    let model = opts.get("model").map(|path| load_model(path, db)).transpose()?.map(Arc::new);
+    let cache = opt::<usize>(opts, "cache")?.map(|cap| Arc::new(PlanCache::new(8, cap.max(1))));
 
-    let specs: Vec<TenantSpec> = ids
-        .iter()
-        .zip(&weights)
-        .enumerate()
-        .map(|(i, (id, &w))| {
-            let mut spec = TenantSpec::new(id.clone(), Arc::clone(db)).with_weight(w);
-            if let Some((target, faults)) = &chaos {
-                if target == id {
-                    spec = spec.with_faults(faults.clone());
-                }
-            }
-            if let Some(ls) = &risk_lambdas {
-                let mut strat = so.cfg.serve.strategy.clone();
-                strat.risk_lambda = ls[i];
-                spec = spec.with_strategy(strat);
-            }
-            spec
-        })
-        .collect();
-
+    // Every request must finish within the per-query serving deadline after
+    // the moment it reaches the server, so budget queue wait + service on
+    // top of its arrival instant.
+    let slack_ms = cfg.serve.deadline_ms.max(cfg.service_ms * 4.0);
     let tenant_dbs: Vec<(&str, &Database)> = ids.iter().map(|id| (id.as_str(), &**db)).collect();
-    let items = tenants::generate_stream(
+    let stream: Vec<TenantRequest> = tenants::generate_stream(
         &tenant_dbs,
         &TenantStreamConfig {
             n_requests: n,
-            seed: so.seed,
-            mean_interarrival_ms: so.interval_ms,
+            seed,
+            mean_interarrival_ms: opt(opts, "interval-ms")?.unwrap_or(5.0),
             ..TenantStreamConfig::default()
         },
-    );
-    let stream: Vec<TenantRequest> = items
-        .into_iter()
-        .map(|i| TenantRequest { tenant: i.tenant, req: so.request(i.query, i.arrival_ms) })
-        .collect();
-
+    )
+    .into_iter()
+    .map(|i| TenantRequest {
+        tenant: i.tenant,
+        req: QueryRequest {
+            query: i.query,
+            arrival_ms: i.arrival_ms,
+            deadline_ms: i.arrival_ms + slack_ms,
+        },
+    })
+    .collect();
     eprintln!(
-        "streaming {n} queries across {n_tenants} tenant lane(s) (cache: {}, mem budget: {})...",
+        "streaming {n} queries across {n_tenants} lane(s) (queue {}, service {} ms, {} worker(s) per lane, cache {}, broker {})...",
+        cfg.queue_capacity,
+        cfg.service_ms,
+        cfg.workers.max(1),
         if cache.is_some() { "on" } else { "off" },
-        if mem_budget == usize::MAX { "unbounded".to_string() } else { format!("{mem_budget} B") },
+        if cfg.broker.is_some() { "on" } else { "off" },
     );
-    let mut sup =
-        MultiTenantSupervisor::new(MultiTenantConfig { base: so.cfg, cache: cache.clone() }, specs);
-    let outcomes = sup.run(&registry, &stream);
-    for out in &outcomes {
-        match &out.outcome.disposition {
-            Disposition::Served(r) => {
-                let path = if r.cache_hit {
-                    "neural (cached)"
-                } else {
-                    match r.served_by {
-                        ServedBy::Neural => "neural",
-                        ServedBy::Classical => "classical",
-                    }
-                };
-                println!("[{}] query {}: {path}", out.tenant, out.outcome.query_id);
-            }
-            Disposition::Shed(reason) => {
-                println!("[{}] query {}: shed — {reason}", out.tenant, out.outcome.query_id)
-            }
-            Disposition::Failed(why) => {
-                println!("[{}] query {}: failed — {why}", out.tenant, out.outcome.query_id)
-            }
+
+    if opts.contains_key("online") {
+        let requests: Vec<QueryRequest> = stream.into_iter().map(|t| t.req).collect();
+        serve_online(db, opts, cfg, cache.clone(), model, &requests)?;
+    } else {
+        let weights = per_tenant(opts, "weights", n_tenants)?;
+        // Per-tenant risk weights: lane i runs the shared strategy with its
+        // own λ, so one latency-SLO tenant can plan risk-averse while its
+        // neighbors stay mean-only.
+        let risk_lambdas = per_tenant(opts, "risk-lambdas", n_tenants)?;
+        if risk_lambdas.iter().flatten().any(|l| *l < 0.0) {
+            return Err("--risk-lambdas must all be >= 0".into());
+        }
+        // Chaos is aimed at a single lane, which demonstrates the bulkhead:
+        // only the targeted tenant's breaker reacts.
+        let chaos = cfg.serve.faults.take();
+        let chaos_tenant = opts.get("chaos-tenant").map(String::as_str).unwrap_or("t0");
+        if !ids.iter().any(|id| id == chaos_tenant) {
+            return Err(format!(
+                "--chaos-tenant: no lane '{chaos_tenant}' (t0..t{})",
+                n_tenants - 1
+            ));
+        }
+        let mem_budget: usize = opt(opts, "mem-budget")?.unwrap_or(usize::MAX);
+        let mut registry = ModelRegistry::new(mem_budget);
+        if let Some(cache) = &cache {
+            registry = registry.attach_plan_cache(Arc::clone(cache));
+        }
+        let specs: Vec<TenantSpec> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, id)| {
+                if let Some(model) = &model {
+                    registry.register(id, Arc::clone(db), Arc::clone(model));
+                }
+                let mut spec = TenantSpec::new(id.clone(), Arc::clone(db));
+                if let Some(ws) = &weights {
+                    spec = spec.with_weight(ws[i]);
+                }
+                if let Some(faults) = chaos.as_ref().filter(|_| id == chaos_tenant) {
+                    spec = spec.with_faults(faults.clone());
+                }
+                if let Some(ls) = &risk_lambdas {
+                    let strategy =
+                        StrategyConfig { risk_lambda: ls[i], ..cfg.serve.strategy.clone() };
+                    spec = spec.with_strategy(strategy);
+                }
+                spec
+            })
+            .collect();
+
+        let mut sup = MultiTenantSupervisor::new(
+            MultiTenantConfig { base: cfg, cache: cache.clone() },
+            specs,
+        );
+        for out in sup.run(&registry, &stream) {
+            print_outcome(&out.tenant, &out.outcome);
+        }
+        for (tenant, c) in sup.counters() {
+            println!("{tenant}: {c} breaker={:?}", sup.breaker_states()[&tenant]);
+        }
+        println!("merged: {}", sup.merged_counters());
+        if mem_budget != usize::MAX {
+            println!(
+                "registry: {} resident, {} B / {} B, {} eviction(s)",
+                registry.resident_tenants().len(),
+                registry.mem_used_bytes(),
+                registry.mem_budget_bytes(),
+                registry.evictions(),
+            );
         }
     }
-    for (tenant, c) in sup.counters() {
-        println!("{tenant}: {c} breaker={:?}", sup.breaker_states()[&tenant]);
-    }
-    println!("merged: {}", sup.merged_counters());
     if let Some(cache) = &cache {
         println!("plan cache: {}", cache.stats());
-    }
-    if mem_budget != usize::MAX {
-        println!(
-            "registry: {} resident, {} B / {} B, {} eviction(s)",
-            registry.resident_tenants().len(),
-            registry.mem_used_bytes(),
-            registry.mem_budget_bytes(),
-            registry.evictions(),
-        );
     }
     Ok(())
 }
 
-fn print_outcome(out: &SupervisedOutcome) {
-    match &out.disposition {
-        Disposition::Served(r) => {
-            let path = match r.served_by {
-                ServedBy::Neural => "neural",
-                ServedBy::Classical => "classical",
-            };
-            match &r.fallback_reason {
-                Some(reason) => println!("query {}: {path} ({reason})", out.query_id),
-                None => println!("query {}: {path}", out.query_id),
-            }
-        }
-        Disposition::Shed(reason) => println!("query {}: shed — {reason}", out.query_id),
-        Disposition::Failed(why) => println!("query {}: failed — {why}", out.query_id),
-    }
+fn print_outcome(tenant: &str, out: &SupervisedOutcome) {
+    let what = match &out.disposition {
+        Disposition::Served(r) if r.cache_hit => "neural (cached)".to_string(),
+        Disposition::Served(r) => match (r.served_by, &r.fallback_reason) {
+            (ServedBy::Neural, _) => "neural".to_string(),
+            (ServedBy::Classical, Some(reason)) => format!("classical ({reason})"),
+            (ServedBy::Classical, None) => "classical".to_string(),
+        },
+        Disposition::Shed(reason) => format!("shed — {reason}"),
+        Disposition::Failed(why) => format!("failed — {why}"),
+    };
+    println!("[{tenant}] query {}: {what}", out.query_id);
 }
 
-/// Closed-loop serving: the stream runs through [`OnlinePlanner`] in batches,
-/// so every execution lands in the experience WAL, fine-tune rounds fire as
-/// enough records accumulate, and gated promotions hot-swap the serving model
-/// mid-stream (with automatic rollback if the swap regresses).
+/// The `--online` branch of [`serve_stream`]: the requests run through
+/// [`OnlinePlanner`] in batches, so every execution lands in the experience
+/// WAL, fine-tune rounds fire as enough records accumulate, and gated
+/// promotions hot-swap the serving model mid-stream (with automatic rollback
+/// if the swap regresses).
 fn serve_online(
     db: &Arc<Database>,
     opts: &Opts,
     sup_cfg: SupervisorConfig,
-    model: Option<QPSeeker>,
+    cache: Option<Arc<PlanCache>>,
+    model: Option<Arc<QPSeeker>>,
     requests: &[QueryRequest],
 ) -> Result<(), String> {
     let model = model.ok_or("--online requires --model (a fitted base model to fine-tune)")?;
     let state_dir = opts.get("state-dir").cloned().unwrap_or_else(|| "qpseeker-online".to_string());
     let batch: usize = opt(opts, "batch")?.unwrap_or(16);
     let mut cfg = OnlineConfig::new(&state_dir);
+    // `--chaos` lands in `serve.faults`: one schedule for the serving path
+    // and the durable (WAL/checkpoint/fine-tune) path.
     cfg.supervisor = sup_cfg;
-    // One fault schedule covers both the serving path and the durable
-    // (WAL/checkpoint/fine-tune) path, so `--chaos` exercises the whole loop.
-    cfg.faults = cfg.supervisor.serve.faults.clone();
+    cfg.cache = cache.map(|cache| PlanCacheCtx { cache, tenant: "t0".into(), stats_version: 0 });
     if let Some(r) = opt(opts, "retrain-every")? {
         cfg.retrain_every = r;
     }
@@ -716,10 +678,9 @@ fn serve_online(
     }
     let retrain_every = cfg.retrain_every;
 
-    let mut op = OnlinePlanner::new(cfg, Arc::new(model), db).map_err(|e| e.to_string())?;
+    let mut op = OnlinePlanner::new(cfg, model, db).map_err(|e| e.to_string())?;
     eprintln!(
-        "online serving {} queries (batches of {}, retrain every {} records, state in {state_dir}, epoch {})...",
-        requests.len(),
+        "online: batches of {}, retrain every {} records, state in {state_dir}, epoch {}",
         batch.max(1),
         retrain_every,
         op.cell().epoch()
@@ -727,7 +688,7 @@ fn serve_online(
     for chunk in requests.chunks(batch.max(1)) {
         let report = op.run_batch(db, chunk).map_err(|e| e.to_string())?;
         for out in &report.outcomes {
-            print_outcome(out);
+            print_outcome("t0", out);
         }
         if let Some(decision) = &report.promotion {
             println!("retrain round: {decision}");
@@ -736,7 +697,7 @@ fn serve_online(
             println!("regression detected: rolled back to the previous model");
         }
     }
-    println!("{}", op.serve_counters());
+    println!("merged: {}", op.serve_counters());
     println!("online: {}", op.counters());
     println!(
         "serving epoch: {}  pending experience: {} record(s)",
@@ -748,16 +709,8 @@ fn serve_online(
 
 /// `experience show --state-dir <dir> [--tail <n>]` — dump the experience
 /// WAL an online server accumulated under `<dir>/wal`.
-fn experience_cmd(args: &[String]) -> Result<(), String> {
-    let usage = "usage: experience show --state-dir <dir> [--tail <n>]";
-    let Some((action, rest)) = args.split_first() else {
-        return Err(usage.to_string());
-    };
-    if action != "show" {
-        return Err(format!("unknown experience action '{action}'\n{usage}"));
-    }
-    let opts = parse_opts(rest)?;
-    let state_dir = req(&opts, "state-dir")?;
+fn experience_show(opts: &Opts) -> Result<(), String> {
+    let state_dir = req(opts, "state-dir")?;
     let tail: usize = opts
         .get("tail")
         .map(|s| s.parse())

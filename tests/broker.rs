@@ -16,6 +16,9 @@
 //!
 //! Set `QPS_CHAOS_SEED` to vary the fault schedules (CI sweeps seeds).
 
+mod common;
+
+use common::OneLane;
 use qpseeker_repro::core::prelude::*;
 use qpseeker_repro::engine::plan::PlanNode;
 use qpseeker_repro::storage::{Database, FaultConfig};
@@ -65,7 +68,6 @@ fn deterministic_cfg(workers: usize, broker: Option<BrokerConfig>) -> Supervisor
         queue_capacity: 4096,
         service_ms: 5.0,
         workers,
-        cache: None,
         broker,
     }
 }
@@ -131,8 +133,8 @@ fn broker_is_invisible_in_plans_counters_and_eval_totals() {
 
     for (si, (stream, admitted)) in streams.iter().enumerate() {
         let run = |workers: usize, broker: Option<BrokerConfig>| {
-            let mut sup = Supervisor::new(deterministic_cfg(workers, broker));
-            let outcomes = sup.run(db, Some(&model), stream);
+            let mut sup = OneLane::new(deterministic_cfg(workers, broker), db, Some(&model));
+            let outcomes = sup.run(stream);
             (outcomes, sup.counters())
         };
 
@@ -291,8 +293,8 @@ fn stalls_inside_fused_batches_fail_only_their_own_requests() {
             inference_stall_p: 0.4,
             ..FaultConfig::default()
         });
-        let mut sup = Supervisor::new(cfg);
-        let outcomes = sup.run(db, Some(&model), &stream);
+        let mut sup = OneLane::new(cfg, db, Some(&model));
+        let outcomes = sup.run(&stream);
         (outcomes, sup.counters())
     };
 

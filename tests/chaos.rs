@@ -7,6 +7,9 @@
 //!    records why whenever it degrades to the classical optimizer;
 //! 3. corrupted checkpoints are rejected at load with a typed error.
 
+mod common;
+
+use common::OneLane;
 use proptest::prelude::*;
 use qpseeker_repro::core::prelude::*;
 use qpseeker_repro::engine::prelude::*;
@@ -22,15 +25,15 @@ fn shared_db() -> &'static Arc<Database> {
 /// One fitted model shared by every chaos case (training is the slow part).
 /// Planning is `&self` since the tape-free fast path landed, so no lock is
 /// needed around it.
-fn shared_model() -> &'static QPSeeker {
-    static MODEL: OnceLock<QPSeeker> = OnceLock::new();
+fn shared_model() -> &'static Arc<QPSeeker> {
+    static MODEL: OnceLock<Arc<QPSeeker>> = OnceLock::new();
     MODEL.get_or_init(|| {
         let db = shared_db();
         let w = synthetic::generate(db, &SyntheticConfig { n_queries: 12, seed: 3 });
         let refs: Vec<&Qep> = w.qeps.iter().collect();
         let mut model = QPSeeker::new(db, ModelConfig::small());
         model.fit(&refs).expect("training succeeds");
-        model
+        Arc::new(model)
     })
 }
 
@@ -66,7 +69,8 @@ fn chaos_sweep_200_queries_at_p_10() {
     for (i, q) in queries.iter().enumerate() {
         let faults = FaultConfig::chaos(0x5eed ^ i as u64, 0.1);
         let cfg = quick_serve_cfg(Some(faults.clone()));
-        let r = plan_with_fallback_in(db, q, Some(model), &cfg, &mut PlannerSession::new());
+        let r =
+            plan_with_fallback_in(db, q, Some(model.as_ref()), &cfg, &mut PlannerSession::new());
         r.plan.validate(q).unwrap_or_else(|e| panic!("query {i}: served plan invalid: {e}"));
         match r.served_by {
             ServedBy::Neural => {
@@ -182,7 +186,6 @@ fn breaker_cfg(faults: Option<FaultConfig>) -> SupervisorConfig {
         queue_capacity: 64,
         service_ms: 5.0,
         workers: 1,
-        cache: None,
         broker: None,
     }
 }
@@ -213,11 +216,11 @@ fn chaos_supervisor_trips_to_classical_and_recovers_when_faults_clear() {
         inference_nan_p: 1.0, // every neural attempt fails
         ..FaultConfig::default()
     };
-    let mut sup = Supervisor::new(breaker_cfg(Some(faults)));
+    let mut sup = OneLane::new(breaker_cfg(Some(faults)), db, Some(model));
 
     // Faulted batch: the breaker must trip, yet every query is still served.
     let batch = spaced_requests(20, 0xb0e ^ chaos_seed(), 0.0);
-    let outcomes = sup.run(db, Some(model), &batch);
+    let outcomes = sup.run(&batch);
     assert!(
         outcomes.iter().all(|o| matches!(o.disposition, Disposition::Served(_))),
         "a tripped breaker must degrade, never drop, admitted queries"
@@ -250,7 +253,7 @@ fn chaos_supervisor_trips_to_classical_and_recovers_when_faults_clear() {
     // neural serving resumes.
     sup.set_faults(None);
     let batch2 = spaced_requests(20, 0xc1ea2 ^ chaos_seed(), 10_000.0);
-    let outcomes2 = sup.run(db, Some(model), &batch2);
+    let outcomes2 = sup.run(&batch2);
     assert!(outcomes2.iter().all(|o| matches!(o.disposition, Disposition::Served(_))));
     let c = sup.counters();
     assert!(c.conservation_holds(), "{c}");
@@ -282,14 +285,14 @@ fn chaos_supervisor_sheds_queue_overflow_with_recorded_reason() {
     let mut cfg = breaker_cfg(None);
     cfg.queue_capacity = 2;
     cfg.service_ms = 10.0;
-    let mut sup = Supervisor::new(cfg);
+    let mut sup = OneLane::new(cfg, db, Some(model));
 
     // Six queries arriving at the same instant against a queue of 2.
     let burst: Vec<QueryRequest> = chaos_queries(6, 0xb1257 ^ chaos_seed())
         .into_iter()
         .map(|query| QueryRequest { query, arrival_ms: 0.0, deadline_ms: 1e9 })
         .collect();
-    let outcomes = sup.run(db, Some(model), &burst);
+    let outcomes = sup.run(&burst);
 
     let mut served = 0usize;
     let mut shed_full = 0usize;
@@ -379,7 +382,7 @@ proptest! {
         };
         let cfg = quick_serve_cfg(Some(faults));
         for q in &queries {
-            let r = plan_with_fallback_in(db, q, Some(shared_model()), &cfg, &mut PlannerSession::new());
+            let r = plan_with_fallback_in(db, q, Some(shared_model().as_ref()), &cfg, &mut PlannerSession::new());
             prop_assert!(r.plan.validate(q).is_ok(), "served plan invalid");
             match r.served_by {
                 ServedBy::Neural => prop_assert!(r.fallback_reason.is_none()),

@@ -17,6 +17,9 @@
 //!
 //! Set `QPS_CHAOS_SEED` to vary every fault schedule (CI sweeps seeds).
 
+mod common;
+
+use common::OneLane;
 use qpseeker_repro::core::prelude::*;
 use qpseeker_repro::engine::executor::Executor;
 use qpseeker_repro::storage::{Database, FaultConfig};
@@ -87,7 +90,6 @@ fn supervisor_cfg(workers: usize) -> SupervisorConfig {
         queue_capacity: 4096,
         service_ms: 5.0,
         workers,
-        cache: None,
         broker: None,
     }
 }
@@ -128,7 +130,7 @@ fn kill_at_every_wal_append_recovers_exact_acknowledged_prefix() {
         let dir = scratch(&format!("wal-kill-{k}"));
         let mut cfg = online_cfg(&dir);
         cfg.retrain_every = 10_000; // isolate: the only durable writes are WAL appends
-        cfg.faults = Some(FaultConfig {
+        cfg.supervisor.serve.faults = Some(FaultConfig {
             seed: chaos_seed(),
             crash_after_writes: Some(k),
             ..FaultConfig::default()
@@ -169,7 +171,7 @@ fn kill_anywhere_in_a_retrain_round_recovers_to_a_consistent_loop() {
     for k in 0..18u64 {
         let dir = scratch(&format!("round-kill-{k}"));
         let mut cfg = online_cfg(&dir);
-        cfg.faults = Some(FaultConfig {
+        cfg.supervisor.serve.faults = Some(FaultConfig {
             seed: chaos_seed(),
             crash_after_writes: Some(k),
             ..FaultConfig::default()
@@ -214,9 +216,9 @@ fn hot_swap_storm_mid_run_preserves_every_request() {
     let db = pre_db();
     let a = base_model();
     let b = base_model(); // distinct Arc, same weights
-    let cell = ModelCell::new(Arc::clone(&a));
     let stream = requests(db, 24, 0xd00d ^ chaos_seed());
-    let mut sup = Supervisor::new(supervisor_cfg(4));
+    let mut sup = OneLane::new(supervisor_cfg(4), db, Some(&a));
+    let cell = sup.cell();
 
     let done = AtomicBool::new(false);
     let outcomes = std::thread::scope(|s| {
@@ -232,7 +234,7 @@ fn hot_swap_storm_mid_run_preserves_every_request() {
                 std::thread::yield_now();
             }
         });
-        let out = sup.run_with_cell(db, &cell, &stream);
+        let out = sup.run(&stream);
         done.store(true, Ordering::Relaxed);
         out
     });
@@ -323,9 +325,8 @@ fn regressed_publish_is_rolled_back_automatically() {
 /// Mean observed runtime of the plans a supervisor chooses for `reqs` on
 /// `db`, with `model` (None = classical optimizer). The executor's virtual
 /// clock makes this deterministic.
-fn mean_plan_ms(db: &Arc<Database>, model: Option<&QPSeeker>, reqs: &[QueryRequest]) -> f64 {
-    let mut sup = Supervisor::new(supervisor_cfg(1));
-    let outcomes = sup.run(db, model, reqs);
+fn mean_plan_ms(db: &Arc<Database>, model: Option<&Arc<QPSeeker>>, reqs: &[QueryRequest]) -> f64 {
+    let outcomes = OneLane::new(supervisor_cfg(1), db, model).run(reqs);
     mean_served_ms(db, &outcomes)
 }
 

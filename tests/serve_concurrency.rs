@@ -13,6 +13,9 @@
 //!
 //! Set `QPS_CHAOS_SEED` to vary every fault schedule (CI sweeps seeds).
 
+mod common;
+
+use common::OneLane;
 use qpseeker_repro::core::prelude::*;
 use qpseeker_repro::engine::prelude::*;
 use qpseeker_repro::storage::{Database, FaultConfig};
@@ -26,15 +29,15 @@ fn shared_db() -> &'static Arc<Database> {
 
 /// One fitted model shared by every test; `PlannerModel` is `Send + Sync`,
 /// so all worker pools in this binary serve from this single instance.
-fn shared_model() -> &'static PlannerModel {
-    static MODEL: OnceLock<PlannerModel> = OnceLock::new();
+fn shared_model() -> &'static Arc<PlannerModel> {
+    static MODEL: OnceLock<Arc<PlannerModel>> = OnceLock::new();
     MODEL.get_or_init(|| {
         let db = shared_db();
         let w = synthetic::generate(db, &SyntheticConfig { n_queries: 12, seed: 3 });
         let refs: Vec<&Qep> = w.qeps.iter().collect();
         let mut model = QPSeeker::new(db, ModelConfig::small());
         model.fit(&refs).expect("training succeeds");
-        model
+        Arc::new(model)
     })
 }
 
@@ -81,7 +84,6 @@ fn deterministic_cfg(workers: usize) -> SupervisorConfig {
         queue_capacity: 4096,
         service_ms: 5.0,
         workers,
-        cache: None,
         broker: None,
     }
 }
@@ -108,8 +110,8 @@ fn worker_counts_produce_identical_plans_and_counters() {
     let stream = gentle_requests(14, 0xd17e ^ chaos_seed());
 
     let run = |workers: usize| {
-        let mut sup = Supervisor::new(deterministic_cfg(workers));
-        let outcomes = sup.run(db, Some(model), &stream);
+        let mut sup = OneLane::new(deterministic_cfg(workers), db, Some(model));
+        let outcomes = sup.run(&stream);
         (outcomes, sup.counters())
     };
     let (ref_outcomes, ref_counters) = run(1);
@@ -160,8 +162,7 @@ fn batched_eval_is_identical_across_worker_counts() {
         let run = |workers: usize| {
             let mut cfg = deterministic_cfg(workers);
             cfg.serve.strategy.batch_eval = Some(batch_eval);
-            let mut sup = Supervisor::new(cfg);
-            sup.run(db, Some(model), &stream)
+            OneLane::new(cfg, db, Some(model)).run(&stream)
         };
         let reference = run(1);
         for workers in [2usize, 4] {
@@ -209,7 +210,7 @@ fn stress_pool_under_chaos_conserves_accounting() {
         })
         .collect();
 
-    let mut sup = Supervisor::new(SupervisorConfig {
+    let cfg = SupervisorConfig {
         serve: ServeConfig {
             mcts: MctsConfig { budget_ms: 10.0, max_simulations: 6, ..MctsConfig::default() },
             strategy: Default::default(),
@@ -226,10 +227,10 @@ fn stress_pool_under_chaos_conserves_accounting() {
         queue_capacity: 16,
         service_ms: 5.0,
         workers: 4,
-        cache: None,
         broker: None,
-    });
-    let outcomes = sup.run(db, Some(model), &stream);
+    };
+    let mut sup = OneLane::new(cfg, db, Some(model));
+    let outcomes = sup.run(&stream);
 
     assert_eq!(outcomes.len(), stream.len(), "every request must get a disposition");
     let c = sup.counters();
@@ -273,8 +274,8 @@ fn injected_panics_never_kill_workers() {
         inference_panic_p: 1.0,
         ..FaultConfig::default()
     });
-    let mut sup = Supervisor::new(cfg);
-    let outcomes = sup.run(db, Some(model), &stream);
+    let mut sup = OneLane::new(cfg, db, Some(model));
+    let outcomes = sup.run(&stream);
 
     assert_eq!(outcomes.len(), stream.len());
     let c = sup.counters();

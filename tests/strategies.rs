@@ -17,6 +17,9 @@
 //! `QPS_STRATEGY` (`mcts`|`beam`) and `QPS_RISK_LAMBDA` pin the matrix to
 //! one combination per job.
 
+mod common;
+
+use common::OneLane;
 use qpseeker_repro::core::prelude::*;
 use qpseeker_repro::engine::prelude::*;
 use qpseeker_repro::storage::{Database, FaultConfig};
@@ -29,15 +32,15 @@ fn shared_db() -> &'static Arc<Database> {
 }
 
 /// One fitted model shared by every test (training is the slow part).
-fn shared_model() -> &'static QPSeeker {
-    static MODEL: OnceLock<QPSeeker> = OnceLock::new();
+fn shared_model() -> &'static Arc<QPSeeker> {
+    static MODEL: OnceLock<Arc<QPSeeker>> = OnceLock::new();
     MODEL.get_or_init(|| {
         let db = shared_db();
         let w = synthetic::generate(db, &SyntheticConfig { n_queries: 12, seed: 3 });
         let refs: Vec<&Qep> = w.qeps.iter().collect();
         let mut model = QPSeeker::new(db, ModelConfig::small());
         model.fit(&refs).expect("training succeeds");
-        model
+        Arc::new(model)
     })
 }
 
@@ -195,7 +198,6 @@ fn deterministic_cfg(
         queue_capacity: 4096,
         service_ms: 5.0,
         workers,
-        cache: None,
         broker: None,
     }
 }
@@ -223,8 +225,9 @@ fn every_strategy_is_identical_across_worker_counts() {
         for batch_eval in [1usize, 16] {
             let stream = gentle_requests(8, 0x3a7e ^ chaos_seed());
             let run = |workers: usize| {
-                let mut sup = Supervisor::new(deterministic_cfg(workers, &strat, batch_eval));
-                let outcomes = sup.run(db, Some(model), &stream);
+                let cfg = deterministic_cfg(workers, &strat, batch_eval);
+                let mut sup = OneLane::new(cfg, db, Some(model));
+                let outcomes = sup.run(&stream);
                 (outcomes, sup.counters())
             };
             let (ref_outcomes, ref_counters) = run(1);
@@ -277,8 +280,8 @@ fn chaos_stream_conserves_accounting_under_every_strategy() {
         cfg.serve.deadline_ms = 10_000.0;
         cfg.serve.faults = Some(FaultConfig::chaos(0xc4a0 ^ chaos_seed(), 0.1));
         let stream = gentle_requests(40, 0x5eed ^ chaos_seed());
-        let mut sup = Supervisor::new(cfg);
-        let outcomes = sup.run(db, Some(model), &stream);
+        let mut sup = OneLane::new(cfg, db, Some(model));
+        let outcomes = sup.run(&stream);
         let c = sup.counters();
         assert!(c.conservation_holds(), "{}/λ={}: {c}", strat.kind.as_str(), strat.risk_lambda);
         assert_eq!(outcomes.len(), stream.len());
@@ -320,11 +323,9 @@ fn plan_cache_is_isolated_per_strategy_end_to_end() {
         StrategyConfig { risk_lambda: 0.5, ..StrategyConfig::default() },
     ];
     let run = |strat: &StrategyConfig| {
-        let mut cfg = deterministic_cfg(1, strat, strat.batch_eval.unwrap_or(16));
-        cfg.cache =
-            Some(PlanCacheCtx { cache: Arc::clone(&cache), tenant: "t0".into(), stats_version: 0 });
-        let mut sup = Supervisor::new(cfg);
-        let outcomes = sup.run(db, Some(model), &stream);
+        let cfg = deterministic_cfg(1, strat, strat.batch_eval.unwrap_or(16));
+        let mut sup = OneLane::with_cache(cfg, db, Some(model), Some(Arc::clone(&cache)));
+        let outcomes = sup.run(&stream);
         (outcomes, sup.counters())
     };
 

@@ -81,7 +81,6 @@ fn base_cfg() -> SupervisorConfig {
         queue_capacity: 4096,
         service_ms: 5.0,
         workers: 1,
-        cache: None,
         broker: None,
     }
 }
@@ -426,8 +425,8 @@ fn evicted_tenant_reloads_with_a_cold_cache_and_fresh_epoch() {
     assert_all_conserved(&sup);
 }
 
-/// The online loop's promotions flow through the same cell the supervisor
-/// reads, so a cache attached to its supervisor honours mid-run swaps too.
+/// The online loop's promotions flow through the same cell its lane reads,
+/// so a cache attached to the loop honours mid-run swaps too.
 #[test]
 fn online_loop_promotion_invalidates_the_attached_cache() {
     let db = shared_db();
@@ -435,7 +434,7 @@ fn online_loop_promotion_invalidates_the_attached_cache() {
     let tmp = std::env::temp_dir().join(format!("qps-tenants-online-{}", std::process::id()));
     let mut cfg = OnlineConfig::new(&tmp);
     cfg.supervisor = base_cfg();
-    cfg.supervisor.cache =
+    cfg.cache =
         Some(PlanCacheCtx { cache: Arc::clone(&cache), tenant: "online".into(), stats_version: 0 });
     cfg.retrain_every = usize::MAX; // drive promotion by hand below
     let mut planner = OnlinePlanner::new(cfg, shared_model(), db).expect("planner builds");
