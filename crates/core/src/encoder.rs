@@ -212,119 +212,343 @@ impl PlanEncoder {
         (state_out, state_out.h)
     }
 
-    /// Tape-free [`Self::forward`] over `K` **shape-congruent** plans (same
-    /// tree structure and feature widths — e.g. left-deep MCTS candidates
-    /// for one query; a single plan is `K = 1`). Returns
-    /// `[K * n_nodes, out_dim]` with plan `p`'s postorder rows at
-    /// `p * n_nodes ..` (root = last row of the block), built entirely from
-    /// scratch buffers — recycle it when done — or `None` when the trees are
-    /// not congruent.
+    /// Tape-free [`Self::forward`] over every fresh node of a
+    /// [`LevelPass`]: one `rows = m` LSTM step per level, children before
+    /// parents, across every plan and submission in the pass. Returns the
+    /// fresh rows' `(h, c)`, `[F, out_dim]` each in pass row order, from
+    /// scratch buffers — recycle them when done. A child that is not fresh
+    /// is read from its submission's memo in `memos`.
     ///
-    /// Each tree position is ONE `rows = K` LSTM step, so the cell's GEMMs
-    /// amortize weight traffic across the whole batch. Row `p` is bitwise
-    /// identical for every `K` and every partition of the plans into calls:
-    /// the matmul kernel guarantees per-row reduction order, and every other
-    /// op here (state pooling, gate math, input assembly) is
-    /// row-independent.
-    pub fn forward_inference(
+    /// Row `r` is bitwise identical to encoding its subtree alone: the
+    /// matmul kernel guarantees per-row reduction order, and every other op
+    /// here (state pooling in child order, gate math, input assembly) is
+    /// row-independent. So a level can mix leaves and joins of any plans,
+    /// and a memoized state is exactly what recomputing it would give.
+    pub(crate) fn encode_pass(
         &self,
         store: &ParamStore,
-        plans: &[&FeatNode],
-        sc: &mut ScratchArena,
-    ) -> Option<Tensor> {
-        let (first, rest) = plans.split_first()?;
-        if !rest.iter().all(|p| congruent(first, p)) {
-            return None;
-        }
-        let n_nodes = first.count();
-        let mut out = sc.take(plans.len() * n_nodes, self.out_dim);
-        let mut pos = 0usize;
-        let root = self.node_inference(store, plans, &mut out, n_nodes, &mut pos, sc);
-        root.recycle(sc);
-        Some(out)
-    }
-
-    /// One tree position for all K plans at once: `nodes_at[p]` is plan `p`'s
-    /// node at this position.
-    fn node_inference(
-        &self,
-        store: &ParamStore,
-        nodes_at: &[&FeatNode],
-        out: &mut Tensor,
-        n_nodes: usize,
-        pos: &mut usize,
+        pass: &LevelPass,
+        memos: &[&mut NodeMemo],
         sc: &mut ScratchArena,
     ) -> LstmStateBuf {
-        let kn = nodes_at.len();
-        let node0 = nodes_at[0];
-        let mid_cols = node0.mid.cols();
-        // The estimate slot is always out_dim - data_dim = 3 wide.
-        let input_dim = self.data_dim + mid_cols + (self.out_dim - self.data_dim);
-        let (input, state_in) = if node0.children.is_empty() {
-            // Leaf: zero padding for the child-data slot, EXPLAIN estimates
-            // in the estimate slot, zero initial LSTM state.
-            let mut input = sc.take(kn, input_dim);
-            for (r, nd) in nodes_at.iter().enumerate() {
-                let est = nd.leaf_est.as_ref().expect("leaf featurization includes estimates");
-                let d = input.row_slice_mut(r);
-                d[self.data_dim..self.data_dim + mid_cols].copy_from_slice(nd.mid.data());
-                d[self.data_dim + mid_cols..].copy_from_slice(est.data());
-            }
-            (input, self.cell.zero_state_buf(kn, sc))
-        } else {
-            // Sum child h/c states in child order (matching the tape's
-            // stack_rows + mean_rows accumulation), then scale to the mean.
-            // The pooled h doubles as the parent's child-data/estimate input.
-            let mut hsum = sc.take(kn, self.out_dim);
-            let mut csum = sc.take(kn, self.out_dim);
-            let mut child_col: Vec<&FeatNode> = Vec::with_capacity(kn);
-            for ci in 0..node0.children.len() {
-                child_col.clear();
-                child_col.extend(nodes_at.iter().map(|nd| &nd.children[ci]));
-                let s = self.node_inference(store, &child_col, out, n_nodes, pos, sc);
-                for (a, v) in hsum.data_mut().iter_mut().zip(s.h.data()) {
-                    *a += v;
+        let f = pass.fresh.len();
+        let mut fresh = LstmStateBuf { h: sc.take(f, self.out_dim), c: sc.take(f, self.out_dim) };
+        let mut rows: Vec<usize> = Vec::new();
+        for level in 0..pass.levels {
+            rows.clear();
+            rows.extend((0..f).filter(|&r| pass.fresh[r].level == level));
+            let m = rows.len();
+            let mid_cols = pass.fresh[rows[0]].node.mid.cols();
+            // The estimate slot is always out_dim - data_dim = 3 wide.
+            let input_dim = self.data_dim + mid_cols + (self.out_dim - self.data_dim);
+            let mut input = sc.take(m, input_dim);
+            // Leaves keep the zero initial state and zero child-data slot.
+            let mut state = self.cell.zero_state_buf(m, sc);
+            for (i, &row) in rows.iter().enumerate() {
+                let FreshRow { node, sub, kids, .. } = &pass.fresh[row];
+                let d = input.row_slice_mut(i);
+                d[self.data_dim..self.data_dim + mid_cols].copy_from_slice(node.mid.data());
+                if node.children.is_empty() {
+                    let est =
+                        node.leaf_est.as_ref().expect("leaf featurization includes estimates");
+                    d[self.data_dim + mid_cols..].copy_from_slice(est.data());
+                    continue;
                 }
-                for (a, v) in csum.data_mut().iter_mut().zip(s.c.data()) {
-                    *a += v;
+                // Sum child h/c states in child order (matching the tape's
+                // stack_rows + mean_rows accumulation), then scale to the
+                // mean. The pooled h doubles as the child-data/estimate input.
+                let (hsum, csum) = (state.h.row_slice_mut(i), state.c.row_slice_mut(i));
+                for &kid in &kids[..node.children.len()] {
+                    let (h, c) = match kid {
+                        NodeRef::Memo { entry, .. } => {
+                            let memo = &memos[*sub as usize];
+                            (memo.h(entry), memo.c(entry))
+                        }
+                        NodeRef::Fresh(r) => {
+                            (fresh.h.row_slice(r as usize), fresh.c.row_slice(r as usize))
+                        }
+                    };
+                    for (a, v) in hsum.iter_mut().zip(h) {
+                        *a += v;
+                    }
+                    for (a, v) in csum.iter_mut().zip(c) {
+                        *a += v;
+                    }
                 }
-                s.recycle(sc);
+                let inv = 1.0 / node.children.len() as f32;
+                for a in hsum.iter_mut().chain(csum.iter_mut()) {
+                    *a *= inv;
+                }
+                d[..self.data_dim].copy_from_slice(&hsum[..self.data_dim]);
+                d[self.data_dim + mid_cols..].copy_from_slice(&hsum[self.data_dim..]);
             }
-            let inv = 1.0 / node0.children.len().max(1) as f32;
-            for a in hsum.data_mut() {
-                *a *= inv;
+            let out = self.cell.step_inference(store, &input, &state, sc);
+            for (i, &row) in rows.iter().enumerate() {
+                fresh.h.row_slice_mut(row).copy_from_slice(out.h.row_slice(i));
+                fresh.c.row_slice_mut(row).copy_from_slice(out.c.row_slice(i));
             }
-            for a in csum.data_mut() {
-                *a *= inv;
-            }
-            let mut input = sc.take(kn, input_dim);
-            for (r, nd) in nodes_at.iter().enumerate() {
-                let d = input.row_slice_mut(r);
-                let pooled = hsum.row_slice(r);
-                d[..self.data_dim].copy_from_slice(&pooled[..self.data_dim]);
-                d[self.data_dim..self.data_dim + mid_cols].copy_from_slice(nd.mid.data());
-                d[self.data_dim + mid_cols..].copy_from_slice(&pooled[self.data_dim..]);
-            }
-            (input, LstmStateBuf { h: hsum, c: csum })
-        };
-        let out_state = self.cell.step_inference(store, &input, &state_in, sc);
-        sc.recycle(input);
-        state_in.recycle(sc);
-        for r in 0..kn {
-            out.row_slice_mut(r * n_nodes + *pos).copy_from_slice(out_state.h.row_slice(r));
+            sc.recycle(input);
+            state.recycle(sc);
+            out.recycle(sc);
         }
-        *pos += 1;
-        out_state
+        fresh
     }
 }
 
-/// Structural congruence: same tree shape and per-node feature widths, so the
-/// K plans can share one batched LSTM step per tree position.
-pub(crate) fn congruent(a: &FeatNode, b: &FeatNode) -> bool {
-    a.children.len() == b.children.len()
-        && a.mid.cols() == b.mid.cols()
-        && a.leaf_est.is_some() == b.leaf_est.is_some()
-        && a.children.iter().zip(&b.children).all(|(x, y)| congruent(x, y))
+/// Bytes one query's [`NodeMemo`] may hold. An entry is `2·out + 2·heads·
+/// head_dim` floats: 1,792 B at the bench preset (out 96, 4 × 32), so the
+/// budget holds 4,681 entries — deep_join's worst query at an eval cap of
+/// 256 needs at most 30 leaves + 256 × 9 joins = 2,334. At the paper's size
+/// (15,792 B per entry) it holds 531.
+pub const MEMO_BUDGET_BYTES: usize = 8 << 20;
+
+/// A memo slot not holding an entry.
+const ABSENT: u32 = u32::MAX;
+/// Slot tag of a node a [`LevelPass`] is encoding: `FRESH | row`.
+const FRESH: u32 = 1 << 31;
+
+/// What a memo entry holds, in floats: `[h | c | K_0..K_heads |
+/// V_0..V_heads]`, with `heads = 0` when attention is off.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EntryLayout {
+    pub(crate) out: usize,
+    pub(crate) heads: usize,
+    pub(crate) head_dim: usize,
+}
+
+impl EntryLayout {
+    fn width(&self) -> usize {
+        2 * self.out + 2 * self.heads * self.head_dim
+    }
+}
+
+/// Per-query memo of encoded subtrees: node id (dense, assigned by the
+/// query's [`crate::featurize::PlanFeatCache`]) → the subtree's LSTM `h`
+/// and `c` and its per-head attention K/V rows. One lives in each
+/// [`crate::model::QueryContext`], travels inside its submissions (so
+/// broker-on and broker-off run the same code) and dies with it; its
+/// storage is recycled through the planner session.
+///
+/// Fixed budget, no eviction: leaves are always kept (at most
+/// `ScanOp::ALL.len()` per relation, reserved up front), joins are added
+/// while [`MEMO_BUDGET_BYTES`] has room and encoded directly after that. A
+/// join is added only after its children, so the memo is closed under
+/// subtrees, and what it holds is a pure function of the scoring calls
+/// made through the context.
+#[derive(Debug, Default)]
+pub(crate) struct NodeMemo {
+    /// Node id → entry index, [`ABSENT`], or `FRESH | row` inside a pass.
+    slots: Vec<u32>,
+    /// Entries back to back, `layout.width()` floats each.
+    data: Vec<f32>,
+    /// `None` until [`Self::init`]: a new or recycled memo holds nothing.
+    layout: Option<EntryLayout>,
+    /// Entries still reserved for leaves not yet stored.
+    leaf_room: usize,
+    /// Node rows encoded for this query, memoized or not.
+    encoded: usize,
+}
+
+impl NodeMemo {
+    /// Forget every entry, keeping the allocations.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.data.clear();
+        self.layout = None;
+        self.encoded = 0;
+    }
+
+    pub(crate) fn is_init(&self) -> bool {
+        self.layout.is_some()
+    }
+
+    /// Start an empty memo for entries of `layout`, reserving `leaves`
+    /// entries for leaves.
+    pub(crate) fn init(&mut self, layout: EntryLayout, leaves: usize) {
+        self.clear();
+        self.layout = Some(layout);
+        self.leaf_room = leaves;
+    }
+
+    fn width(&self) -> usize {
+        self.layout.map_or(0, |l| l.width())
+    }
+
+    /// Entries held.
+    pub(crate) fn len(&self) -> usize {
+        self.data.len().checked_div(self.width()).unwrap_or(0)
+    }
+
+    /// Bytes the entries take.
+    pub(crate) fn bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<f32>()
+    }
+
+    /// Node rows encoded since [`Self::init`], memoized or not.
+    pub(crate) fn encoded(&self) -> usize {
+        self.encoded
+    }
+
+    fn entry(&self, e: u32) -> &[f32] {
+        let w = self.width();
+        &self.data[e as usize * w..(e as usize + 1) * w]
+    }
+
+    pub(crate) fn h(&self, e: u32) -> &[f32] {
+        let out = self.layout.map_or(0, |l| l.out);
+        &self.entry(e)[..out]
+    }
+
+    fn c(&self, e: u32) -> &[f32] {
+        let out = self.layout.map_or(0, |l| l.out);
+        &self.entry(e)[out..2 * out]
+    }
+
+    /// Head `head`'s key (`value = false`) or value row of entry `e`.
+    pub(crate) fn kv(&self, e: u32, head: usize, value: bool) -> &[f32] {
+        let l = self.layout.expect("an entry implies a layout");
+        let at = 2 * l.out + (usize::from(value) * l.heads + head) * l.head_dim;
+        &self.entry(e)[at..at + l.head_dim]
+    }
+
+    fn slot(&mut self, id: u32) -> &mut u32 {
+        let i = id as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, ABSENT);
+        }
+        &mut self.slots[i]
+    }
+
+    /// Whether the budget admits one more entry: a leaf always, a join
+    /// only if it leaves room for every leaf not yet stored.
+    fn admit(&mut self, leaf: bool) -> bool {
+        if leaf {
+            self.leaf_room = self.leaf_room.saturating_sub(1);
+            return true;
+        }
+        let cap = MEMO_BUDGET_BYTES / (self.width() * std::mem::size_of::<f32>()).max(1);
+        self.len() + 1 + self.leaf_room <= cap
+    }
+}
+
+/// Where one plan node's encoder state lives during a [`LevelPass`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum NodeRef {
+    /// Entry `entry` of the memo of the node's own submission.
+    Memo { sub: u32, entry: u32 },
+    /// Row of the pass's freshly encoded states.
+    Fresh(u32),
+}
+
+/// A node the pass encodes: `level` is 0 when no child is fresh, else one
+/// more than its highest fresh child.
+struct FreshRow<'a> {
+    node: &'a FeatNode,
+    sub: u32,
+    kids: [NodeRef; 2],
+    level: u32,
+}
+
+/// One scoring call's plan-encoder work, across every submission in it:
+/// which nodes need encoding (each distinct id once per submission; nodes
+/// without an id always) and, per candidate, where every node's state
+/// will be read from.
+#[derive(Default)]
+pub(crate) struct LevelPass<'a> {
+    fresh: Vec<FreshRow<'a>>,
+    /// Every candidate's nodes in postorder, candidates back to back.
+    pub(crate) refs: Vec<NodeRef>,
+    /// `refs[spans[c]]` are candidate `c`'s nodes; the last is its root.
+    pub(crate) spans: Vec<std::ops::Range<usize>>,
+    levels: u32,
+}
+
+impl<'a> LevelPass<'a> {
+    /// Fresh rows: the node rows this pass encodes.
+    pub(crate) fn fresh_rows(&self) -> usize {
+        self.fresh.len()
+    }
+
+    /// Add one candidate plan of submission `sub`, whose memo is `memo`.
+    /// Marks the nodes it encodes in the memo until [`Self::commit`].
+    pub(crate) fn add(&mut self, sub: usize, plan: &'a FeatNode, memo: &mut NodeMemo) {
+        let start = self.refs.len();
+        self.visit(sub as u32, plan, memo);
+        self.spans.push(start..self.refs.len());
+    }
+
+    fn visit(
+        &mut self,
+        sub: u32,
+        node: &'a FeatNode,
+        memo: &mut NodeMemo,
+    ) -> (NodeRef, Option<u32>) {
+        assert!(node.children.len() <= 2, "plan nodes have at most two children");
+        let mut kids = [NodeRef::Fresh(0); 2];
+        let mut level = 0;
+        for (k, child) in node.children.iter().enumerate() {
+            let (kid, kid_level) = self.visit(sub, child, memo);
+            kids[k] = kid;
+            if let Some(l) = kid_level {
+                level = level.max(l + 1);
+            }
+        }
+        let slot = match node.id {
+            Some(id) => *memo.slot(id),
+            None => ABSENT,
+        };
+        let found = if slot == ABSENT {
+            let row = self.fresh.len() as u32;
+            if let Some(id) = node.id {
+                *memo.slot(id) = FRESH | row;
+            }
+            self.fresh.push(FreshRow { node, sub, kids, level });
+            self.levels = self.levels.max(level + 1);
+            (NodeRef::Fresh(row), Some(level))
+        } else if slot & FRESH != 0 {
+            let row = slot & !FRESH;
+            (NodeRef::Fresh(row), Some(self.fresh[row as usize].level))
+        } else {
+            (NodeRef::Memo { sub, entry: slot }, None)
+        };
+        self.refs.push(found.0);
+        found
+    }
+
+    /// Write the fresh rows (their states from [`PlanEncoder::encode_pass`],
+    /// their head-major K/V from `MultiHeadCrossAttention::
+    /// project_kv_inference` when attention is on) into their memos, in
+    /// pass order, as far as each budget admits; clear every `FRESH` mark.
+    pub(crate) fn commit(
+        &self,
+        memos: &mut [&mut NodeMemo],
+        fresh: &LstmStateBuf,
+        kv: Option<(&Tensor, &Tensor)>,
+    ) {
+        let f = self.fresh.len();
+        for (row, FreshRow { node, sub, .. }) in self.fresh.iter().enumerate() {
+            let memo = &mut *memos[*sub as usize];
+            memo.encoded += 1;
+            let Some(id) = node.id else { continue };
+            let slot = if memo.admit(node.children.is_empty()) {
+                let entry = memo.len() as u32;
+                memo.data.extend_from_slice(fresh.h.row_slice(row));
+                memo.data.extend_from_slice(fresh.c.row_slice(row));
+                if let Some((keys, values)) = kv {
+                    let heads = keys.rows() / f;
+                    for t in [keys, values] {
+                        for h in 0..heads {
+                            memo.data.extend_from_slice(t.row_slice(h * f + row));
+                        }
+                    }
+                }
+                entry
+            } else {
+                ABSENT
+            };
+            *memo.slot(id) = slot;
+        }
+    }
 }
 
 fn average_states(g: &mut Graph, states: &[LstmState]) -> LstmState {
@@ -479,8 +703,36 @@ mod tests {
         assert_ne!(g.value(ea.root).data(), g.value(eb.root).data());
     }
 
-    /// K plans in one call ≡ K one-plan calls ≡ any partition into calls,
-    /// node for node, bit for bit.
+    /// Level-wise encode of `plans` (all of one query) through `memo`: every
+    /// node's `h`, per plan in postorder, plus the rows this pass encoded.
+    fn encode(
+        penc: &PlanEncoder,
+        store: &ParamStore,
+        plans: &[&FeatNode],
+        memo: &mut NodeMemo,
+        sc: &mut ScratchArena,
+    ) -> (Vec<Vec<Vec<f32>>>, usize) {
+        let mut pass = LevelPass::default();
+        for plan in plans {
+            pass.add(0, plan, memo);
+        }
+        let mut memos = vec![memo];
+        let fresh = penc.encode_pass(store, &pass, &memos, sc);
+        pass.commit(&mut memos, &fresh, None);
+        let h = |r: NodeRef| match r {
+            NodeRef::Memo { entry, .. } => memos[0].h(entry).to_vec(),
+            NodeRef::Fresh(row) => fresh.h.row_slice(row as usize).to_vec(),
+        };
+        let rows = pass.spans.iter().map(|s| pass.refs[s.clone()].iter().map(|&r| h(r)).collect());
+        let out = (rows.collect(), pass.fresh_rows());
+        fresh.recycle(sc);
+        out
+    }
+
+    /// K plans in one pass ≡ K one-plan passes ≡ any partition into passes
+    /// ≡ a warm memo ≡ the uncached featurizer's trees (no node ids), node
+    /// for node, bit for bit — with plans of different heights sharing
+    /// levels.
     #[test]
     fn plan_encoding_rows_bitwise_equal_under_any_partition() {
         let (db, q, _) = setup();
@@ -491,7 +743,7 @@ mod tests {
         let norm = TargetNormalizer::fit(&[[1.0, 1.0, 1.0], [100.0, 50.0, 10.0]]);
         let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
         let mut sess = crate::featurize::FeatSession::new();
-        // Three congruent left-deep candidates: different join orders and ops.
+        // Left-deep candidates sharing prefixes, plus a lone scan.
         let mk = |a: &str, b: &str, c: &str, op| {
             PlanNode::join(
                 &q,
@@ -505,43 +757,70 @@ mod tests {
                 PlanNode::scan(&q, c, ScanOp::SeqScan),
             )
         };
-        let feats: Vec<_> = [
+        let plans = [
             mk("title", "movie_info", "movie_keyword", JoinOp::HashJoin),
-            mk("movie_info", "title", "movie_keyword", JoinOp::NestedLoopJoin),
+            mk("title", "movie_info", "movie_keyword", JoinOp::NestedLoopJoin),
             mk("movie_keyword", "title", "movie_info", JoinOp::MergeJoin),
-        ]
-        .iter()
-        .map(|p| f.featurize(&mut sess, &q, p, None, &norm, "t").plan)
-        .collect();
+            PlanNode::scan(&q, "movie_info", ScanOp::SeqScan),
+        ];
+        let plan_refs: Vec<&PlanNode> = plans.iter().collect();
+        let mut cache = crate::featurize::PlanFeatCache::new(&q);
+        let mut feats = Vec::new();
+        f.featurize_batch_into(&mut sess, &q, &plan_refs, &norm, &mut cache, &mut feats);
         let refs: Vec<&FeatNode> = feats.iter().collect();
+        let layout = EntryLayout { out: cfg.plan_node_out, heads: 0, head_dim: 0 };
+        let fresh_memo = || {
+            let mut memo = NodeMemo::default();
+            memo.init(layout, 3 * q.relations.len());
+            memo
+        };
         let mut sc = ScratchArena::new();
-        let whole = penc
-            .forward_inference(&store, &refs, &mut sc)
-            .expect("left-deep candidates are congruent");
-        let n = feats[0].count();
-        assert_eq!(whole.shape(), (3 * n, cfg.plan_node_out));
-        // Partitions {0},{1},{2} (one-plan calls) and {0,1},{2}.
-        for parts in [vec![0..1, 1..2, 2..3], vec![0..2, 2..3]] {
-            for part in parts {
-                let enc = penc
-                    .forward_inference(&store, &refs[part.clone()], &mut sc)
-                    .expect("a sub-batch of congruent plans is congruent");
-                for p in part.clone() {
-                    for r in 0..n {
-                        assert_eq!(
-                            whole.row_slice(p * n + r),
-                            enc.row_slice((p - part.start) * n + r),
-                            "plan {p} node {r}: encoding depends on batch composition"
-                        );
-                    }
-                }
-                sc.recycle(enc);
-            }
+        let (whole, encoded) = encode(&penc, &store, &refs, &mut fresh_memo(), &mut sc);
+        // Three leaves, and the joins (t⋈mi), its two parents, (mk⋈t) and
+        // its parent: 16 nodes, 8 distinct subtrees.
+        assert_eq!(encoded, 8, "each distinct subtree is encoded once");
+        assert_eq!(whole.iter().map(Vec::len).collect::<Vec<_>>(), [5, 5, 5, 1]);
+        // Partitions {0},{1},{2},{3} on fresh memos, and {0,1},{2,3} then
+        // all four again on one warm memo.
+        for p in 0..refs.len() {
+            let (one, _) = encode(&penc, &store, &refs[p..p + 1], &mut fresh_memo(), &mut sc);
+            assert_eq!(one[0], whole[p], "plan {p}: encoding depends on batch composition");
         }
-        // Non-congruent input (different node count) is refused.
-        let bushy = PlanNode::scan(&q, "title", ScanOp::SeqScan);
-        let fb = f.featurize(&mut sess, &q, &bushy, None, &norm, "t").plan;
-        assert!(penc.forward_inference(&store, &[&feats[0], &fb], &mut sc).is_none());
+        let mut warm = fresh_memo();
+        let (a, _) = encode(&penc, &store, &refs[..2], &mut warm, &mut sc);
+        let (b, _) = encode(&penc, &store, &refs[2..], &mut warm, &mut sc);
+        assert_eq!([a, b].concat(), whole, "a memo hit differs from encoding the node");
+        let (again, encoded) = encode(&penc, &store, &refs, &mut warm, &mut sc);
+        assert_eq!((again, encoded), (whole.clone(), 0), "a warm memo encodes nothing");
+        assert_eq!(warm.encoded(), 8);
+        // The uncached featurizer assigns no ids: every node is encoded.
+        let general: Vec<FeatNode> =
+            plans.iter().map(|p| f.featurize(&mut sess, &q, p, None, &norm, "t").plan).collect();
+        let general_refs: Vec<&FeatNode> = general.iter().collect();
+        let (plain, encoded) = encode(&penc, &store, &general_refs, &mut fresh_memo(), &mut sc);
+        assert_eq!((plain, encoded), (whole, 16));
+    }
+
+    /// Joins stop entering the memo when its budget is full, leaves never
+    /// do, and an entry is never evicted.
+    #[test]
+    fn memo_admits_joins_within_budget_and_leaves_always() {
+        let layout = EntryLayout { out: 4, heads: 0, head_dim: 0 };
+        let cap = MEMO_BUDGET_BYTES / (8 * 4);
+        let mut memo = NodeMemo::default();
+        memo.init(layout, 2);
+        let row = vec![0.5f32; 8];
+        for _ in 0..cap - 2 {
+            assert!(memo.admit(false));
+            memo.data.extend_from_slice(&row);
+        }
+        assert!(!memo.admit(false), "the last two entries are reserved for leaves");
+        for _ in 0..3 {
+            assert!(memo.admit(true), "a leaf is always admitted");
+            memo.data.extend_from_slice(&row);
+        }
+        assert!(!memo.admit(false));
+        assert_eq!(memo.len(), cap + 1, "a third leaf goes past the reservation");
     }
 
     #[test]

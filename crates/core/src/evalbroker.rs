@@ -6,8 +6,8 @@
 //! concurrent load. The [`EvalBroker`] is a shared scoring service: worker
 //! sessions — every worker of a lane's pool, across every tenant lane of a
 //! [`crate::tenant::MultiTenantSupervisor`] — submit
-//! their candidate batches to the broker, which packs congruent-shape rows
-//! from *different* requests into one large fused forward pass.
+//! their candidate batches to the broker, which packs rows from *different*
+//! requests into one large fused forward pass.
 //!
 //! # Why fusing is plan-safe
 //!
@@ -52,15 +52,15 @@
 //!
 //! [`submit`]: EvalBroker::submit
 //!
-//! # Congruence bucketing
+//! # Bucketing
 //!
-//! Rows only fuse when the plan-encoder can run them as one batch: same
-//! model (same epoch — hot-swapped models never share a bucket), same
-//! scoring kind (mean vs `S`-sample risk), same recursive tree shape.
-//! Submissions are bucketed by a recursive shape signature of their first
-//! plan; the executor re-verifies congruence row by row and splits into
-//! per-shape fused runs, so a signature collision degrades to smaller
-//! batches instead of a wrong answer.
+//! Rows fuse when they can share one scoring call: same model (same epoch —
+//! hot-swapped models never share a bucket) and same scoring kind (mean vs
+//! `S`-sample risk). Tree shape does not matter: the plan encoder runs
+//! level-wise over whatever nodes the bucket's memos lack, and attention
+//! groups plans by node count inside the call. Each submission carries its
+//! own query's node memo, so the flush leader encodes only subtrees no
+//! submitter has seen, and hands every memo back with its rows.
 //!
 //! # Backpressure and fault containment
 //!
@@ -79,6 +79,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
+use crate::encoder::NodeMemo;
 use crate::featurize::FeatNode;
 use crate::model::{Prediction, QPSeeker};
 use qpseeker_nn::prelude::Tensor;
@@ -91,7 +92,7 @@ pub const ROUND_TICK_US: u64 = 50;
 /// Micro-batch window configuration for the [`EvalBroker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BrokerConfig {
-    /// Rows at which a shape bucket flushes immediately (a *size* flush).
+    /// Rows at which a bucket flushes immediately (a *size* flush).
     pub batch_target: usize,
     /// Micro-batch deadline on the virtual round clock: a sub-target
     /// bucket is held at most `batch_window_us / ROUND_TICK_US` rounds
@@ -145,20 +146,21 @@ impl BrokerStats {
 }
 
 /// What may share a fused forward: same model instance (pointer identity —
-/// distinct epochs are distinct allocations), same scoring kind
-/// (`samples == 0` is mean scoring), same first-plan tree shape.
+/// distinct epochs are distinct allocations) and same scoring kind
+/// (`samples == 0` is mean scoring).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct BucketKey {
     pub(crate) model: usize,
     pub(crate) samples: usize,
-    pub(crate) shape_sig: u64,
 }
 
 /// One candidate-scoring request — the row contract of `QPSeeker::score`,
-/// built by `QPSeeker::submission`: pre-featurized plans plus owned copies
-/// of the per-query tensors the forward needs. Featurization stays
-/// submitter-side (it uses the session's own caches), so scoring — local or
-/// brokered — only ever runs the shape-uniform tensor pipeline.
+/// built by `QPSeeker::submission`: pre-featurized plans, owned copies of
+/// the per-query tensors the forward needs, and the query's node memo.
+/// Featurization stays submitter-side (it uses the session's own caches),
+/// so scoring — local or brokered — only ever runs the tensor pipeline.
+/// The whole submission goes back to its submitter, which returns the row
+/// buffer and the (now larger) memo to its `QueryContext`.
 pub(crate) struct Submission {
     pub(crate) key: BucketKey,
     /// One featurized tree per candidate plan.
@@ -167,6 +169,9 @@ pub(crate) struct Submission {
     pub(crate) qemb: Tensor,
     /// Seeded latent draws `[samples, latent]` when risk scoring.
     pub(crate) eps: Option<Tensor>,
+    /// The submitting query's encoded subtrees, keyed by the node ids in
+    /// `nodes`.
+    pub(crate) memo: NodeMemo,
 }
 
 /// Result of one submission, in candidate order.
@@ -209,7 +214,7 @@ impl FusedOutcome {
 
 struct Slot {
     pending: Option<Submission>,
-    outcome: Option<(FusedOutcome, Vec<FeatNode>)>,
+    outcome: Option<(FusedOutcome, Submission)>,
     /// This member's private wakeup: a flush notifies exactly the members
     /// it released. A shared condvar would wake every parked member per
     /// round (a thundering herd that, on few cores, costs more in context
@@ -262,7 +267,7 @@ impl std::fmt::Debug for BrokerMember {
 }
 
 impl BrokerMember {
-    pub(crate) fn submit(&self, sub: Submission) -> (FusedOutcome, Vec<FeatNode>) {
+    pub(crate) fn submit(&self, sub: Submission) -> (FusedOutcome, Submission) {
         self.broker.submit(self.id, sub)
     }
 }
@@ -313,7 +318,7 @@ impl EvalBroker {
         }
     }
 
-    fn submit(&self, id: usize, sub: Submission) -> (FusedOutcome, Vec<FeatNode>) {
+    fn submit(&self, id: usize, sub: Submission) -> (FusedOutcome, Submission) {
         let mut st = self.lock();
         debug_assert!(st.slots[id].pending.is_none() && st.slots[id].outcome.is_none());
         let round = st.round;
@@ -332,9 +337,9 @@ impl EvalBroker {
                 Err(poisoned) => poisoned.into_inner(),
             };
         }
-        let (outcome, nodes) = st.slots[id].outcome.take().expect("checked above");
+        let answered = st.slots[id].outcome.take().expect("checked above");
         drop(st);
-        (outcome, nodes)
+        answered
     }
 
     fn retire(&self, id: usize) {
@@ -410,24 +415,25 @@ impl EvalBroker {
         // pointer (not a lifetime) is used because different workers pin
         // the model through per-request `Arc`s with no common lifetime.
         let model = unsafe { &*(key.model as *const QPSeeker) };
-        let fused = catch_unwind(AssertUnwindSafe(|| model.score(&subs)));
+        let fused = catch_unwind(AssertUnwindSafe(|| model.score(&mut subs)));
         match fused {
-            Ok((outcomes, forwards)) => {
-                for rows in forwards {
-                    st.stats.fused_batches += 1;
-                    st.stats.fused_rows += rows;
-                    st.stats.occupancy_max = st.stats.occupancy_max.max(rows);
-                }
+            Ok(outcomes) => {
+                let rows: usize = subs.iter().map(|s| s.nodes.len()).sum();
+                st.stats.fused_batches += 1;
+                st.stats.fused_rows += rows;
+                st.stats.occupancy_max = st.stats.occupancy_max.max(rows);
                 for ((id, outcome), sub) in ids.iter().zip(outcomes).zip(subs) {
-                    st.slots[*id].outcome = Some((outcome, sub.nodes));
+                    st.slots[*id].outcome = Some((outcome, sub));
                 }
             }
             Err(payload) => {
                 // Poison exactly this bucket's submissions; each affected
-                // member re-raises inside its own attempt boundary.
+                // member re-raises inside its own attempt boundary. A
+                // memo the failed pass was writing is emptied, not trusted.
                 let msg = crate::error::panic_message(payload);
-                for (id, sub) in ids.iter().zip(subs) {
-                    st.slots[*id].outcome = Some((FusedOutcome::Poisoned(msg.clone()), sub.nodes));
+                for (id, mut sub) in ids.iter().zip(subs) {
+                    sub.memo.clear();
+                    st.slots[*id].outcome = Some((FusedOutcome::Poisoned(msg.clone()), sub));
                 }
             }
         }
@@ -442,28 +448,6 @@ impl EvalBroker {
 enum FlushReason {
     Size,
     Deadline,
-}
-
-/// Recursive tree-shape signature matching the plan encoder's congruence
-/// requirement exactly: child counts (preorder), middle-segment widths, and
-/// leaf-estimate presence. Plans with equal signatures batch into one
-/// encoder run (modulo hash collisions, which the executor re-verifies).
-pub(crate) fn shape_sig(node: &FeatNode) -> u64 {
-    fn step(h: &mut u64, v: u64) {
-        *h ^= v;
-        *h = h.wrapping_mul(crate::fnv::PRIME);
-    }
-    fn walk(n: &FeatNode, h: &mut u64) {
-        step(h, n.children.len() as u64 + 1);
-        step(h, n.mid.cols() as u64);
-        step(h, u64::from(n.leaf_est.is_some()));
-        for c in &n.children {
-            walk(c, h);
-        }
-    }
-    let mut h = crate::fnv::OFFSET;
-    walk(node, &mut h);
-    h
 }
 
 #[cfg(test)]
@@ -496,8 +480,7 @@ mod tests {
         })
     }
 
-    /// A 3-relation star over the IMDb FK schema (all its left-deep plans
-    /// are shape-congruent, so they may share a fused forward).
+    /// A 3-relation star over the IMDb FK schema.
     fn star_query(id: &str) -> Query {
         let mut q = Query::new(id);
         for t in ["title", "movie_info", "movie_keyword"] {
@@ -536,7 +519,7 @@ mod tests {
     }
 
     /// What a brokered search session does per scoring call: featurize into
-    /// a submission, park on the broker, hand the row buffer back.
+    /// a submission, park on the broker, hand rows and memo back.
     fn submit_plans(
         model: &QPSeeker,
         member: &BrokerMember,
@@ -546,8 +529,8 @@ mod tests {
         ctx: &mut crate::model::QueryContext,
         eps: Option<&Tensor>,
     ) -> FusedOutcome {
-        let (outcome, rows) = member.submit(model.submission(feat, query, plans, ctx, eps));
-        ctx.feat_batch = rows;
+        let (outcome, sub) = member.submit(model.submission(feat, query, plans, ctx, eps));
+        ctx.reclaim(sub);
         outcome
     }
 
@@ -585,7 +568,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
-        /// Any partition of a congruent eval set into member submissions,
+        /// Any partition of an eval set into member submissions,
         /// fused through the broker, equals per-plan scalar scoring bit for
         /// bit — the invariant that makes broker-on serving plan-identical
         /// to broker-off.
@@ -624,9 +607,9 @@ mod tests {
         }
     }
 
-    /// Submissions from *different queries* fuse into one forward pass when
-    /// their plans are shape-congruent — the cross-request case the broker
-    /// exists for — and still score bitwise equal to per-query scalar runs.
+    /// Submissions from *different queries* fuse into one forward pass —
+    /// the cross-request case the broker exists for — and still score
+    /// bitwise equal to per-query scalar runs.
     #[test]
     fn cross_query_submissions_fuse_into_one_forward() {
         let model = shared_model();
@@ -669,7 +652,7 @@ mod tests {
             handles.into_iter().map(|h| h.join().expect("member thread")).collect()
         });
         let stats = broker.take_stats();
-        assert_eq!(stats.fused_batches, 1, "congruent cross-query rows share one forward");
+        assert_eq!(stats.fused_batches, 1, "cross-query rows share one forward");
         assert_eq!(stats.fused_rows, 6);
         assert_eq!(stats.occupancy_max, 6);
         assert_eq!(stats.flush_size, 1, "6 rows met the size target of 6");

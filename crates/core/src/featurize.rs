@@ -49,12 +49,18 @@ pub struct FeatNode {
     /// Normalized ground-truth (card, cost, time) of this node, when known
     /// (training QEPs); drives the auxiliary per-node loss.
     pub truth: Option<[f32; 3]>,
-    pub children: Vec<FeatNode>,
+    /// The subtree's node id in its query's [`PlanFeatCache`]: equal ids
+    /// are equal subtrees, so their encodings are too. `None` off the
+    /// cached path (training, queries over 64 relations).
+    pub id: Option<u32>,
+    /// Shared, so the cached path hands every plan containing a subtree the
+    /// one node it built for it.
+    pub children: Vec<Arc<FeatNode>>,
 }
 
 impl FeatNode {
     pub fn count(&self) -> usize {
-        1 + self.children.iter().map(FeatNode::count).sum::<usize>()
+        1 + self.children.iter().map(|c| c.count()).sum::<usize>()
     }
 }
 
@@ -69,28 +75,40 @@ pub struct FeaturizedQep {
     pub template: String,
 }
 
-/// Per-query featurization cache for the MCTS hot loop.
+/// Per-query featurization cache for the search hot loop: it hash-conses
+/// while it featurizes.
 ///
-/// Candidate plans of one query share almost all featurization work: the
-/// constant `[rel one-hot sum ‖ TaBERT repr]` prefix of a node depends only
-/// on the *set* of aliases under it, and a leaf's EXPLAIN estimate depends
-/// only on `(alias, scan op)` — scan estimates are context-independent. Both
-/// are memoized here, keyed by a `u64` alias bitmask (bit = index of the
-/// alias in `query.relations`). Leaf masks have exactly one bit and join
-/// masks at least two, so leaves and joins can never collide.
+/// Candidate plans of one query share almost all their subtrees, and a
+/// subtree's features are a function of few things: a leaf's of `(alias,
+/// scan op)` — scan estimates are context-independent — and a join's of
+/// `(join op, left subtree, right subtree)`. So every distinct subtree gets
+/// a dense node id ([`FeatNode::id`]) under exactly that key, is featurized
+/// once, and is shared by every later plan containing it: featurizing a
+/// plan whose subtrees are all known costs one id lookup per node. The
+/// scoring path keys its memo of encoded subtrees by the same ids. The
+/// `[rel one-hot sum ‖ TaBERT repr]` prefix of a node depends only on the
+/// *set* of aliases under it and is memoized too, keyed by a `u64` alias
+/// bitmask (bit = index of the alias in `query.relations`).
 ///
-/// Only exact for queries with at most 64 relations; callers fall back to
-/// [`Featurizer::featurize`] beyond that.
+/// Only exact for queries with at most 64 relations, and for plans whose
+/// every scan is a relation of the query ([`Self::binds`]); callers fall
+/// back to [`Featurizer::featurize`] otherwise.
 pub struct PlanFeatCache {
     sql: String,
     /// alias → bit index, in `query.relations` order.
     alias_bits: HashMap<String, u32, FnvBuild>,
-    /// bit index → alias (for mask iteration).
-    aliases: Vec<String>,
+    /// bit index → (alias, table) (for mask iteration).
+    aliases: Vec<(String, String)>,
     /// subtree alias-bitmask → `[rel one-hot sum ‖ TaBERT repr]` prefix.
     mid_prefix: HashMap<u64, Vec<f32>, FnvBuild>,
-    /// `(alias bit, scan-op one-hot index)` → normalized, scaled estimates.
-    leaf_est: HashMap<(u32, usize), Tensor, FnvBuild>,
+    /// bit index → the table's TaBERT `[CLS]`, pooled into join prefixes.
+    cls: Vec<Option<Vec<f32>>>,
+    /// `(op one-hot index, alias bit | left id, 0 | right id)` → node id.
+    /// Scan and join one-hot indices are disjoint, so leaves and joins
+    /// never collide.
+    ids: HashMap<(usize, u32, u32), u32, FnvBuild>,
+    /// Node id → its featurized subtree.
+    nodes: Vec<Arc<FeatNode>>,
 }
 
 impl PlanFeatCache {
@@ -99,20 +117,49 @@ impl PlanFeatCache {
         let mut aliases = Vec::with_capacity(query.relations.len());
         for (i, rel) in query.relations.iter().enumerate() {
             alias_bits.insert(rel.alias.clone(), i as u32);
-            aliases.push(rel.alias.clone());
+            aliases.push((rel.alias.clone(), rel.table.clone()));
         }
         Self {
             sql: query.to_sql(),
             alias_bits,
             aliases,
             mid_prefix: HashMap::default(),
-            leaf_est: HashMap::default(),
+            cls: vec![None; query.relations.len()],
+            ids: HashMap::default(),
+            nodes: Vec::new(),
         }
     }
 
     /// Whether the bitmask representation is exact for `query`.
     pub fn supports(query: &Query) -> bool {
         query.relations.len() <= 64
+    }
+
+    /// Whether every scan of `plan` reads a relation of this cache's query
+    /// under its own alias. A foreign leaf would otherwise alias a cached
+    /// relation's features (and node id).
+    pub fn binds(&self, plan: &PlanNode) -> bool {
+        match plan {
+            PlanNode::Scan { alias, table, .. } => self
+                .alias_bits
+                .get(alias)
+                .is_some_and(|&bit| self.aliases[bit as usize].1 == *table),
+            PlanNode::Join { left, right, .. } => self.binds(left) && self.binds(right),
+        }
+    }
+
+    /// The known subtree of `key`, if any.
+    fn node(&self, key: (usize, u32, u32)) -> Option<Arc<FeatNode>> {
+        self.ids.get(&key).map(|&id| Arc::clone(&self.nodes[id as usize]))
+    }
+
+    /// Number `node` as the subtree of `key` (ids in first-seen order).
+    fn intern(&mut self, key: (usize, u32, u32), mut node: FeatNode) -> Arc<FeatNode> {
+        let id = self.nodes.len() as u32;
+        node.id = Some(id);
+        self.ids.insert(key, id);
+        self.nodes.push(Arc::new(node));
+        Arc::clone(&self.nodes[id as usize])
     }
 }
 
@@ -238,12 +285,15 @@ impl Featurizer {
         postorder_idx: &mut usize,
     ) -> FeatNode {
         // Children first (postorder indexing must match Explain/Executor).
-        let children: Vec<FeatNode> = match node {
+        let children: Vec<Arc<FeatNode>> = match node {
             PlanNode::Scan { .. } => Vec::new(),
-            PlanNode::Join { left, right, .. } => vec![
-                self.feat_node(sess, query, left, estimates, truths, norm, sql, postorder_idx),
-                self.feat_node(sess, query, right, estimates, truths, norm, sql, postorder_idx),
-            ],
+            PlanNode::Join { left, right, .. } => [left, right]
+                .map(|c| {
+                    let child =
+                        self.feat_node(sess, query, c, estimates, truths, norm, sql, postorder_idx);
+                    Arc::new(child)
+                })
+                .into(),
         };
         let my_idx = *postorder_idx;
         *postorder_idx += 1;
@@ -307,7 +357,7 @@ impl Featurizer {
             norm.encode([p.rows as f64, p.cost, p.time_ms])
         });
 
-        FeatNode { mid: Tensor::row(mid), leaf_est, truth, children }
+        FeatNode { mid: Tensor::row(mid), leaf_est, truth, id: None, children }
     }
 
     /// Representation of a filtered column (paper §4.2(c)): TabSim encoding
@@ -330,10 +380,15 @@ impl Featurizer {
     }
 
     /// Featurize one candidate plan of `query` through a [`PlanFeatCache`],
-    /// reusing the `[rel ‖ TaBERT]` prefixes and leaf estimates computed for
+    /// reusing every subtree and `[rel ‖ TaBERT]` prefix featurized for
     /// earlier candidates of the same query. Produces a [`FeatNode`] tree
     /// numerically identical to [`Featurizer::featurize`]'s (with no truth
-    /// labels — this is an inference-only path).
+    /// labels — this is an inference-only path), plus node ids.
+    ///
+    /// # Panics
+    /// When a scan's alias is not a relation of `query`
+    /// ([`PlanFeatCache::binds`] is false); such plans take
+    /// [`Featurizer::featurize`].
     pub fn featurize_plan_fast(
         &self,
         sess: &mut FeatSession,
@@ -343,15 +398,15 @@ impl Featurizer {
         cache: &mut PlanFeatCache,
     ) -> FeatNode {
         debug_assert!(PlanFeatCache::supports(query), "fall back to featurize() beyond 64 rels");
-        self.fast_node(sess, query, plan, norm, cache).0
+        FeatNode::clone(&self.fast_node(sess, query, plan, norm, cache).0)
     }
 
     /// Featurize a batch of candidate plans of one query into `out`
     /// (cleared first), sharing the [`PlanFeatCache`] across all of them.
-    /// After the first candidate warms the cache, each additional plan costs
-    /// only prefix lookups + op one-hot assembly — the per-plan trees are
-    /// exactly what K [`Self::featurize_plan_fast`] calls would produce, so
-    /// batched scoring stays bitwise equal to scalar scoring.
+    /// A plan whose subtrees are all known costs one id lookup per node and
+    /// a shallow copy of its root — the per-plan trees are exactly what K
+    /// [`Self::featurize_plan_fast`] calls would produce, so batched scoring
+    /// stays bitwise equal to scalar scoring.
     pub fn featurize_batch_into(
         &self,
         sess: &mut FeatSession,
@@ -375,12 +430,19 @@ impl Featurizer {
         node: &PlanNode,
         norm: &TargetNormalizer,
         cache: &mut PlanFeatCache,
-    ) -> (FeatNode, u64) {
+    ) -> (Arc<FeatNode>, u64) {
         let n_tables = self.db.catalog.num_tables().max(1);
+        let op_idx = node.physical_op().one_hot_index();
         match node {
             PlanNode::Scan { alias, table, filters, .. } => {
-                let bit = cache.alias_bits.get(alias).copied().unwrap_or(0);
-                let mask = 1u64 << (bit as u64 % 64);
+                let bit = *cache.alias_bits.get(alias).unwrap_or_else(|| {
+                    panic!("scan alias {alias:?} is not a relation of query {}", query.id)
+                });
+                let mask = 1u64 << bit;
+                let key = (op_idx, bit, 0);
+                if let Some(leaf) = cache.node(key) {
+                    return (leaf, mask);
+                }
                 if !cache.mid_prefix.contains_key(&mask) {
                     let mut prefix = Vec::with_capacity(n_tables + self.tabert.dim());
                     prefix.resize(n_tables, 0.0);
@@ -399,58 +461,59 @@ impl Featurizer {
                     prefix.extend_from_slice(&repr);
                     cache.mid_prefix.insert(mask, prefix);
                 }
-                let op_idx = node.physical_op().one_hot_index();
-                let est = cache
-                    .leaf_est
-                    .entry((bit, op_idx))
-                    .or_insert_with(|| {
-                        // Scan estimates are context-independent, so the
-                        // single-node plan yields the same NodeEstimate the
-                        // full-plan EXPLAIN would.
-                        let e = self.explain().explain(query, node)[0];
-                        let enc = norm.encode([e.rows, e.cost, e.time_ms]);
-                        Tensor::row(enc.iter().map(|v| v * ESTIMATE_SCALE).collect())
-                    })
-                    .clone();
+                // Scan estimates are context-independent, so the single-node
+                // plan yields the same NodeEstimate the full-plan EXPLAIN
+                // would.
+                let e = self.explain().explain(query, node)[0];
+                let enc = norm.encode([e.rows, e.cost, e.time_ms]);
+                let est = Tensor::row(enc.iter().map(|v| v * ESTIMATE_SCALE).collect());
                 let mid = self.finish_mid(&cache.mid_prefix[&mask], op_idx);
-                (FeatNode { mid, leaf_est: Some(est), truth: None, children: Vec::new() }, mask)
+                let leaf =
+                    FeatNode { mid, leaf_est: Some(est), truth: None, id: None, children: vec![] };
+                (cache.intern(key, leaf), mask)
             }
             PlanNode::Join { left, right, .. } => {
                 let (lf, lm) = self.fast_node(sess, query, left, norm, cache);
                 let (rf, rm) = self.fast_node(sess, query, right, norm, cache);
                 let mask = lm | rm;
+                let id = |n: &FeatNode| n.id.expect("cached subtrees carry ids");
+                let key = (op_idx, id(&lf), id(&rf));
+                if let Some(join) = cache.node(key) {
+                    return (join, mask);
+                }
                 if !cache.mid_prefix.contains_key(&mask) {
                     // Aliases in sorted order, matching PlanNode::aliases()'
                     // BTreeSet iteration so float accumulation is identical.
-                    let mut aliases: Vec<&str> = (0..64)
-                        .filter(|b| mask & (1u64 << b) != 0)
-                        .filter_map(|b| cache.aliases.get(b as usize).map(String::as_str))
-                        .collect();
-                    aliases.sort_unstable();
+                    let mut bits: Vec<usize> =
+                        (0..cache.aliases.len()).filter(|&b| mask >> b & 1 == 1).collect();
+                    bits.sort_unstable_by(|&a, &b| cache.aliases[a].0.cmp(&cache.aliases[b].0));
                     let mut prefix = Vec::with_capacity(n_tables + self.tabert.dim());
                     prefix.resize(n_tables, 0.0);
                     let mut acc = vec![0.0f32; self.tabert.dim()];
-                    for alias in &aliases {
-                        let table = query.table_of(alias).unwrap_or(alias);
+                    for &b in &bits {
+                        let table = &cache.aliases[b].1;
                         if let Some(idx) = self.db.catalog.table_idx(table) {
                             prefix[idx] += 1.0;
                         }
-                        let cls = self.tabert.encode_table_cls(
-                            &mut sess.tabert,
-                            &self.db,
-                            table,
-                            &cache.sql,
-                        );
-                        for (a, c) in acc.iter_mut().zip(&cls) {
-                            *a += c / aliases.len() as f32;
+                        let cls = cache.cls[b].get_or_insert_with(|| {
+                            self.tabert.encode_table_cls(
+                                &mut sess.tabert,
+                                &self.db,
+                                table,
+                                &cache.sql,
+                            )
+                        });
+                        for (a, c) in acc.iter_mut().zip(cls.iter()) {
+                            *a += c / bits.len() as f32;
                         }
                     }
                     prefix.extend_from_slice(&acc);
                     cache.mid_prefix.insert(mask, prefix);
                 }
-                let op_idx = node.physical_op().one_hot_index();
                 let mid = self.finish_mid(&cache.mid_prefix[&mask], op_idx);
-                (FeatNode { mid, leaf_est: None, truth: None, children: vec![lf, rf] }, mask)
+                let join =
+                    FeatNode { mid, leaf_est: None, truth: None, id: None, children: vec![lf, rf] };
+                (cache.intern(key, join), mask)
             }
         }
     }

@@ -47,6 +47,12 @@ pub struct ServeCounters {
     /// shared [`crate::evalbroker::EvalBroker`] — fusing changes *where*
     /// rows are evaluated, never how many.
     pub eval_candidates: usize,
+    /// Plan-node rows the plan encoder ran for those candidates: one per
+    /// distinct subtree per query while its node memo has budget, so this
+    /// is what incremental encoding saves against the candidates' total
+    /// node count. Like `eval_candidates`, the same for any worker count
+    /// and broker mode.
+    pub plan_nodes_encoded: usize,
     /// Fused forward passes the eval broker executed (zero when serving
     /// without a broker).
     pub fused_batches: usize,
@@ -109,6 +115,7 @@ impl ServeCounters {
         self.breaker_recoveries += other.breaker_recoveries;
         self.probes += other.probes;
         self.eval_candidates += other.eval_candidates;
+        self.plan_nodes_encoded += other.plan_nodes_encoded;
         self.fused_batches += other.fused_batches;
         self.fused_rows += other.fused_rows;
         self.fused_occupancy_max = self.fused_occupancy_max.max(other.fused_occupancy_max);
@@ -122,7 +129,7 @@ impl std::fmt::Display for ServeCounters {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "isa={} served={} (neural={} cache_hits={} classical={} failed={}) shed={} (queue_full={} deadline={} expired={}) breaker(trips={} recoveries={} probes={}) eval(candidates={} fused_batches={} occupancy_mean={:.2} occupancy_max={} flush_size={} flush_deadline={})",
+            "isa={} served={} (neural={} cache_hits={} classical={} failed={}) shed={} (queue_full={} deadline={} expired={}) breaker(trips={} recoveries={} probes={}) eval(candidates={} nodes_encoded={} fused_batches={} occupancy_mean={:.2} occupancy_max={} flush_size={} flush_deadline={})",
             self.isa.name(),
             self.admitted,
             self.served_neural,
@@ -137,6 +144,7 @@ impl std::fmt::Display for ServeCounters {
             self.breaker_recoveries,
             self.probes,
             self.eval_candidates,
+            self.plan_nodes_encoded,
             self.fused_batches,
             self.fused_occupancy_mean(),
             self.fused_occupancy_max,
@@ -358,6 +366,7 @@ mod tests {
     fn fused_counters_merge_exactly() {
         let a = ServeCounters {
             eval_candidates: 40,
+            plan_nodes_encoded: 90,
             fused_batches: 3,
             fused_rows: 30,
             fused_occupancy_max: 16,
@@ -367,6 +376,7 @@ mod tests {
         };
         let b = ServeCounters {
             eval_candidates: 10,
+            plan_nodes_encoded: 25,
             fused_batches: 1,
             fused_rows: 10,
             fused_occupancy_max: 10,
@@ -376,6 +386,7 @@ mod tests {
         let mut merged = a;
         merged.merge(&b);
         assert_eq!(merged.eval_candidates, 50);
+        assert_eq!(merged.plan_nodes_encoded, 115, "encoded rows merge by sum");
         assert_eq!(merged.fused_batches, 4);
         assert_eq!(merged.fused_rows, 40);
         assert_eq!(merged.fused_occupancy_max, 16, "occupancy max merges by max");
@@ -385,6 +396,7 @@ mod tests {
         assert_eq!(ServeCounters::default().fused_occupancy_mean(), 0.0);
         let text = merged.to_string();
         assert!(text.contains("candidates=50") && text.contains("occupancy_max=16"));
+        assert!(text.contains("nodes_encoded=115"), "{text}");
     }
 
     #[test]

@@ -3,13 +3,13 @@
 
 use crate::config::ModelConfig;
 use crate::durable::SnapshotStore;
-use crate::encoder::{PlanEncoder, QueryEncoder};
+use crate::encoder::{EntryLayout, LevelPass, NodeMemo, NodeRef, PlanEncoder, QueryEncoder};
 use crate::error::CoreError;
-use crate::evalbroker::{shape_sig, BucketKey, FusedOutcome, Submission};
+use crate::evalbroker::{BucketKey, FusedOutcome, Submission};
 use crate::featurize::{FeatNode, FeatSession, FeaturizedQep, Featurizer, PlanFeatCache};
 use crate::normalize::TargetNormalizer;
 use crate::vae::CostModeler;
-use qpseeker_engine::plan::PlanNode;
+use qpseeker_engine::plan::{PlanNode, ScanOp};
 use qpseeker_engine::query::Query;
 use qpseeker_nn::prelude::*;
 use qpseeker_storage::Database;
@@ -518,9 +518,16 @@ impl QPSeeker {
 
     /// Build the per-query state every scoring entry point takes. The query
     /// encoder runs once here, tape-free; each candidate plan then only pays
-    /// for the plan encoder, attention, and VAE head — a search builds one
-    /// context per query and scores every candidate through it.
+    /// for the plan-encoder rows of subtrees no earlier candidate had, and
+    /// for attention and the VAE head — a search builds one context per
+    /// query and scores every candidate through it.
     pub fn query_context(&self, query: &Query) -> QueryContext {
+        self.query_context_reusing(query, NodeMemo::default())
+    }
+
+    /// [`Self::query_context`] on a recycled memo allocation (a planner
+    /// session's); [`QueryContext::finish`] hands it back.
+    pub(crate) fn query_context_reusing(&self, query: &Query, mut memo: NodeMemo) -> QueryContext {
         let qf = self.feat.query_features(query);
         let qemb = with_thread_scratch(|sc| {
             let e = self.query_enc.forward_inference(&self.store, &qf, sc);
@@ -528,7 +535,20 @@ impl QPSeeker {
             sc.recycle(e);
             owned
         });
-        QueryContext { qemb, plan_cache: PlanFeatCache::new(query), feat_batch: Vec::new() }
+        memo.clear();
+        QueryContext {
+            qemb,
+            query_key: query_key(query),
+            plan_cache: PlanFeatCache::new(query),
+            feat_batch: Vec::new(),
+            memo,
+        }
+    }
+
+    /// What a [`NodeMemo`] entry of this model holds.
+    fn memo_layout(&self) -> EntryLayout {
+        let heads = if self.config.use_attention { self.attn.heads } else { 0 };
+        EntryLayout { out: self.plan_enc.out_dim(), heads, head_dim: self.attn.head_dim }
     }
 
     /// [`Self::predict`] with caller-owned featurization caches and a
@@ -545,9 +565,8 @@ impl QPSeeker {
     }
 
     /// Score a batch of candidate plans of one query in one call of
-    /// [`Self::score`]: per congruent shape, one `[K·n, d]` plan-encoder run
-    /// (each tree position a `rows = K` LSTM step), one attention pass, one
-    /// `[K, d]` VAE pass. One-shot wrapper over
+    /// [`Self::score`]: each distinct subtree encoded once, one attention
+    /// pass per node count, one `[K, d]` VAE pass. One-shot wrapper over
     /// [`Self::predict_batch_with_context_in`] on a fresh [`FeatSession`]
     /// built for this call.
     pub fn predict_batch(&self, query: &Query, plans: &[&PlanNode]) -> Vec<Prediction> {
@@ -628,22 +647,28 @@ impl QPSeeker {
         eps: Option<&Tensor>,
     ) -> FusedOutcome {
         let sub = self.submission(sess, query, plans, ctx, eps);
-        let (outcome, nodes) = self.score_local(sub);
-        ctx.feat_batch = nodes;
+        let (outcome, sub) = self.score_local(sub);
+        ctx.reclaim(sub);
         outcome
     }
 
     /// Featurize candidate plans of one query into the scoring row
-    /// contract: one [`FeatNode`] tree per plan, the query embedding, and —
-    /// for risk scoring — the seeded eps block. Featurization runs here,
-    /// against the caller's own caches; only the shape-uniform tensor
-    /// pipeline sits behind [`Self::score`]. The row buffer comes from `ctx`
-    /// and must be handed back (`ctx.feat_batch`) once scored, so a steady
-    /// stream of calls allocates no new `Vec<FeatNode>`s.
+    /// contract: one [`FeatNode`] tree per plan, the query embedding, the
+    /// context's node memo, and — for risk scoring — the seeded eps block.
+    /// Featurization runs here, against the caller's own caches; only the
+    /// tensor pipeline sits behind [`Self::score`]. The row buffer and the
+    /// memo come from `ctx` and go back through [`QueryContext::reclaim`]
+    /// once scored, so a steady stream of calls allocates no new
+    /// `Vec<FeatNode>`s and encodes no subtree twice.
     ///
-    /// This is the one place the 64-relation limit of the alias bitmask
-    /// shows: it picks which featurizer builds the rows. Both produce
-    /// numerically identical trees and feed the same forward.
+    /// This is the one place the limits of the cached featurizer show (at
+    /// most 64 relations, every scan a relation of `query`): it picks which
+    /// featurizer builds the rows. Both produce numerically identical
+    /// trees; only the cached one assigns node ids, so only its rows reach
+    /// the memo.
+    ///
+    /// # Panics
+    /// When `ctx` was built for another query.
     pub(crate) fn submission(
         &self,
         sess: &mut FeatSession,
@@ -653,9 +678,14 @@ impl QPSeeker {
         eps: Option<&Tensor>,
     ) -> Submission {
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
+        assert!(
+            ctx.query_key == query_key(query),
+            "query {:?} scored through a QueryContext built for another query",
+            query.id
+        );
         let mut nodes = std::mem::take(&mut ctx.feat_batch);
-        if PlanFeatCache::supports(query) {
-            let cache = &mut ctx.plan_cache;
+        let cache = &mut ctx.plan_cache;
+        if PlanFeatCache::supports(query) && plans.iter().all(|plan| cache.binds(plan)) {
             self.feat.featurize_batch_into(sess, query, plans, norm, cache, &mut nodes);
         } else {
             nodes.clear();
@@ -663,151 +693,161 @@ impl QPSeeker {
                 nodes.push(self.feat.featurize(sess, query, plan, None, norm, "").plan);
             }
         }
+        let mut memo = std::mem::take(&mut ctx.memo);
+        if !memo.is_init() {
+            memo.init(self.memo_layout(), ScanOp::ALL.len() * query.relations.len());
+        }
         let key = BucketKey {
             model: self as *const QPSeeker as usize,
             samples: eps.map_or(0, Tensor::rows),
-            shape_sig: nodes.first().map_or(0, shape_sig),
         };
-        Submission { key, nodes, qemb: ctx.qemb.clone(), eps: eps.cloned() }
+        Submission { key, nodes, qemb: ctx.qemb.clone(), eps: eps.cloned(), memo }
     }
 
     /// Score one submission on the calling thread — exactly what a
     /// one-member [`EvalBroker`](crate::evalbroker::EvalBroker) flush would
-    /// run. Returns the outcome and the submission's row buffer.
-    pub(crate) fn score_local(&self, sub: Submission) -> (FusedOutcome, Vec<FeatNode>) {
-        let (mut outcomes, _forwards) = self.score(std::slice::from_ref(&sub));
-        (outcomes.pop().expect("one outcome per submission"), sub.nodes)
+    /// run. Returns the outcome and the submission, for
+    /// [`QueryContext::reclaim`].
+    pub(crate) fn score_local(&self, mut sub: Submission) -> (FusedOutcome, Submission) {
+        let mut outcomes = self.score(std::slice::from_mut(&mut sub));
+        (outcomes.pop().expect("one outcome per submission"), sub)
     }
 
     /// **The** tape-free scoring path: every candidate plan the system ever
     /// scores — one `predict`, a search's batch, a broker bucket fused from
     /// many sessions — is a row here. A row is (featurized tree, its
-    /// query's embedding, optionally its query's eps block); rows are
-    /// grouped by exact tree congruence and each group runs one forward
-    /// (plan LSTM → QPAttention or the single-node concat → VAE → heads).
+    /// query's embedding, its query's memo, optionally its query's eps
+    /// block), and one call runs, across every submission:
+    ///
+    /// 1. the plan LSTM over the nodes no memo holds, each node id once per
+    ///    submission, one `rows = m` step per level, children first
+    ///    ([`PlanEncoder::encode_pass`]); then the new rows' per-head K/V,
+    ///    and both into the memos as far as their budgets admit;
+    /// 2. QPAttention once per group of plans with equal node count, over
+    ///    K/V gathered from memo entries and new rows — or, for single-node
+    ///    plans and the no-attention ablation, the paper's concatenation
+    ///    fallback query ‖ root node;
+    /// 3. the VAE head once over every row.
+    ///
     /// Every layer preserves per-row FP reduction order, so a row's result
-    /// does not depend on what it is grouped with: scalar is one row, a
-    /// batch is K rows sharing one `qemb`, mean scoring is "no eps".
+    /// does not depend on what it is scored with, nor on whether its nodes
+    /// were encoded now or by an earlier call: scalar is one row, a batch is
+    /// K rows sharing one `qemb`, mean scoring is "no eps".
     ///
     /// All submissions must agree on the scoring kind (`key.samples`).
-    /// Returns one outcome per submission (in order) plus the row count of
-    /// each forward executed (for the broker's occupancy accounting).
-    pub(crate) fn score(&self, subs: &[Submission]) -> (Vec<FusedOutcome>, Vec<usize>) {
+    /// Returns one outcome per submission, in order.
+    pub(crate) fn score(&self, subs: &mut [Submission]) -> Vec<FusedOutcome> {
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
         let samples = subs.first().map_or(0, |s| s.key.samples);
-        // Flat row table over every submission's candidates, submission-major.
-        let mut rows: Vec<(&FeatNode, &Submission)> = Vec::new();
-        for sub in subs {
+        let layout = self.memo_layout();
+        let (qd, d) = (self.query_enc.out_dim(), self.attn.head_dim);
+        // Split every submission into its read-only rows and its memo.
+        let mut pass = LevelPass::default();
+        let mut memos: Vec<&mut NodeMemo> = Vec::with_capacity(subs.len());
+        let mut rows: Vec<(&Tensor, Option<&Tensor>)> = Vec::new();
+        let mut counts = Vec::with_capacity(subs.len());
+        for (si, sub) in subs.iter_mut().enumerate() {
             debug_assert_eq!(sub.key.samples, samples, "one scoring kind per call");
-            rows.extend(sub.nodes.iter().map(|node| (node, sub)));
-        }
-        // Only the scoring kind's result table is populated.
-        let (n_mean, n_risk) = if samples == 0 { (rows.len(), 0) } else { (0, rows.len()) };
-        let mut mean_out =
-            vec![Prediction { cardinality: 0.0, cost: 0.0, runtime_ms: 0.0 }; n_mean];
-        let mut risk_out = vec![(0.0, 0.0); n_risk];
-        let mut forwards = Vec::new();
-        // Group rows by exact tree congruence — verified here, never taken
-        // from the shape signature, so a signature collision degrades to
-        // smaller forwards instead of a failed one — keeping first-seen
-        // order within each group.
-        let mut grouped = vec![false; rows.len()];
-        let mut idxs: Vec<usize> = Vec::new();
-        for start in 0..rows.len() {
-            if grouped[start] {
-                continue;
+            let Submission { nodes, qemb, eps, memo, .. } = sub;
+            for node in nodes.iter() {
+                pass.add(si, node, memo);
+                rows.push((&*qemb, eps.as_ref()));
             }
-            idxs.clear();
-            idxs.push(start);
-            for j in start + 1..rows.len() {
-                if !grouped[j] && crate::encoder::congruent(rows[start].0, rows[j].0) {
-                    grouped[j] = true;
-                    idxs.push(j);
-                }
-            }
-            self.forward_group(&rows, &idxs, samples, norm, &mut mean_out, &mut risk_out);
-            forwards.push(idxs.len());
+            counts.push(nodes.len());
+            memos.push(memo);
         }
-        // Scatter flat results back into per-submission outcomes.
-        let mut at = 0;
-        let outcomes = subs
-            .iter()
-            .map(|sub| {
-                let span = at..at + sub.nodes.len();
-                at = span.end;
-                match samples {
-                    0 => FusedOutcome::Mean(mean_out[span].to_vec()),
-                    _ => FusedOutcome::Risk(risk_out[span].to_vec()),
-                }
-            })
-            .collect();
-        (outcomes, forwards)
-    }
-
-    /// One forward over a congruent row group `idxs` of `rows`, with a
-    /// *per-row* query embedding (and, under risk scoring, a per-row eps
-    /// block) so rows from different queries share the pass.
-    fn forward_group(
-        &self,
-        rows: &[(&FeatNode, &Submission)],
-        idxs: &[usize],
-        samples: usize,
-        norm: &TargetNormalizer,
-        mean_out: &mut [Prediction],
-        risk_out: &mut [(f64, f64)],
-    ) {
-        let refs: Vec<&FeatNode> = idxs.iter().map(|&i| rows[i].0).collect();
-        let kn = refs.len();
-        let decode = |p: &Tensor, r: usize| {
-            let raw = norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)]);
-            Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] }
-        };
+        let n_rows = rows.len();
         with_thread_scratch(|sc| {
-            let nodes_all = self
-                .plan_enc
-                .forward_inference(&self.store, &refs, sc)
-                .expect("rows grouped by exact congruence");
-            let n_nodes = refs[0].count();
-            let qd = self.query_enc.out_dim();
-            let joint = if n_nodes > 1 && self.config.use_attention {
-                let mut qb = sc.take(kn, qd);
-                for (r, &i) in idxs.iter().enumerate() {
-                    qb.row_slice_mut(r).copy_from_slice(rows[i].1.qemb.data());
-                }
-                let j = self.attn.forward_inference(&self.store, &qb, &nodes_all, n_nodes, sc);
-                sc.recycle(qb);
-                j
-            } else {
-                // Single-node plans (and the no-attention ablation): the
-                // paper's concatenation fallback, query ‖ root node.
-                let mut j = sc.take(kn, qd + self.plan_enc.out_dim());
-                for (r, &i) in idxs.iter().enumerate() {
-                    let row = j.row_slice_mut(r);
-                    row[..qd].copy_from_slice(rows[i].1.qemb.data());
-                    row[qd..].copy_from_slice(nodes_all.row_slice((r + 1) * n_nodes - 1));
-                }
-                j
+            let fresh = self.plan_enc.encode_pass(&self.store, &pass, &memos, sc);
+            let kv = (layout.heads > 0)
+                .then(|| self.attn.project_kv_inference(&self.store, &fresh.h, sc));
+            pass.commit(&mut memos, &fresh, kv.as_ref().map(|(k, v)| (k, v)));
+            let f = pass.fresh_rows();
+            let h_of = |r: NodeRef| match r {
+                NodeRef::Memo { sub, entry } => memos[sub as usize].h(entry),
+                NodeRef::Fresh(row) => fresh.h.row_slice(row as usize),
             };
-            sc.recycle(nodes_all);
-            let eps_refs: Option<Vec<&Tensor>> = (samples > 0).then(|| {
-                idxs.iter().map(|&i| rows[i].1.eps.as_ref().expect("risk rows carry eps")).collect()
-            });
-            // `[K, 3]`; under sampling sample-major `[S*K, 3]`, row k's
-            // sample si at `si*K + k`.
+            let kv_of = |r: NodeRef, head: usize, value: bool| match (r, &kv) {
+                (NodeRef::Memo { sub, entry }, _) => memos[sub as usize].kv(entry, head, value),
+                (NodeRef::Fresh(row), Some((keys, values))) => {
+                    let t = if value { values } else { keys };
+                    t.row_slice(head * f + row as usize)
+                }
+                (NodeRef::Fresh(_), None) => unreachable!("attention implies projected rows"),
+            };
+            let mut joint = sc.take(n_rows, qd + self.plan_enc.out_dim());
+            let mut attend = Vec::new();
+            for (c, span) in pass.spans.iter().enumerate() {
+                if span.len() > 1 && layout.heads > 0 {
+                    attend.push(c);
+                } else {
+                    let row = joint.row_slice_mut(c);
+                    row[..qd].copy_from_slice(rows[c].0.data());
+                    row[qd..].copy_from_slice(h_of(pass.refs[span.end - 1]));
+                }
+            }
+            attend.sort_by_key(|&c| pass.spans[c].len());
+            for group in attend.chunk_by(|&a, &b| pass.spans[a].len() == pass.spans[b].len()) {
+                let (kn, n) = (group.len(), pass.spans[group[0]].len());
+                let mut qb = sc.take(kn, qd);
+                let mut keys = sc.take(layout.heads * kn * n, d);
+                let mut values = sc.take(layout.heads * kn * n, d);
+                for (p, &c) in group.iter().enumerate() {
+                    qb.row_slice_mut(p).copy_from_slice(rows[c].0.data());
+                    for (i, &r) in pass.refs[pass.spans[c].clone()].iter().enumerate() {
+                        for head in 0..layout.heads {
+                            let at = (head * kn + p) * n + i;
+                            keys.row_slice_mut(at).copy_from_slice(kv_of(r, head, false));
+                            values.row_slice_mut(at).copy_from_slice(kv_of(r, head, true));
+                        }
+                    }
+                }
+                let j = self.attn.forward_inference_kv(&self.store, &qb, &keys, &values, n, sc);
+                for (p, &c) in group.iter().enumerate() {
+                    joint.row_slice_mut(c).copy_from_slice(j.row_slice(p));
+                }
+                for t in [qb, keys, values, j] {
+                    sc.recycle(t);
+                }
+            }
+            fresh.recycle(sc);
+            if let Some((keys, values)) = kv {
+                sc.recycle(keys);
+                sc.recycle(values);
+            }
+            let eps_refs: Option<Vec<&Tensor>> = (samples > 0)
+                .then(|| rows.iter().map(|(_, eps)| eps.expect("risk rows carry eps")).collect());
+            // `[R, 3]`; under sampling sample-major `[S*R, 3]`, row r's
+            // sample si at `si*R + r`.
             let p = self.vae.forward_inference(&self.store, &joint, eps_refs.as_deref(), sc);
             sc.recycle(joint);
+            let decode = |r: usize| {
+                let raw = norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)]);
+                Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] }
+            };
+            let mut at = 0;
             let mut times = Vec::with_capacity(samples);
-            for (k, &i) in idxs.iter().enumerate() {
-                if samples == 0 {
-                    mean_out[i] = decode(&p, k);
-                } else {
-                    times.clear();
-                    times.extend((0..samples).map(|si| decode(&p, si * kn + k).runtime_ms));
-                    risk_out[i] = mean_sigma(&times);
-                }
-            }
+            let outcomes = counts
+                .iter()
+                .map(|&count| {
+                    let span = at..at + count;
+                    at = span.end;
+                    if samples == 0 {
+                        return FusedOutcome::Mean(span.map(decode).collect());
+                    }
+                    FusedOutcome::Risk(
+                        span.map(|r| {
+                            times.clear();
+                            times.extend((0..samples).map(|si| decode(si * n_rows + r).runtime_ms));
+                            mean_sigma(&times)
+                        })
+                        .collect(),
+                    )
+                })
+                .collect();
             sc.recycle(p);
-        });
+            outcomes
+        })
     }
 
     /// Reference prediction through the autodiff tape (the training-path
@@ -867,16 +907,59 @@ impl QPSeeker {
     }
 }
 
-/// Cached per-query inference state: the tape-free query embedding plus the
-/// plan featurization cache, both shared by every candidate plan of one
-/// query. Built by [`QPSeeker::query_context`].
+/// Cached per-query inference state: the tape-free query embedding, the
+/// plan featurization cache (which numbers the query's distinct subtrees)
+/// and the memo of subtrees encoded so far, all shared by every candidate
+/// plan of one query. Built by [`QPSeeker::query_context`]; bound to that
+/// query — scoring another one through it panics.
 pub struct QueryContext {
     qemb: Tensor,
+    /// [`query_key`] of the query the context was built for.
+    query_key: u64,
     plan_cache: PlanFeatCache,
     /// Reusable row buffer for [`QPSeeker::submission`], so a steady stream
-    /// of scoring calls allocates no new `Vec<FeatNode>`s. Crate-visible so
-    /// a broker submitter can hand its rows back once answered.
-    pub(crate) feat_batch: Vec<FeatNode>,
+    /// of scoring calls allocates no new `Vec<FeatNode>`s.
+    feat_batch: Vec<FeatNode>,
+    /// Encoded subtrees, keyed by the ids `plan_cache` assigns. Lent to
+    /// each submission and handed back with its rows.
+    memo: NodeMemo,
+}
+
+impl QueryContext {
+    /// Take back a scored submission's row buffer and memo.
+    pub(crate) fn reclaim(&mut self, sub: Submission) {
+        self.feat_batch = sub.nodes;
+        self.memo = sub.memo;
+    }
+
+    /// End the context's query: hand the memo's storage back to `slot` (a
+    /// planner session's, for the next context) and return the plan-node
+    /// rows the LSTM encoded for the query — one per distinct subtree
+    /// scored, while the memo's budget lasted.
+    pub(crate) fn finish(self, slot: &mut NodeMemo) -> usize {
+        let encoded = self.memo.encoded();
+        *slot = self.memo;
+        encoded
+    }
+}
+
+/// A cheap identity of `query`: everything its embedding and plan features
+/// are a function of, hashed.
+fn query_key(query: &Query) -> u64 {
+    use std::hash::{BuildHasher, Hash, Hasher};
+    let mut h = crate::fnv::FnvBuild.build_hasher();
+    query.id.hash(&mut h);
+    for rel in &query.relations {
+        rel.alias.hash(&mut h);
+        rel.table.hash(&mut h);
+    }
+    query.joins.hash(&mut h);
+    for f in &query.filters {
+        f.col.hash(&mut h);
+        std::mem::discriminant(&f.op).hash(&mut h);
+        f.value.to_bits().hash(&mut h);
+    }
+    h.finish()
 }
 
 /// One epoch boundary of a journaled training run, as persisted by
@@ -960,7 +1043,8 @@ fn mean_sigma(times: &[f64]) -> (f64, f64) {
 
 /// Number of nodes carrying ground truth (the auxiliary-loss rows).
 fn count_truth_nodes(node: &crate::featurize::FeatNode) -> usize {
-    usize::from(node.truth.is_some()) + node.children.iter().map(count_truth_nodes).sum::<usize>()
+    usize::from(node.truth.is_some())
+        + node.children.iter().map(|c| count_truth_nodes(c)).sum::<usize>()
 }
 
 /// Walker pairing postorder node vars with featurized truths.
@@ -1120,6 +1204,84 @@ mod tests {
             let single = model.predict(&q, plan);
             assert_eq!(batched[p], single, "plan {p}: batched != scalar");
         }
+    }
+
+    /// A scan that is not a relation of the query — an alias the query does
+    /// not bind, or a bound alias over another table — must neither read
+    /// nor write a query relation's cached features. On a warm context it
+    /// scores exactly as the uncached featurizer does (which refuses an
+    /// unbound alias outright), and scoring it first leaves relation 0's
+    /// predictions untouched.
+    #[test]
+    fn foreign_leaf_never_aliases_a_query_relation() {
+        let db = Arc::new(imdb::generate(0.05, 1));
+        let qeps = tiny_qeps(&db, 12);
+        let refs: Vec<&Qep> = qeps.iter().collect();
+        let mut model = QPSeeker::new(&db, ModelConfig::small());
+        model.fit(&refs).expect("training succeeds");
+        let mut q = Query::new("q");
+        q.relations = vec![RelRef::new("title"), RelRef::new("movie_info")];
+        q.joins = vec![JoinPred {
+            left: ColRef::new("movie_info", "movie_id"),
+            right: ColRef::new("title", "id"),
+        }];
+        use qpseeker_engine::plan::{JoinOp, ScanOp};
+        let own = PlanNode::join(
+            &q,
+            JoinOp::HashJoin,
+            PlanNode::scan(&q, "title", ScanOp::SeqScan),
+            PlanNode::scan(&q, "movie_info", ScanOp::SeqScan),
+        );
+        let scan = |alias: &str, table: &str| PlanNode::Scan {
+            alias: alias.into(),
+            table: table.into(),
+            op: ScanOp::SeqScan,
+            filters: Vec::new(),
+        };
+        let with_mi = |leaf: PlanNode| PlanNode::Join {
+            op: JoinOp::HashJoin,
+            left: Box::new(PlanNode::scan(&q, "movie_info", ScanOp::SeqScan)),
+            right: Box::new(leaf),
+            preds: Vec::new(),
+        };
+        let (unbound, mistyped) =
+            (with_mi(scan("cast_info", "cast_info")), with_mi(scan("title", "cast_info")));
+        let mut feat = FeatSession::new();
+        let bits = |p: Prediction| [p.cardinality, p.cost, p.runtime_ms].map(f64::to_bits);
+
+        // The uncached featurizer's answer, scored as a one-row submission.
+        let norm = model.normalizer.as_ref().expect("fitted");
+        let mut ctx = model.query_context(&q);
+        let mut sub = model.submission(&mut feat, &q, &[], &mut ctx, None);
+        sub.nodes.push(model.feat.featurize(&mut feat, &q, &mistyped, None, norm, "").plan);
+        let general = model.score_local(sub).0.mean()[0];
+
+        let mut warm = model.query_context(&q);
+        let own_fresh = model.predict_with_context_in(&mut feat, &q, &own, &mut warm);
+        let got = model.predict_with_context_in(&mut feat, &q, &mistyped, &mut warm);
+        assert_eq!(bits(got), bits(general), "a foreign leaf scored as a cached relation");
+
+        let mut first = model.query_context(&q);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            model.predict_with_context_in(&mut feat, &q, &unbound, &mut first)
+        }));
+        assert!(refused.is_err(), "an unbound alias has no estimate to score with");
+        model.predict_with_context_in(&mut feat, &q, &mistyped, &mut first);
+        let own_after = model.predict_with_context_in(&mut feat, &q, &own, &mut first);
+        assert_eq!(bits(own_after), bits(own_fresh), "a foreign leaf rewrote relation 0");
+    }
+
+    #[test]
+    #[should_panic(expected = "built for another query")]
+    fn scoring_another_query_through_a_context_panics() {
+        let db = Arc::new(imdb::generate(0.05, 1));
+        let qeps = tiny_qeps(&db, 8);
+        let refs: Vec<&Qep> = qeps.iter().collect();
+        let mut model = QPSeeker::new(&db, ModelConfig::small());
+        model.fit(&refs).expect("training succeeds");
+        let (a, b) = (&qeps[0], qeps.iter().find(|q| q.query.id != qeps[0].query.id).unwrap());
+        let mut ctx = model.query_context(&a.query);
+        model.predict_with_context_in(&mut FeatSession::new(), &b.query, &b.plan, &mut ctx);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! partial-forest scores are out-of-distribution noise. Every candidate
 //! state is therefore scored by greedily completing its forest to a full
 //! plan (first joinable pair, hash join) and evaluating that completion
-//! through the shared [`Evaluator`] (batched when congruent, memoized by
-//! the completion's postorder signature). Ranking thus directly minimizes
-//! the same objective left-deep MCTS optimizes, and the search returns
-//! the best-scoring complete plan seen anywhere — at the final level the
+//! through the shared [`Evaluator`] (batched, memoized by the completion's
+//! postorder signature). Ranking thus directly minimizes the same
+//! objective left-deep MCTS optimizes, and the search returns the
+//! best-scoring complete plan seen anywhere — at the final level the
 //! completions are the states themselves.
 //!
 //! The search is RNG-free: enumeration orders are fixed (states by rank,
@@ -198,9 +198,9 @@ impl BeamPlanner {
     ) -> MctsResult {
         assert!(!query.relations.is_empty(), "cannot plan an empty query");
         let start = Instant::now();
-        let PlannerSession { feat, search, broker } = sess;
+        let PlannerSession { feat, search, broker, memo } = sess;
         let ev = Evaluator::new(model, query, self.risk.as_ref(), self.cfg.seed, broker.as_ref());
-        let mut ctx = model.query_context(query);
+        let mut ctx = model.query_context_reusing(query, std::mem::take(memo));
         let qi = QueryIndex::new(query);
         let asm = BushyAssembler::new(query);
         let scratch = search.beam();
@@ -220,11 +220,13 @@ impl BeamPlanner {
                     best = (k, s);
                 }
             }
+            let nodes_encoded = ctx.finish(memo);
             return MctsResult {
                 plan: scan_plans[best.0].clone(),
                 predicted_ms: best.1,
                 simulations: 3,
                 plans_evaluated: 3,
+                nodes_encoded,
                 budget_exhausted: false,
             };
         }
@@ -417,11 +419,13 @@ impl BeamPlanner {
             }
         }
 
+        let nodes_encoded = ctx.finish(memo);
         MctsResult {
             plan,
             predicted_ms: best_score,
             simulations,
             plans_evaluated: evals,
+            nodes_encoded,
             budget_exhausted,
         }
     }

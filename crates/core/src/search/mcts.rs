@@ -175,6 +175,10 @@ pub struct MctsResult {
     pub simulations: usize,
     /// Distinct complete plans evaluated by the cost model.
     pub plans_evaluated: usize,
+    /// Plan-node rows the plan encoder ran for this search: one per
+    /// distinct subtree of the evaluated plans, until the query's node memo
+    /// fills (see `encoder::MEMO_BUDGET_BYTES`).
+    pub nodes_encoded: usize,
     /// True when the search consumed its full time budget.
     pub budget_exhausted: bool,
 }
@@ -322,9 +326,9 @@ impl MctsPlanner {
     ) -> MctsResult {
         assert!(!query.relations.is_empty(), "cannot plan an empty query");
         let start = Instant::now();
-        let PlannerSession { feat, search, broker } = sess;
+        let PlannerSession { feat, search, broker, memo } = sess;
         let ev = Evaluator::new(model, query, self.risk.as_ref(), self.cfg.seed, broker.as_ref());
-        let mut ctx = model.query_context(query);
+        let mut ctx = model.query_context_reusing(query, std::mem::take(memo));
 
         // Single relation: score the three scan choices in one call; the
         // first of the cheapest wins.
@@ -340,11 +344,13 @@ impl MctsPlanner {
                     best = k;
                 }
             }
+            let nodes_encoded = ctx.finish(memo);
             return MctsResult {
                 plan: plans[best].clone(),
                 predicted_ms: scores[best],
                 simulations: plans.len(),
                 plans_evaluated: plans.len(),
+                nodes_encoded,
                 budget_exhausted: false,
             };
         }
@@ -372,11 +378,13 @@ impl MctsPlanner {
             greedy_complete(&qi, best_seq, acts_buf);
         }
         let plan = asm.build(best_seq);
+        let nodes_encoded = ctx.finish(memo);
         MctsResult {
             plan,
             predicted_ms: best_t.unwrap_or(f64::INFINITY),
             simulations,
             plans_evaluated: eval_cache.len(),
+            nodes_encoded,
             budget_exhausted,
         }
     }

@@ -249,11 +249,11 @@ impl<'a> Evaluator<'a> {
         }
         let eps = self.risk.as_ref().map(|r| &r.eps);
         let sub = self.model.submission(sess, query, plans, ctx, eps);
-        let (outcome, rows) = match self.broker {
+        let (outcome, sub) = match self.broker {
             Some(member) => member.submit(sub),
             None => self.model.score_local(sub),
         };
-        ctx.feat_batch = rows;
+        ctx.reclaim(sub);
         match &self.risk {
             None => scores.extend(outcome.mean().iter().map(|p| p.runtime_ms)),
             Some(r) => {

@@ -157,6 +157,9 @@ pub struct ServeResult {
     /// without a shared eval broker, so this count is invariant across
     /// broker modes and worker counts.
     pub evals: usize,
+    /// Plan-node rows the plan encoder ran for those evals
+    /// ([`crate::mcts::MctsResult::nodes_encoded`]); 0 wherever `evals` is.
+    pub nodes_encoded: usize,
 }
 
 /// Plan `query`, preferring the neural planner but guaranteeing a valid
@@ -260,6 +263,7 @@ pub fn plan_with_fallback_in(
             predicted_ms: Some(result.predicted_ms),
             cache_hit: false,
             evals: result.plans_evaluated,
+            nodes_encoded: result.nodes_encoded,
         };
     }
 
@@ -285,6 +289,7 @@ fn classical(
         predicted_ms: None,
         cache_hit: false,
         evals: 0,
+        nodes_encoded: 0,
     }
 }
 
@@ -315,8 +320,8 @@ pub struct SupervisorConfig {
     /// admission clock.
     pub workers: usize,
     /// Route candidate scoring through a shared [`EvalBroker`]: every
-    /// worker becomes a broker member and congruent scoring requests from
-    /// all of them fuse into wide forward passes. Plans are bitwise
+    /// worker becomes a broker member and scoring requests from all of
+    /// them fuse into wide forward passes. Plans are bitwise
     /// identical to broker-off serving (a row's score does not depend on
     /// what it is fused with); only where the arithmetic runs changes. `None` keeps
     /// per-session scoring.
@@ -745,6 +750,7 @@ impl Supervisor {
             self.counters.served_classical += tally.served_classical;
             self.counters.failed += tally.failed;
             self.counters.eval_candidates += tally.eval_candidates;
+            self.counters.plan_nodes_encoded += tally.plan_nodes_encoded;
             for (i, d) in served {
                 dispositions[i] = Some(d);
             }
@@ -849,6 +855,7 @@ fn serve_admitted(
                     predicted_ms: Some(hit.predicted_ms),
                     cache_hit: true,
                     evals: 0,
+                    nodes_encoded: 0,
                 };
             }
         }
@@ -885,6 +892,7 @@ fn serve_admitted(
     match attempt {
         Ok(result) => {
             tally.eval_candidates += result.evals;
+            tally.plan_nodes_encoded += result.nodes_encoded;
             match result.served_by {
                 ServedBy::Neural => {
                     tally.served_neural += 1;

@@ -10,6 +10,7 @@
 //! The model holds no session of its own: the one-shot conveniences
 //! (`predict`, `MctsPlanner::plan`, …) build a fresh one per call.
 
+use crate::encoder::NodeMemo;
 use crate::evalbroker::BrokerMember;
 use crate::featurize::FeatSession;
 use crate::mcts::MctsScratch;
@@ -85,11 +86,22 @@ pub struct PlannerSession {
     /// by the serving layer before the worker's first request; planning
     /// submits through it whenever it is present.
     pub(crate) broker: Option<BrokerMember>,
+    /// Storage of the node memo, lent to each search's
+    /// [`crate::model::QueryContext`] (which empties it) and handed back,
+    /// like the MCTS pools.
+    pub(crate) memo: NodeMemo,
 }
 
 impl PlannerSession {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Bytes held by the node memo of the last search run on this session:
+    /// within [`crate::encoder::MEMO_BUDGET_BYTES`] unless the query's
+    /// leaves alone exceed it (leaves are always kept).
+    pub fn memo_bytes(&self) -> usize {
+        self.memo.bytes()
     }
 
     /// Drop every cached value. Serving workers call this when the

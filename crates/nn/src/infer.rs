@@ -240,45 +240,75 @@ impl LstmCell {
 }
 
 impl MultiHeadCrossAttention {
-    /// Tape-free attention over `kn` independent (query, kv-block) pairs:
-    /// `query [kn, q_dim]`, `kv_all [kn*n, kv_dim]` (plan `p` owns rows
-    /// `p*n..(p+1)*n`) → `[kn, out_dim]`. One plan is `kn = 1`.
+    /// Tape-free key and value projections of `kv [rows, kv_dim]`, one GEMM
+    /// per head and side, **head-major**: row `h * rows + r` of each result
+    /// is row `r`'s head-`h` projection, `[heads * rows, head_dim]`.
     ///
-    /// The three projections run as single GEMMs over all plans; the
-    /// per-plan score/softmax/context ops are row-independent ([`dot`] for
-    /// scores, the m=1 row kernel for the context product), so row `p` of
-    /// the result is **bitwise identical** for every `kn` and every
-    /// partition of the plans into calls — the contract the batched MCTS
-    /// evaluator and the eval broker rely on.
-    pub fn forward_inference(
+    /// A projected row depends on its input row alone (the GEMM FP-order
+    /// contract), so the rows of one node can be projected once and reused
+    /// by every plan that contains the node.
+    pub fn project_kv_inference(
+        &self,
+        store: &ParamStore,
+        kv: &Tensor,
+        sc: &mut ScratchArena,
+    ) -> (Tensor, Tensor) {
+        let (rows, d) = (kv.rows(), self.head_dim);
+        let mut keys = sc.take(self.heads * rows, d);
+        let mut values = sc.take(self.heads * rows, d);
+        let id = Activation::Identity;
+        for h in 0..self.heads {
+            let span = h * rows * d..(h + 1) * rows * d;
+            let kp = &mut keys.data_mut()[span.clone()];
+            gemm_packed(rows, kv.data(), store.packed(self.wk[h]), false, None, id, kp);
+            let vp = &mut values.data_mut()[span];
+            gemm_packed(rows, kv.data(), store.packed(self.wv[h]), false, None, id, vp);
+        }
+        (keys, values)
+    }
+
+    /// Tape-free attention over `kn` independent (query, kv-block) pairs
+    /// whose keys and values are already projected: `query [kn, q_dim]`,
+    /// `keys`/`values [heads * kn * n, head_dim]` head-major, plan `p`'s
+    /// head-`h` block at rows `(h * kn + p) * n ..` (the layout
+    /// [`Self::project_kv_inference`] returns for `kn * n` rows) →
+    /// `[kn, out_dim]`. One plan is `kn = 1`.
+    ///
+    /// The query projection runs as one GEMM over all plans; the per-plan
+    /// score/softmax/context ops are row-independent ([`dot`] for scores,
+    /// the m=1 row kernel for the context product), so row `p` of the
+    /// result is **bitwise identical** for every `kn` and every partition
+    /// of the plans into calls — the contract the batched scoring path and
+    /// the eval broker rely on.
+    pub fn forward_inference_kv(
         &self,
         store: &ParamStore,
         query: &Tensor,
-        kv_all: &Tensor,
+        keys: &Tensor,
+        values: &Tensor,
         n: usize,
         sc: &mut ScratchArena,
     ) -> Tensor {
         let kn = query.rows();
-        debug_assert_eq!(kv_all.rows(), kn * n, "kv_all must hold n rows per plan");
         let d = self.head_dim;
+        debug_assert_eq!(
+            keys.rows(),
+            self.heads * kn * n,
+            "keys must hold n rows per plan and head"
+        );
+        debug_assert_eq!(values.rows(), keys.rows(), "one value row per key row");
         let scale = 1.0 / (d as f32).sqrt();
         let mut cat = sc.take(kn, self.heads * d);
         let mut q = sc.take(kn, d);
-        let mut kproj = sc.take(kn * n, d);
-        let mut vproj = sc.take(kn * n, d);
         let mut scores = sc.take(kn, n);
         let id = Activation::Identity;
         for h in 0..self.heads {
             gemm_packed(kn, query.data(), store.packed(self.wq[h]), false, None, id, q.data_mut());
-            let kp = kproj.data_mut();
-            gemm_packed(kn * n, kv_all.data(), store.packed(self.wk[h]), false, None, id, kp);
-            let vp = vproj.data_mut();
-            gemm_packed(kn * n, kv_all.data(), store.packed(self.wv[h]), false, None, id, vp);
             for p in 0..kn {
                 // scores[p][i] = (q_p · k_{p,i}) * scale.
                 let q_row = q.row_slice(p);
                 for i in 0..n {
-                    let s = dot(q_row, kproj.row_slice(p * n + i)) * scale;
+                    let s = dot(q_row, keys.row_slice((h * kn + p) * n + i)) * scale;
                     scores.set(p, i, s);
                 }
             }
@@ -286,15 +316,14 @@ impl MultiHeadCrossAttention {
             for p in 0..kn {
                 // ctx_p = scores_p [1 x n] · v-block_p [n x d], written
                 // straight into this head's slice of `cat` via the m=1 kernel.
-                let v_block = &vproj.data()[p * n * d..(p + 1) * n * d];
+                let at = (h * kn + p) * n * d;
+                let v_block = &values.data()[at..at + n * d];
                 let cat_seg = &mut cat.row_slice_mut(p)[h * d..(h + 1) * d];
                 cat_seg.fill(0.0);
                 matmul_kernel(1, n, d, scores.row_slice(p), v_block, cat_seg);
             }
         }
         sc.recycle(q);
-        sc.recycle(kproj);
-        sc.recycle(vproj);
         sc.recycle(scores);
         let out = self.out.forward_inference(store, &cat, sc);
         sc.recycle(cat);
@@ -383,12 +412,26 @@ mod tests {
         let (tape, _scores) = attn.forward(&mut g, &store, qv, kvv);
 
         let mut sc = ScratchArena::new();
-        let fast = attn.forward_inference(&store, &q, &kv, 3, &mut sc);
+        let (keys, values) = attn.project_kv_inference(&store, &kv, &mut sc);
+        let fast = attn.forward_inference_kv(&store, &q, &keys, &values, 3, &mut sc);
         close(fast.data(), g.value(tape).data(), 1e-5);
     }
 
+    /// The head-major rows of plans `lo..hi` out of a `[heads * kn * n, d]`
+    /// projection: what a caller gathers for a sub-batch.
+    fn gather(all: &Tensor, heads: usize, kn: usize, n: usize, lo: usize, hi: usize) -> Tensor {
+        let d = all.cols();
+        let mut out = Vec::with_capacity(heads * (hi - lo) * n * d);
+        for h in 0..heads {
+            out.extend_from_slice(&all.data()[(h * kn + lo) * n * d..(h * kn + hi) * n * d]);
+        }
+        Tensor::from_vec(heads * (hi - lo) * n, d, out)
+    }
+
     /// K plans in one call ≡ K one-plan calls ≡ any partition into calls,
-    /// row for row, bit for bit.
+    /// row for row, bit for bit — whether a partition's K/V rows are
+    /// gathered from one projection of every node or projected on their
+    /// own.
     #[test]
     fn attention_rows_bitwise_equal_under_any_partition() {
         let mut store = ParamStore::new();
@@ -399,19 +442,30 @@ mod tests {
             let query = Initializer::new(kn as u64).normal(kn, 8, 1.0);
             let kv_all = Initializer::new(100 + kn as u64).normal(kn * n, 6, 1.0);
             let mut sc = ScratchArena::new();
-            let whole = attn.forward_inference(&store, &query, &kv_all, n, &mut sc);
+            let (keys, values) = attn.project_kv_inference(&store, &kv_all, &mut sc);
+            assert_eq!(keys.shape(), (4 * kn * n, 5));
+            let whole = attn.forward_inference_kv(&store, &query, &keys, &values, n, &mut sc);
             assert_eq!(whole.shape(), (kn, 10));
             // Chunk sizes 1 (one-plan calls) and 2 (a ragged partition).
             for chunk in [1usize, 2] {
                 for lo in (0..kn).step_by(chunk) {
                     let hi = (lo + chunk).min(kn);
                     let q = Tensor::from_vec(hi - lo, 8, query.data()[lo * 8..hi * 8].to_vec());
+                    let (k, v) =
+                        (gather(&keys, 4, kn, n, lo, hi), gather(&values, 4, kn, n, lo, hi));
                     let kv = Tensor::from_vec(
                         (hi - lo) * n,
                         6,
                         kv_all.data()[lo * n * 6..hi * n * 6].to_vec(),
                     );
-                    let part = attn.forward_inference(&store, &q, &kv, n, &mut sc);
+                    let (k_own, v_own) = attn.project_kv_inference(&store, &kv, &mut sc);
+                    assert_eq!(k.data(), k_own.data(), "a projected key row depends on its batch");
+                    assert_eq!(
+                        v.data(),
+                        v_own.data(),
+                        "a projected value row depends on its batch"
+                    );
+                    let part = attn.forward_inference_kv(&store, &q, &k, &v, n, &mut sc);
                     for p in lo..hi {
                         assert_eq!(
                             whole.row_slice(p),

@@ -114,8 +114,8 @@ commands:
            [--cache <per-shard-capacity>] (fingerprint plan cache; hits
             are bitwise identical to cache-miss search)
            [--broker [--batch-target <rows>] [--batch-window-us <us>]]
-            (one eval broker shared by every worker of every lane: congruent
-             scoring requests fuse into wide forward passes that flush at
+            (one eval broker shared by every worker of every lane: scoring
+             requests fuse into wide forward passes that flush at
              batch-target rows — default 64 — or after batch-window-us on
              the broker's round clock — default 200; plans are unchanged)
            [--weights w0,w1,...] (per-tenant service-rate weights)
@@ -407,7 +407,7 @@ fn apply_strategy_opts(opts: &Opts, strat: &mut StrategyConfig) -> Result<(), St
 }
 
 /// `--broker [--batch-target <rows>] [--batch-window-us <us>]`: route
-/// candidate scoring through a shared eval broker that fuses congruent
+/// candidate scoring through a shared eval broker that fuses scoring
 /// requests from every worker (and, under `--tenants`, every lane) into
 /// wide forward passes. Plans are bitwise identical to broker-off serving.
 fn apply_broker_opts(opts: &Opts, broker: &mut Option<BrokerConfig>) -> Result<(), String> {
