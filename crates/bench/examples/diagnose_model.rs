@@ -56,7 +56,7 @@ fn main() {
         let mut preds = Vec::new();
         let mut actuals = Vec::new();
         for sp in plans.iter().take(40) {
-            preds.push(model.predict_runtime_ms(q, &sp.plan));
+            preds.push(model.predict(q, &sp.plan).runtime_ms);
             actuals.push(ex.execute(&sp.plan).time_ms);
         }
         // rank correlation (Spearman via rank vectors)

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Envelope format version this build reads and writes.
-pub const CHECKPOINT_VERSION: u64 = 1;
+pub(crate) const CHECKPOINT_VERSION: u64 = 1;
 
 /// Serialized model state.
 #[derive(Clone, Serialize, Deserialize)]

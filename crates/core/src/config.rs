@@ -161,24 +161,24 @@ impl ModelConfig {
     /// FNV-64 over the canonical serialization of every knob. Training
     /// snapshots record it so a `--resume` with a different configuration is
     /// rejected (a resumed run must replay the exact epoch plan).
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         crate::durable::fnv64(&serde_json::to_string(self).unwrap_or_default())
     }
 
     /// Query embedding width (both set encodings concatenated).
-    pub fn query_dim(&self) -> usize {
+    pub(crate) fn query_dim(&self) -> usize {
         2 * self.set_mlp_out
     }
 
     /// Width of the "data vector" part of a plan-node output (everything
     /// except the 3 estimate dims).
-    pub fn data_vec_dim(&self) -> usize {
+    pub(crate) fn data_vec_dim(&self) -> usize {
         assert!(self.plan_node_out > 3, "plan_node_out must exceed the 3 estimate dims");
         self.plan_node_out - 3
     }
 
     /// Joint embedding width after QPAttention (query ‖ plan).
-    pub fn joint_dim(&self) -> usize {
+    pub(crate) fn joint_dim(&self) -> usize {
         self.query_dim() + self.plan_node_out
     }
 
@@ -194,7 +194,7 @@ impl ModelConfig {
 
     /// The VAE encoder's layer widths: joint_dim halved `vae_layers` times
     /// down to `2 * latent` (mu ‖ logvar).
-    pub fn vae_encoder_dims(&self) -> Vec<usize> {
+    pub(crate) fn vae_encoder_dims(&self) -> Vec<usize> {
         let mut dims = vec![self.joint_dim()];
         let mut w = self.joint_dim();
         for _ in 0..self.vae_layers {
@@ -206,7 +206,7 @@ impl ModelConfig {
     }
 
     /// The VAE decoder mirrors the encoder back up to joint_dim.
-    pub fn vae_decoder_dims(&self) -> Vec<usize> {
+    pub(crate) fn vae_decoder_dims(&self) -> Vec<usize> {
         let mut enc = self.vae_encoder_dims();
         enc.pop(); // drop the 2*latent head
         enc.reverse();

@@ -29,8 +29,8 @@ use std::path::{Path, PathBuf};
 pub const SNAPSHOT_VERSION: u64 = 1;
 
 /// FNV-1a over `s` (the envelope checksum).
-pub fn fnv64(s: &str) -> u64 {
-    crate::fnv::bytes(s.as_bytes())
+pub(crate) fn fnv64(s: &str) -> u64 {
+    qpseeker_storage::fnv::bytes(s.as_bytes())
 }
 
 /// Seal `payload` (itself JSON) in the versioned, checksummed envelope:
@@ -196,11 +196,6 @@ impl SnapshotStore {
     pub fn with_faults(mut self, faults: Option<FaultInjector>) -> Self {
         self.faults = faults;
         self
-    }
-
-    /// Directory this store persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn path_of(&self, seq: u64) -> PathBuf {

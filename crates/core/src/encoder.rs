@@ -8,14 +8,14 @@ use qpseeker_nn::prelude::*;
 /// applied row-wise, masked mean pooling collapses each set, and the two
 /// pooled vectors are concatenated into the query embedding.
 #[derive(Debug, Clone)]
-pub struct QueryEncoder {
+pub(crate) struct QueryEncoder {
     pub rel_mlp: Mlp,
     pub join_mlp: Mlp,
     out_dim: usize,
 }
 
 impl QueryEncoder {
-    pub fn new(
+    pub(crate) fn new(
         store: &mut ParamStore,
         init: &mut Initializer,
         cfg: &ModelConfig,
@@ -49,12 +49,12 @@ impl QueryEncoder {
         }
     }
 
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.out_dim
     }
 
     /// Encode one query's set features → `[1, query_dim]`.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, feats: &QueryFeatures) -> Var {
+    pub(crate) fn forward(&self, g: &mut Graph, store: &ParamStore, feats: &QueryFeatures) -> Var {
         let rel = self.encode_set(g, store, &self.rel_mlp, &feats.rel_matrix, &feats.rel_mask);
         let join = self.encode_set(g, store, &self.join_mlp, &feats.join_matrix, &feats.join_mask);
         g.concat_cols(rel, join)
@@ -79,7 +79,7 @@ impl QueryEncoder {
 
     /// Tape-free [`Self::forward`]: identical math, scratch buffers instead
     /// of graph nodes. The result comes from `sc` — recycle it when done.
-    pub fn forward_inference(
+    pub(crate) fn forward_inference(
         &self,
         store: &ParamStore,
         feats: &QueryFeatures,
@@ -128,14 +128,14 @@ impl QueryEncoder {
 /// op one-hot | estimates]`; children pass both their hidden/cell state
 /// (averaged) and their output vectors (pooled into the parent's input).
 #[derive(Debug, Clone)]
-pub struct PlanEncoder {
+pub(crate) struct PlanEncoder {
     pub cell: LstmCell,
     data_dim: usize,
     out_dim: usize,
 }
 
 /// The encoder's result for one plan.
-pub struct EncodedPlan {
+pub(crate) struct EncodedPlan {
     /// `[n_nodes, out_dim]` stacked node outputs, postorder.
     pub nodes: Var,
     /// The root node's output `[1, out_dim]`.
@@ -145,7 +145,7 @@ pub struct EncodedPlan {
 }
 
 impl PlanEncoder {
-    pub fn new(
+    pub(crate) fn new(
         store: &mut ParamStore,
         init: &mut Initializer,
         cfg: &ModelConfig,
@@ -159,12 +159,17 @@ impl PlanEncoder {
         }
     }
 
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.out_dim
     }
 
     /// Encode a featurized plan tree.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, plan: &FeatNode) -> EncodedPlan {
+    pub(crate) fn forward(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        plan: &FeatNode,
+    ) -> EncodedPlan {
         let mut node_vars = Vec::with_capacity(plan.count());
         let (root_state, _root_h) = self.encode_node(g, store, plan, &mut node_vars);
         let root = root_state.h;
@@ -295,7 +300,7 @@ impl PlanEncoder {
     }
 }
 
-/// Bytes one query's [`NodeMemo`] may hold. An entry is `2·out + 2·heads·
+/// Bytes one query's `NodeMemo` may hold. An entry is `2·out + 2·heads·
 /// head_dim` floats: 1,792 B at the bench preset (out 96, 4 × 32), so the
 /// budget holds 4,681 entries — deep_join's worst query at an eval cap of
 /// 256 needs at most 30 leaves + 256 × 9 joins = 2,334. At the paper's size
@@ -664,7 +669,7 @@ mod tests {
         let norm = TargetNormalizer::fit(&[[1.0, 1.0, 1.0], [100.0, 50.0, 10.0]]);
         let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
         let mut sess = crate::featurize::FeatSession::new();
-        let fq = f.featurize(&mut sess, &q, &plan, Some(&truth), &norm, "t");
+        let fq = f.featurize(&mut sess, &q, &plan, Some(&truth), &norm);
         let mut g = Graph::new();
         let enc = penc.forward(&mut g, &store, &fq.plan);
         assert_eq!(g.value(enc.nodes).shape(), (5, cfg.plan_node_out));
@@ -695,8 +700,8 @@ mod tests {
                 PlanNode::scan(&q, "movie_keyword", ScanOp::SeqScan),
             )
         };
-        let fa = f.featurize(&mut sess, &q, &mk(JoinOp::HashJoin), None, &norm, "t");
-        let fb = f.featurize(&mut sess, &q, &mk(JoinOp::NestedLoopJoin), None, &norm, "t");
+        let fa = f.featurize(&mut sess, &q, &mk(JoinOp::HashJoin), None, &norm);
+        let fb = f.featurize(&mut sess, &q, &mk(JoinOp::NestedLoopJoin), None, &norm);
         let mut g = Graph::new();
         let ea = penc.forward(&mut g, &store, &fa.plan);
         let eb = penc.forward(&mut g, &store, &fb.plan);
@@ -795,7 +800,7 @@ mod tests {
         assert_eq!(warm.encoded(), 8);
         // The uncached featurizer assigns no ids: every node is encoded.
         let general: Vec<FeatNode> =
-            plans.iter().map(|p| f.featurize(&mut sess, &q, p, None, &norm, "t").plan).collect();
+            plans.iter().map(|p| f.featurize(&mut sess, &q, p, None, &norm).plan).collect();
         let general_refs: Vec<&FeatNode> = general.iter().collect();
         let (plain, encoded) = encode(&penc, &store, &general_refs, &mut fresh_memo(), &mut sc);
         assert_eq!((plain, encoded), (whole, 16));
@@ -840,7 +845,7 @@ mod tests {
         let norm = TargetNormalizer::fit(&[[1.0, 1.0, 1.0], [100.0, 50.0, 10.0]]);
         let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
         let mut sess = crate::featurize::FeatSession::new();
-        let fq = f.featurize(&mut sess, &q, &plan, None, &norm, "t");
+        let fq = f.featurize(&mut sess, &q, &plan, None, &norm);
         store.zero_grads();
         let mut g = Graph::new();
         let qv = qenc.forward(&mut g, &store, &fq.query);

@@ -75,7 +75,7 @@ impl CoreError {
 
 /// Render a `catch_unwind`/`join` panic payload as text (most panics carry
 /// `&str` or `String`).
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -3,7 +3,7 @@
 //! Every serving worker scores candidate plans in tiny private batches
 //! (`batch_eval` rollouts, beam completions, risk-sample blocks), which
 //! leaves the wide GEMM tiles of the fused kernels mostly empty under
-//! concurrent load. The [`EvalBroker`] is a shared scoring service: worker
+//! concurrent load. The `EvalBroker` is a shared scoring service: worker
 //! sessions — every worker of a lane's pool, across every tenant lane of a
 //! [`crate::tenant::MultiTenantSupervisor`] — submit
 //! their candidate batches to the broker, which packs rows from *different*
@@ -19,7 +19,7 @@
 //! leader calls the same forward on a bucket of them. Broker-on serving is
 //! bitwise identical to broker-off serving by construction — the broker
 //! moves *where* the forward runs, never *what* it computes, and
-//! [`EvalBroker::submit`] is synchronous, so it also never moves *when* a
+//! `EvalBroker::submit` is synchronous, so it also never moves *when* a
 //! result is observed by the search.
 //!
 //! # Determinism of batch composition
@@ -34,7 +34,7 @@
 //!    liveness). With the supervisor's static round-robin job partition,
 //!    each member's *sequence* of submissions is deterministic.
 //! 2. **Rounds as global sequence points.** A flush round fires exactly
-//!    when every live member is either parked inside [`submit`] or done —
+//!    when every live member is either parked inside `submit` or done —
 //!    the transition into that state is serialized under the broker lock,
 //!    and the pending set at that point is `{next submission of each
 //!    unreleased live member}`, an invariant of the partial order rather
@@ -49,8 +49,6 @@
 //!    flushed, the oldest bucket flushes so every round releases at least
 //!    one member (forced progress, counted as a deadline flush). Ties
 //!    break on `(birth round, lowest member id)` — never on arrival order.
-//!
-//! [`submit`]: EvalBroker::submit
 //!
 //! # Bucketing
 //!
@@ -87,9 +85,9 @@ use qpseeker_nn::prelude::Tensor;
 /// Virtual duration of one flush round, in microseconds. The broker has no
 /// real timer — rounds are its clock — so `batch_window_us` is quantized
 /// to `batch_window_us / ROUND_TICK_US` hold rounds.
-pub const ROUND_TICK_US: u64 = 50;
+pub(crate) const ROUND_TICK_US: u64 = 50;
 
-/// Micro-batch window configuration for the [`EvalBroker`].
+/// Micro-batch window configuration for the `EvalBroker`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BrokerConfig {
     /// Rows at which a bucket flushes immediately (a *size* flush).
@@ -109,7 +107,7 @@ impl Default for BrokerConfig {
 /// Occupancy and flush accounting, drained by the broker's owner into
 /// [`crate::metrics::ServeCounters`] after a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BrokerStats {
+pub(crate) struct BrokerStats {
     /// Fused forward passes executed.
     pub fused_batches: usize,
     /// Total rows across all fused passes (mean occupancy is
@@ -127,7 +125,7 @@ pub struct BrokerStats {
 impl BrokerStats {
     /// Fold these stats into a serving tally (the owner drains the broker
     /// exactly once per run, so counts never double).
-    pub fn add_to(&self, c: &mut crate::metrics::ServeCounters) {
+    pub(crate) fn add_to(&self, c: &mut crate::metrics::ServeCounters) {
         c.fused_batches += self.fused_batches;
         c.fused_rows += self.fused_rows;
         c.fused_occupancy_max = c.fused_occupancy_max.max(self.occupancy_max);
@@ -136,7 +134,7 @@ impl BrokerStats {
     }
 
     /// Accumulate another drain into this one.
-    pub fn merge(&mut self, other: &BrokerStats) {
+    pub(crate) fn merge(&mut self, other: &BrokerStats) {
         self.fused_batches += other.fused_batches;
         self.fused_rows += other.fused_rows;
         self.occupancy_max = self.occupancy_max.max(other.occupancy_max);
@@ -239,7 +237,7 @@ struct BrokerState {
 /// member whose submit (or retire) completes a round executes that round's
 /// fused forwards under the broker lock, while every other pending member
 /// is parked on the condvar.
-pub struct EvalBroker {
+pub(crate) struct EvalBroker {
     cfg: BrokerConfig,
     hold_rounds: u64,
     state: Mutex<BrokerState>,
@@ -249,7 +247,7 @@ pub struct EvalBroker {
 /// dropping the handle retires the seat (so a panicking worker can never
 /// wedge the pool by leaking liveness). Not `Clone` — seat identity is
 /// what makes the flush rounds deterministic.
-pub struct BrokerMember {
+pub(crate) struct BrokerMember {
     broker: Arc<EvalBroker>,
     id: usize,
 }
@@ -273,7 +271,7 @@ impl BrokerMember {
 }
 
 impl EvalBroker {
-    pub fn new(cfg: BrokerConfig) -> Arc<Self> {
+    pub(crate) fn new(cfg: BrokerConfig) -> Arc<Self> {
         let hold_rounds = (cfg.batch_window_us / ROUND_TICK_US).max(1);
         Arc::new(Self {
             cfg,
@@ -292,7 +290,7 @@ impl EvalBroker {
     /// Register `n` member seats. Must be called for *every* participating
     /// worker before any of them starts planning — dynamic registration
     /// would make round membership depend on thread scheduling.
-    pub fn register_members(self: &Arc<Self>, n: usize) -> Vec<BrokerMember> {
+    pub(crate) fn register_members(self: &Arc<Self>, n: usize) -> Vec<BrokerMember> {
         let mut st = self.lock();
         debug_assert_eq!(st.blocked, 0, "register members before workers start");
         let base = st.slots.len();
@@ -307,7 +305,7 @@ impl EvalBroker {
     }
 
     /// Drain the accumulated occupancy/flush stats.
-    pub fn take_stats(&self) -> BrokerStats {
+    pub(crate) fn take_stats(&self) -> BrokerStats {
         std::mem::take(&mut self.lock().stats)
     }
 

@@ -29,7 +29,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Envelope format version for experience records.
-pub const WAL_VERSION: u64 = 1;
+pub(crate) const WAL_VERSION: u64 = 1;
 
 /// Which planner produced the executed plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -120,7 +120,7 @@ impl ExperienceWal {
     /// Arm deterministic durable-path faults on the append path (chaos
     /// testing). Recovery itself always runs unfaulted — it models the
     /// restart after the simulated kill, not the kill itself.
-    pub fn with_faults(mut self, faults: Option<FaultInjector>) -> Self {
+    pub(crate) fn with_faults(mut self, faults: Option<FaultInjector>) -> Self {
         self.faults = faults;
         self
     }
@@ -190,7 +190,7 @@ impl ExperienceWal {
     /// point; both surface as the transient [`CoreError::InjectedCrash`] and
     /// leave the in-memory log unchanged — exactly what a killed process
     /// would find on restart.
-    pub fn log(
+    pub(crate) fn log(
         &mut self,
         disposition: ExperienceDisposition,
         predicted_ms: Option<f64>,

@@ -7,12 +7,12 @@
 //! sums, TaBERT representations, operator one-hots, and (for leaves) the
 //! EXPLAIN estimates.
 
-use crate::fnv::{self, FnvBuild};
 use crate::normalize::TargetNormalizer;
 use qpseeker_engine::explain::Explain;
 use qpseeker_engine::plan::{PhysicalOp, PlanNode};
 use qpseeker_engine::query::{CmpOp, Filter, Query};
 use qpseeker_nn::tensor::Tensor;
+use qpseeker_storage::fnv::{self, FnvBuild};
 use qpseeker_storage::Database;
 use qpseeker_tabert::{TabSim, TabertCache};
 use std::collections::HashMap;
@@ -23,11 +23,11 @@ use std::sync::Arc;
 /// bounded to (-1, 1) by tanh; z-scores span roughly ±4, so estimates are
 /// carried as `z * ESTIMATE_SCALE` to stay representable, and read back with
 /// the inverse factor.
-pub const ESTIMATE_SCALE: f32 = 0.2;
+pub(crate) const ESTIMATE_SCALE: f32 = 0.2;
 
 /// MSCN-style set features of a query.
 #[derive(Debug, Clone)]
-pub struct QueryFeatures {
+pub(crate) struct QueryFeatures {
     /// `[N, N]` matrix: first `|T_q|` rows are relation one-hots, rest zero.
     pub rel_matrix: Tensor,
     /// `[N, 1]` mask of valid rows.
@@ -59,20 +59,18 @@ pub struct FeatNode {
 }
 
 impl FeatNode {
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         1 + self.children.iter().map(|c| c.count()).sum::<usize>()
     }
 }
 
 /// A fully featurized QEP ready for the encoders.
 #[derive(Debug, Clone)]
-pub struct FeaturizedQep {
+pub(crate) struct FeaturizedQep {
     pub query: QueryFeatures,
     pub plan: FeatNode,
     /// Normalized root targets (training only).
     pub target: Option<[f32; 3]>,
-    /// Template label carried through for latent-space analysis.
-    pub template: String,
 }
 
 /// Per-query featurization cache for the search hot loop: it hash-conses
@@ -91,8 +89,8 @@ pub struct FeaturizedQep {
 /// bitmask (bit = index of the alias in `query.relations`).
 ///
 /// Only exact for queries with at most 64 relations, and for plans whose
-/// every scan is a relation of the query ([`Self::binds`]); callers fall
-/// back to [`Featurizer::featurize`] otherwise.
+/// every scan is a relation of the query; the model's scoring path falls
+/// back to the general, uncached featurizer otherwise.
 pub struct PlanFeatCache {
     sql: String,
     /// alias → bit index, in `query.relations` order.
@@ -131,14 +129,14 @@ impl PlanFeatCache {
     }
 
     /// Whether the bitmask representation is exact for `query`.
-    pub fn supports(query: &Query) -> bool {
+    pub(crate) fn supports(query: &Query) -> bool {
         query.relations.len() <= 64
     }
 
     /// Whether every scan of `plan` reads a relation of this cache's query
     /// under its own alias. A foreign leaf would otherwise alias a cached
     /// relation's features (and node id).
-    pub fn binds(&self, plan: &PlanNode) -> bool {
+    pub(crate) fn binds(&self, plan: &PlanNode) -> bool {
         match plan {
             PlanNode::Scan { alias, table, .. } => self
                 .alias_bits
@@ -202,12 +200,12 @@ impl Featurizer {
     }
 
     /// Total simulated TaBERT time spent so far (Fig. 8 right).
-    pub fn tabert_ms(&self) -> f64 {
+    pub(crate) fn tabert_ms(&self) -> f64 {
         self.tabert.simulated_ms()
     }
 
     /// Build the MSCN set features of a query.
-    pub fn query_features(&self, query: &Query) -> QueryFeatures {
+    pub(crate) fn query_features(&self, query: &Query) -> QueryFeatures {
         let n = self.db.catalog.num_tables().max(1);
         let m = self.db.catalog.num_joins().max(1);
         let mut rel_matrix = Tensor::zeros(n, n);
@@ -245,14 +243,13 @@ impl Featurizer {
 
     /// Featurize a full QEP. `truths` supplies the per-node ground truth in
     /// postorder (from execution) for training; pass `None` at inference.
-    pub fn featurize(
+    pub(crate) fn featurize(
         &self,
         sess: &mut FeatSession,
         query: &Query,
         plan: &PlanNode,
         truths: Option<&qpseeker_engine::executor::ExecutionResult>,
         norm: &TargetNormalizer,
-        template: &str,
     ) -> FeaturizedQep {
         if let Some(t) = truths {
             assert!(
@@ -269,7 +266,7 @@ impl Featurizer {
         let plan_feats =
             self.feat_node(sess, query, plan, &estimates, truths, norm, &sql, &mut postorder_idx);
         let target = truths.map(|t| norm.encode([t.rows as f64, t.cost, t.time_ms]));
-        FeaturizedQep { query: query_feats, plan: plan_feats, target, template: template.into() }
+        FeaturizedQep { query: query_feats, plan: plan_feats, target }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -379,34 +376,19 @@ impl Featurizer {
         repr
     }
 
-    /// Featurize one candidate plan of `query` through a [`PlanFeatCache`],
-    /// reusing every subtree and `[rel ‖ TaBERT]` prefix featurized for
-    /// earlier candidates of the same query. Produces a [`FeatNode`] tree
-    /// numerically identical to [`Featurizer::featurize`]'s (with no truth
-    /// labels — this is an inference-only path), plus node ids.
+    /// Featurize a batch of candidate plans of one query into `out`
+    /// (cleared first), sharing the [`PlanFeatCache`] across all of them and
+    /// every earlier batch of the same query: each subtree and `[rel ‖
+    /// TaBERT]` prefix is featurized once. A plan whose subtrees are all
+    /// known costs one id lookup per node and a shallow copy of its root.
+    /// The trees are numerically identical to the general featurizer's
+    /// (with no truth labels — this is an inference-only path), plus node
+    /// ids, and a plan's tree does not depend on what it is batched with,
+    /// so batched scoring stays bitwise equal to scalar scoring.
     ///
     /// # Panics
-    /// When a scan's alias is not a relation of `query`
-    /// ([`PlanFeatCache::binds`] is false); such plans take
-    /// [`Featurizer::featurize`].
-    pub fn featurize_plan_fast(
-        &self,
-        sess: &mut FeatSession,
-        query: &Query,
-        plan: &PlanNode,
-        norm: &TargetNormalizer,
-        cache: &mut PlanFeatCache,
-    ) -> FeatNode {
-        debug_assert!(PlanFeatCache::supports(query), "fall back to featurize() beyond 64 rels");
-        FeatNode::clone(&self.fast_node(sess, query, plan, norm, cache).0)
-    }
-
-    /// Featurize a batch of candidate plans of one query into `out`
-    /// (cleared first), sharing the [`PlanFeatCache`] across all of them.
-    /// A plan whose subtrees are all known costs one id lookup per node and
-    /// a shallow copy of its root — the per-plan trees are exactly what K
-    /// [`Self::featurize_plan_fast`] calls would produce, so batched scoring
-    /// stays bitwise equal to scalar scoring.
+    /// When a scan's alias is not a relation of `query`; the model's
+    /// scoring path sends such plans through the general featurizer.
     pub fn featurize_batch_into(
         &self,
         sess: &mut FeatSession,
@@ -418,8 +400,9 @@ impl Featurizer {
     ) {
         out.clear();
         out.reserve(plans.len());
+        debug_assert!(PlanFeatCache::supports(query), "fall back to featurize() beyond 64 rels");
         for plan in plans {
-            out.push(self.featurize_plan_fast(sess, query, plan, norm, cache));
+            out.push(FeatNode::clone(&self.fast_node(sess, query, plan, norm, cache).0));
         }
     }
 
@@ -603,7 +586,7 @@ mod tests {
         let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
         let n = norm();
         let mut sess = FeatSession::new();
-        let fq = f.featurize(&mut sess, &q, &plan, Some(&truth), &n, "t0");
+        let fq = f.featurize(&mut sess, &q, &plan, Some(&truth), &n);
         assert_eq!(fq.plan.count(), 3);
         assert_eq!(fq.plan.children.len(), 2);
         // Leaves carry EXPLAIN estimates; the join does not.
@@ -625,7 +608,7 @@ mod tests {
         let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
         let n = norm();
         let mut sess = FeatSession::new();
-        let fq = f.featurize(&mut sess, &q, &plan, Some(&truth), &n, "t0");
+        let fq = f.featurize(&mut sess, &q, &plan, Some(&truth), &n);
         let n_tables = db.catalog.num_tables();
         let rel_part: f32 = fq.plan.mid.data()[..n_tables].iter().sum();
         assert_eq!(rel_part, 2.0, "join node should encode both relations");
@@ -640,7 +623,7 @@ mod tests {
         let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
         let n = norm();
         let mut sess = FeatSession::new();
-        let fq = f.featurize(&mut sess, &q, &plan, Some(&truth), &n, "t0");
+        let fq = f.featurize(&mut sess, &q, &plan, Some(&truth), &n);
         // title leaf has a filter, movie_info leaf does not; their TaBERT
         // segments must differ (different tables anyway) — stronger: same
         // table with vs without filter.
@@ -653,7 +636,7 @@ mod tests {
             PlanNode::scan(&q2, "movie_info", ScanOp::SeqScan),
         );
         let truth2 = Executor::new(&db).execute(&plan2);
-        let fq2 = f.featurize(&mut sess, &q2, &plan2, Some(&truth2), &n, "t0");
+        let fq2 = f.featurize(&mut sess, &q2, &plan2, Some(&truth2), &n);
         let n_tables = db.catalog.num_tables();
         let seg =
             |fqx: &FeaturizedQep| fqx.plan.children[0].mid.data()[n_tables..n_tables + 64].to_vec();
@@ -666,7 +649,7 @@ mod tests {
         let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
         let n = norm();
         let mut sess = FeatSession::new();
-        let fq = f.featurize(&mut sess, &q, &plan, None, &n, "t0");
+        let fq = f.featurize(&mut sess, &q, &plan, None, &n);
         assert!(fq.target.is_none());
         assert!(fq.plan.truth.is_none());
         assert!(fq.plan.children[0].leaf_est.is_some(), "EXPLAIN estimates still available");
@@ -678,7 +661,7 @@ mod tests {
         let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
         let n = norm();
         let mut sess = FeatSession::new();
-        let fq = f.featurize(&mut sess, &q, &plan, None, &n, "t0");
+        let fq = f.featurize(&mut sess, &q, &plan, None, &n);
         let n_tables = db.catalog.num_tables();
         let op_seg = &fq.plan.mid.data()[n_tables + 64..];
         assert_eq!(op_seg.len(), 6);

@@ -1,37 +1,56 @@
 //! `qpseeker-core` — the QPSeeker neural database planner (the paper's
 //! primary contribution).
 //!
-//! Pipeline (paper Fig. 1):
+//! Pipeline (paper Fig. 1), assembled and trained as one
+//! [`model::QPSeeker`]:
 //!
 //! 1. [`featurize`] extracts the three query sets (relations, joins,
 //!    predicates) and per-plan-node features (EXPLAIN estimates, operator
 //!    one-hots, TaBERT data representations);
-//! 2. [`encoder::QueryEncoder`] — MSCN-style set encoder (§4.1);
-//! 3. [`encoder::PlanEncoder`] — bottom-up LSTM-cell tree encoder (§4.2);
+//! 2. a query encoder — MSCN-style set encoder (§4.1);
+//! 3. a plan encoder — bottom-up LSTM-cell tree encoder (§4.2);
 //! 4. `QPAttention` — multi-head cross-attention between the query embedding
 //!    and every plan-node output (§4.3);
-//! 5. [`vae::CostModeler`] — a β-VAE that learns the joint distributions of
+//! 5. a cost modeler — a β-VAE that learns the joint distributions of
 //!    cardinality, cost and runtime over the workload's QEPs (§4.4);
-//! 6. [`mcts::MctsPlanner`] — inference-time Monte Carlo Tree Search over
-//!    the plan space, scored by the learned cost model (§5.2).
+//! 6. [`search::mcts::MctsPlanner`] — inference-time Monte Carlo Tree Search
+//!    over the plan space, scored by the learned cost model (§5.2);
+//!    [`search::strategy::StrategyPlanner`] runs it or a bushy beam search.
 //!
 //! [`metrics`] provides Q-error summaries (Tables 2-5) and [`viz`] the
 //! t-SNE/silhouette tooling for the latent-space analysis (Fig. 5).
+//! [`serve`], [`tenant`] and [`online`] put the planner behind a supervised,
+//! multi-tenant, self-retraining stream server.
 //!
 //! # Example
 //!
+//! Train on a sampled workload (paper §5.1), plan a query the model was not
+//! trained on with MCTS, and execute the chosen plan next to the classical
+//! optimizer's:
+//!
 //! ```no_run
 //! use qpseeker_core::prelude::*;
-//! use qpseeker_workloads::{synthetic, SyntheticConfig, Qep};
+//! use qpseeker_engine::{executor::Executor, optimizer::PgOptimizer};
+//! use qpseeker_workloads::{job, JobConfig};
 //!
-//! let db = std::sync::Arc::new(qpseeker_storage::datagen::imdb::generate(0.05, 1));
-//! let workload = synthetic::generate(&db, &SyntheticConfig { n_queries: 64, seed: 1 });
-//! let refs: Vec<&Qep> = workload.qeps.iter().collect();
+//! let db = std::sync::Arc::new(qpseeker_storage::datagen::imdb::generate(0.1, 42));
+//! let workload = job::generate(
+//!     &db,
+//!     &JobConfig { n_queries: 24, n_templates: 8, target_qeps: 400, ..Default::default() },
+//! );
+//! let (train, eval) = workload.split(0.8, true);
 //! let mut model = QPSeeker::new(&db, ModelConfig::small());
-//! model.fit(&refs).expect("training succeeds");
-//! let planner = MctsPlanner::new(MctsConfig::default());
-//! let chosen = planner.plan(&model, &workload.qeps[0].query);
-//! println!("{}", chosen.plan.pretty());
+//! let report = model.fit(&train).expect("training succeeds");
+//! let final_loss = report.epoch_losses.last().unwrap();
+//! println!("{} parameters, final loss {final_loss:.3}", model.num_parameters());
+//!
+//! let query = &eval[0].query;
+//! let chosen = MctsPlanner::new(MctsConfig::default()).plan(&model, query);
+//! println!("{} plans scored; chosen:\n{}", chosen.plans_evaluated, chosen.plan.pretty());
+//! let ex = Executor::new(&db);
+//! let neural_ms = ex.execute(&chosen.plan).time_ms;
+//! let classical_ms = ex.execute(&PgOptimizer::new(&db).plan(query)).time_ms;
+//! println!("executed: QPSeeker {neural_ms:.3} ms | PostgreSQL-style {classical_ms:.3} ms");
 //! ```
 
 pub mod checkpoint;
@@ -42,7 +61,6 @@ pub mod error;
 pub mod evalbroker;
 pub mod experience;
 pub mod featurize;
-pub(crate) mod fnv;
 pub mod metrics;
 pub mod model;
 pub mod normalize;
@@ -53,45 +71,35 @@ pub mod search;
 pub mod serve;
 pub mod session;
 pub mod tenant;
-pub mod vae;
+mod vae;
 pub mod viz;
-
-// The left-deep MCTS planner predates the strategy layer; keep its
-// historical `crate::mcts` path as an alias of `crate::search::mcts`.
-pub use search::mcts;
 
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::checkpoint::Checkpoint;
     pub use crate::config::ModelConfig;
-    pub use crate::durable::{fsync_dir, write_atomic, RecoveredSnapshot, SnapshotStore};
+    pub use crate::durable::{fsync_dir, write_atomic, SnapshotStore};
     pub use crate::error::CoreError;
-    pub use crate::evalbroker::{BrokerConfig, BrokerStats, EvalBroker, ROUND_TICK_US};
-    pub use crate::experience::{ExperienceDisposition, ExperienceRecord, ExperienceWal};
-    pub use crate::featurize::{FeatNode, FeatSession, FeaturizedQep, Featurizer, QueryFeatures};
-    pub use crate::mcts::{Action, MctsConfig, MctsPlanner, MctsResult, MctsScratch};
-    pub use crate::metrics::{q_error, OnlineCounters, QErrorSummary, ServeCounters};
-    pub use crate::model::{
-        PlannerModel, Prediction, QPSeeker, QueryContext, TrainReport, TrainSnapshot,
-    };
+    pub use crate::evalbroker::BrokerConfig;
+    pub use crate::experience::{ExperienceDisposition, ExperienceWal};
+    pub use crate::featurize::{FeatSession, Featurizer};
+    pub use crate::metrics::{q_error, QErrorSummary, ServeCounters};
+    pub use crate::model::{PlannerModel, Prediction, QPSeeker};
     pub use crate::normalize::TargetNormalizer;
-    pub use crate::online::{BatchReport, OnlineConfig, OnlinePlanner, PromotionDecision};
+    pub use crate::online::{OnlineConfig, OnlinePlanner};
     pub use crate::plancache::{
         query_fingerprint, CacheStats, CachedPlan, PlanCache, PlanCacheCtx,
     };
-    pub use crate::registry::{
-        ModelCell, ModelRegistry, RegressionMonitor, SwapVerdict, TenantHandle,
-    };
-    pub use crate::search::beam::{BeamPlanner, BeamScratch};
+    pub use crate::registry::{ModelCell, ModelRegistry};
+    pub use crate::search::mcts::{MctsConfig, MctsPlanner};
     pub use crate::search::strategy::{
-        RiskParams, StrategyConfig, StrategyKind, StrategyPlanner, DEFAULT_BATCH_EVAL,
+        StrategyConfig, StrategyKind, StrategyPlanner, DEFAULT_BATCH_EVAL,
     };
     pub use crate::serve::{
-        plan_with_fallback_in, BreakerState, CircuitBreaker, Disposition, FallbackReason,
-        QueryRequest, ServeConfig, ServeResult, ServedBy, ShedReason, SupervisedOutcome,
-        SupervisorConfig,
+        plan_with_fallback_in, BreakerState, Disposition, FallbackReason, QueryRequest,
+        ServeConfig, ServeResult, ServedBy, ShedReason, SupervisedOutcome, SupervisorConfig,
     };
-    pub use crate::session::{PlannerSession, SearchScratch};
+    pub use crate::session::PlannerSession;
     pub use crate::tenant::{
         MultiTenantConfig, MultiTenantSupervisor, TenantOutcome, TenantRequest, TenantSpec,
     };

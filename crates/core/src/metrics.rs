@@ -44,7 +44,7 @@ pub struct ServeCounters {
     /// Candidate plans the search layer asked the model to score, summed
     /// over every neurally served query (a cache hit scores nothing).
     /// Counted identically whether scoring ran per-session or through the
-    /// shared [`crate::evalbroker::EvalBroker`] — fusing changes *where*
+    /// shared `crate::evalbroker::EvalBroker` — fusing changes *where*
     /// rows are evaluated, never how many.
     pub eval_candidates: usize,
     /// Plan-node rows the plan encoder ran for those candidates: one per
@@ -102,7 +102,7 @@ impl ServeCounters {
     /// Accumulate another tally into this one (merging per-tenant or
     /// per-worker shards into totals). The ISA tag is taken from `other`;
     /// shards within one process always agree on it.
-    pub fn merge(&mut self, other: &ServeCounters) {
+    pub(crate) fn merge(&mut self, other: &ServeCounters) {
         self.admitted += other.admitted;
         self.served_neural += other.served_neural;
         self.cache_hits += other.cache_hits;
@@ -219,7 +219,7 @@ impl QErrorSummary {
         Self::from_errors(errs)
     }
 
-    pub fn from_errors(mut errs: Vec<f64>) -> Self {
+    pub(crate) fn from_errors(mut errs: Vec<f64>) -> Self {
         assert!(!errs.is_empty(), "q-error summary of empty sample");
         errs.sort_by(|a, b| a.partial_cmp(b).expect("finite q-errors"));
         let pct = |p: f64| errs[((errs.len() - 1) as f64 * p).round() as usize];

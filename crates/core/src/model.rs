@@ -57,9 +57,9 @@ pub struct TrainReport {
 /// worker.
 ///
 /// The one-shot conveniences that take no session (`predict`,
-/// `predict_batch`, `predict_tape`, `latent_mu`, `attention_scores`) build
-/// a fresh `FeatSession` per call, so each call re-encodes the tables it
-/// touches; a loop keeps one session and calls the `*_in` entry points.
+/// `predict_tape`, `latent_mu`) build a fresh `FeatSession` per call, so
+/// each call re-encodes the tables it touches; a loop keeps one session and
+/// calls the `*_in` entry points.
 pub struct QPSeeker {
     pub config: ModelConfig,
     pub store: ParamStore,
@@ -117,11 +117,6 @@ impl QPSeeker {
         }
     }
 
-    /// The shared read-only database this model plans against.
-    pub fn db(&self) -> &Arc<Database> {
-        &self.feat.db
-    }
-
     /// Number of scalar parameters (the paper quotes 10.8M for the full
     /// configuration).
     pub fn num_parameters(&self) -> usize {
@@ -135,9 +130,9 @@ impl QPSeeker {
 
     /// Featurize a training QEP (requires a fitted normalizer) against the
     /// caller's featurization caches.
-    pub fn featurize_qep_in(&self, sess: &mut FeatSession, qep: &Qep) -> FeaturizedQep {
+    fn featurize_qep_in(&self, sess: &mut FeatSession, qep: &Qep) -> FeaturizedQep {
         let norm = self.normalizer.as_ref().expect("fit or set a normalizer first");
-        self.feat.featurize(sess, &qep.query, &qep.plan, Some(&qep.truth), norm, &qep.template)
+        self.feat.featurize(sess, &qep.query, &qep.plan, Some(&qep.truth), norm)
     }
 
     /// Encode one featurized QEP to its joint embedding `[1, joint_dim]`
@@ -174,12 +169,12 @@ impl QPSeeker {
     pub fn fit(&mut self, qeps: &[&Qep]) -> Result<TrainReport, CoreError> {
         let start = std::time::Instant::now();
         let feats = self.featurize_training_set(qeps, true)?;
-        let report = self.fit_featurized(&feats)?;
+        let report = self.fit_featurized_run(&feats, None, None)?;
         Ok(TrainReport { train_seconds: start.elapsed().as_secs_f64(), ..report })
     }
 
     /// [`Self::fit`] with crash-safe journaling: after every epoch a
-    /// [`TrainSnapshot`] (parameters, optimizer moments, RNG/noise cursor,
+    /// snapshot (parameters, optimizer moments, RNG/noise cursor,
     /// normalizer) is written atomically to `journal`, and training resumes
     /// from the newest valid snapshot found there.
     ///
@@ -278,12 +273,6 @@ impl QPSeeker {
             final_kl: snap.final_kl,
             guards: snap.guards,
         })
-    }
-
-    /// Train on pre-featurized QEPs (used by the sampling-fraction bench
-    /// which re-uses featurizations across model instances).
-    pub fn fit_featurized(&mut self, feats: &[FeaturizedQep]) -> Result<TrainReport, CoreError> {
-        self.fit_featurized_run(feats, None, None)
     }
 
     /// The epoch loop, shared by the plain and journaled entry points.
@@ -513,7 +502,8 @@ impl QPSeeker {
     /// [`FeatSession`] and [`QueryContext`] for this call; loops and serving
     /// workers use [`Self::predict_with_context_in`] with their own.
     pub fn predict(&self, query: &Query, plan: &PlanNode) -> Prediction {
-        self.predict_batch(query, &[plan])[0]
+        let mut ctx = self.query_context(query);
+        self.predict_with_context_in(&mut FeatSession::new(), query, plan, &mut ctx)
     }
 
     /// Build the per-query state every scoring entry point takes. The query
@@ -552,8 +542,8 @@ impl QPSeeker {
     }
 
     /// [`Self::predict`] with caller-owned featurization caches and a
-    /// reusable [`QueryContext`] — the serving entry: one row through
-    /// [`Self::score`].
+    /// reusable [`QueryContext`] — the serving entry: one row through the
+    /// model's one tape-free scoring forward.
     pub fn predict_with_context_in(
         &self,
         sess: &mut FeatSession,
@@ -564,18 +554,10 @@ impl QPSeeker {
         self.score_plans(sess, query, &[plan], ctx, None).mean()[0]
     }
 
-    /// Score a batch of candidate plans of one query in one call of
-    /// [`Self::score`]: each distinct subtree encoded once, one attention
-    /// pass per node count, one `[K, d]` VAE pass. One-shot wrapper over
-    /// [`Self::predict_batch_with_context_in`] on a fresh [`FeatSession`]
-    /// built for this call.
-    pub fn predict_batch(&self, query: &Query, plans: &[&PlanNode]) -> Vec<Prediction> {
-        let mut ctx = self.query_context(query);
-        self.score_plans(&mut FeatSession::new(), query, plans, &mut ctx, None).mean()
-    }
-
     /// Batched [`Self::predict_with_context_in`]: fills `out` (cleared
-    /// first) with one [`Prediction`] per plan, in order.
+    /// first) with one [`Prediction`] per plan, in order — one scoring
+    /// call, each distinct subtree encoded once, one attention pass per node
+    /// count, one `[K, d]` VAE pass.
     ///
     /// `out[p]` is **bitwise identical** to
     /// `self.predict_with_context_in(sess, query, plans[p], ctx)` — both are
@@ -602,27 +584,14 @@ impl QPSeeker {
         Initializer::new(seed).standard_normal(samples, self.config.vae_latent)
     }
 
-    /// Runtime mean and population standard deviation of one plan over the
+    /// Runtime mean and population standard deviation of each plan over the
     /// latent draws `eps` (`[S, latent]`): the §5 latent distribution,
     /// actually sampled at serving time instead of collapsed to `eps = 0`.
-    /// Samples decode in ascending row order and accumulate in `f64`, and
-    /// the sampled VAE pass is row-wise bitwise equal at any batch size, so
-    /// the returned pair is bitwise reproducible.
-    pub fn predict_risk_with_context_in(
-        &self,
-        sess: &mut FeatSession,
-        query: &Query,
-        plan: &PlanNode,
-        ctx: &mut QueryContext,
-        eps: &Tensor,
-    ) -> (f64, f64) {
-        self.score_plans(sess, query, &[plan], ctx, Some(eps)).risk()[0]
-    }
-
-    /// Batched [`Self::predict_risk_with_context_in`]: fills `out` (cleared
-    /// first) with one `(mean, sigma)` per plan, in order. Each pair is
-    /// bitwise identical to the one-plan call on the same plan — both are
-    /// rows of the same forward.
+    /// Fills `out` (cleared first) with one `(mean, sigma)` per plan, in
+    /// order. Samples decode in ascending row order and accumulate in
+    /// `f64`, and the sampled VAE pass is row-wise bitwise equal at any
+    /// batch size, so each pair is bitwise reproducible and equal to the
+    /// pair of the same plan scored alone.
     pub fn predict_risk_batch_with_context_in(
         &self,
         sess: &mut FeatSession,
@@ -690,7 +659,7 @@ impl QPSeeker {
         } else {
             nodes.clear();
             for plan in plans {
-                nodes.push(self.feat.featurize(sess, query, plan, None, norm, "").plan);
+                nodes.push(self.feat.featurize(sess, query, plan, None, norm).plan);
             }
         }
         let mut memo = std::mem::take(&mut ctx.memo);
@@ -851,10 +820,10 @@ impl QPSeeker {
     }
 
     /// Reference prediction through the autodiff tape (the training-path
-    /// forward): the independent oracle [`Self::score`] is property-tested
-    /// against within 1e-5. Never a serving path; featurizes through a
-    /// fresh [`FeatSession`] per call, as do [`Self::latent_mu`] and
-    /// [`Self::attention_scores`].
+    /// forward): the independent oracle the tape-free scoring forward is
+    /// property-tested against within 1e-5. Never a serving path;
+    /// featurizes through a fresh [`FeatSession`] per call, as does
+    /// [`Self::latent_mu`].
     pub fn predict_tape(&self, query: &Query, plan: &PlanNode) -> Prediction {
         let (preds, _mu) = self.forward_tape(&self.featurize_reference(query, plan));
         let raw = self.normalizer.as_ref().expect("fitted: featurized above").decode(preds);
@@ -869,7 +838,7 @@ impl QPSeeker {
     /// Featurize an unlabeled QEP for the tape reference paths.
     fn featurize_reference(&self, query: &Query, plan: &PlanNode) -> FeaturizedQep {
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        self.feat.featurize(&mut FeatSession::new(), query, plan, None, norm, "")
+        self.feat.featurize(&mut FeatSession::new(), query, plan, None, norm)
     }
 
     fn forward_tape(&self, fq: &FeaturizedQep) -> ([f32; 3], Vec<f32>) {
@@ -881,29 +850,6 @@ impl QPSeeker {
         let preds = [p.get(0, 0), p.get(0, 1), p.get(0, 2)];
         let mu = g.value(out.mu).data().to_vec();
         (preds, mu)
-    }
-
-    /// Predicted runtime only: the runtime column of the one-shot
-    /// [`Self::predict`].
-    pub fn predict_runtime_ms(&self, query: &Query, plan: &PlanNode) -> f64 {
-        self.predict(query, plan).runtime_ms
-    }
-
-    /// QPAttention scores: for each attention head, the softmax weight the
-    /// query embedding puts on every plan node (postorder). This is the
-    /// paper's §4.3 introspection — "which nodes in the plan have the
-    /// higher impact on the final estimations". Single-node plans (no
-    /// attention) return an empty vector.
-    pub fn attention_scores(&self, query: &Query, plan: &PlanNode) -> Vec<Vec<f32>> {
-        let fq = self.featurize_reference(query, plan);
-        if fq.plan.count() <= 1 || !self.config.use_attention {
-            return Vec::new();
-        }
-        let mut g = Graph::new();
-        let qv = self.query_enc.forward(&mut g, &self.store, &fq.query);
-        let ep = self.plan_enc.forward(&mut g, &self.store, &fq.plan);
-        let (_out, scores) = self.attn.forward(&mut g, &self.store, qv, ep.nodes);
-        scores.iter().map(|&s| g.value(s).data().to_vec()).collect()
     }
 }
 
@@ -947,7 +893,7 @@ impl QueryContext {
 /// are a function of, hashed.
 fn query_key(query: &Query) -> u64 {
     use std::hash::{BuildHasher, Hash, Hasher};
-    let mut h = crate::fnv::FnvBuild.build_hasher();
+    let mut h = qpseeker_storage::fnv::FnvBuild.build_hasher();
     query.id.hash(&mut h);
     for rel in &query.relations {
         rel.alias.hash(&mut h);
@@ -971,7 +917,7 @@ fn query_key(query: &Query) -> u64 {
 /// completed epochs' draws instead of serializing generator internals —
 /// both of which are validated before any state is restored.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TrainSnapshot {
+pub(crate) struct TrainSnapshot {
     /// [`ModelConfig::fingerprint`] of the run that wrote the snapshot.
     pub config_fingerprint: u64,
     /// Training-set size the epoch plan was built from.
@@ -1198,7 +1144,9 @@ mod tests {
             mk("title", "cast_info", "movie_info", JoinOp::MergeJoin, JoinOp::MergeJoin),
         ];
         let plan_refs: Vec<&PlanNode> = plans.iter().collect();
-        let batched = model.predict_batch(&q, &plan_refs);
+        let mut ctx = model.query_context(&q);
+        let batched = model.score_plans(&mut FeatSession::new(), &q, &plan_refs, &mut ctx, None);
+        let batched = batched.mean();
         assert_eq!(batched.len(), plans.len());
         for (p, plan) in plans.iter().enumerate() {
             let single = model.predict(&q, plan);
@@ -1253,7 +1201,7 @@ mod tests {
         let norm = model.normalizer.as_ref().expect("fitted");
         let mut ctx = model.query_context(&q);
         let mut sub = model.submission(&mut feat, &q, &[], &mut ctx, None);
-        sub.nodes.push(model.feat.featurize(&mut feat, &q, &mistyped, None, norm, "").plan);
+        sub.nodes.push(model.feat.featurize(&mut feat, &q, &mistyped, None, norm).plan);
         let general = model.score_local(sub).0.mean()[0];
 
         let mut warm = model.query_context(&q);
@@ -1302,34 +1250,5 @@ mod tests {
         let err = model.fit(&[]).unwrap_err();
         assert_eq!(err, CoreError::EmptyTrainingSet);
         assert!(err.to_string().contains("empty QEP set"));
-    }
-}
-
-#[cfg(test)]
-mod attention_tests {
-    use super::*;
-    use crate::config::ModelConfig;
-    use qpseeker_storage::datagen::imdb;
-    use qpseeker_workloads::{synthetic, Qep, SyntheticConfig};
-
-    #[test]
-    fn attention_scores_are_distributions_over_plan_nodes() {
-        let db = Arc::new(imdb::generate(0.05, 1));
-        let w = synthetic::generate(&db, &SyntheticConfig { n_queries: 12, seed: 3 });
-        let refs: Vec<&Qep> = w.qeps.iter().collect();
-        let mut model = QPSeeker::new(&db, ModelConfig::small());
-        model.fit(&refs).expect("training succeeds");
-        let qep = w.qeps.iter().find(|q| q.plan.len() > 1).expect("join plan exists");
-        let scores = model.attention_scores(&qep.query, &qep.plan);
-        assert_eq!(scores.len(), ModelConfig::small().attn_heads);
-        for head in &scores {
-            assert_eq!(head.len(), qep.plan.len());
-            let sum: f32 = head.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-4, "head weights must sum to 1, got {sum}");
-            assert!(head.iter().all(|&w| w >= 0.0));
-        }
-        // Single-node plans have no attention.
-        let single = w.qeps.iter().find(|q| q.plan.len() == 1).expect("scan-only query");
-        assert!(model.attention_scores(&single.query, &single.plan).is_empty());
     }
 }

@@ -4,12 +4,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Index conventions for the 3 target values.
-pub const CARD: usize = 0;
-pub const COST: usize = 1;
-pub const TIME: usize = 2;
-
-/// Per-target log-space normalizer.
+/// Per-target log-space normalizer over (cardinality, cost, runtime), in
+/// that index order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TargetNormalizer {
     pub mean: [f64; 3],

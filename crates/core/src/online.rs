@@ -19,7 +19,7 @@
 //! 4. a promoted candidate is persisted durably, then **published** through
 //!    the [`ModelCell`] — in-flight requests finish on the model they
 //!    started with, worker sessions reset on the epoch change;
-//! 5. the [`RegressionMonitor`] watches observed runtimes after the swap
+//! 5. the `RegressionMonitor` watches observed runtimes after the swap
 //!    and **rolls back** to the resident previous model if they regress
 //!    beyond the configured factor.
 //!
@@ -29,6 +29,7 @@
 use crate::checkpoint::Checkpoint;
 use crate::durable::SnapshotStore;
 use crate::error::CoreError;
+use crate::evalbroker::{BrokerStats, EvalBroker};
 use crate::experience::{ExperienceDisposition, ExperienceRecord, ExperienceWal};
 use crate::featurize::FeatSession;
 use crate::metrics::{q_error, OnlineCounters};
@@ -159,6 +160,9 @@ pub struct OnlinePlanner {
     trainer_meta: SnapshotStore,
     monitor: RegressionMonitor,
     counters: OnlineCounters,
+    /// Accumulated stats of the eval broker each batch scores through
+    /// (zero when `supervisor.broker` is off).
+    broker_stats: BrokerStats,
     faults: Option<FaultInjector>,
     /// WAL records already consumed by completed rounds.
     consumed: usize,
@@ -222,6 +226,7 @@ impl OnlinePlanner {
             trainer_meta,
             monitor,
             counters: OnlineCounters::default(),
+            broker_stats: BrokerStats::default(),
             faults,
             consumed,
             round,
@@ -238,9 +243,11 @@ impl OnlinePlanner {
         self.counters
     }
 
-    /// Serving counters (admission/disposition tallies).
+    /// Serving counters (admission/disposition tallies, broker gauges).
     pub fn serve_counters(&self) -> crate::metrics::ServeCounters {
-        self.sup.counters()
+        let mut c = self.sup.counters();
+        self.broker_stats.add_to(&mut c);
+        c
     }
 
     /// The experience log.
@@ -280,7 +287,14 @@ impl OnlinePlanner {
         db: &Arc<Database>,
         requests: &[QueryRequest],
     ) -> Result<BatchReport, CoreError> {
-        let outcomes = self.sup.run(db, Some(&self.cell), self.cfg.cache.as_ref(), None, requests);
+        // One broker per batch, every worker seated before any starts, as
+        // a multi-tenant supervisor does across its lanes.
+        let broker = self.cfg.supervisor.broker.map(EvalBroker::new);
+        let seats = broker.as_ref().map(|b| b.register_members(self.cfg.supervisor.workers.max(1)));
+        let outcomes = self.sup.run(db, Some(&self.cell), self.cfg.cache.as_ref(), seats, requests);
+        if let Some(b) = &broker {
+            self.broker_stats.merge(&b.take_stats());
+        }
 
         // Observe: execute each served plan against the live database. The
         // executor's virtual clock makes the observation deterministic.

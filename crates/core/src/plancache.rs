@@ -30,9 +30,9 @@
 //! The map is sharded by key hash; each shard is an independently locked
 //! LRU. Lock hold times are a hash probe or an O(capacity) eviction scan.
 
-use crate::fnv::{self, FnvBuild};
 use qpseeker_engine::plan::PlanNode;
 use qpseeker_engine::query::Query;
+use qpseeker_storage::fnv::{self, FnvBuild};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -366,7 +366,7 @@ impl PlanCache {
     /// Drop every entry belonging to `tenant`. Epoch stamping already makes
     /// stale entries unservable; this frees their memory eagerly (registry
     /// eviction calls it so an evicted tenant holds no cache residue).
-    pub fn invalidate_tenant(&self, tenant: &str) {
+    pub(crate) fn invalidate_tenant(&self, tenant: &str) {
         let t = fnv::bytes(tenant.as_bytes());
         for shard in &self.shards {
             let mut map = Self::lock(shard);
@@ -379,18 +379,8 @@ impl PlanCache {
         }
     }
 
-    /// Drop everything.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut map = Self::lock(shard);
-            let dropped = map.len() as u64;
-            map.clear();
-            self.stats.invalidations.fetch_add(dropped, Ordering::Relaxed);
-        }
-    }
-
     /// Resident entries across all shards.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(|s| Self::lock(s).len()).sum()
     }
 

@@ -11,7 +11,7 @@
 //! predictions from the old weights. The previous model stays resident so
 //! [`ModelCell::rollback`] is instant and allocation-free.
 //!
-//! [`RegressionMonitor`] watches observed executor runtimes. A promotion
+//! `RegressionMonitor` watches observed executor runtimes. A promotion
 //! arms it with the pre-swap baseline window; once enough post-swap
 //! observations accumulate, a mean regression beyond the configured factor
 //! yields a rollback verdict. One rollback consumes the resident previous
@@ -45,7 +45,7 @@ impl ModelCell {
     /// epochs stay monotonic across its cell's whole lifetime: sessions and
     /// plan-cache entries stamped under the evicted cell can never alias an
     /// epoch the reloaded cell will publish.
-    pub fn with_base_epoch(model: Arc<QPSeeker>, epoch: u64) -> Self {
+    pub(crate) fn with_base_epoch(model: Arc<QPSeeker>, epoch: u64) -> Self {
         Self {
             inner: Mutex::new(CellInner { current: model, previous: None }),
             epoch: AtomicU64::new(epoch),
@@ -97,16 +97,11 @@ impl ModelCell {
         g.current = prev;
         Some(self.epoch.fetch_add(1, Ordering::AcqRel) + 1)
     }
-
-    /// Whether a rollback target is resident.
-    pub fn has_previous(&self) -> bool {
-        self.lock().previous.is_some()
-    }
 }
 
 /// Verdict of one post-swap observation window.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SwapVerdict {
+pub(crate) enum SwapVerdict {
     /// Post-swap runtimes are within the allowed factor of the baseline.
     Healthy { baseline_ms: f64, post_ms: f64 },
     /// Post-swap runtimes regressed beyond the threshold: roll back.
@@ -121,7 +116,7 @@ pub enum SwapVerdict {
 /// form the post-swap window, after which [`RegressionMonitor::verdict`]
 /// fires exactly once.
 #[derive(Debug, Clone)]
-pub struct RegressionMonitor {
+pub(crate) struct RegressionMonitor {
     window: usize,
     min_samples: usize,
     /// Post/pre mean runtime ratio above which the swap is a regression.
@@ -133,7 +128,7 @@ pub struct RegressionMonitor {
 }
 
 impl RegressionMonitor {
-    pub fn new(window: usize, min_samples: usize, threshold: f64) -> Self {
+    pub(crate) fn new(window: usize, min_samples: usize, threshold: f64) -> Self {
         Self {
             window: window.max(1),
             min_samples: min_samples.max(1),
@@ -146,7 +141,7 @@ impl RegressionMonitor {
     }
 
     /// Record one observed plan runtime (virtual milliseconds).
-    pub fn observe(&mut self, runtime_ms: f64) {
+    pub(crate) fn observe(&mut self, runtime_ms: f64) {
         if !runtime_ms.is_finite() {
             return;
         }
@@ -163,7 +158,7 @@ impl RegressionMonitor {
     /// Arm the monitor at a swap point: the rolling window becomes the
     /// frozen pre-swap baseline. With an empty baseline (swap before any
     /// traffic) the monitor stays disarmed — there is nothing to compare.
-    pub fn arm(&mut self) {
+    pub(crate) fn arm(&mut self) {
         if self.baseline.is_empty() {
             return;
         }
@@ -172,16 +167,11 @@ impl RegressionMonitor {
         self.armed = true;
     }
 
-    /// Whether a post-swap window is currently being collected.
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
-
     /// Once the post-swap window is full, return the verdict and disarm.
     /// Returns `None` while disarmed or still collecting. On a healthy
     /// verdict the post-swap window seeds the new rolling baseline, so a
     /// later swap is judged against the promoted model's own steady state.
-    pub fn verdict(&mut self) -> Option<SwapVerdict> {
+    pub(crate) fn verdict(&mut self) -> Option<SwapVerdict> {
         if !self.armed || self.post.len() < self.min_samples {
             return None;
         }
@@ -377,29 +367,6 @@ impl ModelRegistry {
         Some(epoch)
     }
 
-    /// Evict `tenant` now, recording its next epoch so a later reload keeps
-    /// the sequence monotonic. Returns whether it was resident.
-    pub fn evict(&self, tenant: &str) -> bool {
-        let evicted = {
-            let mut g = self.lock();
-            match g.resident.remove(tenant) {
-                Some(entry) => {
-                    let next = entry.cell.epoch() + 1;
-                    g.persist.entry(tenant.to_string()).or_default().next_epoch = next;
-                    g.evictions += 1;
-                    true
-                }
-                None => false,
-            }
-        };
-        if evicted {
-            if let Some(cache) = &self.cache {
-                cache.invalidate_tenant(tenant);
-            }
-        }
-        evicted
-    }
-
     /// Bump the tenant's statistics version (an ANALYZE-style refresh):
     /// every plan cached under the old statistics becomes unservable.
     /// Returns the new version.
@@ -414,11 +381,6 @@ impl ModelRegistry {
             cache.invalidate_tenant(tenant);
         }
         v
-    }
-
-    /// Current stats version for the tenant (0 before any refresh).
-    pub fn stats_version(&self, tenant: &str) -> u64 {
-        self.lock().persist.get(tenant).map(|p| p.stats_version).unwrap_or(0)
     }
 
     /// Resident tenants, sorted (deterministic iteration for tests/CLI).
@@ -494,13 +456,13 @@ mod tests {
         let (got, e0) = cell.load();
         assert_eq!(e0, 0);
         assert!(Arc::ptr_eq(&got, &a));
-        assert!(!cell.has_previous());
+        assert!(cell.lock().previous.is_none());
         let e1 = cell.publish(Arc::clone(&b));
         assert_eq!(e1, 1);
         let (got, e) = cell.load();
         assert_eq!(e, 1);
         assert!(Arc::ptr_eq(&got, &b));
-        assert!(cell.has_previous());
+        assert!(cell.lock().previous.is_some());
     }
 
     #[test]
@@ -537,7 +499,7 @@ mod tests {
             m.observe(10.0);
         }
         m.arm();
-        assert!(m.is_armed());
+        assert!(m.armed);
         for _ in 0..4 {
             m.observe(30.0); // 3x the baseline
         }
@@ -548,7 +510,7 @@ mod tests {
             }
             other => panic!("expected regression, got {other:?}"),
         }
-        assert!(!m.is_armed(), "verdict disarms");
+        assert!(!m.armed, "verdict disarms");
 
         // Healthy swap: post within threshold.
         let mut m = RegressionMonitor::new(8, 4, 1.5);
@@ -577,7 +539,7 @@ mod tests {
     fn monitor_with_no_baseline_never_arms() {
         let mut m = RegressionMonitor::new(8, 2, 1.2);
         m.arm();
-        assert!(!m.is_armed());
+        assert!(!m.armed);
         m.observe(5.0);
         m.observe(5.0);
         assert!(m.verdict().is_none());
@@ -608,14 +570,15 @@ mod tests {
     #[test]
     fn epochs_stay_monotonic_across_evict_and_reload() {
         let db = tiny_db();
-        let reg = ModelRegistry::new(usize::MAX);
+        // Room for one model: registering "b" evicts "a".
+        let reg = ModelRegistry::new(model_bytes(&tiny_model()));
         let h = reg.register("a", Arc::clone(&db), tiny_model());
         assert_eq!(h.cell.epoch(), 0);
         h.cell.publish(tiny_model());
         h.cell.publish(tiny_model());
         assert_eq!(h.cell.epoch(), 2);
-        assert!(reg.evict("a"));
-        assert!(!reg.evict("a"), "double evict is a no-op");
+        reg.register("b", Arc::clone(&db), tiny_model());
+        assert_eq!(reg.resident_tenants(), vec!["b"]);
         let reloaded = reg
             .get_or_load("a", || Ok::<_, CoreErrNever>((Arc::clone(&db), tiny_model())))
             .unwrap();
@@ -651,7 +614,9 @@ mod tests {
 
         let db = tiny_db();
         let cache = Arc::new(PlanCache::new(2, 16));
-        let reg = ModelRegistry::new(usize::MAX).attach_plan_cache(Arc::clone(&cache));
+        // Room for two models: a third registration evicts the LRU one.
+        let one = model_bytes(&tiny_model());
+        let reg = ModelRegistry::new(2 * one + one / 2).attach_plan_cache(Arc::clone(&cache));
         reg.register("a", Arc::clone(&db), tiny_model());
         reg.register("b", Arc::clone(&db), tiny_model());
 
@@ -674,13 +639,14 @@ mod tests {
             );
         }
         assert_eq!(cache.len(), 2);
-        reg.evict("a");
+        reg.register("c", Arc::clone(&db), tiny_model());
+        assert_eq!(reg.resident_tenants(), vec!["b", "c"]);
         assert_eq!(cache.len(), 1, "eviction purged only tenant a's shard entries");
         assert!(cache.lookup("b", &q, fp, 0, 0, 0).is_some());
 
         let v = reg.refresh_stats("b");
         assert_eq!(v, 1);
-        assert_eq!(reg.stats_version("b"), 1);
+        assert_eq!(reg.get("b").expect("resident").stats_version, 1);
         assert_eq!(cache.len(), 0, "stats refresh purged tenant b");
     }
 

@@ -14,7 +14,7 @@
 //! partial-forest scores are out-of-distribution noise. Every candidate
 //! state is therefore scored by greedily completing its forest to a full
 //! plan (first joinable pair, hash join) and evaluating that completion
-//! through the shared [`Evaluator`] (batched, memoized by the completion's
+//! through the shared `Evaluator` (batched, memoized by the completion's
 //! postorder signature). Ranking thus directly minimizes the same
 //! objective left-deep MCTS optimizes, and the search returns the
 //! best-scoring complete plan seen anywhere — at the final level the
@@ -37,11 +37,11 @@ use super::mcts::{MctsConfig, MctsResult};
 use super::strategy::{Evaluator, RiskParams};
 use super::{op_idx_join, op_idx_scan, QueryIndex};
 use crate::featurize::FeatSession;
-use crate::fnv::{self, FnvBuild};
 use crate::model::{QPSeeker, QueryContext};
 use crate::session::PlannerSession;
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
 use qpseeker_engine::query::Query;
+use qpseeker_storage::fnv::{self, FnvBuild};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -51,19 +51,13 @@ use std::time::Instant;
 /// [`crate::session::SearchScratch`] so a serving worker reuses
 /// allocations across queries.
 #[derive(Default)]
-pub struct BeamScratch {
+pub(crate) struct BeamScratch {
     /// Greedy-completion signature → evaluator score.
     eval_cache: HashMap<Vec<u64>, f64, FnvBuild>,
     /// Hashes of forests already enqueued as candidates. A collision can
     /// only drop a duplicate-looking state, never corrupt a score.
     seen: HashSet<u64, FnvBuild>,
     scores_buf: Vec<f64>,
-}
-
-impl BeamScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// One beam state: a forest of realized subtrees with disjoint masks,
@@ -172,25 +166,15 @@ pub struct BeamPlanner {
 }
 
 impl BeamPlanner {
-    pub fn new(cfg: MctsConfig, beam_width: usize) -> Self {
-        Self { cfg, width: beam_width.max(1), risk: None }
-    }
-
-    /// Beam search ranking candidates by `mean + λ·σ` over seeded VAE
-    /// latent samples. With `risk.lambda == 0` this is exactly
-    /// [`Self::new`].
-    pub fn with_risk(cfg: MctsConfig, beam_width: usize, risk: RiskParams) -> Self {
+    /// Beam search keeping `beam_width` states per level, ranking
+    /// candidates by `mean + λ·σ` over seeded VAE latent samples, or by the
+    /// mean alone when `risk` is disabled.
+    pub(crate) fn with_risk(cfg: MctsConfig, beam_width: usize, risk: RiskParams) -> Self {
         Self { cfg, width: beam_width.max(1), risk: risk.enabled().then_some(risk) }
     }
 
-    /// One-shot [`Self::plan_with_session`] on a fresh [`PlannerSession`]
-    /// built for this call (see [`super::mcts::MctsPlanner::plan`]).
-    pub fn plan(&self, model: &QPSeeker, query: &Query) -> MctsResult {
-        self.plan_with_session(model, query, &mut PlannerSession::new())
-    }
-
     /// Plan `query` with all mutable state in `sess`.
-    pub fn plan_with_session(
+    pub(crate) fn plan_with_session(
         &self,
         model: &QPSeeker,
         query: &Query,
@@ -490,6 +474,16 @@ mod tests {
         m
     }
 
+    /// Mean-scored beam search of width 8 on a fresh session.
+    fn plan(model: &QPSeeker, q: &Query, cfg: MctsConfig) -> MctsResult {
+        let mean_only = RiskParams { lambda: 0.0, samples: 0 };
+        BeamPlanner::with_risk(cfg, 8, mean_only).plan_with_session(
+            model,
+            q,
+            &mut PlannerSession::new(),
+        )
+    }
+
     fn three_way(db: &qpseeker_storage::Database) -> Query {
         let _ = db;
         let mut q = Query::new("beam-q");
@@ -513,8 +507,7 @@ mod tests {
         let db = std::sync::Arc::new(imdb::generate(0.05, 1));
         let model = fitted_model(&db);
         let q = three_way(&db);
-        let res = BeamPlanner::new(MctsConfig { budget_ms: 1e9, ..Default::default() }, 8)
-            .plan(&model, &q);
+        let res = plan(&model, &q, MctsConfig { budget_ms: 1e9, ..Default::default() });
         assert!(res.plan.validate(&q).is_ok());
         assert!(res.plans_evaluated > 0);
         assert!(res.predicted_ms.is_finite());
@@ -561,8 +554,7 @@ mod tests {
             left: ColRef::new("cast_info", "movie_id"),
             right: ColRef::new("title", "id"),
         });
-        let res = BeamPlanner::new(MctsConfig { budget_ms: 1e9, ..Default::default() }, 8)
-            .plan(&model, &q);
+        let res = plan(&model, &q, MctsConfig { budget_ms: 1e9, ..Default::default() });
         assert!(res.plan.validate(&q).is_ok());
         assert!(res.predicted_ms.is_finite());
         assert!(res.simulations > 0);
@@ -574,7 +566,7 @@ mod tests {
         let model = fitted_model(&db);
         let mut q = Query::new("single-beam");
         q.relations = vec![RelRef::new("title")];
-        let res = BeamPlanner::new(MctsConfig::default(), 8).plan(&model, &q);
+        let res = plan(&model, &q, MctsConfig::default());
         assert!(matches!(res.plan, PlanNode::Scan { .. }));
         assert_eq!(res.plans_evaluated, 3);
     }

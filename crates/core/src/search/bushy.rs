@@ -9,7 +9,7 @@
 //! (`QueryIndex::reach(a) & b != 0`). Starting from one leaf per relation,
 //! `n - 1` joins produce a complete — possibly bushy — plan.
 //!
-//! Structural identity is a postorder token signature ([`SubTree::sig`]):
+//! Structural identity is a postorder token signature (`SubTree::sig`):
 //! leaves pack `(rel, scan)` exactly like the left-deep `Action` packing,
 //! joins contribute a high-bit-tagged operator token. The signature is
 //! collision-free (postorder with known arity decodes uniquely), so it

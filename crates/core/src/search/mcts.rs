@@ -12,11 +12,11 @@
 use super::strategy::{Evaluator, RiskParams, DEFAULT_BATCH_EVAL};
 use super::{op_idx_join, op_idx_scan, QueryIndex};
 use crate::featurize::FeatSession;
-use crate::fnv::{self, FnvBuild};
 use crate::model::{QPSeeker, QueryContext};
 use crate::session::PlannerSession;
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
 use qpseeker_engine::query::{JoinPred, Query};
+use qpseeker_storage::fnv::{self, FnvBuild};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -26,7 +26,7 @@ use std::time::Instant;
 /// `query.relations`, so actions are `Copy` and the hot loop never touches a
 /// `String`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Action {
+pub(crate) enum Action {
     /// Choose the first relation and its scan operator.
     Start { rel: u32, scan: ScanOp },
     /// Join one more relation onto the prefix.
@@ -105,7 +105,7 @@ impl PlanAssembler {
 
     /// Assemble a plan for **evaluation only**: identical tree, operators,
     /// aliases, and pushed-down filters, but empty join predicate lists.
-    /// Featurization ([`crate::featurize::Featurizer::featurize_plan_fast`]
+    /// Featurization ([`crate::featurize::Featurizer::featurize_batch_into`]
     /// — the one every query this search can index takes, see
     /// [`QueryIndex`]) reads node shape, operators, scan aliases/tables, and
     /// leaf filters — never `preds` — so predictions are bitwise identical
@@ -243,7 +243,7 @@ struct Pending {
 /// [`PlannerSession`] so a serving worker reuses the allocations across
 /// every query it handles.
 #[derive(Default)]
-pub struct MctsScratch {
+pub(crate) struct MctsScratch {
     nodes: Vec<TreeNode>,
     eval_cache: HashMap<Vec<u64>, f64, FnvBuild>,
     path: Vec<usize>,
@@ -267,12 +267,6 @@ pub struct MctsScratch {
     best_seq: Vec<Action>,
     plans_buf: Vec<PlanNode>,
     scores_buf: Vec<f64>,
-}
-
-impl MctsScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// The MCTS planner. Owns the search tree for one query.
@@ -301,7 +295,7 @@ impl MctsPlanner {
     /// [`super::strategy::Evaluator`]) and which queues `batch` rollouts
     /// per forward. With `risk.lambda == 0` and the default batch this is
     /// exactly [`Self::new`].
-    pub fn with_risk(cfg: MctsConfig, risk: RiskParams, batch: usize) -> Self {
+    pub(crate) fn with_risk(cfg: MctsConfig, risk: RiskParams, batch: usize) -> Self {
         let risk = if risk.enabled() { Some(risk) } else { None };
         Self { cfg, risk, batch: batch.max(1) }
     }

@@ -2,8 +2,8 @@
 //!
 //! Before this module existed the planner *was* the left-deep MCTS in
 //! [`mcts`]. The strategy layer factors what every search needs — the
-//! query's join-connectivity bitmasks ([`QueryIndex`]), a scoring function
-//! over candidate plans ([`strategy::Evaluator`]), and per-session scratch
+//! query's join-connectivity bitmasks (`QueryIndex`), a scoring function
+//! over candidate plans (`strategy::Evaluator`), and per-session scratch
 //! state — out of the MCTS loop, so a planning request can choose between:
 //!
 //! * [`mcts::MctsPlanner`] — the original left-deep Monte Carlo Tree

@@ -129,7 +129,7 @@ impl StrategyConfig {
         } else {
             (0, 0)
         };
-        crate::fnv::words(&[self.kind as u64, lambda_bits, samples, bw, batch])
+        qpseeker_storage::fnv::words(&[self.kind as u64, lambda_bits, samples, bw, batch])
     }
 }
 
@@ -137,13 +137,13 @@ impl StrategyConfig {
 /// `samples` seeded latent draws. Disabled (mean-only) when λ = 0 or
 /// `samples` = 0.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RiskParams {
+pub(crate) struct RiskParams {
     pub lambda: f64,
     pub samples: usize,
 }
 
 impl RiskParams {
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.lambda > 0.0 && self.samples > 0
     }
 }
@@ -227,8 +227,10 @@ impl<'a> Evaluator<'a> {
     ) -> Self {
         let risk = risk.filter(|r| r.enabled()).map(|r| RiskCtx {
             lambda: r.lambda,
-            eps: model
-                .risk_eps(r.samples, seed ^ crate::fnv::bytes(query.id.as_bytes()) ^ RISK_EPS_SALT),
+            eps: model.risk_eps(
+                r.samples,
+                seed ^ qpseeker_storage::fnv::bytes(query.id.as_bytes()) ^ RISK_EPS_SALT,
+            ),
         });
         Self { model, risk, broker }
     }

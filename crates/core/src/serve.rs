@@ -13,7 +13,7 @@
 //! [`crate::tenant::MultiTenantSupervisor`] tenant and under the
 //! [`crate::online::OnlinePlanner`]: a bounded admission queue with
 //! deadline-aware load-shedding (every rejection carries a [`ShedReason`]),
-//! and a sliding-window [`CircuitBreaker`] that trips to classical-only
+//! and a sliding-window `CircuitBreaker` that trips to classical-only
 //! planning when the neural failure rate crosses a threshold, then recovers
 //! through half-open probes. Queue dynamics run on a deterministic virtual
 //! clock, so breaker and shedding behavior is exactly reproducible in tests.
@@ -24,7 +24,7 @@
 //! [`Disposition::Failed`] and the worker moves on). `workers <= 1` runs
 //! that loop on the calling thread, in order, spawning nothing; a pool runs
 //! it on `workers` scoped threads that pull jobs off an atomic cursor — or,
-//! when scoring goes through an [`EvalBroker`], take the fixed stride
+//! when scoring goes through an eval broker, take the fixed stride
 //! `w, w+W, …` so fused-batch composition does not depend on scheduling.
 //! Admission control stays sequential in arrival order — dispositions
 //! depend only on the virtual clock, never on planning results — so
@@ -32,12 +32,12 @@
 //! are deterministic for *any* worker count (search is seeded per query).
 
 use crate::error::panic_message;
-use crate::evalbroker::{BrokerConfig, BrokerMember, EvalBroker};
-use crate::mcts::MctsConfig;
+use crate::evalbroker::{BrokerConfig, BrokerMember};
 use crate::metrics::ServeCounters;
 use crate::model::QPSeeker;
 use crate::plancache::{query_fingerprint, CachedPlan, PlanCacheCtx};
 use crate::registry::ModelCell;
+use crate::search::mcts::MctsConfig;
 use crate::search::strategy::{StrategyConfig, StrategyPlanner};
 use crate::session::PlannerSession;
 use qpseeker_engine::optimizer::PgOptimizer;
@@ -158,7 +158,7 @@ pub struct ServeResult {
     /// broker modes and worker counts.
     pub evals: usize,
     /// Plan-node rows the plan encoder ran for those evals
-    /// ([`crate::mcts::MctsResult::nodes_encoded`]); 0 wherever `evals` is.
+    /// ([`crate::search::mcts::MctsResult::nodes_encoded`]); 0 wherever `evals` is.
     pub nodes_encoded: usize,
 }
 
@@ -319,12 +319,12 @@ pub struct SupervisorConfig {
     /// [`PlannerSession`], and model that many virtual servers on the
     /// admission clock.
     pub workers: usize,
-    /// Route candidate scoring through a shared [`EvalBroker`]: every
-    /// worker becomes a broker member and scoring requests from all of
-    /// them fuse into wide forward passes. Plans are bitwise
-    /// identical to broker-off serving (a row's score does not depend on
-    /// what it is fused with); only where the arithmetic runs changes. `None` keeps
-    /// per-session scoring.
+    /// Route candidate scoring through a shared eval broker: every worker
+    /// becomes a broker member and scoring requests from all of them fuse
+    /// into wide forward passes (across every lane, for a multi-tenant
+    /// supervisor). Plans are bitwise identical to broker-off serving (a
+    /// row's score does not depend on what it is fused with); only where
+    /// the arithmetic runs changes. `None` keeps per-session scoring.
     pub broker: Option<BrokerConfig>,
 }
 
@@ -364,7 +364,7 @@ pub enum BreakerState {
 /// `probe_successes` consecutive neural successes, or back to Open on any
 /// probe failure.
 #[derive(Debug, Clone)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     state: BreakerState,
     window: VecDeque<bool>,
     window_len: usize,
@@ -397,7 +397,7 @@ impl CircuitBreaker {
         }
     }
 
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         self.state
     }
 
@@ -582,12 +582,6 @@ impl Supervisor {
         c
     }
 
-    /// The virtual instant at which all admitted work completes — the
-    /// stream's makespan so far on the admission clock.
-    pub(crate) fn virtual_now_ms(&self) -> f64 {
-        self.server_free.iter().copied().fold(0.0, f64::max)
-    }
-
     /// Swap the injected fault configuration between batches (chaos tests:
     /// fault a stream to trip the breaker, clear to watch it recover).
     pub(crate) fn set_faults(&mut self, faults: Option<FaultConfig>) {
@@ -614,11 +608,10 @@ impl Supervisor {
     ///   `(tenant, stats_version)`: a lookup hit returns the cached plan
     ///   without searching, and every neural success is inserted, stamped
     ///   with the epoch it planned under (see [`crate::plancache`]).
-    /// * `seats`: externally provided broker seats, one per worker — the
-    ///   multi-tenant supervisor registers every lane's workers on one
-    ///   shared broker before any lane thread starts, owns that broker and
-    ///   drains its stats. Without seats the lane runs a pool-local broker
-    ///   when `cfg.broker` asks for one.
+    /// * `seats`: broker seats, one per worker, when scoring goes through a
+    ///   broker. The caller creates the broker, registers every seat before
+    ///   any worker starts, and drains its stats afterwards; `None` scores
+    ///   per session.
     ///
     /// Admission runs sequentially in arrival order regardless of the
     /// worker count (dispositions depend only on the virtual clock, never
@@ -652,11 +645,6 @@ impl Supervisor {
         // interleaving.
         let workers = self.cfg.workers.max(1);
         let serve_cfg = &self.cfg.serve;
-        // Broker seats, one per worker: external, or pool-local (all
-        // `workers` members registered here, before any worker thread
-        // spawns, so round accounting never sees a half-formed pool).
-        let own_broker = if seats.is_none() { self.cfg.broker.map(EvalBroker::new) } else { None };
-        let seats = seats.or_else(|| own_broker.as_ref().map(|b| b.register_members(workers)));
         if let Some(s) = &seats {
             assert_eq!(s.len(), workers, "one broker seat per worker");
         }
@@ -741,9 +729,6 @@ impl Supervisor {
         // `breaker` (the Mutex over `&mut self.breaker`) is done; NLL ends
         // its borrow here, so the counters below are accessible again.
         let _ = breaker;
-        if let Some(b) = &own_broker {
-            b.take_stats().add_to(&mut self.counters);
-        }
         for (served, tally) in shards {
             self.counters.served_neural += tally.served_neural;
             self.counters.cache_hits += tally.cache_hits;
@@ -1042,6 +1027,12 @@ mod tests {
         assert!(matches!(r.fallback_reason, Some(FallbackReason::DeadlineExceeded { .. })));
     }
 
+    /// The virtual instant at which all admitted work completes — the
+    /// stream's makespan so far on the admission clock.
+    fn makespan(sup: &Supervisor) -> f64 {
+        sup.server_free.iter().copied().fold(0.0, f64::max)
+    }
+
     fn tight_breaker_cfg() -> SupervisorConfig {
         SupervisorConfig {
             window: 4,
@@ -1204,7 +1195,7 @@ mod tests {
         assert!(c.conservation_holds(), "{c}");
         // Four virtual servers drain eight simultaneous arrivals in two
         // service slots.
-        assert!((sup.virtual_now_ms() - 20.0).abs() < 1e-9, "{}", sup.virtual_now_ms());
+        assert!((makespan(&sup) - 20.0).abs() < 1e-9, "{}", makespan(&sup));
     }
 
     #[test]
@@ -1230,7 +1221,7 @@ mod tests {
             matches!(&outcomes[1].disposition, Disposition::Served(_)),
             "second server should absorb the simultaneous arrival"
         );
-        assert!((sup.virtual_now_ms() - 10.0).abs() < 1e-9);
+        assert!((makespan(&sup) - 10.0).abs() < 1e-9);
         assert!(sup.counters().conservation_holds(), "{}", sup.counters());
     }
 

@@ -13,9 +13,9 @@
 use crate::encoder::NodeMemo;
 use crate::evalbroker::BrokerMember;
 use crate::featurize::FeatSession;
-use crate::mcts::MctsScratch;
 use crate::model::QPSeeker;
 use crate::search::beam::BeamScratch;
+use crate::search::mcts::MctsScratch;
 
 /// Search scratch for whichever strategy the session last ran. One request
 /// uses one strategy, so the variants never coexist; switching strategies
@@ -27,7 +27,7 @@ use crate::search::beam::BeamScratch;
 // variant size gap costs a few hundred stack bytes once — not worth the
 // pointer chase a `Box<MctsScratch>` would put on the search hot path.
 #[allow(clippy::large_enum_variant)]
-pub enum SearchScratch {
+pub(crate) enum SearchScratch {
     /// Left-deep MCTS: tree arena, evaluation cache, rollout buffers.
     Mcts(MctsScratch),
     /// Bushy beam search: subtree evaluation cache, closed set, buffers.
@@ -44,7 +44,7 @@ impl SearchScratch {
     /// The MCTS scratch, switching the variant over if the session last
     /// ran beam search (the stale variant's caches are dropped — they are
     /// keyed per strategy and must not leak across).
-    pub fn mcts(&mut self) -> &mut MctsScratch {
+    pub(crate) fn mcts(&mut self) -> &mut MctsScratch {
         if !matches!(self, Self::Mcts(_)) {
             *self = Self::Mcts(MctsScratch::default());
         }
@@ -56,7 +56,7 @@ impl SearchScratch {
 
     /// The beam scratch, switching the variant over if the session last
     /// ran MCTS.
-    pub fn beam(&mut self) -> &mut BeamScratch {
+    pub(crate) fn beam(&mut self) -> &mut BeamScratch {
         if !matches!(self, Self::Beam(_)) {
             *self = Self::Beam(BeamScratch::default());
         }
@@ -80,7 +80,7 @@ pub struct PlannerSession {
     pub feat: FeatSession,
     /// Strategy search scratch (tree/beam arena, evaluation cache,
     /// reusable buffers).
-    pub search: SearchScratch,
+    pub(crate) search: SearchScratch,
     /// Seat on a shared [`crate::evalbroker::EvalBroker`], when this
     /// session's supervisor routes candidate scoring through one. Attached
     /// by the serving layer before the worker's first request; planning
@@ -113,7 +113,7 @@ impl PlannerSession {
     /// per model epoch, and dropping it here would unregister the worker
     /// from the pool mid-stream (submissions carry model identity, so
     /// cross-epoch rows never fuse anyway).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         let broker = self.broker.take();
         *self = Self::default();
         self.broker = broker;

@@ -183,11 +183,6 @@ impl MultiTenantSupervisor {
         Self { cfg, lanes, broker_stats: BrokerStats::default() }
     }
 
-    /// Registered tenant ids, sorted.
-    pub fn tenants(&self) -> Vec<String> {
-        self.lanes.keys().cloned().collect()
-    }
-
     /// Swap one lane's fault injection between batches (chaos tests);
     /// `None` clears it, whether it came from the base or the lane's spec.
     /// Returns false when the tenant has no lane.
@@ -224,12 +219,6 @@ impl MultiTenantSupervisor {
         total
     }
 
-    /// The stream's makespan: the latest instant any lane's admitted work
-    /// completes on its weighted virtual clock.
-    pub fn virtual_now_ms(&self) -> f64 {
-        self.lanes.values().map(|l| l.sup.virtual_now_ms()).fold(0.0, f64::max)
-    }
-
     /// Serve a mixed-tenant batch ordered by arrival time. Each tenant's
     /// requests run through its own lane against the model currently
     /// resident in `registry` (classical-on-own-database when evicted);
@@ -240,7 +229,7 @@ impl MultiTenantSupervisor {
     /// Without a broker (`base.broker = None`) lanes run one after another
     /// on the calling thread, in tenant order. With one, every lane with
     /// requests this batch runs on its own thread and all of their workers
-    /// score through one shared [`EvalBroker`], fusing candidate evaluation
+    /// score through one shared `EvalBroker`, fusing candidate evaluation
     /// *across tenants* — per-lane dispositions, plans and counters are
     /// bitwise identical either way (admission is a pure function of each
     /// lane's own clock; fused scoring matches per-session scoring row for

@@ -9,7 +9,7 @@ use crate::config::ModelConfig;
 use qpseeker_nn::prelude::*;
 
 #[derive(Debug, Clone)]
-pub struct CostModeler {
+pub(crate) struct CostModeler {
     pub encoder: Mlp,
     pub decoder: Mlp,
     /// Reconstruction → 3 target estimates.
@@ -18,17 +18,16 @@ pub struct CostModeler {
 }
 
 /// One forward pass through the VAE.
-pub struct VaeOutput {
+pub(crate) struct VaeOutput {
     pub mu: Var,
     pub logvar: Var,
-    pub z: Var,
     pub reconstruction: Var,
     /// `[batch, 3]` normalized target predictions.
     pub predictions: Var,
 }
 
 impl CostModeler {
-    pub fn new(store: &mut ParamStore, init: &mut Initializer, cfg: &ModelConfig) -> Self {
+    pub(crate) fn new(store: &mut ParamStore, init: &mut Initializer, cfg: &ModelConfig) -> Self {
         let enc_dims = cfg.vae_encoder_dims();
         let dec_dims = cfg.vae_decoder_dims();
         Self {
@@ -55,7 +54,13 @@ impl CostModeler {
 
     /// Forward with explicit noise (`eps`: `[batch, latent]`, standard
     /// normal for training, zeros for deterministic inference).
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var, eps: Tensor) -> VaeOutput {
+    pub(crate) fn forward(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: Var,
+        eps: Tensor,
+    ) -> VaeOutput {
         let h = self.encoder.forward(g, store, x);
         let mu = g.slice_cols(h, 0, self.latent);
         let logvar_raw = g.slice_cols(h, self.latent, 2 * self.latent);
@@ -66,7 +71,7 @@ impl CostModeler {
         let z = g.reparameterize(mu, logvar, eps_v);
         let reconstruction = self.decoder.forward(g, store, z);
         let predictions = self.head.forward(g, store, reconstruction);
-        VaeOutput { mu, logvar, z, reconstruction, predictions }
+        VaeOutput { mu, logvar, reconstruction, predictions }
     }
 
     /// Tape-free inference over `x [K, joint_dim]` candidate rows (from
@@ -88,7 +93,7 @@ impl CostModeler {
     /// the reparameterization is elementwise, so a row's predictions are
     /// bitwise identical whether it is scored alone, in a batch, or in any
     /// partition of a batch — the determinism plan choice relies on.
-    pub fn forward_inference(
+    pub(crate) fn forward_inference(
         &self,
         store: &ParamStore,
         x: &Tensor,
@@ -137,7 +142,7 @@ impl CostModeler {
     /// The paper's loss (formula 5) plus prediction MSE:
     /// `pred_mse + recon_mse + β · KL` with KL averaged per latent element
     /// so that the paper's β ∈ {100, 200, 300} stays in a workable range.
-    pub fn loss(
+    pub(crate) fn loss(
         &self,
         g: &mut Graph,
         out: &VaeOutput,
@@ -180,7 +185,6 @@ mod tests {
         let out = vae.forward(&mut g, &store, x, eps);
         assert_eq!(g.value(out.mu).shape(), (4, cfg.vae_latent));
         assert_eq!(g.value(out.logvar).shape(), (4, cfg.vae_latent));
-        assert_eq!(g.value(out.z).shape(), (4, cfg.vae_latent));
         assert_eq!(g.value(out.reconstruction).shape(), (4, cfg.joint_dim()));
         assert_eq!(g.value(out.predictions).shape(), (4, 3));
     }

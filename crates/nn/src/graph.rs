@@ -4,7 +4,7 @@
 //! variable shape (one LSTM cell per plan node), so a static computation
 //! graph is impossible; instead each batch records the exact ops it ran and
 //! [`Graph::backward`] replays them in reverse. Parameters live in a
-//! [`ParamStore`](crate::params::ParamStore) and are referenced by id, which
+//! [`ParamStore`] and are referenced by id, which
 //! keeps gradients flowing into persistent storage across batches.
 //!
 //! Every op's gradient rule is verified against central finite differences in

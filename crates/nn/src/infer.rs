@@ -14,7 +14,7 @@
 //!   or corrupted weights) flows through to the caller's `is_finite()` check
 //!   and triggers graceful degradation instead of a panic.
 //! * **Blocked kernels.** Products go through [`gemm_packed`] and the
-//!   dispatched [`dot`] / [`matmul_kernel`], which changes float accumulation
+//!   dispatched [`dot`] / `matmul_kernel`, which changes float accumulation
 //!   order; the fast path is guaranteed to match the tape within 1e-5, not
 //!   bitwise.
 

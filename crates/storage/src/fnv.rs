@@ -1,6 +1,8 @@
-//! The crate's one FNV-1a: the byte and word forms behind every
-//! fingerprint, cache stamp, checksum and search seed, and a minimal
-//! `BuildHasher` for the planner's hot-loop hash maps.
+//! The workspace's one FNV-1a: the byte and word forms behind every
+//! fingerprint, cache stamp, checksum, fault draw, feature-hash bucket and
+//! sampling or search seed, and a minimal `BuildHasher` for the planner's
+//! hot-loop hash maps. It lives here, in the lowest crate, so every crate
+//! above hashes through the same function.
 //!
 //! The MCTS evaluation cache and the per-query featurization caches are
 //! hit on every rollout with short keys (packed action vectors, alias
@@ -9,8 +11,8 @@
 //! derived from the query the caller already chose to plan — so the DoS
 //! resistance the default hasher buys is not needed here.
 
-pub(crate) const OFFSET: u64 = 0xcbf29ce484222325;
-pub(crate) const PRIME: u64 = 0x100000001b3;
+const OFFSET: u64 = 0xcbf29ce484222325;
+const PRIME: u64 = 0x100000001b3;
 
 #[inline(always)]
 fn step(h: u64, b: u8) -> u64 {
@@ -18,13 +20,13 @@ fn step(h: u64, b: u8) -> u64 {
 }
 
 /// FNV-1a over a byte slice.
-pub(crate) fn bytes(bytes: &[u8]) -> u64 {
+pub fn bytes(bytes: &[u8]) -> u64 {
     bytes.iter().fold(OFFSET, |h, &b| step(h, b))
 }
 
 /// FNV-1a over a word sequence (each word's little-endian bytes), for
 /// compact structural stamps; order-dependent.
-pub(crate) fn words(words: &[u64]) -> u64 {
+pub fn words(words: &[u64]) -> u64 {
     let mut h = OFFSET;
     for w in words {
         for b in w.to_le_bytes() {
@@ -35,7 +37,7 @@ pub(crate) fn words(words: &[u64]) -> u64 {
 }
 
 /// Streaming FNV-1a state.
-pub(crate) struct FnvState(u64);
+pub struct FnvState(u64);
 
 impl std::hash::Hasher for FnvState {
     fn finish(&self) -> u64 {
@@ -51,7 +53,7 @@ impl std::hash::Hasher for FnvState {
 
 /// `BuildHasher` handing out [`FnvState`]s with the standard offset basis.
 #[derive(Default, Clone)]
-pub(crate) struct FnvBuild;
+pub struct FnvBuild;
 
 impl std::hash::BuildHasher for FnvBuild {
     type Hasher = FnvState;

@@ -11,7 +11,8 @@
 //!   distinct counts) that drive the PG-style estimator in `qpseeker-engine`,
 //! * [`datagen`] — seeded synthetic generators for IMDb-shaped,
 //!   Stack-shaped and random (Zero-Shot pretraining) databases,
-//! * [`zipf`] — skewed sampling used throughout generation.
+//! * [`zipf`] — skewed sampling used throughout generation,
+//! * [`fnv`] — the FNV-1a hash every crate above fingerprints and seeds with.
 //!
 //! # Example
 //!
@@ -28,6 +29,7 @@ pub mod catalog;
 pub mod datagen;
 pub mod error;
 pub mod fault;
+pub mod fnv;
 pub mod stats;
 pub mod table;
 pub mod zipf;

@@ -4,7 +4,7 @@
 use crate::latency::LatencyModel;
 use crate::ngram;
 use crate::TabertConfig;
-use qpseeker_storage::{ColumnData, Database, Table};
+use qpseeker_storage::{fnv, ColumnData, Database, Table};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -279,10 +279,7 @@ fn hash_token(feats: &mut [f32], token: &str) {
 /// Feature hashing with sign (Weinberger et al.): bucket = h mod H,
 /// sign from another bit of the hash.
 fn hash_token_weighted(feats: &mut [f32], token: &str, weight: f32) {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in token.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
+    let h = fnv::bytes(token.as_bytes());
     let bucket = (h % HASH_DIM as u64) as usize;
     let sign = if (h >> 63) == 0 { 1.0 } else { -1.0 };
     feats[bucket] += sign * weight;
@@ -329,11 +326,7 @@ fn squash(v: f64) -> f32 {
 
 /// Bucket a query's text to a cache key.
 fn query_bucket(query_text: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in query_text.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv::bytes(query_text.as_bytes())
 }
 
 #[cfg(test)]
@@ -344,6 +337,17 @@ mod tests {
 
     fn db() -> Database {
         imdb::generate(0.1, 3)
+    }
+
+    #[test]
+    fn feature_hashes_are_pinned() {
+        // Cache keys and hashed-feature buckets of every saved model depend
+        // on these values.
+        assert_eq!(query_bucket("SELECT * FROM title"), 0x2e4c47f2523ce927);
+        let mut feats = vec![0.0; HASH_DIM];
+        hash_token_weighted(&mut feats, "title", 0.5);
+        assert_eq!(feats[169], -0.5);
+        assert_eq!(feats.iter().filter(|&&x| x != 0.0).count(), 1);
     }
 
     #[test]

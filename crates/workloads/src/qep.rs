@@ -8,7 +8,7 @@
 use qpseeker_engine::executor::{ExecutionResult, Executor};
 use qpseeker_engine::plan::PlanNode;
 use qpseeker_engine::query::Query;
-use qpseeker_storage::Database;
+use qpseeker_storage::{fnv, Database};
 use serde::{Deserialize, Serialize};
 
 /// Where a workload's plans came from (Table 1's "Plan Source" column).
@@ -153,7 +153,7 @@ impl Workload {
             // Hash-order the ids so the split is stable but not biased by
             // generation order.
             let mut hashed: Vec<(u64, &str)> =
-                ids.into_iter().map(|id| (fnv(id.as_bytes()), id)).collect();
+                ids.into_iter().map(|id| (fnv::bytes(id.as_bytes()), id)).collect();
             hashed.sort_unstable();
             let train_ids: std::collections::HashSet<&str> =
                 hashed.iter().take(cut).map(|&(_, id)| id).collect();
@@ -161,7 +161,7 @@ impl Workload {
         } else {
             let cut = ((self.qeps.len() as f64) * train_frac) as usize;
             let mut idx: Vec<(u64, usize)> = (0..self.qeps.len())
-                .map(|i| (fnv(format!("{}:{i}", self.qeps[i].query.id).as_bytes()), i))
+                .map(|i| (fnv::bytes(format!("{}:{i}", self.qeps[i].query.id).as_bytes()), i))
                 .collect();
             idx.sort_unstable();
             let train: std::collections::HashSet<usize> =
@@ -178,14 +178,6 @@ impl Workload {
             (tr, ev)
         }
     }
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Execute many (query, plan, template) triples in parallel to build QEPs.
@@ -229,6 +221,12 @@ mod tests {
     use qpseeker_engine::optimizer::PgOptimizer;
     use qpseeker_engine::query::{ColRef, JoinPred, RelRef};
     use qpseeker_storage::datagen::imdb;
+
+    #[test]
+    fn split_hash_is_pinned() {
+        // Train/eval splits of every experiment follow this order.
+        assert_eq!(fnv::bytes(b"q1"), 0x8d21307b572d497);
+    }
 
     fn mk_query(i: usize) -> Query {
         let mut q = Query::new(format!("q{i}"));

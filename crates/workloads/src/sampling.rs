@@ -10,7 +10,7 @@ use qpseeker_engine::inject::LeftDeepSpec;
 use qpseeker_engine::paper_cost::PaperCostModel;
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
 use qpseeker_engine::query::Query;
-use qpseeker_storage::Database;
+use qpseeker_storage::{fnv, Database};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -90,7 +90,7 @@ pub struct SampledPlan {
 /// Sample the plan space of one query per §5.1 and keep the top
 /// `keep_fraction` by the paper cost model.
 pub fn sample_plans(db: &Database, query: &Query, cfg: &SamplingConfig) -> Vec<SampledPlan> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ fnv(query.id.as_bytes()));
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ fnv::bytes(query.id.as_bytes()));
     let orderings = enumerate_orderings(query, cfg.max_orderings);
     if orderings.is_empty() {
         return Vec::new();
@@ -121,19 +121,17 @@ pub fn sample_plans(db: &Database, query: &Query, cfg: &SamplingConfig) -> Vec<S
     candidates
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qpseeker_engine::query::{ColRef, JoinPred, RelRef};
     use qpseeker_storage::datagen::imdb;
+
+    #[test]
+    fn plan_sampling_seed_hash_is_pinned() {
+        // Sampled plan spaces (and so every workload) are seeded by it.
+        assert_eq!(fnv::bytes(b"x:3"), 0xbf176b197f6aaf7c);
+    }
 
     fn star_query(n_arms: usize) -> Query {
         // title joined with n_arms fact tables (star): orderings = ways to

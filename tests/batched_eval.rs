@@ -1,10 +1,11 @@
 //! Batched-evaluation equality suite.
 //!
-//! The batched scoring path (`QPSeeker::predict_batch`) promises that
-//! scoring K candidate plans in one forward pass is **bitwise identical** to
-//! scoring them one at a time — the invariant that lets the planner defer
-//! rollouts into batches without changing any plan choice, and that keeps
-//! the cross-worker plan-equality guarantee intact with `batch_eval` on.
+//! The batched scoring path (`QPSeeker::predict_batch_with_context_in`)
+//! promises that scoring K candidate plans in one forward pass is **bitwise
+//! identical** to scoring them one at a time — the invariant that lets the
+//! planner defer rollouts into batches without changing any plan choice, and
+//! that keeps the cross-worker plan-equality guarantee intact with
+//! `batch_eval` on.
 //! The same holds across calls: a query context memoizes every subtree it
 //! has encoded, and a memo hit must be bitwise what encoding the subtree
 //! again would give. This file property-tests both promises, checks the
@@ -85,7 +86,7 @@ fn plan_strategy() -> impl Strategy<Value = LeftDeepSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `predict_batch` over a random pool of 2..24 plans equals per-plan
+    /// One batched call over a random pool of 2..24 plans equals per-plan
     /// `predict` bit for bit, in all three predicted quantities. Duplicate
     /// plans in the pool are deliberately allowed — the batch path must not
     /// care.
@@ -100,7 +101,10 @@ proptest! {
             .map(|s| s.compile(&query).expect("valid left-deep spec"))
             .collect();
         let refs: Vec<&PlanNode> = plans.iter().collect();
-        let batched = model.predict_batch(&query, &refs);
+        let (mut ctx, mut batched) = (model.query_context(&query), Vec::new());
+        model.predict_batch_with_context_in(
+            &mut FeatSession::new(), &query, &refs, &mut ctx, &mut batched,
+        );
         prop_assert_eq!(batched.len(), plans.len());
         for (i, plan) in plans.iter().enumerate() {
             let scalar = model.predict(&query, plan);
@@ -141,9 +145,11 @@ proptest! {
                 let mut fresh = model.query_context(&query);
                 let alone = model.predict_with_context_in(&mut feat, &query, plan, &mut fresh);
                 prop_assert_eq!(bits(means[k]), bits(alone), "window {:?} plan {}", (start, len), k);
-                let mut fresh = model.query_context(&query);
-                let (m, s) =
-                    model.predict_risk_with_context_in(&mut feat, &query, plan, &mut fresh, &eps);
+                let (mut fresh, mut alone) = (model.query_context(&query), Vec::new());
+                model.predict_risk_batch_with_context_in(
+                    &mut feat, &query, &[*plan], &mut fresh, &eps, &mut alone,
+                );
+                let (m, s) = alone[0];
                 prop_assert_eq!(
                     (risks[k].0.to_bits(), risks[k].1.to_bits()), (m.to_bits(), s.to_bits()),
                     "risk, window {:?} plan {}", (start, len), k);

@@ -176,8 +176,8 @@ fn model_predictions_differentiate_good_from_catastrophic_plans() {
             .compile(q)
             .expect("valid")
         };
-        nl_sum += model.predict_runtime_ms(q, &mk(JoinOp::NestedLoopJoin));
-        hash_sum += model.predict_runtime_ms(q, &mk(JoinOp::HashJoin));
+        nl_sum += model.predict(q, &mk(JoinOp::NestedLoopJoin)).runtime_ms;
+        hash_sum += model.predict(q, &mk(JoinOp::HashJoin)).runtime_ms;
         count += 1;
     }
     assert!(count >= 3, "need enough multi-join queries, got {count}");

@@ -253,6 +253,61 @@ fn hot_swap_storm_mid_run_preserves_every_request() {
     assert!(cell.epoch() > 0, "at least one swap landed");
 }
 
+/// The online loop creates its own eval broker per batch when
+/// `supervisor.broker` asks for one. On a `retrain_every` stream at 2
+/// workers, broker-on serves every request exactly as broker-off (same
+/// disposition, plan, prediction bits and eval count), runs the same
+/// retrain rounds, and ends with the same counters once the broker's own
+/// gauges are set aside — with conservation and every candidate row fused.
+#[test]
+fn online_loop_is_identical_with_and_without_a_broker() {
+    let db = pre_db();
+    let reqs = requests(db, 20, 0xb20c ^ chaos_seed());
+    let run = |broker: Option<BrokerConfig>| {
+        let dir = scratch(&format!("broker-{}", broker.is_some()));
+        let mut cfg = online_cfg(&dir);
+        cfg.supervisor = supervisor_cfg(2);
+        cfg.supervisor.broker = broker;
+        let mut op = OnlinePlanner::new(cfg, base_model(), db).expect("open loop");
+        let (mut fates, mut promotions) = (Vec::new(), Vec::new());
+        for batch in reqs.chunks(10) {
+            let report = op.run_batch(db, batch).expect("clean batch");
+            promotions.push(report.promotion);
+            for o in report.outcomes {
+                let Disposition::Served(r) = o.disposition else {
+                    panic!("query {}: not served: {:?}", o.query_id, o.disposition)
+                };
+                fates.push((o.query_id, r.plan, r.predicted_ms.map(f64::to_bits), r.evals));
+            }
+        }
+        let counters = (op.serve_counters(), op.counters());
+        drop(op);
+        let _ = std::fs::remove_dir_all(&dir);
+        (fates, promotions, counters)
+    };
+    let (off_fates, off_promotions, (off, off_online)) = run(None);
+    let (on_fates, on_promotions, (on, on_online)) = run(Some(BrokerConfig::default()));
+
+    assert_eq!(on_fates, off_fates, "plans, predictions or evals moved with the broker");
+    assert_eq!(on_promotions, off_promotions);
+    assert_eq!(on_online, off_online);
+    assert!(off_online.retrain_rounds >= 1, "the stream must cross a retrain round");
+    assert_conserved(&off);
+    assert_conserved(&on);
+    assert_eq!(off.fused_batches, 0);
+    assert!(on.fused_batches > 0, "the loop must score through its broker");
+    assert_eq!(on.fused_rows, on.eval_candidates, "every candidate row crossed the broker");
+    let normalized = |mut c: ServeCounters| {
+        c.fused_batches = 0;
+        c.fused_rows = 0;
+        c.fused_occupancy_max = 0;
+        c.broker_flush_size = 0;
+        c.broker_flush_deadline = 0;
+        c
+    };
+    assert_eq!(normalized(on), normalized(off));
+}
+
 /// An in-flight holder of the old model keeps a fully usable planner after
 /// swap and rollback — publication never invalidates live references.
 #[test]

@@ -116,11 +116,19 @@ fn seeded_risk_stats_are_bitwise_identical_across_sessions_and_batches() {
     for _worker_pool in [1usize, 2, 4] {
         let mut sess = model.new_session();
         let mut ctx = model.query_context(q);
+        let mut one = Vec::new();
         let stats: Vec<(u64, u64)> = plans
             .iter()
             .map(|p| {
-                let (m, s) =
-                    model.predict_risk_with_context_in(&mut sess.feat, q, p, &mut ctx, &e1);
+                model.predict_risk_batch_with_context_in(
+                    &mut sess.feat,
+                    q,
+                    &[p],
+                    &mut ctx,
+                    &e1,
+                    &mut one,
+                );
+                let (m, s) = one[0];
                 assert!(m.is_finite() && s.is_finite() && s >= 0.0);
                 (m.to_bits(), s.to_bits())
             })
