@@ -86,9 +86,9 @@ impl<'a> Bao<'a> {
         let rows: Vec<Tensor> = feats.into_iter().map(Tensor::row).collect();
         let refs: Vec<&Tensor> = rows.iter().collect();
         let x = g.constant(Tensor::stack_rows(&refs));
-        let h = self.node_mlp.forward(g, &self.store, x); // [n, hidden]
+        let h = self.node_mlp.forward(g, x); // [n, hidden]
         let pooled = g.mean_rows(h);
-        self.value_head.forward(g, &self.store, pooled)
+        self.value_head.forward(g, pooled)
     }
 
     /// Gain experience on a training workload: execute the plans produced by
@@ -115,7 +115,7 @@ impl<'a> Bao<'a> {
             order.shuffle(&mut rng);
             for chunk in order.chunks(16) {
                 self.store.zero_grads();
-                let mut g = Graph::new();
+                let mut g = Graph::new(&self.store);
                 let mut preds = Vec::new();
                 let mut targets = Vec::new();
                 for &i in chunk {
@@ -127,7 +127,8 @@ impl<'a> Bao<'a> {
                 let trefs: Vec<&Tensor> = targets.iter().collect();
                 let tv = g.constant(Tensor::stack_rows(&trefs));
                 let loss = g.mse(pv, tv);
-                g.backward(loss, &mut self.store);
+                let (_, grads) = g.backward(loss);
+                grads.merge_into(&mut self.store);
                 self.store.clip_grad_norm(5.0);
                 opt.step(&mut self.store);
             }
@@ -142,7 +143,7 @@ impl<'a> Bao<'a> {
         for (arm, hints) in self.hint_sets.iter().enumerate() {
             let opt = PgOptimizer::with_hints(self.db, hints.clone());
             let plan = opt.plan(query);
-            let mut g = Graph::new();
+            let mut g = Graph::new(&self.store);
             let v = self.plan_value(&mut g, query, &plan);
             let score = g.value(v).get(0, 0) as f64;
             if best.as_ref().map(|(s, _, _)| score < *s).unwrap_or(true) {

@@ -173,7 +173,7 @@ impl<'a> Mscn<'a> {
         let set = |g: &mut Graph, mlp: &Mlp, m: &Tensor, mask: &Tensor| -> Var {
             let x = g.constant(m.clone());
             let mk = g.constant(mask.clone());
-            let h = mlp.forward(g, &self.store, x);
+            let h = mlp.forward(g, x);
             let masked = g.mul_col_broadcast(h, mk);
             let s = g.sum_rows(masked);
             g.scale(s, 1.0 / mask.sum().max(1.0))
@@ -182,7 +182,7 @@ impl<'a> Mscn<'a> {
         let j = set(g, &self.join_mlp, &f.joins, &f.join_mask);
         let p = set(g, &self.pred_mlp, &f.preds, &f.pred_mask);
         let cat = g.concat_cols_all(&[r, j, p]);
-        self.out_mlp.forward(g, &self.store, cat)
+        self.out_mlp.forward(g, cat)
     }
 
     /// Train on (query, true cardinality) pairs.
@@ -200,7 +200,7 @@ impl<'a> Mscn<'a> {
             order.shuffle(&mut rng);
             for chunk in order.chunks(self.cfg.batch_size) {
                 self.store.zero_grads();
-                let mut g = Graph::new();
+                let mut g = Graph::new(&self.store);
                 let mut outs = Vec::with_capacity(chunk.len());
                 let mut targets = Vec::with_capacity(chunk.len());
                 for &i in chunk {
@@ -211,7 +211,8 @@ impl<'a> Mscn<'a> {
                 let trefs: Vec<&Tensor> = targets.iter().collect();
                 let t = g.constant(Tensor::stack_rows(&trefs));
                 let loss = g.mse(pred, t);
-                g.backward(loss, &mut self.store);
+                let (_, grads) = g.backward(loss);
+                grads.merge_into(&mut self.store);
                 self.store.clip_grad_norm(5.0);
                 opt.step(&mut self.store);
             }
@@ -222,7 +223,7 @@ impl<'a> Mscn<'a> {
     pub fn predict(&self, query: &Query) -> f64 {
         let norm = self.norm.as_ref().expect("MSCN must be fitted first");
         let f = self.featurize(query);
-        let mut g = Graph::new();
+        let mut g = Graph::new(&self.store);
         let out = self.encode(&mut g, &f);
         norm.decode(g.value(out).get(0, 0))
     }

@@ -115,7 +115,7 @@ impl<'a> QppNet<'a> {
         };
         let f = g.constant(node.feats.clone());
         let input = g.concat_cols(f, child_data);
-        self.units[op_idx.op].forward(g, &self.store, input)
+        self.units[op_idx.op].forward(g, input)
     }
 
     /// Train on (query, plan, true runtime) triples.
@@ -135,7 +135,7 @@ impl<'a> QppNet<'a> {
             order.shuffle(&mut rng);
             for chunk in order.chunks(self.cfg.batch_size) {
                 self.store.zero_grads();
-                let mut g = Graph::new();
+                let mut g = Graph::new(&self.store);
                 let mut preds = Vec::with_capacity(chunk.len());
                 let mut targets = Vec::with_capacity(chunk.len());
                 for &i in chunk {
@@ -148,7 +148,8 @@ impl<'a> QppNet<'a> {
                 let trefs: Vec<&Tensor> = targets.iter().collect();
                 let t = g.constant(Tensor::stack_rows(&trefs));
                 let loss = g.mse(p, t);
-                g.backward(loss, &mut self.store);
+                let (_, grads) = g.backward(loss);
+                grads.merge_into(&mut self.store);
                 self.store.clip_grad_norm(5.0);
                 opt.step(&mut self.store);
             }
@@ -160,7 +161,7 @@ impl<'a> QppNet<'a> {
         let norm = self.norm.as_ref().expect("QPPNet must be fitted first");
         let tree = self.featurize(query, plan);
         let ops = OpTree::of(plan);
-        let mut g = Graph::new();
+        let mut g = Graph::new(&self.store);
         let out = self.forward_node(&mut g, &tree, &ops);
         norm.decode(g.value(out).get(0, self.cfg.data_dim))
     }

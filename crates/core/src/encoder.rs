@@ -54,23 +54,22 @@ impl QueryEncoder {
     }
 
     /// Encode one query's set features → `[1, query_dim]`.
-    pub(crate) fn forward(&self, g: &mut Graph, store: &ParamStore, feats: &QueryFeatures) -> Var {
-        let rel = self.encode_set(g, store, &self.rel_mlp, &feats.rel_matrix, &feats.rel_mask);
-        let join = self.encode_set(g, store, &self.join_mlp, &feats.join_matrix, &feats.join_mask);
+    pub(crate) fn forward(&self, g: &mut Graph, feats: &QueryFeatures) -> Var {
+        let rel = self.encode_set(g, &self.rel_mlp, &feats.rel_matrix, &feats.rel_mask);
+        let join = self.encode_set(g, &self.join_mlp, &feats.join_matrix, &feats.join_mask);
         g.concat_cols(rel, join)
     }
 
     fn encode_set(
         &self,
         g: &mut Graph,
-        store: &ParamStore,
         mlp: &Mlp,
         matrix: &qpseeker_nn::tensor::Tensor,
         mask: &qpseeker_nn::tensor::Tensor,
     ) -> Var {
         let x = g.constant(matrix.clone());
         let m = g.constant(mask.clone());
-        let h = mlp.forward(g, store, x); // [rows, out]
+        let h = mlp.forward(g, x); // [rows, out]
         let masked = g.mul_col_broadcast(h, m);
         let summed = g.sum_rows(masked); // [1, out]
         let count = mask.sum().max(1.0);
@@ -164,26 +163,15 @@ impl PlanEncoder {
     }
 
     /// Encode a featurized plan tree.
-    pub(crate) fn forward(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        plan: &FeatNode,
-    ) -> EncodedPlan {
+    pub(crate) fn forward(&self, g: &mut Graph, plan: &FeatNode) -> EncodedPlan {
         let mut node_vars = Vec::with_capacity(plan.count());
-        let (root_state, _root_h) = self.encode_node(g, store, plan, &mut node_vars);
+        let (root_state, _root_h) = self.encode_node(g, plan, &mut node_vars);
         let root = root_state.h;
         let nodes = g.stack_rows(&node_vars);
         EncodedPlan { nodes, root, node_vars }
     }
 
-    fn encode_node(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        node: &FeatNode,
-        out: &mut Vec<Var>,
-    ) -> (LstmState, Var) {
+    fn encode_node(&self, g: &mut Graph, node: &FeatNode, out: &mut Vec<Var>) -> (LstmState, Var) {
         let (input, state_in) = if node.children.is_empty() {
             // Leaf: zero padding for the child-data slot, EXPLAIN estimates
             // in the estimate slot, zero initial LSTM state.
@@ -197,7 +185,7 @@ impl PlanEncoder {
             let mut child_states = Vec::with_capacity(node.children.len());
             let mut child_hs = Vec::with_capacity(node.children.len());
             for c in &node.children {
-                let (s, h) = self.encode_node(g, store, c, out);
+                let (s, h) = self.encode_node(g, c, out);
                 child_states.push(s);
                 child_hs.push(h);
             }
@@ -212,7 +200,7 @@ impl PlanEncoder {
             let state = average_states(g, &child_states);
             (input, state)
         };
-        let state_out = self.cell.step(g, store, input, state_in);
+        let state_out = self.cell.step(g, input, state_in);
         out.push(state_out.h);
         (state_out, state_out.h)
     }
@@ -623,8 +611,8 @@ mod tests {
         );
         let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
         let qf = f.query_features(&q);
-        let mut g = Graph::new();
-        let v = enc.forward(&mut g, &store, &qf);
+        let mut g = Graph::new(&store);
+        let v = enc.forward(&mut g, &qf);
         assert_eq!(g.value(v).shape(), (1, cfg.query_dim()));
         assert!(g.value(v).norm() > 0.0);
     }
@@ -649,9 +637,9 @@ mod tests {
         let mut q2 = q.clone();
         q2.relations.reverse();
         let qf2 = f.query_features(&q2);
-        let mut g = Graph::new();
-        let v1 = enc.forward(&mut g, &store, &qf1);
-        let v2 = enc.forward(&mut g, &store, &qf2);
+        let mut g = Graph::new(&store);
+        let v1 = enc.forward(&mut g, &qf1);
+        let v2 = enc.forward(&mut g, &qf2);
         let (a, b) = (g.value(v1).clone(), g.value(v2).clone());
         for (x, y) in a.data().iter().zip(b.data()) {
             assert!((x - y).abs() < 1e-5, "{x} vs {y}");
@@ -670,8 +658,8 @@ mod tests {
         let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
         let mut sess = crate::featurize::FeatSession::new();
         let fq = f.featurize(&mut sess, &q, &plan, Some(&truth), &norm);
-        let mut g = Graph::new();
-        let enc = penc.forward(&mut g, &store, &fq.plan);
+        let mut g = Graph::new(&store);
+        let enc = penc.forward(&mut g, &fq.plan);
         assert_eq!(g.value(enc.nodes).shape(), (5, cfg.plan_node_out));
         assert_eq!(g.value(enc.root).shape(), (1, cfg.plan_node_out));
         assert_eq!(enc.node_vars.len(), 5);
@@ -702,9 +690,9 @@ mod tests {
         };
         let fa = f.featurize(&mut sess, &q, &mk(JoinOp::HashJoin), None, &norm);
         let fb = f.featurize(&mut sess, &q, &mk(JoinOp::NestedLoopJoin), None, &norm);
-        let mut g = Graph::new();
-        let ea = penc.forward(&mut g, &store, &fa.plan);
-        let eb = penc.forward(&mut g, &store, &fb.plan);
+        let mut g = Graph::new(&store);
+        let ea = penc.forward(&mut g, &fa.plan);
+        let eb = penc.forward(&mut g, &fb.plan);
         assert_ne!(g.value(ea.root).data(), g.value(eb.root).data());
     }
 
@@ -846,16 +834,16 @@ mod tests {
         let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
         let mut sess = crate::featurize::FeatSession::new();
         let fq = f.featurize(&mut sess, &q, &plan, None, &norm);
-        store.zero_grads();
-        let mut g = Graph::new();
-        let qv = qenc.forward(&mut g, &store, &fq.query);
-        let pv = penc.forward(&mut g, &store, &fq.plan);
+        let mut g = Graph::new(&store);
+        let qv = qenc.forward(&mut g, &fq.query);
+        let pv = penc.forward(&mut g, &fq.plan);
         let cat = g.concat_cols(qv, pv.root);
         let loss = g.sum_all(cat);
-        g.backward(loss, &mut store);
-        assert!(store.grad(qenc.rel_mlp.layers[0].w).norm() > 0.0);
-        assert!(store.grad(qenc.join_mlp.layers[0].w).norm() > 0.0);
-        assert!(store.grad(penc.cell.w_ih).norm() > 0.0);
-        assert!(store.grad(penc.cell.w_hh).norm() > 0.0);
+        let (_, grads) = g.backward(loss);
+        let norm = |id| grads.get(id).map_or(0.0, Tensor::norm);
+        assert!(norm(qenc.rel_mlp.layers[0].w) > 0.0);
+        assert!(norm(qenc.join_mlp.layers[0].w) > 0.0);
+        assert!(norm(penc.cell.w_ih) > 0.0);
+        assert!(norm(penc.cell.w_hh) > 0.0);
     }
 }

@@ -139,10 +139,10 @@ impl QPSeeker {
     /// (QPAttention output; for single-node plans, the paper's
     /// concatenation fallback).
     fn encode_joint(&self, g: &mut Graph, fq: &FeaturizedQep) -> (Var, Vec<(Var, [f32; 3])>) {
-        let qv = self.query_enc.forward(g, &self.store, &fq.query);
-        let ep = self.plan_enc.forward(g, &self.store, &fq.plan);
+        let qv = self.query_enc.forward(g, &fq.query);
+        let ep = self.plan_enc.forward(g, &fq.plan);
         let joint = if fq.plan.count() > 1 && self.config.use_attention {
-            let (out, _scores) = self.attn.forward(g, &self.store, qv, ep.nodes);
+            let (out, _scores) = self.attn.forward(g, qv, ep.nodes);
             out
         } else {
             g.concat_cols(qv, ep.root)
@@ -464,11 +464,11 @@ impl QPSeeker {
         total_aux: usize,
         index: usize,
     ) -> Result<SampleGrad, CoreError> {
-        let mut g = Graph::new();
+        let mut g = Graph::new(&self.store);
         let (joint, aux) = self.encode_joint(&mut g, fq);
         let t = fq.target.ok_or(CoreError::MissingTarget { index })?;
         let targets = g.constant(Tensor::row(t.to_vec()));
-        let out = self.vae.forward(&mut g, &self.store, joint, eps);
+        let out = self.vae.forward(&mut g, joint, eps);
         let (sample_total, _recon, pred, kl) =
             self.vae.loss(&mut g, &out, joint, targets, self.config.beta);
         let mut total = g.scale(sample_total, 1.0 / batch_size as f32);
@@ -492,9 +492,8 @@ impl QPSeeker {
         }
         let pred_v = g.value(pred).get(0, 0) as f64;
         let kl_v = g.value(kl).get(0, 0) as f64;
-        let mut buf = GradBuffer::new();
-        let loss = g.backward(total, &mut buf) as f64;
-        Ok(SampleGrad { buf, loss, pred: pred_v, kl: kl_v })
+        let (loss, buf) = g.backward(total);
+        Ok(SampleGrad { buf, loss: loss as f64, pred: pred_v, kl: kl_v })
     }
 
     /// Predict (cardinality, cost, runtime) for an arbitrary plan of a
@@ -842,10 +841,10 @@ impl QPSeeker {
     }
 
     fn forward_tape(&self, fq: &FeaturizedQep) -> ([f32; 3], Vec<f32>) {
-        let mut g = Graph::new();
+        let mut g = Graph::new(&self.store);
         let (joint, _aux) = self.encode_joint(&mut g, fq);
         let eps = Tensor::zeros(1, self.config.vae_latent);
-        let out = self.vae.forward(&mut g, &self.store, joint, eps);
+        let out = self.vae.forward(&mut g, joint, eps);
         let p = g.value(out.predictions);
         let preds = [p.get(0, 0), p.get(0, 1), p.get(0, 2)];
         let mu = g.value(out.mu).data().to_vec();

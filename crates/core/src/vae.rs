@@ -54,14 +54,8 @@ impl CostModeler {
 
     /// Forward with explicit noise (`eps`: `[batch, latent]`, standard
     /// normal for training, zeros for deterministic inference).
-    pub(crate) fn forward(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        x: Var,
-        eps: Tensor,
-    ) -> VaeOutput {
-        let h = self.encoder.forward(g, store, x);
+    pub(crate) fn forward(&self, g: &mut Graph, x: Var, eps: Tensor) -> VaeOutput {
+        let h = self.encoder.forward(g, x);
         let mu = g.slice_cols(h, 0, self.latent);
         let logvar_raw = g.slice_cols(h, self.latent, 2 * self.latent);
         // Soft-bound the log-variance to [-8, 8] for stability.
@@ -69,8 +63,8 @@ impl CostModeler {
         let logvar = g.scale(logvar_t, 8.0);
         let eps_v = g.constant(eps);
         let z = g.reparameterize(mu, logvar, eps_v);
-        let reconstruction = self.decoder.forward(g, store, z);
-        let predictions = self.head.forward(g, store, reconstruction);
+        let reconstruction = self.decoder.forward(g, z);
+        let predictions = self.head.forward(g, reconstruction);
         VaeOutput { mu, logvar, reconstruction, predictions }
     }
 
@@ -178,11 +172,11 @@ mod tests {
     fn forward_shapes() {
         let cfg = ModelConfig::small();
         let (store, vae) = setup(&cfg);
-        let mut g = Graph::new();
+        let mut g = Graph::new(&store);
         let mut init = Initializer::new(2);
         let x = g.constant(init.normal(4, cfg.joint_dim(), 1.0));
         let eps = init.standard_normal(4, cfg.vae_latent);
-        let out = vae.forward(&mut g, &store, x, eps);
+        let out = vae.forward(&mut g, x, eps);
         assert_eq!(g.value(out.mu).shape(), (4, cfg.vae_latent));
         assert_eq!(g.value(out.logvar).shape(), (4, cfg.vae_latent));
         assert_eq!(g.value(out.reconstruction).shape(), (4, cfg.joint_dim()));
@@ -193,10 +187,10 @@ mod tests {
     fn logvar_is_bounded() {
         let cfg = ModelConfig::small();
         let (store, vae) = setup(&cfg);
-        let mut g = Graph::new();
+        let mut g = Graph::new(&store);
         let mut init = Initializer::new(3);
         let x = g.constant(init.normal(2, cfg.joint_dim(), 50.0)); // extreme inputs
-        let out = vae.forward(&mut g, &store, x, Tensor::zeros(2, cfg.vae_latent));
+        let out = vae.forward(&mut g, x, Tensor::zeros(2, cfg.vae_latent));
         for &v in g.value(out.logvar).data() {
             assert!((-8.0..=8.0).contains(&v));
         }
@@ -209,9 +203,9 @@ mod tests {
         let mut init = Initializer::new(4);
         let xt = init.normal(1, cfg.joint_dim(), 1.0);
         let run = |store: &ParamStore| {
-            let mut g = Graph::new();
+            let mut g = Graph::new(store);
             let x = g.constant(xt.clone());
-            let out = vae.forward(&mut g, store, x, Tensor::zeros(1, cfg.vae_latent));
+            let out = vae.forward(&mut g, x, Tensor::zeros(1, cfg.vae_latent));
             g.value(out.predictions).data().to_vec()
         };
         assert_eq!(run(&store), run(&store));
@@ -317,9 +311,9 @@ mod tests {
         for s in 0..4 {
             let eps_s = rows_of(&eps, s, s + 1);
             let refs = [&eps_s; 3];
-            let mut g = Graph::new();
+            let mut g = Graph::new(&store);
             let xv = g.constant(x.clone());
-            let out = vae.forward(&mut g, &store, xv, Tensor::stack_rows(&refs));
+            let out = vae.forward(&mut g, xv, Tensor::stack_rows(&refs));
             let tape = g.value(out.predictions);
             for r in 0..3 {
                 for (a, b) in fast.row_slice(s * 3 + r).iter().zip(tape.row_slice(r)) {
@@ -337,11 +331,11 @@ mod tests {
         let xt = init.normal(3, cfg.joint_dim(), 1.0);
         let tt = init.normal(3, 3, 1.0);
         let eval = |beta: f64, store: &ParamStore| -> (f32, f32) {
-            let mut g = Graph::new();
+            let mut g = Graph::new(store);
             let x = g.constant(xt.clone());
             let t = g.constant(tt.clone());
             let eps = Initializer::new(6).standard_normal(3, cfg.vae_latent);
-            let out = vae.forward(&mut g, store, x, eps);
+            let out = vae.forward(&mut g, x, eps);
             let (total, _recon, _pred, kl) = vae.loss(&mut g, &out, x, t, beta);
             (g.value(total).get(0, 0), g.value(kl).get(0, 0))
         };
@@ -364,13 +358,15 @@ mod tests {
         let mut last = 0.0;
         for step in 0..60 {
             store.zero_grads();
-            let mut g = Graph::new();
+            let mut g = Graph::new(&store);
             let x = g.constant(xt.clone());
             let t = g.constant(tt.clone());
             let eps = Initializer::new(100 + step).standard_normal(8, cfg.vae_latent);
-            let out = vae.forward(&mut g, &store, x, eps);
+            let out = vae.forward(&mut g, x, eps);
             let (total, _, _, _) = vae.loss(&mut g, &out, x, t, 100.0);
-            last = g.backward(total, &mut store);
+            let (loss, grads) = g.backward(total);
+            last = loss;
+            grads.merge_into(&mut store);
             if first.is_none() {
                 first = Some(last);
             }

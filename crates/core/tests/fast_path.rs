@@ -172,3 +172,46 @@ fn parallel_training_is_bit_identical_across_shard_counts() {
         assert_eq!(reference.predict(&q, &plan).runtime_ms, sharded.predict(&q, &plan).runtime_ms);
     }
 }
+
+/// Golden fingerprint of trained weights: FNV-1a over every parameter's
+/// `to_bits()`, in `ParamStore::iter` order, after fitting
+/// `ModelConfig::small()` on the 12-query fixture above. Tiers round
+/// differently, so each has its own constant (the AVX2 and AVX-512 GEMMs
+/// are both one fused chain per element and agree). A change to
+/// training's floating-point order fails here, and must update these
+/// constants in the same diff — declared, never silent.
+///
+/// The bits also depend on the platform libm: the tape's `tanh`, `exp`
+/// and `sigmoid` call `f32::tanh`/`f32::exp`. The constants are for
+/// x86_64 Linux glibc; elsewhere the test is ignored, and a glibc whose
+/// `tanhf`/`expf` round differently moves them with no code change.
+#[test]
+#[cfg_attr(
+    not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")),
+    ignore = "golden constants are for x86_64 Linux glibc"
+)]
+fn trained_weights_match_the_golden_fingerprint() {
+    use qpseeker_nn::isa::{self, Isa};
+    let db = std::sync::Arc::new(imdb::generate(0.05, 1));
+    let w = synthetic::generate(&db, &SyntheticConfig { n_queries: 12, seed: 11 });
+    let refs: Vec<&Qep> = w.qeps.iter().collect();
+    let mut m = QPSeeker::new(&db, ModelConfig::small());
+    m.fit(&refs).expect("training succeeds");
+    let bits: Vec<u64> = m
+        .store
+        .iter()
+        .flat_map(|(_, p)| p.value.data().iter().map(|x| u64::from(x.to_bits())))
+        .collect();
+    let got = qpseeker_storage::fnv::words(&bits);
+    let want = match isa::active() {
+        Isa::Scalar => 0xd3a0_c66b_b754_56ce,
+        Isa::Avx2 | Isa::Avx512 => 0x062a_83aa_8e28_b123,
+    };
+    assert_eq!(
+        got,
+        want,
+        "trained weights moved on the {} tier: {got:#018x} (training's FP order \
+         changed, or the libm's tanhf/expf did)",
+        isa::active().name()
+    );
+}

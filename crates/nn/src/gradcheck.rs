@@ -4,6 +4,7 @@
 
 use crate::graph::{Graph, Var};
 use crate::params::{ParamId, ParamStore};
+use crate::tensor::Tensor;
 
 /// Result of checking one parameter.
 #[derive(Debug, Clone)]
@@ -24,7 +25,7 @@ impl GradCheckReport {
 
 /// Compare the analytic gradient of `param` under `build` (a closure that
 /// records a scalar loss onto a fresh graph) against central finite
-/// differences with step `eps`.
+/// differences with step `eps`. The store's own gradients are not touched.
 ///
 /// `build` must be deterministic: it is re-invoked with perturbed parameter
 /// values.
@@ -32,30 +33,34 @@ pub fn check_gradient(
     store: &mut ParamStore,
     param: ParamId,
     eps: f32,
-    mut build: impl FnMut(&mut Graph, &ParamStore) -> Var,
+    mut build: impl FnMut(&mut Graph) -> Var,
 ) -> GradCheckReport {
-    store.zero_grads();
-    let mut g = Graph::new();
-    let loss = build(&mut g, store);
-    g.backward(loss, store);
-    let analytic = store.grad(param).clone();
+    let analytic = {
+        let mut g = Graph::new(store);
+        let loss = build(&mut g);
+        let (rows, cols) = store.value(param).shape();
+        g.backward(loss).1.get(param).cloned().unwrap_or_else(|| Tensor::zeros(rows, cols))
+    };
+    let mut eval = |store: &ParamStore| {
+        let mut g = Graph::new(store);
+        let loss = build(&mut g);
+        g.value(loss).get(0, 0)
+    };
 
     let mut report =
         GradCheckReport { max_rel_error: 0.0, worst_index: 0, analytic: 0.0, numeric: 0.0 };
     for i in 0..store.value(param).len() {
         let orig = store.value(param).data()[i];
         store.value_mut(param).data_mut()[i] = orig + eps;
-        let mut gp = Graph::new();
-        let vp = build(&mut gp, store);
-        let lp = gp.value(vp).get(0, 0);
+        let lp = eval(store);
         store.value_mut(param).data_mut()[i] = orig - eps;
-        let mut gm = Graph::new();
-        let vm = build(&mut gm, store);
-        let lm = gm.value(vm).get(0, 0);
+        let lm = eval(store);
         store.value_mut(param).data_mut()[i] = orig;
         let numeric = (lp - lm) / (2.0 * eps);
         let a = analytic.data()[i];
         let rel = (a - numeric).abs() / (1.0 + numeric.abs());
+        // A NaN on either side is a failure, not a skipped element.
+        let rel = if rel.is_nan() { f32::INFINITY } else { rel };
         if rel > report.max_rel_error {
             report = GradCheckReport { max_rel_error: rel, worst_index: i, analytic: a, numeric };
         }
@@ -83,9 +88,9 @@ mod tests {
         );
         let x = init.normal(4, 3, 1.0);
         let w = mlp.layers[0].w;
-        let report = check_gradient(&mut store, w, 1e-2, |g, s| {
+        let report = check_gradient(&mut store, w, 1e-2, |g| {
             let xv = g.constant(x.clone());
-            let y = mlp.forward(g, s, xv);
+            let y = mlp.forward(g, xv);
             let sq = g.mul(y, y);
             g.mean_all(sq)
         });
@@ -97,11 +102,11 @@ mod tests {
         // Build a loss whose recorded graph differs from the perturbed
         // evaluation (simulating a buggy op): gradcheck must flag it.
         let mut store = ParamStore::new();
-        let w = store.register("w", crate::tensor::Tensor::scalar(1.0));
+        let w = store.register("w", Tensor::scalar(1.0));
         let mut call = 0usize;
-        let report = check_gradient(&mut store, w, 1e-2, move |g, s| {
+        let report = check_gradient(&mut store, w, 1e-2, move |g| {
             call += 1;
-            let wv = g.param(s, w);
+            let wv = g.param(w);
             if call == 1 {
                 // analytic pass: loss = w
                 g.sum_all(wv)
@@ -112,5 +117,23 @@ mod tests {
             }
         });
         assert!(!report.passes(0.3), "inconsistent function must fail: {report:?}");
+    }
+
+    #[test]
+    fn a_nan_analytic_gradient_fails() {
+        // Every forward value is 0, so the loss is flat and the numeric
+        // gradient is 0; backward overflows to ∞ and then multiplies it by
+        // the first scale's 0, so the analytic gradient is NaN.
+        let mut store = ParamStore::new();
+        let w = store.register("w", Tensor::row(vec![1.0, -0.5]));
+        let report = check_gradient(&mut store, w, 1e-2, |g| {
+            let wv = g.param(w);
+            let zero = g.scale(wv, 0.0);
+            let big = g.scale(zero, 1e30);
+            let big = g.scale(big, 1e30);
+            g.sum_all(big)
+        });
+        assert!(report.analytic.is_nan(), "the setup must yield a NaN gradient: {report:?}");
+        assert!(!report.passes(f32::MAX), "a NaN gradient must fail: {report:?}");
     }
 }

@@ -4,13 +4,14 @@
 //! variable shape (one LSTM cell per plan node), so a static computation
 //! graph is impossible; instead each batch records the exact ops it ran and
 //! [`Graph::backward`] replays them in reverse. Parameters live in a
-//! [`ParamStore`] and are referenced by id, which
-//! keeps gradients flowing into persistent storage across batches.
+//! [`ParamStore`] the graph borrows: a parameter leaf is an id whose value
+//! is read from the store, never copied onto the tape, and its gradient
+//! comes back in a [`GradBuffer`] keyed by that id.
 //!
 //! Every op's gradient rule is verified against central finite differences in
 //! the unit tests below and in the crate's proptest suite.
 
-use crate::params::{GradAccumulator, ParamId, ParamStore};
+use crate::params::{GradBuffer, ParamId, ParamStore};
 use crate::tensor::Tensor;
 
 /// Handle to a node in a [`Graph`].
@@ -27,7 +28,8 @@ impl Var {
 enum Op {
     /// Leaf holding a constant input (no gradient).
     Constant,
-    /// Leaf mirroring a parameter; gradient is written back to the store.
+    /// Leaf reading a parameter from the borrowed store; its gradient goes
+    /// to the [`GradBuffer`] under the same id.
     Param(ParamId),
     MatMul(Var, Var),
     Add(Var, Var),
@@ -54,18 +56,21 @@ enum Op {
 
 struct Node {
     op: Op,
+    /// Empty for a `Param` leaf, whose value [`Graph::value`] reads from
+    /// the store.
     value: Tensor,
 }
 
-/// A tape of tensor operations supporting reverse-mode differentiation.
-#[derive(Default)]
-pub struct Graph {
+/// A tape of tensor operations supporting reverse-mode differentiation,
+/// over the parameters of one [`ParamStore`].
+pub struct Graph<'s> {
+    store: &'s ParamStore,
     nodes: Vec<Node>,
 }
 
-impl Graph {
-    pub fn new() -> Self {
-        Self { nodes: Vec::with_capacity(256) }
+impl<'s> Graph<'s> {
+    pub fn new(store: &'s ParamStore) -> Self {
+        Self { store, nodes: Vec::with_capacity(256) }
     }
 
     /// Number of recorded nodes.
@@ -85,7 +90,10 @@ impl Graph {
 
     /// The forward value of `v`.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        match self.nodes[v.0].op {
+            Op::Param(id) => self.store.value(id),
+            _ => &self.nodes[v.0].value,
+        }
     }
 
     // ---- leaves -----------------------------------------------------------
@@ -100,21 +108,22 @@ impl Graph {
         self.constant(Tensor::scalar(v))
     }
 
-    /// Record a parameter leaf; its gradient is accumulated into the store.
-    pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let value = store.value(id).clone();
-        self.push(Op::Param(id), value)
+    /// Record a parameter leaf. Its value stays in the store; every call
+    /// records a leaf of its own, whose gradient is summed on its own
+    /// before it reaches the [`GradBuffer`].
+    pub fn param(&mut self, id: ParamId) -> Var {
+        self.push(Op::Param(id), Tensor::zeros(0, 0))
     }
 
     // ---- binary ops -------------------------------------------------------
 
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
+        let v = self.value(a).matmul(self.value(b));
         self.push(Op::MatMul(a, b), v)
     }
 
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (ta, tb) = (self.value(a), self.value(b));
         assert_eq!(ta.shape(), tb.shape(), "add shape mismatch");
         let mut v = ta.clone();
         v.add_assign(tb);
@@ -123,7 +132,7 @@ impl Graph {
 
     /// `a [r,c] + bias [1,c]`, broadcasting the bias over rows.
     pub fn add_row_broadcast(&mut self, a: Var, bias: Var) -> Var {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[bias.0].value);
+        let (ta, tb) = (self.value(a), self.value(bias));
         assert_eq!(tb.rows(), 1, "bias must be a row vector");
         assert_eq!(ta.cols(), tb.cols(), "bias width mismatch");
         let mut v = ta.clone();
@@ -138,7 +147,7 @@ impl Graph {
 
     /// `a [r,c] ⊙ m [r,1]`, scaling each row of `a` by the matching entry of `m`.
     pub fn mul_col_broadcast(&mut self, a: Var, m: Var) -> Var {
-        let (ta, tm) = (&self.nodes[a.0].value, &self.nodes[m.0].value);
+        let (ta, tm) = (self.value(a), self.value(m));
         assert_eq!(tm.cols(), 1, "mask must be a column vector");
         assert_eq!(ta.rows(), tm.rows(), "mask height mismatch");
         let mut v = ta.clone();
@@ -152,7 +161,7 @@ impl Graph {
     }
 
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (ta, tb) = (self.value(a), self.value(b));
         assert_eq!(ta.shape(), tb.shape(), "sub shape mismatch");
         let mut v = ta.clone();
         v.add_scaled_assign(tb, -1.0);
@@ -161,7 +170,7 @@ impl Graph {
 
     /// Elementwise (Hadamard) product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (ta, tb) = (self.value(a), self.value(b));
         assert_eq!(ta.shape(), tb.shape(), "mul shape mismatch");
         let mut v = ta.clone();
         for (x, y) in v.data_mut().iter_mut().zip(tb.data().iter()) {
@@ -173,40 +182,41 @@ impl Graph {
     // ---- unary ops --------------------------------------------------------
 
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let v = self.nodes[a.0].value.map(|x| x * c);
+        let v = self.value(a).map(|x| x * c);
         self.push(Op::Scale(a, c), v)
     }
 
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.nodes[a.0].value.map(|x| x + c);
+        let v = self.value(a).map(|x| x + c);
         self.push(Op::AddScalar(a, c), v)
     }
 
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(|x| x.max(0.0));
+        let v = self.value(a).map(|x| x.max(0.0));
         self.push(Op::Relu(a), v)
     }
 
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(f32::tanh);
+        let v = self.value(a).map(f32::tanh);
         self.push(Op::Tanh(a), v)
     }
 
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(|x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
         self.push(Op::Sigmoid(a), v)
     }
 
     /// Elementwise `exp`, with inputs clamped to ±30 to avoid overflow in the
-    /// VAE's `exp(logvar)` term early in training.
+    /// VAE's `exp(logvar)` term early in training. Past the clamp the output
+    /// is constant, so the gradient there is zero.
     pub fn exp(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(|x| x.clamp(-30.0, 30.0).exp());
+        let v = self.value(a).map(|x| x.clamp(-30.0, 30.0).exp());
         self.push(Op::Exp(a), v)
     }
 
     /// Row-wise softmax with max-subtraction for numerical stability.
     pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let ta = &self.nodes[a.0].value;
+        let ta = self.value(a);
         let mut v = ta.clone();
         for r in 0..v.rows() {
             let row = v.row_slice_mut(r);
@@ -226,7 +236,7 @@ impl Graph {
     // ---- shape ops --------------------------------------------------------
 
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let v = self.nodes[a.0].value.concat_cols(&self.nodes[b.0].value);
+        let v = self.value(a).concat_cols(self.value(b));
         self.push(Op::ConcatCols(a, b), v)
     }
 
@@ -242,14 +252,14 @@ impl Graph {
 
     /// Stack tensors vertically (used to batch per-sample encodings).
     pub fn stack_rows(&mut self, parts: &[Var]) -> Var {
-        let tensors: Vec<&Tensor> = parts.iter().map(|p| &self.nodes[p.0].value).collect();
+        let tensors: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
         let v = Tensor::stack_rows(&tensors);
         self.push(Op::StackRows(parts.to_vec()), v)
     }
 
     /// Column sums: `[r,c] -> [1,c]`.
     pub fn sum_rows(&mut self, a: Var) -> Var {
-        let ta = &self.nodes[a.0].value;
+        let ta = self.value(a);
         let mut v = Tensor::zeros(1, ta.cols());
         for r in 0..ta.rows() {
             for c in 0..ta.cols() {
@@ -261,27 +271,27 @@ impl Graph {
 
     /// Column means: `[r,c] -> [1,c]`.
     pub fn mean_rows(&mut self, a: Var) -> Var {
-        let rows = self.nodes[a.0].value.rows().max(1) as f32;
+        let rows = self.value(a).rows().max(1) as f32;
         let s = self.sum_rows(a);
         self.scale(s, 1.0 / rows)
     }
 
     /// Sum of every element: `[r,c] -> [1,1]`.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.nodes[a.0].value.sum());
+        let v = Tensor::scalar(self.value(a).sum());
         self.push(Op::SumAll(a), v)
     }
 
     /// Mean of every element: `[r,c] -> [1,1]`.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let n = self.nodes[a.0].value.len().max(1) as f32;
+        let n = self.value(a).len().max(1) as f32;
         let s = self.sum_all(a);
         self.scale(s, 1.0 / n)
     }
 
     /// Column slice `[r, from..to)`.
     pub fn slice_cols(&mut self, a: Var, from: usize, to: usize) -> Var {
-        let ta = &self.nodes[a.0].value;
+        let ta = self.value(a);
         assert!(from < to && to <= ta.cols(), "slice_cols out of range");
         let mut v = Tensor::zeros(ta.rows(), to - from);
         for r in 0..ta.rows() {
@@ -291,7 +301,7 @@ impl Graph {
     }
 
     pub fn transpose(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.transposed();
+        let v = self.value(a).transposed();
         self.push(Op::Transpose(a), v)
     }
 
@@ -328,15 +338,23 @@ impl Graph {
 
     // ---- backward -----------------------------------------------------------
 
-    /// Backpropagate from scalar `loss`, accumulating parameter gradients
-    /// into `store` — either the shared [`ParamStore`] (serial training) or a
-    /// thread-local [`GradBuffer`](crate::params::GradBuffer) (data-parallel
-    /// training). Returns the loss value.
+    /// Backpropagate from scalar `loss`. Returns the loss value and every
+    /// parameter's gradient; add those to the store with
+    /// [`GradBuffer::merge_into`] once the graph is dropped.
+    ///
+    /// A parameter leaf sums its own contributions in reverse tape order,
+    /// then joins the buffer, so a weight used by several leaves (one per
+    /// LSTM step) sums per leaf, in reverse leaf order. A matmul's input
+    /// gradient `g·Bᵀ` is [`Tensor::matmul_seq`] over the store's cached
+    /// transpose when `B` is a parameter, else over a transpose made on the
+    /// spot; its weight gradient adds `aᵀ·g` into the slot in place when
+    /// `a` has one row, and sums it apart first when not.
     ///
     /// # Panics
     /// Panics if `loss` is not `1x1`.
-    pub fn backward<A: GradAccumulator>(&self, loss: Var, store: &mut A) -> f32 {
-        assert_eq!(self.nodes[loss.0].value.shape(), (1, 1), "loss must be scalar");
+    pub fn backward(&self, loss: Var) -> (f32, GradBuffer) {
+        assert_eq!(self.value(loss).shape(), (1, 1), "loss must be scalar");
+        let mut params = GradBuffer::new();
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         grads[loss.0] = Some(Tensor::scalar(1.0));
 
@@ -347,12 +365,21 @@ impl Graph {
             };
             match &self.nodes[i].op {
                 Op::Constant => {}
-                Op::Param(id) => store.accumulate(*id, &g),
+                Op::Param(id) => params.accumulate(*id, g),
                 Op::MatMul(a, b) => {
-                    let ga = g.matmul_nt(&self.nodes[b.0].value);
-                    let gb = self.nodes[a.0].value.matmul_tn(&g);
+                    let (ta, tb) = (self.value(*a), self.value(*b));
+                    let ga = match self.nodes[b.0].op {
+                        Op::Param(id) => g.matmul_seq(self.store.transposed(id)),
+                        _ => g.matmul_seq(&tb.transposed()),
+                    };
                     accumulate(&mut grads, a.0, ga);
-                    accumulate(&mut grads, b.0, gb);
+                    if ta.rows() == 1 {
+                        grads[b.0]
+                            .get_or_insert_with(|| Tensor::zeros(tb.rows(), tb.cols()))
+                            .add_outer_assign(ta.row_slice(0), g.row_slice(0));
+                    } else {
+                        accumulate(&mut grads, b.0, ta.matmul_tn(&g));
+                    }
                 }
                 Op::Add(a, b) => {
                     accumulate(&mut grads, a.0, g.clone());
@@ -369,7 +396,7 @@ impl Graph {
                     accumulate(&mut grads, bias.0, gb);
                 }
                 Op::MulColBroadcast(a, m) => {
-                    let (ta, tm) = (&self.nodes[a.0].value, &self.nodes[m.0].value);
+                    let (ta, tm) = (self.value(*a), self.value(*m));
                     let mut ga = g.clone();
                     let mut gm = Tensor::zeros(tm.rows(), 1);
                     for r in 0..g.rows() {
@@ -392,11 +419,11 @@ impl Graph {
                 }
                 Op::Mul(a, b) => {
                     let mut ga = g.clone();
-                    for (x, y) in ga.data_mut().iter_mut().zip(self.nodes[b.0].value.data()) {
+                    for (x, y) in ga.data_mut().iter_mut().zip(self.value(*b).data()) {
                         *x *= y;
                     }
                     let mut gb = g;
-                    for (x, y) in gb.data_mut().iter_mut().zip(self.nodes[a.0].value.data()) {
+                    for (x, y) in gb.data_mut().iter_mut().zip(self.value(*a).data()) {
                         *x *= y;
                     }
                     accumulate(&mut grads, a.0, ga);
@@ -409,7 +436,7 @@ impl Graph {
                 }
                 Op::Relu(a) => {
                     let mut ga = g;
-                    for (x, y) in ga.data_mut().iter_mut().zip(self.nodes[a.0].value.data()) {
+                    for (x, y) in ga.data_mut().iter_mut().zip(self.value(*a).data()) {
                         if *y <= 0.0 {
                             *x = 0.0;
                         }
@@ -432,8 +459,9 @@ impl Graph {
                 }
                 Op::Exp(a) => {
                     let mut ga = g;
-                    for (x, y) in ga.data_mut().iter_mut().zip(self.nodes[i].value.data()) {
-                        *x *= y;
+                    let (xs, ys) = (self.value(*a).data(), self.nodes[i].value.data());
+                    for ((gx, &x), y) in ga.data_mut().iter_mut().zip(xs).zip(ys) {
+                        *gx = if x.abs() > 30.0 { 0.0 } else { *gx * y };
                     }
                     accumulate(&mut grads, a.0, ga);
                 }
@@ -449,7 +477,7 @@ impl Graph {
                     accumulate(&mut grads, a.0, ga);
                 }
                 Op::ConcatCols(a, b) => {
-                    let ca = self.nodes[a.0].value.cols();
+                    let ca = self.value(*a).cols();
                     let mut ga = Tensor::zeros(g.rows(), ca);
                     let mut gb = Tensor::zeros(g.rows(), g.cols() - ca);
                     for r in 0..g.rows() {
@@ -462,7 +490,7 @@ impl Graph {
                 Op::StackRows(parts) => {
                     let mut row = 0;
                     for p in parts {
-                        let pr = self.nodes[p.0].value.rows();
+                        let pr = self.value(*p).rows();
                         let mut gp = Tensor::zeros(pr, g.cols());
                         for r in 0..pr {
                             gp.row_slice_mut(r).copy_from_slice(g.row_slice(row + r));
@@ -472,7 +500,7 @@ impl Graph {
                     }
                 }
                 Op::SumRows(a) => {
-                    let rows = self.nodes[a.0].value.rows();
+                    let rows = self.value(*a).rows();
                     let mut ga = Tensor::zeros(rows, g.cols());
                     for r in 0..rows {
                         ga.row_slice_mut(r).copy_from_slice(g.row_slice(0));
@@ -480,12 +508,12 @@ impl Graph {
                     accumulate(&mut grads, a.0, ga);
                 }
                 Op::SumAll(a) => {
-                    let ta = &self.nodes[a.0].value;
+                    let ta = self.value(*a);
                     let ga = Tensor::filled(ta.rows(), ta.cols(), g.get(0, 0));
                     accumulate(&mut grads, a.0, ga);
                 }
                 Op::SliceCols(a, from, _to) => {
-                    let ta = &self.nodes[a.0].value;
+                    let ta = self.value(*a);
                     let mut ga = Tensor::zeros(ta.rows(), ta.cols());
                     for r in 0..g.rows() {
                         ga.row_slice_mut(r)[*from..from + g.cols()].copy_from_slice(g.row_slice(r));
@@ -497,7 +525,7 @@ impl Graph {
                 }
             }
         }
-        self.nodes[loss.0].value.get(0, 0)
+        (self.value(loss).get(0, 0), params)
     }
 }
 
@@ -513,39 +541,16 @@ mod tests {
     use super::*;
     use crate::params::ParamStore;
 
-    /// Central finite-difference check of d(loss)/d(param) for an arbitrary
-    /// scalar-valued builder.
+    /// Finite-difference check of d(loss)/d(param) for a closure recording
+    /// a scalar loss, to relative tolerance `tol`.
     fn check_gradient(
         store: &mut ParamStore,
         id: ParamId,
-        build: impl Fn(&mut Graph, &ParamStore) -> Var,
+        build: impl FnMut(&mut Graph) -> Var,
         tol: f32,
     ) {
-        store.zero_grads();
-        let mut g = Graph::new();
-        let loss = build(&mut g, store);
-        g.backward(loss, store);
-        let analytic = store.grad(id).clone();
-
-        let eps = 1e-2f32;
-        for i in 0..store.value(id).len() {
-            let orig = store.value(id).data()[i];
-            store.value_mut(id).data_mut()[i] = orig + eps;
-            let mut gp = Graph::new();
-            let vp = build(&mut gp, store);
-            let lp = gp.value(vp).get(0, 0);
-            store.value_mut(id).data_mut()[i] = orig - eps;
-            let mut gm = Graph::new();
-            let vm = build(&mut gm, store);
-            let lm = gm.value(vm).get(0, 0);
-            store.value_mut(id).data_mut()[i] = orig;
-            let numeric = (lp - lm) / (2.0 * eps);
-            let a = analytic.data()[i];
-            assert!(
-                (a - numeric).abs() <= tol * (1.0 + numeric.abs()),
-                "grad mismatch at {i}: analytic={a}, numeric={numeric}"
-            );
-        }
+        let report = crate::gradcheck::check_gradient(store, id, 1e-2, build);
+        assert!(report.passes(tol), "grad mismatch: {report:?}");
     }
 
     fn seeded_param(store: &mut ParamStore, rows: usize, cols: usize, seed: f32) -> ParamId {
@@ -556,7 +561,8 @@ mod tests {
 
     #[test]
     fn forward_values_are_recorded() {
-        let mut g = Graph::new();
+        let store = ParamStore::new();
+        let mut g = Graph::new(&store);
         let a = g.constant(Tensor::row(vec![1.0, 2.0]));
         let b = g.scale(a, 3.0);
         assert_eq!(g.value(b).data(), &[3.0, 6.0]);
@@ -570,9 +576,9 @@ mod tests {
         check_gradient(
             &mut store,
             w,
-            |g, s| {
+            |g| {
                 let x = g.constant(Tensor::from_vec(2, 3, vec![0.1, -0.4, 0.3, 0.7, 0.2, -0.9]));
-                let wv = g.param(s, w);
+                let wv = g.param(w);
                 let y = g.matmul(x, wv);
                 g.sum_all(y)
             },
@@ -587,9 +593,9 @@ mod tests {
         check_gradient(
             &mut store,
             w,
-            |g, s| {
+            |g| {
                 let x = g.constant(Tensor::row(vec![0.3, -0.6]));
-                let wv = g.param(s, w);
+                let wv = g.param(w);
                 let h = g.matmul(x, wv);
                 let h = g.tanh(h);
                 let h = g.matmul(h, wv);
@@ -607,8 +613,8 @@ mod tests {
         check_gradient(
             &mut store,
             w,
-            |g, s| {
-                let wv = g.param(s, w);
+            |g| {
+                let wv = g.param(w);
                 let sm = g.softmax_rows(wv);
                 let weights = g.constant(Tensor::row(vec![1.0, -2.0, 0.5, 3.0]));
                 let y = g.mul(sm, weights);
@@ -625,9 +631,9 @@ mod tests {
         check_gradient(
             &mut store,
             b,
-            |g, s| {
+            |g| {
                 let x = g.constant(Tensor::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]));
-                let bv = g.param(s, b);
+                let bv = g.param(b);
                 let y = g.add_row_broadcast(x, bv);
                 let mask = g.constant(Tensor::from_vec(2, 1, vec![1.0, 0.5]));
                 let y = g.mul_col_broadcast(y, mask);
@@ -645,9 +651,9 @@ mod tests {
         check_gradient(
             &mut store,
             m,
-            |g, s| {
+            |g| {
                 let x = g.constant(Tensor::from_vec(2, 2, vec![1., 2., 3., 4.]));
-                let mv = g.param(s, m);
+                let mv = g.param(m);
                 let y = g.mul_col_broadcast(x, mv);
                 g.sum_all(y)
             },
@@ -662,8 +668,8 @@ mod tests {
         check_gradient(
             &mut store,
             w,
-            |g, s| {
-                let wv = g.param(s, w);
+            |g| {
+                let wv = g.param(w);
                 let left = g.slice_cols(wv, 0, 2);
                 let right = g.slice_cols(wv, 2, 4);
                 let cat = g.concat_cols(right, left);
@@ -682,8 +688,8 @@ mod tests {
         check_gradient(
             &mut store,
             w,
-            |g, s| {
-                let wv = g.param(s, w);
+            |g| {
+                let wv = g.param(w);
                 let t = g.transpose(wv);
                 let m = g.mean_rows(t);
                 let sq = g.mul(m, m);
@@ -701,9 +707,9 @@ mod tests {
         check_gradient(
             &mut store,
             mu,
-            |g, s| {
-                let m = g.param(s, mu);
-                let l = g.param(s, lv);
+            |g| {
+                let m = g.param(mu);
+                let l = g.param(lv);
                 g.kl_standard_normal(m, l)
             },
             1e-2,
@@ -711,9 +717,9 @@ mod tests {
         check_gradient(
             &mut store,
             lv,
-            |g, s| {
-                let m = g.param(s, mu);
-                let l = g.param(s, lv);
+            |g| {
+                let m = g.param(mu);
+                let l = g.param(lv);
                 g.kl_standard_normal(m, l)
             },
             1e-2,
@@ -722,7 +728,8 @@ mod tests {
 
     #[test]
     fn kl_is_zero_at_standard_normal() {
-        let mut g = Graph::new();
+        let store = ParamStore::new();
+        let mut g = Graph::new(&store);
         let mu = g.constant(Tensor::zeros(4, 8));
         let lv = g.constant(Tensor::zeros(4, 8));
         let kl = g.kl_standard_normal(mu, lv);
@@ -731,11 +738,32 @@ mod tests {
 
     #[test]
     fn kl_positive_away_from_prior() {
-        let mut g = Graph::new();
+        let store = ParamStore::new();
+        let mut g = Graph::new(&store);
         let mu = g.constant(Tensor::filled(2, 4, 1.5));
         let lv = g.constant(Tensor::filled(2, 4, -1.0));
         let kl = g.kl_standard_normal(mu, lv);
         assert!(g.value(kl).get(0, 0) > 0.0);
+    }
+
+    /// Past the ±30 clamp `exp` is constant, so its gradient is zero there
+    /// (the finite difference sees a flat function); inside it is `exp`.
+    #[test]
+    fn exp_gradient_is_zero_past_the_clamp() {
+        // One point per store: e^30 would swamp the others' differences.
+        for at in [-35.0, 0.5, 35.0] {
+            let mut store = ParamStore::new();
+            let x = store.register("x", Tensor::scalar(at));
+            check_gradient(
+                &mut store,
+                x,
+                |g| {
+                    let xv = g.param(x);
+                    g.exp(xv)
+                },
+                1e-2,
+            );
+        }
     }
 
     #[test]
@@ -745,8 +773,8 @@ mod tests {
         check_gradient(
             &mut store,
             w,
-            |g, s| {
-                let wv = g.param(s, w);
+            |g| {
+                let wv = g.param(w);
                 let target = g.constant(Tensor::row(vec![1.0, -1.0]));
                 g.mse(wv, target)
             },
@@ -756,7 +784,8 @@ mod tests {
 
     #[test]
     fn reparameterize_with_zero_noise_is_identity_on_mu() {
-        let mut g = Graph::new();
+        let store = ParamStore::new();
+        let mut g = Graph::new(&store);
         let mu = g.constant(Tensor::row(vec![0.3, -0.7]));
         let lv = g.constant(Tensor::row(vec![0.1, 0.2]));
         let eps = g.constant(Tensor::zeros(1, 2));
@@ -768,28 +797,29 @@ mod tests {
     fn param_used_twice_accumulates_gradient() {
         let mut store = ParamStore::new();
         let w = store.register("w", Tensor::scalar(2.0));
-        let mut g = Graph::new();
-        let wv = g.param(&store, w);
+        let mut g = Graph::new(&store);
+        let wv = g.param(w);
         let y = g.mul(wv, wv); // y = w², dy/dw = 2w = 4
-        g.backward(y, &mut store);
+        let (_, grads) = g.backward(y);
+        grads.merge_into(&mut store);
         assert!((store.grad(w).get(0, 0) - 4.0).abs() < 1e-6);
     }
 
     #[test]
     fn backward_returns_loss_value() {
-        let mut store = ParamStore::new();
-        let mut g = Graph::new();
+        let store = ParamStore::new();
+        let mut g = Graph::new(&store);
         let c = g.constant(Tensor::scalar(42.0));
         let loss = g.scale(c, 0.5);
-        assert_eq!(g.backward(loss, &mut store), 21.0);
+        assert_eq!(g.backward(loss).0, 21.0);
     }
 
     #[test]
     #[should_panic(expected = "loss must be scalar")]
     fn backward_rejects_non_scalar_loss() {
-        let mut store = ParamStore::new();
-        let mut g = Graph::new();
+        let store = ParamStore::new();
+        let mut g = Graph::new(&store);
         let c = g.constant(Tensor::row(vec![1.0, 2.0]));
-        g.backward(c, &mut store);
+        g.backward(c);
     }
 }

@@ -366,9 +366,9 @@ mod tests {
             Mlp::new(&mut store, &mut init, "m", &[5, 8, 3], Activation::Relu, Activation::Tanh);
         let x = Initializer::new(9).normal(4, 5, 1.0);
 
-        let mut g = Graph::new();
+        let mut g = Graph::new(&store);
         let xv = g.constant(x.clone());
-        let tape = m.forward(&mut g, &store, xv);
+        let tape = m.forward(&mut g, xv);
 
         let mut sc = ScratchArena::new();
         let fast = m.forward_inference(&store, &x, &mut sc);
@@ -383,12 +383,12 @@ mod tests {
         let x1 = Initializer::new(1).normal(2, 6, 1.0);
         let x2 = Initializer::new(2).normal(2, 6, 1.0);
 
-        let mut g = Graph::new();
+        let mut g = Graph::new(&store);
         let s0 = cell.zero_state(&mut g, 2);
         let x1v = g.constant(x1.clone());
-        let s1 = cell.step(&mut g, &store, x1v, s0);
+        let s1 = cell.step(&mut g, x1v, s0);
         let x2v = g.constant(x2.clone());
-        let s2 = cell.step(&mut g, &store, x2v, s1);
+        let s2 = cell.step(&mut g, x2v, s1);
 
         let mut sc = ScratchArena::new();
         let b0 = cell.zero_state_buf(2, &mut sc);
@@ -406,10 +406,10 @@ mod tests {
         let q = Initializer::new(3).normal(1, 8, 1.0);
         let kv = Initializer::new(4).normal(3, 6, 1.0);
 
-        let mut g = Graph::new();
+        let mut g = Graph::new(&store);
         let qv = g.constant(q.clone());
         let kvv = g.constant(kv.clone());
-        let (tape, _scores) = attn.forward(&mut g, &store, qv, kvv);
+        let (tape, _scores) = attn.forward(&mut g, qv, kvv);
 
         let mut sc = ScratchArena::new();
         let (keys, values) = attn.project_kv_inference(&store, &kv, &mut sc);

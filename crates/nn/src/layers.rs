@@ -1,7 +1,8 @@
 //! Reusable layers: linear, MLP, LSTM cell, multi-head cross-attention.
 //!
 //! A layer owns only [`ParamId`]s; the actual weights live in the shared
-//! [`ParamStore`]. `forward` records ops onto the caller's [`Graph`].
+//! [`ParamStore`]. `forward` records ops onto the caller's [`Graph`], which
+//! reads them from the store it borrows.
 
 use crate::graph::{Graph, Var};
 use crate::init::Initializer;
@@ -52,7 +53,7 @@ impl Linear {
     }
 
     /// `x: [batch, in_dim] -> [batch, out_dim]`.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var) -> Var {
+    pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
         assert_eq!(
             g.value(x).cols(),
             self.in_dim,
@@ -60,8 +61,8 @@ impl Linear {
             self.in_dim,
             g.value(x).cols()
         );
-        let w = g.param(store, self.w);
-        let b = g.param(store, self.b);
+        let w = g.param(self.w);
+        let b = g.param(self.b);
         let y = g.matmul(x, w);
         g.add_row_broadcast(y, b)
     }
@@ -103,11 +104,11 @@ impl Mlp {
         self.layers.last().expect("MLP has layers").out_dim
     }
 
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var) -> Var {
+    pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
         let last = self.layers.len() - 1;
         let mut h = x;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(g, store, h);
+            h = layer.forward(g, h);
             h = if i == last {
                 self.output_activation.apply(g, h)
             } else {
@@ -167,11 +168,11 @@ impl LstmCell {
     }
 
     /// One step: `x: [batch, input_dim]`, returns updated state.
-    pub fn step(&self, g: &mut Graph, store: &ParamStore, x: Var, state: LstmState) -> LstmState {
+    pub fn step(&self, g: &mut Graph, x: Var, state: LstmState) -> LstmState {
         assert_eq!(g.value(x).cols(), self.input_dim, "LSTM input width mismatch");
-        let w_ih = g.param(store, self.w_ih);
-        let w_hh = g.param(store, self.w_hh);
-        let b = g.param(store, self.bias);
+        let w_ih = g.param(self.w_ih);
+        let w_hh = g.param(self.w_hh);
+        let b = g.param(self.bias);
         let xw = g.matmul(x, w_ih);
         let hw = g.matmul(state.h, w_hh);
         let gates = g.add(xw, hw);
@@ -240,21 +241,15 @@ impl MultiHeadCrossAttention {
     ///
     /// Also returns the per-head attention score rows (`[1, n]` each) so
     /// callers can inspect which plan nodes dominated the estimate.
-    pub fn forward(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        query: Var,
-        kv: Var,
-    ) -> (Var, Vec<Var>) {
+    pub fn forward(&self, g: &mut Graph, query: Var, kv: Var) -> (Var, Vec<Var>) {
         assert_eq!(g.value(query).rows(), 1, "attention query must be a single row");
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let mut head_outputs = Vec::with_capacity(self.heads);
         let mut score_rows = Vec::with_capacity(self.heads);
         for h in 0..self.heads {
-            let wq = g.param(store, self.wq[h]);
-            let wk = g.param(store, self.wk[h]);
-            let wv = g.param(store, self.wv[h]);
+            let wq = g.param(self.wq[h]);
+            let wk = g.param(self.wk[h]);
+            let wv = g.param(self.wv[h]);
             let q = g.matmul(query, wq); // [1, d]
             let k = g.matmul(kv, wk); // [n, d]
             let v = g.matmul(kv, wv); // [n, d]
@@ -267,7 +262,7 @@ impl MultiHeadCrossAttention {
             score_rows.push(attn);
         }
         let cat = g.concat_cols_all(&head_outputs);
-        let out = self.out.forward(g, store, cat);
+        let out = self.out.forward(g, cat);
         (out, score_rows)
     }
 }
@@ -285,9 +280,9 @@ mod tests {
     fn linear_shapes() {
         let (mut store, mut init) = setup();
         let l = Linear::new(&mut store, &mut init, "l", 3, 5);
-        let mut g = Graph::new();
+        let mut g = Graph::new(&store);
         let x = g.constant(Tensor::zeros(4, 3));
-        let y = l.forward(&mut g, &store, x);
+        let y = l.forward(&mut g, x);
         assert_eq!(g.value(y).shape(), (4, 5));
     }
 
@@ -296,9 +291,9 @@ mod tests {
     fn linear_rejects_wrong_width() {
         let (mut store, mut init) = setup();
         let l = Linear::new(&mut store, &mut init, "l", 3, 5);
-        let mut g = Graph::new();
+        let mut g = Graph::new(&store);
         let x = g.constant(Tensor::zeros(4, 2));
-        l.forward(&mut g, &store, x);
+        l.forward(&mut g, x);
     }
 
     #[test]
@@ -314,9 +309,9 @@ mod tests {
             Activation::Relu,
         );
         assert_eq!(m.layers.len(), 6);
-        let mut g = Graph::new();
+        let mut g = Graph::new(&store);
         let x = g.constant(Tensor::zeros(2, 16));
-        let y = m.forward(&mut g, &store, x);
+        let y = m.forward(&mut g, x);
         assert_eq!(g.value(y).shape(), (2, 256));
     }
 
@@ -339,12 +334,14 @@ mod tests {
         let mut last = f32::MAX;
         for _ in 0..400 {
             store.zero_grads();
-            let mut g = Graph::new();
+            let mut g = Graph::new(&store);
             let x = g.constant(xs.clone());
             let t = g.constant(ys.clone());
-            let p = m.forward(&mut g, &store, x);
+            let p = m.forward(&mut g, x);
             let loss = g.mse(p, t);
-            last = g.backward(loss, &mut store);
+            let (loss, grads) = g.backward(loss);
+            last = loss;
+            grads.merge_into(&mut store);
             opt.step(&mut store);
         }
         assert!(last < 0.03, "XOR did not converge: loss {last}");
@@ -354,16 +351,16 @@ mod tests {
     fn lstm_step_shapes_and_state_evolution() {
         let (mut store, mut init) = setup();
         let cell = LstmCell::new(&mut store, &mut init, "lstm", 6, 4);
-        let mut g = Graph::new();
+        let mut g = Graph::new(&store);
         let s0 = cell.zero_state(&mut g, 2);
         let x = g.constant(Tensor::ones(2, 6));
-        let s1 = cell.step(&mut g, &store, x, s0);
+        let s1 = cell.step(&mut g, x, s0);
         assert_eq!(g.value(s1.h).shape(), (2, 4));
         assert_eq!(g.value(s1.c).shape(), (2, 4));
         // State must actually change.
         assert!(g.value(s1.h).norm() > 0.0);
         let x2 = g.constant(Tensor::ones(2, 6));
-        let s2 = cell.step(&mut g, &store, x2, s1);
+        let s2 = cell.step(&mut g, x2, s1);
         assert_ne!(g.value(s1.h).data(), g.value(s2.h).data());
     }
 
@@ -372,14 +369,15 @@ mod tests {
         let (mut store, mut init) = setup();
         let cell = LstmCell::new(&mut store, &mut init, "lstm", 3, 2);
         store.zero_grads();
-        let mut g = Graph::new();
+        let mut g = Graph::new(&store);
         let s0 = cell.zero_state(&mut g, 1);
         let x = g.constant(Tensor::row(vec![0.5, -0.3, 0.8]));
-        let s1 = cell.step(&mut g, &store, x, s0);
+        let s1 = cell.step(&mut g, x, s0);
         let x2 = g.constant(Tensor::row(vec![-0.1, 0.4, 0.2]));
-        let s2 = cell.step(&mut g, &store, x2, s1);
+        let s2 = cell.step(&mut g, x2, s1);
         let loss = g.sum_all(s2.h);
-        g.backward(loss, &mut store);
+        let (_, grads) = g.backward(loss);
+        grads.merge_into(&mut store);
         assert!(store.grad(cell.w_ih).norm() > 0.0);
         assert!(store.grad(cell.w_hh).norm() > 0.0);
         assert!(store.grad(cell.bias).norm() > 0.0);
@@ -389,10 +387,10 @@ mod tests {
     fn attention_shapes_and_scores_sum_to_one() {
         let (mut store, mut init) = setup();
         let attn = MultiHeadCrossAttention::new(&mut store, &mut init, "qp", 8, 6, 4, 5, 10);
-        let mut g = Graph::new();
+        let mut g = Graph::new(&store);
         let q = g.constant(Initializer::new(1).normal(1, 8, 1.0));
         let kv = g.constant(Initializer::new(2).normal(3, 6, 1.0));
-        let (out, scores) = attn.forward(&mut g, &store, q, kv);
+        let (out, scores) = attn.forward(&mut g, q, kv);
         assert_eq!(g.value(out).shape(), (1, 10));
         assert_eq!(scores.len(), 4);
         for s in scores {
@@ -407,12 +405,13 @@ mod tests {
         let (mut store, mut init) = setup();
         let attn = MultiHeadCrossAttention::new(&mut store, &mut init, "qp", 4, 4, 2, 3, 6);
         store.zero_grads();
-        let mut g = Graph::new();
+        let mut g = Graph::new(&store);
         let q = g.constant(Initializer::new(3).normal(1, 4, 1.0));
         let kv = g.constant(Initializer::new(4).normal(5, 4, 1.0));
-        let (out, _) = attn.forward(&mut g, &store, q, kv);
+        let (out, _) = attn.forward(&mut g, q, kv);
         let loss = g.sum_all(out);
-        g.backward(loss, &mut store);
+        let (_, grads) = g.backward(loss);
+        grads.merge_into(&mut store);
         for h in 0..2 {
             assert!(store.grad(attn.wq[h]).norm() > 0.0, "wq[{h}] got no gradient");
             assert!(store.grad(attn.wk[h]).norm() > 0.0, "wk[{h}] got no gradient");

@@ -6,7 +6,7 @@
 //!
 //! * [`tensor::Tensor`] — dense rank-2 `f32` matrices,
 //! * [`graph::Graph`] — a per-batch autodiff tape (dynamic graphs, because
-//!   query plans are trees of varying shape),
+//!   query plans are trees of varying shape) over a borrowed `ParamStore`,
 //! * [`params::ParamStore`] — persistent parameters addressed by stable ids,
 //! * [`layers`] — `Linear`, `Mlp`, `LstmCell`, `MultiHeadCrossAttention`,
 //! * [`optim`] — `Adam` and `Sgd`,
@@ -24,12 +24,13 @@
 //! let mut opt = Adam::new(0.01);
 //! for _ in 0..10 {
 //!     store.zero_grads();
-//!     let mut g = Graph::new();
+//!     let mut g = Graph::new(&store);
 //!     let x = g.constant(Tensor::from_vec(4, 2, vec![0.,0., 0.,1., 1.,0., 1.,1.]));
 //!     let t = g.constant(Tensor::from_vec(4, 1, vec![0., 1., 1., 2.]));
-//!     let y = mlp.forward(&mut g, &store, x);
+//!     let y = mlp.forward(&mut g, x);
 //!     let loss = g.mse(y, t);
-//!     g.backward(loss, &mut store);
+//!     let (_, grads) = g.backward(loss);
+//!     grads.merge_into(&mut store);
 //!     opt.step(&mut store);
 //! }
 //! ```
@@ -58,6 +59,6 @@ pub mod prelude {
     };
     pub use crate::optim::{Adam, Sgd, StepReport};
     pub use crate::pack::PackedGemm;
-    pub use crate::params::{GradAccumulator, GradBuffer, Param, ParamId, ParamStore};
+    pub use crate::params::{GradBuffer, Param, ParamId, ParamStore};
     pub use crate::tensor::Tensor;
 }

@@ -187,11 +187,12 @@ mod tests {
         let w = store.register("w", Tensor::scalar(0.0));
         for _ in 0..500 {
             store.zero_grads();
-            let mut g = Graph::new();
-            let wv = g.param(&store, w);
+            let mut g = Graph::new(&store);
+            let wv = g.param(w);
             let target = g.constant(Tensor::scalar(3.0));
             let loss = g.mse(wv, target);
-            g.backward(loss, &mut store);
+            let (_, grads) = g.backward(loss);
+            grads.merge_into(&mut store);
             step(&mut store);
         }
         store.value(w).get(0, 0)

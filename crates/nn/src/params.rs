@@ -38,17 +38,28 @@ pub struct Param {
 #[derive(Debug, Clone, Default)]
 pub struct ParamStore {
     params: Vec<Param>,
-    /// Lazily built panel-packed copies of parameter values for the
-    /// inference GEMM (`crate::pack`). Outer lock sizes the table on first
-    /// use (post-deserialize stores start empty), inner locks pack each
-    /// weight the first time a forward pass touches it. Every `&mut` access
-    /// to a value drops the whole cache, so training, checkpoint loads, and
-    /// hot-swaps can never serve stale panels. Never serialized.
-    packed: OnceLock<Vec<OnceLock<PackedGemm>>>,
+    /// Lazily built copies of parameter values, one [`Derived`] per
+    /// parameter. The outer lock sizes the table on first use
+    /// (post-deserialize stores start empty), the inner locks build each
+    /// copy the first time something reads it. Every `&mut` access to a
+    /// value (`value_mut`, `params_mut`, `register`) drops the whole table,
+    /// so training, checkpoint loads, and hot-swaps can never read a stale
+    /// copy; gradient writes leave it alone. Never serialized.
+    derived: OnceLock<Vec<Derived>>,
 }
 
-// Hand-written (de)serialization: only `params` is persisted; the packed
-// cache is a derived artifact rebuilt lazily after load.
+/// What [`ParamStore`] derives from one parameter's value.
+#[derive(Debug, Clone, Default)]
+struct Derived {
+    /// Panel-packed for the inference GEMM (`crate::pack`).
+    packed: OnceLock<PackedGemm>,
+    /// Transposed, for the tape's `g·Wᵀ`. Training mutates the store once
+    /// per optimizer step, so this copy lives for exactly one step.
+    transposed: OnceLock<Tensor>,
+}
+
+// Hand-written (de)serialization: only `params` is persisted; the derived
+// copies are rebuilt lazily after load.
 impl Serialize for ParamStore {
     fn to_value(&self) -> serde::Value {
         serde::Value::Obj(vec![("params".to_string(), self.params.to_value())])
@@ -61,7 +72,7 @@ impl Deserialize for ParamStore {
             v.as_obj().ok_or_else(|| serde::Error::type_mismatch("ParamStore", "object", v))?;
         let params = Vec::<Param>::from_value(serde::obj_field(obj, "params"))
             .map_err(|e| e.in_field("ParamStore", "params"))?;
-        Ok(ParamStore { params, packed: OnceLock::new() })
+        Ok(ParamStore { params, derived: OnceLock::new() })
     }
 }
 
@@ -74,7 +85,7 @@ impl ParamStore {
     pub fn register(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
         let grad = Tensor::zeros(value.rows(), value.cols());
         self.params.push(Param { name: name.into(), value, grad, trainable: true });
-        self.packed = OnceLock::new();
+        self.derived = OnceLock::new();
         ParamId(self.params.len() - 1)
     }
 
@@ -107,7 +118,7 @@ impl ParamStore {
     }
 
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        self.packed = OnceLock::new();
+        self.derived = OnceLock::new();
         &mut self.params[id.0].value
     }
 
@@ -115,9 +126,20 @@ impl ParamStore {
     /// built on first use and shared across threads (the pack is
     /// deterministic, so concurrent initialization races are benign).
     pub fn packed(&self, id: ParamId) -> &PackedGemm {
-        let cache =
-            self.packed.get_or_init(|| self.params.iter().map(|_| OnceLock::new()).collect());
-        cache[id.0].get_or_init(|| PackedGemm::pack(&self.params[id.0].value))
+        self.derived(id).packed.get_or_init(|| PackedGemm::pack(&self.params[id.0].value))
+    }
+
+    /// Transposed copy of parameter `id`'s value, built on first use and
+    /// shared across threads like [`Self::packed`]: the backward pass's
+    /// `g·Wᵀ` streams its rows.
+    pub(crate) fn transposed(&self, id: ParamId) -> &Tensor {
+        self.derived(id).transposed.get_or_init(|| self.params[id.0].value.transposed())
+    }
+
+    fn derived(&self, id: ParamId) -> &Derived {
+        let table =
+            self.derived.get_or_init(|| self.params.iter().map(|_| Derived::default()).collect());
+        &table[id.0]
     }
 
     /// Eagerly pack every multi-row parameter (weight matrices; 1-row
@@ -154,7 +176,7 @@ impl ParamStore {
 
     /// Mutable access for optimizers.
     pub(crate) fn params_mut(&mut self) -> &mut [Param] {
-        self.packed = OnceLock::new();
+        self.derived = OnceLock::new();
         &mut self.params
     }
 
@@ -209,23 +231,10 @@ impl ParamStore {
     }
 }
 
-/// Sink for the gradients produced by a backward pass.
-///
-/// [`ParamStore`] implements it directly (the classic serial training path);
-/// [`GradBuffer`] implements it for thread-local accumulation in data-parallel
-/// training, where worker threads must not write to the shared store.
-pub trait GradAccumulator {
-    fn accumulate(&mut self, id: ParamId, g: &Tensor);
-}
-
-impl GradAccumulator for ParamStore {
-    fn accumulate(&mut self, id: ParamId, g: &Tensor) {
-        self.accumulate_grad(id, g);
-    }
-}
-
-/// Sparse per-sample gradient buffer: only parameters actually touched by a
-/// backward pass get an entry, so short plans don't pay for the full model.
+/// The parameter gradients of one backward pass, sparse: only parameters
+/// the tape touched get an entry, so short plans don't pay for the full
+/// model. [`crate::graph::Graph::backward`] fills it while the graph still
+/// borrows the store; [`Self::merge_into`] adds it to the store after.
 ///
 /// Data-parallel training computes one `GradBuffer` per *sample* and merges
 /// them into the [`ParamStore`] in sample-index order — never shard order —
@@ -240,24 +249,28 @@ impl GradBuffer {
         Self::default()
     }
 
+    /// Add `g` to parameter `id`'s gradient; the first one is kept as is.
+    pub(crate) fn accumulate(&mut self, id: ParamId, g: Tensor) {
+        if self.grads.len() <= id.0 {
+            self.grads.resize(id.0 + 1, None);
+        }
+        match &mut self.grads[id.0] {
+            Some(t) => t.add_assign(&g),
+            slot => *slot = Some(g),
+        }
+    }
+
+    /// Parameter `id`'s gradient, if the backward pass reached it.
+    pub fn get(&self, id: ParamId) -> Option<&Tensor> {
+        self.grads.get(id.0).and_then(Option::as_ref)
+    }
+
     /// Add every buffered gradient into the store, in `ParamId` order.
     pub fn merge_into(&self, store: &mut ParamStore) {
         for (i, g) in self.grads.iter().enumerate() {
             if let Some(g) = g {
                 store.accumulate_grad(ParamId(i), g);
             }
-        }
-    }
-}
-
-impl GradAccumulator for GradBuffer {
-    fn accumulate(&mut self, id: ParamId, g: &Tensor) {
-        if self.grads.len() <= id.0 {
-            self.grads.resize(id.0 + 1, None);
-        }
-        match &mut self.grads[id.0] {
-            Some(t) => t.add_assign(g),
-            slot => *slot = Some(g.clone()),
         }
     }
 }

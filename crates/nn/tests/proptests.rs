@@ -138,11 +138,11 @@ proptest! {
         let mut store = ParamStore::new();
         let mut init = Initializer::new(seed);
         let w = store.register("w", init.normal(rows, cols, 1.0));
-        let mut g = Graph::new();
-        let wv = g.param(&store, w);
+        let mut g = Graph::new(&store);
+        let wv = g.param(w);
         let loss = g.sum_all(wv);
-        g.backward(loss, &mut store);
-        for &v in store.grad(w).data() {
+        let (_, grads) = g.backward(loss);
+        for &v in grads.get(w).expect("w is on the tape").data() {
             prop_assert!((v - 1.0).abs() < 1e-6);
         }
     }
@@ -150,7 +150,8 @@ proptest! {
     /// Softmax rows always sum to 1 and are positive, regardless of input scale.
     #[test]
     fn softmax_rows_is_a_distribution(t in tensor(3, 5), scale in 0.1f32..20.0) {
-        let mut g = Graph::new();
+        let store = ParamStore::new();
+        let mut g = Graph::new(&store);
         let x = g.constant(t.map(|v| v * scale));
         let y = g.softmax_rows(x);
         let out = g.value(y);
@@ -170,22 +171,20 @@ proptest! {
         let layer = Linear::new(&mut store, &mut init, "l", i, o);
         let x = init.normal(bi, i, 1.0);
 
-        store.zero_grads();
-        let mut g = Graph::new();
+        let mut g = Graph::new(&store);
         let xv = g.constant(x.clone());
-        let y = layer.forward(&mut g, &store, xv);
+        let y = layer.forward(&mut g, xv);
         let sq = g.mul(y, y);
         let loss = g.mean_all(sq);
-        g.backward(loss, &mut store);
-        let analytic = store.grad(layer.w).clone();
+        let analytic = g.backward(loss).1.get(layer.w).expect("w is on the tape").clone();
 
         let eps = 1e-2f32;
         for idx in 0..store.value(layer.w).len() {
             let orig = store.value(layer.w).data()[idx];
             let eval = |store: &ParamStore| {
-                let mut g = Graph::new();
+                let mut g = Graph::new(store);
                 let xv = g.constant(x.clone());
-                let y = layer.forward(&mut g, store, xv);
+                let y = layer.forward(&mut g, xv);
                 let sq = g.mul(y, y);
                 let loss = g.mean_all(sq);
                 g.value(loss).get(0, 0)
@@ -207,7 +206,8 @@ proptest! {
     fn reparameterization_statistics(mu in -1.0f32..1.0, logvar in -1.0f32..1.0) {
         let n = 4000;
         let mut init = Initializer::new(99);
-        let mut g = Graph::new();
+        let store = ParamStore::new();
+        let mut g = Graph::new(&store);
         let muv = g.constant(Tensor::filled(n, 1, mu));
         let lv = g.constant(Tensor::filled(n, 1, logvar));
         let eps = g.constant(init.standard_normal(n, 1));
@@ -223,7 +223,8 @@ proptest! {
     /// stack_rows ∘ slice recovers the original parts (graph shape ops are lossless).
     #[test]
     fn stack_then_split_roundtrip(a in tensor(2, 3), b in tensor(3, 3)) {
-        let mut g = Graph::new();
+        let store = ParamStore::new();
+        let mut g = Graph::new(&store);
         let av = g.constant(a.clone());
         let bv = g.constant(b.clone());
         let s = g.stack_rows(&[av, bv]);
@@ -240,13 +241,14 @@ proptest! {
     /// MSE is non-negative and zero iff pred == target.
     #[test]
     fn mse_nonnegative(p in tensor(2, 4), t in tensor(2, 4)) {
-        let mut g = Graph::new();
+        let store = ParamStore::new();
+        let mut g = Graph::new(&store);
         let pv = g.constant(p.clone());
         let tv = g.constant(t.clone());
         let loss = g.mse(pv, tv);
         let l = g.value(loss).get(0, 0);
         prop_assert!(l >= 0.0);
-        let mut g2 = Graph::new();
+        let mut g2 = Graph::new(&store);
         let pv2 = g2.constant(p.clone());
         let pv3 = g2.constant(p.clone());
         let loss2 = g2.mse(pv2, pv3);
@@ -256,7 +258,8 @@ proptest! {
     /// KL divergence to the standard normal is always non-negative.
     #[test]
     fn kl_nonnegative(mu in tensor(2, 4), lv in tensor(2, 4)) {
-        let mut g = Graph::new();
+        let store = ParamStore::new();
+        let mut g = Graph::new(&store);
         let m = g.constant(mu);
         let l = g.constant(lv);
         let kl = g.kl_standard_normal(m, l);
@@ -398,7 +401,7 @@ proptest! {
     /// under whatever tier the process selected (CI re-runs this binary
     /// with `QPS_FORCE_ISA` set to each tier).
     #[test]
-    fn matmul_nt_matches_reference(
+    fn dot_matches_reference(
         (a, b) in (1usize..17, 1usize..33, 1usize..17)
             .prop_flat_map(|(m, k, n)| (kernel_matrix(m, k), kernel_matrix(n, k)))
     ) {
@@ -412,5 +415,114 @@ proptest! {
                     "({i},{j}): {got} vs {reference}");
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The tape's `x·Bᵀ` routine is bitwise the scalar dot it replaced —
+    /// `acc = 0.0; acc += x[i][k]·b[j][k]` in `k` order, never fused — over
+    /// shapes that cross its four-step passes and remainders. It has no
+    /// per-tier kernel; CI's forced-tier runs of this binary check it under
+    /// every process-wide selection.
+    #[test]
+    fn matmul_seq_is_bitwise_the_sequential_dot(
+        (x, b) in (1usize..17, 1usize..33, 1usize..17)
+            .prop_flat_map(|(m, k, n)| (kernel_matrix(m, k), kernel_matrix(n, k)))
+    ) {
+        let got = x.matmul_seq(&b.transposed());
+        for i in 0..x.rows() {
+            for j in 0..b.rows() {
+                let mut acc = 0.0f32;
+                for (&p, &q) in x.row_slice(i).iter().zip(b.row_slice(j)) {
+                    acc += p * q;
+                }
+                prop_assert_eq!(got.get(i, j).to_bits(), acc.to_bits(), "({}, {})", i, j);
+            }
+        }
+    }
+
+    /// Tape oracle for a shared weight. One weight read by `k` leaves (as
+    /// the plan LSTM reads its cell once per node), under one- and
+    /// multi-row left-hand sides, next to one matmul whose right-hand side
+    /// is not a parameter, gets bitwise the gradient of the same graph with
+    /// one parameter per use, those summed in reverse use order: what the
+    /// tape computed when every leaf held its own copy of the weight.
+    #[test]
+    fn shared_weight_gradient_is_bitwise_the_per_use_sum(
+        d in 1usize..6,
+        rows in proptest::collection::vec(1usize..4, 1..7),
+        seed in 0u64..1000,
+    ) {
+        let k = rows.len();
+        let mut init = Initializer::new(seed);
+        let w0 = init.normal(d, d, 0.5);
+        let inputs: Vec<Tensor> = rows.iter().map(|&r| init.normal(r, d, 1.0)).collect();
+        let coefs: Vec<Tensor> = rows.iter().map(|&r| init.normal(r, d, 1.0)).collect();
+        // Use `u` reads `ids[u]`; consecutive uses with equal row counts
+        // chain through tanh, like LSTM steps.
+        let grads = |store: &ParamStore, ids: &[ParamId]| {
+            let mut g = Graph::new(store);
+            let mut ys: Vec<Var> = Vec::with_capacity(k);
+            let mut loss = g.scalar(0.0);
+            for u in 0..k {
+                let lhs = match ys.last() {
+                    Some(&prev) if rows[u - 1] == rows[u] => g.tanh(prev),
+                    _ => g.constant(inputs[u].clone()),
+                };
+                let wv = g.param(ids[u]);
+                let y = g.matmul(lhs, wv);
+                let c = g.constant(coefs[u].clone());
+                let t = g.mul(y, c);
+                let t = g.sum_all(t);
+                loss = g.add(loss, t);
+                ys.push(y);
+            }
+            let y0t = g.transpose(ys[0]);
+            let q = g.matmul(ys[k - 1], y0t);
+            let q = g.sum_all(q);
+            let loss = g.add(loss, q);
+            g.backward(loss).1
+        };
+        let mut shared = ParamStore::new();
+        let w = shared.register("w", w0.clone());
+        let got = grads(&shared, &vec![w; k]);
+        let got = got.get(w).expect("w is on the tape");
+        let mut per_use = ParamStore::new();
+        let ids: Vec<ParamId> =
+            (0..k).map(|u| per_use.register(format!("w{u}"), w0.clone())).collect();
+        let parts = grads(&per_use, &ids);
+        let part = |id: &ParamId| parts.get(*id).expect("every use is on the tape");
+        let mut want = part(&ids[k - 1]).clone();
+        for id in ids[..k - 1].iter().rev() {
+            want.add_assign(part(id));
+        }
+        for (a, b) in got.data().iter().zip(want.data()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+}
+
+/// Finite differences through a 3-step chain of one shared `LstmCell`:
+/// each of its weights collects three leaves' contributions.
+#[test]
+fn lstm_chain_sharing_one_cell_passes_gradcheck() {
+    let mut store = ParamStore::new();
+    let mut init = Initializer::new(5);
+    let cell = LstmCell::new(&mut store, &mut init, "l", 3, 2);
+    let xs: Vec<Tensor> = (0..3).map(|t| Initializer::new(10 + t).normal(1, 3, 1.0)).collect();
+    for id in [cell.w_ih, cell.w_hh, cell.bias] {
+        let report = check_gradient(&mut store, id, 1e-2, |g| {
+            let mut s = cell.zero_state(g, 1);
+            for x in &xs {
+                let xv = g.constant(x.clone());
+                s = cell.step(g, xv, s);
+            }
+            let hc = g.concat_cols(s.h, s.c);
+            let sq = g.mul(hc, hc);
+            g.sum_all(sq)
+        });
+        assert!(report.passes(2e-2), "{}: {report:?}", store.get(id).name);
     }
 }
