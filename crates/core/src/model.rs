@@ -561,7 +561,7 @@ impl QPSeeker {
     /// `out[p]` is **bitwise identical** to
     /// `self.predict_with_context_in(sess, query, plans[p], ctx)` — both are
     /// rows of the same forward, whose layers preserve per-row reduction
-    /// order (see `qpseeker_nn::tensor::matmul_kernel`'s FP-order contract),
+    /// order (see the FP-order contract of `qpseeker_nn::pack`),
     /// so MCTS can defer rollouts into batches without changing any score.
     pub fn predict_batch_with_context_in(
         &self,

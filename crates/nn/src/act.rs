@@ -11,9 +11,9 @@
 //! the output depends only on lane `i` of the inputs, and which code path a
 //! lane takes depends only on its column index and the width, never on the
 //! number of rows. Row `r` of a batched call is therefore bitwise identical
-//! to a 1-row call on row `r` alone, the same invariant the matmul kernels
-//! uphold (see `tensor::matmul_kernel`). Like the matmul kernels, the SIMD
-//! variants differ from the portable one in the last bits; the process-wide
+//! to a 1-row call on row `r` alone, the same invariant the GEMM upholds
+//! (see [`crate::pack`]). Like the GEMM tiers, the SIMD variants differ
+//! from the portable one in the last bits; the process-wide
 //! [`crate::isa::active`] selection picks one variant per process, so batched
 //! and scalar scoring always agree bitwise.
 
@@ -31,6 +31,10 @@ pub(crate) fn sigmoid_scalar(v: f32) -> f32 {
 ///
 /// Computes `c' = sigmoid(f) * c + sigmoid(i) * tanh(g)` and
 /// `h' = sigmoid(o) * tanh(c')` per lane.
+///
+/// # Panics
+/// Panics if a buffer is shorter than its shape: the SIMD tiers index them
+/// through raw pointers.
 pub fn lstm_gates(
     rows: usize,
     d: usize,
@@ -39,10 +43,18 @@ pub fn lstm_gates(
     c_out: &mut [f32],
     h_out: &mut [f32],
 ) {
-    debug_assert!(gates.len() >= rows * 4 * d);
-    debug_assert!(c_prev.len() >= rows * d && c_out.len() >= rows * d && h_out.len() >= rows * d);
+    let fits = |len: usize, width: usize| rows.checked_mul(width).is_some_and(|need| len >= need);
+    assert!(
+        d.checked_mul(4).is_some_and(|w| fits(gates.len(), w)),
+        "lstm_gates: gates shorter than rows·4d"
+    );
+    assert!(fits(c_prev.len(), d), "lstm_gates: c_prev shorter than rows·d");
+    assert!(fits(c_out.len(), d), "lstm_gates: c_out shorter than rows·d");
+    assert!(fits(h_out.len(), d), "lstm_gates: h_out shorter than rows·d");
     match crate::isa::active() {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active()` only returns a tier the CPU supports, and the
+        // asserts above check that every buffer covers the shape.
         Isa::Avx512 => unsafe { avx512::lstm_gates(rows, d, gates, c_prev, c_out, h_out) },
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { avx::lstm_gates(rows, d, gates, c_prev, c_out, h_out) },
@@ -168,6 +180,9 @@ pub(crate) mod avx {
         _mm256_or_ps(th, _mm256_and_ps(x, sign_mask))
     }
 
+    /// # Safety
+    /// The CPU must support AVX2 and FMA; every buffer must cover the
+    /// shape, as [`super::lstm_gates`] asserts.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn lstm_gates(
         rows: usize,
@@ -289,6 +304,9 @@ pub(crate) mod avx512 {
         _mm512_castsi512_ps(_mm512_or_si512(_mm512_castps_si512(th), sign))
     }
 
+    /// # Safety
+    /// The CPU must support AVX-512F; every buffer must cover the shape, as
+    /// [`super::lstm_gates`] asserts.
     #[target_feature(enable = "avx512f")]
     pub unsafe fn lstm_gates(
         rows: usize,
@@ -406,5 +424,14 @@ mod tests {
             assert_eq!(&c[r * d..(r + 1) * d], &c1[..], "row {r} cell state");
             assert_eq!(&h[r * d..(r + 1) * d], &h1[..], "row {r} hidden state");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lstm_gates: h_out shorter than rows·d")]
+    fn lstm_gates_rejects_a_short_output() {
+        let (rows, d) = (2usize, 24usize);
+        let (gates, c_prev) = (vec![0.5f32; rows * 4 * d], vec![0.5f32; rows * d]);
+        let (mut c, mut h) = (vec![0.0f32; rows * d], vec![0.0f32; rows * d - 1]);
+        lstm_gates(rows, d, &gates, &c_prev, &mut c, &mut h);
     }
 }

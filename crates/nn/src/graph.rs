@@ -117,8 +117,14 @@ impl<'s> Graph<'s> {
 
     // ---- binary ops -------------------------------------------------------
 
+    /// `a·b` through the packed GEMM: a parameter `b` as the store's packed
+    /// copy, built once per optimizer step; any other `b` packed on the spot.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul(self.value(b));
+        let ta = self.value(a);
+        let v = match self.nodes[b.0].op {
+            Op::Param(id) => ta.matmul_packed(self.store.packed(id)),
+            _ => ta.matmul(self.value(b)),
+        };
         self.push(Op::MatMul(a, b), v)
     }
 

@@ -13,15 +13,16 @@
 //! * **No finiteness asserts.** A NaN produced here (e.g. by injected faults
 //!   or corrupted weights) flows through to the caller's `is_finite()` check
 //!   and triggers graceful degradation instead of a panic.
-//! * **Blocked kernels.** Products go through [`gemm_packed`] and the
-//!   dispatched [`dot`] / `matmul_kernel`, which changes float accumulation
-//!   order; the fast path is guaranteed to match the tape within 1e-5, not
-//!   bitwise.
+//! * **Fused kernels.** Products run the tape's GEMM, [`gemm_packed`], but
+//!   with bias and activation fused into its epilogue; attention scores use
+//!   the dispatched [`dot`], and the SIMD tiers' activations are
+//!   polynomials. A `Linear` is bitwise the tape; a whole forward is
+//!   guaranteed to match it within 1e-5, not bitwise.
 
 use crate::layers::{Activation, Linear, LstmCell, Mlp, MultiHeadCrossAttention};
-use crate::pack::gemm_packed;
+use crate::pack::{gemm_packed, PackedGemm};
 use crate::params::ParamStore;
-use crate::tensor::{dot, matmul_kernel, Tensor};
+use crate::tensor::{dot, Tensor};
 use std::cell::RefCell;
 
 /// A pool of `Tensor` allocations reused across inference calls.
@@ -276,10 +277,10 @@ impl MultiHeadCrossAttention {
     ///
     /// The query projection runs as one GEMM over all plans; the per-plan
     /// score/softmax/context ops are row-independent ([`dot`] for scores,
-    /// the m=1 row kernel for the context product), so row `p` of the
-    /// result is **bitwise identical** for every `kn` and every partition
-    /// of the plans into calls — the contract the batched scoring path and
-    /// the eval broker rely on.
+    /// a one-row GEMM over the packed value block for the context), so row
+    /// `p` of the result is **bitwise identical** for every `kn` and every
+    /// partition of the plans into calls — the contract the batched scoring
+    /// path and the eval broker rely on.
     pub fn forward_inference_kv(
         &self,
         store: &ParamStore,
@@ -301,6 +302,7 @@ impl MultiHeadCrossAttention {
         let mut cat = sc.take(kn, self.heads * d);
         let mut q = sc.take(kn, d);
         let mut scores = sc.take(kn, n);
+        let mut v_block = PackedGemm::default();
         let id = Activation::Identity;
         for h in 0..self.heads {
             gemm_packed(kn, query.data(), store.packed(self.wq[h]), false, None, id, q.data_mut());
@@ -315,12 +317,11 @@ impl MultiHeadCrossAttention {
             softmax_rows_inplace(&mut scores);
             for p in 0..kn {
                 // ctx_p = scores_p [1 x n] · v-block_p [n x d], written
-                // straight into this head's slice of `cat` via the m=1 kernel.
+                // straight into this head's slice of `cat`.
                 let at = (h * kn + p) * n * d;
-                let v_block = &values.data()[at..at + n * d];
+                v_block.repack(n, d, &values.data()[at..at + n * d]);
                 let cat_seg = &mut cat.row_slice_mut(p)[h * d..(h + 1) * d];
-                cat_seg.fill(0.0);
-                matmul_kernel(1, n, d, scores.row_slice(p), v_block, cat_seg);
+                gemm_packed(1, scores.row_slice(p), &v_block, false, None, id, cat_seg);
             }
         }
         sc.recycle(q);
@@ -373,6 +374,32 @@ mod tests {
         let mut sc = ScratchArena::new();
         let fast = m.forward_inference(&store, &x, &mut sc);
         close(fast.data(), g.value(tape).data(), 1e-5);
+    }
+
+    /// The tape's `x·W` and the fast path's run the same packed GEMM over
+    /// the same packed weight, and both add the bias once after it, so a
+    /// `Linear` agrees bit for bit on every tier — across row-tile, panel
+    /// and column-tail remainders, with planted zeros for the sparse skip.
+    #[test]
+    fn tape_linear_is_bitwise_the_fast_path() {
+        for (m, k, n) in [(1, 7, 5), (3, 33, 31), (5, 64, 40), (9, 17, 96), (16, 182, 384)] {
+            let mut store = ParamStore::new();
+            let l = Linear::new(&mut store, &mut Initializer::new(m as u64), "l", k, n);
+            *store.value_mut(l.b) = Initializer::new(7).normal(1, n, 1.0);
+            let mut x = Initializer::new(k as u64).normal(m, k, 1.0);
+            for (i, v) in x.data_mut().iter_mut().enumerate() {
+                if i % 3 == 0 || (i % k) / 4 == 1 {
+                    *v = 0.0;
+                }
+            }
+
+            let mut g = Graph::new(&store);
+            let xv = g.constant(x.clone());
+            let tape = l.forward(&mut g, xv);
+            let fast = l.forward_inference(&store, &x, &mut ScratchArena::new());
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g.value(tape)), bits(&fast), "{m}x{k}x{n}");
+        }
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Runtime ISA selection for the SIMD kernels.
 //!
-//! Every vectorized kernel in this crate (GEMM tiles, packed-panel GEMM with
-//! fused epilogues, activation polynomials) exists in up to three variants:
-//! scalar, AVX2+FMA, and AVX-512F/VL. Which variant runs is decided **once
-//! per process** — feature detection is a pure function of the CPU, so the
-//! choice is made on first use, cached in a [`std::sync::OnceLock`], and
-//! logged a single time. All kernels then dispatch through the same selected
-//! [`Isa`], which is what keeps the bitwise FP-order contracts intact: a
-//! batched product and its m=1 twin always run on the *same* variant, even
-//! though different variants round differently.
+//! Every vectorized kernel in this crate (the packed-panel GEMM with fused
+//! epilogues, dot products, activation polynomials) exists in up to three
+//! variants: scalar, AVX2+FMA, and AVX-512F/VL. Which variant runs is
+//! decided **once per process** — feature detection is a pure function of
+//! the CPU, so the choice is made on first use, cached in a
+//! [`std::sync::OnceLock`], and logged a single time. All kernels then
+//! dispatch through the same selected [`Isa`], which is what keeps the
+//! bitwise FP-order contracts intact: a batched product and its m=1 twin
+//! always run on the *same* variant, even though different variants round
+//! differently.
 //!
 //! `QPS_FORCE_ISA={scalar,avx2,avx512}` overrides detection (for CI matrix
 //! runs and cross-ISA benches). Forcing an ISA the CPU cannot execute falls

@@ -1,5 +1,7 @@
-//! Panel-packed weight matrices and the fused-epilogue GEMM that consumes
-//! them.
+//! Panel-packed matrices and the fused-epilogue GEMM that consumes them:
+//! the crate's one GEMM. Every matrix product runs here — the inference
+//! layers, the training tape's `x·W` (over the store's packed weights) and
+//! its activation-by-activation products (packed on the spot).
 //!
 //! The inference hot loop multiplies small activation matrices (`m` = 1..16
 //! rows) against the *same* weight matrices thousands of times per query. Two
@@ -21,13 +23,16 @@
 //! scalar loops over it. Tail panels are zero-padded, so the k-loop never
 //! branches on column index — only the epilogue's store is masked.
 //!
-//! **FP-order contract** (same as `tensor::matmul_kernel`): every output
-//! element is one k-increasing fma chain; which instructions touch a column
-//! depend only on the column index and `n`, never on the row count, so row
-//! `i` of a batched product is bitwise identical to the 1-row product of row
-//! `i`. Zero coefficients may be skipped — `fma(0, w, acc) == acc` exactly,
-//! and accumulators can never become `-0.0` (they start at `+0.0`, and
-//! `+0.0 + -0.0 == +0.0` under round-to-nearest).
+//! **FP-order contract:** which instructions touch a column depend only on
+//! the column index and `n`, never on the row count, so row `i` of a
+//! batched product is bitwise identical to the 1-row product of row `i` —
+//! the invariant that lets search score a batch of candidate plans and
+//! still match the one-plan path bit for bit. On the AVX2 and AVX-512 tiers
+//! every output element is one k-increasing fma chain; the scalar tier adds
+//! one unfused product per k step. Zero coefficients may be skipped —
+//! `fma(0, w, acc) == acc` exactly, and accumulators can never become
+//! `-0.0` (they start at `+0.0`, and `+0.0 + -0.0 == +0.0` under
+//! round-to-nearest).
 
 use crate::isa::Isa;
 use crate::layers::Activation;
@@ -36,10 +41,11 @@ use crate::tensor::Tensor;
 /// Panel width in columns, shared by all ISA tiers.
 pub const NR: usize = 32;
 
-/// A weight matrix repacked for [`gemm_packed`]: `ceil(n/NR)` panels, each
-/// holding its `NR` columns k-major (`panels[p*k*NR + kk*NR + c]` is element
-/// `(kk, p*NR + c)` of the source), tail columns zero-padded.
-#[derive(Debug, Clone, PartialEq)]
+/// A `[k x n]` matrix repacked for [`gemm_packed`]: `ceil(n/NR)` panels,
+/// each holding its `NR` columns k-major (`panels[p*k*NR + kk*NR + c]` is
+/// element `(kk, p*NR + c)` of the source), tail columns zero-padded. The
+/// default is the empty `0 x 0` matrix.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PackedGemm {
     k: usize,
     n: usize,
@@ -47,21 +53,34 @@ pub struct PackedGemm {
 }
 
 impl PackedGemm {
-    /// Pack a `[k x n]` row-major weight matrix.
+    /// Pack a `[k x n]` row-major matrix.
     pub fn pack(w: &Tensor) -> PackedGemm {
-        let (k, n) = w.shape();
+        let mut packed = PackedGemm::default();
+        packed.repack(w.rows(), w.cols(), w.data());
+        packed
+    }
+
+    /// Re-lay the `[k x n]` row-major `src` into this buffer, reusing its
+    /// allocation: attention packs one value block per plan and head into
+    /// the same buffer.
+    ///
+    /// # Panics
+    /// Panics if `src.len() != k * n`.
+    pub fn repack(&mut self, k: usize, n: usize, src: &[f32]) {
+        assert_eq!(src.len(), k * n, "PackedGemm::repack: source is not {k}x{n}");
         let np = n.div_ceil(NR);
-        let mut panels = vec![0.0f32; np * k * NR];
-        let src = w.data();
+        self.k = k;
+        self.n = n;
+        self.panels.clear();
+        self.panels.resize(np * k * NR, 0.0);
         for p in 0..np {
             let cols = NR.min(n - p * NR);
-            let dst = &mut panels[p * k * NR..(p + 1) * k * NR];
+            let dst = &mut self.panels[p * k * NR..(p + 1) * k * NR];
             for kk in 0..k {
                 dst[kk * NR..kk * NR + cols]
                     .copy_from_slice(&src[kk * n + p * NR..kk * n + p * NR + cols]);
             }
         }
-        PackedGemm { k, n, panels }
     }
 
     /// Input width (rows of the packed matrix).
@@ -78,6 +97,9 @@ impl PackedGemm {
 /// `out[m x n] = act((accumulate ? out : 0) + a[m x k] · W + bias)`, with the
 /// epilogue fused into the accumulator registers. Dispatches once per process
 /// via [`crate::isa::active`].
+///
+/// # Panics
+/// As [`gemm_packed_force`], on a buffer too short for the shape.
 pub fn gemm_packed(
     m: usize,
     a: &[f32],
@@ -93,6 +115,10 @@ pub fn gemm_packed(
 /// [`gemm_packed`] on an explicitly chosen ISA tier (falls back to scalar if
 /// the CPU lacks it). Test/bench entry point; production code uses the
 /// process-wide dispatch.
+///
+/// # Panics
+/// Panics if `a` holds fewer than `m·k` floats, `out` fewer than `m·n`, or
+/// `bias` fewer than `n`: the SIMD tiers index them through raw pointers.
 #[allow(clippy::too_many_arguments)] // GEMM signature: dims + operands + epilogue knobs.
 pub fn gemm_packed_force(
     isa: Isa,
@@ -104,13 +130,16 @@ pub fn gemm_packed_force(
     act: Activation,
     out: &mut [f32],
 ) {
-    debug_assert!(a.len() >= m * w.k, "input too small");
-    debug_assert!(out.len() >= m * w.n, "output too small");
+    let fits = |len: usize, width: usize| m.checked_mul(width).is_some_and(|need| len >= need);
+    assert!(fits(a.len(), w.k), "gemm_packed: input shorter than m·k");
+    assert!(fits(out.len(), w.n), "gemm_packed: output shorter than m·n");
     if let Some(b) = bias {
-        debug_assert!(b.len() >= w.n, "bias too small");
+        assert!(b.len() >= w.n, "gemm_packed: bias shorter than n");
     }
     match isa {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard checked the CPU runs the tier, and the asserts
+        // above that every buffer covers the shape.
         Isa::Avx512 if isa.cpu_supports() => unsafe {
             gemm_packed_avx512(m, a, w, accumulate, bias, act, out)
         },
@@ -245,6 +274,9 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    /// The CPU must support AVX2 and FMA; `a`, `out` and `bias` must cover
+    /// the shape, as [`super::gemm_packed_force`] asserts.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn gemm_packed_avx2(
         m: usize,
@@ -264,7 +296,11 @@ mod x86 {
             let (a1, rest) = rest.split_at(k);
             let (a2, rest) = rest.split_at(k);
             let a3 = &rest[..k];
-            // Same bitwise-free sparse-step heuristic as the unpacked tile.
+            // Featurized inputs are one-hot heavy: many k positions are
+            // zero in all four rows at once (unused feature slots are
+            // structural, shared across the batch). Skipping such a step is
+            // bitwise-free, so when at least a quarter of the k steps are
+            // skippable, take the branchy loop; dense inputs stay branchless.
             let mut skippable = 0usize;
             for kk in 0..k {
                 if a0[kk] == 0.0 && a1[kk] == 0.0 && a2[kk] == 0.0 && a3[kk] == 0.0 {
@@ -426,6 +462,9 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    /// The CPU must support AVX-512F; `a`, `out` and `bias` must cover the
+    /// shape, as [`super::gemm_packed_force`] asserts.
     #[target_feature(enable = "avx512f")]
     pub unsafe fn gemm_packed_avx512(
         m: usize,
@@ -445,6 +484,7 @@ mod x86 {
             let (a1, rest) = rest.split_at(k);
             let (a2, rest) = rest.split_at(k);
             let a3 = &rest[..k];
+            // Same sparse-step heuristic as the AVX2 tier.
             let mut skippable = 0usize;
             for kk in 0..k {
                 if a0[kk] == 0.0 && a1[kk] == 0.0 && a2[kk] == 0.0 && a3[kk] == 0.0 {
@@ -660,6 +700,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn repack_reuses_a_larger_buffer_and_equals_a_fresh_pack() {
+        let mut buf = PackedGemm::pack(&Tensor::from_vec(9, 70, matrix(9, 70, 31)));
+        let src = matrix(5, 33, 32);
+        buf.repack(5, 33, &src);
+        assert_eq!(buf, PackedGemm::pack(&Tensor::from_vec(5, 33, src)));
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_packed: output shorter than m·n")]
+    fn gemm_packed_rejects_a_short_output() {
+        let w = PackedGemm::pack(&Tensor::from_vec(3, 40, matrix(3, 40, 41)));
+        let mut out = vec![0.0f32; 2 * 40 - 1];
+        gemm_packed(2, &matrix(2, 3, 42), &w, false, None, Activation::Identity, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_packed: bias shorter than n")]
+    fn gemm_packed_force_rejects_a_short_bias() {
+        let w = PackedGemm::pack(&Tensor::from_vec(3, 40, matrix(3, 40, 43)));
+        let mut out = vec![0.0f32; 40];
+        let isa = *Isa::supported().last().unwrap();
+        let bias = [0.5f32; 39];
+        gemm_packed_force(isa, 1, &[1.0; 3], &w, false, Some(&bias), Activation::Relu, &mut out);
     }
 
     #[test]

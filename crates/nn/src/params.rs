@@ -51,10 +51,12 @@ pub struct ParamStore {
 /// What [`ParamStore`] derives from one parameter's value.
 #[derive(Debug, Clone, Default)]
 struct Derived {
-    /// Panel-packed for the inference GEMM (`crate::pack`).
+    /// Panel-packed for the GEMM (`crate::pack`): inference's and the
+    /// tape's `x·W`.
     packed: OnceLock<PackedGemm>,
     /// Transposed, for the tape's `g·Wᵀ`. Training mutates the store once
-    /// per optimizer step, so this copy lives for exactly one step.
+    /// per optimizer step, so in training both copies live for exactly one
+    /// step.
     transposed: OnceLock<Tensor>,
 }
 
@@ -122,9 +124,10 @@ impl ParamStore {
         &mut self.params[id.0].value
     }
 
-    /// Panel-packed copy of parameter `id`'s value for the inference GEMM,
-    /// built on first use and shared across threads (the pack is
-    /// deterministic, so concurrent initialization races are benign).
+    /// Panel-packed copy of parameter `id`'s value for the GEMM (inference
+    /// and the tape's `x·W`), built on first use and shared across threads
+    /// (the pack is deterministic, so concurrent initialization races are
+    /// benign).
     pub fn packed(&self, id: ParamId) -> &PackedGemm {
         self.derived(id).packed.get_or_init(|| PackedGemm::pack(&self.params[id.0].value))
     }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use qpseeker_nn::pack::{gemm_packed_force, PackedGemm};
 use qpseeker_nn::prelude::*;
-use qpseeker_nn::tensor::{dot, dot_force, matmul_kernel_force};
+use qpseeker_nn::tensor::{dot, dot_force};
 
 /// Strategy: a tensor with the given shape and bounded values.
 fn tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
@@ -15,9 +15,9 @@ fn small_dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..5, 1usize..5, 1usize..5)
 }
 
-/// Dimensions that straddle every blocking boundary in the kernel: 1 (no
-/// blocks), 3 (tail only), 7/17 (blocks + tail), 96 (whole blocks, the
-/// production hidden size).
+/// Dimensions that straddle the kernel's blocking boundaries (4-row tile,
+/// 16- and 32-column panels): 1 (no blocks), 3 (tail only), 7/17 (blocks +
+/// tail), 96 (whole blocks, the production hidden size).
 fn kernel_dim() -> impl Strategy<Value = usize> {
     prop::sample::select(vec![1usize, 3, 7, 17, 96])
 }
@@ -63,9 +63,10 @@ fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The register-blocked kernel agrees with the naive triple loop over
-    /// every combination of blocking-boundary shapes, including rows whose
-    /// k-blocks are entirely zero (the sparse skip path).
+    /// `Tensor::matmul` (pack on the spot, then the packed kernel) agrees
+    /// with the naive triple loop over every combination of
+    /// blocking-boundary shapes, including rows whose k-blocks are entirely
+    /// zero (the sparse skip path).
     #[test]
     fn blocked_matmul_matches_naive_reference(
         (a, b) in (kernel_dim(), kernel_dim(), kernel_dim())
@@ -74,7 +75,7 @@ proptest! {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
         let fast = a.matmul(&b);
         let slow = matmul_naive(&a, &b);
-        // The blocked kernel reassociates the k-sum, so allow a small
+        // The SIMD tiers fuse each multiply-add, so allow a small
         // accumulation tolerance scaled to k.
         let tol = 1e-5 * (k as f32).sqrt().max(1.0);
         for (idx, (x, y)) in fast.data().iter().zip(slow.data()).enumerate() {
@@ -301,48 +302,32 @@ fn epilogue_naive(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every dispatchable GEMM tier agrees with the naive triple loop over
-    /// the 1..33 shape cube — the domain that crosses every lane boundary
-    /// of the 32-, 16-, 8- and 4-wide code paths — with zero blocks planted
-    /// to exercise the sparse-skip branches of each tier.
-    #[test]
-    fn forced_isa_gemm_matches_reference(
-        (a, b) in (1usize..33, 1usize..33, 1usize..33)
-            .prop_flat_map(|(m, k, n)| (kernel_matrix(m, k), kernel_matrix(k, n)))
-    ) {
-        let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        let slow = matmul_naive(&a, &b);
-        let tol = 1e-5 * (k as f32).sqrt().max(1.0);
-        let mut out = vec![0f32; m * n];
-        for isa in Isa::supported() {
-            out.iter_mut().for_each(|v| *v = 0.0);
-            matmul_kernel_force(isa, m, k, n, a.data(), b.data(), &mut out);
-            for (idx, (x, y)) in out.iter().zip(slow.data()).enumerate() {
-                prop_assert!((x - y).abs() <= tol * (1.0 + y.abs()),
-                    "{isa:?} ({m}x{k}x{n}) idx {idx}: {x} vs naive {y}");
-            }
-        }
-    }
-
-    /// FP-order contract per tier: row `i` of an m-row product is bitwise
-    /// identical to the m=1 product of that row alone, for every forced ISA.
+    /// FP-order contract per tier: row `i` of an m-row packed product is
+    /// bitwise identical to the m=1 product of that row alone, with and
+    /// without a fused bias + activation epilogue, for every forced ISA over
+    /// the 1..33 shape cube — the domain that crosses every lane boundary of
+    /// the 32- and 16-wide panel halves and the 4-row tile — with zero blocks
+    /// planted to exercise the sparse-skip branches of each tier.
     #[test]
     fn forced_isa_gemm_rows_bitwise_equal_scalar(
-        (a, b) in (2usize..33, 1usize..33, 1usize..33)
-            .prop_flat_map(|(m, k, n)| (kernel_matrix(m, k), kernel_matrix(k, n)))
+        ((a, b), bias_seed) in ((2usize..33, 1usize..33, 1usize..33)
+            .prop_flat_map(|(m, k, n)| (kernel_matrix(m, k), kernel_matrix(k, n))), 0u64..1000)
     ) {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let w = PackedGemm::pack(&b);
+        let bias = Initializer::new(bias_seed).normal(1, n, 1.0);
         let mut batched = vec![0f32; m * n];
         let mut single = vec![0f32; n];
         for isa in Isa::supported() {
-            batched.iter_mut().for_each(|v| *v = 0.0);
-            matmul_kernel_force(isa, m, k, n, a.data(), b.data(), &mut batched);
-            for i in 0..m {
-                single.iter_mut().for_each(|v| *v = 0.0);
-                matmul_kernel_force(isa, 1, k, n, a.row_slice(i), b.data(), &mut single);
-                for (x, y) in batched[i * n..(i + 1) * n].iter().zip(&single) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(),
-                        "{:?} row {} of {}x{}x{} differs from its m=1 twin", isa, i, m, k, n);
+            for (act, bias) in [(Activation::Identity, None), (Activation::Tanh, Some(bias.data()))] {
+                gemm_packed_force(isa, m, a.data(), &w, false, bias, act, &mut batched);
+                for i in 0..m {
+                    gemm_packed_force(isa, 1, a.row_slice(i), &w, false, bias, act, &mut single);
+                    for (x, y) in batched[i * n..(i + 1) * n].iter().zip(&single) {
+                        prop_assert_eq!(x.to_bits(), y.to_bits(),
+                            "{:?} {:?} row {} of {}x{}x{} differs from its m=1 twin",
+                            isa, act, i, m, k, n);
+                    }
                 }
             }
         }
