@@ -8,8 +8,9 @@
 //!   enumeration (small queries), measuring executed plan quality and
 //!   planning effort.
 
-use crate::{emit, fmt, markdown_table, run_plan_ms, runtime_qerrors, train_model, Context};
+use crate::{emit, fmt, markdown_table, runtime_qerrors, train_model, Context};
 use qpseeker_core::prelude::*;
+use qpseeker_engine::executor::Executor;
 use qpseeker_engine::inject::LeftDeepSpec;
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
 use qpseeker_engine::query::Query;
@@ -93,13 +94,11 @@ fn sampling_ablation(ctx: &Context) -> Result<(), CoreError> {
                 items.push((q.clone(), sp.plan, tpl.clone()));
             }
         }
-        let mut qeps = qpseeker_workloads::qep::measure_parallel(db, items);
-        qeps.retain(|q| !q.truth.timed_out);
         let workload = qpseeker_workloads::Workload {
             name: format!("job-{name}"),
             database: "imdb".into(),
             plan_source: qpseeker_workloads::PlanSource::Sampling,
-            qeps,
+            qeps: qpseeker_workloads::qep::measure_parallel(db, items),
         };
         let (model, eval) = train_model(db, &workload, ctx.scale.model_config())?;
         let s = runtime_qerrors(&model, eval.iter().copied());
@@ -144,6 +143,8 @@ fn planner_ablation(ctx: &Context) -> Result<(), CoreError> {
         .collect();
 
     let mut rows = Vec::new();
+    let ex = Executor::new(db);
+    let run_plan_ms = |plan: &PlanNode| ex.execute(plan).time_ms;
 
     // MCTS.
     // One session for all three planners: every table is encoded once.
@@ -154,7 +155,7 @@ fn planner_ablation(ctx: &Context) -> Result<(), CoreError> {
     for q in &queries {
         let res = planner.plan_with_session(&model, q, &mut sess);
         scored += res.plans_evaluated;
-        total += run_plan_ms(db, &res.plan);
+        total += run_plan_ms(&res.plan);
     }
     rows.push(PlannerRow {
         planner: "MCTS (200ms budget)".into(),
@@ -170,7 +171,7 @@ fn planner_ablation(ctx: &Context) -> Result<(), CoreError> {
     for q in &queries {
         let (plan, s) = greedy_plan(&model, q, &mut sess.feat);
         scored += s;
-        total += run_plan_ms(db, &plan);
+        total += run_plan_ms(&plan);
     }
     rows.push(PlannerRow {
         planner: "greedy one-step".into(),
@@ -201,7 +202,7 @@ fn planner_ablation(ctx: &Context) -> Result<(), CoreError> {
             }
         }
         let (_, plan) = best.expect("connected query has orderings");
-        total += run_plan_ms(db, &plan);
+        total += run_plan_ms(&plan);
     }
     rows.push(PlannerRow {
         planner: "exhaustive (left-deep)".into(),

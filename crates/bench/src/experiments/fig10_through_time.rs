@@ -7,9 +7,10 @@
 //! JOB-extended, and loses badly on JOB-light (a couple of memory-heavy
 //! regressions); Bao is the slowest almost everywhere.
 
-use crate::{emit, fmt, markdown_table, run_plan_ms, Context};
+use crate::{emit, fmt, markdown_table, Context};
 use qpseeker_baselines::{Bao, BaoConfig};
 use qpseeker_core::prelude::*;
+use qpseeker_engine::executor::Executor;
 use qpseeker_engine::optimizer::PgOptimizer;
 use qpseeker_engine::query::Query;
 use qpseeker_workloads::{job, JobConfig, Qep};
@@ -105,15 +106,16 @@ fn run_set(
     eprintln!("[fig10] running {name} ({} queries)...", queries.len());
     let pg = PgOptimizer::new(db);
     let planner = MctsPlanner::new(MctsConfig::default());
+    let ex = Executor::new(db);
     let mut pg_times = Vec::with_capacity(queries.len());
     let mut qp_times = Vec::with_capacity(queries.len());
     let mut bao_times = Vec::with_capacity(queries.len());
     for (q, _) in queries {
-        pg_times.push(run_plan_ms(db, &pg.plan(q)));
+        pg_times.push(ex.execute(&pg.plan(q)).time_ms);
         let res = planner.plan(model, q);
-        qp_times.push(run_plan_ms(db, &res.plan));
+        qp_times.push(ex.execute(&res.plan).time_ms);
         let (bp, _) = bao.plan(q);
-        bao_times.push(run_plan_ms(db, &bp));
+        bao_times.push(ex.execute(&bp).time_ms);
     }
     for (system, times) in [("PostgreSQL", pg_times), ("QPSeeker", qp_times), ("Bao", bao_times)] {
         let mut cum = Vec::with_capacity(times.len());

@@ -7,8 +7,9 @@
 //! TaBERT K/size barely moves accuracy but strongly moves encoding time
 //! (K=3 pays row-wise attention, Large pays 3× parameters).
 
-use crate::{emit, fmt, markdown_table, run_plan_ms, runtime_qerrors, Context};
+use crate::{emit, fmt, markdown_table, runtime_qerrors, Context};
 use qpseeker_core::prelude::*;
+use qpseeker_engine::executor::Executor;
 use qpseeker_engine::query::Query;
 use qpseeker_tabert::{ModelSize, TabertConfig};
 use qpseeker_workloads::{sample_plans, stack as stack_wl, Qep, SamplingConfig, StackConfig};
@@ -53,6 +54,7 @@ pub fn run(ctx: &Context) -> Result<(), CoreError> {
     // we reach the initial number of available QEPs").
     let target_qeps = (train_queries.len() * 3).min(ctx.scale.job_qeps);
 
+    let ex = Executor::new(db);
     let mut fractions = Vec::new();
     let mut eval_qeps_cache: Option<Vec<Qep>> = None;
     for frac in [0.10, 0.25, 0.50, 1.0] {
@@ -73,8 +75,7 @@ pub fn run(ctx: &Context) -> Result<(), CoreError> {
                 items.push((q.clone(), sp.plan, tpl.clone()));
             }
         }
-        let mut qeps = qpseeker_workloads::qep::measure_parallel(db, items);
-        qeps.retain(|q| !q.truth.timed_out);
+        let qeps = qpseeker_workloads::qep::measure_parallel(db, items);
         let refs: Vec<&Qep> = qeps.iter().collect();
         let mut model = QPSeeker::new(db, ctx.scale.model_config());
         model.fit(&refs)?;
@@ -85,16 +86,14 @@ pub fn run(ctx: &Context) -> Result<(), CoreError> {
         let mut total = 0.0;
         for (q, _) in eval_queries {
             let res = planner.plan_with_session(&model, q, &mut sess);
-            total += run_plan_ms(db, &res.plan);
+            total += ex.execute(&res.plan).time_ms;
         }
         // Eval 2: runtime q-error on a fixed eval QEP set (optimizer plans).
         let eval_qeps = eval_qeps_cache.get_or_insert_with(|| {
             let opt = qpseeker_engine::optimizer::PgOptimizer::new(db);
             let items: Vec<(Query, qpseeker_engine::plan::PlanNode, String)> =
                 eval_queries.iter().map(|(q, t)| (q.clone(), opt.plan(q), t.clone())).collect();
-            let mut qeps = qpseeker_workloads::qep::measure_parallel(db, items);
-            qeps.retain(|q| !q.truth.timed_out);
-            qeps
+            qpseeker_workloads::qep::measure_parallel(db, items)
         });
         let qerr = runtime_qerrors(&model, eval_qeps.iter());
         fractions.push(FractionRow {

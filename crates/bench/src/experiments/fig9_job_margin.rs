@@ -6,9 +6,10 @@
 //! on only a couple of queries); QPSeeker stays on par with PostgreSQL,
 //! better on several queries and worse on only a few.
 
-use crate::{emit, fmt, markdown_table, run_plan_ms, Context};
+use crate::{emit, fmt, markdown_table, Context};
 use qpseeker_baselines::{Bao, BaoConfig};
 use qpseeker_core::prelude::*;
+use qpseeker_engine::executor::Executor;
 use qpseeker_engine::optimizer::PgOptimizer;
 use qpseeker_engine::query::Query;
 use qpseeker_workloads::{job, JobConfig, Qep};
@@ -72,6 +73,7 @@ pub fn run(ctx: &Context) -> Result<(), CoreError> {
     let pg = PgOptimizer::new(db);
     let planner = MctsPlanner::new(MctsConfig::default());
     let mut sess = PlannerSession::new();
+    let ex = Executor::new(db);
 
     let queries = job::job_queries(db, &JobConfig::default());
     let mut rows = Vec::with_capacity(queries.len());
@@ -79,12 +81,12 @@ pub fn run(ctx: &Context) -> Result<(), CoreError> {
     // Margin tolerance: within 5% counts as "on par" (noise floor).
     let tol = 0.05;
     for (q, _tpl) in &queries {
-        let pg_ms = run_plan_ms(db, &pg.plan(q));
+        let pg_ms = ex.execute(&pg.plan(q)).time_ms;
         let res = planner.plan_with_session(&model, q, &mut sess);
         plans_evaluated += res.plans_evaluated;
-        let qp_ms = run_plan_ms(db, &res.plan);
+        let qp_ms = ex.execute(&res.plan).time_ms;
         let (bao_plan, _arm) = bao.plan(q);
-        let bao_ms = run_plan_ms(db, &bao_plan);
+        let bao_ms = ex.execute(&bao_plan).time_ms;
         rows.push(QueryRow {
             query_id: q.id.clone(),
             joins: q.num_joins(),

@@ -10,7 +10,6 @@
 //! factor) are the reproduction target, not the absolute numbers.
 
 use qpseeker_core::prelude::*;
-use qpseeker_engine::executor::Executor;
 use qpseeker_engine::explain::Explain;
 use qpseeker_storage::Database;
 use qpseeker_workloads::{
@@ -235,12 +234,6 @@ pub fn train_model<'a>(
         report.train_seconds
     );
     Ok((model, eval))
-}
-
-/// Execute a plan and return its virtual runtime (the "run the query" step
-/// of the planning experiments).
-pub fn run_plan_ms(db: &Database, plan: &qpseeker_engine::plan::PlanNode) -> f64 {
-    Executor::new(db).execute(plan).time_ms
 }
 
 /// Results directory (`target/experiment-results` by default). Not created

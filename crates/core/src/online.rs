@@ -298,9 +298,10 @@ impl OnlinePlanner {
 
         // Observe: execute each served plan against the live database. The
         // executor's virtual clock makes the observation deterministic.
+        let ex = Executor::new(db);
         for (req, outcome) in requests.iter().zip(&outcomes) {
             let Disposition::Served(r) = &outcome.disposition else { continue };
-            let truth = Executor::new(db).execute(&r.plan);
+            let truth = ex.execute(&r.plan);
             let observed_ms = truth.time_ms;
             let disposition = match r.served_by {
                 ServedBy::Neural => ExperienceDisposition::Neural,

@@ -14,6 +14,18 @@
 //! regardless of the chosen physical operator; the operator choice affects
 //! only the accounting. This keeps ground-truth generation fast while
 //! keeping the cost/runtime figures faithful to each operator's work model.
+//!
+//! Count, then materialize: a join first counts its verified matches,
+//! stopping at `max_intermediate + 2`, and writes tuples only when a parent
+//! will read them — never for a join that trips the row cap (it times out
+//! on the count) or for the plan root (only its cardinality is reported).
+//! A written join fills a buffer sized by its count, never reallocating.
+//! The count pass is skipped only for a written join whose output is bounded
+//! within the cap (probe tuples × the widest hash bucket), which cannot
+//! trip. Every charge (`join_charge`, peak memory, the row budget, spikes,
+//! the timeout penalty) reads only counts, so results are bit-for-bit those
+//! of materializing every join, while a plan that explodes past the cap
+//! costs one probe pass and no memory for its largest intermediate.
 
 use crate::error::EngineError;
 use crate::plan::{JoinOp, PhysicalOp, PlanNode, ScanOp};
@@ -85,10 +97,11 @@ impl Default for CostUnits {
 
 /// Profile of one executed plan node (postorder position matches
 /// [`PlanNode::postorder`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeProfile {
     pub op: PhysicalOp,
-    /// True output cardinality.
+    /// True output cardinality (truncated at `max_intermediate + 2` on the
+    /// join that tripped the row cap).
     pub rows: u64,
     /// Cumulative PG cost units of the subtree rooted here.
     pub cost: f64,
@@ -97,9 +110,11 @@ pub struct NodeProfile {
 }
 
 /// Result of executing a full plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionResult {
-    /// Root output cardinality.
+    /// Root output cardinality. On a timed-out result, the count of the
+    /// join that tripped the row cap instead, truncated at
+    /// `max_intermediate + 2`.
     pub rows: u64,
     /// Total PG cost units.
     pub cost: f64,
@@ -260,17 +275,24 @@ impl BtreeIndex {
     }
 }
 
-/// Intermediate result: a bag of composite tuples, each holding one base-row
-/// id per alias in the subtree. Stored flattened for memory density.
+/// Intermediate result: a bag of `n` composite tuples, each holding one
+/// base-row id per alias in the subtree. Stored flattened for memory
+/// density; `rows` is empty when the tuples were only counted.
 struct Chunk {
     aliases: Vec<String>,
     width: usize,
+    n: usize,
     rows: Vec<u32>,
 }
 
 impl Chunk {
     fn n_tuples(&self) -> usize {
-        self.rows.len().checked_div(self.width).unwrap_or(0)
+        self.n
+    }
+
+    #[inline]
+    fn tuple(&self, t: usize) -> &[u32] {
+        &self.rows[t * self.width..(t + 1) * self.width]
     }
 
     fn alias_pos(&self, alias: &str) -> usize {
@@ -363,7 +385,7 @@ impl<'a> Executor<'a> {
         let mut nodes = Vec::with_capacity(plan.len());
         let mut peak_mem = 0u64;
         let mut rows_processed = 0u64;
-        match self.exec_node(plan, &mut nodes, &mut peak_mem, &mut rows_processed) {
+        match self.exec_node(plan, false, &mut nodes, &mut peak_mem, &mut rows_processed) {
             Ok(chunk) => {
                 let last = nodes.last().expect("at least one node profile");
                 Ok(ExecutionResult {
@@ -410,9 +432,12 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
+    /// Execute the subtree at `node`. `materialize` is whether the caller
+    /// reads the output's tuples; a scan always returns them.
     fn exec_node(
         &self,
         node: &PlanNode,
+        materialize: bool,
         profiles: &mut Vec<NodeProfile>,
         peak_mem: &mut u64,
         rows_processed: &mut u64,
@@ -430,17 +455,17 @@ impl<'a> Executor<'a> {
                     cost,
                     time_ms: time,
                 });
-                Ok(Chunk { aliases: vec![alias.clone()], width: 1, rows })
+                Ok(Chunk { aliases: vec![alias.clone()], width: 1, n, rows })
             }
             PlanNode::Join { op, left, right, preds } => {
-                let l = self.exec_node(left, profiles, peak_mem, rows_processed)?;
+                let l = self.exec_node(left, true, profiles, peak_mem, rows_processed)?;
                 let lprof_idx = profiles.len() - 1;
-                let r = self.exec_node(right, profiles, peak_mem, rows_processed)?;
+                let r = self.exec_node(right, true, profiles, peak_mem, rows_processed)?;
                 let rprof_idx = profiles.len() - 1;
                 let child_time = profiles[lprof_idx].time_ms + profiles[rprof_idx].time_ms;
                 let child_cost = profiles[lprof_idx].cost + profiles[rprof_idx].cost;
 
-                let out = self.join_chunks(&l, &r, preds, peak_mem);
+                let out = self.join_chunks(&l, &r, preds, materialize, peak_mem);
                 let (nl, nr) = (l.n_tuples() as f64, r.n_tuples() as f64);
                 let nout = out.n_tuples() as u64;
                 let (mut self_time, self_cost) =
@@ -553,36 +578,27 @@ impl<'a> Executor<'a> {
         Ok((out, time, cost))
     }
 
-    /// Compute the exact join result (hash-based, operator-independent).
+    /// Compute the exact join result (hash-based, operator-independent):
+    /// count the matches up to `max_intermediate + 2`, then write them only
+    /// if `materialize` and the count is within the cap.
     fn join_chunks(
         &self,
         l: &Chunk,
         r: &Chunk,
         preds: &[crate::query::JoinPred],
+        materialize: bool,
         peak_mem: &mut u64,
     ) -> Chunk {
         let mut aliases = l.aliases.clone();
         aliases.extend(r.aliases.iter().cloned());
-        let width = l.width + r.width;
+        // A cap-tripping join reports its count truncated here.
+        let limit = self.max_intermediate.saturating_add(2);
 
         if preds.is_empty() {
             // Cross product (only reachable for disconnected queries).
-            let cap = self.max_intermediate + 1;
-            let mut rows = Vec::new();
-            'outer: for i in 0..l.n_tuples() {
-                for j in 0..r.n_tuples() {
-                    for p in 0..l.width {
-                        rows.push(l.base_row(i, p));
-                    }
-                    for p in 0..r.width {
-                        rows.push(r.base_row(j, p));
-                    }
-                    if rows.len() / width > cap {
-                        break 'outer;
-                    }
-                }
-            }
-            return Chunk { aliases, width, rows };
+            let n = l.n_tuples().saturating_mul(r.n_tuples()).min(limit);
+            let pairs = (0..l.n_tuples()).flat_map(|i| (0..r.n_tuples()).map(move |j| (i, j)));
+            return self.emit(aliases, l, r, n, materialize, pairs);
         }
 
         // Resolve each predicate to (side, alias position, column data).
@@ -653,27 +669,53 @@ impl<'a> Executor<'a> {
             })
         };
 
-        let cap = self.max_intermediate + 1;
-        let mut rows = Vec::new();
-        'probe: for t in 0..probe.n_tuples() {
-            if let Some(matches) = ht.get(&probe_key(t)) {
-                for &b in matches {
+        // Every verified (left, right) tuple pair, in probe order.
+        let (ht, probe_key, verify) = (&ht, &probe_key, &verify);
+        let matches = || {
+            (0..probe.n_tuples()).flat_map(move |t| {
+                ht.get(&probe_key(t)).into_iter().flatten().filter_map(move |&b| {
                     let (lt, rt) = if build_is_left { (b as usize, t) } else { (t, b as usize) };
-                    if verify(lt, rt) {
-                        for p in 0..l.width {
-                            rows.push(l.base_row(lt, p));
-                        }
-                        for p in 0..r.width {
-                            rows.push(r.base_row(rt, p));
-                        }
-                        if rows.len() / width > cap {
-                            break 'probe;
-                        }
-                    }
-                }
-            }
+                    verify(lt, rt).then_some((lt, rt))
+                })
+            })
+        };
+        // No probe tuple matches more than the widest bucket. When that bound
+        // is within the cap the join cannot trip, and a written join skips
+        // the count pass (probing twice costs more than it saves there).
+        let widest = ht.values().map(Vec::len).max().unwrap_or(0);
+        let bound = probe.n_tuples().saturating_mul(widest);
+        let n = if materialize && bound <= self.max_intermediate {
+            bound
+        } else {
+            matches().take(limit).count()
+        };
+        self.emit(aliases, l, r, n, materialize, matches())
+    }
+
+    /// The output chunk of a join with `n` matches, counted or bounded from
+    /// above. `pairs` are written out, into a buffer of `n` tuples, only when
+    /// the caller reads them and `n` is within the cap; the chunk then holds
+    /// as many tuples as `pairs` yields.
+    fn emit(
+        &self,
+        aliases: Vec<String>,
+        l: &Chunk,
+        r: &Chunk,
+        n: usize,
+        materialize: bool,
+        pairs: impl Iterator<Item = (usize, usize)>,
+    ) -> Chunk {
+        let width = l.width + r.width;
+        if !materialize || n > self.max_intermediate {
+            return Chunk { aliases, width, n, rows: Vec::new() };
         }
-        Chunk { aliases, width, rows }
+        let mut rows = Vec::with_capacity(n * width);
+        for (lt, rt) in pairs {
+            rows.extend_from_slice(l.tuple(lt));
+            rows.extend_from_slice(r.tuple(rt));
+        }
+        debug_assert!(rows.len() <= n * width, "a join wrote past its count");
+        Chunk { aliases, width, n: rows.len() / width, rows }
     }
 
     fn alias_table(&self, alias: &str) -> &Table {

@@ -1,11 +1,78 @@
 //! Property tests for the engine: executor correctness against brute force,
-//! operator equivalence, spec round-trips, estimator bounds.
+//! operator equivalence, spec round-trips, estimator bounds, and the row
+//! cap / row budget against an uncapped run.
+//!
+//! The CI chaos job sweeps the row-cap schedule over seeds {1,2,3} via
+//! `QPS_CHAOS_SEED` (see .github/workflows).
 
 use proptest::prelude::*;
 use qpseeker_engine::prelude::*;
+use qpseeker_storage::datagen::imdb;
 use qpseeker_storage::{
-    Catalog, Column, ColumnData, ColumnMeta, Database, ForeignKey, IndexMeta, Table, TableMeta,
+    Catalog, Column, ColumnData, ColumnMeta, Database, FaultConfig, ForeignKey, IndexMeta, Table,
+    TableMeta,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
+use std::sync::OnceLock;
+
+fn chaos_seed() -> u64 {
+    std::env::var("QPS_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
+}
+
+fn imdb_db() -> &'static Database {
+    static DB: OnceLock<Database> = OnceLock::new();
+    DB.get_or_init(|| imdb::generate(0.03, 5))
+}
+
+/// A three-fact star around `title` plus one dimension join, and
+/// `kind_type` with no predicate: wherever it lands the plan has a cross
+/// product.
+fn star_with_cross_product() -> Query {
+    let mut q = Query::new("capped");
+    for t in ["title", "movie_info", "cast_info", "movie_keyword", "keyword", "kind_type"] {
+        q.relations.push(RelRef::new(t));
+    }
+    for fact in ["movie_info", "cast_info", "movie_keyword"] {
+        q.joins.push(JoinPred {
+            left: ColRef::new(fact, "movie_id"),
+            right: ColRef::new("title", "id"),
+        });
+    }
+    q.joins.push(JoinPred {
+        left: ColRef::new("movie_keyword", "keyword_id"),
+        right: ColRef::new("keyword", "id"),
+    });
+    q.filters.push(Filter {
+        col: ColRef::new("title", "production_year"),
+        op: CmpOp::Gt,
+        value: 1990.0,
+    });
+    q
+}
+
+/// A random left-deep plan: a connected order of the star, `kind_type`
+/// spliced in anywhere, random scan and join operators.
+fn random_left_deep(q: &Query, rng: &mut StdRng) -> PlanNode {
+    let connected: Vec<&RelRef> = q.relations.iter().filter(|r| r.alias != "kind_type").collect();
+    let mut joined = BTreeSet::new();
+    let mut order = vec![connected[rng.gen_range(0..connected.len())].alias.clone()];
+    joined.insert(order[0].clone());
+    while order.len() < connected.len() {
+        let next = q.neighbors(&joined);
+        let pick = next[rng.gen_range(0..next.len())].clone();
+        joined.insert(pick.clone());
+        order.push(pick);
+    }
+    order.insert(rng.gen_range(0..=order.len()), "kind_type".to_string());
+    let mut plan = PlanNode::scan(q, &order[0], ScanOp::ALL[rng.gen_range(0..3)]);
+    for alias in &order[1..] {
+        let right = PlanNode::scan(q, alias, ScanOp::ALL[rng.gen_range(0..3)]);
+        plan = PlanNode::join(q, JoinOp::ALL[rng.gen_range(0..3)], plan, right);
+    }
+    plan
+}
 
 /// Build a 2-table database from arbitrary small column contents.
 fn build_db(a_vals: Vec<i64>, b_fk: Vec<i64>) -> Database {
@@ -172,5 +239,90 @@ proptest! {
         prop_assert_eq!(res.nodes.len(), 3);
         prop_assert!(res.nodes[2].time_ms >= res.nodes[0].time_ms + res.nodes[1].time_ms);
         prop_assert!((res.time_ms - res.nodes[2].time_ms).abs() < 1e-9);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Oracle: the same plan with no cap. A capped run times out exactly
+    /// when some join's true count exceeds the cap; its profiles are the
+    /// uncapped prefix up to the first such join (in postorder), which
+    /// reports `min(true, cap + 2)`. An armed row budget aborts at the first
+    /// node whose running count of reported rows passes it.
+    #[test]
+    fn row_cap_and_budget_match_the_uncapped_run(
+        seed in 0u64..u64::MAX,
+        budgeted in proptest::bool::ANY,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ chaos_seed());
+        let db = imdb_db();
+        let q = star_with_cross_product();
+        let plan = random_left_deep(&q, &mut rng);
+        let mut uncapped = Executor::new(db);
+        uncapped.max_intermediate = usize::MAX;
+        let full = uncapped.execute(&plan);
+        prop_assert!(!full.timed_out);
+
+        // A third of the caps sit at -3..=+1 around one join's true count,
+        // a third anywhere below the largest, a third at or above it.
+        let joins: Vec<usize> = full
+            .nodes
+            .iter()
+            .filter(|n| matches!(n.op, PhysicalOp::Join(_)))
+            .map(|n| n.rows as usize)
+            .collect();
+        let largest = *joins.iter().max().expect("the plan has joins");
+        let cap = match rng.gen_range(0..3) {
+            0 => (joins[rng.gen_range(0..joins.len())] + 1).saturating_sub(rng.gen_range(0..5)),
+            1 => rng.gen_range(0..largest),
+            _ => largest + rng.gen_range(0..3),
+        };
+
+        let trip = full
+            .nodes
+            .iter()
+            .position(|n| matches!(n.op, PhysicalOp::Join(_)) && n.rows > cap as u64);
+        let mut reported: Vec<u64> =
+            full.nodes[..=trip.unwrap_or(full.nodes.len() - 1)].iter().map(|n| n.rows).collect();
+        if let Some(i) = trip {
+            reported[i] = reported[i].min(cap as u64 + 2);
+        }
+        // About half the budgets abort.
+        let total: u64 = reported.iter().sum();
+        let budget = budgeted.then(|| rng.gen_range(0..=2 * total));
+        let mut processed = 0;
+        let abort = budget.and_then(|b| {
+            reported.iter().find_map(|&r| {
+                processed += r;
+                (processed > b).then_some(processed)
+            })
+        });
+
+        let faults =
+            FaultConfig { seed: seed ^ chaos_seed(), row_budget: budget, ..Default::default() };
+        let mut ex = Executor::new(db).with_faults(faults);
+        ex.max_intermediate = cap;
+        match (ex.try_execute(&plan), abort) {
+            (Err(EngineError::RowBudgetExceeded { processed, budget: b }), Some(sum)) => {
+                prop_assert_eq!(processed, sum);
+                prop_assert_eq!(Some(b), budget);
+            }
+            (Ok(res), None) => match trip {
+                None => prop_assert_eq!(res, full),
+                Some(i) => {
+                    prop_assert!(res.timed_out, "cap {} < join {}: {:?}", cap, i, full.nodes[i]);
+                    prop_assert_eq!(res.nodes.len(), i + 1);
+                    prop_assert_eq!(&res.nodes[..i], &full.nodes[..i]);
+                    prop_assert_eq!(res.nodes[i].op, full.nodes[i].op);
+                    prop_assert_eq!(res.nodes[i].rows, reported[i]);
+                    prop_assert_eq!(res.rows, reported[i]);
+                }
+            },
+            (got, abort) => {
+                let got = got.map(|r| r.timed_out);
+                prop_assert!(false, "cap {cap}, budget {budget:?}: abort {abort:?}, got {got:?}");
+            }
+        }
     }
 }

@@ -83,15 +83,11 @@ pub fn generate(db: &Database, cfg: &SyntheticConfig) -> Workload {
             (q, p, t)
         })
         .collect();
-    let mut qeps = measure_parallel(db, items);
-    // Executions that blow the intermediate-result cap are statement
-    // timeouts; they carry no usable per-node ground truth.
-    qeps.retain(|q| !q.truth.timed_out);
     Workload {
         name: "synthetic".into(),
         database: db.name.clone(),
         plan_source: PlanSource::DbOptimizer,
-        qeps,
+        qeps: measure_parallel(db, items),
     }
 }
 
@@ -117,13 +113,11 @@ pub fn generate_sampled(db: &Database, cfg: &SyntheticConfig, qeps_per_query: us
             items.push((q.clone(), sp.plan, tpl.clone()));
         }
     }
-    let mut qeps = measure_parallel(db, items);
-    qeps.retain(|q| !q.truth.timed_out);
     Workload {
         name: "synthetic-sampled".into(),
         database: db.name.clone(),
         plan_source: PlanSource::Sampling,
-        qeps,
+        qeps: measure_parallel(db, items),
     }
 }
 

@@ -10,6 +10,7 @@ use qpseeker_engine::plan::PlanNode;
 use qpseeker_engine::query::Query;
 use qpseeker_storage::{fnv, Database};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Where a workload's plans came from (Table 1's "Plan Source" column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -21,7 +22,7 @@ pub enum PlanSource {
 }
 
 /// One (query, plan) pair with its ground-truth measurements.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Qep {
     pub query: Query,
     pub plan: PlanNode,
@@ -180,44 +181,54 @@ impl Workload {
     }
 }
 
-/// Execute many (query, plan, template) triples in parallel to build QEPs.
+/// Execute (query, plan, template) triples to build QEPs, in item order.
+///
+/// Plans that blow the executor's intermediate-result cap are statement
+/// timeouts: they have no usable target values (the paper's runs never
+/// completed such plans either), so they are dropped here.
+///
+/// Workers (up to 8; one below 16 items, which runs on the calling thread)
+/// each own an [`Executor`] and pull the next item index from one shared
+/// cursor, so a few expensive plans cannot pile up on one worker.
 pub fn measure_parallel(db: &Database, items: Vec<(Query, PlanNode, String)>) -> Vec<Qep> {
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8);
-    if items.len() < 16 || threads <= 1 {
-        return items.into_iter().map(|(q, p, t)| Qep::measure(db, q, p, t)).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let chunks: Vec<Vec<(Query, PlanNode, String)>> =
-        items.chunks(chunk).map(|c| c.to_vec()).collect();
-    let mut out: Vec<Vec<Qep>> = Vec::new();
-    crossbeam::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| {
-                s.spawn(move |_| {
-                    let ex = Executor::new(db);
-                    c.into_iter()
-                        .map(|(q, p, t)| Qep {
-                            truth: ex.execute(&p),
-                            query: q,
-                            plan: p,
-                            template: t,
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("worker thread panicked"));
+    let workers = if items.len() < 16 {
+        1
+    } else {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8)
+    };
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let ex = Executor::new(db);
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the cursor hands out indices and publishes no data.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some((_, plan, _)) = items.get(i) else { return done };
+            done.push((i, ex.execute(plan)));
         }
-    })
-    .expect("crossbeam scope");
-    out.into_iter().flatten().collect()
+    };
+    let mut truths: Vec<(usize, ExecutionResult)> = if workers == 1 {
+        work()
+    } else {
+        crossbeam::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(|_| work())).collect();
+            handles.into_iter().flat_map(|h| h.join().expect("labelling worker panicked")).collect()
+        })
+        .expect("crossbeam scope")
+    };
+    truths.sort_unstable_by_key(|&(i, _)| i);
+    items
+        .into_iter()
+        .zip(truths)
+        .filter(|(_, (_, truth))| !truth.timed_out)
+        .map(|((query, plan, template), (_, truth))| Qep { query, plan, template, truth })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampling::{sample_plans, SamplingConfig};
     use qpseeker_engine::optimizer::PgOptimizer;
     use qpseeker_engine::query::{ColRef, JoinPred, RelRef};
     use qpseeker_storage::datagen::imdb;
@@ -342,22 +353,35 @@ mod tests {
     fn parallel_measurement_matches_serial() {
         let db = imdb::generate(0.05, 2);
         let opt = PgOptimizer::new(&db);
-        let items: Vec<(Query, PlanNode, String)> = (0..20)
-            .map(|i| {
-                let q = mk_query(i);
-                let p = opt.plan(&q);
-                (q, p, "t".to_string())
-            })
+        // Expensive many-to-many star plans first, then cheap ones, so the
+        // workers pulling from the cursor interleave over both kinds.
+        let mut star = Query::new("star");
+        star.relations.push(RelRef::new("title"));
+        for fact in ["movie_info", "cast_info", "movie_keyword"] {
+            star.relations.push(RelRef::new(fact));
+            star.joins.push(JoinPred {
+                left: ColRef::new(fact, "movie_id"),
+                right: ColRef::new("title", "id"),
+            });
+        }
+        let cfg = SamplingConfig { keep_fraction: 1.0, ..Default::default() };
+        let mut items: Vec<(Query, PlanNode, String)> = sample_plans(&db, &star, &cfg)
+            .into_iter()
+            .take(8)
+            .map(|s| (star.clone(), s.plan, "star".to_string()))
             .collect();
-        let serial: Vec<Qep> =
-            items.iter().cloned().map(|(q, p, t)| Qep::measure(&db, q, p, t)).collect();
-        let parallel = measure_parallel(&db, items);
-        assert_eq!(serial.len(), parallel.len());
-        // Parallel order may differ per chunking; compare multisets of times.
-        let mut a: Vec<u64> = serial.iter().map(|q| q.truth.rows).collect();
-        let mut b: Vec<u64> = parallel.iter().map(|q| q.truth.rows).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        items.extend((0..20).map(|i| {
+            let q = mk_query(i);
+            let p = opt.plan(&q);
+            (q, p, "t".to_string())
+        }));
+        let serial: Vec<Qep> = items
+            .iter()
+            .cloned()
+            .map(|(q, p, t)| Qep::measure(&db, q, p, t))
+            .filter(|q| !q.truth.timed_out)
+            .collect();
+        assert_eq!(serial.len(), 28);
+        assert_eq!(measure_parallel(&db, items), serial);
     }
 }
