@@ -149,7 +149,7 @@ fn planner_ablation(ctx: &Context) -> Result<(), CoreError> {
     // MCTS.
     // One session for all three planners: every table is encoded once.
     let mut sess = PlannerSession::new();
-    let planner = MctsPlanner::new(MctsConfig::default());
+    let planner = StrategyPlanner::from_config(&StrategyConfig::default(), MctsConfig::default());
     let mut total = 0.0;
     let mut scored = 0usize;
     for q in &queries {

@@ -105,7 +105,7 @@ fn run_set(
 ) {
     eprintln!("[fig10] running {name} ({} queries)...", queries.len());
     let pg = PgOptimizer::new(db);
-    let planner = MctsPlanner::new(MctsConfig::default());
+    let planner = StrategyPlanner::from_config(&StrategyConfig::default(), MctsConfig::default());
     let ex = Executor::new(db);
     let mut pg_times = Vec::with_capacity(queries.len());
     let mut qp_times = Vec::with_capacity(queries.len());

@@ -81,7 +81,8 @@ pub fn run(ctx: &Context) -> Result<(), CoreError> {
         model.fit(&refs)?;
 
         // Eval 1: plan the held-out queries with MCTS and execute.
-        let planner = MctsPlanner::new(MctsConfig::default());
+        let planner =
+            StrategyPlanner::from_config(&StrategyConfig::default(), MctsConfig::default());
         let mut sess = PlannerSession::new();
         let mut total = 0.0;
         for (q, _) in eval_queries {

@@ -71,7 +71,7 @@ pub fn run(ctx: &Context) -> Result<(), CoreError> {
     bao.train(&bao_train);
 
     let pg = PgOptimizer::new(db);
-    let planner = MctsPlanner::new(MctsConfig::default());
+    let planner = StrategyPlanner::from_config(&StrategyConfig::default(), MctsConfig::default());
     let mut sess = PlannerSession::new();
     let ex = Executor::new(db);
 

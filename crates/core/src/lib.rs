@@ -13,9 +13,9 @@
 //!    and every plan-node output (§4.3);
 //! 5. a cost modeler — a β-VAE that learns the joint distributions of
 //!    cardinality, cost and runtime over the workload's QEPs (§4.4);
-//! 6. [`search::mcts::MctsPlanner`] — inference-time Monte Carlo Tree Search
-//!    over the plan space, scored by the learned cost model (§5.2);
-//!    [`search::strategy::StrategyPlanner`] runs it or a bushy beam search.
+//! 6. [`search::strategy::StrategyPlanner`] — inference-time Monte Carlo
+//!    Tree Search over the plan space, scored by the learned cost model
+//!    (§5.2), or a bushy beam search under the same front end.
 //!
 //! [`metrics`] provides Q-error summaries (Tables 2-5) and [`viz`] the
 //! t-SNE/silhouette tooling for the latent-space analysis (Fig. 5).
@@ -45,7 +45,8 @@
 //! println!("{} parameters, final loss {final_loss:.3}", model.num_parameters());
 //!
 //! let query = &eval[0].query;
-//! let chosen = MctsPlanner::new(MctsConfig::default()).plan(&model, query);
+//! let planner = StrategyPlanner::from_config(&StrategyConfig::default(), MctsConfig::default());
+//! let chosen = planner.plan(&model, query);
 //! println!("{} plans scored; chosen:\n{}", chosen.plans_evaluated, chosen.plan.pretty());
 //! let ex = Executor::new(&db);
 //! let neural_ms = ex.execute(&chosen.plan).time_ms;
@@ -91,7 +92,7 @@ pub mod prelude {
         query_fingerprint, CacheStats, CachedPlan, PlanCache, PlanCacheCtx,
     };
     pub use crate::registry::{ModelCell, ModelRegistry};
-    pub use crate::search::mcts::{MctsConfig, MctsPlanner};
+    pub use crate::search::mcts::MctsConfig;
     pub use crate::search::strategy::{
         StrategyConfig, StrategyKind, StrategyPlanner, DEFAULT_BATCH_EVAL,
     };

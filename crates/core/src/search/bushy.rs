@@ -1,7 +1,7 @@
 //! The bushy action space: plans as forests of subtrees over u64 masks.
 //!
 //! The left-deep search walks *relations*: its state is one growing chain
-//! plus a frontier bitmask of joinable relations. The bushy space
+//! plus the bitmask of relations it may add next. The bushy space
 //! generalizes the same u64 machinery from pairs-of-relations to
 //! pairs-of-subtrees: a search state is a **forest** of realized subtrees,
 //! each summarized by the bitmask of relations it covers, and one action
@@ -19,10 +19,9 @@
 
 use super::{op_idx_scan, QueryIndex};
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
-use qpseeker_engine::query::{JoinPred, Query};
 
 /// Postorder token for a leaf: identical layout to the left-deep
-/// `Action::Start` packing (`rel << 4 | scan << 2 | 3`).
+/// `Action` packing of an opening action (`rel << 4 | scan << 2 | 3`).
 pub(crate) fn leaf_token(rel: u32, scan: ScanOp) -> u64 {
     (rel as u64) << 4 | (op_idx_scan(scan) as u64) << 2 | 3
 }
@@ -50,8 +49,8 @@ pub(crate) struct SubTree {
 }
 
 impl SubTree {
-    pub(crate) fn leaf(asm: &BushyAssembler, rel: u32, scan: ScanOp) -> Self {
-        Self { mask: 1 << rel, sig: vec![leaf_token(rel, scan)], plan: asm.scan(rel, scan) }
+    pub(crate) fn leaf(qi: &QueryIndex, rel: u32, scan: ScanOp) -> Self {
+        Self { mask: 1 << rel, sig: vec![leaf_token(rel, scan)], plan: qi.scan(rel, scan) }
     }
 
     /// Signature of the subtree that would result from `left ⋈op right`,
@@ -63,6 +62,21 @@ impl SubTree {
         sig.push(join_token(op));
         sig
     }
+
+    /// `left ⋈op right`, with the predicates crossing the two masks
+    /// attached.
+    pub(crate) fn join(qi: &QueryIndex, op: JoinOp, left: &Self, right: &Self) -> Self {
+        Self {
+            mask: left.mask | right.mask,
+            sig: Self::joined_sig(left, right, op),
+            plan: PlanNode::Join {
+                op,
+                left: Box::new(left.plan.clone()),
+                right: Box::new(right.plan.clone()),
+                preds: qi.crossing_preds(left.mask, right.mask),
+            },
+        }
+    }
 }
 
 /// Two subtrees are joinable when some relation in `a` shares a join
@@ -71,94 +85,10 @@ pub(crate) fn joinable(qi: &QueryIndex, a: u64, b: u64) -> bool {
     qi.reach(a) & b != 0
 }
 
-/// Per-query prebuilt plan pieces for bushy assembly: one ready-to-clone
-/// scan leaf per (relation, scan op) — exactly like the left-deep
-/// assembler — plus every join predicate with both endpoints interned, so
-/// attaching the predicates that cross two masks is a bitmask filter over
-/// `query.joins` in declaration order (the same order the left-deep
-/// assembler and `PlanNode::join` emit).
-pub(crate) struct BushyAssembler {
-    scans: Vec<[PlanNode; 3]>,
-    /// `(left_rel, right_rel, predicate)` per join predicate, in
-    /// `query.joins` order. Self-joins on one relation are dropped, as in
-    /// `QueryIndex`.
-    joins: Vec<(u32, u32, JoinPred)>,
-}
-
-impl BushyAssembler {
-    pub(crate) fn new(query: &Query) -> Self {
-        let scans = query
-            .relations
-            .iter()
-            .map(|r| {
-                ScanOp::ALL.map(|op| {
-                    PlanNode::try_scan(query, &r.alias, op).expect("query relation has a table")
-                })
-            })
-            .collect();
-        let idx_of = |alias: &str| query.relations.iter().position(|r| r.alias == alias);
-        let mut joins = Vec::with_capacity(query.joins.len());
-        for j in &query.joins {
-            if let (Some(l), Some(r)) = (idx_of(&j.left.alias), idx_of(&j.right.alias)) {
-                if l != r {
-                    joins.push((l as u32, r as u32, j.clone()));
-                }
-            }
-        }
-        Self { scans, joins }
-    }
-
-    pub(crate) fn scan(&self, rel: u32, op: ScanOp) -> PlanNode {
-        self.scans[rel as usize][op_idx_scan(op) as usize].clone()
-    }
-
-    /// Every join predicate with one endpoint in `a` and the other in `b`,
-    /// in `query.joins` order. Empty only when the masks are disconnected
-    /// (a cross join — legal exactly when the query itself is
-    /// disconnected).
-    pub(crate) fn crossing_preds(&self, a: u64, b: u64) -> Vec<JoinPred> {
-        self.joins
-            .iter()
-            .filter(|&&(l, r, _)| {
-                let (lm, rm) = (1u64 << l, 1u64 << r);
-                (a & lm != 0 && b & rm != 0) || (b & lm != 0 && a & rm != 0)
-            })
-            .map(|(_, _, p)| p.clone())
-            .collect()
-    }
-
-    /// `left ⋈op right` with the crossing predicates attached.
-    pub(crate) fn join(&self, op: JoinOp, left: &SubTree, right: &SubTree) -> PlanNode {
-        PlanNode::Join {
-            op,
-            left: Box::new(left.plan.clone()),
-            right: Box::new(right.plan.clone()),
-            preds: self.crossing_preds(left.mask, right.mask),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qpseeker_engine::query::{ColRef, RelRef};
-
-    fn three_way() -> Query {
-        let mut q = Query::new("bushy-q");
-        q.relations =
-            vec![RelRef::new("title"), RelRef::new("movie_info"), RelRef::new("movie_keyword")];
-        q.joins = vec![
-            JoinPred {
-                left: ColRef::new("movie_info", "movie_id"),
-                right: ColRef::new("title", "id"),
-            },
-            JoinPred {
-                left: ColRef::new("movie_keyword", "movie_id"),
-                right: ColRef::new("title", "id"),
-            },
-        ];
-        q
-    }
+    use crate::search::tests::three_way;
 
     #[test]
     fn tokens_are_disjoint_and_injective() {
@@ -186,35 +116,18 @@ mod tests {
     }
 
     #[test]
-    fn crossing_preds_attach_in_query_join_order() {
-        let q = three_way();
-        let asm = BushyAssembler::new(&q);
-        // {title} x {movie_info}: exactly the first predicate.
-        let p = asm.crossing_preds(1 << 0, 1 << 1);
-        assert_eq!(p, vec![q.joins[0].clone()]);
-        // {title, movie_info} x {movie_keyword}: exactly the second.
-        let p = asm.crossing_preds((1 << 0) | (1 << 1), 1 << 2);
-        assert_eq!(p, vec![q.joins[1].clone()]);
-        // Disconnected masks cross nothing.
-        assert!(asm.crossing_preds(1 << 1, 1 << 2).is_empty());
-    }
-
-    #[test]
     fn bushy_join_validates_on_connected_query() {
         let q = three_way();
         let qi = QueryIndex::new(&q);
-        let asm = BushyAssembler::new(&q);
         // (title ⋈ movie_info) ⋈ movie_keyword, built bushy-style.
-        let t = SubTree::leaf(&asm, 0, ScanOp::SeqScan);
-        let mi = SubTree::leaf(&asm, 1, ScanOp::IndexScan);
+        let t = SubTree::leaf(&qi, 0, ScanOp::SeqScan);
+        let mi = SubTree::leaf(&qi, 1, ScanOp::IndexScan);
         assert!(joinable(&qi, t.mask, mi.mask));
-        let left = SubTree {
-            mask: t.mask | mi.mask,
-            sig: SubTree::joined_sig(&t, &mi, JoinOp::HashJoin),
-            plan: asm.join(JoinOp::HashJoin, &t, &mi),
-        };
-        let mk = SubTree::leaf(&asm, 2, ScanOp::SeqScan);
-        let full = asm.join(JoinOp::MergeJoin, &left, &mk);
-        assert!(full.validate(&q).is_ok());
+        let left = SubTree::join(&qi, JoinOp::HashJoin, &t, &mi);
+        assert_eq!(left.sig, SubTree::joined_sig(&t, &mi, JoinOp::HashJoin));
+        let mk = SubTree::leaf(&qi, 2, ScanOp::SeqScan);
+        let full = SubTree::join(&qi, JoinOp::MergeJoin, &left, &mk);
+        assert_eq!(full.mask, 0b111);
+        assert!(full.plan.validate(&q).is_ok());
     }
 }

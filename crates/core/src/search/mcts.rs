@@ -9,143 +9,66 @@
 //! Planning stops at a wall-clock budget (paper: 200 ms) or a simulation
 //! cap, whichever comes first.
 
-use super::strategy::{Evaluator, RiskParams, DEFAULT_BATCH_EVAL};
+use super::strategy::{Evaluator, Found};
 use super::{op_idx_join, op_idx_scan, QueryIndex};
-use crate::featurize::FeatSession;
-use crate::model::{QPSeeker, QueryContext};
-use crate::session::PlannerSession;
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
-use qpseeker_engine::query::{JoinPred, Query};
 use qpseeker_storage::fnv::{self, FnvBuild};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// One plan-construction step. Relations are interned as indices into
-/// `query.relations`, so actions are `Copy` and the hot loop never touches a
-/// `String`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum Action {
-    /// Choose the first relation and its scan operator.
-    Start { rel: u32, scan: ScanOp },
-    /// Join one more relation onto the prefix.
-    Extend { rel: u32, scan: ScanOp, join: JoinOp },
+/// One plan-construction step: add relation `rel` (an index into
+/// `query.relations`) under scan operator `scan`, joined onto the prefix by
+/// `join` — `None` for the relation that opens the sequence. `Copy`, so the
+/// hot loop never touches a `String`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Action {
+    rel: u32,
+    scan: ScanOp,
+    join: Option<JoinOp>,
 }
 
 impl Action {
-    fn rel(self) -> u32 {
-        match self {
-            Action::Start { rel, .. } | Action::Extend { rel, .. } => rel,
-        }
-    }
-
     /// Compact signature: `rel << 4 | scan << 2 | join`. Used to key the
     /// evaluation cache with a `Vec<u64>` instead of owned `String`s. The
-    /// join field is 0..=2 for `Extend` and 3 for `Start`, so the packing is
-    /// injective.
+    /// join field is 0..=2 for a join and 3 for the opening action, so the
+    /// packing is injective.
     fn pack(self) -> u64 {
-        match self {
-            Action::Start { rel, scan } => (rel as u64) << 4 | (op_idx_scan(scan) as u64) << 2 | 3,
-            Action::Extend { rel, scan, join } => {
-                (rel as u64) << 4 | (op_idx_scan(scan) as u64) << 2 | op_idx_join(join) as u64
-            }
-        }
+        let join = self.join.map_or(3, |j| op_idx_join(j) as u64);
+        (self.rel as u64) << 4 | (op_idx_scan(self.scan) as u64) << 2 | join
     }
 }
 
-/// Per-query prebuilt plan pieces. The search evaluates thousands of
-/// complete plans per query, and materializing each one through
-/// `LeftDeepSpec::compile` re-derived aliases, tables, filters, and join
-/// predicates from strings every time (dozens of heap allocations plus a
-/// full validation walk per plan). This assembler does that derivation once
-/// per query — one ready-to-clone scan leaf per (relation, scan op), and
-/// per relation the join predicates touching it in `query.joins` order —
-/// so assembling a plan is one clone per node plus a bitmask filter.
+/// The left-deep plan of a complete action sequence: a fold of joins over
+/// the query index, each join carrying the predicates that cross into the
+/// new relation, in `query.joins` order — structurally identical to
+/// `LeftDeepSpec::compile` on the equivalent spec. Validation is skipped
+/// because the search only emits duplicate-free sequences that join
+/// through a predicate whenever one is left.
 ///
-/// Output is structurally identical to `compile` on the equivalent spec
-/// (same predicate order, same pushed-down filters); validation is skipped
-/// because the search only emits connected, duplicate-free sequences.
-struct PlanAssembler {
-    /// `scans[rel][op_idx_scan(op)]` — prebuilt scan leaf to clone.
-    scans: Vec<[PlanNode; 3]>,
-    /// `preds[rel]` — `(other_rel, predicate)` for every join predicate
-    /// touching `rel`, in `query.joins` order.
-    preds: Vec<Vec<(u32, JoinPred)>>,
-}
-
-impl PlanAssembler {
-    fn new(query: &Query) -> Self {
-        let scans = query
-            .relations
-            .iter()
-            .map(|r| {
-                ScanOp::ALL.map(|op| {
-                    PlanNode::try_scan(query, &r.alias, op).expect("query relation has a table")
-                })
-            })
-            .collect();
-        let idx_of = |alias: &str| query.relations.iter().position(|r| r.alias == alias);
-        let mut preds: Vec<Vec<(u32, JoinPred)>> = vec![Vec::new(); query.relations.len()];
-        for j in &query.joins {
-            if let (Some(l), Some(r)) = (idx_of(&j.left.alias), idx_of(&j.right.alias)) {
-                if l != r {
-                    preds[l].push((r as u32, j.clone()));
-                    preds[r].push((l as u32, j.clone()));
-                }
-            }
-        }
-        Self { scans, preds }
-    }
-
-    /// Assemble the left-deep plan for a complete action sequence.
-    fn build(&self, actions: &[Action]) -> PlanNode {
-        self.assemble(actions, true)
-    }
-
-    /// Assemble a plan for **evaluation only**: identical tree, operators,
-    /// aliases, and pushed-down filters, but empty join predicate lists.
-    /// Featurization ([`crate::featurize::Featurizer::featurize_batch_into`]
-    /// — the one every query this search can index takes, see
-    /// [`QueryIndex`]) reads node shape, operators, scan aliases/tables, and
-    /// leaf filters — never `preds` — so predictions are bitwise identical
-    /// to the full build while skipping roughly half its allocations (every
-    /// `JoinPred` is four `String` clones). Guarded by the
-    /// `eval_plan_scores_match_full_build` test.
-    fn build_for_eval(&self, actions: &[Action]) -> PlanNode {
-        self.assemble(actions, false)
-    }
-
-    fn assemble(&self, actions: &[Action], with_preds: bool) -> PlanNode {
-        let scan = |a: Action| {
-            let (rel, op) = match a {
-                Action::Start { rel, scan } | Action::Extend { rel, scan, .. } => (rel, scan),
-            };
-            self.scans[rel as usize][op_idx_scan(op) as usize].clone()
+/// `with_preds: false` is the build for **evaluation only**: identical
+/// tree, operators, aliases and pushed-down filters, but empty join
+/// predicate lists. Featurization reads node shape, operators, scan
+/// aliases/tables and leaf filters — never `preds` — so predictions are
+/// bitwise identical to the full build while skipping roughly half its
+/// allocations (every `JoinPred` is four `String` clones). Guarded by the
+/// `eval_plan_scores_match_full_build` test.
+fn left_deep(qi: &QueryIndex, actions: &[Action], with_preds: bool) -> PlanNode {
+    let (first, rest) = actions.split_first().expect("non-empty action sequence");
+    let mut plan = qi.scan(first.rel, first.scan);
+    let mut joined = 1u64 << first.rel;
+    for a in rest {
+        let preds = if with_preds { qi.crossing_preds(joined, 1 << a.rel) } else { Vec::new() };
+        plan = PlanNode::Join {
+            op: a.join.expect("only the first action opens a sequence"),
+            left: Box::new(plan),
+            right: Box::new(qi.scan(a.rel, a.scan)),
+            preds,
         };
-        let first = *actions.first().expect("non-empty action sequence");
-        let mut plan = scan(first);
-        let mut joined = 1u64 << first.rel();
-        for &a in &actions[1..] {
-            let (rel, join) = match a {
-                Action::Extend { rel, join, .. } => (rel, join),
-                Action::Start { .. } => unreachable!("Start actions only open a sequence"),
-            };
-            let preds = if with_preds {
-                self.preds[rel as usize]
-                    .iter()
-                    .filter(|&&(other, _)| joined >> other & 1 == 1)
-                    .map(|(_, p)| p.clone())
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            plan =
-                PlanNode::Join { op: join, left: Box::new(plan), right: Box::new(scan(a)), preds };
-            joined |= 1 << rel;
-        }
-        plan
+        joined |= 1 << a.rel;
     }
+    plan
 }
 
 /// MCTS configuration.
@@ -163,6 +86,13 @@ pub struct MctsConfig {
 impl Default for MctsConfig {
     fn default() -> Self {
         Self { budget_ms: 200.0, max_simulations: 10_000, exploration: 0.5, seed: 0xacc5 }
+    }
+}
+
+impl MctsConfig {
+    /// The wall-clock budget is spent.
+    pub(crate) fn past_budget(&self, start: Instant) -> bool {
+        start.elapsed().as_secs_f64() * 1000.0 > self.budget_ms
     }
 }
 
@@ -237,11 +167,10 @@ struct Pending {
     waiters: Vec<Waiter>,
 }
 
-/// Reusable MCTS search state, cleared at the start of every
-/// [`MctsPlanner::plan_with_session`] call: the tree arena, the per-query
-/// evaluation cache, and the hot-loop buffers. Lives in a
-/// [`PlannerSession`] so a serving worker reuses the allocations across
-/// every query it handles.
+/// Reusable MCTS search state, cleared at the start of every [`search`]:
+/// the tree arena, the per-query evaluation cache, the incumbent, and the
+/// hot-loop buffers. Lives in a [`crate::session::PlannerSession`] so a
+/// serving worker reuses the allocations across every query it handles.
 #[derive(Default)]
 pub(crate) struct MctsScratch {
     nodes: Vec<TreeNode>,
@@ -262,226 +191,89 @@ pub(crate) struct MctsScratch {
     key_pool: Vec<Vec<u64>>,
     untried_pool: Vec<Vec<Action>>,
     children_pool: Vec<Vec<(Action, usize)>>,
-    /// Best complete action sequence found so far (scratch for what used to
-    /// be a per-improvement `rollout.clone()`).
+    /// Best complete action sequence found so far and its score (`None`
+    /// until a rollout is scored).
     best_seq: Vec<Action>,
+    best_t: Option<f64>,
     plans_buf: Vec<PlanNode>,
     scores_buf: Vec<f64>,
 }
 
-/// The MCTS planner. Owns the search tree for one query.
-pub struct MctsPlanner {
-    cfg: MctsConfig,
-    /// Risk-aware scoring (`mean + λ·σ` over seeded latent samples); `None`
-    /// is mean-only scoring.
-    risk: Option<RiskParams>,
-    /// Distinct completed rollouts queued (deduped by packed action
-    /// signature, carrying virtual loss) before one forward scores them
-    /// all; `1` scores and backs up every rollout immediately. Scores are
-    /// bitwise identical either way, but *when* UCT backups land is not, so
-    /// under a simulation cap the chosen plan depends on this value — see
-    /// [`StrategyConfig::batch_eval`](super::strategy::StrategyConfig::batch_eval).
-    batch: usize,
-}
-
-impl MctsPlanner {
-    /// Mean-only scoring at the default rollout-batch size.
-    pub fn new(cfg: MctsConfig) -> Self {
-        Self { cfg, risk: None, batch: DEFAULT_BATCH_EVAL }
-    }
-
-    /// An MCTS planner whose rollout evaluations rank plans by
-    /// `mean + λ·σ` over seeded VAE latent samples (see
-    /// [`super::strategy::Evaluator`]) and which queues `batch` rollouts
-    /// per forward. With `risk.lambda == 0` and the default batch this is
-    /// exactly [`Self::new`].
-    pub(crate) fn with_risk(cfg: MctsConfig, risk: RiskParams, batch: usize) -> Self {
-        let risk = if risk.enabled() { Some(risk) } else { None };
-        Self { cfg, risk, batch: batch.max(1) }
-    }
-
-    /// One-shot [`Self::plan_with_session`] on a fresh [`PlannerSession`]
-    /// built for this call (cold featurization caches every time): for
-    /// examples and experiments; anything planning in a loop keeps its own
-    /// session.
-    pub fn plan(&self, model: &QPSeeker, query: &Query) -> MctsResult {
-        self.plan_with_session(model, query, &mut PlannerSession::new())
-    }
-
-    /// Plan `query` using `model` as the evaluation function, with all
-    /// mutable state in `sess`. The query is encoded exactly once (via
-    /// [`QPSeeker::query_context`]); every rollout evaluation reuses that
-    /// embedding and only pays for the plan side.
-    pub fn plan_with_session(
-        &self,
-        model: &QPSeeker,
-        query: &Query,
-        sess: &mut PlannerSession,
-    ) -> MctsResult {
-        assert!(!query.relations.is_empty(), "cannot plan an empty query");
-        let start = Instant::now();
-        let PlannerSession { feat, search, broker, memo } = sess;
-        let ev = Evaluator::new(model, query, self.risk.as_ref(), self.cfg.seed, broker.as_ref());
-        let mut ctx = model.query_context_reusing(query, std::mem::take(memo));
-
-        // Single relation: score the three scan choices in one call; the
-        // first of the cheapest wins.
-        if query.relations.len() == 1 {
-            let alias = &query.relations[0].alias;
-            let plans = ScanOp::ALL.map(|op| PlanNode::scan(query, alias, op));
-            let refs: Vec<&PlanNode> = plans.iter().collect();
-            let mut scores = Vec::with_capacity(plans.len());
-            ev.score(feat, query, &refs, &mut ctx, &mut scores);
-            let mut best = 0;
-            for (k, &t) in scores.iter().enumerate() {
-                if t < scores[best] {
-                    best = k;
-                }
-            }
-            let nodes_encoded = ctx.finish(memo);
-            return MctsResult {
-                plan: plans[best].clone(),
-                predicted_ms: scores[best],
-                simulations: plans.len(),
-                plans_evaluated: plans.len(),
-                nodes_encoded,
-                budget_exhausted: false,
-            };
-        }
-
-        let qi = QueryIndex::new(query);
-        let asm = PlanAssembler::new(query);
-        let mut best_t: Option<f64> = None;
-        let scratch = search.mcts();
-        let (simulations, budget_exhausted) = run_search(
-            &self.cfg,
-            self.batch,
-            &ev,
-            query,
-            &qi,
-            &asm,
-            feat,
-            &mut ctx,
-            scratch,
-            start,
-            &mut best_t,
-        );
-        let MctsScratch { eval_cache, acts_buf, best_seq, .. } = scratch;
-        if best_t.is_none() {
-            // Budget hit before any complete rollout: greedy completion.
-            greedy_complete(&qi, best_seq, acts_buf);
-        }
-        let plan = asm.build(best_seq);
-        let nodes_encoded = ctx.finish(memo);
-        MctsResult {
-            plan,
-            predicted_ms: best_t.unwrap_or(f64::INFINITY),
-            simulations,
-            plans_evaluated: eval_cache.len(),
-            nodes_encoded,
-            budget_exhausted,
-        }
-    }
-}
-
-/// Grow the query's search tree to completion. All mutable state lives in
-/// `scratch` (cleared on entry, allocations recycled); on return `scratch.best_seq` holds the best complete action
-/// sequence found (empty if no rollout finished) and `scratch.eval_cache`
-/// exactly the distinct plans this search scored. Returns
-/// `(simulations, budget_exhausted)`.
-#[allow(clippy::too_many_arguments)]
-fn run_search(
+/// Search the left-deep space of the query `qi` indexes with MCTS,
+/// queueing `batch` distinct completed rollouts (deduped by packed action
+/// signature, carrying virtual loss) per forward. Scores do not depend on
+/// the batch, but *when* UCT backups land does, so under a simulation cap
+/// the chosen plan depends on `batch` — see
+/// [`StrategyConfig::batch_eval`](super::strategy::StrategyConfig::batch_eval).
+/// All mutable state lives in `s` (cleared on entry, allocations
+/// recycled).
+pub(crate) fn search(
     cfg: &MctsConfig,
     batch: usize,
-    ev: &Evaluator,
-    query: &Query,
     qi: &QueryIndex,
-    asm: &PlanAssembler,
-    feat_sess: &mut FeatSession,
-    ctx: &mut QueryContext,
-    scratch: &mut MctsScratch,
+    ev: &mut Evaluator,
+    s: &mut MctsScratch,
     start: Instant,
-    best_t: &mut Option<f64>,
-) -> (usize, bool) {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ fnv::bytes(query.id.as_bytes()));
-    // Per-query state cleared on entry; allocations carry over between
-    // queries handled by the same session.
-    let MctsScratch {
-        nodes,
-        eval_cache,
-        path,
-        actions,
-        rollout,
-        acts_buf: _,
-        key_buf,
-        pending,
-        pending_pool,
-        waiter_pool,
-        key_pool,
-        best_seq,
-        plans_buf,
-        scores_buf,
-        untried_pool,
-        children_pool,
-    } = scratch;
+) -> Found {
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ fnv::bytes(ev.query.id.as_bytes()));
     // Drain (not clear) the previous tree so its node vectors feed this
-    // search's expansions.
-    for mut n in nodes.drain(..) {
+    // search's expansions, and the previous cache so its key allocations
+    // feed this search's inserts.
+    for mut n in s.nodes.drain(..) {
         n.untried.clear();
-        untried_pool.push(n.untried);
+        s.untried_pool.push(n.untried);
         n.children.clear();
-        children_pool.push(n.children);
+        s.children_pool.push(n.children);
     }
-    nodes.push(TreeNode::fresh(untried_pool, children_pool));
-    // Drain (not clear) so the previous search's key allocations feed
-    // this search's cache inserts.
-    key_pool.extend(eval_cache.drain().map(|(k, _)| k));
-    pending.clear();
-    best_seq.clear();
+    s.nodes.push(TreeNode::fresh(&mut s.untried_pool, &mut s.children_pool));
+    s.key_pool.extend(s.eval_cache.drain().map(|(k, _)| k));
+    s.pending.clear();
+    s.best_seq.clear();
+    s.best_t = None;
     let mut simulations = 0usize;
     let mut budget_exhausted = false;
 
     while simulations < cfg.max_simulations {
-        if start.elapsed().as_secs_f64() * 1000.0 > cfg.budget_ms {
+        if cfg.past_budget(start) {
             budget_exhausted = true;
             break;
         }
         simulations += 1;
 
         // ---- Selection + Expansion ----
-        path.clear();
-        path.push(0);
-        actions.clear();
+        s.path.clear();
+        s.path.push(0);
+        s.actions.clear();
         let mut joined = 0u64;
         loop {
-            let node_idx = *path.last().expect("path non-empty");
-            if !nodes[node_idx].expanded {
-                legal_actions_into(qi, actions, joined, &mut nodes[node_idx].untried);
-                nodes[node_idx].expanded = true;
+            let node_idx = *s.path.last().expect("path non-empty");
+            if !s.nodes[node_idx].expanded {
+                legal_actions_into(qi, &s.actions, joined, &mut s.nodes[node_idx].untried);
+                s.nodes[node_idx].expanded = true;
             }
-            if actions.len() == qi.n {
+            if s.actions.len() == qi.n {
                 break; // complete plan reached inside the tree
             }
-            if !nodes[node_idx].untried.is_empty() {
+            if !s.nodes[node_idx].untried.is_empty() {
                 // Expansion: take one untried action at random.
-                let i = rng.gen_range(0..nodes[node_idx].untried.len());
-                let action = nodes[node_idx].untried.swap_remove(i);
-                let child = nodes.len();
-                nodes.push(TreeNode::fresh(untried_pool, children_pool));
-                nodes[node_idx].children.push((action, child));
-                actions.push(action);
-                joined |= 1 << action.rel();
-                path.push(child);
+                let i = rng.gen_range(0..s.nodes[node_idx].untried.len());
+                let action = s.nodes[node_idx].untried.swap_remove(i);
+                let child = s.nodes.len();
+                s.nodes.push(TreeNode::fresh(&mut s.untried_pool, &mut s.children_pool));
+                s.nodes[node_idx].children.push((action, child));
+                s.actions.push(action);
+                joined |= 1 << action.rel;
+                s.path.push(child);
                 break;
             }
             // Fully expanded: UCT descent over child indices; `Action`
             // is `Copy`, so no per-step clone of the child list.
             // Exhausted subtrees hold no unevaluated plans and are
             // skipped.
-            let parent_visits = nodes[node_idx].visits.max(1.0);
+            let parent_visits = s.nodes[node_idx].visits.max(1.0);
             let mut best_child: Option<(f64, Action, usize)> = None;
-            for &(a, c) in &nodes[node_idx].children {
-                let child = &nodes[c];
+            for &(a, c) in &s.nodes[node_idx].children {
+                let child = &s.nodes[c];
                 if child.exhausted {
                     continue;
                 }
@@ -497,127 +289,95 @@ fn run_search(
             }
             match best_child {
                 Some((_, a, c)) => {
-                    actions.push(a);
-                    joined |= 1 << a.rel();
-                    path.push(c);
+                    s.actions.push(a);
+                    joined |= 1 << a.rel;
+                    s.path.push(c);
                 }
-                None => break, // dead end or fully enumerated subtree
+                None => break, // fully enumerated subtree
             }
         }
 
         // ---- Rollout ----
-        // Uniform random completion, sampled directly from the frontier
-        // bitmask. Each frontier relation contributes exactly 3 scans x 3
-        // joins in the flat legal-action list, so drawing one index in
+        // Uniform random completion, sampled directly from the bitmask of
+        // relations that may come next. Each contributes exactly 3 scans x
+        // 3 joins in the flat legal-action list, so drawing one index in
         // `0..popcount * 9` and decoding it picks the same action — with
         // the same RNG draw — as indexing the materialized list, without
         // building it.
-        rollout.clear();
-        rollout.extend_from_slice(actions);
+        s.rollout.clear();
+        s.rollout.extend_from_slice(&s.actions);
         let mut roll_joined = joined;
-        while rollout.len() < qi.n {
-            let a = if rollout.is_empty() {
+        while s.rollout.len() < qi.n {
+            let a = if s.rollout.is_empty() {
                 let i = rng.gen_range(0..qi.n * 3);
-                Action::Start { rel: (i / 3) as u32, scan: ScanOp::ALL[i % 3] }
+                Action { rel: (i / 3) as u32, scan: ScanOp::ALL[i % 3], join: None }
             } else {
-                let frontier = qi.frontier(roll_joined);
-                if frontier == 0 {
-                    break;
-                }
-                let i = rng.gen_range(0..frontier.count_ones() as usize * 9);
-                let mut rest = frontier;
+                let next = qi.next_rels(roll_joined);
+                let i = rng.gen_range(0..next.count_ones() as usize * 9);
+                let mut rest = next;
                 for _ in 0..i / 9 {
                     rest &= rest - 1;
                 }
-                let rel = rest.trailing_zeros();
-                Action::Extend { rel, scan: ScanOp::ALL[i % 9 / 3], join: JoinOp::ALL[i % 3] }
+                let (scan, join) = (ScanOp::ALL[i % 9 / 3], JoinOp::ALL[i % 3]);
+                Action { rel: rest.trailing_zeros(), scan, join: Some(join) }
             };
-            roll_joined |= 1 << a.rel();
-            rollout.push(a);
-        }
-        if rollout.len() != qi.n {
-            continue; // disconnected: cannot finish from here
+            roll_joined |= 1 << a.rel;
+            s.rollout.push(a);
         }
 
         // ---- Evaluation ----
-        // A cache hit backs up immediately. With batching enabled, a
-        // miss joins the pending queue (deduped by packed signature)
-        // and its backup is deferred until the queue flushes through
-        // one forward pass; a plan's score is bitwise identical either
-        // way, but the tree the next simulation descends is not.
-        key_buf.clear();
-        key_buf.extend(rollout.iter().map(|a| a.pack()));
-        if let Some(&t) = eval_cache.get(key_buf.as_slice()) {
-            apply_eval(nodes, best_seq, best_t, rollout, path, t, true);
-        } else if batch <= 1 {
-            ev.score(feat_sess, query, &[&asm.build_for_eval(rollout)], ctx, scores_buf);
-            let t = scores_buf[0];
-            let mut key = key_pool.pop().unwrap_or_default();
-            key.clear();
-            key.extend_from_slice(key_buf);
-            eval_cache.insert(key, t);
-            apply_eval(nodes, best_seq, best_t, rollout, path, t, true);
+        // The visit is counted now. For a queued plan that is a virtual
+        // loss (the reward comes at flush time), so UCT stops re-selecting
+        // a path whose score is already in flight — without it a large
+        // fraction of the simulations between flushes duplicate queued
+        // rollouts. A cache hit backs up at once; a miss joins the queue
+        // (deduped by packed signature) and backs up when the queue
+        // flushes through one forward — at once when `batch` is 1.
+        for &ni in &s.path {
+            s.nodes[ni].visits += 1.0;
+        }
+        s.key_buf.clear();
+        s.key_buf.extend(s.rollout.iter().map(|a| a.pack()));
+        if let Some(&t) = s.eval_cache.get(s.key_buf.as_slice()) {
+            apply_eval(&mut s.nodes, &mut s.best_seq, &mut s.best_t, &s.rollout, &s.path, t);
         } else {
-            // Virtual loss: count the visit now (reward comes at flush
-            // time) so UCT stops re-selecting a path whose score is
-            // already in flight — without it a large fraction of the
-            // simulations between flushes duplicate queued rollouts.
-            for &ni in path.iter() {
-                nodes[ni].visits += 1.0;
-            }
-            let mut w = waiter_pool.pop().unwrap_or_default();
+            let mut w = s.waiter_pool.pop().unwrap_or_default();
             w.path.clear();
-            w.path.extend_from_slice(path);
+            w.path.extend_from_slice(&s.path);
             w.rollout.clear();
-            w.rollout.extend_from_slice(rollout);
-            match pending.iter_mut().find(|p| p.key == *key_buf) {
+            w.rollout.extend_from_slice(&s.rollout);
+            match s.pending.iter_mut().find(|p| p.key == s.key_buf) {
                 Some(p) => p.waiters.push(w),
                 None => {
-                    let mut p = pending_pool.pop().unwrap_or_default();
-                    let mut key = key_pool.pop().unwrap_or_default();
+                    let mut p = s.pending_pool.pop().unwrap_or_default();
+                    let mut key = s.key_pool.pop().unwrap_or_default();
                     key.clear();
-                    key.extend_from_slice(key_buf);
+                    key.extend_from_slice(&s.key_buf);
                     p.key = key;
                     p.waiters.push(w);
-                    pending.push(p);
+                    s.pending.push(p);
                 }
             }
-            if pending.len() >= batch {
-                flush_pending(
-                    ev,
-                    query,
-                    asm,
-                    feat_sess,
-                    ctx,
-                    pending,
-                    pending_pool,
-                    waiter_pool,
-                    eval_cache,
-                    nodes,
-                    best_seq,
-                    best_t,
-                    plans_buf,
-                    scores_buf,
-                );
+            if s.pending.len() >= batch {
+                s.flush(qi, ev);
             }
         }
 
         // ---- Exhaustion propagation (bottom-up along the path) ----
-        // A terminal node and a dead end both have an empty `untried`
-        // and no unexhausted children; an interior node becomes
-        // exhausted once every child is.
-        for &node_idx in path.iter().rev() {
-            let n = &nodes[node_idx];
+        // A terminal node has an empty `untried` and no children; an
+        // interior node becomes exhausted once every child is.
+        for &node_idx in s.path.iter().rev() {
+            let n = &s.nodes[node_idx];
             if n.expanded
                 && n.untried.is_empty()
-                && n.children.iter().all(|&(_, c)| nodes[c].exhausted)
+                && n.children.iter().all(|&(_, c)| s.nodes[c].exhausted)
             {
-                nodes[node_idx].exhausted = true;
+                s.nodes[node_idx].exhausted = true;
             } else {
                 break;
             }
         }
-        if nodes[0].exhausted {
+        if s.nodes[0].exhausted {
             // The whole reachable plan space has been scored; further
             // simulations cannot find anything new.
             break;
@@ -626,23 +386,51 @@ fn run_search(
 
     // Score whatever is still queued (budget cut-offs and exhaustion
     // exits land here with a partial batch).
-    flush_pending(
-        ev,
-        query,
-        asm,
-        feat_sess,
-        ctx,
-        pending,
-        pending_pool,
-        waiter_pool,
-        eval_cache,
-        nodes,
-        best_seq,
-        best_t,
-        plans_buf,
-        scores_buf,
-    );
-    (simulations, budget_exhausted)
+    s.flush(qi, ev);
+    if s.best_t.is_none() {
+        // Budget hit before any complete rollout: greedy completion.
+        greedy_complete(qi, &mut s.best_seq, &mut s.acts_buf);
+    }
+    Found {
+        plan: left_deep(qi, &s.best_seq, true),
+        score: s.best_t.unwrap_or(f64::INFINITY),
+        simulations,
+        evals: s.eval_cache.len(),
+        budget_exhausted,
+    }
+}
+
+impl MctsScratch {
+    /// Build every queued plan, score them all in one [`Evaluator::score`]
+    /// call, scatter the results into the eval cache, and run the deferred
+    /// backups in queue order. All allocations (pendings, waiters, cache
+    /// keys) are recycled into pools.
+    fn flush(&mut self, qi: &QueryIndex, ev: &mut Evaluator) {
+        if self.pending.is_empty() {
+            return;
+        }
+        self.plans_buf.clear();
+        self.plans_buf
+            .extend(self.pending.iter().map(|p| left_deep(qi, &p.waiters[0].rollout, false)));
+        let plan_refs: Vec<&PlanNode> = self.plans_buf.iter().collect();
+        ev.score(&plan_refs, &mut self.scores_buf);
+        debug_assert_eq!(self.scores_buf.len(), self.pending.len());
+        for (p, &t) in self.pending.iter_mut().zip(self.scores_buf.iter()) {
+            self.eval_cache.insert(std::mem::take(&mut p.key), t);
+            for w in p.waiters.drain(..) {
+                apply_eval(
+                    &mut self.nodes,
+                    &mut self.best_seq,
+                    &mut self.best_t,
+                    &w.rollout,
+                    &w.path,
+                    t,
+                );
+                self.waiter_pool.push(w);
+            }
+        }
+        self.pending_pool.append(&mut self.pending);
+    }
 }
 
 /// Deterministic greedy plan completion for budget cut-offs that land
@@ -652,19 +440,17 @@ fn greedy_complete(qi: &QueryIndex, best_seq: &mut Vec<Action>, acts_buf: &mut V
     let mut joined = 0u64;
     while best_seq.len() < qi.n {
         legal_actions_into(qi, best_seq, joined, acts_buf);
-        let a = *acts_buf.first().expect("connected query");
-        joined |= 1 << a.rel();
+        let a = acts_buf[0];
+        joined |= 1 << a.rel;
         best_seq.push(a);
     }
 }
 
-/// Record one scored rollout: update the incumbent best, then back the
-/// score up the tree path. Reward = 1 when the node's action prefix lies
-/// on the best plan; the in-tree prefix equals `rollout[..depth]` for every
-/// depth on `path`, so the waiter needs no separate `actions` copy. `count_visit` is false for deferred (batched)
-/// backups, whose visit was already recorded as a virtual loss at enqueue
-/// time.
-#[allow(clippy::too_many_arguments)]
+/// Record one scored rollout whose visit is already counted: update the
+/// incumbent best, then back the score up the tree path. Reward = 1 when
+/// the node's action prefix lies on the best plan; the in-tree prefix
+/// equals `rollout[..depth]` for every depth on `path`, so the waiter
+/// needs no separate `actions` copy.
 fn apply_eval(
     nodes: &mut [TreeNode],
     best_seq: &mut Vec<Action>,
@@ -672,7 +458,6 @@ fn apply_eval(
     rollout: &[Action],
     path: &[usize],
     t: f64,
-    count_visit: bool,
 ) {
     if best_t.map(|bt| t < bt).unwrap_or(true) {
         *best_t = Some(t);
@@ -680,74 +465,32 @@ fn apply_eval(
         best_seq.extend_from_slice(rollout);
     }
     for (depth, &node_idx) in path.iter().enumerate() {
-        if count_visit {
-            nodes[node_idx].visits += 1.0;
-        }
         if depth <= best_seq.len() && rollout[..depth] == best_seq[..depth.min(best_seq.len())] {
             nodes[node_idx].reward += 1.0;
         }
     }
 }
 
-/// Compile every queued plan, score them all in one [`Evaluator::score`]
-/// call, scatter the results into the eval cache, and run the deferred
-/// backups in queue order. All
-/// allocations (pendings, waiters, cache keys) are recycled into pools.
-#[allow(clippy::too_many_arguments)]
-fn flush_pending(
-    ev: &Evaluator,
-    query: &Query,
-    asm: &PlanAssembler,
-    feat_sess: &mut FeatSession,
-    ctx: &mut QueryContext,
-    pending: &mut Vec<Pending>,
-    pending_pool: &mut Vec<Pending>,
-    waiter_pool: &mut Vec<Waiter>,
-    eval_cache: &mut HashMap<Vec<u64>, f64, FnvBuild>,
-    nodes: &mut [TreeNode],
-    best_seq: &mut Vec<Action>,
-    best_t: &mut Option<f64>,
-    plans_buf: &mut Vec<PlanNode>,
-    scores_buf: &mut Vec<f64>,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    plans_buf.clear();
-    plans_buf.extend(pending.iter().map(|p| asm.build_for_eval(&p.waiters[0].rollout)));
-    let plan_refs: Vec<&PlanNode> = plans_buf.iter().collect();
-    ev.score(feat_sess, query, &plan_refs, ctx, scores_buf);
-    debug_assert_eq!(scores_buf.len(), pending.len());
-    for (p, &t) in pending.iter_mut().zip(scores_buf.iter()) {
-        eval_cache.insert(std::mem::take(&mut p.key), t);
-        for w in p.waiters.drain(..) {
-            apply_eval(nodes, best_seq, best_t, &w.rollout, &w.path, t, false);
-            waiter_pool.push(w);
-        }
-    }
-    pending_pool.append(pending);
-}
-
-/// Legal actions from a partial action sequence into `out` (cleared first):
-/// connected extensions only, in relation-index order so the search is
-/// deterministic.
+/// Legal actions from a partial action sequence into `out` (cleared first),
+/// in relation-index order so the search is deterministic: any opening
+/// relation, then the relations [`QueryIndex::next_rels`] admits.
 fn legal_actions_into(qi: &QueryIndex, actions: &[Action], joined: u64, out: &mut Vec<Action>) {
     out.clear();
     if actions.is_empty() {
         for rel in 0..qi.n as u32 {
             for scan in ScanOp::ALL {
-                out.push(Action::Start { rel, scan });
+                out.push(Action { rel, scan, join: None });
             }
         }
         return;
     }
-    let mut frontier = qi.frontier(joined);
-    while frontier != 0 {
-        let rel = frontier.trailing_zeros();
-        frontier &= frontier - 1;
+    let mut next = qi.next_rels(joined);
+    while next != 0 {
+        let rel = next.trailing_zeros();
+        next &= next - 1;
         for scan in ScanOp::ALL {
             for join in JoinOp::ALL {
-                out.push(Action::Extend { rel, scan, join });
+                out.push(Action { rel, scan, join: Some(join) });
             }
         }
     }
@@ -756,49 +499,32 @@ fn legal_actions_into(qi: &QueryIndex, actions: &[Action], joined: u64, out: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ModelConfig;
     use crate::search::strategy::{StrategyConfig, StrategyPlanner};
-    use qpseeker_engine::query::{ColRef, JoinPred, RelRef};
+    use crate::search::tests::{fitted_model, three_way};
+    use crate::session::PlannerSession;
+    use qpseeker_engine::query::{ColRef, JoinPred, Query, RelRef};
     use qpseeker_storage::datagen::imdb;
-    use qpseeker_workloads::{synthetic, Qep, SyntheticConfig};
 
-    fn fitted_model(db: &std::sync::Arc<qpseeker_storage::Database>) -> QPSeeker {
-        let w = synthetic::generate(db, &SyntheticConfig { n_queries: 16, seed: 3 });
-        let refs: Vec<&Qep> = w.qeps.iter().collect();
-        let mut m = QPSeeker::new(db, ModelConfig::small());
-        m.fit(&refs).expect("training succeeds");
-        m
+    /// Mean-scored MCTS at the default rollout batch.
+    fn mcts(cfg: MctsConfig) -> StrategyPlanner {
+        StrategyPlanner::from_config(&StrategyConfig::default(), cfg)
     }
 
-    fn three_way(db: &qpseeker_storage::Database) -> Query {
-        let _ = db;
-        let mut q = Query::new("mcts-q");
-        q.relations =
-            vec![RelRef::new("title"), RelRef::new("movie_info"), RelRef::new("movie_keyword")];
-        q.joins = vec![
-            JoinPred {
-                left: ColRef::new("movie_info", "movie_id"),
-                right: ColRef::new("title", "id"),
-            },
-            JoinPred {
-                left: ColRef::new("movie_keyword", "movie_id"),
-                right: ColRef::new("title", "id"),
-            },
-        ];
-        q
+    fn opening(rel: u32, scan: ScanOp) -> Action {
+        Action { rel, scan, join: None }
+    }
+
+    fn joining(rel: u32, scan: ScanOp, join: JoinOp) -> Action {
+        Action { rel, scan, join: Some(join) }
     }
 
     #[test]
     fn produces_valid_left_deep_plan() {
         let db = std::sync::Arc::new(imdb::generate(0.05, 1));
         let model = fitted_model(&db);
-        let q = three_way(&db);
-        let planner = MctsPlanner::new(MctsConfig {
-            budget_ms: 500.0,
-            max_simulations: 60,
-            ..Default::default()
-        });
-        let res = planner.plan(&model, &q);
+        let q = three_way();
+        let res = mcts(MctsConfig { budget_ms: 500.0, max_simulations: 60, ..Default::default() })
+            .plan(&model, &q);
         assert!(res.plan.validate(&q).is_ok());
         assert!(res.plan.is_left_deep());
         assert!(res.simulations > 0);
@@ -809,33 +535,22 @@ mod tests {
     #[test]
     fn deterministic_with_simulation_cap() {
         let db = std::sync::Arc::new(imdb::generate(0.05, 1));
-        let q = three_way(&db);
+        let q = three_way();
         let cfg = MctsConfig { budget_ms: 1e9, max_simulations: 40, ..Default::default() };
         let m1 = fitted_model(&db);
-        let r1 = MctsPlanner::new(cfg.clone()).plan(&m1, &q);
+        let r1 = mcts(cfg.clone()).plan(&m1, &q);
         let m2 = fitted_model(&db);
-        let r2 = MctsPlanner::new(cfg).plan(&m2, &q);
+        let r2 = mcts(cfg).plan(&m2, &q);
         assert_eq!(r1.plan, r2.plan);
         assert_eq!(r1.simulations, r2.simulations);
-    }
-
-    #[test]
-    fn single_relation_query_picks_a_scan() {
-        let db = std::sync::Arc::new(imdb::generate(0.05, 1));
-        let model = fitted_model(&db);
-        let mut q = Query::new("single");
-        q.relations = vec![RelRef::new("title")];
-        let res = MctsPlanner::new(MctsConfig::default()).plan(&model, &q);
-        assert!(matches!(res.plan, PlanNode::Scan { .. }));
-        assert_eq!(res.plans_evaluated, 3);
     }
 
     #[test]
     fn budget_cuts_off_search() {
         let db = std::sync::Arc::new(imdb::generate(0.05, 1));
         let model = fitted_model(&db);
-        let q = three_way(&db);
-        let planner = MctsPlanner::new(MctsConfig {
+        let q = three_way();
+        let planner = mcts(MctsConfig {
             budget_ms: 1.0, // 1ms: will be exhausted almost immediately
             max_simulations: usize::MAX,
             ..Default::default()
@@ -848,21 +563,13 @@ mod tests {
     #[test]
     fn more_simulations_never_worsen_predicted_time() {
         let db = std::sync::Arc::new(imdb::generate(0.05, 1));
-        let q = three_way(&db);
+        let q = three_way();
         let m1 = fitted_model(&db);
-        let few = MctsPlanner::new(MctsConfig {
-            budget_ms: 1e9,
-            max_simulations: 5,
-            ..Default::default()
-        })
-        .plan(&m1, &q);
+        let few = mcts(MctsConfig { budget_ms: 1e9, max_simulations: 5, ..Default::default() })
+            .plan(&m1, &q);
         let m2 = fitted_model(&db);
-        let many = MctsPlanner::new(MctsConfig {
-            budget_ms: 1e9,
-            max_simulations: 100,
-            ..Default::default()
-        })
-        .plan(&m2, &q);
+        let many = mcts(MctsConfig { budget_ms: 1e9, max_simulations: 100, ..Default::default() })
+            .plan(&m2, &q);
         assert!(many.predicted_ms <= few.predicted_ms + 1e-9);
     }
 
@@ -894,90 +601,78 @@ mod tests {
     }
 
     #[test]
-    fn plan_assembler_matches_compiled_spec() {
-        // The assembler must produce exactly what `LeftDeepSpec::compile`
-        // produced for the same action sequence — same tree, same pushed
-        // filters, same join-predicate order — since every bitwise
-        // determinism guarantee is stated in terms of the emitted plan.
+    fn left_deep_build_matches_compiled_spec() {
+        // The fold over the query index must produce exactly what
+        // `LeftDeepSpec::compile` produces for the same action sequence —
+        // same tree, same pushed filters, same join-predicate order — since
+        // every bitwise determinism guarantee is stated in terms of the
+        // emitted plan.
         use qpseeker_engine::inject::LeftDeepSpec;
-        let db = std::sync::Arc::new(imdb::generate(0.05, 1));
-        let q = three_way(&db);
-        let asm = PlanAssembler::new(&q);
+        let q = three_way();
+        let qi = QueryIndex::new(&q);
         let seqs: Vec<Vec<Action>> = vec![
             vec![
-                Action::Start { rel: 0, scan: ScanOp::SeqScan },
-                Action::Extend { rel: 1, scan: ScanOp::IndexScan, join: JoinOp::HashJoin },
-                Action::Extend { rel: 2, scan: ScanOp::BitmapIndexScan, join: JoinOp::MergeJoin },
+                opening(0, ScanOp::SeqScan),
+                joining(1, ScanOp::IndexScan, JoinOp::HashJoin),
+                joining(2, ScanOp::BitmapIndexScan, JoinOp::MergeJoin),
             ],
             vec![
-                Action::Start { rel: 2, scan: ScanOp::IndexScan },
-                Action::Extend { rel: 0, scan: ScanOp::SeqScan, join: JoinOp::NestedLoopJoin },
-                Action::Extend { rel: 1, scan: ScanOp::SeqScan, join: JoinOp::HashJoin },
+                opening(2, ScanOp::IndexScan),
+                joining(0, ScanOp::SeqScan, JoinOp::NestedLoopJoin),
+                joining(1, ScanOp::SeqScan, JoinOp::HashJoin),
             ],
         ];
         for actions in &seqs {
             let spec = LeftDeepSpec {
                 scans: actions
                     .iter()
-                    .map(|a| {
-                        let scan = match *a {
-                            Action::Start { scan, .. } | Action::Extend { scan, .. } => scan,
-                        };
-                        (q.relations[a.rel() as usize].alias.clone(), scan)
-                    })
+                    .map(|a| (q.relations[a.rel as usize].alias.clone(), a.scan))
                     .collect(),
-                joins: actions
-                    .iter()
-                    .filter_map(|a| match *a {
-                        Action::Extend { join, .. } => Some(join),
-                        Action::Start { .. } => None,
-                    })
-                    .collect(),
+                joins: actions.iter().filter_map(|a| a.join).collect(),
             };
             let compiled = spec.compile(&q).expect("sequence compiles");
-            assert_eq!(asm.build(actions), compiled);
+            assert_eq!(left_deep(&qi, actions, true), compiled);
         }
     }
 
     #[test]
     fn eval_plan_scores_match_full_build() {
-        // The search scores `build_for_eval` plans (no join predicates)
-        // but returns and reports `build` plans. That is only sound while
-        // the fast featurization path ignores `preds`; this test turns the
-        // invariant into a loud failure if featurization ever starts
-        // reading them.
+        // The search scores plans built without join predicates but
+        // returns and reports plans built with them. That is only sound
+        // while the fast featurization path ignores `preds`; this test
+        // turns the invariant into a loud failure if featurization ever
+        // starts reading them.
         let db = std::sync::Arc::new(imdb::generate(0.05, 1));
         let model = fitted_model(&db);
-        let q = three_way(&db);
-        let asm = PlanAssembler::new(&q);
+        let q = three_way();
+        let qi = QueryIndex::new(&q);
         let actions = [
-            Action::Start { rel: 0, scan: ScanOp::SeqScan },
-            Action::Extend { rel: 1, scan: ScanOp::IndexScan, join: JoinOp::HashJoin },
-            Action::Extend { rel: 2, scan: ScanOp::SeqScan, join: JoinOp::MergeJoin },
+            opening(0, ScanOp::SeqScan),
+            joining(1, ScanOp::IndexScan, JoinOp::HashJoin),
+            joining(2, ScanOp::SeqScan, JoinOp::MergeJoin),
         ];
-        let mut feat = FeatSession::new();
+        let mut feat = crate::featurize::FeatSession::new();
         let mut ctx = model.query_context(&q);
-        let full =
-            model.predict_with_context_in(&mut feat, &q, &asm.build(&actions), &mut ctx).runtime_ms;
-        let eval = model
-            .predict_with_context_in(&mut feat, &q, &asm.build_for_eval(&actions), &mut ctx)
-            .runtime_ms;
+        let mut predict = |with_preds| {
+            let plan = left_deep(&qi, &actions, with_preds);
+            model.predict_with_context_in(&mut feat, &q, &plan, &mut ctx).runtime_ms
+        };
+        let (full, eval) = (predict(true), predict(false));
         assert_eq!(full.to_bits(), eval.to_bits());
     }
 
     #[test]
     fn legal_actions_respect_connectivity() {
-        let db = std::sync::Arc::new(imdb::generate(0.05, 1));
-        let q = three_way(&db);
+        let q = three_way();
         let qi = QueryIndex::new(&q);
         let mut acts = Vec::new();
         legal_actions_into(&qi, &[], 0, &mut acts);
-        assert_eq!(acts.len(), 3 * 3); // 3 relations x 3 scan ops
-                                       // movie_info is relation index 1; title (index 0) is its only neighbor.
-        let start = Action::Start { rel: 1, scan: ScanOp::SeqScan };
+        assert_eq!(acts.len(), 3 * 3, "3 relations x 3 scan ops");
+        // movie_info is relation index 1; title (index 0) is its only neighbor.
+        let start = opening(1, ScanOp::SeqScan);
         legal_actions_into(&qi, &[start], 1 << 1, &mut acts);
-        assert!(acts.iter().all(|a| matches!(a, Action::Extend { rel: 0, .. })));
-        assert_eq!(acts.len(), 3 * 3); // 1 relation x 3 scans x 3 joins
+        assert!(acts.iter().all(|a| a.rel == 0 && a.join.is_some()));
+        assert_eq!(acts.len(), 3 * 3, "1 relation x 3 scans x 3 joins");
     }
 
     #[test]
@@ -985,9 +680,9 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for rel in 0..4u32 {
             for scan in ScanOp::ALL {
-                assert!(seen.insert(Action::Start { rel, scan }.pack()));
+                assert!(seen.insert(opening(rel, scan).pack()));
                 for join in JoinOp::ALL {
-                    assert!(seen.insert(Action::Extend { rel, scan, join }.pack()));
+                    assert!(seen.insert(joining(rel, scan, join).pack()));
                 }
             }
         }

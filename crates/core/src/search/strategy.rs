@@ -3,9 +3,12 @@
 //! [`StrategyConfig`] is the serializable request-level knob (carried per
 //! request by `serve` and per tenant by `tenant`): search kind (left-deep
 //! MCTS or bushy beam), the risk weight λ, the latent sample count, the
-//! beam width, and the MCTS rollout-batch size. [`StrategyPlanner::from_config`] turns it plus the session's
+//! beam width, and the MCTS rollout-batch size.
+//! [`StrategyPlanner::from_config`] turns it plus the session's
 //! [`MctsConfig`] (budget, evaluation cap, seed — shared by both
-//! strategies) into a runnable planner.
+//! strategies) into the planner, which owns everything the searches share:
+//! the empty-query check, the scoring function, the per-query index, the
+//! single-relation plan and the result.
 //!
 //! # Risk-aware scoring
 //!
@@ -26,13 +29,17 @@
 //! block), not a different forward; λ = 0 submits rows without eps, which
 //! is mean-only scoring.
 
-use super::beam::BeamPlanner;
-use super::mcts::{MctsConfig, MctsPlanner, MctsResult};
+use super::mcts::{MctsConfig, MctsResult};
+use super::{beam, mcts, QueryIndex};
+use crate::encoder::NodeMemo;
+use crate::evalbroker::BrokerMember;
 use crate::featurize::FeatSession;
 use crate::model::{QPSeeker, QueryContext};
-use qpseeker_engine::plan::PlanNode;
+use crate::session::PlannerSession;
+use qpseeker_engine::plan::{PlanNode, ScanOp};
 use qpseeker_engine::query::Query;
 use qpseeker_nn::prelude::Tensor;
+use std::time::Instant;
 
 /// Which search algorithm a planning request runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,13 +77,14 @@ pub struct StrategyConfig {
     /// Risk weight λ ≥ 0: candidates are ranked by `mean + λ·σ` over the
     /// latent samples. `0` disables sampling (mean-only scoring).
     pub risk_lambda: f64,
-    /// Latent samples `S` drawn per evaluation when `risk_lambda > 0`.
+    /// Latent samples `S` drawn per evaluation when `risk_lambda > 0`;
+    /// `0` is mean-only scoring whatever λ is.
     pub risk_samples: usize,
     /// States kept per level by the beam strategy.
     pub beam_width: usize,
     /// How many distinct completed rollouts an MCTS session queues before
     /// scoring them in one forward; `None` is [`DEFAULT_BATCH_EVAL`], `<= 1`
-    /// scores every rollout immediately. A plan's *score* does not depend on
+    /// scores every rollout as soon as it completes (a queue of one). A plan's *score* does not depend on
     /// what it is batched with, but the MCTS *trajectory* does — queued
     /// rollouts carry virtual loss and back up later, so the tree visits
     /// different plans under a simulation cap — hence the resolved size is
@@ -117,14 +125,14 @@ impl StrategyConfig {
     /// the plan cache: a cached plan may only be served to a request whose
     /// strategy stamp matches the one it was planned under. Irrelevant
     /// knobs are normalized out (beam width under MCTS, rollout-batch size
-    /// under beam, sample count at λ = 0) so equivalent configurations
-    /// share entries.
+    /// under beam, λ and sample count whenever either makes scoring
+    /// mean-only) so equivalent configurations share entries.
     pub fn cache_stamp(&self) -> u64 {
         let (bw, batch) = match self.kind {
             StrategyKind::Mcts => (0, self.mcts_batch() as u64),
             StrategyKind::Beam => (self.beam_width as u64, 0),
         };
-        let (lambda_bits, samples) = if self.risk_lambda > 0.0 {
+        let (lambda_bits, samples) = if self.risk().enabled() {
             (self.risk_lambda.to_bits(), self.risk_samples as u64)
         } else {
             (0, 0)
@@ -148,62 +156,122 @@ impl RiskParams {
     }
 }
 
-/// Strategy dispatch: the concrete planner chosen by a [`StrategyConfig`].
-/// Both strategies plan one query with all mutable state in the caller's
-/// session and report through [`MctsResult`] (plan, predicted score, work
-/// counters); `predicted_ms` is the selection score — the model's mean
-/// predicted runtime, or `mean + λ·σ` under risk scoring.
-pub enum StrategyPlanner {
-    Mcts(MctsPlanner),
-    Beam(BeamPlanner),
+/// The planner. It runs the search a [`StrategyConfig`] selects under the
+/// wall-clock budget, evaluation cap (`max_simulations`) and seed of an
+/// [`MctsConfig`], with all mutable state in the caller's
+/// [`PlannerSession`]. Every search reports through [`MctsResult`];
+/// `predicted_ms` is the selection score — the model's mean predicted
+/// runtime, or `mean + λ·σ` under risk scoring.
+#[derive(Debug, Clone)]
+pub struct StrategyPlanner {
+    strategy: StrategyConfig,
+    mcts: MctsConfig,
 }
 
 impl StrategyPlanner {
     /// Build the planner a request asked for. `mcts` carries the knobs
-    /// shared by both strategies — wall-clock budget, evaluation cap
-    /// (`max_simulations`) and seed — exactly as serving already derives
-    /// them per attempt.
-    pub fn from_config(strat: &StrategyConfig, mcts: MctsConfig) -> Self {
-        let risk = strat.risk();
-        match strat.kind {
-            StrategyKind::Mcts => {
-                Self::Mcts(MctsPlanner::with_risk(mcts, risk, strat.mcts_batch()))
-            }
-            StrategyKind::Beam => Self::Beam(BeamPlanner::with_risk(mcts, strat.beam_width, risk)),
-        }
+    /// shared by both strategies exactly as serving derives them per
+    /// attempt.
+    pub fn from_config(strategy: &StrategyConfig, mcts: MctsConfig) -> Self {
+        Self { strategy: strategy.clone(), mcts }
     }
 
+    /// One-shot [`Self::plan_with_session`] on a fresh [`PlannerSession`]
+    /// built for this call (cold featurization caches every time): for
+    /// examples and experiments; anything planning in a loop keeps its own
+    /// session.
+    pub fn plan(&self, model: &QPSeeker, query: &Query) -> MctsResult {
+        self.plan_with_session(model, query, &mut PlannerSession::new())
+    }
+
+    /// Plan `query` using `model` as the evaluation function, with all
+    /// mutable state in `sess`. The query is encoded exactly once (its
+    /// [`QueryContext`]); every candidate reuses that embedding and only
+    /// pays for the plan side.
     pub fn plan_with_session(
         &self,
         model: &QPSeeker,
         query: &Query,
-        sess: &mut crate::session::PlannerSession,
+        sess: &mut PlannerSession,
     ) -> MctsResult {
-        match self {
-            Self::Mcts(p) => p.plan_with_session(model, query, sess),
-            Self::Beam(p) => p.plan_with_session(model, query, sess),
+        assert!(!query.relations.is_empty(), "cannot plan an empty query");
+        let start = Instant::now();
+        let PlannerSession { feat, search, broker, memo } = sess;
+        let risk = self.strategy.risk();
+        let ctx = model.query_context_reusing(query, std::mem::take(memo));
+        let mut ev = Evaluator::new(model, query, feat, ctx, risk, self.mcts.seed, broker.as_ref());
+        let qi = QueryIndex::new(query);
+        let found = match self.strategy.kind {
+            _ if qi.n == 1 => best_scan(&qi, &mut ev),
+            StrategyKind::Mcts => {
+                let batch = self.strategy.mcts_batch();
+                mcts::search(&self.mcts, batch, &qi, &mut ev, &mut search.mcts, start)
+            }
+            StrategyKind::Beam => {
+                let width = self.strategy.beam_width.max(1);
+                beam::search(&self.mcts, width, &qi, &mut ev, &mut search.beam, start)
+            }
+        };
+        MctsResult {
+            plan: found.plan,
+            predicted_ms: found.score,
+            simulations: found.simulations,
+            plans_evaluated: found.evals,
+            nodes_encoded: ev.finish(memo),
+            budget_exhausted: found.budget_exhausted,
         }
     }
 }
 
-/// The scoring function both strategies evaluate candidates through: one
-/// method, [`Self::score`], which featurizes the candidates into a
+/// What a search returns to the front end: the chosen plan, its selection
+/// score, the search steps taken, the distinct candidates scored, and
+/// whether the wall-clock budget cut the search short.
+pub(crate) struct Found {
+    pub(crate) plan: PlanNode,
+    pub(crate) score: f64,
+    pub(crate) simulations: usize,
+    pub(crate) evals: usize,
+    pub(crate) budget_exhausted: bool,
+}
+
+/// A single relation: score its three scans in one call; the first of the
+/// cheapest wins.
+fn best_scan(qi: &QueryIndex, ev: &mut Evaluator) -> Found {
+    let plans = ScanOp::ALL.map(|op| qi.scan(0, op));
+    let mut scores = Vec::with_capacity(plans.len());
+    ev.score(&plans.each_ref(), &mut scores);
+    let best = (1..plans.len()).fold(0, |b, k| if scores[k] < scores[b] { k } else { b });
+    Found {
+        plan: plans[best].clone(),
+        score: scores[best],
+        simulations: plans.len(),
+        evals: plans.len(),
+        budget_exhausted: false,
+    }
+}
+
+/// The scoring function every search evaluates candidates through, over
+/// one query: [`Self::score`] featurizes the candidates into a
 /// [`Submission`](crate::evalbroker::Submission) and runs it through the
 /// model's single forward — on this thread, or fused with other sessions'
-/// rows by the broker. Mean-only (`risk: None`) reads out the runtime
-/// column; risk-aware scoring ranks by `mean + λ·σ` over the seeded latent
-/// batch.
+/// rows by the broker. It holds the query's [`QueryContext`] (embedding,
+/// node memo) for the whole search. Mean-only scoring reads out the
+/// runtime column; risk-aware scoring ranks by `mean + λ·σ` over the seeded
+/// latent batch.
 ///
 /// The `eps` tensor is derived from `(seed, query.id)` alone, so every
 /// worker and batch layout scores a given plan identically.
 pub(crate) struct Evaluator<'a> {
     model: &'a QPSeeker,
+    pub(crate) query: &'a Query,
+    feat: &'a mut FeatSession,
+    ctx: QueryContext,
     risk: Option<RiskCtx>,
     /// Seat on a shared [`crate::evalbroker::EvalBroker`]: when present,
     /// submissions park there to fuse with other sessions' rows instead of
     /// running a private forward. A row's score does not depend on what it
     /// is fused with, so attachment never changes a plan.
-    broker: Option<&'a crate::evalbroker::BrokerMember>,
+    broker: Option<&'a BrokerMember>,
 }
 
 struct RiskCtx {
@@ -217,50 +285,74 @@ struct RiskCtx {
 const RISK_EPS_SALT: u64 = 0x7a3d_91b4_c65f_20e7;
 
 impl<'a> Evaluator<'a> {
-    /// `broker` is the planning session's seat, if it has one.
+    /// `broker` is the planning session's seat, if it has one. Risk
+    /// scoring is on only when `risk` is enabled.
     pub(crate) fn new(
         model: &'a QPSeeker,
-        query: &Query,
-        risk: Option<&RiskParams>,
+        query: &'a Query,
+        feat: &'a mut FeatSession,
+        ctx: QueryContext,
+        risk: RiskParams,
         seed: u64,
-        broker: Option<&'a crate::evalbroker::BrokerMember>,
+        broker: Option<&'a BrokerMember>,
     ) -> Self {
-        let risk = risk.filter(|r| r.enabled()).map(|r| RiskCtx {
-            lambda: r.lambda,
+        let risk = risk.enabled().then(|| RiskCtx {
+            lambda: risk.lambda,
             eps: model.risk_eps(
-                r.samples,
+                risk.samples,
                 seed ^ qpseeker_storage::fnv::bytes(query.id.as_bytes()) ^ RISK_EPS_SALT,
             ),
         });
-        Self { model, risk, broker }
+        Self { model, query, feat, ctx, risk, broker }
     }
 
-    /// Score `plans` (candidates of `query`) into `scores`, cleared first,
-    /// in order. The only fork is where the forward runs.
-    pub(crate) fn score(
-        &self,
-        sess: &mut FeatSession,
-        query: &Query,
-        plans: &[&PlanNode],
-        ctx: &mut QueryContext,
-        scores: &mut Vec<f64>,
-    ) {
+    /// Score `plans` (candidates of the query) into `scores`, cleared
+    /// first, in order. The only fork is where the forward runs.
+    pub(crate) fn score(&mut self, plans: &[&PlanNode], scores: &mut Vec<f64>) {
         scores.clear();
         if plans.is_empty() {
             return;
         }
         let eps = self.risk.as_ref().map(|r| &r.eps);
-        let sub = self.model.submission(sess, query, plans, ctx, eps);
+        let sub = self.model.submission(self.feat, self.query, plans, &mut self.ctx, eps);
         let (outcome, sub) = match self.broker {
             Some(member) => member.submit(sub),
             None => self.model.score_local(sub),
         };
-        ctx.reclaim(sub);
+        self.ctx.reclaim(sub);
         match &self.risk {
             None => scores.extend(outcome.mean().iter().map(|p| p.runtime_ms)),
             Some(r) => {
                 scores.extend(outcome.risk().iter().map(|&(mean, sigma)| mean + r.lambda * sigma))
             }
+        }
+    }
+
+    /// End the query: hand the node memo back to the session's `slot` and
+    /// return the plan-node rows encoded for it.
+    fn finish(self, slot: &mut NodeMemo) -> usize {
+        self.ctx.finish(slot)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::search::tests::fitted_model;
+    use qpseeker_engine::query::RelRef;
+    use qpseeker_storage::datagen::imdb;
+
+    #[test]
+    fn single_relation_query_picks_a_scan() {
+        let db = std::sync::Arc::new(imdb::generate(0.05, 1));
+        let model = fitted_model(&db);
+        let mut q = Query::new("single");
+        q.relations = vec![RelRef::new("title")];
+        for kind in [StrategyKind::Mcts, StrategyKind::Beam] {
+            let strat = StrategyConfig { kind, ..Default::default() };
+            let res = StrategyPlanner::from_config(&strat, MctsConfig::default()).plan(&model, &q);
+            assert!(matches!(res.plan, PlanNode::Scan { .. }), "{}", kind.as_str());
+            assert_eq!(res.plans_evaluated, 3, "{}", kind.as_str());
         }
     }
 }

@@ -8,69 +8,29 @@
 //! worker creates one session at startup and reuses it for every request it
 //! handles, so the hot path takes no locks and caches stay warm per worker.
 //! The model holds no session of its own: the one-shot conveniences
-//! (`predict`, `MctsPlanner::plan`, …) build a fresh one per call.
+//! (`predict`, `StrategyPlanner::plan`, …) build a fresh one per call.
 
 use crate::encoder::NodeMemo;
 use crate::evalbroker::BrokerMember;
 use crate::featurize::FeatSession;
 use crate::model::QPSeeker;
-use crate::search::beam::BeamScratch;
-use crate::search::mcts::MctsScratch;
+use crate::search::{BeamScratch, MctsScratch};
 
-/// Search scratch for whichever strategy the session last ran. One request
-/// uses one strategy, so the variants never coexist; switching strategies
-/// mid-session simply rebuilds the other variant's (empty) scratch. Epoch
-/// hot-swap resets ([`PlannerSession::reset`]) drop the whole enum, so the
-/// invariant that no cached evaluation survives a model swap holds for
-/// every strategy, not just MCTS.
-// One scratch exists per worker thread (never in a collection), so the
-// variant size gap costs a few hundred stack bytes once — not worth the
-// pointer chase a `Box<MctsScratch>` would put on the search hot path.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum SearchScratch {
-    /// Left-deep MCTS: tree arena, evaluation cache, rollout buffers.
-    Mcts(MctsScratch),
-    /// Bushy beam search: subtree evaluation cache, closed set, buffers.
-    Beam(BeamScratch),
-}
-
-impl Default for SearchScratch {
-    fn default() -> Self {
-        Self::Mcts(MctsScratch::default())
-    }
-}
-
-impl SearchScratch {
-    /// The MCTS scratch, switching the variant over if the session last
-    /// ran beam search (the stale variant's caches are dropped — they are
-    /// keyed per strategy and must not leak across).
-    pub(crate) fn mcts(&mut self) -> &mut MctsScratch {
-        if !matches!(self, Self::Mcts(_)) {
-            *self = Self::Mcts(MctsScratch::default());
-        }
-        match self {
-            Self::Mcts(m) => m,
-            Self::Beam(_) => unreachable!("variant switched above"),
-        }
-    }
-
-    /// The beam scratch, switching the variant over if the session last
-    /// ran MCTS.
-    pub(crate) fn beam(&mut self) -> &mut BeamScratch {
-        if !matches!(self, Self::Beam(_)) {
-            *self = Self::Beam(BeamScratch::default());
-        }
-        match self {
-            Self::Beam(b) => b,
-            Self::Mcts(_) => unreachable!("variant switched above"),
-        }
-    }
+/// Search scratch of every strategy: tree arena or beam fringe, with their
+/// evaluation caches and reusable buffers. Each search clears its own
+/// scratch on entry and only recycles allocations across queries, so the
+/// two never share state; epoch hot-swap resets ([`PlannerSession::reset`])
+/// drop both, so no cached evaluation survives a model swap.
+#[derive(Default)]
+pub(crate) struct SearchScratch {
+    pub(crate) mcts: MctsScratch,
+    pub(crate) beam: BeamScratch,
 }
 
 /// Mutable per-thread planning state over one shared model: featurization
 /// caches (TaBERT encodings, filtered-column representations) plus the
-/// search scratch of whichever strategy is running (MCTS tree arena or
-/// beam fringe, with their evaluation caches and reusable buffers).
+/// search scratch (MCTS tree arena and beam fringe, with their evaluation
+/// caches and reusable buffers).
 ///
 /// Cheap to create — all caches start empty and fill on use. `Send` but not
 /// shared: pass it `&mut` into the `*_in` / `*_with_session` entry points.

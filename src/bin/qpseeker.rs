@@ -357,7 +357,8 @@ fn plan(opts: &Opts) -> Result<(), String> {
     let db = load_db(opts)?;
     let q = parse_sql(&db, req(opts, "sql")?)?;
     let model = load_model(req(opts, "model")?, &db)?;
-    let res = MctsPlanner::new(MctsConfig::default()).plan(&model, &q);
+    let res = StrategyPlanner::from_config(&StrategyConfig::default(), MctsConfig::default())
+        .plan(&model, &q);
     println!("{}", res.plan.pretty());
     println!(
         "predicted runtime: {:.3} ms ({} plans evaluated in {} simulations)",

@@ -303,11 +303,10 @@ fn long_search_keeps_the_memo_within_its_budget() {
     let mut model = QPSeeker::new(db, cfg);
     model.fit(&refs).expect("training succeeds");
     let query = grown_query(10, 0x10e1a);
-    let planner = MctsPlanner::new(MctsConfig {
-        budget_ms: 1e9,
-        max_simulations: 10_000,
-        ..MctsConfig::default()
-    });
+    let planner = StrategyPlanner::from_config(
+        &StrategyConfig::default(),
+        MctsConfig { budget_ms: 1e9, max_simulations: 10_000, ..MctsConfig::default() },
+    );
     let mut sess = PlannerSession::new();
     let res = planner.plan_with_session(&model, &query, &mut sess);
     assert!(

@@ -71,8 +71,10 @@ fn trained_mcts_planner_beats_random_planning() {
     assert!(!queries.is_empty(), "eval split must contain moderate queries");
 
     let ex = Executor::new(&db);
-    let planner =
-        MctsPlanner::new(MctsConfig { budget_ms: 1e9, max_simulations: 200, ..Default::default() });
+    let planner = StrategyPlanner::from_config(
+        &StrategyConfig::default(),
+        MctsConfig { budget_ms: 1e9, max_simulations: 200, ..Default::default() },
+    );
     let mut rng = StdRng::seed_from_u64(1);
     let mut mcts_total = 0.0;
     let mut random_total = 0.0;

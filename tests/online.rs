@@ -322,7 +322,10 @@ fn in_flight_model_reference_survives_swap_and_rollback() {
     assert!(cell.epoch() > epoch0, "both transitions bumped the epoch");
     // The held reference still plans end to end.
     let q = &requests(db, 1, 5)[0].query;
-    let planner = MctsPlanner::new(MctsConfig { max_simulations: 8, ..MctsConfig::default() });
+    let planner = StrategyPlanner::from_config(
+        &StrategyConfig::default(),
+        MctsConfig { max_simulations: 8, ..MctsConfig::default() },
+    );
     let result = planner.plan(&held, q);
     assert!(Executor::new(db).execute(&result.plan).time_ms > 0.0);
 }

@@ -182,8 +182,10 @@ fn mcts_plans_the_example_query() {
     let mut model = QPSeeker::new(&db, ModelConfig::small());
     let refs: Vec<&Qep> = qeps.iter().collect();
     model.fit(&refs).expect("training succeeds");
-    let planner =
-        MctsPlanner::new(MctsConfig { budget_ms: 1e9, max_simulations: 50, ..Default::default() });
+    let planner = StrategyPlanner::from_config(
+        &StrategyConfig::default(),
+        MctsConfig { budget_ms: 1e9, max_simulations: 50, ..Default::default() },
+    );
     let res = planner.plan(&model, &q);
     assert!(res.plan.validate(&q).is_ok());
     assert_eq!(res.plan.aliases().len(), 3);

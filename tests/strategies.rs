@@ -5,13 +5,16 @@
 //! 1. seeded latent sampling is deterministic: the same seed produces
 //!    bitwise-identical (mean, σ) risk statistics across independent
 //!    sessions ("workers") and across scalar vs batched evaluation;
-//! 2. λ = 0 short-circuits to the exact mean-only code path — the plan and
-//!    its prediction are bitwise equal to the plain MCTS planner's;
+//! 2. every config that turns risk off (λ = 0, or S = 0) takes the one
+//!    mean-only code path — bitwise-equal plans, predictions and eval
+//!    counts, and one plan-cache stamp;
 //! 3. worker count stays invisible under every strategy × λ × batch
 //!    combination (PR4's invariant extended to the strategy layer);
 //! 4. the serving loop conserves accounting under chaos for every strategy
 //!    combination, and the plan cache never serves one strategy's plan to
-//!    another (the strategy stamp keys entries).
+//!    another (the strategy stamp keys entries);
+//! 5. a query with a disconnected join graph plans neurally under every
+//!    strategy, with cross joins where no predicate is left.
 //!
 //! CI matrix hooks: `QPS_CHAOS_SEED` varies fault schedules;
 //! `QPS_STRATEGY` (`mcts`|`beam`) and `QPS_RISK_LAMBDA` pin the matrix to
@@ -156,28 +159,47 @@ fn seeded_risk_stats_are_bitwise_identical_across_sessions_and_batches() {
     assert_eq!(reference.unwrap(), batched_bits, "batched risk stats diverged from scalar");
 }
 
-/// Guarantee 2: λ = 0 is not "approximately" the old planner — it takes the
-/// identical code path, so the chosen plan and its predicted runtime are
-/// bitwise equal to the plain `MctsPlanner`'s on every query.
+/// Guarantee 2: mean-only scoring is one code path, whichever knob turns
+/// risk off. λ = 0 at S = 8, λ = 0 at S = 0 and λ = 0.5 at S = 0 choose
+/// bitwise-equal plans with bitwise-equal predictions and eval counts on
+/// every query, and share one plan-cache stamp.
 #[test]
 fn lambda_zero_plans_bitwise_equal_the_mean_only_path() {
     let model = shared_model();
     let mcts_cfg = MctsConfig { budget_ms: 1e9, max_simulations: 40, ..MctsConfig::default() };
-    let strat = StrategyConfig { risk_lambda: 0.0, ..StrategyConfig::default() };
+    let mean_only = |risk_lambda, risk_samples| StrategyConfig {
+        risk_lambda,
+        risk_samples,
+        ..StrategyConfig::default()
+    };
+    let reference = mean_only(0.0, 8);
+    let variants = [mean_only(0.0, 0), mean_only(0.5, 0)];
+    for strat in &variants {
+        assert_eq!(
+            strat.cache_stamp(),
+            reference.cache_stamp(),
+            "λ={} S={}: a mean-only config must share the mean-only stamp",
+            strat.risk_lambda,
+            strat.risk_samples
+        );
+    }
     for q in &queries(8, 0x10ad ^ chaos_seed()) {
         let mut s1 = model.new_session();
-        let r1 = MctsPlanner::new(mcts_cfg.clone()).plan_with_session(model, q, &mut s1);
-        let mut s2 = model.new_session();
-        let r2 = StrategyPlanner::from_config(&strat, mcts_cfg.clone())
-            .plan_with_session(model, q, &mut s2);
-        assert_eq!(r1.plan, r2.plan, "query {}: λ=0 changed the plan", q.id);
-        assert_eq!(
-            r1.predicted_ms.to_bits(),
-            r2.predicted_ms.to_bits(),
-            "query {}: λ=0 changed the prediction",
-            q.id
-        );
-        assert_eq!(r1.plans_evaluated, r2.plans_evaluated, "query {}", q.id);
+        let r1 = StrategyPlanner::from_config(&reference, mcts_cfg.clone())
+            .plan_with_session(model, q, &mut s1);
+        for strat in &variants {
+            let mut s2 = model.new_session();
+            let r2 = StrategyPlanner::from_config(strat, mcts_cfg.clone())
+                .plan_with_session(model, q, &mut s2);
+            let label = format!("query {} λ={} S={}", q.id, strat.risk_lambda, strat.risk_samples);
+            assert_eq!(r1.plan, r2.plan, "{label}: changed the plan");
+            assert_eq!(
+                r1.predicted_ms.to_bits(),
+                r2.predicted_ms.to_bits(),
+                "{label}: changed the prediction"
+            );
+            assert_eq!(r1.plans_evaluated, r2.plans_evaluated, "{label}");
+        }
     }
 }
 
@@ -366,6 +388,41 @@ fn plan_cache_is_isolated_per_strategy_end_to_end() {
             };
             assert!(rb.cache_hit, "query {}: expected a cache hit", a.query_id);
             assert_eq!(ra.plan, rb.plan, "query {}: cache returned a foreign plan", a.query_id);
+        }
+    }
+}
+
+/// Guarantee 5: a query whose join graph is disconnected plans neurally
+/// under every strategy. Once the joined set has no neighbour left, every
+/// unjoined relation is a legal cross join — the rule `PlanNode::validate`
+/// applies — so the search completes instead of panicking, and the serving
+/// loop serves the plan on its first attempt.
+#[test]
+fn disconnected_queries_plan_neurally_under_every_strategy() {
+    let db = shared_db();
+    let model = shared_model();
+    let mut partly = Query::new("disconnected-3");
+    partly.relations =
+        vec![RelRef::new("title"), RelRef::new("movie_info"), RelRef::new("keyword")];
+    partly.joins = vec![JoinPred {
+        left: ColRef::new("movie_info", "movie_id"),
+        right: ColRef::new("title", "id"),
+    }];
+    let mut apart = Query::new("disconnected-2");
+    apart.relations = vec![RelRef::new("title"), RelRef::new("keyword")];
+    for strat in strategy_matrix() {
+        let serve = deterministic_cfg(1, &strat, 16).serve;
+        for q in [&partly, &apart] {
+            let label = format!("query {}: {}/λ={}", q.id, strat.kind.as_str(), strat.risk_lambda);
+            let direct = StrategyPlanner::from_config(&serve.strategy, serve.mcts.clone())
+                .plan_with_session(model, q, &mut model.new_session());
+            direct.plan.validate(q).unwrap_or_else(|e| panic!("{label}: invalid plan: {e}"));
+            assert!(direct.predicted_ms.is_finite(), "{label}");
+            let served =
+                plan_with_fallback_in(db, q, Some(model), &serve, &mut model.new_session());
+            assert_eq!(served.served_by, ServedBy::Neural, "{label}: {:?}", served.fallback_reason);
+            assert_eq!(served.attempts, 1, "{label}: {:?}", served.attempt_failures);
+            assert_eq!(served.plan, direct.plan, "{label}");
         }
     }
 }
