@@ -58,6 +58,7 @@ pub struct FeatNode {
     pub children: Vec<Arc<FeatNode>>,
 }
 
+#[cfg(test)]
 impl FeatNode {
     pub(crate) fn count(&self) -> usize {
         1 + self.children.iter().map(|c| c.count()).sum::<usize>()

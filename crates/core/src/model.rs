@@ -3,7 +3,9 @@
 
 use crate::config::ModelConfig;
 use crate::durable::SnapshotStore;
-use crate::encoder::{EntryLayout, LevelPass, NodeMemo, NodeRef, PlanEncoder, QueryEncoder};
+use crate::encoder::{
+    postorder, EncodedGroup, EntryLayout, LevelPass, NodeMemo, NodeRef, PlanEncoder, QueryEncoder,
+};
 use crate::error::CoreError;
 use crate::evalbroker::{BucketKey, FusedOutcome, Submission};
 use crate::featurize::{FeatNode, FeatSession, FeaturizedQep, Featurizer, PlanFeatCache};
@@ -135,27 +137,41 @@ impl QPSeeker {
         self.feat.featurize(sess, &qep.query, &qep.plan, Some(&qep.truth), norm)
     }
 
-    /// Encode one featurized QEP to its joint embedding `[1, joint_dim]`
-    /// (QPAttention output; for single-node plans, the paper's
-    /// concatenation fallback).
-    fn encode_joint(&self, g: &mut Graph, fq: &FeaturizedQep) -> (Var, Vec<(Var, [f32; 3])>) {
-        let qv = self.query_enc.forward(g, &fq.query);
-        let ep = self.plan_enc.forward(g, &fq.plan);
-        let joint = if fq.plan.count() > 1 && self.config.use_attention {
-            let (out, _scores) = self.attn.forward(g, qv, ep.nodes);
-            out
-        } else {
-            g.concat_cols(qv, ep.root)
-        };
-        // Auxiliary supervision pairs: (node output var, normalized truth).
-        let mut aux = Vec::new();
-        if self.config.node_loss_weight > 0.0 {
-            collect_node_truths(
-                &fq.plan,
-                &mut NodeTruthWalker { vars: &ep.node_vars, pos: 0, out: &mut aux },
-            );
+    /// Encode a group of featurized QEPs on one tape to their joint
+    /// embeddings `[samples, joint_dim]` (QPAttention output; for
+    /// single-node plans, the paper's concatenation fallback), plus the plan
+    /// encoder's node rows. Every op is row-independent, so a sample's row
+    /// is bitwise the same in any group.
+    fn encode_group(&self, g: &mut Graph, samples: &[&FeaturizedQep]) -> (Var, EncodedGroup) {
+        let qv =
+            self.query_enc.forward_group(g, &samples.iter().map(|s| &s.query).collect::<Vec<_>>());
+        let enc =
+            self.plan_enc.forward_group(g, &samples.iter().map(|s| &s.plan).collect::<Vec<_>>());
+        let (attend, concat): (Vec<usize>, Vec<usize>) = (0..samples.len())
+            .partition(|&s| enc.plan_rows[s].len() > 1 && self.config.use_attention);
+        let mut joint_rows = vec![(qv, 0); samples.len()];
+        if !attend.is_empty() {
+            let q = g.gather_rows(&attend.iter().map(|&s| (qv, s)).collect::<Vec<_>>());
+            let members: Vec<Vec<usize>> =
+                attend.iter().map(|&s| enc.plan_rows[s].clone()).collect();
+            let (out, _scores) = self.attn.forward_rows(g, q, enc.nodes, &members);
+            for (i, &s) in attend.iter().enumerate() {
+                joint_rows[s] = (out, i);
+            }
         }
-        (joint, aux)
+        if !concat.is_empty() {
+            let q = g.gather_rows(&concat.iter().map(|&s| (qv, s)).collect::<Vec<_>>());
+            let roots: Vec<(Var, usize)> = concat
+                .iter()
+                .map(|&s| (enc.nodes, *enc.plan_rows[s].last().expect("a root")))
+                .collect();
+            let roots = g.gather_rows(&roots);
+            let cat = g.concat_cols(q, roots);
+            for (i, &s) in concat.iter().enumerate() {
+                joint_rows[s] = (cat, i);
+            }
+        }
+        (g.gather_rows(&joint_rows), enc)
     }
 
     /// Train on a set of QEPs. Fits the target normalizer, featurizes once,
@@ -360,15 +376,13 @@ impl QPSeeker {
         })
     }
 
-    /// One optimizer step over `batch`, data-parallel across
-    /// `config.train_threads` crossbeam-scoped workers.
-    ///
-    /// Each sample's tape forward/backward runs independently into a
-    /// thread-local [`GradBuffer`]; buffers are then merged into the shared
-    /// store in *sample-index* order (never shard order) and the loss terms
-    /// are summed in the same order. Latent noise is drawn for the whole
-    /// batch upfront from the model's single RNG stream. Together these make
-    /// a seeded run bit-identical for every `train_threads` value.
+    /// One optimizer step over `batch`: its [`tape_groups`] run on up to
+    /// `config.train_threads` crossbeam-scoped workers, each on one tape
+    /// ([`Self::train_group`]). Latent noise is drawn for the whole batch
+    /// upfront from the model's single RNG stream, and the groups'
+    /// [`GradBuffer`]s merge into the store in group order (never thread
+    /// order), so a seeded run is bit-identical for every `train_threads`
+    /// value.
     fn train_batch(
         &mut self,
         batch: &[&FeaturizedQep],
@@ -377,123 +391,169 @@ impl QPSeeker {
         self.store.zero_grads();
         let b = batch.len();
         let eps_all = self.noise.standard_normal(b, self.config.vae_latent);
-        // Auxiliary-loss rows across the whole batch: each sample's node
+        let groups = self.group_grads(batch, &eps_all, &tape_groups(b))?;
+        let (loss, pred, kl) = merge_groups(&groups, &mut self.store);
+        self.store.clip_grad_norm(5.0);
+        let guards = opt.step(&mut self.store);
+        Ok((loss, pred / b as f64, kl / b as f64, guards))
+    }
+
+    /// Forward and backward of every tape group of one minibatch: `batch`
+    /// cut into consecutive groups of `lens` samples, each group with its
+    /// rows of `eps_all`, run on up to `config.train_threads` workers.
+    /// Results come back in group order.
+    fn group_grads(
+        &self,
+        batch: &[&FeaturizedQep],
+        eps_all: &Tensor,
+        lens: &[usize],
+    ) -> Result<Vec<GroupGrad>, CoreError> {
+        let b = batch.len();
+        assert_eq!(lens.iter().sum::<usize>(), b, "tape groups must cover the batch");
+        // Auxiliary-loss rows across the whole batch: each group's node
         // loss is scaled by its share so the sum equals the batch MSE.
         let total_aux: usize = if self.config.node_loss_weight > 0.0 {
             batch.iter().map(|fq| count_truth_nodes(&fq.plan)).sum()
         } else {
             0
         };
-        let shards = self.config.train_threads.max(1).min(b.max(1));
-        let results: Vec<SampleGrad> = if shards <= 1 {
-            batch
-                .iter()
-                .enumerate()
-                .map(|(i, fq)| self.train_sample(fq, eps_row(&eps_all, i), b, total_aux, i))
-                .collect::<Result<_, _>>()?
-        } else {
-            let chunk = b.div_ceil(shards);
-            let this = &*self;
-            let eps_ref = &eps_all;
-            let scoped = crossbeam::scope(|s| {
-                let handles: Vec<_> = batch
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(ci, samples)| {
-                        s.spawn(move |_| {
-                            samples
-                                .iter()
-                                .enumerate()
-                                .map(|(j, fq)| {
-                                    let i = ci * chunk + j;
-                                    this.train_sample(fq, eps_row(eps_ref, i), b, total_aux, i)
-                                })
-                                .collect::<Result<Vec<SampleGrad>, CoreError>>()
+        let mut spans = Vec::with_capacity(lens.len());
+        let mut at = 0;
+        for &len in lens {
+            spans.push(at..at + len);
+            at += len;
+        }
+        let run = |span: &std::ops::Range<usize>| {
+            let eps = Tensor::from_vec(
+                span.len(),
+                eps_all.cols(),
+                eps_all.data()[span.start * eps_all.cols()..span.end * eps_all.cols()].to_vec(),
+            );
+            self.train_group(&batch[span.clone()], span.start, eps, b, total_aux)
+        };
+        let threads = self.config.train_threads.max(1).min(spans.len());
+        if threads <= 1 {
+            return spans.iter().map(run).collect();
+        }
+        let chunk = spans.len().div_ceil(threads);
+        let run = &run;
+        let scoped = crossbeam::scope(|s| {
+            let handles: Vec<_> = spans
+                .chunks(chunk)
+                .map(|mine| s.spawn(move |_| mine.iter().map(run).collect::<Result<Vec<_>, _>>()))
+                .collect();
+            // Join every worker, containing panics at the shard boundary
+            // as typed errors instead of poisoning the whole process.
+            let mut all = Vec::with_capacity(spans.len());
+            for (shard, h) in handles.into_iter().enumerate() {
+                match h.join() {
+                    Ok(Ok(grads)) => all.extend(grads),
+                    Ok(Err(e)) => return Err(e),
+                    Err(payload) => {
+                        return Err(CoreError::TrainingWorkerPanicked {
+                            shard,
+                            cause: crate::error::panic_message(payload),
                         })
-                    })
-                    .collect();
-                // Join every shard, containing panics at the shard boundary
-                // as typed errors instead of poisoning the whole process.
-                let mut all = Vec::with_capacity(b);
-                for (shard, h) in handles.into_iter().enumerate() {
-                    match h.join() {
-                        Ok(Ok(grads)) => all.extend(grads),
-                        Ok(Err(e)) => return Err(e),
-                        Err(payload) => {
-                            return Err(CoreError::TrainingWorkerPanicked {
-                                shard,
-                                cause: crate::error::panic_message(payload),
-                            })
-                        }
                     }
                 }
-                Ok(all)
-            });
-            match scoped {
-                Ok(inner) => inner?,
-                // A shard that panicked after its handle was consumed still
-                // surfaces through the scope result; attribute it there.
-                Err(payload) => {
-                    return Err(CoreError::TrainingWorkerPanicked {
-                        shard: 0,
-                        cause: crate::error::panic_message(payload),
-                    })
-                }
             }
-        };
-        let (mut loss, mut pred, mut kl) = (0.0, 0.0, 0.0);
-        for r in &results {
-            r.buf.merge_into(&mut self.store);
-            loss += r.loss;
-            pred += r.pred;
-            kl += r.kl;
+            Ok(all)
+        });
+        match scoped {
+            Ok(inner) => inner,
+            // A shard that panicked after its handle was consumed still
+            // surfaces through the scope result; attribute it there.
+            Err(payload) => Err(CoreError::TrainingWorkerPanicked {
+                shard: 0,
+                cause: crate::error::panic_message(payload),
+            }),
         }
-        self.store.clip_grad_norm(5.0);
-        let guards = opt.step(&mut self.store);
-        Ok((loss, pred / b as f64, kl / b as f64, guards))
     }
 
-    /// Forward/backward for one sample on its own tape, gradients into a
-    /// private buffer. The per-sample loss is scaled `1/batch` (and the aux
-    /// node loss by its row share) so the merged batch matches a joint pass.
-    fn train_sample(
+    /// Forward and backward of one tape group — `samples`, the minibatch's
+    /// samples `first..` — gradients into a private buffer. The VAE loss is
+    /// the group's rows' mean scaled by `samples / batch`, and the node loss
+    /// the group's node rows' mean scaled by `node rows / total_aux`, so the
+    /// merged groups give the minibatch's losses: the mean over its `batch`
+    /// samples and over its `total_aux` node rows.
+    fn train_group(
         &self,
-        fq: &FeaturizedQep,
+        samples: &[&FeaturizedQep],
+        first: usize,
         eps: Tensor,
-        batch_size: usize,
+        batch: usize,
         total_aux: usize,
-        index: usize,
-    ) -> Result<SampleGrad, CoreError> {
-        let mut g = Graph::new(&self.store);
-        let (joint, aux) = self.encode_joint(&mut g, fq);
-        let t = fq.target.ok_or(CoreError::MissingTarget { index })?;
-        let targets = g.constant(Tensor::row(t.to_vec()));
-        let out = self.vae.forward(&mut g, joint, eps);
-        let (sample_total, _recon, pred, kl) =
-            self.vae.loss(&mut g, &out, joint, targets, self.config.beta);
-        let mut total = g.scale(sample_total, 1.0 / batch_size as f32);
-        if !aux.is_empty() && total_aux > 0 {
-            let d = self.config.data_vec_dim();
-            let node_vars: Vec<Var> = aux.iter().map(|(v, _)| g.slice_cols(*v, d, d + 3)).collect();
-            let stacked_raw = g.stack_rows(&node_vars);
-            // Node estimate slots carry z/5 (see featurize::ESTIMATE_SCALE);
-            // rescale before comparing against raw z-scored truths.
-            let stacked = g.scale(stacked_raw, 1.0 / crate::featurize::ESTIMATE_SCALE);
-            let truth_rows: Vec<Tensor> =
-                aux.iter().map(|(_, t)| Tensor::row(t.to_vec())).collect();
-            let truth_refs: Vec<&Tensor> = truth_rows.iter().collect();
-            let truths = g.constant(Tensor::stack_rows(&truth_refs));
-            let node_loss = g.mse(stacked, truths);
-            // This sample's mean over aux.len() rows, reweighted to its
-            // share of the batch-wide mean over total_aux rows.
-            let share = aux.len() as f32 / total_aux as f32;
-            let weighted = g.scale(node_loss, self.config.node_loss_weight as f32 * share);
-            total = g.add(total, weighted);
+    ) -> Result<GroupGrad, CoreError> {
+        let n = samples.len();
+        let mut targets = Vec::with_capacity(3 * n);
+        for (j, fq) in samples.iter().enumerate() {
+            targets.extend(fq.target.ok_or(CoreError::MissingTarget { index: first + j })?);
         }
-        let pred_v = g.value(pred).get(0, 0) as f64;
-        let kl_v = g.value(kl).get(0, 0) as f64;
+        let mut g = Graph::new(&self.store);
+        let (joint, enc) = self.encode_group(&mut g, samples);
+        let targets = g.constant(Tensor::from_vec(n, 3, targets));
+        let out = self.vae.forward(&mut g, joint, eps);
+        let (mean_total, _recon, pred, kl) =
+            self.vae.loss(&mut g, &out, joint, targets, self.config.beta);
+        let mut total = g.scale(mean_total, n as f32 / batch as f32);
+        if self.config.node_loss_weight > 0.0 && total_aux > 0 {
+            let mut truths: Vec<(usize, [f32; 3])> = Vec::new();
+            for (s, fq) in samples.iter().enumerate() {
+                let mut order = Vec::new();
+                postorder(&fq.plan, &mut order);
+                for (node, &row) in order.iter().zip(&enc.plan_rows[s]) {
+                    if let Some(t) = node.truth {
+                        truths.push((row, t));
+                    }
+                }
+            }
+            if !truths.is_empty() {
+                let d = self.config.data_vec_dim();
+                let rows: Vec<(Var, usize)> = truths.iter().map(|&(r, _)| (enc.nodes, r)).collect();
+                let rows = g.gather_rows(&rows);
+                let est = g.slice_cols(rows, d, d + 3);
+                // Node estimate slots carry z/5 (see featurize::ESTIMATE_SCALE);
+                // rescale before comparing against raw z-scored truths.
+                let est = g.scale(est, 1.0 / crate::featurize::ESTIMATE_SCALE);
+                let t: Vec<f32> = truths.iter().flat_map(|&(_, t)| t).collect();
+                let t = g.constant(Tensor::from_vec(truths.len(), 3, t));
+                let node_loss = g.mse(est, t);
+                let share = truths.len() as f32 / total_aux as f32;
+                let weighted = g.scale(node_loss, self.config.node_loss_weight as f32 * share);
+                total = g.add(total, weighted);
+            }
+        }
+        let p = g.value(out.predictions);
+        let predictions = (0..n).map(|r| [p.get(r, 0), p.get(r, 1), p.get(r, 2)]).collect();
+        // `vae.loss` means over the group's rows; report per-sample sums.
+        let pred = g.value(pred).get(0, 0) as f64 * n as f64;
+        let kl = g.value(kl).get(0, 0) as f64 * n as f64;
         let (loss, buf) = g.backward(total);
-        Ok(SampleGrad { buf, loss: loss as f64, pred: pred_v, kl: kl_v })
+        Ok(GroupGrad { buf, loss: loss as f64, pred, kl, predictions })
+    }
+
+    /// Every tape group's loss, gradients and predictions for the minibatch
+    /// `qeps`, cut into consecutive groups of `lens` samples, sample `i`
+    /// drawing latent noise row `i` of `eps`: what one training step runs
+    /// before [`merge_groups`], with `lens` in place of the minibatch's
+    /// two halves. Featurizes through a fresh [`FeatSession`].
+    ///
+    /// # Errors
+    /// [`CoreError::MissingTarget`] when a QEP carries no ground truth.
+    ///
+    /// # Panics
+    /// Before a fit (no normalizer), or when `lens` does not cover `qeps`.
+    pub fn minibatch_groups(
+        &self,
+        qeps: &[&Qep],
+        eps: &Tensor,
+        lens: &[usize],
+    ) -> Result<Vec<GroupGrad>, CoreError> {
+        let mut sess = FeatSession::new();
+        let feats: Vec<FeaturizedQep> =
+            qeps.iter().map(|q| self.featurize_qep_in(&mut sess, q)).collect();
+        let refs: Vec<&FeaturizedQep> = feats.iter().collect();
+        self.group_grads(&refs, eps, lens)
     }
 
     /// Predict (cardinality, cost, runtime) for an arbitrary plan of a
@@ -840,9 +900,11 @@ impl QPSeeker {
         self.feat.featurize(&mut FeatSession::new(), query, plan, None, norm)
     }
 
+    /// The tape forward of one QEP as a one-sample group, with zero latent
+    /// noise: normalized predictions and the latent mean.
     fn forward_tape(&self, fq: &FeaturizedQep) -> ([f32; 3], Vec<f32>) {
         let mut g = Graph::new(&self.store);
-        let (joint, _aux) = self.encode_joint(&mut g, fq);
+        let (joint, _enc) = self.encode_group(&mut g, &[fq]);
         let eps = Tensor::zeros(1, self.config.vae_latent);
         let out = self.vae.forward(&mut g, joint, eps);
         let p = g.value(out.predictions);
@@ -951,20 +1013,44 @@ struct ResumePoint {
     guards: StepReport,
 }
 
-/// One sample's contribution to a training step.
-struct SampleGrad {
-    buf: GradBuffer,
-    /// Per-sample total loss, pre-scaled by `1/batch` (sums to batch loss).
-    loss: f64,
-    /// Per-sample prediction MSE (batch value = mean over samples).
-    pred: f64,
-    /// Per-sample KL (batch value = mean over samples).
-    kl: f64,
+/// The tape groups of a minibatch of `b` samples: its first `⌈b/2⌉`
+/// samples, then the other `⌊b/2⌋` (none when `b` is 1). A function of `b`
+/// alone, so the training FP order does not depend on `train_threads`; two
+/// threads run one group each.
+fn tape_groups(b: usize) -> Vec<usize> {
+    let first = b.div_ceil(2);
+    [first, b - first].into_iter().filter(|&n| n > 0).collect()
 }
 
-/// Row `i` of the batch noise tensor as a standalone `[1, latent]` tensor.
-fn eps_row(eps_all: &Tensor, i: usize) -> Tensor {
-    Tensor::row(eps_all.row_slice(i).to_vec())
+/// One tape group's share of a training step: one tape's forward and
+/// backward over some of a minibatch's samples
+/// ([`QPSeeker::minibatch_groups`]).
+#[derive(Debug)]
+pub struct GroupGrad {
+    /// The group's parameter gradients.
+    pub buf: GradBuffer,
+    /// The group's part of the minibatch loss (the parts sum to it).
+    pub loss: f64,
+    /// Prediction MSE, summed over the group's samples.
+    pub pred: f64,
+    /// KL, summed over the group's samples.
+    pub kl: f64,
+    /// Normalized (cardinality, cost, runtime) prediction of each sample,
+    /// under its latent noise.
+    pub predictions: Vec<[f32; 3]>,
+}
+
+/// Add every group's gradients into `store`, in group order, and sum the
+/// groups' loss, prediction MSE and KL in the same order.
+pub fn merge_groups(groups: &[GroupGrad], store: &mut ParamStore) -> (f64, f64, f64) {
+    let (mut loss, mut pred, mut kl) = (0.0, 0.0, 0.0);
+    for group in groups {
+        group.buf.merge_into(store);
+        loss += group.loss;
+        pred += group.pred;
+        kl += group.kl;
+    }
+    (loss, pred, kl)
 }
 
 /// Mean and population standard deviation, accumulated in `f64` in slice
@@ -990,24 +1076,6 @@ fn mean_sigma(times: &[f64]) -> (f64, f64) {
 fn count_truth_nodes(node: &crate::featurize::FeatNode) -> usize {
     usize::from(node.truth.is_some())
         + node.children.iter().map(|c| count_truth_nodes(c)).sum::<usize>()
-}
-
-/// Walker pairing postorder node vars with featurized truths.
-struct NodeTruthWalker<'v, 'o> {
-    vars: &'v [Var],
-    pos: usize,
-    out: &'o mut Vec<(Var, [f32; 3])>,
-}
-
-fn collect_node_truths(node: &crate::featurize::FeatNode, w: &mut NodeTruthWalker) {
-    for c in &node.children {
-        collect_node_truths(c, w);
-    }
-    let var = w.vars[w.pos];
-    w.pos += 1;
-    if let Some(t) = node.truth {
-        w.out.push((var, t));
-    }
 }
 
 #[cfg(test)]

@@ -205,8 +205,8 @@ fn trained_weights_match_the_golden_fingerprint() {
         .collect();
     let got = qpseeker_storage::fnv::words(&bits);
     let want = match isa::active() {
-        Isa::Scalar => 0x5f5e_cb48_8683_7907,
-        Isa::Avx2 | Isa::Avx512 => 0x062a_83aa_8e28_b123,
+        Isa::Scalar => 0x6326_eb8e_74b7_d1ee,
+        Isa::Avx2 | Isa::Avx512 => 0xc002_50f0_9499_e18c,
     };
     assert_eq!(
         got,
@@ -215,4 +215,106 @@ fn trained_weights_match_the_golden_fingerprint() {
          changed, or the libm's tanhf/expf did)",
         isa::active().name()
     );
+}
+
+/// Grouped-tape oracle, on the trained-weight golden's fixture. Training
+/// runs one tape per group of a minibatch's samples; a group of all `B`
+/// samples must give:
+/// - each sample's predictions bitwise equal to its one-sample group's;
+/// - a loss and every parameter gradient within 1e-5 (of the loss, of the
+///   gradient's max-abs) of the one-sample groups' sum, those merged in
+///   group order — bitwise the in-order sum of their buffers;
+/// - with the node loss off, the mean over its samples of the loss and
+///   gradient each gets as a minibatch of one (the `1/B` scale).
+#[test]
+fn one_tape_group_is_the_sum_of_one_sample_groups() {
+    use qpseeker_core::model::{merge_groups, GroupGrad};
+    use qpseeker_nn::prelude::{Initializer, ParamStore, Tensor};
+    let db = std::sync::Arc::new(imdb::generate(0.05, 1));
+    let w = synthetic::generate(&db, &SyntheticConfig { n_queries: 12, seed: 11 });
+    let refs: Vec<&Qep> = w.qeps.iter().collect();
+    let mut m = QPSeeker::new(&db, ModelConfig::small());
+    m.fit(&refs).expect("training succeeds");
+    let b = m.config.batch_size;
+    // A minibatch of single scans and two- and three-way joins.
+    let batch: Vec<&Qep> = refs[refs.len() - b..].to_vec();
+    assert_eq!(batch.len(), b);
+    let sizes: Vec<usize> = batch.iter().map(|q| q.plan.len()).collect();
+    assert!([1, 3, 5].iter().all(|n| sizes.contains(n)), "plan sizes {sizes:?}");
+    let eps = Initializer::new(0x0ac1e).standard_normal(b, m.config.vae_latent);
+    let merged = |model: &QPSeeker, groups: &[GroupGrad]| {
+        let mut store = model.store.clone();
+        store.zero_grads();
+        let (loss, ..) = merge_groups(groups, &mut store);
+        (loss, store)
+    };
+    let close = |got: &ParamStore, want: &ParamStore, what: &str| {
+        for ((_, g), (_, r)) in got.iter().zip(want.iter()) {
+            let max_abs = r.grad.data().iter().fold(0.0f32, |a, x| a.max(x.abs()));
+            for (x, y) in g.grad.data().iter().zip(r.grad.data()) {
+                assert!(
+                    (x - y).abs() <= 1e-5 * max_abs,
+                    "{what}: {} gradient {x} vs {y} (max-abs {max_abs})",
+                    g.name
+                );
+            }
+        }
+    };
+
+    let whole = m.minibatch_groups(&batch, &eps, &[b]).expect("labelled");
+    let singles = m.minibatch_groups(&batch, &eps, &vec![1; b]).expect("labelled");
+    assert_eq!((whole.len(), singles.len()), (1, b));
+    for (s, single) in singles.iter().enumerate() {
+        let bits = |p: [f32; 3]| p.map(f32::to_bits);
+        assert_eq!(
+            bits(whole[0].predictions[s]),
+            bits(single.predictions[0]),
+            "sample {s}: a group changed its predictions"
+        );
+    }
+    let (loss_whole, grads_whole) = merged(&m, &whole);
+    let (loss_singles, grads_singles) = merged(&m, &singles);
+    let mut in_order = 0.0;
+    for single in &singles {
+        in_order += single.loss;
+    }
+    assert_eq!(loss_singles.to_bits(), in_order.to_bits(), "losses summed out of group order");
+    for (id, p) in grads_singles.iter() {
+        let mut want = Tensor::zeros(p.grad.rows(), p.grad.cols());
+        for single in &singles {
+            if let Some(g) = single.buf.get(id) {
+                want.add_assign(g);
+            }
+        }
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&p.grad), bits(&want), "{}: merged out of group order", p.name);
+    }
+    assert!(
+        (loss_whole - loss_singles).abs() <= 1e-5 * loss_singles.abs(),
+        "loss {loss_whole} vs {loss_singles}"
+    );
+    close(&grads_whole, &grads_singles, "one group vs one-sample groups");
+
+    m.config.node_loss_weight = 0.0;
+    let (loss_whole, grads_whole) =
+        merged(&m, &m.minibatch_groups(&batch, &eps, &[b]).expect("labelled"));
+    let mut loss_alone = 0.0;
+    let mut grads_alone = m.store.clone();
+    grads_alone.zero_grads();
+    for (s, qep) in batch.iter().enumerate() {
+        let eps_s = Tensor::row(eps.row_slice(s).to_vec());
+        let (loss, store) =
+            merged(&m, &m.minibatch_groups(&[*qep], &eps_s, &[1]).expect("labelled"));
+        loss_alone += loss / b as f64;
+        for ((id, _), (_, p)) in grads_alone.clone().iter().zip(store.iter()) {
+            let mut scaled = p.grad.clone();
+            scaled.data_mut().iter_mut().for_each(|x| *x /= b as f32);
+            grads_alone.accumulate_grad(id, &scaled);
+        }
+    }
+    assert!(
+        (loss_whole - loss_alone).abs() <= 1e-5 * loss_alone.abs(),
+        "minibatch loss {loss_whole} vs the mean of minibatches of one {loss_alone}"
+    );
+    close(&grads_whole, &grads_alone, "minibatch vs the mean of minibatches of one");
 }

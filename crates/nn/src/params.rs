@@ -54,10 +54,10 @@ struct Derived {
     /// Panel-packed for the GEMM (`crate::pack`): inference's and the
     /// tape's `x·W`.
     packed: OnceLock<PackedGemm>,
-    /// Transposed, for the tape's `g·Wᵀ`. Training mutates the store once
-    /// per optimizer step, so in training both copies live for exactly one
-    /// step.
-    transposed: OnceLock<Tensor>,
+    /// Transposed, then panel-packed: the tape's `g·Wᵀ`. Training mutates
+    /// the store once per optimizer step, so in training both copies live
+    /// for exactly one step.
+    packed_t: OnceLock<PackedGemm>,
 }
 
 // Hand-written (de)serialization: only `params` is persisted; the derived
@@ -132,11 +132,13 @@ impl ParamStore {
         self.derived(id).packed.get_or_init(|| PackedGemm::pack(&self.params[id.0].value))
     }
 
-    /// Transposed copy of parameter `id`'s value, built on first use and
-    /// shared across threads like [`Self::packed`]: the backward pass's
-    /// `g·Wᵀ` streams its rows.
-    pub(crate) fn transposed(&self, id: ParamId) -> &Tensor {
-        self.derived(id).transposed.get_or_init(|| self.params[id.0].value.transposed())
+    /// Panel-packed transpose of parameter `id`'s value, built on first use
+    /// and shared across threads like [`Self::packed`]: the backward pass's
+    /// `g·Wᵀ` multiplies it.
+    pub(crate) fn packed_t(&self, id: ParamId) -> &PackedGemm {
+        self.derived(id)
+            .packed_t
+            .get_or_init(|| PackedGemm::pack(&self.params[id.0].value.transposed()))
     }
 
     fn derived(&self, id: ParamId) -> &Derived {
@@ -239,8 +241,8 @@ impl ParamStore {
 /// model. [`crate::graph::Graph::backward`] fills it while the graph still
 /// borrows the store; [`Self::merge_into`] adds it to the store after.
 ///
-/// Data-parallel training computes one `GradBuffer` per *sample* and merges
-/// them into the [`ParamStore`] in sample-index order — never shard order —
+/// Data-parallel training computes one `GradBuffer` per *tape group* and
+/// merges them into the [`ParamStore`] in group order — never thread order —
 /// which makes the summed gradient bit-identical for any thread count.
 #[derive(Debug, Default)]
 pub struct GradBuffer {

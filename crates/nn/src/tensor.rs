@@ -166,85 +166,6 @@ impl Tensor {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// `selfᵀ * other` without materializing the transpose: from zero, the
-    /// outer product of row `k` of `self` with row `k` of `other` is added
-    /// for each `k` in order.
-    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_tn shape mismatch: ({}x{})ᵀ * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Tensor::zeros(self.cols, other.cols);
-        for k in 0..self.rows {
-            out.add_outer_assign(self.row_slice(k), other.row_slice(k));
-        }
-        out
-    }
-
-    /// `self += aᵀ·b` for row vectors `a [1, rows]` and `b [1, cols]`: row
-    /// `i` gains `a[i]·b`, skipped when `a[i]` is zero. The tape's weight
-    /// gradient for a one-row left-hand side, accumulated in place.
-    pub(crate) fn add_outer_assign(&mut self, a: &[f32], b: &[f32]) {
-        assert_eq!((a.len(), b.len()), self.shape(), "add_outer_assign shape mismatch");
-        if self.cols == 0 {
-            return;
-        }
-        for (&ai, o) in a.iter().zip(self.data.chunks_exact_mut(self.cols)) {
-            if ai != 0.0 {
-                for (o, &bj) in o.iter_mut().zip(b) {
-                    *o += ai * bj;
-                }
-            }
-        }
-    }
-
-    /// `self · b`, each output summed from 0.0 in sequential `k` order as
-    /// one multiply then one add per term, never fused: element `(i, j)` is
-    /// bitwise the scalar dot `Σ_k self[i,k]·b[k,j]`, on every ISA tier.
-    /// The tape's `x·Bᵀ` routine — backward passes `b = Bᵀ` — as an i-k-j
-    /// loop the compiler vectorises across `j`, since lanes are separate
-    /// outputs and each keeps its own order.
-    ///
-    /// # Panics
-    /// Panics on an inner-dimension mismatch.
-    pub fn matmul_seq(&self, b: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, b.rows,
-            "matmul_seq shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, b.rows, b.cols
-        );
-        let (k, n) = (self.cols, b.cols);
-        let mut out = Tensor::zeros(self.rows, n);
-        if k == 0 || n == 0 {
-            return out;
-        }
-        for (x, o) in self.data.chunks_exact(k).zip(out.data.chunks_exact_mut(n)) {
-            // Four k steps per pass over `o`: `((o + x0·b0) + x1·b1) + …`
-            // is the sequential order, with a quarter of the loads and
-            // stores of `o`. Against the plain one-step loop, on a 2-vCPU
-            // AVX-512 x86_64 machine in 6 interleaved `perfbench
-            // --workload point_small` pairs: fit 759–795 vs 678–729 QEPs/s,
-            // `setup_s` 1.72–1.84 vs 1.77–2.16 s.
-            let mut xs = x.chunks_exact(4);
-            let mut bs = b.data.chunks_exact(4 * n);
-            for (c, quad) in (&mut xs).zip(&mut bs) {
-                let (b0, rest) = quad.split_at(n);
-                let (b1, rest) = rest.split_at(n);
-                let (b2, b3) = rest.split_at(n);
-                for ((((o, &v0), &v1), &v2), &v3) in o.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-                    *o = *o + c[0] * v0 + c[1] * v1 + c[2] * v2 + c[3] * v3;
-                }
-            }
-            for (&c, row) in xs.remainder().iter().zip(bs.remainder().chunks_exact(n)) {
-                for (o, &v) in o.iter_mut().zip(row) {
-                    *o += c * v;
-                }
-            }
-        }
-        out
-    }
-
     /// Transposed copy.
     pub fn transposed(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
@@ -607,23 +528,6 @@ mod tests {
     #[should_panic(expected = "dot_force: operand lengths differ")]
     fn dot_force_rejects_a_short_operand() {
         dot_force(*Isa::supported().last().unwrap(), &[1.0; 40], &[1.0; 8]);
-    }
-
-    #[test]
-    fn matmul_tn_matches_explicit_transpose() {
-        let a = Tensor::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
-        let b = Tensor::from_vec(3, 4, (0..12).map(|x| x as f32).collect());
-        assert_eq!(a.matmul_tn(&b), a.transposed().matmul(&b));
-    }
-
-    #[test]
-    fn matmul_seq_matches_matmul_on_exact_values() {
-        // Integer products and sums are exact, so any order agrees; k = 6
-        // covers one four-step pass plus a remainder.
-        let a = Tensor::from_vec(2, 6, (0..12).map(|x| x as f32 - 5.0).collect());
-        let b = Tensor::from_vec(6, 3, (0..18).map(|x| (x % 7) as f32).collect());
-        assert_eq!(a.matmul_seq(&b), a.matmul(&b));
-        assert_eq!(Tensor::zeros(2, 0).matmul_seq(&Tensor::zeros(0, 3)), Tensor::zeros(2, 3));
     }
 
     #[test]

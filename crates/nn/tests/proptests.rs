@@ -406,30 +406,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The tape's `x·Bᵀ` routine is bitwise the scalar dot it replaced —
-    /// `acc = 0.0; acc += x[i][k]·b[j][k]` in `k` order, never fused — over
-    /// shapes that cross its four-step passes and remainders. It has no
-    /// per-tier kernel; CI's forced-tier runs of this binary check it under
-    /// every process-wide selection.
-    #[test]
-    fn matmul_seq_is_bitwise_the_sequential_dot(
-        (x, b) in (1usize..17, 1usize..33, 1usize..17)
-            .prop_flat_map(|(m, k, n)| (kernel_matrix(m, k), kernel_matrix(n, k)))
-    ) {
-        let got = x.matmul_seq(&b.transposed());
-        for i in 0..x.rows() {
-            for j in 0..b.rows() {
-                let mut acc = 0.0f32;
-                for (&p, &q) in x.row_slice(i).iter().zip(b.row_slice(j)) {
-                    acc += p * q;
-                }
-                prop_assert_eq!(got.get(i, j).to_bits(), acc.to_bits(), "({}, {})", i, j);
-            }
-        }
-    }
-
-    /// Tape oracle for a shared weight. One weight read by `k` leaves (as
-    /// the plan LSTM reads its cell once per node), under one- and
+    /// Tape oracle for a shared weight. One weight read `k` times (as the
+    /// plan LSTM reads its cell once per level), under one- and
     /// multi-row left-hand sides, next to one matmul whose right-hand side
     /// is not a parameter, gets bitwise the gradient of the same graph with
     /// one parameter per use, those summed in reverse use order: what the
@@ -486,6 +464,114 @@ proptest! {
         for (a, b) in got.data().iter().zip(want.data()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+}
+
+/// Raw row picks for `gather_rows` from two sources: `(from_b, row)`, the
+/// row taken modulo its source's height, repeats allowed.
+fn picks() -> impl Strategy<Value = Vec<(bool, usize)>> {
+    proptest::collection::vec((prop::bool::ANY, 0usize..64), 1..9)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `gather_rows` copies each picked source row; its scatter-add
+    /// backward matches finite differences for both sources, with rows
+    /// picked several times or not at all.
+    #[test]
+    fn gather_rows_values_and_gradcheck(
+        (ra, rb, cols) in (1usize..4, 1usize..4, 1usize..5),
+        seed in 0u64..1000,
+        raw in picks(),
+    ) {
+        let rows: Vec<(bool, usize)> =
+            raw.iter().map(|&(b, r)| (b, if b { r % rb } else { r % ra })).collect();
+        let mut store = ParamStore::new();
+        let mut init = Initializer::new(seed);
+        let a = store.register("a", init.normal(ra, cols, 1.0));
+        let b = store.register("b", init.normal(rb, cols, 1.0));
+        let coef = init.normal(rows.len(), cols, 1.0);
+        let build = |g: &mut Graph| {
+            let (av, bv) = (g.param(a), g.param(b));
+            let picked: Vec<(Var, usize)> =
+                rows.iter().map(|&(from_b, r)| (if from_b { bv } else { av }, r)).collect();
+            let x = g.gather_rows(&picked);
+            let t = g.tanh(x);
+            let c = g.constant(coef.clone());
+            let y = g.mul(t, c);
+            g.sum_all(y)
+        };
+        let mut g = Graph::new(&store);
+        let (av, bv) = (g.param(a), g.param(b));
+        let picked: Vec<(Var, usize)> =
+            rows.iter().map(|&(from_b, r)| (if from_b { bv } else { av }, r)).collect();
+        let x = g.gather_rows(&picked);
+        for (i, &(from_b, r)) in rows.iter().enumerate() {
+            let src = store.value(if from_b { b } else { a });
+            prop_assert_eq!(g.value(x).row_slice(i), src.row_slice(r));
+        }
+        for id in [a, b] {
+            let report = check_gradient(&mut store, id, 1e-2, build);
+            prop_assert!(report.passes(2e-2), "{:?}", report);
+        }
+    }
+
+    /// `segment_sum` row `s` is bitwise `sum_rows` of segment `s` alone and
+    /// `segment_mean` is that sum scaled by `1 / len` (zero for an empty
+    /// segment); both backwards match finite differences.
+    #[test]
+    fn segment_sum_and_mean_values_and_gradcheck(
+        lens in proptest::collection::vec(0usize..4, 1..5),
+        cols in 1usize..5,
+        seed in 0u64..1000,
+    ) {
+        // At least one row; later segments may be empty.
+        let mut lens = lens;
+        lens[0] += 1;
+        let n: usize = lens.iter().sum();
+        let mut store = ParamStore::new();
+        let mut init = Initializer::new(seed);
+        let x = store.register("x", init.normal(n, cols, 1.0));
+        let coef = init.normal(lens.len(), cols, 1.0);
+        let mut g = Graph::new(&store);
+        let xv = g.param(x);
+        let sum = g.segment_sum(xv, &lens);
+        let mean = g.segment_mean(xv, &lens);
+        let mut row = 0;
+        for (s, &len) in lens.iter().enumerate() {
+            let want = if len == 0 {
+                Tensor::zeros(1, cols)
+            } else {
+                let seg = Tensor::from_vec(
+                    len,
+                    cols,
+                    store.value(x).data()[row * cols..(row + len) * cols].to_vec(),
+                );
+                let mut h = Graph::new(&store);
+                let sv = h.constant(seg);
+                let sv = h.sum_rows(sv);
+                h.value(sv).clone()
+            };
+            let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(g.value(sum).row_slice(s)), bits(want.data()));
+            let inv = 1.0 / len.max(1) as f32;
+            let scaled: Vec<f32> = want.data().iter().map(|v| v * inv).collect();
+            prop_assert_eq!(bits(g.value(mean).row_slice(s)), bits(&scaled));
+            row += len;
+        }
+        let report = check_gradient(&mut store, x, 1e-2, |g| {
+            let xv = g.param(x);
+            let m = g.segment_mean(xv, &lens);
+            let t = g.tanh(m);
+            let c = g.constant(coef.clone());
+            let y = g.mul(t, c);
+            let s = g.segment_sum(xv, &lens);
+            let sq = g.mul(s, s);
+            let y = g.add(y, sq);
+            g.sum_all(y)
+        });
+        prop_assert!(report.passes(2e-2), "{:?}", report);
     }
 }
 
