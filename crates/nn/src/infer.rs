@@ -436,7 +436,7 @@ mod tests {
         let mut g = Graph::new(&store);
         let qv = g.constant(q.clone());
         let kvv = g.constant(kv.clone());
-        let (tape, _scores) = attn.forward(&mut g, qv, kvv);
+        let (tape, _scores) = attn.forward_rows(&mut g, qv, kvv, &[vec![0, 1, 2]]);
 
         let mut sc = ScratchArena::new();
         let (keys, values) = attn.project_kv_inference(&store, &kv, &mut sc);
