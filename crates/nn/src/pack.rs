@@ -45,12 +45,29 @@ pub const NR: usize = 32;
 /// each holding its `NR` columns k-major (`panels[p*k*NR + kk*NR + c]` is
 /// element `(kk, p*NR + c)` of the source), tail columns zero-padded. The
 /// default is the empty `0 x 0` matrix.
+///
+/// The panels are stored in 64-byte `Line`s, so every panel row starts on
+/// a cache-line boundary wherever the allocator puts the buffer: an AVX-512
+/// load of a row never splits a line. Left to a plain `Vec<f32>` the offset
+/// would be whatever the heap's history gave, and that history (threads
+/// that trained or labelled before) differs from one process to the next.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PackedGemm {
     k: usize,
     n: usize,
-    panels: Vec<f32>,
+    panels: Vec<Line>,
 }
+
+/// Floats per `Line`; `NR` is a whole number of lines, so every panel
+/// row, and every panel, starts on a line.
+const LINE: usize = 16;
+const _: () = assert!(NR.is_multiple_of(LINE));
+
+/// One cache line of panel floats.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C, align(64))]
+struct Line([f32; LINE]);
+const _: () = assert!(std::mem::size_of::<Line>() == LINE * 4);
 
 impl PackedGemm {
     /// Pack a `[k x n]` row-major matrix.
@@ -72,10 +89,11 @@ impl PackedGemm {
         self.k = k;
         self.n = n;
         self.panels.clear();
-        self.panels.resize(np * k * NR, 0.0);
+        self.panels.resize(np * k * NR / LINE, Line::default());
+        let panels = self.floats_mut();
         for p in 0..np {
             let cols = NR.min(n - p * NR);
-            let dst = &mut self.panels[p * k * NR..(p + 1) * k * NR];
+            let dst = &mut panels[p * k * NR..(p + 1) * k * NR];
             for kk in 0..k {
                 dst[kk * NR..kk * NR + cols]
                     .copy_from_slice(&src[kk * n + p * NR..kk * n + p * NR + cols]);
@@ -91,6 +109,24 @@ impl PackedGemm {
     /// Output width (columns of the packed matrix).
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// The panels as one flat float slice.
+    fn floats(&self) -> &[f32] {
+        // SAFETY: `Line` is `repr(C)` over `[f32; LINE]` with no padding
+        // (size asserted above), so the lines are `len · LINE` contiguous,
+        // initialized floats.
+        unsafe { std::slice::from_raw_parts(self.panels.as_ptr().cast(), self.panels.len() * LINE) }
+    }
+
+    fn floats_mut(&mut self) -> &mut [f32] {
+        // SAFETY: as in `floats`, and the borrow is unique.
+        unsafe {
+            std::slice::from_raw_parts_mut(
+                self.panels.as_mut_ptr().cast(),
+                self.panels.len() * LINE,
+            )
+        }
     }
 }
 
@@ -179,7 +215,7 @@ fn gemm_packed_scalar(
         let o_row = &mut out[i * n..(i + 1) * n];
         for p in 0..np {
             let cols = NR.min(n - p * NR);
-            let panel = &w.panels[p * k * NR..(p + 1) * k * NR];
+            let panel = &w.floats()[p * k * NR..(p + 1) * k * NR];
             let mut acc = [0.0f32; NR];
             for (kk, &c) in a_row.iter().enumerate() {
                 if c == 0.0 {
@@ -289,7 +325,7 @@ mod x86 {
     ) {
         let (k, n) = (w.k, w.n);
         let np = n.div_ceil(NR);
-        let panels = w.panels.as_ptr();
+        let panels = w.floats().as_ptr();
         let mut i = 0;
         while i + 4 <= m {
             let (a0, rest) = a[i * k..].split_at(k);
@@ -477,7 +513,7 @@ mod x86 {
     ) {
         let (k, n) = (w.k, w.n);
         let np = n.div_ceil(NR);
-        let panels = w.panels.as_ptr();
+        let panels = w.floats().as_ptr();
         let mut i = 0;
         while i + 4 <= m {
             let (a0, rest) = a[i * k..].split_at(k);
@@ -758,6 +794,32 @@ mod tests {
             for (idx, (g, r)) in gates.iter().zip(&want).enumerate() {
                 assert!((g - r).abs() <= 2e-5, "{isa:?} gates[{idx}]: {g} vs {r}");
             }
+        }
+    }
+
+    /// Every panel row starts on a 64-byte line, after a pack, a repack
+    /// into a reused buffer and a clone, whatever the allocator's state.
+    #[test]
+    fn panels_start_on_cache_lines() {
+        let line_start = |w: &PackedGemm| {
+            let f = w.floats();
+            assert_eq!(f.len(), w.n().div_ceil(NR) * w.k() * NR);
+            (0..f.len()).step_by(NR).all(|i| (f[i..].as_ptr() as usize).is_multiple_of(64))
+        };
+        let mut held = Vec::new();
+        for (i, &(k, n)) in [(1, 1), (3, 40), (7, 33), (182, 384)].iter().enumerate() {
+            // Odd-sized allocations in between move the heap's next offset.
+            held.push(vec![0u8; 1 + 24 * i]);
+            let w = PackedGemm::pack(&Tensor::from_vec(k, n, matrix(k, n, 50 + i as u64)));
+            assert!(line_start(&w), "{k}x{n}");
+            assert!(line_start(&w.clone()), "{k}x{n} clone");
+            let mut reused = PackedGemm::pack(&Tensor::from_vec(2, 5, matrix(2, 5, 9)));
+            reused.repack(k, n, &matrix(k, n, 60 + i as u64));
+            assert!(line_start(&reused), "{k}x{n} repacked");
+            assert_eq!(
+                reused.floats(),
+                PackedGemm::pack(&Tensor::from_vec(k, n, matrix(k, n, 60 + i as u64))).floats()
+            );
         }
     }
 }
