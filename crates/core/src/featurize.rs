@@ -14,7 +14,7 @@ use qpseeker_engine::query::{CmpOp, Filter, Query};
 use qpseeker_nn::tensor::Tensor;
 use qpseeker_storage::fnv::{self, FnvBuild};
 use qpseeker_storage::Database;
-use qpseeker_tabert::{TabSim, TabertCache};
+use qpseeker_tabert::{TabSim, TabertCache, TabertQuery, TableIndex};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -93,7 +93,8 @@ pub(crate) struct FeaturizedQep {
 /// every scan is a relation of the query; the model's scoring path falls
 /// back to the general, uncached featurizer otherwise.
 pub struct PlanFeatCache {
-    sql: String,
+    /// The query's TaBERT cache key and trigram set.
+    tabert: TabertQuery,
     /// alias → bit index, in `query.relations` order.
     alias_bits: HashMap<String, u32, FnvBuild>,
     /// bit index → (alias, table) (for mask iteration).
@@ -119,7 +120,7 @@ impl PlanFeatCache {
             aliases.push((rel.alias.clone(), rel.table.clone()));
         }
         Self {
-            sql: query.to_sql(),
+            tabert: TabertQuery::new(&query.to_sql()),
             alias_bits,
             aliases,
             mid_prefix: HashMap::default(),
@@ -168,7 +169,7 @@ impl PlanFeatCache {
 /// loop builds), so no locks are needed on the featurization hot path.
 #[derive(Default)]
 pub struct FeatSession {
-    /// (table, query-bucket) → TaBERT encoding.
+    /// (table, SQL text) → TaBERT encoding.
     pub tabert: TabertCache,
     /// Filtered-column representations keyed by `table.col:op:value`.
     filtered: HashMap<String, Vec<f32>, FnvBuild>,
@@ -181,17 +182,31 @@ impl FeatSession {
 }
 
 /// The featurizer. Shares the read-only [`Database`] via `Arc` and owns the
-/// immutable TabSim instance; all mutable caches live in a caller-owned
-/// [`FeatSession`], so the featurizer itself is `Send + Sync` and a fitted
-/// model can serve predictions from many threads at once.
+/// immutable TabSim instance and one TaBERT [`TableIndex`] per table; all
+/// mutable caches live in a caller-owned [`FeatSession`], so the featurizer
+/// itself is `Send + Sync` and a fitted model can serve predictions from
+/// many threads at once.
 pub struct Featurizer {
     pub db: Arc<Database>,
     pub tabert: TabSim,
+    /// One TaBERT index per table of `db`.
+    indexes: Vec<TableIndex>,
 }
 
 impl Featurizer {
     pub fn new(db: Arc<Database>, tabert: TabSim) -> Self {
-        Self { db, tabert }
+        let indexes = db.tables.iter().map(TableIndex::build).collect();
+        Self { db, tabert, indexes }
+    }
+
+    /// The TaBERT `[CLS]` vector of `table` for `query`.
+    fn table_cls(&self, sess: &mut FeatSession, table: &str, query: &TabertQuery) -> Vec<f32> {
+        let index = self
+            .indexes
+            .iter()
+            .find(|i| i.name() == table)
+            .unwrap_or_else(|| panic!("unknown table {table}"));
+        self.tabert.encode_table_cls(&mut sess.tabert, index, query)
     }
 
     /// The cost/cardinality estimator over the shared database. `Explain` is
@@ -262,10 +277,10 @@ impl Featurizer {
         }
         let query_feats = self.query_features(query);
         let estimates = self.explain().explain(query, plan);
-        let sql = query.to_sql();
+        let tq = TabertQuery::new(&query.to_sql());
         let mut postorder_idx = 0usize;
         let plan_feats =
-            self.feat_node(sess, query, plan, &estimates, truths, norm, &sql, &mut postorder_idx);
+            self.feat_node(sess, query, plan, &estimates, truths, norm, &tq, &mut postorder_idx);
         let target = truths.map(|t| norm.encode([t.rows as f64, t.cost, t.time_ms]));
         FeaturizedQep { query: query_feats, plan: plan_feats, target }
     }
@@ -279,7 +294,7 @@ impl Featurizer {
         estimates: &[qpseeker_engine::explain::NodeEstimate],
         truths: Option<&qpseeker_engine::executor::ExecutionResult>,
         norm: &TargetNormalizer,
-        sql: &str,
+        tq: &TabertQuery,
         postorder_idx: &mut usize,
     ) -> FeatNode {
         // Children first (postorder indexing must match Explain/Executor).
@@ -288,7 +303,7 @@ impl Featurizer {
             PlanNode::Join { left, right, .. } => [left, right]
                 .map(|c| {
                     let child =
-                        self.feat_node(sess, query, c, estimates, truths, norm, sql, postorder_idx);
+                        self.feat_node(sess, query, c, estimates, truths, norm, tq, postorder_idx);
                     Arc::new(child)
                 })
                 .into(),
@@ -310,20 +325,17 @@ impl Featurizer {
 
         // (c) TaBERT representation.
         let data_repr: Vec<f32> = match node {
-            PlanNode::Scan { alias, table, filters, .. } => {
-                let _ = alias;
-                match filters.first() {
-                    Some(f) => self.filtered_column_repr(sess, table, f),
-                    None => self.tabert.encode_table(&mut sess.tabert, &self.db, table, sql).cls,
-                }
-            }
+            PlanNode::Scan { table, filters, .. } => match filters.first() {
+                Some(f) => self.filtered_column_repr(sess, table, f),
+                None => self.table_cls(sess, table, tq),
+            },
             PlanNode::Join { .. } => {
                 // Mean pooling over the [CLS] of each joined relation.
                 let mut acc = vec![0.0f32; tdim];
                 let aliases = node.aliases();
                 for alias in &aliases {
-                    let table = query.table_of(alias).unwrap_or(alias).to_string();
-                    let cls = self.tabert.encode_table(&mut sess.tabert, &self.db, &table, sql).cls;
+                    let table = query.table_of(alias).unwrap_or(alias);
+                    let cls = self.table_cls(sess, table, tq);
                     for (a, c) in acc.iter_mut().zip(&cls) {
                         *a += c / aliases.len() as f32;
                     }
@@ -435,12 +447,7 @@ impl Featurizer {
                     }
                     let repr = match filters.first() {
                         Some(f) => self.filtered_column_repr(sess, table, f),
-                        None => self.tabert.encode_table_cls(
-                            &mut sess.tabert,
-                            &self.db,
-                            table,
-                            &cache.sql,
-                        ),
+                        None => self.table_cls(sess, table, &cache.tabert),
                     };
                     prefix.extend_from_slice(&repr);
                     cache.mid_prefix.insert(mask, prefix);
@@ -479,14 +486,8 @@ impl Featurizer {
                         if let Some(idx) = self.db.catalog.table_idx(table) {
                             prefix[idx] += 1.0;
                         }
-                        let cls = cache.cls[b].get_or_insert_with(|| {
-                            self.tabert.encode_table_cls(
-                                &mut sess.tabert,
-                                &self.db,
-                                table,
-                                &cache.sql,
-                            )
-                        });
+                        let cls = cache.cls[b]
+                            .get_or_insert_with(|| self.table_cls(sess, table, &cache.tabert));
                         for (a, c) in acc.iter_mut().zip(cls.iter()) {
                             *a += c / bits.len() as f32;
                         }

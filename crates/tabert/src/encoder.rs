@@ -1,17 +1,20 @@
 //! The TabSim encoder: triplet hashing + column statistics + frozen
 //! projection + vertical pooling.
 
+use crate::index::{TabertQuery, TableIndex};
 use crate::latency::LatencyModel;
-use crate::ngram;
 use crate::TabertConfig;
-use qpseeker_storage::{fnv, ColumnData, Database, Table};
+use qpseeker_storage::fnv::{self, FnvBuild};
+use qpseeker_storage::{ColumnData, Database};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Width of the hashed feature space before projection.
 const HASH_DIM: usize = 192;
 /// Number of statistics features appended to the hashed features.
-const STATS_DIM: usize = 16;
+pub(crate) const STATS_DIM: usize = 16;
+const IN_DIM: usize = HASH_DIM + STATS_DIM;
 
 /// Encoding of one column.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,12 +45,17 @@ pub struct TabSim {
     simulated_ns: AtomicU64,
 }
 
-/// Per-session encoding cache: (table, query-bucket) → encoding. The query
-/// only influences the snapshot-row choice, so we bucket queries by their
-/// trigram hash. Owned by one session/thread; never shared.
+/// Per-session encoding cache, keyed by (table, FNV of the query's full SQL
+/// text). Owned by one session/thread; never shared.
 #[derive(Default)]
 pub struct TabertCache {
-    cache: HashMap<(String, u64), TableEncoding>,
+    cache: HashMap<(String, u64), Cached>,
+}
+
+/// A cached encoding; the per-column map only once a caller asked for it.
+struct Cached {
+    cls: Vec<f32>,
+    columns: Option<HashMap<String, ColumnEncoding>>,
 }
 
 impl TabertCache {
@@ -55,7 +63,7 @@ impl TabertCache {
         Self::default()
     }
 
-    /// Number of cached (table, query-bucket) encodings.
+    /// Number of cached (table, query) encodings.
     pub fn len(&self) -> usize {
         self.cache.len()
     }
@@ -68,7 +76,6 @@ impl TabertCache {
 impl TabSim {
     pub fn new(config: TabertConfig) -> Self {
         let dim = config.dim();
-        let in_dim = HASH_DIM + STATS_DIM;
         // Frozen pseudo-random Gaussian-ish projection from splitmix64.
         let mut state = config.seed ^ 0x9e37_79b9_7f4a_7c15;
         let mut next = move || {
@@ -78,8 +85,8 @@ impl TabSim {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
-        let scale = 1.0 / (in_dim as f32).sqrt();
-        let projection = (0..in_dim * dim)
+        let scale = 1.0 / (IN_DIM as f32).sqrt();
+        let projection = (0..IN_DIM * dim)
             .map(|_| {
                 // Sum of 4 uniforms ≈ Gaussian (Irwin-Hall), centered.
                 let mut acc = 0.0f32;
@@ -114,7 +121,11 @@ impl TabSim {
 
     /// Encode a table in the context of a query (the paper concatenates the
     /// query with the column triplets; here the query drives snapshot-row
-    /// selection). Cached per (table, query-shape).
+    /// selection), with its per-column vectors. Builds the table's
+    /// [`TableIndex`] on the spot; a caller encoding many queries against
+    /// one table should hold the index and use [`Self::encode_table_cls`].
+    /// Cached per (table, SQL text), like [`Self::encode_table_cls`], with
+    /// which it shares cache entries and the latency charge.
     pub fn encode_table(
         &self,
         cache: &mut TabertCache,
@@ -122,36 +133,37 @@ impl TabSim {
         table: &str,
         query_text: &str,
     ) -> TableEncoding {
-        let qkey = query_bucket(query_text);
-        if let Some(hit) = cache.cache.get(&(table.to_string(), qkey)) {
-            return hit.clone();
+        let query = TabertQuery::new(query_text);
+        let key = (table.to_string(), query.key);
+        if let Some(Cached { cls, columns: Some(columns) }) = cache.cache.get(&key) {
+            return TableEncoding { cls: cls.clone(), columns: columns.clone() };
         }
         let t = db.table(table).unwrap_or_else(|| panic!("unknown table {table}"));
-        self.charge_ms(self.latency.encode_table_ms(t.n_cols()));
-        let enc = self.encode_uncached(t, query_text);
-        cache.cache.insert((table.to_string(), qkey), enc.clone());
-        enc
+        if !cache.cache.contains_key(&key) {
+            self.charge_ms(self.latency.encode_table_ms(t.n_cols()));
+        }
+        let mut columns = HashMap::new();
+        let cls = self.encode(&TableIndex::build(t), &query, Some(&mut columns));
+        cache.cache.insert(key, Cached { cls: cls.clone(), columns: Some(columns.clone()) });
+        TableEncoding { cls, columns }
     }
 
-    /// The `[CLS]` table vector only. On a cache hit this clones one `Vec`
-    /// instead of the whole per-column encoding map — the planner's hot loop
-    /// needs nothing else.
+    /// The `[CLS]` table vector only, against a held index: the planner's
+    /// hot loop needs nothing else, so the per-column projections are
+    /// skipped. Bitwise equal to [`Self::encode_table`]'s `cls`.
     pub fn encode_table_cls(
         &self,
         cache: &mut TabertCache,
-        db: &Database,
-        table: &str,
-        query_text: &str,
+        index: &TableIndex,
+        query: &TabertQuery,
     ) -> Vec<f32> {
-        let qkey = query_bucket(query_text);
-        if let Some(hit) = cache.cache.get(&(table.to_string(), qkey)) {
+        let key = (index.name.clone(), query.key);
+        if let Some(hit) = cache.cache.get(&key) {
             return hit.cls.clone();
         }
-        let t = db.table(table).unwrap_or_else(|| panic!("unknown table {table}"));
-        self.charge_ms(self.latency.encode_table_ms(t.n_cols()));
-        let enc = self.encode_uncached(t, query_text);
-        let cls = enc.cls.clone();
-        cache.cache.insert((table.to_string(), qkey), enc);
+        self.charge_ms(self.latency.encode_table_ms(index.columns.len()));
+        let cls = self.encode(index, query, None);
+        cache.cache.insert(key, Cached { cls: cls.clone(), columns: None });
         cls
     }
 
@@ -169,79 +181,56 @@ impl TabSim {
         let t = db.table(table).unwrap_or_else(|| panic!("unknown table {table}"));
         let col = t.col(column);
         self.charge_ms(self.latency.encode_column_ms());
-        let mut feats = vec![0.0f32; HASH_DIM + STATS_DIM];
-        hash_token(&mut feats, &format!("name:{column}"));
-        hash_token(&mut feats, &format!("type:{:?}", col.data.dtype()));
-        hash_token(&mut feats, &format!("tbl:{table}"));
-        hash_token(&mut feats, "filtered");
+        let mut feats = [0.0f32; IN_DIM];
+        Token::of(&format!("name:{column}")).add(&mut feats, 1.0);
+        Token::of(&format!("type:{:?}", col.data.dtype())).add(&mut feats, 1.0);
+        Token::of(&format!("tbl:{table}")).add(&mut feats, 1.0);
+        Token::of("filtered").add(&mut feats, 1.0);
         let values: Vec<f64> = matching_rows.iter().map(|&r| col.data.num(r as usize)).collect();
         write_stats(&mut feats[HASH_DIM..], &values, t.n_rows());
         ColumnEncoding { vector: self.project(&feats) }
     }
 
-    fn encode_uncached(&self, t: &Table, query_text: &str) -> TableEncoding {
-        let snapshot = self.select_snapshot_rows(t, query_text);
-        let mut columns = HashMap::new();
-        let mut cls_feats = vec![0.0f32; HASH_DIM + STATS_DIM];
-        hash_token(&mut cls_feats, &format!("tbl:{}", t.name));
-        let mut total_rows_feat = Vec::new();
-
-        for col in &t.columns {
-            let mut feats = vec![0.0f32; HASH_DIM + STATS_DIM];
-            hash_token(&mut feats, &format!("name:{}", col.name));
-            hash_token(&mut feats, &format!("type:{:?}", col.data.dtype()));
-            hash_token(&mut feats, &format!("tbl:{}", t.name));
-            // Content snapshot: the cell values of the selected rows,
-            // weighted by the row's overlap score (vertical attention).
-            let total_w: f64 = snapshot.iter().map(|&(_, w)| w.max(1e-3)).sum();
-            for &(row, w) in &snapshot {
-                let cell = cell_text(&col.data, row);
-                hash_token_weighted(
-                    &mut feats,
-                    &format!("val:{cell}"),
-                    (w.max(1e-3) / total_w) as f32,
-                );
+    /// The one encoding routine: the `[CLS]` vector of `index`'s table for
+    /// `query`, and each column's vector into `columns` when asked.
+    fn encode(
+        &self,
+        index: &TableIndex,
+        query: &TabertQuery,
+        mut columns: Option<&mut HashMap<String, ColumnEncoding>>,
+    ) -> Vec<f32> {
+        let snapshot = index.top_k(query, self.config.k.max(1));
+        // Vertical attention: each snapshot row's cells weigh by the row's
+        // overlap score.
+        let total_w: f64 = snapshot.iter().map(|&(_, w)| w.max(1e-3)).sum();
+        let weights: Vec<f32> =
+            snapshot.iter().map(|&(_, w)| (w.max(1e-3) / total_w) as f32).collect();
+        let mut cls_feats = [0.0f32; IN_DIM];
+        index.tbl.add(&mut cls_feats, 1.0);
+        let n_cols = index.columns.len() as f32;
+        for (c, col) in index.columns.iter().enumerate() {
+            let mut feats = [0.0f32; IN_DIM];
+            for token in col.tokens.into_iter().chain([index.tbl]) {
+                token.add(&mut feats, 1.0);
+            }
+            // Content snapshot: the cell values of the selected rows.
+            for (&(pos, _), &w) in snapshot.iter().zip(&weights) {
+                index.val(pos, c).add(&mut feats, w);
             }
             // Distribution statistics over the full column (what MCP/CVR
             // pretraining teaches TaBERT to internalize).
-            let values: Vec<f64> = (0..t.n_rows()).map(|i| col.data.num(i)).collect();
-            write_stats(&mut feats[HASH_DIM..], &values, t.n_rows());
-
+            feats[HASH_DIM..].copy_from_slice(&col.stats);
             // CLS accumulates column features (mean over columns).
-            for (c, f) in cls_feats.iter_mut().zip(feats.iter()) {
-                *c += f / t.n_cols() as f32;
+            for (x, f) in cls_feats.iter_mut().zip(&feats) {
+                *x += f / n_cols;
             }
-            total_rows_feat = values; // last column reused only for length; ignored
-            columns.insert(col.name.clone(), ColumnEncoding { vector: self.project(&feats) });
+            if let Some(columns) = columns.as_deref_mut() {
+                columns.insert(col.name.clone(), ColumnEncoding { vector: self.project(&feats) });
+            }
         }
-        let _ = total_rows_feat;
         // Table-level size feature into the CLS stats slot.
-        cls_feats[HASH_DIM + STATS_DIM - 1] = ((t.n_rows() as f32) + 1.0).ln() / 20.0;
-        TableEncoding { cls: self.project(&cls_feats), columns }
-    }
-
-    /// Top-K rows by trigram overlap with the query.
-    fn select_snapshot_rows(&self, t: &Table, query_text: &str) -> Vec<(usize, f64)> {
-        let qgrams = ngram::trigrams(query_text);
-        let n = t.n_rows();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Sample up to 256 rows for scoring (real TaBERT scans the table;
-        // sampling keeps encoding O(1) while preserving the top-overlap
-        // behaviour on our dictionary data).
-        let stride = (n / 256).max(1);
-        let mut scored: Vec<(usize, f64)> = (0..n)
-            .step_by(stride)
-            .map(|row| {
-                let text: String =
-                    t.columns.iter().map(|c| cell_text(&c.data, row)).collect::<Vec<_>>().join(" ");
-                (row, ngram::overlap_score(&qgrams, &text))
-            })
-            .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores"));
-        scored.truncate(self.config.k.max(1));
-        scored
+        cls_feats[IN_DIM - 1] = ((index.n_rows as f32) + 1.0).ln() / 20.0;
+        self.project(&cls_feats)
     }
 
     fn project(&self, feats: &[f32]) -> Vec<f32> {
@@ -264,31 +253,52 @@ impl TabSim {
     }
 }
 
-fn cell_text(data: &ColumnData, row: usize) -> String {
+/// Append a cell's text to `out`.
+pub(crate) fn write_cell(out: &mut String, data: &ColumnData, row: usize) {
+    use std::fmt::Write;
     match data {
-        ColumnData::Int(v) => v[row].to_string(),
-        ColumnData::Float(v) => format!("{:.2}", v[row]),
-        ColumnData::Text { codes, dict } => dict[codes[row] as usize].clone(),
+        ColumnData::Int(v) => write!(out, "{}", v[row]),
+        ColumnData::Float(v) => write!(out, "{:.2}", v[row]),
+        ColumnData::Text { codes, dict } => out.write_str(&dict[codes[row] as usize]),
     }
+    .expect("writing to a String cannot fail");
 }
 
-fn hash_token(feats: &mut [f32], token: &str) {
-    hash_token_weighted(feats, token, 1.0);
+/// A feature-hashed token (Weinberger et al.): bucket = h mod H, sign from
+/// another bit of the hash.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Token {
+    bucket: u8,
+    negative: bool,
 }
 
-/// Feature hashing with sign (Weinberger et al.): bucket = h mod H,
-/// sign from another bit of the hash.
-fn hash_token_weighted(feats: &mut [f32], token: &str, weight: f32) {
-    let h = fnv::bytes(token.as_bytes());
-    let bucket = (h % HASH_DIM as u64) as usize;
-    let sign = if (h >> 63) == 0 { 1.0 } else { -1.0 };
-    feats[bucket] += sign * weight;
+impl Token {
+    pub(crate) fn of(text: &str) -> Self {
+        Self::hashed(fnv::bytes(text.as_bytes()))
+    }
+
+    /// The token `val:{cell}`, hashed without building the string.
+    pub(crate) fn val(cell: &str) -> Self {
+        let mut h = FnvBuild.build_hasher();
+        h.write(b"val:");
+        h.write(cell.as_bytes());
+        Self::hashed(h.finish())
+    }
+
+    fn hashed(h: u64) -> Self {
+        Self { bucket: (h % HASH_DIM as u64) as u8, negative: h >> 63 != 0 }
+    }
+
+    /// Add the token with `weight` to its signed bucket.
+    pub(crate) fn add(self, feats: &mut [f32], weight: f32) {
+        feats[self.bucket as usize] += if self.negative { -weight } else { weight };
+    }
 }
 
 /// Distribution statistics of a value vector, written into a 16-slot window:
 /// log-count, distinct ratio, mean, std, min, max (normalized), plus an
 /// 8-bin range-partitioned histogram sketch and selectivity.
-fn write_stats(out: &mut [f32], values: &[f64], table_rows: usize) {
+pub(crate) fn write_stats(out: &mut [f32], values: &[f64], table_rows: usize) {
     debug_assert_eq!(out.len(), STATS_DIM);
     let n = values.len();
     out[0] = ((n as f32) + 1.0).ln() / 20.0;
@@ -324,15 +334,10 @@ fn squash(v: f64) -> f32 {
     (s * (v.abs() + 1.0).ln() / 20.0) as f32
 }
 
-/// Bucket a query's text to a cache key.
-fn query_bucket(query_text: &str) -> u64 {
-    fnv::bytes(query_text.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ModelSize;
+    use crate::{ngram, ModelSize};
     use qpseeker_storage::datagen::imdb;
 
     fn db() -> Database {
@@ -343,9 +348,9 @@ mod tests {
     fn feature_hashes_are_pinned() {
         // Cache keys and hashed-feature buckets of every saved model depend
         // on these values.
-        assert_eq!(query_bucket("SELECT * FROM title"), 0x2e4c47f2523ce927);
+        assert_eq!(TabertQuery::new("SELECT * FROM title").key, 0x2e4c47f2523ce927);
         let mut feats = vec![0.0; HASH_DIM];
-        hash_token_weighted(&mut feats, "title", 0.5);
+        Token::of("title").add(&mut feats, 0.5);
         assert_eq!(feats[169], -0.5);
         assert_eq!(feats.iter().filter(|&&x| x != 0.0).count(), 1);
     }
@@ -459,22 +464,78 @@ mod tests {
             ColumnData::Text { codes, dict } => dict[codes[5] as usize].clone(),
             _ => panic!("keyword is text"),
         };
-        let ts = TabSim::new(TabertConfig::paper_default());
         let query = format!("keyword = '{target}'");
-        let rows = ts.select_snapshot_rows(t, &query);
+        let rows = TableIndex::build(t).snapshot(&TabertQuery::new(&query), 1);
         assert_eq!(rows.len(), 1);
         let (chosen, chosen_score) = rows[0];
         // The chosen row must score at least as high as any other sampled
         // row (top-1 by overlap), and strictly above the table median.
         let qgrams = ngram::trigrams(&query);
-        let row_text = |row: usize| -> String {
-            t.columns.iter().map(|c| cell_text(&c.data, row)).collect::<Vec<_>>().join(" ")
+        let score = |row: usize| -> f64 {
+            let mut text = String::new();
+            for c in &t.columns {
+                write_cell(&mut text, &c.data, row);
+                text.push(' ');
+            }
+            ngram::overlap(&qgrams, &ngram::trigrams(&text))
         };
-        let mut scores: Vec<f64> =
-            (0..t.n_rows()).map(|r| ngram::overlap_score(&qgrams, &row_text(r))).collect();
-        assert!((chosen_score - ngram::overlap_score(&qgrams, &row_text(chosen))).abs() < 1e-12);
+        let mut scores: Vec<f64> = (0..t.n_rows()).map(score).collect();
+        assert_eq!(chosen_score, score(chosen));
         scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = scores[scores.len() / 2];
         assert!(chosen_score >= median, "chosen {chosen_score} vs median {median}");
+        assert_eq!(chosen_score, *scores.last().unwrap());
+    }
+
+    #[test]
+    fn cls_only_encoding_equals_the_full_one_in_either_order() {
+        // The two entry points share cache entries: whichever encodes a
+        // (table, query) first pays the simulated latency, once, and the
+        // other reads the same bits on a hit — or, for `encode_table` after
+        // a cls-only entry, computes the columns without a second charge.
+        let db = db();
+        for k in [1, 3] {
+            let ts = TabSim::new(TabertConfig { k, ..TabertConfig::paper_default() });
+            for table in ["title", "keyword", "cast_info"] {
+                let index = TableIndex::build(db.table(table).unwrap());
+                let sql = format!("select * from {table} where note = 'x'");
+                let query = TabertQuery::new(&sql);
+                let one_charge = ts.latency.encode_table_ms(index.columns.len());
+
+                // cls first: a miss, then a hit; encode_table then completes it.
+                let mut cache = TabertCache::new();
+                let before = ts.simulated_ms();
+                let miss = ts.encode_table_cls(&mut cache, &index, &query);
+                let hit = ts.encode_table_cls(&mut cache, &index, &query);
+                let full = ts.encode_table(&mut cache, &db, table, &sql);
+                let full_hit = ts.encode_table(&mut cache, &db, table, &sql);
+                assert!((ts.simulated_ms() - before - one_charge).abs() < 1e-6);
+                assert_eq!(bits(&miss), bits(&full.cls));
+                assert_eq!(bits(&hit), bits(&full.cls));
+                assert_eq!(bits(&full_hit.cls), bits(&full.cls));
+                assert_eq!(full_hit.columns, full.columns);
+                assert_eq!(cache.len(), 1);
+
+                // encode_table first: the cls-only call is a hit.
+                let mut cache = TabertCache::new();
+                let before = ts.simulated_ms();
+                let full2 = ts.encode_table(&mut cache, &db, table, &sql);
+                let hit2 = ts.encode_table_cls(&mut cache, &index, &query);
+                assert!((ts.simulated_ms() - before - one_charge).abs() < 1e-6);
+                assert_eq!(bits(&full2.cls), bits(&full.cls));
+                assert_eq!(bits(&hit2), bits(&full.cls));
+                assert_eq!(full2.columns, full.columns);
+
+                // A fresh cache misses again, with the same bits.
+                let before = ts.simulated_ms();
+                let cold = ts.encode_table_cls(&mut TabertCache::new(), &index, &query);
+                assert!((ts.simulated_ms() - before - one_charge).abs() < 1e-6);
+                assert_eq!(bits(&cold), bits(&full.cls));
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 }

@@ -22,10 +22,12 @@
 //! strongly K/size dependent — is reproducible.
 
 pub mod encoder;
+pub mod index;
 pub mod latency;
 pub mod ngram;
 
 pub use encoder::{ColumnEncoding, TabSim, TabertCache, TableEncoding};
+pub use index::{TabertQuery, TableIndex};
 pub use latency::LatencyModel;
 
 /// BERT instance size. Base and Large differ in embedding width and in the
