@@ -30,6 +30,10 @@ pub enum EngineError {
     SpecShape { scans: usize, joins: usize },
     /// The plan is not left-deep where a left-deep plan is required.
     NotLeftDeep,
+    /// A join predicate names an alias no scan below the join binds.
+    UnboundJoinAlias { alias: String },
+    /// The plan has more relations than the executor tracks (64).
+    TooManyRelations { relations: usize },
     /// An injected row budget was exhausted mid-execution (admission
     /// control abort; transient — a retry may draw a different schedule).
     RowBudgetExceeded { processed: u64, budget: u64 },
@@ -72,6 +76,12 @@ impl fmt::Display for EngineError {
                 scans.saturating_sub(1)
             ),
             EngineError::NotLeftDeep => f.write_str("plan is not left-deep"),
+            EngineError::UnboundJoinAlias { alias } => {
+                write!(f, "join predicate names alias {alias}, which no scan below the join binds")
+            }
+            EngineError::TooManyRelations { relations } => {
+                write!(f, "plan has {relations} relations; the executor runs at most 64")
+            }
             EngineError::RowBudgetExceeded { processed, budget } => {
                 write!(f, "row budget exceeded: processed {processed} rows, budget {budget}")
             }

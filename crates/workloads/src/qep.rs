@@ -190,7 +190,26 @@ impl Workload {
 /// Workers (up to 8; one below 16 items, which runs on the calling thread)
 /// each own an [`Executor`] and pull the next item index from one shared
 /// cursor, so a few expensive plans cannot pile up on one worker.
+/// [`crate::job::generate`] samples its plans on the same kind of pool
+/// before labelling them here.
 pub fn measure_parallel(db: &Database, items: Vec<(Query, PlanNode, String)>) -> Vec<Qep> {
+    let truths = on_workers(&items, || Executor::new(db), |ex, (_, plan, _)| ex.execute(plan));
+    items
+        .into_iter()
+        .zip(truths)
+        .filter(|(_, truth)| !truth.timed_out)
+        .map(|((query, plan, template), truth)| Qep { query, plan, template, truth })
+        .collect()
+}
+
+/// `f` over every item, in item order, on the worker pool
+/// [`measure_parallel`] describes; each worker builds its own state with
+/// `init`.
+pub(crate) fn on_workers<T: Sync, S, R: Send>(
+    items: &[T],
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, &T) -> R + Sync,
+) -> Vec<R> {
     let workers = if items.len() < 16 {
         1
     } else {
@@ -198,31 +217,26 @@ pub fn measure_parallel(db: &Database, items: Vec<(Query, PlanNode, String)>) ->
     };
     let cursor = AtomicUsize::new(0);
     let work = || {
-        let ex = Executor::new(db);
+        let mut state = init();
         let mut done = Vec::new();
         loop {
             // Relaxed: the cursor hands out indices and publishes no data.
             let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some((_, plan, _)) = items.get(i) else { return done };
-            done.push((i, ex.execute(plan)));
+            let Some(item) = items.get(i) else { return done };
+            done.push((i, f(&mut state, item)));
         }
     };
-    let mut truths: Vec<(usize, ExecutionResult)> = if workers == 1 {
+    let mut out: Vec<(usize, R)> = if workers == 1 {
         work()
     } else {
         crossbeam::scope(|s| {
             let handles: Vec<_> = (0..workers).map(|_| s.spawn(|_| work())).collect();
-            handles.into_iter().flat_map(|h| h.join().expect("labelling worker panicked")).collect()
+            handles.into_iter().flat_map(|h| h.join().expect("workload worker panicked")).collect()
         })
         .expect("crossbeam scope")
     };
-    truths.sort_unstable_by_key(|&(i, _)| i);
-    items
-        .into_iter()
-        .zip(truths)
-        .filter(|(_, (_, truth))| !truth.timed_out)
-        .map(|((query, plan, template), (_, truth))| Qep { query, plan, template, truth })
-        .collect()
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
