@@ -518,9 +518,8 @@ struct FreshRow<'a> {
 }
 
 /// One scoring call's plan-encoder work, across every submission in it:
-/// which nodes need encoding (each distinct id once per submission; nodes
-/// without an id always) and, per candidate, where every node's state
-/// will be read from.
+/// which nodes need encoding (each distinct id once per submission) and,
+/// per candidate, where every node's state will be read from.
 #[derive(Default)]
 pub(crate) struct LevelPass<'a> {
     fresh: Vec<FreshRow<'a>>,
@@ -561,23 +560,18 @@ impl<'a> LevelPass<'a> {
                 level = level.max(l + 1);
             }
         }
-        let slot = match node.id {
-            Some(id) => *memo.slot(id),
-            None => ABSENT,
-        };
-        let found = if slot == ABSENT {
+        let slot = memo.slot(node.id);
+        let found = if *slot == ABSENT {
             let row = self.fresh.len() as u32;
-            if let Some(id) = node.id {
-                *memo.slot(id) = FRESH | row;
-            }
+            *slot = FRESH | row;
             self.fresh.push(FreshRow { node, sub, kids, level });
             self.levels = self.levels.max(level + 1);
             (NodeRef::Fresh(row), Some(level))
-        } else if slot & FRESH != 0 {
-            let row = slot & !FRESH;
+        } else if *slot & FRESH != 0 {
+            let row = *slot & !FRESH;
             (NodeRef::Fresh(row), Some(self.fresh[row as usize].level))
         } else {
-            (NodeRef::Memo { sub, entry: slot }, None)
+            (NodeRef::Memo { sub, entry: *slot }, None)
         };
         self.refs.push(found.0);
         found
@@ -597,7 +591,6 @@ impl<'a> LevelPass<'a> {
         for (row, FreshRow { node, sub, .. }) in self.fresh.iter().enumerate() {
             let memo = &mut *memos[*sub as usize];
             memo.encoded += 1;
-            let Some(id) = node.id else { continue };
             let slot = if memo.admit(node.children.is_empty()) {
                 let entry = memo.len() as u32;
                 memo.data.extend_from_slice(fresh.h.row_slice(row));
@@ -614,7 +607,7 @@ impl<'a> LevelPass<'a> {
             } else {
                 ABSENT
             };
-            *memo.slot(id) = slot;
+            *memo.slot(node.id) = slot;
         }
     }
 }
@@ -798,9 +791,8 @@ mod tests {
     }
 
     /// K plans in one pass ≡ K one-plan passes ≡ any partition into passes
-    /// ≡ a warm memo ≡ the uncached featurizer's trees (no node ids), node
-    /// for node, bit for bit — with plans of different heights sharing
-    /// levels.
+    /// ≡ a warm memo, node for node, bit for bit — with plans of different
+    /// heights sharing levels.
     #[test]
     fn plan_encoding_rows_bitwise_equal_under_any_partition() {
         let (db, q, _) = setup();
@@ -859,14 +851,8 @@ mod tests {
         let (b, _) = encode(&penc, &store, &refs[2..], &mut warm, &mut sc);
         assert_eq!([a, b].concat(), whole, "a memo hit differs from encoding the node");
         let (again, encoded) = encode(&penc, &store, &refs, &mut warm, &mut sc);
-        assert_eq!((again, encoded), (whole.clone(), 0), "a warm memo encodes nothing");
+        assert_eq!((again, encoded), (whole, 0), "a warm memo encodes nothing");
         assert_eq!(warm.encoded(), 8);
-        // The uncached featurizer assigns no ids: every node is encoded.
-        let general: Vec<FeatNode> =
-            plans.iter().map(|p| f.featurize(&mut sess, &q, p, None, &norm).plan).collect();
-        let general_refs: Vec<&FeatNode> = general.iter().collect();
-        let (plain, encoded) = encode(&penc, &store, &general_refs, &mut fresh_memo(), &mut sc);
-        assert_eq!((plain, encoded), (whole, 16));
     }
 
     /// Joins stop entering the memo when its budget is full, leaves never

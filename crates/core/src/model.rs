@@ -4,7 +4,7 @@
 use crate::config::ModelConfig;
 use crate::durable::SnapshotStore;
 use crate::encoder::{
-    postorder, EncodedGroup, EntryLayout, LevelPass, NodeMemo, NodeRef, PlanEncoder, QueryEncoder,
+    EncodedGroup, EntryLayout, LevelPass, NodeMemo, NodeRef, PlanEncoder, QueryEncoder,
 };
 use crate::error::CoreError;
 use crate::evalbroker::{BucketKey, FusedOutcome, Submission};
@@ -127,7 +127,7 @@ impl QPSeeker {
 
     /// Simulated TaBERT time consumed so far (Fig. 8 right).
     pub fn tabert_ms(&self) -> f64 {
-        self.feat.tabert_ms()
+        self.feat.tabert.simulated_ms()
     }
 
     /// Featurize a training QEP (requires a fitted normalizer) against the
@@ -413,7 +413,7 @@ impl QPSeeker {
         // Auxiliary-loss rows across the whole batch: each group's node
         // loss is scaled by its share so the sum equals the batch MSE.
         let total_aux: usize = if self.config.node_loss_weight > 0.0 {
-            batch.iter().map(|fq| count_truth_nodes(&fq.plan)).sum()
+            batch.iter().filter_map(|fq| fq.truths.as_ref()).map(Vec::len).sum()
         } else {
             0
         };
@@ -499,13 +499,8 @@ impl QPSeeker {
         if self.config.node_loss_weight > 0.0 && total_aux > 0 {
             let mut truths: Vec<(usize, [f32; 3])> = Vec::new();
             for (s, fq) in samples.iter().enumerate() {
-                let mut order = Vec::new();
-                postorder(&fq.plan, &mut order);
-                for (node, &row) in order.iter().zip(&enc.plan_rows[s]) {
-                    if let Some(t) = node.truth {
-                        truths.push((row, t));
-                    }
-                }
+                let Some(fq_truths) = &fq.truths else { continue };
+                truths.extend(enc.plan_rows[s].iter().copied().zip(fq_truths.iter().copied()));
             }
             if !truths.is_empty() {
                 let d = self.config.data_vec_dim();
@@ -689,14 +684,9 @@ impl QPSeeker {
     /// once scored, so a steady stream of calls allocates no new
     /// `Vec<FeatNode>`s and encodes no subtree twice.
     ///
-    /// This is the one place the limits of the cached featurizer show (at
-    /// most 64 relations, every scan a relation of `query`): it picks which
-    /// featurizer builds the rows. Both produce numerically identical
-    /// trees; only the cached one assigns node ids, so only its rows reach
-    /// the memo.
-    ///
     /// # Panics
-    /// When `ctx` was built for another query.
+    /// When `ctx` was built for another query, or a scan of a plan is not a
+    /// relation of `query` ([`Featurizer::featurize_batch_into`]).
     pub(crate) fn submission(
         &self,
         sess: &mut FeatSession,
@@ -712,15 +702,7 @@ impl QPSeeker {
             query.id
         );
         let mut nodes = std::mem::take(&mut ctx.feat_batch);
-        let cache = &mut ctx.plan_cache;
-        if PlanFeatCache::supports(query) && plans.iter().all(|plan| cache.binds(plan)) {
-            self.feat.featurize_batch_into(sess, query, plans, norm, cache, &mut nodes);
-        } else {
-            nodes.clear();
-            for plan in plans {
-                nodes.push(self.feat.featurize(sess, query, plan, None, norm).plan);
-            }
-        }
+        self.feat.featurize_batch_into(sess, query, plans, norm, &mut ctx.plan_cache, &mut nodes);
         let mut memo = std::mem::take(&mut ctx.memo);
         if !memo.is_init() {
             memo.init(self.memo_layout(), ScanOp::ALL.len() * query.relations.len());
@@ -884,27 +866,23 @@ impl QPSeeker {
     /// featurizes through a fresh [`FeatSession`] per call, as does
     /// [`Self::latent_mu`].
     pub fn predict_tape(&self, query: &Query, plan: &PlanNode) -> Prediction {
-        let (preds, _mu) = self.forward_tape(&self.featurize_reference(query, plan));
+        let (preds, _mu) = self.forward_tape(query, plan);
         let raw = self.normalizer.as_ref().expect("fitted: featurized above").decode(preds);
         Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] }
     }
 
     /// The 32-d latent mean of a QEP (Fig. 5's latent space).
     pub fn latent_mu(&self, query: &Query, plan: &PlanNode) -> Vec<f32> {
-        self.forward_tape(&self.featurize_reference(query, plan)).1
+        self.forward_tape(query, plan).1
     }
 
-    /// Featurize an unlabeled QEP for the tape reference paths.
-    fn featurize_reference(&self, query: &Query, plan: &PlanNode) -> FeaturizedQep {
+    /// The tape forward of one unlabeled QEP as a one-sample group, with
+    /// zero latent noise: normalized predictions and the latent mean.
+    fn forward_tape(&self, query: &Query, plan: &PlanNode) -> ([f32; 3], Vec<f32>) {
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        self.feat.featurize(&mut FeatSession::new(), query, plan, None, norm)
-    }
-
-    /// The tape forward of one QEP as a one-sample group, with zero latent
-    /// noise: normalized predictions and the latent mean.
-    fn forward_tape(&self, fq: &FeaturizedQep) -> ([f32; 3], Vec<f32>) {
+        let fq = self.feat.featurize(&mut FeatSession::new(), query, plan, None, norm);
         let mut g = Graph::new(&self.store);
-        let (joint, _enc) = self.encode_group(&mut g, &[fq]);
+        let (joint, _enc) = self.encode_group(&mut g, &[&fq]);
         let eps = Tensor::zeros(1, self.config.vae_latent);
         let out = self.vae.forward(&mut g, joint, eps);
         let p = g.value(out.predictions);
@@ -1072,17 +1050,11 @@ fn mean_sigma(times: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-/// Number of nodes carrying ground truth (the auxiliary-loss rows).
-fn count_truth_nodes(node: &crate::featurize::FeatNode) -> usize {
-    usize::from(node.truth.is_some())
-        + node.children.iter().map(|c| count_truth_nodes(c)).sum::<usize>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qpseeker_engine::optimizer::PgOptimizer;
-    use qpseeker_engine::query::{ColRef, JoinPred, RelRef};
+    use qpseeker_engine::query::{CmpOp, ColRef, Filter, JoinPred, RelRef};
     use qpseeker_storage::datagen::imdb;
     use qpseeker_workloads::{synthetic, SyntheticConfig};
 
@@ -1222,11 +1194,11 @@ mod tests {
     }
 
     /// A scan that is not a relation of the query — an alias the query does
-    /// not bind, or a bound alias over another table — must neither read
-    /// nor write a query relation's cached features. On a warm context it
-    /// scores exactly as the uncached featurizer does (which refuses an
-    /// unbound alias outright), and scoring it first leaves relation 0's
-    /// predictions untouched.
+    /// not bind, a bound alias over another table, or a bound alias under
+    /// other filters than the query's — would read or write a relation's
+    /// cached features, so it is refused, on a cold context and on a warm
+    /// one alike, and the refusal leaves the context scoring the query's own
+    /// plan bitwise as before.
     #[test]
     fn foreign_leaf_never_aliases_a_query_relation() {
         let db = Arc::new(imdb::generate(0.05, 1));
@@ -1240,6 +1212,11 @@ mod tests {
             left: ColRef::new("movie_info", "movie_id"),
             right: ColRef::new("title", "id"),
         }];
+        q.filters = vec![Filter {
+            col: ColRef::new("title", "production_year"),
+            op: CmpOp::Gt,
+            value: 2000.0,
+        }];
         use qpseeker_engine::plan::{JoinOp, ScanOp};
         let own = PlanNode::join(
             &q,
@@ -1247,11 +1224,11 @@ mod tests {
             PlanNode::scan(&q, "title", ScanOp::SeqScan),
             PlanNode::scan(&q, "movie_info", ScanOp::SeqScan),
         );
-        let scan = |alias: &str, table: &str| PlanNode::Scan {
+        let scan = |alias: &str, table: &str, filters: &[Filter]| PlanNode::Scan {
             alias: alias.into(),
             table: table.into(),
             op: ScanOp::SeqScan,
-            filters: Vec::new(),
+            filters: filters.to_vec(),
         };
         let with_mi = |leaf: PlanNode| PlanNode::Join {
             op: JoinOp::HashJoin,
@@ -1259,31 +1236,28 @@ mod tests {
             right: Box::new(leaf),
             preds: Vec::new(),
         };
-        let (unbound, mistyped) =
-            (with_mi(scan("cast_info", "cast_info")), with_mi(scan("title", "cast_info")));
+        let foreign = [
+            ("unbound", with_mi(scan("cast_info", "cast_info", &[]))),
+            ("mistyped", with_mi(scan("title", "cast_info", &q.filters))),
+            ("re-filtered", scan("title", "title", &[])),
+        ];
         let mut feat = FeatSession::new();
         let bits = |p: Prediction| [p.cardinality, p.cost, p.runtime_ms].map(f64::to_bits);
-
-        // The uncached featurizer's answer, scored as a one-row submission.
-        let norm = model.normalizer.as_ref().expect("fitted");
-        let mut ctx = model.query_context(&q);
-        let mut sub = model.submission(&mut feat, &q, &[], &mut ctx, None);
-        sub.nodes.push(model.feat.featurize(&mut feat, &q, &mistyped, None, norm).plan);
-        let general = model.score_local(sub).0.mean()[0];
-
+        let want = bits(model.predict(&q, &own));
         let mut warm = model.query_context(&q);
-        let own_fresh = model.predict_with_context_in(&mut feat, &q, &own, &mut warm);
-        let got = model.predict_with_context_in(&mut feat, &q, &mistyped, &mut warm);
-        assert_eq!(bits(got), bits(general), "a foreign leaf scored as a cached relation");
-
-        let mut first = model.query_context(&q);
-        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            model.predict_with_context_in(&mut feat, &q, &unbound, &mut first)
-        }));
-        assert!(refused.is_err(), "an unbound alias has no estimate to score with");
-        model.predict_with_context_in(&mut feat, &q, &mistyped, &mut first);
-        let own_after = model.predict_with_context_in(&mut feat, &q, &own, &mut first);
-        assert_eq!(bits(own_after), bits(own_fresh), "a foreign leaf rewrote relation 0");
+        assert_eq!(bits(model.predict_with_context_in(&mut feat, &q, &own, &mut warm)), want);
+        for (what, plan) in &foreign {
+            let mut cold = model.query_context(&q);
+            for (state, ctx) in [("cold", &mut cold), ("warm", &mut warm)] {
+                let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    model.predict_with_context_in(&mut feat, &q, plan, ctx)
+                }));
+                let cause = crate::error::panic_message(refused.expect_err(what));
+                assert!(cause.contains("is not a relation of query q"), "{what}: {cause}");
+                let again = bits(model.predict_with_context_in(&mut feat, &q, &own, ctx));
+                assert_eq!(again, want, "a refused {what} leaf moved a {state} context's scores");
+            }
+        }
     }
 
     #[test]

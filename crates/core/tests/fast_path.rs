@@ -1,7 +1,7 @@
 //! The tape-free scoring forward must be numerically interchangeable with
-//! the reference tape forward — through either featurizer — and crossbeam
-//! data-parallel training must be bit-reproducible regardless of the shard
-//! count.
+//! the reference tape forward, and crossbeam data-parallel training must be
+//! bit-reproducible regardless of the shard count; trained weights are
+//! pinned per kernel tier.
 
 use proptest::prelude::*;
 use qpseeker_core::prelude::*;
@@ -105,12 +105,10 @@ fn tape_free_forward_matches_tape_on_single_scans() {
     }
 }
 
-/// Past 64 relations the alias-bitmask featurization cache is inexact, so
-/// rows are built by the general featurizer instead — and still go through
-/// the one forward. A 65-alias self-join chain must predict, finitely and
-/// within 1e-5 of the tape.
+/// Alias sets take more than one 64-bit word past 64 relations. A 65-alias
+/// self-join chain must predict, finitely and within 1e-5 of the tape.
 #[test]
-fn sixty_five_alias_chain_predicts_through_the_general_featurizer() {
+fn sixty_five_alias_chain_predicts() {
     let model = shared_model();
     let mut q = Query::new("fastpath-65");
     let alias = |i: usize| format!("t{i}");
@@ -198,12 +196,7 @@ fn trained_weights_match_the_golden_fingerprint() {
     let refs: Vec<&Qep> = w.qeps.iter().collect();
     let mut m = QPSeeker::new(&db, ModelConfig::small());
     m.fit(&refs).expect("training succeeds");
-    let bits: Vec<u64> = m
-        .store
-        .iter()
-        .flat_map(|(_, p)| p.value.data().iter().map(|x| u64::from(x.to_bits())))
-        .collect();
-    let got = qpseeker_storage::fnv::words(&bits);
+    let got = weights_fingerprint(&m);
     let want = match isa::active() {
         Isa::Scalar => 0x6326_eb8e_74b7_d1ee,
         Isa::Avx2 | Isa::Avx512 => 0xc002_50f0_9499_e18c,
@@ -215,6 +208,55 @@ fn trained_weights_match_the_golden_fingerprint() {
          changed, or the libm's tanhf/expf did)",
         isa::active().name()
     );
+}
+
+/// The trained-weight golden on JOB plans: `ModelConfig::small()` fit for
+/// one epoch on 6 JOB queries (imdb at scale 0.05 and seed 12, 6 templates,
+/// 60 QEPs spread uniformly over each query's sampled plans). The synthetic
+/// fixture above has 1–3 relations; this sample has left-deep plans over up
+/// to 17 and `<table>#n` self-join aliases, so it pins training's features
+/// on deep plans too. Per-tier constants and the libm caveat as above.
+#[test]
+#[cfg_attr(
+    not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")),
+    ignore = "golden constants are for x86_64 Linux glibc"
+)]
+fn trained_weights_on_job_plans_match_the_golden_fingerprint() {
+    use qpseeker_nn::isa::{self, Isa};
+    use qpseeker_workloads::{job, JobConfig};
+    let db = std::sync::Arc::new(imdb::generate(0.05, 12));
+    let cfg =
+        JobConfig { n_templates: 6, n_queries: 6, target_qeps: 60, keep_fraction: 1.0, seed: 12 };
+    let w = job::generate(&db, &cfg);
+    assert_eq!(w.num_qeps(), 58);
+    assert!(w.qeps.iter().any(|q| q.query.relations.len() >= 10), "no deep query");
+    assert!(w.qeps.iter().any(|q| q.plan.aliases().iter().any(|a| a.contains('#'))));
+    let refs: Vec<&Qep> = w.qeps.iter().collect();
+    let mut cfg = ModelConfig::small();
+    cfg.epochs = 1;
+    let mut m = QPSeeker::new(&db, cfg);
+    m.fit(&refs).expect("training succeeds");
+    let got = weights_fingerprint(&m);
+    let want = match isa::active() {
+        Isa::Scalar => 0x194d_ce24_e34f_657b,
+        Isa::Avx2 | Isa::Avx512 => 0x04ce_4e67_c1b5_f453,
+    };
+    assert_eq!(
+        got,
+        want,
+        "trained weights on JOB plans moved on the {} tier: {got:#018x}",
+        isa::active().name()
+    );
+}
+
+/// FNV-1a over every parameter's `to_bits()`, in `ParamStore::iter` order.
+fn weights_fingerprint(m: &QPSeeker) -> u64 {
+    let bits: Vec<u64> = m
+        .store
+        .iter()
+        .flat_map(|(_, p)| p.value.data().iter().map(|x| u64::from(x.to_bits())))
+        .collect();
+    qpseeker_storage::fnv::words(&bits)
 }
 
 /// Grouped-tape oracle, on the trained-weight golden's fixture. Training
