@@ -1,28 +1,109 @@
 //! Elementwise activation kernels for the tape-free inference path.
 //!
-//! The LSTM gate math and MLP activations are transcendental-bound: libm
-//! `exp`/`tanh` cost ~50-100ns per lane, which at 5 calls per hidden lane
-//! dominates the whole plan-encoder forward (the GEMMs are an order of
-//! magnitude cheaper). On AVX2+FMA hosts we evaluate them 8 lanes at a time
-//! with Cephes-style polynomials (~1-2 ulp, far inside the 1e-5 tape-parity
-//! tolerance); elsewhere the portable libm path runs unchanged.
+//! The LSTM gate math is transcendental-bound: libm `exp`/`tanh` cost
+//! ~50-100ns per lane, which at 5 calls per hidden lane dominates the whole
+//! plan-encoder forward (the GEMMs are an order of magnitude cheaper). On
+//! the AVX2+FMA and AVX-512 tiers we evaluate them with a Cephes-style
+//! polynomial (~1-2 ulp, far inside the 1e-5 tape-parity tolerance); the
+//! scalar tier runs the portable libm expressions.
+//!
+//! The polynomial is written once, as plain `f32 -> f32` lane functions, and
+//! the gate body once, as `gates_lanes`. Each SIMD tier is that body
+//! inlined into a `#[target_feature]` wrapper, which LLVM vectorizes to the
+//! tier's width. Every operation in the polynomial (`mul_add`,
+//! `round_ties_even`, `+ - * /`, bit ops) is correctly rounded, so a lane
+//! gets the same bits whether it lands in a vector body or a scalar
+//! remainder.
 //!
 //! **FP-order contract:** every function here is elementwise — lane `i` of
-//! the output depends only on lane `i` of the inputs, and which code path a
-//! lane takes depends only on its column index and the width, never on the
-//! number of rows. Row `r` of a batched call is therefore bitwise identical
-//! to a 1-row call on row `r` alone, the same invariant the GEMM upholds
-//! (see [`crate::pack`]). Like the GEMM tiers, the SIMD variants differ
-//! from the portable one in the last bits; the process-wide
-//! [`crate::isa::active`] selection picks one variant per process, so batched
-//! and scalar scoring always agree bitwise.
+//! the output depends only on lane `i` of the inputs, and every lane of a
+//! tier takes the same expression. Row `r` of a batched call is therefore
+//! bitwise identical to a 1-row call on row `r` alone, the same invariant
+//! the GEMM upholds (see [`crate::pack`]). Like the GEMM tiers, the SIMD
+//! variants differ from the portable one in the last bits; the process-wide
+//! [`crate::isa::active`] selection picks one variant per process, so
+//! batched and scalar scoring always agree bitwise.
 
 use crate::isa::Isa;
+use crate::layers::Activation;
 
-/// `sigmoid(x)` as used by the portable LSTM gate path.
+// Cephes single-precision exp: round-to-nearest power-of-two split with a
+// Cody-Waite reduced argument and a degree-5 polynomial remainder.
+const EXP_HI: f32 = 88.376_26;
+const EXP_LO: f32 = -87.336_55;
+const LOG2EF: f32 = std::f32::consts::LOG2_E;
+const C1: f32 = 0.693_359_4;
+const C2: f32 = -2.121_944_4e-4;
+const P0: f32 = 1.987_569_1e-4;
+const P1: f32 = 1.398_199_9e-3;
+const P2: f32 = 8.333_452e-3;
+const P3: f32 = 4.166_579_6e-2;
+const P4: f32 = 1.666_666_5e-1;
+const P5: f32 = 5.0e-1;
+
+/// `sigmoid(x)` as used by the portable (libm) tier.
 #[inline]
 pub(crate) fn sigmoid_scalar(v: f32) -> f32 {
     1.0 / (1.0 + (-v).exp())
+}
+
+/// Polynomial `exp(x)`, clamped to `[EXP_LO, EXP_HI]`. The clamps keep the
+/// SIMD `max`/`min` semantics: a NaN input takes the lower bound.
+#[inline(always)]
+fn exp_poly(x: f32) -> f32 {
+    let x = if x > EXP_LO { x } else { EXP_LO };
+    let x = if x < EXP_HI { x } else { EXP_HI };
+    let n = (x * LOG2EF).round_ties_even();
+    // r = x - n*C1 - n*C2 (Cody-Waite two-constant reduction).
+    let r = (-n).mul_add(C1, x);
+    let r = (-n).mul_add(C2, r);
+    let mut y = P0;
+    y = y.mul_add(r, P1);
+    y = y.mul_add(r, P2);
+    y = y.mul_add(r, P3);
+    y = y.mul_add(r, P4);
+    y = y.mul_add(r, P5);
+    // exp(r) = 1 + r + r^2 * y
+    let y = (r * r).mul_add(y, r) + 1.0;
+    // Scale by 2^n through the exponent field. `n` is integral with
+    // |n| <= 128, so adding 1.5·2^23 + 127 leaves `n + 127` in the low
+    // mantissa bits; the shift moves its low 9 bits into the exponent
+    // field, as an integer convert, add and shift would.
+    let pow2n = f32::from_bits((n + (127.0 + 12_582_912.0)).to_bits() << 23);
+    y * pow2n
+}
+
+#[inline(always)]
+fn sigmoid_poly(x: f32) -> f32 {
+    // 1 / (1 + exp(-x)); exp is clamped so the denominator stays finite.
+    1.0 / (1.0 + exp_poly(0.0 - x))
+}
+
+#[inline(always)]
+fn tanh_poly(x: f32) -> f32 {
+    // tanh(|x|) = (1 - e^{-2|x|}) / (1 + e^{-2|x|}), sign restored from x.
+    const SIGN: u32 = 0x8000_0000;
+    let t = exp_poly(x.abs() * -2.0);
+    let th = (1.0 - t) / (1.0 + t);
+    f32::from_bits(th.to_bits() | (x.to_bits() & SIGN))
+}
+
+#[inline(always)]
+fn sigmoid<const POLY: bool>(x: f32) -> f32 {
+    if POLY {
+        sigmoid_poly(x)
+    } else {
+        sigmoid_scalar(x)
+    }
+}
+
+#[inline(always)]
+fn tanh<const POLY: bool>(x: f32) -> f32 {
+    if POLY {
+        tanh_poly(x)
+    } else {
+        x.tanh()
+    }
 }
 
 /// Fused LSTM gate math for one step: `gates` is `[rows, 4*d]` laid out as
@@ -33,8 +114,7 @@ pub(crate) fn sigmoid_scalar(v: f32) -> f32 {
 /// `h' = sigmoid(o) * tanh(c')` per lane.
 ///
 /// # Panics
-/// Panics if a buffer is shorter than its shape: the SIMD tiers index them
-/// through raw pointers.
+/// Panics if a buffer is shorter than its shape.
 pub fn lstm_gates(
     rows: usize,
     d: usize,
@@ -53,16 +133,46 @@ pub fn lstm_gates(
     assert!(fits(h_out.len(), d), "lstm_gates: h_out shorter than rows·d");
     match crate::isa::active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active()` only returns a tier the CPU supports, and the
-        // asserts above check that every buffer covers the shape.
-        Isa::Avx512 => unsafe { avx512::lstm_gates(rows, d, gates, c_prev, c_out, h_out) },
+        // SAFETY: `active()` only returns a tier the CPU supports.
+        Isa::Avx512 => unsafe { lstm_gates_avx512(rows, d, gates, c_prev, c_out, h_out) },
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { avx::lstm_gates(rows, d, gates, c_prev, c_out, h_out) },
-        _ => lstm_gates_portable(rows, d, gates, c_prev, c_out, h_out),
+        // SAFETY: as above.
+        Isa::Avx2 => unsafe { lstm_gates_avx2(rows, d, gates, c_prev, c_out, h_out) },
+        _ => gates_lanes::<false>(rows, d, gates, c_prev, c_out, h_out),
     }
 }
 
-fn lstm_gates_portable(
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn lstm_gates_avx512(
+    rows: usize,
+    d: usize,
+    gates: &[f32],
+    c_prev: &[f32],
+    c_out: &mut [f32],
+    h_out: &mut [f32],
+) {
+    gates_lanes::<true>(rows, d, gates, c_prev, c_out, h_out)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn lstm_gates_avx2(
+    rows: usize,
+    d: usize,
+    gates: &[f32],
+    c_prev: &[f32],
+    c_out: &mut [f32],
+    h_out: &mut [f32],
+) {
+    gates_lanes::<true>(rows, d, gates, c_prev, c_out, h_out)
+}
+
+/// The gate body of every tier: `POLY` picks the polynomial lane functions
+/// and a fused cell update (the SIMD tiers) or libm and the unfused
+/// `f*c + i*g` (the scalar tier).
+#[inline(always)]
+fn gates_lanes<const POLY: bool>(
     rows: usize,
     d: usize,
     gates: &[f32],
@@ -71,318 +181,46 @@ fn lstm_gates_portable(
     h_out: &mut [f32],
 ) {
     for r in 0..rows {
-        let grow = &gates[r * 4 * d..(r + 1) * 4 * d];
+        let (gi, rest) = gates[r * 4 * d..(r + 1) * 4 * d].split_at(d);
+        let (gf, rest) = rest.split_at(d);
+        let (gg, go) = rest.split_at(d);
+        let cp = &c_prev[r * d..(r + 1) * d];
+        let co = &mut c_out[r * d..(r + 1) * d];
+        let ho = &mut h_out[r * d..(r + 1) * d];
         for j in 0..d {
-            let i_g = sigmoid_scalar(grow[j]);
-            let f_g = sigmoid_scalar(grow[d + j]);
-            let g_g = grow[2 * d + j].tanh();
-            let o_g = sigmoid_scalar(grow[3 * d + j]);
-            let cv = f_g * c_prev[r * d + j] + i_g * g_g;
-            c_out[r * d + j] = cv;
-            h_out[r * d + j] = o_g * cv.tanh();
+            let i_g = sigmoid::<POLY>(gi[j]);
+            let f_g = sigmoid::<POLY>(gf[j]);
+            let g_g = tanh::<POLY>(gg[j]);
+            let o_g = sigmoid::<POLY>(go[j]);
+            let cv = if POLY { i_g.mul_add(g_g, f_g * cp[j]) } else { f_g * cp[j] + i_g * g_g };
+            co[j] = cv;
+            ho[j] = o_g * tanh::<POLY>(cv);
         }
     }
 }
 
-/// `x[i] = tanh(x[i])` over a slice, vectorized when the host supports it.
-pub fn tanh_inplace(x: &mut [f32]) {
-    match crate::isa::active() {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { avx512::tanh_inplace(x) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { avx::tanh_inplace(x) },
-        _ => {
-            for v in x {
-                *v = v.tanh();
-            }
-        }
-    }
-}
-
-/// `x[i] = sigmoid(x[i])` over a slice, vectorized when the host supports it.
-pub fn sigmoid_inplace(x: &mut [f32]) {
-    match crate::isa::active() {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { avx512::sigmoid_inplace(x) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { avx::sigmoid_inplace(x) },
-        _ => {
-            for v in x {
-                *v = sigmoid_scalar(*v);
-            }
-        }
-    }
-}
-
+/// `x[i] = act(x[i])` for `Tanh`/`Sigmoid` with the AVX-512 tier's
+/// polynomial; other activations leave `x` as it is. The GEMM's AVX
+/// epilogues apply only `Relu`, and leave these two to this pass.
 #[cfg(target_arch = "x86_64")]
-pub(crate) mod avx {
-    use std::arch::x86_64::*;
-
-    // Cephes single-precision exp: round-to-nearest power-of-two split with
-    // a Cody-Waite reduced argument and a degree-5 polynomial remainder.
-    pub(crate) const EXP_HI: f32 = 88.376_26;
-    pub(crate) const EXP_LO: f32 = -87.336_55;
-    pub(crate) const LOG2EF: f32 = std::f32::consts::LOG2_E;
-    pub(crate) const C1: f32 = 0.693_359_4;
-    pub(crate) const C2: f32 = -2.121_944_4e-4;
-    pub(crate) const P0: f32 = 1.987_569_1e-4;
-    pub(crate) const P1: f32 = 1.398_199_9e-3;
-    pub(crate) const P2: f32 = 8.333_452e-3;
-    pub(crate) const P3: f32 = 4.166_579_6e-2;
-    pub(crate) const P4: f32 = 1.666_666_5e-1;
-    pub(crate) const P5: f32 = 5.0e-1;
-
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn exp_ps(x: __m256) -> __m256 {
-        let x = _mm256_min_ps(_mm256_max_ps(x, _mm256_set1_ps(EXP_LO)), _mm256_set1_ps(EXP_HI));
-        let n = _mm256_round_ps(
-            _mm256_mul_ps(x, _mm256_set1_ps(LOG2EF)),
-            _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC,
-        );
-        // r = x - n*C1 - n*C2 (Cody-Waite two-constant reduction).
-        let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(C1), x);
-        let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(C2), r);
-        let mut y = _mm256_set1_ps(P0);
-        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(P1));
-        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(P2));
-        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(P3));
-        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(P4));
-        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(P5));
-        // exp(r) = 1 + r + r^2 * y
-        let y = _mm256_add_ps(_mm256_fmadd_ps(_mm256_mul_ps(r, r), y, r), _mm256_set1_ps(1.0));
-        // Scale by 2^n via exponent-field arithmetic.
-        let pow2n = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
-            _mm256_cvtps_epi32(n),
-            _mm256_set1_epi32(127),
-        )));
-        _mm256_mul_ps(y, pow2n)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn sigmoid_ps(x: __m256) -> __m256 {
-        // 1 / (1 + exp(-x)); exp is clamped so the denominator stays finite.
-        let one = _mm256_set1_ps(1.0);
-        let t = exp_ps(_mm256_sub_ps(_mm256_setzero_ps(), x));
-        _mm256_div_ps(one, _mm256_add_ps(one, t))
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn tanh_ps(x: __m256) -> __m256 {
-        // tanh(|x|) = (1 - e^{-2|x|}) / (1 + e^{-2|x|}), sign restored from x.
-        let sign_mask = _mm256_set1_ps(-0.0);
-        let ax = _mm256_andnot_ps(sign_mask, x);
-        let one = _mm256_set1_ps(1.0);
-        let t = exp_ps(_mm256_mul_ps(ax, _mm256_set1_ps(-2.0)));
-        let th = _mm256_div_ps(_mm256_sub_ps(one, t), _mm256_add_ps(one, t));
-        _mm256_or_ps(th, _mm256_and_ps(x, sign_mask))
-    }
-
-    /// # Safety
-    /// The CPU must support AVX2 and FMA; every buffer must cover the
-    /// shape, as [`super::lstm_gates`] asserts.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn lstm_gates(
-        rows: usize,
-        d: usize,
-        gates: &[f32],
-        c_prev: &[f32],
-        c_out: &mut [f32],
-        h_out: &mut [f32],
-    ) {
-        for r in 0..rows {
-            let g = gates.as_ptr().add(r * 4 * d);
-            let cp = c_prev.as_ptr().add(r * d);
-            let co = c_out.as_mut_ptr().add(r * d);
-            let ho = h_out.as_mut_ptr().add(r * d);
-            let mut j = 0;
-            while j + 8 <= d {
-                let i_g = sigmoid_ps(_mm256_loadu_ps(g.add(j)));
-                let f_g = sigmoid_ps(_mm256_loadu_ps(g.add(d + j)));
-                let g_g = tanh_ps(_mm256_loadu_ps(g.add(2 * d + j)));
-                let o_g = sigmoid_ps(_mm256_loadu_ps(g.add(3 * d + j)));
-                let cv = _mm256_fmadd_ps(i_g, g_g, _mm256_mul_ps(f_g, _mm256_loadu_ps(cp.add(j))));
-                _mm256_storeu_ps(co.add(j), cv);
-                _mm256_storeu_ps(ho.add(j), _mm256_mul_ps(o_g, tanh_ps(cv)));
-                j += 8;
-            }
-            // Lane tail: which path a lane takes depends only on (j, d), so
-            // rows stay bitwise consistent between batched and 1-row calls.
-            while j < d {
-                let i_g = super::sigmoid_scalar(*g.add(j));
-                let f_g = super::sigmoid_scalar(*g.add(d + j));
-                let g_g = (*g.add(2 * d + j)).tanh();
-                let o_g = super::sigmoid_scalar(*g.add(3 * d + j));
-                let cv = f_g * *cp.add(j) + i_g * g_g;
-                *co.add(j) = cv;
-                *ho.add(j) = o_g * cv.tanh();
-                j += 1;
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn tanh_inplace(x: &mut [f32]) {
-        let n = x.len();
-        let p = x.as_mut_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            _mm256_storeu_ps(p.add(i), tanh_ps(_mm256_loadu_ps(p.add(i))));
-            i += 8;
-        }
-        for v in &mut x[i..] {
-            *v = v.tanh();
-        }
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn sigmoid_inplace(x: &mut [f32]) {
-        let n = x.len();
-        let p = x.as_mut_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            _mm256_storeu_ps(p.add(i), sigmoid_ps(_mm256_loadu_ps(p.add(i))));
-            i += 8;
-        }
-        for v in &mut x[i..] {
-            *v = super::sigmoid_scalar(*v);
-        }
-    }
+#[target_feature(enable = "avx512f")]
+pub(crate) fn activate_avx512(act: Activation, x: &mut [f32]) {
+    activate_poly(act, x)
 }
 
+/// [`activate_avx512`] for the AVX2+FMA tier.
 #[cfg(target_arch = "x86_64")]
-pub(crate) mod avx512 {
-    use std::arch::x86_64::*;
+#[target_feature(enable = "avx2,fma")]
+pub(crate) fn activate_avx2(act: Activation, x: &mut [f32]) {
+    activate_poly(act, x)
+}
 
-    // Same Cephes constants as the AVX2 tier — the polynomial is identical,
-    // only the lane count changes. Bit ops go through the integer domain so
-    // the module needs nothing beyond AVX-512F (`_mm512_andnot_ps` is DQ).
-    use super::avx::{C1, C2, EXP_HI, EXP_LO, LOG2EF, P0, P1, P2, P3, P4, P5};
-
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn exp_ps(x: __m512) -> __m512 {
-        let x = _mm512_min_ps(_mm512_max_ps(x, _mm512_set1_ps(EXP_LO)), _mm512_set1_ps(EXP_HI));
-        // 0x08 = round-to-nearest-int, suppress exceptions.
-        let n = _mm512_roundscale_ps::<0x08>(_mm512_mul_ps(x, _mm512_set1_ps(LOG2EF)));
-        let r = _mm512_fnmadd_ps(n, _mm512_set1_ps(C1), x);
-        let r = _mm512_fnmadd_ps(n, _mm512_set1_ps(C2), r);
-        let mut y = _mm512_set1_ps(P0);
-        y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(P1));
-        y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(P2));
-        y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(P3));
-        y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(P4));
-        y = _mm512_fmadd_ps(y, r, _mm512_set1_ps(P5));
-        let y = _mm512_add_ps(_mm512_fmadd_ps(_mm512_mul_ps(r, r), y, r), _mm512_set1_ps(1.0));
-        let pow2n = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_add_epi32(
-            _mm512_cvtps_epi32(n),
-            _mm512_set1_epi32(127),
-        )));
-        _mm512_mul_ps(y, pow2n)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn sigmoid_ps(x: __m512) -> __m512 {
-        let one = _mm512_set1_ps(1.0);
-        let t = exp_ps(_mm512_sub_ps(_mm512_setzero_ps(), x));
-        _mm512_div_ps(one, _mm512_add_ps(one, t))
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn tanh_ps(x: __m512) -> __m512 {
-        // tanh(|x|) = (1 - e^{-2|x|}) / (1 + e^{-2|x|}), sign restored from x.
-        let xi = _mm512_castps_si512(x);
-        let sign = _mm512_and_si512(xi, _mm512_set1_epi32(i32::MIN));
-        let ax = _mm512_castsi512_ps(_mm512_andnot_si512(_mm512_set1_epi32(i32::MIN), xi));
-        let one = _mm512_set1_ps(1.0);
-        let t = exp_ps(_mm512_mul_ps(ax, _mm512_set1_ps(-2.0)));
-        let th = _mm512_div_ps(_mm512_sub_ps(one, t), _mm512_add_ps(one, t));
-        _mm512_castsi512_ps(_mm512_or_si512(_mm512_castps_si512(th), sign))
-    }
-
-    /// # Safety
-    /// The CPU must support AVX-512F; every buffer must cover the shape, as
-    /// [`super::lstm_gates`] asserts.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn lstm_gates(
-        rows: usize,
-        d: usize,
-        gates: &[f32],
-        c_prev: &[f32],
-        c_out: &mut [f32],
-        h_out: &mut [f32],
-    ) {
-        for r in 0..rows {
-            let g = gates.as_ptr().add(r * 4 * d);
-            let cp = c_prev.as_ptr().add(r * d);
-            let co = c_out.as_mut_ptr().add(r * d);
-            let ho = h_out.as_mut_ptr().add(r * d);
-            let mut j = 0;
-            while j + 16 <= d {
-                let i_g = sigmoid_ps(_mm512_loadu_ps(g.add(j)));
-                let f_g = sigmoid_ps(_mm512_loadu_ps(g.add(d + j)));
-                let g_g = tanh_ps(_mm512_loadu_ps(g.add(2 * d + j)));
-                let o_g = sigmoid_ps(_mm512_loadu_ps(g.add(3 * d + j)));
-                let cv = _mm512_fmadd_ps(i_g, g_g, _mm512_mul_ps(f_g, _mm512_loadu_ps(cp.add(j))));
-                _mm512_storeu_ps(co.add(j), cv);
-                _mm512_storeu_ps(ho.add(j), _mm512_mul_ps(o_g, tanh_ps(cv)));
-                j += 16;
-            }
-            if j < d {
-                // Masked lane tail: mask depends only on (j, d), so rows stay
-                // bitwise consistent between batched and 1-row calls.
-                let mask: __mmask16 = (1u16 << (d - j)) - 1;
-                let i_g = sigmoid_ps(_mm512_maskz_loadu_ps(mask, g.add(j)));
-                let f_g = sigmoid_ps(_mm512_maskz_loadu_ps(mask, g.add(d + j)));
-                let g_g = tanh_ps(_mm512_maskz_loadu_ps(mask, g.add(2 * d + j)));
-                let o_g = sigmoid_ps(_mm512_maskz_loadu_ps(mask, g.add(3 * d + j)));
-                let cv = _mm512_fmadd_ps(
-                    i_g,
-                    g_g,
-                    _mm512_mul_ps(f_g, _mm512_maskz_loadu_ps(mask, cp.add(j))),
-                );
-                _mm512_mask_storeu_ps(co.add(j), mask, cv);
-                _mm512_mask_storeu_ps(ho.add(j), mask, _mm512_mul_ps(o_g, tanh_ps(cv)));
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn tanh_inplace(x: &mut [f32]) {
-        let n = x.len();
-        let p = x.as_mut_ptr();
-        let mut i = 0;
-        while i + 16 <= n {
-            _mm512_storeu_ps(p.add(i), tanh_ps(_mm512_loadu_ps(p.add(i))));
-            i += 16;
-        }
-        if i < n {
-            let mask: __mmask16 = (1u16 << (n - i)) - 1;
-            _mm512_mask_storeu_ps(p.add(i), mask, tanh_ps(_mm512_maskz_loadu_ps(mask, p.add(i))));
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn sigmoid_inplace(x: &mut [f32]) {
-        let n = x.len();
-        let p = x.as_mut_ptr();
-        let mut i = 0;
-        while i + 16 <= n {
-            _mm512_storeu_ps(p.add(i), sigmoid_ps(_mm512_loadu_ps(p.add(i))));
-            i += 16;
-        }
-        if i < n {
-            let mask: __mmask16 = (1u16 << (n - i)) - 1;
-            _mm512_mask_storeu_ps(
-                p.add(i),
-                mask,
-                sigmoid_ps(_mm512_maskz_loadu_ps(mask, p.add(i))),
-            );
-        }
+#[inline(always)]
+fn activate_poly(act: Activation, x: &mut [f32]) {
+    match act {
+        Activation::Tanh => x.iter_mut().for_each(|v| *v = tanh_poly(*v)),
+        Activation::Sigmoid => x.iter_mut().for_each(|v| *v = sigmoid_poly(*v)),
+        Activation::Identity | Activation::Relu => {}
     }
 }
 
@@ -390,39 +228,46 @@ pub(crate) mod avx512 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn vector_activations_close_to_libm() {
-        let xs: Vec<f32> = (-400..=400).map(|i| i as f32 * 0.05).collect();
-        let mut t = xs.clone();
-        tanh_inplace(&mut t);
-        let mut s = xs.clone();
-        sigmoid_inplace(&mut s);
-        for (i, &x) in xs.iter().enumerate() {
-            let (rt, rs) = (x.tanh(), 1.0 / (1.0 + (-x).exp()));
-            assert!((t[i] - rt).abs() <= 2e-7 + 1e-6 * rt.abs(), "tanh({x}): {} vs {rt}", t[i]);
-            assert!((s[i] - rs).abs() <= 2e-7 + 1e-6 * rs.abs(), "sigmoid({x}): {} vs {rs}", s[i]);
-        }
+    fn libm_gates(rows: usize, d: usize, gates: &[f32], c_prev: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let (mut c, mut h) = (vec![0.0f32; rows * d], vec![0.0f32; rows * d]);
+        gates_lanes::<false>(rows, d, gates, c_prev, &mut c, &mut h);
+        (c, h)
     }
 
     #[test]
-    fn lstm_gates_matches_portable_within_tolerance_and_rows_are_stable() {
-        let (rows, d) = (5usize, 19usize); // odd width exercises the lane tail
-        let gates: Vec<f32> = (0..rows * 4 * d).map(|i| ((i as f32) * 0.37).sin() * 3.0).collect();
-        let c_prev: Vec<f32> = (0..rows * d).map(|i| ((i as f32) * 0.11).cos()).collect();
-        let (mut c, mut h) = (vec![0.0f32; rows * d], vec![0.0f32; rows * d]);
-        lstm_gates(rows, d, &gates, &c_prev, &mut c, &mut h);
-        let (mut cp, mut hp) = (vec![0.0f32; rows * d], vec![0.0f32; rows * d]);
-        lstm_gates_portable(rows, d, &gates, &c_prev, &mut cp, &mut hp);
-        for i in 0..rows * d {
-            assert!((c[i] - cp[i]).abs() <= 1e-6, "c[{i}]: {} vs {}", c[i], cp[i]);
-            assert!((h[i] - hp[i]).abs() <= 1e-6, "h[{i}]: {} vs {}", h[i], hp[i]);
+    fn vector_activations_close_to_libm() {
+        for i in -400..=400 {
+            let x = i as f32 * 0.05;
+            let (t, s) = (tanh_poly(x), sigmoid_poly(x));
+            let (rt, rs) = (x.tanh(), sigmoid_scalar(x));
+            assert!((t - rt).abs() <= 2e-7 + 1e-6 * rt.abs(), "tanh({x}): {t} vs {rt}");
+            assert!((s - rs).abs() <= 2e-7 + 1e-6 * rs.abs(), "sigmoid({x}): {s} vs {rs}");
         }
-        // Row-equality contract: each batched row bitwise equals a 1-row call.
-        for r in 0..rows {
-            let (mut c1, mut h1) = (vec![0.0f32; d], vec![0.0f32; d]);
-            lstm_gates(1, d, &gates[r * 4 * d..], &c_prev[r * d..], &mut c1, &mut h1);
-            assert_eq!(&c[r * d..(r + 1) * d], &c1[..], "row {r} cell state");
-            assert_eq!(&h[r * d..(r + 1) * d], &h1[..], "row {r} hidden state");
+    }
+
+    /// Odd widths and row counts on the active tier: every batched row
+    /// equals its 1-row call bitwise, and is within 1e-6 of libm.
+    #[test]
+    fn lstm_gates_matches_portable_within_tolerance_and_rows_are_stable() {
+        for d in [1usize, 7, 8, 15, 16, 17, 19, 950] {
+            for rows in [1usize, 4, 5, 16] {
+                let gates: Vec<f32> =
+                    (0..rows * 4 * d).map(|i| ((i as f32) * 0.37).sin() * 3.0).collect();
+                let c_prev: Vec<f32> = (0..rows * d).map(|i| ((i as f32) * 0.11).cos()).collect();
+                let (mut c, mut h) = (vec![0.0f32; rows * d], vec![0.0f32; rows * d]);
+                lstm_gates(rows, d, &gates, &c_prev, &mut c, &mut h);
+                let (cp, hp) = libm_gates(rows, d, &gates, &c_prev);
+                for i in 0..rows * d {
+                    assert!((c[i] - cp[i]).abs() <= 1e-6, "d={d} c[{i}]: {} vs {}", c[i], cp[i]);
+                    assert!((h[i] - hp[i]).abs() <= 1e-6, "d={d} h[{i}]: {} vs {}", h[i], hp[i]);
+                }
+                for r in 0..rows {
+                    let (mut c1, mut h1) = (vec![0.0f32; d], vec![0.0f32; d]);
+                    lstm_gates(1, d, &gates[r * 4 * d..], &c_prev[r * d..], &mut c1, &mut h1);
+                    assert_eq!(&c[r * d..(r + 1) * d], &c1[..], "d={d} rows={rows}: row {r} c");
+                    assert_eq!(&h[r * d..(r + 1) * d], &h1[..], "d={d} rows={rows}: row {r} h");
+                }
+            }
         }
     }
 

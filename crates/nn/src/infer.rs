@@ -76,33 +76,6 @@ pub fn with_thread_scratch<R>(f: impl FnOnce(&mut ScratchArena) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// `x[r,c] += bias[1,c]` broadcast over rows, in place.
-pub fn add_row_broadcast_assign(x: &mut Tensor, bias: &Tensor) {
-    debug_assert_eq!(bias.rows(), 1, "bias must be a row vector");
-    debug_assert_eq!(x.cols(), bias.cols(), "bias width mismatch");
-    let b = bias.data();
-    for r in 0..x.rows() {
-        for (v, bv) in x.row_slice_mut(r).iter_mut().zip(b) {
-            *v += bv;
-        }
-    }
-}
-
-/// Apply an [`Activation`] elementwise in place. The scalar functions are the
-/// exact expressions the tape ops use, so both paths agree bit-for-bit here.
-pub fn activate_inplace(x: &mut Tensor, a: Activation) {
-    match a {
-        Activation::Identity => {}
-        Activation::Relu => {
-            for v in x.data_mut() {
-                *v = v.max(0.0);
-            }
-        }
-        Activation::Tanh => crate::act::tanh_inplace(x.data_mut()),
-        Activation::Sigmoid => crate::act::sigmoid_inplace(x.data_mut()),
-    }
-}
-
 /// Row-wise softmax with max-subtraction, in place. NaN inputs produce NaN
 /// outputs (no panic) so faults degrade gracefully downstream.
 pub fn softmax_rows_inplace(x: &mut Tensor) {

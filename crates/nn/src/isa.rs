@@ -1,8 +1,10 @@
 //! Runtime ISA selection for the SIMD kernels.
 //!
-//! Every vectorized kernel in this crate (the packed-panel GEMM with fused
-//! epilogues, dot products, activation polynomials) exists in up to three
-//! variants: scalar, AVX2+FMA, and AVX-512F/VL. Which variant runs is
+//! Every vectorized kernel in this crate runs in one of three variants:
+//! scalar, AVX2+FMA, and AVX-512F/VL. The packed-panel GEMM and the dot
+//! product are hand-written per tier; the activation polynomial
+//! ([`crate::act`]) is one portable lane-wise function that each tier
+//! compiles under its `#[target_feature]`. Which variant runs is
 //! decided **once per process** — feature detection is a pure function of
 //! the CPU, so the choice is made on first use, cached in a
 //! [`std::sync::OnceLock`], and logged a single time. All kernels then

@@ -13,10 +13,13 @@
 //!   k-step of the kernel into one 128-byte sequential load.
 //! * **Extra passes**: `y = act(x·W + b)` as three ops (GEMM, bias
 //!   broadcast, activation) touches the output three times. The packed GEMM
-//!   applies bias and activation to the accumulator registers before the
+//!   applies bias and `Relu` to the accumulator registers before the
 //!   single store, and can optionally *accumulate* onto the existing output
 //!   (which is what fuses the LSTM's `x·W_ih + h·W_hh + b` into two GEMM
-//!   calls with no separate add/bias passes).
+//!   calls with no separate add/bias passes). No model layer ends a GEMM
+//!   in tanh or sigmoid; on the AVX tiers those run as one elementwise pass
+//!   over the stored output, with the tier's lane functions from
+//!   [`crate::act`] (the scalar tier applies libm in its epilogue).
 //!
 //! Panels are `NR` = 32 columns wide for **every** ISA tier: AVX-512 eats a
 //! panel as two zmm registers, AVX2 as two 16-column halves of two ymm each,
@@ -131,8 +134,8 @@ impl PackedGemm {
 }
 
 /// `out[m x n] = act((accumulate ? out : 0) + a[m x k] · W + bias)`, with the
-/// epilogue fused into the accumulator registers. Dispatches once per process
-/// via [`crate::isa::active`].
+/// accumulate, bias and `Relu` fused into the accumulator registers.
+/// Dispatches once per process via [`crate::isa::active`].
 ///
 /// # Panics
 /// As [`gemm_packed_force`], on a buffer too short for the shape.
@@ -172,23 +175,27 @@ pub fn gemm_packed_force(
     if let Some(b) = bias {
         assert!(b.len() >= w.n, "gemm_packed: bias shorter than n");
     }
+    // The AVX kernels' epilogues apply only `Relu`; tanh and sigmoid run
+    // after them, elementwise over the stored output, as the tier's lane
+    // function from `act`.
     match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the guard checked the CPU runs the tier, and the asserts
         // above that every buffer covers the shape.
         Isa::Avx512 if isa.cpu_supports() => unsafe {
-            gemm_packed_avx512(m, a, w, accumulate, bias, act, out)
+            gemm_packed_avx512(m, a, w, accumulate, bias, act, out);
+            crate::act::activate_avx512(act, &mut out[..m * w.n]);
         },
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 if isa.cpu_supports() => unsafe {
-            gemm_packed_avx2(m, a, w, accumulate, bias, act, out)
+            gemm_packed_avx2(m, a, w, accumulate, bias, act, out);
+            crate::act::activate_avx2(act, &mut out[..m * w.n]);
         },
         _ => gemm_packed_scalar(m, a, w, accumulate, bias, act, out),
     }
 }
 
-/// Scalar epilogue: the libm expressions `infer::activate_inplace` uses on
-/// the portable tier.
+/// Scalar epilogue: the libm expressions of the portable tier.
 #[inline]
 fn act_scalar(act: Activation, v: f32) -> f32 {
     match act {
@@ -249,25 +256,22 @@ mod x86 {
     use super::{Activation, PackedGemm, NR};
     use std::arch::x86_64::*;
 
-    /// Activation on a ymm pair, using the same Cephes polynomials as the
-    /// AVX2 `activate_inplace` path.
+    /// `Relu` on a ymm register; every other activation leaves it as is
+    /// (tanh and sigmoid run after the kernel, see `gemm_packed_force`).
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn act_ymm(act: Activation, v: __m256) -> __m256 {
         match act {
-            Activation::Identity => v,
             Activation::Relu => _mm256_max_ps(v, _mm256_setzero_ps()),
-            Activation::Tanh => crate::act::avx::tanh_ps(v),
-            Activation::Sigmoid => crate::act::avx::sigmoid_ps(v),
+            _ => v,
         }
     }
 
     /// Fused epilogue for one row's 16-column half: optional accumulate onto
-    /// the existing output, optional bias, activation, store. `live` is how
+    /// the existing output, optional bias, `Relu`, store. `live` is how
     /// many of the 16 lanes map to real columns; partial halves detour
-    /// through stack buffers so every live lane still takes the SIMD
-    /// polynomial path (lane path depends only on the column, per the
-    /// FP-order contract).
+    /// through stack buffers so every live lane still takes the SIMD path
+    /// (lane path depends only on the column, per the FP-order contract).
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn epilogue_avx2(
@@ -450,15 +454,13 @@ mod x86 {
         }
     }
 
-    /// Activation on a zmm register (AVX-512 Cephes polynomials).
+    /// `Relu` on a zmm register; every other activation leaves it as is.
     #[inline]
     #[target_feature(enable = "avx512f")]
     unsafe fn act_zmm(act: Activation, v: __m512) -> __m512 {
         match act {
-            Activation::Identity => v,
             Activation::Relu => _mm512_max_ps(v, _mm512_setzero_ps()),
-            Activation::Tanh => crate::act::avx512::tanh_ps(v),
-            Activation::Sigmoid => crate::act::avx512::sigmoid_ps(v),
+            _ => v,
         }
     }
 
@@ -714,26 +716,32 @@ mod tests {
         let a = matrix(m, k, 11);
         let w = PackedGemm::pack(&Tensor::from_vec(k, n, matrix(k, n, 12)));
         let bias = matrix(1, n, 13);
+        let seed_out = matrix(m, n, 14);
         for isa in Isa::supported() {
-            let mut batched = vec![0.0f32; m * n];
-            gemm_packed_force(isa, m, &a, &w, false, Some(&bias), Activation::Tanh, &mut batched);
-            for r in 0..m {
-                let mut single = vec![0.0f32; n];
-                gemm_packed_force(
-                    isa,
-                    1,
-                    &a[r * k..(r + 1) * k],
-                    &w,
-                    false,
-                    Some(&bias),
-                    Activation::Tanh,
-                    &mut single,
-                );
-                assert_eq!(
-                    &batched[r * n..(r + 1) * n],
-                    &single[..],
-                    "{isa:?}: row {r} of the batched product is not bitwise stable"
-                );
+            for act in [Activation::Tanh, Activation::Sigmoid] {
+                for accumulate in [false, true] {
+                    let mut batched = seed_out.clone();
+                    gemm_packed_force(isa, m, &a, &w, accumulate, Some(&bias), act, &mut batched);
+                    for r in 0..m {
+                        let mut single = seed_out[r * n..(r + 1) * n].to_vec();
+                        gemm_packed_force(
+                            isa,
+                            1,
+                            &a[r * k..(r + 1) * k],
+                            &w,
+                            accumulate,
+                            Some(&bias),
+                            act,
+                            &mut single,
+                        );
+                        assert_eq!(
+                            &batched[r * n..(r + 1) * n],
+                            &single[..],
+                            "{isa:?} {act:?} acc={accumulate}: row {r} of the batched \
+                             product is not bitwise stable"
+                        );
+                    }
+                }
             }
         }
     }
