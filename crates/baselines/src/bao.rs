@@ -14,7 +14,7 @@
 //! sampling (documented in DESIGN.md §5; the evaluated behaviour — pick the
 //! arm whose plan the value model predicts fastest — is the same).
 
-use crate::common::{node_features, LogNormalizer, NODE_FEAT_DIM};
+use crate::common::{fit_mse, node_features, LogNormalizer, NODE_FEAT_DIM};
 use qpseeker_engine::executor::Executor;
 use qpseeker_engine::optimizer::{Hints, PgOptimizer};
 use qpseeker_engine::plan::PlanNode;
@@ -22,7 +22,6 @@ use qpseeker_engine::query::Query;
 use qpseeker_nn::prelude::*;
 use qpseeker_storage::Database;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Bao hyperparameters.
@@ -108,31 +107,20 @@ impl<'a> Bao<'a> {
         }
         self.norm = Some(LogNormalizer::fit(&experiences.iter().map(|e| e.2).collect::<Vec<_>>()));
         let norm = self.norm.clone().expect("just set");
-        let mut opt = Adam::new(self.cfg.learning_rate as f32);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut order: Vec<usize> = (0..experiences.len()).collect();
-        for _ in 0..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(16) {
-                self.store.zero_grads();
-                let mut g = Graph::new(&self.store);
-                let mut preds = Vec::new();
-                let mut targets = Vec::new();
-                for &i in chunk {
-                    let (q, p, t) = &experiences[i];
-                    preds.push(self.plan_value(&mut g, q, p));
-                    targets.push(Tensor::scalar(norm.encode(*t)));
-                }
-                let pv = g.stack_rows(&preds);
-                let trefs: Vec<&Tensor> = targets.iter().collect();
-                let tv = g.constant(Tensor::stack_rows(&trefs));
-                let loss = g.mse(pv, tv);
-                let (_, grads) = g.backward(loss);
-                grads.merge_into(&mut self.store);
-                self.store.clip_grad_norm(5.0);
-                opt.step(&mut self.store);
-            }
-        }
+        let mut store = std::mem::take(&mut self.store);
+        fit_mse(
+            &mut store,
+            self.cfg.learning_rate as f32,
+            self.cfg.epochs,
+            16,
+            experiences.len(),
+            &mut StdRng::seed_from_u64(self.cfg.seed),
+            |g, i| {
+                let (q, p, t) = &experiences[i];
+                (self.plan_value(g, q, p), norm.encode(*t))
+            },
+        );
+        self.store = store;
     }
 
     /// Advise: produce every arm's plan, score each with the value model and
@@ -191,6 +179,25 @@ mod tests {
         let (p2, a2) = bao.plan(&queries[0]);
         assert_eq!(a1, a2);
         assert_eq!(p1, p2);
+    }
+
+    /// Bao trained for 2 epochs on 20 synthetic queries' experiences.
+    #[test]
+    #[cfg_attr(
+        not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")),
+        ignore = "golden constants are for x86_64 Linux glibc"
+    )]
+    fn trained_weights_match_the_golden_fingerprint() {
+        let (db, queries) = setup();
+        let mut bao = Bao::new(&db, BaoConfig { epochs: 2, ..Default::default() });
+        let refs: Vec<&Query> = queries.iter().collect();
+        bao.train(&refs);
+        crate::common::assert_weights_golden(
+            &bao.store,
+            "Bao",
+            0xa93e_cc8a_4422_2c6d,
+            0x9170_b077_93c3_bf64,
+        );
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Shared helpers for the competitor systems: single-target log
-//! normalization and transferable per-plan-node features.
+//! normalization, transferable per-plan-node features and the regression
+//! fit every model trains with.
 
 use qpseeker_engine::explain::Explain;
 use qpseeker_engine::plan::{PhysicalOp, PlanNode};
 use qpseeker_engine::query::Query;
+use qpseeker_nn::prelude::*;
 use qpseeker_storage::Database;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 
 /// `ln(1+x)` z-score normalizer for one scalar target.
 #[derive(Debug, Clone)]
@@ -30,6 +34,42 @@ impl LogNormalizer {
 
     pub fn decode(&self, n: f32) -> f64 {
         ((n as f64 * self.std + self.mean).clamp(-10.0, 60.0).exp() - 1.0).max(0.0)
+    }
+}
+
+/// The baselines' regression fit: `epochs` passes over samples `0..n`, each
+/// in an order shuffled from `rng`, in chunks of `batch`. A chunk is one
+/// tape: `sample(g, i)` gives sample `i`'s `[1, 1]` prediction and its
+/// normalized target; the chunk's MSE is backpropagated, the gradient
+/// clipped to norm 5, and Adam at `learning_rate` takes one step. Callers
+/// move their store out (`std::mem::take`) so that `sample` can borrow the
+/// rest of the model.
+pub(crate) fn fit_mse(
+    store: &mut ParamStore,
+    learning_rate: f32,
+    epochs: usize,
+    batch: usize,
+    n: usize,
+    rng: &mut StdRng,
+    mut sample: impl FnMut(&mut Graph, usize) -> (Var, f32),
+) {
+    let mut opt = Adam::new(learning_rate);
+    let mut order: Vec<usize> = (0..n).collect();
+    for _ in 0..epochs {
+        order.shuffle(rng);
+        for chunk in order.chunks(batch) {
+            store.zero_grads();
+            let mut g = Graph::new(store);
+            let (preds, targets): (Vec<Var>, Vec<f32>) =
+                chunk.iter().map(|&i| sample(&mut g, i)).unzip();
+            let pred = g.stack_rows(&preds);
+            let t = g.constant(Tensor::from_vec(targets.len(), 1, targets));
+            let loss = g.mse(pred, t);
+            let (_, grads) = g.backward(loss);
+            grads.merge_into(store);
+            store.clip_grad_norm(5.0);
+            opt.step(store);
+        }
     }
 }
 
@@ -70,6 +110,30 @@ pub fn node_features(db: &Database, query: &Query, plan: &PlanNode) -> Vec<Vec<f
             f
         })
         .collect()
+}
+
+/// Assert that `store`'s trained weights match a golden fingerprint: FNV-1a
+/// over every parameter's `to_bits()` in `ParamStore::iter` order, against
+/// `scalar` on the scalar tier and `simd` on AVX2 and AVX-512 (which share
+/// the GEMM's per-row reduction order).
+#[cfg(test)]
+pub(crate) fn assert_weights_golden(store: &ParamStore, what: &str, scalar: u64, simd: u64) {
+    use qpseeker_nn::isa::{self, Isa};
+    let bits: Vec<u64> = store
+        .iter()
+        .flat_map(|(_, p)| p.value.data().iter().map(|x| u64::from(x.to_bits())))
+        .collect();
+    let got = qpseeker_storage::fnv::words(&bits);
+    let want = match isa::active() {
+        Isa::Scalar => scalar,
+        Isa::Avx2 | Isa::Avx512 => simd,
+    };
+    assert_eq!(
+        got,
+        want,
+        "{what}'s trained weights moved on the {} tier: {got:#018x}",
+        isa::active().name()
+    );
 }
 
 #[cfg(test)]

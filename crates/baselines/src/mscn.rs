@@ -7,12 +7,11 @@
 //! *numeric* predicates are supported ("we had to remove any alphanumerical
 //! filters per query").
 
-use crate::common::LogNormalizer;
+use crate::common::{fit_mse, LogNormalizer};
 use qpseeker_engine::query::{CmpOp, Query};
 use qpseeker_nn::prelude::*;
 use qpseeker_storage::Database;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashMap;
 
@@ -193,30 +192,17 @@ impl<'a> Mscn<'a> {
         let norm = self.norm.clone().expect("just set");
         let feats: Vec<(MscnFeatures, f32)> =
             train.iter().map(|&(q, c)| (self.featurize(q), norm.encode(c))).collect();
-        let mut opt = Adam::new(self.cfg.learning_rate as f32);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut order: Vec<usize> = (0..feats.len()).collect();
-        for _ in 0..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(self.cfg.batch_size) {
-                self.store.zero_grads();
-                let mut g = Graph::new(&self.store);
-                let mut outs = Vec::with_capacity(chunk.len());
-                let mut targets = Vec::with_capacity(chunk.len());
-                for &i in chunk {
-                    outs.push(self.encode(&mut g, &feats[i].0));
-                    targets.push(Tensor::scalar(feats[i].1));
-                }
-                let pred = g.stack_rows(&outs);
-                let trefs: Vec<&Tensor> = targets.iter().collect();
-                let t = g.constant(Tensor::stack_rows(&trefs));
-                let loss = g.mse(pred, t);
-                let (_, grads) = g.backward(loss);
-                grads.merge_into(&mut self.store);
-                self.store.clip_grad_norm(5.0);
-                opt.step(&mut self.store);
-            }
-        }
+        let mut store = std::mem::take(&mut self.store);
+        fit_mse(
+            &mut store,
+            self.cfg.learning_rate as f32,
+            self.cfg.epochs,
+            self.cfg.batch_size,
+            feats.len(),
+            &mut StdRng::seed_from_u64(self.cfg.seed),
+            |g, i| (self.encode(g, &feats[i].0), feats[i].1),
+        );
+        self.store = store;
     }
 
     /// Predict the cardinality of a query.
@@ -275,6 +261,29 @@ mod tests {
         let b = mscn.predict(&w.qeps[0].query);
         assert_eq!(a, b);
         assert!(a >= 0.0 && a.is_finite());
+    }
+
+    /// MSCN fit for 2 epochs in batches of 8 on 20 synthetic queries (three
+    /// chunks an epoch, the last one short).
+    #[test]
+    #[cfg_attr(
+        not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")),
+        ignore = "golden constants are for x86_64 Linux glibc"
+    )]
+    fn trained_weights_match_the_golden_fingerprint() {
+        let db = imdb::generate(0.05, 1);
+        let w = synthetic::generate(&db, &SyntheticConfig { n_queries: 20, seed: 5 });
+        let cfg = MscnConfig { epochs: 2, batch_size: 8, ..Default::default() };
+        let mut mscn = Mscn::new(&db, cfg);
+        let pairs: Vec<(&qpseeker_engine::query::Query, f64)> =
+            w.qeps.iter().map(|q| (&q.query, q.cardinality())).collect();
+        mscn.fit(&pairs);
+        crate::common::assert_weights_golden(
+            &mscn.store,
+            "MSCN",
+            0xf44a_d9a1_c75d_41a0,
+            0xe56d_a045_afa2_df72,
+        );
     }
 
     #[test]

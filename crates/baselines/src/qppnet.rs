@@ -7,13 +7,12 @@
 //! children and emits `[data vector ‖ latency]`; the root's latency output
 //! is the prediction.
 
-use crate::common::{node_features, LogNormalizer, NODE_FEAT_DIM};
+use crate::common::{fit_mse, node_features, LogNormalizer, NODE_FEAT_DIM};
 use qpseeker_engine::plan::{PhysicalOp, PlanNode};
 use qpseeker_engine::query::Query;
 use qpseeker_nn::prelude::*;
 use qpseeker_storage::Database;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// QPPNet hyperparameters.
@@ -128,32 +127,21 @@ impl<'a> QppNet<'a> {
             .iter()
             .map(|&(q, p, t)| (self.featurize(q, p), OpTree::of(p), norm.encode(t)))
             .collect();
-        let mut opt = Adam::new(self.cfg.learning_rate as f32);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut order: Vec<usize> = (0..feats.len()).collect();
-        for _ in 0..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(self.cfg.batch_size) {
-                self.store.zero_grads();
-                let mut g = Graph::new(&self.store);
-                let mut preds = Vec::with_capacity(chunk.len());
-                let mut targets = Vec::with_capacity(chunk.len());
-                for &i in chunk {
-                    let (tree, ops, t) = &feats[i];
-                    let out = self.forward_node(&mut g, tree, ops);
-                    preds.push(g.slice_cols(out, self.cfg.data_dim, self.cfg.data_dim + 1));
-                    targets.push(Tensor::scalar(*t));
-                }
-                let p = g.stack_rows(&preds);
-                let trefs: Vec<&Tensor> = targets.iter().collect();
-                let t = g.constant(Tensor::stack_rows(&trefs));
-                let loss = g.mse(p, t);
-                let (_, grads) = g.backward(loss);
-                grads.merge_into(&mut self.store);
-                self.store.clip_grad_norm(5.0);
-                opt.step(&mut self.store);
-            }
-        }
+        let mut store = std::mem::take(&mut self.store);
+        fit_mse(
+            &mut store,
+            self.cfg.learning_rate as f32,
+            self.cfg.epochs,
+            self.cfg.batch_size,
+            feats.len(),
+            &mut StdRng::seed_from_u64(self.cfg.seed),
+            |g, i| {
+                let (tree, ops, t) = &feats[i];
+                let out = self.forward_node(g, tree, ops);
+                (g.slice_cols(out, self.cfg.data_dim, self.cfg.data_dim + 1), *t)
+            },
+        );
+        self.store = store;
     }
 
     /// Predict the runtime (ms) of a plan.
@@ -222,6 +210,27 @@ mod tests {
         assert_eq!(net.units.len(), PhysicalOp::COUNT);
         // Separate parameters per unit.
         assert_ne!(net.units[0].layers[0].w, net.units[1].layers[0].w);
+    }
+
+    /// QPPNet fit for 2 epochs in batches of 16 on 20 synthetic QEPs.
+    #[test]
+    #[cfg_attr(
+        not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")),
+        ignore = "golden constants are for x86_64 Linux glibc"
+    )]
+    fn trained_weights_match_the_golden_fingerprint() {
+        let db = imdb::generate(0.05, 1);
+        let w = synthetic::generate(&db, &SyntheticConfig { n_queries: 20, seed: 6 });
+        let mut net = QppNet::new(&db, QppNetConfig { epochs: 2, ..Default::default() });
+        let triples: Vec<(&Query, &PlanNode, f64)> =
+            w.qeps.iter().map(|q| (&q.query, &q.plan, q.runtime_ms())).collect();
+        net.fit(&triples);
+        crate::common::assert_weights_golden(
+            &net.store,
+            "QPPNet",
+            0xfce1_213a_5368_c347,
+            0x6380_cb0a_cc50_5c02,
+        );
     }
 
     #[test]

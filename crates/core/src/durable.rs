@@ -91,8 +91,42 @@ pub fn open_envelope(envelope: &str, supported: u64) -> Result<&str, CoreError> 
     Ok(payload)
 }
 
-fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> CoreError {
+pub(crate) fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> CoreError {
     CoreError::Io { op, path: path.display().to_string(), message: e.to_string() }
+}
+
+/// The numbered files `<prefix>-<seq>.<ext>` in `dir`, by ascending `seq`.
+/// Anything else — quarantined (`*.corrupt`), temp (`*.tmp`) or foreign
+/// files — is skipped.
+pub(crate) fn list_numbered(
+    dir: &Path,
+    prefix: &str,
+    ext: &str,
+) -> Result<Vec<(u64, PathBuf)>, CoreError> {
+    let entries = fs::read_dir(dir).map_err(|e| io_err("read dir", dir, e))?;
+    let (want_prefix, want_ext) = (format!("{prefix}-"), format!(".{ext}"));
+    let mut out = Vec::new();
+    for entry in entries {
+        let entry = entry.map_err(|e| io_err("read dir", dir, e))?;
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let Some(stem) = name.strip_prefix(&want_prefix).and_then(|r| r.strip_suffix(&want_ext))
+        else {
+            continue;
+        };
+        if let Ok(seq) = stem.parse::<u64>() {
+            out.push((seq, entry.path()));
+        }
+    }
+    out.sort_by_key(|(seq, _)| *seq);
+    Ok(out)
+}
+
+/// Quarantine `path`: rename it to `<name>.corrupt` in `dir`, to be
+/// inspected rather than read again.
+pub(crate) fn quarantine(dir: &Path, path: &Path) -> Result<(), CoreError> {
+    let mut name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+    name.push_str(".corrupt");
+    fs::rename(path, dir.join(name)).map_err(|e| io_err("quarantine", path, e))
 }
 
 /// Fsync a directory so a just-renamed (or just-created) entry inside it
@@ -204,22 +238,7 @@ impl SnapshotStore {
 
     /// Snapshot files present on disk, sorted by ascending sequence number.
     fn list(&self) -> Result<Vec<(u64, PathBuf)>, CoreError> {
-        let entries = fs::read_dir(&self.dir).map_err(|e| io_err("read dir", &self.dir, e))?;
-        let want_prefix = format!("{}-", self.prefix);
-        let mut out = Vec::new();
-        for entry in entries {
-            let entry = entry.map_err(|e| io_err("read dir", &self.dir, e))?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some(stem) = name.strip_prefix(&want_prefix).and_then(|r| r.strip_suffix(".snap"))
-            else {
-                continue; // quarantined (*.corrupt), temp (*.tmp), or foreign
-            };
-            if let Ok(seq) = stem.parse::<u64>() {
-                out.push((seq, entry.path()));
-            }
-        }
-        out.sort_by_key(|(seq, _)| *seq);
-        Ok(out)
+        list_numbered(&self.dir, &self.prefix, "snap")
     }
 
     /// Seal `payload` in the snapshot envelope and write it atomically as
@@ -266,24 +285,17 @@ impl SnapshotStore {
                         }));
                     }
                     Err(_) => {
-                        self.quarantine(path)?;
+                        quarantine(&self.dir, path)?;
                         quarantined += 1;
                     }
                 },
                 Err(_) => {
-                    self.quarantine(path)?;
+                    quarantine(&self.dir, path)?;
                     quarantined += 1;
                 }
             }
         }
         Err(CoreError::NoValidSnapshot { dir: self.dir.display().to_string(), quarantined })
-    }
-
-    fn quarantine(&self, path: &Path) -> Result<(), CoreError> {
-        let mut name =
-            path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-        name.push_str(".corrupt");
-        fs::rename(path, self.dir.join(name)).map_err(|e| io_err("quarantine", path, e))
     }
 }
 

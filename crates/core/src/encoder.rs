@@ -141,15 +141,6 @@ pub(crate) struct PlanEncoder {
     out_dim: usize,
 }
 
-/// The encoder's result for a group of plans.
-pub(crate) struct EncodedGroup {
-    /// `[nodes, out_dim]`: every node's output, level by level.
-    pub nodes: Var,
-    /// Per plan, its nodes' rows of `nodes` in postorder; the last is the
-    /// root.
-    pub plan_rows: Vec<Vec<usize>>,
-}
-
 impl PlanEncoder {
     pub(crate) fn new(
         store: &mut ParamStore,
@@ -169,59 +160,31 @@ impl PlanEncoder {
         self.out_dim
     }
 
-    /// Encode a group of featurized plan trees on the tape, level by level
-    /// across every plan: one `rows = m` LSTM step per level, children
-    /// before parents, as [`Self::encode_pass`] runs serving. A node's row
-    /// depends on its own subtree alone, so it is bitwise the same for any
-    /// other plans in the group.
-    pub(crate) fn forward_group(&self, g: &mut Graph, plans: &[&FeatNode]) -> EncodedGroup {
-        // Every node once, plan by plan in postorder, with its height.
-        struct Flat<'a> {
-            node: &'a FeatNode,
-            level: usize,
-            kids: [usize; 2],
-        }
-        let mut flat: Vec<Flat> = Vec::new();
-        let mut plan_nodes = Vec::with_capacity(plans.len());
-        for plan in plans {
-            let mut order = Vec::new();
-            postorder(plan, &mut order);
-            let start = flat.len();
-            let mut stack: Vec<usize> = Vec::new();
-            for node in order {
-                let mut kids = [0; 2];
-                let mut level = 0;
-                let at = stack.len() - node.children.len();
-                for (k, &kid) in stack[at..].iter().enumerate() {
-                    kids[k] = kid;
-                    level = level.max(flat[kid].level + 1);
-                }
-                stack.truncate(at);
-                stack.push(flat.len());
-                flat.push(Flat { node, level, kids });
-            }
-            plan_nodes.push(start..flat.len());
-        }
-        let levels = flat.iter().map(|f| f.level + 1).max().unwrap_or(0);
-        // Where each node's state lands: (level, row in level).
-        let mut at = vec![(0, 0); flat.len()];
-        let mut rows_of: Vec<Vec<usize>> = vec![Vec::new(); levels];
-        for (i, f) in flat.iter().enumerate() {
-            at[i] = (f.level, rows_of[f.level].len());
-            rows_of[f.level].push(i);
-        }
+    /// Encode on the tape every fresh row of `pass`, a [`LevelPass`] built
+    /// over empty memos (so every node is fresh), level by level across
+    /// every plan: one `rows = m` LSTM step per level of
+    /// [`LevelPass::order`], children before parents, the schedule
+    /// [`Self::encode_pass`] runs serving. Returns `[nodes, out_dim]`, every
+    /// node's output level by level ([`LevelPass::tape_rows`] finds a plan's
+    /// rows). A node's row depends on its own subtree alone, so it is
+    /// bitwise the same for any other plans in the group.
+    pub(crate) fn forward_group(&self, g: &mut Graph, pass: &LevelPass) -> Var {
+        debug_assert_eq!(pass.fresh_rows(), pass.refs.len(), "every node of the tape is fresh");
+        let order = pass.order();
+        let fresh = |r: u32| &pass.fresh[r as usize];
         let (dd, out) = (self.data_dim, self.out_dim);
-        let mut hs: Vec<Var> = Vec::with_capacity(levels);
-        let mut cs: Vec<Var> = Vec::with_capacity(levels);
-        for rows in &rows_of {
-            let mids: Vec<&Tensor> = rows.iter().map(|&i| &flat[i].node.mid).collect();
-            let (input, state) = if flat[rows[0]].level == 0 {
+        let mut hs: Vec<Var> = Vec::with_capacity(order.levels());
+        let mut cs: Vec<Var> = Vec::with_capacity(order.levels());
+        for level in 0..order.levels() {
+            let rows = order.level(level);
+            let mids: Vec<&Tensor> = rows.iter().map(|&r| &fresh(r).node.mid).collect();
+            let (input, state) = if level == 0 {
                 // Leaves: zero child-data slot, EXPLAIN estimates in the
                 // estimate slot, zero initial state.
                 let ests: Vec<&Tensor> = rows
                     .iter()
-                    .map(|&i| {
-                        flat[i]
+                    .map(|&r| {
+                        fresh(r)
                             .node
                             .leaf_est
                             .as_ref()
@@ -239,14 +202,17 @@ impl PlanEncoder {
                 let mut kid_h = Vec::new();
                 let mut kid_c = Vec::new();
                 let mut lens = Vec::with_capacity(rows.len());
-                for &i in rows {
-                    let n = flat[i].node.children.len();
-                    for &kid in &flat[i].kids[..n] {
-                        let (level, row) = at[kid];
+                for &r in rows {
+                    let FreshRow { node, kids, .. } = fresh(r);
+                    for kid in &kids[..node.children.len()] {
+                        let NodeRef::Fresh(k) = *kid else {
+                            unreachable!("the tape's memos start empty")
+                        };
+                        let (level, row) = order.at(k, fresh(k).level);
                         kid_h.push((hs[level], row));
                         kid_c.push((cs[level], row));
                     }
-                    lens.push(n);
+                    lens.push(node.children.len());
                 }
                 let h = g.gather_rows(&kid_h);
                 let h = g.segment_mean(h, &lens);
@@ -262,22 +228,7 @@ impl PlanEncoder {
             hs.push(next.h);
             cs.push(next.c);
         }
-        let nodes = g.stack_rows(&hs);
-        let mut offset = vec![0; levels];
-        for l in 1..levels {
-            offset[l] = offset[l - 1] + rows_of[l - 1].len();
-        }
-        let plan_rows = plan_nodes
-            .into_iter()
-            .map(|span| {
-                span.map(|i| {
-                    let (level, row) = at[i];
-                    offset[level] + row
-                })
-                .collect()
-            })
-            .collect();
-        EncodedGroup { nodes, plan_rows }
+        g.stack_rows(&hs)
     }
 
     /// Tape-free [`Self::forward_group`] over every fresh node of a
@@ -301,19 +252,18 @@ impl PlanEncoder {
     ) -> LstmStateBuf {
         let f = pass.fresh.len();
         let mut fresh = LstmStateBuf { h: sc.take(f, self.out_dim), c: sc.take(f, self.out_dim) };
-        let mut rows: Vec<usize> = Vec::new();
-        for level in 0..pass.levels {
-            rows.clear();
-            rows.extend((0..f).filter(|&r| pass.fresh[r].level == level));
+        let order = pass.order();
+        for level in 0..order.levels() {
+            let rows = order.level(level);
             let m = rows.len();
-            let mid_cols = pass.fresh[rows[0]].node.mid.cols();
+            let mid_cols = pass.fresh[rows[0] as usize].node.mid.cols();
             // The estimate slot is always out_dim - data_dim = 3 wide.
             let input_dim = self.data_dim + mid_cols + (self.out_dim - self.data_dim);
             let mut input = sc.take(m, input_dim);
             // Leaves keep the zero initial state and zero child-data slot.
             let mut state = self.cell.zero_state_buf(m, sc);
             for (i, &row) in rows.iter().enumerate() {
-                let FreshRow { node, sub, kids, .. } = &pass.fresh[row];
+                let FreshRow { node, sub, kids, .. } = &pass.fresh[row as usize];
                 let d = input.row_slice_mut(i);
                 d[self.data_dim..self.data_dim + mid_cols].copy_from_slice(node.mid.data());
                 if node.children.is_empty() {
@@ -352,8 +302,8 @@ impl PlanEncoder {
             }
             let out = self.cell.step_inference(store, &input, &state, sc);
             for (i, &row) in rows.iter().enumerate() {
-                fresh.h.row_slice_mut(row).copy_from_slice(out.h.row_slice(i));
-                fresh.c.row_slice_mut(row).copy_from_slice(out.c.row_slice(i));
+                fresh.h.row_slice_mut(row as usize).copy_from_slice(out.h.row_slice(i));
+                fresh.c.row_slice_mut(row as usize).copy_from_slice(out.c.row_slice(i));
             }
             sc.recycle(input);
             state.recycle(sc);
@@ -517,9 +467,51 @@ struct FreshRow<'a> {
     level: u32,
 }
 
+/// A pass's fresh rows grouped by level, each level in pass order: the one
+/// schedule the plan LSTM steps, on the tape and off it.
+struct LevelOrder {
+    /// Fresh rows, level-major.
+    rows: Vec<u32>,
+    /// `rows[starts[l]..starts[l + 1]]` are level `l`'s rows.
+    starts: Vec<usize>,
+    /// Fresh row → its index in `rows`.
+    pos: Vec<u32>,
+}
+
+impl LevelOrder {
+    fn new(fresh: &[FreshRow], levels: u32) -> Self {
+        let level = |r: &u32| fresh[*r as usize].level;
+        // Stable: pass order inside a level.
+        let mut rows: Vec<u32> = (0..fresh.len() as u32).collect();
+        rows.sort_by_key(level);
+        let starts = (0..=levels).map(|l| rows.partition_point(|r| level(r) < l)).collect();
+        let mut pos = vec![0; fresh.len()];
+        for (i, &r) in rows.iter().enumerate() {
+            pos[r as usize] = i as u32;
+        }
+        Self { rows, starts, pos }
+    }
+
+    fn levels(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Level `l`'s fresh rows, in pass order; never empty.
+    fn level(&self, l: usize) -> &[u32] {
+        &self.rows[self.starts[l]..self.starts[l + 1]]
+    }
+
+    /// Fresh row `r`, of level `level`: its level and its index there.
+    fn at(&self, r: u32, level: u32) -> (usize, usize) {
+        let l = level as usize;
+        (l, self.pos[r as usize] as usize - self.starts[l])
+    }
+}
+
 /// One scoring call's plan-encoder work, across every submission in it:
 /// which nodes need encoding (each distinct id once per submission) and,
-/// per candidate, where every node's state will be read from.
+/// per candidate, where every node's state will be read from. Training
+/// builds one over a tape group, with an empty memo per sample.
 #[derive(Default)]
 pub(crate) struct LevelPass<'a> {
     fresh: Vec<FreshRow<'a>>,
@@ -528,6 +520,8 @@ pub(crate) struct LevelPass<'a> {
     /// `refs[spans[c]]` are candidate `c`'s nodes; the last is its root.
     pub(crate) spans: Vec<std::ops::Range<usize>>,
     levels: u32,
+    /// The fresh rows by level, built on first use after the last add.
+    order: std::cell::OnceCell<LevelOrder>,
 }
 
 impl<'a> LevelPass<'a> {
@@ -536,9 +530,31 @@ impl<'a> LevelPass<'a> {
         self.fresh.len()
     }
 
+    /// The fresh rows grouped by level.
+    fn order(&self) -> &LevelOrder {
+        self.order.get_or_init(|| LevelOrder::new(&self.fresh, self.levels))
+    }
+
+    /// Candidate `c`'s nodes in postorder as rows of
+    /// [`PlanEncoder::forward_group`]'s output; the last is its root.
+    ///
+    /// # Panics
+    /// If a node is a memo hit: the tape's passes start from empty memos.
+    pub(crate) fn tape_rows(&self, c: usize) -> Vec<usize> {
+        let order = self.order();
+        self.refs[self.spans[c].clone()]
+            .iter()
+            .map(|r| match *r {
+                NodeRef::Fresh(row) => order.pos[row as usize] as usize,
+                NodeRef::Memo { .. } => unreachable!("the tape's memos start empty"),
+            })
+            .collect()
+    }
+
     /// Add one candidate plan of submission `sub`, whose memo is `memo`.
     /// Marks the nodes it encodes in the memo until [`Self::commit`].
     pub(crate) fn add(&mut self, sub: usize, plan: &'a FeatNode, memo: &mut NodeMemo) {
+        self.order.take();
         let start = self.refs.len();
         self.visit(sub as u32, plan, memo);
         self.spans.push(start..self.refs.len());
@@ -610,14 +626,6 @@ impl<'a> LevelPass<'a> {
             *memo.slot(node.id) = slot;
         }
     }
-}
-
-/// `node`'s subtree in postorder: children first, left to right.
-pub(crate) fn postorder<'a>(node: &'a FeatNode, out: &mut Vec<&'a FeatNode>) {
-    for c in &node.children {
-        postorder(c, out);
-    }
-    out.push(node);
 }
 
 #[cfg(test)]
@@ -712,6 +720,17 @@ mod tests {
         }
     }
 
+    /// The tape over `plans` as `QPSeeker::encode_group` runs it: one pass,
+    /// an empty memo per plan. Returns the node rows and each plan's rows.
+    fn tape(penc: &PlanEncoder, g: &mut Graph, plans: &[&FeatNode]) -> (Var, Vec<Vec<usize>>) {
+        let mut pass = LevelPass::default();
+        for (s, plan) in plans.iter().enumerate() {
+            pass.add(s, plan, &mut NodeMemo::default());
+        }
+        let nodes = penc.forward_group(g, &pass);
+        (nodes, (0..plans.len()).map(|s| pass.tape_rows(s)).collect())
+    }
+
     #[test]
     fn plan_encoder_shapes_and_node_count() {
         let (db, q, plan) = setup();
@@ -725,12 +744,52 @@ mod tests {
         let mut sess = crate::featurize::FeatSession::new();
         let fq = f.featurize(&mut sess, &q, &plan, Some(&truth), &norm);
         let mut g = Graph::new(&store);
-        let enc = penc.forward_group(&mut g, &[&fq.plan, &fq.plan]);
-        assert_eq!(g.value(enc.nodes).shape(), (10, cfg.plan_node_out));
-        assert_eq!(enc.plan_rows.iter().map(Vec::len).collect::<Vec<_>>(), [5, 5]);
+        let (nodes, rows) = tape(&penc, &mut g, &[&fq.plan, &fq.plan]);
+        assert_eq!(g.value(nodes).shape(), (10, cfg.plan_node_out));
+        assert_eq!(rows.iter().map(Vec::len).collect::<Vec<_>>(), [5, 5]);
         // Three leaves per plan share level 0, then one join per level.
-        assert_eq!(enc.plan_rows[0], [0, 1, 6, 2, 8]);
-        assert_eq!(enc.plan_rows[1], [3, 4, 7, 5, 9]);
+        assert_eq!(rows[0], [0, 1, 6, 2, 8]);
+        assert_eq!(rows[1], [3, 4, 7, 5, 9]);
+    }
+
+    /// One tape group mixing a single scan, a left-deep 3-way plan and a
+    /// bushy 4-way plan: the level-major row layout and every plan's
+    /// postorder rows.
+    #[test]
+    fn tape_rows_of_a_scan_a_left_deep_and_a_bushy_plan() {
+        let (db, mut q, _) = setup();
+        q.relations.push(RelRef::new("cast_info"));
+        q.joins.push(JoinPred {
+            left: ColRef::new("cast_info", "movie_id"),
+            right: ColRef::new("movie_keyword", "movie_id"),
+        });
+        let cfg = ModelConfig::small();
+        let mut store = ParamStore::new();
+        let mut init = Initializer::new(0);
+        let penc = PlanEncoder::new(&mut store, &mut init, &cfg, db.catalog.num_tables());
+        let norm = TargetNormalizer::fit(&[[1.0, 1.0, 1.0], [100.0, 50.0, 10.0]]);
+        let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
+        let mut sess = crate::featurize::FeatSession::new();
+        let scan = |t| PlanNode::scan(&q, t, ScanOp::SeqScan);
+        let join = |l, r| PlanNode::join(&q, JoinOp::HashJoin, l, r);
+        let plans = [
+            scan("movie_info"),
+            join(join(scan("title"), scan("movie_info")), scan("movie_keyword")),
+            join(
+                join(scan("title"), scan("movie_info")),
+                join(scan("movie_keyword"), scan("cast_info")),
+            ),
+        ];
+        let feats: Vec<_> =
+            plans.iter().map(|p| f.featurize(&mut sess, &q, p, None, &norm)).collect();
+        let mut g = Graph::new(&store);
+        let (nodes, rows) = tape(&penc, &mut g, &feats.iter().map(|f| &f.plan).collect::<Vec<_>>());
+        assert_eq!(g.value(nodes).shape(), (13, cfg.plan_node_out));
+        // Level 0: the eight leaves in plan order; level 1: the left-deep
+        // plan's first join, then the bushy plan's two; level 2: both roots.
+        assert_eq!(rows[0], [0]);
+        assert_eq!(rows[1], [1, 2, 8, 3, 11]);
+        assert_eq!(rows[2], [4, 5, 9, 6, 7, 10, 12]);
     }
 
     #[test]
@@ -759,8 +818,8 @@ mod tests {
         let fa = f.featurize(&mut sess, &q, &mk(JoinOp::HashJoin), None, &norm);
         let fb = f.featurize(&mut sess, &q, &mk(JoinOp::NestedLoopJoin), None, &norm);
         let mut g = Graph::new(&store);
-        let enc = penc.forward_group(&mut g, &[&fa.plan, &fb.plan]);
-        let root = |p: usize| g.value(enc.nodes).row_slice(enc.plan_rows[p][4]);
+        let (nodes, rows) = tape(&penc, &mut g, &[&fa.plan, &fb.plan]);
+        let root = |p: usize| g.value(nodes).row_slice(rows[p][4]);
         assert_ne!(root(0), root(1));
     }
 
@@ -897,8 +956,8 @@ mod tests {
         let fq = f.featurize(&mut sess, &q, &plan, None, &norm);
         let mut g = Graph::new(&store);
         let qv = qenc.forward_group(&mut g, &[&fq.query]);
-        let pv = penc.forward_group(&mut g, &[&fq.plan]);
-        let root = g.gather_rows(&[(pv.nodes, pv.plan_rows[0][4])]);
+        let (nodes, rows) = tape(&penc, &mut g, &[&fq.plan]);
+        let root = g.gather_rows(&[(nodes, rows[0][4])]);
         let cat = g.concat_cols(qv, root);
         let loss = g.sum_all(cat);
         let (_, grads) = g.backward(loss);

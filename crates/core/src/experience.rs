@@ -19,7 +19,9 @@
 //! fine-tunes directly from the drained log, with the fingerprints serving
 //! audit and dedup.
 
-use crate::durable::{fnv64, fsync_dir, open_envelope, seal_envelope, write_atomic};
+use crate::durable::{
+    fnv64, fsync_dir, io_err, list_numbered, open_envelope, quarantine, seal_envelope, write_atomic,
+};
 use crate::error::CoreError;
 use qpseeker_storage::{DurableFault, FaultInjector};
 use qpseeker_workloads::Qep;
@@ -98,11 +100,7 @@ impl ExperienceWal {
     /// in place, and segments past a tear are quarantined as `*.corrupt`.
     pub fn open(dir: impl Into<PathBuf>, records_per_segment: usize) -> Result<Self, CoreError> {
         let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| CoreError::Io {
-            op: "create dir",
-            path: dir.display().to_string(),
-            message: e.to_string(),
-        })?;
+        fs::create_dir_all(&dir).map_err(|e| io_err("create dir", &dir, e))?;
         let mut wal = Self {
             dir,
             records_per_segment: records_per_segment.max(1),
@@ -158,32 +156,6 @@ impl ExperienceWal {
         self.dir.join(format!("exp-{first_seq:08}.wal"))
     }
 
-    /// Segment files on disk, sorted by ascending first sequence number.
-    fn list_segments(&self) -> Result<Vec<(u64, PathBuf)>, CoreError> {
-        let entries = fs::read_dir(&self.dir).map_err(|e| CoreError::Io {
-            op: "read dir",
-            path: self.dir.display().to_string(),
-            message: e.to_string(),
-        })?;
-        let mut out = Vec::new();
-        for entry in entries {
-            let entry = entry.map_err(|e| CoreError::Io {
-                op: "read dir",
-                path: self.dir.display().to_string(),
-                message: e.to_string(),
-            })?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some(stem) = name.strip_prefix("exp-").and_then(|r| r.strip_suffix(".wal")) else {
-                continue; // *.corrupt quarantine or foreign file
-            };
-            if let Ok(seq) = stem.parse::<u64>() {
-                out.push((seq, entry.path()));
-            }
-        }
-        out.sort_by_key(|(seq, _)| *seq);
-        Ok(out)
-    }
-
     /// Build and append one record, assigning the next sequence number.
     /// Returns the assigned sequence on success. With armed faults the
     /// append may be torn (a partial line reaches disk) or die at a crash
@@ -230,7 +202,7 @@ impl ExperienceWal {
                     // the process "dies". Recovery must drop exactly it.
                     let mut f = open_append(&path)?;
                     f.write_all(&line.as_bytes()[..keep_bytes])
-                        .map_err(|e| append_err(&path, e))?;
+                        .map_err(|e| io_err("append", &path, e))?;
                     let _ = f.sync_data();
                     return Err(CoreError::InjectedCrash { site, seq: fi.durable_writes() - 1 });
                 }
@@ -239,8 +211,8 @@ impl ExperienceWal {
         }
 
         let mut f = open_append(&path)?;
-        f.write_all(line.as_bytes()).map_err(|e| append_err(&path, e))?;
-        f.sync_data().map_err(|e| append_err(&path, e))?;
+        f.write_all(line.as_bytes()).map_err(|e| io_err("append", &path, e))?;
+        f.sync_data().map_err(|e| io_err("append", &path, e))?;
         if new_segment {
             // The new directory entry must survive a crash too.
             fsync_dir(&self.dir)?;
@@ -267,14 +239,11 @@ impl ExperienceWal {
         self.current_path = None;
         self.current_len = 0;
 
-        let segments = self.list_segments()?;
+        // Segment files, by ascending first sequence number.
+        let segments = list_numbered(&self.dir, "exp", "wal")?;
         let mut torn_at: Option<usize> = None; // index into `segments`
         'scan: for (si, (_, path)) in segments.iter().enumerate() {
-            let text = fs::read_to_string(path).map_err(|e| CoreError::Io {
-                op: "read segment",
-                path: path.display().to_string(),
-                message: e.to_string(),
-            })?;
+            let text = fs::read_to_string(path).map_err(|e| io_err("read segment", path, e))?;
             let mut valid_lines = 0usize;
             for line in text.split_inclusive('\n') {
                 let line = line.trim_end_matches('\n');
@@ -310,14 +279,7 @@ impl ExperienceWal {
         if let Some(si) = torn_at {
             // Everything after the tear is untrustworthy: quarantine it.
             for (_, path) in &segments[si + 1..] {
-                let mut name =
-                    path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-                name.push_str(".corrupt");
-                fs::rename(path, self.dir.join(name)).map_err(|e| CoreError::Io {
-                    op: "quarantine",
-                    path: path.display().to_string(),
-                    message: e.to_string(),
-                })?;
+                quarantine(&self.dir, path)?;
                 self.quarantined += 1;
             }
         }
@@ -333,11 +295,7 @@ impl ExperienceWal {
         keep_lines: usize,
     ) -> Result<(), CoreError> {
         if keep_lines == 0 {
-            fs::remove_file(path).map_err(|e| CoreError::Io {
-                op: "remove torn segment",
-                path: path.display().to_string(),
-                message: e.to_string(),
-            })?;
+            fs::remove_file(path).map_err(|e| io_err("remove torn segment", path, e))?;
             fsync_dir(&self.dir)?;
             // The previous fully-valid segment (if any) stays the open tail.
             return Ok(());
@@ -359,11 +317,11 @@ impl ExperienceWal {
 }
 
 fn open_append(path: &Path) -> Result<fs::File, CoreError> {
-    fs::OpenOptions::new().create(true).append(true).open(path).map_err(|e| append_err(path, e))
-}
-
-fn append_err(path: &Path, e: std::io::Error) -> CoreError {
-    CoreError::Io { op: "append", path: path.display().to_string(), message: e.to_string() }
+    fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(|e| io_err("append", path, e))
 }
 
 #[cfg(test)]

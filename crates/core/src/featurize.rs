@@ -7,7 +7,7 @@
 //! sums, TaBERT representations, operator one-hots, and (for leaves) the
 //! EXPLAIN estimates. Plan nodes have one featurizer, [`PlanFeatCache`]:
 //! serving shares one per query across every candidate plan, and training
-//! and the tape oracle run a fresh one per QEP ([`Featurizer::featurize`]).
+//! and the tape oracle run a fresh one per QEP (`Featurizer::featurize`).
 
 use crate::normalize::TargetNormalizer;
 use qpseeker_engine::executor::ExecutionResult;
@@ -85,7 +85,7 @@ struct Relation {
 /// scan op)` — scan estimates are context-independent, and every scan of
 /// an alias reads the same table under the same filters — and a join's of
 /// `(join op, left subtree, right subtree)`. So every distinct subtree gets
-/// a dense node id ([`FeatNode::id`]) under exactly that key, is featurized
+/// a dense node id (`FeatNode::id`) under exactly that key, is featurized
 /// once, and is shared by every later plan containing it: featurizing a
 /// plan whose subtrees are all known costs one id lookup per node. The
 /// scoring path keys its memo of encoded subtrees by the same ids.
@@ -508,9 +508,10 @@ mod tests {
         let n = norm();
         let mut sess = FeatSession::new();
         let fq = f.featurize(&mut sess, &q, &plan, Some(&truth), &n);
-        let mut order = Vec::new();
-        crate::encoder::postorder(&fq.plan, &mut order);
-        assert_eq!(order.len(), 3);
+        fn count(node: &FeatNode) -> usize {
+            1 + node.children.iter().map(|c| count(c)).sum::<usize>()
+        }
+        assert_eq!(count(&fq.plan), 3);
         assert_eq!(fq.plan.children.len(), 2);
         // Leaves carry EXPLAIN estimates; the join does not.
         assert!(fq.plan.children[0].leaf_est.is_some());

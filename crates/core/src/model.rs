@@ -3,9 +3,7 @@
 
 use crate::config::ModelConfig;
 use crate::durable::SnapshotStore;
-use crate::encoder::{
-    EncodedGroup, EntryLayout, LevelPass, NodeMemo, NodeRef, PlanEncoder, QueryEncoder,
-};
+use crate::encoder::{EntryLayout, LevelPass, NodeMemo, NodeRef, PlanEncoder, QueryEncoder};
 use crate::error::CoreError;
 use crate::evalbroker::{BucketKey, FusedOutcome, Submission};
 use crate::featurize::{FeatNode, FeatSession, FeaturizedQep, Featurizer, PlanFeatCache};
@@ -140,21 +138,29 @@ impl QPSeeker {
     /// Encode a group of featurized QEPs on one tape to their joint
     /// embeddings `[samples, joint_dim]` (QPAttention output; for
     /// single-node plans, the paper's concatenation fallback), plus the plan
-    /// encoder's node rows. Every op is row-independent, so a sample's row
-    /// is bitwise the same in any group.
-    fn encode_group(&self, g: &mut Graph, samples: &[&FeaturizedQep]) -> (Var, EncodedGroup) {
+    /// encoder's node rows and the [`LevelPass`] that places them: one
+    /// pass over the group, an empty memo per sample (a QEP's node ids never
+    /// repeat inside its plan, so every node is fresh). Every op is
+    /// row-independent, so a sample's row is bitwise the same in any group.
+    fn encode_group<'a>(
+        &self,
+        g: &mut Graph,
+        samples: &[&'a FeaturizedQep],
+    ) -> (Var, Var, LevelPass<'a>) {
         let qv =
             self.query_enc.forward_group(g, &samples.iter().map(|s| &s.query).collect::<Vec<_>>());
-        let enc =
-            self.plan_enc.forward_group(g, &samples.iter().map(|s| &s.plan).collect::<Vec<_>>());
-        let (attend, concat): (Vec<usize>, Vec<usize>) = (0..samples.len())
-            .partition(|&s| enc.plan_rows[s].len() > 1 && self.config.use_attention);
+        let mut pass = LevelPass::default();
+        for (s, sample) in samples.iter().enumerate() {
+            pass.add(s, &sample.plan, &mut NodeMemo::default());
+        }
+        let nodes = self.plan_enc.forward_group(g, &pass);
+        let (attend, concat): (Vec<usize>, Vec<usize>) =
+            (0..samples.len()).partition(|&s| pass.spans[s].len() > 1 && self.config.use_attention);
         let mut joint_rows = vec![(qv, 0); samples.len()];
         if !attend.is_empty() {
             let q = g.gather_rows(&attend.iter().map(|&s| (qv, s)).collect::<Vec<_>>());
-            let members: Vec<Vec<usize>> =
-                attend.iter().map(|&s| enc.plan_rows[s].clone()).collect();
-            let (out, _scores) = self.attn.forward_rows(g, q, enc.nodes, &members);
+            let members: Vec<Vec<usize>> = attend.iter().map(|&s| pass.tape_rows(s)).collect();
+            let (out, _scores) = self.attn.forward_rows(g, q, nodes, &members);
             for (i, &s) in attend.iter().enumerate() {
                 joint_rows[s] = (out, i);
             }
@@ -163,7 +169,7 @@ impl QPSeeker {
             let q = g.gather_rows(&concat.iter().map(|&s| (qv, s)).collect::<Vec<_>>());
             let roots: Vec<(Var, usize)> = concat
                 .iter()
-                .map(|&s| (enc.nodes, *enc.plan_rows[s].last().expect("a root")))
+                .map(|&s| (nodes, *pass.tape_rows(s).last().expect("a root")))
                 .collect();
             let roots = g.gather_rows(&roots);
             let cat = g.concat_cols(q, roots);
@@ -171,7 +177,7 @@ impl QPSeeker {
                 joint_rows[s] = (cat, i);
             }
         }
-        (g.gather_rows(&joint_rows), enc)
+        (g.gather_rows(&joint_rows), nodes, pass)
     }
 
     /// Train on a set of QEPs. Fits the target normalizer, featurizes once,
@@ -490,7 +496,7 @@ impl QPSeeker {
             targets.extend(fq.target.ok_or(CoreError::MissingTarget { index: first + j })?);
         }
         let mut g = Graph::new(&self.store);
-        let (joint, enc) = self.encode_group(&mut g, samples);
+        let (joint, nodes, pass) = self.encode_group(&mut g, samples);
         let targets = g.constant(Tensor::from_vec(n, 3, targets));
         let out = self.vae.forward(&mut g, joint, eps);
         let (mean_total, _recon, pred, kl) =
@@ -500,11 +506,11 @@ impl QPSeeker {
             let mut truths: Vec<(usize, [f32; 3])> = Vec::new();
             for (s, fq) in samples.iter().enumerate() {
                 let Some(fq_truths) = &fq.truths else { continue };
-                truths.extend(enc.plan_rows[s].iter().copied().zip(fq_truths.iter().copied()));
+                truths.extend(pass.tape_rows(s).into_iter().zip(fq_truths.iter().copied()));
             }
             if !truths.is_empty() {
                 let d = self.config.data_vec_dim();
-                let rows: Vec<(Var, usize)> = truths.iter().map(|&(r, _)| (enc.nodes, r)).collect();
+                let rows: Vec<(Var, usize)> = truths.iter().map(|&(r, _)| (nodes, r)).collect();
                 let rows = g.gather_rows(&rows);
                 let est = g.slice_cols(rows, d, d + 3);
                 // Node estimate slots carry z/5 (see featurize::ESTIMATE_SCALE);
@@ -882,7 +888,7 @@ impl QPSeeker {
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
         let fq = self.feat.featurize(&mut FeatSession::new(), query, plan, None, norm);
         let mut g = Graph::new(&self.store);
-        let (joint, _enc) = self.encode_group(&mut g, &[&fq]);
+        let (joint, ..) = self.encode_group(&mut g, &[&fq]);
         let eps = Tensor::zeros(1, self.config.vae_latent);
         let out = self.vae.forward(&mut g, joint, eps);
         let p = g.value(out.predictions);
