@@ -368,24 +368,14 @@ pub(crate) struct NodeMemo {
 }
 
 impl NodeMemo {
-    /// Forget every entry, keeping the allocations.
-    pub(crate) fn clear(&mut self) {
+    /// Start an empty memo for entries of `layout`, reserving `leaves`
+    /// entries for leaves, on the allocations of any earlier entries.
+    pub(crate) fn init(&mut self, layout: EntryLayout, leaves: usize) {
         self.slots.clear();
         self.data.clear();
-        self.layout = None;
-        self.encoded = 0;
-    }
-
-    pub(crate) fn is_init(&self) -> bool {
-        self.layout.is_some()
-    }
-
-    /// Start an empty memo for entries of `layout`, reserving `leaves`
-    /// entries for leaves.
-    pub(crate) fn init(&mut self, layout: EntryLayout, leaves: usize) {
-        self.clear();
         self.layout = Some(layout);
         self.leaf_room = leaves;
+        self.encoded = 0;
     }
 
     fn width(&self) -> usize {

@@ -79,6 +79,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::encoder::NodeMemo;
 use crate::featurize::FeatNode;
+use crate::metrics::ServeCounters;
 use crate::model::{Prediction, QPSeeker};
 use qpseeker_nn::prelude::Tensor;
 
@@ -104,45 +105,6 @@ impl Default for BrokerConfig {
     }
 }
 
-/// Occupancy and flush accounting, drained by the broker's owner into
-/// [`crate::metrics::ServeCounters`] after a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct BrokerStats {
-    /// Fused forward passes executed.
-    pub fused_batches: usize,
-    /// Total rows across all fused passes (mean occupancy is
-    /// `fused_rows / fused_batches`).
-    pub fused_rows: usize,
-    /// Rows in the largest single fused pass.
-    pub occupancy_max: usize,
-    /// Bucket flushes triggered by reaching `batch_target`.
-    pub flush_size: usize,
-    /// Bucket flushes triggered by the deadline window (including forced
-    /// progress flushes).
-    pub flush_deadline: usize,
-}
-
-impl BrokerStats {
-    /// Fold these stats into a serving tally (the owner drains the broker
-    /// exactly once per run, so counts never double).
-    pub(crate) fn add_to(&self, c: &mut crate::metrics::ServeCounters) {
-        c.fused_batches += self.fused_batches;
-        c.fused_rows += self.fused_rows;
-        c.fused_occupancy_max = c.fused_occupancy_max.max(self.occupancy_max);
-        c.broker_flush_size += self.flush_size;
-        c.broker_flush_deadline += self.flush_deadline;
-    }
-
-    /// Accumulate another drain into this one.
-    pub(crate) fn merge(&mut self, other: &BrokerStats) {
-        self.fused_batches += other.fused_batches;
-        self.fused_rows += other.fused_rows;
-        self.occupancy_max = self.occupancy_max.max(other.occupancy_max);
-        self.flush_size += other.flush_size;
-        self.flush_deadline += other.flush_deadline;
-    }
-}
-
 /// What may share a fused forward: same model instance (pointer identity —
 /// distinct epochs are distinct allocations) and same scoring kind
 /// (`samples == 0` is mean scoring).
@@ -162,7 +124,7 @@ pub(crate) struct BucketKey {
 pub(crate) struct Submission {
     pub(crate) key: BucketKey,
     /// One featurized tree per candidate plan.
-    pub(crate) nodes: Vec<FeatNode>,
+    pub(crate) nodes: Vec<Arc<FeatNode>>,
     /// The submitting query's embedding, `[1, qd]`.
     pub(crate) qemb: Tensor,
     /// Seeded latent draws `[samples, latent]` when risk scoring.
@@ -230,7 +192,9 @@ struct BrokerState {
     round: u64,
     /// Birth round of every bucket with pending rows.
     buckets: BTreeMap<BucketKey, u64>,
-    stats: BrokerStats,
+    /// Occupancy and flush accounting: the `fused_*` and `broker_flush_*`
+    /// fields, drained by the broker's owner into its serving tally.
+    stats: ServeCounters,
 }
 
 /// The shared scoring service. Passive: there is no broker thread — the
@@ -282,7 +246,7 @@ impl EvalBroker {
                 blocked: 0,
                 round: 0,
                 buckets: BTreeMap::new(),
-                stats: BrokerStats::default(),
+                stats: ServeCounters::default(),
             }),
         })
     }
@@ -305,7 +269,7 @@ impl EvalBroker {
     }
 
     /// Drain the accumulated occupancy/flush stats.
-    pub(crate) fn take_stats(&self) -> BrokerStats {
+    pub(crate) fn take_stats(&self) -> ServeCounters {
         std::mem::take(&mut self.lock().stats)
     }
 
@@ -403,8 +367,8 @@ impl EvalBroker {
         }
         st.buckets.remove(&key);
         match reason {
-            FlushReason::Size => st.stats.flush_size += 1,
-            FlushReason::Deadline => st.stats.flush_deadline += 1,
+            FlushReason::Size => st.stats.broker_flush_size += 1,
+            FlushReason::Deadline => st.stats.broker_flush_deadline += 1,
         }
         // SAFETY: `key.model` was captured from a `&QPSeeker` inside
         // `QPSeeker::submission`, whose caller is — for every submission in
@@ -419,7 +383,7 @@ impl EvalBroker {
                 let rows: usize = subs.iter().map(|s| s.nodes.len()).sum();
                 st.stats.fused_batches += 1;
                 st.stats.fused_rows += rows;
-                st.stats.occupancy_max = st.stats.occupancy_max.max(rows);
+                st.stats.fused_occupancy_max = st.stats.fused_occupancy_max.max(rows);
                 for ((id, outcome), sub) in ids.iter().zip(outcomes).zip(subs) {
                     st.slots[*id].outcome = Some((outcome, sub));
                 }
@@ -430,7 +394,7 @@ impl EvalBroker {
                 // memo the failed pass was writing is emptied, not trusted.
                 let msg = crate::error::panic_message(payload);
                 for (id, mut sub) in ids.iter().zip(subs) {
-                    sub.memo.clear();
+                    sub.memo = NodeMemo::default();
                     st.slots[*id].outcome = Some((FusedOutcome::Poisoned(msg.clone()), sub));
                 }
             }
@@ -527,7 +491,9 @@ mod tests {
         ctx: &mut crate::model::QueryContext,
         eps: Option<&Tensor>,
     ) -> FusedOutcome {
-        let (outcome, sub) = member.submit(model.submission(feat, query, plans, ctx, eps));
+        let mut int = ctx.interner(model, feat, query);
+        let roots: Vec<u32> = plans.iter().map(|p| int.plan(p)).collect();
+        let (outcome, sub) = member.submit(model.submission(ctx, &roots, eps));
         ctx.reclaim(sub);
         outcome
     }
@@ -539,7 +505,7 @@ mod tests {
         query: &Query,
         chunks: Vec<Vec<PlanNode>>,
         cfg: BrokerConfig,
-    ) -> (Vec<Vec<Prediction>>, BrokerStats) {
+    ) -> (Vec<Vec<Prediction>>, ServeCounters) {
         let broker = EvalBroker::new(cfg);
         let members = broker.register_members(chunks.len());
         let preds: Vec<Vec<Prediction>> = std::thread::scope(|s| {
@@ -652,8 +618,8 @@ mod tests {
         let stats = broker.take_stats();
         assert_eq!(stats.fused_batches, 1, "cross-query rows share one forward");
         assert_eq!(stats.fused_rows, 6);
-        assert_eq!(stats.occupancy_max, 6);
-        assert_eq!(stats.flush_size, 1, "6 rows met the size target of 6");
+        assert_eq!(stats.fused_occupancy_max, 6);
+        assert_eq!(stats.broker_flush_size, 1, "6 rows met the size target of 6");
         for (query, plans, preds) in [(&qa, &plans_a, &fused[0]), (&qb, &plans_b, &fused[1])] {
             let mut feat = FeatSession::default();
             let mut ctx = model.query_context(query);
@@ -761,8 +727,8 @@ mod tests {
         drop(member);
         let stats = broker.take_stats();
         assert_eq!(stats.fused_batches, 3);
-        assert_eq!(stats.flush_deadline, 3, "sub-target solo flushes are forced progress");
-        assert_eq!(stats.flush_size, 0);
-        assert_eq!(stats.occupancy_max, 1);
+        assert_eq!(stats.broker_flush_deadline, 3, "sub-target solo flushes are forced progress");
+        assert_eq!(stats.broker_flush_size, 0);
+        assert_eq!(stats.fused_occupancy_max, 1);
     }
 }

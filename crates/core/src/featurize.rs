@@ -12,7 +12,7 @@
 use crate::normalize::TargetNormalizer;
 use qpseeker_engine::executor::ExecutionResult;
 use qpseeker_engine::explain::Explain;
-use qpseeker_engine::plan::{PhysicalOp, PlanNode};
+use qpseeker_engine::plan::{JoinOp, PhysicalOp, PlanNode, ScanOp};
 use qpseeker_engine::query::{Filter, Query};
 use qpseeker_nn::tensor::Tensor;
 use qpseeker_storage::fnv::{self, FnvBuild};
@@ -81,14 +81,15 @@ struct Relation {
 /// featurizes.
 ///
 /// Candidate plans of one query share almost all their subtrees, and a
-/// subtree's features are a function of few things: a leaf's of `(alias,
-/// scan op)` — scan estimates are context-independent, and every scan of
-/// an alias reads the same table under the same filters — and a join's of
-/// `(join op, left subtree, right subtree)`. So every distinct subtree gets
-/// a dense node id (`FeatNode::id`) under exactly that key, is featurized
-/// once, and is shared by every later plan containing it: featurizing a
-/// plan whose subtrees are all known costs one id lookup per node. The
-/// scoring path keys its memo of encoded subtrees by the same ids.
+/// subtree's features are a function of few things: a leaf's of `(query
+/// relation, scan op)` — scan estimates are context-independent, and every
+/// scan of a relation reads the same table under the same filters — and a
+/// join's of `(join op, left subtree, right subtree)`. So every distinct
+/// subtree gets a dense node id (`FeatNode::id`) under exactly that key, is
+/// featurized once, and is shared by every later plan containing it. The id
+/// is the one plan identity of the crate: the searches name, memoize and
+/// score candidates by it (`Interner::scan`, `Interner::join`),
+/// and the scoring path keys its memo of encoded subtrees by it.
 ///
 /// The `[rel one-hot sum ‖ TaBERT repr]` prefix of a node depends only on
 /// the *set* of aliases under it and is memoized too. Each node's set is
@@ -99,8 +100,10 @@ struct Relation {
 pub struct PlanFeatCache {
     /// The query's TaBERT cache key and trigram set.
     tabert: TabertQuery,
-    /// alias → bit index, in alias-name order.
-    alias_bits: HashMap<String, u32, FnvBuild>,
+    /// alias → its index in `query.relations`.
+    rel_of: HashMap<String, u32, FnvBuild>,
+    /// Query relation index → its alias bit.
+    bits: Vec<u32>,
     /// bit index → the relation the alias binds.
     relations: Vec<Relation>,
     /// Words per alias set.
@@ -109,8 +112,8 @@ pub struct PlanFeatCache {
     sets: Vec<u64>,
     /// Alias set → `[rel one-hot sum ‖ TaBERT repr]` prefix.
     mid_prefix: HashMap<Box<[u64]>, Vec<f32>, FnvBuild>,
-    /// `(op one-hot index, alias bit | left id, 0 | right id)` → node id.
-    /// Scan and join one-hot indices are disjoint, so leaves and joins
+    /// `(op one-hot index, relation index | left id, 0 | right id)` → node
+    /// id. Scan and join one-hot indices are disjoint, so leaves and joins
     /// never collide.
     ids: HashMap<(usize, u32, u32), u32, FnvBuild>,
     /// Node id → its featurized subtree.
@@ -119,18 +122,21 @@ pub struct PlanFeatCache {
 
 impl PlanFeatCache {
     pub fn new(query: &Query) -> Self {
-        let mut rels: Vec<_> = query.relations.iter().collect();
-        rels.sort_by(|a, b| a.alias.cmp(&b.alias));
-        let mut alias_bits = HashMap::default();
-        let mut relations = Vec::with_capacity(rels.len());
-        for (bit, rel) in rels.into_iter().enumerate() {
-            alias_bits.insert(rel.alias.clone(), bit as u32);
+        let mut order: Vec<usize> = (0..query.relations.len()).collect();
+        order.sort_by(|&a, &b| query.relations[a].alias.cmp(&query.relations[b].alias));
+        let mut bits = vec![0; order.len()];
+        let mut relations = Vec::with_capacity(order.len());
+        for (bit, &r) in order.iter().enumerate() {
+            bits[r] = bit as u32;
+            let rel = &query.relations[r];
             let filters = query.filters_of(&rel.alias).into_iter().cloned().collect();
             relations.push(Relation { table: rel.table.clone(), filters, cls: None });
         }
+        let rel_of = query.relations.iter().enumerate();
         Self {
             tabert: TabertQuery::new(&query.to_sql()),
-            alias_bits,
+            rel_of: rel_of.map(|(i, r)| (r.alias.clone(), i as u32)).collect(),
+            bits,
             words: relations.len().div_ceil(64),
             relations,
             sets: Vec::new(),
@@ -145,9 +151,9 @@ impl PlanFeatCache {
         &self.sets[id as usize * self.words..(id as usize + 1) * self.words]
     }
 
-    /// The known subtree of `key`, if any.
-    fn node(&self, key: (usize, u32, u32)) -> Option<Arc<FeatNode>> {
-        self.ids.get(&key).map(|&id| Arc::clone(&self.nodes[id as usize]))
+    /// Node `id`'s featurized subtree.
+    pub(crate) fn node(&self, id: u32) -> &Arc<FeatNode> {
+        &self.nodes[id as usize]
     }
 }
 
@@ -257,7 +263,8 @@ impl Featurizer {
             );
         }
         let mut cache = PlanFeatCache::new(query);
-        let plan_feats = FeatNode::clone(&self.featurize_node(sess, query, plan, norm, &mut cache));
+        let id = Interner { feat: self, sess, query, norm, cache: &mut cache }.plan(plan);
+        let plan_feats = FeatNode::clone(cache.node(id));
         let encode = |rows: u64, cost: f64, time_ms: f64| norm.encode([rows as f64, cost, time_ms]);
         FeaturizedQep {
             query: self.query_features(query),
@@ -308,126 +315,151 @@ impl Featurizer {
         out: &mut Vec<FeatNode>,
     ) {
         out.clear();
-        out.extend(
-            plans
-                .iter()
-                .map(|p| FeatNode::clone(&self.featurize_node(sess, query, p, norm, cache))),
-        );
+        let mut int = Interner { feat: self, sess, query, norm, cache };
+        for plan in plans {
+            let id = int.plan(plan);
+            out.push(FeatNode::clone(int.cache.node(id)));
+        }
     }
+}
 
-    /// The tree of `node` through `cache`: its known subtree, or a new one
-    /// built on its children's and numbered.
-    fn featurize_node(
-        &self,
-        sess: &mut FeatSession,
-        query: &Query,
-        node: &PlanNode,
-        norm: &TargetNormalizer,
-        cache: &mut PlanFeatCache,
-    ) -> Arc<FeatNode> {
-        let op_idx = node.physical_op().one_hot_index();
-        let (key, children) = match node {
-            PlanNode::Scan { alias, table, filters, .. } => {
+/// The plan featurizer bound to one query: the session's caches, the fitted
+/// target normalizer and the query's [`PlanFeatCache`]. Its two interning
+/// calls, [`Self::scan`] and [`Self::join`], are how every plan node gets
+/// its id; [`Self::plan`] walks a [`PlanNode`] through them.
+pub(crate) struct Interner<'a> {
+    pub(crate) feat: &'a Featurizer,
+    pub(crate) sess: &'a mut FeatSession,
+    pub(crate) query: &'a Query,
+    pub(crate) norm: &'a TargetNormalizer,
+    pub(crate) cache: &'a mut PlanFeatCache,
+}
+
+impl Interner<'_> {
+    /// The node id of `plan`: its scans and joins interned in postorder —
+    /// left, right, join.
+    ///
+    /// # Panics
+    /// As [`Featurizer::featurize_batch_into`] does.
+    pub(crate) fn plan(&mut self, plan: &PlanNode) -> u32 {
+        match plan {
+            PlanNode::Scan { alias, table, op, filters } => {
                 // A scan must be a relation of the query — its alias bound,
                 // over the same table, under exactly the query's filters on
                 // it — or it would alias a relation's features and node id.
-                let bit = match cache.alias_bits.get(alias) {
-                    Some(&bit)
-                        if cache.relations[bit as usize].table == *table
-                            && cache.relations[bit as usize].filters == *filters =>
-                    {
-                        bit
-                    }
-                    _ => panic!("scan {node:?} is not a relation of query {}", query.id),
-                };
-                let key = (op_idx, bit, 0);
-                if let Some(leaf) = cache.node(key) {
-                    return leaf;
-                }
-                let at = cache.sets.len();
-                cache.sets.resize(at + cache.words, 0);
-                cache.sets[at + bit as usize / 64] = 1 << (bit % 64);
-                (key, Vec::new())
+                let cache = &self.cache;
+                let rel = cache.rel_of.get(alias).copied().filter(|&rel| {
+                    let r = &cache.relations[cache.bits[rel as usize] as usize];
+                    r.table == *table && r.filters == *filters
+                });
+                let rel = rel.unwrap_or_else(|| {
+                    panic!("scan {plan:?} is not a relation of query {}", self.query.id)
+                });
+                self.scan(rel, *op)
             }
-            PlanNode::Join { left, right, .. } => {
-                let l = self.featurize_node(sess, query, left, norm, cache);
-                let r = self.featurize_node(sess, query, right, norm, cache);
-                let key = (op_idx, l.id, r.id);
-                if let Some(join) = cache.node(key) {
-                    return join;
-                }
-                for w in 0..cache.words {
-                    let word = cache.set(l.id)[w] | cache.set(r.id)[w];
-                    cache.sets.push(word);
-                }
-                (key, vec![l, r])
+            PlanNode::Join { op, left, right, .. } => {
+                let (l, r) = (self.plan(left), self.plan(right));
+                self.join(*op, l, r)
             }
-        };
-        // Ids go in first-seen order; the new node's alias set is the last
-        // one pushed onto the arena.
-        let id = cache.nodes.len() as u32;
-        if !cache.mid_prefix.contains_key(cache.set(id)) {
-            let set: Box<[u64]> = cache.set(id).into();
-            let prefix = self.prefix_of(sess, node, &set, cache);
-            cache.mid_prefix.insert(set, prefix);
+        }
+    }
+
+    /// The node id of the scan of `query.relations[rel]` under `op`
+    /// (filters pushed down), featurized the first time.
+    pub(crate) fn scan(&mut self, rel: u32, op: ScanOp) -> u32 {
+        let key = (PhysicalOp::Scan(op).one_hot_index(), rel, 0);
+        if let Some(&id) = self.cache.ids.get(&key) {
+            return id;
+        }
+        let (bit, words) = (self.cache.bits[rel as usize], self.cache.words);
+        let at = self.cache.sets.len();
+        self.cache.sets.resize(at + words, 0);
+        self.cache.sets[at + bit as usize / 64] = 1 << (bit % 64);
+        // Scan estimates are context-independent, so the single-node plan
+        // yields the same NodeEstimate a full-plan EXPLAIN would.
+        let scan = PlanNode::scan(self.query, &self.query.relations[rel as usize].alias, op);
+        let e = Explain::new(&self.feat.db).explain(self.query, &scan)[0];
+        let enc = self.norm.encode([e.rows, e.cost, e.time_ms]);
+        let est = Tensor::row(enc.iter().map(|v| v * ESTIMATE_SCALE).collect());
+        self.number(key, Some(est), Vec::new())
+    }
+
+    /// The node id of `left ⋈op right` over node ids, featurized the first
+    /// time.
+    pub(crate) fn join(&mut self, op: JoinOp, left: u32, right: u32) -> u32 {
+        let key = (PhysicalOp::Join(op).one_hot_index(), left, right);
+        if let Some(&id) = self.cache.ids.get(&key) {
+            return id;
+        }
+        for w in 0..self.cache.words {
+            let word = self.cache.set(left)[w] | self.cache.set(right)[w];
+            self.cache.sets.push(word);
+        }
+        let children = vec![Arc::clone(self.cache.node(left)), Arc::clone(self.cache.node(right))];
+        self.number(key, None, children)
+    }
+
+    /// Number a new node of `key`, whose alias set is the last one pushed
+    /// onto the arena: ids go in first-seen order.
+    fn number(
+        &mut self,
+        key: (usize, u32, u32),
+        leaf_est: Option<Tensor>,
+        children: Vec<Arc<FeatNode>>,
+    ) -> u32 {
+        let id = self.cache.nodes.len() as u32;
+        if !self.cache.mid_prefix.contains_key(self.cache.set(id)) {
+            let set: Box<[u64]> = self.cache.set(id).into();
+            let prefix = self.prefix_of(children.is_empty().then_some(key.1), &set);
+            self.cache.mid_prefix.insert(set, prefix);
         }
         // `[rel ‖ TaBERT]` prefix ‖ operator one-hot.
-        let prefix = &cache.mid_prefix[cache.set(id)];
+        let prefix = &self.cache.mid_prefix[self.cache.set(id)];
         let mut mid = Vec::with_capacity(prefix.len() + PhysicalOp::COUNT);
         mid.extend_from_slice(prefix);
         mid.resize(prefix.len() + PhysicalOp::COUNT, 0.0);
-        mid[prefix.len() + op_idx] = 1.0;
-        // Scan estimates are context-independent, so the single-node plan
-        // yields the same NodeEstimate a full-plan EXPLAIN would.
-        let leaf_est = children.is_empty().then(|| {
-            let e = Explain::new(&self.db).explain(query, node)[0];
-            let enc = norm.encode([e.rows, e.cost, e.time_ms]);
-            Tensor::row(enc.iter().map(|v| v * ESTIMATE_SCALE).collect())
-        });
-        let node = Arc::new(FeatNode { mid: Tensor::row(mid), leaf_est, id, children });
-        cache.ids.insert(key, id);
-        cache.nodes.push(Arc::clone(&node));
-        node
+        mid[prefix.len() + key.0] = 1.0;
+        let node = FeatNode { mid: Tensor::row(mid), leaf_est, id, children };
+        self.cache.ids.insert(key, id);
+        self.cache.nodes.push(Arc::new(node));
+        id
     }
 
-    /// The `[rel one-hot sum ‖ TaBERT repr]` prefix of `node`, whose alias
-    /// set `set` no earlier node had: a scan's table and its filtered column
-    /// (or its `[CLS]`), or a join's relations and their mean-pooled
-    /// `[CLS]`, in ascending bit — alias-name — order.
-    fn prefix_of(
-        &self,
-        sess: &mut FeatSession,
-        node: &PlanNode,
-        set: &[u64],
-        cache: &mut PlanFeatCache,
-    ) -> Vec<f32> {
-        let n_tables = self.db.catalog.num_tables().max(1);
-        let mut prefix = Vec::with_capacity(n_tables + self.tabert.dim());
+    /// The `[rel one-hot sum ‖ TaBERT repr]` prefix of a node whose alias
+    /// set `set` no earlier node had: the scan of query relation `leaf`'s
+    /// table and its filtered column (or its `[CLS]`), or a join's relations
+    /// and their mean-pooled `[CLS]`, in ascending bit — alias-name — order.
+    fn prefix_of(&mut self, leaf: Option<u32>, set: &[u64]) -> Vec<f32> {
+        let Self { feat, sess, cache, .. } = self;
+        let n_tables = feat.db.catalog.num_tables().max(1);
+        let mut prefix = Vec::with_capacity(n_tables + feat.tabert.dim());
         prefix.resize(n_tables, 0.0);
-        if let PlanNode::Scan { table, filters, .. } = node {
-            if let Some(idx) = self.db.catalog.table_idx(table) {
+        if let Some(rel) = leaf {
+            let Relation { table, filters, .. } =
+                &cache.relations[cache.bits[rel as usize] as usize];
+            if let Some(idx) = feat.db.catalog.table_idx(table) {
                 prefix[idx] += 1.0;
             }
             let repr = match filters.first() {
-                Some(f) => self.filtered_column_repr(sess, table, f),
-                None => self.table_cls(sess, table, &cache.tabert),
+                Some(f) => feat.filtered_column_repr(sess, table, f),
+                None => feat.table_cls(sess, table, &cache.tabert),
             };
             prefix.extend_from_slice(&repr);
             return prefix;
         }
         let n = set.iter().map(|w| w.count_ones()).sum::<u32>() as f32;
-        let mut acc = vec![0.0f32; self.tabert.dim()];
+        let mut acc = vec![0.0f32; feat.tabert.dim()];
         for (w, &word) in set.iter().enumerate() {
             let mut rest = word;
             while rest != 0 {
                 let bit = w * 64 + rest.trailing_zeros() as usize;
                 rest &= rest - 1;
                 let rel = &mut cache.relations[bit];
-                if let Some(idx) = self.db.catalog.table_idx(&rel.table) {
+                if let Some(idx) = feat.db.catalog.table_idx(&rel.table) {
                     prefix[idx] += 1.0;
                 }
                 let cls =
-                    rel.cls.get_or_insert_with(|| self.table_cls(sess, &rel.table, &cache.tabert));
+                    rel.cls.get_or_insert_with(|| feat.table_cls(sess, &rel.table, &cache.tabert));
                 for (a, c) in acc.iter_mut().zip(cls.iter()) {
                     *a += c / n;
                 }
@@ -442,7 +474,6 @@ impl Featurizer {
 mod tests {
     use super::*;
     use qpseeker_engine::executor::Executor;
-    use qpseeker_engine::plan::{JoinOp, ScanOp};
     use qpseeker_engine::query::{CmpOp, ColRef, JoinPred, RelRef};
     use qpseeker_storage::datagen::imdb;
     use qpseeker_tabert::TabertConfig;

@@ -6,7 +6,7 @@ use crate::durable::SnapshotStore;
 use crate::encoder::{EntryLayout, LevelPass, NodeMemo, NodeRef, PlanEncoder, QueryEncoder};
 use crate::error::CoreError;
 use crate::evalbroker::{BucketKey, FusedOutcome, Submission};
-use crate::featurize::{FeatNode, FeatSession, FeaturizedQep, Featurizer, PlanFeatCache};
+use crate::featurize::{FeatSession, FeaturizedQep, Featurizer, Interner, PlanFeatCache};
 use crate::normalize::TargetNormalizer;
 use crate::vae::CostModeler;
 use qpseeker_engine::plan::{PlanNode, ScanOp};
@@ -585,12 +585,11 @@ impl QPSeeker {
             sc.recycle(e);
             owned
         });
-        memo.clear();
+        memo.init(self.memo_layout(), ScanOp::ALL.len() * query.relations.len());
         QueryContext {
             qemb,
             query_key: query_key(query),
             plan_cache: PlanFeatCache::new(query),
-            feat_batch: Vec::new(),
             memo,
         }
     }
@@ -667,6 +666,10 @@ impl QPSeeker {
 
     /// Featurize → [`Self::score`] → outcome, on this thread: what every
     /// public `predict*` wrapper is a column pick of.
+    ///
+    /// # Panics
+    /// When `ctx` was built for another query, or a scan of a plan is not a
+    /// relation of `query` ([`Featurizer::featurize_batch_into`]).
     fn score_plans(
         &self,
         sess: &mut FeatSession,
@@ -675,48 +678,43 @@ impl QPSeeker {
         ctx: &mut QueryContext,
         eps: Option<&Tensor>,
     ) -> FusedOutcome {
-        let sub = self.submission(sess, query, plans, ctx, eps);
-        let (outcome, sub) = self.score_local(sub);
-        ctx.reclaim(sub);
-        outcome
-    }
-
-    /// Featurize candidate plans of one query into the scoring row
-    /// contract: one [`FeatNode`] tree per plan, the query embedding, the
-    /// context's node memo, and — for risk scoring — the seeded eps block.
-    /// Featurization runs here, against the caller's own caches; only the
-    /// tensor pipeline sits behind [`Self::score`]. The row buffer and the
-    /// memo come from `ctx` and go back through [`QueryContext::reclaim`]
-    /// once scored, so a steady stream of calls allocates no new
-    /// `Vec<FeatNode>`s and encodes no subtree twice.
-    ///
-    /// # Panics
-    /// When `ctx` was built for another query, or a scan of a plan is not a
-    /// relation of `query` ([`Featurizer::featurize_batch_into`]).
-    pub(crate) fn submission(
-        &self,
-        sess: &mut FeatSession,
-        query: &Query,
-        plans: &[&PlanNode],
-        ctx: &mut QueryContext,
-        eps: Option<&Tensor>,
-    ) -> Submission {
-        let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
         assert!(
             ctx.query_key == query_key(query),
             "query {:?} scored through a QueryContext built for another query",
             query.id
         );
-        let mut nodes = std::mem::take(&mut ctx.feat_batch);
-        self.feat.featurize_batch_into(sess, query, plans, norm, &mut ctx.plan_cache, &mut nodes);
-        let mut memo = std::mem::take(&mut ctx.memo);
-        if !memo.is_init() {
-            memo.init(self.memo_layout(), ScanOp::ALL.len() * query.relations.len());
-        }
+        let mut int = ctx.interner(self, sess, query);
+        let roots: Vec<u32> = plans.iter().map(|p| int.plan(p)).collect();
+        let (outcome, sub) = self.score_local(self.submission(ctx, &roots, eps));
+        ctx.reclaim(sub);
+        outcome
+    }
+
+    /// The fitted target normalizer.
+    pub(crate) fn norm(&self) -> &TargetNormalizer {
+        self.normalizer.as_ref().expect("model must be fitted before predict")
+    }
+
+    /// Candidate plans of one query, named by their root node ids in `ctx`,
+    /// in the scoring row contract: one featurized tree per plan, the query
+    /// embedding, the context's node memo, and — for risk scoring — the
+    /// seeded eps block. Featurization ran when the ids were interned,
+    /// against the caller's own caches; only the tensor pipeline sits behind
+    /// [`Self::score`]. The memo comes from `ctx` and goes back through
+    /// [`QueryContext::reclaim`] once scored, so no subtree is encoded
+    /// twice.
+    pub(crate) fn submission(
+        &self,
+        ctx: &mut QueryContext,
+        roots: &[u32],
+        eps: Option<&Tensor>,
+    ) -> Submission {
+        let nodes = roots.iter().map(|&id| Arc::clone(ctx.plan_cache.node(id))).collect();
         let key = BucketKey {
             model: self as *const QPSeeker as usize,
             samples: eps.map_or(0, Tensor::rows),
         };
+        let memo = std::mem::take(&mut ctx.memo);
         Submission { key, nodes, qemb: ctx.qemb.clone(), eps: eps.cloned(), memo }
     }
 
@@ -753,7 +751,7 @@ impl QPSeeker {
     /// All submissions must agree on the scoring kind (`key.samples`).
     /// Returns one outcome per submission, in order.
     pub(crate) fn score(&self, subs: &mut [Submission]) -> Vec<FusedOutcome> {
-        let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
+        let norm = self.norm();
         let samples = subs.first().map_or(0, |s| s.key.samples);
         let layout = self.memo_layout();
         let (qd, d) = (self.query_enc.out_dim(), self.attn.head_dim);
@@ -885,7 +883,7 @@ impl QPSeeker {
     /// The tape forward of one unlabeled QEP as a one-sample group, with
     /// zero latent noise: normalized predictions and the latent mean.
     fn forward_tape(&self, query: &Query, plan: &PlanNode) -> ([f32; 3], Vec<f32>) {
-        let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
+        let norm = self.norm();
         let fq = self.feat.featurize(&mut FeatSession::new(), query, plan, None, norm);
         let mut g = Graph::new(&self.store);
         let (joint, ..) = self.encode_group(&mut g, &[&fq]);
@@ -908,18 +906,25 @@ pub struct QueryContext {
     /// [`query_key`] of the query the context was built for.
     query_key: u64,
     plan_cache: PlanFeatCache,
-    /// Reusable row buffer for [`QPSeeker::submission`], so a steady stream
-    /// of scoring calls allocates no new `Vec<FeatNode>`s.
-    feat_batch: Vec<FeatNode>,
     /// Encoded subtrees, keyed by the ids `plan_cache` assigns. Lent to
     /// each submission and handed back with its rows.
     memo: NodeMemo,
 }
 
 impl QueryContext {
-    /// Take back a scored submission's row buffer and memo.
+    /// `model`'s featurizer bound to the context's query and cache.
+    pub(crate) fn interner<'a>(
+        &'a mut self,
+        model: &'a QPSeeker,
+        sess: &'a mut FeatSession,
+        query: &'a Query,
+    ) -> Interner<'a> {
+        let norm = model.norm();
+        Interner { feat: &model.feat, sess, query, norm, cache: &mut self.plan_cache }
+    }
+
+    /// Take back a scored submission's memo.
     pub(crate) fn reclaim(&mut self, sub: Submission) {
-        self.feat_batch = sub.nodes;
         self.memo = sub.memo;
     }
 

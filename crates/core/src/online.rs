@@ -29,7 +29,7 @@
 use crate::checkpoint::Checkpoint;
 use crate::durable::SnapshotStore;
 use crate::error::CoreError;
-use crate::evalbroker::{BrokerStats, EvalBroker};
+use crate::evalbroker::EvalBroker;
 use crate::experience::{ExperienceDisposition, ExperienceRecord, ExperienceWal};
 use crate::featurize::FeatSession;
 use crate::metrics::{q_error, OnlineCounters};
@@ -162,7 +162,7 @@ pub struct OnlinePlanner {
     counters: OnlineCounters,
     /// Accumulated stats of the eval broker each batch scores through
     /// (zero when `supervisor.broker` is off).
-    broker_stats: BrokerStats,
+    broker_stats: crate::metrics::ServeCounters,
     faults: Option<FaultInjector>,
     /// WAL records already consumed by completed rounds.
     consumed: usize,
@@ -226,7 +226,7 @@ impl OnlinePlanner {
             trainer_meta,
             monitor,
             counters: OnlineCounters::default(),
-            broker_stats: BrokerStats::default(),
+            broker_stats: Default::default(),
             faults,
             consumed,
             round,
@@ -245,8 +245,9 @@ impl OnlinePlanner {
 
     /// Serving counters (admission/disposition tallies, broker gauges).
     pub fn serve_counters(&self) -> crate::metrics::ServeCounters {
-        let mut c = self.sup.counters();
-        self.broker_stats.add_to(&mut c);
+        // The lane merges last, so the total carries its ISA tag.
+        let mut c = self.broker_stats;
+        c.merge(&self.sup.counters());
         c
     }
 

@@ -8,17 +8,19 @@
 //! bushy — plan. Per level the search enumerates, for each of the
 //! `beam_width` kept states, every connected subtree pair × both
 //! orientations × all join operators, and dedupes resulting forests by
-//! hashed signature (neurdb's `Fringe`-style closed set).
+//! their root node ids (a `Fringe`-style closed set, as in neurdb, but on
+//! exact ids rather than rendered plans).
 //!
 //! **Scoring.** The cost model is trained on *complete* plans only, so
 //! partial-forest scores are out-of-distribution noise. Every candidate
 //! state is therefore scored by greedily completing its forest to a full
 //! plan (first joinable pair, hash join) and evaluating that completion
-//! through the shared `Evaluator` (batched, memoized by the completion's
-//! postorder signature). Ranking thus directly minimizes the same
-//! objective left-deep MCTS optimizes, and the search returns the
-//! best-scoring complete plan seen anywhere — at the final level the
-//! completions are the states themselves.
+//! through the shared `Evaluator` (batched, memoized by node id). Ranking
+//! thus directly minimizes the same objective left-deep MCTS optimizes,
+//! and the search returns the best-scoring complete plan seen anywhere —
+//! at the final level the completions are the states themselves. A
+//! completion is built from subtree masks and ids alone; only the
+//! best-scoring forest is completed again as plans, for the result.
 //!
 //! The search is RNG-free: enumeration orders are fixed (states by rank,
 //! pairs by position, operators in `JoinOp::ALL` order), selection is a
@@ -35,24 +37,21 @@
 use super::bushy::{joinable, SubTree};
 use super::mcts::MctsConfig;
 use super::strategy::{Evaluator, Found};
-use super::{op_idx_join, op_idx_scan, QueryIndex};
+use super::QueryIndex;
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
-use qpseeker_storage::fnv::{self, FnvBuild};
-use std::collections::{HashMap, HashSet};
+use qpseeker_storage::fnv::FnvBuild;
+use std::collections::HashSet;
 use std::time::Instant;
 
-/// Reusable beam-search state, cleared per query: the completed-plan
-/// evaluation cache (keyed by exact postorder signature), the forest
-/// closed set, and the scoring buffers. Lives in a
-/// [`crate::session::PlannerSession`] so a serving worker reuses
-/// allocations across queries.
+/// Reusable beam-search state, cleared per query: the forest closed set
+/// and the scoring buffers. Lives in a [`crate::session::PlannerSession`]
+/// so a serving worker reuses allocations across queries.
 #[derive(Default)]
 pub(crate) struct BeamScratch {
-    /// Greedy-completion signature → evaluator score.
-    eval_cache: HashMap<Vec<u64>, f64, FnvBuild>,
-    /// Hashes of forests already enqueued as candidates. A collision can
-    /// only drop a duplicate-looking state, never corrupt a score.
-    seen: HashSet<u64, FnvBuild>,
+    /// Forests already enqueued as candidates, by their root ids in mask
+    /// order.
+    seen: HashSet<Vec<u32>, FnvBuild>,
+    ids_buf: Vec<u32>,
     scores_buf: Vec<f64>,
 }
 
@@ -66,7 +65,14 @@ struct BeamState {
 impl BeamState {
     /// The forest after joining `trees[left] ⋈op trees[right]`, kept
     /// sorted by mask.
-    fn merged(&self, qi: &QueryIndex, left: usize, right: usize, op: JoinOp) -> Vec<SubTree> {
+    fn merged(
+        &self,
+        qi: &QueryIndex,
+        ev: &mut Evaluator,
+        left: usize,
+        right: usize,
+        op: JoinOp,
+    ) -> Vec<SubTree> {
         let mut trees: Vec<SubTree> = self
             .trees
             .iter()
@@ -74,47 +80,60 @@ impl BeamState {
             .filter(|&(t, _)| t != left && t != right)
             .map(|(_, t)| t.clone())
             .collect();
-        trees.push(SubTree::join(qi, op, &self.trees[left], &self.trees[right]));
+        trees.push(SubTree::join(qi, ev, op, &self.trees[left], &self.trees[right]));
         trees.sort_by_key(|t| t.mask);
         trees
     }
 }
 
 /// One candidate merge: join `trees[left] ⋈op trees[right]` of
-/// `beam[parent]`. `score` is the evaluator score of the resulting
-/// forest's greedy completion.
+/// `beam[parent]`, giving `forest`: each tree's `(mask, id)`, sorted by
+/// mask.
 struct Candidate {
     parent: usize,
     left: usize,
     right: usize,
     op: JoinOp,
-    score: f64,
+    forest: Vec<(u64, u32)>,
 }
 
-/// Greedily complete a forest to one tree: repeatedly join the first
-/// joinable pair (first pair at all when none is joinable — a cross join
-/// on a disconnected query) with the first join operator. Deterministic,
-/// evaluation-free; the result is what a candidate state is scored on.
-fn greedy_complete(qi: &QueryIndex, state: &[SubTree]) -> SubTree {
-    let mut trees: Vec<SubTree> = state.to_vec();
+/// Greedily complete a forest, sorted by `mask`, to one tree: repeatedly
+/// join the first joinable pair (first pair at all when none is joinable —
+/// a cross join on a disconnected query) with `join`, which applies the
+/// first join operator. Deterministic, evaluation-free; a candidate state
+/// is scored on the `(mask, id)` completion, and the winner's plan is the
+/// [`SubTree`] completion of the same forest.
+fn greedy_complete<T>(
+    qi: &QueryIndex,
+    mut trees: Vec<T>,
+    mask: fn(&T) -> u64,
+    mut join: impl FnMut(&T, &T) -> T,
+) -> T {
     while trees.len() > 1 {
         let mut pick = (0usize, 1usize);
         'outer: for i in 0..trees.len() {
             for j in i + 1..trees.len() {
-                if joinable(qi, trees[i].mask, trees[j].mask) {
+                if joinable(qi, mask(&trees[i]), mask(&trees[j])) {
                     pick = (i, j);
                     break 'outer;
                 }
             }
         }
         let (i, j) = pick;
-        let merged = SubTree::join(qi, JoinOp::ALL[0], &trees[i], &trees[j]);
+        let merged = join(&trees[i], &trees[j]);
         trees.remove(j);
         trees.remove(i);
         trees.push(merged);
-        trees.sort_by_key(|t| t.mask);
+        trees.sort_by_key(mask);
     }
     trees.pop().expect("one tree remains")
+}
+
+/// The node id of a forest's greedy completion; `forest` holds each
+/// tree's `(mask, id)`, sorted by mask.
+fn completion_id(qi: &QueryIndex, ev: &mut Evaluator, forest: Vec<(u64, u32)>) -> u32 {
+    let join = |a: &(u64, u32), b: &(u64, u32)| (a.0 | b.0, ev.join(JoinOp::ALL[0], a.1, b.1));
+    greedy_complete(qi, forest, |t| t.0, join).1
 }
 
 /// Replace the operator of postorder node `target` with the `k`-th of its
@@ -126,7 +145,7 @@ fn set_node_op(plan: &mut PlanNode, target: usize, k: usize, counter: &mut usize
             let here = *counter;
             *counter += 1;
             (here == target).then(|| {
-                let old = op_idx_scan(*op) as usize;
+                let old = ScanOp::ALL.iter().position(|o| o == op).expect("one of ALL");
                 *op = ScanOp::ALL[k];
                 old
             })
@@ -141,7 +160,7 @@ fn set_node_op(plan: &mut PlanNode, target: usize, k: usize, counter: &mut usize
             let here = *counter;
             *counter += 1;
             (here == target).then(|| {
-                let old = op_idx_join(*op) as usize;
+                let old = JoinOp::ALL.iter().position(|o| o == op).expect("one of ALL");
                 *op = JoinOp::ALL[k];
                 old
             })
@@ -162,38 +181,38 @@ pub(crate) fn search(
     scratch: &mut BeamScratch,
     start: Instant,
 ) -> Found {
-    scratch.eval_cache.clear();
     scratch.seen.clear();
     let n = qi.n;
     let spent = |evals: usize| cfg.past_budget(start) || evals >= cfg.max_simulations;
 
     // ---- Level 0: pick each relation's scan by coordinate descent
-    // on greedy completions (every evaluation is a complete plan) ----
-    let mut best: Option<(f64, SubTree)> = None;
-    let mut evals = 0usize;
+    // on greedy completions (every evaluation is a complete plan). `best`
+    // is the forest whose completion scored lowest, and that score ----
+    let mut best: Option<(f64, Vec<SubTree>)> = None;
     let mut scan_choice = vec![0usize; n];
     for rel in 0..n {
-        let mut comps: Vec<SubTree> = Vec::with_capacity(3);
+        let op = |k: usize, choice: &[usize], r: usize| {
+            ScanOp::ALL[if r == rel { k } else { choice[r] }]
+        };
+        scratch.ids_buf.clear();
         for k in 0..3 {
-            let leaves: Vec<SubTree> = (0..n)
-                .map(|r| {
-                    let op = ScanOp::ALL[if r == rel { k } else { scan_choice[r] }];
-                    SubTree::leaf(qi, r as u32, op)
-                })
-                .collect();
-            comps.push(greedy_complete(qi, &leaves));
+            let forest = (0..n).map(|r| (1 << r, ev.scan(r as u32, op(k, &scan_choice, r))));
+            let forest = forest.collect();
+            let id = completion_id(qi, ev, forest);
+            scratch.ids_buf.push(id);
         }
-        let scores = score_completions(ev, &comps, scratch, &mut evals, &mut best);
-        let mut pick = (0usize, scores[0]);
-        for (k, &s) in scores.iter().enumerate().skip(1) {
-            if s < pick.1 {
-                pick = (k, s);
+        let scores = score_completions(ev, scratch);
+        for (k, &s) in scores.iter().enumerate() {
+            if best.as_ref().is_none_or(|(b, _)| s < *b) {
+                let leaves =
+                    (0..n).map(|r| SubTree::leaf(qi, ev, r as u32, op(k, &scan_choice, r)));
+                best = Some((s, leaves.collect()));
             }
         }
-        scan_choice[rel] = pick.0;
+        scan_choice[rel] = (1..3).fold(0, |b, k| if scores[k] < scores[b] { k } else { b });
     }
     let trees: Vec<SubTree> =
-        (0..n).map(|r| SubTree::leaf(qi, r as u32, ScanOp::ALL[scan_choice[r]])).collect();
+        (0..n).map(|r| SubTree::leaf(qi, ev, r as u32, ScanOp::ALL[scan_choice[r]])).collect();
 
     let mut beam = vec![BeamState { trees }];
     let mut simulations = 0usize;
@@ -201,12 +220,14 @@ pub(crate) fn search(
 
     // ---- Levels 1..n-1: merge two subtrees per kept state ----
     for _level in 1..n {
-        if spent(evals) {
+        if spent(ev.evals) {
             budget_exhausted = true;
             break;
         }
 
-        // Enumerate candidate merges in fixed order.
+        // Enumerate candidate merges in fixed order, each forest once.
+        // Interning a dropped duplicate's merge adds no node: the equal
+        // forest enqueued first holds that subtree already.
         let mut cands: Vec<Candidate> = Vec::new();
         for (pi, state) in beam.iter().enumerate() {
             let k = state.trees.len();
@@ -224,20 +245,16 @@ pub(crate) fn search(
                     }
                     for (l, r) in [(i, j), (j, i)] {
                         for op in JoinOp::ALL {
-                            let sig = SubTree::joined_sig(&state.trees[l], &state.trees[r], op);
-                            let mut forest: Vec<u64> = state
-                                .trees
-                                .iter()
-                                .enumerate()
+                            let id = ev.join(op, state.trees[l].id, state.trees[r].id);
+                            let mut forest: Vec<(u64, u32)> = (state.trees.iter().enumerate())
                                 .filter(|&(t, _)| t != i && t != j)
-                                .map(|(_, t)| fnv::words(&t.sig))
+                                .map(|(_, t)| (t.mask, t.id))
                                 .collect();
-                            forest.push(fnv::words(&sig));
-                            forest.sort_unstable();
-                            if !scratch.seen.insert(fnv::words(&forest)) {
-                                continue;
+                            forest.push((state.trees[i].mask | state.trees[j].mask, id));
+                            forest.sort_unstable_by_key(|t| t.0);
+                            if scratch.seen.insert(forest.iter().map(|t| t.1).collect()) {
+                                cands.push(Candidate { parent: pi, left: l, right: r, op, forest });
                             }
-                            cands.push(Candidate { parent: pi, left: l, right: r, op, score: 0.0 });
                         }
                     }
                 }
@@ -249,26 +266,29 @@ pub(crate) fn search(
         }
 
         // Complete each candidate's forest greedily and score the
-        // completions — full plans — memoized by completion signature.
-        let comps: Vec<SubTree> = cands
-            .iter()
-            .map(|c| greedy_complete(qi, &beam[c.parent].merged(qi, c.left, c.right, c.op)))
-            .collect();
-        let scores = score_completions(ev, &comps, scratch, &mut evals, &mut best);
-        for (c, s) in cands.iter_mut().zip(&scores) {
-            c.score = *s;
+        // completions — full plans — memoized by node id.
+        scratch.ids_buf.clear();
+        for c in &mut cands {
+            let id = completion_id(qi, ev, std::mem::take(&mut c.forest));
+            scratch.ids_buf.push(id);
+        }
+        let scores = score_completions(ev, scratch);
+        for (c, &s) in cands.iter().zip(&scores) {
+            if best.as_ref().is_none_or(|(b, _)| s < *b) {
+                best = Some((s, beam[c.parent].merged(qi, ev, c.left, c.right, c.op)));
+            }
         }
 
         // Stable selection: score ascending, ties keep enumeration
         // order.
         let mut order: Vec<usize> = (0..cands.len()).collect();
-        order.sort_by(|&a, &b| cands[a].score.total_cmp(&cands[b].score));
+        order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
         order.truncate(width);
         beam = order
             .iter()
             .map(|&ci| {
                 let c = &cands[ci];
-                BeamState { trees: beam[c.parent].merged(qi, c.left, c.right, c.op) }
+                BeamState { trees: beam[c.parent].merged(qi, ev, c.left, c.right, c.op) }
             })
             .collect();
     }
@@ -276,75 +296,48 @@ pub(crate) fn search(
     // Best complete plan scored anywhere in the search — at the final
     // level the candidate completions are the states themselves, and
     // under a budget cut-off this is the best rollout seen so far.
-    let (mut best_score, best_tree) = best.expect("scored at least one complete plan");
-    let mut plan = best_tree.plan;
+    let (mut best_score, forest) = best.expect("scored at least one complete plan");
+    let join = |a: &SubTree, b: &SubTree| SubTree::join(qi, ev, JoinOp::ALL[0], a, b);
+    let mut plan = greedy_complete(qi, forest, |t| t.mask, join).plan;
 
     // ---- Operator polish: coordinate descent over scan and join
     // operators on the winning structure. The beam commits operators
     // level by level; this pass re-selects each one against the final
     // plan (the jointly-optimal choice MCTS searches for), keeping a
-    // variant only when it strictly improves the score.
+    // variant only when it strictly improves the score. Variants are
+    // scored as they come, without the memo.
     for target in 0..plan.len() {
-        if spent(evals) {
+        if spent(ev.evals) {
             budget_exhausted = true;
             break;
         }
         for k in 0..3 {
-            let mut cand = plan.clone();
-            let mut counter = 0usize;
-            let old = set_node_op(&mut cand, target, k, &mut counter).expect("target in range");
+            let old = set_node_op(&mut plan, target, k, &mut 0).expect("target in range");
             if old == k {
                 continue;
             }
-            ev.score(&[&cand], &mut scratch.scores_buf);
-            let s = scratch.scores_buf[0];
-            evals += 1;
-            if s < best_score {
-                best_score = s;
-                plan = cand;
+            let id = ev.intern(&plan);
+            ev.score(&[id], &mut scratch.scores_buf);
+            if scratch.scores_buf[0] < best_score {
+                best_score = scratch.scores_buf[0];
+            } else {
+                set_node_op(&mut plan, target, old, &mut 0);
             }
         }
     }
 
-    Found { plan, score: best_score, simulations, evals, budget_exhausted }
+    Found { plan, score: best_score, simulations, budget_exhausted }
 }
 
-/// Score the greedy completions in `comps`, memoizing by completion
-/// signature, charging only fresh evaluations to `evals`, and folding
-/// each fresh score into `best`. Returns the per-completion scores.
-fn score_completions(
-    ev: &mut Evaluator,
-    comps: &[SubTree],
-    scratch: &mut BeamScratch,
-    evals: &mut usize,
-    best: &mut Option<(f64, SubTree)>,
-) -> Vec<f64> {
-    let mut miss_index: HashMap<Vec<u64>, usize, FnvBuild> = HashMap::default();
-    let mut miss: Vec<&SubTree> = Vec::new();
-    for c in comps {
-        if scratch.eval_cache.contains_key(&c.sig) || miss_index.contains_key(&c.sig) {
-            continue;
-        }
-        miss_index.insert(c.sig.clone(), miss.len());
-        miss.push(c);
-    }
-    if !miss.is_empty() {
-        let refs: Vec<&PlanNode> = miss.iter().map(|t| &t.plan).collect();
-        ev.score(&refs, &mut scratch.scores_buf);
-        *evals += miss.len();
-        for (i, t) in miss.iter().enumerate() {
-            let s = scratch.scores_buf[i];
-            scratch.eval_cache.insert(t.sig.clone(), s);
-            let better = match best {
-                Some((b, _)) => s < *b,
-                None => true,
-            };
-            if better {
-                *best = Some((s, (*t).clone()));
-            }
-        }
-    }
-    comps.iter().map(|c| scratch.eval_cache[&c.sig]).collect()
+/// Score the greedy completions in `scratch.ids_buf`, scoring each id not
+/// yet known once, and return the per-completion scores.
+fn score_completions(ev: &mut Evaluator, scratch: &mut BeamScratch) -> Vec<f64> {
+    let mut queued: HashSet<u32, FnvBuild> = HashSet::default();
+    let fresh: Vec<u32> = (scratch.ids_buf.iter().copied())
+        .filter(|&id| ev.known(id).is_none() && queued.insert(id))
+        .collect();
+    ev.score(&fresh, &mut scratch.scores_buf);
+    scratch.ids_buf.iter().map(|&id| ev.known(id).expect("scored above")).collect()
 }
 
 #[cfg(test)]

@@ -8,14 +8,19 @@
 //! QPSeeker's learned cost model (least predicted execution time wins).
 //! Planning stops at a wall-clock budget (paper: 200 ms) or a simulation
 //! cap, whichever comes first.
+//!
+//! A completed rollout is named by its plan's node id, a fold of the
+//! evaluator's interning calls over its actions: equal ids are equal
+//! plans, so the id keys both the evaluator's score memo and the dedup of
+//! the rollouts queued for one batched forward. Only the returned plan is
+//! built as a `PlanNode`.
 
 use super::strategy::{Evaluator, Found};
-use super::{op_idx_join, op_idx_scan, QueryIndex};
+use super::QueryIndex;
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
-use qpseeker_storage::fnv::{self, FnvBuild};
+use qpseeker_storage::fnv;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// One plan-construction step: add relation `rel` (an index into
@@ -29,15 +34,14 @@ pub(crate) struct Action {
     join: Option<JoinOp>,
 }
 
-impl Action {
-    /// Compact signature: `rel << 4 | scan << 2 | join`. Used to key the
-    /// evaluation cache with a `Vec<u64>` instead of owned `String`s. The
-    /// join field is 0..=2 for a join and 3 for the opening action, so the
-    /// packing is injective.
-    fn pack(self) -> u64 {
-        let join = self.join.map_or(3, |j| op_idx_join(j) as u64);
-        (self.rel as u64) << 4 | (op_idx_scan(self.scan) as u64) << 2 | join
-    }
+/// The node id of a complete action sequence's plan: a fold of interning
+/// calls, each step joining the new relation's scan onto the prefix.
+fn rollout_id(ev: &mut Evaluator, actions: &[Action]) -> u32 {
+    let (first, rest) = actions.split_first().expect("non-empty action sequence");
+    rest.iter().fold(ev.scan(first.rel, first.scan), |prefix, a| {
+        let scan = ev.scan(a.rel, a.scan);
+        ev.join(a.join.expect("only the first action opens a sequence"), prefix, scan)
+    })
 }
 
 /// The left-deep plan of a complete action sequence: a fold of joins over
@@ -45,26 +49,18 @@ impl Action {
 /// new relation, in `query.joins` order — structurally identical to
 /// `LeftDeepSpec::compile` on the equivalent spec. Validation is skipped
 /// because the search only emits duplicate-free sequences that join
-/// through a predicate whenever one is left.
-///
-/// `with_preds: false` is the build for **evaluation only**: identical
-/// tree, operators, aliases and pushed-down filters, but empty join
-/// predicate lists. Featurization reads node shape, operators, scan
-/// aliases/tables and leaf filters — never `preds` — so predictions are
-/// bitwise identical to the full build while skipping roughly half its
-/// allocations (every `JoinPred` is four `String` clones). Guarded by the
-/// `eval_plan_scores_match_full_build` test.
-fn left_deep(qi: &QueryIndex, actions: &[Action], with_preds: bool) -> PlanNode {
+/// through a predicate whenever one is left. Built once per search, for
+/// the returned plan; candidates are scored by [`rollout_id`].
+fn left_deep(qi: &QueryIndex, actions: &[Action]) -> PlanNode {
     let (first, rest) = actions.split_first().expect("non-empty action sequence");
     let mut plan = qi.scan(first.rel, first.scan);
     let mut joined = 1u64 << first.rel;
     for a in rest {
-        let preds = if with_preds { qi.crossing_preds(joined, 1 << a.rel) } else { Vec::new() };
         plan = PlanNode::Join {
             op: a.join.expect("only the first action opens a sequence"),
             left: Box::new(plan),
             right: Box::new(qi.scan(a.rel, a.scan)),
-            preds,
+            preds: qi.crossing_preds(joined, 1 << a.rel),
         };
         joined |= 1 << a.rel;
     }
@@ -158,50 +154,38 @@ struct Waiter {
     rollout: Vec<Action>,
 }
 
-/// One distinct plan awaiting batched evaluation, with every rollout that
-/// produced it. Queued plans are deduped by packed action signature so a
-/// flush never scores the same plan twice.
-#[derive(Default)]
-struct Pending {
-    key: Vec<u64>,
-    waiters: Vec<Waiter>,
-}
-
 /// Reusable MCTS search state, cleared at the start of every [`search`]:
-/// the tree arena, the per-query evaluation cache, the incumbent, and the
-/// hot-loop buffers. Lives in a [`crate::session::PlannerSession`] so a
-/// serving worker reuses the allocations across every query it handles.
+/// the tree arena, the incumbent, and the hot-loop buffers. Lives in a
+/// [`crate::session::PlannerSession`] so a serving worker reuses the
+/// allocations across every query it handles.
 #[derive(Default)]
 pub(crate) struct MctsScratch {
     nodes: Vec<TreeNode>,
-    eval_cache: HashMap<Vec<u64>, f64, FnvBuild>,
     path: Vec<usize>,
     actions: Vec<Action>,
     rollout: Vec<Action>,
     acts_buf: Vec<Action>,
-    key_buf: Vec<u64>,
-    /// Rollouts queued for the next batched evaluation, deduped by key.
-    pending: Vec<Pending>,
-    /// Recycled `Pending`/`Waiter`/cache-key/tree-node allocations.
-    /// `key_pool` is refilled from the previous query's drained eval cache
-    /// and the node pools from its drained tree, so a steady stream of
-    /// queries allocates no new key or node vectors.
-    pending_pool: Vec<Pending>,
+    /// The distinct plans queued for the next batched evaluation, by id in
+    /// first-queued order, so a flush never scores a plan twice; and every
+    /// queued rollout with the index of its plan there.
+    queued: Vec<u32>,
+    waiters: Vec<(usize, Waiter)>,
+    /// Recycled `Waiter`/tree-node allocations. The node pools are refilled
+    /// from the previous query's drained tree, so a steady stream of
+    /// queries allocates no new node vectors.
     waiter_pool: Vec<Waiter>,
-    key_pool: Vec<Vec<u64>>,
     untried_pool: Vec<Vec<Action>>,
     children_pool: Vec<Vec<(Action, usize)>>,
     /// Best complete action sequence found so far and its score (`None`
     /// until a rollout is scored).
     best_seq: Vec<Action>,
     best_t: Option<f64>,
-    plans_buf: Vec<PlanNode>,
     scores_buf: Vec<f64>,
 }
 
 /// Search the left-deep space of the query `qi` indexes with MCTS,
-/// queueing `batch` distinct completed rollouts (deduped by packed action
-/// signature, carrying virtual loss) per forward. Scores do not depend on
+/// queueing `batch` distinct completed rollouts (deduped by node id,
+/// carrying virtual loss) per forward. Scores do not depend on
 /// the batch, but *when* UCT backups land does, so under a simulation cap
 /// the chosen plan depends on `batch` — see
 /// [`StrategyConfig::batch_eval`](super::strategy::StrategyConfig::batch_eval).
@@ -217,8 +201,7 @@ pub(crate) fn search(
 ) -> Found {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ fnv::bytes(ev.query.id.as_bytes()));
     // Drain (not clear) the previous tree so its node vectors feed this
-    // search's expansions, and the previous cache so its key allocations
-    // feed this search's inserts.
+    // search's expansions.
     for mut n in s.nodes.drain(..) {
         n.untried.clear();
         s.untried_pool.push(n.untried);
@@ -226,8 +209,8 @@ pub(crate) fn search(
         s.children_pool.push(n.children);
     }
     s.nodes.push(TreeNode::fresh(&mut s.untried_pool, &mut s.children_pool));
-    s.key_pool.extend(s.eval_cache.drain().map(|(k, _)| k));
-    s.pending.clear();
+    s.queued.clear();
+    s.waiters.clear();
     s.best_seq.clear();
     s.best_t = None;
     let mut simulations = 0usize;
@@ -330,15 +313,14 @@ pub(crate) fn search(
         // loss (the reward comes at flush time), so UCT stops re-selecting
         // a path whose score is already in flight — without it a large
         // fraction of the simulations between flushes duplicate queued
-        // rollouts. A cache hit backs up at once; a miss joins the queue
-        // (deduped by packed signature) and backs up when the queue
-        // flushes through one forward — at once when `batch` is 1.
+        // rollouts. A scored plan backs up at once; a new one joins the
+        // queue (deduped by id) and backs up when the queue flushes through
+        // one forward — at once when `batch` is 1.
         for &ni in &s.path {
             s.nodes[ni].visits += 1.0;
         }
-        s.key_buf.clear();
-        s.key_buf.extend(s.rollout.iter().map(|a| a.pack()));
-        if let Some(&t) = s.eval_cache.get(s.key_buf.as_slice()) {
+        let id = rollout_id(ev, &s.rollout);
+        if let Some(t) = ev.known(id) {
             apply_eval(&mut s.nodes, &mut s.best_seq, &mut s.best_t, &s.rollout, &s.path, t);
         } else {
             let mut w = s.waiter_pool.pop().unwrap_or_default();
@@ -346,20 +328,13 @@ pub(crate) fn search(
             w.path.extend_from_slice(&s.path);
             w.rollout.clear();
             w.rollout.extend_from_slice(&s.rollout);
-            match s.pending.iter_mut().find(|p| p.key == s.key_buf) {
-                Some(p) => p.waiters.push(w),
-                None => {
-                    let mut p = s.pending_pool.pop().unwrap_or_default();
-                    let mut key = s.key_pool.pop().unwrap_or_default();
-                    key.clear();
-                    key.extend_from_slice(&s.key_buf);
-                    p.key = key;
-                    p.waiters.push(w);
-                    s.pending.push(p);
-                }
+            let at = s.queued.iter().position(|&q| q == id).unwrap_or(s.queued.len());
+            if at == s.queued.len() {
+                s.queued.push(id);
             }
-            if s.pending.len() >= batch {
-                s.flush(qi, ev);
+            s.waiters.push((at, w));
+            if s.queued.len() >= batch {
+                s.flush(ev);
             }
         }
 
@@ -386,50 +361,43 @@ pub(crate) fn search(
 
     // Score whatever is still queued (budget cut-offs and exhaustion
     // exits land here with a partial batch).
-    s.flush(qi, ev);
+    s.flush(ev);
     if s.best_t.is_none() {
         // Budget hit before any complete rollout: greedy completion.
         greedy_complete(qi, &mut s.best_seq, &mut s.acts_buf);
     }
     Found {
-        plan: left_deep(qi, &s.best_seq, true),
+        plan: left_deep(qi, &s.best_seq),
         score: s.best_t.unwrap_or(f64::INFINITY),
         simulations,
-        evals: s.eval_cache.len(),
         budget_exhausted,
     }
 }
 
 impl MctsScratch {
-    /// Build every queued plan, score them all in one [`Evaluator::score`]
-    /// call, scatter the results into the eval cache, and run the deferred
-    /// backups in queue order. All allocations (pendings, waiters, cache
-    /// keys) are recycled into pools.
-    fn flush(&mut self, qi: &QueryIndex, ev: &mut Evaluator) {
-        if self.pending.is_empty() {
+    /// Score every queued plan in one [`Evaluator::score`] call (which
+    /// memoizes the scores) and run the deferred backups plan by plan, in
+    /// queue order. Waiters are recycled into their pool.
+    fn flush(&mut self, ev: &mut Evaluator) {
+        if self.queued.is_empty() {
             return;
         }
-        self.plans_buf.clear();
-        self.plans_buf
-            .extend(self.pending.iter().map(|p| left_deep(qi, &p.waiters[0].rollout, false)));
-        let plan_refs: Vec<&PlanNode> = self.plans_buf.iter().collect();
-        ev.score(&plan_refs, &mut self.scores_buf);
-        debug_assert_eq!(self.scores_buf.len(), self.pending.len());
-        for (p, &t) in self.pending.iter_mut().zip(self.scores_buf.iter()) {
-            self.eval_cache.insert(std::mem::take(&mut p.key), t);
-            for w in p.waiters.drain(..) {
-                apply_eval(
-                    &mut self.nodes,
-                    &mut self.best_seq,
-                    &mut self.best_t,
-                    &w.rollout,
-                    &w.path,
-                    t,
-                );
-                self.waiter_pool.push(w);
-            }
+        ev.score(&self.queued, &mut self.scores_buf);
+        self.queued.clear();
+        // Stable: each plan's rollouts back up in the order they came.
+        self.waiters.sort_by_key(|&(at, _)| at);
+        for (at, w) in self.waiters.drain(..) {
+            let t = self.scores_buf[at];
+            apply_eval(
+                &mut self.nodes,
+                &mut self.best_seq,
+                &mut self.best_t,
+                &w.rollout,
+                &w.path,
+                t,
+            );
+            self.waiter_pool.push(w);
         }
-        self.pending_pool.append(&mut self.pending);
     }
 }
 
@@ -631,34 +599,8 @@ mod tests {
                 joins: actions.iter().filter_map(|a| a.join).collect(),
             };
             let compiled = spec.compile(&q).expect("sequence compiles");
-            assert_eq!(left_deep(&qi, actions, true), compiled);
+            assert_eq!(left_deep(&qi, actions), compiled);
         }
-    }
-
-    #[test]
-    fn eval_plan_scores_match_full_build() {
-        // The search scores plans built without join predicates but
-        // returns and reports plans built with them. That is only sound
-        // while the fast featurization path ignores `preds`; this test
-        // turns the invariant into a loud failure if featurization ever
-        // starts reading them.
-        let db = std::sync::Arc::new(imdb::generate(0.05, 1));
-        let model = fitted_model(&db);
-        let q = three_way();
-        let qi = QueryIndex::new(&q);
-        let actions = [
-            opening(0, ScanOp::SeqScan),
-            joining(1, ScanOp::IndexScan, JoinOp::HashJoin),
-            joining(2, ScanOp::SeqScan, JoinOp::MergeJoin),
-        ];
-        let mut feat = crate::featurize::FeatSession::new();
-        let mut ctx = model.query_context(&q);
-        let mut predict = |with_preds| {
-            let plan = left_deep(&qi, &actions, with_preds);
-            model.predict_with_context_in(&mut feat, &q, &plan, &mut ctx).runtime_ms
-        };
-        let (full, eval) = (predict(true), predict(false));
-        assert_eq!(full.to_bits(), eval.to_bits());
     }
 
     #[test]
@@ -673,18 +615,5 @@ mod tests {
         legal_actions_into(&qi, &[start], 1 << 1, &mut acts);
         assert!(acts.iter().all(|a| a.rel == 0 && a.join.is_some()));
         assert_eq!(acts.len(), 3 * 3, "1 relation x 3 scans x 3 joins");
-    }
-
-    #[test]
-    fn action_pack_is_injective_over_ops() {
-        let mut seen = std::collections::HashSet::new();
-        for rel in 0..4u32 {
-            for scan in ScanOp::ALL {
-                assert!(seen.insert(opening(rel, scan).pack()));
-                for join in JoinOp::ALL {
-                    assert!(seen.insert(joining(rel, scan, join).pack()));
-                }
-            }
-        }
     }
 }

@@ -26,41 +26,30 @@ pub mod strategy;
 
 pub(crate) use beam::BeamScratch;
 pub(crate) use mcts::MctsScratch;
-use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
+use qpseeker_engine::plan::{PlanNode, ScanOp};
 use qpseeker_engine::query::{JoinPred, Query};
 
 /// Everything a search needs to know about one query, interned once per
 /// request: relations are indices into `query.relations` and relation sets
 /// are `u64` bitmasks (up to 64 relations; the IMDb/JOB regime is ≤ 17).
 /// MCTS walks it relation by relation, beam search subtree by subtree, and
-/// both assemble plans from its pieces — one clone per node plus a bitmask
-/// filter over the join predicates — instead of re-deriving aliases,
-/// tables, filters and predicates from strings per candidate.
-pub(crate) struct QueryIndex {
+/// both assemble the plans they return from its pieces — a scan per leaf
+/// plus a bitmask filter over the join predicates — instead of re-deriving
+/// aliases and predicates from strings.
+pub(crate) struct QueryIndex<'q> {
+    query: &'q Query,
     pub(crate) n: usize,
     /// `adj[i]`: the relations sharing a join predicate with relation `i`.
     adj: Vec<u64>,
-    /// `scans[rel][op_idx_scan(op)]`: the scan leaf to clone, filters
-    /// pushed down.
-    scans: Vec<[PlanNode; 3]>,
     /// `(left_rel, right_rel, predicate)` per join predicate, in
     /// `query.joins` order. Self-joins on one relation are dropped.
-    joins: Vec<(u32, u32, JoinPred)>,
+    joins: Vec<(u32, u32, &'q JoinPred)>,
 }
 
-impl QueryIndex {
-    pub(crate) fn new(query: &Query) -> Self {
+impl<'q> QueryIndex<'q> {
+    pub(crate) fn new(query: &'q Query) -> Self {
         let n = query.relations.len();
         assert!(n <= 64, "bitmask connectivity supports at most 64 relations");
-        let scans = query
-            .relations
-            .iter()
-            .map(|r| {
-                ScanOp::ALL.map(|op| {
-                    PlanNode::try_scan(query, &r.alias, op).expect("query relation has a table")
-                })
-            })
-            .collect();
         let idx_of = |alias: &str| query.relations.iter().position(|r| r.alias == alias);
         let mut adj = vec![0u64; n];
         let mut joins = Vec::with_capacity(query.joins.len());
@@ -69,11 +58,11 @@ impl QueryIndex {
                 if l != r {
                     adj[l] |= 1 << r;
                     adj[r] |= 1 << l;
-                    joins.push((l as u32, r as u32, j.clone()));
+                    joins.push((l as u32, r as u32, j));
                 }
             }
         }
-        Self { n, adj, scans, joins }
+        Self { query, n, adj, joins }
     }
 
     /// Union of the adjacency masks over every relation in `mask`: all
@@ -103,9 +92,10 @@ impl QueryIndex {
         }
     }
 
-    /// The scan leaf of relation `rel` under operator `op`.
+    /// The scan leaf of relation `rel` under operator `op`, filters pushed
+    /// down.
     pub(crate) fn scan(&self, rel: u32, op: ScanOp) -> PlanNode {
-        self.scans[rel as usize][op_idx_scan(op) as usize].clone()
+        PlanNode::scan(self.query, &self.query.relations[rel as usize].alias, op)
     }
 
     /// Every join predicate with one endpoint in `a` and the other in `b`,
@@ -119,36 +109,28 @@ impl QueryIndex {
                 let (lm, rm) = (1u64 << l, 1u64 << r);
                 (a & lm != 0 && b & rm != 0) || (b & lm != 0 && a & rm != 0)
             })
-            .map(|(_, _, p)| p.clone())
+            .map(|&(_, _, p)| p.clone())
             .collect()
-    }
-}
-
-pub(crate) fn op_idx_scan(s: ScanOp) -> u8 {
-    match s {
-        ScanOp::SeqScan => 0,
-        ScanOp::IndexScan => 1,
-        ScanOp::BitmapIndexScan => 2,
-    }
-}
-
-pub(crate) fn op_idx_join(j: JoinOp) -> u8 {
-    match j {
-        JoinOp::HashJoin => 0,
-        JoinOp::MergeJoin => 1,
-        JoinOp::NestedLoopJoin => 2,
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::strategy::{Evaluator, RiskParams};
     use super::*;
     use crate::config::ModelConfig;
+    use crate::featurize::FeatSession;
     use crate::model::QPSeeker;
-    use qpseeker_engine::query::{ColRef, RelRef};
+    use crate::normalize::TargetNormalizer;
+    use proptest::prelude::*;
+    use qpseeker_engine::plan::JoinOp;
+    use qpseeker_engine::query::{CmpOp, ColRef, Filter, RelRef};
+    use qpseeker_storage::datagen::imdb;
     use qpseeker_storage::Database;
     use qpseeker_workloads::{synthetic, Qep, SyntheticConfig};
-    use std::sync::Arc;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::{Arc, OnceLock};
 
     /// The small model fitted on 16 synthetic queries over `db`.
     pub(crate) fn fitted_model(db: &Arc<Database>) -> QPSeeker {
@@ -157,6 +139,28 @@ mod tests {
         let mut m = QPSeeker::new(db, ModelConfig::small());
         m.fit(&refs).expect("training succeeds");
         m
+    }
+
+    /// The small model, untrained, with a target normalizer: enough to
+    /// intern plans, which reads no weight.
+    pub(crate) fn interning_model() -> &'static QPSeeker {
+        static MODEL: OnceLock<QPSeeker> = OnceLock::new();
+        MODEL.get_or_init(|| {
+            let db = Arc::new(imdb::generate(0.05, 1));
+            let mut m = QPSeeker::new(&db, ModelConfig::small());
+            m.normalizer = Some(TargetNormalizer::fit(&[[10.0, 5.0, 1.0], [1e3, 80.0, 9.0]]));
+            m
+        })
+    }
+
+    /// A mean-scoring evaluator of `query` on a fresh context.
+    pub(crate) fn evaluator<'a>(
+        model: &'a QPSeeker,
+        query: &'a Query,
+        feat: &'a mut FeatSession,
+    ) -> Evaluator<'a> {
+        let ctx = model.query_context(query);
+        Evaluator::new(model, query, feat, ctx, RiskParams { lambda: 0.0, samples: 0 }, 0, None)
     }
 
     /// `title` joins `movie_info` and `movie_keyword`, which reach each
@@ -176,6 +180,112 @@ mod tests {
             },
         ];
         q
+    }
+
+    fn chaos_seed() -> u64 {
+        std::env::var("QPS_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
+    }
+
+    /// A star around filtered `title`, over a random non-empty subset of
+    /// three fact tables, so small queries repeat plans often.
+    fn random_star(rng: &mut StdRng) -> Query {
+        let mut q = Query::new("star");
+        q.relations.push(RelRef::new("title"));
+        q.filters.push(Filter {
+            col: ColRef::new("title", "production_year"),
+            op: CmpOp::Gt,
+            value: 2000.0,
+        });
+        let facts = ["movie_info", "movie_keyword", "cast_info"];
+        let pick = rng.gen_range(1..1u32 << facts.len());
+        for (_, &fact) in facts.iter().enumerate().filter(|&(f, _)| pick & 1 << f != 0) {
+            q.relations.push(RelRef::new(fact));
+            let left = ColRef::new(fact, "movie_id");
+            q.joins.push(JoinPred { left, right: ColRef::new("title", "id") });
+        }
+        q
+    }
+
+    /// A random left-deep or bushy plan of `q`, built twice at once: as a
+    /// `PlanNode` by the engine's constructors, and as a node id through
+    /// `ev`'s interning calls. Each step joins two connected subtrees,
+    /// the left one the whole prefix when `left_deep`.
+    fn random_plan(
+        q: &Query,
+        ev: &mut Evaluator,
+        rng: &mut StdRng,
+        left_deep: bool,
+    ) -> (PlanNode, u32) {
+        let qi = QueryIndex::new(q);
+        let mut parts: Vec<(u64, PlanNode, u32)> = (0..qi.n as u32)
+            .map(|r| {
+                let op = ScanOp::ALL[rng.gen_range(0..3)];
+                (1 << r, PlanNode::scan(q, &q.relations[r as usize].alias, op), ev.scan(r, op))
+            })
+            .collect();
+        if left_deep {
+            let first = rng.gen_range(0..parts.len());
+            parts.swap(0, first);
+        }
+        while parts.len() > 1 {
+            let pairs: Vec<(usize, usize)> = (0..parts.len())
+                .flat_map(|a| (0..parts.len()).map(move |b| (a, b)))
+                .filter(|&(a, b)| a != b && qi.reach(parts[a].0) & parts[b].0 != 0)
+                .filter(|&(a, _)| !left_deep || a == 0)
+                .collect();
+            let (a, b) = pairs[rng.gen_range(0..pairs.len())];
+            let right = parts.remove(b);
+            let left = parts.remove(if a > b { a - 1 } else { a });
+            let op = JoinOp::ALL[rng.gen_range(0..3)];
+            let id = ev.join(op, left.2, right.2);
+            parts.insert(0, (left.0 | right.0, PlanNode::join(q, op, left.1, right.1), id));
+        }
+        let (_, plan, id) = parts.pop().expect("one plan");
+        (plan, id)
+    }
+
+    /// `plan` with every join's predicates dropped.
+    fn without_preds(plan: &PlanNode) -> PlanNode {
+        match plan {
+            PlanNode::Scan { .. } => plan.clone(),
+            PlanNode::Join { op, left, right, .. } => PlanNode::Join {
+                op: *op,
+                left: Box::new(without_preds(left)),
+                right: Box::new(without_preds(right)),
+                preds: Vec::new(),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The node id is the one plan identity: interning a plan by parts
+        /// names it as walking its `PlanNode` does, with or without join
+        /// predicates, and two plans of one query share an id exactly when
+        /// they are equal apart from join predicates.
+        #[test]
+        fn node_ids_name_plans_exactly(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed ^ chaos_seed());
+            let q = random_star(&mut rng);
+            let model = interning_model();
+            let mut feat = FeatSession::new();
+            let mut ev = evaluator(model, &q, &mut feat);
+            let mut plans = Vec::new();
+            for p in 0..12 {
+                let (plan, id) = random_plan(&q, &mut ev, &mut rng, p % 2 == 0);
+                prop_assert!(plan.validate(&q).is_ok());
+                prop_assert_eq!(ev.intern(&plan), id);
+                let bare = without_preds(&plan);
+                prop_assert_eq!(ev.intern(&bare), id);
+                plans.push((bare, id));
+            }
+            for (a, ida) in &plans {
+                for (b, idb) in &plans {
+                    prop_assert_eq!(a == b, ida == idb, "{:?} / {:?}", a, b);
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::evalbroker::BrokerMember;
 use crate::featurize::FeatSession;
 use crate::model::{QPSeeker, QueryContext};
 use crate::session::PlannerSession;
-use qpseeker_engine::plan::{PlanNode, ScanOp};
+use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
 use qpseeker_engine::query::Query;
 use qpseeker_nn::prelude::Tensor;
 use std::time::Instant;
@@ -216,7 +216,7 @@ impl StrategyPlanner {
             plan: found.plan,
             predicted_ms: found.score,
             simulations: found.simulations,
-            plans_evaluated: found.evals,
+            plans_evaluated: ev.evals,
             nodes_encoded: ev.finish(memo),
             budget_exhausted: found.budget_exhausted,
         }
@@ -224,40 +224,42 @@ impl StrategyPlanner {
 }
 
 /// What a search returns to the front end: the chosen plan, its selection
-/// score, the search steps taken, the distinct candidates scored, and
-/// whether the wall-clock budget cut the search short.
+/// score, the search steps taken, and whether the wall-clock budget cut the
+/// search short. The candidates scored are the evaluator's count.
 pub(crate) struct Found {
     pub(crate) plan: PlanNode,
     pub(crate) score: f64,
     pub(crate) simulations: usize,
-    pub(crate) evals: usize,
     pub(crate) budget_exhausted: bool,
 }
 
 /// A single relation: score its three scans in one call; the first of the
 /// cheapest wins.
 fn best_scan(qi: &QueryIndex, ev: &mut Evaluator) -> Found {
-    let plans = ScanOp::ALL.map(|op| qi.scan(0, op));
-    let mut scores = Vec::with_capacity(plans.len());
-    ev.score(&plans.each_ref(), &mut scores);
-    let best = (1..plans.len()).fold(0, |b, k| if scores[k] < scores[b] { k } else { b });
+    let ids = ScanOp::ALL.map(|op| ev.scan(0, op));
+    let mut scores = Vec::with_capacity(ids.len());
+    ev.score(&ids, &mut scores);
+    let best = (1..ids.len()).fold(0, |b, k| if scores[k] < scores[b] { k } else { b });
     Found {
-        plan: plans[best].clone(),
+        plan: qi.scan(0, ScanOp::ALL[best]),
         score: scores[best],
-        simulations: plans.len(),
-        evals: plans.len(),
+        simulations: ids.len(),
         budget_exhausted: false,
     }
 }
 
 /// The scoring function every search evaluates candidates through, over
-/// one query: [`Self::score`] featurizes the candidates into a
-/// [`Submission`](crate::evalbroker::Submission) and runs it through the
-/// model's single forward — on this thread, or fused with other sessions'
-/// rows by the broker. It holds the query's [`QueryContext`] (embedding,
-/// node memo) for the whole search. Mean-only scoring reads out the
-/// runtime column; risk-aware scoring ranks by `mean + λ·σ` over the seeded
-/// latent batch.
+/// one query. Candidates are named by node ids of the query's
+/// [`PlanFeatCache`](crate::featurize::PlanFeatCache): a search interns a
+/// plan bottom-up through [`Self::scan`] and [`Self::join`] (featurizing
+/// each subtree the first time it is seen), and equal ids are equal plans
+/// apart from join predicates, which no score reads. [`Self::score`] runs
+/// root ids through the model's single forward — on this thread, or fused
+/// with other sessions' rows by the broker — and memoizes each score by
+/// its id ([`Self::known`]). It holds the query's [`QueryContext`]
+/// (embedding, featurization cache, node memo) for the whole search.
+/// Mean-only scoring reads out the runtime column; risk-aware scoring ranks
+/// by `mean + λ·σ` over the seeded latent batch.
 ///
 /// The `eps` tensor is derived from `(seed, query.id)` alone, so every
 /// worker and batch layout scores a given plan identically.
@@ -272,6 +274,10 @@ pub(crate) struct Evaluator<'a> {
     /// running a private forward. A row's score does not depend on what it
     /// is fused with, so attachment never changes a plan.
     broker: Option<&'a BrokerMember>,
+    /// Root id → its score, once scored.
+    scores: Vec<Option<f64>>,
+    /// Candidate rows scored so far.
+    pub(crate) evals: usize,
 }
 
 struct RiskCtx {
@@ -303,18 +309,39 @@ impl<'a> Evaluator<'a> {
                 seed ^ qpseeker_storage::fnv::bytes(query.id.as_bytes()) ^ RISK_EPS_SALT,
             ),
         });
-        Self { model, query, feat, ctx, risk, broker }
+        Self { model, query, feat, ctx, risk, broker, scores: Vec::new(), evals: 0 }
     }
 
-    /// Score `plans` (candidates of the query) into `scores`, cleared
-    /// first, in order. The only fork is where the forward runs.
-    pub(crate) fn score(&mut self, plans: &[&PlanNode], scores: &mut Vec<f64>) {
+    /// The node id of relation `rel`'s scan under `op`.
+    pub(crate) fn scan(&mut self, rel: u32, op: ScanOp) -> u32 {
+        self.ctx.interner(self.model, self.feat, self.query).scan(rel, op)
+    }
+
+    /// The node id of `left ⋈op right`.
+    pub(crate) fn join(&mut self, op: JoinOp, left: u32, right: u32) -> u32 {
+        self.ctx.interner(self.model, self.feat, self.query).join(op, left, right)
+    }
+
+    /// The node id of a plan of the query.
+    pub(crate) fn intern(&mut self, plan: &PlanNode) -> u32 {
+        self.ctx.interner(self.model, self.feat, self.query).plan(plan)
+    }
+
+    /// The score of root `id`, if it was scored.
+    pub(crate) fn known(&self, id: u32) -> Option<f64> {
+        self.scores.get(id as usize).copied().flatten()
+    }
+
+    /// Score the candidates rooted at `roots` into `scores`, cleared first,
+    /// in order, and memoize each by its id. The only fork is where the
+    /// forward runs.
+    pub(crate) fn score(&mut self, roots: &[u32], scores: &mut Vec<f64>) {
         scores.clear();
-        if plans.is_empty() {
+        if roots.is_empty() {
             return;
         }
         let eps = self.risk.as_ref().map(|r| &r.eps);
-        let sub = self.model.submission(self.feat, self.query, plans, &mut self.ctx, eps);
+        let sub = self.model.submission(&mut self.ctx, roots, eps);
         let (outcome, sub) = match self.broker {
             Some(member) => member.submit(sub),
             None => self.model.score_local(sub),
@@ -325,6 +352,12 @@ impl<'a> Evaluator<'a> {
             Some(r) => {
                 scores.extend(outcome.risk().iter().map(|&(mean, sigma)| mean + r.lambda * sigma))
             }
+        }
+        self.evals += roots.len();
+        for (&id, &s) in roots.iter().zip(scores.iter()) {
+            let at = id as usize;
+            self.scores.resize(self.scores.len().max(at + 1), None);
+            self.scores[at] = Some(s);
         }
     }
 

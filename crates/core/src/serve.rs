@@ -730,12 +730,7 @@ impl Supervisor {
         // its borrow here, so the counters below are accessible again.
         let _ = breaker;
         for (served, tally) in shards {
-            self.counters.served_neural += tally.served_neural;
-            self.counters.cache_hits += tally.cache_hits;
-            self.counters.served_classical += tally.served_classical;
-            self.counters.failed += tally.failed;
-            self.counters.eval_candidates += tally.eval_candidates;
-            self.counters.plan_nodes_encoded += tally.plan_nodes_encoded;
+            self.counters.merge(&tally);
             for (i, d) in served {
                 dispositions[i] = Some(d);
             }

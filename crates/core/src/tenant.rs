@@ -41,7 +41,7 @@
 //! [`crate::plancache`]) guarantees a hit was planned under exactly the
 //! model epoch the request resolved.
 
-use crate::evalbroker::{BrokerMember, BrokerStats, EvalBroker};
+use crate::evalbroker::{BrokerMember, EvalBroker};
 use crate::metrics::ServeCounters;
 use crate::plancache::{PlanCache, PlanCacheCtx};
 use crate::registry::{ModelRegistry, TenantHandle};
@@ -168,7 +168,7 @@ pub struct MultiTenantSupervisor {
     /// Accumulated stats of the cross-lane eval broker (zero when
     /// `cfg.base.broker` is off). The broker is shared by every lane, so
     /// its occupancy accounting belongs to the supervisor, not any lane.
-    broker_stats: BrokerStats,
+    broker_stats: ServeCounters,
 }
 
 impl MultiTenantSupervisor {
@@ -180,7 +180,7 @@ impl MultiTenantSupervisor {
                 (spec.id, Lane { db: spec.db, sup })
             })
             .collect();
-        Self { cfg, lanes, broker_stats: BrokerStats::default() }
+        Self { cfg, lanes, broker_stats: ServeCounters::default() }
     }
 
     /// Swap one lane's fault injection between batches (chaos tests);
@@ -209,13 +209,13 @@ impl MultiTenantSupervisor {
     /// All lanes merged into one total. Conservation holds per tenant and
     /// here: merged admitted = merged neural + classical + failed.
     pub fn merged_counters(&self) -> ServeCounters {
-        let mut total = ServeCounters::default();
+        // The shared broker's fused-batch accounting lands in the merged
+        // totals only — no single lane owns a cross-tenant forward pass.
+        // Lanes merge last, so the total carries their ISA tag.
+        let mut total = self.broker_stats;
         for lane in self.lanes.values() {
             total.merge(&lane.sup.counters());
         }
-        // The shared broker's fused-batch accounting lands in the merged
-        // totals only — no single lane owns a cross-tenant forward pass.
-        self.broker_stats.add_to(&mut total);
         total
     }
 

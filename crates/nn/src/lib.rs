@@ -9,7 +9,7 @@
 //!   query plans are trees of varying shape) over a borrowed `ParamStore`,
 //! * [`params::ParamStore`] — persistent parameters addressed by stable ids,
 //! * [`layers`] — `Linear`, `Mlp`, `LstmCell`, `MultiHeadCrossAttention`,
-//! * [`optim`] — `Adam` and `Sgd`,
+//! * [`optim`] — `Adam`,
 //! * [`init::Initializer`] — seeded deterministic weight init.
 //!
 //! # Example
@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::layers::{
         Activation, Linear, LstmCell, LstmState, Mlp, MultiHeadCrossAttention,
     };
-    pub use crate::optim::{Adam, Sgd, StepReport};
+    pub use crate::optim::{Adam, StepReport};
     pub use crate::pack::PackedGemm;
     pub use crate::params::{GradBuffer, Param, ParamId, ParamStore};
     pub use crate::tensor::Tensor;

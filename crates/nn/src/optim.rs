@@ -1,6 +1,6 @@
-//! Optimizers: Adam (used by all models, as in the paper) and plain SGD.
+//! The optimizer: Adam, used by all models, as in the paper.
 //!
-//! Both optimizers guard every update: non-finite gradients are zeroed
+//! It guards every update: non-finite gradients are zeroed
 //! before touching the moment buffers, oversized per-element updates are
 //! clamped, and any parameter that would become non-finite is reverted.
 //! [`StepReport`] counts what fired, so training loops can surface
@@ -181,49 +181,13 @@ impl AdamStep {
     }
 }
 
-/// Plain stochastic gradient descent (used in ablations and tests).
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    pub lr: f32,
-}
-
-impl Sgd {
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-
-    pub fn step(&mut self, store: &mut ParamStore) -> StepReport {
-        let mut report = StepReport::default();
-        for p in store.params_mut() {
-            if !p.trainable {
-                continue;
-            }
-            let lr = self.lr;
-            let grads = p.grad.data().to_vec();
-            for (x, g) in p.value.data_mut().iter_mut().zip(grads) {
-                if !g.is_finite() {
-                    report.nonfinite_grads += 1;
-                    continue;
-                }
-                let next = *x - lr * g;
-                if next.is_finite() {
-                    *x = next;
-                } else {
-                    report.reverted_values += 1;
-                }
-            }
-        }
-        report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::Graph;
     use crate::tensor::Tensor;
 
-    /// Minimize (w - 3)² with each optimizer; both must converge.
+    /// Minimize (w - 3)² with `step`; the final `w`.
     fn converges(mut step: impl FnMut(&mut ParamStore)) -> f32 {
         let mut store = ParamStore::new();
         let w = store.register("w", Tensor::scalar(0.0));
@@ -243,15 +207,6 @@ mod tests {
     #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.05);
-        let w = converges(move |s| {
-            opt.step(s);
-        });
-        assert!((w - 3.0).abs() < 0.05, "w={w}");
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
         let w = converges(move |s| {
             opt.step(s);
         });
@@ -299,17 +254,6 @@ mod tests {
         let report = opt.step(&mut store);
         assert_eq!(report.clipped_updates, 1);
         assert!((store.value(w).get(0, 0) + 1e-3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sgd_reverts_updates_that_overflow() {
-        let mut store = ParamStore::new();
-        let w = store.register("w", Tensor::scalar(f32::MAX));
-        store.accumulate_grad(w, &Tensor::scalar(-f32::MAX));
-        let mut opt = Sgd::new(1.0);
-        let report = opt.step(&mut store);
-        assert_eq!(report.reverted_values, 1);
-        assert_eq!(store.value(w).get(0, 0), f32::MAX);
     }
 
     #[test]

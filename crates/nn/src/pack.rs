@@ -746,6 +746,54 @@ mod tests {
         }
     }
 
+    /// Odd shapes and tails of the packed kernels' unsafe loads and stores:
+    /// m ∈ {1, 5, 16} rows, k and n around the 8- and 16-lane widths. On
+    /// every tier, each row is bitwise its own single-row call and within
+    /// tolerance of an f64 reference.
+    #[test]
+    fn packed_gemm_odd_shapes_match_f64_and_single_rows() {
+        const DIMS: [usize; 8] = [1, 7, 8, 9, 15, 16, 17, 33];
+        let shapes = [1usize, 5, 16]
+            .into_iter()
+            .flat_map(|m| DIMS.into_iter().flat_map(move |k| DIMS.map(|n| (m, k, n))));
+        for (m, k, n) in shapes {
+            let a = matrix(m, k, 31);
+            let wmat = matrix(k, n, 32);
+            let w = PackedGemm::pack(&Tensor::from_vec(k, n, wmat.clone()));
+            let bias = matrix(1, n, 33);
+            let seed_out = matrix(m, n, 34);
+            // out[r, j] in f64, before the activation.
+            let pre = |r: usize, j: usize| {
+                let dot: f64 =
+                    (0..k).map(|kk| a[r * k + kk] as f64 * wmat[kk * n + j] as f64).sum();
+                dot + seed_out[r * n + j] as f64 + bias[j] as f64
+            };
+            for isa in Isa::supported() {
+                for act in [Activation::Identity, Activation::Relu, Activation::Sigmoid] {
+                    let mut got = seed_out.clone();
+                    gemm_packed_force(isa, m, &a, &w, true, Some(&bias), act, &mut got);
+                    for r in 0..m {
+                        let (row, a_r) = (r * n..(r + 1) * n, &a[r * k..(r + 1) * k]);
+                        let mut single = seed_out[row.clone()].to_vec();
+                        gemm_packed_force(isa, 1, a_r, &w, true, Some(&bias), act, &mut single);
+                        let at = format!("{isa:?} {act:?} m={m} k={k} n={n} row {r}");
+                        assert_eq!(&got[row], &single[..], "{at}");
+                        for j in 0..n {
+                            let v = pre(r, j);
+                            let want = match act {
+                                Activation::Relu => v.max(0.0),
+                                Activation::Sigmoid => 1.0 / (1.0 + (-v).exp()),
+                                _ => v,
+                            };
+                            let g = got[r * n + j] as f64;
+                            assert!((g - want).abs() <= 1e-5 + 1e-5 * want.abs(), "{at} col {j}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn repack_reuses_a_larger_buffer_and_equals_a_fresh_pack() {
         let mut buf = PackedGemm::pack(&Tensor::from_vec(9, 70, matrix(9, 70, 31)));

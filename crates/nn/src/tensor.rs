@@ -530,6 +530,35 @@ mod tests {
         dot_force(*Isa::supported().last().unwrap(), &[1.0; 40], &[1.0; 8]);
     }
 
+    /// Every length through the vector bodies and their tails, k =
+    /// 0..=130, on every tier: within tolerance of an f64 reference, and
+    /// bitwise the same from an unaligned slice of a larger buffer.
+    #[test]
+    fn dot_force_tails_match_f64_at_any_alignment() {
+        let at = |i: usize, seed: u64| {
+            (((i as u64).wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(seed) >> 40) as f32)
+                / 16_777_216.0
+                - 0.5
+        };
+        for k in 0..=130usize {
+            let a: Vec<f32> = (0..k).map(|i| at(i, 1)).collect();
+            let b: Vec<f32> = (0..k).map(|i| at(i, 2)).collect();
+            let want: f64 = a.iter().zip(&b).map(|(&x, &y)| x as f64 * y as f64).sum();
+            let (mut a1, mut b1) = (vec![9.0f32], vec![-9.0f32]);
+            a1.extend_from_slice(&a);
+            b1.extend_from_slice(&b);
+            for isa in Isa::supported() {
+                let got = dot_force(isa, &a, &b);
+                assert!(
+                    (got as f64 - want).abs() <= 1e-5 + 1e-5 * want.abs(),
+                    "{isa:?} k={k}: {got} vs {want}"
+                );
+                let shifted = dot_force(isa, &a1[1..], &b1[1..]);
+                assert_eq!(got.to_bits(), shifted.to_bits(), "{isa:?} k={k}");
+            }
+        }
+    }
+
     #[test]
     fn transpose_round_trip() {
         let a = Tensor::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);

@@ -12,35 +12,19 @@
 //! memoized path against the independent autodiff tape, and checks the
 //! memo's byte budget on a long search.
 
+mod common;
+
+use common::{shared_db, shared_model};
 use proptest::prelude::*;
 use qpseeker_repro::core::encoder::MEMO_BUDGET_BYTES;
 use qpseeker_repro::core::prelude::*;
 use qpseeker_repro::engine::inject::LeftDeepSpec;
 use qpseeker_repro::engine::plan::{JoinOp, PlanNode, ScanOp};
 use qpseeker_repro::engine::query::{ColRef, JoinPred, Query, RelRef};
-use qpseeker_repro::storage::Database;
 use qpseeker_repro::workloads::gen::QueryBuilder;
 use qpseeker_repro::workloads::{synthetic, Qep, SyntheticConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, OnceLock};
-
-fn shared_db() -> &'static Arc<Database> {
-    static DB: OnceLock<Arc<Database>> = OnceLock::new();
-    DB.get_or_init(|| Arc::new(qpseeker_repro::storage::datagen::imdb::generate(0.04, 2)))
-}
-
-fn shared_model() -> &'static QPSeeker {
-    static MODEL: OnceLock<QPSeeker> = OnceLock::new();
-    MODEL.get_or_init(|| {
-        let db = shared_db();
-        let w = synthetic::generate(db, &SyntheticConfig { n_queries: 12, seed: 3 });
-        let refs: Vec<&Qep> = w.qeps.iter().collect();
-        let mut model = QPSeeker::new(db, ModelConfig::small());
-        model.fit(&refs).expect("training succeeds");
-        model
-    })
-}
 
 /// A 3-relation star query over the IMDb FK schema: movie_info and
 /// movie_keyword both join title.

@@ -18,37 +18,14 @@
 
 mod common;
 
-use common::OneLane;
+use common::{chaos_seed, shared_db, shared_model, OneLane};
 use qpseeker_repro::core::prelude::*;
 use qpseeker_repro::engine::plan::PlanNode;
-use qpseeker_repro::storage::{Database, FaultConfig};
+use qpseeker_repro::storage::FaultConfig;
 use qpseeker_repro::workloads::{
-    synthetic, tenants, Qep, SyntheticConfig, TenantStreamConfig, TenantStreamItem,
+    synthetic, tenants, SyntheticConfig, TenantStreamConfig, TenantStreamItem,
 };
-use std::sync::{Arc, OnceLock};
-
-fn chaos_seed() -> u64 {
-    std::env::var("QPS_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
-}
-
-fn shared_db() -> &'static Arc<Database> {
-    static DB: OnceLock<Arc<Database>> = OnceLock::new();
-    DB.get_or_init(|| Arc::new(qpseeker_repro::storage::datagen::imdb::generate(0.04, 2)))
-}
-
-/// One fitted model shared by every test and — in the tenant test — by
-/// every lane, so fused batches genuinely cross tenant boundaries.
-fn shared_model() -> Arc<QPSeeker> {
-    static MODEL: OnceLock<Arc<QPSeeker>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| {
-        let db = shared_db();
-        let w = synthetic::generate(db, &SyntheticConfig { n_queries: 12, seed: 3 });
-        let refs: Vec<&Qep> = w.qeps.iter().collect();
-        let mut model = QPSeeker::new(db, ModelConfig::small());
-        model.fit(&refs).expect("training succeeds");
-        Arc::new(model)
-    }))
-}
+use std::sync::Arc;
 
 fn deterministic_cfg(workers: usize, broker: Option<BrokerConfig>) -> SupervisorConfig {
     SupervisorConfig {
@@ -118,7 +95,7 @@ fn fates(outcomes: &[SupervisedOutcome]) -> Vec<Fate<'_>> {
 #[test]
 fn broker_is_invisible_in_plans_counters_and_eval_totals() {
     let db = shared_db();
-    let model = shared_model();
+    let model = Arc::clone(shared_model());
     let all_shed: Vec<QueryRequest> = gentle_requests(6, 0x5ed ^ chaos_seed())
         .into_iter()
         // service_ms is 5: no request can finish 1 ms after it arrives.
@@ -205,7 +182,7 @@ fn plans_of(outcomes: &[TenantOutcome], tenant: &str) -> Vec<PlanNode> {
 #[test]
 fn tenant_lanes_fuse_across_boundaries_without_changing_plans() {
     let db = shared_db();
-    let model = shared_model();
+    let model = Arc::clone(shared_model());
     let registry = ModelRegistry::new(usize::MAX);
     for t in ["alpha", "beta", "gamma"] {
         registry.register(t, Arc::clone(db), Arc::clone(&model));
@@ -283,7 +260,7 @@ fn tenant_lanes_fuse_across_boundaries_without_changing_plans() {
 #[test]
 fn stalls_inside_fused_batches_fail_only_their_own_requests() {
     let db = shared_db();
-    let model = shared_model();
+    let model = Arc::clone(shared_model());
     let stream = gentle_requests(24, 0x57a11 ^ chaos_seed());
 
     let run = |broker: Option<BrokerConfig>| {

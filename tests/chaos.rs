@@ -9,33 +9,12 @@
 
 mod common;
 
-use common::OneLane;
+use common::{chaos_seed, shared_db, shared_model, OneLane};
 use proptest::prelude::*;
 use qpseeker_repro::core::prelude::*;
 use qpseeker_repro::engine::prelude::*;
-use qpseeker_repro::storage::{Database, FaultConfig};
+use qpseeker_repro::storage::FaultConfig;
 use qpseeker_repro::workloads::{synthetic, Qep, SyntheticConfig};
-use std::sync::{Arc, OnceLock};
-
-fn shared_db() -> &'static Arc<Database> {
-    static DB: OnceLock<Arc<Database>> = OnceLock::new();
-    DB.get_or_init(|| Arc::new(qpseeker_repro::storage::datagen::imdb::generate(0.04, 2)))
-}
-
-/// One fitted model shared by every chaos case (training is the slow part).
-/// Planning is `&self` since the tape-free fast path landed, so no lock is
-/// needed around it.
-fn shared_model() -> &'static Arc<QPSeeker> {
-    static MODEL: OnceLock<Arc<QPSeeker>> = OnceLock::new();
-    MODEL.get_or_init(|| {
-        let db = shared_db();
-        let w = synthetic::generate(db, &SyntheticConfig { n_queries: 12, seed: 3 });
-        let refs: Vec<&Qep> = w.qeps.iter().collect();
-        let mut model = QPSeeker::new(db, ModelConfig::small());
-        model.fit(&refs).expect("training succeeds");
-        Arc::new(model)
-    })
-}
 
 fn chaos_queries(n: usize, seed: u64) -> Vec<Query> {
     synthetic::generate_queries(shared_db(), &SyntheticConfig { n_queries: n, seed })
@@ -168,11 +147,6 @@ fn chaos_checkpoint_corruption_is_detected() {
         let truncated = &json[..json.len() * frac / 4];
         assert!(Checkpoint::from_json(truncated).is_err(), "truncation to {frac}/4 was accepted");
     }
-}
-
-/// CI seed offset (see .github/workflows: the chaos job sweeps 3 seeds).
-fn chaos_seed() -> u64 {
-    std::env::var("QPS_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
 }
 
 fn breaker_cfg(faults: Option<FaultConfig>) -> SupervisorConfig {

@@ -1,13 +1,42 @@
-//! One-lane serving for the integration suites: a single-tenant stream is a
-//! [`MultiTenantSupervisor`] with one lane, and a fixed model is a registry
-//! entry nobody publishes to.
+//! What the integration suites share: the CI chaos seed, one database and
+//! one fitted model per test binary, and one-lane serving — a single-tenant
+//! stream is a [`MultiTenantSupervisor`] with one lane, and a fixed model is
+//! a registry entry nobody publishes to.
 
 // Each test binary uses its own subset.
 #![allow(dead_code)]
 
 use qpseeker_repro::core::prelude::*;
 use qpseeker_repro::storage::{Database, FaultConfig};
-use std::sync::Arc;
+use qpseeker_repro::workloads::{synthetic, Qep, SyntheticConfig};
+use std::sync::{Arc, OnceLock};
+
+/// `QPS_CHAOS_SEED`, which CI sweeps to vary every fault schedule; 0 unset.
+pub fn chaos_seed() -> u64 {
+    std::env::var("QPS_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
+}
+
+/// The IMDb database at scale 0.04, seed 2.
+pub fn shared_db() -> &'static Arc<Database> {
+    static DB: OnceLock<Arc<Database>> = OnceLock::new();
+    DB.get_or_init(|| Arc::new(qpseeker_repro::storage::datagen::imdb::generate(0.04, 2)))
+}
+
+/// The small model fitted on 12 synthetic queries (seed 3) over
+/// [`shared_db`]: one instance per test binary, since training is the slow
+/// part. A fitted model is `Send + Sync`, so every worker pool and tenant
+/// lane of the binary can serve from it.
+pub fn shared_model() -> &'static Arc<QPSeeker> {
+    static MODEL: OnceLock<Arc<QPSeeker>> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let db = shared_db();
+        let w = synthetic::generate(db, &SyntheticConfig { n_queries: 12, seed: 3 });
+        let refs: Vec<&Qep> = w.qeps.iter().collect();
+        let mut model = QPSeeker::new(db, ModelConfig::small());
+        model.fit(&refs).expect("training succeeds");
+        Arc::new(model)
+    })
+}
 
 /// The one lane's tenant id (also its plan-cache scope).
 pub const LANE: &str = "t0";

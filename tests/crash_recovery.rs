@@ -13,22 +13,15 @@
 //!
 //! `QPS_CHAOS_SEED` offsets every fault schedule so CI can sweep seeds.
 
+mod common;
+
+use common::{chaos_seed, shared_db};
 use qpseeker_repro::core::prelude::*;
-use qpseeker_repro::storage::{Database, FaultConfig, FaultInjector};
+use qpseeker_repro::storage::{FaultConfig, FaultInjector};
 use qpseeker_repro::workloads::{synthetic, Qep, SyntheticConfig, Workload};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// CI seed offset (see .github/workflows: the chaos job sweeps 3 seeds).
-fn chaos_seed() -> u64 {
-    std::env::var("QPS_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
-}
-
-fn shared_db() -> &'static Arc<Database> {
-    static DB: OnceLock<Arc<Database>> = OnceLock::new();
-    DB.get_or_init(|| Arc::new(qpseeker_repro::storage::datagen::imdb::generate(0.04, 2)))
-}
+use std::sync::OnceLock;
 
 fn shared_workload() -> &'static Workload {
     static W: OnceLock<Workload> = OnceLock::new();

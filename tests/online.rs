@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::OneLane;
+use common::{chaos_seed, OneLane};
 use qpseeker_repro::core::prelude::*;
 use qpseeker_repro::engine::executor::Executor;
 use qpseeker_repro::storage::{Database, FaultConfig};
@@ -27,10 +27,6 @@ use qpseeker_repro::workloads::{drift, synthetic, Qep, SyntheticConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-fn chaos_seed() -> u64 {
-    std::env::var("QPS_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
-}
 
 fn scratch(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);

@@ -22,34 +22,12 @@
 
 mod common;
 
-use common::OneLane;
+use common::{chaos_seed, shared_db, shared_model, OneLane};
 use qpseeker_repro::core::prelude::*;
 use qpseeker_repro::engine::prelude::*;
-use qpseeker_repro::storage::{Database, FaultConfig};
-use qpseeker_repro::workloads::{synthetic, Qep, SyntheticConfig};
-use std::sync::{Arc, OnceLock};
-
-fn shared_db() -> &'static Arc<Database> {
-    static DB: OnceLock<Arc<Database>> = OnceLock::new();
-    DB.get_or_init(|| Arc::new(qpseeker_repro::storage::datagen::imdb::generate(0.04, 2)))
-}
-
-/// One fitted model shared by every test (training is the slow part).
-fn shared_model() -> &'static Arc<QPSeeker> {
-    static MODEL: OnceLock<Arc<QPSeeker>> = OnceLock::new();
-    MODEL.get_or_init(|| {
-        let db = shared_db();
-        let w = synthetic::generate(db, &SyntheticConfig { n_queries: 12, seed: 3 });
-        let refs: Vec<&Qep> = w.qeps.iter().collect();
-        let mut model = QPSeeker::new(db, ModelConfig::small());
-        model.fit(&refs).expect("training succeeds");
-        Arc::new(model)
-    })
-}
-
-fn chaos_seed() -> u64 {
-    std::env::var("QPS_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
-}
+use qpseeker_repro::storage::FaultConfig;
+use qpseeker_repro::workloads::{synthetic, SyntheticConfig};
+use std::sync::Arc;
 
 fn queries(n: usize, seed: u64) -> Vec<Query> {
     synthetic::generate_queries(shared_db(), &SyntheticConfig { n_queries: n, seed })

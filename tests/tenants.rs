@@ -14,6 +14,9 @@
 //! The CI chaos job sweeps this file over seeds {1,2,3} via
 //! `QPS_CHAOS_SEED` (see .github/workflows).
 
+mod common;
+
+use common::{chaos_seed, shared_db, shared_model};
 use qpseeker_repro::core::prelude::*;
 use qpseeker_repro::engine::plan::PlanNode;
 use qpseeker_repro::storage::{Database, FaultConfig};
@@ -22,32 +25,9 @@ use qpseeker_repro::workloads::{
 };
 use std::sync::{Arc, OnceLock};
 
-fn chaos_seed() -> u64 {
-    std::env::var("QPS_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
-}
-
-fn shared_db() -> &'static Arc<Database> {
-    static DB: OnceLock<Arc<Database>> = OnceLock::new();
-    DB.get_or_init(|| Arc::new(qpseeker_repro::storage::datagen::imdb::generate(0.04, 2)))
-}
-
 fn stack_db() -> &'static Arc<Database> {
     static DB: OnceLock<Arc<Database>> = OnceLock::new();
     DB.get_or_init(|| Arc::new(qpseeker_repro::storage::datagen::stack::generate(0.03, 2)))
-}
-
-/// One fitted model shared by every tenant (training is the slow part;
-/// tenant identity is a registry key, not a training run).
-fn shared_model() -> Arc<QPSeeker> {
-    static MODEL: OnceLock<Arc<QPSeeker>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| {
-        let db = shared_db();
-        let w = synthetic::generate(db, &SyntheticConfig { n_queries: 12, seed: 3 });
-        let refs: Vec<&Qep> = w.qeps.iter().collect();
-        let mut model = QPSeeker::new(db, ModelConfig::small());
-        model.fit(&refs).expect("training succeeds");
-        Arc::new(model)
-    }))
 }
 
 /// A second, distinct model (one extra fit step) for hot-swap tests.
@@ -143,7 +123,7 @@ fn three_tenant_stream(seed: u64, n: usize) -> Vec<TenantRequest> {
 #[test]
 fn faults_on_one_tenant_never_leak_into_another() {
     let db = shared_db();
-    let model = shared_model();
+    let model = Arc::clone(shared_model());
     let registry = ModelRegistry::new(usize::MAX);
     for t in ["alpha", "beta", "chaos"] {
         registry.register(t, Arc::clone(db), Arc::clone(&model));
@@ -215,7 +195,7 @@ fn faults_on_one_tenant_never_leak_into_another() {
 #[test]
 fn cache_hits_are_bitwise_identical_to_mcts() {
     let db = shared_db();
-    let model = shared_model();
+    let model = Arc::clone(shared_model());
     let registry = ModelRegistry::new(usize::MAX);
     registry.register("alpha", Arc::clone(db), Arc::clone(&model));
     registry.register("beta", Arc::clone(db), Arc::clone(&model));
@@ -269,7 +249,7 @@ fn cache_hits_are_bitwise_identical_to_mcts() {
 fn hot_swap_never_serves_a_stale_cached_plan() {
     let db = shared_db();
     let registry = ModelRegistry::new(usize::MAX);
-    registry.register("alpha", Arc::clone(db), shared_model());
+    registry.register("alpha", Arc::clone(db), Arc::clone(shared_model()));
 
     let items = tenants::generate_stream(
         &[("alpha", db)],
@@ -328,7 +308,7 @@ fn stats_refresh_invalidates_without_an_epoch_change() {
     let db = shared_db();
     let cache = Arc::new(PlanCache::new(4, 256));
     let registry = ModelRegistry::new(usize::MAX).attach_plan_cache(Arc::clone(&cache));
-    registry.register("alpha", Arc::clone(db), shared_model());
+    registry.register("alpha", Arc::clone(db), Arc::clone(shared_model()));
 
     let items = tenants::generate_stream(
         &[("alpha", db)],
@@ -371,7 +351,7 @@ fn stats_refresh_invalidates_without_an_epoch_change() {
 #[test]
 fn evicted_tenant_reloads_with_a_cold_cache_and_fresh_epoch() {
     let db = shared_db();
-    let model = shared_model();
+    let model = Arc::clone(shared_model());
     let cache = Arc::new(PlanCache::new(4, 256));
     // Budget fits exactly one model: registering the second evicts the first.
     let budget = model.num_parameters() * std::mem::size_of::<f32>() + 1;
@@ -437,7 +417,8 @@ fn online_loop_promotion_invalidates_the_attached_cache() {
     cfg.cache =
         Some(PlanCacheCtx { cache: Arc::clone(&cache), tenant: "online".into(), stats_version: 0 });
     cfg.retrain_every = usize::MAX; // drive promotion by hand below
-    let mut planner = OnlinePlanner::new(cfg, shared_model(), db).expect("planner builds");
+    let mut planner =
+        OnlinePlanner::new(cfg, Arc::clone(shared_model()), db).expect("planner builds");
 
     let items = tenants::generate_stream(
         &[("online", db)],
