@@ -85,9 +85,9 @@ impl<'a> Bao<'a> {
         let rows: Vec<Tensor> = feats.into_iter().map(Tensor::row).collect();
         let refs: Vec<&Tensor> = rows.iter().collect();
         let x = g.constant(Tensor::stack_rows(&refs));
-        let h = self.node_mlp.forward(g, x); // [n, hidden]
+        let h = self.node_mlp.forward(g, &x); // [n, hidden]
         let pooled = g.mean_rows(h);
-        self.value_head.forward(g, pooled)
+        self.value_head.forward(g, &pooled)
     }
 
     /// Gain experience on a training workload: execute the plans produced by

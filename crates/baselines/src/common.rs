@@ -62,7 +62,7 @@ pub(crate) fn fit_mse(
             let mut g = Graph::new(store);
             let (preds, targets): (Vec<Var>, Vec<f32>) =
                 chunk.iter().map(|&i| sample(&mut g, i)).unzip();
-            let pred = g.stack_rows(&preds);
+            let pred = g.gather(preds.len(), 1, preds.iter().map(|p| Row::Of(p, 0)));
             let t = g.constant(Tensor::from_vec(targets.len(), 1, targets));
             let loss = g.mse(pred, t);
             let (_, grads) = g.backward(loss);

@@ -172,16 +172,21 @@ impl<'a> Mscn<'a> {
         let set = |g: &mut Graph, mlp: &Mlp, m: &Tensor, mask: &Tensor| -> Var {
             let x = g.constant(m.clone());
             let mk = g.constant(mask.clone());
-            let h = mlp.forward(g, x);
+            let h = mlp.forward(g, &x);
             let masked = g.mul_col_broadcast(h, mk);
-            let s = g.sum_rows(masked);
-            g.scale(s, 1.0 / mask.sum().max(1.0))
+            let rows: Vec<Row<Var>> = (0..m.rows()).map(|r| Row::Of(&masked, r)).collect();
+            g.pool(&rows, None, &[m.rows()], &[1.0 / mask.sum().max(1.0)], mlp.out_dim())
         };
         let r = set(g, &self.rel_mlp, &f.rels, &f.rel_mask);
         let j = set(g, &self.join_mlp, &f.joins, &f.join_mask);
         let p = set(g, &self.pred_mlp, &f.preds, &f.pred_mask);
-        let cat = g.concat_cols_all(&[r, j, p]);
-        self.out_mlp.forward(g, cat)
+        let width = |mlp: &Mlp| 0..mlp.out_dim();
+        let cat = g.concat(&[
+            (&r, width(&self.rel_mlp)),
+            (&j, width(&self.join_mlp)),
+            (&p, width(&self.pred_mlp)),
+        ]);
+        self.out_mlp.forward(g, &cat)
     }
 
     /// Train on (query, true cardinality) pairs.

@@ -106,15 +106,15 @@ impl<'a> QppNet<'a> {
                 .zip(&op_idx.children)
                 .map(|(c, o)| {
                     let out = self.forward_node(g, c, o);
-                    g.slice_cols(out, 0, self.cfg.data_dim)
+                    g.concat(&[(&out, 0..self.cfg.data_dim)])
                 })
                 .collect();
-            let stacked = g.stack_rows(&hs);
-            g.mean_rows(stacked)
+            let rows: Vec<Row<Var>> = hs.iter().map(|h| Row::Of(h, 0)).collect();
+            g.pool(&rows, None, &[rows.len()], &[1.0 / rows.len() as f32], self.cfg.data_dim)
         };
         let f = g.constant(node.feats.clone());
-        let input = g.concat_cols(f, child_data);
-        self.units[op_idx.op].forward(g, input)
+        let input = g.concat(&[(&f, 0..node.feats.cols()), (&child_data, 0..self.cfg.data_dim)]);
+        self.units[op_idx.op].forward(g, &input)
     }
 
     /// Train on (query, plan, true runtime) triples.
@@ -138,7 +138,7 @@ impl<'a> QppNet<'a> {
             |g, i| {
                 let (tree, ops, t) = &feats[i];
                 let out = self.forward_node(g, tree, ops);
-                (g.slice_cols(out, self.cfg.data_dim, self.cfg.data_dim + 1), *t)
+                (g.concat(&[(&out, self.cfg.data_dim..self.cfg.data_dim + 1)]), *t)
             },
         );
         self.store = store;

@@ -56,76 +56,42 @@ impl QueryEncoder {
     /// Encode several queries' set features → `[queries, query_dim]`, row
     /// `i` for `feats[i]`. Each set's MLP runs once over every query's rows
     /// stacked; pooling stays per query, summing its rows in order.
-    pub(crate) fn forward_group(&self, g: &mut Graph, feats: &[&QueryFeatures]) -> Var {
+    pub(crate) fn forward<E: Exec>(&self, e: &mut E, feats: &[&QueryFeatures]) -> E::T {
         let rel = Self::encode_sets(
-            g,
+            e,
             &self.rel_mlp,
             feats.iter().map(|f| (&f.rel_matrix, &f.rel_mask)).collect(),
         );
         let join = Self::encode_sets(
-            g,
+            e,
             &self.join_mlp,
             feats.iter().map(|f| (&f.join_matrix, &f.join_mask)).collect(),
         );
-        g.concat_cols(rel, join)
-    }
-
-    /// Masked mean pooling of one set per query: `[queries, out]`.
-    fn encode_sets(g: &mut Graph, mlp: &Mlp, sets: Vec<(&Tensor, &Tensor)>) -> Var {
-        let x = g.constant(Tensor::stack_rows(&sets.iter().map(|s| s.0).collect::<Vec<_>>()));
-        let m = g.constant(Tensor::stack_rows(&sets.iter().map(|s| s.1).collect::<Vec<_>>()));
-        let h = mlp.forward(g, x); // [Σ rows, out]
-        let masked = g.mul_col_broadcast(h, m);
-        let lens: Vec<usize> = sets.iter().map(|s| s.0.rows()).collect();
-        let summed = g.segment_sum(masked, &lens); // [queries, out]
-        let inv = sets.iter().map(|s| 1.0 / s.1.sum().max(1.0)).collect();
-        let inv = g.constant(Tensor::from_vec(sets.len(), 1, inv));
-        g.mul_col_broadcast(summed, inv)
-    }
-
-    /// Tape-free [`Self::forward_group`] of one query: identical math,
-    /// scratch buffers instead of graph nodes. The result comes from `sc` —
-    /// recycle it when done.
-    pub(crate) fn forward_inference(
-        &self,
-        store: &ParamStore,
-        feats: &QueryFeatures,
-        sc: &mut ScratchArena,
-    ) -> Tensor {
-        let rel = self.set_inference(store, &self.rel_mlp, &feats.rel_matrix, &feats.rel_mask, sc);
-        let join =
-            self.set_inference(store, &self.join_mlp, &feats.join_matrix, &feats.join_mask, sc);
-        let mut out = sc.take(1, rel.cols() + join.cols());
-        out.data_mut()[..rel.cols()].copy_from_slice(rel.data());
-        out.data_mut()[rel.cols()..].copy_from_slice(join.data());
-        sc.recycle(rel);
-        sc.recycle(join);
+        let (rw, jw) = (self.rel_mlp.out_dim(), self.join_mlp.out_dim());
+        let out = e.concat(&[(&rel, 0..rw), (&join, 0..jw)]);
+        e.recycle(rel);
+        e.recycle(join);
         out
     }
 
-    fn set_inference(
-        &self,
-        store: &ParamStore,
-        mlp: &Mlp,
-        matrix: &Tensor,
-        mask: &Tensor,
-        sc: &mut ScratchArena,
-    ) -> Tensor {
-        let h = mlp.forward_inference(store, matrix, sc); // [rows, out]
-        let mut pooled = sc.take(1, h.cols());
-        for r in 0..h.rows() {
-            let m = mask.get(r, 0);
-            if m != 0.0 {
-                for (p, v) in pooled.data_mut().iter_mut().zip(h.row_slice(r)) {
-                    *p += v * m;
-                }
+    /// Masked mean pooling of one set per query: `[queries, out]`.
+    fn encode_sets<E: Exec>(e: &mut E, mlp: &Mlp, sets: Vec<(&Tensor, &Tensor)>) -> E::T {
+        let rows = sets.iter().map(|s| s.0.rows()).sum();
+        let x = e.constant(rows, sets[0].0.cols(), |t| {
+            let mut at = 0;
+            for (m, _) in &sets {
+                t.data_mut()[at..at + m.len()].copy_from_slice(m.data());
+                at += m.len();
             }
-        }
-        let inv = 1.0 / mask.sum().max(1.0);
-        for p in pooled.data_mut() {
-            *p *= inv;
-        }
-        sc.recycle(h);
+        });
+        let h = mlp.forward(e, &x); // [Σ rows, out]
+        e.recycle(x);
+        let mask: Vec<f32> = sets.iter().flat_map(|s| s.1.data().iter().copied()).collect();
+        let lens: Vec<usize> = sets.iter().map(|s| s.0.rows()).collect();
+        let inv: Vec<f32> = sets.iter().map(|s| 1.0 / s.1.sum().max(1.0)).collect();
+        let all: Vec<Row<E::T>> = (0..rows).map(|r| Row::Of(&h, r)).collect();
+        let pooled = e.pool(&all, Some(&mask), &lens, &inv, mlp.out_dim());
+        e.recycle(h);
         pooled
     }
 }
@@ -160,154 +126,93 @@ impl PlanEncoder {
         self.out_dim
     }
 
-    /// Encode on the tape every fresh row of `pass`, a [`LevelPass`] built
-    /// over empty memos (so every node is fresh), level by level across
-    /// every plan: one `rows = m` LSTM step per level of
-    /// [`LevelPass::order`], children before parents, the schedule
-    /// [`Self::encode_pass`] runs serving. Returns `[nodes, out_dim]`, every
-    /// node's output level by level ([`LevelPass::tape_rows`] finds a plan's
-    /// rows). A node's row depends on its own subtree alone, so it is
-    /// bitwise the same for any other plans in the group.
-    pub(crate) fn forward_group(&self, g: &mut Graph, pass: &LevelPass) -> Var {
-        debug_assert_eq!(pass.fresh_rows(), pass.refs.len(), "every node of the tape is fresh");
-        let order = pass.order();
-        let fresh = |r: u32| &pass.fresh[r as usize];
-        let (dd, out) = (self.data_dim, self.out_dim);
-        let mut hs: Vec<Var> = Vec::with_capacity(order.levels());
-        let mut cs: Vec<Var> = Vec::with_capacity(order.levels());
-        for level in 0..order.levels() {
-            let rows = order.level(level);
-            let mids: Vec<&Tensor> = rows.iter().map(|&r| &fresh(r).node.mid).collect();
-            let (input, state) = if level == 0 {
-                // Leaves: zero child-data slot, EXPLAIN estimates in the
-                // estimate slot, zero initial state.
-                let ests: Vec<&Tensor> = rows
-                    .iter()
-                    .map(|&r| {
-                        fresh(r)
-                            .node
-                            .leaf_est
-                            .as_ref()
-                            .expect("leaf featurization includes estimates")
-                    })
-                    .collect();
-                let zeros = Tensor::zeros(rows.len(), dd);
-                let input = zeros
-                    .concat_cols(&Tensor::stack_rows(&mids))
-                    .concat_cols(&Tensor::stack_rows(&ests));
-                (g.constant(input), self.cell.zero_state(g, rows.len()))
-            } else {
-                // Joins: children's h and c mean-pooled in child order; the
-                // pooled h doubles as the child-data and estimate input.
-                let mut kid_h = Vec::new();
-                let mut kid_c = Vec::new();
-                let mut lens = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    let FreshRow { node, kids, .. } = fresh(r);
-                    for kid in &kids[..node.children.len()] {
-                        let NodeRef::Fresh(k) = *kid else {
-                            unreachable!("the tape's memos start empty")
-                        };
-                        let (level, row) = order.at(k, fresh(k).level);
-                        kid_h.push((hs[level], row));
-                        kid_c.push((cs[level], row));
-                    }
-                    lens.push(node.children.len());
-                }
-                let h = g.gather_rows(&kid_h);
-                let h = g.segment_mean(h, &lens);
-                let c = g.gather_rows(&kid_c);
-                let c = g.segment_mean(c, &lens);
-                let child_data = g.slice_cols(h, 0, dd);
-                let child_est = g.slice_cols(h, dd, out);
-                let mid = g.constant(Tensor::stack_rows(&mids));
-                let input = g.concat_cols_all(&[child_data, mid, child_est]);
-                (input, LstmState { h, c })
-            };
-            let next = self.cell.step(g, input, state);
-            hs.push(next.h);
-            cs.push(next.c);
-        }
-        g.stack_rows(&hs)
-    }
-
-    /// Tape-free [`Self::forward_group`] over every fresh node of a
-    /// [`LevelPass`]: one `rows = m` LSTM step per level, children before
-    /// parents, across every plan and submission in the pass. Returns the
-    /// fresh rows' `(h, c)`, `[F, out_dim]` each in pass row order, from
-    /// scratch buffers — recycle them when done. A child that is not fresh
-    /// is read from its submission's memo in `memos`.
+    /// Encode every fresh row of a [`LevelPass`] level by level, children
+    /// before parents: one `rows = m` LSTM step per level of
+    /// [`LevelPass::order`], across every plan and submission in the pass.
+    /// A child that is not fresh is read from its submission's memo in
+    /// `memos` (the tape's passes start from empty memos, and pass none).
+    /// Returns the fresh rows' `(h, c)`, `[F, out_dim]` each, level by level
+    /// ([`LevelPass::pos`] finds a row).
     ///
     /// Row `r` is bitwise identical to encoding its subtree alone: the
     /// matmul kernel guarantees per-row reduction order, and every other op
     /// here (state pooling in child order, gate math, input assembly) is
     /// row-independent. So a level can mix leaves and joins of any plans,
     /// and a memoized state is exactly what recomputing it would give.
-    pub(crate) fn encode_pass(
+    pub(crate) fn forward<E: Exec>(
         &self,
-        store: &ParamStore,
+        e: &mut E,
         pass: &LevelPass,
         memos: &[&mut NodeMemo],
-        sc: &mut ScratchArena,
-    ) -> LstmStateBuf {
-        let f = pass.fresh.len();
-        let mut fresh = LstmStateBuf { h: sc.take(f, self.out_dim), c: sc.take(f, self.out_dim) };
+    ) -> LstmState<E::T> {
         let order = pass.order();
+        let (dd, out) = (self.data_dim, self.out_dim);
+        let mut levels: Vec<LstmState<E::T>> = Vec::with_capacity(order.levels());
         for level in 0..order.levels() {
             let rows = order.level(level);
-            let m = rows.len();
-            let mid_cols = pass.fresh[rows[0] as usize].node.mid.cols();
-            // The estimate slot is always out_dim - data_dim = 3 wide.
-            let input_dim = self.data_dim + mid_cols + (self.out_dim - self.data_dim);
-            let mut input = sc.take(m, input_dim);
-            // Leaves keep the zero initial state and zero child-data slot.
-            let mut state = self.cell.zero_state_buf(m, sc);
-            for (i, &row) in rows.iter().enumerate() {
-                let FreshRow { node, sub, kids, .. } = &pass.fresh[row as usize];
-                let d = input.row_slice_mut(i);
-                d[self.data_dim..self.data_dim + mid_cols].copy_from_slice(node.mid.data());
-                if node.children.is_empty() {
-                    let est =
-                        node.leaf_est.as_ref().expect("leaf featurization includes estimates");
-                    d[self.data_dim + mid_cols..].copy_from_slice(est.data());
-                    continue;
-                }
-                // Sum child h/c states in child order (matching the tape's
-                // segment_mean accumulation), then scale to the mean. The
-                // pooled h doubles as the child-data/estimate input.
-                let (hsum, csum) = (state.h.row_slice_mut(i), state.c.row_slice_mut(i));
-                for &kid in &kids[..node.children.len()] {
-                    let (h, c) = match kid {
+            let node_of = |i: usize| pass.fresh[rows[i] as usize].node;
+            let (mut kid_h, mut kid_c, mut lens) = (Vec::new(), Vec::new(), Vec::new());
+            for &r in rows {
+                let FreshRow { node, sub, kids, .. } = &pass.fresh[r as usize];
+                for kid in &kids[..node.children.len()] {
+                    let (h, c) = match *kid {
                         NodeRef::Memo { entry, .. } => {
                             let memo = &memos[*sub as usize];
-                            (memo.h(entry), memo.c(entry))
+                            (Row::Const(memo.h(entry)), Row::Const(memo.c(entry)))
                         }
-                        NodeRef::Fresh(r) => {
-                            (fresh.h.row_slice(r as usize), fresh.c.row_slice(r as usize))
+                        NodeRef::Fresh(k) => {
+                            let (l, i) = order.at(k, pass.fresh[k as usize].level);
+                            (Row::Of(&levels[l].h, i), Row::Of(&levels[l].c, i))
                         }
                     };
-                    for (a, v) in hsum.iter_mut().zip(h) {
-                        *a += v;
-                    }
-                    for (a, v) in csum.iter_mut().zip(c) {
-                        *a += v;
-                    }
+                    kid_h.push(h);
+                    kid_c.push(c);
                 }
-                let inv = 1.0 / node.children.len() as f32;
-                for a in hsum.iter_mut().chain(csum.iter_mut()) {
-                    *a *= inv;
-                }
-                d[..self.data_dim].copy_from_slice(&hsum[..self.data_dim]);
-                d[self.data_dim + mid_cols..].copy_from_slice(&hsum[self.data_dim..]);
+                lens.push(node.children.len());
             }
-            let out = self.cell.step_inference(store, &input, &state, sc);
-            for (i, &row) in rows.iter().enumerate() {
-                fresh.h.row_slice_mut(row as usize).copy_from_slice(out.h.row_slice(i));
-                fresh.c.row_slice_mut(row as usize).copy_from_slice(out.c.row_slice(i));
-            }
-            sc.recycle(input);
-            state.recycle(sc);
-            out.recycle(sc);
+            // Children's h and c mean-pooled in child order; a leaf's are
+            // zero, its initial state.
+            let inv: Vec<f32> = lens.iter().map(|&n| 1.0 / n.max(1) as f32).collect();
+            let h = e.pool(&kid_h, None, &lens, &inv, out);
+            let c = e.pool(&kid_c, None, &lens, &inv, out);
+            // The input `[child data | own features | estimates]`: a join's
+            // pooled h fills the first and last slots; a leaf's h is zero,
+            // and its EXPLAIN estimates are added to the last.
+            let m = rows.len();
+            let mid_cols = node_of(0).mid.cols();
+            let mids = e.constant(m, mid_cols, |t| {
+                (0..m).for_each(|i| t.row_slice_mut(i).copy_from_slice(node_of(i).mid.data()))
+            });
+            let leaves: Vec<usize> = (0..m).filter(|&i| node_of(i).children.is_empty()).collect();
+            let with_est = (!leaves.is_empty()).then(|| {
+                let ests = e.constant(m, out, |t| {
+                    for &i in &leaves {
+                        let est = node_of(i).leaf_est.as_ref();
+                        let est = est.expect("leaf featurization includes estimates");
+                        t.row_slice_mut(i)[dd..].copy_from_slice(est.data());
+                    }
+                });
+                let sum = e.add(&h, &ests);
+                e.recycle(ests);
+                sum
+            });
+            let est = with_est.as_ref().unwrap_or(&h);
+            let input = e.concat(&[(&h, 0..dd), (&mids, 0..mid_cols), (est, dd..out)]);
+            e.recycle(mids);
+            with_est.into_iter().for_each(|t| e.recycle(t));
+            let state = LstmState { h, c };
+            levels.push(self.cell.step(e, &input, &state));
+            [input, state.h, state.c].into_iter().for_each(|t| e.recycle(t));
+        }
+        let stack = |e: &mut E, of: fn(&LstmState<E::T>) -> &E::T| {
+            let rows =
+                (0..levels.len()).flat_map(|l| (0..order.level(l).len()).map(move |i| (l, i)));
+            e.gather(pass.fresh.len(), out, rows.map(|(l, i)| Row::Of(of(&levels[l]), i)))
+        };
+        let fresh = LstmState { h: stack(e, |s| &s.h), c: stack(e, |s| &s.c) };
+        for s in levels {
+            e.recycle(s.h);
+            e.recycle(s.c);
         }
         fresh
     }
@@ -412,11 +317,13 @@ impl NodeMemo {
         &self.entry(e)[out..2 * out]
     }
 
-    /// Head `head`'s key (`value = false`) or value row of entry `e`.
-    pub(crate) fn kv(&self, e: u32, head: usize, value: bool) -> &[f32] {
+    /// Entry `e`'s keys (`value = false`) or values, every head's side by
+    /// side.
+    pub(crate) fn kv(&self, e: u32, value: bool) -> &[f32] {
         let l = self.layout.expect("an entry implies a layout");
-        let at = 2 * l.out + (usize::from(value) * l.heads + head) * l.head_dim;
-        &self.entry(e)[at..at + l.head_dim]
+        let w = l.heads * l.head_dim;
+        let at = 2 * l.out + usize::from(value) * w;
+        &self.entry(e)[at..at + w]
     }
 
     fn slot(&mut self, id: u32) -> &mut u32 {
@@ -515,30 +422,32 @@ pub(crate) struct LevelPass<'a> {
 }
 
 impl<'a> LevelPass<'a> {
-    /// Fresh rows: the node rows this pass encodes.
-    pub(crate) fn fresh_rows(&self) -> usize {
-        self.fresh.len()
-    }
-
     /// The fresh rows grouped by level.
     fn order(&self) -> &LevelOrder {
         self.order.get_or_init(|| LevelOrder::new(&self.fresh, self.levels))
     }
 
-    /// Candidate `c`'s nodes in postorder as rows of
-    /// [`PlanEncoder::forward_group`]'s output; the last is its root.
+    /// Fresh row `row`'s row of [`PlanEncoder::forward`]'s output.
+    pub(crate) fn pos(&self, row: u32) -> usize {
+        self.order().pos[row as usize] as usize
+    }
+
+    /// Where node `r` of a pass over empty memos (the tape's) sits in
+    /// [`PlanEncoder::forward`]'s output.
     ///
     /// # Panics
-    /// If a node is a memo hit: the tape's passes start from empty memos.
+    /// If `r` is a memo hit.
+    pub(crate) fn tape_row(&self, r: NodeRef) -> usize {
+        match r {
+            NodeRef::Fresh(row) => self.pos(row),
+            NodeRef::Memo { .. } => unreachable!("the tape's memos start empty"),
+        }
+    }
+
+    /// Candidate `c`'s nodes in postorder as rows of a tape pass's
+    /// [`PlanEncoder::forward`] output; the last is its root.
     pub(crate) fn tape_rows(&self, c: usize) -> Vec<usize> {
-        let order = self.order();
-        self.refs[self.spans[c].clone()]
-            .iter()
-            .map(|r| match *r {
-                NodeRef::Fresh(row) => order.pos[row as usize] as usize,
-                NodeRef::Memo { .. } => unreachable!("the tape's memos start empty"),
-            })
-            .collect()
+        self.refs[self.spans[c].clone()].iter().map(|&r| self.tape_row(r)).collect()
     }
 
     /// Add one candidate plan of submission `sub`, whose memo is `memo`.
@@ -583,31 +492,25 @@ impl<'a> LevelPass<'a> {
         found
     }
 
-    /// Write the fresh rows (their states from [`PlanEncoder::encode_pass`],
-    /// their head-major K/V from `MultiHeadCrossAttention::
-    /// project_kv_inference` when attention is on) into their memos, in
-    /// pass order, as far as each budget admits; clear every `FRESH` mark.
+    /// Write the fresh rows (their states from [`PlanEncoder::forward`],
+    /// their keys and values from `MultiHeadCrossAttention::project` when
+    /// attention is on, all in its row order) into their memos, in pass
+    /// order, as far as each budget admits; clear every `FRESH` mark.
     pub(crate) fn commit(
         &self,
         memos: &mut [&mut NodeMemo],
-        fresh: &LstmStateBuf,
+        fresh: &LstmState<Tensor>,
         kv: Option<(&Tensor, &Tensor)>,
     ) {
-        let f = self.fresh.len();
         for (row, FreshRow { node, sub, .. }) in self.fresh.iter().enumerate() {
             let memo = &mut *memos[*sub as usize];
             memo.encoded += 1;
             let slot = if memo.admit(node.children.is_empty()) {
-                let entry = memo.len() as u32;
-                memo.data.extend_from_slice(fresh.h.row_slice(row));
-                memo.data.extend_from_slice(fresh.c.row_slice(row));
-                if let Some((keys, values)) = kv {
-                    let heads = keys.rows() / f;
-                    for t in [keys, values] {
-                        for h in 0..heads {
-                            memo.data.extend_from_slice(t.row_slice(h * f + row));
-                        }
-                    }
+                let (entry, at) = (memo.len() as u32, self.pos(row as u32));
+                memo.data.extend_from_slice(fresh.h.row_slice(at));
+                memo.data.extend_from_slice(fresh.c.row_slice(at));
+                for t in kv.iter().flat_map(|&(keys, values)| [keys, values]) {
+                    memo.data.extend_from_slice(t.row_slice(at));
                 }
                 entry
             } else {
@@ -674,11 +577,11 @@ mod tests {
         let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
         let qf = f.query_features(&q);
         let mut g = Graph::new(&store);
-        let v = enc.forward_group(&mut g, &[&qf, &qf]);
+        let v = enc.forward(&mut g, &[&qf, &qf]);
         assert_eq!(g.value(v).shape(), (2, cfg.query_dim()));
         assert!(g.value(v).norm() > 0.0);
         // Each query's row is bitwise what it gets alone.
-        let one = enc.forward_group(&mut g, &[&qf]);
+        let one = enc.forward(&mut g, &[&qf]);
         assert_eq!(g.value(v).row_slice(1), g.value(one).data());
     }
 
@@ -703,7 +606,7 @@ mod tests {
         q2.relations.reverse();
         let qf2 = f.query_features(&q2);
         let mut g = Graph::new(&store);
-        let v = enc.forward_group(&mut g, &[&qf1, &qf2]);
+        let v = enc.forward(&mut g, &[&qf1, &qf2]);
         let (a, b) = (g.value(v).row_slice(0), g.value(v).row_slice(1));
         for (x, y) in a.iter().zip(b) {
             assert!((x - y).abs() < 1e-5, "{x} vs {y}");
@@ -717,7 +620,7 @@ mod tests {
         for (s, plan) in plans.iter().enumerate() {
             pass.add(s, plan, &mut NodeMemo::default());
         }
-        let nodes = penc.forward_group(g, &pass);
+        let nodes = penc.forward(g, &pass, &[]).h;
         (nodes, (0..plans.len()).map(|s| pass.tape_rows(s)).collect())
     }
 
@@ -827,15 +730,17 @@ mod tests {
             pass.add(0, plan, memo);
         }
         let mut memos = vec![memo];
-        let fresh = penc.encode_pass(store, &pass, &memos, sc);
+        let e = &mut Scratch { store, arena: sc };
+        let fresh = penc.forward(e, &pass, &memos);
         pass.commit(&mut memos, &fresh, None);
         let h = |r: NodeRef| match r {
             NodeRef::Memo { entry, .. } => memos[0].h(entry).to_vec(),
-            NodeRef::Fresh(row) => fresh.h.row_slice(row as usize).to_vec(),
+            NodeRef::Fresh(row) => fresh.h.row_slice(pass.pos(row)).to_vec(),
         };
         let rows = pass.spans.iter().map(|s| pass.refs[s.clone()].iter().map(|&r| h(r)).collect());
-        let out = (rows.collect(), pass.fresh_rows());
-        fresh.recycle(sc);
+        let out = (rows.collect(), pass.fresh.len());
+        e.recycle(fresh.h);
+        e.recycle(fresh.c);
         out
     }
 
@@ -945,10 +850,10 @@ mod tests {
         let mut sess = crate::featurize::FeatSession::new();
         let fq = f.featurize(&mut sess, &q, &plan, None, &norm);
         let mut g = Graph::new(&store);
-        let qv = qenc.forward_group(&mut g, &[&fq.query]);
+        let qv = qenc.forward(&mut g, &[&fq.query]);
         let (nodes, rows) = tape(&penc, &mut g, &[&fq.plan]);
-        let root = g.gather_rows(&[(nodes, rows[0][4])]);
-        let cat = g.concat_cols(qv, root);
+        let root = g.gather(1, cfg.plan_node_out, [Row::Of(&nodes, rows[0][4])]);
+        let cat = g.concat(&[(&qv, 0..qenc.out_dim()), (&root, 0..cfg.plan_node_out)]);
         let loss = g.sum_all(cat);
         let (_, grads) = g.backward(loss);
         let norm = |id| grads.get(id).map_or(0.0, Tensor::norm);

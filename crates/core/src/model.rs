@@ -136,8 +136,7 @@ impl QPSeeker {
     }
 
     /// Encode a group of featurized QEPs on one tape to their joint
-    /// embeddings `[samples, joint_dim]` (QPAttention output; for
-    /// single-node plans, the paper's concatenation fallback), plus the plan
+    /// embeddings `[samples, joint_dim]` ([`Self::joint`]), plus the plan
     /// encoder's node rows and the [`LevelPass`] that places them: one
     /// pass over the group, an empty memo per sample (a QEP's node ids never
     /// repeat inside its plan, so every node is fresh). Every op is
@@ -147,37 +146,77 @@ impl QPSeeker {
         g: &mut Graph,
         samples: &[&'a FeaturizedQep],
     ) -> (Var, Var, LevelPass<'a>) {
-        let qv =
-            self.query_enc.forward_group(g, &samples.iter().map(|s| &s.query).collect::<Vec<_>>());
+        let qv = self.query_enc.forward(g, &samples.iter().map(|s| &s.query).collect::<Vec<_>>());
         let mut pass = LevelPass::default();
         for (s, sample) in samples.iter().enumerate() {
             pass.add(s, &sample.plan, &mut NodeMemo::default());
         }
-        let nodes = self.plan_enc.forward_group(g, &pass);
-        let (attend, concat): (Vec<usize>, Vec<usize>) =
-            (0..samples.len()).partition(|&s| pass.spans[s].len() > 1 && self.config.use_attention);
-        let mut joint_rows = vec![(qv, 0); samples.len()];
-        if !attend.is_empty() {
-            let q = g.gather_rows(&attend.iter().map(|&s| (qv, s)).collect::<Vec<_>>());
-            let members: Vec<Vec<usize>> = attend.iter().map(|&s| pass.tape_rows(s)).collect();
-            let (out, _scores) = self.attn.forward_rows(g, q, nodes, &members);
-            for (i, &s) in attend.iter().enumerate() {
-                joint_rows[s] = (out, i);
-            }
-        }
+        let nodes = self.plan_enc.forward(g, &pass, &[]);
+        let kv = self.config.use_attention.then(|| self.attn.project(g, &nodes.h));
+        let q: Vec<Row<Var>> = (0..samples.len()).map(|s| Row::Of(&qv, s)).collect();
+        let joint = self.joint(
+            g,
+            &pass,
+            &q,
+            |r| Row::Of(&nodes.h, pass.tape_row(r)),
+            |r, value| {
+                let (keys, values) = kv.as_ref().expect("attention implies projected rows");
+                Row::Of(if value { values } else { keys }, pass.tape_row(r))
+            },
+        );
+        (joint, nodes.h, pass)
+    }
+
+    /// Every candidate's joint embedding `[candidates, joint_dim]`, in pass
+    /// order: QPAttention of its query over its nodes, one call per group of
+    /// candidates with equal node count — or, for single-node plans and the
+    /// no-attention ablation, the paper's concatenation fallback query ‖
+    /// root node. `q[c]` is candidate `c`'s query embedding, `node(r)` node
+    /// `r`'s plan-encoder row, and `kv(r, value)` its projected keys
+    /// (`value = false`) or values, every head's. Training and serving
+    /// differ only in where those rows live.
+    fn joint<'t, E: Exec>(
+        &self,
+        e: &mut E,
+        pass: &LevelPass,
+        q: &[Row<'t, E::T>],
+        node: impl Fn(NodeRef) -> Row<'t, E::T>,
+        kv: impl Fn(NodeRef, bool) -> Row<'t, E::T>,
+    ) -> E::T {
+        let heads = if self.config.use_attention { self.attn.heads } else { 0 };
+        let (mut attend, concat): (Vec<usize>, Vec<usize>) =
+            (0..pass.spans.len()).partition(|&c| pass.spans[c].len() > 1 && heads > 0);
+        attend.sort_by_key(|&c| pass.spans[c].len());
+        let nodes = |c: usize| &pass.refs[pass.spans[c].clone()];
+        // Candidate → (part, row of the part).
+        let mut at = vec![(0, 0); pass.spans.len()];
+        let mut parts = Vec::new();
         if !concat.is_empty() {
-            let q = g.gather_rows(&concat.iter().map(|&s| (qv, s)).collect::<Vec<_>>());
-            let roots: Vec<(Var, usize)> = concat
-                .iter()
-                .map(|&s| (nodes, *pass.tape_rows(s).last().expect("a root")))
-                .collect();
-            let roots = g.gather_rows(&roots);
-            let cat = g.concat_cols(q, roots);
-            for (i, &s) in concat.iter().enumerate() {
-                joint_rows[s] = (cat, i);
-            }
+            let (qd, od) = (self.query_enc.out_dim(), self.plan_enc.out_dim());
+            let qc = e.gather(concat.len(), qd, concat.iter().map(|&c| q[c]));
+            let roots = concat.iter().map(|&c| node(*nodes(c).last().expect("a root")));
+            let roots = e.gather(concat.len(), od, roots);
+            parts.push(e.concat(&[(&qc, 0..qd), (&roots, 0..od)]));
+            e.recycle(qc);
+            e.recycle(roots);
+            concat.iter().enumerate().for_each(|(i, &c)| at[c] = (parts.len() - 1, i));
         }
-        (g.gather_rows(&joint_rows), nodes, pass)
+        for group in attend.chunk_by(|&a, &b| pass.spans[a].len() == pass.spans[b].len()) {
+            let (kn, n) = (group.len(), nodes(group[0]).len());
+            let qg = e.gather(kn, self.attn.q_dim, group.iter().map(|&c| q[c]));
+            let side = |e: &mut E, value: bool| {
+                let rows = group.iter().flat_map(|&c| nodes(c)).map(|&r| kv(r, value));
+                e.gather(kn * n, heads * self.attn.head_dim, rows)
+            };
+            let (keys, values) = (side(e, false), side(e, true));
+            parts.push(self.attn.forward(e, &qg, &keys, &values, n));
+            [qg, keys, values].into_iter().for_each(|t| e.recycle(t));
+            group.iter().enumerate().for_each(|(i, &c)| at[c] = (parts.len() - 1, i));
+        }
+        let rows = at.iter().map(|&(p, i)| Row::Of(&parts[p], i));
+        let joint = e.gather(at.len(), self.config.joint_dim(), rows);
+        parts.into_iter().for_each(|t| e.recycle(t));
+        joint
     }
 
     /// Train on a set of QEPs. Fits the target normalizer, featurizes once,
@@ -498,7 +537,8 @@ impl QPSeeker {
         let mut g = Graph::new(&self.store);
         let (joint, nodes, pass) = self.encode_group(&mut g, samples);
         let targets = g.constant(Tensor::from_vec(n, 3, targets));
-        let out = self.vae.forward(&mut g, joint, eps);
+        let eps: Vec<&[f32]> = (0..n).map(|r| eps.row_slice(r)).collect();
+        let out = self.vae.forward(&mut g, &joint, Some(&eps));
         let (mean_total, _recon, pred, kl) =
             self.vae.loss(&mut g, &out, joint, targets, self.config.beta);
         let mut total = g.scale(mean_total, n as f32 / batch as f32);
@@ -510,9 +550,9 @@ impl QPSeeker {
             }
             if !truths.is_empty() {
                 let d = self.config.data_vec_dim();
-                let rows: Vec<(Var, usize)> = truths.iter().map(|&(r, _)| (nodes, r)).collect();
-                let rows = g.gather_rows(&rows);
-                let est = g.slice_cols(rows, d, d + 3);
+                let rows = truths.iter().map(|&(r, _)| Row::Of(&nodes, r));
+                let rows = g.gather(truths.len(), self.plan_enc.out_dim(), rows);
+                let est = g.concat(&[(&rows, d..d + 3)]);
                 // Node estimate slots carry z/5 (see featurize::ESTIMATE_SCALE);
                 // rescale before comparing against raw z-scored truths.
                 let est = g.scale(est, 1.0 / crate::featurize::ESTIMATE_SCALE);
@@ -567,10 +607,10 @@ impl QPSeeker {
     }
 
     /// Build the per-query state every scoring entry point takes. The query
-    /// encoder runs once here, tape-free; each candidate plan then only pays
-    /// for the plan-encoder rows of subtrees no earlier candidate had, and
-    /// for attention and the VAE head — a search builds one context per
-    /// query and scores every candidate through it.
+    /// encoder runs once here, on the serving executor; each candidate plan
+    /// then only pays for the plan-encoder rows of subtrees no earlier
+    /// candidate had, and for attention and the VAE head — a search builds
+    /// one context per query and scores every candidate through it.
     pub fn query_context(&self, query: &Query) -> QueryContext {
         self.query_context_reusing(query, NodeMemo::default())
     }
@@ -579,10 +619,11 @@ impl QPSeeker {
     /// session's); [`QueryContext::finish`] hands it back.
     pub(crate) fn query_context_reusing(&self, query: &Query, mut memo: NodeMemo) -> QueryContext {
         let qf = self.feat.query_features(query);
-        let qemb = with_thread_scratch(|sc| {
-            let e = self.query_enc.forward_inference(&self.store, &qf, sc);
-            let owned = e.clone();
-            sc.recycle(e);
+        let qemb = with_thread_scratch(|arena| {
+            let e = &mut Scratch { store: &self.store, arena };
+            let t = self.query_enc.forward(e, &[&qf]);
+            let owned = t.clone();
+            e.recycle(t);
             owned
         });
         memo.init(self.memo_layout(), ScanOp::ALL.len() * query.relations.len());
@@ -602,7 +643,7 @@ impl QPSeeker {
 
     /// [`Self::predict`] with caller-owned featurization caches and a
     /// reusable [`QueryContext`] — the serving entry: one row through the
-    /// model's one tape-free scoring forward.
+    /// model's one scoring call.
     pub fn predict_with_context_in(
         &self,
         sess: &mut FeatSession,
@@ -727,20 +768,19 @@ impl QPSeeker {
         (outcomes.pop().expect("one outcome per submission"), sub)
     }
 
-    /// **The** tape-free scoring path: every candidate plan the system ever
-    /// scores — one `predict`, a search's batch, a broker bucket fused from
-    /// many sessions — is a row here. A row is (featurized tree, its
-    /// query's embedding, its query's memo, optionally its query's eps
-    /// block), and one call runs, across every submission:
+    /// **The** serving path: every candidate plan the system ever scores —
+    /// one `predict`, a search's batch, a broker bucket fused from many
+    /// sessions — is a row here. A row is (featurized tree, its query's
+    /// embedding, its query's memo, optionally its query's eps block), and
+    /// one call runs the model's forward on the scratch executor, across
+    /// every submission:
     ///
     /// 1. the plan LSTM over the nodes no memo holds, each node id once per
     ///    submission, one `rows = m` step per level, children first
-    ///    ([`PlanEncoder::encode_pass`]); then the new rows' per-head K/V,
-    ///    and both into the memos as far as their budgets admit;
-    /// 2. QPAttention once per group of plans with equal node count, over
-    ///    K/V gathered from memo entries and new rows — or, for single-node
-    ///    plans and the no-attention ablation, the paper's concatenation
-    ///    fallback query ‖ root node;
+    ///    ([`PlanEncoder::forward`]); then the new rows' per-head K/V, and
+    ///    both into the memos as far as their budgets admit;
+    /// 2. the joint embeddings ([`Self::joint`]), over K/V gathered from
+    ///    memo entries and new rows;
     /// 3. the VAE head once over every row.
     ///
     /// Every layer preserves per-row FP reduction order, so a row's result
@@ -754,7 +794,6 @@ impl QPSeeker {
         let norm = self.norm();
         let samples = subs.first().map_or(0, |s| s.key.samples);
         let layout = self.memo_layout();
-        let (qd, d) = (self.query_enc.out_dim(), self.attn.head_dim);
         // Split every submission into its read-only rows and its memo.
         let mut pass = LevelPass::default();
         let mut memos: Vec<&mut NodeMemo> = Vec::with_capacity(subs.len());
@@ -771,70 +810,41 @@ impl QPSeeker {
             memos.push(memo);
         }
         let n_rows = rows.len();
-        with_thread_scratch(|sc| {
-            let fresh = self.plan_enc.encode_pass(&self.store, &pass, &memos, sc);
-            let kv = (layout.heads > 0)
-                .then(|| self.attn.project_kv_inference(&self.store, &fresh.h, sc));
+        with_thread_scratch(|arena| {
+            let e = &mut Scratch { store: &self.store, arena };
+            let fresh = self.plan_enc.forward(e, &pass, &memos);
+            let kv = (layout.heads > 0).then(|| self.attn.project(e, &fresh.h));
             pass.commit(&mut memos, &fresh, kv.as_ref().map(|(k, v)| (k, v)));
-            let f = pass.fresh_rows();
-            let h_of = |r: NodeRef| match r {
-                NodeRef::Memo { sub, entry } => memos[sub as usize].h(entry),
-                NodeRef::Fresh(row) => fresh.h.row_slice(row as usize),
-            };
-            let kv_of = |r: NodeRef, head: usize, value: bool| match (r, &kv) {
-                (NodeRef::Memo { sub, entry }, _) => memos[sub as usize].kv(entry, head, value),
-                (NodeRef::Fresh(row), Some((keys, values))) => {
-                    let t = if value { values } else { keys };
-                    t.row_slice(head * f + row as usize)
-                }
-                (NodeRef::Fresh(_), None) => unreachable!("attention implies projected rows"),
-            };
-            let mut joint = sc.take(n_rows, qd + self.plan_enc.out_dim());
-            let mut attend = Vec::new();
-            for (c, span) in pass.spans.iter().enumerate() {
-                if span.len() > 1 && layout.heads > 0 {
-                    attend.push(c);
-                } else {
-                    let row = joint.row_slice_mut(c);
-                    row[..qd].copy_from_slice(rows[c].0.data());
-                    row[qd..].copy_from_slice(h_of(pass.refs[span.end - 1]));
-                }
-            }
-            attend.sort_by_key(|&c| pass.spans[c].len());
-            for group in attend.chunk_by(|&a, &b| pass.spans[a].len() == pass.spans[b].len()) {
-                let (kn, n) = (group.len(), pass.spans[group[0]].len());
-                let mut qb = sc.take(kn, qd);
-                let mut keys = sc.take(layout.heads * kn * n, d);
-                let mut values = sc.take(layout.heads * kn * n, d);
-                for (p, &c) in group.iter().enumerate() {
-                    qb.row_slice_mut(p).copy_from_slice(rows[c].0.data());
-                    for (i, &r) in pass.refs[pass.spans[c].clone()].iter().enumerate() {
-                        for head in 0..layout.heads {
-                            let at = (head * kn + p) * n + i;
-                            keys.row_slice_mut(at).copy_from_slice(kv_of(r, head, false));
-                            values.row_slice_mut(at).copy_from_slice(kv_of(r, head, true));
-                        }
+            let q: Vec<Row<Tensor>> =
+                rows.iter().map(|(qemb, _)| Row::Const(qemb.data())).collect();
+            let joint = self.joint(
+                e,
+                &pass,
+                &q,
+                |r| match r {
+                    NodeRef::Memo { sub, entry } => Row::Const(memos[sub as usize].h(entry)),
+                    NodeRef::Fresh(row) => Row::Of(&fresh.h, pass.pos(row)),
+                },
+                |r, value| match (r, &kv) {
+                    (NodeRef::Memo { sub, entry }, _) => {
+                        Row::Const(memos[sub as usize].kv(entry, value))
                     }
-                }
-                let j = self.attn.forward_inference_kv(&self.store, &qb, &keys, &values, n, sc);
-                for (p, &c) in group.iter().enumerate() {
-                    joint.row_slice_mut(c).copy_from_slice(j.row_slice(p));
-                }
-                for t in [qb, keys, values, j] {
-                    sc.recycle(t);
-                }
-            }
-            fresh.recycle(sc);
-            if let Some((keys, values)) = kv {
-                sc.recycle(keys);
-                sc.recycle(values);
-            }
-            let eps_refs: Option<Vec<&Tensor>> = (samples > 0)
-                .then(|| rows.iter().map(|(_, eps)| eps.expect("risk rows carry eps")).collect());
+                    (NodeRef::Fresh(row), Some((keys, values))) => {
+                        Row::Of(if value { values } else { keys }, pass.pos(row))
+                    }
+                    (NodeRef::Fresh(_), None) => unreachable!("attention implies projected rows"),
+                },
+            );
+            let kv = kv.into_iter().flat_map(|(k, v)| [k, v]);
+            [fresh.h, fresh.c].into_iter().chain(kv).for_each(|t| e.recycle(t));
+            let eps: Option<Vec<&[f32]>> = (samples > 0).then(|| {
+                rows.iter().map(|(_, eps)| eps.expect("risk rows carry eps").data()).collect()
+            });
             // `[R, 3]`; under sampling sample-major `[S*R, 3]`, row r's
             // sample si at `si*R + r`.
-            let p = self.vae.forward_inference(&self.store, &joint, eps_refs.as_deref(), sc);
-            sc.recycle(joint);
+            let out = self.vae.forward(e, &joint, eps.as_deref());
+            [joint, out.h, out.reconstruction].into_iter().for_each(|t| e.recycle(t));
+            let p = out.predictions;
             let decode = |r: usize| {
                 let raw = norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)]);
                 Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] }
@@ -859,16 +869,17 @@ impl QPSeeker {
                     )
                 })
                 .collect();
-            sc.recycle(p);
+            e.recycle(p);
             outcomes
         })
     }
 
-    /// Reference prediction through the autodiff tape (the training-path
-    /// forward): the independent oracle the tape-free scoring forward is
-    /// property-tested against within 1e-5. Never a serving path;
-    /// featurizes through a fresh [`FeatSession`] per call, as does
-    /// [`Self::latent_mu`].
+    /// Prediction through the training path: the model's one forward,
+    /// recorded on the autodiff tape over fresh rows only (no memo, no
+    /// batching across queries). Bitwise equal to [`Self::predict`] on
+    /// every tier, which checks the serving path's memo, batching and K/V
+    /// reuse against it. Never a serving path; featurizes through a fresh
+    /// [`FeatSession`] per call, as does [`Self::latent_mu`].
     pub fn predict_tape(&self, query: &Query, plan: &PlanNode) -> Prediction {
         let (preds, _mu) = self.forward_tape(query, plan);
         let raw = self.normalizer.as_ref().expect("fitted: featurized above").decode(preds);
@@ -887,16 +898,15 @@ impl QPSeeker {
         let fq = self.feat.featurize(&mut FeatSession::new(), query, plan, None, norm);
         let mut g = Graph::new(&self.store);
         let (joint, ..) = self.encode_group(&mut g, &[&fq]);
-        let eps = Tensor::zeros(1, self.config.vae_latent);
-        let out = self.vae.forward(&mut g, joint, eps);
+        let out = self.vae.forward(&mut g, &joint, None);
         let p = g.value(out.predictions);
         let preds = [p.get(0, 0), p.get(0, 1), p.get(0, 2)];
-        let mu = g.value(out.mu).data().to_vec();
+        let mu = g.value(out.h).row_slice(0)[..self.config.vae_latent].to_vec();
         (preds, mu)
     }
 }
 
-/// Cached per-query inference state: the tape-free query embedding, the
+/// Cached per-query inference state: the query embedding, the
 /// plan featurization cache (which numbers the query's distinct subtrees)
 /// and the memo of subtrees encoded so far, all shared by every candidate
 /// plan of one query. Built by [`QPSeeker::query_context`]; bound to that

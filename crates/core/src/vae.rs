@@ -18,12 +18,12 @@ pub(crate) struct CostModeler {
 }
 
 /// One forward pass through the VAE.
-pub(crate) struct VaeOutput {
-    pub mu: Var,
-    pub logvar: Var,
-    pub reconstruction: Var,
-    /// `[batch, 3]` normalized target predictions.
-    pub predictions: Var,
+pub(crate) struct VaeOutput<T> {
+    /// `[K, 2·latent]`: each row's latent mean, then its raw log-variance.
+    pub h: T,
+    pub reconstruction: T,
+    /// `[K, 3]` normalized target predictions (`[S·K, 3]` when sampled).
+    pub predictions: T,
 }
 
 impl CostModeler {
@@ -52,85 +52,36 @@ impl CostModeler {
         }
     }
 
-    /// Forward with explicit noise (`eps`: `[batch, latent]`, standard
-    /// normal for training, zeros for deterministic inference).
-    pub(crate) fn forward(&self, g: &mut Graph, x: Var, eps: Tensor) -> VaeOutput {
-        let h = self.encoder.forward(g, x);
-        let mu = g.slice_cols(h, 0, self.latent);
-        let logvar_raw = g.slice_cols(h, self.latent, 2 * self.latent);
-        // Soft-bound the log-variance to [-8, 8] for stability.
-        let logvar_t = g.tanh(logvar_raw);
-        let logvar = g.scale(logvar_t, 8.0);
-        let eps_v = g.constant(eps);
-        let z = g.reparameterize(mu, logvar, eps_v);
-        let reconstruction = self.decoder.forward(g, z);
-        let predictions = self.head.forward(g, reconstruction);
-        VaeOutput { mu, logvar, reconstruction, predictions }
-    }
-
-    /// Tape-free inference over `x [K, joint_dim]` candidate rows (from
-    /// `sc` — recycle the result when done).
+    /// The VAE over `x [K, joint_dim]` rows.
     ///
-    /// `eps_of = None` is deterministic mean scoring (`eps = 0` ⇒ `z = mu`):
-    /// predictions `[K, 3]`. With zero noise the reparameterization is the
-    /// identity on `mu`, so the log-variance head is never evaluated.
+    /// `eps = None` is deterministic mean scoring (`z = mu`): the
+    /// log-variance head is never evaluated. `eps = Some(blocks)` samples
+    /// row `r` against its own standard-normal draws `blocks[r]` (`S` rows
+    /// of `latent`, the same `S` for every row — training draws one per
+    /// sample, rows fused from different queries carry different draws):
+    /// `z = mu + exp(0.5 · logvar) ∘ eps` with the log-variance soft-bounded
+    /// to `8 · tanh(raw)`, sample-major (row `s·K + r` is row `r` under
+    /// sample `s`).
     ///
-    /// `eps_of = Some(blocks)` is sampled scoring for risk-aware ranking: row
-    /// `r` is sampled against its own seeded standard-normal block
-    /// `blocks[r]` (`[S, latent]`, same `S` for every row — rows fused from
-    /// different queries carry different draws) → predictions `[S·K, 3]`,
-    /// sample-major (row `s·K + r` is row `r` under sample `s`). Here the
-    /// log-variance head *is* evaluated: `z = mu + exp(0.5 · logvar) ∘ eps_s`
-    /// with the same tanh-bounded log-variance the training path uses.
-    ///
-    /// Either way every GEMM is row-wise bitwise equal at any batch size and
-    /// the reparameterization is elementwise, so a row's predictions are
+    /// Every GEMM is row-wise bitwise equal at any batch size and the
+    /// reparameterization is elementwise, so a row's predictions are
     /// bitwise identical whether it is scored alone, in a batch, or in any
     /// partition of a batch — the determinism plan choice relies on.
-    pub(crate) fn forward_inference(
+    pub(crate) fn forward<E: Exec>(
         &self,
-        store: &ParamStore,
-        x: &Tensor,
-        eps_of: Option<&[&Tensor]>,
-        sc: &mut ScratchArena,
-    ) -> Tensor {
-        let h = self.encoder.forward_inference(store, x, sc); // [K, 2*latent]
-        let k = h.rows();
-        let z = match eps_of {
-            None => {
-                let mut mu = sc.take(k, self.latent);
-                for r in 0..k {
-                    mu.row_slice_mut(r).copy_from_slice(&h.row_slice(r)[..self.latent]);
-                }
-                mu
-            }
-            Some(eps_of) => {
-                assert_eq!(eps_of.len(), k, "one eps block per row");
-                let s = eps_of[0].rows();
-                let mut z = sc.take(s * k, self.latent);
-                for (r, eps_r) in eps_of.iter().enumerate() {
-                    assert_eq!(eps_r.rows(), s, "eps blocks must agree on sample count");
-                    assert_eq!(eps_r.cols(), self.latent, "eps must be [samples, latent]");
-                    let hr = h.row_slice(r);
-                    for si in 0..s {
-                        let er = eps_r.row_slice(si);
-                        let zr = z.row_slice_mut(si * k + r);
-                        for j in 0..self.latent {
-                            let mu = hr[j];
-                            let logvar = 8.0 * hr[self.latent + j].tanh();
-                            zr[j] = mu + (0.5 * logvar).exp() * er[j];
-                        }
-                    }
-                }
-                z
-            }
+        e: &mut E,
+        x: &E::T,
+        eps: Option<&[&[f32]]>,
+    ) -> VaeOutput<E::T> {
+        let h = self.encoder.forward(e, x);
+        let z = match eps {
+            None => e.concat(&[(&h, 0..self.latent)]),
+            Some(eps) => e.sample(&h, self.latent, eps),
         };
-        sc.recycle(h);
-        let reconstruction = self.decoder.forward_inference(store, &z, sc);
-        sc.recycle(z);
-        let predictions = self.head.forward_inference(store, &reconstruction, sc);
-        sc.recycle(reconstruction);
-        predictions
+        let reconstruction = self.decoder.forward(e, &z);
+        e.recycle(z);
+        let predictions = self.head.forward(e, &reconstruction, Activation::Identity);
+        VaeOutput { h, reconstruction, predictions }
     }
 
     /// The paper's loss (formula 5) plus prediction MSE:
@@ -139,14 +90,18 @@ impl CostModeler {
     pub(crate) fn loss(
         &self,
         g: &mut Graph,
-        out: &VaeOutput,
+        out: &VaeOutput<Var>,
         x: Var,
         targets: Var,
         beta: f64,
     ) -> (Var, Var, Var, Var) {
+        let mu = g.concat(&[(&out.h, 0..self.latent)]);
+        let raw = g.concat(&[(&out.h, self.latent..2 * self.latent)]);
+        let bounded = g.tanh(raw);
+        let logvar = g.scale(bounded, 8.0);
         let recon = g.mse(out.reconstruction, x);
         let pred = g.mse(out.predictions, targets);
-        let kl_sum = g.kl_standard_normal(out.mu, out.logvar);
+        let kl_sum = g.kl_standard_normal(mu, logvar);
         // Per-element KL (divide by latent width) keeps β≈100 comparable to
         // the MSE scale.
         let kl = g.scale(kl_sum, 1.0 / self.latent as f32);
@@ -168,6 +123,17 @@ mod tests {
         (store, vae)
     }
 
+    /// Row `r`'s draws: row `r` of `eps`, one sample per row.
+    fn per_row(eps: &Tensor) -> Vec<&[f32]> {
+        (0..eps.rows()).map(|r| eps.row_slice(r)).collect()
+    }
+
+    /// Predictions of `x` on the serving executor.
+    fn serve(vae: &CostModeler, store: &ParamStore, x: &Tensor, eps: Option<&[&[f32]]>) -> Tensor {
+        let mut arena = ScratchArena::new();
+        vae.forward(&mut Scratch { store, arena: &mut arena }, x, eps).predictions
+    }
+
     #[test]
     fn forward_shapes() {
         let cfg = ModelConfig::small();
@@ -176,13 +142,15 @@ mod tests {
         let mut init = Initializer::new(2);
         let x = g.constant(init.normal(4, cfg.joint_dim(), 1.0));
         let eps = init.standard_normal(4, cfg.vae_latent);
-        let out = vae.forward(&mut g, x, eps);
-        assert_eq!(g.value(out.mu).shape(), (4, cfg.vae_latent));
-        assert_eq!(g.value(out.logvar).shape(), (4, cfg.vae_latent));
+        let out = vae.forward(&mut g, &x, Some(&per_row(&eps)));
+        assert_eq!(g.value(out.h).shape(), (4, 2 * cfg.vae_latent));
         assert_eq!(g.value(out.reconstruction).shape(), (4, cfg.joint_dim()));
         assert_eq!(g.value(out.predictions).shape(), (4, 3));
     }
 
+    /// Even from extreme inputs, a draw lies between `e^-4 · |eps|` and
+    /// `e^4 · |eps|` from the mean: the log-variance is soft-bounded to
+    /// [-8, 8].
     #[test]
     fn logvar_is_bounded() {
         let cfg = ModelConfig::small();
@@ -190,9 +158,15 @@ mod tests {
         let mut g = Graph::new(&store);
         let mut init = Initializer::new(3);
         let x = g.constant(init.normal(2, cfg.joint_dim(), 50.0)); // extreme inputs
-        let out = vae.forward(&mut g, x, Tensor::zeros(2, cfg.vae_latent));
-        for &v in g.value(out.logvar).data() {
-            assert!((-8.0..=8.0).contains(&v));
+        let h = vae.encoder.forward(&mut g, &x);
+        let ones = vec![1.0; cfg.vae_latent];
+        let z = g.sample(&h, cfg.vae_latent, &[&ones, &ones]);
+        for r in 0..2 {
+            for j in 0..cfg.vae_latent {
+                let spread = (g.value(z).get(r, j) - g.value(h).get(r, j)).abs();
+                assert!(spread <= 4f32.exp() * 1.0001, "row {r} lane {j}: {spread}");
+                assert!(spread >= (-4f32).exp() * 0.9999, "row {r} lane {j}: {spread}");
+            }
         }
     }
 
@@ -205,7 +179,7 @@ mod tests {
         let run = |store: &ParamStore| {
             let mut g = Graph::new(store);
             let x = g.constant(xt.clone());
-            let out = vae.forward(&mut g, x, Tensor::zeros(1, cfg.vae_latent));
+            let out = vae.forward(&mut g, &x, None);
             g.value(out.predictions).data().to_vec()
         };
         assert_eq!(run(&store), run(&store));
@@ -223,21 +197,14 @@ mod tests {
         let (store, vae) = setup(&cfg);
         let mut init = Initializer::new(8);
         let x = init.normal(5, cfg.joint_dim(), 1.0);
-        let mut sc = ScratchArena::new();
-        let whole = vae.forward_inference(&store, &x, None, &mut sc);
+        let whole = serve(&vae, &store, &x, None);
         assert_eq!(whole.shape(), (5, 3));
         for parts in [vec![0..1, 1..2, 2..3, 3..4, 4..5], vec![0..2, 2..5]] {
             for part in parts {
-                let got = vae.forward_inference(
-                    &store,
-                    &rows_of(&x, part.start, part.end),
-                    None,
-                    &mut sc,
-                );
+                let got = serve(&vae, &store, &rows_of(&x, part.start, part.end), None);
                 for r in part.clone() {
                     assert_eq!(whole.row_slice(r), got.row_slice(r - part.start), "row {r}");
                 }
-                sc.recycle(got);
             }
         }
     }
@@ -248,10 +215,9 @@ mod tests {
         let (store, vae) = setup(&cfg);
         let mut init = Initializer::new(9);
         let x = init.normal(3, cfg.joint_dim(), 1.0);
-        let mut sc = ScratchArena::new();
-        let mean = vae.forward_inference(&store, &x, None, &mut sc);
+        let mean = serve(&vae, &store, &x, None);
         let eps = Tensor::zeros(2, cfg.vae_latent);
-        let sampled = vae.forward_inference(&store, &x, Some(&[&eps; 3]), &mut sc);
+        let sampled = serve(&vae, &store, &x, Some(&[eps.data(); 3]));
         assert_eq!(sampled.shape(), (2 * 3, 3));
         for s in 0..2 {
             for k in 0..3 {
@@ -270,19 +236,14 @@ mod tests {
         let x = init.normal(4, cfg.joint_dim(), 1.0);
         let eps: Vec<Tensor> =
             (0..4).map(|r| Initializer::new(11 + r).standard_normal(3, cfg.vae_latent)).collect();
-        let eps_refs: Vec<&Tensor> = eps.iter().collect();
-        let mut sc = ScratchArena::new();
-        let whole = vae.forward_inference(&store, &x, Some(&eps_refs), &mut sc);
+        let eps_refs: Vec<&[f32]> = eps.iter().map(Tensor::data).collect();
+        let whole = serve(&vae, &store, &x, Some(&eps_refs));
         assert_eq!(whole.shape(), (3 * 4, 3));
         for parts in [vec![0..1, 1..2, 2..3, 3..4], vec![0..3, 3..4]] {
             for part in parts {
                 let kp = part.len();
-                let got = vae.forward_inference(
-                    &store,
-                    &rows_of(&x, part.start, part.end),
-                    Some(&eps_refs[part.clone()]),
-                    &mut sc,
-                );
+                let x_part = rows_of(&x, part.start, part.end);
+                let got = serve(&vae, &store, &x_part, Some(&eps_refs[part.clone()]));
                 for r in part.clone() {
                     for s in 0..3 {
                         assert_eq!(
@@ -292,33 +253,32 @@ mod tests {
                         );
                     }
                 }
-                sc.recycle(got);
             }
         }
     }
 
-    /// Tape-free sampling with non-zero eps computes the training-path
-    /// reparameterization: row `r` under sample `s` matches
-    /// [`CostModeler::forward`] fed `eps[s]`, within the fast path's 1e-5.
+    /// Sampling with non-zero eps on the serving executor is bitwise the
+    /// tape's: row `r` under sample `s` equals training's forward fed
+    /// `eps[s]` for every row.
     #[test]
     fn sampled_inference_matches_training_forward_with_same_eps() {
         let cfg = ModelConfig::small();
         let (store, vae) = setup(&cfg);
         let x = Initializer::new(12).normal(3, cfg.joint_dim(), 1.0);
         let eps = Initializer::new(13).standard_normal(4, cfg.vae_latent);
-        let mut sc = ScratchArena::new();
-        let fast = vae.forward_inference(&store, &x, Some(&[&eps; 3]), &mut sc);
+        let fast = serve(&vae, &store, &x, Some(&[eps.data(); 3]));
         for s in 0..4 {
-            let eps_s = rows_of(&eps, s, s + 1);
-            let refs = [&eps_s; 3];
             let mut g = Graph::new(&store);
             let xv = g.constant(x.clone());
-            let out = vae.forward(&mut g, xv, Tensor::stack_rows(&refs));
+            let out = vae.forward(&mut g, &xv, Some(&[eps.row_slice(s); 3]));
             let tape = g.value(out.predictions);
             for r in 0..3 {
-                for (a, b) in fast.row_slice(s * 3 + r).iter().zip(tape.row_slice(r)) {
-                    assert!((a - b).abs() < 1e-5, "sample {s} row {r}: {a} vs tape {b}");
-                }
+                let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(fast.row_slice(s * 3 + r)),
+                    bits(tape.row_slice(r)),
+                    "sample {s} row {r}"
+                );
             }
         }
     }
@@ -335,7 +295,7 @@ mod tests {
             let x = g.constant(xt.clone());
             let t = g.constant(tt.clone());
             let eps = Initializer::new(6).standard_normal(3, cfg.vae_latent);
-            let out = vae.forward(&mut g, x, eps);
+            let out = vae.forward(&mut g, &x, Some(&per_row(&eps)));
             let (total, _recon, _pred, kl) = vae.loss(&mut g, &out, x, t, beta);
             (g.value(total).get(0, 0), g.value(kl).get(0, 0))
         };
@@ -362,7 +322,7 @@ mod tests {
             let x = g.constant(xt.clone());
             let t = g.constant(tt.clone());
             let eps = Initializer::new(100 + step).standard_normal(8, cfg.vae_latent);
-            let out = vae.forward(&mut g, x, eps);
+            let out = vae.forward(&mut g, &x, Some(&per_row(&eps)));
             let (total, _, _, _) = vae.loss(&mut g, &out, x, t, 100.0);
             let (loss, grads) = g.backward(total);
             last = loss;

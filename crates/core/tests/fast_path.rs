@@ -1,7 +1,8 @@
-//! The tape-free scoring forward must be numerically interchangeable with
-//! the reference tape forward, and crossbeam data-parallel training must be
-//! bit-reproducible regardless of the shard count; trained weights are
-//! pinned per kernel tier.
+//! The serving path (memo, batching, K/V reuse, scratch executor) must
+//! predict bitwise what the training path (fresh rows on the tape) does
+//! through the model's one forward, and crossbeam data-parallel training
+//! must be bit-reproducible regardless of the shard count; trained weights
+//! are pinned per kernel tier.
 
 use proptest::prelude::*;
 use qpseeker_core::prelude::*;
@@ -52,9 +53,9 @@ const ORDERS: [[&str; 3]; 4] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every (join order, scan ops, join ops) combination predicts the same
-    /// targets through the scratch-arena fast path as through the autodiff
-    /// tape, within 1e-5 relative.
+    /// Every (join order, scan ops, join ops) combination predicts bitwise
+    /// the same targets through the serving path as through the autodiff
+    /// tape.
     #[test]
     fn tape_free_forward_matches_tape(
         order in 0usize..4,
@@ -74,17 +75,13 @@ proptest! {
         let plan = spec.compile(&q).expect("connected left-deep order");
         let fast = model.predict(&q, &plan);
         let tape = model.predict_tape(&q, &plan);
-        for (name, a, b) in [
-            ("cardinality", fast.cardinality, tape.cardinality),
-            ("cost", fast.cost, tape.cost),
-            ("runtime_ms", fast.runtime_ms, tape.runtime_ms),
-        ] {
-            prop_assert!(
-                (a - b).abs() <= 1e-5 * (1.0 + b.abs()),
-                "{name}: fast {a} vs tape {b}"
-            );
-        }
+        prop_assert_eq!(bits(fast), bits(tape), "fast {:?} vs tape {:?}", fast, tape);
     }
+}
+
+/// Every field of a prediction, as bits.
+fn bits(p: Prediction) -> [u64; 3] {
+    [p.cardinality, p.cost, p.runtime_ms].map(f64::to_bits)
 }
 
 #[test]
@@ -96,17 +93,12 @@ fn tape_free_forward_matches_tape_on_single_scans() {
         let plan = PlanNode::scan(&q, "title", op);
         let fast = model.predict(&q, &plan);
         let tape = model.predict_tape(&q, &plan);
-        assert!(
-            (fast.runtime_ms - tape.runtime_ms).abs() <= 1e-5 * (1.0 + tape.runtime_ms.abs()),
-            "scan {op:?}: fast {} vs tape {}",
-            fast.runtime_ms,
-            tape.runtime_ms
-        );
+        assert_eq!(bits(fast), bits(tape), "scan {op:?}: fast {fast:?} vs tape {tape:?}");
     }
 }
 
 /// Alias sets take more than one 64-bit word past 64 relations. A 65-alias
-/// self-join chain must predict, finitely and within 1e-5 of the tape.
+/// self-join chain must predict, finitely and bitwise as the tape does.
 #[test]
 fn sixty_five_alias_chain_predicts() {
     let model = shared_model();
@@ -126,14 +118,8 @@ fn sixty_five_alias_chain_predicts() {
     }
     let fast = model.predict(&q, &plan);
     let tape = model.predict_tape(&q, &plan);
-    for (name, a, b) in [
-        ("cardinality", fast.cardinality, tape.cardinality),
-        ("cost", fast.cost, tape.cost),
-        ("runtime_ms", fast.runtime_ms, tape.runtime_ms),
-    ] {
-        assert!(a.is_finite(), "{name} is not finite: {a}");
-        assert!((a - b).abs() <= 1e-5 * (1.0 + b.abs()), "{name}: forward {a} vs tape {b}");
-    }
+    assert!(bits(fast).map(f64::from_bits).iter().all(|a| a.is_finite()), "{fast:?}");
+    assert_eq!(bits(fast), bits(tape), "forward {fast:?} vs tape {tape:?}");
 }
 
 #[test]
@@ -173,17 +159,19 @@ fn parallel_training_is_bit_identical_across_shard_counts() {
 
 /// Golden fingerprint of trained weights: FNV-1a over every parameter's
 /// `to_bits()`, in `ParamStore::iter` order, after fitting
-/// `ModelConfig::small()` on the 12-query fixture above. Tiers round
-/// differently, so each has its own constant (the AVX2 and AVX-512 GEMMs
-/// are both one fused chain per element and agree; the scalar one adds
-/// one unfused product per step). A change to
-/// training's floating-point order fails here, and must update these
-/// constants in the same diff — declared, never silent.
+/// `ModelConfig::small()` on the 12-query fixture above. Training records
+/// serving's kernels, and tiers round differently, so each has its own
+/// constant: the scalar GEMM adds one unfused product per step and its
+/// gates call libm, and the attention scores' `dot` reduces over 8 lanes on
+/// AVX2 and 16 on AVX-512. A change to training's floating-point order
+/// fails here, and must update these constants in the same diff —
+/// declared, never silent.
 ///
-/// The bits also depend on the platform libm: the tape's `tanh`, `exp`
-/// and `sigmoid` call `f32::tanh`/`f32::exp`. The constants are for
-/// x86_64 Linux glibc; elsewhere the test is ignored, and a glibc whose
-/// `tanhf`/`expf` round differently moves them with no code change.
+/// The bits also depend on the platform libm: the scalar tier's gates,
+/// and the VAE's log-variance on every tier, call `f32::tanh`/`f32::exp`.
+/// The constants are for x86_64 Linux glibc; elsewhere the test is
+/// ignored, and a glibc whose `tanhf`/`expf` round differently moves them
+/// with no code change.
 #[test]
 #[cfg_attr(
     not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")),
@@ -198,8 +186,9 @@ fn trained_weights_match_the_golden_fingerprint() {
     m.fit(&refs).expect("training succeeds");
     let got = weights_fingerprint(&m);
     let want = match isa::active() {
-        Isa::Scalar => 0x6326_eb8e_74b7_d1ee,
-        Isa::Avx2 | Isa::Avx512 => 0xc002_50f0_9499_e18c,
+        Isa::Scalar => 0xf4e3_32c0_638b_648c,
+        Isa::Avx2 => 0x53f8_856d_b5bb_1d6e,
+        Isa::Avx512 => 0x6505_53e0_09c3_7b26,
     };
     assert_eq!(
         got,
@@ -238,8 +227,9 @@ fn trained_weights_on_job_plans_match_the_golden_fingerprint() {
     m.fit(&refs).expect("training succeeds");
     let got = weights_fingerprint(&m);
     let want = match isa::active() {
-        Isa::Scalar => 0x194d_ce24_e34f_657b,
-        Isa::Avx2 | Isa::Avx512 => 0x04ce_4e67_c1b5_f453,
+        Isa::Scalar => 0x8dc4_9485_bf9f_06d7,
+        Isa::Avx2 => 0xbab5_8489_b18f_2d8d,
+        Isa::Avx512 => 0x84d6_234f_4672_950b,
     };
     assert_eq!(
         got,

@@ -1,11 +1,13 @@
-//! Elementwise activation kernels for the tape-free inference path.
+//! Elementwise activation kernels: the LSTM gates and the GEMM's tanh and
+//! sigmoid epilogue, for serving and for the training tape alike.
 //!
 //! The LSTM gate math is transcendental-bound: libm `exp`/`tanh` cost
 //! ~50-100ns per lane, which at 5 calls per hidden lane dominates the whole
 //! plan-encoder forward (the GEMMs are an order of magnitude cheaper). On
 //! the AVX2+FMA and AVX-512 tiers we evaluate them with a Cephes-style
-//! polynomial (~1-2 ulp, far inside the 1e-5 tape-parity tolerance); the
-//! scalar tier runs the portable libm expressions.
+//! polynomial (~1-2 ulp of libm); the scalar tier runs the portable libm
+//! expressions. The tape records these same kernels, so training and
+//! serving compute one function on every tier.
 //!
 //! The polynomial is written once, as plain `f32 -> f32` lane functions, and
 //! the gate body once, as `gates_lanes`. Each SIMD tier is that body
@@ -45,6 +47,35 @@ const P5: f32 = 5.0e-1;
 #[inline]
 pub(crate) fn sigmoid_scalar(v: f32) -> f32 {
     1.0 / (1.0 + (-v).exp())
+}
+
+/// `act(v)` with the portable tier's libm expressions.
+#[inline]
+pub(crate) fn act_scalar(act: Activation, v: f32) -> f32 {
+    match act {
+        Activation::Identity => v,
+        Activation::Relu => v.max(0.0),
+        Activation::Tanh => v.tanh(),
+        Activation::Sigmoid => sigmoid_scalar(v),
+    }
+}
+
+/// `x[i] = act(x[i])` for `Tanh`/`Sigmoid` with the active tier's lane
+/// function: bitwise what [`lstm_gates`] and the GEMM epilogue compute for
+/// the same input. Other activations leave `x` as it is.
+pub(crate) fn activate(act: Activation, x: &mut [f32]) {
+    match crate::isa::active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active()` only returns a tier the CPU supports.
+        Isa::Avx512 => unsafe { activate_avx512(act, x) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        Isa::Avx2 => unsafe { activate_avx2(act, x) },
+        _ if matches!(act, Activation::Tanh | Activation::Sigmoid) => {
+            x.iter_mut().for_each(|v| *v = act_scalar(act, *v))
+        }
+        _ => {}
+    }
 }
 
 /// Polynomial `exp(x)`, clamped to `[EXP_LO, EXP_HI]`. The clamps keep the
@@ -109,6 +140,8 @@ fn tanh<const POLY: bool>(x: f32) -> f32 {
 /// Fused LSTM gate math for one step: `gates` is `[rows, 4*d]` laid out as
 /// `i | f | g | o` segments per row, `c_prev` is `[rows, d]`; writes the new
 /// cell state and hidden state into `c_out` / `h_out` (both `[rows, d]`).
+/// The tape's backward recomputes the activated gates with the same lane
+/// functions (`activate`), so it reads the bits this kernel used.
 ///
 /// Computes `c' = sigmoid(f) * c + sigmoid(i) * tanh(g)` and
 /// `h' = sigmoid(o) * tanh(c')` per lane.

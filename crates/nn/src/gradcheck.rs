@@ -90,7 +90,7 @@ mod tests {
         let w = mlp.layers[0].w;
         let report = check_gradient(&mut store, w, 1e-2, |g| {
             let xv = g.constant(x.clone());
-            let y = mlp.forward(g, xv);
+            let y = mlp.forward(g, &xv);
             let sq = g.mul(y, y);
             g.mean_all(sq)
         });

@@ -9,13 +9,20 @@
 //! comes back in a [`GradBuffer`] keyed by that id. A tape holds at most one
 //! leaf per parameter.
 //!
+//! The graph is one of the two [`Exec`]utors a model forward runs on: its
+//! fused ops (`linear`, `lstm_step`, `attend`, ...) compute their values
+//! with the serving kernels of [`crate::infer`] and keep what their
+//! hand-written backward needs.
+//!
 //! Every op's gradient rule is verified against central finite differences in
 //! the unit tests below and in the crate's proptest suite.
 
-use crate::layers::Activation;
+use crate::infer::{self, Exec, Row};
+use crate::layers::{Activation, LstmCell};
 use crate::pack::{gemm_packed, PackedGemm};
 use crate::params::{GradBuffer, ParamId, ParamStore};
-use crate::tensor::Tensor;
+use crate::tensor::{dot, Tensor};
+use std::ops::Range;
 
 /// Handle to a node in a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,31 +41,33 @@ enum Op {
     /// Leaf reading a parameter from the borrowed store; its gradient goes
     /// to the [`GradBuffer`] under the same id.
     Param(ParamId),
-    MatMul(Var, Var),
     Add(Var, Var),
-    /// `[r,c] + [1,c]` row-broadcast (bias add).
-    AddRowBroadcast(Var, Var),
     /// `[r,c] ⊙ [r,1]` column-broadcast (per-row scaling, e.g. set masks).
     MulColBroadcast(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
     Scale(Var, f32),
     AddScalar(Var, f32),
-    Relu(Var),
     Tanh(Var),
-    Sigmoid(Var),
     Exp(Var),
-    SoftmaxRows(Var),
-    ConcatCols(Var, Var),
-    StackRows(Vec<Var>),
-    SumRows(Var),
     SumAll(Var),
-    SliceCols(Var, usize, usize),
-    Transpose(Var),
-    /// Output row `r` is row `.1` of var `.0` of entry `r`.
-    GatherRows(Vec<(Var, usize)>),
-    /// Output row `s` sums the next `lens[s]` input rows.
-    SegmentSum(Var, Vec<usize>),
+    /// Column ranges of vars, side by side.
+    Concat(Vec<(Var, Range<usize>)>),
+    /// [`infer::pool_into`] of (rows, weights, segment lengths, scales); a
+    /// row is row `.1` of var `.0`, or a constant. A gather is a pool of one
+    /// row per segment, unscaled.
+    Pool(Vec<Option<(Var, usize)>>, Option<Vec<f32>>, Vec<usize>, Vec<f32>),
+    /// `act(x·W + b)` of (x, W, b, act) ([`infer::linear_into`]).
+    Linear(Var, Var, Option<Var>, Activation),
+    /// `[h' | c']` of one LSTM step ([`infer::lstm_into`]) from (x, h, c,
+    /// W_ih, W_hh, bias), with its gate pre-activations.
+    Lstm([Var; 6], Tensor),
+    /// The attention core ([`infer::attend_into`]) of (per-head q, k, v,
+    /// n), with its softmax rows.
+    Attend(Vec<Var>, Var, Var, usize, Tensor),
+    /// VAE draws ([`infer::sample_into`]) from (h, latent); `eps` row `r` is
+    /// output row `r`'s noise.
+    Sample(Var, usize, Tensor),
 }
 
 impl Op {
@@ -66,30 +75,21 @@ impl Op {
     fn for_each_input(&self, mut f: impl FnMut(Var)) {
         match self {
             Op::Constant | Op::Param(_) => {}
-            Op::MatMul(a, b)
-            | Op::Add(a, b)
-            | Op::AddRowBroadcast(a, b)
-            | Op::MulColBroadcast(a, b)
-            | Op::Sub(a, b)
-            | Op::Mul(a, b)
-            | Op::ConcatCols(a, b) => {
+            Op::Add(a, b) | Op::MulColBroadcast(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => {
                 f(*a);
                 f(*b);
             }
             Op::Scale(a, _)
             | Op::AddScalar(a, _)
-            | Op::Relu(a)
             | Op::Tanh(a)
-            | Op::Sigmoid(a)
             | Op::Exp(a)
-            | Op::SoftmaxRows(a)
-            | Op::SumRows(a)
             | Op::SumAll(a)
-            | Op::SliceCols(a, ..)
-            | Op::Transpose(a)
-            | Op::SegmentSum(a, _) => f(*a),
-            Op::StackRows(parts) => parts.iter().copied().for_each(f),
-            Op::GatherRows(rows) => rows.iter().for_each(|&(v, _)| f(v)),
+            | Op::Sample(a, ..) => f(*a),
+            Op::Concat(parts) => parts.iter().for_each(|(v, _)| f(*v)),
+            Op::Pool(rows, ..) => rows.iter().flatten().for_each(|&(v, _)| f(v)),
+            Op::Linear(x, w, b, _) => [*x, *w].into_iter().chain(*b).for_each(f),
+            Op::Lstm(vars, _) => vars.iter().copied().for_each(f),
+            Op::Attend(q, k, v, ..) => q.iter().chain([k, v]).copied().for_each(f),
         }
     }
 }
@@ -173,37 +173,12 @@ impl<'s> Graph<'s> {
 
     // ---- binary ops -------------------------------------------------------
 
-    /// `a·b` through the packed GEMM: a parameter `b` as the store's packed
-    /// copy, built once per optimizer step; any other `b` packed on the spot.
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let ta = self.value(a);
-        let v = match self.nodes[b.0].op {
-            Op::Param(id) => ta.matmul_packed(self.store.packed(id)),
-            _ => ta.matmul(self.value(b)),
-        };
-        self.push(Op::MatMul(a, b), v)
-    }
-
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         let (ta, tb) = (self.value(a), self.value(b));
         assert_eq!(ta.shape(), tb.shape(), "add shape mismatch");
         let mut v = ta.clone();
         v.add_assign(tb);
         self.push(Op::Add(a, b), v)
-    }
-
-    /// `a [r,c] + bias [1,c]`, broadcasting the bias over rows.
-    pub fn add_row_broadcast(&mut self, a: Var, bias: Var) -> Var {
-        let (ta, tb) = (self.value(a), self.value(bias));
-        assert_eq!(tb.rows(), 1, "bias must be a row vector");
-        assert_eq!(ta.cols(), tb.cols(), "bias width mismatch");
-        let mut v = ta.clone();
-        for r in 0..v.rows() {
-            for (x, b) in v.row_slice_mut(r).iter_mut().zip(tb.data()) {
-                *x += b;
-            }
-        }
-        self.push(Op::AddRowBroadcast(a, bias), v)
     }
 
     /// `a [r,c] ⊙ m [r,1]`, scaling each row of `a` by the matching entry of `m`.
@@ -252,19 +227,9 @@ impl<'s> Graph<'s> {
         self.push(Op::AddScalar(a, c), v)
     }
 
-    pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| x.max(0.0));
-        self.push(Op::Relu(a), v)
-    }
-
     pub fn tanh(&mut self, a: Var) -> Var {
         let v = self.value(a).map(f32::tanh);
         self.push(Op::Tanh(a), v)
-    }
-
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.push(Op::Sigmoid(a), v)
     }
 
     /// Elementwise `exp`, with inputs clamped to ±30 to avoid overflow in the
@@ -275,66 +240,13 @@ impl<'s> Graph<'s> {
         self.push(Op::Exp(a), v)
     }
 
-    /// Row-wise softmax with max-subtraction for numerical stability.
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let ta = self.value(a);
-        let mut v = ta.clone();
-        for r in 0..v.rows() {
-            let row = v.row_slice_mut(r);
-            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for x in row.iter_mut() {
-                *x = (*x - max).exp();
-                sum += *x;
-            }
-            for x in row.iter_mut() {
-                *x /= sum;
-            }
-        }
-        self.push(Op::SoftmaxRows(a), v)
-    }
-
     // ---- shape ops --------------------------------------------------------
-
-    pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).concat_cols(self.value(b));
-        self.push(Op::ConcatCols(a, b), v)
-    }
-
-    /// Concatenate an arbitrary list column-wise (left fold).
-    pub fn concat_cols_all(&mut self, parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "concat_cols_all needs at least one part");
-        let mut acc = parts[0];
-        for &p in &parts[1..] {
-            acc = self.concat_cols(acc, p);
-        }
-        acc
-    }
-
-    /// Stack tensors vertically (used to batch per-sample encodings).
-    pub fn stack_rows(&mut self, parts: &[Var]) -> Var {
-        let tensors: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
-        let v = Tensor::stack_rows(&tensors);
-        self.push(Op::StackRows(parts.to_vec()), v)
-    }
-
-    /// Column sums: `[r,c] -> [1,c]`.
-    pub fn sum_rows(&mut self, a: Var) -> Var {
-        let ta = self.value(a);
-        let mut v = Tensor::zeros(1, ta.cols());
-        for r in 0..ta.rows() {
-            for c in 0..ta.cols() {
-                v.set(0, c, v.get(0, c) + ta.get(r, c));
-            }
-        }
-        self.push(Op::SumRows(a), v)
-    }
 
     /// Column means: `[r,c] -> [1,c]`.
     pub fn mean_rows(&mut self, a: Var) -> Var {
-        let rows = self.value(a).rows().max(1) as f32;
-        let s = self.sum_rows(a);
-        self.scale(s, 1.0 / rows)
+        let (rows, cols) = self.value(a).shape();
+        let all: Vec<Row<Var>> = (0..rows).map(|r| Row::Of(&a, r)).collect();
+        Exec::pool(self, &all, None, &[rows], &[1.0 / rows.max(1) as f32], cols)
     }
 
     /// Sum of every element: `[r,c] -> [1,1]`.
@@ -348,73 +260,6 @@ impl<'s> Graph<'s> {
         let n = self.value(a).len().max(1) as f32;
         let s = self.sum_all(a);
         self.scale(s, 1.0 / n)
-    }
-
-    /// Column slice `[r, from..to)`.
-    pub fn slice_cols(&mut self, a: Var, from: usize, to: usize) -> Var {
-        let ta = self.value(a);
-        assert!(from < to && to <= ta.cols(), "slice_cols out of range");
-        let mut v = Tensor::zeros(ta.rows(), to - from);
-        for r in 0..ta.rows() {
-            v.row_slice_mut(r).copy_from_slice(&ta.row_slice(r)[from..to]);
-        }
-        self.push(Op::SliceCols(a, from, to), v)
-    }
-
-    pub fn transpose(&mut self, a: Var) -> Var {
-        let v = self.value(a).transposed();
-        self.push(Op::Transpose(a), v)
-    }
-
-    /// Rows picked from any vars of one width: output row `r` is row
-    /// `rows[r].1` of `rows[r].0`. A row may be picked more than once; the
-    /// backward scatter-adds each output row's gradient into its source row,
-    /// in output row order.
-    ///
-    /// # Panics
-    /// Panics if `rows` is empty, a row is out of range or widths differ.
-    pub fn gather_rows(&mut self, rows: &[(Var, usize)]) -> Var {
-        assert!(!rows.is_empty(), "gather_rows needs at least one row");
-        let cols = self.value(rows[0].0).cols();
-        let mut v = Tensor::zeros(rows.len(), cols);
-        for (r, &(src, row)) in rows.iter().enumerate() {
-            let t = self.value(src);
-            assert_eq!(t.cols(), cols, "gather_rows width mismatch");
-            v.row_slice_mut(r).copy_from_slice(t.row_slice(row));
-        }
-        self.push(Op::GatherRows(rows.to_vec()), v)
-    }
-
-    /// Per-segment column sums: the rows of `a` cut into consecutive
-    /// segments of `lens` rows, `[Σ lens, c] -> [lens.len(), c]`. Each sum
-    /// starts at zero and adds its rows in order, as [`Self::sum_rows`]
-    /// does; an empty segment sums to zero.
-    ///
-    /// # Panics
-    /// Panics if `lens` does not sum to the rows of `a`.
-    pub fn segment_sum(&mut self, a: Var, lens: &[usize]) -> Var {
-        let ta = self.value(a);
-        assert_eq!(lens.iter().sum::<usize>(), ta.rows(), "segment lengths must cover a");
-        let mut v = Tensor::zeros(lens.len(), ta.cols());
-        let mut row = 0;
-        for (s, &len) in lens.iter().enumerate() {
-            for r in row..row + len {
-                for (o, x) in v.row_slice_mut(s).iter_mut().zip(ta.row_slice(r)) {
-                    *o += x;
-                }
-            }
-            row += len;
-        }
-        self.push(Op::SegmentSum(a, lens.to_vec()), v)
-    }
-
-    /// Per-segment column means: [`Self::segment_sum`] with each sum scaled
-    /// by `1 / len` (an empty segment stays zero).
-    pub fn segment_mean(&mut self, a: Var, lens: &[usize]) -> Var {
-        let s = self.segment_sum(a, lens);
-        let inv = lens.iter().map(|&n| 1.0 / n.max(1) as f32).collect();
-        let inv = self.constant(Tensor::from_vec(lens.len(), 1, inv));
-        self.mul_col_broadcast(s, inv)
     }
 
     // ---- composed helpers ---------------------------------------------------
@@ -439,15 +284,6 @@ impl<'s> Graph<'s> {
         self.scale(s, -0.5 / batch)
     }
 
-    /// Reparameterization trick: `mu + eps ⊙ exp(logvar / 2)` with `eps`
-    /// passed in as a constant noise tensor.
-    pub fn reparameterize(&mut self, mu: Var, logvar: Var, eps: Var) -> Var {
-        let half = self.scale(logvar, 0.5);
-        let std = self.exp(half);
-        let noise = self.mul(eps, std);
-        self.add(mu, noise)
-    }
-
     // ---- backward -----------------------------------------------------------
 
     /// Backpropagate from scalar `loss`. Returns the loss value and every
@@ -456,11 +292,10 @@ impl<'s> Graph<'s> {
     ///
     /// Only nodes with a parameter upstream get a gradient. A parameter's
     /// one leaf sums the contributions of every use in reverse tape order,
-    /// then joins the buffer. Both products of a matmul's backward run the
-    /// packed GEMM: the input gradient `g·Bᵀ` over the store's packed
-    /// transpose (built once per optimizer step) when `B` is a parameter,
-    /// else over a transpose packed on the spot; the weight gradient `aᵀ·g`
-    /// is summed apart, then added into `B`'s slot.
+    /// then joins the buffer. Both products of a `linear` or `lstm_step`
+    /// backward run the packed GEMM: the input gradient `g·Wᵀ` over the
+    /// store's packed transpose (built once per optimizer step), and the
+    /// weight gradient `xᵀ·g` summed apart, then added into `W`'s slot.
     ///
     /// # Panics
     /// Panics if `loss` is not `1x1`.
@@ -478,33 +313,9 @@ impl<'s> Graph<'s> {
             match &self.nodes[i].op {
                 Op::Constant => {}
                 Op::Param(id) => params.accumulate(*id, g),
-                Op::MatMul(a, b) => {
-                    if grads.wants(*a) {
-                        let ga = match self.nodes[b.0].op {
-                            Op::Param(id) => g.matmul_packed(self.store.packed_t(id)),
-                            _ => g.matmul(&self.value(*b).transposed()),
-                        };
-                        grads.add(*a, ga);
-                    }
-                    if grads.wants(*b) {
-                        grads.add_product(*b, &self.value(*a).transposed(), &PackedGemm::pack(&g));
-                    }
-                }
                 Op::Add(a, b) => {
                     grads.add(*a, g.clone());
                     grads.add(*b, g);
-                }
-                Op::AddRowBroadcast(a, bias) => {
-                    if grads.wants(*bias) {
-                        let mut gb = Tensor::zeros(1, g.cols());
-                        for r in 0..g.rows() {
-                            for (o, x) in gb.data_mut().iter_mut().zip(g.row_slice(r)) {
-                                *o += x;
-                            }
-                        }
-                        grads.add(*bias, gb);
-                    }
-                    grads.add(*a, g);
                 }
                 Op::MulColBroadcast(a, m) => {
                     let (ta, tm) = (self.value(*a), self.value(*m));
@@ -552,26 +363,10 @@ impl<'s> Graph<'s> {
                     debug_assert!(c.is_finite());
                     grads.add(*a, g);
                 }
-                Op::Relu(a) => {
-                    let mut ga = g;
-                    for (x, y) in ga.data_mut().iter_mut().zip(self.value(*a).data()) {
-                        if *y <= 0.0 {
-                            *x = 0.0;
-                        }
-                    }
-                    grads.add(*a, ga);
-                }
                 Op::Tanh(a) => {
                     let mut ga = g;
                     for (x, y) in ga.data_mut().iter_mut().zip(self.nodes[i].value.data()) {
                         *x *= 1.0 - y * y;
-                    }
-                    grads.add(*a, ga);
-                }
-                Op::Sigmoid(a) => {
-                    let mut ga = g;
-                    for (x, y) in ga.data_mut().iter_mut().zip(self.nodes[i].value.data()) {
-                        *x *= y * (1.0 - y);
                     }
                     grads.add(*a, ga);
                 }
@@ -583,91 +378,137 @@ impl<'s> Graph<'s> {
                     }
                     grads.add(*a, ga);
                 }
-                Op::SoftmaxRows(a) => {
-                    let y = &self.nodes[i].value;
-                    let mut ga = Tensor::zeros(y.rows(), y.cols());
-                    for r in 0..y.rows() {
-                        let dot: f32 = (0..y.cols()).map(|c| g.get(r, c) * y.get(r, c)).sum();
-                        for c in 0..y.cols() {
-                            ga.set(r, c, y.get(r, c) * (g.get(r, c) - dot));
-                        }
-                    }
-                    grads.add(*a, ga);
-                }
-                Op::ConcatCols(a, b) => {
-                    let ca = self.value(*a).cols();
-                    let mut ga = Tensor::zeros(g.rows(), ca);
-                    let mut gb = Tensor::zeros(g.rows(), g.cols() - ca);
-                    for r in 0..g.rows() {
-                        ga.row_slice_mut(r).copy_from_slice(&g.row_slice(r)[..ca]);
-                        gb.row_slice_mut(r).copy_from_slice(&g.row_slice(r)[ca..]);
-                    }
-                    grads.add(*a, ga);
-                    grads.add(*b, gb);
-                }
-                Op::StackRows(parts) => {
-                    let mut row = 0;
-                    for p in parts {
-                        let pr = self.value(*p).rows();
-                        if grads.wants(*p) {
-                            let at = row * g.cols();
-                            let gp = g.data()[at..at + pr * g.cols()].to_vec();
-                            grads.add(*p, Tensor::from_vec(pr, g.cols(), gp));
-                        }
-                        row += pr;
-                    }
-                }
-                Op::SumRows(a) => {
-                    let rows = self.value(*a).rows();
-                    let mut ga = Tensor::zeros(rows, g.cols());
-                    for r in 0..rows {
-                        ga.row_slice_mut(r).copy_from_slice(g.row_slice(0));
-                    }
-                    grads.add(*a, ga);
-                }
                 Op::SumAll(a) => {
                     let ta = self.value(*a);
                     let ga = Tensor::filled(ta.rows(), ta.cols(), g.get(0, 0));
                     grads.add(*a, ga);
                 }
-                Op::SliceCols(a, from, to) => {
+                Op::Concat(parts) => {
                     // Added into the slot's columns in place: a gate slice
                     // of the LSTM touches a quarter of its input.
-                    if grads.wants(*a) {
-                        let (rows, cols) = self.value(*a).shape();
-                        let slot =
-                            grads.slots[a.0].get_or_insert_with(|| Tensor::zeros(rows, cols));
-                        for r in 0..rows {
-                            let dst = &mut slot.row_slice_mut(r)[*from..*to];
-                            for (o, x) in dst.iter_mut().zip(g.row_slice(r)) {
-                                *o += x;
+                    let mut at = 0;
+                    for (a, cols) in parts {
+                        if grads.wants(*a) {
+                            let slot = grads.slot(*a, self.value(*a).shape());
+                            for r in 0..g.rows() {
+                                let src = &g.row_slice(r)[at..at + cols.len()];
+                                let dst = &mut slot.row_slice_mut(r)[cols.clone()];
+                                dst.iter_mut().zip(src).for_each(|(o, x)| *o += x);
                             }
                         }
+                        at += cols.len();
                     }
                 }
-                Op::Transpose(a) => grads.add(*a, g.transposed()),
-                Op::GatherRows(rows) => {
-                    for (r, &(src, row)) in rows.iter().enumerate() {
-                        if grads.wants(src) {
-                            let shape = self.value(src).shape();
-                            let slot = grads.slots[src.0]
-                                .get_or_insert_with(|| Tensor::zeros(shape.0, shape.1));
-                            for (o, x) in slot.row_slice_mut(row).iter_mut().zip(g.row_slice(r)) {
-                                *o += x;
-                            }
-                        }
-                    }
-                }
-                Op::SegmentSum(a, lens) => {
-                    let mut ga = Tensor::zeros(self.value(*a).rows(), g.cols());
-                    let mut row = 0;
+                Op::Pool(rows, weights, lens, scales) => {
+                    let mut at = 0;
                     for (s, &len) in lens.iter().enumerate() {
-                        for r in row..row + len {
-                            ga.row_slice_mut(r).copy_from_slice(g.row_slice(s));
+                        for r in at..at + len {
+                            let w = weights.as_ref().map_or(1.0, |w| w[r]);
+                            let Some((src, row)) = rows[r] else { continue };
+                            if w == 0.0 || !grads.wants(src) {
+                                continue;
+                            }
+                            let slot = grads.slot(src, self.value(src).shape());
+                            axpy(slot.row_slice_mut(row), w * scales[s], g.row_slice(s));
                         }
-                        row += len;
+                        at += len;
                     }
-                    grads.add(*a, ga);
+                }
+                Op::Linear(x, w, b, act) => {
+                    let y = &self.nodes[i].value;
+                    let mut gp = g;
+                    for (gx, &y) in gp.data_mut().iter_mut().zip(y.data()) {
+                        *gx *= match act {
+                            Activation::Identity => 1.0,
+                            Activation::Relu => f32::from(u8::from(y > 0.0)),
+                            Activation::Tanh => 1.0 - y * y,
+                            Activation::Sigmoid => y * (1.0 - y),
+                        };
+                    }
+                    if let Some(b) = b {
+                        grads.add(*b, col_sums(&gp));
+                    }
+                    grads.add_linear(*x, *w, self.value(*x), &gp, self.store);
+                }
+                Op::Lstm([x, h, c, w_ih, w_hh, bias], gates) => {
+                    let (rows, d) = (gates.rows(), gates.cols() / 4);
+                    let hc = &self.nodes[i].value;
+                    // The activated gates and tanh(c') by the tier's lane
+                    // functions: the bits the kernel computed.
+                    let mut gates = gates.clone();
+                    for (k, seg) in gates.data_mut().chunks_mut(d).enumerate() {
+                        let act = if k % 4 == 2 { Activation::Tanh } else { Activation::Sigmoid };
+                        crate::act::activate(act, seg);
+                    }
+                    let mut tc: Vec<f32> =
+                        (0..rows).flat_map(|r| hc.row_slice(r)[d..].to_vec()).collect();
+                    crate::act::activate(Activation::Tanh, &mut tc);
+                    let c_prev = self.value(*c);
+                    let mut dg = Tensor::zeros(rows, 4 * d);
+                    let mut dc_prev = Tensor::zeros(rows, d);
+                    for r in 0..rows {
+                        let (a, gr) = (gates.row_slice(r), g.row_slice(r));
+                        let dgr = dg.row_slice_mut(r);
+                        for j in 0..d {
+                            let (ig, fg, gg, og) = (a[j], a[d + j], a[2 * d + j], a[3 * d + j]);
+                            let (t, gh) = (tc[r * d + j], gr[j]);
+                            let dc = gr[d + j] + gh * og * (1.0 - t * t);
+                            dgr[j] = dc * gg * ig * (1.0 - ig);
+                            dgr[d + j] = dc * c_prev.get(r, j) * fg * (1.0 - fg);
+                            dgr[2 * d + j] = dc * ig * (1.0 - gg * gg);
+                            dgr[3 * d + j] = gh * t * og * (1.0 - og);
+                            dc_prev.set(r, j, dc * fg);
+                        }
+                    }
+                    grads.add(*c, dc_prev);
+                    grads.add(*bias, col_sums(&dg));
+                    grads.add_linear(*x, *w_ih, self.value(*x), &dg, self.store);
+                    grads.add_linear(*h, *w_hh, self.value(*h), &dg, self.store);
+                }
+                Op::Attend(q, k, v, n, probs) => {
+                    let (kn, d) = self.value(q[0]).shape();
+                    let scale = 1.0 / (d as f32).sqrt();
+                    let (kv, vv) = (self.value(*k), self.value(*v));
+                    let (mut gk, mut gv) =
+                        (Tensor::zeros(kv.rows(), kv.cols()), Tensor::zeros(kv.rows(), kv.cols()));
+                    for (hd, &qh) in q.iter().enumerate() {
+                        let (qv, cols) = (self.value(qh), hd * d..(hd + 1) * d);
+                        let mut gq = Tensor::zeros(kn, d);
+                        for p in 0..kn {
+                            let (a, gctx) =
+                                (probs.row_slice(hd * kn + p), &g.row_slice(p)[cols.clone()]);
+                            let rows = p * n..(p + 1) * n;
+                            let da: Vec<f32> = rows
+                                .clone()
+                                .map(|r| dot(gctx, &vv.row_slice(r)[cols.clone()]))
+                                .collect();
+                            let mean = dot(a, &da);
+                            for (i, r) in rows.enumerate() {
+                                let ds = a[i] * (da[i] - mean) * scale;
+                                axpy(&mut gv.row_slice_mut(r)[cols.clone()], a[i], gctx);
+                                axpy(gq.row_slice_mut(p), ds, &kv.row_slice(r)[cols.clone()]);
+                                axpy(&mut gk.row_slice_mut(r)[cols.clone()], ds, qv.row_slice(p));
+                            }
+                        }
+                        grads.add(qh, gq);
+                    }
+                    grads.add(*k, gk);
+                    grads.add(*v, gv);
+                }
+                Op::Sample(h, latent, eps) => {
+                    let (hv, l) = (self.value(*h), *latent);
+                    let mut gh = Tensor::zeros(hv.rows(), 2 * l);
+                    for row in 0..g.rows() {
+                        let r = row % hv.rows();
+                        for j in 0..l {
+                            let (gz, t) = (g.get(row, j), hv.get(r, l + j).tanh());
+                            let std = (0.5 * (8.0 * t)).exp();
+                            let gr = gh.row_slice_mut(r);
+                            gr[j] += gz;
+                            gr[l + j] += gz * eps.get(row, j) * std * 4.0 * (1.0 - t * t);
+                        }
+                    }
+                    grads.add(*h, gh);
                 }
             }
         }
@@ -704,6 +545,24 @@ impl Grads<'_> {
         );
     }
 
+    /// `v`'s gradient slot, zeros of `shape` until something is added.
+    fn slot(&mut self, v: Var, shape: (usize, usize)) -> &mut Tensor {
+        self.slots[v.0].get_or_insert_with(|| Tensor::zeros(shape.0, shape.1))
+    }
+
+    /// The gradients of `x·W` given `gp`, the gradient of the product: `gp·Wᵀ`
+    /// over the store's packed transpose into `x`, `xᵀ·gp` into `W` (a
+    /// parameter leaf).
+    fn add_linear(&mut self, x: Var, w: Var, xv: &Tensor, gp: &Tensor, store: &ParamStore) {
+        let Op::Param(id) = self.nodes[w.0].op else {
+            unreachable!("a linear weight is a parameter")
+        };
+        if self.wants(x) {
+            self.add(x, gp.matmul_packed(store.packed_t(id)));
+        }
+        self.add_product(w, &xv.transposed(), &PackedGemm::pack(gp));
+    }
+
     /// Add `g` to `v`'s gradient; the first one is kept as is. Dropped when
     /// `v` takes none.
     fn add(&mut self, v: Var, g: Tensor) {
@@ -715,6 +574,132 @@ impl Grads<'_> {
             slot @ None => *slot = Some(g),
         }
     }
+}
+
+/// `y += a·x`, elementwise.
+fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
+    y.iter_mut().zip(x).for_each(|(y, x)| *y += a * x);
+}
+
+/// Column sums of `g`: a row-broadcast bias's gradient.
+fn col_sums(g: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(1, g.cols());
+    for r in 0..g.rows() {
+        out.data_mut().iter_mut().zip(g.row_slice(r)).for_each(|(o, x)| *o += x);
+    }
+    out
+}
+
+/// A picked row as the tape records it: constant rows take no gradient.
+fn picked(rows: &[Row<Var>]) -> Vec<Option<(Var, usize)>> {
+    rows.iter()
+        .map(|r| match *r {
+            Row::Of(v, i) => Some((*v, i)),
+            Row::Const(_) => None,
+        })
+        .collect()
+}
+
+/// The tape: every op is recorded with its value from the serving kernel.
+impl Exec for Graph<'_> {
+    type T = Var;
+
+    fn value<'a>(&'a self, t: &'a Var) -> &'a Tensor {
+        Graph::value(self, *t)
+    }
+
+    fn constant(&mut self, rows: usize, cols: usize, fill: impl FnOnce(&mut Tensor)) -> Var {
+        let mut t = Tensor::zeros(rows, cols);
+        fill(&mut t);
+        Graph::constant(self, t)
+    }
+
+    fn linear(&mut self, x: &Var, w: ParamId, b: Option<ParamId>, act: Activation) -> Var {
+        let mut y = Tensor::zeros(Graph::value(self, *x).rows(), self.store.value(w).cols());
+        infer::linear_into(self.store, Graph::value(self, *x), w, b, act, &mut y);
+        let (w, b) = (self.param(w), b.map(|b| self.param(b)));
+        self.push(Op::Linear(*x, w, b, act), y)
+    }
+
+    fn lstm_step(&mut self, cell: &LstmCell, x: &Var, h: &Var, c: &Var) -> (Var, Var) {
+        let (rows, d) = (Graph::value(self, *x).rows(), cell.hidden_dim);
+        let mut gates = Tensor::zeros(rows, 4 * d);
+        let (mut h_out, mut c_out) = (Tensor::zeros(rows, d), Tensor::zeros(rows, d));
+        let (xv, hv, cv) = (Graph::value(self, *x), Graph::value(self, *h), Graph::value(self, *c));
+        infer::lstm_into(self.store, cell, xv, hv, cv, &mut gates, &mut h_out, &mut c_out);
+        let (w_ih, w_hh, bias) =
+            (self.param(cell.w_ih), self.param(cell.w_hh), self.param(cell.bias));
+        let hc =
+            self.push(Op::Lstm([*x, *h, *c, w_ih, w_hh, bias], gates), h_out.concat_cols(&c_out));
+        (Exec::concat(self, &[(&hc, 0..d)]), Exec::concat(self, &[(&hc, d..2 * d)]))
+    }
+
+    fn attend(&mut self, q: &[Var], k: &Var, v: &Var, n: usize) -> Var {
+        let (kn, d) = Graph::value(self, q[0]).shape();
+        let (mut probs, mut out) = (Tensor::zeros(q.len() * kn, n), Tensor::zeros(kn, q.len() * d));
+        let qs: Vec<&Tensor> = q.iter().map(|&t| Graph::value(self, t)).collect();
+        let (kv, vv) = (Graph::value(self, *k), Graph::value(self, *v));
+        infer::attend_into(&qs, kv, vv, n, &mut probs, &mut out);
+        self.push(Op::Attend(q.to_vec(), *k, *v, n, probs), out)
+    }
+
+    fn gather<'a>(
+        &mut self,
+        n: usize,
+        cols: usize,
+        rows: impl IntoIterator<Item = Row<'a, Var>>,
+    ) -> Var {
+        let rows: Vec<Row<Var>> = rows.into_iter().collect();
+        let mut out = Tensor::zeros(n, cols);
+        infer::gather_into(rows.iter().map(|&r| self.row(r)), &mut out);
+        let (lens, scales) = (vec![1; n], vec![1.0; n]);
+        self.push(Op::Pool(picked(&rows), None, lens, scales), out)
+    }
+
+    fn pool(
+        &mut self,
+        rows: &[Row<Var>],
+        weights: Option<&[f32]>,
+        lens: &[usize],
+        scales: &[f32],
+        cols: usize,
+    ) -> Var {
+        let mut out = Tensor::zeros(lens.len(), cols);
+        infer::pool_into(|i| self.row(rows[i]), weights, lens, scales, &mut out);
+        let (weights, lens, scales) =
+            (weights.map(<[f32]>::to_vec), lens.to_vec(), scales.to_vec());
+        self.push(Op::Pool(picked(rows), weights, lens, scales), out)
+    }
+
+    fn concat(&mut self, parts: &[(&Var, Range<usize>)]) -> Var {
+        let cols = parts.iter().map(|(_, r)| r.len()).sum();
+        let mut out = Tensor::zeros(Graph::value(self, *parts[0].0).rows(), cols);
+        infer::concat_into(
+            parts.iter().map(|(v, r)| (Graph::value(self, **v), r.clone())),
+            &mut out,
+        );
+        self.push(Op::Concat(parts.iter().map(|(v, r)| (**v, r.clone())).collect()), out)
+    }
+
+    fn add(&mut self, a: &Var, b: &Var) -> Var {
+        Graph::add(self, *a, *b)
+    }
+
+    fn sample(&mut self, h: &Var, latent: usize, eps: &[&[f32]]) -> Var {
+        let k = eps.len();
+        let samples = eps.first().map_or(0, |e| e.len() / latent);
+        let mut out = Tensor::zeros(samples * k, latent);
+        infer::sample_into(Graph::value(self, *h), latent, eps, &mut out);
+        let mut noise = Tensor::zeros(samples * k, latent);
+        for (r, e) in eps.iter().enumerate() {
+            for (s, row) in e.chunks(latent).enumerate() {
+                noise.row_slice_mut(s * k + r).copy_from_slice(row);
+            }
+        }
+        self.push(Op::Sample(*h, latent, noise), out)
+    }
+
+    fn recycle(&mut self, _: Var) {}
 }
 
 #[cfg(test)]
@@ -751,7 +736,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_gradient() {
+    fn linear_gradient() {
         let mut store = ParamStore::new();
         let w = seeded_param(&mut store, 3, 2, 0.0);
         check_gradient(
@@ -759,8 +744,7 @@ mod tests {
             w,
             |g| {
                 let x = g.constant(Tensor::from_vec(2, 3, vec![0.1, -0.4, 0.3, 0.7, 0.2, -0.9]));
-                let wv = g.param(w);
-                let y = g.matmul(x, wv);
+                let y = g.linear(&x, w, None, Activation::Identity);
                 g.sum_all(y)
             },
             1e-2,
@@ -776,11 +760,8 @@ mod tests {
             w,
             |g| {
                 let x = g.constant(Tensor::row(vec![0.3, -0.6]));
-                let wv = g.param(w);
-                let h = g.matmul(x, wv);
-                let h = g.tanh(h);
-                let h = g.matmul(h, wv);
-                let h = g.sigmoid(h);
+                let h = g.linear(&x, w, None, Activation::Tanh);
+                let h = g.linear(&h, w, None, Activation::Sigmoid);
                 g.sum_all(h)
             },
             2e-2,
@@ -788,37 +769,18 @@ mod tests {
     }
 
     #[test]
-    fn softmax_gradient() {
-        let mut store = ParamStore::new();
-        let w = seeded_param(&mut store, 1, 4, 1.0);
-        check_gradient(
-            &mut store,
-            w,
-            |g| {
-                let wv = g.param(w);
-                let sm = g.softmax_rows(wv);
-                let weights = g.constant(Tensor::row(vec![1.0, -2.0, 0.5, 3.0]));
-                let y = g.mul(sm, weights);
-                g.sum_all(y)
-            },
-            1e-2,
-        );
-    }
-
-    #[test]
     fn broadcast_ops_gradient() {
         let mut store = ParamStore::new();
+        let w = seeded_param(&mut store, 3, 3, 1.0);
         let b = seeded_param(&mut store, 1, 3, 2.0);
         check_gradient(
             &mut store,
             b,
             |g| {
                 let x = g.constant(Tensor::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]));
-                let bv = g.param(b);
-                let y = g.add_row_broadcast(x, bv);
+                let y = g.linear(&x, w, Some(b), Activation::Relu);
                 let mask = g.constant(Tensor::from_vec(2, 1, vec![1.0, 0.5]));
                 let y = g.mul_col_broadcast(y, mask);
-                let y = g.relu(y);
                 g.mean_all(y)
             },
             1e-2,
@@ -851,10 +813,8 @@ mod tests {
             w,
             |g| {
                 let wv = g.param(w);
-                let left = g.slice_cols(wv, 0, 2);
-                let right = g.slice_cols(wv, 2, 4);
-                let cat = g.concat_cols(right, left);
-                let stacked = g.stack_rows(&[cat, wv]);
+                let cat = g.concat(&[(&wv, 2..4), (&wv, 0..2)]);
+                let stacked = g.gather(2, 4, [Row::Of(&cat, 0), Row::Of(&wv, 0)]);
                 let scaled = g.scale(stacked, 1.5);
                 g.sum_all(scaled)
             },
@@ -863,16 +823,15 @@ mod tests {
     }
 
     #[test]
-    fn transpose_and_mean_rows_gradient() {
+    fn mean_rows_gradient() {
         let mut store = ParamStore::new();
-        let w = seeded_param(&mut store, 2, 3, 7.0);
+        let w = seeded_param(&mut store, 3, 2, 7.0);
         check_gradient(
             &mut store,
             w,
             |g| {
                 let wv = g.param(w);
-                let t = g.transpose(wv);
-                let m = g.mean_rows(t);
+                let m = g.mean_rows(wv);
                 let sq = g.mul(m, m);
                 g.sum_all(sq)
             },
@@ -964,13 +923,11 @@ mod tests {
     }
 
     #[test]
-    fn reparameterize_with_zero_noise_is_identity_on_mu() {
+    fn sample_with_zero_noise_is_identity_on_mu() {
         let store = ParamStore::new();
         let mut g = Graph::new(&store);
-        let mu = g.constant(Tensor::row(vec![0.3, -0.7]));
-        let lv = g.constant(Tensor::row(vec![0.1, 0.2]));
-        let eps = g.constant(Tensor::zeros(1, 2));
-        let z = g.reparameterize(mu, lv, eps);
+        let h = g.constant(Tensor::row(vec![0.3, -0.7, 0.1, 0.2]));
+        let z = Exec::sample(&mut g, &h, 2, &[&[0.0, 0.0]]);
         assert_eq!(g.value(z).data(), &[0.3, -0.7]);
     }
 

@@ -1,36 +1,35 @@
-//! Tape-free inference fast path.
+//! One forward per model module, run by either of two executors.
 //!
-//! Training needs the autodiff tape in [`crate::graph`]; inference does not.
-//! MCTS planning calls the cost model hundreds of times per query inside a
-//! 200 ms budget, and on that path the tape is pure overhead: every op clones
-//! its output tensor into a graph node, allocates, and (in debug builds) runs
-//! finiteness asserts. This module gives each layer a `forward_inference`
-//! counterpart that computes values only, writing into tensors recycled
-//! through a [`ScratchArena`].
+//! A layer's forward is written once, generic over [`Exec`]: the training
+//! tape ([`crate::graph::Graph`], which records [`crate::graph::Var`]s for
+//! its backward) and the serving [`Scratch`] executor (which computes
+//! values only, into tensors recycled through a [`ScratchArena`], so a
+//! steady-state scoring loop allocates no tensor). Every op's value is one
+//! kernel function below, called by both executors: the packed GEMM with
+//! bias and activation in its epilogue, the LSTM gates of [`crate::act`],
+//! attention scores by the dispatched [`dot`]. So a forward gives the same
+//! bits on the tape and off it, on every ISA tier, and training fits the
+//! function that serving computes.
 //!
-//! Two deliberate differences from the tape path:
-//!
-//! * **No finiteness asserts.** A NaN produced here (e.g. by injected faults
-//!   or corrupted weights) flows through to the caller's `is_finite()` check
-//!   and triggers graceful degradation instead of a panic.
-//! * **Fused kernels.** Products run the tape's GEMM, [`gemm_packed`], but
-//!   with bias and activation fused into its epilogue; attention scores use
-//!   the dispatched [`dot`], and the SIMD tiers' activations are
-//!   polynomials. A `Linear` is bitwise the tape; a whole forward is
-//!   guaranteed to match it within 1e-5, not bitwise.
+//! The one deliberate difference: the scratch executor runs no finiteness
+//! asserts. A NaN produced while serving (injected faults, corrupted
+//! weights) flows through to the caller's `is_finite()` check and triggers
+//! graceful degradation instead of a panic.
 
-use crate::layers::{Activation, Linear, LstmCell, Mlp, MultiHeadCrossAttention};
+use crate::act::lstm_gates;
+use crate::layers::{Activation, LstmCell};
 use crate::pack::{gemm_packed, PackedGemm};
-use crate::params::ParamStore;
+use crate::params::{ParamId, ParamStore};
 use crate::tensor::{dot, Tensor};
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// A pool of `Tensor` allocations reused across inference calls.
 ///
 /// `take` hands out a zeroed tensor of the requested shape (recycling a
 /// previous allocation when one is available); `recycle` returns a tensor to
 /// the pool. The arena is deliberately dumb — a LIFO stack of buffers — which
-/// is enough to make the steady-state inference loop allocation-free.
+/// is enough that the steady-state inference loop allocates no tensor.
 #[derive(Default)]
 pub struct ScratchArena {
     pool: Vec<Tensor>,
@@ -93,229 +92,382 @@ pub fn softmax_rows_inplace(x: &mut Tensor) {
     }
 }
 
-impl Linear {
-    /// Tape-free `x·W + b` into a scratch tensor.
-    pub fn forward_inference(
-        &self,
-        store: &ParamStore,
-        x: &Tensor,
-        sc: &mut ScratchArena,
-    ) -> Tensor {
-        self.forward_inference_act(store, x, Activation::Identity, sc)
+/// One input row of [`Exec::gather`] or [`Exec::pool`]: row `.1` of a
+/// tensor of the forward, or a constant row from outside it (a memo
+/// entry), which takes no gradient.
+pub enum Row<'a, T> {
+    Of(&'a T, usize),
+    Const(&'a [f32]),
+}
+
+impl<T> Clone for Row<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Row<'_, T> {}
+
+/// The ops a model forward is written in. `T` is the executor's tensor
+/// handle; every op's value is computed by the same kernel in both
+/// executors, so a forward's bits do not depend on which one runs it.
+pub trait Exec {
+    /// A tensor of the forward: a tape node, or a scratch tensor.
+    type T;
+
+    /// The value behind a handle.
+    fn value<'a>(&'a self, t: &'a Self::T) -> &'a Tensor;
+
+    /// A constant input: a zeroed `rows x cols` tensor that `fill` writes.
+    fn constant(&mut self, rows: usize, cols: usize, fill: impl FnOnce(&mut Tensor)) -> Self::T;
+
+    /// `act(x·W + b)`: one packed GEMM with the bias and activation in its
+    /// epilogue.
+    ///
+    /// # Panics
+    /// If `x` is not as wide as `W` is tall.
+    fn linear(&mut self, x: &Self::T, w: ParamId, b: Option<ParamId>, act: Activation) -> Self::T;
+
+    /// One LSTM step of `cell` from state `(h, c)` on input `x`: two packed
+    /// GEMMs, then [`crate::act::lstm_gates`]. Returns the new `(h, c)`.
+    fn lstm_step(
+        &mut self,
+        cell: &LstmCell,
+        x: &Self::T,
+        h: &Self::T,
+        c: &Self::T,
+    ) -> (Self::T, Self::T);
+
+    /// The attention core of every head over `kn` plans of `n` keys each:
+    /// `q[h]` is `[kn, d]`, `k` and `v` are `[kn·n, heads·d]`, plan `p`'s
+    /// rows at `p·n..`, head `h` in columns `h·d..`. Scores are the
+    /// dispatched [`dot`] over `√d`, softmaxed per row, and each context is
+    /// a one-row GEMM over the plan's value block; returns `[kn, heads·d]`.
+    fn attend(&mut self, q: &[Self::T], k: &Self::T, v: &Self::T, n: usize) -> Self::T;
+
+    /// The `n` rows `rows` yields, `cols` wide, stacked.
+    fn gather<'a>(
+        &mut self,
+        n: usize,
+        cols: usize,
+        rows: impl IntoIterator<Item = Row<'a, Self::T>>,
+    ) -> Self::T
+    where
+        Self::T: 'a;
+
+    /// Weighted segment sums, scaled: output row `s` (of `[lens.len(),
+    /// cols]`) sums the next `lens[s]` rows in order from zero, each times
+    /// its weight (a row of weight 0 is skipped; no weights is weight 1),
+    /// then multiplies by `scales[s]`.
+    fn pool(
+        &mut self,
+        rows: &[Row<Self::T>],
+        weights: Option<&[f32]>,
+        lens: &[usize],
+        scales: &[f32],
+        cols: usize,
+    ) -> Self::T;
+
+    /// The column ranges of equally tall tensors, side by side.
+    fn concat(&mut self, parts: &[(&Self::T, Range<usize>)]) -> Self::T;
+
+    /// `a + b`, elementwise.
+    fn add(&mut self, a: &Self::T, b: &Self::T) -> Self::T;
+
+    /// The VAE's reparameterized draws from `h = [mu | raw logvar]`:
+    /// `eps[r]` holds row `r`'s draws, and output row `s·K + r` is
+    /// `mu + exp(0.5 · 8 · tanh(raw)) · eps_s`.
+    fn sample(&mut self, h: &Self::T, latent: usize, eps: &[&[f32]]) -> Self::T;
+
+    /// Hand back a tensor the forward no longer reads.
+    fn recycle(&mut self, t: Self::T);
+
+    /// The floats of `row`.
+    fn row<'a>(&'a self, row: Row<'a, Self::T>) -> &'a [f32] {
+        match row {
+            Row::Of(t, r) => self.value(t).row_slice(r),
+            Row::Const(data) => data,
+        }
+    }
+}
+
+/// The serving executor: values only, every tensor from `arena`.
+pub struct Scratch<'a> {
+    pub store: &'a ParamStore,
+    pub arena: &'a mut ScratchArena,
+}
+
+impl Exec for Scratch<'_> {
+    type T = Tensor;
+
+    fn value<'a>(&'a self, t: &'a Tensor) -> &'a Tensor {
+        t
     }
 
-    /// Tape-free `act(x·W + b)` through the panel-packed GEMM: bias and
-    /// activation are applied to the accumulator registers in the epilogue,
-    /// so the output is written exactly once.
-    pub fn forward_inference_act(
-        &self,
-        store: &ParamStore,
-        x: &Tensor,
-        act: Activation,
-        sc: &mut ScratchArena,
-    ) -> Tensor {
-        let mut y = sc.take(x.rows(), self.out_dim);
-        gemm_packed(
-            x.rows(),
-            x.data(),
-            store.packed(self.w),
-            false,
-            Some(store.value(self.b).data()),
-            act,
-            y.data_mut(),
-        );
+    fn constant(&mut self, rows: usize, cols: usize, fill: impl FnOnce(&mut Tensor)) -> Tensor {
+        let mut t = self.arena.take(rows, cols);
+        fill(&mut t);
+        t
+    }
+
+    fn linear(&mut self, x: &Tensor, w: ParamId, b: Option<ParamId>, act: Activation) -> Tensor {
+        let mut y = self.arena.take(x.rows(), self.store.value(w).cols());
+        linear_into(self.store, x, w, b, act, &mut y);
         y
     }
-}
 
-impl Mlp {
-    /// Tape-free MLP forward; each layer runs as a single fused
-    /// GEMM+bias+activation pass, intermediate activations are recycled.
-    pub fn forward_inference(
-        &self,
-        store: &ParamStore,
+    fn lstm_step(
+        &mut self,
+        cell: &LstmCell,
         x: &Tensor,
-        sc: &mut ScratchArena,
-    ) -> Tensor {
-        let last = self.layers.len() - 1;
-        let mut h: Option<Tensor> = None;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let act = if i == last { self.output_activation } else { self.hidden_activation };
-            let y = layer.forward_inference_act(store, h.as_ref().unwrap_or(x), act, sc);
-            if let Some(prev) = h.replace(y) {
-                sc.recycle(prev);
-            }
-        }
-        h.expect("MLP has layers")
-    }
-}
-
-/// Owned hidden/cell state for tape-free LSTM steps.
-pub struct LstmStateBuf {
-    pub h: Tensor,
-    pub c: Tensor,
-}
-
-impl LstmStateBuf {
-    /// Return both state tensors to the arena.
-    pub fn recycle(self, sc: &mut ScratchArena) {
-        sc.recycle(self.h);
-        sc.recycle(self.c);
-    }
-}
-
-impl LstmCell {
-    /// Zero initial state for `rows` sequences, drawn from the arena.
-    pub fn zero_state_buf(&self, rows: usize, sc: &mut ScratchArena) -> LstmStateBuf {
-        LstmStateBuf { h: sc.take(rows, self.hidden_dim), c: sc.take(rows, self.hidden_dim) }
-    }
-
-    /// One tape-free step. Gate math mirrors [`LstmCell::step`] exactly:
-    /// `i,f,g,o = split(x·W_ih + h·W_hh + b)`, `c' = σ(f)⊙c + σ(i)⊙tanh(g)`,
-    /// `h' = σ(o)⊙tanh(c')`.
-    pub fn step_inference(
-        &self,
-        store: &ParamStore,
-        x: &Tensor,
-        state: &LstmStateBuf,
-        sc: &mut ScratchArena,
-    ) -> LstmStateBuf {
-        debug_assert_eq!(x.cols(), self.input_dim, "LSTM input width mismatch");
-        let rows = x.rows();
-        let d = self.hidden_dim;
-        // Two packed GEMMs replace the old four passes (two products, an
-        // add, a bias broadcast): the second GEMM accumulates onto the first
-        // and folds the bias in through the epilogue.
-        let mut gates = sc.take(rows, 4 * d);
-        gemm_packed(
-            rows,
-            x.data(),
-            store.packed(self.w_ih),
-            false,
-            None,
-            Activation::Identity,
-            gates.data_mut(),
-        );
-        gemm_packed(
-            rows,
-            state.h.data(),
-            store.packed(self.w_hh),
-            true,
-            Some(store.value(self.bias).data()),
-            Activation::Identity,
-            gates.data_mut(),
-        );
-        let mut c = sc.take(rows, d);
-        let mut h = sc.take(rows, d);
-        crate::act::lstm_gates(rows, d, gates.data(), state.c.data(), c.data_mut(), h.data_mut());
-        sc.recycle(gates);
-        LstmStateBuf { h, c }
-    }
-}
-
-impl MultiHeadCrossAttention {
-    /// Tape-free key and value projections of `kv [rows, kv_dim]`, one GEMM
-    /// per head and side, **head-major**: row `h * rows + r` of each result
-    /// is row `r`'s head-`h` projection, `[heads * rows, head_dim]`.
-    ///
-    /// A projected row depends on its input row alone (the GEMM FP-order
-    /// contract), so the rows of one node can be projected once and reused
-    /// by every plan that contains the node.
-    pub fn project_kv_inference(
-        &self,
-        store: &ParamStore,
-        kv: &Tensor,
-        sc: &mut ScratchArena,
+        h: &Tensor,
+        c: &Tensor,
     ) -> (Tensor, Tensor) {
-        let (rows, d) = (kv.rows(), self.head_dim);
-        let mut keys = sc.take(self.heads * rows, d);
-        let mut values = sc.take(self.heads * rows, d);
-        let id = Activation::Identity;
-        for h in 0..self.heads {
-            let span = h * rows * d..(h + 1) * rows * d;
-            let kp = &mut keys.data_mut()[span.clone()];
-            gemm_packed(rows, kv.data(), store.packed(self.wk[h]), false, None, id, kp);
-            let vp = &mut values.data_mut()[span];
-            gemm_packed(rows, kv.data(), store.packed(self.wv[h]), false, None, id, vp);
-        }
-        (keys, values)
+        let (rows, d) = (x.rows(), cell.hidden_dim);
+        let mut gates = self.arena.take(rows, 4 * d);
+        let (mut h_out, mut c_out) = (self.arena.take(rows, d), self.arena.take(rows, d));
+        lstm_into(self.store, cell, x, h, c, &mut gates, &mut h_out, &mut c_out);
+        self.arena.recycle(gates);
+        (h_out, c_out)
     }
 
-    /// Tape-free attention over `kn` independent (query, kv-block) pairs
-    /// whose keys and values are already projected: `query [kn, q_dim]`,
-    /// `keys`/`values [heads * kn * n, head_dim]` head-major, plan `p`'s
-    /// head-`h` block at rows `(h * kn + p) * n ..` (the layout
-    /// [`Self::project_kv_inference`] returns for `kn * n` rows) →
-    /// `[kn, out_dim]`. One plan is `kn = 1`.
-    ///
-    /// The query projection runs as one GEMM over all plans; the per-plan
-    /// score/softmax/context ops are row-independent ([`dot`] for scores,
-    /// a one-row GEMM over the packed value block for the context), so row
-    /// `p` of the result is **bitwise identical** for every `kn` and every
-    /// partition of the plans into calls — the contract the batched scoring
-    /// path and the eval broker rely on.
-    pub fn forward_inference_kv(
-        &self,
-        store: &ParamStore,
-        query: &Tensor,
-        keys: &Tensor,
-        values: &Tensor,
+    fn attend(&mut self, q: &[Tensor], k: &Tensor, v: &Tensor, n: usize) -> Tensor {
+        let (kn, d) = (q[0].rows(), q[0].cols());
+        let mut probs = self.arena.take(q.len() * kn, n);
+        let mut out = self.arena.take(kn, q.len() * d);
+        attend_into(q, k, v, n, &mut probs, &mut out);
+        self.arena.recycle(probs);
+        out
+    }
+
+    fn gather<'a>(
+        &mut self,
         n: usize,
-        sc: &mut ScratchArena,
+        cols: usize,
+        rows: impl IntoIterator<Item = Row<'a, Tensor>>,
     ) -> Tensor {
-        let kn = query.rows();
-        let d = self.head_dim;
-        debug_assert_eq!(
-            keys.rows(),
-            self.heads * kn * n,
-            "keys must hold n rows per plan and head"
-        );
-        debug_assert_eq!(values.rows(), keys.rows(), "one value row per key row");
-        let scale = 1.0 / (d as f32).sqrt();
-        let mut cat = sc.take(kn, self.heads * d);
-        let mut q = sc.take(kn, d);
-        let mut scores = sc.take(kn, n);
-        let mut v_block = PackedGemm::default();
-        let id = Activation::Identity;
-        for h in 0..self.heads {
-            gemm_packed(kn, query.data(), store.packed(self.wq[h]), false, None, id, q.data_mut());
-            for p in 0..kn {
-                // scores[p][i] = (q_p · k_{p,i}) * scale.
-                let q_row = q.row_slice(p);
-                for i in 0..n {
-                    let s = dot(q_row, keys.row_slice((h * kn + p) * n + i)) * scale;
-                    scores.set(p, i, s);
-                }
-            }
-            softmax_rows_inplace(&mut scores);
-            for p in 0..kn {
-                // ctx_p = scores_p [1 x n] · v-block_p [n x d], written
-                // straight into this head's slice of `cat`.
-                let at = (h * kn + p) * n * d;
-                v_block.repack(n, d, &values.data()[at..at + n * d]);
-                let cat_seg = &mut cat.row_slice_mut(p)[h * d..(h + 1) * d];
-                gemm_packed(1, scores.row_slice(p), &v_block, false, None, id, cat_seg);
+        let mut out = self.arena.take(n, cols);
+        gather_into(rows.into_iter().map(|r| self.row(r)), &mut out);
+        out
+    }
+
+    fn pool(
+        &mut self,
+        rows: &[Row<Tensor>],
+        weights: Option<&[f32]>,
+        lens: &[usize],
+        scales: &[f32],
+        cols: usize,
+    ) -> Tensor {
+        let mut out = self.arena.take(lens.len(), cols);
+        pool_into(|i| self.row(rows[i]), weights, lens, scales, &mut out);
+        out
+    }
+
+    fn concat(&mut self, parts: &[(&Tensor, Range<usize>)]) -> Tensor {
+        let cols = parts.iter().map(|(_, r)| r.len()).sum();
+        let mut out = self.arena.take(parts[0].0.rows(), cols);
+        concat_into(parts.iter().map(|(t, r)| (*t, r.clone())), &mut out);
+        out
+    }
+
+    fn add(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = self.arena.take(a.rows(), a.cols());
+        out.data_mut().copy_from_slice(a.data());
+        out.add_assign(b);
+        out
+    }
+
+    fn sample(&mut self, h: &Tensor, latent: usize, eps: &[&[f32]]) -> Tensor {
+        let mut out = self.arena.take(eps.iter().map(|e| e.len()).sum::<usize>() / latent, latent);
+        sample_into(h, latent, eps, &mut out);
+        out
+    }
+
+    fn recycle(&mut self, t: Tensor) {
+        self.arena.recycle(t);
+    }
+}
+
+/// `act(x·W + b)` into `out` (`[x.rows, W.cols]`) through the packed GEMM,
+/// bias and activation applied in its epilogue.
+pub(crate) fn linear_into(
+    store: &ParamStore,
+    x: &Tensor,
+    w: ParamId,
+    b: Option<ParamId>,
+    act: Activation,
+    out: &mut Tensor,
+) {
+    let packed = store.packed(w);
+    assert_eq!(
+        x.cols(),
+        packed.k(),
+        "linear layer expects {} input features, got {}",
+        packed.k(),
+        x.cols()
+    );
+    let bias = b.map(|b| store.value(b).data());
+    gemm_packed(x.rows(), x.data(), packed, false, bias, act, out.data_mut());
+}
+
+/// One LSTM step: `gates = x·W_ih + h·W_hh + b` (`[rows, 4·d]`) as two
+/// packed GEMMs (the second accumulates onto the first and adds the bias
+/// in its epilogue), then [`lstm_gates`] writes `h_out` and `c_out`.
+#[allow(clippy::too_many_arguments)] // the step's three inputs, three outputs
+pub(crate) fn lstm_into(
+    store: &ParamStore,
+    cell: &LstmCell,
+    x: &Tensor,
+    h: &Tensor,
+    c: &Tensor,
+    gates: &mut Tensor,
+    h_out: &mut Tensor,
+    c_out: &mut Tensor,
+) {
+    assert_eq!(x.cols(), cell.input_dim, "LSTM input width mismatch");
+    let (rows, id) = (x.rows(), Activation::Identity);
+    gemm_packed(rows, x.data(), store.packed(cell.w_ih), false, None, id, gates.data_mut());
+    let bias = Some(store.value(cell.bias).data());
+    gemm_packed(rows, h.data(), store.packed(cell.w_hh), true, bias, id, gates.data_mut());
+    let d = cell.hidden_dim;
+    lstm_gates(rows, d, gates.data(), c.data(), c_out.data_mut(), h_out.data_mut());
+}
+
+/// The attention core: plan `p`'s head-`h` scores are `dot(q[h][p],
+/// k[p·n + i][h·d..(h + 1)·d]) / √d`, softmaxed into row `h·kn + p` of
+/// `probs` (`[heads·kn, n]`); its context is that row times the plan's
+/// `[n, d]` head-`h` block of `v`, a one-row GEMM over the repacked block,
+/// into `out[p, h·d..(h + 1)·d]` (`[kn, heads·d]`). Every op is
+/// row-independent, so plan `p`'s output is bitwise the same for any `kn`.
+///
+/// # Panics
+/// If the keys or values are not `[kn·n, heads·d]`.
+pub(crate) fn attend_into<Q: std::borrow::Borrow<Tensor>>(
+    q: &[Q],
+    k: &Tensor,
+    v: &Tensor,
+    n: usize,
+    probs: &mut Tensor,
+    out: &mut Tensor,
+) {
+    let (kn, d, hd) = (q[0].borrow().rows(), q[0].borrow().cols(), q.len() * q[0].borrow().cols());
+    assert_eq!(k.shape(), (kn * n, hd), "keys must hold n rows per plan, every head's");
+    assert_eq!(v.shape(), k.shape(), "one value row per key row");
+    let scale = 1.0 / (d as f32).sqrt();
+    for (h, qh) in q.iter().enumerate() {
+        for p in 0..kn {
+            let q_row = qh.borrow().row_slice(p);
+            let scores = probs.row_slice_mut(h * kn + p);
+            for (i, s) in scores.iter_mut().enumerate() {
+                *s = dot(q_row, &k.row_slice(p * n + i)[h * d..(h + 1) * d]) * scale;
             }
         }
-        sc.recycle(q);
-        sc.recycle(scores);
-        let out = self.out.forward_inference(store, &cat, sc);
-        sc.recycle(cat);
-        out
+    }
+    softmax_rows_inplace(probs);
+    let mut block = PackedGemm::default();
+    for h in 0..q.len() {
+        for p in 0..kn {
+            let at = p * n * hd + h * d;
+            block.repack_strided(n, d, &v.data()[at..at + (n - 1) * hd + d], hd);
+            let ctx = &mut out.row_slice_mut(p)[h * d..(h + 1) * d];
+            gemm_packed(
+                1,
+                probs.row_slice(h * kn + p),
+                &block,
+                false,
+                None,
+                Activation::Identity,
+                ctx,
+            );
+        }
+    }
+}
+
+/// Row `i` of `out` is the `i`-th of `rows`.
+///
+/// # Panics
+/// If `rows` does not yield one row per row of `out`.
+pub(crate) fn gather_into<'r>(rows: impl IntoIterator<Item = &'r [f32]>, out: &mut Tensor) {
+    let mut n = 0;
+    for (i, row) in rows.into_iter().enumerate() {
+        out.row_slice_mut(i).copy_from_slice(row);
+        n += 1;
+    }
+    assert_eq!(n, out.rows(), "gather: one row per output row");
+}
+
+/// Output row `s` sums the next `lens[s]` input rows in order from zero,
+/// each times its weight (a row of weight 0 is skipped; no weights is
+/// weight 1), then scales the sum by `scales[s]`. An empty segment is zero.
+pub(crate) fn pool_into<'r>(
+    row: impl Fn(usize) -> &'r [f32],
+    weights: Option<&[f32]>,
+    lens: &[usize],
+    scales: &[f32],
+    out: &mut Tensor,
+) {
+    let mut at = 0;
+    for (s, &len) in lens.iter().enumerate() {
+        let o = out.row_slice_mut(s);
+        for r in at..at + len {
+            match weights.map(|w| w[r]) {
+                None => o.iter_mut().zip(row(r)).for_each(|(a, v)| *a += v),
+                Some(0.0) => {}
+                Some(w) => o.iter_mut().zip(row(r)).for_each(|(a, v)| *a += v * w),
+            }
+        }
+        o.iter_mut().for_each(|a| *a *= scales[s]);
+        at += len;
+    }
+}
+
+/// The column ranges of `parts`, side by side, into `out`.
+pub(crate) fn concat_into<'t>(
+    parts: impl Iterator<Item = (&'t Tensor, Range<usize>)>,
+    out: &mut Tensor,
+) {
+    let mut at = 0;
+    for (t, cols) in parts {
+        let w = cols.len();
+        for r in 0..out.rows() {
+            out.row_slice_mut(r)[at..at + w].copy_from_slice(&t.row_slice(r)[cols.clone()]);
+        }
+        at += w;
+    }
+}
+
+/// The VAE's reparameterization: `h [K, 2·latent]` holds each row's mean
+/// and raw log-variance, and `eps[r]` row `r`'s `S` standard-normal draws
+/// (`S·latent` floats, the same `S` for every row). Output row `s·K + r`
+/// (sample-major) is `mu + exp(0.5 · logvar) · eps_s` with the soft-bounded
+/// `logvar = 8 · tanh(raw)`.
+pub(crate) fn sample_into(h: &Tensor, latent: usize, eps: &[&[f32]], out: &mut Tensor) {
+    let k = h.rows();
+    assert_eq!(eps.len(), k, "one eps block per row");
+    for (r, eps_r) in eps.iter().enumerate() {
+        assert_eq!(eps_r.len() * k, out.len(), "eps blocks must agree on sample count");
+        let hr = h.row_slice(r);
+        for (si, er) in eps_r.chunks(latent).enumerate() {
+            let zr = out.row_slice_mut(si * k + r);
+            for j in 0..latent {
+                let mu = hr[j];
+                let logvar = 8.0 * hr[latent + j].tanh();
+                zr[j] = mu + (0.5 * logvar).exp() * er[j];
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
+    use crate::graph::{Graph, Var};
     use crate::init::Initializer;
+    use crate::layers::{Linear, LstmState, Mlp, MultiHeadCrossAttention};
 
-    fn close(a: &[f32], b: &[f32], tol: f32) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert!((x - y).abs() < tol, "fast path diverged: {x} vs {y}");
-        }
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -342,17 +494,17 @@ mod tests {
 
         let mut g = Graph::new(&store);
         let xv = g.constant(x.clone());
-        let tape = m.forward(&mut g, xv);
+        let tape = m.forward(&mut g, &xv);
 
         let mut sc = ScratchArena::new();
-        let fast = m.forward_inference(&store, &x, &mut sc);
-        close(fast.data(), g.value(tape).data(), 1e-5);
+        let fast = m.forward(&mut Scratch { store: &store, arena: &mut sc }, &x);
+        assert_eq!(bits(&fast), bits(g.value(tape)));
     }
 
-    /// The tape's `x·W` and the fast path's run the same packed GEMM over
-    /// the same packed weight, and both add the bias once after it, so a
-    /// `Linear` agrees bit for bit on every tier — across row-tile, panel
-    /// and column-tail remainders, with planted zeros for the sparse skip.
+    /// A `Linear` runs one packed GEMM with bias and activation in its
+    /// epilogue on both executors — across row-tile, panel and column-tail
+    /// remainders, with planted zeros for the sparse skip — and the tape's
+    /// value is bitwise the unfused `x·W`, then `+ b`.
     #[test]
     fn tape_linear_is_bitwise_the_fast_path() {
         for (m, k, n) in [(1, 7, 5), (3, 33, 31), (5, 64, 40), (9, 17, 96), (16, 182, 384)] {
@@ -368,10 +520,20 @@ mod tests {
 
             let mut g = Graph::new(&store);
             let xv = g.constant(x.clone());
-            let tape = l.forward(&mut g, xv);
-            let fast = l.forward_inference(&store, &x, &mut ScratchArena::new());
-            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let tape = l.forward(&mut g, &xv, Activation::Identity);
+            let mut unfused = x.matmul(store.value(l.w));
+            for r in 0..m {
+                unfused
+                    .row_slice_mut(r)
+                    .iter_mut()
+                    .zip(store.value(l.b).data())
+                    .for_each(|(y, b)| *y += b);
+            }
+            let mut sc = ScratchArena::new();
+            let fast =
+                l.forward(&mut Scratch { store: &store, arena: &mut sc }, &x, Activation::Identity);
             assert_eq!(bits(g.value(tape)), bits(&fast), "{m}x{k}x{n}");
+            assert_eq!(bits(&unfused), bits(&fast), "{m}x{k}x{n} unfused");
         }
     }
 
@@ -386,16 +548,24 @@ mod tests {
         let mut g = Graph::new(&store);
         let s0 = cell.zero_state(&mut g, 2);
         let x1v = g.constant(x1.clone());
-        let s1 = cell.step(&mut g, x1v, s0);
+        let s1 = cell.step(&mut g, &x1v, &s0);
         let x2v = g.constant(x2.clone());
-        let s2 = cell.step(&mut g, x2v, s1);
+        let s2 = cell.step(&mut g, &x2v, &s1);
 
         let mut sc = ScratchArena::new();
-        let b0 = cell.zero_state_buf(2, &mut sc);
-        let b1 = cell.step_inference(&store, &x1, &b0, &mut sc);
-        let b2 = cell.step_inference(&store, &x2, &b1, &mut sc);
-        close(b2.h.data(), g.value(s2.h).data(), 1e-5);
-        close(b2.c.data(), g.value(s2.c).data(), 1e-5);
+        let e = &mut Scratch { store: &store, arena: &mut sc };
+        let b0 = cell.zero_state(e, 2);
+        let b1 = cell.step(e, &x1, &b0);
+        let b2: LstmState<Tensor> = cell.step(e, &x2, &b1);
+        assert_eq!(bits(&b2.h), bits(g.value(s2.h)));
+        assert_eq!(bits(&b2.c), bits(g.value(s2.c)));
+    }
+
+    /// Plans `lo..hi`'s rows of a `[kn·n, cols]` tensor: what a caller
+    /// gathers for a sub-batch.
+    fn plans(t: &Tensor, n: usize, lo: usize, hi: usize) -> Tensor {
+        let d = t.cols();
+        Tensor::from_vec((hi - lo) * n, d, t.data()[lo * n * d..hi * n * d].to_vec())
     }
 
     #[test]
@@ -403,29 +573,19 @@ mod tests {
         let mut store = ParamStore::new();
         let mut init = Initializer::new(13);
         let attn = MultiHeadCrossAttention::new(&mut store, &mut init, "a", 8, 6, 4, 5, 10);
-        let q = Initializer::new(3).normal(1, 8, 1.0);
-        let kv = Initializer::new(4).normal(3, 6, 1.0);
+        let q = Initializer::new(3).normal(2, 8, 1.0);
+        let kv = Initializer::new(4).normal(6, 6, 1.0);
 
         let mut g = Graph::new(&store);
-        let qv = g.constant(q.clone());
-        let kvv = g.constant(kv.clone());
-        let (tape, _scores) = attn.forward_rows(&mut g, qv, kvv, &[vec![0, 1, 2]]);
+        let (qv, kvv) = (g.constant(q.clone()), g.constant(kv.clone()));
+        let (keys, values): (Var, Var) = attn.project(&mut g, &kvv);
+        let tape = attn.forward(&mut g, &qv, &keys, &values, 3);
 
         let mut sc = ScratchArena::new();
-        let (keys, values) = attn.project_kv_inference(&store, &kv, &mut sc);
-        let fast = attn.forward_inference_kv(&store, &q, &keys, &values, 3, &mut sc);
-        close(fast.data(), g.value(tape).data(), 1e-5);
-    }
-
-    /// The head-major rows of plans `lo..hi` out of a `[heads * kn * n, d]`
-    /// projection: what a caller gathers for a sub-batch.
-    fn gather(all: &Tensor, heads: usize, kn: usize, n: usize, lo: usize, hi: usize) -> Tensor {
-        let d = all.cols();
-        let mut out = Vec::with_capacity(heads * (hi - lo) * n * d);
-        for h in 0..heads {
-            out.extend_from_slice(&all.data()[(h * kn + lo) * n * d..(h * kn + hi) * n * d]);
-        }
-        Tensor::from_vec(heads * (hi - lo) * n, d, out)
+        let e = &mut Scratch { store: &store, arena: &mut sc };
+        let (keys, values) = attn.project(e, &kv);
+        let fast = attn.forward(e, &q, &keys, &values, 3);
+        assert_eq!(bits(&fast), bits(g.value(tape)));
     }
 
     /// K plans in one call ≡ K one-plan calls ≡ any partition into calls,
@@ -442,30 +602,25 @@ mod tests {
             let query = Initializer::new(kn as u64).normal(kn, 8, 1.0);
             let kv_all = Initializer::new(100 + kn as u64).normal(kn * n, 6, 1.0);
             let mut sc = ScratchArena::new();
-            let (keys, values) = attn.project_kv_inference(&store, &kv_all, &mut sc);
-            assert_eq!(keys.shape(), (4 * kn * n, 5));
-            let whole = attn.forward_inference_kv(&store, &query, &keys, &values, n, &mut sc);
+            let e = &mut Scratch { store: &store, arena: &mut sc };
+            let (keys, values) = attn.project(e, &kv_all);
+            assert_eq!(keys.shape(), (kn * n, 4 * 5));
+            let whole = attn.forward(e, &query, &keys, &values, n);
             assert_eq!(whole.shape(), (kn, 10));
             // Chunk sizes 1 (one-plan calls) and 2 (a ragged partition).
             for chunk in [1usize, 2] {
                 for lo in (0..kn).step_by(chunk) {
                     let hi = (lo + chunk).min(kn);
                     let q = Tensor::from_vec(hi - lo, 8, query.data()[lo * 8..hi * 8].to_vec());
-                    let (k, v) =
-                        (gather(&keys, 4, kn, n, lo, hi), gather(&values, 4, kn, n, lo, hi));
-                    let kv = Tensor::from_vec(
-                        (hi - lo) * n,
-                        6,
-                        kv_all.data()[lo * n * 6..hi * n * 6].to_vec(),
-                    );
-                    let (k_own, v_own) = attn.project_kv_inference(&store, &kv, &mut sc);
-                    assert_eq!(k.data(), k_own.data(), "a projected key row depends on its batch");
+                    let (k, v) = (plans(&keys, n, lo, hi), plans(&values, n, lo, hi));
+                    let (k_own, v_own) = attn.project(e, &plans(&kv_all, n, lo, hi));
+                    assert_eq!(bits(&k), bits(&k_own), "a projected key row depends on its batch");
                     assert_eq!(
-                        v.data(),
-                        v_own.data(),
+                        bits(&v),
+                        bits(&v_own),
                         "a projected value row depends on its batch"
                     );
-                    let part = attn.forward_inference_kv(&store, &q, &k, &v, n, &mut sc);
+                    let part = attn.forward(e, &q, &k, &v, n);
                     for p in lo..hi {
                         assert_eq!(
                             whole.row_slice(p),
@@ -473,7 +628,6 @@ mod tests {
                             "plan {p} of {kn} differs when scored in chunks of {chunk}"
                         );
                     }
-                    sc.recycle(part);
                 }
             }
         }
@@ -497,7 +651,7 @@ mod tests {
         store.value_mut(wid).data_mut()[0] = f32::NAN;
         let x = Tensor::ones(1, 3);
         let mut sc = ScratchArena::new();
-        let y = m.forward_inference(&store, &x, &mut sc);
+        let y = m.forward(&mut Scratch { store: &store, arena: &mut sc }, &x);
         assert!(y.data().iter().any(|v| v.is_nan()), "NaN should propagate, not panic");
     }
 }

@@ -1,12 +1,15 @@
 //! Reusable layers: linear, MLP, LSTM cell, multi-head cross-attention.
 //!
 //! A layer owns only [`ParamId`]s; the actual weights live in the shared
-//! [`ParamStore`]. `forward` records ops onto the caller's [`Graph`], which
-//! reads them from the store it borrows.
+//! [`ParamStore`]. Its one forward is generic over an [`Exec`]: the
+//! training tape records it, the serving scratch executor just computes it,
+//! with the same kernels.
 
-use crate::graph::{Graph, Var};
+use crate::graph::Var;
+use crate::infer::Exec;
 use crate::init::Initializer;
 use crate::params::{ParamId, ParamStore};
+use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Activation functions available to [`Mlp`].
@@ -19,18 +22,8 @@ pub enum Activation {
     Identity,
 }
 
-impl Activation {
-    pub fn apply(self, g: &mut Graph, x: Var) -> Var {
-        match self {
-            Activation::Relu => g.relu(x),
-            Activation::Tanh => g.tanh(x),
-            Activation::Sigmoid => g.sigmoid(x),
-            Activation::Identity => x,
-        }
-    }
-}
-
-/// Fully-connected layer `y = x·W + b` with `W: [in, out]`, `b: [1, out]`.
+/// Fully-connected layer `y = act(x·W + b)` with `W: [in, out]`,
+/// `b: [1, out]`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Linear {
     pub w: ParamId,
@@ -48,23 +41,13 @@ impl Linear {
         out_dim: usize,
     ) -> Self {
         let w = store.register(format!("{name}.weight"), init.xavier(in_dim, out_dim));
-        let b = store.register(format!("{name}.bias"), crate::tensor::Tensor::zeros(1, out_dim));
+        let b = store.register(format!("{name}.bias"), Tensor::zeros(1, out_dim));
         Self { w, b, in_dim, out_dim }
     }
 
-    /// `x: [batch, in_dim] -> [batch, out_dim]`.
-    pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
-        assert_eq!(
-            g.value(x).cols(),
-            self.in_dim,
-            "linear layer expects {} input features, got {}",
-            self.in_dim,
-            g.value(x).cols()
-        );
-        let w = g.param(self.w);
-        let b = g.param(self.b);
-        let y = g.matmul(x, w);
-        g.add_row_broadcast(y, b)
+    /// `x: [batch, in_dim] -> act(x·W + b): [batch, out_dim]`.
+    pub fn forward<E: Exec>(&self, e: &mut E, x: &E::T, act: Activation) -> E::T {
+        e.linear(x, self.w, Some(self.b), act)
     }
 }
 
@@ -104,18 +87,19 @@ impl Mlp {
         self.layers.last().expect("MLP has layers").out_dim
     }
 
-    pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
+    /// Each layer one fused GEMM + bias + activation; the intermediate
+    /// activations go back to the executor.
+    pub fn forward<E: Exec>(&self, e: &mut E, x: &E::T) -> E::T {
         let last = self.layers.len() - 1;
-        let mut h = x;
+        let mut h: Option<E::T> = None;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(g, h);
-            h = if i == last {
-                self.output_activation.apply(g, h)
-            } else {
-                self.hidden_activation.apply(g, h)
-            };
+            let act = if i == last { self.output_activation } else { self.hidden_activation };
+            let y = layer.forward(e, h.as_ref().unwrap_or(x), act);
+            if let Some(prev) = h.replace(y) {
+                e.recycle(prev);
+            }
         }
-        h
+        h.expect("MLP has layers")
     }
 }
 
@@ -134,11 +118,11 @@ pub struct LstmCell {
     pub hidden_dim: usize,
 }
 
-/// Hidden and cell state handles for one LSTM step.
+/// Hidden and cell state of one LSTM step, as tape nodes or tensors.
 #[derive(Debug, Clone, Copy)]
-pub struct LstmState {
-    pub h: Var,
-    pub c: Var,
+pub struct LstmState<T = Var> {
+    pub h: T,
+    pub c: T,
 }
 
 impl LstmCell {
@@ -152,7 +136,7 @@ impl LstmCell {
         let w_ih = store.register(format!("{name}.w_ih"), init.xavier(input_dim, 4 * hidden_dim));
         let w_hh = store.register(format!("{name}.w_hh"), init.xavier(hidden_dim, 4 * hidden_dim));
         // Forget-gate bias starts at 1.0 (standard trick: do not forget early).
-        let mut b = crate::tensor::Tensor::zeros(1, 4 * hidden_dim);
+        let mut b = Tensor::zeros(1, 4 * hidden_dim);
         for i in hidden_dim..2 * hidden_dim {
             b.set(0, i, 1.0);
         }
@@ -161,43 +145,22 @@ impl LstmCell {
     }
 
     /// Zero initial state for a batch of `rows` sequences.
-    pub fn zero_state(&self, g: &mut Graph, rows: usize) -> LstmState {
-        let h = g.constant(crate::tensor::Tensor::zeros(rows, self.hidden_dim));
-        let c = g.constant(crate::tensor::Tensor::zeros(rows, self.hidden_dim));
+    pub fn zero_state<E: Exec>(&self, e: &mut E, rows: usize) -> LstmState<E::T> {
+        let h = e.constant(rows, self.hidden_dim, |_| {});
+        let c = e.constant(rows, self.hidden_dim, |_| {});
         LstmState { h, c }
     }
 
-    /// One step: `x: [batch, input_dim]`, returns updated state.
-    pub fn step(&self, g: &mut Graph, x: Var, state: LstmState) -> LstmState {
-        assert_eq!(g.value(x).cols(), self.input_dim, "LSTM input width mismatch");
-        let w_ih = g.param(self.w_ih);
-        let w_hh = g.param(self.w_hh);
-        let b = g.param(self.bias);
-        let xw = g.matmul(x, w_ih);
-        let hw = g.matmul(state.h, w_hh);
-        let gates = g.add(xw, hw);
-        let gates = g.add_row_broadcast(gates, b);
-        let d = self.hidden_dim;
-        let i_g = g.slice_cols(gates, 0, d);
-        let f_g = g.slice_cols(gates, d, 2 * d);
-        let g_g = g.slice_cols(gates, 2 * d, 3 * d);
-        let o_g = g.slice_cols(gates, 3 * d, 4 * d);
-        let i_g = g.sigmoid(i_g);
-        let f_g = g.sigmoid(f_g);
-        let g_g = g.tanh(g_g);
-        let o_g = g.sigmoid(o_g);
-        let fc = g.mul(f_g, state.c);
-        let ig = g.mul(i_g, g_g);
-        let c = g.add(fc, ig);
-        let ct = g.tanh(c);
-        let h = g.mul(o_g, ct);
+    /// One step: `x: [batch, input_dim]`, returns the updated state.
+    pub fn step<E: Exec>(&self, e: &mut E, x: &E::T, state: &LstmState<E::T>) -> LstmState<E::T> {
+        let (h, c) = e.lstm_step(self, x, &state.h, &state.c);
         LstmState { h, c }
     }
 }
 
 /// Multi-head cross-attention (paper §4.3, "QPAttention").
 ///
-/// Projects a `[1, q_dim]` query embedding and `[n, kv_dim]` plan-node
+/// Projects `[1, q_dim]` query embeddings and `[n, kv_dim]` plan-node
 /// embeddings into a shared `head_dim` latent space per head, computes
 /// `softmax(QKᵀ/√d)·V`, concatenates heads and maps through a dense output
 /// layer of width `out_dim`.
@@ -237,60 +200,51 @@ impl MultiHeadCrossAttention {
         Self { wq, wk, wv, out, heads, head_dim, q_dim, kv_dim }
     }
 
-    /// `queries: [P, q_dim]`, `kv: [N, kv_dim]` → `[P, out_dim]`, query `p`
-    /// attending over the kv rows `members[p]`, in that order. Each head
-    /// projects every query, key and value row in one matmul; only the
-    /// score, softmax and context ops run per query. Every op is
-    /// row-independent, so row `p` is bitwise the same for any other
-    /// queries alongside it.
-    ///
-    /// Also returns each query's per-head score rows (`[1, members[p].len()]`).
-    ///
-    /// # Panics
-    /// Panics if `members` does not hold one non-empty row list per query.
-    pub fn forward_rows(
+    /// The key and value projections of `kv [rows, kv_dim]`, every head's
+    /// side by side: `[rows, heads·head_dim]` each, head `h` in columns
+    /// `h·head_dim..`. A projected row depends on its input row alone (the
+    /// GEMM's FP-order contract), so a node's rows can be projected once
+    /// and reused by every plan that contains the node.
+    pub fn project<E: Exec>(&self, e: &mut E, kv: &E::T) -> (E::T, E::T) {
+        let proj = |e: &mut E, w: &[ParamId]| {
+            let heads: Vec<E::T> =
+                w.iter().map(|&w| e.linear(kv, w, None, Activation::Identity)).collect();
+            let all = e.concat(&heads.iter().map(|t| (t, 0..self.head_dim)).collect::<Vec<_>>());
+            heads.into_iter().for_each(|t| e.recycle(t));
+            all
+        };
+        (proj(e, &self.wk), proj(e, &self.wv))
+    }
+
+    /// `query [kn, q_dim]` over `kn` plans of `n` nodes each, whose keys and
+    /// values are already projected ([`Self::project`]) and gathered,
+    /// `[kn·n, heads·head_dim]` with plan `p`'s rows at `p·n..` →
+    /// `[kn, out_dim]`. Row `p` is bitwise the same for every `kn` and every
+    /// partition of the plans into calls — the contract the batched scoring
+    /// path and the eval broker rely on.
+    pub fn forward<E: Exec>(
         &self,
-        g: &mut Graph,
-        queries: Var,
-        kv: Var,
-        members: &[Vec<usize>],
-    ) -> (Var, Vec<Vec<Var>>) {
-        assert_eq!(g.value(queries).rows(), members.len(), "one member list per query");
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut heads: Vec<Vec<Var>> = vec![Vec::with_capacity(self.heads); members.len()];
-        let mut scores: Vec<Vec<Var>> = vec![Vec::with_capacity(self.heads); members.len()];
-        for h in 0..self.heads {
-            let wq = g.param(self.wq[h]);
-            let wk = g.param(self.wk[h]);
-            let wv = g.param(self.wv[h]);
-            let q_all = g.matmul(queries, wq); // [P, d]
-            let k_all = g.matmul(kv, wk); // [N, d]
-            let v_all = g.matmul(kv, wv); // [N, d]
-            for (p, rows) in members.iter().enumerate() {
-                assert!(!rows.is_empty(), "query {p} attends over no rows");
-                let q = g.gather_rows(&[(q_all, p)]); // [1, d]
-                let k_rows: Vec<(Var, usize)> = rows.iter().map(|&r| (k_all, r)).collect();
-                let v_rows: Vec<(Var, usize)> = rows.iter().map(|&r| (v_all, r)).collect();
-                let k = g.gather_rows(&k_rows); // [n, d]
-                let v = g.gather_rows(&v_rows); // [n, d]
-                let kt = g.transpose(k); // [d, n]
-                let s = g.matmul(q, kt); // [1, n]
-                let s = g.scale(s, scale);
-                let attn = g.softmax_rows(s); // [1, n]
-                heads[p].push(g.matmul(attn, v)); // [1, d]
-                scores[p].push(attn);
-            }
-        }
-        let cats: Vec<Var> = heads.iter().map(|hs| g.concat_cols_all(hs)).collect();
-        let cat = g.stack_rows(&cats);
-        (self.out.forward(g, cat), scores)
+        e: &mut E,
+        query: &E::T,
+        keys: &E::T,
+        values: &E::T,
+        n: usize,
+    ) -> E::T {
+        let id = Activation::Identity;
+        let q: Vec<E::T> = self.wq.iter().map(|&w| e.linear(query, w, None, id)).collect();
+        let cat = e.attend(&q, keys, values, n);
+        q.into_iter().for_each(|t| e.recycle(t));
+        let out = self.out.forward(e, &cat, id);
+        e.recycle(cat);
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tensor::Tensor;
+    use crate::graph::Graph;
+    use crate::infer::Row;
 
     fn setup() -> (ParamStore, Initializer) {
         (ParamStore::new(), Initializer::new(42))
@@ -302,7 +256,7 @@ mod tests {
         let l = Linear::new(&mut store, &mut init, "l", 3, 5);
         let mut g = Graph::new(&store);
         let x = g.constant(Tensor::zeros(4, 3));
-        let y = l.forward(&mut g, x);
+        let y = l.forward(&mut g, &x, Activation::Identity);
         assert_eq!(g.value(y).shape(), (4, 5));
     }
 
@@ -313,7 +267,7 @@ mod tests {
         let l = Linear::new(&mut store, &mut init, "l", 3, 5);
         let mut g = Graph::new(&store);
         let x = g.constant(Tensor::zeros(4, 2));
-        l.forward(&mut g, x);
+        l.forward(&mut g, &x, Activation::Identity);
     }
 
     #[test]
@@ -331,7 +285,7 @@ mod tests {
         assert_eq!(m.layers.len(), 6);
         let mut g = Graph::new(&store);
         let x = g.constant(Tensor::zeros(2, 16));
-        let y = m.forward(&mut g, x);
+        let y = m.forward(&mut g, &x);
         assert_eq!(g.value(y).shape(), (2, 256));
     }
 
@@ -357,7 +311,7 @@ mod tests {
             let mut g = Graph::new(&store);
             let x = g.constant(xs.clone());
             let t = g.constant(ys.clone());
-            let p = m.forward(&mut g, x);
+            let p = m.forward(&mut g, &x);
             let loss = g.mse(p, t);
             let (loss, grads) = g.backward(loss);
             last = loss;
@@ -374,13 +328,13 @@ mod tests {
         let mut g = Graph::new(&store);
         let s0 = cell.zero_state(&mut g, 2);
         let x = g.constant(Tensor::ones(2, 6));
-        let s1 = cell.step(&mut g, x, s0);
+        let s1 = cell.step(&mut g, &x, &s0);
         assert_eq!(g.value(s1.h).shape(), (2, 4));
         assert_eq!(g.value(s1.c).shape(), (2, 4));
         // State must actually change.
         assert!(g.value(s1.h).norm() > 0.0);
         let x2 = g.constant(Tensor::ones(2, 6));
-        let s2 = cell.step(&mut g, x2, s1);
+        let s2 = cell.step(&mut g, &x2, &s1);
         assert_ne!(g.value(s1.h).data(), g.value(s2.h).data());
     }
 
@@ -392,9 +346,9 @@ mod tests {
         let mut g = Graph::new(&store);
         let s0 = cell.zero_state(&mut g, 1);
         let x = g.constant(Tensor::row(vec![0.5, -0.3, 0.8]));
-        let s1 = cell.step(&mut g, x, s0);
+        let s1 = cell.step(&mut g, &x, &s0);
         let x2 = g.constant(Tensor::row(vec![-0.1, 0.4, 0.2]));
-        let s2 = cell.step(&mut g, x2, s1);
+        let s2 = cell.step(&mut g, &x2, &s1);
         let loss = g.sum_all(s2.h);
         let (_, grads) = g.backward(loss);
         grads.merge_into(&mut store);
@@ -403,53 +357,68 @@ mod tests {
         assert!(store.grad(cell.bias).norm() > 0.0);
     }
 
+    /// `attn` over `q` (one row per plan), plan `p` attending over the kv
+    /// rows `members[p]` (all of one length), on the tape.
+    fn attend(
+        attn: &MultiHeadCrossAttention,
+        g: &mut Graph,
+        q: &Tensor,
+        kv: &Tensor,
+        members: &[Vec<usize>],
+    ) -> Var {
+        let (qv, kvv) = (g.constant(q.clone()), g.constant(kv.clone()));
+        let (keys, values) = attn.project(g, &kvv);
+        let pick = |g: &mut Graph, t: &Var| -> Var {
+            let rows = members.iter().flatten().map(|&r| Row::Of(t, r));
+            g.gather(members.iter().flatten().count(), attn.heads * attn.head_dim, rows)
+        };
+        let (keys, values) = (pick(g, &keys), pick(g, &values));
+        attn.forward(g, &qv, &keys, &values, members[0].len())
+    }
+
     #[test]
-    fn attention_shapes_and_scores_sum_to_one() {
+    fn attention_shapes() {
         let (mut store, mut init) = setup();
         let attn = MultiHeadCrossAttention::new(&mut store, &mut init, "qp", 8, 6, 4, 5, 10);
         let mut g = Graph::new(&store);
-        let q = g.constant(Initializer::new(1).normal(1, 8, 1.0));
-        let kv = g.constant(Initializer::new(2).normal(3, 6, 1.0));
-        let (out, mut scores) = attn.forward_rows(&mut g, q, kv, &[vec![0, 1, 2]]);
+        let q = Initializer::new(1).normal(1, 8, 1.0);
+        let kv = Initializer::new(2).normal(3, 6, 1.0);
+        let out = attend(&attn, &mut g, &q, &kv, &[vec![0, 1, 2]]);
         assert_eq!(g.value(out).shape(), (1, 10));
-        let scores = scores.pop().expect("one query");
-        assert_eq!(scores.len(), 4);
-        for s in scores {
-            let row = g.value(s);
-            assert_eq!(row.shape(), (1, 3));
-            assert!((row.sum() - 1.0).abs() < 1e-5);
-        }
     }
 
     /// Queries attending over their own kv rows in one call get bitwise
     /// what each gets alone over just its rows, and their gradients pass
-    /// finite differences.
+    /// finite differences; for three-node and for single-node members (one
+    /// call groups members of one length).
     #[test]
     fn attention_rows_are_bitwise_one_query_calls() {
         let (mut store, mut init) = setup();
         let attn = MultiHeadCrossAttention::new(&mut store, &mut init, "qp", 4, 5, 2, 3, 6);
         let q = Initializer::new(5).normal(3, 4, 1.0);
         let kv = Initializer::new(6).normal(6, 5, 1.0);
-        let members = vec![vec![0, 1, 2], vec![3], vec![5, 4, 0]];
-        let mut g = Graph::new(&store);
-        let (qv, kvv) = (g.constant(q.clone()), g.constant(kv.clone()));
-        let (all, _) = attn.forward_rows(&mut g, qv, kvv, &members);
-        for (p, rows) in members.iter().enumerate() {
-            let mut one = Graph::new(&store);
-            let qp = one.constant(Tensor::row(q.row_slice(p).to_vec()));
-            let picked: Vec<f32> = rows.iter().flat_map(|&r| kv.row_slice(r).to_vec()).collect();
-            let kvp = one.constant(Tensor::from_vec(rows.len(), 5, picked));
-            let (out, _) = attn.forward_rows(&mut one, qp, kvp, &[(0..rows.len()).collect()]);
-            assert_eq!(g.value(all).row_slice(p), one.value(out).data(), "query {p}");
-        }
-        for id in [attn.wq[1], attn.wk[0], attn.wv[1], attn.out.w] {
-            let report = crate::gradcheck::check_gradient(&mut store, id, 1e-2, |g| {
-                let (qv, kvv) = (g.constant(q.clone()), g.constant(kv.clone()));
-                let (out, _) = attn.forward_rows(g, qv, kvv, &members);
-                let sq = g.mul(out, out);
-                g.sum_all(sq)
-            });
-            assert!(report.passes(2e-2), "{}: {report:?}", store.get(id).name);
+        for members in
+            [vec![vec![0, 1, 2], vec![3, 3, 1], vec![5, 4, 0]], vec![vec![3], vec![1], vec![4]]]
+        {
+            let mut g = Graph::new(&store);
+            let all = attend(&attn, &mut g, &q, &kv, &members);
+            for (p, rows) in members.iter().enumerate() {
+                let mut one = Graph::new(&store);
+                let qp = Tensor::row(q.row_slice(p).to_vec());
+                let picked: Vec<f32> =
+                    rows.iter().flat_map(|&r| kv.row_slice(r).to_vec()).collect();
+                let kvp = Tensor::from_vec(rows.len(), 5, picked);
+                let out = attend(&attn, &mut one, &qp, &kvp, &[(0..rows.len()).collect()]);
+                assert_eq!(g.value(all).row_slice(p), one.value(out).data(), "query {p}");
+            }
+            for id in [attn.wq[1], attn.wk[0], attn.wv[1], attn.out.w] {
+                let report = crate::gradcheck::check_gradient(&mut store, id, 1e-2, |g| {
+                    let out = attend(&attn, g, &q, &kv, &members);
+                    let sq = g.mul(out, out);
+                    g.sum_all(sq)
+                });
+                assert!(report.passes(2e-2), "{}: {report:?}", store.get(id).name);
+            }
         }
     }
 
@@ -459,9 +428,9 @@ mod tests {
         let attn = MultiHeadCrossAttention::new(&mut store, &mut init, "qp", 4, 4, 2, 3, 6);
         store.zero_grads();
         let mut g = Graph::new(&store);
-        let q = g.constant(Initializer::new(3).normal(1, 4, 1.0));
-        let kv = g.constant(Initializer::new(4).normal(5, 4, 1.0));
-        let (out, _) = attn.forward_rows(&mut g, q, kv, &[(0..5).collect()]);
+        let q = Initializer::new(3).normal(1, 4, 1.0);
+        let kv = Initializer::new(4).normal(5, 4, 1.0);
+        let out = attend(&attn, &mut g, &q, &kv, &[(0..5).collect()]);
         let loss = g.sum_all(out);
         let (_, grads) = g.backward(loss);
         grads.merge_into(&mut store);

@@ -9,6 +9,8 @@
 //!   query plans are trees of varying shape) over a borrowed `ParamStore`,
 //! * [`params::ParamStore`] — persistent parameters addressed by stable ids,
 //! * [`layers`] — `Linear`, `Mlp`, `LstmCell`, `MultiHeadCrossAttention`,
+//!   each with one forward over an [`infer::Exec`]utor: the tape, or the
+//!   serving executor, which allocates no tensor in steady state,
 //! * [`optim`] — `Adam`,
 //! * [`init::Initializer`] — seeded deterministic weight init.
 //!
@@ -27,7 +29,7 @@
 //!     let mut g = Graph::new(&store);
 //!     let x = g.constant(Tensor::from_vec(4, 2, vec![0.,0., 0.,1., 1.,0., 1.,1.]));
 //!     let t = g.constant(Tensor::from_vec(4, 1, vec![0., 1., 1., 2.]));
-//!     let y = mlp.forward(&mut g, x);
+//!     let y = mlp.forward(&mut g, &x);
 //!     let loss = g.mse(y, t);
 //!     let (_, grads) = g.backward(loss);
 //!     grads.merge_into(&mut store);
@@ -51,7 +53,7 @@ pub mod tensor;
 pub mod prelude {
     pub use crate::gradcheck::{check_gradient, GradCheckReport};
     pub use crate::graph::{Graph, Var};
-    pub use crate::infer::{with_thread_scratch, LstmStateBuf, ScratchArena};
+    pub use crate::infer::{with_thread_scratch, Exec, Row, Scratch, ScratchArena};
     pub use crate::init::Initializer;
     pub use crate::isa::Isa;
     pub use crate::layers::{

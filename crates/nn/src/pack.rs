@@ -1,7 +1,8 @@
 //! Panel-packed matrices and the fused-epilogue GEMM that consumes them:
-//! the crate's one GEMM. Every matrix product runs here — the inference
-//! layers, the training tape's `x·W` (over the store's packed weights) and
-//! its activation-by-activation products (packed on the spot).
+//! the crate's one GEMM. Every matrix product runs here — each layer's
+//! `x·W` on either executor (over the store's packed weights), attention's
+//! context products, and the tape's backward products (packed on the
+//! spot).
 //!
 //! The inference hot loop multiplies small activation matrices (`m` = 1..16
 //! rows) against the *same* weight matrices thousands of times per query. Two
@@ -88,6 +89,12 @@ impl PackedGemm {
     /// Panics if `src.len() != k * n`.
     pub fn repack(&mut self, k: usize, n: usize, src: &[f32]) {
         assert_eq!(src.len(), k * n, "PackedGemm::repack: source is not {k}x{n}");
+        self.repack_strided(k, n, src, n);
+    }
+
+    /// [`Self::repack`] of a `[k x n]` matrix whose row `kk` is
+    /// `src[kk·stride..kk·stride + n]`: a column block of a wider matrix.
+    pub(crate) fn repack_strided(&mut self, k: usize, n: usize, src: &[f32], stride: usize) {
         let np = n.div_ceil(NR);
         self.k = k;
         self.n = n;
@@ -98,8 +105,8 @@ impl PackedGemm {
             let cols = NR.min(n - p * NR);
             let dst = &mut panels[p * k * NR..(p + 1) * k * NR];
             for kk in 0..k {
-                dst[kk * NR..kk * NR + cols]
-                    .copy_from_slice(&src[kk * n + p * NR..kk * n + p * NR + cols]);
+                let at = kk * stride + p * NR;
+                dst[kk * NR..kk * NR + cols].copy_from_slice(&src[at..at + cols]);
             }
         }
     }
@@ -195,17 +202,6 @@ pub fn gemm_packed_force(
     }
 }
 
-/// Scalar epilogue: the libm expressions of the portable tier.
-#[inline]
-fn act_scalar(act: Activation, v: f32) -> f32 {
-    match act {
-        Activation::Identity => v,
-        Activation::Relu => v.max(0.0),
-        Activation::Tanh => v.tanh(),
-        Activation::Sigmoid => crate::act::sigmoid_scalar(v),
-    }
-}
-
 fn gemm_packed_scalar(
     m: usize,
     a: &[f32],
@@ -245,7 +241,7 @@ fn gemm_packed_scalar(
                 if let Some(b) = bias {
                     v += b[col];
                 }
-                o_row[col] = act_scalar(act, v);
+                o_row[col] = crate::act::act_scalar(act, v);
             }
         }
     }
@@ -657,7 +653,7 @@ mod tests {
                 if let Some(b) = bias {
                     v += b[j];
                 }
-                out[i * n + j] = act_scalar(act, v);
+                out[i * n + j] = crate::act::act_scalar(act, v);
             }
         }
     }

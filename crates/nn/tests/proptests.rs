@@ -1,6 +1,7 @@
 //! Property-based tests for the tensor and autograd layers.
 
 use proptest::prelude::*;
+use qpseeker_nn::isa::{self, Isa};
 use qpseeker_nn::pack::{gemm_packed_force, PackedGemm};
 use qpseeker_nn::prelude::*;
 use qpseeker_nn::tensor::{dot, dot_force};
@@ -151,11 +152,8 @@ proptest! {
     /// Softmax rows always sum to 1 and are positive, regardless of input scale.
     #[test]
     fn softmax_rows_is_a_distribution(t in tensor(3, 5), scale in 0.1f32..20.0) {
-        let store = ParamStore::new();
-        let mut g = Graph::new(&store);
-        let x = g.constant(t.map(|v| v * scale));
-        let y = g.softmax_rows(x);
-        let out = g.value(y);
+        let mut out = t.map(|v| v * scale);
+        qpseeker_nn::infer::softmax_rows_inplace(&mut out);
         for r in 0..out.rows() {
             let row = out.row_slice(r);
             let sum: f32 = row.iter().sum();
@@ -174,7 +172,7 @@ proptest! {
 
         let mut g = Graph::new(&store);
         let xv = g.constant(x.clone());
-        let y = layer.forward(&mut g, xv);
+        let y = layer.forward(&mut g, &xv, Activation::Identity);
         let sq = g.mul(y, y);
         let loss = g.mean_all(sq);
         let analytic = g.backward(loss).1.get(layer.w).expect("w is on the tape").clone();
@@ -185,7 +183,7 @@ proptest! {
             let eval = |store: &ParamStore| {
                 let mut g = Graph::new(store);
                 let xv = g.constant(x.clone());
-                let y = layer.forward(&mut g, xv);
+                let y = layer.forward(&mut g, &xv, Activation::Identity);
                 let sq = g.mul(y, y);
                 let loss = g.mean_all(sq);
                 g.value(loss).get(0, 0)
@@ -202,17 +200,18 @@ proptest! {
         }
     }
 
-    /// Reparameterized samples have roughly the statistics N(mu, sigma²).
+    /// The VAE's draws have roughly the statistics N(mu, sigma²), with the
+    /// log-variance soft-bounded as `8 · tanh(raw)`.
     #[test]
     fn reparameterization_statistics(mu in -1.0f32..1.0, logvar in -1.0f32..1.0) {
         let n = 4000;
         let mut init = Initializer::new(99);
         let store = ParamStore::new();
         let mut g = Graph::new(&store);
-        let muv = g.constant(Tensor::filled(n, 1, mu));
-        let lv = g.constant(Tensor::filled(n, 1, logvar));
-        let eps = g.constant(init.standard_normal(n, 1));
-        let z = g.reparameterize(muv, lv, eps);
+        let raw = (logvar / 8.0).atanh();
+        let h = g.constant(Tensor::row(vec![mu, raw]));
+        let eps = init.standard_normal(n, 1);
+        let z = Exec::sample(&mut g, &h, 1, &[eps.data()]);
         let vals = g.value(z);
         let mean = vals.mean();
         let var = vals.data().iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n as f32;
@@ -221,14 +220,16 @@ proptest! {
             "var {} vs sigma² {}", var, logvar.exp());
     }
 
-    /// stack_rows ∘ slice recovers the original parts (graph shape ops are lossless).
+    /// Gathering every row of two tensors recovers them (graph shape ops are
+    /// lossless).
     #[test]
     fn stack_then_split_roundtrip(a in tensor(2, 3), b in tensor(3, 3)) {
         let store = ParamStore::new();
         let mut g = Graph::new(&store);
         let av = g.constant(a.clone());
         let bv = g.constant(b.clone());
-        let s = g.stack_rows(&[av, bv]);
+        let rows = (0..2).map(|r| Row::Of(&av, r)).chain((0..3).map(|r| Row::Of(&bv, r)));
+        let s = g.gather(5, 3, rows);
         let out = g.value(s);
         prop_assert_eq!(out.rows(), 5);
         for r in 0..2 {
@@ -408,10 +409,10 @@ proptest! {
 
     /// Tape oracle for a shared weight. One weight read `k` times (as the
     /// plan LSTM reads its cell once per level), under one- and
-    /// multi-row left-hand sides, next to one matmul whose right-hand side
-    /// is not a parameter, gets bitwise the gradient of the same graph with
-    /// one parameter per use, those summed in reverse use order: what the
-    /// tape computed when every leaf held its own copy of the weight.
+    /// multi-row left-hand sides, with the first and last use coupled in the
+    /// loss, gets bitwise the gradient of the same graph with one parameter
+    /// per use, those summed in reverse use order: what the tape computed
+    /// when every leaf held its own copy of the weight.
     #[test]
     fn shared_weight_gradient_is_bitwise_the_per_use_sum(
         d in 1usize..6,
@@ -434,17 +435,15 @@ proptest! {
                     Some(&prev) if rows[u - 1] == rows[u] => g.tanh(prev),
                     _ => g.constant(inputs[u].clone()),
                 };
-                let wv = g.param(ids[u]);
-                let y = g.matmul(lhs, wv);
+                let y = g.linear(&lhs, ids[u], None, Activation::Identity);
                 let c = g.constant(coefs[u].clone());
                 let t = g.mul(y, c);
                 let t = g.sum_all(t);
                 loss = g.add(loss, t);
                 ys.push(y);
             }
-            let y0t = g.transpose(ys[0]);
-            let q = g.matmul(ys[k - 1], y0t);
-            let q = g.sum_all(q);
+            let (first, last) = (g.sum_all(ys[0]), g.sum_all(ys[k - 1]));
+            let q = g.mul(first, last);
             let loss = g.add(loss, q);
             g.backward(loss).1
         };
@@ -467,61 +466,98 @@ proptest! {
     }
 }
 
-/// Raw row picks for `gather_rows` from two sources: `(from_b, row)`, the
-/// row taken modulo its source's height, repeats allowed.
-fn picks() -> impl Strategy<Value = Vec<(bool, usize)>> {
-    proptest::collection::vec((prop::bool::ANY, 0usize..64), 1..9)
+/// Raw row picks for `gather` from two sources and a constant row:
+/// `(source, row)` with source 0, 1 or 2 (the constant), the row taken
+/// modulo its source's height, repeats allowed.
+fn picks() -> impl Strategy<Value = Vec<(usize, usize)>> {
+    proptest::collection::vec((0usize..3, 0usize..64), 1..9)
 }
+
+/// `value` equals `want` bit for bit on the scalar tier, and within 1e-5
+/// relative on the AVX tiers, whose activation polynomial is not libm.
+fn tier_close(value: &Tensor, want: &Tensor) -> Result<(), String> {
+    prop_assert_eq!(value.shape(), want.shape());
+    for (a, b) in value.data().iter().zip(want.data()) {
+        if isa::active() == Isa::Scalar {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "{} vs {}", a, b);
+        } else {
+            prop_assert!((a - b).abs() <= 1e-5 * (1.0 + b.abs()), "{} vs {}", a, b);
+        }
+    }
+    Ok(())
+}
+
+/// `act(v)` by the libm expressions, the scalar tier's.
+fn libm(act: Activation, v: f32) -> f32 {
+    match act {
+        Activation::Identity => v,
+        Activation::Relu => v.max(0.0),
+        Activation::Tanh => v.tanh(),
+        Activation::Sigmoid => 1.0 / (1.0 + (-v).exp()),
+    }
+}
+
+/// `sum(tanh(y) ⊙ coef)`: a loss that weights every output differently.
+fn weighted_loss(g: &mut Graph, y: Var, coef: &Tensor) -> Var {
+    let t = g.tanh(y);
+    let c = g.constant(coef.clone());
+    let y = g.mul(t, c);
+    g.sum_all(y)
+}
+
+const ACTS: [Activation; 4] =
+    [Activation::Identity, Activation::Relu, Activation::Tanh, Activation::Sigmoid];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `gather_rows` copies each picked source row; its scatter-add
-    /// backward matches finite differences for both sources, with rows
-    /// picked several times or not at all.
+    /// `gather` copies each picked row — a variable's or a constant's —
+    /// and its scatter-add backward matches finite differences for both
+    /// variables, with rows picked several times or not at all.
     #[test]
-    fn gather_rows_values_and_gradcheck(
+    fn gather_values_and_gradcheck(
         (ra, rb, cols) in (1usize..4, 1usize..4, 1usize..5),
         seed in 0u64..1000,
         raw in picks(),
     ) {
-        let rows: Vec<(bool, usize)> =
-            raw.iter().map(|&(b, r)| (b, if b { r % rb } else { r % ra })).collect();
+        let height = [ra, rb, 1];
+        let rows: Vec<(usize, usize)> = raw.iter().map(|&(s, r)| (s, r % height[s])).collect();
         let mut store = ParamStore::new();
         let mut init = Initializer::new(seed);
         let a = store.register("a", init.normal(ra, cols, 1.0));
         let b = store.register("b", init.normal(rb, cols, 1.0));
+        let fixed = init.normal(1, cols, 1.0);
         let coef = init.normal(rows.len(), cols, 1.0);
-        let build = |g: &mut Graph| {
+        let gathered = |g: &mut Graph| {
             let (av, bv) = (g.param(a), g.param(b));
-            let picked: Vec<(Var, usize)> =
-                rows.iter().map(|&(from_b, r)| (if from_b { bv } else { av }, r)).collect();
-            let x = g.gather_rows(&picked);
-            let t = g.tanh(x);
-            let c = g.constant(coef.clone());
-            let y = g.mul(t, c);
-            g.sum_all(y)
+            let picked = rows.iter().map(|&pick| match pick {
+                (0, r) => Row::Of(&av, r),
+                (1, r) => Row::Of(&bv, r),
+                _ => Row::Const(fixed.data()),
+            });
+            g.gather(rows.len(), cols, picked)
         };
         let mut g = Graph::new(&store);
-        let (av, bv) = (g.param(a), g.param(b));
-        let picked: Vec<(Var, usize)> =
-            rows.iter().map(|&(from_b, r)| (if from_b { bv } else { av }, r)).collect();
-        let x = g.gather_rows(&picked);
-        for (i, &(from_b, r)) in rows.iter().enumerate() {
-            let src = store.value(if from_b { b } else { a });
+        let x = gathered(&mut g);
+        for (i, &(s, r)) in rows.iter().enumerate() {
+            let src = [store.value(a), store.value(b), &fixed][s];
             prop_assert_eq!(g.value(x).row_slice(i), src.row_slice(r));
         }
         for id in [a, b] {
-            let report = check_gradient(&mut store, id, 1e-2, build);
+            let report = check_gradient(&mut store, id, 1e-2, |g| {
+                let x = gathered(g);
+                weighted_loss(g, x, &coef)
+            });
             prop_assert!(report.passes(2e-2), "{:?}", report);
         }
     }
 
-    /// `segment_sum` row `s` is bitwise `sum_rows` of segment `s` alone and
-    /// `segment_mean` is that sum scaled by `1 / len` (zero for an empty
-    /// segment); both backwards match finite differences.
+    /// `pool` row `s` is bitwise a plain loop over segment `s`: the sum of
+    /// `w_r·x_r` in row order from zero, then times `scales[s]` (zero for an
+    /// empty segment), unweighted and unscaled, as a mean, and weighted and
+    /// scaled. The backward matches finite differences.
     #[test]
-    fn segment_sum_and_mean_values_and_gradcheck(
+    fn pool_values_and_gradcheck(
         lens in proptest::collection::vec(0usize..4, 1..5),
         cols in 1usize..5,
         seed in 0u64..1000,
@@ -534,42 +570,226 @@ proptest! {
         let mut init = Initializer::new(seed);
         let x = store.register("x", init.normal(n, cols, 1.0));
         let coef = init.normal(lens.len(), cols, 1.0);
-        let mut g = Graph::new(&store);
-        let xv = g.param(x);
-        let sum = g.segment_sum(xv, &lens);
-        let mean = g.segment_mean(xv, &lens);
-        let mut row = 0;
-        for (s, &len) in lens.iter().enumerate() {
-            let want = if len == 0 {
-                Tensor::zeros(1, cols)
-            } else {
-                let seg = Tensor::from_vec(
-                    len,
-                    cols,
-                    store.value(x).data()[row * cols..(row + len) * cols].to_vec(),
-                );
-                let mut h = Graph::new(&store);
-                let sv = h.constant(seg);
-                let sv = h.sum_rows(sv);
-                h.value(sv).clone()
-            };
-            let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(g.value(sum).row_slice(s)), bits(want.data()));
-            let inv = 1.0 / len.max(1) as f32;
-            let scaled: Vec<f32> = want.data().iter().map(|v| v * inv).collect();
-            prop_assert_eq!(bits(g.value(mean).row_slice(s)), bits(&scaled));
-            row += len;
+        // Every third row weighs nothing.
+        let weights: Vec<f32> = (0..n).map(|r| if r % 3 == 2 { 0.0 } else { 0.5 + r as f32 }).collect();
+        let scales: Vec<f32> = lens.iter().map(|&l| 1.0 / l.max(1) as f32).collect();
+        let ones = vec![1.0; lens.len()];
+        let pooled = |g: &mut Graph, w: Option<&[f32]>, scales: &[f32]| {
+            let xv = g.param(x);
+            let rows: Vec<Row<Var>> = (0..n).map(|r| Row::Of(&xv, r)).collect();
+            g.pool(&rows, w, &lens, scales, cols)
+        };
+        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let xs = store.value(x);
+        for (w, sc) in [(None, &ones), (None, &scales), (Some(&weights[..]), &scales)] {
+            let mut g = Graph::new(&store);
+            let got = pooled(&mut g, w, sc);
+            let mut row = 0;
+            for (s, &len) in lens.iter().enumerate() {
+                let mut want = vec![0.0f32; cols];
+                for r in row..row + len {
+                    let wr = w.map_or(1.0, |w| w[r]);
+                    for (a, v) in want.iter_mut().zip(xs.row_slice(r)) {
+                        *a += v * wr;
+                    }
+                }
+                want.iter_mut().for_each(|a| *a *= sc[s]);
+                prop_assert_eq!(bits(g.value(got).row_slice(s)), bits(&want), "segment {}", s);
+                row += len;
+            }
         }
         let report = check_gradient(&mut store, x, 1e-2, |g| {
-            let xv = g.param(x);
-            let m = g.segment_mean(xv, &lens);
-            let t = g.tanh(m);
-            let c = g.constant(coef.clone());
-            let y = g.mul(t, c);
-            let s = g.segment_sum(xv, &lens);
-            let sq = g.mul(s, s);
-            let y = g.add(y, sq);
-            g.sum_all(y)
+            let m = pooled(g, Some(&weights), &scales);
+            weighted_loss(g, m, &coef)
+        });
+        prop_assert!(report.passes(2e-2), "{:?}", report);
+    }
+
+    /// The fused `linear` against the ops it replaces, `act(x·W + b)` as a
+    /// matmul, a bias broadcast and the activation; its gradients against
+    /// finite differences.
+    #[test]
+    fn fused_linear_matches_composition_and_gradcheck(
+        (rows, i, o) in small_dims(),
+        act in 0usize..4,
+        seed in 0u64..500,
+    ) {
+        let act = ACTS[act];
+        let mut store = ParamStore::new();
+        let mut init = Initializer::new(seed);
+        let layer = Linear::new(&mut store, &mut init, "l", i, o);
+        *store.value_mut(layer.b) = init.normal(1, o, 0.5);
+        let x = store.register("x", init.normal(rows, i, 1.0));
+        let coef = init.normal(rows, o, 1.0);
+        let mut g = Graph::new(&store);
+        let xv = g.param(x);
+        let fused = layer.forward(&mut g, &xv, act);
+        let mut y = store.value(x).matmul(store.value(layer.w));
+        for r in 0..rows {
+            let b = store.value(layer.b).data();
+            y.row_slice_mut(r).iter_mut().zip(b).for_each(|(y, b)| *y = libm(act, *y + b));
+        }
+        tier_close(g.value(fused), &y)?;
+        for id in [layer.w, layer.b, x] {
+            let report = check_gradient(&mut store, id, 1e-2, |g| {
+                let xv = g.param(x);
+                let y = layer.forward(g, &xv, act);
+                weighted_loss(g, y, &coef)
+            });
+            // A relu kink inside the finite difference's step is not a fault.
+            prop_assert!(act == Activation::Relu || report.passes(2e-2), "{:?}", report);
+        }
+    }
+
+    /// Two fused `lstm_step`s against the ops they replace (two matmuls, an
+    /// add, a bias broadcast, four gate slices, the activations and the
+    /// cell update); gradients into every weight and the initial state
+    /// against finite differences.
+    #[test]
+    fn fused_lstm_step_matches_composition_and_gradcheck(
+        (rows, i, d) in small_dims(),
+        seed in 0u64..500,
+    ) {
+        let mut store = ParamStore::new();
+        let mut init = Initializer::new(seed);
+        let cell = LstmCell::new(&mut store, &mut init, "l", i, d);
+        let (h0, c0) = (store.register("h0", init.normal(rows, d, 1.0)), store.register("c0", init.normal(rows, d, 1.0)));
+        let xs = [init.normal(rows, i, 1.0), init.normal(rows, i, 1.0)];
+        let coef = init.normal(rows, 2 * d, 1.0);
+        let fused = |g: &mut Graph| {
+            let mut s = LstmState { h: g.param(h0), c: g.param(c0) };
+            for x in &xs {
+                let xv = g.constant(x.clone());
+                s = cell.step(g, &xv, &s);
+            }
+            s
+        };
+        let mut g = Graph::new(&store);
+        let got = fused(&mut g);
+        let (mut h, mut c) = (store.value(h0).clone(), store.value(c0).clone());
+        for x in &xs {
+            // gates = (x·W_ih + h·W_hh) + b, then the libm gate expressions.
+            let mut gates = x.matmul(store.value(cell.w_ih));
+            gates.add_assign(&h.matmul(store.value(cell.w_hh)));
+            for r in 0..rows {
+                let b = store.value(cell.bias).data();
+                gates.row_slice_mut(r).iter_mut().zip(b).for_each(|(v, b)| *v += b);
+                for j in 0..d {
+                    let gate = |k: usize| gates.get(r, k * d + j);
+                    let (ig, fg) = (libm(Activation::Sigmoid, gate(0)), libm(Activation::Sigmoid, gate(1)));
+                    let (gg, og) = (gate(2).tanh(), libm(Activation::Sigmoid, gate(3)));
+                    let cv = fg * c.get(r, j) + ig * gg;
+                    c.set(r, j, cv);
+                    h.set(r, j, og * cv.tanh());
+                }
+            }
+        }
+        tier_close(g.value(got.h), &h)?;
+        tier_close(g.value(got.c), &c)?;
+        for id in [cell.w_ih, cell.w_hh, cell.bias, h0, c0] {
+            let report = check_gradient(&mut store, id, 1e-2, |g| {
+                let s = fused(g);
+                let hc = g.concat(&[(&s.h, 0..d), (&s.c, 0..d)]);
+                weighted_loss(g, hc, &coef)
+            });
+            prop_assert!(report.passes(2e-2), "{}: {:?}", store.get(id).name, report);
+        }
+    }
+
+    /// The fused attention core against the ops it replaces, per plan and
+    /// head `softmax(q·Kᵀ / √d)·V` as matmuls (within 1e-5: the scores'
+    /// `dot` sums in another order than a matmul); gradients into the
+    /// queries, keys and values against finite differences.
+    #[test]
+    fn fused_attention_matches_composition_and_gradcheck(
+        (kn, n, d) in small_dims(),
+        heads in 1usize..3,
+        seed in 0u64..500,
+    ) {
+        let mut store = ParamStore::new();
+        let mut init = Initializer::new(seed);
+        let mut reg = |name: String, rows: usize| store.register(name, init.normal(rows, d, 1.0));
+        let q: Vec<ParamId> = (0..heads).map(|h| reg(format!("q{h}"), kn)).collect();
+        let mut reg = |name: &str| store.register(name, init.normal(kn * n, heads * d, 1.0));
+        let (k, v) = (reg("k"), reg("v"));
+        let coef = init.normal(kn, heads * d, 1.0);
+        let fused = |g: &mut Graph| {
+            let qv: Vec<Var> = q.iter().map(|&id| g.param(id)).collect();
+            let (kv, vv) = (g.param(k), g.param(v));
+            g.attend(&qv, &kv, &vv, n)
+        };
+        let mut g = Graph::new(&store);
+        let got = fused(&mut g);
+        for p in 0..kn {
+            for (h, &qh) in q.iter().enumerate() {
+                // Rows `rows` of a parameter, its columns `at..at + d`.
+                let block = |id: ParamId, rows: std::ops::Range<usize>, at: usize| {
+                    let t = store.value(id);
+                    let data = rows.clone().flat_map(|r| t.row_slice(r)[at..at + d].to_vec());
+                    Tensor::from_vec(rows.len(), d, data.collect())
+                };
+                let (kp, vp) = (block(k, p * n..(p + 1) * n, h * d), block(v, p * n..(p + 1) * n, h * d));
+                let scores = block(qh, p..p + 1, 0).matmul(&kp.transposed());
+                let mut s = scores.map(|x| x / (d as f32).sqrt());
+                qpseeker_nn::infer::softmax_rows_inplace(&mut s);
+                let want = s.matmul(&vp);
+                let want = want.data();
+                let row = &g.value(got).row_slice(p)[h * d..(h + 1) * d];
+                for (x, y) in row.iter().zip(want) {
+                    prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()), "plan {} head {}: {} vs {}", p, h, x, y);
+                }
+            }
+        }
+        for id in q.iter().chain([&k, &v]) {
+            let report = check_gradient(&mut store, *id, 1e-2, |g| {
+                let y = fused(g);
+                weighted_loss(g, y, &coef)
+            });
+            prop_assert!(report.passes(2e-2), "{}: {:?}", store.get(*id).name, report);
+        }
+    }
+
+    /// The VAE's `sample` against the ops it replaces, `mu + eps ⊙
+    /// exp(0.5 · 8 · tanh(raw))` (bitwise on every tier: both are libm), with
+    /// two draws per row, sample-major; its gradient against finite
+    /// differences.
+    #[test]
+    fn fused_sample_matches_composition_and_gradcheck(
+        (rows, latent) in (1usize..4, 1usize..4),
+        seed in 0u64..500,
+    ) {
+        let mut store = ParamStore::new();
+        let mut init = Initializer::new(seed);
+        let h = store.register("h", init.normal(rows, 2 * latent, 1.0));
+        let eps: Vec<Tensor> = (0..rows).map(|_| init.standard_normal(2, latent)).collect();
+        let coef = init.normal(2 * rows, latent, 1.0);
+        let sampled = |g: &mut Graph| {
+            let hv = g.param(h);
+            let eps: Vec<&[f32]> = eps.iter().map(Tensor::data).collect();
+            g.sample(&hv, latent, &eps)
+        };
+        let mut g = Graph::new(&store);
+        let got = sampled(&mut g);
+        let hv = g.param(h);
+        let mu = g.concat(&[(&hv, 0..latent)]);
+        let raw = g.concat(&[(&hv, latent..2 * latent)]);
+        let t = g.tanh(raw);
+        let logvar = g.scale(t, 8.0);
+        let half = g.scale(logvar, 0.5);
+        let std = g.exp(half);
+        for s in 0..2 {
+            let e = eps.iter().flat_map(|t| t.row_slice(s).to_vec()).collect();
+            let e = g.constant(Tensor::from_vec(rows, latent, e));
+            let noise = g.mul(e, std);
+            let z = g.add(mu, noise);
+            for r in 0..rows {
+                let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(g.value(got).row_slice(s * rows + r)), bits(g.value(z).row_slice(r)));
+            }
+        }
+        let report = check_gradient(&mut store, h, 1e-2, |g| {
+            let z = sampled(g);
+            weighted_loss(g, z, &coef)
         });
         prop_assert!(report.passes(2e-2), "{:?}", report);
     }
@@ -588,9 +808,9 @@ fn lstm_chain_sharing_one_cell_passes_gradcheck() {
             let mut s = cell.zero_state(g, 1);
             for x in &xs {
                 let xv = g.constant(x.clone());
-                s = cell.step(g, xv, s);
+                s = cell.step(g, &xv, &s);
             }
-            let hc = g.concat_cols(s.h, s.c);
+            let hc = g.concat(&[(&s.h, 0..2), (&s.c, 0..2)]);
             let sq = g.mul(hc, hc);
             g.sum_all(sq)
         });

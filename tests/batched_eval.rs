@@ -9,8 +9,9 @@
 //! The same holds across calls: a query context memoizes every subtree it
 //! has encoded, and a memo hit must be bitwise what encoding the subtree
 //! again would give. This file property-tests both promises, checks the
-//! memoized path against the independent autodiff tape, and checks the
-//! memo's byte budget on a long search.
+//! memoized, batched serving path bit for bit against the training
+//! path (the same forward on the autodiff tape, over fresh rows only),
+//! and checks the memo's byte budget on a long search.
 
 mod common;
 
@@ -227,21 +228,18 @@ fn plan_pool(q: &Query, seed: u64) -> Vec<PlanNode> {
     pool
 }
 
-fn assert_near_tape(model: &QPSeeker, q: &Query, plan: &PlanNode, got: Prediction, what: &str) {
+/// `got` is bitwise what the training path predicts for `plan`.
+fn assert_tape_bits(model: &QPSeeker, q: &Query, plan: &PlanNode, got: Prediction, what: &str) {
     let tape = model.predict_tape(q, plan);
-    for (name, a, b) in [
-        ("cardinality", got.cardinality, tape.cardinality),
-        ("cost", got.cost, tape.cost),
-        ("runtime_ms", got.runtime_ms, tape.runtime_ms),
-    ] {
-        assert!((a - b).abs() <= 1e-5 * (1.0 + b.abs()), "{what} {name}: scored {a} vs tape {b}");
-    }
+    let bits = |p: Prediction| [p.cardinality, p.cost, p.runtime_ms].map(f64::to_bits);
+    assert_eq!(bits(got), bits(tape), "{what}: scored {got:?} vs tape {tape:?}");
 }
 
-/// An oracle the scoring path does not share: on an 8-relation grown
+/// The serving path against the training path, which shares its
+/// forward but no memo, batching or K/V reuse: on an 8-relation grown
 /// query, 64 random candidates scored in batches through one warm context,
 /// and the plans MCTS and beam search serve (re-scored through that
-/// context), all predict within 1e-5 of the autodiff tape.
+/// context), all predict bitwise what the autodiff tape does.
 #[test]
 fn warm_context_predictions_match_the_tape() {
     let model = shared_model();
@@ -256,7 +254,7 @@ fn warm_context_predictions_match_the_tape() {
         let refs: Vec<&PlanNode> = chunk.iter().collect();
         model.predict_batch_with_context_in(&mut feat, &query, &refs, &mut ctx, &mut preds);
         for (plan, &p) in chunk.iter().zip(&preds) {
-            assert_near_tape(model, &query, plan, p, "candidate");
+            assert_tape_bits(model, &query, plan, p, "candidate");
         }
     }
     let cfg = MctsConfig { budget_ms: 1e9, max_simulations: 256, ..MctsConfig::default() };
@@ -269,7 +267,7 @@ fn warm_context_predictions_match_the_tape() {
         assert!(served.nodes_encoded > 0, "{kind:?} encoded nothing");
         let p = model.predict_with_context_in(&mut feat, &query, &served.plan, &mut ctx);
         assert_eq!(p.runtime_ms.to_bits(), served.predicted_ms.to_bits(), "{kind:?} score");
-        assert_near_tape(model, &query, &served.plan, p, kind.as_str());
+        assert_tape_bits(model, &query, &served.plan, p, kind.as_str());
     }
 }
 

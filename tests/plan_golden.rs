@@ -10,10 +10,9 @@
 //! moves a plan on every path at once fails here. A change that is meant
 //! to move plans updates the constant in the same diff, declared.
 //!
-//! Scores are computed in floating point on the active kernel tier, so
-//! each tier has its own constant, as the trained-weight golden has. The
-//! AVX2 and AVX-512 tiers agree on mean-only scores but not on the wider
-//! risk batches, so all three differ. CI runs this file under
+//! Scores are computed in floating point on the active kernel tier, and
+//! the model is trained on that tier's kernels too, so each tier has its
+//! own constant, as the trained-weight golden has. CI runs this file under
 //! `QPS_FORCE_ISA=scalar|avx2`; the bits also depend on the platform libm,
 //! so the constants are for x86_64 Linux glibc.
 
@@ -161,9 +160,9 @@ fn served_plans_match_the_golden_fingerprint() {
     }
     let got = fnv::words(&words);
     let want = match isa::active() {
-        Isa::Scalar => 0x67e6_0fc1_1e34_f54d,
-        Isa::Avx2 => 0xccd6_0714_f753_f1aa,
-        Isa::Avx512 => 0x9b3a_2805_309f_c80a,
+        Isa::Scalar => 0x852e_9f60_6a82_a71c,
+        Isa::Avx2 => 0x8d03_cfdd_d933_3936,
+        Isa::Avx512 => 0x5767_007b_e465_0226,
     };
     assert_eq!(
         got,
