@@ -174,8 +174,8 @@ impl<'a> Mscn<'a> {
             let mk = g.constant(mask.clone());
             let h = mlp.forward(g, &x);
             let masked = g.mul_col_broadcast(h, mk);
-            let rows: Vec<Row<Var>> = (0..m.rows()).map(|r| Row::Of(&masked, r)).collect();
-            g.pool(&rows, None, &[m.rows()], &[1.0 / mask.sum().max(1.0)], mlp.out_dim())
+            let rows = (0..m.rows()).map(|r| Row::Of(&masked, r));
+            g.pool(rows, None, &[m.rows()], &[1.0 / mask.sum().max(1.0)], mlp.out_dim())
         };
         let r = set(g, &self.rel_mlp, &f.rels, &f.rel_mask);
         let j = set(g, &self.join_mlp, &f.joins, &f.join_mask);

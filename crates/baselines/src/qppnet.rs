@@ -109,8 +109,14 @@ impl<'a> QppNet<'a> {
                     g.concat(&[(&out, 0..self.cfg.data_dim)])
                 })
                 .collect();
-            let rows: Vec<Row<Var>> = hs.iter().map(|h| Row::Of(h, 0)).collect();
-            g.pool(&rows, None, &[rows.len()], &[1.0 / rows.len() as f32], self.cfg.data_dim)
+            let n = hs.len();
+            g.pool(
+                hs.iter().map(|h| Row::Of(h, 0)),
+                None,
+                &[n],
+                &[1.0 / n as f32],
+                self.cfg.data_dim,
+            )
         };
         let f = g.constant(node.feats.clone());
         let input = g.concat(&[(&f, 0..node.feats.cols()), (&child_data, 0..self.cfg.data_dim)]);

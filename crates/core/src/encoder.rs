@@ -57,16 +57,8 @@ impl QueryEncoder {
     /// `i` for `feats[i]`. Each set's MLP runs once over every query's rows
     /// stacked; pooling stays per query, summing its rows in order.
     pub(crate) fn forward<E: Exec>(&self, e: &mut E, feats: &[&QueryFeatures]) -> E::T {
-        let rel = Self::encode_sets(
-            e,
-            &self.rel_mlp,
-            feats.iter().map(|f| (&f.rel_matrix, &f.rel_mask)).collect(),
-        );
-        let join = Self::encode_sets(
-            e,
-            &self.join_mlp,
-            feats.iter().map(|f| (&f.join_matrix, &f.join_mask)).collect(),
-        );
+        let rel = Self::encode_sets(e, &self.rel_mlp, feats, |f| (&f.rel_matrix, &f.rel_mask));
+        let join = Self::encode_sets(e, &self.join_mlp, feats, |f| (&f.join_matrix, &f.join_mask));
         let (rw, jw) = (self.rel_mlp.out_dim(), self.join_mlp.out_dim());
         let out = e.concat(&[(&rel, 0..rw), (&join, 0..jw)]);
         e.recycle(rel);
@@ -74,23 +66,31 @@ impl QueryEncoder {
         out
     }
 
-    /// Masked mean pooling of one set per query: `[queries, out]`.
-    fn encode_sets<E: Exec>(e: &mut E, mlp: &Mlp, sets: Vec<(&Tensor, &Tensor)>) -> E::T {
-        let rows = sets.iter().map(|s| s.0.rows()).sum();
-        let x = e.constant(rows, sets[0].0.cols(), |t| {
+    /// Masked mean pooling of one set per query, `set(f)` being query
+    /// `f`'s `(matrix, mask)`: `[queries, out]`. A mask is 0 or 1, so the
+    /// mean sums the rows it keeps, unweighted.
+    fn encode_sets<E: Exec>(
+        e: &mut E,
+        mlp: &Mlp,
+        feats: &[&QueryFeatures],
+        set: fn(&QueryFeatures) -> (&Tensor, &Tensor),
+    ) -> E::T {
+        let rows = feats.iter().map(|f| set(f).0.rows()).sum();
+        let x = e.constant(rows, set(feats[0]).0.cols(), |t| {
             let mut at = 0;
-            for (m, _) in &sets {
+            for f in feats {
+                let m = set(f).0;
                 t.data_mut()[at..at + m.len()].copy_from_slice(m.data());
                 at += m.len();
             }
         });
         let h = mlp.forward(e, &x); // [Σ rows, out]
         e.recycle(x);
-        let mask: Vec<f32> = sets.iter().flat_map(|s| s.1.data().iter().copied()).collect();
-        let lens: Vec<usize> = sets.iter().map(|s| s.0.rows()).collect();
-        let inv: Vec<f32> = sets.iter().map(|s| 1.0 / s.1.sum().max(1.0)).collect();
-        let all: Vec<Row<E::T>> = (0..rows).map(|r| Row::Of(&h, r)).collect();
-        let pooled = e.pool(&all, Some(&mask), &lens, &inv, mlp.out_dim());
+        let masks = feats.iter().flat_map(|f| set(f).1.data());
+        let kept = masks.enumerate().filter(|&(_, &m)| m != 0.0).map(|(r, _)| Row::Of(&h, r));
+        let lens: Vec<usize> = feats.iter().map(|f| set(f).1.sum() as usize).collect();
+        let inv: Vec<f32> = lens.iter().map(|&n| 1.0 / n.max(1) as f32).collect();
+        let pooled = e.pool(kept, None, &lens, &inv, mlp.out_dim());
         e.recycle(h);
         pooled
     }
@@ -100,10 +100,14 @@ impl QueryEncoder {
 /// input concatenates `[child data vectors | relation encoding | TaBERT |
 /// op one-hot | estimates]`; children pass both their hidden/cell state
 /// (averaged) and their output vectors (pooled into the parent's input).
+///
+/// The step runs folded ([`LstmCell`]): the children's pooled `h` fills the
+/// child-data and estimate slots, so `x·W_ih + h·W_hh` is `h·W_fold` plus
+/// the node's own term `[mid | estimates]·W_own + b`, which depends only on
+/// the node's (alias set, operator) — its own id.
 #[derive(Debug, Clone)]
 pub(crate) struct PlanEncoder {
     pub cell: LstmCell,
-    data_dim: usize,
     out_dim: usize,
 }
 
@@ -114,12 +118,9 @@ impl PlanEncoder {
         cfg: &ModelConfig,
         n_tables: usize,
     ) -> Self {
-        let input_dim = cfg.node_input_dim(n_tables);
-        Self {
-            cell: LstmCell::new(store, init, "plan_enc.cell", input_dim, cfg.plan_node_out),
-            data_dim: cfg.data_vec_dim(),
-            out_dim: cfg.plan_node_out,
-        }
+        let (input_dim, out) = (cfg.node_input_dim(n_tables), cfg.plan_node_out);
+        let cell = LstmCell::new(store, init, "plan_enc.cell", input_dim, out, cfg.data_vec_dim());
+        Self { cell, out_dim: out }
     }
 
     pub(crate) fn out_dim(&self) -> usize {
@@ -127,82 +128,77 @@ impl PlanEncoder {
     }
 
     /// Encode every fresh row of a [`LevelPass`] level by level, children
-    /// before parents: one `rows = m` LSTM step per level of
-    /// [`LevelPass::order`], across every plan and submission in the pass.
-    /// A child that is not fresh is read from its submission's memo in
+    /// before parents: the own terms of the pass's new own ids in one GEMM,
+    /// then one `rows = m` LSTM step per level of [`LevelPass::order`],
+    /// across every plan and submission in the pass. A child or an own term
+    /// the pass does not compute is read from its submission's memo in
     /// `memos` (the tape's passes start from empty memos, and pass none).
     /// Returns the fresh rows' `(h, c)`, `[F, out_dim]` each, level by level
-    /// ([`LevelPass::pos`] finds a row).
+    /// ([`LevelPass::pos`] finds a row), and the new own terms in
+    /// [`LevelPass::commit`]'s order (`None` when the pass has none).
     ///
     /// Row `r` is bitwise identical to encoding its subtree alone: the
     /// matmul kernel guarantees per-row reduction order, and every other op
-    /// here (state pooling in child order, gate math, input assembly) is
+    /// here (state pooling in child order, gate math, row gathers) is
     /// row-independent. So a level can mix leaves and joins of any plans,
-    /// and a memoized state is exactly what recomputing it would give.
+    /// and a memoized state or own term is exactly what recomputing it
+    /// would give.
     pub(crate) fn forward<E: Exec>(
         &self,
         e: &mut E,
         pass: &LevelPass,
         memos: &[&mut NodeMemo],
-    ) -> LstmState<E::T> {
+    ) -> (LstmState<E::T>, Option<E::T>) {
         let order = pass.order();
-        let (dd, out) = (self.data_dim, self.out_dim);
+        let (out, gates) = (self.out_dim, 4 * self.out_dim);
+        // The own inputs `[mid | estimates]` (zero estimates on a join).
+        let own = (!pass.owns.is_empty()).then(|| {
+            let x = e.constant(pass.owns.len(), self.cell.own_dim(), |t| {
+                for (i, &(node, _)) in pass.owns.iter().enumerate() {
+                    let (row, mid) = (t.row_slice_mut(i), node.mid.data());
+                    row[..mid.len()].copy_from_slice(mid);
+                    if let Some(est) = &node.leaf_est {
+                        row[mid.len()..].copy_from_slice(est.data());
+                    }
+                }
+            });
+            let own = self.cell.project(e, &x);
+            e.recycle(x);
+            own
+        });
         let mut levels: Vec<LstmState<E::T>> = Vec::with_capacity(order.levels());
         for level in 0..order.levels() {
-            let rows = order.level(level);
-            let node_of = |i: usize| pass.fresh[rows[i] as usize].node;
-            let (mut kid_h, mut kid_c, mut lens) = (Vec::new(), Vec::new(), Vec::new());
-            for &r in rows {
-                let FreshRow { node, sub, kids, .. } = &pass.fresh[r as usize];
-                for kid in &kids[..node.children.len()] {
-                    let (h, c) = match *kid {
+            let (rows, span) = (order.level(level), order.span(level));
+            // Children's h and c mean-pooled in child order; a leaf's are
+            // zero, its initial state.
+            let kids = |of: fn(&LstmState<E::T>) -> &E::T,
+                        memo_row: fn(&NodeMemo, u32) -> &[f32]| {
+                let levels = &levels;
+                rows.iter().flat_map(move |&r| {
+                    let FreshRow { node, sub, kids, .. } = &pass.fresh[r as usize];
+                    kids[..node.children.len()].iter().map(move |kid| match *kid {
                         NodeRef::Memo { entry, .. } => {
-                            let memo = &memos[*sub as usize];
-                            (Row::Const(memo.h(entry)), Row::Const(memo.c(entry)))
+                            Row::Const(memo_row(memos[*sub as usize], entry))
                         }
                         NodeRef::Fresh(k) => {
                             let (l, i) = order.at(k, pass.fresh[k as usize].level);
-                            (Row::Of(&levels[l].h, i), Row::Of(&levels[l].c, i))
+                            Row::Of(of(&levels[l]), i)
                         }
-                    };
-                    kid_h.push(h);
-                    kid_c.push(c);
-                }
-                lens.push(node.children.len());
-            }
-            // Children's h and c mean-pooled in child order; a leaf's are
-            // zero, its initial state.
-            let inv: Vec<f32> = lens.iter().map(|&n| 1.0 / n.max(1) as f32).collect();
-            let h = e.pool(&kid_h, None, &lens, &inv, out);
-            let c = e.pool(&kid_c, None, &lens, &inv, out);
-            // The input `[child data | own features | estimates]`: a join's
-            // pooled h fills the first and last slots; a leaf's h is zero,
-            // and its EXPLAIN estimates are added to the last.
-            let m = rows.len();
-            let mid_cols = node_of(0).mid.cols();
-            let mids = e.constant(m, mid_cols, |t| {
-                (0..m).for_each(|i| t.row_slice_mut(i).copy_from_slice(node_of(i).mid.data()))
+                    })
+                })
+            };
+            let (lens, inv) = (&order.lens[span.clone()], &order.inv[span]);
+            let h = e.pool(kids(|s| &s.h, NodeMemo::h), None, lens, inv, out);
+            let c = e.pool(kids(|s| &s.c, NodeMemo::c), None, lens, inv, out);
+            let own_rows = rows.iter().map(|&r| match pass.fresh[r as usize].own {
+                NodeRef::Memo { sub, entry } => Row::Const(memos[sub as usize].own(entry)),
+                NodeRef::Fresh(k) => Row::Of(own.as_ref().expect("a fresh own term"), k as usize),
             });
-            let leaves: Vec<usize> = (0..m).filter(|&i| node_of(i).children.is_empty()).collect();
-            let with_est = (!leaves.is_empty()).then(|| {
-                let ests = e.constant(m, out, |t| {
-                    for &i in &leaves {
-                        let est = node_of(i).leaf_est.as_ref();
-                        let est = est.expect("leaf featurization includes estimates");
-                        t.row_slice_mut(i)[dd..].copy_from_slice(est.data());
-                    }
-                });
-                let sum = e.add(&h, &ests);
-                e.recycle(ests);
-                sum
-            });
-            let est = with_est.as_ref().unwrap_or(&h);
-            let input = e.concat(&[(&h, 0..dd), (&mids, 0..mid_cols), (est, dd..out)]);
-            e.recycle(mids);
-            with_est.into_iter().for_each(|t| e.recycle(t));
+            let own_rows = e.gather(rows.len(), gates, own_rows);
             let state = LstmState { h, c };
-            levels.push(self.cell.step(e, &input, &state));
-            [input, state.h, state.c].into_iter().for_each(|t| e.recycle(t));
+            let next = self.cell.step(e, &own_rows, &state);
+            [own_rows, state.h, state.c].into_iter().for_each(|t| e.recycle(t));
+            levels.push(next);
         }
         let stack = |e: &mut E, of: fn(&LstmState<E::T>) -> &E::T| {
             let rows =
@@ -214,24 +210,29 @@ impl PlanEncoder {
             e.recycle(s.h);
             e.recycle(s.c);
         }
-        fresh
+        (fresh, own)
     }
 }
 
-/// Bytes one query's `NodeMemo` may hold. An entry is `2·out + 2·heads·
-/// head_dim` floats: 1,792 B at the bench preset (out 96, 4 × 32), so the
-/// budget holds 4,681 entries — deep_join's worst query at an eval cap of
-/// 256 needs at most 30 leaves + 256 × 9 joins = 2,334. At the paper's size
-/// (15,792 B per entry) it holds 531.
+/// Bytes one query's `NodeMemo` may hold, node entries and own entries
+/// together. A node entry is `2·out + 2·heads·head_dim` floats: 1,792 B at
+/// the bench preset (out 96, 4 × 32), so the budget holds 4,681 of them —
+/// deep_join's worst query at an eval cap of 256 needs at most 30 leaves +
+/// 256 × 9 joins = 2,334. An own entry is a join's own term, `4·out`
+/// floats: 1,536 B at the bench preset; a query has at most one per
+/// (alias set, join operator) it scores. At the paper's size a node entry
+/// is 15,792 B and an own entry 15,200 B: 531 node entries alone.
 pub const MEMO_BUDGET_BYTES: usize = 8 << 20;
 
 /// A memo slot not holding an entry.
 const ABSENT: u32 = u32::MAX;
-/// Slot tag of a node a [`LevelPass`] is encoding: `FRESH | row`.
+/// Slot tag of a node or own term a [`LevelPass`] is computing: `FRESH |
+/// row`.
 const FRESH: u32 = 1 << 31;
 
 /// What a memo entry holds, in floats: `[h | c | K_0..K_heads |
-/// V_0..V_heads]`, with `heads = 0` when attention is off.
+/// V_0..V_heads]`, with `heads = 0` when attention is off. An own entry is
+/// `4·out` floats.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EntryLayout {
     pub(crate) out: usize,
@@ -247,23 +248,30 @@ impl EntryLayout {
 
 /// Per-query memo of encoded subtrees: node id (dense, assigned by the
 /// query's [`crate::featurize::PlanFeatCache`]) → the subtree's LSTM `h`
-/// and `c` and its per-head attention K/V rows. One lives in each
-/// [`crate::model::QueryContext`], travels inside its submissions (so
-/// broker-on and broker-off run the same code) and dies with it; its
-/// storage is recycled through the planner session.
+/// and `c` and its per-head attention K/V rows; and own id → a join's own
+/// term. One lives in each [`crate::model::QueryContext`], travels inside
+/// its submissions (so broker-on and broker-off run the same code) and dies
+/// with it; its storage is recycled through the planner session.
 ///
 /// Fixed budget, no eviction: leaves are always kept (at most
-/// `ScanOp::ALL.len()` per relation, reserved up front), joins are added
-/// while [`MEMO_BUDGET_BYTES`] has room and encoded directly after that. A
-/// join is added only after its children, so the memo is closed under
-/// subtrees, and what it holds is a pure function of the scoring calls
-/// made through the context.
+/// `ScanOp::ALL.len()` per relation, reserved up front), joins and own
+/// terms are added while [`MEMO_BUDGET_BYTES`] has room, and encoded or
+/// projected directly after that. A join is added only after its children,
+/// so the memo is closed under subtrees, and what it holds is a pure
+/// function of the scoring calls made through the context. A leaf's own
+/// term is never stored: its node entry always is, so no later pass needs
+/// it.
 #[derive(Debug, Default)]
 pub(crate) struct NodeMemo {
     /// Node id → entry index, [`ABSENT`], or `FRESH | row` inside a pass.
     slots: Vec<u32>,
     /// Entries back to back, `layout.width()` floats each.
     data: Vec<f32>,
+    /// Own id → own entry index, [`ABSENT`], or `FRESH | row` inside a
+    /// pass.
+    own_slots: Vec<u32>,
+    /// Own entries back to back, `4·out` floats each.
+    owns: Vec<f32>,
     /// `None` until [`Self::init`]: a new or recycled memo holds nothing.
     layout: Option<EntryLayout>,
     /// Entries still reserved for leaves not yet stored.
@@ -278,6 +286,8 @@ impl NodeMemo {
     pub(crate) fn init(&mut self, layout: EntryLayout, leaves: usize) {
         self.slots.clear();
         self.data.clear();
+        self.own_slots.clear();
+        self.owns.clear();
         self.layout = Some(layout);
         self.leaf_room = leaves;
         self.encoded = 0;
@@ -287,14 +297,18 @@ impl NodeMemo {
         self.layout.map_or(0, |l| l.width())
     }
 
-    /// Entries held.
+    fn own_width(&self) -> usize {
+        self.layout.map_or(0, |l| 4 * l.out)
+    }
+
+    /// Node entries held.
     pub(crate) fn len(&self) -> usize {
         self.data.len().checked_div(self.width()).unwrap_or(0)
     }
 
-    /// Bytes the entries take.
+    /// Bytes the node and own entries take.
     pub(crate) fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
+        (self.data.len() + self.owns.len()) * std::mem::size_of::<f32>()
     }
 
     /// Node rows encoded since [`Self::init`], memoized or not.
@@ -317,6 +331,12 @@ impl NodeMemo {
         &self.entry(e)[out..2 * out]
     }
 
+    /// Own entry `e`'s own term.
+    fn own(&self, e: u32) -> &[f32] {
+        let w = self.own_width();
+        &self.owns[e as usize * w..(e as usize + 1) * w]
+    }
+
     /// Entry `e`'s keys (`value = false`) or values, every head's side by
     /// side.
     pub(crate) fn kv(&self, e: u32, value: bool) -> &[f32] {
@@ -327,40 +347,52 @@ impl NodeMemo {
     }
 
     fn slot(&mut self, id: u32) -> &mut u32 {
-        let i = id as usize;
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, ABSENT);
-        }
-        &mut self.slots[i]
+        grow(&mut self.slots, id)
     }
 
-    /// Whether the budget admits one more entry: a leaf always, a join
-    /// only if it leaves room for every leaf not yet stored.
-    fn admit(&mut self, leaf: bool) -> bool {
+    fn own_slot(&mut self, own: u32) -> &mut u32 {
+        grow(&mut self.own_slots, own)
+    }
+
+    /// Whether the budget admits one more entry of `floats` floats: a
+    /// leaf's node entry always, anything else only if it leaves room for
+    /// every leaf not yet stored.
+    fn admit(&mut self, leaf: bool, floats: usize) -> bool {
         if leaf {
             self.leaf_room = self.leaf_room.saturating_sub(1);
             return true;
         }
-        let cap = MEMO_BUDGET_BYTES / (self.width() * std::mem::size_of::<f32>()).max(1);
-        self.len() + 1 + self.leaf_room <= cap
+        let held = self.data.len() + self.owns.len() + self.leaf_room * self.width();
+        (held + floats) * std::mem::size_of::<f32>() <= MEMO_BUDGET_BYTES
     }
 }
 
-/// Where one plan node's encoder state lives during a [`LevelPass`].
+/// Slot `id` of `slots`, grown with [`ABSENT`] slots to reach it.
+fn grow(slots: &mut Vec<u32>, id: u32) -> &mut u32 {
+    let i = id as usize;
+    if i >= slots.len() {
+        slots.resize(i + 1, ABSENT);
+    }
+    &mut slots[i]
+}
+
+/// Where one plan node's encoder state, or its own term, lives during a
+/// [`LevelPass`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum NodeRef {
     /// Entry `entry` of the memo of the node's own submission.
     Memo { sub: u32, entry: u32 },
-    /// Row of the pass's freshly encoded states.
+    /// Row of the pass's freshly encoded states (or own terms).
     Fresh(u32),
 }
 
 /// A node the pass encodes: `level` is 0 when no child is fresh, else one
-/// more than its highest fresh child.
+/// more than its highest fresh child; `own` is where its own term lives.
 struct FreshRow<'a> {
     node: &'a FeatNode,
     sub: u32,
     kids: [NodeRef; 2],
+    own: NodeRef,
     level: u32,
 }
 
@@ -373,6 +405,9 @@ struct LevelOrder {
     starts: Vec<usize>,
     /// Fresh row → its index in `rows`.
     pos: Vec<u32>,
+    /// Per entry of `rows`: its child count, and the mean's scale.
+    lens: Vec<usize>,
+    inv: Vec<f32>,
 }
 
 impl LevelOrder {
@@ -386,16 +421,24 @@ impl LevelOrder {
         for (i, &r) in rows.iter().enumerate() {
             pos[r as usize] = i as u32;
         }
-        Self { rows, starts, pos }
+        let lens: Vec<usize> =
+            rows.iter().map(|&r| fresh[r as usize].node.children.len()).collect();
+        let inv = lens.iter().map(|&n| 1.0 / n.max(1) as f32).collect();
+        Self { rows, starts, pos, lens, inv }
     }
 
     fn levels(&self) -> usize {
         self.starts.len() - 1
     }
 
+    /// Level `l`'s entries of `rows`.
+    fn span(&self, l: usize) -> std::ops::Range<usize> {
+        self.starts[l]..self.starts[l + 1]
+    }
+
     /// Level `l`'s fresh rows, in pass order; never empty.
     fn level(&self, l: usize) -> &[u32] {
-        &self.rows[self.starts[l]..self.starts[l + 1]]
+        &self.rows[self.span(l)]
     }
 
     /// Fresh row `r`, of level `level`: its level and its index there.
@@ -406,12 +449,16 @@ impl LevelOrder {
 }
 
 /// One scoring call's plan-encoder work, across every submission in it:
-/// which nodes need encoding (each distinct id once per submission) and,
-/// per candidate, where every node's state will be read from. Training
-/// builds one over a tape group, with an empty memo per sample.
+/// which nodes need encoding (each distinct id once per submission), which
+/// own terms need projecting (each own id once per submission) and, per
+/// candidate, where every node's state will be read from. Training builds
+/// one over a tape group, with an empty memo per sample.
 #[derive(Default)]
 pub(crate) struct LevelPass<'a> {
     fresh: Vec<FreshRow<'a>>,
+    /// The nodes whose own term the pass projects, with their submission:
+    /// the first fresh node of each own id no memo holds, in pass order.
+    owns: Vec<(&'a FeatNode, u32)>,
     /// Every candidate's nodes in postorder, candidates back to back.
     pub(crate) refs: Vec<NodeRef>,
     /// `refs[spans[c]]` are candidate `c`'s nodes; the last is its root.
@@ -451,7 +498,8 @@ impl<'a> LevelPass<'a> {
     }
 
     /// Add one candidate plan of submission `sub`, whose memo is `memo`.
-    /// Marks the nodes it encodes in the memo until [`Self::commit`].
+    /// Marks the nodes it encodes and the own terms it projects in the memo
+    /// until [`Self::commit`].
     pub(crate) fn add(&mut self, sub: usize, plan: &'a FeatNode, memo: &mut NodeMemo) {
         self.order.take();
         let start = self.refs.len();
@@ -475,18 +523,28 @@ impl<'a> LevelPass<'a> {
                 level = level.max(l + 1);
             }
         }
-        let slot = memo.slot(node.id);
-        let found = if *slot == ABSENT {
+        let slot = *memo.slot(node.id);
+        let found = if slot == ABSENT {
             let row = self.fresh.len() as u32;
-            *slot = FRESH | row;
-            self.fresh.push(FreshRow { node, sub, kids, level });
+            *memo.slot(node.id) = FRESH | row;
+            let own = match *memo.own_slot(node.own) {
+                ABSENT => {
+                    let k = self.owns.len() as u32;
+                    *memo.own_slot(node.own) = FRESH | k;
+                    self.owns.push((node, sub));
+                    NodeRef::Fresh(k)
+                }
+                s if s & FRESH != 0 => NodeRef::Fresh(s & !FRESH),
+                entry => NodeRef::Memo { sub, entry },
+            };
+            self.fresh.push(FreshRow { node, sub, kids, own, level });
             self.levels = self.levels.max(level + 1);
             (NodeRef::Fresh(row), Some(level))
-        } else if *slot & FRESH != 0 {
-            let row = *slot & !FRESH;
+        } else if slot & FRESH != 0 {
+            let row = slot & !FRESH;
             (NodeRef::Fresh(row), Some(self.fresh[row as usize].level))
         } else {
-            (NodeRef::Memo { sub, entry: *slot }, None)
+            (NodeRef::Memo { sub, entry: slot }, None)
         };
         self.refs.push(found.0);
         found
@@ -495,17 +553,20 @@ impl<'a> LevelPass<'a> {
     /// Write the fresh rows (their states from [`PlanEncoder::forward`],
     /// their keys and values from `MultiHeadCrossAttention::project` when
     /// attention is on, all in its row order) into their memos, in pass
-    /// order, as far as each budget admits; clear every `FRESH` mark.
+    /// order, as far as each budget admits; then the joins' new own terms
+    /// (`own`, forward's second output), in pass order; clear every `FRESH`
+    /// mark.
     pub(crate) fn commit(
         &self,
         memos: &mut [&mut NodeMemo],
         fresh: &LstmState<Tensor>,
+        own: Option<&Tensor>,
         kv: Option<(&Tensor, &Tensor)>,
     ) {
         for (row, FreshRow { node, sub, .. }) in self.fresh.iter().enumerate() {
             let memo = &mut *memos[*sub as usize];
             memo.encoded += 1;
-            let slot = if memo.admit(node.children.is_empty()) {
+            let slot = if memo.admit(node.children.is_empty(), memo.width()) {
                 let (entry, at) = (memo.len() as u32, self.pos(row as u32));
                 memo.data.extend_from_slice(fresh.h.row_slice(at));
                 memo.data.extend_from_slice(fresh.c.row_slice(at));
@@ -517,6 +578,18 @@ impl<'a> LevelPass<'a> {
                 ABSENT
             };
             *memo.slot(node.id) = slot;
+        }
+        for (k, &(node, sub)) in self.owns.iter().enumerate() {
+            let memo = &mut *memos[sub as usize];
+            let join = !node.children.is_empty();
+            let slot = if join && memo.admit(false, memo.own_width()) {
+                let entry = (memo.owns.len() / memo.own_width()) as u32;
+                memo.owns.extend_from_slice(own.expect("projected own terms").row_slice(k));
+                entry
+            } else {
+                ABSENT
+            };
+            *memo.own_slot(node.own) = slot;
         }
     }
 }
@@ -620,7 +693,7 @@ mod tests {
         for (s, plan) in plans.iter().enumerate() {
             pass.add(s, plan, &mut NodeMemo::default());
         }
-        let nodes = penc.forward(g, &pass, &[]).h;
+        let nodes = penc.forward(g, &pass, &[]).0.h;
         (nodes, (0..plans.len()).map(|s| pass.tape_rows(s)).collect())
     }
 
@@ -717,36 +790,73 @@ mod tests {
     }
 
     /// Level-wise encode of `plans` (all of one query) through `memo`: every
-    /// node's `h`, per plan in postorder, plus the rows this pass encoded.
+    /// node's `h`, per plan in postorder, plus the rows this pass encoded
+    /// and the own terms it projected.
     fn encode(
         penc: &PlanEncoder,
         store: &ParamStore,
         plans: &[&FeatNode],
         memo: &mut NodeMemo,
         sc: &mut ScratchArena,
-    ) -> (Vec<Vec<Vec<f32>>>, usize) {
+    ) -> (Vec<Vec<Vec<f32>>>, usize, usize) {
         let mut pass = LevelPass::default();
         for plan in plans {
             pass.add(0, plan, memo);
         }
         let mut memos = vec![memo];
         let e = &mut Scratch { store, arena: sc };
-        let fresh = penc.forward(e, &pass, &memos);
-        pass.commit(&mut memos, &fresh, None);
+        let (fresh, own) = penc.forward(e, &pass, &memos);
+        pass.commit(&mut memos, &fresh, own.as_ref(), None);
         let h = |r: NodeRef| match r {
             NodeRef::Memo { entry, .. } => memos[0].h(entry).to_vec(),
             NodeRef::Fresh(row) => fresh.h.row_slice(pass.pos(row)).to_vec(),
         };
         let rows = pass.spans.iter().map(|s| pass.refs[s.clone()].iter().map(|&r| h(r)).collect());
-        let out = (rows.collect(), pass.fresh.len());
-        e.recycle(fresh.h);
-        e.recycle(fresh.c);
+        let out = (rows.collect(), pass.fresh.len(), pass.owns.len());
+        [fresh.h, fresh.c].into_iter().chain(own).for_each(|t| e.recycle(t));
         out
     }
 
+    /// Left-deep candidates of the setup query — `(a ⋈ b) ⋈op c`, the inner
+    /// join a hash join — featurized through one cache.
+    fn left_deep(
+        db: &std::sync::Arc<qpseeker_storage::Database>,
+        q: &Query,
+        shapes: &[(&str, &str, &str, JoinOp)],
+    ) -> Vec<FeatNode> {
+        let norm = TargetNormalizer::fit(&[[1.0, 1.0, 1.0], [100.0, 50.0, 10.0]]);
+        let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
+        let scan = |t| PlanNode::scan(q, t, ScanOp::SeqScan);
+        let plans: Vec<PlanNode> = shapes
+            .iter()
+            .map(|&(a, b, c, op)| {
+                PlanNode::join(
+                    q,
+                    op,
+                    PlanNode::join(q, JoinOp::HashJoin, scan(a), scan(b)),
+                    scan(c),
+                )
+            })
+            .chain([scan("movie_info")])
+            .collect();
+        let plan_refs: Vec<&PlanNode> = plans.iter().collect();
+        let mut cache = crate::featurize::PlanFeatCache::new(q);
+        let mut feats = Vec::new();
+        let mut sess = crate::featurize::FeatSession::new();
+        f.featurize_batch_into(&mut sess, q, &plan_refs, &norm, &mut cache, &mut feats);
+        feats
+    }
+
+    fn fresh_memo(cfg: &ModelConfig, q: &Query) -> NodeMemo {
+        let layout = EntryLayout { out: cfg.plan_node_out, heads: 0, head_dim: 0 };
+        let mut memo = NodeMemo::default();
+        memo.init(layout, 3 * q.relations.len());
+        memo
+    }
+
     /// K plans in one pass ≡ K one-plan passes ≡ any partition into passes
-    /// ≡ a warm memo, node for node, bit for bit — with plans of different
-    /// heights sharing levels.
+    /// ≡ a warm memo, own terms included, node for node, bit for bit — with
+    /// plans of different heights sharing levels.
     #[test]
     fn plan_encoding_rows_bitwise_equal_under_any_partition() {
         let (db, q, _) = setup();
@@ -754,63 +864,94 @@ mod tests {
         let mut store = ParamStore::new();
         let mut init = Initializer::new(0);
         let penc = PlanEncoder::new(&mut store, &mut init, &cfg, db.catalog.num_tables());
-        let norm = TargetNormalizer::fit(&[[1.0, 1.0, 1.0], [100.0, 50.0, 10.0]]);
-        let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
-        let mut sess = crate::featurize::FeatSession::new();
-        // Left-deep candidates sharing prefixes, plus a lone scan.
-        let mk = |a: &str, b: &str, c: &str, op| {
-            PlanNode::join(
-                &q,
-                op,
-                PlanNode::join(
-                    &q,
-                    JoinOp::HashJoin,
-                    PlanNode::scan(&q, a, ScanOp::SeqScan),
-                    PlanNode::scan(&q, b, ScanOp::SeqScan),
-                ),
-                PlanNode::scan(&q, c, ScanOp::SeqScan),
-            )
-        };
-        let plans = [
-            mk("title", "movie_info", "movie_keyword", JoinOp::HashJoin),
-            mk("title", "movie_info", "movie_keyword", JoinOp::NestedLoopJoin),
-            mk("movie_keyword", "title", "movie_info", JoinOp::MergeJoin),
-            PlanNode::scan(&q, "movie_info", ScanOp::SeqScan),
-        ];
-        let plan_refs: Vec<&PlanNode> = plans.iter().collect();
-        let mut cache = crate::featurize::PlanFeatCache::new(&q);
-        let mut feats = Vec::new();
-        f.featurize_batch_into(&mut sess, &q, &plan_refs, &norm, &mut cache, &mut feats);
+        // Left-deep candidates sharing prefixes and root own terms, plus a
+        // lone scan (the last plan).
+        let feats = left_deep(
+            &db,
+            &q,
+            &[
+                ("title", "movie_info", "movie_keyword", JoinOp::HashJoin),
+                ("title", "movie_info", "movie_keyword", JoinOp::NestedLoopJoin),
+                ("movie_keyword", "title", "movie_info", JoinOp::MergeJoin),
+                ("movie_info", "movie_keyword", "title", JoinOp::HashJoin),
+            ],
+        );
         let refs: Vec<&FeatNode> = feats.iter().collect();
-        let layout = EntryLayout { out: cfg.plan_node_out, heads: 0, head_dim: 0 };
-        let fresh_memo = || {
-            let mut memo = NodeMemo::default();
-            memo.init(layout, 3 * q.relations.len());
-            memo
-        };
         let mut sc = ScratchArena::new();
-        let (whole, encoded) = encode(&penc, &store, &refs, &mut fresh_memo(), &mut sc);
+        let (whole, encoded, projected) =
+            encode(&penc, &store, &refs, &mut fresh_memo(&cfg, &q), &mut sc);
         // Three leaves, and the joins (t⋈mi), its two parents, (mk⋈t) and
-        // its parent: 16 nodes, 8 distinct subtrees.
-        assert_eq!(encoded, 8, "each distinct subtree is encoded once");
-        assert_eq!(whole.iter().map(Vec::len).collect::<Vec<_>>(), [5, 5, 5, 1]);
-        // Partitions {0},{1},{2},{3} on fresh memos, and {0,1},{2,3} then
-        // all four again on one warm memo.
+        // its parent, (mi⋈mk) and its parent: 20 nodes, 10 distinct
+        // subtrees, 9 distinct (alias set, operator) own terms — the first
+        // and the last join plan's roots share one.
+        assert_eq!((encoded, projected), (10, 9), "each subtree and own term is done once");
+        assert_eq!(whole.iter().map(Vec::len).collect::<Vec<_>>(), [5, 5, 5, 5, 1]);
+        // Partitions {0},{1},{2},{3},{4} on fresh memos, and {0,1},{2,3,4}
+        // then all five again on one warm memo: the second pass reads the
+        // first's root own term for plan 3's root.
         for p in 0..refs.len() {
-            let (one, _) = encode(&penc, &store, &refs[p..p + 1], &mut fresh_memo(), &mut sc);
+            let (one, ..) =
+                encode(&penc, &store, &refs[p..p + 1], &mut fresh_memo(&cfg, &q), &mut sc);
             assert_eq!(one[0], whole[p], "plan {p}: encoding depends on batch composition");
         }
-        let mut warm = fresh_memo();
-        let (a, _) = encode(&penc, &store, &refs[..2], &mut warm, &mut sc);
-        let (b, _) = encode(&penc, &store, &refs[2..], &mut warm, &mut sc);
+        let mut warm = fresh_memo(&cfg, &q);
+        let (a, ..) = encode(&penc, &store, &refs[..2], &mut warm, &mut sc);
+        let (b, encoded, projected) = encode(&penc, &store, &refs[2..], &mut warm, &mut sc);
+        assert_eq!((encoded, projected), (4, 3), "the warm pass projects only new own ids");
         assert_eq!([a, b].concat(), whole, "a memo hit differs from encoding the node");
-        let (again, encoded) = encode(&penc, &store, &refs, &mut warm, &mut sc);
-        assert_eq!((again, encoded), (whole, 0), "a warm memo encodes nothing");
-        assert_eq!(warm.encoded(), 8);
+        let (again, encoded, projected) = encode(&penc, &store, &refs, &mut warm, &mut sc);
+        assert_eq!((again, encoded, projected), (whole, 0, 0), "a warm memo encodes nothing");
+        assert_eq!(warm.encoded(), 10);
     }
 
-    /// Joins stop entering the memo when its budget is full, leaves never
-    /// do, and an entry is never evicted.
+    /// Two joins with an equal (alias set, operator) and different children
+    /// share one own term: one pass projects exactly its new distinct own
+    /// ids, and both roots read the same projected row.
+    #[test]
+    fn joins_of_one_alias_set_and_operator_share_one_own_term() {
+        let (db, q, _) = setup();
+        let cfg = ModelConfig::small();
+        let mut store = ParamStore::new();
+        let mut init = Initializer::new(0);
+        let penc = PlanEncoder::new(&mut store, &mut init, &cfg, db.catalog.num_tables());
+        let feats = left_deep(
+            &db,
+            &q,
+            &[
+                ("title", "movie_info", "movie_keyword", JoinOp::HashJoin),
+                ("movie_info", "movie_keyword", "title", JoinOp::HashJoin),
+            ],
+        );
+        let (a, b) = (&feats[0], &feats[1]);
+        assert_ne!(a.id, b.id);
+        assert_eq!(a.own, b.own, "equal alias set and operator, one own id");
+        assert_ne!(a.children[0].own, b.children[0].own);
+        let mut memo = fresh_memo(&cfg, &q);
+        let mut pass = LevelPass::default();
+        pass.add(0, a, &mut memo);
+        pass.add(0, b, &mut memo);
+        // Leaves t, mi, mk; inner joins {t,mi} and {mi,mk}; one root term.
+        assert_eq!((pass.fresh.len(), pass.owns.len()), (7, 6));
+        let root_own = |c: usize| {
+            let NodeRef::Fresh(row) = pass.refs[pass.spans[c].end - 1] else { panic!("fresh") };
+            match pass.fresh[row as usize].own {
+                NodeRef::Fresh(k) => k,
+                NodeRef::Memo { .. } => panic!("an empty memo holds no own term"),
+            }
+        };
+        assert_eq!(root_own(0), root_own(1));
+        let mut sc = ScratchArena::new();
+        let e = &mut Scratch { store: &store, arena: &mut sc };
+        let mut memos = [&mut memo];
+        let (fresh, own) = penc.forward(e, &pass, &memos);
+        pass.commit(&mut memos, &fresh, own.as_ref(), None);
+        // The joins' three own terms are memoized, the leaves' are not.
+        assert_eq!(memo.owns.len(), 3 * 4 * cfg.plan_node_out);
+        assert_eq!(memo.bytes(), 4 * (7 * memo.width() + memo.owns.len()));
+    }
+
+    /// Joins and own terms stop entering the memo when its budget is full,
+    /// leaves never do, and an entry is never evicted.
     #[test]
     fn memo_admits_joins_within_budget_and_leaves_always() {
         let layout = EntryLayout { out: 4, heads: 0, head_dim: 0 };
@@ -818,17 +959,21 @@ mod tests {
         let mut memo = NodeMemo::default();
         memo.init(layout, 2);
         let row = vec![0.5f32; 8];
-        for _ in 0..cap - 2 {
-            assert!(memo.admit(false));
+        for _ in 0..cap - 4 {
+            assert!(memo.admit(false, 8));
             memo.data.extend_from_slice(&row);
         }
-        assert!(!memo.admit(false), "the last two entries are reserved for leaves");
+        // An own term is 16 floats here: two node entries' room.
+        assert!(memo.admit(false, 16));
+        memo.owns.extend_from_slice(&[0.25; 16]);
+        assert!(!memo.admit(false, 8), "the last two entries are reserved for leaves");
         for _ in 0..3 {
-            assert!(memo.admit(true), "a leaf is always admitted");
+            assert!(memo.admit(true, 8), "a leaf is always admitted");
             memo.data.extend_from_slice(&row);
         }
-        assert!(!memo.admit(false));
-        assert_eq!(memo.len(), cap + 1, "a third leaf goes past the reservation");
+        assert!(!memo.admit(false, 8));
+        assert_eq!(memo.len(), cap - 1, "a third leaf goes past the reservation");
+        assert_eq!(memo.bytes(), MEMO_BUDGET_BYTES + 8 * 4);
     }
 
     #[test]

@@ -52,6 +52,10 @@ pub struct FeatNode {
     /// The subtree's node id in its query's [`PlanFeatCache`]: equal ids
     /// are equal subtrees, so their encodings are too.
     pub(crate) id: u32,
+    /// The node's own id in the same cache, dense per (alias set, operator):
+    /// nodes with equal own ids have equal own inputs `[mid | estimates]`
+    /// (a leaf's alias set is its one relation, so its own id is its own).
+    pub(crate) own: u32,
     /// Shared, so the cache hands every plan containing a subtree the one
     /// node it built for it.
     pub(crate) children: Vec<Arc<FeatNode>>,
@@ -97,6 +101,12 @@ struct Relation {
 /// one arena indexed by node id; bits are assigned in alias-name order, so
 /// ascending bits are [`PlanNode::aliases`] order. Exact for any number of
 /// relations.
+///
+/// A node's own input — `[prefix ‖ op one-hot ‖ estimates]`, the part of
+/// its plan-encoder input that does not come from its children — is then a
+/// function of (operator, alias set) alone, so every node also gets a
+/// dense *own id* under that key (`FeatNode::own`): the scoring path
+/// projects each own input once per query, however many subtrees share it.
 pub struct PlanFeatCache {
     /// The query's TaBERT cache key and trigram set.
     tabert: TabertQuery,
@@ -110,8 +120,12 @@ pub struct PlanFeatCache {
     words: usize,
     /// Node id → its alias set, `words` words each.
     sets: Vec<u64>,
-    /// Alias set → `[rel one-hot sum ‖ TaBERT repr]` prefix.
-    mid_prefix: HashMap<Box<[u64]>, Vec<f32>, FnvBuild>,
+    /// Alias set → its index in `prefixes`.
+    set_ids: HashMap<Box<[u64]>, u32, FnvBuild>,
+    /// Per distinct alias set: its `[rel one-hot sum ‖ TaBERT repr]` prefix.
+    prefixes: Vec<Vec<f32>>,
+    /// `(op one-hot index, alias set index)` → own id.
+    owns: HashMap<(usize, u32), u32, FnvBuild>,
     /// `(op one-hot index, relation index | left id, 0 | right id)` → node
     /// id. Scan and join one-hot indices are disjoint, so leaves and joins
     /// never collide.
@@ -140,7 +154,9 @@ impl PlanFeatCache {
             words: relations.len().div_ceil(64),
             relations,
             sets: Vec::new(),
-            mid_prefix: HashMap::default(),
+            set_ids: HashMap::default(),
+            prefixes: Vec::new(),
+            owns: HashMap::default(),
             ids: HashMap::default(),
             nodes: Vec::new(),
         }
@@ -408,18 +424,26 @@ impl Interner<'_> {
         children: Vec<Arc<FeatNode>>,
     ) -> u32 {
         let id = self.cache.nodes.len() as u32;
-        if !self.cache.mid_prefix.contains_key(self.cache.set(id)) {
-            let set: Box<[u64]> = self.cache.set(id).into();
-            let prefix = self.prefix_of(children.is_empty().then_some(key.1), &set);
-            self.cache.mid_prefix.insert(set, prefix);
-        }
+        let set_id = match self.cache.set_ids.get(self.cache.set(id)) {
+            Some(&set_id) => set_id,
+            None => {
+                let set: Box<[u64]> = self.cache.set(id).into();
+                let prefix = self.prefix_of(children.is_empty().then_some(key.1), &set);
+                let set_id = self.cache.prefixes.len() as u32;
+                self.cache.prefixes.push(prefix);
+                self.cache.set_ids.insert(set, set_id);
+                set_id
+            }
+        };
+        let next_own = self.cache.owns.len() as u32;
+        let own = *self.cache.owns.entry((key.0, set_id)).or_insert(next_own);
         // `[rel ‖ TaBERT]` prefix ‖ operator one-hot.
-        let prefix = &self.cache.mid_prefix[self.cache.set(id)];
+        let prefix = &self.cache.prefixes[set_id as usize];
         let mut mid = Vec::with_capacity(prefix.len() + PhysicalOp::COUNT);
         mid.extend_from_slice(prefix);
         mid.resize(prefix.len() + PhysicalOp::COUNT, 0.0);
         mid[prefix.len() + key.0] = 1.0;
-        let node = FeatNode { mid: Tensor::row(mid), leaf_est, id, children };
+        let node = FeatNode { mid: Tensor::row(mid), leaf_est, id, own, children };
         self.cache.ids.insert(key, id);
         self.cache.nodes.push(Arc::new(node));
         id

@@ -151,13 +151,12 @@ impl QPSeeker {
         for (s, sample) in samples.iter().enumerate() {
             pass.add(s, &sample.plan, &mut NodeMemo::default());
         }
-        let nodes = self.plan_enc.forward(g, &pass, &[]);
+        let (nodes, _own) = self.plan_enc.forward(g, &pass, &[]);
         let kv = self.config.use_attention.then(|| self.attn.project(g, &nodes.h));
-        let q: Vec<Row<Var>> = (0..samples.len()).map(|s| Row::Of(&qv, s)).collect();
         let joint = self.joint(
             g,
             &pass,
-            &q,
+            |s| Row::Of(&qv, s),
             |r| Row::Of(&nodes.h, pass.tape_row(r)),
             |r, value| {
                 let (keys, values) = kv.as_ref().expect("attention implies projected rows");
@@ -171,7 +170,7 @@ impl QPSeeker {
     /// order: QPAttention of its query over its nodes, one call per group of
     /// candidates with equal node count — or, for single-node plans and the
     /// no-attention ablation, the paper's concatenation fallback query ‖
-    /// root node. `q[c]` is candidate `c`'s query embedding, `node(r)` node
+    /// root node. `q(c)` is candidate `c`'s query embedding, `node(r)` node
     /// `r`'s plan-encoder row, and `kv(r, value)` its projected keys
     /// (`value = false`) or values, every head's. Training and serving
     /// differ only in where those rows live.
@@ -179,21 +178,27 @@ impl QPSeeker {
         &self,
         e: &mut E,
         pass: &LevelPass,
-        q: &[Row<'t, E::T>],
+        q: impl Fn(usize) -> Row<'t, E::T>,
         node: impl Fn(NodeRef) -> Row<'t, E::T>,
         kv: impl Fn(NodeRef, bool) -> Row<'t, E::T>,
-    ) -> E::T {
+    ) -> E::T
+    where
+        E::T: 't,
+    {
         let heads = if self.config.use_attention { self.attn.heads } else { 0 };
-        let (mut attend, concat): (Vec<usize>, Vec<usize>) =
-            (0..pass.spans.len()).partition(|&c| pass.spans[c].len() > 1 && heads > 0);
-        attend.sort_by_key(|&c| pass.spans[c].len());
+        let attends = |c: usize| pass.spans[c].len() > 1 && heads > 0;
+        // The concatenation fallback's candidates first, then the attending
+        // ones by node count, each in pass order.
+        let mut order: Vec<usize> = (0..pass.spans.len()).collect();
+        order.sort_by_key(|&c| if attends(c) { pass.spans[c].len() } else { 0 });
+        let (concat, attend) = order.split_at(order.partition_point(|&c| !attends(c)));
         let nodes = |c: usize| &pass.refs[pass.spans[c].clone()];
         // Candidate → (part, row of the part).
         let mut at = vec![(0, 0); pass.spans.len()];
         let mut parts = Vec::new();
         if !concat.is_empty() {
             let (qd, od) = (self.query_enc.out_dim(), self.plan_enc.out_dim());
-            let qc = e.gather(concat.len(), qd, concat.iter().map(|&c| q[c]));
+            let qc = e.gather(concat.len(), qd, concat.iter().map(|&c| q(c)));
             let roots = concat.iter().map(|&c| node(*nodes(c).last().expect("a root")));
             let roots = e.gather(concat.len(), od, roots);
             parts.push(e.concat(&[(&qc, 0..qd), (&roots, 0..od)]));
@@ -203,7 +208,7 @@ impl QPSeeker {
         }
         for group in attend.chunk_by(|&a, &b| pass.spans[a].len() == pass.spans[b].len()) {
             let (kn, n) = (group.len(), nodes(group[0]).len());
-            let qg = e.gather(kn, self.attn.q_dim, group.iter().map(|&c| q[c]));
+            let qg = e.gather(kn, self.attn.q_dim, group.iter().map(|&c| q(c)));
             let side = |e: &mut E, value: bool| {
                 let rows = group.iter().flat_map(|&c| nodes(c)).map(|&r| kv(r, value));
                 e.gather(kn * n, heads * self.attn.head_dim, rows)
@@ -812,15 +817,13 @@ impl QPSeeker {
         let n_rows = rows.len();
         with_thread_scratch(|arena| {
             let e = &mut Scratch { store: &self.store, arena };
-            let fresh = self.plan_enc.forward(e, &pass, &memos);
+            let (fresh, own) = self.plan_enc.forward(e, &pass, &memos);
             let kv = (layout.heads > 0).then(|| self.attn.project(e, &fresh.h));
-            pass.commit(&mut memos, &fresh, kv.as_ref().map(|(k, v)| (k, v)));
-            let q: Vec<Row<Tensor>> =
-                rows.iter().map(|(qemb, _)| Row::Const(qemb.data())).collect();
+            pass.commit(&mut memos, &fresh, own.as_ref(), kv.as_ref().map(|(k, v)| (k, v)));
             let joint = self.joint(
                 e,
                 &pass,
-                &q,
+                |c| Row::Const(rows[c].0.data()),
                 |r| match r {
                     NodeRef::Memo { sub, entry } => Row::Const(memos[sub as usize].h(entry)),
                     NodeRef::Fresh(row) => Row::Of(&fresh.h, pass.pos(row)),
@@ -836,7 +839,7 @@ impl QPSeeker {
                 },
             );
             let kv = kv.into_iter().flat_map(|(k, v)| [k, v]);
-            [fresh.h, fresh.c].into_iter().chain(kv).for_each(|t| e.recycle(t));
+            [fresh.h, fresh.c].into_iter().chain(own).chain(kv).for_each(|t| e.recycle(t));
             let eps: Option<Vec<&[f32]>> = (samples > 0).then(|| {
                 rows.iter().map(|(_, eps)| eps.expect("risk rows carry eps").data()).collect()
             });

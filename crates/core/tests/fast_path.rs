@@ -186,9 +186,9 @@ fn trained_weights_match_the_golden_fingerprint() {
     m.fit(&refs).expect("training succeeds");
     let got = weights_fingerprint(&m);
     let want = match isa::active() {
-        Isa::Scalar => 0xf4e3_32c0_638b_648c,
-        Isa::Avx2 => 0x53f8_856d_b5bb_1d6e,
-        Isa::Avx512 => 0x6505_53e0_09c3_7b26,
+        Isa::Scalar => 0x5cb6_38aa_030f_d468,
+        Isa::Avx2 => 0x9efb_1f08_7c6e_c844,
+        Isa::Avx512 => 0x25b5_31ae_f1b9_69ae,
     };
     assert_eq!(
         got,
@@ -227,9 +227,9 @@ fn trained_weights_on_job_plans_match_the_golden_fingerprint() {
     m.fit(&refs).expect("training succeeds");
     let got = weights_fingerprint(&m);
     let want = match isa::active() {
-        Isa::Scalar => 0x8dc4_9485_bf9f_06d7,
-        Isa::Avx2 => 0xbab5_8489_b18f_2d8d,
-        Isa::Avx512 => 0x84d6_234f_4672_950b,
+        Isa::Scalar => 0x102a_f76e_2fdf_ddae,
+        Isa::Avx2 => 0xee42_9e58_83c8_24e2,
+        Isa::Avx512 => 0x0917_1d80_c3b9_5348,
     };
     assert_eq!(
         got,

@@ -157,6 +157,11 @@ impl Tensor {
         out
     }
 
+    /// Floats the tensor's buffer holds without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Reshape in place to `rows x cols` filled with zeros, reusing the
     /// allocation when it is large enough.
     pub(crate) fn reshape_for(&mut self, rows: usize, cols: usize) {

@@ -576,8 +576,8 @@ proptest! {
         let ones = vec![1.0; lens.len()];
         let pooled = |g: &mut Graph, w: Option<&[f32]>, scales: &[f32]| {
             let xv = g.param(x);
-            let rows: Vec<Row<Var>> = (0..n).map(|r| Row::Of(&xv, r)).collect();
-            g.pool(&rows, w, &lens, scales, cols)
+            let rows = (0..n).map(|r| Row::Of(&xv, r));
+            g.pool(rows, w, &lens, scales, cols)
         };
         let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let xs = store.value(x);
@@ -641,39 +641,60 @@ proptest! {
         }
     }
 
-    /// Two fused `lstm_step`s against the ops they replace (two matmuls, an
-    /// add, a bias broadcast, four gate slices, the activations and the
-    /// cell update); gradients into every weight and the initial state
-    /// against finite differences.
+    /// Two folded LSTM steps — the own term `own·W_own + b`, then `own +
+    /// h·W_fold` and the gates — against the ops they replace: the own
+    /// projection as a matmul and a bias broadcast, `W_fold` summed from
+    /// `W_hh` and `W_ih`'s child-slot rows, a second matmul, an add, four
+    /// gate slices, the activations and the cell update. Gradients into
+    /// every weight and the initial state against finite differences. And
+    /// `W_ih`'s estimate rows take both gradient paths: on one row and one
+    /// step, `W_ih`'s gradient is the outer product of the assembled input
+    /// `x = [h[..child] | mid | h[child..] + est]` with the gates' gradient,
+    /// so its estimate rows carry `est + h`'s tail.
     #[test]
-    fn fused_lstm_step_matches_composition_and_gradcheck(
-        (rows, i, d) in small_dims(),
+    fn folded_lstm_step_matches_composition_and_gradcheck(
+        (rows, d, child, mid) in (1usize..4, 1usize..5)
+            .prop_flat_map(|(rows, d)| (Just(rows), Just(d), 0..=d, 0usize..3)),
         seed in 0u64..500,
     ) {
+        let input = d + mid;
         let mut store = ParamStore::new();
         let mut init = Initializer::new(seed);
-        let cell = LstmCell::new(&mut store, &mut init, "l", i, d);
+        let cell = LstmCell::new(&mut store, &mut init, "l", input, d, child);
         let (h0, c0) = (store.register("h0", init.normal(rows, d, 1.0)), store.register("c0", init.normal(rows, d, 1.0)));
-        let xs = [init.normal(rows, i, 1.0), init.normal(rows, i, 1.0)];
+        let owns = [init.normal(rows, cell.own_dim(), 1.0), init.normal(rows, cell.own_dim(), 1.0)];
         let coef = init.normal(rows, 2 * d, 1.0);
         let fused = |g: &mut Graph| {
             let mut s = LstmState { h: g.param(h0), c: g.param(c0) };
-            for x in &xs {
-                let xv = g.constant(x.clone());
-                s = cell.step(g, &xv, &s);
+            for own in &owns {
+                let ov = g.constant(own.clone());
+                let proj = cell.project(g, &ov);
+                s = cell.step(g, &proj, &s);
             }
             s
         };
         let mut g = Graph::new(&store);
         let got = fused(&mut g);
+        let (w_ih, n) = (store.value(cell.w_ih), 4 * d);
+        let w_own = Tensor::from_vec(cell.own_dim(), n, w_ih.data()[child * n..].to_vec());
+        let mut fold = store.value(cell.w_hh).clone();
+        for j in 0..d {
+            let src = if j < child { j } else { input - d + j };
+            for k in 0..n {
+                fold.set(j, k, fold.get(j, k) + w_ih.get(src, k));
+            }
+        }
         let (mut h, mut c) = (store.value(h0).clone(), store.value(c0).clone());
-        for x in &xs {
-            // gates = (x·W_ih + h·W_hh) + b, then the libm gate expressions.
-            let mut gates = x.matmul(store.value(cell.w_ih));
-            gates.add_assign(&h.matmul(store.value(cell.w_hh)));
+        for own in &owns {
+            // gates = h·W_fold + (own·W_own + b), then the libm gate expressions.
+            let mut proj = own.matmul(&w_own);
             for r in 0..rows {
                 let b = store.value(cell.bias).data();
-                gates.row_slice_mut(r).iter_mut().zip(b).for_each(|(v, b)| *v += b);
+                proj.row_slice_mut(r).iter_mut().zip(b).for_each(|(v, b)| *v += b);
+            }
+            let mut gates = h.matmul(&fold);
+            gates.add_assign(&proj);
+            for r in 0..rows {
                 for j in 0..d {
                     let gate = |k: usize| gates.get(r, k * d + j);
                     let (ig, fg) = (libm(Activation::Sigmoid, gate(0)), libm(Activation::Sigmoid, gate(1)));
@@ -693,6 +714,40 @@ proptest! {
                 weighted_loss(g, hc, &coef)
             });
             prop_assert!(report.passes(2e-2), "{}: {:?}", store.get(id).name, report);
+        }
+        // One row, one step: d(loss)/dW_ih = xᵀ·dg and d(loss)/dW_hh = hᵀ·dg,
+        // with dg the bias gradient.
+        let row = |t: &Tensor| Tensor::row(t.row_slice(0).to_vec());
+        let (h1, c1, own1) = (row(store.value(h0)), row(store.value(c0)), row(&owns[0]));
+        let mut g = Graph::new(&store);
+        let s = LstmState { h: g.constant(h1.clone()), c: g.constant(c1) };
+        let ov = g.constant(own1.clone());
+        let proj = cell.project(&mut g, &ov);
+        let s = cell.step(&mut g, &proj, &s);
+        let hc = g.concat(&[(&s.h, 0..d), (&s.c, 0..d)]);
+        let loss = weighted_loss(&mut g, hc, &row(&coef));
+        let (_, grads) = g.backward(loss);
+        let dg = grads.get(cell.bias).expect("the bias takes a gradient").data().to_vec();
+        let (hr, or) = (h1.data(), own1.data());
+        let x: Vec<(f32, f32)> = (0..input)
+            .map(|k| match k {
+                k if k < child => (hr[k], 0.0),
+                k if k < input - d + child => (0.0, or[k - child]),
+                k => (hr[k - (input - d)], or[k - child]),
+            })
+            .collect();
+        let (gi, gh) = (grads.get(cell.w_ih).expect("W_ih"), grads.get(cell.w_hh).expect("W_hh"));
+        for (k, &(from_h, from_own)) in x.iter().enumerate() {
+            for (j, &dgj) in dg.iter().enumerate() {
+                let want = (from_h + from_own) * dgj;
+                let tol = 1e-5 * (1.0 + (from_h * dgj).abs() + (from_own * dgj).abs());
+                prop_assert!((gi.get(k, j) - want).abs() <= tol, "W_ih[{}][{}]: {} vs {}", k, j, gi.get(k, j), want);
+            }
+        }
+        for (k, &hk) in hr.iter().enumerate() {
+            for (j, &dgj) in dg.iter().enumerate() {
+                prop_assert!((gh.get(k, j) - hk * dgj).abs() <= 1e-5 * (1.0 + (hk * dgj).abs()));
+            }
         }
     }
 
@@ -801,14 +856,15 @@ proptest! {
 fn lstm_chain_sharing_one_cell_passes_gradcheck() {
     let mut store = ParamStore::new();
     let mut init = Initializer::new(5);
-    let cell = LstmCell::new(&mut store, &mut init, "l", 3, 2);
-    let xs: Vec<Tensor> = (0..3).map(|t| Initializer::new(10 + t).normal(1, 3, 1.0)).collect();
+    let cell = LstmCell::new(&mut store, &mut init, "l", 3, 2, 1);
+    let xs: Vec<Tensor> = (0..3).map(|t| Initializer::new(10 + t).normal(1, 2, 1.0)).collect();
     for id in [cell.w_ih, cell.w_hh, cell.bias] {
         let report = check_gradient(&mut store, id, 1e-2, |g| {
             let mut s = cell.zero_state(g, 1);
             for x in &xs {
                 let xv = g.constant(x.clone());
-                s = cell.step(g, &xv, &s);
+                let own = cell.project(g, &xv);
+                s = cell.step(g, &own, &s);
             }
             let hc = g.concat(&[(&s.h, 0..2), (&s.c, 0..2)]);
             let sq = g.mul(hc, hc);
