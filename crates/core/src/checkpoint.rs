@@ -79,19 +79,18 @@ impl Checkpoint {
             return Err(CoreError::SchemaMismatch { expected: self.schema_dims, found: dims });
         }
         let mut model = QPSeeker::new(db, self.config);
-        if model.store.len() != self.store.len()
-            || model.store.num_scalars() != self.store.num_scalars()
-        {
-            return Err(CoreError::ParamLayout {
-                built_params: model.store.len(),
-                built_scalars: model.store.num_scalars(),
-                saved_params: self.store.len(),
-                saved_scalars: self.store.num_scalars(),
-            });
+        let layout = CoreError::ParamLayout {
+            built_params: model.store.len(),
+            built_scalars: model.store.num_scalars(),
+            saved_params: self.store.len(),
+            saved_scalars: self.store.num_scalars(),
+        };
+        // Into the built store, which knows what serving reads packed.
+        if !model.store.load(self.store) {
+            return Err(layout);
         }
-        model.store = self.store;
         model.normalizer = self.normalizer;
-        // Pack weight panels now so serving never pays for it mid-query.
+        // Pack what serving reads now so it never pays for it mid-query.
         model.store.warm_packed();
         Ok(model)
     }
@@ -131,6 +130,27 @@ mod tests {
         let model3 = Checkpoint::from_json(&legacy).unwrap().restore(&db).unwrap();
         let after = model3.predict(&w.qeps[0].query, &w.qeps[0].plan);
         assert_eq!(before, after, "a retired config key must not change scoring");
+    }
+
+    /// A restored model has packed exactly what serving reads: scoring
+    /// every plan of a workload (scans and joins, attention and the
+    /// concatenation fallback) builds no further derived weight.
+    #[test]
+    fn restored_model_serves_without_packing() {
+        let db = Arc::new(qpseeker_storage::datagen::imdb::generate(0.04, 2));
+        let w = synthetic::generate(&db, &SyntheticConfig { n_queries: 15, seed: 2 });
+        let refs: Vec<&Qep> = w.qeps.iter().collect();
+        let mut model = QPSeeker::new(&db, ModelConfig::small());
+        model.fit(&refs).expect("training succeeds");
+        let json = Checkpoint::capture(&model, &db).to_json().unwrap();
+        let restored = Checkpoint::from_json(&json).unwrap().restore(&db).unwrap();
+        let warm = restored.store.derived_copies();
+        assert!(warm > 0, "restore warms the served weights");
+        assert!(w.qeps.iter().any(|q| q.plan.len() > 1), "some plan attends");
+        for q in &w.qeps {
+            restored.predict(&q.query, &q.plan);
+        }
+        assert_eq!(restored.store.derived_copies(), warm, "a served request packed a weight");
     }
 
     #[test]

@@ -155,11 +155,7 @@ impl PlanEncoder {
         let own = (!pass.owns.is_empty()).then(|| {
             let x = e.constant(pass.owns.len(), self.cell.own_dim(), |t| {
                 for (i, &(node, _)) in pass.owns.iter().enumerate() {
-                    let (row, mid) = (t.row_slice_mut(i), node.mid.data());
-                    row[..mid.len()].copy_from_slice(mid);
-                    if let Some(est) = &node.leaf_est {
-                        row[mid.len()..].copy_from_slice(est.data());
-                    }
+                    t.row_slice_mut(i).copy_from_slice(&node.input);
                 }
             });
             let own = self.cell.project(e, &x);
@@ -176,7 +172,7 @@ impl PlanEncoder {
                 let levels = &levels;
                 rows.iter().flat_map(move |&r| {
                     let FreshRow { node, sub, kids, .. } = &pass.fresh[r as usize];
-                    kids[..node.children.len()].iter().map(move |kid| match *kid {
+                    kids[..node.children().len()].iter().map(move |kid| match *kid {
                         NodeRef::Memo { entry, .. } => {
                             Row::Const(memo_row(memos[*sub as usize], entry))
                         }
@@ -422,7 +418,7 @@ impl LevelOrder {
             pos[r as usize] = i as u32;
         }
         let lens: Vec<usize> =
-            rows.iter().map(|&r| fresh[r as usize].node.children.len()).collect();
+            rows.iter().map(|&r| fresh[r as usize].node.children().len()).collect();
         let inv = lens.iter().map(|&n| 1.0 / n.max(1) as f32).collect();
         Self { rows, starts, pos, lens, inv }
     }
@@ -513,10 +509,9 @@ impl<'a> LevelPass<'a> {
         node: &'a FeatNode,
         memo: &mut NodeMemo,
     ) -> (NodeRef, Option<u32>) {
-        assert!(node.children.len() <= 2, "plan nodes have at most two children");
         let mut kids = [NodeRef::Fresh(0); 2];
         let mut level = 0;
-        for (k, child) in node.children.iter().enumerate() {
+        for (k, child) in node.children().iter().enumerate() {
             let (kid, kid_level) = self.visit(sub, child, memo);
             kids[k] = kid;
             if let Some(l) = kid_level {
@@ -566,7 +561,7 @@ impl<'a> LevelPass<'a> {
         for (row, FreshRow { node, sub, .. }) in self.fresh.iter().enumerate() {
             let memo = &mut *memos[*sub as usize];
             memo.encoded += 1;
-            let slot = if memo.admit(node.children.is_empty(), memo.width()) {
+            let slot = if memo.admit(node.is_leaf(), memo.width()) {
                 let (entry, at) = (memo.len() as u32, self.pos(row as u32));
                 memo.data.extend_from_slice(fresh.h.row_slice(at));
                 memo.data.extend_from_slice(fresh.c.row_slice(at));
@@ -581,7 +576,7 @@ impl<'a> LevelPass<'a> {
         }
         for (k, &(node, sub)) in self.owns.iter().enumerate() {
             let memo = &mut *memos[sub as usize];
-            let join = !node.children.is_empty();
+            let join = !node.is_leaf();
             let slot = if join && memo.admit(false, memo.own_width()) {
                 let entry = (memo.owns.len() / memo.own_width()) as u32;
                 memo.owns.extend_from_slice(own.expect("projected own terms").row_slice(k));
@@ -925,7 +920,7 @@ mod tests {
         let (a, b) = (&feats[0], &feats[1]);
         assert_ne!(a.id, b.id);
         assert_eq!(a.own, b.own, "equal alias set and operator, one own id");
-        assert_ne!(a.children[0].own, b.children[0].own);
+        assert_ne!(a.children()[0].own, b.children()[0].own);
         let mut memo = fresh_memo(&cfg, &q);
         let mut pass = LevelPass::default();
         pass.add(0, a, &mut memo);

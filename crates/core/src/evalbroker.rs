@@ -80,7 +80,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use crate::encoder::NodeMemo;
 use crate::featurize::FeatNode;
 use crate::metrics::ServeCounters;
-use crate::model::{Prediction, QPSeeker};
+use crate::model::{Prediction, QPSeeker, QueryRows};
 use qpseeker_nn::prelude::Tensor;
 
 /// Virtual duration of one flush round, in microseconds. The broker has no
@@ -115,8 +115,8 @@ pub(crate) struct BucketKey {
 }
 
 /// One candidate-scoring request — the row contract of `QPSeeker::score`,
-/// built by `QPSeeker::submission`: pre-featurized plans, owned copies of
-/// the per-query tensors the forward needs, and the query's node memo.
+/// built by `QPSeeker::submission`: pre-featurized plans, the per-query
+/// rows the forward needs (shared, not copied), and the query's node memo.
 /// Featurization stays submitter-side (it uses the session's own caches),
 /// so scoring — local or brokered — only ever runs the tensor pipeline.
 /// The whole submission goes back to its submitter, which returns the row
@@ -125,8 +125,9 @@ pub(crate) struct Submission {
     pub(crate) key: BucketKey,
     /// One featurized tree per candidate plan.
     pub(crate) nodes: Vec<Arc<FeatNode>>,
-    /// The submitting query's embedding, `[1, qd]`.
-    pub(crate) qemb: Tensor,
+    /// The submitting query's embedding and projected `Q`, shared with its
+    /// `QueryContext`.
+    pub(crate) query: Arc<QueryRows>,
     /// Seeded latent draws `[samples, latent]` when risk scoring.
     pub(crate) eps: Option<Tensor>,
     /// The submitting query's encoded subtrees, keyed by the node ids in

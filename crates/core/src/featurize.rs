@@ -44,21 +44,33 @@ pub(crate) struct QueryFeatures {
 /// Featurized plan node (tree mirrors the physical plan).
 #[derive(Debug, Clone)]
 pub struct FeatNode {
-    /// Constant middle segment `[1, N + tabert_dim + 6]`:
-    /// relation one-hot sum ‖ TaBERT representation ‖ operator one-hot.
-    pub(crate) mid: Tensor,
-    /// For leaves: normalized EXPLAIN estimates `[1, 3]`.
-    pub(crate) leaf_est: Option<Tensor>,
+    /// The node's own input `[mid | estimates]`, `N + tabert_dim + 6 + 3`
+    /// floats: the constant middle segment (relation one-hot sum ‖ TaBERT
+    /// representation ‖ operator one-hot), then a leaf's normalized EXPLAIN
+    /// estimates (zero on a join). One allocation per own id, shared by
+    /// every node of it.
+    pub(crate) input: Arc<[f32]>,
     /// The subtree's node id in its query's [`PlanFeatCache`]: equal ids
     /// are equal subtrees, so their encodings are too.
     pub(crate) id: u32,
     /// The node's own id in the same cache, dense per (alias set, operator):
-    /// nodes with equal own ids have equal own inputs `[mid | estimates]`
-    /// (a leaf's alias set is its one relation, so its own id is its own).
+    /// nodes with equal own ids have equal own inputs (a leaf's alias set is
+    /// its one relation, so its own id is its own).
     pub(crate) own: u32,
-    /// Shared, so the cache hands every plan containing a subtree the one
-    /// node it built for it.
-    pub(crate) children: Vec<Arc<FeatNode>>,
+    /// A join's two subtrees; shared, so the cache hands every plan
+    /// containing a subtree the one node it built for it.
+    pub(crate) kids: Option<[Arc<FeatNode>; 2]>,
+}
+
+impl FeatNode {
+    /// The node's children: none for a leaf, left and right for a join.
+    pub(crate) fn children(&self) -> &[Arc<FeatNode>] {
+        self.kids.as_ref().map_or(&[], |k| k.as_slice())
+    }
+
+    pub(crate) fn is_leaf(&self) -> bool {
+        self.kids.is_none()
+    }
 }
 
 /// A fully featurized QEP ready for the encoders.
@@ -105,8 +117,10 @@ struct Relation {
 /// A node's own input — `[prefix ‖ op one-hot ‖ estimates]`, the part of
 /// its plan-encoder input that does not come from its children — is then a
 /// function of (operator, alias set) alone, so every node also gets a
-/// dense *own id* under that key (`FeatNode::own`): the scoring path
-/// projects each own input once per query, however many subtrees share it.
+/// dense *own id* under that key (`FeatNode::own`): the input is built once
+/// per own id and shared by every node of it, and the scoring path projects
+/// each own input once per query, however many subtrees share it. A new
+/// join allocates only its node.
 pub struct PlanFeatCache {
     /// The query's TaBERT cache key and trigram set.
     tabert: TabertQuery,
@@ -126,6 +140,8 @@ pub struct PlanFeatCache {
     prefixes: Vec<Vec<f32>>,
     /// `(op one-hot index, alias set index)` → own id.
     owns: HashMap<(usize, u32), u32, FnvBuild>,
+    /// Own id → its own input.
+    inputs: Vec<Arc<[f32]>>,
     /// `(op one-hot index, relation index | left id, 0 | right id)` → node
     /// id. Scan and join one-hot indices are disjoint, so leaves and joins
     /// never collide.
@@ -157,6 +173,7 @@ impl PlanFeatCache {
             set_ids: HashMap::default(),
             prefixes: Vec::new(),
             owns: HashMap::default(),
+            inputs: Vec::new(),
             ids: HashMap::default(),
             nodes: Vec::new(),
         }
@@ -395,9 +412,8 @@ impl Interner<'_> {
         // yields the same NodeEstimate a full-plan EXPLAIN would.
         let scan = PlanNode::scan(self.query, &self.query.relations[rel as usize].alias, op);
         let e = Explain::new(&self.feat.db).explain(self.query, &scan)[0];
-        let enc = self.norm.encode([e.rows, e.cost, e.time_ms]);
-        let est = Tensor::row(enc.iter().map(|v| v * ESTIMATE_SCALE).collect());
-        self.number(key, Some(est), Vec::new())
+        let est = self.norm.encode([e.rows, e.cost, e.time_ms]).map(|v| v * ESTIMATE_SCALE);
+        self.number(key, est, None)
     }
 
     /// The node id of `left ⋈op right` over node ids, featurized the first
@@ -411,24 +427,25 @@ impl Interner<'_> {
             let word = self.cache.set(left)[w] | self.cache.set(right)[w];
             self.cache.sets.push(word);
         }
-        let children = vec![Arc::clone(self.cache.node(left)), Arc::clone(self.cache.node(right))];
-        self.number(key, None, children)
+        let kids = [left, right].map(|c| Arc::clone(self.cache.node(c)));
+        self.number(key, [0.0; 3], Some(kids))
     }
 
     /// Number a new node of `key`, whose alias set is the last one pushed
-    /// onto the arena: ids go in first-seen order.
+    /// onto the arena: ids go in first-seen order. `est` is a leaf's scaled
+    /// estimates (zero for a join).
     fn number(
         &mut self,
         key: (usize, u32, u32),
-        leaf_est: Option<Tensor>,
-        children: Vec<Arc<FeatNode>>,
+        est: [f32; 3],
+        kids: Option<[Arc<FeatNode>; 2]>,
     ) -> u32 {
         let id = self.cache.nodes.len() as u32;
         let set_id = match self.cache.set_ids.get(self.cache.set(id)) {
             Some(&set_id) => set_id,
             None => {
                 let set: Box<[u64]> = self.cache.set(id).into();
-                let prefix = self.prefix_of(children.is_empty().then_some(key.1), &set);
+                let prefix = self.prefix_of(kids.is_none().then_some(key.1), &set);
                 let set_id = self.cache.prefixes.len() as u32;
                 self.cache.prefixes.push(prefix);
                 self.cache.set_ids.insert(set, set_id);
@@ -437,13 +454,18 @@ impl Interner<'_> {
         };
         let next_own = self.cache.owns.len() as u32;
         let own = *self.cache.owns.entry((key.0, set_id)).or_insert(next_own);
-        // `[rel ‖ TaBERT]` prefix ‖ operator one-hot.
-        let prefix = &self.cache.prefixes[set_id as usize];
-        let mut mid = Vec::with_capacity(prefix.len() + PhysicalOp::COUNT);
-        mid.extend_from_slice(prefix);
-        mid.resize(prefix.len() + PhysicalOp::COUNT, 0.0);
-        mid[prefix.len() + key.0] = 1.0;
-        let node = FeatNode { mid: Tensor::row(mid), leaf_est, id, own, children };
+        if own == next_own {
+            // `[rel ‖ TaBERT]` prefix ‖ operator one-hot ‖ estimates.
+            let prefix = &self.cache.prefixes[set_id as usize];
+            let mut input = Vec::with_capacity(prefix.len() + PhysicalOp::COUNT + est.len());
+            input.extend_from_slice(prefix);
+            input.resize(prefix.len() + PhysicalOp::COUNT, 0.0);
+            input[prefix.len() + key.0] = 1.0;
+            input.extend_from_slice(&est);
+            self.cache.inputs.push(input.into());
+        }
+        let input = Arc::clone(&self.cache.inputs[own as usize]);
+        let node = FeatNode { input, id, own, kids };
         self.cache.ids.insert(key, id);
         self.cache.nodes.push(Arc::new(node));
         id
@@ -564,22 +586,23 @@ mod tests {
         let mut sess = FeatSession::new();
         let fq = f.featurize(&mut sess, &q, &plan, Some(&truth), &n);
         fn count(node: &FeatNode) -> usize {
-            1 + node.children.iter().map(|c| count(c)).sum::<usize>()
+            1 + node.children().iter().map(|c| count(c)).sum::<usize>()
         }
         assert_eq!(count(&fq.plan), 3);
-        assert_eq!(fq.plan.children.len(), 2);
-        // Leaves carry EXPLAIN estimates; the join does not.
-        assert!(fq.plan.children[0].leaf_est.is_some());
-        assert!(fq.plan.children[1].leaf_est.is_some());
-        assert!(fq.plan.leaf_est.is_none());
+        assert_eq!(fq.plan.children().len(), 2);
+        // Leaves carry EXPLAIN estimates; the join's slots are zero.
+        let est = |node: &FeatNode| node.input[node.input.len() - 3..].to_vec();
+        assert!(fq.plan.children().iter().all(|c| c.is_leaf() && est(c) != [0.0; 3]));
+        assert!(!fq.plan.is_leaf());
+        assert_eq!(est(&fq.plan), [0.0; 3]);
         // Every node carries normalized truth, in postorder.
         let truths = fq.truths.as_ref().expect("labelled");
         assert_eq!(truths.len(), 3);
         assert_eq!(truths[2], n.encode([truth.rows as f64, truth.cost, truth.time_ms]));
         assert!(fq.target.is_some());
-        // Mid width = N + tabert + 6.
-        let expect = db.catalog.num_tables() + 64 + 6;
-        assert_eq!(fq.plan.mid.cols(), expect);
+        // Own input width = N + tabert + 6, then 3 estimates.
+        let expect = db.catalog.num_tables() + 64 + 6 + 3;
+        assert_eq!(fq.plan.input.len(), expect);
     }
 
     #[test]
@@ -591,9 +614,9 @@ mod tests {
         let mut sess = FeatSession::new();
         let fq = f.featurize(&mut sess, &q, &plan, Some(&truth), &n);
         let n_tables = db.catalog.num_tables();
-        let rel_part: f32 = fq.plan.mid.data()[..n_tables].iter().sum();
+        let rel_part: f32 = fq.plan.input[..n_tables].iter().sum();
         assert_eq!(rel_part, 2.0, "join node should encode both relations");
-        let leaf_rel: f32 = fq.plan.children[0].mid.data()[..n_tables].iter().sum();
+        let leaf_rel: f32 = fq.plan.children()[0].input[..n_tables].iter().sum();
         assert_eq!(leaf_rel, 1.0);
     }
 
@@ -620,7 +643,7 @@ mod tests {
         let fq2 = f.featurize(&mut sess, &q2, &plan2, Some(&truth2), &n);
         let n_tables = db.catalog.num_tables();
         let seg =
-            |fqx: &FeaturizedQep| fqx.plan.children[0].mid.data()[n_tables..n_tables + 64].to_vec();
+            |fqx: &FeaturizedQep| fqx.plan.children()[0].input[n_tables..n_tables + 64].to_vec();
         assert_ne!(seg(&fq), seg(&fq2));
     }
 
@@ -633,7 +656,8 @@ mod tests {
         let fq = f.featurize(&mut sess, &q, &plan, None, &n);
         assert!(fq.target.is_none());
         assert!(fq.truths.is_none());
-        assert!(fq.plan.children[0].leaf_est.is_some(), "EXPLAIN estimates still available");
+        let leaf = &fq.plan.children()[0].input;
+        assert_ne!(leaf[leaf.len() - 3..], [0.0; 3], "EXPLAIN estimates still available");
     }
 
     #[test]
@@ -644,9 +668,51 @@ mod tests {
         let mut sess = FeatSession::new();
         let fq = f.featurize(&mut sess, &q, &plan, None, &n);
         let n_tables = db.catalog.num_tables();
-        let op_seg = &fq.plan.mid.data()[n_tables + 64..];
-        assert_eq!(op_seg.len(), 6);
+        let op_seg = &fq.plan.input[n_tables + 64..n_tables + 70];
+        assert_eq!(fq.plan.input.len(), n_tables + 73);
         assert_eq!(op_seg.iter().sum::<f32>(), 1.0);
         assert_eq!(op_seg[PhysicalOp::Join(JoinOp::HashJoin).one_hot_index()], 1.0);
+    }
+
+    /// Joins of one (alias set, operator) share one own-input allocation,
+    /// whatever their children; a join of another operator over the same
+    /// set, and a leaf, have their own. A join's children are the cache's
+    /// nodes of its subtrees, not copies.
+    #[test]
+    fn joins_with_equal_own_ids_share_one_own_input() {
+        let (db, mut q, _) = setup();
+        q.relations.push(RelRef::new("movie_keyword"));
+        q.joins.push(JoinPred {
+            left: ColRef::new("movie_keyword", "movie_id"),
+            right: ColRef::new("title", "id"),
+        });
+        let f = Featurizer::new(db, TabSim::new(TabertConfig::paper_default()));
+        let scan = |a| PlanNode::scan(&q, a, ScanOp::SeqScan);
+        let join = |op, l, r| PlanNode::join(&q, op, l, r);
+        let hash = JoinOp::HashJoin;
+        let plans = [
+            join(hash, join(hash, scan("title"), scan("movie_info")), scan("movie_keyword")),
+            join(hash, join(hash, scan("movie_keyword"), scan("title")), scan("movie_info")),
+            join(
+                JoinOp::MergeJoin,
+                join(hash, scan("title"), scan("movie_info")),
+                scan("movie_keyword"),
+            ),
+        ];
+        let (mut sess, mut cache, mut out) =
+            (FeatSession::new(), PlanFeatCache::new(&q), Vec::new());
+        let refs: Vec<&PlanNode> = plans.iter().collect();
+        f.featurize_batch_into(&mut sess, &q, &refs, &norm(), &mut cache, &mut out);
+        let [a, b, m] = [&out[0], &out[1], &out[2]];
+        assert_ne!(a.id, b.id);
+        assert_eq!(a.own, b.own);
+        assert!(Arc::ptr_eq(&a.input, &b.input), "one own input per own id");
+        assert_ne!(a.own, m.own);
+        assert!(!Arc::ptr_eq(&a.input, &m.input));
+        assert_ne!(a.input[..], m.input[..], "the operator one-hot differs");
+        assert!(Arc::ptr_eq(&a.children()[0], &m.children()[0]), "a shared subtree is one node");
+        assert!(Arc::ptr_eq(&a.children()[0], cache.node(a.children()[0].id)));
+        let leaf = &a.children()[1];
+        assert!(leaf.is_leaf() && !Arc::ptr_eq(&leaf.input, &a.input));
     }
 }

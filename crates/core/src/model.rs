@@ -153,10 +153,15 @@ impl QPSeeker {
         }
         let (nodes, _own) = self.plan_enc.forward(g, &pass, &[]);
         let kv = self.config.use_attention.then(|| self.attn.project(g, &nodes.h));
+        let qd = self.query_enc.out_dim();
         let joint = self.joint(
             g,
             &pass,
             |s| Row::Of(&qv, s),
+            |g, group| {
+                let qg = g.gather(group.len(), qd, group.iter().map(|&s| Row::Of(&qv, s)));
+                self.attn.query(g, &qg)
+            },
             |r| Row::Of(&nodes.h, pass.tape_row(r)),
             |r, value| {
                 let (keys, values) = kv.as_ref().expect("attention implies projected rows");
@@ -170,15 +175,19 @@ impl QPSeeker {
     /// order: QPAttention of its query over its nodes, one call per group of
     /// candidates with equal node count — or, for single-node plans and the
     /// no-attention ablation, the paper's concatenation fallback query ‖
-    /// root node. `q(c)` is candidate `c`'s query embedding, `node(r)` node
-    /// `r`'s plan-encoder row, and `kv(r, value)` its projected keys
-    /// (`value = false`) or values, every head's. Training and serving
-    /// differ only in where those rows live.
+    /// root node. `q(c)` is candidate `c`'s query embedding, `queries(e,
+    /// group)` the group's projected queries `[group.len(), heads·d]`,
+    /// `node(r)` node `r`'s plan-encoder row, and `kv(r, value)` its
+    /// projected keys (`value = false`) or values, every head's. Training
+    /// and serving differ only in where those rows live: serving projects a
+    /// query once and gathers its row, the tape projects each group's
+    /// gathered embeddings, so its `W_q` gradients sum in one order.
     fn joint<'t, E: Exec>(
         &self,
         e: &mut E,
         pass: &LevelPass,
         q: impl Fn(usize) -> Row<'t, E::T>,
+        queries: impl Fn(&mut E, &[usize]) -> E::T,
         node: impl Fn(NodeRef) -> Row<'t, E::T>,
         kv: impl Fn(NodeRef, bool) -> Row<'t, E::T>,
     ) -> E::T
@@ -208,7 +217,7 @@ impl QPSeeker {
         }
         for group in attend.chunk_by(|&a, &b| pass.spans[a].len() == pass.spans[b].len()) {
             let (kn, n) = (group.len(), nodes(group[0]).len());
-            let qg = e.gather(kn, self.attn.q_dim, group.iter().map(|&c| q(c)));
+            let qg = queries(e, group);
             let side = |e: &mut E, value: bool| {
                 let rows = group.iter().flat_map(|&c| nodes(c)).map(|&r| kv(r, value));
                 e.gather(kn * n, heads * self.attn.head_dim, rows)
@@ -319,17 +328,15 @@ impl QPSeeker {
                 current: format!("{n_samples} QEPs"),
             });
         }
-        if self.store.len() != snap.store.len()
-            || self.store.num_scalars() != snap.store.num_scalars()
-        {
-            return Err(CoreError::ParamLayout {
-                built_params: self.store.len(),
-                built_scalars: self.store.num_scalars(),
-                saved_params: snap.store.len(),
-                saved_scalars: snap.store.num_scalars(),
-            });
+        let layout = CoreError::ParamLayout {
+            built_params: self.store.len(),
+            built_scalars: self.store.num_scalars(),
+            saved_params: snap.store.len(),
+            saved_scalars: snap.store.num_scalars(),
+        };
+        if !self.store.load(snap.store) {
+            return Err(layout);
         }
-        self.store = snap.store;
         self.normalizer = snap.normalizer;
         Ok(ResumePoint {
             opt: snap.optimizer,
@@ -612,10 +619,11 @@ impl QPSeeker {
     }
 
     /// Build the per-query state every scoring entry point takes. The query
-    /// encoder runs once here, on the serving executor; each candidate plan
-    /// then only pays for the plan-encoder rows of subtrees no earlier
-    /// candidate had, and for attention and the VAE head — a search builds
-    /// one context per query and scores every candidate through it.
+    /// encoder and the attention's `Q` projection run once here, on the
+    /// serving executor; each candidate plan then only pays for the
+    /// plan-encoder rows of subtrees no earlier candidate had, and for
+    /// attention and the VAE head — a search builds one context per query
+    /// and scores every candidate through it.
     pub fn query_context(&self, query: &Query) -> QueryContext {
         self.query_context_reusing(query, NodeMemo::default())
     }
@@ -624,16 +632,22 @@ impl QPSeeker {
     /// session's); [`QueryContext::finish`] hands it back.
     pub(crate) fn query_context_reusing(&self, query: &Query, mut memo: NodeMemo) -> QueryContext {
         let qf = self.feat.query_features(query);
-        let qemb = with_thread_scratch(|arena| {
+        let rows = with_thread_scratch(|arena| {
             let e = &mut Scratch { store: &self.store, arena };
-            let t = self.query_enc.forward(e, &[&qf]);
-            let owned = t.clone();
-            e.recycle(t);
-            owned
+            let emb = self.query_enc.forward(e, &[&qf]);
+            let q = self.config.use_attention.then(|| {
+                let q = self.attn.query(e, &emb);
+                let owned = q.clone();
+                e.recycle(q);
+                owned
+            });
+            let owned = emb.clone();
+            e.recycle(emb);
+            QueryRows { emb: owned, q }
         });
         memo.init(self.memo_layout(), ScanOp::ALL.len() * query.relations.len());
         QueryContext {
-            qemb,
+            rows: Arc::new(rows),
             query_key: query_key(query),
             plan_cache: PlanFeatCache::new(query),
             memo,
@@ -742,13 +756,13 @@ impl QPSeeker {
     }
 
     /// Candidate plans of one query, named by their root node ids in `ctx`,
-    /// in the scoring row contract: one featurized tree per plan, the query
-    /// embedding, the context's node memo, and — for risk scoring — the
-    /// seeded eps block. Featurization ran when the ids were interned,
-    /// against the caller's own caches; only the tensor pipeline sits behind
-    /// [`Self::score`]. The memo comes from `ctx` and goes back through
-    /// [`QueryContext::reclaim`] once scored, so no subtree is encoded
-    /// twice.
+    /// in the scoring row contract: one featurized tree per plan, the
+    /// query's rows (embedding and projected `Q`), the context's node memo,
+    /// and — for risk scoring — the seeded eps block. Featurization ran
+    /// when the ids were interned, against the caller's own caches; only
+    /// the tensor pipeline sits behind [`Self::score`]. The memo comes from
+    /// `ctx` and goes back through [`QueryContext::reclaim`] once scored, so
+    /// no subtree is encoded twice.
     pub(crate) fn submission(
         &self,
         ctx: &mut QueryContext,
@@ -761,7 +775,7 @@ impl QPSeeker {
             samples: eps.map_or(0, Tensor::rows),
         };
         let memo = std::mem::take(&mut ctx.memo);
-        Submission { key, nodes, qemb: ctx.qemb.clone(), eps: eps.cloned(), memo }
+        Submission { key, nodes, query: Arc::clone(&ctx.rows), eps: eps.cloned(), memo }
     }
 
     /// Score one submission on the calling thread — exactly what a
@@ -776,7 +790,7 @@ impl QPSeeker {
     /// **The** serving path: every candidate plan the system ever scores —
     /// one `predict`, a search's batch, a broker bucket fused from many
     /// sessions — is a row here. A row is (featurized tree, its query's
-    /// embedding, its query's memo, optionally its query's eps block), and
+    /// rows, its query's memo, optionally its query's eps block), and
     /// one call runs the model's forward on the scratch executor, across
     /// every submission:
     ///
@@ -784,14 +798,15 @@ impl QPSeeker {
     ///    submission, one `rows = m` step per level, children first
     ///    ([`PlanEncoder::forward`]); then the new rows' per-head K/V, and
     ///    both into the memos as far as their budgets admit;
-    /// 2. the joint embeddings ([`Self::joint`]), over K/V gathered from
-    ///    memo entries and new rows;
+    /// 2. the joint embeddings ([`Self::joint`]), over each query's `Q` row
+    ///    (projected once, by [`Self::query_context`]) and K/V gathered
+    ///    from memo entries and new rows;
     /// 3. the VAE head once over every row.
     ///
     /// Every layer preserves per-row FP reduction order, so a row's result
     /// does not depend on what it is scored with, nor on whether its nodes
     /// were encoded now or by an earlier call: scalar is one row, a batch is
-    /// K rows sharing one `qemb`, mean scoring is "no eps".
+    /// K rows sharing one query's rows, mean scoring is "no eps".
     ///
     /// All submissions must agree on the scoring kind (`key.samples`).
     /// Returns one outcome per submission, in order.
@@ -802,14 +817,14 @@ impl QPSeeker {
         // Split every submission into its read-only rows and its memo.
         let mut pass = LevelPass::default();
         let mut memos: Vec<&mut NodeMemo> = Vec::with_capacity(subs.len());
-        let mut rows: Vec<(&Tensor, Option<&Tensor>)> = Vec::new();
+        let mut rows: Vec<(&QueryRows, Option<&Tensor>)> = Vec::new();
         let mut counts = Vec::with_capacity(subs.len());
         for (si, sub) in subs.iter_mut().enumerate() {
             debug_assert_eq!(sub.key.samples, samples, "one scoring kind per call");
-            let Submission { nodes, qemb, eps, memo, .. } = sub;
+            let Submission { nodes, query, eps, memo, .. } = sub;
             for node in nodes.iter() {
                 pass.add(si, node, memo);
-                rows.push((&*qemb, eps.as_ref()));
+                rows.push((&**query, eps.as_ref()));
             }
             counts.push(nodes.len());
             memos.push(memo);
@@ -820,10 +835,15 @@ impl QPSeeker {
             let (fresh, own) = self.plan_enc.forward(e, &pass, &memos);
             let kv = (layout.heads > 0).then(|| self.attn.project(e, &fresh.h));
             pass.commit(&mut memos, &fresh, own.as_ref(), kv.as_ref().map(|(k, v)| (k, v)));
+            let hd = layout.heads * layout.head_dim;
             let joint = self.joint(
                 e,
                 &pass,
-                |c| Row::Const(rows[c].0.data()),
+                |c| Row::Const(rows[c].0.emb.data()),
+                |e, group| {
+                    let q = |c: usize| rows[c].0.q.as_ref().expect("attention projects Q").data();
+                    e.gather(group.len(), hd, group.iter().map(|&c| Row::Const(q(c))))
+                },
                 |r| match r {
                     NodeRef::Memo { sub, entry } => Row::Const(memos[sub as usize].h(entry)),
                     NodeRef::Fresh(row) => Row::Of(&fresh.h, pass.pos(row)),
@@ -909,13 +929,22 @@ impl QPSeeker {
     }
 }
 
-/// Cached per-query inference state: the query embedding, the
-/// plan featurization cache (which numbers the query's distinct subtrees)
-/// and the memo of subtrees encoded so far, all shared by every candidate
-/// plan of one query. Built by [`QPSeeker::query_context`]; bound to that
-/// query — scoring another one through it panics.
+/// A query's rows every candidate plan of it reads: its embedding `[1,
+/// query_dim]` (the concatenation fallback's query half), and with
+/// attention on its projected query `[1, heads·head_dim]`, every head's
+/// side by side. Computed once per query, shared by its submissions.
+pub(crate) struct QueryRows {
+    emb: Tensor,
+    q: Option<Tensor>,
+}
+
+/// Cached per-query inference state: the query's rows, the plan
+/// featurization cache (which numbers the query's distinct subtrees) and
+/// the memo of subtrees encoded so far, all shared by every candidate plan
+/// of one query. Built by [`QPSeeker::query_context`]; bound to that query
+/// — scoring another one through it panics.
 pub struct QueryContext {
-    qemb: Tensor,
+    rows: Arc<QueryRows>,
     /// [`query_key`] of the query the context was built for.
     query_key: u64,
     plan_cache: PlanFeatCache,
@@ -1256,8 +1285,8 @@ mod tests {
         };
         let with_mi = |leaf: PlanNode| PlanNode::Join {
             op: JoinOp::HashJoin,
-            left: Box::new(PlanNode::scan(&q, "movie_info", ScanOp::SeqScan)),
-            right: Box::new(leaf),
+            left: Arc::new(PlanNode::scan(&q, "movie_info", ScanOp::SeqScan)),
+            right: Arc::new(leaf),
             preds: Vec::new(),
         };
         let foreign = [

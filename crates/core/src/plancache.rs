@@ -414,8 +414,9 @@ pub struct PlanCacheCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qpseeker_engine::plan::ScanOp;
+    use qpseeker_engine::plan::{JoinOp, ScanOp};
     use qpseeker_engine::query::{CmpOp, ColRef, Filter, JoinPred, Query, RelRef};
+    use std::sync::Arc;
 
     fn three_way() -> Query {
         let mut q = Query::new("q");
@@ -437,6 +438,46 @@ mod tests {
             value: 2000.0,
         }];
         q
+    }
+
+    /// A plan's JSON — what a checkpoint, the experience WAL and a served
+    /// response hold — is byte for byte the format of the boxed tree the
+    /// subtrees were before they were shared (the literal below is its
+    /// output), and parses back to an equal plan that prints the same.
+    #[test]
+    fn plan_json_round_trips_byte_identically() {
+        let mut q = three_way();
+        q.relations[2] = RelRef::new("movie_keyword");
+        q.joins[1].left = ColRef::new("movie_keyword", "movie_id");
+        let scan = |a, op| PlanNode::scan(&q, a, op);
+        let inner = PlanNode::join(
+            &q,
+            JoinOp::HashJoin,
+            scan("title", ScanOp::SeqScan),
+            scan("movie_info", ScanOp::IndexScan),
+        );
+        let plan = PlanNode::join(
+            &q,
+            JoinOp::MergeJoin,
+            inner,
+            scan("movie_keyword", ScanOp::BitmapIndexScan),
+        );
+        let golden = [
+            "{\"Join\":{\"op\":\"MergeJoin\",\"left\":{\"Join\":{\"op\":\"HashJoin\",\"left\":{\"Scan\":{\"alias",
+            "\":\"title\",\"table\":\"title\",\"op\":\"SeqScan\",\"filters\":[{\"col\":{\"alias\":\"title\",\"col",
+            "umn\":\"production_year\"},\"op\":\"Gt\",\"value\":2000.0}]}},\"right\":{\"Scan\":{\"alias\":\"m",
+            "ovie_info\",\"table\":\"movie_info\",\"op\":\"IndexScan\",\"filters\":[]}},\"preds\":[{\"left\"",
+            ":{\"alias\":\"movie_info\",\"column\":\"movie_id\"},\"right\":{\"alias\":\"title\",\"column\":\"i",
+            "d\"}}]}},\"right\":{\"Scan\":{\"alias\":\"movie_keyword\",\"table\":\"movie_keyword\",\"op\":\"B",
+            "itmapIndexScan\",\"filters\":[]}},\"preds\":[{\"left\":{\"alias\":\"movie_keyword\",\"column",
+            "\":\"movie_id\"},\"right\":{\"alias\":\"title\",\"column\":\"id\"}}]}}",
+        ]
+        .concat();
+        let json = serde_json::to_string(&plan).expect("serializable");
+        assert_eq!(json, golden);
+        let back: PlanNode = serde_json::from_str(&json).expect("parses");
+        assert_eq!(back, plan);
+        assert_eq!(serde_json::to_string(&back).expect("serializable"), golden);
     }
 
     fn rename(q: &Query, map: &[(&str, &str)]) -> Query {
@@ -511,8 +552,8 @@ mod tests {
         for r in &q.relations[1..] {
             node = PlanNode::Join {
                 op: qpseeker_engine::plan::JoinOp::HashJoin,
-                left: Box::new(node),
-                right: Box::new(PlanNode::scan(q, &r.alias, ScanOp::SeqScan)),
+                left: Arc::new(node),
+                right: Arc::new(PlanNode::scan(q, &r.alias, ScanOp::SeqScan)),
                 preds: q.joins.iter().filter(|j| j.touches(&r.alias)).cloned().collect(),
             };
         }

@@ -41,6 +41,7 @@ use super::QueryIndex;
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
 use qpseeker_storage::fnv::FnvBuild;
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Reusable beam-search state, cleared per query: the forest closed set
@@ -138,28 +139,26 @@ fn completion_id(qi: &QueryIndex, ev: &mut Evaluator, forest: Vec<(u64, u32)>) -
 
 /// Replace the operator of postorder node `target` with the `k`-th of its
 /// kind (`ScanOp::ALL` for scans, `JoinOp::ALL` for joins). Returns the
-/// index of the operator previously there.
-fn set_node_op(plan: &mut PlanNode, target: usize, k: usize, counter: &mut usize) -> Option<usize> {
+/// index of the operator previously there, or `None` past the last node.
+/// Copy on write: only the nodes on the path to `target` that another
+/// plan shares are copied ([`Arc::make_mut`]), so a plan cloned from this
+/// one keeps its operators.
+fn set_node_op(plan: &mut PlanNode, target: usize, k: usize) -> Option<usize> {
     match plan {
-        PlanNode::Scan { op, .. } => {
-            let here = *counter;
-            *counter += 1;
-            (here == target).then(|| {
-                let old = ScanOp::ALL.iter().position(|o| o == op).expect("one of ALL");
-                *op = ScanOp::ALL[k];
-                old
-            })
-        }
+        PlanNode::Scan { op, .. } => (target == 0).then(|| {
+            let old = ScanOp::ALL.iter().position(|o| o == op).expect("one of ALL");
+            *op = ScanOp::ALL[k];
+            old
+        }),
         PlanNode::Join { op, left, right, .. } => {
-            if let Some(old) = set_node_op(left, target, k, counter) {
-                return Some(old);
+            let (l, r) = (left.len(), right.len());
+            if target < l {
+                return set_node_op(Arc::make_mut(left), target, k);
             }
-            if let Some(old) = set_node_op(right, target, k, counter) {
-                return Some(old);
+            if target < l + r {
+                return set_node_op(Arc::make_mut(right), target - l, k);
             }
-            let here = *counter;
-            *counter += 1;
-            (here == target).then(|| {
+            (target == l + r).then(|| {
                 let old = JoinOp::ALL.iter().position(|o| o == op).expect("one of ALL");
                 *op = JoinOp::ALL[k];
                 old
@@ -312,7 +311,7 @@ pub(crate) fn search(
             break;
         }
         for k in 0..3 {
-            let old = set_node_op(&mut plan, target, k, &mut 0).expect("target in range");
+            let old = set_node_op(&mut plan, target, k).expect("target in range");
             if old == k {
                 continue;
             }
@@ -321,7 +320,7 @@ pub(crate) fn search(
             if scratch.scores_buf[0] < best_score {
                 best_score = scratch.scores_buf[0];
             } else {
-                set_node_op(&mut plan, target, old, &mut 0);
+                set_node_op(&mut plan, target, old);
             }
         }
     }
@@ -356,6 +355,36 @@ mod tests {
         let strat = StrategyConfig { kind: StrategyKind::Beam, batch_eval, ..Default::default() };
         let cfg = MctsConfig { budget_ms: 1e9, ..Default::default() };
         StrategyPlanner::from_config(&strat, cfg).plan(model, q)
+    }
+
+    /// Setting an operator in a plan whose subtrees a clone shares copies
+    /// only the path to the node: the clone keeps every operator, and the
+    /// subtree off the path stays shared.
+    #[test]
+    fn set_node_op_on_a_shared_plan_leaves_the_other_holder_unchanged() {
+        let q = three_way();
+        let scan = |a| PlanNode::scan(&q, a, ScanOp::SeqScan);
+        let inner = PlanNode::join(&q, JoinOp::HashJoin, scan("title"), scan("movie_info"));
+        let plan = PlanNode::join(&q, JoinOp::HashJoin, inner, scan("movie_keyword"));
+        let original = plan.clone();
+        let mut edited = plan.clone();
+        // Postorder: title, movie_info, their join, movie_keyword, the root.
+        assert_eq!(set_node_op(&mut edited, 1, 2), Some(0));
+        assert_eq!(set_node_op(&mut edited, 4, 1), Some(0));
+        assert_eq!(set_node_op(&mut edited, 5, 0), None, "past the last node");
+        assert_eq!(plan, original, "the other holder changed");
+        let (
+            PlanNode::Join { left: el, right: er, op, .. },
+            PlanNode::Join { left: pl, right: pr, .. },
+        ) = (&edited, &plan)
+        else {
+            panic!("joins")
+        };
+        assert_eq!(*op, JoinOp::MergeJoin);
+        assert!(!Arc::ptr_eq(el, pl), "the path to the edit is copied");
+        assert!(Arc::ptr_eq(er, pr), "the subtree off the path stays shared");
+        let PlanNode::Join { right, .. } = &**el else { panic!("a join") };
+        assert!(matches!(**right, PlanNode::Scan { op: ScanOp::BitmapIndexScan, .. }));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use super::strategy::Evaluator;
 use super::QueryIndex;
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
+use std::sync::Arc;
 
 /// One realized subtree in a bushy search state.
 #[derive(Clone)]
@@ -48,8 +49,8 @@ impl SubTree {
             id: ev.join(op, left.id, right.id),
             plan: PlanNode::Join {
                 op,
-                left: Box::new(left.plan.clone()),
-                right: Box::new(right.plan.clone()),
+                left: Arc::new(left.plan.clone()),
+                right: Arc::new(right.plan.clone()),
                 preds: qi.crossing_preds(left.mask, right.mask),
             },
         }

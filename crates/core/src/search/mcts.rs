@@ -21,6 +21,7 @@ use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
 use qpseeker_storage::fnv;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One plan-construction step: add relation `rel` (an index into
@@ -58,8 +59,8 @@ fn left_deep(qi: &QueryIndex, actions: &[Action]) -> PlanNode {
     for a in rest {
         plan = PlanNode::Join {
             op: a.join.expect("only the first action opens a sequence"),
-            left: Box::new(plan),
-            right: Box::new(qi.scan(a.rel, a.scan)),
+            left: Arc::new(plan),
+            right: Arc::new(qi.scan(a.rel, a.scan)),
             preds: qi.crossing_preds(joined, 1 << a.rel),
         };
         joined |= 1 << a.rel;

@@ -250,8 +250,8 @@ mod tests {
             PlanNode::Scan { .. } => plan.clone(),
             PlanNode::Join { op, left, right, .. } => PlanNode::Join {
                 op: *op,
-                left: Box::new(without_preds(left)),
-                right: Box::new(without_preds(right)),
+                left: Arc::new(without_preds(left)),
+                right: Arc::new(without_preds(right)),
                 preds: Vec::new(),
             },
         }

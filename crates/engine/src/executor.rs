@@ -1307,8 +1307,8 @@ mod tests {
         };
         let plan = (1..65).fold(scan(0), |plan, i| PlanNode::Join {
             op: JoinOp::NestedLoopJoin,
-            left: Box::new(plan),
-            right: Box::new(scan(i)),
+            left: std::sync::Arc::new(plan),
+            right: std::sync::Arc::new(scan(i)),
             preds: Vec::new(),
         });
         assert_eq!(ex.try_execute(&plan), Err(EngineError::TooManyRelations { relations: 65 }));

@@ -9,6 +9,7 @@ use crate::query::{Filter, JoinPred, Query};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Scan operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -85,8 +86,8 @@ pub enum PlanNode {
     },
     Join {
         op: JoinOp,
-        left: Box<PlanNode>,
-        right: Box<PlanNode>,
+        left: Arc<PlanNode>,
+        right: Arc<PlanNode>,
         /// Equi-join predicates evaluated at this node.
         preds: Vec<JoinPred>,
     },
@@ -134,7 +135,7 @@ impl PlanNode {
             })
             .cloned()
             .collect();
-        PlanNode::Join { op, left: Box::new(left), right: Box::new(right), preds }
+        PlanNode::Join { op, left: Arc::new(left), right: Arc::new(right), preds }
     }
 
     pub fn physical_op(&self) -> PhysicalOp {

@@ -10,7 +10,7 @@
 //! leaf per parameter.
 //!
 //! The graph is one of the two [`Exec`]utors a model forward runs on: its
-//! fused ops (`linear`, `lstm_step`, `attend`, ...) compute their values
+//! fused ops (`linear`, `heads`, `lstm_step`, `attend`, ...) compute their values
 //! with the serving kernels of [`crate::infer`] and keep what their
 //! hand-written backward needs.
 //!
@@ -65,9 +65,11 @@ enum Op {
     /// `[h' | c']` of one folded LSTM step ([`infer::lstm_into`]) from (own
     /// term, h, c, W_ih, W_hh), with its gate pre-activations and its cell.
     Lstm([Var; 5], Tensor, LstmCell),
-    /// The attention core ([`infer::attend_into`]) of (per-head q, k, v,
-    /// n), with its softmax rows.
-    Attend(Vec<Var>, Var, Var, usize, Tensor),
+    /// `x·[W_0 | … | W_{H-1}]` ([`infer::heads_into`]) of (x, per-head W).
+    Heads(Var, Vec<Var>),
+    /// The attention core ([`infer::attend_into`]) of (q, k, v, heads, n),
+    /// with its softmax rows.
+    Attend([Var; 3], usize, usize, Tensor),
     /// VAE draws ([`infer::sample_into`]) from (h, latent); `eps` row `r` is
     /// output row `r`'s noise.
     Sample(Var, usize, Tensor),
@@ -93,7 +95,8 @@ impl Op {
             Op::Linear(x, w, b, _) => [*x, *w].into_iter().chain(*b).for_each(f),
             Op::LstmOwn(x, w, b, _) => [*x, *w, *b].into_iter().for_each(f),
             Op::Lstm(vars, ..) => vars.iter().copied().for_each(f),
-            Op::Attend(q, k, v, ..) => q.iter().chain([k, v]).copied().for_each(f),
+            Op::Heads(x, ws) => [x].into_iter().chain(ws).copied().for_each(f),
+            Op::Attend(qkv, ..) => qkv.iter().copied().for_each(f),
         }
     }
 }
@@ -487,15 +490,30 @@ impl<'s> Graph<'s> {
                     grads.add(*w_hh, gf);
                     grads.add(*own, dg);
                 }
-                Op::Attend(q, k, v, n, probs) => {
-                    let (kn, d) = self.value(q[0]).shape();
+                Op::Heads(x, ws) => {
+                    // Each head as the linear it is, last head first: its
+                    // columns' gradient into its weight, and its input
+                    // gradient added head by head.
+                    let (xv, mut at) = (self.value(*x), g.cols());
+                    for &w in ws.iter().rev() {
+                        let d = self.value(w).cols();
+                        at -= d;
+                        let mut gp = Tensor::zeros(g.rows(), d);
+                        for r in 0..g.rows() {
+                            gp.row_slice_mut(r).copy_from_slice(&g.row_slice(r)[at..at + d]);
+                        }
+                        grads.add_linear(*x, w, xv, &gp, self.store);
+                    }
+                }
+                Op::Attend([q, k, v], heads, n, probs) => {
+                    let (qv, kv, vv) = (self.value(*q), self.value(*k), self.value(*v));
+                    let (kn, d) = (qv.rows(), qv.cols() / heads);
                     let scale = 1.0 / (d as f32).sqrt();
-                    let (kv, vv) = (self.value(*k), self.value(*v));
+                    let mut gq = Tensor::zeros(kn, qv.cols());
                     let (mut gk, mut gv) =
                         (Tensor::zeros(kv.rows(), kv.cols()), Tensor::zeros(kv.rows(), kv.cols()));
-                    for (hd, &qh) in q.iter().enumerate() {
-                        let (qv, cols) = (self.value(qh), hd * d..(hd + 1) * d);
-                        let mut gq = Tensor::zeros(kn, d);
+                    for hd in 0..*heads {
+                        let cols = hd * d..(hd + 1) * d;
                         for p in 0..kn {
                             let (a, gctx) =
                                 (probs.row_slice(hd * kn + p), &g.row_slice(p)[cols.clone()]);
@@ -505,15 +523,17 @@ impl<'s> Graph<'s> {
                                 .map(|r| dot(gctx, &vv.row_slice(r)[cols.clone()]))
                                 .collect();
                             let mean = dot(a, &da);
+                            let q_row = &qv.row_slice(p)[cols.clone()];
                             for (i, r) in rows.enumerate() {
                                 let ds = a[i] * (da[i] - mean) * scale;
                                 axpy(&mut gv.row_slice_mut(r)[cols.clone()], a[i], gctx);
-                                axpy(gq.row_slice_mut(p), ds, &kv.row_slice(r)[cols.clone()]);
-                                axpy(&mut gk.row_slice_mut(r)[cols.clone()], ds, qv.row_slice(p));
+                                let gq_row = &mut gq.row_slice_mut(p)[cols.clone()];
+                                axpy(gq_row, ds, &kv.row_slice(r)[cols.clone()]);
+                                axpy(&mut gk.row_slice_mut(r)[cols.clone()], ds, q_row);
                             }
                         }
-                        grads.add(qh, gq);
                     }
+                    grads.add(*q, gq);
                     grads.add(*k, gk);
                     grads.add(*v, gv);
                 }
@@ -678,13 +698,20 @@ impl Exec for Graph<'_> {
         (Exec::concat(self, &[(&hc, 0..d)]), Exec::concat(self, &[(&hc, d..2 * d)]))
     }
 
-    fn attend(&mut self, q: &[Var], k: &Var, v: &Var, n: usize) -> Var {
-        let (kn, d) = Graph::value(self, q[0]).shape();
-        let (mut probs, mut out) = (Tensor::zeros(q.len() * kn, n), Tensor::zeros(kn, q.len() * d));
-        let qs: Vec<&Tensor> = q.iter().map(|&t| Graph::value(self, t)).collect();
-        let (kv, vv) = (Graph::value(self, *k), Graph::value(self, *v));
-        infer::attend_into(&qs, kv, vv, n, &mut probs, &mut out);
-        self.push(Op::Attend(q.to_vec(), *k, *v, n, probs), out)
+    fn heads(&mut self, x: &Var, w: &[ParamId]) -> Var {
+        let rows = Graph::value(self, *x).rows();
+        let mut y = Tensor::zeros(rows, w.iter().map(|&w| self.store.value(w).cols()).sum());
+        infer::heads_into(self.store, Graph::value(self, *x), w, &mut y);
+        let ws = w.iter().map(|&w| self.param(w)).collect();
+        self.push(Op::Heads(*x, ws), y)
+    }
+
+    fn attend(&mut self, q: &Var, k: &Var, v: &Var, heads: usize, n: usize) -> Var {
+        let (qv, kv, vv) = (Graph::value(self, *q), Graph::value(self, *k), Graph::value(self, *v));
+        let (mut probs, mut out) =
+            (Tensor::zeros(heads * qv.rows(), n), Tensor::zeros(qv.rows(), qv.cols()));
+        infer::attend_into(qv, kv, vv, heads, n, &mut probs, &mut out);
+        self.push(Op::Attend([*q, *k, *v], heads, n, probs), out)
     }
 
     fn gather<'a>(

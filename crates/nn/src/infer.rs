@@ -7,7 +7,8 @@
 //! steady-state scoring loop allocates no tensor). Every op's value is one
 //! kernel function below, called by both executors: the packed GEMM with
 //! bias and activation in its epilogue, the LSTM gates of [`crate::act`],
-//! attention scores by the dispatched [`dot`]. So a forward gives the same
+//! attention scores by the dispatched [`dot`] and contexts by
+//! [`accumulate_rows`]. So a forward gives the same
 //! bits on the tape and off it, on every ISA tier, and training fits the
 //! function that serving computes.
 //!
@@ -18,7 +19,7 @@
 
 use crate::act::lstm_gates;
 use crate::layers::{Activation, LstmCell};
-use crate::pack::{gemm_packed, PackedGemm};
+use crate::pack::{accumulate_rows, gemm_packed};
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::{dot, Tensor};
 use std::cell::RefCell;
@@ -158,12 +159,21 @@ pub trait Exec {
         c: &Self::T,
     ) -> (Self::T, Self::T);
 
-    /// The attention core of every head over `kn` plans of `n` keys each:
-    /// `q[h]` is `[kn, d]`, `k` and `v` are `[kn·n, heads·d]`, plan `p`'s
-    /// rows at `p·n..`, head `h` in columns `h·d..`. Scores are the
-    /// dispatched [`dot`] over `√d`, softmaxed per row, and each context is
-    /// a one-row GEMM over the plan's value block; returns `[kn, heads·d]`.
-    fn attend(&mut self, q: &[Self::T], k: &Self::T, v: &Self::T, n: usize) -> Self::T;
+    /// `x·[W_0 | … | W_{H-1}]`: every per-head weight of `w` at once, one
+    /// packed GEMM over the store's side-by-side pack, `[rows, Σ d_h]` with
+    /// head `h` in its own columns, each bitwise `x·W_h` alone.
+    ///
+    /// # Panics
+    /// If `x` is not as wide as the weights are tall.
+    fn heads(&mut self, x: &Self::T, w: &[ParamId]) -> Self::T;
+
+    /// The attention core of `heads` heads over `kn` plans of `n` keys
+    /// each: `q` is `[kn, heads·d]`, `k` and `v` are `[kn·n, heads·d]`, plan
+    /// `p`'s rows at `p·n..`, head `h` in columns `h·d..` of each. Scores
+    /// are the dispatched [`dot`] over `√d`, softmaxed per row, and each
+    /// context is [`accumulate_rows`] over the plan's value rows, read in
+    /// place; returns `[kn, heads·d]`.
+    fn attend(&mut self, q: &Self::T, k: &Self::T, v: &Self::T, heads: usize, n: usize) -> Self::T;
 
     /// The `n` rows `rows` yields, `cols` wide, stacked.
     fn gather<'a>(
@@ -256,11 +266,16 @@ impl Exec for Scratch<'_> {
         (h_out, c_out)
     }
 
-    fn attend(&mut self, q: &[Tensor], k: &Tensor, v: &Tensor, n: usize) -> Tensor {
-        let (kn, d) = (q[0].rows(), q[0].cols());
-        let mut probs = self.arena.take(q.len() * kn, n);
-        let mut out = self.arena.take(kn, q.len() * d);
-        attend_into(q, k, v, n, &mut probs, &mut out);
+    fn heads(&mut self, x: &Tensor, w: &[ParamId]) -> Tensor {
+        let mut y = self.arena.take(x.rows(), self.store.packed_heads(w).n());
+        heads_into(self.store, x, w, &mut y);
+        y
+    }
+
+    fn attend(&mut self, q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, n: usize) -> Tensor {
+        let mut probs = self.arena.take(heads * q.rows(), n);
+        let mut out = self.arena.take(q.rows(), q.cols());
+        attend_into(q, k, v, heads, n, &mut probs, &mut out);
         self.arena.recycle(probs);
         out
     }
@@ -361,30 +376,41 @@ pub(crate) fn lstm_into(
     lstm_gates(rows, d, gates.data(), c.data(), c_out.data_mut(), h_out.data_mut());
 }
 
-/// The attention core: plan `p`'s head-`h` scores are `dot(q[h][p],
-/// k[p·n + i][h·d..(h + 1)·d]) / √d`, softmaxed into row `h·kn + p` of
-/// `probs` (`[heads·kn, n]`); its context is that row times the plan's
-/// `[n, d]` head-`h` block of `v`, a one-row GEMM over the repacked block,
-/// into `out[p, h·d..(h + 1)·d]` (`[kn, heads·d]`). Every op is
+/// `x·[W_0 | … | W_{H-1}]` into `out` (`[x.rows, Σ d_h]`): one packed GEMM
+/// over the store's side-by-side pack of the per-head weights `w`.
+pub(crate) fn heads_into(store: &ParamStore, x: &Tensor, w: &[ParamId], out: &mut Tensor) {
+    let packed = store.packed_heads(w);
+    assert_eq!(x.cols(), packed.k(), "head projection expects {} input features", packed.k());
+    gemm_packed(x.rows(), x.data(), packed, false, None, Activation::Identity, out.data_mut());
+}
+
+/// The attention core: plan `p`'s head-`h` scores are `dot(q[p][h·d..(h +
+/// 1)·d], k[p·n + i][h·d..(h + 1)·d]) / √d`, softmaxed into row `h·kn + p`
+/// of `probs` (`[heads·kn, n]`); its context is that row's weighted sum of
+/// the plan's head-`h` value rows, [`accumulate_rows`] read in place, into
+/// `out[p, h·d..(h + 1)·d]` (`[kn, heads·d]`). Every op is
 /// row-independent, so plan `p`'s output is bitwise the same for any `kn`.
 ///
 /// # Panics
 /// If the keys or values are not `[kn·n, heads·d]`.
-pub(crate) fn attend_into<Q: std::borrow::Borrow<Tensor>>(
-    q: &[Q],
+pub(crate) fn attend_into(
+    q: &Tensor,
     k: &Tensor,
     v: &Tensor,
+    heads: usize,
     n: usize,
     probs: &mut Tensor,
     out: &mut Tensor,
 ) {
-    let (kn, d, hd) = (q[0].borrow().rows(), q[0].borrow().cols(), q.len() * q[0].borrow().cols());
+    let (kn, hd) = q.shape();
+    let d = hd / heads;
+    assert_eq!(d * heads, hd, "queries must hold heads·d columns");
     assert_eq!(k.shape(), (kn * n, hd), "keys must hold n rows per plan, every head's");
     assert_eq!(v.shape(), k.shape(), "one value row per key row");
     let scale = 1.0 / (d as f32).sqrt();
-    for (h, qh) in q.iter().enumerate() {
+    for h in 0..heads {
         for p in 0..kn {
-            let q_row = qh.borrow().row_slice(p);
+            let q_row = &q.row_slice(p)[h * d..(h + 1) * d];
             let scores = probs.row_slice_mut(h * kn + p);
             for (i, s) in scores.iter_mut().enumerate() {
                 *s = dot(q_row, &k.row_slice(p * n + i)[h * d..(h + 1) * d]) * scale;
@@ -392,21 +418,11 @@ pub(crate) fn attend_into<Q: std::borrow::Borrow<Tensor>>(
         }
     }
     softmax_rows_inplace(probs);
-    let mut block = PackedGemm::default();
-    for h in 0..q.len() {
+    for h in 0..heads {
         for p in 0..kn {
-            let at = p * n * hd + h * d;
-            block.repack_strided(n, d, &v.data()[at..at + (n - 1) * hd + d], hd);
+            let block = &v.data()[p * n * hd + h * d..];
             let ctx = &mut out.row_slice_mut(p)[h * d..(h + 1) * d];
-            gemm_packed(
-                1,
-                probs.row_slice(h * kn + p),
-                &block,
-                false,
-                None,
-                Activation::Identity,
-                ctx,
-            );
+            accumulate_rows(probs.row_slice(h * kn + p), block, hd, ctx);
         }
     }
 }
@@ -741,13 +757,70 @@ mod tests {
         let mut g = Graph::new(&store);
         let (qv, kvv) = (g.constant(q.clone()), g.constant(kv.clone()));
         let (keys, values): (Var, Var) = attn.project(&mut g, &kvv);
-        let tape = attn.forward(&mut g, &qv, &keys, &values, 3);
+        let queries = attn.query(&mut g, &qv);
+        let tape = attn.forward(&mut g, &queries, &keys, &values, 3);
 
         let mut sc = ScratchArena::new();
         let e = &mut Scratch { store: &store, arena: &mut sc };
         let (keys, values) = attn.project(e, &kv);
-        let fast = attn.forward(e, &q, &keys, &values, 3);
+        let queries = attn.query(e, &q);
+        let fast = attn.forward(e, &queries, &keys, &values, 3);
         assert_eq!(bits(&fast), bits(g.value(tape)));
+    }
+
+    /// One GEMM over every head's weight side by side is, head for head,
+    /// bitwise that head's own GEMM, on every tier, with head widths that
+    /// fill a panel and widths that do not; and on the tape the `heads` op
+    /// has that value and gives every weight and the input bitwise the
+    /// gradients of one linear per head whose outputs are concatenated.
+    #[test]
+    fn side_by_side_heads_are_bitwise_per_head_projections() {
+        let id = Activation::Identity;
+        for (k, d, heads) in [(96, 32, 4), (6, 5, 4), (33, 8, 3)] {
+            let mut store = ParamStore::new();
+            let mut init = Initializer::new(k as u64);
+            let ws: Vec<ParamId> =
+                (0..heads).map(|h| store.register(format!("w{h}"), init.xavier(k, d))).collect();
+            let mut xt = init.normal(7, k, 1.0);
+            xt.data_mut().iter_mut().step_by(3).for_each(|v| *v = 0.0);
+            let x = store.register("x", xt);
+            let coef = init.normal(7, heads * d, 1.0);
+            let xd = store.value(x).data();
+            for isa in crate::isa::Isa::supported() {
+                let mut all = vec![0.0; 7 * heads * d];
+                let side = store.packed_heads(&ws);
+                crate::pack::gemm_packed_force(isa, 7, xd, side, false, None, id, &mut all);
+                for (h, &w) in ws.iter().enumerate() {
+                    let mut one = vec![0.0; 7 * d];
+                    let packed = store.packed(w);
+                    crate::pack::gemm_packed_force(isa, 7, xd, packed, false, None, id, &mut one);
+                    for r in 0..7 {
+                        let got = &all[r * heads * d + h * d..][..d];
+                        assert_eq!(got, &one[r * d..][..d], "{isa:?} {k}x{d} head {h} row {r}");
+                    }
+                }
+            }
+            let run = |split: bool| {
+                let mut g = Graph::new(&store);
+                let xv = g.param(x);
+                let y = if split {
+                    let parts: Vec<Var> = ws.iter().map(|&w| g.linear(&xv, w, None, id)).collect();
+                    let parts: Vec<(&Var, Range<usize>)> =
+                        parts.iter().map(|p| (p, 0..d)).collect();
+                    g.concat(&parts)
+                } else {
+                    g.heads(&xv, &ws)
+                };
+                let c = g.constant(coef.clone());
+                let weighted = g.mul(y, c);
+                let loss = g.sum_all(weighted);
+                let value = bits(g.value(y));
+                let (_, grads) = g.backward(loss);
+                let grad_bits = ws.iter().chain([&x]).map(|&p| bits(grads.get(p).expect("grad")));
+                (value, grad_bits.collect::<Vec<_>>())
+            };
+            assert_eq!(run(false), run(true), "{k}x{d}x{heads}: the heads op differs from linears");
+        }
     }
 
     /// K plans in one call ≡ K one-plan calls ≡ any partition into calls,
@@ -767,13 +840,15 @@ mod tests {
             let e = &mut Scratch { store: &store, arena: &mut sc };
             let (keys, values) = attn.project(e, &kv_all);
             assert_eq!(keys.shape(), (kn * n, 4 * 5));
-            let whole = attn.forward(e, &query, &keys, &values, n);
+            let queries = attn.query(e, &query);
+            let whole = attn.forward(e, &queries, &keys, &values, n);
             assert_eq!(whole.shape(), (kn, 10));
             // Chunk sizes 1 (one-plan calls) and 2 (a ragged partition).
             for chunk in [1usize, 2] {
                 for lo in (0..kn).step_by(chunk) {
                     let hi = (lo + chunk).min(kn);
                     let q = Tensor::from_vec(hi - lo, 8, query.data()[lo * 8..hi * 8].to_vec());
+                    let q = attn.query(e, &q);
                     let (k, v) = (plans(&keys, n, lo, hi), plans(&values, n, lo, hi));
                     let (k_own, v_own) = attn.project(e, &plans(&kv_all, n, lo, hi));
                     assert_eq!(bits(&k), bits(&k_own), "a projected key row depends on its batch");

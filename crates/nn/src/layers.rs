@@ -42,6 +42,7 @@ impl Linear {
     ) -> Self {
         let w = store.register(format!("{name}.weight"), init.xavier(in_dim, out_dim));
         let b = store.register(format!("{name}.bias"), Tensor::zeros(1, out_dim));
+        store.serve_packed(w);
         Self { w, b, in_dim, out_dim }
     }
 
@@ -168,7 +169,9 @@ impl LstmCell {
             b.set(0, i, 1.0);
         }
         let bias = store.register(format!("{name}.bias"), b);
-        Self { w_ih, w_hh, bias, input_dim, hidden_dim, child_dim }
+        let cell = Self { w_ih, w_hh, bias, input_dim, hidden_dim, child_dim };
+        store.serve_lstm(&cell);
+        cell
     }
 
     /// Width of a node's own input `[mid | est]`.
@@ -203,6 +206,12 @@ impl LstmCell {
 /// embeddings into a shared `head_dim` latent space per head, computes
 /// `softmax(QKᵀ/√d)·V`, concatenates heads and maps through a dense output
 /// layer of width `out_dim`.
+///
+/// Each projection is one GEMM over every head's weight side by side
+/// ([`Exec::heads`]), head `h` in columns `h·head_dim..`; a projected row
+/// depends on its input row alone (the GEMM's FP-order contract), so a
+/// query's `Q` row and a plan node's `K` and `V` rows can be projected
+/// once and reused by every candidate that reads them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MultiHeadCrossAttention {
     pub wq: Vec<ParamId>,
@@ -236,44 +245,40 @@ impl MultiHeadCrossAttention {
             wv.push(store.register(format!("{name}.h{h}.wv"), init.xavier(kv_dim, head_dim)));
         }
         let out = Linear::new(store, init, &format!("{name}.out"), heads * head_dim, out_dim);
+        for w in [&wq, &wk, &wv] {
+            store.serve_heads(w);
+        }
         Self { wq, wk, wv, out, heads, head_dim, q_dim, kv_dim }
     }
 
-    /// The key and value projections of `kv [rows, kv_dim]`, every head's
-    /// side by side: `[rows, heads·head_dim]` each, head `h` in columns
-    /// `h·head_dim..`. A projected row depends on its input row alone (the
-    /// GEMM's FP-order contract), so a node's rows can be projected once
-    /// and reused by every plan that contains the node.
-    pub fn project<E: Exec>(&self, e: &mut E, kv: &E::T) -> (E::T, E::T) {
-        let proj = |e: &mut E, w: &[ParamId]| {
-            let heads: Vec<E::T> =
-                w.iter().map(|&w| e.linear(kv, w, None, Activation::Identity)).collect();
-            let all = e.concat(&heads.iter().map(|t| (t, 0..self.head_dim)).collect::<Vec<_>>());
-            heads.into_iter().for_each(|t| e.recycle(t));
-            all
-        };
-        (proj(e, &self.wk), proj(e, &self.wv))
+    /// The query projections of `query [rows, q_dim]`, every head's side by
+    /// side: `[rows, heads·head_dim]`, one GEMM.
+    pub fn query<E: Exec>(&self, e: &mut E, query: &E::T) -> E::T {
+        e.heads(query, &self.wq)
     }
 
-    /// `query [kn, q_dim]` over `kn` plans of `n` nodes each, whose keys and
-    /// values are already projected ([`Self::project`]) and gathered,
-    /// `[kn·n, heads·head_dim]` with plan `p`'s rows at `p·n..` →
-    /// `[kn, out_dim]`. Row `p` is bitwise the same for every `kn` and every
-    /// partition of the plans into calls — the contract the batched scoring
-    /// path and the eval broker rely on.
+    /// The key and value projections of `kv [rows, kv_dim]`, every head's
+    /// side by side: `[rows, heads·head_dim]` each, one GEMM each.
+    pub fn project<E: Exec>(&self, e: &mut E, kv: &E::T) -> (E::T, E::T) {
+        (e.heads(kv, &self.wk), e.heads(kv, &self.wv))
+    }
+
+    /// `kn` projected queries ([`Self::query`]), `[kn, heads·head_dim]`,
+    /// over `kn` plans of `n` nodes each, whose keys and values are
+    /// projected ([`Self::project`]) and gathered, `[kn·n, heads·head_dim]`
+    /// with plan `p`'s rows at `p·n..` → `[kn, out_dim]`. Row `p` is bitwise
+    /// the same for every `kn` and every partition of the plans into calls
+    /// — the contract the batched scoring path and the eval broker rely on.
     pub fn forward<E: Exec>(
         &self,
         e: &mut E,
-        query: &E::T,
+        queries: &E::T,
         keys: &E::T,
         values: &E::T,
         n: usize,
     ) -> E::T {
-        let id = Activation::Identity;
-        let q: Vec<E::T> = self.wq.iter().map(|&w| e.linear(query, w, None, id)).collect();
-        let cat = e.attend(&q, keys, values, n);
-        q.into_iter().for_each(|t| e.recycle(t));
-        let out = self.out.forward(e, &cat, id);
+        let cat = e.attend(queries, keys, values, self.heads, n);
+        let out = self.out.forward(e, &cat, Activation::Identity);
         e.recycle(cat);
         out
     }
@@ -415,7 +420,8 @@ mod tests {
             g.gather(members.iter().flatten().count(), attn.heads * attn.head_dim, rows)
         };
         let (keys, values) = (pick(g, &keys), pick(g, &values));
-        attn.forward(g, &qv, &keys, &values, members[0].len())
+        let queries = attn.query(g, &qv);
+        attn.forward(g, &queries, &keys, &values, members[0].len())
     }
 
     #[test]
@@ -462,6 +468,44 @@ mod tests {
                 assert!(report.passes(2e-2), "{}: {report:?}", store.get(id).name);
             }
         }
+    }
+
+    /// `warm_packed` builds what the layers record serving reads — a
+    /// linear's packed weight, an LSTM cell's folded and own-input weights,
+    /// each attention projection's heads side by side — so a serving
+    /// forward packs nothing more, and no panel of the cell's `W_ih` or
+    /// `W_hh` or of a single head exists. A deserialized store has no
+    /// record; loaded into a built one, it keeps the built one's.
+    #[test]
+    fn warm_packed_builds_exactly_what_serving_reads() {
+        use crate::infer::{Scratch, ScratchArena};
+        let (mut store, mut init) = setup();
+        let lin = Linear::new(&mut store, &mut init, "l", 5, 7);
+        let cell = LstmCell::new(&mut store, &mut init, "c", 6, 4, 2);
+        let attn = MultiHeadCrossAttention::new(&mut store, &mut init, "a", 8, 6, 2, 3, 5);
+        store.warm_packed();
+        // The linear, the fold and own weights, three head sets, `out`.
+        let served = 1 + 2 + 3 + 1;
+        assert_eq!(store.derived_copies(), served);
+        let mut sc = ScratchArena::new();
+        let e = &mut Scratch { store: &store, arena: &mut sc };
+        lin.forward(e, &Tensor::ones(2, 5), Activation::Relu);
+        let own = cell.project(e, &Tensor::ones(3, cell.own_dim()));
+        let state = cell.zero_state(e, 3);
+        cell.step(e, &own, &state);
+        let (k, v) = attn.project(e, &Tensor::ones(4, 6));
+        let q = attn.query(e, &Tensor::ones(2, 8));
+        attn.forward(e, &q, &k, &v, 2);
+        assert_eq!(store.derived_copies(), served, "a served forward packed something");
+
+        let saved = ParamStore::from_json(&store.to_json()).expect("round trip");
+        saved.warm_packed();
+        assert_eq!(saved.derived_copies(), 0, "a deserialized store records nothing");
+        assert!(store.load(saved));
+        assert_eq!(store.derived_copies(), 0, "loading drops the derived copies");
+        store.warm_packed();
+        assert_eq!(store.derived_copies(), served);
+        assert!(!store.load(ParamStore::new()), "another layout is refused");
     }
 
     #[test]

@@ -39,6 +39,10 @@ pub struct Param {
 #[derive(Debug, Clone, Default)]
 pub struct ParamStore {
     params: Vec<Param>,
+    /// What serving reads derived, recorded by the layers as they are
+    /// built: [`Self::warm_packed`] builds exactly these. A property of the
+    /// architecture, never serialized; [`Self::load`] keeps it.
+    served: Vec<Served>,
     /// Lazily built copies of parameter values, one [`Derived`] per
     /// parameter. The outer lock sizes the table on first use
     /// (post-deserialize stores start empty), the inner locks build each
@@ -65,6 +69,20 @@ struct Derived {
     fold_t: OnceLock<PackedGemm>,
     /// On an LSTM cell's `W_ih`: its own-input rows `W_ih[child..]`, packed.
     own: OnceLock<PackedGemm>,
+    /// On the first of a set of per-head weights: all of them side by side,
+    /// `[W_0 | … | W_{H-1}]`, packed.
+    heads: OnceLock<PackedGemm>,
+}
+
+/// One derived weight serving reads.
+#[derive(Debug, Clone)]
+enum Served {
+    /// A parameter's packed value ([`ParamStore::packed`]).
+    Packed(ParamId),
+    /// An LSTM cell's folded and own-input weights.
+    Lstm(LstmCell),
+    /// Per-head weights side by side ([`ParamStore::packed_heads`]).
+    Heads(Vec<ParamId>),
 }
 
 // Hand-written (de)serialization: only `params` is persisted; the derived
@@ -81,7 +99,7 @@ impl Deserialize for ParamStore {
             v.as_obj().ok_or_else(|| serde::Error::type_mismatch("ParamStore", "object", v))?;
         let params = Vec::<Param>::from_value(serde::obj_field(obj, "params"))
             .map_err(|e| e.in_field("ParamStore", "params"))?;
-        Ok(ParamStore { params, derived: OnceLock::new() })
+        Ok(ParamStore { params, served: Vec::new(), derived: OnceLock::new() })
     }
 }
 
@@ -174,6 +192,40 @@ impl ParamStore {
         })
     }
 
+    /// The per-head weights `ws` (each `[k, d_h]`) side by side, `[W_0 | … |
+    /// W_{H-1}]`, packed: one GEMM projects every head, and head `h`'s
+    /// columns are bitwise its own GEMM's (the FP-order contract of
+    /// [`crate::pack`]). Built on first use and shared like
+    /// [`Self::packed`]; kept with `ws[0]`, which belongs to one set.
+    ///
+    /// # Panics
+    /// If `ws` is empty or its weights differ in height.
+    pub(crate) fn packed_heads(&self, ws: &[ParamId]) -> &PackedGemm {
+        self.derived(ws[0]).heads.get_or_init(|| {
+            let value = |w: &ParamId| &self.params[w.0].value;
+            let all = ws[1..].iter().fold(value(&ws[0]).clone(), |a, w| a.concat_cols(value(w)));
+            PackedGemm::pack(&all)
+        })
+    }
+
+    /// Record that serving multiplies by parameter `id` packed
+    /// ([`Self::packed`]).
+    pub(crate) fn serve_packed(&mut self, id: ParamId) {
+        self.served.push(Served::Packed(id));
+    }
+
+    /// Record that serving steps LSTM `cell` folded (its `W_fold` and
+    /// `W_own`).
+    pub(crate) fn serve_lstm(&mut self, cell: &LstmCell) {
+        self.served.push(Served::Lstm(cell.clone()));
+    }
+
+    /// Record that serving projects by the per-head weights `ws` side by
+    /// side ([`Self::packed_heads`]).
+    pub(crate) fn serve_heads(&mut self, ws: &[ParamId]) {
+        self.served.push(Served::Heads(ws.to_vec()));
+    }
+
     /// `W_fold` of `cell`: row `j` of `W_hh` plus row `j` of `W_ih` for `j <
     /// child`, else plus row `input - hidden + j`.
     fn fold(&self, cell: &LstmCell) -> Tensor {
@@ -193,15 +245,61 @@ impl ParamStore {
         &table[id.0]
     }
 
-    /// Eagerly pack every multi-row parameter (weight matrices; 1-row
-    /// biases are never GEMM operands) so a freshly loaded model pays the
-    /// packing cost at load time instead of on its first prediction.
+    /// Eagerly build every derived weight serving reads — packed linear
+    /// weights, LSTM fold and own-input weights, per-head projections side
+    /// by side, as the layers recorded them — and nothing else, so a
+    /// freshly loaded model pays the packing at load time instead of in its
+    /// first request, and holds no panels serving never reads.
     pub fn warm_packed(&self) {
-        for (id, p) in self.params.iter().enumerate() {
-            if p.value.rows() > 1 {
-                self.packed(ParamId(id));
+        for s in &self.served {
+            match s {
+                Served::Packed(id) => {
+                    self.packed(*id);
+                }
+                Served::Lstm(cell) => {
+                    self.lstm_fold(cell);
+                    self.lstm_own(cell);
+                }
+                Served::Heads(ws) => {
+                    self.packed_heads(ws);
+                }
             }
         }
+    }
+
+    /// Derived copies built so far (packed, transposed, folded, side by
+    /// side): what the store holds beyond its parameters.
+    pub fn derived_copies(&self) -> usize {
+        let Some(table) = self.derived.get() else { return 0 };
+        table
+            .iter()
+            .map(|d| {
+                [&d.packed, &d.packed_t, &d.fold, &d.fold_t, &d.own, &d.heads]
+                    .iter()
+                    .filter(|c| c.get().is_some())
+                    .count()
+            })
+            .sum()
+    }
+
+    /// Take `saved`'s parameters — names, values, gradients, flags — into
+    /// this store, keeping its record of what serving reads (a deserialized
+    /// store has none: the record comes from building the layers). Returns
+    /// false, changing nothing, when `saved` is not this store's layout:
+    /// another parameter count, or any parameter of another shape.
+    #[must_use]
+    pub fn load(&mut self, saved: ParamStore) -> bool {
+        let fits = saved.params.len() == self.params.len()
+            && saved
+                .params
+                .iter()
+                .zip(&self.params)
+                .all(|(s, p)| s.value.shape() == p.value.shape());
+        if fits {
+            self.params = saved.params;
+            self.derived = OnceLock::new();
+        }
+        fits
     }
 
     pub fn grad(&self, id: ParamId) -> &Tensor {

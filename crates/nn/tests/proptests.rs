@@ -763,20 +763,18 @@ proptest! {
     ) {
         let mut store = ParamStore::new();
         let mut init = Initializer::new(seed);
-        let mut reg = |name: String, rows: usize| store.register(name, init.normal(rows, d, 1.0));
-        let q: Vec<ParamId> = (0..heads).map(|h| reg(format!("q{h}"), kn)).collect();
+        let q = store.register("q", init.normal(kn, heads * d, 1.0));
         let mut reg = |name: &str| store.register(name, init.normal(kn * n, heads * d, 1.0));
         let (k, v) = (reg("k"), reg("v"));
         let coef = init.normal(kn, heads * d, 1.0);
         let fused = |g: &mut Graph| {
-            let qv: Vec<Var> = q.iter().map(|&id| g.param(id)).collect();
-            let (kv, vv) = (g.param(k), g.param(v));
-            g.attend(&qv, &kv, &vv, n)
+            let (qv, kv, vv) = (g.param(q), g.param(k), g.param(v));
+            g.attend(&qv, &kv, &vv, heads, n)
         };
         let mut g = Graph::new(&store);
         let got = fused(&mut g);
         for p in 0..kn {
-            for (h, &qh) in q.iter().enumerate() {
+            for h in 0..heads {
                 // Rows `rows` of a parameter, its columns `at..at + d`.
                 let block = |id: ParamId, rows: std::ops::Range<usize>, at: usize| {
                     let t = store.value(id);
@@ -784,7 +782,7 @@ proptest! {
                     Tensor::from_vec(rows.len(), d, data.collect())
                 };
                 let (kp, vp) = (block(k, p * n..(p + 1) * n, h * d), block(v, p * n..(p + 1) * n, h * d));
-                let scores = block(qh, p..p + 1, 0).matmul(&kp.transposed());
+                let scores = block(q, p..p + 1, h * d).matmul(&kp.transposed());
                 let mut s = scores.map(|x| x / (d as f32).sqrt());
                 qpseeker_nn::infer::softmax_rows_inplace(&mut s);
                 let want = s.matmul(&vp);
@@ -795,7 +793,7 @@ proptest! {
                 }
             }
         }
-        for id in q.iter().chain([&k, &v]) {
+        for id in [&q, &k, &v] {
             let report = check_gradient(&mut store, *id, 1e-2, |g| {
                 let y = fused(g);
                 weighted_loss(g, y, &coef)

@@ -65,8 +65,8 @@ fn chain_plan(q: &Query, scan: ScanOp) -> PlanNode {
     for r in &q.relations[1..] {
         node = PlanNode::Join {
             op: JoinOp::HashJoin,
-            left: Box::new(node),
-            right: Box::new(PlanNode::scan(q, &r.alias, scan)),
+            left: std::sync::Arc::new(node),
+            right: std::sync::Arc::new(PlanNode::scan(q, &r.alias, scan)),
             preds: q.joins.iter().filter(|j| j.touches(&r.alias)).cloned().collect(),
         };
     }

@@ -18,6 +18,7 @@ mod common;
 
 use common::{chaos_seed, shared_db, shared_model};
 use qpseeker_repro::core::prelude::*;
+use qpseeker_repro::engine::optimizer::PgOptimizer;
 use qpseeker_repro::engine::plan::PlanNode;
 use qpseeker_repro::storage::{Database, FaultConfig};
 use qpseeker_repro::workloads::{
@@ -239,6 +240,69 @@ fn cache_hits_are_bitwise_identical_to_mcts() {
             "tenant {t}: cache on/off must serve identical plans"
         );
     }
+}
+
+/// A plan-cache hit shares the cached entry's tree: its subtrees are the
+/// entry's own (`Arc::ptr_eq`), so serving a hit copies only the root's node
+/// and predicates. End to end, every served copy of a cached plan — the
+/// miss that planned it and each hit — holds the one tree.
+#[test]
+fn cache_hits_share_the_cached_plan_tree() {
+    let db = shared_db();
+    let model = Arc::clone(shared_model());
+    let children = |p: &PlanNode| match p {
+        PlanNode::Join { left, right, .. } => Some((Arc::clone(left), Arc::clone(right))),
+        PlanNode::Scan { .. } => None,
+    };
+    let shares = |a: &PlanNode, b: &PlanNode| match (children(a), children(b)) {
+        (Some((al, ar)), Some((bl, br))) => Arc::ptr_eq(&al, &bl) && Arc::ptr_eq(&ar, &br),
+        _ => a == b,
+    };
+
+    let queries = synthetic::generate_queries(db, &SyntheticConfig { n_queries: 12, seed: 5 });
+    let (q, _) = queries.iter().find(|(q, _)| q.relations.len() > 1).expect("a join query");
+    let plan = PgOptimizer::new(db).plan(q);
+    let cache = PlanCache::new(1, 4);
+    let fp = query_fingerprint(q);
+    let entry = CachedPlan { plan, predicted_ms: 1.0, epoch: 3, stats_version: 0, strategy: 0 };
+    cache.insert("t", q, fp, entry.clone());
+    let hit = cache.lookup("t", q, fp, 3, 0, 0).expect("a hit");
+    assert!(children(&hit.plan).is_some() && shares(&hit.plan, &entry.plan));
+    assert_eq!(hit.plan, entry.plan);
+
+    let registry = ModelRegistry::new(usize::MAX);
+    registry.register("alpha", Arc::clone(db), Arc::clone(&model));
+    let items = tenants::generate_stream(
+        &[("alpha", db)],
+        &TenantStreamConfig {
+            n_requests: 40,
+            seed: 0x5a4e ^ chaos_seed(),
+            mean_interarrival_ms: 20.0,
+            repeat_p: 0.6,
+            deadline_slack_ms: 1e9,
+            pool_size: 6,
+        },
+    );
+    let cache = Arc::new(PlanCache::new(4, 256));
+    let mut sup = MultiTenantSupervisor::new(
+        MultiTenantConfig { base: base_cfg(), cache: Some(Arc::clone(&cache)) },
+        vec![TenantSpec::new("alpha", Arc::clone(db))],
+    );
+    let outcomes = sup.run(&registry, &to_requests(&items));
+    let mut first: std::collections::HashMap<&str, &PlanNode> = Default::default();
+    let mut joined_hits = 0;
+    for o in &outcomes {
+        let Disposition::Served(r) = &o.outcome.disposition else { continue };
+        let Some(cached) = first.get(o.outcome.query_id.as_str()) else {
+            first.insert(&o.outcome.query_id, &r.plan);
+            continue;
+        };
+        if r.cache_hit {
+            assert!(shares(&r.plan, cached), "query {}: a hit copied the tree", o.outcome.query_id);
+            joined_hits += usize::from(children(&r.plan).is_some());
+        }
+    }
+    assert!(joined_hits > 0, "the stream must hit a cached join plan");
 }
 
 /// Satellite regression: across a mid-run hot swap, no request observes a
