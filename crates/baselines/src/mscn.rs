@@ -273,7 +273,8 @@ mod tests {
     #[test]
     #[cfg_attr(
         not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")),
-        ignore = "golden constants are for x86_64 Linux glibc"
+        ignore = "golden constants are for x86_64 Linux glibc: init's Box-Muller and the \
+                  log-scaled features and targets call libm"
     )]
     fn trained_weights_match_the_golden_fingerprint() {
         let db = imdb::generate(0.05, 1);
@@ -283,12 +284,7 @@ mod tests {
         let pairs: Vec<(&qpseeker_engine::query::Query, f64)> =
             w.qeps.iter().map(|q| (&q.query, q.cardinality())).collect();
         mscn.fit(&pairs);
-        crate::common::assert_weights_golden(
-            &mscn.store,
-            "MSCN",
-            0xf44a_d9a1_c75d_41a0,
-            0xe56d_a045_afa2_df72,
-        );
+        crate::common::assert_weights_golden(&mscn.store, "MSCN", 0xe56d_a045_afa2_df72);
     }
 
     #[test]

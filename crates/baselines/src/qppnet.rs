@@ -222,7 +222,8 @@ mod tests {
     #[test]
     #[cfg_attr(
         not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")),
-        ignore = "golden constants are for x86_64 Linux glibc"
+        ignore = "golden constants are for x86_64 Linux glibc: init's Box-Muller and the \
+                  log-scaled features and targets call libm"
     )]
     fn trained_weights_match_the_golden_fingerprint() {
         let db = imdb::generate(0.05, 1);
@@ -231,12 +232,7 @@ mod tests {
         let triples: Vec<(&Query, &PlanNode, f64)> =
             w.qeps.iter().map(|q| (&q.query, &q.plan, q.runtime_ms())).collect();
         net.fit(&triples);
-        crate::common::assert_weights_golden(
-            &net.store,
-            "QPPNet",
-            0xfce1_213a_5368_c347,
-            0x6380_cb0a_cc50_5c02,
-        );
+        crate::common::assert_weights_golden(&net.store, "QPPNet", 0x6380_cb0a_cc50_5c02);
     }
 
     #[test]

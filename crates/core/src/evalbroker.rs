@@ -128,8 +128,9 @@ pub(crate) struct Submission {
     /// The submitting query's embedding and projected `Q`, shared with its
     /// `QueryContext`.
     pub(crate) query: Arc<QueryRows>,
-    /// Seeded latent draws `[samples, latent]` when risk scoring.
-    pub(crate) eps: Option<Tensor>,
+    /// Seeded latent draws `[samples, latent]` when risk scoring, shared
+    /// with the submitter.
+    pub(crate) eps: Option<Arc<Tensor>>,
     /// The submitting query's encoded subtrees, keyed by the node ids in
     /// `nodes`.
     pub(crate) memo: NodeMemo,
@@ -490,7 +491,7 @@ mod tests {
         query: &Query,
         plans: &[&PlanNode],
         ctx: &mut crate::model::QueryContext,
-        eps: Option<&Tensor>,
+        eps: Option<&Arc<Tensor>>,
     ) -> FusedOutcome {
         let mut int = ctx.interner(model, feat, query);
         let roots: Vec<u32> = plans.iter().map(|p| int.plan(p)).collect();
@@ -650,7 +651,7 @@ mod tests {
                 .expect("valid spec")
             })
             .collect();
-        let eps = model.risk_eps(4, 0x5eed);
+        let eps = Arc::new(model.risk_eps(4, 0x5eed));
 
         let broker = EvalBroker::new(BrokerConfig::default());
         let mut members = broker.register_members(2);

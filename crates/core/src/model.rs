@@ -721,7 +721,8 @@ impl QPSeeker {
         out: &mut Vec<(f64, f64)>,
     ) {
         out.clear();
-        out.extend(self.score_plans(sess, query, plans, ctx, Some(eps)).risk());
+        let eps = Arc::new(eps.clone());
+        out.extend(self.score_plans(sess, query, plans, ctx, Some(&eps)).risk());
     }
 
     /// Featurize → [`Self::score`] → outcome, on this thread: what every
@@ -736,7 +737,7 @@ impl QPSeeker {
         query: &Query,
         plans: &[&PlanNode],
         ctx: &mut QueryContext,
-        eps: Option<&Tensor>,
+        eps: Option<&Arc<Tensor>>,
     ) -> FusedOutcome {
         assert!(
             ctx.query_key == query_key(query),
@@ -767,12 +768,12 @@ impl QPSeeker {
         &self,
         ctx: &mut QueryContext,
         roots: &[u32],
-        eps: Option<&Tensor>,
+        eps: Option<&Arc<Tensor>>,
     ) -> Submission {
         let nodes = roots.iter().map(|&id| Arc::clone(ctx.plan_cache.node(id))).collect();
         let key = BucketKey {
             model: self as *const QPSeeker as usize,
-            samples: eps.map_or(0, Tensor::rows),
+            samples: eps.map_or(0, |e| e.rows()),
         };
         let memo = std::mem::take(&mut ctx.memo);
         Submission { key, nodes, query: Arc::clone(&ctx.rows), eps: eps.cloned(), memo }
@@ -824,7 +825,7 @@ impl QPSeeker {
             let Submission { nodes, query, eps, memo, .. } = sub;
             for node in nodes.iter() {
                 pass.add(si, node, memo);
-                rows.push((&**query, eps.as_ref()));
+                rows.push((&**query, eps.as_deref()));
             }
             counts.push(nodes.len());
             memos.push(memo);

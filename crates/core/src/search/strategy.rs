@@ -39,6 +39,7 @@ use crate::session::PlannerSession;
 use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
 use qpseeker_engine::query::Query;
 use qpseeker_nn::prelude::Tensor;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which search algorithm a planning request runs.
@@ -282,8 +283,9 @@ pub(crate) struct Evaluator<'a> {
 
 struct RiskCtx {
     lambda: f64,
-    /// `[samples, latent]` seeded standard-normal draws.
-    eps: Tensor,
+    /// `[samples, latent]` seeded standard-normal draws, shared with every
+    /// submission of the query.
+    eps: Arc<Tensor>,
 }
 
 /// Salt separating the risk-eps stream from the MCTS rollout RNG, which is
@@ -304,10 +306,10 @@ impl<'a> Evaluator<'a> {
     ) -> Self {
         let risk = risk.enabled().then(|| RiskCtx {
             lambda: risk.lambda,
-            eps: model.risk_eps(
+            eps: Arc::new(model.risk_eps(
                 risk.samples,
                 seed ^ qpseeker_storage::fnv::bytes(query.id.as_bytes()) ^ RISK_EPS_SALT,
-            ),
+            )),
         });
         Self { model, query, feat, ctx, risk, broker, scores: Vec::new(), evals: 0 }
     }

@@ -2,7 +2,7 @@
 //! predict bitwise what the training path (fresh rows on the tape) does
 //! through the model's one forward, and crossbeam data-parallel training
 //! must be bit-reproducible regardless of the shard count; trained weights
-//! are pinned per kernel tier.
+//! are pinned by one constant, which every kernel tier computes.
 
 use proptest::prelude::*;
 use qpseeker_core::prelude::*;
@@ -160,41 +160,36 @@ fn parallel_training_is_bit_identical_across_shard_counts() {
 /// Golden fingerprint of trained weights: FNV-1a over every parameter's
 /// `to_bits()`, in `ParamStore::iter` order, after fitting
 /// `ModelConfig::small()` on the 12-query fixture above. Training records
-/// serving's kernels, and tiers round differently, so each has its own
-/// constant: the scalar GEMM adds one unfused product per step and its
-/// gates call libm, and the attention scores' `dot` reduces over 8 lanes on
-/// AVX2 and 16 on AVX-512. A change to training's floating-point order
-/// fails here, and must update these constants in the same diff —
-/// declared, never silent.
+/// serving's kernels, and every kernel tier computes the same bits (one
+/// accumulation tree, fma everywhere, one activation polynomial), so one
+/// constant holds on scalar, AVX2 and AVX-512. A change to training's
+/// floating-point order fails here, and must update the constant in the
+/// same diff — declared, never silent.
 ///
-/// The bits also depend on the platform libm: the scalar tier's gates,
-/// and the VAE's log-variance on every tier, call `f32::tanh`/`f32::exp`.
-/// The constants are for x86_64 Linux glibc; elsewhere the test is
-/// ignored, and a glibc whose `tanhf`/`expf` round differently moves them
-/// with no code change.
+/// The bits also depend on the platform libm, the same on every tier:
+/// init's Box–Muller (`ln`, `cos`, `sin`), attention's softmax `exp`, the
+/// VAE's log-variance `tanh`/`exp` and the normalizer's `exp`. The constant
+/// is for x86_64 Linux glibc; elsewhere the test is ignored, and a glibc
+/// whose functions round differently moves it with no code change.
 #[test]
 #[cfg_attr(
     not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")),
-    ignore = "golden constants are for x86_64 Linux glibc"
+    ignore = "golden constants are for x86_64 Linux glibc: init, the softmax, the VAE's \
+              log-variance and the normalizer call libm"
 )]
 fn trained_weights_match_the_golden_fingerprint() {
-    use qpseeker_nn::isa::{self, Isa};
+    use qpseeker_nn::isa;
     let db = std::sync::Arc::new(imdb::generate(0.05, 1));
     let w = synthetic::generate(&db, &SyntheticConfig { n_queries: 12, seed: 11 });
     let refs: Vec<&Qep> = w.qeps.iter().collect();
     let mut m = QPSeeker::new(&db, ModelConfig::small());
     m.fit(&refs).expect("training succeeds");
     let got = weights_fingerprint(&m);
-    let want = match isa::active() {
-        Isa::Scalar => 0x5cb6_38aa_030f_d468,
-        Isa::Avx2 => 0x9efb_1f08_7c6e_c844,
-        Isa::Avx512 => 0x25b5_31ae_f1b9_69ae,
-    };
     assert_eq!(
         got,
-        want,
-        "trained weights moved on the {} tier: {got:#018x} (training's FP order \
-         changed, or the libm's tanhf/expf did)",
+        0x25b5_31ae_f1b9_69ae,
+        "trained weights moved (kernel tier {}): {got:#018x} (training's FP order \
+         changed, or the libm did)",
         isa::active().name()
     );
 }
@@ -204,14 +199,16 @@ fn trained_weights_match_the_golden_fingerprint() {
 /// 60 QEPs spread uniformly over each query's sampled plans). The synthetic
 /// fixture above has 1–3 relations; this sample has left-deep plans over up
 /// to 17 and `<table>#n` self-join aliases, so it pins training's features
-/// on deep plans too. Per-tier constants and the libm caveat as above.
+/// on deep plans too. One constant for every tier, and the libm caveat, as
+/// above.
 #[test]
 #[cfg_attr(
     not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")),
-    ignore = "golden constants are for x86_64 Linux glibc"
+    ignore = "golden constants are for x86_64 Linux glibc: init, the softmax, the VAE's \
+              log-variance and the normalizer call libm"
 )]
 fn trained_weights_on_job_plans_match_the_golden_fingerprint() {
-    use qpseeker_nn::isa::{self, Isa};
+    use qpseeker_nn::isa;
     use qpseeker_workloads::{job, JobConfig};
     let db = std::sync::Arc::new(imdb::generate(0.05, 12));
     let cfg =
@@ -226,15 +223,10 @@ fn trained_weights_on_job_plans_match_the_golden_fingerprint() {
     let mut m = QPSeeker::new(&db, cfg);
     m.fit(&refs).expect("training succeeds");
     let got = weights_fingerprint(&m);
-    let want = match isa::active() {
-        Isa::Scalar => 0x102a_f76e_2fdf_ddae,
-        Isa::Avx2 => 0xee42_9e58_83c8_24e2,
-        Isa::Avx512 => 0x0917_1d80_c3b9_5348,
-    };
     assert_eq!(
         got,
-        want,
-        "trained weights on JOB plans moved on the {} tier: {got:#018x}",
+        0x0917_1d80_c3b9_5348,
+        "trained weights on JOB plans moved (kernel tier {}): {got:#018x}",
         isa::active().name()
     );
 }

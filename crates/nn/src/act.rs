@@ -3,28 +3,24 @@
 //!
 //! The LSTM gate math is transcendental-bound: libm `exp`/`tanh` cost
 //! ~50-100ns per lane, which at 5 calls per hidden lane dominates the whole
-//! plan-encoder forward (the GEMMs are an order of magnitude cheaper). On
-//! the AVX2+FMA and AVX-512 tiers we evaluate them with a Cephes-style
-//! polynomial (~1-2 ulp of libm); the scalar tier runs the portable libm
-//! expressions. The tape records these same kernels, so training and
-//! serving compute one function on every tier.
+//! plan-encoder forward (the GEMMs are an order of magnitude cheaper). Every
+//! tier evaluates them with one Cephes-style polynomial (~1-2 ulp of libm).
+//! The tape records these same kernels, so training and serving compute one
+//! function on every tier.
 //!
 //! The polynomial is written once, as plain `f32 -> f32` lane functions, and
 //! the gate body once, as `gates_lanes`. Each SIMD tier is that body
 //! inlined into a `#[target_feature]` wrapper, which LLVM vectorizes to the
-//! tier's width. Every operation in the polynomial (`mul_add`,
-//! `round_ties_even`, `+ - * /`, bit ops) is correctly rounded, so a lane
-//! gets the same bits whether it lands in a vector body or a scalar
-//! remainder.
+//! tier's width; the scalar tier calls it as it is. Every operation in the
+//! polynomial (`mul_add`, `round_ties_even`, `+ - * /`, bit ops) is
+//! correctly rounded, so a lane gets the same bits on every tier, whether
+//! it lands in a vector body or a scalar remainder.
 //!
 //! **FP-order contract:** every function here is elementwise — lane `i` of
-//! the output depends only on lane `i` of the inputs, and every lane of a
-//! tier takes the same expression. Row `r` of a batched call is therefore
-//! bitwise identical to a 1-row call on row `r` alone, the same invariant
-//! the GEMM upholds (see [`crate::pack`]). Like the GEMM tiers, the SIMD
-//! variants differ from the portable one in the last bits; the process-wide
-//! [`crate::isa::active`] selection picks one variant per process, so
-//! batched and scalar scoring always agree bitwise.
+//! the output depends only on lane `i` of the inputs, and every lane takes
+//! the same expression on every tier. Row `r` of a batched call is
+//! therefore bitwise identical to a 1-row call on row `r` alone, the same
+//! invariant the GEMM upholds (see [`crate::pack`]).
 
 use crate::isa::Isa;
 use crate::layers::Activation;
@@ -43,27 +39,11 @@ const P3: f32 = 4.166_579_6e-2;
 const P4: f32 = 1.666_666_5e-1;
 const P5: f32 = 5.0e-1;
 
-/// `sigmoid(x)` as used by the portable (libm) tier.
-#[inline]
-pub(crate) fn sigmoid_scalar(v: f32) -> f32 {
-    1.0 / (1.0 + (-v).exp())
-}
-
-/// `act(v)` with the portable tier's libm expressions.
-#[inline]
-pub(crate) fn act_scalar(act: Activation, v: f32) -> f32 {
-    match act {
-        Activation::Identity => v,
-        Activation::Relu => v.max(0.0),
-        Activation::Tanh => v.tanh(),
-        Activation::Sigmoid => sigmoid_scalar(v),
-    }
-}
-
-/// `x[i] = act(x[i])` for `Tanh`/`Sigmoid` with the active tier's lane
-/// function: bitwise what [`lstm_gates`] and the GEMM epilogue compute for
-/// the same input. Other activations leave `x` as it is.
-pub(crate) fn activate(act: Activation, x: &mut [f32]) {
+/// `x[i] = act(x[i])` for `Tanh`/`Sigmoid` with the polynomial lane
+/// function, on the active tier: bitwise what [`lstm_gates`] computes for
+/// the same input, and the GEMM's tanh and sigmoid. Other activations
+/// leave `x` as it is.
+pub fn activate(act: Activation, x: &mut [f32]) {
     match crate::isa::active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `active()` only returns a tier the CPU supports.
@@ -71,10 +51,7 @@ pub(crate) fn activate(act: Activation, x: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
         Isa::Avx2 => unsafe { activate_avx2(act, x) },
-        _ if matches!(act, Activation::Tanh | Activation::Sigmoid) => {
-            x.iter_mut().for_each(|v| *v = act_scalar(act, *v))
-        }
-        _ => {}
+        _ => activate_poly(act, x),
     }
 }
 
@@ -119,24 +96,6 @@ fn tanh_poly(x: f32) -> f32 {
     f32::from_bits(th.to_bits() | (x.to_bits() & SIGN))
 }
 
-#[inline(always)]
-fn sigmoid<const POLY: bool>(x: f32) -> f32 {
-    if POLY {
-        sigmoid_poly(x)
-    } else {
-        sigmoid_scalar(x)
-    }
-}
-
-#[inline(always)]
-fn tanh<const POLY: bool>(x: f32) -> f32 {
-    if POLY {
-        tanh_poly(x)
-    } else {
-        x.tanh()
-    }
-}
-
 /// Fused LSTM gate math for one step: `gates` is `[rows, 4*d]` laid out as
 /// `i | f | g | o` segments per row, `c_prev` is `[rows, d]`; writes the new
 /// cell state and hidden state into `c_out` / `h_out` (both `[rows, d]`).
@@ -171,7 +130,7 @@ pub fn lstm_gates(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
         Isa::Avx2 => unsafe { lstm_gates_avx2(rows, d, gates, c_prev, c_out, h_out) },
-        _ => gates_lanes::<false>(rows, d, gates, c_prev, c_out, h_out),
+        _ => gates_lanes(rows, d, gates, c_prev, c_out, h_out),
     }
 }
 
@@ -185,7 +144,7 @@ fn lstm_gates_avx512(
     c_out: &mut [f32],
     h_out: &mut [f32],
 ) {
-    gates_lanes::<true>(rows, d, gates, c_prev, c_out, h_out)
+    gates_lanes(rows, d, gates, c_prev, c_out, h_out)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -198,14 +157,13 @@ fn lstm_gates_avx2(
     c_out: &mut [f32],
     h_out: &mut [f32],
 ) {
-    gates_lanes::<true>(rows, d, gates, c_prev, c_out, h_out)
+    gates_lanes(rows, d, gates, c_prev, c_out, h_out)
 }
 
-/// The gate body of every tier: `POLY` picks the polynomial lane functions
-/// and a fused cell update (the SIMD tiers) or libm and the unfused
-/// `f*c + i*g` (the scalar tier).
+/// The gate body of every tier: the polynomial lane functions and the
+/// fused cell update `fma(i, g, f*c)`.
 #[inline(always)]
-fn gates_lanes<const POLY: bool>(
+fn gates_lanes(
     rows: usize,
     d: usize,
     gates: &[f32],
@@ -221,30 +179,26 @@ fn gates_lanes<const POLY: bool>(
         let co = &mut c_out[r * d..(r + 1) * d];
         let ho = &mut h_out[r * d..(r + 1) * d];
         for j in 0..d {
-            let i_g = sigmoid::<POLY>(gi[j]);
-            let f_g = sigmoid::<POLY>(gf[j]);
-            let g_g = tanh::<POLY>(gg[j]);
-            let o_g = sigmoid::<POLY>(go[j]);
-            let cv = if POLY { i_g.mul_add(g_g, f_g * cp[j]) } else { f_g * cp[j] + i_g * g_g };
+            let (i_g, f_g) = (sigmoid_poly(gi[j]), sigmoid_poly(gf[j]));
+            let (g_g, o_g) = (tanh_poly(gg[j]), sigmoid_poly(go[j]));
+            let cv = i_g.mul_add(g_g, f_g * cp[j]);
             co[j] = cv;
-            ho[j] = o_g * tanh::<POLY>(cv);
+            ho[j] = o_g * tanh_poly(cv);
         }
     }
 }
 
-/// `x[i] = act(x[i])` for `Tanh`/`Sigmoid` with the AVX-512 tier's
-/// polynomial; other activations leave `x` as it is. The GEMM's AVX
-/// epilogues apply only `Relu`, and leave these two to this pass.
+/// [`activate`] on the AVX-512 tier.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-pub(crate) fn activate_avx512(act: Activation, x: &mut [f32]) {
+fn activate_avx512(act: Activation, x: &mut [f32]) {
     activate_poly(act, x)
 }
 
-/// [`activate_avx512`] for the AVX2+FMA tier.
+/// [`activate`] on the AVX2+FMA tier.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-pub(crate) fn activate_avx2(act: Activation, x: &mut [f32]) {
+fn activate_avx2(act: Activation, x: &mut [f32]) {
     activate_poly(act, x)
 }
 
@@ -261,9 +215,23 @@ fn activate_poly(act: Activation, x: &mut [f32]) {
 mod tests {
     use super::*;
 
+    fn sigmoid_libm(v: f32) -> f32 {
+        1.0 / (1.0 + (-v).exp())
+    }
+
+    /// The gate expressions through libm, with an unfused cell update.
     fn libm_gates(rows: usize, d: usize, gates: &[f32], c_prev: &[f32]) -> (Vec<f32>, Vec<f32>) {
         let (mut c, mut h) = (vec![0.0f32; rows * d], vec![0.0f32; rows * d]);
-        gates_lanes::<false>(rows, d, gates, c_prev, &mut c, &mut h);
+        for r in 0..rows {
+            let g = |s: usize, j: usize| gates[(r * 4 + s) * d + j];
+            for j in 0..d {
+                let (i_g, f_g) = (sigmoid_libm(g(0, j)), sigmoid_libm(g(1, j)));
+                let (g_g, o_g) = (g(2, j).tanh(), sigmoid_libm(g(3, j)));
+                let cv = f_g * c_prev[r * d + j] + i_g * g_g;
+                c[r * d + j] = cv;
+                h[r * d + j] = o_g * cv.tanh();
+            }
+        }
         (c, h)
     }
 
@@ -272,7 +240,7 @@ mod tests {
         for i in -400..=400 {
             let x = i as f32 * 0.05;
             let (t, s) = (tanh_poly(x), sigmoid_poly(x));
-            let (rt, rs) = (x.tanh(), sigmoid_scalar(x));
+            let (rt, rs) = (x.tanh(), sigmoid_libm(x));
             assert!((t - rt).abs() <= 2e-7 + 1e-6 * rt.abs(), "tanh({x}): {t} vs {rt}");
             assert!((s - rs).abs() <= 2e-7 + 1e-6 * rs.abs(), "sigmoid({x}): {s} vs {rs}");
         }

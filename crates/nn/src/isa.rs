@@ -8,10 +8,10 @@
 //! decided **once per process** — feature detection is a pure function of
 //! the CPU, so the choice is made on first use, cached in a
 //! [`std::sync::OnceLock`], and logged a single time. All kernels then
-//! dispatch through the same selected [`Isa`], which is what keeps the
-//! bitwise FP-order contracts intact: a batched product and its m=1 twin
-//! always run on the *same* variant, even though different variants round
-//! differently.
+//! dispatch through the same selected [`Isa`]. Every variant computes the
+//! same bits (one accumulation tree for the dot product, one fma chain
+//! per GEMM element, one activation polynomial), so the tier decides
+//! speed, never a result.
 //!
 //! `QPS_FORCE_ISA={scalar,avx2,avx512}` overrides detection (for CI matrix
 //! runs and cross-ISA benches). Forcing an ISA the CPU cannot execute falls

@@ -202,10 +202,11 @@ impl LstmCell {
 
 /// Multi-head cross-attention (paper §4.3, "QPAttention").
 ///
-/// Projects `[1, q_dim]` query embeddings and `[n, kv_dim]` plan-node
-/// embeddings into a shared `head_dim` latent space per head, computes
-/// `softmax(QKᵀ/√d)·V`, concatenates heads and maps through a dense output
-/// layer of width `out_dim`.
+/// Projects query embeddings (`q_dim` wide) and plan-node embeddings
+/// (`kv_dim` wide), the widths [`Self::new`] takes, into a shared
+/// `head_dim` latent space per head, computes `softmax(QKᵀ/√d)·V`,
+/// concatenates heads and maps through a dense output layer of width
+/// `out_dim`.
 ///
 /// Each projection is one GEMM over every head's weight side by side
 /// ([`Exec::heads`]), head `h` in columns `h·head_dim..`; a projected row
@@ -220,8 +221,6 @@ pub struct MultiHeadCrossAttention {
     pub out: Linear,
     pub heads: usize,
     pub head_dim: usize,
-    pub q_dim: usize,
-    pub kv_dim: usize,
 }
 
 impl MultiHeadCrossAttention {
@@ -248,7 +247,7 @@ impl MultiHeadCrossAttention {
         for w in [&wq, &wk, &wv] {
             store.serve_heads(w);
         }
-        Self { wq, wk, wv, out, heads, head_dim, q_dim, kv_dim }
+        Self { wq, wk, wv, out, heads, head_dim }
     }
 
     /// The query projections of `query [rows, q_dim]`, every head's side by

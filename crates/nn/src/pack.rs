@@ -19,9 +19,8 @@
 //!   single store, and can optionally *accumulate* onto the existing output
 //!   (which is how the LSTM adds `h·W_fold` onto its node's own term in
 //!   one GEMM call with no separate add pass). No model layer ends a GEMM
-//!   in tanh or sigmoid; on the AVX tiers those run as one elementwise pass
-//!   over the stored output, with the tier's lane functions from
-//!   [`crate::act`] (the scalar tier applies libm in its epilogue).
+//!   in tanh or sigmoid; those run as one elementwise pass over the stored
+//!   output, [`crate::act::activate`].
 //!
 //! Panels are `NR` = 32 columns wide for **every** ISA tier: AVX-512 eats a
 //! panel as two zmm registers, AVX2 as two 16-column halves of two ymm each,
@@ -35,9 +34,10 @@
 //! the column index and `n`, never on the row count, so row `i` of a
 //! batched product is bitwise identical to the 1-row product of row `i` —
 //! the invariant that lets search score a batch of candidate plans and
-//! still match the one-plan path bit for bit. On the AVX2 and AVX-512 tiers
-//! every output element is one k-increasing fma chain; the scalar tier adds
-//! one unfused product per k step. Zero coefficients may be skipped —
+//! still match the one-plan path bit for bit. On every tier each output
+//! element is one k-increasing fma chain (`mul_add` on scalar), then `+out`,
+//! then `+bias`, so every tier computes the same bits. Zero coefficients
+//! may be skipped —
 //! `fma(0, w, acc) == acc` exactly, and accumulators can never become
 //! `-0.0` (they start at `+0.0`, and `+0.0 + -0.0 == +0.0` under
 //! round-to-nearest).
@@ -179,24 +179,22 @@ pub fn gemm_packed_force(
     if let Some(b) = bias {
         assert!(b.len() >= w.n, "gemm_packed: bias shorter than n");
     }
-    // The AVX kernels' epilogues apply only `Relu`; tanh and sigmoid run
-    // after them, elementwise over the stored output, as the tier's lane
-    // function from `act`.
     match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the guard checked the CPU runs the tier, and the asserts
         // above that every buffer covers the shape.
         Isa::Avx512 if isa.cpu_supports() => unsafe {
-            gemm_packed_avx512(m, a, w, accumulate, bias, act, out);
-            crate::act::activate_avx512(act, &mut out[..m * w.n]);
+            gemm_packed_avx512(m, a, w, accumulate, bias, act, out)
         },
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 if isa.cpu_supports() => unsafe {
-            gemm_packed_avx2(m, a, w, accumulate, bias, act, out);
-            crate::act::activate_avx2(act, &mut out[..m * w.n]);
+            gemm_packed_avx2(m, a, w, accumulate, bias, act, out)
         },
         _ => gemm_packed_scalar(m, a, w, accumulate, bias, act, out),
     }
+    // The kernels' epilogues apply only `Relu`; tanh and sigmoid run after
+    // them, elementwise over the stored output (the same bits on any tier).
+    crate::act::activate(act, &mut out[..m * w.n]);
 }
 
 /// `out[j] = Σ_i c[i] · rows[i·stride + j]` for every `j < out.len()`: a
@@ -206,12 +204,11 @@ pub fn gemm_packed_force(
 ///
 /// Each element is the sum the 1-row [`gemm_packed`] of `c` over the same
 /// rows, packed, computes: `i` ascending from zero, one fused multiply-add
-/// per step on the AVX2 and AVX-512 tiers, `+= c·v` on scalar, and a zero
-/// weight skipped. So the output is bitwise that GEMM's (for finite rows:
-/// the GEMM multiplies a zero weight in when too few of a call's weights
-/// are zero to branch on them, which differs only when that row holds an
-/// infinity or a NaN). Dispatches once per process via
-/// [`crate::isa::active`].
+/// per step on every tier, and a zero weight skipped. So the output is
+/// bitwise that GEMM's (for finite rows: the GEMM multiplies a zero weight
+/// in when too few of a call's weights are zero to branch on them, which
+/// differs only when that row holds an infinity or a NaN). Dispatches once
+/// per process via [`crate::isa::active`].
 ///
 /// # Panics
 /// As [`accumulate_rows_force`].
@@ -247,7 +244,7 @@ pub fn accumulate_rows_force(isa: Isa, c: &[f32], rows: &[f32], stride: usize, o
                     continue;
                 }
                 let row = &rows[i * stride..i * stride + d];
-                out.iter_mut().zip(row).for_each(|(o, &v)| *o += ci * v);
+                out.iter_mut().zip(row).for_each(|(o, &v)| *o = ci.mul_add(v, *o));
             }
         }
     }
@@ -276,11 +273,8 @@ fn gemm_packed_scalar(
                     continue;
                 }
                 let prow = &panel[kk * NR..(kk + 1) * NR];
-                // Plain mul+add (not `mul_add`): without FMA in the target
-                // baseline, `f32::mul_add` lowers to a libm call per lane,
-                // while this form autovectorizes to SSE2 on every x86-64.
                 for (av, &pv) in acc.iter_mut().zip(prow) {
-                    *av += c * pv;
+                    *av = c.mul_add(pv, *av);
                 }
             }
             for (j, &av) in acc.iter().enumerate().take(cols) {
@@ -292,7 +286,7 @@ fn gemm_packed_scalar(
                 if let Some(b) = bias {
                     v += b[col];
                 }
-                o_row[col] = crate::act::act_scalar(act, v);
+                o_row[col] = if act == Activation::Relu { v.max(0.0) } else { v };
             }
         }
     }
@@ -780,9 +774,10 @@ mod tests {
                 if let Some(b) = bias {
                     v += b[j];
                 }
-                out[i * n + j] = crate::act::act_scalar(act, v);
+                out[i * n + j] = if act == Activation::Relu { v.max(0.0) } else { v };
             }
         }
+        crate::act::activate(act, &mut out[..m * n]);
     }
 
     fn matrix(rows: usize, cols: usize, seed: u64) -> Vec<f32> {
@@ -800,6 +795,8 @@ mod tests {
             .collect()
     }
 
+    /// Every tier computes the reference's bits: one `mul_add` chain per
+    /// element, `+out`, `+bias`, then the activation polynomial.
     #[test]
     fn packed_gemm_matches_reference_on_all_tiers_and_edges() {
         for &(m, k, n) in
@@ -821,8 +818,9 @@ mod tests {
                         gemm_packed_force(isa, m, &a, &w, accumulate, b, act, &mut got);
                         reference(m, k, n, &a, &wmat, accumulate, b, act, &mut want);
                         for (idx, (g, r)) in got.iter().zip(&want).enumerate() {
-                            assert!(
-                                (g - r).abs() <= 2e-5 + 1e-5 * r.abs(),
+                            assert_eq!(
+                                g.to_bits(),
+                                r.to_bits(),
                                 "{isa:?} {act:?} acc={accumulate} bias={use_bias} \
                                  m={m} k={k} n={n} out[{idx}]: {g} vs {r}"
                             );

@@ -282,15 +282,18 @@ pub fn dot_force(isa: Isa, a: &[f32], b: &[f32]) -> f32 {
         // lengths checked above.
         Isa::Avx512 if isa.cpu_supports() => unsafe { dot_avx512(a, b) },
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 if isa.cpu_supports() => unsafe { dot_fma(a, b) },
-        _ => dot_unrolled(a, b),
+        Isa::Avx2 if isa.cpu_supports() => unsafe { dot_avx2(a, b) },
+        _ => dot_scalar(a, b),
     }
 }
 
-/// The dot product of the selected tier. Every dot in the inference fast
-/// path (attention scores, batched score scatter) goes through this one
-/// dispatch so the accumulation order — and therefore the bit pattern of
-/// the result — is identical everywhere in a process.
+/// The dot product of the selected tier. Every dot (attention scores and
+/// their backward) goes through this one dispatch. Every tier computes
+/// the same bits: 32 lanes, lane `j` one fma chain over the indices
+/// `≡ j mod 32` of the 32-wide steps (and `≡ j mod 16`, for `j < 16`, of
+/// one 16-wide step), summed by the halving tree `j + 16`, `j + 8`, `j + 4`,
+/// `j + 2`, `j + 1`, then a scalar `mul_add` tail over the last `< 16`
+/// indices. So the result is a pure function of the inputs.
 ///
 /// # Panics
 /// Panics if `a` and `b` differ in length.
@@ -303,89 +306,94 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         // checked above.
         Isa::Avx512 => unsafe { dot_avx512(a, b) },
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { dot_fma(a, b) },
-        _ => dot_unrolled(a, b),
+        Isa::Avx2 => unsafe { dot_avx2(a, b) },
+        _ => dot_scalar(a, b),
     }
 }
 
-/// Unrolled scalar dot product with four independent accumulators hiding
-/// the multiply-add latency chain, reduced as `(s0+s1)+(s2+s3)` plus a
-/// scalar tail: the portable tier of [`dot`].
-#[inline]
-pub fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
+/// The portable tier of [`dot`]: AVX-512's two 16-lane chains as 32
+/// scalar accumulators, reduced by the same halving tree.
+fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     let k = a.len();
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+    let mut acc = [0.0f32; 32];
     let mut kk = 0;
-    while kk + 4 <= k {
-        s0 += a[kk] * b[kk];
-        s1 += a[kk + 1] * b[kk + 1];
-        s2 += a[kk + 2] * b[kk + 2];
-        s3 += a[kk + 3] * b[kk + 3];
-        kk += 4;
+    while kk + 32 <= k {
+        for (j, s) in acc.iter_mut().enumerate() {
+            *s = a[kk + j].mul_add(b[kk + j], *s);
+        }
+        kk += 32;
     }
-    let mut acc = (s0 + s1) + (s2 + s3);
-    while kk < k {
-        acc += a[kk] * b[kk];
-        kk += 1;
-    }
-    acc
-}
-
-/// AVX2+FMA dot product: two 8-lane fma chains over 16-wide steps, one
-/// 8-wide step, a deterministic tree reduction, then a scalar `mul_add`
-/// tail. Lane membership depends only on the index, so the result is a
-/// pure function of the inputs — the property every [`dot`] caller, such
-/// as the batched attention score scatter, relies on.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA, and `b` must be as long as `a`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dot_fma(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::x86_64::*;
-    let k = a.len();
-    let mut acc0 = _mm256_setzero_ps();
-    let mut acc1 = _mm256_setzero_ps();
-    let mut kk = 0;
-    while kk + 16 <= k {
-        acc0 = _mm256_fmadd_ps(
-            _mm256_loadu_ps(a.as_ptr().add(kk)),
-            _mm256_loadu_ps(b.as_ptr().add(kk)),
-            acc0,
-        );
-        acc1 = _mm256_fmadd_ps(
-            _mm256_loadu_ps(a.as_ptr().add(kk + 8)),
-            _mm256_loadu_ps(b.as_ptr().add(kk + 8)),
-            acc1,
-        );
+    if kk + 16 <= k {
+        for (j, s) in acc[..16].iter_mut().enumerate() {
+            *s = a[kk + j].mul_add(b[kk + j], *s);
+        }
         kk += 16;
     }
-    while kk + 8 <= k {
-        acc0 = _mm256_fmadd_ps(
-            _mm256_loadu_ps(a.as_ptr().add(kk)),
-            _mm256_loadu_ps(b.as_ptr().add(kk)),
-            acc0,
-        );
-        kk += 8;
+    let mut w = acc.len();
+    while w > 1 {
+        w /= 2;
+        for j in 0..w {
+            acc[j] += acc[j + w];
+        }
     }
-    let acc = _mm256_add_ps(acc0, acc1);
-    let lo = _mm256_castps256_ps128(acc);
-    let hi = _mm256_extractf128_ps::<1>(acc);
-    let q = _mm_add_ps(lo, hi);
-    let d = _mm_add_ps(q, _mm_movehl_ps(q, q));
-    let s = _mm_add_ss(d, _mm_shuffle_ps::<1>(d, d));
-    let mut sum = _mm_cvtss_f32(s);
-    while kk < k {
+    dot_tail(a, b, kk, acc[0])
+}
+
+/// `sum` plus `a[kk..]·b[kk..]`, one `mul_add` per index: every tier's tail.
+#[inline(always)]
+fn dot_tail(a: &[f32], b: &[f32], mut kk: usize, mut sum: f32) -> f32 {
+    while kk < a.len() {
         sum = a[kk].mul_add(b[kk], sum);
         kk += 1;
     }
     sum
 }
 
-/// AVX-512F dot product: two 16-lane fma chains over 32-wide steps, one
-/// 16-wide step, the `_mm512_reduce_add_ps` tree reduction, then a scalar
-/// `mul_add` tail. Same determinism note as [`dot_fma`].
+/// The last three steps of [`dot`]'s halving tree, `j + 4`, `j + 2`,
+/// `j + 1`, over the 8 lanes left after `j + 8`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn reduce_ymm(v: std::arch::x86_64::__m256) -> f32 {
+    use std::arch::x86_64::*;
+    let q = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps::<1>(v));
+    let d = _mm_add_ps(q, _mm_movehl_ps(q, q));
+    _mm_cvtss_f32(_mm_add_ss(d, _mm_shuffle_ps::<1>(d, d)))
+}
+
+/// AVX2+FMA [`dot`]: four 8-lane fma chains standing in for AVX-512's two
+/// 16-lane ones (a 32-wide step feeds all four, the 16-wide step chains 0
+/// and 1), reduced as `(c0 + c2) + (c1 + c3)`, then [`reduce_ymm`].
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, and `b` must be as long as `a`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
+    use std::arch::x86_64::*;
+    let k = a.len();
+    let mut c = [_mm256_setzero_ps(); 4];
+    let mut kk = 0;
+    while kk + 32 <= k {
+        for (q, c) in c.iter_mut().enumerate() {
+            let (x, y) = (a.as_ptr().add(kk + 8 * q), b.as_ptr().add(kk + 8 * q));
+            *c = _mm256_fmadd_ps(_mm256_loadu_ps(x), _mm256_loadu_ps(y), *c);
+        }
+        kk += 32;
+    }
+    if kk + 16 <= k {
+        for (q, c) in c[..2].iter_mut().enumerate() {
+            let (x, y) = (a.as_ptr().add(kk + 8 * q), b.as_ptr().add(kk + 8 * q));
+            *c = _mm256_fmadd_ps(_mm256_loadu_ps(x), _mm256_loadu_ps(y), *c);
+        }
+        kk += 16;
+    }
+    let v = _mm256_add_ps(_mm256_add_ps(c[0], c[2]), _mm256_add_ps(c[1], c[3]));
+    dot_tail(a, b, kk, reduce_ymm(v))
+}
+
+/// AVX-512F [`dot`]: two 16-lane fma chains over 32-wide steps, one
+/// 16-wide step, the halving tree written out, then the scalar tail.
 ///
 /// # Safety
 /// The CPU must support AVX-512F, and `b` must be as long as `a`.
@@ -410,7 +418,7 @@ unsafe fn dot_avx512(a: &[f32], b: &[f32]) -> f32 {
         );
         kk += 32;
     }
-    while kk + 16 <= k {
+    if kk + 16 <= k {
         acc0 = _mm512_fmadd_ps(
             _mm512_loadu_ps(a.as_ptr().add(kk)),
             _mm512_loadu_ps(b.as_ptr().add(kk)),
@@ -418,12 +426,10 @@ unsafe fn dot_avx512(a: &[f32], b: &[f32]) -> f32 {
         );
         kk += 16;
     }
-    let mut sum = _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
-    while kk < k {
-        sum = a[kk].mul_add(b[kk], sum);
-        kk += 1;
-    }
-    sum
+    let v = _mm512_add_ps(acc0, acc1);
+    // Upper 256 bits through the f64 view: `_mm512_extractf32x8_ps` is DQ.
+    let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v)));
+    dot_tail(a, b, kk, reduce_ymm(_mm256_add_ps(_mm512_castps512_ps256(v), hi)))
 }
 
 #[cfg(test)]
@@ -536,8 +542,10 @@ mod tests {
     }
 
     /// Every length through the vector bodies and their tails, k =
-    /// 0..=130, on every tier: within tolerance of an f64 reference, and
-    /// bitwise the same from an unaligned slice of a larger buffer.
+    /// 0..=200, on every tier: within tolerance of an f64 reference,
+    /// bitwise the same from an unaligned slice of a larger buffer, and
+    /// bitwise the scalar tier's result — also for rows of signed zeros,
+    /// all-zero rows and products that cancel to zero.
     #[test]
     fn dot_force_tails_match_f64_at_any_alignment() {
         let at = |i: usize, seed: u64| {
@@ -545,7 +553,7 @@ mod tests {
                 / 16_777_216.0
                 - 0.5
         };
-        for k in 0..=130usize {
+        for k in 0..=200usize {
             let a: Vec<f32> = (0..k).map(|i| at(i, 1)).collect();
             let b: Vec<f32> = (0..k).map(|i| at(i, 2)).collect();
             let want: f64 = a.iter().zip(&b).map(|(&x, &y)| x as f64 * y as f64).sum();
@@ -560,6 +568,26 @@ mod tests {
                 );
                 let shifted = dot_force(isa, &a1[1..], &b1[1..]);
                 assert_eq!(got.to_bits(), shifted.to_bits(), "{isa:?} k={k}");
+            }
+            let zeros = vec![0.0f32; k];
+            let neg_zeros = vec![-0.0f32; k];
+            let signed: Vec<f32> = a.iter().map(|&x| if x < 0.0 { -0.0 } else { x }).collect();
+            let cancel: Vec<f32> = b.iter().enumerate().map(|(i, &y)| y * (i % 2) as f32).collect();
+            let pairs = [
+                (&a, &b),
+                (&zeros, &b),
+                (&a, &neg_zeros),
+                (&neg_zeros, &neg_zeros),
+                (&signed, &b),
+                (&cancel, &a),
+                (&a, &a),
+            ];
+            for (x, y) in pairs {
+                let scalar = dot_force(Isa::Scalar, x, y);
+                for isa in Isa::supported() {
+                    let got = dot_force(isa, x, y);
+                    assert_eq!(got.to_bits(), scalar.to_bits(), "{isa:?} k={k}: {got} vs {scalar}");
+                }
             }
         }
     }

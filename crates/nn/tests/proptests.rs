@@ -1,7 +1,8 @@
 //! Property-based tests for the tensor and autograd layers.
 
 use proptest::prelude::*;
-use qpseeker_nn::isa::{self, Isa};
+use qpseeker_nn::act::{activate, lstm_gates};
+use qpseeker_nn::isa::Isa;
 use qpseeker_nn::pack::{gemm_packed_force, PackedGemm};
 use qpseeker_nn::prelude::*;
 use qpseeker_nn::tensor::{dot, dot_force};
@@ -334,7 +335,8 @@ proptest! {
         }
     }
 
-    /// Every dot-product tier agrees with a mul_add reference.
+    /// Every dot-product tier agrees with a mul_add reference, and bit
+    /// for bit with the scalar tier.
     #[test]
     fn forced_isa_dot_matches_reference(
         (a, b) in (1usize..129).prop_flat_map(|k| (kernel_matrix(1, k), kernel_matrix(1, k)))
@@ -346,6 +348,8 @@ proptest! {
             let got = dot_force(isa, a.data(), b.data());
             prop_assert!((got - reference).abs() <= tol * (1.0 + reference.abs()),
                 "{isa:?} k={}: {got} vs {reference}", a.cols());
+            let scalar = dot_force(Isa::Scalar, a.data(), b.data());
+            prop_assert_eq!(got.to_bits(), scalar.to_bits(), "{:?} k={}", isa, a.cols());
         }
     }
 
@@ -473,28 +477,14 @@ fn picks() -> impl Strategy<Value = Vec<(usize, usize)>> {
     proptest::collection::vec((0usize..3, 0usize..64), 1..9)
 }
 
-/// `value` equals `want` bit for bit on the scalar tier, and within 1e-5
-/// relative on the AVX tiers, whose activation polynomial is not libm.
-fn tier_close(value: &Tensor, want: &Tensor) -> Result<(), String> {
+/// `value` equals `want` bit for bit, on every tier: the references below
+/// run the activation polynomial every tier runs.
+fn bitwise(value: &Tensor, want: &Tensor) -> Result<(), String> {
     prop_assert_eq!(value.shape(), want.shape());
     for (a, b) in value.data().iter().zip(want.data()) {
-        if isa::active() == Isa::Scalar {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "{} vs {}", a, b);
-        } else {
-            prop_assert!((a - b).abs() <= 1e-5 * (1.0 + b.abs()), "{} vs {}", a, b);
-        }
+        prop_assert_eq!(a.to_bits(), b.to_bits(), "{} vs {}", a, b);
     }
     Ok(())
-}
-
-/// `act(v)` by the libm expressions, the scalar tier's.
-fn libm(act: Activation, v: f32) -> f32 {
-    match act {
-        Activation::Identity => v,
-        Activation::Relu => v.max(0.0),
-        Activation::Tanh => v.tanh(),
-        Activation::Sigmoid => 1.0 / (1.0 + (-v).exp()),
-    }
 }
 
 /// `sum(tanh(y) ⊙ coef)`: a loss that weights every output differently.
@@ -627,9 +617,13 @@ proptest! {
         let mut y = store.value(x).matmul(store.value(layer.w));
         for r in 0..rows {
             let b = store.value(layer.b).data();
-            y.row_slice_mut(r).iter_mut().zip(b).for_each(|(y, b)| *y = libm(act, *y + b));
+            y.row_slice_mut(r).iter_mut().zip(b).for_each(|(y, b)| *y += b);
         }
-        tier_close(g.value(fused), &y)?;
+        if act == Activation::Relu {
+            y.data_mut().iter_mut().for_each(|y| *y = y.max(0.0));
+        }
+        activate(act, y.data_mut());
+        bitwise(g.value(fused), &y)?;
         for id in [layer.w, layer.b, x] {
             let report = check_gradient(&mut store, id, 1e-2, |g| {
                 let xv = g.param(x);
@@ -686,7 +680,7 @@ proptest! {
         }
         let (mut h, mut c) = (store.value(h0).clone(), store.value(c0).clone());
         for own in &owns {
-            // gates = h·W_fold + (own·W_own + b), then the libm gate expressions.
+            // gates = h·W_fold + (own·W_own + b), then the gate kernel.
             let mut proj = own.matmul(&w_own);
             for r in 0..rows {
                 let b = store.value(cell.bias).data();
@@ -694,19 +688,11 @@ proptest! {
             }
             let mut gates = h.matmul(&fold);
             gates.add_assign(&proj);
-            for r in 0..rows {
-                for j in 0..d {
-                    let gate = |k: usize| gates.get(r, k * d + j);
-                    let (ig, fg) = (libm(Activation::Sigmoid, gate(0)), libm(Activation::Sigmoid, gate(1)));
-                    let (gg, og) = (gate(2).tanh(), libm(Activation::Sigmoid, gate(3)));
-                    let cv = fg * c.get(r, j) + ig * gg;
-                    c.set(r, j, cv);
-                    h.set(r, j, og * cv.tanh());
-                }
-            }
+            let c_prev = c.clone();
+            lstm_gates(rows, d, gates.data(), c_prev.data(), c.data_mut(), h.data_mut());
         }
-        tier_close(g.value(got.h), &h)?;
-        tier_close(g.value(got.c), &c)?;
+        bitwise(g.value(got.h), &h)?;
+        bitwise(g.value(got.c), &c)?;
         for id in [cell.w_ih, cell.w_hh, cell.bias, h0, c0] {
             let report = check_gradient(&mut store, id, 1e-2, |g| {
                 let s = fused(g);
