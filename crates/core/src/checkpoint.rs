@@ -99,6 +99,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::featurize::FeatSession;
     use qpseeker_workloads::{synthetic, Qep, SyntheticConfig};
 
     #[test]
@@ -134,7 +135,9 @@ mod tests {
 
     /// A restored model has packed exactly what serving reads: scoring
     /// every plan of a workload (scans and joins, attention and the
-    /// concatenation fallback) builds no further derived weight.
+    /// concatenation fallback), by its mean and by sampled risk, builds no
+    /// further derived weight — the folds included, and no packed copy of
+    /// a layer they replace.
     #[test]
     fn restored_model_serves_without_packing() {
         let db = Arc::new(qpseeker_storage::datagen::imdb::generate(0.04, 2));
@@ -147,8 +150,20 @@ mod tests {
         let warm = restored.store.derived_copies();
         assert!(warm > 0, "restore warms the served weights");
         assert!(w.qeps.iter().any(|q| q.plan.len() > 1), "some plan attends");
+        let eps = restored.risk_eps(4, 7);
+        let mut risk = Vec::new();
         for q in &w.qeps {
             restored.predict(&q.query, &q.plan);
+            let mut ctx = restored.query_context(&q.query);
+            let mut sess = FeatSession::new();
+            restored.predict_risk_batch_with_context_in(
+                &mut sess,
+                &q.query,
+                &[&q.plan],
+                &mut ctx,
+                &eps,
+                &mut risk,
+            );
         }
         assert_eq!(restored.store.derived_copies(), warm, "a served request packed a weight");
     }

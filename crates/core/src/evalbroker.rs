@@ -651,7 +651,7 @@ mod tests {
                 .expect("valid spec")
             })
             .collect();
-        let eps = Arc::new(model.risk_eps(4, 0x5eed));
+        let eps = model.risk_eps(4, 0x5eed);
 
         let broker = EvalBroker::new(BrokerConfig::default());
         let mut members = broker.register_members(2);

@@ -554,7 +554,7 @@ mod tests {
                 op: qpseeker_engine::plan::JoinOp::HashJoin,
                 left: Arc::new(node),
                 right: Arc::new(PlanNode::scan(q, &r.alias, ScanOp::SeqScan)),
-                preds: q.joins.iter().filter(|j| j.touches(&r.alias)).cloned().collect(),
+                preds: Arc::new(q.joins.iter().filter(|j| j.touches(&r.alias)).cloned().collect()),
             };
         }
         node

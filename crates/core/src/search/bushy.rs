@@ -51,7 +51,7 @@ impl SubTree {
                 op,
                 left: Arc::new(left.plan.clone()),
                 right: Arc::new(right.plan.clone()),
-                preds: qi.crossing_preds(left.mask, right.mask),
+                preds: Arc::new(qi.crossing_preds(left.mask, right.mask)),
             },
         }
     }

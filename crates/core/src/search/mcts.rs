@@ -61,7 +61,7 @@ fn left_deep(qi: &QueryIndex, actions: &[Action]) -> PlanNode {
             op: a.join.expect("only the first action opens a sequence"),
             left: Arc::new(plan),
             right: Arc::new(qi.scan(a.rel, a.scan)),
-            preds: qi.crossing_preds(joined, 1 << a.rel),
+            preds: Arc::new(qi.crossing_preds(joined, 1 << a.rel)),
         };
         joined |= 1 << a.rel;
     }

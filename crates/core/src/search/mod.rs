@@ -252,7 +252,7 @@ mod tests {
                 op: *op,
                 left: Arc::new(without_preds(left)),
                 right: Arc::new(without_preds(right)),
-                preds: Vec::new(),
+                preds: Default::default(),
             },
         }
     }

@@ -306,10 +306,10 @@ impl<'a> Evaluator<'a> {
     ) -> Self {
         let risk = risk.enabled().then(|| RiskCtx {
             lambda: risk.lambda,
-            eps: Arc::new(model.risk_eps(
+            eps: model.risk_eps(
                 risk.samples,
                 seed ^ qpseeker_storage::fnv::bytes(query.id.as_bytes()) ^ RISK_EPS_SALT,
-            )),
+            ),
         });
         Self { model, query, feat, ctx, risk, broker, scores: Vec::new(), evals: 0 }
     }

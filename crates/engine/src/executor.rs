@@ -616,7 +616,7 @@ impl<'a> Executor<'a> {
                     Interrupt::Fault(EngineError::UnboundJoinAlias { alias: c.alias.clone() })
                 };
                 let mut pred_aliases = Vec::with_capacity(preds.len());
-                for p in preds {
+                for p in preds.iter() {
                     let (lref, rref) = if bound_in(first, mid, &p.left.alias).is_some() {
                         (&p.left, &p.right)
                     } else {
@@ -1287,7 +1287,7 @@ mod tests {
             PlanNode::scan(&q, "b", ScanOp::SeqScan),
         );
         if let PlanNode::Join { preds, .. } = &mut plan {
-            preds[0].left.alias = "ghost".into();
+            std::sync::Arc::make_mut(preds)[0].left.alias = "ghost".into();
         }
         assert_eq!(
             ex.try_execute(&plan),
@@ -1309,7 +1309,7 @@ mod tests {
             op: JoinOp::NestedLoopJoin,
             left: std::sync::Arc::new(plan),
             right: std::sync::Arc::new(scan(i)),
-            preds: Vec::new(),
+            preds: Default::default(),
         });
         assert_eq!(ex.try_execute(&plan), Err(EngineError::TooManyRelations { relations: 65 }));
     }

@@ -88,8 +88,9 @@ pub enum PlanNode {
         op: JoinOp,
         left: Arc<PlanNode>,
         right: Arc<PlanNode>,
-        /// Equi-join predicates evaluated at this node.
-        preds: Vec<JoinPred>,
+        /// Equi-join predicates evaluated at this node, shared by every
+        /// clone of the node (a cached plan's root, served per hit).
+        preds: Arc<Vec<JoinPred>>,
     },
 }
 
@@ -135,7 +136,7 @@ impl PlanNode {
             })
             .cloned()
             .collect();
-        PlanNode::Join { op, left: Arc::new(left), right: Arc::new(right), preds }
+        PlanNode::Join { op, left: Arc::new(left), right: Arc::new(right), preds: Arc::new(preds) }
     }
 
     pub fn physical_op(&self) -> PhysicalOp {

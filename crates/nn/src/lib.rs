@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::init::Initializer;
     pub use crate::isa::Isa;
     pub use crate::layers::{
-        Activation, Linear, LstmCell, LstmState, Mlp, MultiHeadCrossAttention,
+        Activation, Fold, Linear, LstmCell, LstmState, Mlp, MultiHeadCrossAttention,
     };
     pub use crate::optim::{Adam, StepReport};
     pub use crate::pack::PackedGemm;

@@ -67,7 +67,9 @@ fn chain_plan(q: &Query, scan: ScanOp) -> PlanNode {
             op: JoinOp::HashJoin,
             left: std::sync::Arc::new(node),
             right: std::sync::Arc::new(PlanNode::scan(q, &r.alias, scan)),
-            preds: q.joins.iter().filter(|j| j.touches(&r.alias)).cloned().collect(),
+            preds: std::sync::Arc::new(
+                q.joins.iter().filter(|j| j.touches(&r.alias)).cloned().collect(),
+            ),
         };
     }
     node
