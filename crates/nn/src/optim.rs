@@ -84,6 +84,10 @@ impl Adam {
     }
 
     /// Apply one update from the gradients currently held in `store`.
+    ///
+    /// # Panics
+    /// If a trainable parameter's gradient is released
+    /// ([`ParamStore::release_grads`]).
     pub fn step(&mut self, store: &mut ParamStore) -> StepReport {
         let mut report = StepReport::default();
         self.t += 1;
@@ -115,6 +119,7 @@ impl Adam {
                 self.m[i] = vec![0.0; p.value.len()];
                 self.v[i] = vec![0.0; p.value.len()];
             }
+            assert_eq!(p.grad.len(), p.value.len(), "{}: gradient released", p.name);
             let (m, v) = (&mut self.m[i], &mut self.v[i]);
             let (values, grads) = (p.value.data_mut(), p.grad.data());
             // Weight decay is fixed for the run: branch once, not per element.
@@ -221,6 +226,17 @@ mod tests {
         let mut opt = Adam::new(0.1);
         opt.step(&mut store);
         assert_eq!(store.value(w).get(0, 0), 1.0);
+    }
+
+    /// A step over released gradients ([`ParamStore::release_grads`])
+    /// panics instead of updating nothing.
+    #[test]
+    #[should_panic(expected = "gradient released")]
+    fn adam_refuses_released_gradients() {
+        let mut store = ParamStore::new();
+        store.register("w", Tensor::scalar(1.0));
+        store.release_grads();
+        Adam::new(0.1).step(&mut store);
     }
 
     #[test]
