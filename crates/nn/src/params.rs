@@ -226,22 +226,13 @@ impl ParamStore {
 
     /// `fold`'s bias `b_a[..cols]·W_b + b_b` ([`Fold`]): one 1-row packed
     /// GEMM with `b_b` in its epilogue. Built on first use and shared like
-    /// [`Self::packed`].
+    /// [`Self::packed`]; it and [`Self::fold_w`] read `W_b`'s one pack.
     pub(crate) fn fold_b(&self, fold: &Fold) -> &Tensor {
         self.derived(fold.a.w).fold_b.get_or_init(|| {
             let (b_a, b_b) = (self.value(fold.a.b), self.value(fold.b.b));
-            let mut c = Tensor::zeros(1, fold.b.out_dim);
-            let w_b = PackedGemm::pack(self.value(fold.b.w));
-            let id = Activation::Identity;
-            gemm_packed(
-                1,
-                &b_a.data()[..fold.cols],
-                &w_b,
-                false,
-                Some(b_b.data()),
-                id,
-                c.data_mut(),
-            );
+            let (mut c, w_b) = (Tensor::zeros(1, fold.b.out_dim), self.packed(fold.b.w));
+            let (a, id) = (&b_a.data()[..fold.cols], Activation::Identity);
+            gemm_packed(1, a, w_b, false, Some(b_b.data()), id, c.data_mut());
             c
         })
     }
@@ -252,7 +243,7 @@ impl ParamStore {
         let mut lead = Vec::with_capacity(w_a.rows() * fold.cols);
         (0..w_a.rows()).for_each(|r| lead.extend_from_slice(&w_a.row_slice(r)[..fold.cols]));
         let lead = Tensor::from_vec(w_a.rows(), fold.cols, lead);
-        lead.matmul_packed(&PackedGemm::pack(self.value(fold.b.w)))
+        lead.matmul_packed(self.packed(fold.b.w))
     }
 
     /// Record that serving multiplies by parameter `id` packed
