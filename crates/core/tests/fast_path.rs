@@ -167,15 +167,16 @@ fn parallel_training_is_bit_identical_across_shard_counts() {
 /// same diff — declared, never silent.
 ///
 /// The bits also depend on the platform libm, the same on every tier:
-/// init's Box–Muller (`ln`, `cos`, `sin`), attention's softmax `exp`, the
-/// VAE's log-variance `tanh`/`exp` and the normalizer's `exp`. The constant
+/// init's Box–Muller (`ln`, `cos`, `sin`), the VAE's log-variance
+/// `tanh`/`exp` and the normalizer's `exp` (attention's softmax runs the
+/// crate's polynomial `exp`). The constant
 /// is for x86_64 Linux glibc; elsewhere the test is ignored, and a glibc
 /// whose functions round differently moves it with no code change.
 #[test]
 #[cfg_attr(
     not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")),
-    ignore = "golden constants are for x86_64 Linux glibc: init, the softmax, the VAE's \
-              log-variance and the normalizer call libm"
+    ignore = "golden constants are for x86_64 Linux glibc: init, the VAE's log-variance and \
+              the normalizer call libm"
 )]
 fn trained_weights_match_the_golden_fingerprint() {
     use qpseeker_nn::isa;
@@ -187,7 +188,7 @@ fn trained_weights_match_the_golden_fingerprint() {
     let got = weights_fingerprint(&m);
     assert_eq!(
         got,
-        0x6ce8_70f5_aaf7_306b,
+        0x1256_faf0_2b37_1811,
         "trained weights moved (kernel tier {}): {got:#018x} (training's FP order \
          changed, or the libm did)",
         isa::active().name()
@@ -204,8 +205,8 @@ fn trained_weights_match_the_golden_fingerprint() {
 #[test]
 #[cfg_attr(
     not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")),
-    ignore = "golden constants are for x86_64 Linux glibc: init, the softmax, the VAE's \
-              log-variance and the normalizer call libm"
+    ignore = "golden constants are for x86_64 Linux glibc: init, the VAE's log-variance and \
+              the normalizer call libm"
 )]
 fn trained_weights_on_job_plans_match_the_golden_fingerprint() {
     use qpseeker_nn::isa;
@@ -225,7 +226,7 @@ fn trained_weights_on_job_plans_match_the_golden_fingerprint() {
     let got = weights_fingerprint(&m);
     assert_eq!(
         got,
-        0x5c3f_d475_d475_2fbf,
+        0x6400_bd8d_c0fe_8fe9,
         "trained weights on JOB plans moved (kernel tier {}): {got:#018x}",
         isa::active().name()
     );

@@ -51,6 +51,7 @@ pub mod tensor;
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
+    pub use crate::act::Kid;
     pub use crate::gradcheck::{check_gradient, GradCheckReport};
     pub use crate::graph::{Graph, Var};
     pub use crate::infer::{with_thread_scratch, Exec, Row, Scratch, ScratchArena};

@@ -1,9 +1,7 @@
 //! Panel-packed matrices and the fused-epilogue GEMM that consumes them:
 //! the crate's one GEMM. Every matrix product runs here — each layer's
 //! `x·W` on either executor (over the store's packed weights) and the
-//! tape's backward products (packed on the spot) — and beside it
-//! [`accumulate_rows`], the weighted row sum attention's contexts are,
-//! which computes the 1-row GEMM's sums over unpacked rows.
+//! tape's backward products (packed on the spot).
 //!
 //! The inference hot loop multiplies small activation matrices (`m` = 1..16
 //! rows) against the *same* weight matrices thousands of times per query. Two
@@ -195,59 +193,6 @@ pub fn gemm_packed_force(
     // The kernels' epilogues apply only `Relu`; tanh and sigmoid run after
     // them, elementwise over the stored output (the same bits on any tier).
     crate::act::activate(act, &mut out[..m * w.n]);
-}
-
-/// `out[j] = Σ_i c[i] · rows[i·stride + j]` for every `j < out.len()`: a
-/// weighted sum of `c.len()` strided rows, the context product of
-/// attention (softmax weights times a plan's value rows, one head's column
-/// block), read in place.
-///
-/// Each element is the sum the 1-row [`gemm_packed`] of `c` over the same
-/// rows, packed, computes: `i` ascending from zero, one fused multiply-add
-/// per step on every tier, and a zero weight skipped. So the output is
-/// bitwise that GEMM's (for finite rows: the GEMM multiplies a zero weight
-/// in when too few of a call's weights are zero to branch on them, which
-/// differs only when that row holds an infinity or a NaN). Dispatches once
-/// per process via [`crate::isa::active`].
-///
-/// # Panics
-/// As [`accumulate_rows_force`].
-pub fn accumulate_rows(c: &[f32], rows: &[f32], stride: usize, out: &mut [f32]) {
-    accumulate_rows_force(crate::isa::active(), c, rows, stride, out)
-}
-
-/// [`accumulate_rows`] on an explicitly chosen ISA tier (falls back to
-/// scalar if the CPU lacks it).
-///
-/// # Panics
-/// If `rows` does not hold `c.len()` rows of `out.len()` floats `stride`
-/// apart: the SIMD tiers read through raw pointers.
-pub fn accumulate_rows_force(isa: Isa, c: &[f32], rows: &[f32], stride: usize, out: &mut [f32]) {
-    let d = out.len();
-    let need = c.len().checked_sub(1).map_or(0, |last| last * stride + d);
-    assert!(rows.len() >= need, "accumulate_rows: rows shorter than the weights span");
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard checked the CPU runs the tier, and the asserts
-        // above that `rows` covers every row read.
-        Isa::Avx512 if isa.cpu_supports() => unsafe {
-            x86::accumulate_rows_avx512(c, rows.as_ptr(), stride, out)
-        },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 if isa.cpu_supports() => unsafe {
-            x86::accumulate_rows_avx2(c, rows.as_ptr(), stride, out)
-        },
-        _ => {
-            out.fill(0.0);
-            for (i, &ci) in c.iter().enumerate() {
-                if ci == 0.0 {
-                    continue;
-                }
-                let row = &rows[i * stride..i * stride + d];
-                out.iter_mut().zip(row).for_each(|(o, &v)| *o = ci.mul_add(v, *o));
-            }
-        }
-    }
 }
 
 fn gemm_packed_scalar(
@@ -631,115 +576,6 @@ mod x86 {
             _ => {}
         }
     }
-
-    /// `super::accumulate_rows` on AVX-512: `NR` columns at a time in two
-    /// zmm accumulators, each lane one fma chain over the rows, masked
-    /// loads and stores past `out.len()` (masked-off lanes neither fault
-    /// nor store).
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F; `rows` must hold `c.len()` rows of
-    /// `out.len()` floats, `stride` apart.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn accumulate_rows_avx512(
-        c: &[f32],
-        rows: *const f32,
-        stride: usize,
-        out: &mut [f32],
-    ) {
-        let (d, o) = (out.len(), out.as_mut_ptr());
-        let mask = |live: usize| -> __mmask16 {
-            if live >= 16 {
-                0xffff
-            } else {
-                (1u16 << live) - 1
-            }
-        };
-        for j in (0..d).step_by(NR) {
-            let live = d - j;
-            let (m0, m1) = (mask(live), mask(live.saturating_sub(16)));
-            let (mut a0, mut a1) = (_mm512_setzero_ps(), _mm512_setzero_ps());
-            for (i, &ci) in c.iter().enumerate() {
-                if ci == 0.0 {
-                    continue;
-                }
-                let r = rows.wrapping_add(i * stride + j);
-                let v = _mm512_set1_ps(ci);
-                a0 = _mm512_fmadd_ps(v, _mm512_maskz_loadu_ps(m0, r), a0);
-                a1 = _mm512_fmadd_ps(v, _mm512_maskz_loadu_ps(m1, r.wrapping_add(16)), a1);
-            }
-            _mm512_mask_storeu_ps(o.wrapping_add(j), m0, a0);
-            _mm512_mask_storeu_ps(o.wrapping_add(j + 16), m1, a1);
-        }
-    }
-
-    /// `super::accumulate_rows` on AVX2: `NR` columns at a time in four ymm
-    /// accumulators, each lane one fma chain over the rows; a block short
-    /// of `NR` columns loads and stores through lane masks.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 and FMA; `rows` must hold `c.len()` rows
-    /// of `out.len()` floats, `stride` apart.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn accumulate_rows_avx2(
-        c: &[f32],
-        rows: *const f32,
-        stride: usize,
-        out: &mut [f32],
-    ) {
-        let (d, o) = (out.len(), out.as_mut_ptr());
-        for j in (0..d).step_by(NR) {
-            if d - j >= NR {
-                let acc = rows_block_avx2::<true>(
-                    c,
-                    rows.wrapping_add(j),
-                    stride,
-                    [_mm256_setzero_si256(); 4],
-                );
-                for (q, &a) in acc.iter().enumerate() {
-                    _mm256_storeu_ps(o.add(j + 8 * q), a);
-                }
-            } else {
-                let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-                let masks: [__m256i; 4] = std::array::from_fn(|q| {
-                    _mm256_cmpgt_epi32(_mm256_set1_epi32((d - j) as i32 - 8 * q as i32), lanes)
-                });
-                let acc = rows_block_avx2::<false>(c, rows.wrapping_add(j), stride, masks);
-                for (q, &a) in acc.iter().enumerate() {
-                    _mm256_maskstore_ps(o.wrapping_add(j + 8 * q), masks[q], a);
-                }
-            }
-        }
-    }
-
-    /// One `NR`-column block of [`accumulate_rows_avx2`] from `rows`: whole
-    /// (`FULL`, plain loads) or under `masks`.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn rows_block_avx2<const FULL: bool>(
-        c: &[f32],
-        rows: *const f32,
-        stride: usize,
-        masks: [__m256i; 4],
-    ) -> [__m256; 4] {
-        let mut acc = [_mm256_setzero_ps(); 4];
-        for (i, &ci) in c.iter().enumerate() {
-            if ci == 0.0 {
-                continue;
-            }
-            let r = rows.wrapping_add(i * stride);
-            let v = _mm256_set1_ps(ci);
-            for (q, a) in acc.iter_mut().enumerate() {
-                let x = if FULL {
-                    _mm256_loadu_ps(r.add(8 * q))
-                } else {
-                    _mm256_maskload_ps(r.wrapping_add(8 * q), masks[q])
-                };
-                *a = _mm256_fmadd_ps(v, x, *a);
-            }
-        }
-        acc
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -962,38 +798,6 @@ mod tests {
                                 }
                             }
                         }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The row-accumulate kernel against what attention ran before it, the
-    /// value block packed and a 1-row GEMM over it: bitwise on every
-    /// tier, over n = 1..=19 rows of d ∈ {8, 32} columns (and a ragged 37),
-    /// read strided from inside wider rows, with dense weights, weights a
-    /// third or more zero (the GEMM's skipping path), and all-zero weights.
-    #[test]
-    fn accumulate_rows_is_bitwise_a_one_row_gemm_over_the_repacked_rows() {
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for d in [8usize, 32, 37] {
-            let stride = 4 * d + 3;
-            for n in 1..=19usize {
-                let rows = matrix(n, stride, 90 + n as u64);
-                let src = &rows[d + 1..d + 1 + (n - 1) * stride + d];
-                let dense_rows = (0..n).flat_map(|i| src[i * stride..i * stride + d].to_vec());
-                let block = PackedGemm::pack(&Tensor::from_vec(n, d, dense_rows.collect()));
-                let dense: Vec<f32> = (0..n).map(|i| 0.05 + i as f32 / (n as f32 + 1.0)).collect();
-                let mut sparse = dense.clone();
-                (0..n).step_by(3).for_each(|i| sparse[i] = 0.0);
-                for c in [dense, sparse, vec![0.0; n]] {
-                    for isa in Isa::supported() {
-                        let mut want = vec![f32::NAN; d];
-                        let id = Activation::Identity;
-                        gemm_packed_force(isa, 1, &c, &block, false, None, id, &mut want);
-                        let mut got = vec![f32::NAN; d];
-                        accumulate_rows_force(isa, &c, src, stride, &mut got);
-                        assert_eq!(bits(&got), bits(&want), "{isa:?} n={n} d={d} weights {c:?}");
                     }
                 }
             }

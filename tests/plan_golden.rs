@@ -15,9 +15,8 @@
 //! holds on scalar, AVX2 and AVX-512, as for the trained-weight golden; CI
 //! runs this file under `QPS_FORCE_ISA=scalar|avx2` against that constant.
 //! The bits also depend on the platform libm, the same on every tier
-//! (init's Box–Muller, attention's softmax `exp`, the VAE's log-variance,
-//! the normalizer's `exp` and UCT's `ln`), so the constant is for x86_64
-//! Linux glibc.
+//! (init's Box–Muller, the VAE's log-variance, the normalizer's `exp` and
+//! UCT's `ln`), so the constant is for x86_64 Linux glibc.
 
 mod common;
 
@@ -135,8 +134,8 @@ fn serve(
 #[test]
 #[cfg_attr(
     not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")),
-    ignore = "golden constants are for x86_64 Linux glibc: init, the softmax, the VAE's \
-              log-variance, the normalizer and UCT call libm"
+    ignore = "golden constants are for x86_64 Linux glibc: init, the VAE's log-variance, \
+              the normalizer and UCT call libm"
 )]
 fn served_plans_match_the_golden_fingerprint() {
     let (db, model) = fixture();
@@ -165,7 +164,7 @@ fn served_plans_match_the_golden_fingerprint() {
     let got = fnv::words(&words);
     assert_eq!(
         got,
-        0x91d6_82f6_06c0_4579,
+        0x1ae5_0e71_25f3_8d59,
         "served plans moved (kernel tier {}): {got:#018x}\n{}",
         isa::active().name(),
         table.join("\n")
