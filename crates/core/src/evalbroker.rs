@@ -56,9 +56,11 @@
 //! hot-swapped models never share a bucket) and same scoring kind (mean vs
 //! `S`-sample risk). Tree shape does not matter: the plan encoder runs
 //! level-wise over whatever nodes the bucket's memos lack, and attention
-//! groups plans by node count inside the call. Each submission carries its
-//! own query's node memo, so the flush leader encodes only subtrees no
-//! submitter has seen, and hands every memo back with its rows.
+//! merges those nodes' subtree states in the same levels. Each submission
+//! carries its own query's node memo, so the flush leader encodes only
+//! subtrees no submitter has seen, and hands every memo back with its
+//! rows; the memos that admit rows of the fused call share its one block
+//! of outputs.
 //!
 //! # Backpressure and fault containment
 //!

@@ -3,7 +3,7 @@
 
 use crate::config::ModelConfig;
 use crate::durable::SnapshotStore;
-use crate::encoder::{EntryLayout, LevelPass, NodeMemo, NodeRef, PlanEncoder, QueryEncoder};
+use crate::encoder::{Block, EntryLayout, LevelPass, NodeMemo, NodeRef, PlanEncoder, QueryEncoder};
 use crate::error::CoreError;
 use crate::evalbroker::{BucketKey, FusedOutcome, Submission};
 use crate::featurize::{FeatSession, FeaturizedQep, Featurizer, Interner, PlanFeatCache};
@@ -885,7 +885,8 @@ impl QPSeeker {
                 };
                 self.subtree_states(e, &pass, &fresh.h, keyed, &memos)
             });
-            pass.commit(&mut memos, &fresh, own.as_ref(), states.as_ref());
+            let block = Arc::new(Block { h: fresh.h, c: fresh.c, states, own });
+            pass.commit(&mut memos, &block);
             let (h1, _) = self.embed(
                 e,
                 &pass,
@@ -893,9 +894,9 @@ impl QPSeeker {
                 |c| Row::Const(rows[c].0.emb.data()),
                 |r| match r {
                     NodeRef::Memo { sub, entry } => Row::Const(memos[sub as usize].h(entry)),
-                    NodeRef::Fresh(row) => Row::Of(&fresh.h, pass.pos(row)),
+                    NodeRef::Fresh(row) => Row::Of(&block.h, pass.pos(row)),
                 },
-                |r| match (r, &states) {
+                |r| match (r, &block.states) {
                     (NodeRef::Memo { sub, entry }, _) => {
                         Row::Const(memos[sub as usize].state(entry))
                     }
@@ -903,7 +904,10 @@ impl QPSeeker {
                     (NodeRef::Fresh(_), None) => unreachable!("attention implies merged states"),
                 },
             );
-            [fresh.h, fresh.c].into_iter().chain(own).chain(states).for_each(|t| e.recycle(t));
+            // No memo admitted a row of it: its tensors are scratch again.
+            if let Ok(block) = Arc::try_unwrap(block) {
+                block.into_tensors().for_each(|t| e.recycle(t));
+            }
             let eps: Option<Vec<&[f32]>> = (samples > 0).then(|| {
                 rows.iter().map(|(_, eps)| eps.expect("risk rows carry eps").data()).collect()
             });

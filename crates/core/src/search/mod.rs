@@ -316,4 +316,44 @@ mod tests {
         assert_eq!(qi.next_rels(0b011), 1 << 2);
         assert_eq!(qi.next_rels(1 << 2), 0b011);
     }
+
+    /// A `deep_join`-shaped search — a grown 10-relation query, MCTS at
+    /// cap 256, the bench preset's entry size — leaves its memo keeping
+    /// each block it names a row of whole, at most the budget plus one
+    /// pass's block: the copy the entries replaced is not kept beside them.
+    #[test]
+    fn a_deep_join_search_keeps_whole_blocks_within_the_budget() {
+        use crate::encoder::MEMO_BUDGET_BYTES;
+        use crate::session::PlannerSession;
+        use mcts::MctsConfig;
+        use strategy::{StrategyConfig, StrategyPlanner};
+        let db = Arc::new(imdb::generate(0.05, 1));
+        let mut model = QPSeeker::new(&db, ModelConfig::bench());
+        model.normalizer = Some(TargetNormalizer::fit(&[[10.0, 5.0, 1.0], [1e3, 80.0, 9.0]]));
+        let qb = qpseeker_workloads::gen::QueryBuilder::new(&db);
+        let mut rng = StdRng::seed_from_u64(1);
+        let query = loop {
+            let (relations, joins) = qb.grow(&mut rng, "title", 10, true);
+            let mut q = Query::new("deep");
+            (q.relations, q.joins) = (relations, joins);
+            if q.relations.len() == 10 && q.validate(&db).is_ok() && q.is_connected() {
+                break q;
+            }
+        };
+        let mcts = MctsConfig { budget_ms: 1e9, max_simulations: 256, ..MctsConfig::default() };
+        let planner = StrategyPlanner::from_config(&StrategyConfig::default(), mcts);
+        let mut sess = PlannerSession::new();
+        let res = planner.plan_with_session(&model, &query, &mut sess);
+        let memo = &sess.memo;
+        assert!(res.nodes_encoded > 500 && memo.blocks().len() > 8, "a long search");
+        let each: Vec<usize> = memo.blocks().iter().map(|b| b.bytes()).collect();
+        assert_eq!(memo.bytes(), each.iter().sum::<usize>(), "every block counts whole");
+        assert!(memo.bytes() >= memo.named_bytes());
+        let largest = each.iter().max().copied().unwrap_or(0);
+        assert!(
+            memo.bytes() <= MEMO_BUDGET_BYTES + largest,
+            "the memo keeps {} B past a budget of {MEMO_BUDGET_BYTES} B and a {largest} B block",
+            memo.bytes()
+        );
+    }
 }

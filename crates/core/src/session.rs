@@ -57,11 +57,13 @@ impl PlannerSession {
         Self::default()
     }
 
-    /// Bytes held by the node memo of the last search run on this session:
-    /// within [`crate::encoder::MEMO_BUDGET_BYTES`] unless the query's
-    /// leaves alone exceed it (leaves are always kept).
+    /// Bytes of the rows the node memo of the last search run on this
+    /// session names, what [`crate::encoder::MEMO_BUDGET_BYTES`] counts:
+    /// within it unless the query's leaves alone exceed it (leaves are
+    /// always kept). The scoring calls' blocks the entries name stay
+    /// allocated whole, which can be more.
     pub fn memo_bytes(&self) -> usize {
-        self.memo.bytes()
+        self.memo.named_bytes()
     }
 
     /// Drop every cached value. Serving workers call this when the

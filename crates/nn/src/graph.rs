@@ -19,7 +19,7 @@
 
 use crate::act::Kid;
 use crate::infer::{self, Exec, Row};
-use crate::layers::{Activation, Fold, LstmCell};
+use crate::layers::{Activation, Fold, LevelStates, LstmCell, LstmState};
 use crate::pack::{gemm_packed, PackedGemm};
 use crate::params::{GradBuffer, ParamId, ParamStore};
 use crate::tensor::Tensor;
@@ -835,19 +835,56 @@ impl Exec for Graph<'_> {
         self.push(Op::LstmOwn(*own, w_ih, bias, cell.clone()), y)
     }
 
-    fn lstm_step(&mut self, cell: &LstmCell, own: &Var, h: &Var, c: &Var) -> (Var, Var) {
-        let (rows, d) = (Graph::value(self, *own).rows(), cell.hidden_dim);
-        let mut gates = Tensor::zeros(rows, 4 * d);
+    fn levels(&mut self, _rows: usize, _d: usize) -> LevelStates<Var> {
+        LevelStates::Split { parts: Vec::new(), filled: 0 }
+    }
+
+    /// The own rows gathered into a tensor of their own, then the step
+    /// over it, each level its own pair.
+    fn lstm_step<'a>(
+        &mut self,
+        cell: &LstmCell,
+        own: impl IntoIterator<Item = Row<'a, Var>>,
+        h: &Var,
+        c: &Var,
+        out: &mut LevelStates<Var>,
+    ) {
+        let LevelStates::Split { parts, filled } = out else {
+            unreachable!("the tape steps into one pair per level")
+        };
+        let (rows, d) = (Graph::value(self, *h).rows(), cell.hidden_dim);
+        let own = Exec::gather(self, rows, 4 * d, own);
+        let mut gates = Graph::value(self, own).clone();
         let (mut h_out, mut c_out) = (Tensor::zeros(rows, d), Tensor::zeros(rows, d));
-        let (ov, hv, cv) =
-            (Graph::value(self, *own), Graph::value(self, *h), Graph::value(self, *c));
-        infer::lstm_into(self.store, cell, ov, hv, cv, &mut gates, &mut h_out, &mut c_out);
+        let (hv, cv) = (Graph::value(self, *h), Graph::value(self, *c));
+        infer::lstm_into(self.store, cell, hv, cv, &mut gates, h_out.data_mut(), c_out.data_mut());
         let (w_ih, w_hh) = (self.param(cell.w_ih), self.param(cell.w_hh));
         let hc = self.push(
-            Op::Lstm([*own, *h, *c, w_ih, w_hh], gates, cell.clone()),
+            Op::Lstm([own, *h, *c, w_ih, w_hh], gates, cell.clone()),
             h_out.concat_cols(&c_out),
         );
-        (Exec::concat(self, &[(&hc, 0..d)]), Exec::concat(self, &[(&hc, d..2 * d)]))
+        let state = LstmState {
+            h: Exec::concat(self, &[(&hc, 0..d)]),
+            c: Exec::concat(self, &[(&hc, d..2 * d)]),
+        };
+        parts.push((*filled, state));
+        *filled += rows;
+    }
+
+    /// The levels' rows gathered into one pair.
+    fn stacked(&mut self, levels: LevelStates<Var>) -> LstmState<Var> {
+        let LevelStates::Split { parts, filled } = levels else {
+            unreachable!("the tape steps into one pair per level")
+        };
+        let ends = parts.iter().skip(1).map(|&(s, _)| s).chain([filled]);
+        let spans: Vec<(&LstmState<Var>, usize)> =
+            parts.iter().zip(ends).map(|((s, p), e)| (p, e - s)).collect();
+        let d = parts.first().map_or(0, |(_, p)| Graph::value(self, p.h).cols());
+        let all = |of: fn(&LstmState<Var>) -> &Var| -> Vec<Row<Var>> {
+            spans.iter().flat_map(|&(p, n)| (0..n).map(move |i| Row::Of(of(p), i))).collect()
+        };
+        let (h, c) = (all(|p| &p.h), all(|p| &p.c));
+        LstmState { h: Exec::gather(self, filled, d, h), c: Exec::gather(self, filled, d, c) }
     }
 
     fn heads(&mut self, x: &Var, w: &[ParamId]) -> Var {

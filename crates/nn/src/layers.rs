@@ -189,6 +189,47 @@ pub struct LstmState<T = Var> {
     pub c: T,
 }
 
+/// LSTM states stepped level by level ([`Exec::lstm_step`]), each level's
+/// rows after the last's: row `r` is the `r`-th row stepped, of `filled`
+/// so far. Made by [`Exec::levels`], read back whole by [`Exec::stacked`].
+pub enum LevelStates<T> {
+    /// One pass-wide `(h, c)` each level writes its rows of: the serving
+    /// executor's, so a row is written once, where it is read.
+    Wide { state: LstmState<T>, filled: usize },
+    /// One `(h, c)` per level, after its first row: the tape's, whose ops
+    /// are immutable.
+    Split { parts: Vec<(usize, LstmState<T>)>, filled: usize },
+}
+
+impl<T> LevelStates<T> {
+    /// Row `r`'s hidden state.
+    pub fn h(&self, r: usize) -> Row<'_, T> {
+        let (state, i) = self.at(r);
+        Row::Of(&state.h, i)
+    }
+
+    /// Row `r`'s cell state.
+    pub fn c(&self, r: usize) -> Row<'_, T> {
+        let (state, i) = self.at(r);
+        Row::Of(&state.c, i)
+    }
+
+    /// The pair holding row `r`, and its row there.
+    fn at(&self, r: usize) -> (&LstmState<T>, usize) {
+        match self {
+            Self::Wide { state, filled } => {
+                assert!(r < *filled, "row {r} is not stepped yet");
+                (state, r)
+            }
+            Self::Split { parts, filled } => {
+                assert!(r < *filled, "row {r} is not stepped yet");
+                let (start, state) = &parts[parts.partition_point(|&(s, _)| s <= r) - 1];
+                (state, r - start)
+            }
+        }
+    }
+}
+
 impl LstmCell {
     /// # Panics
     /// If the child slots (`hidden_dim` floats in all) do not fit the
@@ -226,8 +267,8 @@ impl LstmCell {
 
     /// Zero initial state for a batch of `rows` sequences.
     pub fn zero_state<E: Exec>(&self, e: &mut E, rows: usize) -> LstmState<E::T> {
-        let h = e.constant(rows, self.hidden_dim, |_| {});
-        let c = e.constant(rows, self.hidden_dim, |_| {});
+        let h = e.constant(rows, self.hidden_dim, Tensor::zero);
+        let c = e.constant(rows, self.hidden_dim, Tensor::zero);
         LstmState { h, c }
     }
 
@@ -240,8 +281,10 @@ impl LstmCell {
     /// One step from `state` on the projected own term `own: [batch,
     /// 4·hidden]` ([`Self::project`]); returns the updated state.
     pub fn step<E: Exec>(&self, e: &mut E, own: &E::T, state: &LstmState<E::T>) -> LstmState<E::T> {
-        let (h, c) = e.lstm_step(self, own, &state.h, &state.c);
-        LstmState { h, c }
+        let rows = e.value(own).rows();
+        let mut out = e.levels(rows, self.hidden_dim);
+        e.lstm_step(self, (0..rows).map(|r| Row::Of(own, r)), &state.h, &state.c, &mut out);
+        e.stacked(out)
     }
 }
 

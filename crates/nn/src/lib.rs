@@ -58,7 +58,7 @@ pub mod prelude {
     pub use crate::init::Initializer;
     pub use crate::isa::Isa;
     pub use crate::layers::{
-        Activation, Fold, Linear, LstmCell, LstmState, Mlp, MultiHeadCrossAttention,
+        Activation, Fold, LevelStates, Linear, LstmCell, LstmState, Mlp, MultiHeadCrossAttention,
     };
     pub use crate::optim::{Adam, StepReport};
     pub use crate::pack::PackedGemm;

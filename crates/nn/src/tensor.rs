@@ -8,22 +8,49 @@
 use crate::isa::Isa;
 use crate::layers::Activation;
 use crate::pack::{gemm_packed, PackedGemm};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 /// A dense row-major `rows x cols` matrix of `f32`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Its buffer may hold more floats than `rows·cols` (a recycled scratch
+/// buffer keeps every float it ever initialised, so that reusing it
+/// writes nothing); only the first `rows·cols` are the tensor's.
+#[derive(Deserialize)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
 }
 
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Self { rows: self.rows, cols: self.cols, data: self.data().to_vec() }
+    }
+}
+
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape() == other.shape() && self.data() == other.data()
+    }
+}
+
+/// The derived layout, over the tensor's own floats.
+impl Serialize for Tensor {
+    fn to_value(&self) -> Value {
+        Value::Obj(vec![
+            ("rows".into(), self.rows.to_value()),
+            ("cols".into(), self.cols.to_value()),
+            ("data".into(), self.data().to_value()),
+        ])
+    }
+}
+
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor[{}x{}]", self.rows, self.cols)?;
-        if self.data.len() <= 8 {
-            write!(f, " {:?}", self.data)?;
+        if self.len() <= 8 {
+            write!(f, " {:?}", self.data())?;
         }
         Ok(())
     }
@@ -85,23 +112,24 @@ impl Tensor {
     }
 
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.rows * self.cols
     }
 
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     pub fn data(&self) -> &[f32] {
-        &self.data
+        &self.data[..self.rows * self.cols]
     }
 
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        &mut self.data[..self.rows * self.cols]
     }
 
     /// Consume into the raw row-major buffer.
-    pub fn into_vec(self) -> Vec<f32> {
+    pub fn into_vec(mut self) -> Vec<f32> {
+        self.data.truncate(self.rows * self.cols);
         self.data
     }
 
@@ -153,22 +181,26 @@ impl Tensor {
             w.n()
         );
         let mut out = Tensor::zeros(self.rows, w.n());
-        gemm_packed(self.rows, &self.data, w, false, None, Activation::Identity, &mut out.data);
+        gemm_packed(self.rows, self.data(), w, false, None, Activation::Identity, &mut out.data);
         out
     }
 
     /// Floats the tensor's buffer holds without reallocating.
-    pub(crate) fn capacity(&self) -> usize {
+    pub fn capacity(&self) -> usize {
         self.data.capacity()
     }
 
-    /// Reshape in place to `rows x cols` filled with zeros, reusing the
-    /// allocation when it is large enough.
-    pub(crate) fn reshape_for(&mut self, rows: usize, cols: usize) {
+    /// Reshape in place to `rows x cols`, reusing the allocation when it is
+    /// large enough. The floats keep what they held: only a buffer never
+    /// initialised this far is written, with zeros, up to its whole
+    /// capacity, so a later reshape within it writes nothing.
+    pub(crate) fn reshape_stale(&mut self, rows: usize, cols: usize) {
+        let need = rows * cols;
+        if self.data.len() < need {
+            self.data.resize(need.max(self.data.capacity()), 0.0);
+        }
         self.rows = rows;
         self.cols = cols;
-        self.data.clear();
-        self.data.resize(rows * cols, 0.0);
     }
 
     /// Transposed copy.
@@ -184,7 +216,11 @@ impl Tensor {
 
     /// Elementwise map into a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
+        Tensor {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data().iter().map(|&x| f(x)).collect(),
+        }
     }
 
     /// `self += other` elementwise.
@@ -193,7 +229,7 @@ impl Tensor {
     /// Panics on shape mismatch.
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
+        for (a, b) in self.data_mut().iter_mut().zip(other.data()) {
             *a += b;
         }
     }
@@ -201,38 +237,38 @@ impl Tensor {
     /// `self += scale * other` elementwise.
     pub fn add_scaled_assign(&mut self, other: &Tensor, scale: f32) {
         assert_eq!(self.shape(), other.shape(), "add_scaled_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
+        for (a, b) in self.data_mut().iter_mut().zip(other.data()) {
             *a += scale * b;
         }
     }
 
     /// Zero every element in place (reuses the allocation).
     pub fn zero(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
+        self.data_mut().fill(0.0);
     }
 
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
+        self.data().iter().sum()
     }
 
     /// Mean of all elements (0 for empty tensors).
     pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            self.sum() / self.data.len() as f32
+            self.sum() / self.len() as f32
         }
     }
 
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
+        self.data().iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
     /// True when every element is finite.
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        self.data().iter().all(|x| x.is_finite())
     }
 
     /// Horizontal concatenation `[self | other]`.
@@ -261,7 +297,7 @@ impl Tensor {
         let mut data = Vec::with_capacity(rows * cols);
         for p in parts {
             assert_eq!(p.cols, cols, "stack_rows column mismatch");
-            data.extend_from_slice(&p.data);
+            data.extend_from_slice(p.data());
         }
         Tensor { rows, cols, data }
     }
