@@ -578,9 +578,9 @@ impl<'a> LevelPass<'a> {
         self.refs[self.spans[c].end - 1]
     }
 
-    /// Candidate `c`'s plan.
-    pub(crate) fn plan(&self, c: usize) -> &'a FeatNode {
-        self.plans[c]
+    /// Every candidate's plan, in order.
+    pub(crate) fn plans(&self) -> &[&'a FeatNode] {
+        &self.plans
     }
 
     /// Each fresh row's submission, in [`PlanEncoder::forward`]'s row

@@ -7,18 +7,21 @@
 //! sessions — every worker of a lane's pool, across every tenant lane of a
 //! [`crate::tenant::MultiTenantSupervisor`] — submit
 //! their candidate batches to the broker, which packs rows from *different*
-//! requests into one large fused forward pass.
+//! requests into one large fused plan-encoder pass.
 //!
 //! # Why fusing is plan-safe
 //!
-//! There is one scoring forward, `QPSeeker::score`, and every row of it is
-//! bitwise independent of the rows it is grouped with (the per-row FP
-//! reduction-order contract in `qpseeker_nn`), so batch composition cannot
-//! change any score, and therefore cannot change any plan. Broker-off, a
-//! session calls that forward on its own submission; broker-on, the flush
-//! leader calls the same forward on a bucket of them. Broker-on serving is
-//! bitwise identical to broker-off serving by construction — the broker
-//! moves *where* the forward runs, never *what* it computes, and
+//! There is one scoring forward, `QPSeeker::encode` then `QPSeeker::head`,
+//! and every row of it is bitwise independent of the rows it is grouped
+//! with (the per-row FP reduction-order contract in `qpseeker_nn`), so
+//! batch composition cannot change any score, and therefore cannot change
+//! any plan. Broker-off, a session runs both phases on its own submission;
+//! broker-on, the flush leader runs `encode` — the plan encoder and the
+//! attention states, whose level GEMMs fusion widens, and the memo writes —
+//! on a bucket of them, and each member then runs `head` (the VAE over its
+//! own candidates) on its own thread. Broker-on serving is bitwise
+//! identical to broker-off serving by construction — the broker moves
+//! *where* the encoding runs, never *what* it computes, and
 //! `EvalBroker::submit` is synchronous, so it also never moves *when* a
 //! result is observed by the search.
 //!
@@ -52,7 +55,7 @@
 //!
 //! # Bucketing
 //!
-//! Rows fuse when they can share one scoring call: same model (same epoch —
+//! Rows fuse when they can share one encoding call: same model (same epoch —
 //! hot-swapped models never share a bucket) and same scoring kind (mean vs
 //! `S`-sample risk). Tree shape does not matter: the plan encoder runs
 //! level-wise over whatever nodes the bucket's memos lack, and attention
@@ -65,15 +68,16 @@
 //! # Backpressure and fault containment
 //!
 //! Each member has at most one submission in flight and blocks until it is
-//! answered, so total pending work is bounded by the member count — a
+//! encoded, so total pending work is bounded by the member count — a
 //! stalled submitter holds back at most the buckets it belongs to, and the
 //! forced-progress rule keeps every other bucket draining. The member that
-//! completes a round executes the fused forwards itself (there is no
-//! broker thread); each bucket's execution runs inside a panic boundary,
-//! and a panic poisons only that bucket's submissions — the affected
-//! members re-raise inside their own per-attempt boundaries and burn only
-//! their own retry budgets. No cross-request fate-sharing beyond the
-//! batch.
+//! completes a round runs the fused encodings itself (there is no broker
+//! thread); each bucket's encoding runs inside a panic boundary, and a
+//! panic poisons only that bucket's submissions — the affected members
+//! re-raise inside their own per-attempt boundaries and burn only their
+//! own retry budgets. A panic in a member's `head` unwinds on that
+//! member's own thread, inside its own attempt boundary, and touches no
+//! other member. No cross-request fate-sharing beyond the batch.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -82,7 +86,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use crate::encoder::NodeMemo;
 use crate::featurize::FeatNode;
 use crate::metrics::ServeCounters;
-use crate::model::{Prediction, QPSeeker, QueryRows};
+use crate::model::{Encoded, Prediction, QPSeeker, QueryRows};
 use qpseeker_nn::prelude::Tensor;
 
 /// Virtual duration of one flush round, in microseconds. The broker has no
@@ -107,7 +111,7 @@ impl Default for BrokerConfig {
     }
 }
 
-/// What may share a fused forward: same model instance (pointer identity —
+/// What may share a fused encoding: same model instance (pointer identity —
 /// distinct epochs are distinct allocations) and same scoring kind
 /// (`samples == 0` is mean scoring).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -116,9 +120,10 @@ pub(crate) struct BucketKey {
     pub(crate) samples: usize,
 }
 
-/// One candidate-scoring request — the row contract of `QPSeeker::score`,
-/// built by `QPSeeker::submission`: pre-featurized plans, the per-query
-/// rows the forward needs (shared, not copied), and the query's node memo.
+/// One candidate-scoring request — the row contract of `QPSeeker::encode`
+/// and `QPSeeker::head`, built by `QPSeeker::submission`: pre-featurized
+/// plans, the per-query rows the forward needs (shared, not copied), and
+/// the query's node memo.
 /// Featurization stays submitter-side (it uses the session's own caches),
 /// so scoring — local or brokered — only ever runs the tensor pipeline.
 /// The whole submission goes back to its submitter, which returns the row
@@ -143,42 +148,31 @@ pub(crate) enum FusedOutcome {
     Mean(Vec<Prediction>),
     /// `(mean, sigma)` per candidate.
     Risk(Vec<(f64, f64)>),
-    /// The fused execution of this submission's bucket panicked; the
-    /// submitter re-raises with this message inside its own attempt
-    /// boundary.
-    Poisoned(String),
 }
 
 impl FusedOutcome {
     /// The per-candidate predictions of a mean-scoring submission.
-    ///
-    /// # Panics
-    /// Re-raises a poisoned bucket's failure — inside the submitter's own
-    /// attempt boundary, so only its retry budget burns.
     pub(crate) fn mean(self) -> Vec<Prediction> {
         match self {
             Self::Mean(preds) => preds,
             Self::Risk(_) => unreachable!("mean submission answered with risk result"),
-            Self::Poisoned(msg) => panic!("fused candidate evaluation failed: {msg}"),
         }
     }
 
     /// The per-candidate `(mean, sigma)` of a risk-scoring submission.
-    ///
-    /// # Panics
-    /// As [`Self::mean`].
     pub(crate) fn risk(self) -> Vec<(f64, f64)> {
         match self {
             Self::Risk(stats) => stats,
             Self::Mean(_) => unreachable!("risk submission answered with mean result"),
-            Self::Poisoned(msg) => panic!("fused candidate evaluation failed: {msg}"),
         }
     }
 }
 
 struct Slot {
     pending: Option<Submission>,
-    outcome: Option<(FusedOutcome, Submission)>,
+    /// The submission's encoded roots, or the message of the panic that
+    /// poisoned its bucket's encoding, with the submission.
+    outcome: Option<(Result<Encoded, String>, Submission)>,
     /// This member's private wakeup: a flush notifies exactly the members
     /// it released. A shared condvar would wake every parked member per
     /// round (a thundering herd that, on few cores, costs more in context
@@ -202,9 +196,11 @@ struct BrokerState {
 }
 
 /// The shared scoring service. Passive: there is no broker thread — the
-/// member whose submit (or retire) completes a round executes that round's
-/// fused forwards under the broker lock, while every other pending member
-/// is parked on the condvar.
+/// member whose submit (or retire) completes a round runs that round's
+/// fused encodings (`QPSeeker::encode`) under the broker lock, while every
+/// other pending member is parked on its condvar. Each released member
+/// then runs its own `QPSeeker::head` on its own thread, outside the lock
+/// and alongside the leader's.
 pub(crate) struct EvalBroker {
     cfg: BrokerConfig,
     hold_rounds: u64,
@@ -233,8 +229,18 @@ impl std::fmt::Debug for BrokerMember {
 }
 
 impl BrokerMember {
-    pub(crate) fn submit(&self, sub: Submission) -> (FusedOutcome, Submission) {
-        self.broker.submit(self.id, sub)
+    /// Park `sub` until a round encodes its bucket
+    /// (`QPSeeker::encode`), and return its encoded roots, for the
+    /// caller's own `QPSeeker::head`, and the submission.
+    ///
+    /// # Panics
+    /// Re-raises a poisoned bucket's failure — inside the submitter's own
+    /// attempt boundary, so only its retry budget burns.
+    pub(crate) fn submit(&self, sub: Submission) -> (Encoded, Submission) {
+        match self.broker.submit(self.id, sub) {
+            (Ok(encoded), sub) => (encoded, sub),
+            (Err(msg), _) => panic!("fused candidate evaluation failed: {msg}"),
+        }
     }
 }
 
@@ -284,7 +290,7 @@ impl EvalBroker {
         }
     }
 
-    fn submit(&self, id: usize, sub: Submission) -> (FusedOutcome, Submission) {
+    fn submit(&self, id: usize, sub: Submission) -> (Result<Encoded, String>, Submission) {
         let mut st = self.lock();
         debug_assert!(st.slots[id].pending.is_none() && st.slots[id].outcome.is_none());
         let round = st.round;
@@ -319,8 +325,9 @@ impl EvalBroker {
         }
     }
 
-    /// One flush round: decide which buckets flush, execute their fused
-    /// forwards, release their submitters. Runs with the broker lock held —
+    /// One flush round: decide which buckets flush, encode each one's rows
+    /// in one fused call, release their submitters. Runs with the broker
+    /// lock held —
     /// every pending member is parked on the condvar, so nothing else can
     /// touch the state, and released members only resume once we notify.
     fn run_round(&self, st: &mut BrokerState) {
@@ -377,19 +384,21 @@ impl EvalBroker {
         // SAFETY: `key.model` was captured from a `&QPSeeker` inside
         // `QPSeeker::submission`, whose caller is — for every submission in
         // this bucket — still parked inside `submit` and holds that borrow
-        // across the park. The model therefore outlives this flush. A
-        // pointer (not a lifetime) is used because different workers pin
-        // the model through per-request `Arc`s with no common lifetime.
+        // across the park. The model therefore outlives this flush, and the
+        // reference is used only for the `encode` below, inside it: each
+        // member runs its `head` itself, through its own borrow. A pointer
+        // (not a lifetime) is used because different workers pin the model
+        // through per-request `Arc`s with no common lifetime.
         let model = unsafe { &*(key.model as *const QPSeeker) };
-        let fused = catch_unwind(AssertUnwindSafe(|| model.score(&mut subs)));
+        let fused = catch_unwind(AssertUnwindSafe(|| model.encode(&mut subs)));
         match fused {
-            Ok(outcomes) => {
+            Ok(encoded) => {
                 let rows: usize = subs.iter().map(|s| s.nodes.len()).sum();
                 st.stats.fused_batches += 1;
                 st.stats.fused_rows += rows;
                 st.stats.fused_occupancy_max = st.stats.fused_occupancy_max.max(rows);
-                for ((id, outcome), sub) in ids.iter().zip(outcomes).zip(subs) {
-                    st.slots[*id].outcome = Some((outcome, sub));
+                for ((id, encoded), sub) in ids.iter().zip(encoded).zip(subs) {
+                    st.slots[*id].outcome = Some((Ok(encoded), sub));
                 }
             }
             Err(payload) => {
@@ -399,7 +408,7 @@ impl EvalBroker {
                 let msg = crate::error::panic_message(payload);
                 for (id, mut sub) in ids.iter().zip(subs) {
                     sub.memo = NodeMemo::default();
-                    st.slots[*id].outcome = Some((FusedOutcome::Poisoned(msg.clone()), sub));
+                    st.slots[*id].outcome = Some((Err(msg.clone()), sub));
                 }
             }
         }
@@ -485,7 +494,8 @@ mod tests {
     }
 
     /// What a brokered search session does per scoring call: featurize into
-    /// a submission, park on the broker, hand rows and memo back.
+    /// a submission, park on the broker, run its own head, hand rows and
+    /// memo back.
     fn submit_plans(
         model: &QPSeeker,
         member: &BrokerMember,
@@ -497,7 +507,8 @@ mod tests {
     ) -> FusedOutcome {
         let mut int = ctx.interner(model, feat, query);
         let roots: Vec<u32> = plans.iter().map(|p| int.plan(p)).collect();
-        let (outcome, sub) = member.submit(model.submission(ctx, &roots, eps));
+        let (encoded, sub) = member.submit(model.submission(ctx, &roots, eps));
+        let outcome = model.head(&sub, encoded);
         ctx.reclaim(sub);
         outcome
     }
@@ -572,6 +583,113 @@ mod tests {
                     prop_assert_eq!(fused_p.cardinality.to_bits(), scalar.cardinality.to_bits());
                 }
             }
+        }
+    }
+
+    /// `star_query` narrowed by a filter of its own: another query
+    /// embedding and another memo for each `year`.
+    fn filtered_star(id: &str, year: f64) -> Query {
+        let mut q = star_query(id);
+        q.filters.push(qpseeker_engine::query::Filter {
+            col: qpseeker_engine::query::ColRef::new("title", "production_year"),
+            op: qpseeker_engine::query::CmpOp::Gt,
+            value: year,
+        });
+        q
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// The risk sibling of `any_partition_fuses_bitwise_equal_to_scalar`:
+        /// two to four members, each with its own query and its own eps
+        /// block, submit unequal row counts in one or two calls. Each
+        /// member's `(mean, sigma)` equals `predict_risk_batch_with_context_in`
+        /// over its plans alone, bit for bit, though the members' rows
+        /// encode in one fused call and each member runs its own head on its
+        /// own thread; and the broker counts what its round rule gives: the
+        /// k-th calls of every member still submitting fuse in round k,
+        /// flushed for size at `target` rows, else forced.
+        #[test]
+        fn any_partition_fuses_risk_bitwise_equal_to_each_member_alone(
+            specs in proptest::collection::vec(plan_strategy(), 32),
+            extra in proptest::collection::vec(0usize..2, 2..5),
+            splits in proptest::collection::vec(0usize..9, 4),
+            target in 1usize..24,
+            samples in 1usize..9,
+        ) {
+            let model = shared_model();
+            // Member m submits m + 1 + 4·extra rows: counts differ mod 4.
+            let counts: Vec<usize> = extra.iter().enumerate().map(|(m, x)| m + 1 + 4 * x).collect();
+            let members: Vec<(Query, Arc<Tensor>, Vec<PlanNode>, usize)> = counts
+                .iter()
+                .enumerate()
+                .map(|(m, &count)| {
+                    let query = filtered_star(&format!("broker-risk-{m}"), 1990.0 + 5.0 * m as f64);
+                    let plans = specs[8 * m..8 * m + count]
+                        .iter()
+                        .map(|s| s.compile(&query).expect("valid left-deep spec"))
+                        .collect();
+                    let eps = model.risk_eps(samples, 0x5eed + m as u64);
+                    (query, eps, plans, splits[m].min(count))
+                })
+                .collect();
+            let cfg = BrokerConfig { batch_target: target, batch_window_us: 200 };
+            let broker = EvalBroker::new(cfg);
+            let seats = broker.register_members(members.len());
+            let fused: Vec<Vec<(f64, f64)>> = std::thread::scope(|s| {
+                let handles: Vec<_> = members
+                    .iter()
+                    .zip(seats)
+                    .map(|((query, eps, plans, split), seat)| {
+                        s.spawn(move || {
+                            let mut feat = FeatSession::default();
+                            let mut ctx = model.query_context(query);
+                            let refs: Vec<&PlanNode> = plans.iter().collect();
+                            let (first, second) = refs.split_at(*split);
+                            let mut out = Vec::new();
+                            for part in [first, second].into_iter().filter(|p| !p.is_empty()) {
+                                let e = Some(eps);
+                                out.extend(
+                                    submit_plans(model, &seat, &mut feat, query, part, &mut ctx, e)
+                                        .risk(),
+                                );
+                            }
+                            out
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("member thread")).collect()
+            });
+            for ((query, eps, plans, _), fused) in members.iter().zip(&fused) {
+                let mut alone = Vec::new();
+                let refs: Vec<&PlanNode> = plans.iter().collect();
+                let mut ctx = model.query_context(query);
+                let mut feat = FeatSession::default();
+                model.predict_risk_batch_with_context_in(
+                    &mut feat, query, &refs, &mut ctx, eps, &mut alone,
+                );
+                let bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
+                    v.iter().map(|(m, s)| (m.to_bits(), s.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(fused), bits(&alone), "query {}", query.id);
+            }
+            // Round k fuses the k-th call of every member that makes one; a
+            // member's first call is its first `split` rows, or all of them.
+            let total: usize = counts.iter().sum();
+            let first: usize = members
+                .iter()
+                .map(|(.., plans, split)| if *split > 0 { *split } else { plans.len() })
+                .sum();
+            let rounds: Vec<usize> =
+                [first, total - first].into_iter().filter(|&rows| rows > 0).collect();
+            let stats = broker.take_stats();
+            let size = rounds.iter().filter(|&&rows| rows >= target).count();
+            prop_assert_eq!(stats.fused_batches, rounds.len());
+            prop_assert_eq!(stats.fused_rows, total);
+            prop_assert_eq!(stats.fused_occupancy_max, rounds.iter().copied().max().unwrap_or(0));
+            prop_assert_eq!(stats.broker_flush_size, size);
+            prop_assert_eq!(stats.broker_flush_deadline, rounds.len() - size);
         }
     }
 

@@ -6,7 +6,7 @@ use crate::durable::SnapshotStore;
 use crate::encoder::{Block, EntryLayout, LevelPass, NodeMemo, NodeRef, PlanEncoder, QueryEncoder};
 use crate::error::CoreError;
 use crate::evalbroker::{BucketKey, FusedOutcome, Submission};
-use crate::featurize::{FeatSession, FeaturizedQep, Featurizer, Interner, PlanFeatCache};
+use crate::featurize::{FeatNode, FeatSession, FeaturizedQep, Featurizer, Interner, PlanFeatCache};
 use crate::normalize::TargetNormalizer;
 use crate::vae::CostModeler;
 use qpseeker_engine::plan::{PlanNode, ScanOp};
@@ -165,13 +165,14 @@ impl QPSeeker {
             let keyed = self.attn.query(g, &qv);
             self.subtree_states(g, &pass, &nodes.h, |s| Row::Of(&keyed, s as usize), &[])
         });
+        let states = states.as_ref();
         let (h1, joint) = self.embed(
             g,
-            &pass,
+            pass.plans(),
             true,
             |s| Row::Of(&qv, s),
-            |r| Row::Of(&nodes.h, pass.tape_row(r)),
-            |r| Row::Of(states.as_ref().expect("attention merged the states"), pass.tape_row(r)),
+            |c| Row::Of(&nodes.h, pass.tape_row(pass.root(c))),
+            |c| Row::Of(states.expect("attention merged the states"), pass.tape_row(pass.root(c))),
         );
         (h1, joint.expect("the tape keeps the joint embeddings"), nodes.h, pass)
     }
@@ -212,33 +213,33 @@ impl QPSeeker {
     ///
     /// An attending candidate's heads' context runs through `enter`,
     /// attention's output layer folded into `enc₁`; a fallback candidate's
-    /// joint row runs through `enc₁` itself. `q(c)` is candidate `c`'s
-    /// query embedding, `node(r)` node `r`'s plan-encoder row and
-    /// `state(r)` its attention state: training and serving differ only in
-    /// where those rows live.
+    /// joint row runs through `enc₁` itself. `plans` are the candidates'
+    /// plans, `q(c)` is candidate `c`'s query embedding, `root(c)` its
+    /// root's plan-encoder row and `state(c)` its root's attention state:
+    /// training and serving differ only in where those rows live.
     fn embed<'t, E: Exec>(
         &self,
         e: &mut E,
-        pass: &LevelPass,
+        plans: &[&FeatNode],
         keep_joint: bool,
         q: impl Fn(usize) -> Row<'t, E::T>,
-        node: impl Fn(NodeRef) -> Row<'t, E::T>,
-        state: impl Fn(NodeRef) -> Row<'t, E::T>,
+        root: impl Fn(usize) -> Row<'t, E::T>,
+        state: impl Fn(usize) -> Row<'t, E::T>,
     ) -> (E::T, Option<E::T>)
     where
         E::T: 't,
     {
         let attention = self.config.use_attention;
         let (attend, concat): (Vec<usize>, Vec<usize>) =
-            (0..pass.len()).partition(|&c| attention && !pass.plan(c).is_leaf());
+            (0..plans.len()).partition(|&c| attention && !plans[c].is_leaf());
         let enc1 = &self.vae.encoder.layers[0];
         // Candidate → (part, row of the part).
-        let mut at = vec![(0, 0); pass.len()];
+        let mut at = vec![(0, 0); plans.len()];
         let (mut parts, mut joints) = (Vec::new(), Vec::new());
         if !concat.is_empty() {
             let (qd, od) = (self.query_enc.out_dim(), self.plan_enc.out_dim());
             let qc = e.gather(concat.len(), qd, concat.iter().map(|&c| q(c)));
-            let roots = e.gather(concat.len(), od, concat.iter().map(|&c| node(pass.root(c))));
+            let roots = e.gather(concat.len(), od, concat.iter().map(|&c| root(c)));
             let joint = e.concat(&[(&qc, 0..qd), (&roots, 0..od)]);
             e.recycle(qc);
             e.recycle(roots);
@@ -251,7 +252,7 @@ impl QPSeeker {
             concat.iter().enumerate().for_each(|(i, &c)| at[c] = (parts.len() - 1, i));
         }
         if !attend.is_empty() {
-            let roots = attend.iter().map(|&c| state(pass.root(c)));
+            let roots = attend.iter().map(|&c| state(c));
             let cat = self.attn.context(e, roots);
             let joint = keep_joint.then(|| self.attn.out.forward(e, &cat, Activation::Identity));
             parts.push(self.enter.forward(e, &cat, joint.as_ref(), self.vae.enc1_act()));
@@ -765,8 +766,8 @@ impl QPSeeker {
         out.extend(self.score_plans(sess, query, plans, ctx, Some(eps)).risk());
     }
 
-    /// Featurize → [`Self::score`] → outcome, on this thread: what every
-    /// public `predict*` wrapper is a column pick of.
+    /// Featurize → [`Self::encode`] → [`Self::head`], on this thread: what
+    /// every public `predict*` wrapper is a column pick of.
     ///
     /// # Panics
     /// When `ctx` was built for another query, or a scan of a plan is not a
@@ -786,7 +787,8 @@ impl QPSeeker {
         );
         let mut int = ctx.interner(self, sess, query);
         let roots: Vec<u32> = plans.iter().map(|p| int.plan(p)).collect();
-        let (outcome, sub) = self.score_local(self.submission(ctx, &roots, eps));
+        let (encoded, sub) = self.encode_local(self.submission(ctx, &roots, eps));
+        let outcome = self.head(&sub, encoded);
         ctx.reclaim(sub);
         outcome
     }
@@ -801,9 +803,10 @@ impl QPSeeker {
     /// query's rows (embedding and projected `Q`), the context's node memo,
     /// and — for risk scoring — the seeded eps block. Featurization ran
     /// when the ids were interned, against the caller's own caches; only
-    /// the tensor pipeline sits behind [`Self::score`]. The memo comes from
-    /// `ctx` and goes back through [`QueryContext::reclaim`] once scored, so
-    /// no subtree is encoded twice.
+    /// the tensor pipeline sits behind [`Self::encode`] and [`Self::head`].
+    /// The memo comes from `ctx` and goes back through
+    /// [`QueryContext::reclaim`] once scored, so no subtree is encoded
+    /// twice.
     pub(crate) fn submission(
         &self,
         ctx: &mut QueryContext,
@@ -819,64 +822,54 @@ impl QPSeeker {
         Submission { key, nodes, query: Arc::clone(&ctx.rows), eps: eps.cloned(), memo }
     }
 
-    /// Score one submission on the calling thread — exactly what a
+    /// Encode one submission on the calling thread — exactly what a
     /// one-member [`EvalBroker`](crate::evalbroker::EvalBroker) flush would
-    /// run. Returns the outcome and the submission, for
-    /// [`QueryContext::reclaim`].
-    pub(crate) fn score_local(&self, mut sub: Submission) -> (FusedOutcome, Submission) {
-        let mut outcomes = self.score(std::slice::from_mut(&mut sub));
-        (outcomes.pop().expect("one outcome per submission"), sub)
+    /// run. Returns its encoded roots, for [`Self::head`], and the
+    /// submission, for [`QueryContext::reclaim`].
+    pub(crate) fn encode_local(&self, mut sub: Submission) -> (Encoded, Submission) {
+        let mut encoded = self.encode(std::slice::from_mut(&mut sub));
+        (encoded.pop().expect("one encoding per submission"), sub)
     }
 
-    /// **The** serving path: every candidate plan the system ever scores —
-    /// one `predict`, a search's batch, a broker bucket fused from many
-    /// sessions — is a row here. A row is (featurized tree, its query's
-    /// rows, its query's memo, optionally its query's eps block), and
-    /// one call runs the model's forward on the scratch executor, across
-    /// every submission:
+    /// **The** serving path, first phase: every candidate plan the system
+    /// ever scores — one `predict`, a search's batch, a broker bucket fused
+    /// from many sessions — is a row here. A row is (featurized tree, its
+    /// query's rows, its query's memo), and one call runs, on the scratch
+    /// executor and across every submission, the part of the forward whose
+    /// GEMMs fusion widens and which writes the memos:
     ///
     /// 1. the plan LSTM over the nodes no memo holds, each node id once per
     ///    submission, one `rows = m` step per level, children first
-    ///    ([`PlanEncoder::forward`]); then the new rows' attention states —
-    ///    one value GEMM, each row's logit against its query's keyed row
-    ///    (computed once, by [`Self::query_context`]), merged with its
-    ///    children's states in level order ([`Self::subtree_states`]) — and
-    ///    both into the memos as far as their budgets admit;
-    /// 2. each row's first VAE encoder layer ([`Self::embed`]): its root's
-    ///    context, read from the memo or the new rows, through attention's
-    ///    output layer folded into `enc₁`;
-    /// 3. the rest of the VAE once over every row, through its folds.
+    ///    ([`PlanEncoder::forward`]);
+    /// 2. the new rows' attention states — one value GEMM, each row's logit
+    ///    against its query's keyed row (computed once, by
+    ///    [`Self::query_context`]), merged with its children's states in
+    ///    level order ([`Self::subtree_states`]);
+    /// 3. both into the memos as far as their budgets admit
+    ///    ([`LevelPass::commit`]).
     ///
-    /// Every layer preserves per-row FP reduction order, so a row's result
-    /// does not depend on what it is scored with, nor on whether its nodes
-    /// were encoded now or by an earlier call: scalar is one row, a batch is
-    /// K rows sharing one query's rows, mean scoring is "no eps".
-    ///
-    /// All submissions must agree on the scoring kind (`key.samples`).
-    /// Returns one outcome per submission, in order.
-    pub(crate) fn score(&self, subs: &mut [Submission]) -> Vec<FusedOutcome> {
-        let norm = self.norm();
-        let samples = subs.first().map_or(0, |s| s.key.samples);
+    /// Returns, per submission in order, where each candidate's root now
+    /// lives — its memo, or the call's shared [`Block`] — for
+    /// [`Self::head`], which runs the rest of the forward on the thread of
+    /// the submission's owner. A broker's flush runs only this phase under
+    /// its lock.
+    pub(crate) fn encode(&self, subs: &mut [Submission]) -> Vec<Encoded> {
         let layout = self.memo_layout();
         // Split every submission into its read-only rows and its memo.
         let mut pass = LevelPass::default();
         let mut memos: Vec<&mut NodeMemo> = Vec::with_capacity(subs.len());
-        let mut rows: Vec<(&QueryRows, Option<&Tensor>)> = Vec::new();
         let mut queries: Vec<&QueryRows> = Vec::with_capacity(subs.len());
         let mut counts = Vec::with_capacity(subs.len());
         for (si, sub) in subs.iter_mut().enumerate() {
-            debug_assert_eq!(sub.key.samples, samples, "one scoring kind per call");
-            let Submission { nodes, query, eps, memo, .. } = sub;
+            let Submission { nodes, query, memo, .. } = sub;
             for node in nodes.iter() {
                 pass.add(si, node, memo);
-                rows.push((&**query, eps.as_deref()));
             }
             queries.push(query);
             counts.push(nodes.len());
             memos.push(memo);
         }
-        let n_rows = rows.len();
-        with_thread_scratch(|arena| {
+        let block = with_thread_scratch(|arena| {
             let e = &mut Scratch { store: &self.store, arena };
             let (fresh, own) = self.plan_enc.forward(e, &pass, &memos);
             let states = (layout.heads > 0).then(|| {
@@ -885,34 +878,69 @@ impl QPSeeker {
                 };
                 self.subtree_states(e, &pass, &fresh.h, keyed, &memos)
             });
-            let block = Arc::new(Block { h: fresh.h, c: fresh.c, states, own });
-            pass.commit(&mut memos, &block);
+            Arc::new(Block { h: fresh.h, c: fresh.c, states, own })
+        });
+        pass.commit(&mut memos, &block);
+        let mut roots = (0..pass.len()).map(|c| match pass.root(c) {
+            NodeRef::Memo { entry, .. } => Root::Memo(entry),
+            NodeRef::Fresh(row) => Root::Block(pass.pos(row)),
+        });
+        counts
+            .iter()
+            .map(|&count| Encoded {
+                block: Arc::clone(&block),
+                roots: roots.by_ref().take(count).collect(),
+            })
+            .collect()
+    }
+
+    /// **The** serving path, second phase: one submission's candidates from
+    /// their roots, which [`Self::encode`] placed in the submission's memo
+    /// or in `encoded`'s block — each row's first VAE encoder layer
+    /// ([`Self::embed`]: its root's context through attention's output
+    /// layer folded into `enc₁`), the rest of the VAE over every row
+    /// through its folds, and the decoded predictions, or each row's
+    /// `(mean, sigma)` over the submission's eps block.
+    ///
+    /// Every layer of both phases preserves per-row FP reduction order, so
+    /// a row's result does not depend on what it is scored with, nor on
+    /// whether its nodes were encoded now or by an earlier call: scalar is
+    /// one row, a batch is K rows sharing one query's rows, mean scoring is
+    /// "no eps".
+    ///
+    /// A block no memo admitted a row of goes back to the arena of the
+    /// thread whose head reads its roots last.
+    pub(crate) fn head(&self, sub: &Submission, encoded: Encoded) -> FusedOutcome {
+        let norm = self.norm();
+        let samples = sub.key.samples;
+        let Encoded { block, roots } = encoded;
+        let (memo, n) = (&sub.memo, roots.len());
+        let plans: Vec<&FeatNode> = sub.nodes.iter().map(|n| &**n).collect();
+        with_thread_scratch(|arena| {
+            let e = &mut Scratch { store: &self.store, arena };
             let (h1, _) = self.embed(
                 e,
-                &pass,
+                &plans,
                 false,
-                |c| Row::Const(rows[c].0.emb.data()),
-                |r| match r {
-                    NodeRef::Memo { sub, entry } => Row::Const(memos[sub as usize].h(entry)),
-                    NodeRef::Fresh(row) => Row::Of(&block.h, pass.pos(row)),
+                |_| Row::Const(sub.query.emb.data()),
+                |c| match roots[c] {
+                    Root::Memo(entry) => Row::Const(memo.h(entry)),
+                    Root::Block(row) => Row::Of(&block.h, row),
                 },
-                |r| match (r, &block.states) {
-                    (NodeRef::Memo { sub, entry }, _) => {
-                        Row::Const(memos[sub as usize].state(entry))
-                    }
-                    (NodeRef::Fresh(row), Some(states)) => Row::Of(states, pass.pos(row)),
-                    (NodeRef::Fresh(_), None) => unreachable!("attention implies merged states"),
+                |c| match (roots[c], &block.states) {
+                    (Root::Memo(entry), _) => Row::Const(memo.state(entry)),
+                    (Root::Block(row), Some(states)) => Row::Of(states, row),
+                    (Root::Block(_), None) => unreachable!("attention implies merged states"),
                 },
             );
-            // No memo admitted a row of it: its tensors are scratch again.
-            if let Ok(block) = Arc::try_unwrap(block) {
+            // Every root is read: a block no memo admitted a row of and no
+            // other head holds is scratch again.
+            if let Some(block) = Arc::into_inner(block) {
                 block.into_tensors().for_each(|t| e.recycle(t));
             }
-            let eps: Option<Vec<&[f32]>> = (samples > 0).then(|| {
-                rows.iter().map(|(_, eps)| eps.expect("risk rows carry eps").data()).collect()
-            });
-            // `[R, 3]`; under sampling sample-major `[S*R, 3]`, row r's
-            // sample si at `si*R + r`.
+            let eps = sub.eps.as_ref().map(|eps| vec![eps.data(); n]);
+            // `[n, 3]`; under sampling sample-major `[S*n, 3]`, row r's
+            // sample si at `si*n + r`.
             let out = self.vae.forward(e, &h1, eps.as_deref(), false);
             [h1].into_iter().chain(out.h).for_each(|t| e.recycle(t));
             let p = out.predictions;
@@ -920,28 +948,22 @@ impl QPSeeker {
                 let raw = norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)]);
                 Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] }
             };
-            let mut at = 0;
-            let mut times = Vec::with_capacity(samples);
-            let outcomes = counts
-                .iter()
-                .map(|&count| {
-                    let span = at..at + count;
-                    at = span.end;
-                    if samples == 0 {
-                        return FusedOutcome::Mean(span.map(decode).collect());
-                    }
-                    FusedOutcome::Risk(
-                        span.map(|r| {
+            let outcome = if samples == 0 {
+                FusedOutcome::Mean((0..n).map(decode).collect())
+            } else {
+                let mut times = Vec::with_capacity(samples);
+                FusedOutcome::Risk(
+                    (0..n)
+                        .map(|r| {
                             times.clear();
-                            times.extend((0..samples).map(|si| decode(si * n_rows + r).runtime_ms));
+                            times.extend((0..samples).map(|si| decode(si * n + r).runtime_ms));
                             mean_sigma(&times)
                         })
                         .collect(),
-                    )
-                })
-                .collect();
+                )
+            };
             e.recycle(p);
-            outcomes
+            outcome
         })
     }
 
@@ -986,6 +1008,24 @@ impl QPSeeker {
 pub(crate) struct QueryRows {
     emb: Tensor,
     keyed: Option<Tensor>,
+}
+
+/// What [`QPSeeker::encode`] leaves one submission for [`QPSeeker::head`]:
+/// the encoding call's outputs, shared by every submission of the call, and
+/// where each candidate's root lives.
+pub(crate) struct Encoded {
+    block: Arc<Block>,
+    /// Per candidate, in order.
+    roots: Vec<Root>,
+}
+
+/// Where a candidate's root `h` and attention state are, once encoded.
+#[derive(Clone, Copy)]
+enum Root {
+    /// An entry of its submission's memo.
+    Memo(u32),
+    /// A row of the encoding call's [`Block`].
+    Block(usize),
 }
 
 /// Cached per-query inference state: the query's rows, the plan

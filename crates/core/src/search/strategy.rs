@@ -336,7 +336,8 @@ impl<'a> Evaluator<'a> {
 
     /// Score the candidates rooted at `roots` into `scores`, cleared first,
     /// in order, and memoize each by its id. The only fork is where the
-    /// forward runs.
+    /// plan-encoder phase runs: fused in a broker round, or here. The VAE
+    /// head always runs on this thread.
     pub(crate) fn score(&mut self, roots: &[u32], scores: &mut Vec<f64>) {
         scores.clear();
         if roots.is_empty() {
@@ -344,10 +345,11 @@ impl<'a> Evaluator<'a> {
         }
         let eps = self.risk.as_ref().map(|r| &r.eps);
         let sub = self.model.submission(&mut self.ctx, roots, eps);
-        let (outcome, sub) = match self.broker {
+        let (encoded, sub) = match self.broker {
             Some(member) => member.submit(sub),
-            None => self.model.score_local(sub),
+            None => self.model.encode_local(sub),
         };
+        let outcome = self.model.head(&sub, encoded);
         self.ctx.reclaim(sub);
         match &self.risk {
             None => scores.extend(outcome.mean().iter().map(|p| p.runtime_ms)),

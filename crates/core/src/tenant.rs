@@ -228,7 +228,8 @@ impl MultiTenantSupervisor {
     ///
     /// Without a broker (`base.broker = None`) lanes run one after another
     /// on the calling thread, in tenant order. With one, every lane with
-    /// requests this batch runs on its own thread and all of their workers
+    /// requests this batch runs on its own thread (a lone such lane on the
+    /// calling thread) and all of their workers
     /// score through one shared `EvalBroker`, fusing candidate evaluation
     /// *across tenants* — per-lane dispositions, plans and counters are
     /// bitwise identical either way (admission is a pure function of each
@@ -295,14 +296,22 @@ impl MultiTenantSupervisor {
                 // (round accounting is only schedule-independent over a
                 // static member set), so every lane is prepared first.
                 let work: Vec<LaneWork<'_>> = prepared.collect();
-                let results: Vec<LaneOutcomes<'_>> = std::thread::scope(|s| {
-                    let handles: Vec<_> =
-                        work.into_iter().map(|w| s.spawn(move || serve_lane(w))).collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("lane exited through its per-request boundaries"))
-                        .collect()
-                });
+                // A lone lane has no other lane to wait for: it runs here,
+                // on a warm thread, through the seats registered above.
+                let results: Vec<LaneOutcomes<'_>> = if work.len() == 1 {
+                    work.into_iter().map(serve_lane).collect()
+                } else {
+                    std::thread::scope(|s| {
+                        let handles: Vec<_> =
+                            work.into_iter().map(|w| s.spawn(move || serve_lane(w))).collect();
+                        handles
+                            .into_iter()
+                            .map(|h| {
+                                h.join().expect("lane exited through its per-request boundaries")
+                            })
+                            .collect()
+                    })
+                };
                 results.into_iter().for_each(scatter);
                 self.broker_stats.merge(&broker.take_stats());
             }
@@ -430,6 +439,63 @@ mod tests {
         assert!(sup.set_tenant_faults("a", None));
         let r = served(sup.run(&registry, &[req("a", &queries[1], 100.0, 1e9)]));
         assert_eq!(r.served_by, ServedBy::Neural, "cleared faults must stay cleared");
+    }
+
+    /// With a broker, a batch whose requests all name one lane serves that
+    /// lane on the calling thread, through the seats it registered: every
+    /// scoring call is still a broker round (a lone member's forced flush),
+    /// and plans, dispositions and counters equal the broker-off run's.
+    #[test]
+    fn a_lone_brokered_lane_is_served_on_the_calling_thread() {
+        use crate::evalbroker::BrokerConfig;
+        use qpseeker_nn::prelude::with_thread_scratch;
+        let (db, queries) = db_and_queries();
+        let w = synthetic::generate(&db, &SyntheticConfig { n_queries: 12, seed: 3 });
+        let mut model = crate::model::QPSeeker::new(&db, crate::config::ModelConfig::small());
+        model.fit(&w.qeps.iter().collect::<Vec<_>>()).expect("training succeeds");
+        let registry = ModelRegistry::new(usize::MAX);
+        registry.register("a", Arc::clone(&db), Arc::new(model));
+        let stream: Vec<TenantRequest> =
+            queries.iter().enumerate().map(|(i, q)| req("a", q, 100.0 * i as f64, 1e9)).collect();
+        let run = |broker: Option<BrokerConfig>| {
+            let mut base = SupervisorConfig { broker, ..Default::default() };
+            base.serve.mcts.max_simulations = 16;
+            let mut sup = MultiTenantSupervisor::new(
+                MultiTenantConfig { base, cache: None },
+                vec![TenantSpec::new("a", Arc::clone(&db)), TenantSpec::new("b", Arc::clone(&db))],
+            );
+            // A fresh thread, whose scratch arena is empty until it scores.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let out = sup.run(&registry, &stream);
+                    let plans: Vec<qpseeker_engine::plan::PlanNode> = out
+                        .into_iter()
+                        .map(|o| match o.outcome.disposition {
+                            Disposition::Served(r) => r.plan,
+                            other => panic!("expected a served request, got {other:?}"),
+                        })
+                        .collect();
+                    (plans, sup.merged_counters(), with_thread_scratch(|a| a.idle()))
+                })
+                .join()
+                .expect("the run returns")
+            })
+        };
+        let (off_plans, off, _) = run(None);
+        let (on_plans, on, idle) = run(Some(BrokerConfig::default()));
+        assert!(idle > 0, "the lane scored on the calling thread");
+        assert_eq!(on_plans, off_plans);
+        assert!(off.eval_candidates > 0 && on.fused_batches > 0);
+        assert_eq!(on.fused_rows, on.eval_candidates, "every row crossed the broker");
+        assert_eq!(on.broker_flush_size, 0, "a lone member's rounds are forced flushes");
+        let unfused = ServeCounters {
+            fused_batches: 0,
+            fused_rows: 0,
+            fused_occupancy_max: 0,
+            broker_flush_deadline: 0,
+            ..on
+        };
+        assert_eq!(unfused, off);
     }
 
     #[test]

@@ -687,19 +687,21 @@ pub(crate) fn concat_into<'t>(
 /// and raw log-variance, and `eps[r]` row `r`'s `S` standard-normal draws
 /// (`S·latent` floats, the same `S` for every row). Output row `s·K + r`
 /// (sample-major) is `mu + exp(0.5 · logvar) · eps_s` with the soft-bounded
-/// `logvar = 8 · tanh(raw)`.
+/// `logvar = 8 · tanh(raw)`. A row's scale `exp(0.5 · logvar)` is computed
+/// once, then read by each of its draws.
 pub(crate) fn sample_into(h: &Tensor, latent: usize, eps: &[&[f32]], out: &mut Tensor) {
     let k = h.rows();
     assert_eq!(eps.len(), k, "one eps block per row");
+    let mut sigma = Vec::with_capacity(latent);
     for (r, eps_r) in eps.iter().enumerate() {
         assert_eq!(eps_r.len() * k, out.len(), "eps blocks must agree on sample count");
-        let hr = h.row_slice(r);
+        let (mu, raw) = h.row_slice(r).split_at(latent);
+        sigma.clear();
+        sigma.extend(raw.iter().map(|v| (0.5 * (8.0 * v.tanh())).exp()));
         for (si, er) in eps_r.chunks(latent).enumerate() {
             let zr = out.row_slice_mut(si * k + r);
             for j in 0..latent {
-                let mu = hr[j];
-                let logvar = 8.0 * hr[latent + j].tanh();
-                zr[j] = mu + (0.5 * logvar).exp() * er[j];
+                zr[j] = mu[j] + sigma[j] * er[j];
             }
         }
     }
@@ -850,6 +852,55 @@ mod tests {
         written_whole("sample", draws * 2 * latent, |out| {
             shaped(draws * 2, latent, out, &|t| sample_into(&h, latent, &eps, t))
         });
+    }
+
+    /// The VAE's draws read each row's scale, computed once, and are bit
+    /// for bit the per-draw formula `mu + exp(0.5 · 8 · tanh(raw)) · eps`:
+    /// on 1 and 8 draws, latent widths 16, 32 and 64, raw log-variances of
+    /// ±0, beyond `tanh`'s saturation, ±inf and NaN, through the serving
+    /// executor and the tape, which run the one kernel.
+    #[test]
+    fn draws_read_each_rows_scale_bitwise_the_per_draw_formula() {
+        let specials = [0.0, -0.0, 9.5, -9.5, 40.0, -40.0, f32::INFINITY, f32::NEG_INFINITY];
+        let store = ParamStore::new();
+        let mut init = Initializer::new(41);
+        for latent in [16, 32, 64] {
+            for draws in [1, 8] {
+                let k = 3;
+                let mut h = init.normal(k, 2 * latent, 2.0);
+                for (i, v) in
+                    h.data_mut().chunks_mut(latent).skip(1).step_by(2).flatten().enumerate()
+                {
+                    *v = match i % 11 {
+                        s @ 0..=7 => specials[s],
+                        8 => f32::NAN,
+                        _ => *v,
+                    };
+                }
+                let blocks: Vec<Tensor> =
+                    (0..k).map(|_| init.standard_normal(1, draws * latent)).collect();
+                let eps: Vec<&[f32]> = blocks.iter().map(Tensor::data).collect();
+                let mut want = Vec::with_capacity(draws * k * latent);
+                for si in 0..draws {
+                    for (r, e) in eps.iter().enumerate() {
+                        let hr = h.row_slice(r);
+                        want.extend((0..latent).map(|j| {
+                            let logvar = 8.0 * hr[latent + j].tanh();
+                            hr[j] + (0.5 * logvar).exp() * e[si * latent + j]
+                        }));
+                    }
+                }
+                let mut sc = ScratchArena::new();
+                let served = Scratch { store: &store, arena: &mut sc }.sample(&h, latent, &eps);
+                let mut g = Graph::new(&store);
+                let hv = g.constant(h.clone());
+                let taped = g.sample(&hv, latent, &eps);
+                for (what, got) in [("serving", &served), ("tape", g.value(taped))] {
+                    assert_eq!(got.shape(), (draws * k, latent));
+                    assert_eq!(bits(got), bits_of(&want), "{what}: latent {latent}, {draws} draws");
+                }
+            }
+        }
     }
 
     #[test]
