@@ -154,7 +154,7 @@ impl<'a> Mscn<'a> {
         let mut pred_mask = Tensor::zeros(self.max_preds, 1);
         for (row, f) in query.filters.iter().take(self.max_preds).enumerate() {
             let table = query.table_of(&f.col.alias).unwrap_or(&f.col.alias);
-            if let Some(&ci) = self.col_index.get(&(table.to_string(), f.col.column.clone())) {
+            if let Some(&ci) = self.col_index.get(&(table.to_string(), f.col.column.to_string())) {
                 preds.set(row, ci, 1.0);
                 let (lo, hi) = self.col_ranges[ci];
                 let norm_v =

@@ -208,12 +208,12 @@ fn random_query(db: &Database, rng: &mut StdRng, id: usize) -> Option<Query> {
             break;
         }
         let e = edges[rng.gen_range(0..edges.len())];
-        let (other, other_col, anchor_col) = if e.from_table == anchor {
+        let (other, other_col, anchor_col) = if *e.from_table == *anchor {
             (&e.to_table, &e.to_col, &e.from_col)
         } else {
             (&e.from_table, &e.from_col, &e.to_col)
         };
-        if q.relations.iter().any(|r| r.table == *other) {
+        if q.relations.iter().any(|r| *r.table == **other) {
             continue;
         }
         q.joins.push(JoinPred {

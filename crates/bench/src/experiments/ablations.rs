@@ -16,6 +16,7 @@ use qpseeker_engine::plan::{JoinOp, PlanNode, ScanOp};
 use qpseeker_engine::query::Query;
 use qpseeker_workloads::{enumerate_orderings, job, JobConfig, Qep};
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 pub struct VariantRow {
@@ -229,12 +230,12 @@ fn greedy_plan(model: &QPSeeker, q: &Query, feat: &mut FeatSession) -> (PlanNode
     let mut ctx = model.query_context(q);
     let mut score =
         |plan: &PlanNode| model.predict_with_context_in(feat, q, plan, &mut ctx).runtime_ms;
-    let mut scans: Vec<(String, ScanOp)> = Vec::new();
+    let mut scans: Vec<(Arc<str>, ScanOp)> = Vec::new();
     let mut joins: Vec<JoinOp> = Vec::new();
-    let mut joined: BTreeSet<String> = BTreeSet::new();
+    let mut joined: BTreeSet<Arc<str>> = BTreeSet::new();
     let mut scored = 0usize;
     // Start: best single relation by completing greedily with SeqScans.
-    let mut best_start: Option<(f64, String, ScanOp)> = None;
+    let mut best_start: Option<(f64, Arc<str>, ScanOp)> = None;
     for r in &q.relations {
         for scan in ScanOp::ALL {
             if let Some(plan) = complete(q, &[(r.alias.clone(), scan)], &[]) {
@@ -250,7 +251,7 @@ fn greedy_plan(model: &QPSeeker, q: &Query, feat: &mut FeatSession) -> (PlanNode
     joined.insert(alias.clone());
     scans.push((alias, scan));
     while joined.len() < q.relations.len() {
-        let mut best: Option<(f64, String, ScanOp, JoinOp)> = None;
+        let mut best: Option<(f64, Arc<str>, ScanOp, JoinOp)> = None;
         for next in q.neighbors(&joined) {
             for scan in ScanOp::ALL {
                 for join in JoinOp::ALL {
@@ -279,11 +280,11 @@ fn greedy_plan(model: &QPSeeker, q: &Query, feat: &mut FeatSession) -> (PlanNode
 
 /// Complete a partial left-deep prefix with SeqScan/HashJoin steps in
 /// neighbor order (heuristic completion for greedy scoring).
-fn complete(q: &Query, scans: &[(String, ScanOp)], joins: &[JoinOp]) -> Option<PlanNode> {
+fn complete(q: &Query, scans: &[(Arc<str>, ScanOp)], joins: &[JoinOp]) -> Option<PlanNode> {
     use std::collections::BTreeSet;
     let mut scans = scans.to_vec();
     let mut joins = joins.to_vec();
-    let mut joined: BTreeSet<String> = scans.iter().map(|(a, _)| a.clone()).collect();
+    let mut joined: BTreeSet<Arc<str>> = scans.iter().map(|(a, _)| a.clone()).collect();
     while joined.len() < q.relations.len() {
         let next = q.neighbors(&joined).into_iter().next()?;
         joined.insert(next.clone());

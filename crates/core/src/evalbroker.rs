@@ -487,7 +487,7 @@ mod tests {
                 scans: ORDERS[ord]
                     .iter()
                     .zip(&scans)
-                    .map(|(rel, &s)| (rel.to_string(), ScanOp::ALL[s]))
+                    .map(|(rel, &s)| ((*rel).into(), ScanOp::ALL[s]))
                     .collect(),
                 joins: joins.iter().map(|&j| JoinOp::ALL[j]).collect(),
             })
@@ -709,7 +709,7 @@ mod tests {
                 .take(3)
                 .map(|o| {
                     LeftDeepSpec {
-                        scans: o.iter().map(|r| (r.to_string(), ScanOp::SeqScan)).collect(),
+                        scans: o.iter().map(|r| ((*r).into(), ScanOp::SeqScan)).collect(),
                         joins: vec![JoinOp::HashJoin, JoinOp::HashJoin],
                     }
                     .compile(q)
@@ -764,7 +764,7 @@ mod tests {
             .iter()
             .map(|o| {
                 LeftDeepSpec {
-                    scans: o.iter().map(|r| (r.to_string(), ScanOp::SeqScan)).collect(),
+                    scans: o.iter().map(|r| ((*r).into(), ScanOp::SeqScan)).collect(),
                     joins: vec![JoinOp::HashJoin, JoinOp::HashJoin],
                 }
                 .compile(&query)
@@ -829,7 +829,7 @@ mod tests {
         let model = shared_model();
         let query = star_query("broker-solo");
         let plan = LeftDeepSpec {
-            scans: ORDERS[0].iter().map(|r| (r.to_string(), ScanOp::SeqScan)).collect(),
+            scans: ORDERS[0].iter().map(|r| ((*r).into(), ScanOp::SeqScan)).collect(),
             joins: vec![JoinOp::HashJoin, JoinOp::HashJoin],
         }
         .compile(&query)

@@ -88,7 +88,7 @@ pub(crate) struct FeaturizedQep {
 /// A relation of the query: the table and filters [`PlanNode::scan`] gives
 /// its scans, and the table's TaBERT `[CLS]` once a join prefix pooled it.
 struct Relation {
-    table: String,
+    table: Arc<str>,
     filters: Vec<Filter>,
     cls: Option<Vec<f32>>,
 }
@@ -125,7 +125,7 @@ pub struct PlanFeatCache {
     /// The query's TaBERT cache key and trigram set.
     tabert: TabertQuery,
     /// alias → its index in `query.relations`.
-    rel_of: HashMap<String, u32, FnvBuild>,
+    rel_of: HashMap<Arc<str>, u32, FnvBuild>,
     /// Query relation index → its alias bit.
     bits: Vec<u32>,
     /// bit index → the relation the alias binds.
@@ -383,7 +383,7 @@ impl Interner<'_> {
                 let cache = &self.cache;
                 let rel = cache.rel_of.get(alias).copied().filter(|&rel| {
                     let r = &cache.relations[cache.bits[rel as usize] as usize];
-                    r.table == *table && r.filters == *filters
+                    r.table == *table && *r.filters == **filters
                 });
                 let rel = rel.unwrap_or_else(|| {
                     panic!("scan {plan:?} is not a relation of query {}", self.query.id)

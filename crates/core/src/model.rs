@@ -1426,7 +1426,7 @@ mod tests {
             alias: alias.into(),
             table: table.into(),
             op: ScanOp::SeqScan,
-            filters: filters.to_vec(),
+            filters: filters.into(),
         };
         let with_mi = |leaf: PlanNode| PlanNode::Join {
             op: JoinOp::HashJoin,

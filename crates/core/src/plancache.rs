@@ -85,7 +85,7 @@ pub fn query_fingerprint(query: &Query) -> u64 {
         })
         .collect();
 
-    let idx_of = |alias: &str| query.relations.iter().position(|r| r.alias == alias);
+    let idx_of = |alias: &str| query.relations.iter().position(|r| *r.alias == *alias);
     for _ in 0..WL_ROUNDS {
         let next: Vec<u64> = query
             .relations
@@ -489,14 +489,14 @@ mod tests {
         };
         let mut out = q.clone();
         for r in &mut out.relations {
-            r.alias = sub(&r.alias);
+            r.alias = sub(&r.alias).into();
         }
         for j in &mut out.joins {
-            j.left.alias = sub(&j.left.alias);
-            j.right.alias = sub(&j.right.alias);
+            j.left.alias = sub(&j.left.alias).into();
+            j.right.alias = sub(&j.right.alias).into();
         }
         for f in &mut out.filters {
-            f.col.alias = sub(&f.col.alias);
+            f.col.alias = sub(&f.col.alias).into();
         }
         out
     }
@@ -554,7 +554,7 @@ mod tests {
                 op: qpseeker_engine::plan::JoinOp::HashJoin,
                 left: Arc::new(node),
                 right: Arc::new(PlanNode::scan(q, &r.alias, ScanOp::SeqScan)),
-                preds: Arc::new(q.joins.iter().filter(|j| j.touches(&r.alias)).cloned().collect()),
+                preds: q.joins.iter().filter(|j| j.touches(&r.alias)).cloned().collect(),
             };
         }
         node

@@ -50,7 +50,7 @@ impl<'q> QueryIndex<'q> {
     pub(crate) fn new(query: &'q Query) -> Self {
         let n = query.relations.len();
         assert!(n <= 64, "bitmask connectivity supports at most 64 relations");
-        let idx_of = |alias: &str| query.relations.iter().position(|r| r.alias == alias);
+        let idx_of = |alias: &str| query.relations.iter().position(|r| *r.alias == *alias);
         let mut adj = vec![0u64; n];
         let mut joins = Vec::with_capacity(query.joins.len());
         for j in &query.joins {

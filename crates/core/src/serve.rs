@@ -139,12 +139,10 @@ pub struct ServeResult {
     pub served_by: ServedBy,
     /// Neural attempts made (0 when the model was unavailable).
     pub attempts: usize,
-    /// Total backoff charged between attempts, in milliseconds.
-    pub backoff_ms: f64,
-    /// Why the query was served classically (`None` on the neural path).
-    pub fallback_reason: Option<FallbackReason>,
-    /// Every failed neural attempt, in order.
-    pub attempt_failures: Vec<FallbackReason>,
+    /// What degraded, boxed: `None` when no attempt failed and no backoff
+    /// was charged, which is nearly every served request, so a result a
+    /// caller keeps costs one pointer for it.
+    audit: Option<Box<ServeAudit>>,
     /// The model's runtime prediction for the served plan (neural path only).
     pub predicted_ms: Option<f64>,
     /// True when the plan came from the fingerprint plan cache (no MCTS
@@ -160,6 +158,43 @@ pub struct ServeResult {
     /// Plan-node rows the plan encoder ran for those evals
     /// ([`crate::search::mcts::MctsResult::nodes_encoded`]); 0 wherever `evals` is.
     pub nodes_encoded: usize,
+}
+
+/// A [`ServeResult`]'s degradation audit trail.
+#[derive(Debug, Clone)]
+struct ServeAudit {
+    backoff_ms: f64,
+    fallback_reason: Option<FallbackReason>,
+    attempt_failures: Vec<FallbackReason>,
+}
+
+impl ServeResult {
+    /// Total backoff charged between attempts, in milliseconds.
+    pub fn backoff_ms(&self) -> f64 {
+        self.audit.as_ref().map_or(0.0, |a| a.backoff_ms)
+    }
+
+    /// Why the query was served classically (`None` on the neural path).
+    pub fn fallback_reason(&self) -> Option<&FallbackReason> {
+        self.audit.as_ref().and_then(|a| a.fallback_reason.as_ref())
+    }
+
+    /// Every failed neural attempt, in order.
+    pub fn attempt_failures(&self) -> &[FallbackReason] {
+        self.audit.as_ref().map_or(&[], |a| &a.attempt_failures)
+    }
+}
+
+/// The audit of a request that charged `backoff_ms`, failed
+/// `attempt_failures` and, if classical, fell back for `fallback_reason`;
+/// `None` when there is nothing to record.
+fn audit(
+    backoff_ms: f64,
+    fallback_reason: Option<FallbackReason>,
+    attempt_failures: Vec<FallbackReason>,
+) -> Option<Box<ServeAudit>> {
+    let clean = backoff_ms == 0.0 && fallback_reason.is_none() && attempt_failures.is_empty();
+    (!clean).then(|| Box::new(ServeAudit { backoff_ms, fallback_reason, attempt_failures }))
 }
 
 /// Plan `query`, preferring the neural planner but guaranteeing a valid
@@ -257,9 +292,7 @@ pub fn plan_with_fallback_in(
             plan: result.plan,
             served_by: ServedBy::Neural,
             attempts: attempt + 1,
-            backoff_ms,
-            fallback_reason: None,
-            attempt_failures: failures,
+            audit: audit(backoff_ms, None, failures),
             predicted_ms: Some(result.predicted_ms),
             cache_hit: false,
             evals: result.plans_evaluated,
@@ -283,9 +316,7 @@ fn classical(
         plan: PgOptimizer::new(db).plan(query),
         served_by: ServedBy::Classical,
         attempts,
-        backoff_ms,
-        fallback_reason: Some(reason),
-        attempt_failures,
+        audit: audit(backoff_ms, Some(reason), attempt_failures),
         predicted_ms: None,
         cache_hit: false,
         evals: 0,
@@ -829,9 +860,7 @@ fn serve_admitted(
                     plan: hit.plan,
                     served_by: ServedBy::Neural,
                     attempts: 0,
-                    backoff_ms: 0.0,
-                    fallback_reason: None,
-                    attempt_failures: Vec::new(),
+                    audit: None,
                     predicted_ms: Some(hit.predicted_ms),
                     cache_hit: true,
                     evals: 0,
@@ -940,9 +969,55 @@ mod tests {
         let model = fitted_model(&db);
         let r = plan_with_fallback(&db, &queries[0], Some(&model), &quick_cfg());
         assert_eq!(r.served_by, ServedBy::Neural);
-        assert!(r.fallback_reason.is_none());
+        assert!(r.fallback_reason().is_none());
         assert!(r.predicted_ms.is_some());
         assert!(r.plan.validate(&queries[0]).is_ok());
+    }
+
+    /// What a kept result retains: the audit is one pointer, `None` on a
+    /// clean serve, and every name in the served plan — scan alias and
+    /// table, filter and join-predicate columns — is the query's own
+    /// shared string, neural and classical alike.
+    #[test]
+    fn served_plans_share_the_querys_names_and_box_the_audit() {
+        use qpseeker_engine::query::ColRef;
+        assert_eq!(std::mem::size_of::<ServeResult>(), 112);
+        assert_eq!(std::mem::size_of::<PlanNode>(), 56);
+        fn same(a: &Arc<str>, b: &Arc<str>) -> bool {
+            Arc::ptr_eq(a, b)
+        }
+        fn col_shared(c: &ColRef, query: &[&ColRef]) -> bool {
+            query.iter().any(|q| same(&c.alias, &q.alias) && same(&c.column, &q.column))
+        }
+        fn check(plan: &PlanNode, q: &Query) {
+            match plan {
+                PlanNode::Scan { alias, table, filters, .. } => {
+                    let rel = q.relations.iter().find(|r| r.alias == *alias).expect("bound");
+                    assert!(same(alias, &rel.alias) && same(table, &rel.table), "{alias}");
+                    let cols: Vec<&ColRef> = q.filters.iter().map(|f| &f.col).collect();
+                    assert!(filters.iter().all(|f| col_shared(&f.col, &cols)), "{alias}");
+                }
+                PlanNode::Join { left, right, preds, .. } => {
+                    let cols: Vec<&ColRef> =
+                        q.joins.iter().flat_map(|j| [&j.left, &j.right]).collect();
+                    let shared = |c: &ColRef| col_shared(c, &cols);
+                    assert!(preds.iter().all(|p| shared(&p.left) && shared(&p.right)));
+                    check(left, q);
+                    check(right, q);
+                }
+            }
+        }
+        let (db, queries) = db_and_workload();
+        let model = fitted_model(&db);
+        for q in &queries[..4] {
+            let neural = plan_with_fallback(&db, q, Some(&model), &quick_cfg());
+            assert_eq!(neural.served_by, ServedBy::Neural);
+            assert!(neural.audit.is_none(), "a clean serve boxes no audit");
+            check(&neural.plan, q);
+            let classical = plan_with_fallback(&db, q, None, &quick_cfg());
+            assert!(classical.audit.is_some());
+            check(&classical.plan, q);
+        }
     }
 
     #[test]
@@ -951,7 +1026,7 @@ mod tests {
         let r = plan_with_fallback(&db, &queries[0], None, &quick_cfg());
         assert_eq!(r.served_by, ServedBy::Classical);
         assert_eq!(r.attempts, 0);
-        assert!(matches!(r.fallback_reason, Some(FallbackReason::ModelUnavailable(_))));
+        assert!(matches!(r.fallback_reason(), Some(FallbackReason::ModelUnavailable(_))));
         assert!(r.plan.validate(&queries[0]).is_ok());
     }
 
@@ -964,8 +1039,8 @@ mod tests {
         let r = plan_with_fallback(&db, &queries[0], Some(&model), &cfg);
         assert_eq!(r.served_by, ServedBy::Classical);
         assert_eq!(r.attempts, 2, "one attempt plus one retry");
-        assert_eq!(r.attempt_failures.len(), 2);
-        assert!(matches!(r.fallback_reason, Some(FallbackReason::NonFinitePrediction)));
+        assert_eq!(r.attempt_failures().len(), 2);
+        assert!(matches!(r.fallback_reason(), Some(FallbackReason::NonFinitePrediction)));
         assert!(r.plan.validate(&queries[0]).is_ok());
     }
 
@@ -978,8 +1053,11 @@ mod tests {
         let r = plan_with_fallback(&db, &queries[0], Some(&model), &cfg);
         assert_eq!(r.served_by, ServedBy::Classical);
         assert_eq!(r.attempts, 2);
-        assert!(matches!(r.fallback_reason, Some(FallbackReason::PlannerPanicked(_))));
-        assert!(r.attempt_failures.iter().all(|f| matches!(f, FallbackReason::PlannerPanicked(_))));
+        assert!(matches!(r.fallback_reason(), Some(FallbackReason::PlannerPanicked(_))));
+        assert!(r
+            .attempt_failures()
+            .iter()
+            .all(|f| matches!(f, FallbackReason::PlannerPanicked(_))));
         assert!(r.plan.validate(&queries[0]).is_ok());
     }
 
@@ -1001,7 +1079,7 @@ mod tests {
                     let r = plan_with_fallback(&db, q, Some(&model), &cfg);
                     assert_eq!(r.served_by, ServedBy::Neural, "retry should have recovered");
                     assert_eq!(r.attempts, 2);
-                    assert_eq!(r.attempt_failures.len(), 1);
+                    assert_eq!(r.attempt_failures().len(), 1);
                     found = true;
                     break 'outer;
                 }
@@ -1019,7 +1097,7 @@ mod tests {
         cfg.faults = Some(FaultConfig { inference_stall_p: 1.0, ..FaultConfig::default() });
         let r = plan_with_fallback(&db, &queries[0], Some(&model), &cfg);
         assert_eq!(r.served_by, ServedBy::Classical);
-        assert!(matches!(r.fallback_reason, Some(FallbackReason::DeadlineExceeded { .. })));
+        assert!(matches!(r.fallback_reason(), Some(FallbackReason::DeadlineExceeded { .. })));
     }
 
     /// The virtual instant at which all admitted work completes — the
@@ -1238,9 +1316,13 @@ mod tests {
             assert_eq!(r.attempts, max_retries + 1);
             // base · (1 + 2 + … + 2^(n-1))
             let want = base * (2f64.powi(max_retries as i32) - 1.0);
-            assert!(r.backoff_ms.is_finite() && r.backoff_ms > last, "backoff {}", r.backoff_ms);
-            assert!((r.backoff_ms - want).abs() < want * 1e-9, "{} != {want}", r.backoff_ms);
-            last = r.backoff_ms;
+            assert!(
+                r.backoff_ms().is_finite() && r.backoff_ms() > last,
+                "backoff {}",
+                r.backoff_ms()
+            );
+            assert!((r.backoff_ms() - want).abs() < want * 1e-9, "{} != {want}", r.backoff_ms());
+            last = r.backoff_ms();
         }
     }
 }

@@ -434,7 +434,7 @@ mod tests {
 
         let r = served(sup.run(&registry, &[req("a", &queries[0], 0.0, 1e9)]));
         assert_eq!(r.served_by, ServedBy::Classical, "p = 1 NaN faults from the base must fire");
-        assert_eq!(r.fallback_reason, Some(FallbackReason::NonFinitePrediction));
+        assert_eq!(r.fallback_reason(), Some(&FallbackReason::NonFinitePrediction));
 
         assert!(sup.set_tenant_faults("a", None));
         let r = served(sup.run(&registry, &[req("a", &queries[1], 100.0, 1e9)]));

@@ -68,7 +68,7 @@ proptest! {
             scans: ORDERS[order]
                 .iter()
                 .zip(&scan_ops)
-                .map(|(a, &s)| (a.to_string(), ScanOp::ALL[s]))
+                .map(|(a, &s)| ((*a).into(), ScanOp::ALL[s]))
                 .collect(),
             joins: join_ops.iter().map(|&j| JoinOp::ALL[j]).collect(),
         };

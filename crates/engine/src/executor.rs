@@ -522,7 +522,7 @@ impl<'a> Executor<'a> {
             .postorder()
             .into_iter()
             .filter_map(|node| match node {
-                PlanNode::Scan { alias, table, .. } => Some((alias.as_str(), table.as_str())),
+                PlanNode::Scan { alias, table, .. } => Some((&**alias, &**table)),
                 PlanNode::Join { .. } => None,
             })
             .collect();
@@ -613,7 +613,7 @@ impl<'a> Executor<'a> {
                 let bound_in =
                     |lo: usize, hi: usize, alias: &str| (lo..hi).find(|&a| run.scans[a].0 == alias);
                 let unbound = |c: &ColRef| {
-                    Interrupt::Fault(EngineError::UnboundJoinAlias { alias: c.alias.clone() })
+                    Interrupt::Fault(EngineError::UnboundJoinAlias { alias: c.alias.to_string() })
                 };
                 let mut pred_aliases = Vec::with_capacity(preds.len());
                 for p in preds.iter() {
@@ -707,7 +707,7 @@ impl<'a> Executor<'a> {
         // Pick an index-driven filter when the operator wants one.
         let index_filter = if op != ScanOp::SeqScan {
             filters.iter().enumerate().find(|(_, f)| {
-                self.indexes.contains_key(&(table.name.clone(), f.col.column.clone()))
+                self.indexes.contains_key(&(table.name.clone(), f.col.column.to_string()))
             })
         } else {
             None
@@ -715,7 +715,7 @@ impl<'a> Executor<'a> {
 
         let (candidates, idx_used): (Vec<u32>, Option<&Filter>) = match index_filter {
             Some((_, f)) => {
-                let idx = &self.indexes[&(table.name.clone(), f.col.column.clone())];
+                let idx = &self.indexes[&(table.name.clone(), f.col.column.to_string())];
                 (idx.lookup(f.op, f.value), Some(f))
             }
             None => ((0..n as u32).collect(), None),
@@ -746,10 +746,8 @@ impl<'a> Executor<'a> {
         }
 
         let matched = candidates.len() as f64;
-        let meta = self
-            .db
-            .catalog
-            .index_on(&table.name, idx_used.map(|f| f.col.column.as_str()).unwrap_or("id"));
+        let meta =
+            self.db.catalog.index_on(&table.name, idx_used.map(|f| &*f.col.column).unwrap_or("id"));
         let (height, leaf_pages) =
             meta.map(|m| (m.height as f64, m.leaf_pages as f64)).unwrap_or((1.0, 1.0));
         let sel = if n > 0 { matched / n as f64 } else { 0.0 };
@@ -1300,10 +1298,10 @@ mod tests {
         let db = micro_db();
         let ex = Executor::new(&db);
         let scan = |i: usize| PlanNode::Scan {
-            alias: format!("a{i}"),
+            alias: format!("a{i}").into(),
             table: "a".into(),
             op: ScanOp::SeqScan,
-            filters: Vec::new(),
+            filters: Default::default(),
         };
         let plan = (1..65).fold(scan(0), |plan, i| PlanNode::Join {
             op: JoinOp::NestedLoopJoin,

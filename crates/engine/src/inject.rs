@@ -11,12 +11,13 @@ use crate::error::EngineError;
 use crate::plan::{JoinOp, PlanNode, ScanOp};
 use crate::query::Query;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Planner-side left-deep plan description: relations in join order, each
 /// with its scan operator; `joins[i]` combines the prefix with `scans[i+1]`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LeftDeepSpec {
-    pub scans: Vec<(String, ScanOp)>,
+    pub scans: Vec<(Arc<str>, ScanOp)>,
     pub joins: Vec<JoinOp>,
 }
 
@@ -35,7 +36,7 @@ impl LeftDeepSpec {
         }
         for (alias, _) in &self.scans {
             if query.table_of(alias).is_none() {
-                return Err(EngineError::SpecUnknownAlias { alias: alias.clone() });
+                return Err(EngineError::SpecUnknownAlias { alias: alias.to_string() });
             }
         }
         let mut plan = PlanNode::try_scan(query, &self.scans[0].0, self.scans[0].1)?;
@@ -56,7 +57,7 @@ impl LeftDeepSpec {
         }
         let mut scans = Vec::new();
         let mut joins = Vec::new();
-        fn walk(node: &PlanNode, scans: &mut Vec<(String, ScanOp)>, joins: &mut Vec<JoinOp>) {
+        fn walk(node: &PlanNode, scans: &mut Vec<(Arc<str>, ScanOp)>, joins: &mut Vec<JoinOp>) {
             match node {
                 PlanNode::Scan { alias, op, .. } => scans.push((alias.clone(), *op)),
                 PlanNode::Join { op, left, right, .. } => {

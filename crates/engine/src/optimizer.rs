@@ -14,6 +14,7 @@ use crate::plan::{JoinOp, PlanNode, ScanOp};
 use crate::query::Query;
 use qpseeker_storage::Database;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Operator-class hints (all enabled by default). Disabling everything in a
 /// class is rejected at construction.
@@ -175,7 +176,7 @@ impl<'a> PgOptimizer<'a> {
 
     /// Exact DP over left-deep orders.
     fn plan_dp(&self, query: &Query) -> PlanNode {
-        let aliases: Vec<String> = query.relations.iter().map(|r| r.alias.clone()).collect();
+        let aliases: Vec<Arc<str>> = query.relations.iter().map(|r| r.alias.clone()).collect();
         let n = aliases.len();
         let mut dp: HashMap<u64, DpEntry> = HashMap::new();
         for (i, a) in aliases.iter().enumerate() {
@@ -222,7 +223,8 @@ impl<'a> PgOptimizer<'a> {
 
     /// Greedy join ordering for very large queries.
     fn plan_greedy(&self, query: &Query) -> PlanNode {
-        let mut remaining: Vec<String> = query.relations.iter().map(|r| r.alias.clone()).collect();
+        let mut remaining: Vec<Arc<str>> =
+            query.relations.iter().map(|r| r.alias.clone()).collect();
         // Start with the cheapest (smallest estimated) scan.
         remaining.sort_by(|a, b| {
             self.est.scan_rows(query, a).partial_cmp(&self.est.scan_rows(query, b)).expect("finite")

@@ -78,11 +78,12 @@ impl fmt::Display for PhysicalOp {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PlanNode {
     Scan {
-        alias: String,
-        table: String,
+        /// The query's own alias and table names, shared.
+        alias: Arc<str>,
+        table: Arc<str>,
         op: ScanOp,
-        /// Filters pushed down to this scan.
-        filters: Vec<Filter>,
+        /// Filters pushed down to this scan, shared by every clone of it.
+        filters: Arc<[Filter]>,
     },
     Join {
         op: JoinOp,
@@ -90,7 +91,7 @@ pub enum PlanNode {
         right: Arc<PlanNode>,
         /// Equi-join predicates evaluated at this node, shared by every
         /// clone of the node (a cached plan's root, served per hit).
-        preds: Arc<Vec<JoinPred>>,
+        preds: Arc<[JoinPred]>,
     },
 }
 
@@ -106,16 +107,12 @@ impl PlanNode {
 
     /// Fallible variant of [`PlanNode::scan`].
     pub fn try_scan(query: &Query, alias: &str, op: ScanOp) -> Result<PlanNode, EngineError> {
-        let table = query
-            .table_of(alias)
-            .ok_or_else(|| EngineError::UnknownAlias {
-                query: query.id.clone(),
-                alias: alias.to_string(),
-            })?
-            .to_string();
+        let rel = query.relations.iter().find(|r| &*r.alias == alias).ok_or_else(|| {
+            EngineError::UnknownAlias { query: query.id.clone(), alias: alias.to_string() }
+        })?;
         Ok(PlanNode::Scan {
-            alias: alias.to_string(),
-            table,
+            alias: rel.alias.clone(),
+            table: rel.table.clone(),
             op,
             filters: query.filters_of(alias).into_iter().cloned().collect(),
         })
@@ -136,7 +133,7 @@ impl PlanNode {
             })
             .cloned()
             .collect();
-        PlanNode::Join { op, left: Arc::new(left), right: Arc::new(right), preds: Arc::new(preds) }
+        PlanNode::Join { op, left: Arc::new(left), right: Arc::new(right), preds }
     }
 
     pub fn physical_op(&self) -> PhysicalOp {
@@ -147,13 +144,13 @@ impl PlanNode {
     }
 
     /// All aliases under this node.
-    pub fn aliases(&self) -> BTreeSet<String> {
+    pub fn aliases(&self) -> BTreeSet<Arc<str>> {
         let mut out = BTreeSet::new();
         self.collect_aliases(&mut out);
         out
     }
 
-    fn collect_aliases(&self, out: &mut BTreeSet<String>) {
+    fn collect_aliases(&self, out: &mut BTreeSet<Arc<str>>) {
         match self {
             PlanNode::Scan { alias, .. } => {
                 out.insert(alias.clone());
@@ -224,11 +221,12 @@ impl PlanNode {
     /// cross products) unless the query itself is a cross product.
     pub fn validate(&self, query: &Query) -> Result<(), EngineError> {
         let aliases = self.aliases();
-        let expected: BTreeSet<String> = query.relations.iter().map(|r| r.alias.clone()).collect();
+        let expected: BTreeSet<Arc<str>> =
+            query.relations.iter().map(|r| r.alias.clone()).collect();
         if aliases != expected {
             return Err(EngineError::PlanCoverage {
-                plan: aliases.into_iter().collect(),
-                query: expected.into_iter().collect(),
+                plan: aliases.iter().map(|a| a.to_string()).collect(),
+                query: expected.iter().map(|a| a.to_string()).collect(),
             });
         }
         let mut count = 0usize;

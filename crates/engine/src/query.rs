@@ -9,17 +9,20 @@
 use qpseeker_storage::Database;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
-/// A column of a (possibly aliased) relation.
+/// A column of a (possibly aliased) relation. Names are shared strings, so
+/// a plan node that copies a query's predicate or filter copies two
+/// pointers, not two strings.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ColRef {
     /// Alias of the relation inside this query.
-    pub alias: String,
-    pub column: String,
+    pub alias: Arc<str>,
+    pub column: Arc<str>,
 }
 
 impl ColRef {
-    pub fn new(alias: impl Into<String>, column: impl Into<String>) -> Self {
+    pub fn new(alias: impl Into<Arc<str>>, column: impl Into<Arc<str>>) -> Self {
         Self { alias: alias.into(), column: column.into() }
     }
 }
@@ -70,30 +73,31 @@ pub struct JoinPred {
 impl JoinPred {
     /// True when this predicate connects the two aliases (either direction).
     pub fn connects(&self, a: &str, b: &str) -> bool {
-        (self.left.alias == a && self.right.alias == b)
-            || (self.left.alias == b && self.right.alias == a)
+        (*self.left.alias == *a && *self.right.alias == *b)
+            || (*self.left.alias == *b && *self.right.alias == *a)
     }
 
     /// True when this predicate touches `alias` on either side.
     pub fn touches(&self, alias: &str) -> bool {
-        self.left.alias == alias || self.right.alias == alias
+        *self.left.alias == *alias || *self.right.alias == *alias
     }
 }
 
-/// A relation reference with its alias.
+/// A relation reference with its alias; a plan's scan of it shares both
+/// names.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RelRef {
-    pub table: String,
-    pub alias: String,
+    pub table: Arc<str>,
+    pub alias: Arc<str>,
 }
 
 impl RelRef {
-    pub fn new(table: impl Into<String>) -> Self {
+    pub fn new(table: impl Into<Arc<str>>) -> Self {
         let t = table.into();
         Self { alias: t.clone(), table: t }
     }
 
-    pub fn aliased(table: impl Into<String>, alias: impl Into<String>) -> Self {
+    pub fn aliased(table: impl Into<Arc<str>>, alias: impl Into<Arc<str>>) -> Self {
         Self { table: table.into(), alias: alias.into() }
     }
 }
@@ -123,28 +127,28 @@ impl Query {
 
     /// Base table behind an alias.
     pub fn table_of(&self, alias: &str) -> Option<&str> {
-        self.relations.iter().find(|r| r.alias == alias).map(|r| r.table.as_str())
+        self.relations.iter().find(|r| *r.alias == *alias).map(|r| &*r.table)
     }
 
     /// Filters applying to a specific alias.
     pub fn filters_of(&self, alias: &str) -> Vec<&Filter> {
-        self.filters.iter().filter(|f| f.col.alias == alias).collect()
+        self.filters.iter().filter(|f| *f.col.alias == *alias).collect()
     }
 
     /// Join predicates between a set of aliases and one new alias.
-    pub fn joins_between(&self, joined: &BTreeSet<String>, new_alias: &str) -> Vec<&JoinPred> {
+    pub fn joins_between(&self, joined: &BTreeSet<Arc<str>>, new_alias: &str) -> Vec<&JoinPred> {
         self.joins
             .iter()
             .filter(|j| {
-                (joined.contains(&j.left.alias) && j.right.alias == new_alias)
-                    || (joined.contains(&j.right.alias) && j.left.alias == new_alias)
+                (joined.contains(&j.left.alias) && *j.right.alias == *new_alias)
+                    || (joined.contains(&j.right.alias) && *j.left.alias == *new_alias)
             })
             .collect()
     }
 
     /// Aliases adjacent to the given alias set in the join graph.
-    pub fn neighbors(&self, joined: &BTreeSet<String>) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
+    pub fn neighbors(&self, joined: &BTreeSet<Arc<str>>) -> Vec<Arc<str>> {
+        let mut out: Vec<Arc<str>> = Vec::new();
         for r in &self.relations {
             if joined.contains(&r.alias) {
                 continue;
@@ -164,7 +168,7 @@ impl Query {
         if self.relations.len() <= 1 {
             return true;
         }
-        let mut seen: BTreeSet<String> = BTreeSet::new();
+        let mut seen: BTreeSet<Arc<str>> = BTreeSet::new();
         seen.insert(self.relations[0].alias.clone());
         loop {
             let next = self.neighbors(&seen);
@@ -185,16 +189,15 @@ impl Query {
             if db.catalog.table_meta(&r.table).is_none() {
                 return Err(format!("unknown table {}", r.table));
             }
-            if seen_aliases.insert(r.alias.as_str(), r.table.as_str()).is_some() {
+            if seen_aliases.insert(&r.alias, &r.table).is_some() {
                 return Err(format!("duplicate alias {}", r.alias));
             }
         }
         let col_ok = |c: &ColRef| -> Result<(), String> {
-            let table = seen_aliases
-                .get(c.alias.as_str())
-                .ok_or_else(|| format!("unknown alias {}", c.alias))?;
+            let table =
+                seen_aliases.get(&*c.alias).ok_or_else(|| format!("unknown alias {}", c.alias))?;
             let meta = db.catalog.table_meta(table).expect("validated above");
-            if !meta.columns.iter().any(|m| m.name == c.column) {
+            if !meta.columns.iter().any(|m| *m.name == *c.column) {
                 return Err(format!("unknown column {}.{}", c.alias, c.column));
             }
             Ok(())
@@ -216,7 +219,7 @@ impl Query {
             .iter()
             .map(|r| {
                 if r.alias == r.table {
-                    r.table.clone()
+                    r.table.to_string()
                 } else {
                     format!("{} {}", r.table, r.alias)
                 }
@@ -289,11 +292,11 @@ mod tests {
     fn join_graph_navigation() {
         let q = two_join_query();
         let mut joined = BTreeSet::new();
-        joined.insert("movie_info".to_string());
+        joined.insert("movie_info".into());
         let n = q.neighbors(&joined);
-        assert_eq!(n, vec!["title".to_string()]);
-        joined.insert("title".to_string());
-        assert_eq!(q.neighbors(&joined), vec!["cast_info".to_string()]);
+        assert_eq!(n, vec!["title".into()]);
+        joined.insert("title".into());
+        assert_eq!(q.neighbors(&joined), vec!["cast_info".into()]);
         assert_eq!(q.joins_between(&joined, "cast_info").len(), 1);
     }
 

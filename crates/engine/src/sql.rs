@@ -235,8 +235,8 @@ mod tests {
         let db = db();
         let q =
             parse(&db, "SELECT * FROM title t1, title t2 WHERE t1.kind_id = t2.kind_id").unwrap();
-        assert_eq!(q.relations[0].alias, "t1");
-        assert_eq!(q.relations[1].table, "title");
+        assert_eq!(&*q.relations[0].alias, "t1");
+        assert_eq!(&*q.relations[1].table, "title");
         assert_eq!(q.num_joins(), 1);
     }
 

@@ -55,7 +55,7 @@ fn star_with_cross_product() -> Query {
 /// A random left-deep plan: a connected order of the star, `kind_type`
 /// spliced in anywhere, random scan and join operators.
 fn random_left_deep(q: &Query, rng: &mut StdRng) -> PlanNode {
-    let connected: Vec<&RelRef> = q.relations.iter().filter(|r| r.alias != "kind_type").collect();
+    let connected: Vec<&RelRef> = q.relations.iter().filter(|r| &*r.alias != "kind_type").collect();
     let mut joined = BTreeSet::new();
     let mut order = vec![connected[rng.gen_range(0..connected.len())].alias.clone()];
     joined.insert(order[0].clone());
@@ -65,7 +65,7 @@ fn random_left_deep(q: &Query, rng: &mut StdRng) -> PlanNode {
         joined.insert(pick.clone());
         order.push(pick);
     }
-    order.insert(rng.gen_range(0..=order.len()), "kind_type".to_string());
+    order.insert(rng.gen_range(0..=order.len()), "kind_type".into());
     let mut plan = PlanNode::scan(q, &order[0], ScanOp::ALL[rng.gen_range(0..3)]);
     for alias in &order[1..] {
         let right = PlanNode::scan(q, alias, ScanOp::ALL[rng.gen_range(0..3)]);
@@ -94,7 +94,7 @@ fn random_bushy(q: &Query, rng: &mut StdRng) -> PlanNode {
             .collect();
         let lone = parts
             .iter()
-            .position(|p| matches!(p, PlanNode::Scan { alias, .. } if alias == "kind_type"));
+            .position(|p| matches!(p, PlanNode::Scan { alias, .. } if &**alias == "kind_type"));
         let (a, b) = match lone {
             Some(k) if linked.is_empty() || rng.gen_range(0..parts.len()) == 0 => {
                 let other = (k + rng.gen_range(1..parts.len())) % parts.len();

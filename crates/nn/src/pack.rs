@@ -23,10 +23,23 @@
 //! Panels are `NR` = 32 columns wide for **every** ISA tier: AVX-512 eats a
 //! panel as two zmm registers, AVX2 as two 16-column halves of two ymm each,
 //! scalar loops over it. Tail panels are zero-padded, so the k-loop never
-//! branches on column index — only the epilogue's store is masked. The SIMD
-//! tiers run rows in 4-row blocks, one panel (AVX2: half) at a time, and
-//! the last `m mod 4` rows as one block across several panels, so a short
-//! call keeps six to twelve accumulator chains in flight, not two.
+//! branches on column index — only the epilogue's store is masked — and on
+//! AVX-512 a last panel with at most 16 live columns takes one zmm per row,
+//! since its second would multiply padding only. The SIMD tiers run rows in
+//! 4-row blocks, one panel (AVX2: half) at a time, and the last `m mod 4`
+//! rows as one block across several panels, so a short call keeps six to
+//! twelve accumulator chains in flight, not two.
+//!
+//! **Live-step lists.** Featurized inputs are one-hot heavy, and the VAE's
+//! ReLU layers feed it units that are dead for every served row, so many
+//! k-steps are zero in every row of a block. Each row block first writes
+//! the list of k-steps at which at least one of its rows is non-zero
+//! (AVX-512: a compare and a compress per 16 steps; AVX2: a compare and a
+//! movemask per 8), and every panel's k-loop walks that list: one loop per
+//! block shape, no branch on the data. The scalar tier skips a row's zero
+//! coefficients one row at a time, the same rule for a 1-row block. The
+//! list lives in a thread-local buffer, so a call allocates nothing once
+//! its thread has seen its `k`.
 //!
 //! **FP-order contract:** which instructions touch a column depend only on
 //! the column index and `n`, never on the row count, so row `i` of a
@@ -34,11 +47,14 @@
 //! the invariant that lets search score a batch of candidate plans and
 //! still match the one-plan path bit for bit. On every tier each output
 //! element is one k-increasing fma chain (`mul_add` on scalar), then `+out`,
-//! then `+bias`, so every tier computes the same bits. Zero coefficients
-//! may be skipped —
-//! `fma(0, w, acc) == acc` exactly, and accumulators can never become
-//! `-0.0` (they start at `+0.0`, and `+0.0 + -0.0 == +0.0` under
-//! round-to-nearest).
+//! then `+bias`, so every tier computes the same bits. Skipping a step
+//! whose coefficients are all `±0` leaves that chain unchanged for finite
+//! weights: `fma(±0, w, acc) == acc` exactly, and accumulators can never
+//! become `-0.0` (they start at `+0.0`, and `+0.0 + -0.0 == +0.0` under
+//! round-to-nearest). An infinite or NaN weight at a skipped step would
+//! have made the dense chain NaN; the skip is exact only for finite
+//! weights, on every tier and every block. NaN coefficients count as
+//! non-zero and are never skipped.
 
 use crate::isa::Isa;
 use crate::layers::Activation;
@@ -241,6 +257,7 @@ fn gemm_packed_scalar(
 mod x86 {
     use super::{Activation, PackedGemm, NR};
     use std::arch::x86_64::*;
+    use std::cell::Cell;
 
     /// One call's operands as the SIMD blocks read them: `a` is `[m x k]`,
     /// `out` `[m x n]`, both row-major, and `panels` `w`'s floats.
@@ -276,22 +293,31 @@ mod x86 {
             }
         }
 
-        /// Whether rows `i..i + rows` share enough all-zero k steps to
-        /// take the skipping loop. Featurized inputs are one-hot heavy:
-        /// many k positions are zero in every row of a block at once
-        /// (unused feature slots are structural, shared across the batch).
-        /// When at least a quarter of the steps are skippable the blocks
-        /// branch on them; dense inputs stay branchless. Either way the
-        /// output bits are the same.
+        /// The `R` row pointers of the block from row `i`.
         ///
         /// # Safety
-        /// `a` must hold rows `i..i + rows`.
-        unsafe fn sparse(&self, i: usize, rows: usize) -> bool {
-            let a = std::slice::from_raw_parts(self.a.add(i * self.k), rows * self.k);
-            let skippable =
-                (0..self.k).filter(|&kk| (0..rows).all(|r| a[r * self.k + kk] == 0.0)).count();
-            skippable * 4 >= self.k
+        /// `a` must hold rows `i..i + R`.
+        unsafe fn rows<const R: usize>(&self, i: usize) -> [*const f32; R] {
+            std::array::from_fn(|r| self.a.add((i + r) * self.k))
         }
+    }
+
+    thread_local! {
+        /// The live-step list of the row block being run, kept for the
+        /// thread's next call so a call allocates nothing once it has seen
+        /// its `k`.
+        static LIVE: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+    }
+
+    /// This thread's live-step list, at least `k + 16` entries long (the
+    /// AVX-512 builder stores whole 16-lane vectors past its count). Hand
+    /// it back with `LIVE.set` when the call is done.
+    fn live_list(k: usize) -> Vec<u32> {
+        let mut live = LIVE.take();
+        if live.len() < k + 16 {
+            live.resize(k + 16, 0);
+        }
+        live
     }
 
     /// `Relu` on a ymm register; every other activation leaves it as is
@@ -352,28 +378,60 @@ mod x86 {
         }
     }
 
-    /// `R` rows from row `i` times the `U` 16-column halves from half `u`:
-    /// `R·U` pairs of ymm accumulators, each element one k-increasing fma
-    /// chain. A k step whose `R` coefficients are all zero is skipped when
-    /// `sparse` (bitwise-free, see the module's FP-order contract).
+    /// Writes to `live` the k-steps at which at least one of `rows` is
+    /// non-zero, in increasing order, and returns how many there are. An
+    /// all-zero step is skipped by every panel of the block, bitwise-free
+    /// (see the module's FP-order contract); NaN counts as non-zero.
+    ///
+    /// # Safety
+    /// Every row must hold `k` floats, and `live` at least `k`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn live_steps_avx2<const R: usize>(
+        rows: [*const f32; R],
+        k: usize,
+        live: &mut [u32],
+    ) -> usize {
+        let zero = _mm256_setzero_ps();
+        let (mut n, mut kk) = (0, 0);
+        while kk + 8 <= k {
+            let mut bits = 0;
+            for r in rows {
+                let ne = _mm256_cmp_ps::<_CMP_NEQ_UQ>(_mm256_loadu_ps(r.add(kk)), zero);
+                bits |= _mm256_movemask_ps(ne);
+            }
+            for j in 0..8 {
+                live[n] = (kk + j) as u32;
+                n += (bits >> j & 1) as usize;
+            }
+            kk += 8;
+        }
+        for kk in kk..k {
+            live[n] = kk as u32;
+            n += rows.iter().fold(false, |any, r| any | (*r.add(kk) != 0.0)) as usize;
+        }
+        n
+    }
+
+    /// `R` rows from row `i` times the `U` 16-column halves from half `u`,
+    /// over the k-steps in `live`: `R·U` pairs of ymm accumulators, each
+    /// element one k-increasing fma chain.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn block_avx2<const R: usize, const U: usize>(
         g: &Operands,
         i: usize,
         u: usize,
-        sparse: bool,
+        live: &[u32],
     ) {
         let (k, panels) = (g.k, g.panels);
         let halves: [*const f32; U] =
             std::array::from_fn(|q| panels.add((u + q) / 2 * k * NR + (u + q) % 2 * 16));
-        let rows: [*const f32; R] = std::array::from_fn(|r| g.a.add((i + r) * k));
+        let rows = g.rows::<R>(i);
         let mut acc = [[[_mm256_setzero_ps(); 2]; R]; U];
-        for kk in 0..k {
+        for &kk in live {
+            let kk = kk as usize;
             let c: [f32; R] = std::array::from_fn(|r| *rows[r].add(kk));
-            if sparse && c.iter().all(|&c| c == 0.0) {
-                continue;
-            }
             for (q, acc) in acc.iter_mut().enumerate() {
                 let b = halves[q].add(kk * NR);
                 let (b0, b1) = (_mm256_loadu_ps(b), _mm256_loadu_ps(b.add(8)));
@@ -396,20 +454,22 @@ mod x86 {
     }
 
     /// Rows `i..i + R` across every live half, `U` halves per block, the
-    /// last `< U` one at a time.
+    /// last `< U` one at a time, all over the block's one live-step list.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn rows_avx2<const R: usize, const U: usize>(g: &Operands, i: usize) {
-        let (halves, sparse) = (g.n.div_ceil(16), g.sparse(i, R));
+    unsafe fn rows_avx2<const R: usize, const U: usize>(g: &Operands, i: usize, live: &mut [u32]) {
+        let n = live_steps_avx2(g.rows::<R>(i), g.k, live);
+        let live = &live[..n];
+        let halves = g.n.div_ceil(16);
         let mut u = 0;
         while u + U <= halves {
-            block_avx2::<R, U>(g, i, u, sparse);
+            block_avx2::<R, U>(g, i, u, live);
             u += U;
         }
         // One call site per block shape, so each inlines into its loop.
         if U > 1 {
             for u in u..halves {
-                block_avx2::<R, 1>(g, i, u, sparse);
+                block_avx2::<R, 1>(g, i, u, live);
             }
         }
     }
@@ -428,9 +488,10 @@ mod x86 {
         out: &mut [f32],
     ) {
         let g = Operands::new(a, w, accumulate, bias, act, out);
+        let mut live = live_list(g.k);
         let mut i = 0;
         while i + 4 <= m {
-            rows_avx2::<4, 1>(&g, i);
+            rows_avx2::<4, 1>(&g, i, &mut live);
             i += 4;
         }
         // The last `m mod 4` rows as one block across several halves, so
@@ -438,11 +499,12 @@ mod x86 {
         // rows take one half at a time, or their twelve accumulators and
         // four loads would spill the sixteen ymm registers.
         match m - i {
-            1 => rows_avx2::<1, 4>(&g, i),
-            2 => rows_avx2::<2, 2>(&g, i),
-            3 => rows_avx2::<3, 1>(&g, i),
+            1 => rows_avx2::<1, 4>(&g, i, &mut live),
+            2 => rows_avx2::<2, 2>(&g, i, &mut live),
+            3 => rows_avx2::<3, 1>(&g, i, &mut live),
             _ => {}
         }
+        LIVE.set(live);
     }
 
     /// `Relu` on a zmm register; every other activation leaves it as is.
@@ -491,34 +553,74 @@ mod x86 {
         }
     }
 
-    /// `R` rows from row `i` times the `P` panels from panel `p`: `R·P`
-    /// pairs of zmm accumulators, each element one k-increasing fma chain,
-    /// zero steps skipped as in [`block_avx2`]. The k-loop always runs full
-    /// width — tail panels are zero-padded, so only the epilogue masks.
+    /// [`live_steps_avx2`] on AVX-512: 16 steps per compare of each row,
+    /// their live lanes' indices compressed into one vector that is stored
+    /// whole at the list's end (its dead tail is overwritten next).
+    ///
+    /// # Safety
+    /// Every row must hold `k` floats, and `live` at least `k + 16`.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn block_avx512<const R: usize, const P: usize>(
+    unsafe fn live_steps_avx512<const R: usize>(
+        rows: [*const f32; R],
+        k: usize,
+        live: &mut [u32],
+    ) -> usize {
+        assert!(live.len() >= k + 16, "live-step list shorter than k + 16");
+        let zero = _mm512_setzero_ps();
+        let mut idx = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let (mut n, mut kk) = (0, 0);
+        while kk < k {
+            let lanes: __mmask16 = if k - kk >= 16 { 0xffff } else { (1 << (k - kk)) - 1 };
+            let mut bits: __mmask16 = 0;
+            for r in rows {
+                let c = _mm512_maskz_loadu_ps(lanes, r.add(kk));
+                bits |= _mm512_mask_cmp_ps_mask::<_CMP_NEQ_UQ>(lanes, c, zero);
+            }
+            // `n <= kk < k`, so the 16 lanes stay inside `k + 16`.
+            _mm512_storeu_epi32(
+                live.as_mut_ptr().add(n).cast(),
+                _mm512_maskz_compress_epi32(bits, idx),
+            );
+            n += bits.count_ones() as usize;
+            idx = _mm512_add_epi32(idx, _mm512_set1_epi32(16));
+            kk += 16;
+        }
+        n
+    }
+
+    /// `R` rows from row `i` times the `P` panels from panel `p`, over the
+    /// k-steps in `live`: `R·P` pairs of zmm accumulators, each element one
+    /// k-increasing fma chain. The k-loop always runs full width — tail
+    /// panels are zero-padded, so only the epilogue masks — except that
+    /// the last panel takes one zmm per row when `NARROW` (it has at most
+    /// 16 live columns, so its second zmm would only multiply padding).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn block_avx512<const R: usize, const P: usize, const NARROW: bool>(
         g: &Operands,
         i: usize,
         p: usize,
-        sparse: bool,
+        live: &[u32],
     ) {
         let k = g.k;
         let panels: [*const f32; P] = std::array::from_fn(|q| g.panels.add((p + q) * k * NR));
-        let rows: [*const f32; R] = std::array::from_fn(|r| g.a.add((i + r) * k));
+        let rows = g.rows::<R>(i);
         let mut acc = [[[_mm512_setzero_ps(); 2]; R]; P];
-        for kk in 0..k {
+        for &kk in live {
+            let kk = kk as usize;
             let c: [f32; R] = std::array::from_fn(|r| *rows[r].add(kk));
-            if sparse && c.iter().all(|&c| c == 0.0) {
-                continue;
-            }
             for (q, acc) in acc.iter_mut().enumerate() {
+                let wide = !(NARROW && q + 1 == P);
                 let b = panels[q].add(kk * NR);
-                let (b0, b1) = (_mm512_loadu_ps(b), _mm512_loadu_ps(b.add(16)));
+                let b0 = _mm512_loadu_ps(b);
+                let b1 = if wide { _mm512_loadu_ps(b.add(16)) } else { _mm512_setzero_ps() };
                 for ([a0, a1], &c) in acc.iter_mut().zip(&c) {
                     let v = _mm512_set1_ps(c);
                     *a0 = _mm512_fmadd_ps(v, b0, *a0);
-                    *a1 = _mm512_fmadd_ps(v, b1, *a1);
+                    if wide {
+                        *a1 = _mm512_fmadd_ps(v, b1, *a1);
+                    }
                 }
             }
         }
@@ -533,19 +635,35 @@ mod x86 {
     }
 
     /// Rows `i..i + R` across every panel, `P` panels per block, the last
-    /// `< P` one at a time.
+    /// `< P` one at a time, all over the block's one live-step list. Which
+    /// block runs a panel depends on `n` alone, never on the row count.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn rows_avx512<const R: usize, const P: usize>(g: &Operands, i: usize) {
-        let (np, sparse) = (g.n.div_ceil(NR), g.sparse(i, R));
+    unsafe fn rows_avx512<const R: usize, const P: usize>(
+        g: &Operands,
+        i: usize,
+        live: &mut [u32],
+    ) {
+        let n = live_steps_avx512(g.rows::<R>(i), g.k, live);
+        let live = &live[..n];
+        let np = g.n.div_ceil(NR);
+        let narrow = !g.n.is_multiple_of(NR) && g.n % NR <= 16;
         let mut p = 0;
         while p + P <= np {
-            block_avx512::<R, P>(g, i, p, sparse);
+            if narrow && p + P == np {
+                block_avx512::<R, P, true>(g, i, p, live);
+            } else {
+                block_avx512::<R, P, false>(g, i, p, live);
+            }
             p += P;
         }
         if P > 1 {
             for p in p..np {
-                block_avx512::<R, 1>(g, i, p, sparse);
+                if narrow && p + 1 == np {
+                    block_avx512::<R, 1, true>(g, i, p, live);
+                } else {
+                    block_avx512::<R, 1, false>(g, i, p, live);
+                }
             }
         }
     }
@@ -564,17 +682,19 @@ mod x86 {
         out: &mut [f32],
     ) {
         let g = Operands::new(a, w, accumulate, bias, act, out);
+        let mut live = live_list(g.k);
         let mut i = 0;
         while i + 4 <= m {
-            rows_avx512::<4, 1>(&g, i);
+            rows_avx512::<4, 1>(&g, i, &mut live);
             i += 4;
         }
         match m - i {
-            1 => rows_avx512::<1, 4>(&g, i),
-            2 => rows_avx512::<2, 2>(&g, i),
-            3 => rows_avx512::<3, 2>(&g, i),
+            1 => rows_avx512::<1, 4>(&g, i, &mut live),
+            2 => rows_avx512::<2, 2>(&g, i, &mut live),
+            3 => rows_avx512::<3, 2>(&g, i, &mut live),
             _ => {}
         }
+        LIVE.set(live);
     }
 }
 
@@ -796,6 +916,66 @@ mod tests {
                                     let err = (g as f64 - want).abs();
                                     assert!(err <= 1e-5 + 1e-5 * want.abs(), "{at} col {j}");
                                 }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The live-step lists skip only what the dense chain leaves unchanged:
+    /// k-steps zero in every row of a block (dead units, some of them
+    /// `-0.0`), steps zero in some rows only, an all-zero row and, from
+    /// m = 8, an all-zero 4-row block, over k below, at and past the
+    /// 16-lane list width and n whose last panel has 1, 3, 8, 16 or 32 live
+    /// columns. On every tier each output is bitwise the dense reference
+    /// and its own one-row call.
+    #[test]
+    fn zero_step_skips_are_exact_on_every_tier() {
+        // Steps 6j + 4 are dead in every row; k = 41 ends on one, the
+        // other k on a live step.
+        for k in [7usize, 16, 37, 41, 112] {
+            for n in [1usize, 3, 40, 48, 64, 112] {
+                let wmat = matrix(k, n, 80 + k as u64);
+                let w = PackedGemm::pack(&Tensor::from_vec(k, n, wmat.clone()));
+                let bias = matrix(1, n, 81);
+                for m in 1..=9usize {
+                    let mut a = matrix(m, k, 82 + m as u64);
+                    for r in 0..m {
+                        for kk in 0..k {
+                            let c = &mut a[r * k + kk];
+                            match kk % 6 {
+                                4 => *c = 0.0,
+                                1 if r % 2 == 0 => *c = 0.0,
+                                2 => *c = if r % 3 == 0 { -0.0 } else { 0.0 },
+                                3 if r % 2 == 1 => *c = -0.0,
+                                _ => {}
+                            }
+                        }
+                    }
+                    a[(m / 2) * k..(m / 2 + 1) * k].fill(0.0);
+                    if m >= 8 {
+                        a[4 * k..8 * k].fill(-0.0);
+                    }
+                    let seed_out = matrix(m, n, 83);
+                    for isa in Isa::supported() {
+                        for (act, acc) in [(Activation::Identity, false), (Activation::Relu, true)]
+                        {
+                            let at = format!("{isa:?} {act:?} m={m} k={k} n={n}");
+                            let mut got = seed_out.clone();
+                            gemm_packed_force(isa, m, &a, &w, acc, Some(&bias), act, &mut got);
+                            let mut want = seed_out.clone();
+                            reference(m, k, n, &a, &wmat, acc, Some(&bias), act, &mut want);
+                            for (idx, (g, r)) in got.iter().zip(&want).enumerate() {
+                                assert_eq!(g.to_bits(), r.to_bits(), "{at} out[{idx}]: {g} vs {r}");
+                            }
+                            for r in 0..m {
+                                let row = r * n..(r + 1) * n;
+                                let mut one = seed_out[row.clone()].to_vec();
+                                let a_r = &a[r * k..(r + 1) * k];
+                                gemm_packed_force(isa, 1, a_r, &w, acc, Some(&bias), act, &mut one);
+                                assert_eq!(&got[row], &one[..], "{at} row {r}");
                             }
                         }
                     }

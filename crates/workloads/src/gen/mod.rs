@@ -11,6 +11,7 @@ use qpseeker_engine::query::{CmpOp, ColRef, Filter, JoinPred, Query, RelRef};
 use qpseeker_storage::Database;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Helper for growing random connected queries over a database's FK graph
 /// and drawing realistic filter literals from its statistics.
@@ -48,12 +49,12 @@ impl<'a> QueryBuilder<'a> {
             }
             let e = edges[rng.gen_range(0..edges.len())];
             // The "other" side of the edge relative to the anchor table.
-            let (other_table, other_col, anchor_col) = if e.from_table == anchor.table {
+            let (other_table, other_col, anchor_col) = if *e.from_table == *anchor.table {
                 (&e.to_table, &e.to_col, &e.from_col)
             } else {
                 (&e.from_table, &e.from_col, &e.to_col)
             };
-            let already = relations.iter().any(|r| r.table == *other_table);
+            let already = relations.iter().any(|r| *r.table == **other_table);
             let alias = if already {
                 if !allow_repeat || rng.gen_bool(0.6) {
                     continue;
@@ -102,7 +103,7 @@ impl<'a> QueryBuilder<'a> {
 
     /// Attach `n` random filters to distinct (alias, column) slots of `query`.
     pub fn add_filters(&self, rng: &mut StdRng, query: &mut Query, n: usize) {
-        let aliases: Vec<String> = query.relations.iter().map(|r| r.alias.clone()).collect();
+        let aliases: Vec<Arc<str>> = query.relations.iter().map(|r| r.alias.clone()).collect();
         let mut guard = 0;
         while query.filters.len() < n && guard < n * 20 {
             guard += 1;
@@ -151,7 +152,7 @@ mod tests {
         assert!(q.validate(&db).is_ok());
         // With 14 relations over 16 tables and repeats allowed, aliases stay
         // unique even if tables repeat.
-        let mut aliases: Vec<&str> = rels.iter().map(|r| r.alias.as_str()).collect();
+        let mut aliases: Vec<&str> = rels.iter().map(|r| &*r.alias).collect();
         aliases.sort_unstable();
         let before = aliases.len();
         aliases.dedup();
@@ -170,10 +171,10 @@ mod tests {
         qb.add_filters(&mut rng, &mut q, 4);
         assert!(q.validate(&db).is_ok());
         for f in &q.filters {
-            assert!(!f.col.column.ends_with("_id") && f.col.column != "id");
+            assert!(!f.col.column.ends_with("_id") && &*f.col.column != "id");
         }
         // No duplicate filter slots.
-        let mut slots: Vec<(String, String)> =
+        let mut slots: Vec<(Arc<str>, Arc<str>)> =
             q.filters.iter().map(|f| (f.col.alias.clone(), f.col.column.clone())).collect();
         slots.sort();
         let n = slots.len();

@@ -14,6 +14,7 @@ use qpseeker_storage::{fnv, Database};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Sampling configuration.
 #[derive(Debug, Clone)]
@@ -36,9 +37,9 @@ impl Default for SamplingConfig {
 /// Enumerate connected left-deep join orderings of `query`, up to `cap`.
 /// Orderings are alias sequences; every prefix is connected in the join
 /// graph (no cross products).
-pub fn enumerate_orderings(query: &Query, cap: usize) -> Vec<Vec<String>> {
+pub fn enumerate_orderings(query: &Query, cap: usize) -> Vec<Vec<Arc<str>>> {
     let mut out = Vec::new();
-    let aliases: Vec<String> = query.relations.iter().map(|r| r.alias.clone()).collect();
+    let aliases: Vec<Arc<str>> = query.relations.iter().map(|r| r.alias.clone()).collect();
     if aliases.len() == 1 {
         return vec![aliases];
     }
@@ -56,9 +57,9 @@ pub fn enumerate_orderings(query: &Query, cap: usize) -> Vec<Vec<String>> {
 
 fn dfs(
     query: &Query,
-    joined: &mut BTreeSet<String>,
-    prefix: &mut Vec<String>,
-    out: &mut Vec<Vec<String>>,
+    joined: &mut BTreeSet<Arc<str>>,
+    prefix: &mut Vec<Arc<str>>,
+    out: &mut Vec<Vec<Arc<str>>>,
     cap: usize,
 ) {
     if out.len() >= cap {
@@ -99,7 +100,7 @@ pub fn sample_plans(db: &Database, query: &Query, cfg: &SamplingConfig) -> Vec<S
     let mut candidates = Vec::new();
     for ordering in &orderings {
         for _ in 0..cfg.operators_per_ordering {
-            let scans: Vec<(String, ScanOp)> = ordering
+            let scans: Vec<(Arc<str>, ScanOp)> = ordering
                 .iter()
                 .map(|a| (a.clone(), ScanOp::ALL[rng.gen_range(0..ScanOp::ALL.len())]))
                 .collect();

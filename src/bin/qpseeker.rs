@@ -474,10 +474,10 @@ fn serve(opts: &Opts) -> Result<(), String> {
     if let Some(p) = r.predicted_ms {
         println!("predicted runtime: {p:.3} ms");
     }
-    for (i, f) in r.attempt_failures.iter().enumerate() {
+    for (i, f) in r.attempt_failures().iter().enumerate() {
         println!("  attempt {}: {f}", i + 1);
     }
-    if let Some(reason) = &r.fallback_reason {
+    if let Some(reason) = &r.fallback_reason() {
         println!("fallback reason: {reason}");
     }
     Ok(())
@@ -636,7 +636,7 @@ fn serve_stream(db: &Arc<Database>, opts: &Opts) -> Result<(), String> {
 fn print_outcome(tenant: &str, out: &SupervisedOutcome) {
     let what = match &out.disposition {
         Disposition::Served(r) if r.cache_hit => "neural (cached)".to_string(),
-        Disposition::Served(r) => match (r.served_by, &r.fallback_reason) {
+        Disposition::Served(r) => match (r.served_by, &r.fallback_reason()) {
             (ServedBy::Neural, _) => "neural".to_string(),
             (ServedBy::Classical, Some(reason)) => format!("classical ({reason})"),
             (ServedBy::Classical, None) => "classical".to_string(),

@@ -62,7 +62,7 @@ fn plan_strategy() -> impl Strategy<Value = LeftDeepSpec> {
             scans: ORDERS[ord]
                 .iter()
                 .zip(&scans)
-                .map(|(rel, &s)| (rel.to_string(), ScanOp::ALL[s]))
+                .map(|(rel, &s)| ((*rel).into(), ScanOp::ALL[s]))
                 .collect(),
             joins: joins.iter().map(|&j| JoinOp::ALL[j]).collect(),
         })
@@ -172,7 +172,7 @@ fn grown_query(n: usize, seed: u64) -> Query {
 /// leaf per step) or bushy (any two connected subtrees merge), with random
 /// scan and join operators and join orientation.
 fn random_plan(q: &Query, rng: &mut StdRng, bushy: bool) -> PlanNode {
-    let idx = |alias: &str| q.relations.iter().position(|r| r.alias == alias).expect("bound");
+    let idx = |alias: &str| q.relations.iter().position(|r| *r.alias == *alias).expect("bound");
     let mut adj = vec![0u64; q.relations.len()];
     for j in &q.joins {
         let (l, r) = (idx(&j.left.alias), idx(&j.right.alias));

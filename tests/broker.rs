@@ -303,7 +303,7 @@ fn stalls_inside_fused_batches_fail_only_their_own_requests() {
         // with or without the broker. Which attempts failed, and why, must
         // not.
         let kinds = |r: &ServeResult| {
-            r.attempt_failures.iter().map(std::mem::discriminant).collect::<Vec<_>>()
+            r.attempt_failures().iter().map(std::mem::discriminant).collect::<Vec<_>>()
         };
         assert_eq!(
             kinds(ra),

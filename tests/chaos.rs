@@ -54,17 +54,17 @@ fn chaos_sweep_200_queries_at_p_10() {
         match r.served_by {
             ServedBy::Neural => {
                 served_neural += 1;
-                assert!(r.fallback_reason.is_none());
+                assert!(r.fallback_reason().is_none());
                 assert!(r.predicted_ms.is_some());
             }
             ServedBy::Classical => {
                 served_classical += 1;
                 assert!(
-                    r.fallback_reason.is_some(),
+                    r.fallback_reason().is_some(),
                     "query {i}: degraded without a recorded reason"
                 );
                 assert_eq!(
-                    r.attempt_failures.len(),
+                    r.attempt_failures().len(),
                     cfg.max_retries + 1,
                     "query {i}: every failed attempt must be recorded"
                 );
@@ -108,9 +108,9 @@ fn chaos_nan_weights_degrade_gracefully_on_fast_path() {
         let r = plan_with_fallback_in(db, q, Some(&model), &cfg, &mut PlannerSession::new());
         assert_eq!(r.served_by, ServedBy::Classical, "NaN model must not serve neurally");
         assert!(
-            r.attempt_failures.iter().all(|f| matches!(f, FallbackReason::NonFinitePrediction)),
+            r.attempt_failures().iter().all(|f| matches!(f, FallbackReason::NonFinitePrediction)),
             "expected non-finite prediction failures, got {:?}",
-            r.attempt_failures
+            r.attempt_failures()
         );
         r.plan.validate(q).expect("classical fallback plan is valid");
     }
@@ -216,7 +216,7 @@ fn chaos_supervisor_trips_to_classical_and_recovers_when_faults_clear() {
     let breaker_open = outcomes
         .iter()
         .filter_map(|o| match &o.disposition {
-            Disposition::Served(r) => r.fallback_reason.as_ref(),
+            Disposition::Served(r) => r.fallback_reason(),
             Disposition::Shed(_) | Disposition::Failed(_) => None,
         })
         .filter(|r| matches!(r, FallbackReason::BreakerOpen))
@@ -243,7 +243,7 @@ fn chaos_supervisor_trips_to_classical_and_recovers_when_faults_clear() {
             r.served_by,
             ServedBy::Neural,
             "final clean query should be served neurally, got {:?}",
-            r.fallback_reason
+            r.fallback_reason()
         ),
         Disposition::Shed(reason) => panic!("final clean query shed: {reason}"),
         Disposition::Failed(why) => panic!("final clean query failed: {why}"),
@@ -359,8 +359,8 @@ proptest! {
             let r = plan_with_fallback_in(db, q, Some(shared_model().as_ref()), &cfg, &mut PlannerSession::new());
             prop_assert!(r.plan.validate(q).is_ok(), "served plan invalid");
             match r.served_by {
-                ServedBy::Neural => prop_assert!(r.fallback_reason.is_none()),
-                ServedBy::Classical => prop_assert!(r.fallback_reason.is_some()),
+                ServedBy::Neural => prop_assert!(r.fallback_reason().is_none()),
+                ServedBy::Classical => prop_assert!(r.fallback_reason().is_some()),
             }
             prop_assert!(r.attempts <= cfg.max_retries + 1);
         }

@@ -15,7 +15,7 @@ fn db() -> std::sync::Arc<qpseeker_repro::storage::Database> {
 /// Random valid left-deep plan of a query.
 fn random_plan(q: &Query, rng: &mut StdRng) -> PlanNode {
     let start = q.relations[rng.gen_range(0..q.relations.len())].alias.clone();
-    let mut joined: BTreeSet<String> = BTreeSet::new();
+    let mut joined: BTreeSet<std::sync::Arc<str>> = BTreeSet::new();
     joined.insert(start.clone());
     let mut plan = PlanNode::scan(q, &start, ScanOp::ALL[rng.gen_range(0..3)]);
     while joined.len() < q.relations.len() {
@@ -165,7 +165,7 @@ fn model_predictions_differentiate_good_from_catastrophic_plans() {
             continue;
         }
         let q = &qep.query;
-        let ordering: Vec<String> =
+        let ordering: Vec<std::sync::Arc<str>> =
             match qpseeker_repro::workloads::enumerate_orderings(q, 1).into_iter().next() {
                 Some(o) => o,
                 None => continue,

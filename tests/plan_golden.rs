@@ -119,7 +119,7 @@ fn serve(
             Disposition::Served(r) => r,
             other => panic!("request {i}: not served: {other:?}"),
         };
-        assert_eq!(r.served_by, ServedBy::Neural, "request {i}: {:?}", r.fallback_reason);
+        assert_eq!(r.served_by, ServedBy::Neural, "request {i}: {:?}", r.fallback_reason());
         words.push(fnv::bytes(format!("{:?}", r.plan).as_bytes()));
         words.push(r.predicted_ms.map_or(0, f64::to_bits));
         words.push(r.evals as u64);

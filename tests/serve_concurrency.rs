@@ -265,12 +265,12 @@ fn injected_panics_never_kill_workers() {
             Disposition::Served(r) => {
                 assert_eq!(r.served_by, ServedBy::Classical);
                 assert!(
-                    r.attempt_failures
+                    r.attempt_failures()
                         .iter()
                         .all(|f| matches!(f, FallbackReason::PlannerPanicked(_))),
                     "query {}: expected only PlannerPanicked, got {:?}",
                     o.query_id,
-                    r.attempt_failures
+                    r.attempt_failures()
                 );
             }
             other => panic!("query {}: unexpected disposition {other:?}", o.query_id),

@@ -67,9 +67,7 @@ fn chain_plan(q: &Query, scan: ScanOp) -> PlanNode {
             op: JoinOp::HashJoin,
             left: std::sync::Arc::new(node),
             right: std::sync::Arc::new(PlanNode::scan(q, &r.alias, scan)),
-            preds: std::sync::Arc::new(
-                q.joins.iter().filter(|j| j.touches(&r.alias)).cloned().collect(),
-            ),
+            preds: q.joins.iter().filter(|j| j.touches(&r.alias)).cloned().collect(),
         };
     }
     node
@@ -400,8 +398,13 @@ fn disconnected_queries_plan_neurally_under_every_strategy() {
             assert!(direct.predicted_ms.is_finite(), "{label}");
             let served =
                 plan_with_fallback_in(db, q, Some(model), &serve, &mut model.new_session());
-            assert_eq!(served.served_by, ServedBy::Neural, "{label}: {:?}", served.fallback_reason);
-            assert_eq!(served.attempts, 1, "{label}: {:?}", served.attempt_failures);
+            assert_eq!(
+                served.served_by,
+                ServedBy::Neural,
+                "{label}: {:?}",
+                served.fallback_reason()
+            );
+            assert_eq!(served.attempts, 1, "{label}: {:?}", served.attempt_failures());
             assert_eq!(served.plan, direct.plan, "{label}");
         }
     }

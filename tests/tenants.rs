@@ -607,20 +607,20 @@ fn scramble(
         .relations
         .iter()
         .enumerate()
-        .map(|(i, r)| (r.alias.clone(), format!("x{i}_{}", seed % 7)))
+        .map(|(i, r)| (r.alias.to_string(), format!("x{i}_{}", seed % 7)))
         .collect();
     let sub = |a: &str| -> String {
         map.iter().find(|(from, _)| from == a).map(|(_, to)| to.clone()).unwrap_or_else(|| a.into())
     };
     for r in &mut out.relations {
-        r.alias = sub(&r.alias);
+        r.alias = sub(&r.alias).into();
     }
     for j in &mut out.joins {
-        j.left.alias = sub(&j.left.alias);
-        j.right.alias = sub(&j.right.alias);
+        j.left.alias = sub(&j.left.alias).into();
+        j.right.alias = sub(&j.right.alias).into();
     }
     for f in &mut out.filters {
-        f.col.alias = sub(&f.col.alias);
+        f.col.alias = sub(&f.col.alias).into();
     }
     out
 }
@@ -676,11 +676,11 @@ fn generated_workloads_do_not_collide_fingerprints() {
         let table_of = |alias: &str| {
             q.relations
                 .iter()
-                .find(|r| r.alias == alias)
-                .map(|r| r.table.clone())
+                .find(|r| *r.alias == *alias)
+                .map(|r| r.table.to_string())
                 .unwrap_or_else(|| alias.to_string())
         };
-        let mut tables: Vec<String> = q.relations.iter().map(|r| r.table.clone()).collect();
+        let mut tables: Vec<String> = q.relations.iter().map(|r| r.table.to_string()).collect();
         tables.sort();
         let mut joins: Vec<String> = q
             .joins
